@@ -14,13 +14,16 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_build.json".to_string());
     let rows = build_ingest::build_ingest();
-    let mut json = String::from("{\n  \"dataset\": \"WikiGrowth\",\n  \"rows\": [\n");
+    let mut json = format!(
+        "{{\n  \"dataset\": \"WikiGrowth\",\n  \"nproc\": {},\n  \"rows\": [\n",
+        hgs_core::build::host_parallelism()
+    );
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"path\": \"{}\", \"clients\": {}, \"build_secs\": {:.5}, \
              \"append_secs\": {:.5}, \"puts\": {}, \"write_batches\": {}, \
              \"rows_per_batch\": {:.1}}}{}\n",
-            if r.seed_path { "seed" } else { "batched" },
+            r.path,
             r.clients,
             r.build_secs,
             r.append_secs,

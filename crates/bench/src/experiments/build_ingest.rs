@@ -6,24 +6,37 @@
 //! (the paper's "create an independent TGI with the new events and
 //! merge"). Three write paths are compared on identical events:
 //!
-//! * **seed** — fused sequential encode, one store `put` per encoded
-//!   row (`write_batch_rows = 0`), the pre-batching reference;
-//! * **batched** — per-`sid` span encoding (inline at `c = 1`, on the
-//!   work-stealing queue above; `HGS_CLIENTS` sweep, default
-//!   `1,2,4`), rows buffered and flushed as one `put_batch` round
-//!   trip per machine.
+//! * **seed** — fused sequential encode re-partitioning the state at
+//!   every checkpoint, one store `put` per encoded row
+//!   (`write_batch_rows = 0`), the pre-batching reference;
+//! * **batched** — at `c = 1` the fused pass with per-`sid` states kept
+//!   current chunk by chunk, from `c = 2` per-`sid` span encoding on
+//!   the work-stealing queue (`HGS_CLIENTS` sweep, default `1,2,4`);
+//!   rows buffered and flushed as one `put_batch` round trip per
+//!   machine;
+//! * **default** — what `Tgi::try_build_on` does with no width given:
+//!   the batched path at the host's encode width
+//!   (`min(available_parallelism, ns)`), reads left at one client.
 //!
-//! Before timing, every batched variant's final store is asserted
-//! **byte-identical** to the seed's (row-for-row table/key/value
-//! equality per machine) — the equivalence the write path guarantees.
-//! Reported per variant: build and append wall seconds (median of
-//! three), per-row put count, write-batch round trips, and rows per
-//! batch. The CI smoke gate requires batched round trips ≤ 10% of the
-//! put count and batched `c=1` no slower than seed.
+//! The `batched_replicate` (`c = 1`) / `default_replicate` pair repeats
+//! the last two under `Locality { replicate_boundary: true }`, where
+//! per-`sid` items must each replay the full state — on the first
+//! 30 % of the trace, three rounds (aux rows make the full trace cost
+//! ~40× the other rows).
+//!
+//! Every batched variant's final store is asserted **byte-identical**
+//! to the seed's (row-for-row table/key/value equality per machine) —
+//! the equivalence the write path guarantees. Reported per variant:
+//! build and append wall seconds (median of nine rounds, each round
+//! running every variant once so host noise lands on all rows alike),
+//! per-row put count, write-batch round trips, and rows per batch. The
+//! CI smoke gate requires batched round trips ≤ 10% of the put count
+//! and batched `c=1` no slower than seed, and prints the default
+//! width's figures beside them.
 
 use std::sync::Arc;
 
-use hgs_core::{Tgi, TgiConfig};
+use hgs_core::{PartitionStrategy, Tgi, TgiConfig};
 use hgs_delta::Event;
 use hgs_store::{SimStore, StoreConfig};
 
@@ -33,10 +46,11 @@ use crate::harness::*;
 /// One write-path variant's measurements.
 #[derive(Debug, Clone, Copy)]
 pub struct BuildRow {
-    /// Build parallelism (work-stealing clients for span encoding).
+    /// Build parallelism (work-stealing clients for span encoding);
+    /// on the `default*` rows, the host's encode width.
     pub clients: usize,
-    /// `true` for the seed row-at-a-time reference path.
-    pub seed_path: bool,
+    /// `seed`, `batched`, `default`, or the `*_replicate` pair.
+    pub path: &'static str,
     /// Bulk-build wall seconds (median of three fresh builds).
     pub build_secs: f64,
     /// Streaming-append wall seconds for the remaining ~20%.
@@ -74,11 +88,15 @@ fn run_once(
     store_cfg: StoreConfig,
     build_events: &[Event],
     append_events: &[Event],
-    c: usize,
+    c: Option<usize>,
 ) -> (f64, f64, Arc<SimStore>) {
     let store = Arc::new(SimStore::new(store_cfg));
     let t0 = std::time::Instant::now();
-    let mut tgi = Tgi::try_build_on_c(cfg, store.clone(), build_events, c).expect("healthy build");
+    let mut tgi = match c {
+        Some(c) => Tgi::try_build_on_c(cfg, store.clone(), build_events, c),
+        None => Tgi::try_build_on(cfg, store.clone(), build_events),
+    }
+    .expect("healthy build");
     let build_secs = t0.elapsed().as_secs_f64();
     let t1 = std::time::Instant::now();
     tgi.try_append_events(append_events)
@@ -87,47 +105,66 @@ fn run_once(
     (build_secs, append_secs, store)
 }
 
-/// Measure one variant: median-of-three timings over fresh clusters,
-/// store stats bracketed over the last run, and that run's store
-/// returned for the equality assertion.
-fn measure_variant(
+/// One write-path variant: its `path` label and width (`None` builds at
+/// the default encode width; the `seed` path writes row-at-a-time).
+type Variant = (&'static str, Option<usize>);
+
+/// Measure a group of variants over `reps` rounds of fresh clusters,
+/// one run of every variant per round so a slow stretch of the host
+/// lands on all of them alike; timings are the median over the rounds.
+/// Store stats are bracketed over each variant's last run, whose store
+/// is returned for the equality assertions.
+fn measure_variants(
     cfg: TgiConfig,
     store_cfg: StoreConfig,
     build_events: &[Event],
     append_events: &[Event],
-    c: usize,
-    seed_path: bool,
-) -> (BuildRow, Arc<SimStore>) {
-    let cfg = if seed_path {
-        cfg.with_write_batch_rows(0)
-    } else {
-        cfg
-    };
-    let mut builds = [0.0f64; 3];
-    let mut appends = [0.0f64; 3];
-    let mut last_store = None;
-    for i in 0..3 {
-        let (b, a, store) = run_once(cfg, store_cfg, build_events, append_events, c);
-        builds[i] = b;
-        appends[i] = a;
-        last_store = Some(store);
+    variants: &[Variant],
+    reps: usize,
+) -> Vec<(BuildRow, Arc<SimStore>)> {
+    let mut builds = vec![Vec::with_capacity(reps); variants.len()];
+    let mut appends = vec![Vec::with_capacity(reps); variants.len()];
+    let mut stores = vec![None; variants.len()];
+    for _ in 0..reps {
+        for (i, &(path, c)) in variants.iter().enumerate() {
+            let cfg = if path == "seed" {
+                cfg.with_write_batch_rows(0)
+            } else {
+                cfg
+            };
+            let (b, a, store) = run_once(cfg, store_cfg, build_events, append_events, c);
+            builds[i].push(b);
+            appends[i].push(a);
+            stores[i] = Some(store);
+        }
     }
-    let store = last_store.expect("three runs happened");
-    let stats = store.stats_snapshot();
-    let row = BuildRow {
-        clients: c,
-        seed_path,
-        build_secs: median3(builds),
-        append_secs: median3(appends),
-        puts: stats.iter().map(|m| m.puts).sum(),
-        write_batches: stats.iter().map(|m| m.put_batches).sum(),
+    let median = |xs: &mut Vec<f64>| {
+        xs.sort_by(|a, b| a.total_cmp(b));
+        xs[xs.len() / 2]
     };
-    (row, store)
+    let host_width = hgs_core::build::host_parallelism().min(cfg.horizontal_partitions as usize);
+    variants
+        .iter()
+        .enumerate()
+        .map(|(i, &(path, c))| {
+            let store = stores[i].take().expect("at least one round");
+            let stats = store.stats_snapshot();
+            let row = BuildRow {
+                clients: c.unwrap_or(host_width),
+                path,
+                build_secs: median(&mut builds[i]),
+                append_secs: median(&mut appends[i]),
+                puts: stats.iter().map(|m| m.puts).sum(),
+                write_batches: stats.iter().map(|m| m.put_batches).sum(),
+            };
+            (row, store)
+        })
+        .collect()
 }
 
 /// The build/ingest experiment over dataset 1, printed as TSV and
 /// returned for JSON emission: the seed reference row first, then the
-/// batched clients sweep.
+/// batched clients sweep and the default width.
 pub fn build_ingest() -> Vec<BuildRow> {
     banner(
         "BuildIngest",
@@ -153,7 +190,7 @@ pub fn build_ingest() -> Vec<BuildRow> {
     let mut push = |row: BuildRow| {
         println!(
             "{}\t{}\t{}\t{}\t{}\t{}\t{:.1}",
-            if row.seed_path { "seed" } else { "batched" },
+            row.path,
             row.clients,
             secs(row.build_secs),
             secs(row.append_secs),
@@ -164,23 +201,46 @@ pub fn build_ingest() -> Vec<BuildRow> {
         rows.push(row);
     };
 
-    let (seed_row, seed_store) =
-        measure_variant(cfg, store_cfg, build_events, append_events, 1, true);
+    let mut variants: Vec<Variant> = vec![("seed", Some(1))];
+    variants.extend(clients_sweep().into_iter().map(|c| ("batched", Some(c))));
+    variants.push(("default", None));
+    let mut measured =
+        measure_variants(cfg, store_cfg, build_events, append_events, &variants, 9).into_iter();
+    let (seed_row, seed_store) = measured.next().expect("seed row");
     let reference = seed_store.content_rows();
     push(seed_row);
-    for c in clients_sweep() {
-        let (row, store) = measure_variant(cfg, store_cfg, build_events, append_events, c, false);
+    for (row, store) in measured {
+        let (path, c) = (row.path, row.clients);
         assert_eq!(
             store.content_rows(),
             reference,
-            "batched build+ingest (c={c}) must be byte-identical to the seed sequential store"
+            "{path} build+ingest (c={c}) must be byte-identical to the seed sequential store"
         );
         assert!(
             row.write_batches > 0 && row.write_batches < row.puts,
-            "batched path (c={c}) must group writes: {} batches for {} puts",
+            "{path} path (c={c}) must group writes: {} batches for {} puts",
             row.write_batches,
             row.puts
         );
+        push(row);
+    }
+
+    // Aux boundary replication, explicit width 1 vs the default width,
+    // on the first 30 % of the trace: aux rows make the full trace cost
+    // ~40× the rows above.
+    let replicate = cfg.with_strategy(PartitionStrategy::Locality {
+        replicate_boundary: true,
+    });
+    let head = &events[..split_for_ingest(&events, 0.3)];
+    let (build_events, append_events) = head.split_at(split_for_ingest(head, 0.8));
+    let pair = [("batched_replicate", Some(1)), ("default_replicate", None)];
+    let measured = measure_variants(replicate, store_cfg, build_events, append_events, &pair, 3);
+    assert_eq!(
+        measured[1].1.content_rows(),
+        measured[0].1.content_rows(),
+        "default-width replicate build+ingest must be byte-identical to width 1"
+    );
+    for (row, _) in measured {
         push(row);
     }
     rows
@@ -213,13 +273,19 @@ mod tests {
         let (build_events, append_events) = events.split_at(split);
         let cfg = paper_default_cfg();
         let store_cfg = StoreConfig::new(4, 1);
-        let (seed_row, seed_store) =
-            measure_variant(cfg, store_cfg, build_events, append_events, 1, true);
+        let variants = [
+            ("seed", Some(1)),
+            ("batched", Some(1)),
+            ("batched", Some(2)),
+            ("default", None),
+        ];
+        let mut measured =
+            measure_variants(cfg, store_cfg, build_events, append_events, &variants, 2).into_iter();
+        let (seed_row, seed_store) = measured.next().expect("seed row");
         assert_eq!(seed_row.write_batches, 0, "seed path writes row-at-a-time");
         let reference = seed_store.content_rows();
-        for c in [1usize, 2] {
-            let (row, store) =
-                measure_variant(cfg, store_cfg, build_events, append_events, c, false);
+        for (row, store) in measured {
+            let c = row.clients;
             assert_eq!(store.content_rows(), reference, "c={c}");
             assert_eq!(row.puts, seed_row.puts, "same rows, same put count");
             assert!(

@@ -31,17 +31,26 @@
 //! flushed through [`SimStore::put_batch`] — **one round trip per
 //! machine per flush** instead of one per row
 //! ([`TgiConfig::write_batch_rows`] bounds the buffer; `0` restores
-//! the seed row-at-a-time reference path). When the handle's client
-//! width ([`Tgi::set_clients`]) exceeds one, the span's heavy
-//! per-`(sid, pid)` encoding runs as one work item per horizontal
-//! partition on [`hgs_store::parallel::parallel_steal`]: each item
+//! the seed row-at-a-time reference path). At an encode width of two
+//! or more the span's heavy per-`(sid, pid)` encoding runs as one work
+//! item per horizontal partition on
+//! [`hgs_store::parallel::parallel_steal`]: each item
 //! replays the span scoped to its `sid` (full-state replay when aux
 //! boundary replication needs other partitions' node records), builds
 //! its own intersection tree, buckets its eventlists and collects its
 //! (disjoint) version-chain entries; outputs merge in deterministic
-//! `sid` order. Both paths are property-tested to produce byte-for-byte
-//! identical stores.
+//! `sid` order. At width 1 one fused pass replays the span once for
+//! all partitions, keeping the per-`sid` states current from the nodes
+//! each chunk changed (the seed reference mode re-partitions the full
+//! state at every checkpoint instead).
+//! The writer's **encode width** is its own number, not
+//! the read-side client width: by default the items fan out over
+//! `min(available_parallelism, ns)` workers while reads stay at one
+//! client; an explicit width ([`Tgi::try_build_on_c`],
+//! [`Tgi::set_clients`]) sets both. Every width is property-tested to
+//! produce byte-for-byte identical stores.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use bytes::BytesMut;
@@ -134,6 +143,11 @@ pub struct TgiView {
 pub struct Tgi {
     pub(crate) view: TgiView,
     pub(crate) tail_state: Delta,
+    /// Worker count of the write path's per-`sid` span encode. The
+    /// host's parallelism unless an explicit width was given
+    /// ([`Tgi::try_build_on_c`], [`Tgi::set_clients`]), in which case
+    /// it equals the view's read-side `clients`.
+    pub(crate) encode_width: usize,
     /// Set when an append failed partway (see
     /// [`Tgi::try_append_events`]); further appends are refused.
     pub(crate) poisoned: bool,
@@ -235,7 +249,7 @@ impl Tgi {
         store: Arc<SimStore>,
         events: &[Event],
     ) -> Result<Tgi, BuildError> {
-        Tgi::try_build_on_c(cfg, store, events, 1)
+        Tgi::try_build_with(cfg, store, events, 1, host_parallelism())
     }
 
     /// Fallible [`Tgi::build`] with an explicit build parallelism `c`:
@@ -261,6 +275,16 @@ impl Tgi {
         events: &[Event],
         c: usize,
     ) -> Result<Tgi, BuildError> {
+        Tgi::try_build_with(cfg, store, events, c.max(1), c.max(1))
+    }
+
+    fn try_build_with(
+        cfg: TgiConfig,
+        store: Arc<SimStore>,
+        events: &[Event],
+        clients: usize,
+        encode_width: usize,
+    ) -> Result<Tgi, BuildError> {
         cfg.validate();
         // Runtime knob: every read/write the index issues from here on
         // retries under this policy.
@@ -275,7 +299,7 @@ impl Tgi {
                 node_count: 0,
                 edge_count: 0,
                 cost: CostModel::default(),
-                clients: c.max(1),
+                clients,
                 read_cache: Arc::new(crate::read_cache::ReadCache::with_shards(
                     cfg.read_cache_bytes,
                     cfg.read_cache_shards,
@@ -283,6 +307,7 @@ impl Tgi {
                 epoch: 0,
             },
             tail_state: Delta::new(),
+            encode_width,
             poisoned: false,
         };
         tgi.try_append_events(events)?;
@@ -389,10 +414,22 @@ impl Tgi {
         Ok(())
     }
 
-    /// Normalize a batch against the current tail state: seed the
-    /// expansion with synthetic edge state from `tail_state`, then
-    /// normalize the batch alone.
-    fn normalize_batch(&self, events: &[Event]) -> Vec<Event> {
+    /// Normalize a batch against the current tail state.
+    /// Normalization only rewrites `RemoveNode`, so a batch without
+    /// one is returned as it came — no seeding pass over the whole
+    /// live graph, no copy.
+    fn normalize_batch<'a>(&self, events: &'a [Event]) -> Cow<'a, [Event]> {
+        let removes_a_node = |e: &Event| matches!(e.kind, hgs_delta::EventKind::RemoveNode { .. });
+        if events.iter().any(removes_a_node) {
+            Cow::Owned(self.normalize_seeded(events))
+        } else {
+            Cow::Borrowed(events)
+        }
+    }
+
+    /// Seed the expansion with synthetic edge state from `tail_state`,
+    /// then normalize the batch alone.
+    fn normalize_seeded(&self, events: &[Event]) -> Vec<Event> {
         // Prefix the batch with the live adjacency as AddEdge events at
         // an irrelevant time, normalize, then drop the prefix.
         let state = &self.tail_state;
@@ -450,8 +487,16 @@ impl Tgi {
     /// cluster do"). Explicit-`c` calls (`snapshots_c`,
     /// `try_build_on_c`) and [`Tgi::set_clients_forced`] bypass the
     /// clamp.
+    ///
+    /// Until this (or an explicit-`c` build) is called, the two widths
+    /// differ: reads run at one client, the span encode at the host's
+    /// parallelism. Calling it pins both to `c` — `set_clients(1)` is
+    /// how to keep a writer off the cores its readers use, and the only
+    /// way: the opt-out couples the two widths, so a handle cannot
+    /// encode at width 1 and read at `c > 1`.
     pub fn set_clients(&mut self, c: usize) {
         self.view.clients = clamp_clients(c);
+        self.encode_width = self.view.clients;
     }
 
     /// [`Tgi::set_clients`] without the host-parallelism clamp — the
@@ -459,6 +504,7 @@ impl Tgi {
     /// thread interleavings on boxes with fewer cores than `c`.
     pub fn set_clients_forced(&mut self, c: usize) {
         self.view.clients = c.max(1);
+        self.encode_width = self.view.clients;
     }
 
     /// Latency model used for `modeled_secs` in fetch reports.
@@ -514,17 +560,24 @@ impl Tgi {
         );
 
         // 3-5. Replay the span, emitting leaves / eventlists / aux /
-        // chain entries. The seed reference mode (`write_batch_rows ==
-        // 0`) always runs the fused single pass — the faithful
-        // row-at-a-time baseline. The batched path runs the per-sid
-        // item encode even at width 1 (inline, no threads): scoped
-        // replay clones each checkpoint's state once instead of the
-        // fused pass's partition-then-clone twice, which alone roughly
-        // halves build time. Exception: aux boundary replication at
-        // width 1 stays fused, since per-sid items must then replay
-        // the *full* state each (ns× the work) to see neighbor
-        // records. All paths produce identical rows (property-tested).
-        let workers = steal_worker_count(self.clients, ns as usize);
+        // chain entries. At width 1 that is the fused single pass: one
+        // replay of the span, each sid's leaf taken from per-sid
+        // partitions of the state. The seed reference mode
+        // (`write_batch_rows == 0`) re-derives those partitions from
+        // the full state at every checkpoint — the definition, written
+        // row-at-a-time; the batched path keeps them current from the
+        // nodes each chunk touched. From width 2 up (any strategy) the
+        // span becomes one work item per sid. With aux boundary
+        // replication each item replays the *full* state to see
+        // neighbor records, yet two workers still beat the fused pass
+        // for ns = 4, 8, 16 (1.4–1.6× on a 30 k-event trace, 1.1–1.2×
+        // on 100 k): encoding a sid's aux rows and tree, not the
+        // replay, is where the time goes, and that splits across
+        // workers. Inline items at width 1 lose to the fused pass on
+        // small states (they pay a second replay for the tail state
+        // and ns scans of the span). All paths produce
+        // identical rows (property-tested).
+        let workers = steal_worker_count(self.encode_width, ns as usize);
         let seed_mode = cfg.write_batch_rows == 0;
         // Secondary-index rows are collected from the pre-span tail
         // state plus the span's events — one in-memory pass, identical
@@ -534,7 +587,7 @@ impl Tgi {
             crate::attr_index::collect_span_index_rows(&self.tail_state, events, range.start)
         });
         let mut chains: FxHashMap<NodeId, Vec<ChainEntry>> = FxHashMap::default();
-        if seed_mode || (replicate && workers <= 1) {
+        if seed_mode || workers <= 1 {
             self.encode_span_fused(
                 events,
                 &chunk_bounds,
@@ -639,7 +692,10 @@ impl Tgi {
     /// span once, pushing each sid's leaf into its accumulator and
     /// bucketing each chunk's eventlists for all sids together. Rows
     /// go to the write buffer (which may flush mid-span and surface a
-    /// store error).
+    /// store error). The per-sid partitions the leaves are cloned from
+    /// are re-derived from the full state at every checkpoint in the
+    /// seed reference mode, and otherwise split once and kept equal to
+    /// that by re-copying the nodes each chunk changed.
     #[allow(clippy::too_many_arguments)]
     fn encode_span_fused(
         &mut self,
@@ -655,12 +711,16 @@ impl Tgi {
     ) -> Result<(), StoreError> {
         let cfg = self.cfg;
         let ns = cfg.horizontal_partitions;
+        let seed_mode = cfg.write_batch_rows == 0;
         let mut accs: Vec<TreeAccumulator> = (0..ns)
             .map(|_| TreeAccumulator::new(shape.clone()))
             .collect();
+        let mut parts = partition_state(&self.tail_state, ns);
         for j in 0..q {
             // Leaf j: per-sid partitioned snapshot of the current state.
-            let parts = partition_state(&self.tail_state, ns);
+            if seed_mode && j > 0 {
+                parts = partition_state(&self.tail_state, ns);
+            }
             for sid in 0..ns {
                 if replicate {
                     let mut emit = |row: PutRow| buf.push_row(row);
@@ -713,8 +773,25 @@ impl Tgi {
                 );
                 let mut emit = |row: PutRow| buf.push_row(row);
                 emit_eventlist_rows(cfg.layout, tsid, j as u32, buckets, &mut emit)?;
+                // An event changes its endpoints' records; a node
+                // removal also scrubs the edges its neighbors still
+                // hold to it (none, on a normalized stream).
+                let mut changed: Vec<NodeId> = Vec::new();
                 for ev in chunk {
+                    if !seed_mode {
+                        let (a, b) = ev.kind.touched();
+                        changed.push(a);
+                        changed.extend(b);
+                        if let hgs_delta::EventKind::RemoveNode { id } = &ev.kind {
+                            if let Some(n) = self.tail_state.node(*id) {
+                                changed.extend(n.all_neighbors());
+                            }
+                        }
+                    }
                     self.tail_state.apply_event(&ev.kind);
+                }
+                for id in changed {
+                    parts[sid_of(id, ns) as usize].copy_node_from(&self.tail_state, id);
                 }
             }
         }
@@ -743,7 +820,7 @@ impl Tgi {
 
     /// Parallel span encoding: one work item per horizontal partition
     /// on the work-stealing queue ([`parallel_steal`], fan-out clamped
-    /// to `min(clients, ns)`). Each item replays the span restricted
+    /// to `min(encode_width, ns)`). Each item replays the span restricted
     /// to its own `sid` (or over the full state when aux boundary
     /// replication needs other partitions' node records), building its
     /// intersection tree, eventlist buckets and chain entries
@@ -778,22 +855,23 @@ impl Tgi {
                 .map(|(sid, part)| (sid as u32, part))
                 .collect()
         };
-        let outputs: Vec<SidSpanOutput> = parallel_steal(items, self.clients, |(sid, state)| {
-            encode_sid_span(SidSpanJob {
-                sid,
-                state,
-                events,
-                chunk_bounds,
-                q,
-                shape,
-                maps,
-                tsid,
-                ns,
-                replicate,
-                version_chains: cfg.version_chains,
-                layout: cfg.layout,
-            })
-        });
+        let outputs: Vec<SidSpanOutput> =
+            parallel_steal(items, self.encode_width, |(sid, state)| {
+                encode_sid_span(SidSpanJob {
+                    sid,
+                    state,
+                    events,
+                    chunk_bounds,
+                    q,
+                    shape,
+                    maps,
+                    tsid,
+                    ns,
+                    replicate,
+                    version_chains: cfg.version_chains,
+                    layout: cfg.layout,
+                })
+            });
         // Advance the tail state with the same apply sequence as the
         // fused path (identical internal ordering keeps later
         // normalization deterministic across handles).
@@ -953,13 +1031,18 @@ fn put_checked(
     Ok(())
 }
 
+/// The host's available parallelism — the default encode width, and
+/// the clamp of [`Tgi::set_clients`].
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// Clamp a requested client width to the host's available
 /// parallelism (never below 1).
 pub(crate) fn clamp_clients(c: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    c.max(1).min(cores)
+    c.max(1).min(host_parallelism())
 }
 
 /// Everything one per-`sid` span-encoding work item needs, borrowed
@@ -1023,13 +1106,7 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
             emit_aux(layout, tsid, sid, j as u64, &state, maps, ns, &mut emit)
                 // hgs-lint: allow(no-panic-in-try, "emit closure appends to an in-memory Vec; the Result is only the shared emit-fn signature")
                 .expect("in-memory emit cannot fail");
-            let mut part = Delta::new();
-            for n in state.iter() {
-                if sid_of(n.id, ns) == sid {
-                    part.insert(n.clone());
-                }
-            }
-            part
+            state.restrict(|id| sid_of(id, ns) == sid)
         } else {
             state.clone()
         };
@@ -1259,11 +1336,10 @@ fn chunk_events(events: &[Event], l: usize) -> Vec<(usize, usize)> {
 
 /// Split a state into per-`sid` partitioned snapshots in one pass.
 fn partition_state(state: &Delta, ns: u32) -> Vec<Delta> {
-    let mut parts: Vec<Delta> = (0..ns).map(|_| Delta::new()).collect();
-    for n in state.iter() {
-        parts[sid_of(n.id, ns) as usize].insert(n.clone());
-    }
-    parts
+    let mut parts = state.group_by(|id| sid_of(id, ns));
+    (0..ns)
+        .map(|sid| parts.remove(&sid).unwrap_or_default())
+        .collect()
 }
 
 /// Emit a delta micro-partitioned by `map`.
@@ -1277,14 +1353,7 @@ fn emit_micro(
     map: &PartitionMap,
     emit: &mut impl FnMut(PutRow) -> Result<(), StoreError>,
 ) -> Result<(), StoreError> {
-    let mut buckets: FxHashMap<u32, Delta> = FxHashMap::default();
-    for n in delta.iter() {
-        buckets
-            .entry(map.assign(n.id))
-            .or_default()
-            .insert(n.clone());
-    }
-    for (pid, d) in buckets {
+    for (pid, d) in delta.group_by(|id| map.assign(id)) {
         let key = DeltaKey::new(tsid, sid, did, pid);
         emit(PutRow::new(
             Table::Deltas,
@@ -1486,6 +1555,74 @@ mod tests {
         assert_eq!(tgi.clients(), 1, "never below one client");
         tgi.set_clients_forced(10_000);
         assert_eq!(tgi.clients(), 10_000, "escape hatch skips the clamp");
+    }
+
+    #[test]
+    fn explicit_widths_set_both_widths_and_the_default_only_the_encode() {
+        let mut tgi = Tgi::build(TgiConfig::default(), StoreConfig::new(1, 1), &[]);
+        assert_eq!((tgi.clients(), tgi.encode_width), (1, host_parallelism()));
+        tgi.set_clients(1);
+        assert_eq!((tgi.clients(), tgi.encode_width), (1, 1));
+        tgi.set_clients_forced(3);
+        assert_eq!((tgi.clients(), tgi.encode_width), (3, 3));
+        let tgi = Tgi::try_build_c(TgiConfig::default(), StoreConfig::new(1, 1), &[], 5)
+            .expect("healthy build");
+        assert_eq!((tgi.clients(), tgi.encode_width), (5, 5));
+    }
+
+    /// A default build encodes at the host's width but its reads stay
+    /// at one client: a cold snapshot costs exactly the store batches
+    /// it costs on an explicit width-1 handle.
+    #[test]
+    fn default_build_reads_at_width_one() {
+        let events = hgs_datagen::WikiGrowth::sized(3_000).generate();
+        let cfg = TgiConfig::default().with_timespan(1_000);
+        let cold_snapshot_batches = |tgi: &Tgi| {
+            let batches =
+                |tgi: &Tgi| -> u64 { tgi.store().stats_snapshot().iter().map(|m| m.batches).sum() };
+            let before = batches(tgi);
+            tgi.try_snapshot(tgi.end_time()).expect("healthy read");
+            batches(tgi) - before
+        };
+        let default = Tgi::try_build(cfg, StoreConfig::new(4, 1), &events).expect("build");
+        let one = Tgi::try_build_c(cfg, StoreConfig::new(4, 1), &events, 1).expect("build");
+        assert_eq!(default.clients(), 1);
+        let batches = cold_snapshot_batches(&default);
+        assert!(batches > 0);
+        assert_eq!(batches, cold_snapshot_batches(&one));
+    }
+
+    /// The early-out and the seeded expansion agree: a batch without
+    /// `RemoveNode` comes back borrowed and equal to what seeding the
+    /// whole live graph would have produced; one with removals takes
+    /// the seeded path and gains the neighbors' `RemoveEdge` events.
+    #[test]
+    fn normalize_batch_early_out_equals_seeded_expansion() {
+        let base = hgs_datagen::WikiGrowth::sized(800).generate();
+        let trace = hgs_datagen::augment_with_churn(&base, 500, 0.5, 7);
+        let (built, churn) = trace.split_at(base.len());
+        let tgi = Tgi::build(TgiConfig::default(), StoreConfig::new(2, 1), built);
+
+        let plain = tgi.normalize_batch(churn);
+        assert!(matches!(plain, Cow::Borrowed(_)));
+        assert_eq!(&plain[..], &tgi.normalize_seeded(churn)[..]);
+
+        // Remove the three best-connected live nodes after the churn.
+        let mut by_degree: Vec<&hgs_delta::StaticNode> = tgi.current_state().iter().collect();
+        by_degree.sort_by_key(|n| (std::cmp::Reverse(n.degree()), n.id));
+        let mut with_removals = churn.to_vec();
+        let mut t = churn.last().expect("churn events").time;
+        for n in &by_degree[..3] {
+            t += 1;
+            with_removals.push(Event::new(t, hgs_delta::EventKind::RemoveNode { id: n.id }));
+        }
+        let expanded = tgi.normalize_batch(&with_removals);
+        assert!(matches!(expanded, Cow::Owned(_)));
+        assert_eq!(&expanded[..], &tgi.normalize_seeded(&with_removals)[..]);
+        assert!(
+            expanded.len() > with_removals.len(),
+            "incident edges were made explicit"
+        );
     }
 
     #[test]

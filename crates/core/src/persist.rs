@@ -284,6 +284,7 @@ impl Tgi {
                 epoch: 0,
             },
             tail_state: hgs_delta::Delta::new(),
+            encode_width: crate::build::host_parallelism(),
             poisoned: false,
         };
         // The tail state (needed for appends) is the latest snapshot;

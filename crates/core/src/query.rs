@@ -667,6 +667,9 @@ impl TgiView {
         for (_key, bytes) in rows {
             chain.extend(decode_chain(&bytes).map_err(StoreError::Corrupt)?);
         }
+        // The scan also returns chain rows of spans appended after this
+        // view was published; they are not part of its sealed prefix.
+        chain.retain(|e| (e.tsid as usize) < self.spans.len());
         Ok(chain)
     }
 

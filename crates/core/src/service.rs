@@ -178,8 +178,12 @@ impl TgiService {
     }
 
     /// Set the writer's client width (clamped to host parallelism;
-    /// see [`Tgi::set_clients`]). Takes effect for subsequent appends
-    /// and for views published after the next append.
+    /// see [`Tgi::set_clients`]) — both the encode width of subsequent
+    /// appends and the read width of views published after the next
+    /// append. Until called, appends encode at the host's parallelism
+    /// and published views read at one client; `set_clients(1)` keeps
+    /// the writer on one core beside its readers (the two widths move
+    /// together: there is no narrow-writer, wide-reader setting).
     pub fn set_clients(&self, c: usize) {
         self.writer.lock().set_clients(c);
     }
@@ -223,9 +227,10 @@ impl TgiService {
     /// heals — machines healed, fault plan detached or its windows
     /// elapsed — this re-opens the index from the store's durable
     /// state, carries the service's runtime state over to the fresh
-    /// writer (shared read cache, client width, runtime config knobs,
-    /// watermark continuity), and finishes with an anti-entropy pass
-    /// so rows degraded by the same fault window are re-replicated.
+    /// writer (shared read cache, client and encode widths, runtime
+    /// config knobs, watermark continuity), and finishes with an
+    /// anti-entropy pass so rows degraded by the same fault window are
+    /// re-replicated.
     /// Appends work again afterwards; the next one publishes the next
     /// epoch in the service's watermark sequence.
     ///
@@ -243,6 +248,7 @@ impl TgiService {
             // poison flag.
             reopened.view.read_cache = Arc::clone(&writer.view.read_cache);
             reopened.view.clients = writer.view.clients;
+            reopened.encode_width = writer.encode_width;
             reopened.view.cfg.write_batch_rows = writer.view.cfg.write_batch_rows;
             reopened.view.cfg.read_cache_shards = writer.view.cfg.read_cache_shards;
             reopened.view.cfg.retry = writer.view.cfg.retry;
@@ -300,11 +306,17 @@ mod tests {
         assert_eq!(pinned.epoch(), w0);
         let t = pinned.end_time();
         let before = pinned.snapshot(t);
+        // Node 19 is touched on both sides of the cut; an open-ended
+        // range must not reach past the pinned prefix.
+        let open = hgs_delta::TimeRange::new(0, hgs_delta::Time::MAX);
+        let history_before = pinned.node_history(19, open);
         let w1 = svc.append_events(&evs[40..]);
         assert_eq!(w1, w0 + 1);
         assert_eq!(svc.watermark(), w1);
         // The pinned view still answers from its own sealed prefix...
         assert_eq!(pinned.snapshot(t), before);
+        assert_eq!(pinned.node_history(19, open), history_before);
+        assert!(svc.pin().node_history(19, open).events.len() > history_before.events.len());
         assert_eq!(pinned.epoch(), w0);
         // ...while a fresh pin sees the appended history.
         let now = svc.pin();
@@ -325,6 +337,7 @@ mod tests {
         )
         .expect("clean build");
         let w1 = svc.append_events(&evs[40..80]);
+        svc.set_clients_forced(3);
         // Take the whole cluster down transiently: the next append
         // fails and poisons the writer, readers stay at w1.
         let mut plan = hgs_store::FaultPlan::new(0xBAD);
@@ -344,6 +357,14 @@ mod tests {
         let report = svc.try_recover().expect("healed cluster reopens");
         assert_eq!(report.still_degraded, 0);
         assert!(!svc.is_poisoned());
+        {
+            let writer = svc.writer.lock();
+            assert_eq!(
+                (writer.clients(), writer.encode_width),
+                (3, 3),
+                "both widths survive recovery"
+            );
+        }
         let w2 = svc.append_events(&evs[80..]);
         assert_eq!(w2, w1 + 1, "watermark sequence survives recovery");
         assert_eq!(pinned.epoch(), w1, "pre-failure pins are untouched");

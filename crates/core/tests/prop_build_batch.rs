@@ -7,9 +7,9 @@
 
 use std::sync::Arc;
 
-use hgs_core::{PartitionStrategy, Tgi, TgiConfig};
+use hgs_core::{PartitionStrategy, Tgi, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
-use hgs_delta::{AttrValue, Event, EventKind};
+use hgs_delta::{AttrValue, Event, EventKind, StorageLayout};
 use hgs_store::{SimStore, StoreConfig};
 use proptest::prelude::*;
 
@@ -120,8 +120,9 @@ proptest! {
     }
 
     /// Arbitrary histories (removals, attribute churn, duplicated
-    /// events) through small index shapes: parallel scoped-replay
-    /// encoding must place the seed's exact rows, and appends through
+    /// events) through small index shapes: the width-1 fused pass (per-sid
+    /// states kept current chunk by chunk) and parallel scoped-replay
+    /// encoding must both place the seed's exact rows, and appends through
     /// the buffered path must (a) keep store equality with a rowwise
     /// handle ingesting the same batches and (b) answer queries like a
     /// from-scratch rebuild over the concatenated history.
@@ -132,7 +133,7 @@ proptest! {
         ns in 1u32..5,
         strategy in arb_strategy(),
         split_num in 1usize..4,
-        clients in 2usize..5,
+        clients in 1usize..5,
     ) {
         let cfg = TgiConfig {
             events_per_timespan: 120.max(l),
@@ -187,6 +188,76 @@ proptest! {
                 "node_at mismatch for id={}",
                 id
             );
+        }
+    }
+}
+
+/// The default write path — no width given, so the span encode fans
+/// out over the host's parallelism — through the service: a build
+/// plus appends must leave exactly the rows an explicit width-1 handle
+/// leaves, for every partition strategy in both layouts, on a history
+/// with node removals (the normalization path that is not an
+/// early-out).
+#[test]
+fn default_width_service_matches_explicit_width_one() {
+    let trace = WikiGrowth::sized(2_400).generate();
+    let mut history = hgs_datagen::augment_with_churn(&trace, 600, 0.5, 11);
+    let mut t = history.last().expect("events").time;
+    for id in [3u64, 17, 40] {
+        t += 1;
+        history.push(Event::new(t, EventKind::RemoveNode { id }));
+        t += 1;
+        history.push(Event::new(t, EventKind::AddNode { id }));
+    }
+    // An append may not start inside a timestamp group.
+    let snap = |mut i: usize| {
+        while i < history.len() && history[i].time <= history[i - 1].time {
+            i += 1;
+        }
+        i
+    };
+    let cuts = [
+        snap(history.len() / 2),
+        snap(trace.len() + 300),
+        history.len(),
+    ];
+    for strategy in [
+        PartitionStrategy::Random,
+        PartitionStrategy::Locality {
+            replicate_boundary: false,
+        },
+        PartitionStrategy::Locality {
+            replicate_boundary: true,
+        },
+    ] {
+        for layout in [StorageLayout::RowWise, StorageLayout::Columnar] {
+            let cfg = TgiConfig {
+                events_per_timespan: 700,
+                eventlist_size: 90,
+                partition_size: 40,
+                horizontal_partitions: 4,
+                strategy,
+                layout,
+                ..TgiConfig::default()
+            };
+            let one_store = fresh_store(3, 1);
+            let mut one = Tgi::try_build_on_c(cfg, one_store.clone(), &history[..cuts[0]], 1)
+                .expect("width-1 build");
+            let store = fresh_store(3, 1);
+            let svc = TgiService::try_build_on(cfg, store.clone(), &history[..cuts[0]])
+                .expect("default-width build");
+            for w in cuts.windows(2) {
+                one.try_append_events(&history[w[0]..w[1]])
+                    .expect("width-1 append");
+                svc.try_append_events(&history[w[0]..w[1]])
+                    .expect("default-width append");
+            }
+            assert_eq!(
+                store.content_rows(),
+                one_store.content_rows(),
+                "default-width rows diverged for {strategy:?} / {layout:?}"
+            );
+            assert_eq!(svc.pin().clients(), 1, "reads stay at one client");
         }
     }
 }

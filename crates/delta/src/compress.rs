@@ -16,6 +16,8 @@
 //! and repeated attribute keys, which this catches well (typically
 //! 1.5–3x on our workloads).
 
+use std::cell::RefCell;
+
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::CodecError;
@@ -76,91 +78,173 @@ fn get_varint_slow(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     Err(CodecError::VarintOverflow)
 }
 
-/// Compress `data`. The output starts with the raw length, so
-/// [`decompress`] can pre-allocate exactly.
-pub fn compress(data: &[u8]) -> Bytes {
-    let mut out = BytesMut::with_capacity(data.len() / 2 + 16);
-    put_varint(&mut out, data.len() as u64);
-    if data.len() < MIN_MATCH {
-        if !data.is_empty() {
-            out.put_u8(0);
-            put_varint(&mut out, data.len() as u64);
-            out.put_slice(data);
+/// Hash-chain match-finder state, kept per thread and **never
+/// re-initialised between calls**: allocating and filling a fresh pair
+/// of tables per call (512 KiB of `usize` entries, as the test oracle
+/// still does) dwarfed the actual work on the ~50-byte column segments
+/// the columnar codec compresses by the tens of thousands per build.
+///
+/// Positions are stored *biased*: data index `i` of the current call
+/// is stored as `base + (i - origin)`, and each call starts its `base`
+/// one above every value any earlier call stored. An entry below
+/// `base` therefore reads as "empty", exactly like the `usize::MAX`
+/// sentinel of a freshly filled table, so the output is byte-identical
+/// to a fresh-table run for every input and every call sequence (the
+/// differential tests below hold the old implementation as oracle).
+/// Only when biased positions would reach `limit` are the tables
+/// rebased ([`MatchFinder::rebase`]) — once per ~4 GiB compressed on a
+/// thread.
+struct MatchFinder {
+    /// `head[h]` = biased position of the most recent occurrence of
+    /// hash `h`.
+    head: Vec<u32>,
+    /// `prev[i % WINDOW]` = biased position before `i` in the same
+    /// chain. Only slots of in-window positions of the current call
+    /// are ever read, and those were written by the current call.
+    prev: Vec<u32>,
+    /// One above every biased position stored so far.
+    next_base: u32,
+    /// Biased positions stay below this (`u32::MAX`; tests lower it to
+    /// force the rebase path).
+    limit: u32,
+}
+
+thread_local! {
+    static MATCH_FINDER: RefCell<MatchFinder> = RefCell::new(MatchFinder::new());
+}
+
+impl MatchFinder {
+    fn new() -> MatchFinder {
+        MatchFinder {
+            head: vec![0; 1 << HASH_BITS],
+            prev: vec![0; WINDOW],
+            // 0 is the zero-initialised tables' "empty".
+            next_base: 1,
+            limit: u32::MAX,
         }
-        return out.freeze();
     }
 
-    // head[h] = most recent position with hash h; prev[i % WINDOW] = the
-    // position before i in the same chain.
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; WINDOW];
+    /// Make room for more biased positions at data index `i`: entries
+    /// older than the match window (or from earlier calls) become
+    /// empty, the rest shift down so the oldest kept position is
+    /// biased 1. Dropping out-of-window entries changes no output —
+    /// the search stops at the first candidate farther than `WINDOW`
+    /// back either way. Returns the new `(base, origin)`.
+    #[cold]
+    fn rebase(&mut self, i: usize, base: u32, origin: usize) -> (u32, usize) {
+        let keep_from = i.saturating_sub(WINDOW).max(origin);
+        let shift = base + (keep_from - origin) as u32 - 1;
+        for v in self.head.iter_mut().chain(self.prev.iter_mut()) {
+            *v = v.saturating_sub(shift);
+        }
+        (1, keep_from)
+    }
 
-    let mut lit_start = 0usize;
-    let mut i = 0usize;
-
-    macro_rules! flush_literals {
-        ($upto:expr) => {
-            if lit_start < $upto {
+    fn compress(&mut self, data: &[u8]) -> Bytes {
+        let mut out = BytesMut::with_capacity(data.len() / 2 + 16);
+        put_varint(&mut out, data.len() as u64);
+        if data.len() < MIN_MATCH {
+            if !data.is_empty() {
                 out.put_u8(0);
-                put_varint(&mut out, ($upto - lit_start) as u64);
-                out.put_slice(&data[lit_start..$upto]);
+                put_varint(&mut out, data.len() as u64);
+                out.put_slice(data);
             }
-        };
-    }
+            return out.freeze();
+        }
 
-    while i + MIN_MATCH <= data.len() {
-        let h = hash4(&data[i..]);
-        let mut cand = head[h];
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
-        let limit = (data.len() - i).min(MAX_MATCH);
-        let mut chain = 0;
-        while cand != usize::MAX && i - cand <= WINDOW && chain < MAX_CHAIN {
-            if cand < i {
+        // A rebase keeps one window of positions and must still free some.
+        debug_assert!(self.limit as usize > WINDOW + 1 && self.next_base <= self.limit);
+        // Data index `i` is stored as `base + (i - origin)`.
+        let (mut base, mut origin) = (self.next_base, 0usize);
+        // First data index whose biased position would reach `limit`.
+        let mut rebase_at = origin + (self.limit - base) as usize;
+        let mut lit_start = 0usize;
+        let mut i = 0usize;
+
+        macro_rules! flush_literals {
+            ($upto:expr) => {
+                if lit_start < $upto {
+                    out.put_u8(0);
+                    put_varint(&mut out, ($upto - lit_start) as u64);
+                    out.put_slice(&data[lit_start..$upto]);
+                }
+            };
+        }
+        // Index position `i` (hash `$h`) at the front of its chain.
+        macro_rules! insert {
+            ($h:expr) => {
+                if i >= rebase_at {
+                    (base, origin) = self.rebase(i, base, origin);
+                    rebase_at = origin + (self.limit - base) as usize;
+                }
+                let here = base + (i - origin) as u32;
+                self.prev[i % WINDOW] = self.head[$h];
+                self.head[$h] = here;
+                self.next_base = here + 1;
+            };
+        }
+
+        while i + MIN_MATCH <= data.len() {
+            let h = hash4(&data[i..]);
+            let here = base + (i - origin) as u32;
+            let mut cand = self.head[h];
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            let max_len = (data.len() - i).min(MAX_MATCH);
+            let mut chain = 0;
+            while cand >= base && chain < MAX_CHAIN {
+                let dist = (here - cand) as usize;
+                if dist > WINDOW {
+                    break;
+                }
+                let at = i - dist;
                 let mut l = 0usize;
-                let max = limit;
-                while l < max && data[cand + l] == data[i + l] {
+                while l < max_len && data[at + l] == data[i + l] {
                     l += 1;
                 }
                 if l > best_len {
                     best_len = l;
-                    best_dist = i - cand;
-                    if l == limit {
+                    best_dist = dist;
+                    if l == max_len {
                         break;
                     }
                 }
+                let nxt = self.prev[at % WINDOW];
+                if nxt < base || nxt >= cand {
+                    break;
+                }
+                cand = nxt;
+                chain += 1;
             }
-            let nxt = prev[cand % WINDOW];
-            if nxt == usize::MAX || nxt >= cand {
-                break;
-            }
-            cand = nxt;
-            chain += 1;
-        }
 
-        if best_len >= MIN_MATCH {
-            flush_literals!(i);
-            out.put_u8(1);
-            put_varint(&mut out, best_dist as u64);
-            put_varint(&mut out, best_len as u64);
-            // Index all the positions the match covers.
-            let end = i + best_len;
-            while i < end && i + MIN_MATCH <= data.len() {
-                let h2 = hash4(&data[i..]);
-                prev[i % WINDOW] = head[h2];
-                head[h2] = i;
+            if best_len >= MIN_MATCH {
+                flush_literals!(i);
+                out.put_u8(1);
+                put_varint(&mut out, best_dist as u64);
+                put_varint(&mut out, best_len as u64);
+                // Index all the positions the match covers.
+                let end = i + best_len;
+                while i < end && i + MIN_MATCH <= data.len() {
+                    let h2 = hash4(&data[i..]);
+                    insert!(h2);
+                    i += 1;
+                }
+                i = end;
+                lit_start = i;
+            } else {
+                insert!(h);
                 i += 1;
             }
-            i = end;
-            lit_start = i;
-        } else {
-            prev[i % WINDOW] = head[h];
-            head[h] = i;
-            i += 1;
         }
+        flush_literals!(data.len());
+        out.freeze()
     }
-    flush_literals!(data.len());
-    out.freeze()
+}
+
+/// Compress `data`. The output starts with the raw length, so
+/// [`decompress`] can pre-allocate exactly.
+pub fn compress(data: &[u8]) -> Bytes {
+    MATCH_FINDER.with(|mf| mf.borrow_mut().compress(data))
 }
 
 /// Peek the decompressed length of a [`compress`] blob without
@@ -270,6 +354,255 @@ pub fn decompress(data: &[u8]) -> Result<Bytes, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+
+    /// The compressor as it was before the match-finder state became
+    /// reusable: two freshly filled tables of absolute positions per
+    /// call. Kept as the oracle — [`compress`] must reproduce it byte
+    /// for byte for every input and every call sequence.
+    fn compress_fresh_tables(data: &[u8]) -> Bytes {
+        let mut out = BytesMut::with_capacity(data.len() / 2 + 16);
+        put_varint(&mut out, data.len() as u64);
+        if data.len() < MIN_MATCH {
+            if !data.is_empty() {
+                out.put_u8(0);
+                put_varint(&mut out, data.len() as u64);
+                out.put_slice(data);
+            }
+            return out.freeze();
+        }
+
+        // head[h] = most recent position with hash h; prev[i % WINDOW] = the
+        // position before i in the same chain.
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; WINDOW];
+
+        let mut lit_start = 0usize;
+        let mut i = 0usize;
+
+        macro_rules! flush_literals {
+            ($upto:expr) => {
+                if lit_start < $upto {
+                    out.put_u8(0);
+                    put_varint(&mut out, ($upto - lit_start) as u64);
+                    out.put_slice(&data[lit_start..$upto]);
+                }
+            };
+        }
+
+        while i + MIN_MATCH <= data.len() {
+            let h = hash4(&data[i..]);
+            let mut cand = head[h];
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            let limit = (data.len() - i).min(MAX_MATCH);
+            let mut chain = 0;
+            while cand != usize::MAX && i - cand <= WINDOW && chain < MAX_CHAIN {
+                if cand < i {
+                    let mut l = 0usize;
+                    let max = limit;
+                    while l < max && data[cand + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - cand;
+                        if l == limit {
+                            break;
+                        }
+                    }
+                }
+                let nxt = prev[cand % WINDOW];
+                if nxt == usize::MAX || nxt >= cand {
+                    break;
+                }
+                cand = nxt;
+                chain += 1;
+            }
+
+            if best_len >= MIN_MATCH {
+                flush_literals!(i);
+                out.put_u8(1);
+                put_varint(&mut out, best_dist as u64);
+                put_varint(&mut out, best_len as u64);
+                // Index all the positions the match covers.
+                let end = i + best_len;
+                while i < end && i + MIN_MATCH <= data.len() {
+                    let h2 = hash4(&data[i..]);
+                    prev[i % WINDOW] = head[h2];
+                    head[h2] = i;
+                    i += 1;
+                }
+                i = end;
+                lit_start = i;
+            } else {
+                prev[i % WINDOW] = head[h];
+                head[h] = i;
+                i += 1;
+            }
+        }
+        flush_literals!(data.len());
+        out.freeze()
+    }
+
+    fn xorshift_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x & 0xff) as u8
+            })
+            .collect()
+    }
+
+    /// Inputs of the size classes the match finder distinguishes:
+    /// empty, below `MIN_MATCH`, exactly `MIN_MATCH`, segment-sized,
+    /// past one window and past three, each repetitive, incompressible
+    /// and mixed — interleaved so that every call runs over state a
+    /// different kind of input left behind.
+    fn size_class_inputs() -> Vec<Vec<u8>> {
+        let mut inputs: Vec<Vec<u8>> = Vec::new();
+        for (k, &n) in [
+            0usize,
+            1,
+            3,
+            4,
+            5,
+            47,
+            64,
+            1_000,
+            WINDOW - 1,
+            WINDOW + 7,
+            3 * WINDOW + 1_234,
+        ]
+        .iter()
+        .enumerate()
+        {
+            let noise = xorshift_bytes(0x9E37_79B9 + k as u64, n);
+            inputs.push(noise.clone());
+            inputs.push(b"abcdabcd".iter().cycle().take(n).copied().collect());
+            inputs.push(vec![7u8; n]);
+            // Noise with a long-range repeat: matches near the window edge.
+            let mut mixed = noise;
+            let half = mixed.len() / 2;
+            let (a, b) = mixed.split_at_mut(half);
+            let m = a.len().min(b.len());
+            b[..m].copy_from_slice(&a[..m]);
+            inputs.push(mixed);
+        }
+        inputs
+    }
+
+    fn assert_matches_oracle(mf: &mut MatchFinder, data: &[u8], what: &str) {
+        let got = mf.compress(data);
+        assert_eq!(
+            got,
+            compress_fresh_tables(data),
+            "{what}: len {} diverges from the fresh-table oracle",
+            data.len()
+        );
+        assert_eq!(&decompress(&got).unwrap()[..], data, "{what}: roundtrip");
+    }
+
+    /// The stale-state hazard: one finder, many calls, every output
+    /// equal to a fresh-table run.
+    #[test]
+    fn reused_state_matches_fresh_tables_over_call_sequences() {
+        let inputs = size_class_inputs();
+        let mut mf = MatchFinder::new();
+        for round in 0..3 {
+            for (k, data) in inputs.iter().enumerate() {
+                assert_matches_oracle(&mut mf, data, &format!("round {round} input {k}"));
+            }
+            for (k, data) in inputs.iter().enumerate().rev() {
+                assert_matches_oracle(&mut mf, data, &format!("round {round} input {k} (rev)"));
+            }
+        }
+    }
+
+    /// Force the rebase path: with `limit` a few windows, an input
+    /// longer than 3×`WINDOW` rebases mid-call (several times), and
+    /// the small inputs between hit the call-start rebase.
+    #[test]
+    fn forced_rebase_matches_fresh_tables() {
+        let inputs = size_class_inputs();
+        for limit in [2 * WINDOW as u32 + 5, 5 * WINDOW as u32] {
+            let mut mf = MatchFinder::new();
+            mf.limit = limit;
+            for (k, data) in inputs.iter().enumerate() {
+                assert_matches_oracle(&mut mf, data, &format!("limit {limit} input {k}"));
+                assert!(
+                    mf.next_base <= limit,
+                    "biased positions stay below the limit"
+                );
+            }
+        }
+        // Next call starts exactly at the limit: nothing left to hand out.
+        let mut mf = MatchFinder::new();
+        mf.limit = 3 * WINDOW as u32;
+        mf.next_base = mf.limit;
+        for (k, data) in inputs.iter().enumerate() {
+            assert_matches_oracle(&mut mf, data, &format!("at-limit input {k}"));
+        }
+    }
+
+    /// The thread-local state behind the public entry point: several
+    /// threads compressing interleaved sequences at once all agree
+    /// with the oracle.
+    #[test]
+    fn public_compress_matches_oracle_from_several_threads() {
+        let inputs = size_class_inputs();
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let inputs = &inputs;
+                s.spawn(move || {
+                    for round in 0..2 {
+                        for k in 0..inputs.len() {
+                            let data = &inputs[(k * (t + 1) + round) % inputs.len()];
+                            assert_eq!(
+                                compress(data),
+                                compress_fresh_tables(data),
+                                "thread {t} round {round} call {k}"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    proptest! {
+        /// Arbitrary call sequences on one finder (default limit and a
+        /// forced-rebase one) equal the oracle call by call.
+        #[test]
+        fn arbitrary_call_sequences_match_oracle(
+            calls in prop::collection::vec(
+                (prop::collection::vec(any::<u8>(), 0..96), 1usize..40, any::<bool>()),
+                1..24,
+            ),
+            small_limit in any::<bool>(),
+        ) {
+            let mut mf = MatchFinder::new();
+            if small_limit {
+                mf.limit = WINDOW as u32 + 2;
+            }
+            for (pattern, repeats, noisy) in calls {
+                let mut data: Vec<u8> =
+                    pattern.iter().cycle().take(pattern.len() * repeats).copied().collect();
+                if noisy {
+                    for (i, b) in data.iter_mut().enumerate().filter(|(i, _)| i % 11 == 3) {
+                        *b = b.wrapping_add(i as u8);
+                    }
+                }
+                let got = mf.compress(&data);
+                prop_assert_eq!(&got, &compress_fresh_tables(&data));
+                prop_assert_eq!(&decompress(&got).unwrap()[..], &data[..]);
+            }
+        }
+    }
 
     fn roundtrip(data: &[u8]) {
         let c = compress(data);

@@ -272,6 +272,40 @@ impl Delta {
         out
     }
 
+    /// Split into one delta per `key(id)` in a single pass — what
+    /// calling [`Delta::restrict`] once per distinct key would give.
+    /// Descriptions are shared by reference count, not deep-copied.
+    pub fn group_by<K, F>(&self, key: F) -> FxHashMap<K, Delta>
+    where
+        K: std::hash::Hash + Eq,
+        F: Fn(NodeId) -> K,
+    {
+        let mut groups: FxHashMap<K, Delta> = FxHashMap::default();
+        for (id, n) in &self.nodes {
+            groups
+                .entry(key(*id))
+                .or_default()
+                .nodes
+                .insert(*id, Arc::clone(n));
+        }
+        groups
+    }
+
+    /// Make this delta's entry for `id` the one `other` holds (shared
+    /// by reference count), or absent if `other` has none — keeps a
+    /// [`Delta::restrict`]ed copy of `other` current after `other`
+    /// changed at `id`.
+    pub fn copy_node_from(&mut self, other: &Delta, id: NodeId) {
+        match other.nodes.get(&id) {
+            Some(n) => {
+                self.nodes.insert(id, Arc::clone(n));
+            }
+            None => {
+                self.nodes.remove(&id);
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Event application (graph-state semantics)
     // ------------------------------------------------------------------
@@ -791,6 +825,33 @@ mod tests {
         let d: Delta = (0..10).map(StaticNode::new).collect();
         let p = d.restrict(|id| id % 2 == 0);
         assert_eq!(p.cardinality(), 5);
+    }
+
+    #[test]
+    fn group_by_equals_restrict_per_key() {
+        let d: Delta = (0..10).map(StaticNode::new).collect();
+        let groups = d.group_by(|id| id % 3);
+        assert_eq!(groups.len(), 3);
+        for (k, g) in &groups {
+            assert_eq!(g, &d.restrict(|id| id % 3 == *k));
+        }
+    }
+
+    #[test]
+    fn copy_node_from_tracks_changes_and_removals() {
+        let mut full: Delta = (0..6).map(StaticNode::new).collect();
+        let mut even = full.restrict(|id| id % 2 == 0);
+        full.apply_event(&EventKind::AddEdge {
+            src: 2,
+            dst: 8,
+            weight: 1.0,
+            directed: false,
+        });
+        full.apply_event(&EventKind::RemoveNode { id: 4 });
+        for id in [2, 8, 4] {
+            even.copy_node_from(&full, id);
+        }
+        assert_eq!(even, full.restrict(|id| id % 2 == 0));
     }
 
     #[test]
