@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use hgs_delta::codec::{decode_delta, encode_delta};
 use hgs_delta::{Delta, Event, NodeId, StaticNode, Time, TimeRange};
-use hgs_store::{SimStore, StoreConfig, Table};
+use hgs_store::{SimStore, StoreConfig, StoreError, Table};
 
 use crate::traits::{node_events_in, HistoricalIndex};
 
@@ -80,32 +80,34 @@ impl HistoricalIndex for CopyIndex {
         &self.store
     }
 
-    fn snapshot(&self, t: Time) -> Delta {
+    fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
         match self.change_point(t) {
             Some(c) => {
-                let bytes = self
+                let row = self
                     .store
                     // hgs-lint: allow(batched-store-discipline, "row-at-a-time Copy baseline is the paper's comparison target, not a batched hot path")
-                    .get(Table::Deltas, &Self::key(c), Self::token(c))
-                    .expect("store up")
-                    .expect("snapshot exists");
-                decode_delta(&bytes).expect("stored snapshot decodes")
+                    .get(Table::Deltas, &Self::key(c), Self::token(c))?;
+                decode_delta(&crate::written_row(row)?).map_err(StoreError::Corrupt)
             }
-            None => Delta::new(),
+            None => Ok(Delta::new()),
         }
     }
 
-    fn node_at(&self, nid: NodeId, t: Time) -> Option<StaticNode> {
+    fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError> {
         // Direct access, but the whole snapshot row is read — that is
         // the Copy approach's cost profile.
-        self.snapshot(t).remove(nid)
+        Ok(self.try_snapshot(t)?.remove(nid))
     }
 
-    fn node_versions(&self, nid: NodeId, range: TimeRange) -> (Option<StaticNode>, Vec<Event>) {
-        (
-            self.node_at(nid, range.start),
+    fn try_node_versions(
+        &self,
+        nid: NodeId,
+        range: TimeRange,
+    ) -> Result<(Option<StaticNode>, Vec<Event>), StoreError> {
+        Ok((
+            self.try_node_at(nid, range.start)?,
             node_events_in(&self.events, nid, range),
-        )
+        ))
     }
 }
 
@@ -121,7 +123,7 @@ mod tests {
         let end = events.last().unwrap().time;
         for t in [0, end / 3, end] {
             assert_eq!(
-                idx.snapshot(t),
+                idx.try_snapshot(t).unwrap(),
                 Delta::snapshot_by_replay(&events, t),
                 "t={t}"
             );
@@ -133,7 +135,7 @@ mod tests {
         let events = WikiGrowth::sized(400).generate();
         let idx = CopyIndex::build(StoreConfig::new(2, 1), &events);
         let before = idx.store().stats_snapshot();
-        let _ = idx.snapshot(events.last().unwrap().time / 2);
+        idx.try_snapshot(events.last().unwrap().time / 2).unwrap();
         let diff = SimStore::stats_since(&idx.store().stats_snapshot(), &before);
         let gets: u64 = diff.iter().map(|m| m.gets).sum();
         assert_eq!(gets, 1, "Copy = direct access");
@@ -160,6 +162,6 @@ mod tests {
             e.time += 50;
         }
         let idx = CopyIndex::build(StoreConfig::new(1, 1), &events);
-        assert!(idx.snapshot(10).is_empty());
+        assert!(idx.try_snapshot(10).unwrap().is_empty());
     }
 }

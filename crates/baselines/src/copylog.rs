@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use hgs_delta::codec::{decode_delta, decode_eventlist, encode_delta, encode_eventlist};
 use hgs_delta::{Delta, Event, Eventlist, NodeId, StaticNode, Time, TimeRange};
-use hgs_store::{SimStore, StoreConfig, Table};
+use hgs_store::{SimStore, StoreConfig, StoreError, Table};
 
 use crate::traits::{node_events_in, HistoricalIndex};
 
@@ -101,26 +101,21 @@ impl CopyLogIndex {
             .saturating_sub(1)
     }
 
-    fn fetch_snapshot(&self, i: usize) -> Delta {
-        match self
+    fn fetch_snapshot(&self, i: usize) -> Result<Delta, StoreError> {
+        let row = self
             .store
             // hgs-lint: allow(batched-store-discipline, "row-at-a-time Copy+Log baseline is the paper's comparison target, not a batched hot path")
-            .get(Table::Deltas, &Self::key(SNAP_TAG, i), Self::token(i))
-        {
-            Ok(Some(bytes)) => decode_delta(&bytes).expect("stored snapshot decodes"),
-            _ => Delta::new(),
-        }
+            .get(Table::Deltas, &Self::key(SNAP_TAG, i), Self::token(i))?;
+        // Every checkpoint has a snapshot row.
+        decode_delta(&crate::written_row(row)?).map_err(StoreError::Corrupt)
     }
 
-    fn fetch_elist(&self, i: usize) -> Option<Eventlist> {
-        match self
-            .store
+    fn fetch_elist(&self, i: usize) -> Result<Option<Eventlist>, StoreError> {
+        self.store
             // hgs-lint: allow(batched-store-discipline, "row-at-a-time Copy+Log baseline is the paper's comparison target, not a batched hot path")
-            .get(Table::Deltas, &Self::key(ELIST_TAG, i), Self::token(i))
-        {
-            Ok(Some(bytes)) => Some(decode_eventlist(&bytes).expect("stored eventlist decodes")),
-            _ => None,
-        }
+            .get(Table::Deltas, &Self::key(ELIST_TAG, i), Self::token(i))?
+            .map(|bytes| decode_eventlist(&bytes).map_err(StoreError::Corrupt))
+            .transpose()
     }
 }
 
@@ -133,36 +128,40 @@ impl HistoricalIndex for CopyLogIndex {
         &self.store
     }
 
-    fn snapshot(&self, t: Time) -> Delta {
+    fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
         let i = self.checkpoint_for(t);
-        let mut state = self.fetch_snapshot(i);
-        if let Some(el) = self.fetch_elist(i) {
+        let mut state = self.fetch_snapshot(i)?;
+        if let Some(el) = self.fetch_elist(i)? {
             for e in el.events().iter().take_while(|e| e.time <= t) {
                 state.apply_event(&e.kind);
             }
         }
-        state
+        Ok(state)
     }
 
-    fn node_at(&self, nid: NodeId, t: Time) -> Option<StaticNode> {
-        self.snapshot(t).remove(nid)
+    fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError> {
+        Ok(self.try_snapshot(t)?.remove(nid))
     }
 
-    fn node_versions(&self, nid: NodeId, range: TimeRange) -> (Option<StaticNode>, Vec<Event>) {
-        let initial = self.node_at(nid, range.start);
+    fn try_node_versions(
+        &self,
+        nid: NodeId,
+        range: TimeRange,
+    ) -> Result<(Option<StaticNode>, Vec<Event>), StoreError> {
+        let initial = self.try_node_at(nid, range.start)?;
         // Replay eventlists from the range start's checkpoint on —
         // Copy+Log has no per-node access path (Table 1: |G| cost).
         let mut events = Vec::new();
         let from = self.checkpoint_for(range.start);
-        for i in from..self.checkpoints.len() {
-            if self.checkpoints[i] >= range.end {
+        for (i, &checkpoint) in self.checkpoints.iter().enumerate().skip(from) {
+            if checkpoint >= range.end {
                 break;
             }
-            if let Some(el) = self.fetch_elist(i) {
+            if let Some(el) = self.fetch_elist(i)? {
                 events.extend(node_events_in(el.events(), nid, range));
             }
         }
-        (initial, events)
+        Ok((initial, events))
     }
 }
 
@@ -178,7 +177,7 @@ mod tests {
         let end = events.last().unwrap().time;
         for t in [0, end / 3, end / 2, end] {
             assert_eq!(
-                idx.snapshot(t),
+                idx.try_snapshot(t).unwrap(),
                 Delta::snapshot_by_replay(&events, t),
                 "t={t}"
             );
@@ -190,7 +189,7 @@ mod tests {
         let events = WikiGrowth::sized(1_000).generate();
         let idx = CopyLogIndex::build(StoreConfig::new(2, 1), &events, 100);
         let before = idx.store().stats_snapshot();
-        let _ = idx.snapshot(events.last().unwrap().time / 2);
+        idx.try_snapshot(events.last().unwrap().time / 2).unwrap();
         let diff = SimStore::stats_since(&idx.store().stats_snapshot(), &before);
         let gets: u64 = diff.iter().map(|m| m.gets).sum();
         assert_eq!(gets, 2, "Copy+Log = snapshot + eventlist");
@@ -202,7 +201,7 @@ mod tests {
         let idx = CopyLogIndex::build(StoreConfig::new(2, 1), &events, 128);
         let end = events.last().unwrap().time;
         let range = TimeRange::new(end / 4, (3 * end) / 4);
-        let (initial, evs) = idx.node_versions(0, range);
+        let (initial, evs) = idx.try_node_versions(0, range).unwrap();
         assert_eq!(
             initial.as_ref(),
             Delta::snapshot_by_replay(&events, range.start).node(0)

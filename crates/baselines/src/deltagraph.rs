@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use hgs_core::{Tgi, TgiConfig};
 use hgs_delta::{Delta, Event, NodeId, StaticNode, Time, TimeRange};
-use hgs_store::{SimStore, StoreConfig};
+use hgs_store::{SimStore, StoreConfig, StoreError};
 
 use crate::traits::{node_events_in, HistoricalIndex};
 
@@ -36,7 +36,8 @@ impl DeltaGraphIndex {
             arity,
             ..TgiConfig::deltagraph()
         };
-        let tgi = Tgi::build(cfg, store_cfg, events);
+        let tgi = Tgi::try_build(cfg, store_cfg, events)
+            .expect("a fresh simulated cluster accepts every write");
         DeltaGraphIndex {
             tgi,
             events: events.to_vec(),
@@ -58,23 +59,27 @@ impl HistoricalIndex for DeltaGraphIndex {
         self.tgi.store()
     }
 
-    fn snapshot(&self, t: Time) -> Delta {
-        self.tgi.snapshot(t)
+    fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
+        self.tgi.try_snapshot(t)
     }
 
-    fn node_at(&self, nid: NodeId, t: Time) -> Option<StaticNode> {
+    fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError> {
         // Monolithic deltas: fetching a node still reads whole deltas
-        // along the path; TGI's node_at on a single-pid config does
+        // along the path; TGI's node fetch on a single-pid config does
         // exactly that.
-        self.tgi.node_at(nid, t)
+        self.tgi.try_node_at(nid, t)
     }
 
-    fn node_versions(&self, nid: NodeId, range: TimeRange) -> (Option<StaticNode>, Vec<Event>) {
+    fn try_node_versions(
+        &self,
+        nid: NodeId,
+        range: TimeRange,
+    ) -> Result<(Option<StaticNode>, Vec<Event>), StoreError> {
         // No version chains: scan the history (the |G| cost of Table 1).
-        (
-            self.node_at(nid, range.start),
+        Ok((
+            self.try_node_at(nid, range.start)?,
             node_events_in(&self.events, nid, range),
-        )
+        ))
     }
 }
 
@@ -88,34 +93,11 @@ impl HistoricalIndex for Tgi {
         hgs_core::TgiView::store(self)
     }
 
-    fn snapshot(&self, t: Time) -> Delta {
-        hgs_core::TgiView::snapshot(self, t)
-    }
-
-    fn node_at(&self, nid: NodeId, t: Time) -> Option<StaticNode> {
-        hgs_core::TgiView::node_at(self, nid, t)
-    }
-
-    fn node_versions(&self, nid: NodeId, range: TimeRange) -> (Option<StaticNode>, Vec<Event>) {
-        let h = hgs_core::TgiView::node_history(self, nid, range);
-        (h.initial, h.events)
-    }
-
-    fn one_hop(&self, nid: NodeId, t: Time) -> Delta {
-        hgs_core::TgiView::khop_with(self, nid, t, 1, hgs_core::KhopStrategy::Recursive)
-    }
-
-    // TGI has a real fallible read path: override the panicking
-    // bridges so a degraded cluster yields `Err` through the trait.
-    fn try_snapshot(&self, t: Time) -> Result<Delta, hgs_store::StoreError> {
+    fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
         hgs_core::TgiView::try_snapshot(self, t)
     }
 
-    fn try_node_at(
-        &self,
-        nid: NodeId,
-        t: Time,
-    ) -> Result<Option<StaticNode>, hgs_store::StoreError> {
+    fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError> {
         hgs_core::TgiView::try_node_at(self, nid, t)
     }
 
@@ -123,12 +105,12 @@ impl HistoricalIndex for Tgi {
         &self,
         nid: NodeId,
         range: TimeRange,
-    ) -> Result<(Option<StaticNode>, Vec<Event>), hgs_store::StoreError> {
+    ) -> Result<(Option<StaticNode>, Vec<Event>), StoreError> {
         let h = hgs_core::TgiView::try_node_history(self, nid, range)?;
         Ok((h.initial, h.events))
     }
 
-    fn try_one_hop(&self, nid: NodeId, t: Time) -> Result<Delta, hgs_store::StoreError> {
+    fn try_one_hop(&self, nid: NodeId, t: Time) -> Result<Delta, StoreError> {
         hgs_core::TgiView::try_khop_with(self, nid, t, 1, hgs_core::KhopStrategy::Recursive)
     }
 }
@@ -145,7 +127,7 @@ mod tests {
         let end = events.last().unwrap().time;
         for t in [0, end / 2, end] {
             assert_eq!(
-                idx.snapshot(t),
+                idx.try_snapshot(t).unwrap(),
                 Delta::snapshot_by_replay(&events, t),
                 "t={t}"
             );
@@ -163,14 +145,14 @@ mod tests {
             partition_size: 50,
             ..hgs_core::TgiConfig::default()
         };
-        let tgi = Tgi::build(tgi_cfg, StoreConfig::new(2, 1), &events);
+        let tgi = Tgi::try_build(tgi_cfg, StoreConfig::new(2, 1), &events).unwrap();
         assert!(idx.store().row_count() < tgi.store().row_count() / 2);
     }
 
     #[test]
     fn tgi_as_historical_index() {
         let events = WikiGrowth::sized(800).generate();
-        let tgi = Tgi::build(
+        let tgi = Tgi::try_build(
             hgs_core::TgiConfig {
                 events_per_timespan: 500,
                 eventlist_size: 100,
@@ -179,20 +161,24 @@ mod tests {
             },
             StoreConfig::new(2, 1),
             &events,
-        );
+        )
+        .unwrap();
         let idx: &dyn HistoricalIndex = &tgi;
         let end = events.last().unwrap().time;
-        assert_eq!(idx.snapshot(end), Delta::snapshot_by_replay(&events, end));
+        assert_eq!(
+            idx.try_snapshot(end).unwrap(),
+            Delta::snapshot_by_replay(&events, end)
+        );
         assert_eq!(idx.name(), "tgi");
     }
 
-    /// The shared fallible trait surface: baselines answer through the
-    /// default bridge; TGI's override turns a dead cluster into `Err`
-    /// where the bridge (or the infallible name) would panic.
+    /// The shared fallible trait surface: a healthy cluster answers
+    /// through it, and a dead cluster turns into `Err` — through the
+    /// trait object too.
     #[test]
     fn try_surface_is_shared_and_fallible_for_tgi() {
         let events = WikiGrowth::sized(800).generate();
-        let tgi = Tgi::build(
+        let tgi = Tgi::try_build(
             hgs_core::TgiConfig {
                 events_per_timespan: 500,
                 eventlist_size: 100,
@@ -201,35 +187,37 @@ mod tests {
             },
             StoreConfig::new(2, 1),
             &events,
-        );
+        )
+        .unwrap();
         let log = crate::LogIndex::build(StoreConfig::new(2, 1), &events, 128);
         let end = events.last().unwrap().time;
+        let oracle = Delta::snapshot_by_replay(&events, end / 2);
         for idx in [&tgi as &dyn HistoricalIndex, &log] {
             assert_eq!(
                 idx.try_snapshot(end / 2).expect("healthy cluster"),
-                idx.snapshot(end / 2),
-                "{}: try_snapshot must agree with snapshot",
+                oracle,
+                "{}",
                 idx.name()
             );
             assert_eq!(
                 idx.try_node_at(0, end / 2).expect("healthy cluster"),
-                idx.node_at(0, end / 2),
+                oracle.node(0).cloned(),
                 "{}",
                 idx.name()
             );
         }
-        // Dead cluster: TGI's override errors instead of panicking.
+        // Dead cluster: an error, not a panic.
         for m in 0..tgi.store().machine_count() {
             tgi.store().fail_machine(m);
         }
         let idx: &dyn HistoricalIndex = &tgi;
         assert!(matches!(
             idx.try_snapshot(end / 2),
-            Err(hgs_store::StoreError::Unavailable { .. })
+            Err(StoreError::Unavailable { .. })
         ));
         assert!(matches!(
             idx.try_node_versions(0, hgs_delta::TimeRange::new(0, end)),
-            Err(hgs_store::StoreError::Unavailable { .. })
+            Err(StoreError::Unavailable { .. })
         ));
     }
 }

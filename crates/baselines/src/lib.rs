@@ -35,9 +35,19 @@ pub use nodecentric::NodeCentricIndex;
 pub use traits::HistoricalIndex;
 
 use hgs_delta::{Delta, EventKind, NodeId};
+use hgs_store::{StoreError, Table};
 
 /// Apply an event restricted to a single node's description (used by
 /// the per-node replay paths of the baselines).
+/// A `Deltas` row the index's `build` wrote. The row-at-a-time builds
+/// ignore replica counts, so a row written to a dead machine is simply
+/// not there: that is unavailability, not an empty answer.
+pub(crate) fn written_row<T>(row: Option<T>) -> Result<T, StoreError> {
+    row.ok_or(StoreError::Unavailable {
+        table: Table::Deltas,
+    })
+}
+
 pub(crate) fn scoped_apply(state: &mut Delta, kind: &EventKind, nid: NodeId) {
     hgs_core::scope::apply_event_scoped(state, kind, |id| id == nid);
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use hgs_delta::codec::{decode_eventlist, encode_eventlist};
 use hgs_delta::{Delta, Event, Eventlist, NodeId, StaticNode, Time, TimeRange};
-use hgs_store::{SimStore, StoreConfig, Table};
+use hgs_store::{SimStore, StoreConfig, StoreError, Table};
 
 use crate::traits::HistoricalIndex;
 
@@ -57,25 +57,24 @@ impl LogIndex {
     }
 
     /// Fetch and replay all events with `time <= t` through `f`.
-    fn replay_until(&self, t: Time, mut f: impl FnMut(&Event)) {
+    fn replay_until(&self, t: Time, mut f: impl FnMut(&Event)) -> Result<(), StoreError> {
         for i in 0..self.starts.len() {
             if self.starts[i] > t {
                 break;
             }
-            let bytes = self
+            let row = self
                 .store
                 // hgs-lint: allow(batched-store-discipline, "row-at-a-time Log baseline is the paper's comparison target, not a batched hot path")
-                .get(Table::Deltas, &Self::key(i), Self::token(i))
-                .expect("store up")
-                .expect("chunk exists");
-            let el = decode_eventlist(&bytes).expect("stored eventlist decodes");
+                .get(Table::Deltas, &Self::key(i), Self::token(i))?;
+            let el = decode_eventlist(&crate::written_row(row)?).map_err(StoreError::Corrupt)?;
             for e in el.events() {
                 if e.time > t {
-                    return;
+                    return Ok(());
                 }
                 f(e);
             }
         }
+        Ok(())
     }
 
     /// Configured chunk size.
@@ -93,19 +92,23 @@ impl HistoricalIndex for LogIndex {
         &self.store
     }
 
-    fn snapshot(&self, t: Time) -> Delta {
+    fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
         let mut d = Delta::new();
-        self.replay_until(t, |e| d.apply_event(&e.kind));
-        d
+        self.replay_until(t, |e| d.apply_event(&e.kind))?;
+        Ok(d)
     }
 
-    fn node_at(&self, nid: NodeId, t: Time) -> Option<StaticNode> {
+    fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError> {
         // The log has no per-node access path: full replay.
-        self.snapshot(t).remove(nid)
+        Ok(self.try_snapshot(t)?.remove(nid))
     }
 
-    fn node_versions(&self, nid: NodeId, range: TimeRange) -> (Option<StaticNode>, Vec<Event>) {
-        let initial = self.node_at(nid, range.start);
+    fn try_node_versions(
+        &self,
+        nid: NodeId,
+        range: TimeRange,
+    ) -> Result<(Option<StaticNode>, Vec<Event>), StoreError> {
+        let initial = self.try_node_at(nid, range.start)?;
         // Full scan of the remaining log for the node's events.
         let mut events = Vec::new();
         self.replay_until(range.end.saturating_sub(1), |e| {
@@ -113,8 +116,8 @@ impl HistoricalIndex for LogIndex {
             if (a == nid || b == Some(nid)) && e.time > range.start {
                 events.push(e.clone());
             }
-        });
-        (initial, events)
+        })?;
+        Ok((initial, events))
     }
 }
 
@@ -130,7 +133,10 @@ mod tests {
         let idx = LogIndex::build(StoreConfig::new(2, 1), &events, 100);
         let end = events.last().unwrap().time;
         for t in [0, end / 2, end] {
-            assert_eq!(idx.snapshot(t), Delta::snapshot_by_replay(&events, t));
+            assert_eq!(
+                idx.try_snapshot(t).unwrap(),
+                Delta::snapshot_by_replay(&events, t)
+            );
         }
     }
 
@@ -140,7 +146,7 @@ mod tests {
         let idx = LogIndex::build(StoreConfig::new(2, 1), &events, 128);
         let end = events.last().unwrap().time;
         let range = TimeRange::new(end / 4, end);
-        let (initial, evs) = idx.node_versions(0, range);
+        let (initial, evs) = idx.try_node_versions(0, range).unwrap();
         assert_eq!(
             initial.as_ref(),
             Delta::snapshot_by_replay(&events, range.start).node(0)

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use hgs_delta::codec::{decode_eventlist, encode_eventlist};
 use hgs_delta::{Delta, Event, Eventlist, NodeId, StaticNode, Time, TimeRange};
 use hgs_store::key::{node_key, node_placement_token};
-use hgs_store::{SimStore, StoreConfig, Table};
+use hgs_store::{SimStore, StoreConfig, StoreError, Table};
 
 use crate::traits::HistoricalIndex;
 
@@ -57,24 +57,13 @@ impl NodeCentricIndex {
         NodeCentricIndex { store, nodes }
     }
 
-    fn node_events(&self, nid: NodeId) -> Option<Eventlist> {
-        match self
-            .store
+    /// The node's eventlist (`Ok(None)`: the node never existed).
+    fn node_events(&self, nid: NodeId) -> Result<Option<Eventlist>, StoreError> {
+        self.store
             // hgs-lint: allow(batched-store-discipline, "row-at-a-time node-centric baseline is the paper's comparison target, not a batched hot path")
-            .get(Table::Versions, &node_key(nid), node_placement_token(nid))
-        {
-            Ok(Some(bytes)) => Some(decode_eventlist(&bytes).expect("stored eventlist decodes")),
-            _ => None,
-        }
-    }
-
-    fn node_state(&self, nid: NodeId, t: Time) -> Option<StaticNode> {
-        let el = self.node_events(nid)?;
-        let mut scratch = Delta::new();
-        for e in el.events().iter().take_while(|e| e.time <= t) {
-            crate::scoped_apply(&mut scratch, &e.kind, nid);
-        }
-        scratch.remove(nid)
+            .get(Table::Versions, &node_key(nid), node_placement_token(nid))?
+            .map(|bytes| decode_eventlist(&bytes).map_err(StoreError::Corrupt))
+            .transpose()
     }
 
     /// All node-ids ever seen.
@@ -92,26 +81,37 @@ impl HistoricalIndex for NodeCentricIndex {
         &self.store
     }
 
-    fn snapshot(&self, t: Time) -> Delta {
+    fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
         // The pathological case: one fetch per node in the universe.
         let mut out = Delta::new();
         for &nid in &self.nodes {
-            if let Some(n) = self.node_state(nid, t) {
+            if let Some(n) = self.try_node_at(nid, t)? {
                 out.insert(n);
             }
         }
-        out
+        Ok(out)
     }
 
-    fn node_at(&self, nid: NodeId, t: Time) -> Option<StaticNode> {
-        self.node_state(nid, t)
+    fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError> {
+        let Some(el) = self.node_events(nid)? else {
+            return Ok(None);
+        };
+        let mut scratch = Delta::new();
+        for e in el.events().iter().take_while(|e| e.time <= t) {
+            crate::scoped_apply(&mut scratch, &e.kind, nid);
+        }
+        Ok(scratch.remove(nid))
     }
 
-    fn node_versions(&self, nid: NodeId, range: TimeRange) -> (Option<StaticNode>, Vec<Event>) {
+    fn try_node_versions(
+        &self,
+        nid: NodeId,
+        range: TimeRange,
+    ) -> Result<(Option<StaticNode>, Vec<Event>), StoreError> {
         // One direct fetch serves both parts — the vertex-centric
         // index's sweet spot.
-        let Some(el) = self.node_events(nid) else {
-            return (None, Vec::new());
+        let Some(el) = self.node_events(nid)? else {
+            return Ok((None, Vec::new()));
         };
         let mut scratch = Delta::new();
         let mut events = Vec::new();
@@ -122,7 +122,7 @@ impl HistoricalIndex for NodeCentricIndex {
                 events.push(e.clone());
             }
         }
-        (scratch.remove(nid), events)
+        Ok((scratch.remove(nid), events))
     }
 }
 
@@ -139,7 +139,7 @@ mod tests {
         let end = events.last().unwrap().time;
         for t in [end / 2, end] {
             assert_eq!(
-                idx.snapshot(t),
+                idx.try_snapshot(t).unwrap(),
                 Delta::snapshot_by_replay(&events, t),
                 "t={t}"
             );
@@ -152,7 +152,9 @@ mod tests {
         let idx = NodeCentricIndex::build(StoreConfig::new(2, 1), &events);
         let end = events.last().unwrap().time;
         let before = idx.store().stats_snapshot();
-        let (initial, evs) = idx.node_versions(0, TimeRange::new(end / 4, end));
+        let (initial, evs) = idx
+            .try_node_versions(0, TimeRange::new(end / 4, end))
+            .unwrap();
         let diff = SimStore::stats_since(&idx.store().stats_snapshot(), &before);
         let gets: u64 = diff.iter().map(|m| m.gets).sum();
         assert_eq!(gets, 1, "vertex-centric = direct version access");
@@ -171,7 +173,7 @@ mod tests {
         let events = WikiGrowth::sized(500).generate();
         let idx = NodeCentricIndex::build(StoreConfig::new(2, 1), &events);
         let before = idx.store().stats_snapshot();
-        let _ = idx.snapshot(events.last().unwrap().time);
+        idx.try_snapshot(events.last().unwrap().time).unwrap();
         let diff = SimStore::stats_since(&idx.store().stats_snapshot(), &before);
         let gets: u64 = diff.iter().map(|m| m.gets).sum();
         assert_eq!(gets as usize, idx.universe().len());

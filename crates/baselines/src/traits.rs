@@ -7,13 +7,10 @@ use std::sync::Arc;
 /// A historical graph index: anything that can answer the paper's
 /// retrieval primitives over an immutable event history.
 ///
-/// Every retrieval primitive also has a fallible `try_*` twin so that
-/// baselines and TGI share one error contract in the bench harness.
-/// The default `try_*` implementations are *panicking bridges*: they
-/// delegate to the infallible methods, which on a degraded cluster
-/// panic rather than return `Err`. Indexes with a genuinely fallible
-/// read path (TGI) override them to surface
-/// [`StoreError::Unavailable`] instead.
+/// Baselines and TGI share one error contract: every retrieval
+/// primitive is fallible, and a read that needs a chunk whose replicas
+/// are all down returns [`StoreError::Unavailable`] — never a panic,
+/// never a silently smaller answer.
 pub trait HistoricalIndex {
     /// Short name for experiment output ("log", "copy", ...).
     fn name(&self) -> &'static str;
@@ -22,57 +19,33 @@ pub trait HistoricalIndex {
     fn store(&self) -> &Arc<SimStore>;
 
     /// Graph state as of `t`.
-    fn snapshot(&self, t: Time) -> Delta;
+    fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError>;
 
     /// One node's state as of `t`.
-    fn node_at(&self, nid: NodeId, t: Time) -> Option<StaticNode>;
+    fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError>;
 
     /// One node's history over `range`: initial state plus in-range
     /// events touching it.
-    fn node_versions(&self, nid: NodeId, range: TimeRange) -> (Option<StaticNode>, Vec<Event>);
-
-    /// Fallible [`HistoricalIndex::snapshot`]. Default: panicking
-    /// bridge through the infallible method.
-    fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
-        Ok(self.snapshot(t))
-    }
-
-    /// Fallible [`HistoricalIndex::node_at`]. Default: panicking
-    /// bridge through the infallible method.
-    fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError> {
-        Ok(self.node_at(nid, t))
-    }
-
-    /// Fallible [`HistoricalIndex::node_versions`]. Default: panicking
-    /// bridge through the infallible method.
     fn try_node_versions(
         &self,
         nid: NodeId,
         range: TimeRange,
-    ) -> Result<(Option<StaticNode>, Vec<Event>), StoreError> {
-        Ok(self.node_versions(nid, range))
-    }
+    ) -> Result<(Option<StaticNode>, Vec<Event>), StoreError>;
 
-    /// Fallible [`HistoricalIndex::one_hop`]. Default: panicking
-    /// bridge through the infallible method.
+    /// 1-hop neighborhood of `nid` as of `t` (default: via snapshot).
     fn try_one_hop(&self, nid: NodeId, t: Time) -> Result<Delta, StoreError> {
-        Ok(self.one_hop(nid, t))
+        let snap = self.try_snapshot(t)?;
+        let Some(center) = snap.node(nid) else {
+            return Ok(Delta::new());
+        };
+        let mut keep: Vec<NodeId> = center.all_neighbors().collect();
+        keep.push(nid);
+        Ok(snap.restrict(|id| keep.contains(&id)))
     }
 
     /// Total stored bytes — the index-size column of Table 1.
     fn storage_bytes(&self) -> usize {
         self.store().stored_bytes()
-    }
-
-    /// 1-hop neighborhood of `nid` as of `t` (default: via snapshot).
-    fn one_hop(&self, nid: NodeId, t: Time) -> Delta {
-        let snap = self.snapshot(t);
-        let Some(center) = snap.node(nid) else {
-            return Delta::new();
-        };
-        let mut keep: Vec<NodeId> = center.all_neighbors().collect();
-        keep.push(nid);
-        snap.restrict(|id| keep.contains(&id))
     }
 }
 
@@ -86,4 +59,49 @@ pub(crate) fn node_events_in(events: &[Event], nid: NodeId, range: TimeRange) ->
         })
         .cloned()
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{CopyIndex, CopyLogIndex, LogIndex, NodeCentricIndex};
+    use hgs_datagen::WikiGrowth;
+    use hgs_store::StoreConfig;
+
+    /// One of two unreplicated machines down: every snapshot either
+    /// needs a lost row and says so, or is the full graph — never a
+    /// panic, never a quietly smaller answer.
+    #[test]
+    fn store_reading_baselines_surface_unavailability() {
+        let events = WikiGrowth::sized(300).generate();
+        let cfg = || StoreConfig::new(2, 1);
+        let indexes: [Box<dyn HistoricalIndex>; 4] = [
+            Box::new(LogIndex::build(cfg(), &events, 25)),
+            Box::new(CopyIndex::build(cfg(), &events)),
+            Box::new(CopyLogIndex::build(cfg(), &events, 25)),
+            Box::new(NodeCentricIndex::build(cfg(), &events)),
+        ];
+        let end = events.last().unwrap().time;
+        for idx in &indexes {
+            idx.store().fail_machine(0);
+            let mut unavailable = 0;
+            for t in (0..=16).map(|i| end * i / 16) {
+                match idx.try_snapshot(t) {
+                    Ok(g) => assert_eq!(
+                        g,
+                        Delta::snapshot_by_replay(&events, t),
+                        "{} shrank the graph at t={t}",
+                        idx.name()
+                    ),
+                    Err(StoreError::Unavailable { .. }) => unavailable += 1,
+                    Err(e) => panic!("{}: unexpected {e}", idx.name()),
+                }
+            }
+            assert!(
+                unavailable > 0,
+                "{}: no sampled snapshot needed the failed machine",
+                idx.name()
+            );
+        }
+    }
 }

@@ -77,28 +77,42 @@ fn bench_tgi(c: &mut Criterion) {
     let end = events.last().unwrap().time;
     // Read cache off: these track regressions in the raw
     // fetch/decode/path-traversal code, which warm hits would mask.
-    let tgi = Tgi::build(
+    let tgi = Tgi::try_build(
         TgiConfig::default().with_read_cache_bytes(0),
         StoreConfig::new(4, 1),
         &events,
-    );
+    )
+    .expect("healthy store");
+    let two = tgi.with_clients(2);
     c.bench_function("tgi/snapshot_20k_events", |bench| {
-        bench.iter(|| black_box(tgi.snapshot_c(end / 2, 2)))
+        bench.iter(|| black_box(two.try_snapshot(end / 2).expect("healthy store")))
     });
     c.bench_function("tgi/node_at", |bench| {
-        bench.iter(|| black_box(tgi.node_at(0, end / 2)))
+        bench.iter(|| black_box(tgi.try_node_at(0, end / 2).expect("healthy store")))
     });
     c.bench_function("tgi/node_history", |bench| {
-        bench.iter(|| black_box(tgi.node_history(0, TimeRange::new(0, end + 1))))
+        bench.iter(|| {
+            black_box(
+                tgi.try_node_history(0, TimeRange::new(0, end + 1))
+                    .expect("healthy store"),
+            )
+        })
     });
     c.bench_function("tgi/khop2_recursive", |bench| {
-        bench.iter(|| black_box(tgi.khop_with(0, end / 2, 2, KhopStrategy::Recursive)))
+        bench.iter(|| {
+            black_box(
+                tgi.try_khop_with(0, end / 2, 2, KhopStrategy::Recursive)
+                    .expect("healthy store"),
+            )
+        })
     });
     // And once with the cache on: the steady-state a serving system
     // pays for a hot repeated read.
-    let warm = Tgi::build(TgiConfig::default(), StoreConfig::new(4, 1), &events);
+    let warm = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
+        .expect("healthy store");
+    let warm = warm.with_clients(2);
     c.bench_function("tgi/snapshot_20k_events_warm_cache", |bench| {
-        bench.iter(|| black_box(warm.snapshot_c(end / 2, 2)))
+        bench.iter(|| black_box(warm.try_snapshot(end / 2).expect("healthy store")))
     });
 }
 
@@ -113,20 +127,28 @@ fn bench_taf(c: &mut Criterion) {
     let end = events.last().unwrap().time;
     // Cache off here too: son_fetch tracks the raw parallel-fetch
     // protocol, not warm-cache replay.
-    let tgi = Arc::new(Tgi::build(
-        TgiConfig::default().with_read_cache_bytes(0),
-        StoreConfig::new(2, 1),
-        &events,
-    ));
+    let tgi = Arc::new(
+        Tgi::try_build(
+            TgiConfig::default().with_read_cache_bytes(0),
+            StoreConfig::new(2, 1),
+            &events,
+        )
+        .expect("healthy store"),
+    );
     let handler = TgiHandler::new(tgi, 2);
-    let son = handler.son().timeslice(TimeRange::new(0, end + 1)).fetch();
+    let son = handler
+        .son()
+        .timeslice(TimeRange::new(0, end + 1))
+        .try_fetch()
+        .expect("healthy store");
     c.bench_function("taf/son_fetch_1k_nodes", |bench| {
         bench.iter(|| {
             black_box(
                 handler
                     .son()
                     .timeslice(TimeRange::new(0, end + 1))
-                    .fetch()
+                    .try_fetch()
+                    .expect("healthy store")
                     .len(),
             )
         })

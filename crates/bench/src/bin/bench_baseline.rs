@@ -52,42 +52,45 @@ fn main() {
     let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(4, 1), &events);
     let build_secs = t0.elapsed().as_secs_f64();
 
-    let snapshot_c1 = time_median(|| tgi.snapshot_c(end / 2, 1));
-    let snapshot_c4 = time_median(|| tgi.snapshot_c(end / 2, 4));
-    let (_, report) = timed(&tgi, 4, || tgi.snapshot_c(end / 2, 4));
+    let snapshot_c1 = time_median(|| tgi.try_snapshot(end / 2).expect("healthy store"));
+    let view = tgi.with_clients(4);
+    let snapshot_c4 = time_median(|| view.try_snapshot(end / 2).expect("healthy store"));
+    let (_, report) = timed(&tgi, 4, || {
+        view.try_snapshot(end / 2).expect("healthy store")
+    });
 
     let nodes = sample_nodes(&events, 8, 4);
     let node_at = time_median(|| {
         for &id in &nodes {
-            std::hint::black_box(tgi.node_at(id, end / 2));
+            std::hint::black_box(tgi.try_node_at(id, end / 2).expect("healthy store"));
         }
     });
     let range = TimeRange::new(end / 4, (3 * end) / 4);
     let node_history = time_median(|| {
         for &id in &nodes {
-            std::hint::black_box(tgi.node_history(id, range));
+            std::hint::black_box(tgi.try_node_history(id, range).expect("healthy store"));
         }
     });
 
     // Decode-path rows: cold wall time plus codec bytes materialized
     // (the cache is still off, so every query decodes stored rows; see
     // bench_decode for the row-wise vs columnar comparison).
-    let decode_cold = time_median(|| tgi.snapshot_c(end / 2, 1));
+    let decode_cold = time_median(|| tgi.try_snapshot(end / 2).expect("healthy store"));
     let node_at_cold = time_median(|| {
         for &id in &nodes {
-            std::hint::black_box(tgi.node_at(id, end / 2));
+            std::hint::black_box(tgi.try_node_at(id, end / 2).expect("healthy store"));
         }
     });
     let b0 = decoded_bytes();
-    std::hint::black_box(tgi.snapshot_c(end / 2, 1));
+    std::hint::black_box(tgi.try_snapshot(end / 2).expect("healthy store"));
     let snapshot_bytes = decoded_bytes() - b0;
     let b0 = decoded_bytes();
     for &id in &nodes {
-        std::hint::black_box(tgi.node_at(id, end / 2));
+        std::hint::black_box(tgi.try_node_at(id, end / 2).expect("healthy store"));
     }
     let node_at_bytes = (decoded_bytes() - b0) / nodes.len() as u64;
     // Naive multipoint (one independent cache-bypassing snapshot per
-    // time) vs the shared-path planner behind `Tgi::snapshots`. CI
+    // time) vs the shared-path planner behind `try_snapshots`. CI
     // gates on shared < naive. `build_tgi` disables the read cache so
     // the raw numbers above stay cache-free; the planner's steady
     // state (what a serving system pays) needs it back on.
@@ -96,10 +99,10 @@ fn main() {
     let multipoint = time_median(|| {
         times
             .iter()
-            .map(|&t| tgi.snapshot_uncached(t))
+            .map(|&t| tgi.try_snapshot_uncached_c(t, 1).expect("healthy store"))
             .collect::<Vec<_>>()
     });
-    let multipoint_shared = time_median(|| tgi.snapshots(&times));
+    let multipoint_shared = time_median(|| tgi.try_snapshots(&times).expect("healthy store"));
 
     let json = format!(
         "{{\n  \

@@ -33,7 +33,10 @@ pub fn ablation_arity() {
             ..TgiConfig::default()
         };
         let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events);
-        let (_, rep) = timed(&tgi, 4, || tgi.snapshot_c(end / 2, 4));
+        let view = tgi.with_clients(4);
+        let (_, rep) = timed(&tgi, 4, || {
+            view.try_snapshot(end / 2).expect("healthy store")
+        });
         println!(
             "{arity}\t{:.2}\t{}\t{}\t{}",
             tgi.storage_bytes() as f64 / 1e6,
@@ -72,7 +75,9 @@ pub fn ablation_timespan() {
         let mut wall = 0.0;
         let mut modeled = 0.0;
         for &id in &probes {
-            let (_, rep) = timed(&tgi, 1, || tgi.node_history(id, full));
+            let (_, rep) = timed(&tgi, 1, || {
+                tgi.try_node_history(id, full).expect("healthy store")
+            });
             wall += rep.wall_secs;
             modeled += rep.modeled_secs;
         }
@@ -108,7 +113,10 @@ pub fn ablation_horizontal() {
         let cfg = TgiConfig::default().with_horizontal(ns);
         let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events);
         let before = tgi.store().stats_snapshot();
-        let (_, rep) = timed(&tgi, 8, || tgi.snapshot_c(end / 2, 8));
+        let view = tgi.with_clients(8);
+        let (_, rep) = timed(&tgi, 8, || {
+            view.try_snapshot(end / 2).expect("healthy store")
+        });
         let diff = hgs_store::SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
         let total: u64 = diff.iter().map(|m| m.bytes_read).sum();
         let max: u64 = diff.iter().map(|m| m.bytes_read).max().unwrap_or(0);

@@ -34,7 +34,11 @@ pub fn fig15c() {
         let t = end / frac;
         // Fetch once (excluded from timing), then sweep workers.
         let handler = TgiHandler::new(tgi.clone(), 1);
-        let son = handler.son().timeslice(TimeRange::new(t, t + 1)).fetch();
+        let son = handler
+            .son()
+            .timeslice(TimeRange::new(t, t + 1))
+            .try_fetch()
+            .expect("healthy store");
         let g = son.graph_at(t);
         let n = g.node_count();
         for workers in 1..=5usize {
@@ -103,7 +107,12 @@ pub fn fig17() {
     let handler = TgiHandler::new(tgi.clone(), 2);
     let range = TimeRange::new(end / 4, end + 1);
     let roots = sample_nodes(&events, 24, 20);
-    let sots = handler.sots(2).timeslice(range).roots(roots).fetch();
+    let sots = handler
+        .sots(2)
+        .timeslice(range)
+        .roots(roots)
+        .try_fetch()
+        .expect("healthy store");
     // Keep subgraphs with enough activity for a 20-version sweep,
     // relaxing the bar if the (scaled-down) trace is too quiet.
     let mut kept = sots.select(|s| s.change_points().len() >= 20);

@@ -130,17 +130,21 @@ pub fn decode() -> Vec<DecodeRow> {
 
     // Answers must agree before anything is timed.
     for &t in &times {
-        assert_eq!(row.snapshot(t), col.snapshot(t), "snapshot divergence");
+        assert_eq!(
+            row.try_snapshot(t).expect("healthy store"),
+            col.try_snapshot(t).expect("healthy store"),
+            "snapshot divergence"
+        );
     }
     for &id in &nodes {
         assert_eq!(
-            row.node_at(id, end / 2),
-            col.node_at(id, end / 2),
+            row.try_node_at(id, end / 2).expect("healthy store"),
+            col.try_node_at(id, end / 2).expect("healthy store"),
             "node_at divergence"
         );
         assert_eq!(
-            row.node_history(id, range),
-            col.node_history(id, range),
+            row.try_node_history(id, range).expect("healthy store"),
+            col.try_node_history(id, range).expect("healthy store"),
             "node_history divergence"
         );
     }
@@ -172,12 +176,12 @@ pub fn decode() -> Vec<DecodeRow> {
         times.len(),
         || {
             for &t in &times {
-                std::hint::black_box(row.snapshot_c(t, 1));
+                std::hint::black_box(row.try_snapshot(t).expect("healthy store"));
             }
         },
         || {
             for &t in &times {
-                std::hint::black_box(col.snapshot_c(t, 1));
+                std::hint::black_box(col.try_snapshot(t).expect("healthy store"));
             }
         },
     ) {
@@ -188,12 +192,12 @@ pub fn decode() -> Vec<DecodeRow> {
         nodes.len(),
         || {
             for &id in &nodes {
-                std::hint::black_box(row.node_at(id, end / 2));
+                std::hint::black_box(row.try_node_at(id, end / 2).expect("healthy store"));
             }
         },
         || {
             for &id in &nodes {
-                std::hint::black_box(col.node_at(id, end / 2));
+                std::hint::black_box(col.try_node_at(id, end / 2).expect("healthy store"));
             }
         },
     ) {
@@ -204,12 +208,12 @@ pub fn decode() -> Vec<DecodeRow> {
         nodes.len(),
         || {
             for &id in &nodes {
-                std::hint::black_box(row.node_history(id, range));
+                std::hint::black_box(row.try_node_history(id, range).expect("healthy store"));
             }
         },
         || {
             for &id in &nodes {
-                std::hint::black_box(col.node_history(id, range));
+                std::hint::black_box(col.try_node_history(id, range).expect("healthy store"));
             }
         },
     ) {

@@ -115,7 +115,9 @@ pub fn labels() -> Vec<LabelRow> {
     for &label in &labels {
         let value = AttrValue::Text(label.into());
         for &t in &times {
-            let indexed = tgi.nodes_with_label_at(label, t);
+            let indexed = tgi
+                .try_nodes_with_label_at(label, t)
+                .expect("healthy store");
             let oracle = tgi
                 .try_nodes_matching_at_materialized(LABEL_KEY, &value, t)
                 .expect("oracle");
@@ -125,13 +127,15 @@ pub fn labels() -> Vec<LabelRow> {
     }
     assert!(nonempty > 0, "degenerate workload: every answer empty");
     assert!(
-        tgi.nodes_with_label_at(DEAD_LABEL, end).is_empty(),
+        tgi.try_nodes_with_label_at(DEAD_LABEL, end)
+            .expect("healthy store")
+            .is_empty(),
         "the dead label must match nobody at the end of the trace"
     );
     for &id in &nodes {
         for key in [LABEL_KEY, CHURN_KEY] {
             assert_eq!(
-                tgi.attr_history(id, key),
+                tgi.try_attr_history(id, key).expect("healthy store"),
                 tgi.try_attr_history_materialized(id, key).expect("oracle"),
                 "attr_history({id}, {key}) divergence"
             );
@@ -158,7 +162,10 @@ pub fn labels() -> Vec<LabelRow> {
         || {
             for &label in &labels {
                 for &t in &times {
-                    std::hint::black_box(tgi.nodes_with_label_at(label, t));
+                    std::hint::black_box(
+                        tgi.try_nodes_with_label_at(label, t)
+                            .expect("healthy store"),
+                    );
                 }
             }
         },
@@ -181,8 +188,8 @@ pub fn labels() -> Vec<LabelRow> {
         nodes.len() * 2,
         || {
             for &id in &nodes {
-                std::hint::black_box(tgi.attr_history(id, LABEL_KEY));
-                std::hint::black_box(tgi.attr_history(id, CHURN_KEY));
+                std::hint::black_box(tgi.try_attr_history(id, LABEL_KEY).expect("healthy store"));
+                std::hint::black_box(tgi.try_attr_history(id, CHURN_KEY).expect("healthy store"));
             }
         },
         || {

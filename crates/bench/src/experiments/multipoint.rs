@@ -3,7 +3,7 @@
 //! single-point figures).
 //!
 //! For growing batch sizes `k`, times are spread across the trace and
-//! retrieved twice: once as `k` independent `snapshot` calls
+//! retrieved twice: once as `k` independent uncached snapshot calls
 //! (refetching the whole root-to-leaf path per time) and once through
 //! [`hgs_core::TgiView::try_snapshots`] (union of paths fetched once per
 //! chunk, grouped scans, clone-at-divergence). Reported per `k`: wall
@@ -39,25 +39,29 @@ pub struct MultipointRow {
 
 /// Measure one batch size on a prepared index. Resets the shared read
 /// cache first so `shared_cold_secs` is genuinely cold. The naive loop
-/// uses the cache-bypassing snapshot path — single-point `snapshot`
-/// now runs through the same planner + cache, so timing it would
+/// uses the cache-bypassing snapshot path — single-point `try_snapshot`
+/// runs through the same planner + cache, so timing it would
 /// measure the cache, not the per-time refetch this row contrasts.
 pub fn multipoint_row(tgi: &mut Tgi, times: &[Time], c: usize) -> MultipointRow {
     tgi.set_read_cache_budget(0);
     tgi.set_read_cache_budget(hgs_core::DEFAULT_READ_CACHE_BYTES);
     let tgi = &*tgi;
-    let naive =
-        |ts: &[Time]| -> Vec<Delta> { ts.iter().map(|&t| tgi.snapshot_uncached(t)).collect() };
+    let naive = |ts: &[Time]| -> Vec<Delta> {
+        ts.iter()
+            .map(|&t| tgi.try_snapshot_uncached_c(t, 1).expect("healthy store"))
+            .collect()
+    };
+    let view = tgi.with_clients(c);
+    let shared = || view.try_snapshots(times).expect("healthy store");
 
-    let (shared_snaps, cold_rep) = timed(tgi, c, || tgi.snapshots_c(times, c));
-    let shared_secs =
-        median3([0, 1, 2].map(|_| timed(tgi, c, || tgi.snapshots_c(times, c)).1.wall_secs));
+    let (shared_snaps, cold_rep) = timed(tgi, c, shared);
+    let shared_secs = median3([0, 1, 2].map(|_| timed(tgi, c, shared).1.wall_secs));
     let naive_secs = median3([0, 1, 2].map(|_| timed(tgi, 1, || naive(times)).1.wall_secs));
     let (naive_snaps, naive_rep) = timed(tgi, 1, || naive(times));
     assert_eq!(naive_snaps, shared_snaps, "planner must match naive");
 
     let before = tgi.store().stats_snapshot();
-    let (_, shared_rep) = timed(tgi, c, || tgi.snapshots_c(times, c));
+    let (_, shared_rep) = timed(tgi, c, shared);
     let diff = SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
     let shared_round_trips: u64 = diff.iter().map(|m| m.batches).sum();
 

@@ -54,7 +54,9 @@ pub fn fig15a() {
         let mut bytes = 0u64;
         for &id in &probes {
             let ((), rep) = timed(&tgi, 1, || {
-                let _ = tgi.khop_with(id, t, 1, KhopStrategy::Recursive);
+                let _ = tgi
+                    .try_khop_with(id, t, 1, KhopStrategy::Recursive)
+                    .expect("healthy store");
             });
             wall += rep.wall_secs;
             modeled += rep.modeled_secs;

@@ -8,11 +8,11 @@
 //! Three workloads, each a Zipf-weighted query stream over a small
 //! working set (hot items queried far more often than cold ones):
 //!
-//! * `snapshot` — single-point [`TgiView::snapshot_c`](hgs_core::TgiView::snapshot_c) at repeated times;
+//! * `snapshot` — single-point [`TgiView::try_snapshot`](hgs_core::TgiView::try_snapshot) at repeated times;
 //! * `node_at` — static-vertex fetches of repeated nodes;
 //! * `taf_node_t` — TAF `node_t` retrievals (SoN select pushdown) of
 //!   repeated nodes over a fixed range;
-//! * `multipoint` — batched [`TgiView::snapshots_c`](hgs_core::TgiView::snapshots_c) at every parallelism
+//! * `multipoint` — batched [`TgiView::try_snapshots`](hgs_core::TgiView::try_snapshots) at every parallelism
 //!   of the [`clients_sweep`] knob (`HGS_CLIENTS`, default `1,2,4`):
 //!   the parallel fill's per-`(tsid, sid, leaf)` checkpoint-state
 //!   tier must turn warm multi-client batches into eventlist-suffix
@@ -193,12 +193,12 @@ pub fn read_cache() -> Vec<CacheRow> {
 
     push(run_workload(&tgi, "snapshot", 1, || {
         for &t in &time_seq {
-            std::hint::black_box(tgi.snapshot_c(t, 1));
+            std::hint::black_box(tgi.try_snapshot(t).expect("healthy store"));
         }
     }));
     push(run_workload(&tgi, "node_at", 1, || {
         for &id in &node_seq {
-            std::hint::black_box(tgi.node_at(id, end / 2));
+            std::hint::black_box(tgi.try_node_at(id, end / 2).expect("healthy store"));
         }
     }));
     // Multipoint batches at every parallelism of the sweep: the warm
@@ -206,17 +206,20 @@ pub fn read_cache() -> Vec<CacheRow> {
     // timing, pin down correctness: every parallelism must equal the
     // cache-bypassing reference (and hence each other).
     let batch = growth_times(&events, 6);
-    let reference: Vec<_> = batch.iter().map(|&t| tgi.snapshot_uncached(t)).collect();
+    let reference: Vec<_> = batch
+        .iter()
+        .map(|&t| tgi.try_snapshot_uncached_c(t, 1).expect("healthy store"))
+        .collect();
     for c in clients_sweep() {
+        let view = tgi.with_clients(c);
         assert_eq!(
-            tgi.snapshots_c(&batch, c),
+            view.try_snapshots(&batch).expect("healthy store"),
             reference,
             "parallel (c={c}) multipoint must equal the sequential reference"
         );
         let batch = batch.clone();
-        let tgi_ref = &tgi;
         push(run_workload(&tgi, "multipoint", c, move || {
-            std::hint::black_box(tgi_ref.snapshots_c(&batch, c));
+            std::hint::black_box(view.try_snapshots(&batch).expect("healthy store"));
         }));
     }
     // TAF node_t: the handler shares the same Tgi, so its fetches ride
@@ -230,7 +233,8 @@ pub fn read_cache() -> Vec<CacheRow> {
                 .son()
                 .timeslice(range)
                 .select_ids(ids.clone())
-                .fetch();
+                .try_fetch()
+                .expect("healthy store");
             std::hint::black_box(son.len());
         }));
     }
@@ -271,14 +275,14 @@ mod tests {
 
         let before = tgi.store().stats_snapshot();
         for &t in &seq {
-            let _ = tgi.snapshot_c(t, 1);
+            tgi.try_snapshot(t).expect("healthy store");
         }
         let cold = SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
         let s_cold = tgi.cache_stats();
 
         let before = tgi.store().stats_snapshot();
         for &t in &seq {
-            let _ = tgi.snapshot_c(t, 1);
+            tgi.try_snapshot(t).expect("healthy store");
         }
         let warm = SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
         let s_warm = tgi.cache_stats();
@@ -295,11 +299,11 @@ mod tests {
         // node_at over a hot node set: the second pass is all hits.
         let nodes = sample_nodes(&events, 8, 2);
         for &id in &nodes {
-            let _ = tgi.node_at(id, end / 2);
+            let _ = tgi.try_node_at(id, end / 2).expect("healthy store");
         }
         let before = tgi.store().stats_snapshot();
         for &id in &nodes {
-            let _ = tgi.node_at(id, end / 2);
+            let _ = tgi.try_node_at(id, end / 2).expect("healthy store");
         }
         let diff = SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
         let repeat_requests: u64 = diff.iter().map(|m| m.gets + m.scans).sum();

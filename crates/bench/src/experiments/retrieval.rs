@@ -25,7 +25,8 @@ pub fn fig11() {
     ]);
     for t in growth_times(&events, 5) {
         for c in [1usize, 2, 4, 8, 16, 32] {
-            let (snap, rep) = timed(&tgi, c, || tgi.snapshot_c(t, c));
+            let view = tgi.with_clients(c);
+            let (snap, rep) = timed(&tgi, c, || view.try_snapshot(t).expect("healthy store"));
             println!(
                 "{}\t{}\t{}\t{}\t{}\t{:.2}",
                 snap.cardinality(),
@@ -56,7 +57,8 @@ pub fn fig12() {
         let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(m, r), &events);
         for t in growth_times(&events, 4) {
             for &c in &cs {
-                let (snap, rep) = timed(&tgi, c, || tgi.snapshot_c(t, c));
+                let view = tgi.with_clients(c);
+                let (snap, rep) = timed(&tgi, c, || view.try_snapshot(t).expect("healthy store"));
                 println!(
                     "{m}\t{r}\t{}\t{c}\t{}\t{}",
                     snap.cardinality(),
@@ -82,7 +84,8 @@ pub fn fig13a() {
         let tgi = build_tgi(paper_default_cfg(), store_cfg, &events);
         let stored_mb = tgi.storage_bytes() as f64 / 1e6;
         for t in growth_times(&events, 4) {
-            let (snap, rep) = timed(&tgi, 8, || tgi.snapshot_c(t, 8));
+            let view = tgi.with_clients(8);
+            let (snap, rep) = timed(&tgi, 8, || view.try_snapshot(t).expect("healthy store"));
             println!(
                 "{}\t{}\t{}\t{}\t{:.2}",
                 if compress {
@@ -112,7 +115,8 @@ pub fn fig13b() {
         let cfg = TgiConfig::default().with_partition_size(ps);
         let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events);
         for t in growth_times(&events, 4) {
-            let (snap, rep) = timed(&tgi, 8, || tgi.snapshot_c(t, 8));
+            let view = tgi.with_clients(8);
+            let (snap, rep) = timed(&tgi, 8, || view.try_snapshot(t).expect("healthy store"));
             println!(
                 "{ps}\t{}\t{}\t{}\t{}",
                 snap.cardinality(),
@@ -138,7 +142,8 @@ pub fn fig13c() {
     // dates to a static snapshot): growth shows in the edge count.
     header(&["snapshot_nodes", "snapshot_edges", "wall_s", "modeled_s"]);
     for t in growth_times(&events, 6) {
-        let (snap, rep) = timed(&tgi, 1, || tgi.snapshot_c(t, 1));
+        let view = tgi.with_clients(1);
+        let (snap, rep) = timed(&tgi, 1, || view.try_snapshot(t).expect("healthy store"));
         println!(
             "{}\t{}\t{}\t{}",
             snap.cardinality(),
@@ -170,7 +175,8 @@ pub fn fig15b() {
         let base_end = dataset1().last().unwrap().time;
         for i in 1..=4u64 {
             let t = base_end * i / 4;
-            let (snap, rep) = timed(&tgi, 4, || tgi.snapshot_c(t, 4));
+            let view = tgi.with_clients(4);
+            let (snap, rep) = timed(&tgi, 4, || view.try_snapshot(t).expect("healthy store"));
             println!(
                 "{name}\t{}\t{}\t{}\t{}",
                 events.len(),

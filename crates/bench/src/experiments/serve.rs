@@ -26,7 +26,7 @@
 //! Correctness is asserted in-experiment, not just timed: the first
 //! time a client observes a new watermark it takes an (untimed) full
 //! snapshot of the pinned view; after the run every such observation
-//! is replayed against a quiesced from-scratch [`Tgi::build`] over
+//! is replayed against a quiesced from-scratch [`Tgi::try_build`] over
 //! exactly the event prefix that watermark denotes, and must be
 //! byte-identical. The final service must hold the whole trace.
 
@@ -109,7 +109,10 @@ fn client_loop(svc: &TgiService, hot: &[u64], min_ops: u64, done: &AtomicBool) -
         } else {
             view.end_time() / 2
         };
-        std::hint::black_box(view.node_at(hot[i % hot.len()], t.max(1)));
+        std::hint::black_box(
+            view.try_node_at(hot[i % hot.len()], t.max(1))
+                .expect("healthy store"),
+        );
         log.lat_ns.push(t0.elapsed().as_nanos() as u64);
         let epoch = view.epoch();
         log.watermark_lo = log.watermark_lo.min(epoch);

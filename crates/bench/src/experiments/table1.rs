@@ -99,16 +99,16 @@ pub fn table1() {
             format!("({req},{kb:.0})")
         };
         let snapshot = cell(&|| {
-            let _ = idx.snapshot(t);
+            let _ = idx.try_snapshot(t).expect("healthy store");
         });
         let vertex = cell(&|| {
-            let _ = idx.node_at(probe, t);
+            let _ = idx.try_node_at(probe, t).expect("healthy store");
         });
         let versions = cell(&|| {
-            let _ = idx.node_versions(probe, range);
+            let _ = idx.try_node_versions(probe, range).expect("healthy store");
         });
         let onehop = cell(&|| {
-            let _ = idx.one_hop(probe, t);
+            let _ = idx.try_one_hop(probe, t).expect("healthy store");
         });
         println!(
             "{}\t{:.2}\t{}\t{}\t{}\t{}",

@@ -36,7 +36,9 @@ pub fn fig14a() {
             .with_timespan(50_000);
         let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events);
         for id in version_probes(&events) {
-            let (h, rep) = timed(&tgi, 1, || tgi.node_history(id, full));
+            let (h, rep) = timed(&tgi, 1, || {
+                tgi.try_node_history(id, full).expect("healthy store")
+            });
             println!(
                 "{l}\t{}\t{}\t{}\t{:.1}",
                 h.change_count(),
@@ -62,7 +64,10 @@ pub fn fig14b() {
     header(&["c", "change_points", "wall_s", "modeled_s"]);
     for c in [1usize, 2, 4] {
         for id in version_probes(&events) {
-            let (h, rep) = timed(&tgi, c, || tgi.node_history_c(id, full, c));
+            let view = tgi.with_clients(c);
+            let (h, rep) = timed(&tgi, c, || {
+                view.try_node_history(id, full).expect("healthy store")
+            });
             println!(
                 "{c}\t{}\t{}\t{}",
                 h.change_count(),
@@ -89,7 +94,9 @@ pub fn fig14c() {
         let cfg = TgiConfig::default().with_partition_size(ps);
         let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events);
         for &id in &heavy {
-            let (h, rep) = timed(&tgi, 1, || tgi.node_history(id, full));
+            let (h, rep) = timed(&tgi, 1, || {
+                tgi.try_node_history(id, full).expect("healthy store")
+            });
             println!(
                 "{ps}\t{}\t{}\t{}\t{:.1}",
                 h.change_count(),
@@ -115,7 +122,10 @@ pub fn fig16() {
     header(&["c", "change_points", "wall_s", "modeled_s"]);
     for c in [1usize, 2] {
         for id in version_probes(&events) {
-            let (h, rep) = timed(&tgi, c, || tgi.node_history_c(id, full, c));
+            let view = tgi.with_clients(c);
+            let (h, rep) = timed(&tgi, c, || {
+                view.try_node_history(id, full).expect("healthy store")
+            });
             println!(
                 "{c}\t{}\t{}\t{}",
                 h.change_count(),

@@ -36,7 +36,7 @@ pub fn median3(mut xs: [f64; 3]) -> f64 {
 /// experiments (`multipoint`, `read_cache`) re-enable it explicitly
 /// via [`TgiView::set_read_cache_budget`](hgs_core::TgiView::set_read_cache_budget).
 pub fn build_tgi(cfg: TgiConfig, store: StoreConfig, events: &[Event]) -> Tgi {
-    let tgi = Tgi::build(cfg, store, events);
+    let tgi = Tgi::try_build(cfg, store, events).expect("healthy store");
     tgi.set_read_cache_budget(0);
     tgi
 }

@@ -26,10 +26,10 @@
 //!
 //! # Semantics
 //!
-//! * `nodes_matching_at(key, value, t)` — node-ids whose attribute
+//! * `try_nodes_matching_at(key, value, t)` — node-ids whose attribute
 //!   `key` equals `value` after applying every event with time `<= t`
-//!   (the same cut rule as [`TgiView::snapshot`]).
-//! * `attr_history(nid, key)` — the chronological `(time, new value)`
+//!   (the same cut rule as [`TgiView::try_snapshot`]).
+//! * `try_attr_history(nid, key)` — the chronological `(time, new value)`
 //!   points of `key` on `nid` over the whole history: every
 //!   `SetNodeAttr` (even re-setting the same value), plus a `None`
 //!   point when the attribute or its node is removed while the key is
@@ -46,7 +46,6 @@ use hgs_store::key::{term_key, term_key_tsid, term_prefix, term_token};
 use hgs_store::{StoreError, Table};
 
 use crate::build::TgiView;
-use crate::query::unwrap_read;
 use crate::read_cache::{CacheKey, Cached};
 
 /// Attribute key conventionally holding a node's label (what
@@ -210,13 +209,6 @@ pub(crate) fn collect_span_index_rows(
 }
 
 impl TgiView {
-    /// Whether this index maintains the secondary temporal indexes
-    /// (the persisted [`TgiConfig::secondary_indexes`](crate::TgiConfig)
-    /// knob).
-    pub fn secondary_indexes_enabled(&self) -> bool {
-        self.cfg.secondary_indexes
-    }
-
     /// Fetch (through the read cache) the value-term row of one
     /// `(term, tsid)`. `Ok(None)` means the row is legitimately absent
     /// — the term never held within (or going into) that span.
@@ -267,19 +259,9 @@ impl TgiView {
         }
     }
 
-    /// Infallible [`TgiView::try_nodes_matching_at`].
-    pub fn nodes_matching_at(&self, key: &str, value: &AttrValue, t: Time) -> Vec<NodeId> {
-        unwrap_read(self.try_nodes_matching_at(key, value, t))
-    }
-
     /// Node-ids labelled `label` (attribute [`LABEL_KEY`]) at time `t`.
     pub fn try_nodes_with_label_at(&self, label: &str, t: Time) -> Result<Vec<NodeId>, StoreError> {
         self.try_nodes_matching_at(LABEL_KEY, &AttrValue::Text(label.to_string()), t)
-    }
-
-    /// Infallible [`TgiView::try_nodes_with_label_at`].
-    pub fn nodes_with_label_at(&self, label: &str, t: Time) -> Vec<NodeId> {
-        unwrap_read(self.try_nodes_with_label_at(label, t))
     }
 
     /// The reference answer for [`TgiView::try_nodes_matching_at`]:
@@ -344,11 +326,6 @@ impl TgiView {
             );
         }
         Ok(out)
-    }
-
-    /// Infallible [`TgiView::try_attr_history`].
-    pub fn attr_history(&self, nid: NodeId, key: &str) -> Vec<(Time, Option<AttrValue>)> {
-        unwrap_read(self.try_attr_history(nid, key))
     }
 
     /// The reference answer for [`TgiView::try_attr_history`]: replay the

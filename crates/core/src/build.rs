@@ -18,7 +18,7 @@
 //! 5. under locality+replication, auxiliary 1-hop boundary deltas are
 //!    stored per (leaf, `sid`, `pid`).
 //!
-//! Updates append in batches (`Tgi::append_events`), equivalent to the
+//! Updates append in batches (`Tgi::try_append_events`), equivalent to the
 //! paper's "create an independent TGI with the new events and merge":
 //! new timespans continue the id sequence, the previous last span's
 //! open time range is closed, and version chains are extended.
@@ -104,7 +104,8 @@ pub(crate) struct SpanRuntime {
 /// partition maps, and the summary counters the query planner needs.
 ///
 /// Every read path lives on `TgiView` (the owning [`Tgi`] handle
-/// `Deref`s to its current view, so `tgi.snapshot(t)` keeps working).
+/// `Deref`s to its current view, so `tgi.try_snapshot(t)` works on the
+/// handle too).
 /// A clone shares the spans, the store and the read cache by `Arc` —
 /// this is what [`TgiService`](crate::service::TgiService) publishes
 /// as the watermark: readers pin one clone and keep answering from
@@ -160,12 +161,6 @@ impl std::ops::Deref for Tgi {
     }
 }
 
-impl std::ops::DerefMut for Tgi {
-    fn deref_mut(&mut self) -> &mut TgiView {
-        &mut self.view
-    }
-}
-
 /// Errors from the fallible build path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
@@ -207,24 +202,9 @@ impl From<StoreError> for BuildError {
     }
 }
 
-/// Panic with context when a build against a degraded cluster reaches
-/// an infallible API.
-fn unwrap_write<T>(r: Result<T, BuildError>) -> T {
-    r.unwrap_or_else(|e| {
-        // hgs-lint: allow(no-panic-in-try, "documented panic bridge of the infallible build API; try_append_events surfaces the error")
-        panic!("TGI build failed ({e}); use the try_* builder to handle write failures")
-    })
-}
-
 impl Tgi {
     /// Build an index over `events` (chronologically sorted) on a
-    /// fresh simulated cluster. Panics if any index write reaches no
-    /// replica; see [`Tgi::try_build`].
-    pub fn build(cfg: TgiConfig, store_cfg: StoreConfig, events: &[Event]) -> Tgi {
-        unwrap_write(Tgi::try_build(cfg, store_cfg, events))
-    }
-
-    /// Fallible [`Tgi::build`]: errors with
+    /// fresh simulated cluster: errors with
     /// [`StoreError::Unavailable`] (wrapped in [`BuildError::Store`])
     /// if any delta write is accepted by zero replicas — a build
     /// against a degraded cluster must not silently drop deltas.
@@ -236,14 +216,8 @@ impl Tgi {
         Tgi::try_build_on(cfg, Arc::new(SimStore::new(store_cfg)), events)
     }
 
-    /// Build on an existing store (lets several indexes share a
-    /// cluster in experiments). Panics on write failure; see
-    /// [`Tgi::try_build_on`].
-    pub fn build_on(cfg: TgiConfig, store: Arc<SimStore>, events: &[Event]) -> Tgi {
-        unwrap_write(Tgi::try_build_on(cfg, store, events))
-    }
-
-    /// Fallible [`Tgi::build_on`].
+    /// [`Tgi::try_build`] on an existing store (lets several indexes
+    /// share a cluster in experiments).
     pub fn try_build_on(
         cfg: TgiConfig,
         store: Arc<SimStore>,
@@ -252,23 +226,13 @@ impl Tgi {
         Tgi::try_build_with(cfg, store, events, 1, host_parallelism())
     }
 
-    /// Fallible [`Tgi::build`] with an explicit build parallelism `c`:
+    /// [`Tgi::try_build_on`] with an explicit build parallelism `c`:
     /// span encoding fans out over `c` work-stealing clients (one work
-    /// item per horizontal partition). Like the read-side `_c` query
-    /// variants, `c` is taken as-is — production callers should prefer
-    /// [`Tgi::set_clients`], which clamps to the host's parallelism.
-    pub fn try_build_c(
-        cfg: TgiConfig,
-        store_cfg: StoreConfig,
-        events: &[Event],
-        c: usize,
-    ) -> Result<Tgi, BuildError> {
-        Tgi::try_build_on_c(cfg, Arc::new(SimStore::new(store_cfg)), events, c)
-    }
-
-    /// Fallible [`Tgi::build_on`] with an explicit build parallelism
-    /// `c` (see [`Tgi::try_build_c`]). The returned handle keeps `c`
-    /// as its client width for queries and further appends.
+    /// item per horizontal partition). Like
+    /// [`TgiView::with_clients`], `c` is taken as-is — production
+    /// callers should prefer [`Tgi::set_clients`], which clamps to the
+    /// host's parallelism. The returned handle keeps `c` as its client
+    /// width for queries and further appends.
     pub fn try_build_on_c(
         cfg: TgiConfig,
         store: Arc<SimStore>,
@@ -302,7 +266,7 @@ impl Tgi {
                 clients,
                 read_cache: Arc::new(crate::read_cache::ReadCache::with_shards(
                     cfg.read_cache_bytes,
-                    cfg.read_cache_shards,
+                    crate::read_cache::DEFAULT_READ_CACHE_SHARDS,
                 )),
                 epoch: 0,
             },
@@ -323,13 +287,10 @@ impl Tgi {
     /// and version chains reach every affected node. Normalization
     /// needs the edges *entering* the batch too, so the expansion runs
     /// against the current tail state.
-    pub fn append_events(&mut self, events: &[Event]) {
-        unwrap_write(self.try_append_events(events));
-    }
-
-    /// Fallible [`Tgi::append_events`]: surfaces any index write that
-    /// reached zero replicas as [`StoreError::Unavailable`] (wrapped
-    /// in [`BuildError::Store`]). Writes that reach only *some*
+    ///
+    /// Any index write that reached zero replicas surfaces as
+    /// [`StoreError::Unavailable`] (wrapped in
+    /// [`BuildError::Store`]). Writes that reach only *some*
     /// replicas succeed with degraded durability and are counted in
     /// [`SimStore::partial_put_count`].
     ///
@@ -480,13 +441,13 @@ impl Tgi {
     }
 
     /// Default number of parallel clients used by queries and by the
-    /// write path's span encoding (`append_events`), **clamped to the
+    /// write path's span encoding (`try_append_events`), **clamped to the
     /// host's available parallelism**: on a small box an
     /// over-provisioned `c` only adds thread spawn/teardown overhead
     /// (the cost model, not wall-clock, answers "what would a bigger
-    /// cluster do"). Explicit-`c` calls (`snapshots_c`,
-    /// `try_build_on_c`) and [`Tgi::set_clients_forced`] bypass the
-    /// clamp.
+    /// cluster do"). Explicit-`c` calls ([`TgiView::with_clients`],
+    /// [`Tgi::try_build_on_c`]) and [`Tgi::set_clients_forced`] bypass
+    /// the clamp.
     ///
     /// Until this (or an explicit-`c` build) is called, the two widths
     /// differ: reads run at one client, the span encode at the host's
@@ -993,9 +954,22 @@ impl TgiView {
     }
 
     /// The view's client width (inherited from the handle that
-    /// published it).
+    /// published it, or set by [`TgiView::with_clients`]).
     pub fn clients(&self) -> usize {
         self.clients
+    }
+
+    /// This view at fetch parallelism `c` (taken as-is, never below
+    /// one — [`Tgi::set_clients`] is the clamped, handle-wide knob): a
+    /// cheap clone sharing the spans, the store and the read cache, so
+    /// `view.with_clients(4).try_snapshots(&times)` is how one call
+    /// runs wider — or, with `1`, narrower inside an outer fan-out —
+    /// than the rest of the session.
+    pub fn with_clients(&self, c: usize) -> TgiView {
+        TgiView {
+            clients: c.max(1),
+            ..self.clone()
+        }
     }
 
     /// Publication counter of this view: the watermark a pinned
@@ -1545,7 +1519,7 @@ mod tests {
 
     #[test]
     fn set_clients_clamps_to_host_parallelism() {
-        let mut tgi = Tgi::build(TgiConfig::default(), StoreConfig::new(1, 1), &[]);
+        let mut tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(1, 1), &[]).unwrap();
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -1559,14 +1533,14 @@ mod tests {
 
     #[test]
     fn explicit_widths_set_both_widths_and_the_default_only_the_encode() {
-        let mut tgi = Tgi::build(TgiConfig::default(), StoreConfig::new(1, 1), &[]);
+        let mut tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(1, 1), &[]).unwrap();
         assert_eq!((tgi.clients(), tgi.encode_width), (1, host_parallelism()));
         tgi.set_clients(1);
         assert_eq!((tgi.clients(), tgi.encode_width), (1, 1));
         tgi.set_clients_forced(3);
         assert_eq!((tgi.clients(), tgi.encode_width), (3, 3));
-        let tgi = Tgi::try_build_c(TgiConfig::default(), StoreConfig::new(1, 1), &[], 5)
-            .expect("healthy build");
+        let store = Arc::new(SimStore::new(StoreConfig::new(1, 1)));
+        let tgi = Tgi::try_build_on_c(TgiConfig::default(), store, &[], 5).expect("healthy build");
         assert_eq!((tgi.clients(), tgi.encode_width), (5, 5));
     }
 
@@ -1585,7 +1559,8 @@ mod tests {
             batches(tgi) - before
         };
         let default = Tgi::try_build(cfg, StoreConfig::new(4, 1), &events).expect("build");
-        let one = Tgi::try_build_c(cfg, StoreConfig::new(4, 1), &events, 1).expect("build");
+        let store = Arc::new(SimStore::new(StoreConfig::new(4, 1)));
+        let one = Tgi::try_build_on_c(cfg, store, &events, 1).expect("build");
         assert_eq!(default.clients(), 1);
         let batches = cold_snapshot_batches(&default);
         assert!(batches > 0);
@@ -1601,7 +1576,7 @@ mod tests {
         let base = hgs_datagen::WikiGrowth::sized(800).generate();
         let trace = hgs_datagen::augment_with_churn(&base, 500, 0.5, 7);
         let (built, churn) = trace.split_at(base.len());
-        let tgi = Tgi::build(TgiConfig::default(), StoreConfig::new(2, 1), built);
+        let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(2, 1), built).unwrap();
 
         let plain = tgi.normalize_batch(churn);
         assert!(matches!(plain, Cow::Borrowed(_)));

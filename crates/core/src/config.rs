@@ -46,14 +46,6 @@ pub struct TgiConfig {
     /// caching). Runtime-tunable via
     /// [`TgiView::set_read_cache_budget`](crate::build::TgiView).
     pub read_cache_bytes: usize,
-    /// Lock stripes of the read cache: entries are sharded by key
-    /// hash over this many independent LRU lists, each behind its own
-    /// mutex with its own slice of `read_cache_bytes` (the slices sum
-    /// to the total). More stripes mean less contention between
-    /// concurrent readers at the cost of coarser per-stripe LRU. Like
-    /// `write_batch_rows` this is a runtime knob, not persisted with
-    /// the index.
-    pub read_cache_shards: usize,
     /// Maximum rows the construction/ingest write buffer accumulates
     /// before flushing a per-machine batched round trip
     /// (`SimStore::put_batch`). `0` disables write batching entirely
@@ -95,7 +87,6 @@ impl Default for TgiConfig {
             omega: Omega::UnionMax,
             weighting: NodeWeighting::Uniform,
             read_cache_bytes: DEFAULT_READ_CACHE_BYTES,
-            read_cache_shards: crate::read_cache::DEFAULT_READ_CACHE_SHARDS,
             write_batch_rows: DEFAULT_WRITE_BATCH_ROWS,
             layout: StorageLayout::Columnar,
             secondary_indexes: true,
@@ -131,10 +122,6 @@ impl TgiConfig {
         assert!(
             self.eventlist_size <= self.events_per_timespan,
             "eventlist must fit within a timespan"
-        );
-        assert!(
-            self.read_cache_shards >= 1,
-            "need at least one read-cache stripe"
         );
         self.retry.validate();
     }
@@ -200,13 +187,6 @@ impl TgiConfig {
     /// Set the read-cache byte budget (`0` disables caching).
     pub fn with_read_cache_bytes(mut self, bytes: usize) -> TgiConfig {
         self.read_cache_bytes = bytes;
-        self
-    }
-
-    /// Set the read-cache stripe count (`>= 1`; `1` recovers a single
-    /// global LRU).
-    pub fn with_read_cache_shards(mut self, shards: usize) -> TgiConfig {
-        self.read_cache_shards = shards;
         self
     }
 

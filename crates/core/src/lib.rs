@@ -37,11 +37,14 @@
 //! materialized checkpoint states ([`read_cache`]; budget via
 //! [`TgiConfig::read_cache_bytes`], counters — split into row vs
 //! state hits — via [`TgiView::cache_stats`]). Every retrieval and
-//! build primitive has a fallible `try_*` variant that surfaces
+//! build primitive has exactly one spelling, `try_*`, which surfaces
 //! [`hgs_store::StoreError::Unavailable`] instead of silently
-//! returning partial results (see [`query`] for the contract); a
-//! cache miss — including one caused by eviction — always re-runs the
-//! fallible fetch.
+//! returning partial results (see [`query`] for the contract; a
+//! caller that wants a panic writes `.expect(..)` at the call site);
+//! a cache miss — including one caused by eviction — always re-runs
+//! the fallible fetch. The fetch width is a property of the view:
+//! [`TgiView::with_clients`] returns a cheap clone that reads at `c`
+//! clients.
 //!
 //! Serving: the owning [`Tgi`] handle separates its mutable append
 //! state from an immutable, cheaply-clonable [`TgiView`] holding every

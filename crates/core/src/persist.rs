@@ -144,9 +144,6 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
     // Not persisted (see `encode_config`): reopened handles write with
     // the default buffering.
     let write_batch_rows = crate::config::DEFAULT_WRITE_BATCH_ROWS;
-    // Also a runtime knob (cache striping), not persisted: reopened
-    // handles serve with the default stripe count.
-    let read_cache_shards = crate::read_cache::DEFAULT_READ_CACHE_SHARDS;
     // Retry/breaker policy is likewise runtime-only: reopened handles
     // install the default policy on their store.
     let retry = hgs_store::RetryPolicy::default();
@@ -179,7 +176,6 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
         omega,
         weighting,
         read_cache_bytes,
-        read_cache_shards,
         write_batch_rows,
         layout,
         secondary_indexes,
@@ -206,7 +202,7 @@ impl Tgi {
     /// Re-open an index previously built on `store`, reconstructing
     /// all in-memory metadata from the persisted tables. The returned
     /// handle answers queries identically and accepts further
-    /// [`Tgi::append_events`] batches.
+    /// [`Tgi::try_append_events`] batches.
     pub fn open(store: Arc<SimStore>) -> Result<Tgi, OpenError> {
         // Global descriptor.
         let meta_row = store
@@ -279,7 +275,7 @@ impl Tgi {
                 clients: 1,
                 read_cache: Arc::new(crate::read_cache::ReadCache::with_shards(
                     cfg.read_cache_bytes,
-                    cfg.read_cache_shards,
+                    crate::read_cache::DEFAULT_READ_CACHE_SHARDS,
                 )),
                 epoch: 0,
             },
@@ -290,7 +286,7 @@ impl Tgi {
         // The tail state (needed for appends) is the latest snapshot;
         // the view's shape summary follows it.
         if end_time > 0 {
-            tgi.tail_state = tgi.snapshot(end_time);
+            tgi.tail_state = tgi.try_snapshot(end_time).map_err(OpenError::Store)?;
             tgi.view.node_count = tgi.tail_state.cardinality();
             tgi.view.edge_count = tgi.tail_state.edge_count();
         }

@@ -4,17 +4,14 @@
 //!
 //! # Error-handling contract
 //!
-//! Every retrieval primitive comes in two flavours:
-//!
-//! * a fallible `try_*` variant returning
-//!   `Result<_, `[`StoreError`]`>` — when **all** replicas of a chunk
-//!   the query needs are down, the query fails with
-//!   [`StoreError::Unavailable`] instead of silently returning a
-//!   *smaller* graph;
-//! * the classic infallible name (`snapshot`, `node_history`, …),
-//!   which is a thin wrapper that panics on store failure. These are
-//!   for tests, benches and examples running against healthy
-//!   clusters; production callers should use `try_*`.
+//! Every retrieval primitive has exactly one spelling, `try_*`,
+//! returning `Result<_, `[`StoreError`]`>`: when **all** replicas of a
+//! chunk the query needs are down, the query fails with
+//! [`StoreError::Unavailable`] instead of silently returning a
+//! *smaller* graph. A caller that wants a panic on a healthy cluster
+//! writes `.unwrap()` / `.expect(..)` at the call site. Fetch
+//! parallelism is a property of the view
+//! ([`TgiView::with_clients`]), not of the call.
 //!
 //! A missing *row* (`Ok(None)` / empty scan) is not an error — deltas
 //! that were never written (empty micro-partitions) are legitimately
@@ -152,12 +149,6 @@ impl NeighborhoodHistory {
     }
 }
 
-/// Panic with context on a store failure reaching an infallible API.
-pub(crate) fn unwrap_read<T>(r: Result<T, StoreError>) -> T {
-    // hgs-lint: allow(no-panic-in-try, "documented panic bridge of the infallible query API; try_* variants surface StoreError")
-    r.unwrap_or_else(|e| panic!("TGI read failed ({e}); use the try_* variant to handle failures"))
-}
-
 /// A fetched delta row in whichever representation the cache holds:
 /// fully decoded, or a lazily-decoded columnar row that answers
 /// single-node record probes from its node-index column alone.
@@ -211,50 +202,29 @@ impl TgiView {
     // Algorithm 1: snapshot retrieval
     // ------------------------------------------------------------------
 
-    /// The full graph as of time `t`, fetched with the default client
-    /// parallelism. Panics if a needed chunk is fully unavailable; see
-    /// [`TgiView::try_snapshot`].
-    pub fn snapshot(&self, t: Time) -> Delta {
-        unwrap_read(self.try_snapshot(t))
-    }
-
-    /// Fallible [`TgiView::snapshot`].
-    pub fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
-        self.try_snapshot_c(t, self.clients)
-    }
-
-    /// Snapshot with an explicit parallel fetch factor `c`.
-    pub fn snapshot_c(&self, t: Time, c: usize) -> Delta {
-        unwrap_read(self.try_snapshot_c(t, c))
-    }
-
-    /// Fallible [`TgiView::snapshot_c`]: errors when all replicas of any
-    /// chunk the query still has to fetch are down, instead of
-    /// returning a silently incomplete graph.
+    /// The full graph as of time `t` (Algorithm 1), fetched with the
+    /// view's client width: errors when all replicas of any chunk the
+    /// query still has to fetch are down, instead of returning a
+    /// silently incomplete graph.
     ///
     /// Runs as a degenerate one-time plan through the multipoint
-    /// machinery ([`TgiView::try_snapshots_c`]), so
-    /// it consults and populates the session-wide read cache: a warm
-    /// repeat pays only the checkpoint-state clone and the eventlist
-    /// replay, never the tree-path fetch + decode. The cache-bypassing
-    /// reference path remains as [`TgiView::try_snapshot_uncached_c`].
-    pub fn try_snapshot_c(&self, t: Time, c: usize) -> Result<Delta, StoreError> {
-        let mut out = self.try_snapshots_c(std::slice::from_ref(&t), c)?;
-        // hgs-lint: allow(no-panic-in-try, "try_snapshots_c returns exactly one state per requested time")
+    /// machinery ([`TgiView::try_snapshots`]), so it consults and
+    /// populates the session-wide read cache: a warm repeat pays only
+    /// the checkpoint-state clone and the eventlist replay, never the
+    /// tree-path fetch + decode. The cache-bypassing reference path
+    /// remains as [`TgiView::try_snapshot_uncached_c`].
+    pub fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
+        let mut out = self.try_snapshots(std::slice::from_ref(&t))?;
+        // hgs-lint: allow(no-panic-in-try, "try_snapshots returns exactly one state per requested time")
         Ok(out.pop().expect("one snapshot per requested time"))
     }
 
-    /// Cache-bypassing [`TgiView::snapshot`]: refetches and re-decodes the
-    /// whole root-to-leaf path, touching neither cached entries nor
-    /// the cache's counters. This is the reference implementation the
+    /// Cache-bypassing [`TgiView::try_snapshot`] with an explicit
+    /// parallel fetch factor `c`: refetches and re-decodes the whole
+    /// root-to-leaf path, touching neither cached entries nor the
+    /// cache's counters. This is the reference implementation the
     /// cached paths are tested against, and the honest "cold" baseline
     /// for benchmarks.
-    pub fn snapshot_uncached(&self, t: Time) -> Delta {
-        unwrap_read(self.try_snapshot_uncached_c(t, self.clients))
-    }
-
-    /// Fallible [`TgiView::snapshot_uncached`] with an explicit parallel
-    /// fetch factor `c`.
     pub fn try_snapshot_uncached_c(&self, t: Time, c: usize) -> Result<Delta, StoreError> {
         let span = self.span_for(t);
         let meta = &span.meta;
@@ -347,11 +317,6 @@ impl TgiView {
     /// State of one node as of `t` (a *static vertex* fetch in Table
     /// 1's terms): touches only the node's micro-partition along the
     /// tree path.
-    pub fn node_at(&self, nid: NodeId, t: Time) -> Option<StaticNode> {
-        unwrap_read(self.try_node_at(nid, t))
-    }
-
-    /// Fallible [`TgiView::node_at`].
     pub fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError> {
         let span = self.span_for(t);
         let ns = self.cfg.horizontal_partitions;
@@ -645,13 +610,8 @@ impl TgiView {
     // ------------------------------------------------------------------
 
     /// The version chain of a node (empty when chains are disabled or
-    /// the node never appeared).
-    pub fn version_chain(&self, nid: NodeId) -> Vec<ChainEntry> {
-        unwrap_read(self.try_version_chain(nid))
-    }
-
-    /// Fallible [`TgiView::version_chain`]: one prefix scan over the
-    /// node's append-only chain-delta rows, concatenated in key (i.e.
+    /// the node never appeared): one prefix scan over the node's
+    /// append-only chain-delta rows, concatenated in key (i.e.
     /// `tsid`, i.e. chronological) order. A legacy whole-chain row —
     /// keyed by the bare 8-byte node key — matches the same prefix and
     /// sorts before every `(nid, tsid)` row, so indexes written by the
@@ -675,31 +635,12 @@ impl TgiView {
 
     /// Node history over `range` (Algorithm 2): initial state at
     /// `range.start`, then all events touching the node inside the
-    /// range, located via the version chain.
-    pub fn node_history(&self, nid: NodeId, range: TimeRange) -> NodeHistory {
-        unwrap_read(self.try_node_history(nid, range))
-    }
-
-    /// Fallible [`TgiView::node_history`].
+    /// range, located via the version chain and fetched with the
+    /// view's client width.
     pub fn try_node_history(
         &self,
         nid: NodeId,
         range: TimeRange,
-    ) -> Result<NodeHistory, StoreError> {
-        self.try_node_history_c(nid, range, self.clients)
-    }
-
-    /// [`TgiView::node_history`] with an explicit fetch parallelism.
-    pub fn node_history_c(&self, nid: NodeId, range: TimeRange, c: usize) -> NodeHistory {
-        unwrap_read(self.try_node_history_c(nid, range, c))
-    }
-
-    /// Fallible [`TgiView::node_history_c`].
-    pub fn try_node_history_c(
-        &self,
-        nid: NodeId,
-        range: TimeRange,
-        c: usize,
     ) -> Result<NodeHistory, StoreError> {
         let initial = self.try_node_at(nid, range.start)?;
         let chain = self.try_version_chain(nid)?;
@@ -723,21 +664,22 @@ impl TgiView {
             .collect();
         let ns = self.cfg.horizontal_partitions;
         let sid = sid_of(nid, ns);
-        let lists: Vec<Result<Vec<Event>, StoreError>> = parallel_chunks(refs, c, |chunk| {
-            chunk
-                .into_iter()
-                .map(|(tsid, ch, pid)| {
-                    Ok(match self.try_fetch_elist(tsid, sid, ch, pid)? {
-                        Some(el) => el
-                            .events_touching(nid)?
-                            .into_iter()
-                            .filter(|e| e.time > range.start && e.time < range.end)
-                            .collect(),
-                        None => Vec::new(),
+        let lists: Vec<Result<Vec<Event>, StoreError>> =
+            parallel_chunks(refs, self.clients, |chunk| {
+                chunk
+                    .into_iter()
+                    .map(|(tsid, ch, pid)| {
+                        Ok(match self.try_fetch_elist(tsid, sid, ch, pid)? {
+                            Some(el) => el
+                                .events_touching(nid)?
+                                .into_iter()
+                                .filter(|e| e.time > range.start && e.time < range.end)
+                                .collect(),
+                            None => Vec::new(),
+                        })
                     })
-                })
-                .collect()
-        });
+                    .collect()
+            });
         let mut events: Vec<Event> = Vec::new();
         for list in lists {
             events.extend(list?);
@@ -758,24 +700,14 @@ impl TgiView {
     /// The k-hop neighborhood of `center` as of `t`, as a partitioned
     /// snapshot restricted to the neighborhood's nodes. The fetch
     /// strategy (Algorithm 3 vs 4) is picked automatically from the
-    /// Table-1 access-cost estimators; use [`TgiView::khop_with`] to force
-    /// one.
-    pub fn khop(&self, center: NodeId, t: Time, k: usize) -> Delta {
-        unwrap_read(self.try_khop(center, t, k))
-    }
-
-    /// Fallible [`TgiView::khop`].
+    /// Table-1 access-cost estimators; use [`TgiView::try_khop_with`] to
+    /// force one.
     pub fn try_khop(&self, center: NodeId, t: Time, k: usize) -> Result<Delta, StoreError> {
         self.try_khop_with(center, t, k, self.khop_strategy_for(t, k))
     }
 
     /// K-hop neighborhood with an explicit strategy (§4.6, Algorithms
     /// 3 & 4).
-    pub fn khop_with(&self, center: NodeId, t: Time, k: usize, strategy: KhopStrategy) -> Delta {
-        unwrap_read(self.try_khop_with(center, t, k, strategy))
-    }
-
-    /// Fallible [`TgiView::khop_with`].
     pub fn try_khop_with(
         &self,
         center: NodeId,
@@ -963,11 +895,6 @@ impl TgiView {
     /// The evolving 1-hop neighborhood of `nid` over `range`
     /// (Algorithm 5): the center's history plus the history of every
     /// node that is its neighbor at any point in the range.
-    pub fn one_hop_history(&self, nid: NodeId, range: TimeRange) -> NeighborhoodHistory {
-        unwrap_read(self.try_one_hop_history(nid, range))
-    }
-
-    /// Fallible [`TgiView::one_hop_history`].
     pub fn try_one_hop_history(
         &self,
         nid: NodeId,
@@ -1012,29 +939,18 @@ impl TgiView {
     // bulk fetch (the TAF parallel-fetch protocol's per-worker unit)
     // ------------------------------------------------------------------
 
-    /// Number of horizontal partitions — the unit TAF workers pull in
-    /// parallel (Fig. 10: each analytics worker handshakes with the
-    /// query processors owning some `sid`s).
-    pub fn horizontal_partitions(&self) -> u32 {
-        self.cfg.horizontal_partitions
-    }
-
     /// All node histories of one horizontal partition over `range`:
     /// the partition's state at `range.start` plus, per node, the
     /// events touching it strictly inside the range. Nodes that first
     /// appear mid-range are included with `initial == None`.
     ///
     /// This is the bulk equivalent of Algorithm 2 and the fetch unit
-    /// of the TAF protocol; one call per `sid` reconstructs the whole
-    /// `SoN`.
-    pub fn node_histories_for_sid(&self, sid: u32, range: TimeRange) -> Vec<NodeHistory> {
-        unwrap_read(self.try_node_histories_for_sid(sid, range))
-    }
-
-    /// Fallible [`TgiView::node_histories_for_sid`]. All eventlist chunks
-    /// a timespan contributes are pulled in one grouped scan (one
-    /// round-trip per span), and store failures are propagated instead
-    /// of silently dropping a span's worth of events.
+    /// of the TAF protocol (Fig. 10: each analytics worker pulls whole
+    /// horizontal partitions); one call per `sid` reconstructs the
+    /// whole `SoN`. All eventlist chunks a timespan contributes are
+    /// pulled in one grouped scan (one round-trip per span), and store
+    /// failures are propagated instead of silently dropping a span's
+    /// worth of events.
     pub fn try_node_histories_for_sid(
         &self,
         sid: u32,
@@ -1133,13 +1049,9 @@ impl TgiView {
         Ok(out)
     }
 
-    /// One horizontal partition's slice of the snapshot at `t`.
-    pub fn sid_state_at(&self, sid: u32, t: Time) -> Delta {
-        unwrap_read(self.try_sid_state_at(sid, t))
-    }
-
-    /// Fallible [`TgiView::sid_state_at`]: the whole root-to-leaf path
-    /// plus the eventlist chunk travel as one grouped scan.
+    /// One horizontal partition's slice of the snapshot at `t`: the
+    /// whole root-to-leaf path plus the eventlist chunk travel as one
+    /// grouped scan.
     pub fn try_sid_state_at(&self, sid: u32, t: Time) -> Result<Delta, StoreError> {
         let span = self.span_for(t);
         let meta = &span.meta;

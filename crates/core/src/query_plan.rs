@@ -2,7 +2,7 @@
 //!
 //! Temporal queries frequently ask for the graph at *many* time points
 //! (evolution plots, TAF fetches, multipoint analytics). The naive
-//! approach — one [`TgiView::snapshot`] per time — refetches, re-decodes
+//! approach — one [`TgiView::try_snapshot`] per time — refetches, re-decodes
 //! and re-materializes the entire root-to-leaf delta path for every
 //! point, even though the paths of nearby time points are mostly
 //! identical. This module plans a whole batch of query times at once:
@@ -71,7 +71,7 @@ use crate::scope::apply_event_scoped;
 ///
 /// `shared_fetch_units` counts the distinct `(sid, did)` rows the plan
 /// pulls (each exactly once); `naive_fetch_units` counts what `k`
-/// independent [`TgiView::snapshot`] calls would pull. Their ratio is the
+/// independent [`TgiView::try_snapshot`] calls would pull. Their ratio is the
 /// planner's fetch saving.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanSummary {
@@ -205,14 +205,11 @@ impl TgiView {
     /// state and replaying only its per-time eventlist suffix. Each
     /// chunk's eventlist scan is never skipped, so failures still
     /// surface as [`StoreError::Unavailable`](hgs_store::StoreError).
+    /// The fill runs at the view's client width
+    /// ([`TgiView::with_clients`]); the degenerate `times.len() == 1`
+    /// form of this is what [`TgiView::try_snapshot`] runs.
     pub fn try_snapshots(&self, times: &[Time]) -> Result<Vec<Delta>, StoreError> {
-        self.try_snapshots_c(times, self.clients)
-    }
-
-    /// [`TgiView::try_snapshots`] with an explicit parallel fetch factor
-    /// `c` (the degenerate `times.len() == 1` form of this is what
-    /// [`TgiView::try_snapshot_c`](crate::build::TgiView) runs).
-    pub fn try_snapshots_c(&self, times: &[Time], c: usize) -> Result<Vec<Delta>, StoreError> {
+        let c = self.clients;
         let plan = MultipointPlan::new(self, times);
         let mut out: Vec<Delta> = (0..times.len()).map(|_| Delta::new()).collect();
         // Explicit per-slot filled-ness for the parallel merge: a
@@ -302,21 +299,6 @@ impl TgiView {
             }
         }
         Ok(out)
-    }
-
-    /// Panicking wrapper over [`TgiView::try_snapshots`]; see the crate's
-    /// error-handling contract.
-    pub fn snapshots(&self, times: &[Time]) -> Vec<Delta> {
-        self.try_snapshots(times)
-            // hgs-lint: allow(no-panic-in-try, "documented panic bridge of the infallible query API; try_snapshots surfaces StoreError")
-            .unwrap_or_else(|e| panic!("TGI multipoint read failed: {e}"))
-    }
-
-    /// Panicking wrapper over [`TgiView::try_snapshots_c`].
-    pub fn snapshots_c(&self, times: &[Time], c: usize) -> Vec<Delta> {
-        self.try_snapshots_c(times, c)
-            // hgs-lint: allow(no-panic-in-try, "documented panic bridge of the infallible query API; try_snapshots_c surfaces StoreError")
-            .unwrap_or_else(|e| panic!("TGI multipoint read failed: {e}"))
     }
 
     /// Fetch one `(tsid, sid)` chunk's rows for a span group — the
@@ -688,7 +670,7 @@ mod tests {
         let events: Vec<Event> = (0..200u64)
             .map(|i| Event::new(i, EventKind::AddNode { id: i }))
             .collect();
-        let tgi = Tgi::build(
+        let tgi = Tgi::try_build(
             crate::TgiConfig {
                 events_per_timespan: 200,
                 eventlist_size: 50,
@@ -698,7 +680,8 @@ mod tests {
             },
             hgs_store::StoreConfig::new(1, 1),
             &events,
-        );
+        )
+        .unwrap();
         let times = [150u64, 10, 150, 60];
         let plan = MultipointPlan::new(&tgi, &times);
         let slots: Vec<usize> = plan
@@ -724,7 +707,7 @@ mod tests {
         let events: Vec<Event> = (0..400u64)
             .map(|i| Event::new(i, EventKind::AddNode { id: i }))
             .collect();
-        let tgi = Tgi::build(
+        let tgi = Tgi::try_build(
             crate::TgiConfig {
                 events_per_timespan: 400,
                 eventlist_size: 100,
@@ -734,13 +717,15 @@ mod tests {
             },
             hgs_store::StoreConfig::new(2, 1),
             &events,
-        );
+        )
+        .unwrap();
+        let (wide, narrow) = (tgi.with_clients(4), tgi.with_clients(1));
         let times = [120u64, 320];
-        let cold = tgi.try_snapshots_c(&times, 4).unwrap();
+        let cold = wide.try_snapshots(&times).unwrap();
         let s0 = tgi.cache_stats();
         assert_eq!(s0.state_hits, 0, "cold cache has no state hits");
         assert!(s0.state_misses > 0, "cold fill probes the state tier");
-        let warm = tgi.try_snapshots_c(&times, 4).unwrap();
+        let warm = wide.try_snapshots(&times).unwrap();
         let s1 = tgi.cache_stats();
         assert!(
             s1.state_hits > s0.state_hits,
@@ -750,7 +735,7 @@ mod tests {
         // The sequential path composes its whole-leaf states from the
         // per-sid entries the parallel fill populated: no row decode
         // beyond what is already cached, same result.
-        let seq = tgi.try_snapshots_c(&times, 1).unwrap();
+        let seq = narrow.try_snapshots(&times).unwrap();
         assert_eq!(seq, warm);
         let s2 = tgi.cache_stats();
         assert_eq!(
@@ -758,7 +743,7 @@ mod tests {
             "sequential pass after a parallel warm-up re-decodes nothing"
         );
         // And a sequential warm-up serves later parallel fills.
-        let par = tgi.try_snapshots_c(&times, 4).unwrap();
+        let par = wide.try_snapshots(&times).unwrap();
         assert_eq!(par, seq);
         let s3 = tgi.cache_stats();
         assert_eq!(s3.row_misses, s2.row_misses);
@@ -771,7 +756,7 @@ mod tests {
         let events: Vec<Event> = (0..400u64)
             .map(|i| Event::new(i, EventKind::AddNode { id: i }))
             .collect();
-        let tgi = Tgi::build(
+        let tgi = Tgi::try_build(
             crate::TgiConfig {
                 events_per_timespan: 400,
                 eventlist_size: 100,
@@ -781,7 +766,8 @@ mod tests {
             },
             hgs_store::StoreConfig::new(1, 1),
             &events,
-        );
+        )
+        .unwrap();
         let times = [100u64, 300];
         let first = tgi.try_snapshots(&times).unwrap();
         let s0 = tgi.cache_stats();

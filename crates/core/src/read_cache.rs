@@ -29,7 +29,7 @@
 //! # Concurrency
 //!
 //! The cache is **lock-striped**: entries are sharded by `CacheKey`
-//! hash over [`TgiConfig::read_cache_shards`](crate::TgiConfig)
+//! hash over [`DEFAULT_READ_CACHE_SHARDS`]
 //! independent LRU lists, each behind its own mutex, so concurrent
 //! readers pinned to different watermarks (see
 //! [`TgiService`](crate::service::TgiService)) contend only when they
@@ -302,8 +302,12 @@ impl Inner {
     }
 }
 
-/// Default shard (stripe) count of the read cache; see
-/// [`TgiConfig::read_cache_shards`](crate::TgiConfig).
+/// Shard (stripe) count of every index's read cache: entries are
+/// sharded by key hash over this many independent LRU lists, each
+/// behind its own mutex with its own slice of
+/// [`TgiConfig::read_cache_bytes`](crate::TgiConfig) (the slices sum
+/// to the total), so concurrent pinned readers do not serialize on
+/// one lock.
 pub const DEFAULT_READ_CACHE_SHARDS: usize = 8;
 
 /// Split `total` bytes over `n` shards so the per-shard budgets sum

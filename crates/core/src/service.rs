@@ -94,13 +94,7 @@ impl TgiService {
     }
 
     /// Build an index over `events` on a fresh simulated cluster and
-    /// serve it. Panics on write failure; see
-    /// [`TgiService::try_build`].
-    pub fn build(cfg: TgiConfig, store_cfg: StoreConfig, events: &[Event]) -> Arc<TgiService> {
-        TgiService::from_handle(Tgi::build(cfg, store_cfg, events))
-    }
-
-    /// Fallible [`TgiService::build`].
+    /// serve it (see [`Tgi::try_build`]).
     pub fn try_build(
         cfg: TgiConfig,
         store_cfg: StoreConfig,
@@ -111,7 +105,8 @@ impl TgiService {
         )?))
     }
 
-    /// Fallible build on an existing store (see [`Tgi::try_build_on`]).
+    /// [`TgiService::try_build`] on an existing store (see
+    /// [`Tgi::try_build_on`]).
     pub fn try_build_on(
         cfg: TgiConfig,
         store: Arc<SimStore>,
@@ -158,17 +153,6 @@ impl TgiService {
         *self.published.write() = view;
         self.watermark.store(epoch, Ordering::Release);
         Ok(epoch)
-    }
-
-    /// Panicking wrapper over [`TgiService::try_append_events`]; see
-    /// the crate's infallible/fallible API convention.
-    pub fn append_events(&self, events: &[Event]) -> u64 {
-        self.try_append_events(events).unwrap_or_else(|e| {
-            // hgs-lint: allow(no-panic-in-try, "documented panic bridge of the infallible service API; try_append_events surfaces the error")
-            panic!(
-                "TGI service append failed ({e}); use try_append_events to handle write failures"
-            )
-        })
     }
 
     /// Whether an earlier append failed partway, refusing further
@@ -250,7 +234,6 @@ impl TgiService {
             reopened.view.clients = writer.view.clients;
             reopened.encode_width = writer.encode_width;
             reopened.view.cfg.write_batch_rows = writer.view.cfg.write_batch_rows;
-            reopened.view.cfg.read_cache_shards = writer.view.cfg.read_cache_shards;
             reopened.view.cfg.retry = writer.view.cfg.retry;
             // `Tgi::open` restarts epochs at 1; the service's sequence
             // must keep ascending past the already-published watermark.
@@ -293,30 +276,32 @@ mod tests {
     #[test]
     fn watermark_advances_per_append_and_pins_are_stable() {
         let evs = chain_events(60);
-        let svc = TgiService::build(
+        let svc = TgiService::try_build(
             TgiConfig::default()
                 .with_timespan(50)
                 .with_eventlist_size(20),
             StoreConfig::new(4, 1),
             &evs[..40],
-        );
+        )
+        .unwrap();
         let w0 = svc.watermark();
         assert_eq!(w0, 1, "initial build publishes the first watermark");
         let pinned = svc.pin();
         assert_eq!(pinned.epoch(), w0);
         let t = pinned.end_time();
-        let before = pinned.snapshot(t);
+        let before = pinned.try_snapshot(t).unwrap();
         // Node 19 is touched on both sides of the cut; an open-ended
         // range must not reach past the pinned prefix.
         let open = hgs_delta::TimeRange::new(0, hgs_delta::Time::MAX);
-        let history_before = pinned.node_history(19, open);
-        let w1 = svc.append_events(&evs[40..]);
+        let history_before = pinned.try_node_history(19, open).unwrap();
+        let w1 = svc.try_append_events(&evs[40..]).unwrap();
         assert_eq!(w1, w0 + 1);
         assert_eq!(svc.watermark(), w1);
         // The pinned view still answers from its own sealed prefix...
-        assert_eq!(pinned.snapshot(t), before);
-        assert_eq!(pinned.node_history(19, open), history_before);
-        assert!(svc.pin().node_history(19, open).events.len() > history_before.events.len());
+        assert_eq!(pinned.try_snapshot(t).unwrap(), before);
+        assert_eq!(pinned.try_node_history(19, open).unwrap(), history_before);
+        let history_now = svc.pin().try_node_history(19, open).unwrap();
+        assert!(history_now.events.len() > history_before.events.len());
         assert_eq!(pinned.epoch(), w0);
         // ...while a fresh pin sees the appended history.
         let now = svc.pin();
@@ -336,7 +321,7 @@ mod tests {
             &evs[..40],
         )
         .expect("clean build");
-        let w1 = svc.append_events(&evs[40..80]);
+        let w1 = svc.try_append_events(&evs[40..80]).unwrap();
         svc.set_clients_forced(3);
         // Take the whole cluster down transiently: the next append
         // fails and poisons the writer, readers stay at w1.
@@ -365,37 +350,42 @@ mod tests {
                 "both widths survive recovery"
             );
         }
-        let w2 = svc.append_events(&evs[80..]);
+        let w2 = svc.try_append_events(&evs[80..]).unwrap();
         assert_eq!(w2, w1 + 1, "watermark sequence survives recovery");
         assert_eq!(pinned.epoch(), w1, "pre-failure pins are untouched");
         // The recovered service answers identically to a never-faulted
         // build over the same history.
-        let oracle = TgiService::build(
+        let oracle = TgiService::try_build(
             TgiConfig::default()
                 .with_timespan(50)
                 .with_eventlist_size(20),
             StoreConfig::new(4, 2),
             &evs,
-        );
+        )
+        .unwrap();
         let now = svc.pin();
         let t = now.end_time();
-        assert_eq!(now.snapshot(t), oracle.pin().snapshot(t));
+        assert_eq!(
+            now.try_snapshot(t).unwrap(),
+            oracle.pin().try_snapshot(t).unwrap()
+        );
     }
 
     #[test]
     fn readers_pin_across_concurrent_appends() {
         let evs = chain_events(300);
-        let svc = TgiService::build(
+        let svc = TgiService::try_build(
             TgiConfig::default()
                 .with_timespan(100)
                 .with_eventlist_size(40)
                 .with_horizontal(2),
             StoreConfig::new(4, 1),
             &evs[..100],
-        );
+        )
+        .unwrap();
         let pinned = svc.pin();
         let t = pinned.end_time();
-        let baseline = pinned.snapshot(t);
+        let baseline = pinned.try_snapshot(t).unwrap();
         std::thread::scope(|s| {
             let svc = &svc;
             let evs = &evs;
@@ -404,14 +394,14 @@ mod tests {
                 let baseline = baseline.clone();
                 s.spawn(move || {
                     for _ in 0..20 {
-                        assert_eq!(pinned.snapshot(t), baseline);
+                        assert_eq!(pinned.try_snapshot(t).unwrap(), baseline);
                         std::thread::yield_now();
                     }
                 })
             };
             s.spawn(move || {
                 for batch in evs[100..].chunks(50) {
-                    svc.append_events(batch);
+                    svc.try_append_events(batch).unwrap();
                 }
             });
             reader.join().expect("reader panicked");
@@ -420,7 +410,10 @@ mod tests {
         assert_eq!(svc.watermark(), 1 + batches, "one publication per append");
         let latest = svc.pin();
         assert_eq!(
-            latest.snapshot(latest.end_time()).cardinality(),
+            latest
+                .try_snapshot(latest.end_time())
+                .unwrap()
+                .cardinality(),
             300,
             "latest watermark sees the whole history"
         );

@@ -26,14 +26,14 @@ fn snapshots_at_every_event_timestamp() {
         ..WikiGrowth::default()
     }
     .generate();
-    let tgi = Tgi::build(cfg(), StoreConfig::new(2, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), &events).unwrap();
     let mut times: Vec<Time> = events.iter().map(|e| e.time).collect();
     times.sort_unstable();
     times.dedup();
     for &t in &times {
         for probe in [t.saturating_sub(1), t, t + 1] {
             assert_eq!(
-                tgi.snapshot(probe),
+                tgi.try_snapshot(probe).unwrap(),
                 Delta::snapshot_by_replay(&events, probe),
                 "snapshot at t={probe}"
             );
@@ -50,10 +50,10 @@ fn queries_beyond_history_return_final_state() {
     }
     .generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(2, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), &events).unwrap();
     let final_state = Delta::snapshot_by_replay(&events, u64::MAX);
     for t in [end, end + 1, end * 10, u64::MAX - 1] {
-        assert_eq!(tgi.snapshot(t), final_state, "t={t}");
+        assert_eq!(tgi.try_snapshot(t).unwrap(), final_state, "t={t}");
     }
 }
 
@@ -69,12 +69,15 @@ fn queries_before_history_start() {
     for e in &mut events {
         e.time += 1000;
     }
-    let tgi = Tgi::build(cfg(), StoreConfig::new(2, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), &events).unwrap();
     for t in [0u64, 500, 999] {
-        assert!(tgi.snapshot(t).is_empty(), "pre-history snapshot at t={t}");
-        assert_eq!(tgi.node_at(0, t), None);
+        assert!(
+            tgi.try_snapshot(t).unwrap().is_empty(),
+            "pre-history snapshot at t={t}"
+        );
+        assert_eq!(tgi.try_node_at(0, t).unwrap(), None);
     }
-    assert!(!tgi.snapshot(1_000_000).is_empty());
+    assert!(!tgi.try_snapshot(1_000_000).unwrap().is_empty());
 }
 
 #[test]
@@ -93,10 +96,13 @@ fn single_timestamp_burst_history() {
             )
         })
         .collect();
-    let tgi = Tgi::build(cfg(), StoreConfig::new(2, 1), &events);
-    assert!(tgi.snapshot(41).is_empty());
-    assert_eq!(tgi.snapshot(42), Delta::snapshot_by_replay(&events, 42));
-    assert_eq!(tgi.snapshot(43), tgi.snapshot(42));
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), &events).unwrap();
+    assert!(tgi.try_snapshot(41).unwrap().is_empty());
+    assert_eq!(
+        tgi.try_snapshot(42).unwrap(),
+        Delta::snapshot_by_replay(&events, 42)
+    );
+    assert_eq!(tgi.try_snapshot(43).unwrap(), tgi.try_snapshot(42).unwrap());
 }
 
 #[test]
@@ -108,16 +114,20 @@ fn node_history_over_degenerate_ranges() {
     }
     .generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(2, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), &events).unwrap();
     // Empty range: initial state only, no events.
-    let h = tgi.node_history(0, TimeRange::new(end / 2, end / 2));
+    let h = tgi
+        .try_node_history(0, TimeRange::new(end / 2, end / 2))
+        .unwrap();
     assert!(h.events.is_empty());
     assert_eq!(
         h.initial.as_ref(),
         Delta::snapshot_by_replay(&events, end / 2).node(0)
     );
     // Range entirely after history: final state, no events.
-    let h2 = tgi.node_history(0, TimeRange::new(end + 10, end + 100));
+    let h2 = tgi
+        .try_node_history(0, TimeRange::new(end + 10, end + 100))
+        .unwrap();
     assert!(h2.events.is_empty());
     assert_eq!(
         h2.initial.as_ref(),
@@ -135,14 +145,14 @@ fn khop_of_missing_and_isolated_nodes() {
     .generate();
     let t_end = events.last().unwrap().time;
     events.push(Event::new(t_end + 1, EventKind::AddNode { id: 999_999 }));
-    let tgi = Tgi::build(cfg(), StoreConfig::new(2, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), &events).unwrap();
     for strategy in [
         hgs_core::KhopStrategy::ViaSnapshot,
         hgs_core::KhopStrategy::Recursive,
     ] {
-        let missing = tgi.khop_with(123_456_789, t_end, 2, strategy);
+        let missing = tgi.try_khop_with(123_456_789, t_end, 2, strategy).unwrap();
         assert!(missing.is_empty(), "missing node via {strategy:?}");
-        let isolated = tgi.khop_with(999_999, t_end + 1, 2, strategy);
+        let isolated = tgi.try_khop_with(999_999, t_end + 1, 2, strategy).unwrap();
         assert_eq!(isolated.cardinality(), 1, "isolated node via {strategy:?}");
     }
 }

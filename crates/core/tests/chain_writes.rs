@@ -38,7 +38,7 @@ fn fresh_build_issues_zero_reads() {
     assert_eq!(gets, 0, "fresh build must not issue point reads");
     assert_eq!(scans, 0, "fresh build must not issue scans");
     // Sanity: chains were actually written and are readable.
-    let chain = tgi.version_chain(0);
+    let chain = tgi.try_version_chain(0).unwrap();
     assert!(!chain.is_empty(), "node 0 must have a version chain");
 }
 

@@ -52,7 +52,7 @@ fn corrupt_delta_rows_surface_corrupt_not_panic() {
     let events = trace();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(4, 2), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
 
     // Corrupt before the first read: the read cache is cold, so every
     // query below must hit the store and trip the decode.
@@ -70,7 +70,7 @@ fn corrupt_delta_rows_surface_corrupt_not_panic() {
 #[test]
 fn corrupt_version_chain_surfaces_corrupt_not_panic() {
     let events = trace();
-    let tgi = Tgi::build(cfg(), StoreConfig::new(3, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
     let n = corrupt_table(tgi.store(), Table::Versions);
     assert!(n > 0, "the build must have written version chains");
     assert!(matches!(
@@ -90,7 +90,7 @@ fn corrupt_attr_index_rows_surface_corrupt_not_panic() {
     .generate();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(3, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
     let n = corrupt_table(tgi.store(), Table::AttrIndex);
     assert!(n > 0, "the build must have written secondary-index rows");
 
@@ -122,7 +122,7 @@ fn corrupt_on_read_fault_surfaces_corrupt_and_leaves_storage_intact() {
     let events = trace();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(4, 2), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
     let reference = tgi.try_snapshot(t).expect("healthy cluster");
     // Cold cache: every read below must hit the (corrupting) wire.
     tgi.set_read_cache_budget(0);

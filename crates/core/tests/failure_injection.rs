@@ -29,7 +29,7 @@ fn down_chunk_errors_instead_of_shrinking_the_snapshot() {
     let events = trace();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(4, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 1), &events).unwrap();
     let reference = tgi.try_snapshot(t).expect("healthy cluster");
 
     // With replication 1, failing any machine that holds part of the
@@ -57,7 +57,7 @@ fn down_chunk_errors_instead_of_shrinking_the_snapshot() {
 fn every_read_primitive_surfaces_total_failure() {
     let events = trace();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(3, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
     for m in 0..tgi.store().machine_count() {
         tgi.store().fail_machine(m);
     }
@@ -107,7 +107,7 @@ fn evicted_row_refetch_surfaces_unavailable_not_stale_data() {
     let end = events.last().unwrap().time;
     let t = end / 2;
     let nid = 0u64;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(3, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
 
     // Warm the cache with this exact read.
     let healthy = tgi.try_node_at(nid, t).expect("healthy cluster");
@@ -153,7 +153,7 @@ fn warm_snapshot_still_surfaces_dead_chunks() {
     let events = trace();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(4, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 1), &events).unwrap();
     tgi.try_snapshot(t).expect("warm the cache");
     for m in 0..tgi.store().machine_count() {
         tgi.store().fail_machine(m);
@@ -165,7 +165,7 @@ fn warm_snapshot_still_surfaces_dead_chunks() {
 }
 
 /// The work-stealing parallel fill must be all-or-nothing: with a
-/// chunk's replicas dead, `try_snapshots_c` surfaces
+/// chunk's replicas dead, `try_snapshots` surfaces
 /// `StoreError::Unavailable` at *every* fetch parallelism — never a
 /// partial snapshot assembled from the items that did succeed — and
 /// whether a given machine failure is fatal does not depend on `c`.
@@ -174,15 +174,18 @@ fn dead_chunk_mid_steal_surfaces_unavailable_at_every_parallelism() {
     let events = trace();
     let end = events.last().unwrap().time;
     let times = [end / 4, end / 2, (3 * end) / 4];
-    let tgi = Tgi::build(cfg(), StoreConfig::new(4, 1), &events);
-    let reference = tgi.try_snapshots_c(&times, 1).expect("healthy cluster");
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 1), &events).unwrap();
+    let reference = tgi
+        .with_clients(1)
+        .try_snapshots(&times)
+        .expect("healthy cluster");
     let cs = [1usize, 2, 4, 8];
     let mut fatal_machines = 0;
     for m in 0..tgi.store().machine_count() {
         tgi.store().fail_machine(m);
         let errors = cs
             .iter()
-            .filter(|&&c| match tgi.try_snapshots_c(&times, c) {
+            .filter(|&&c| match tgi.with_clients(c).try_snapshots(&times) {
                 Err(StoreError::Unavailable { .. }) => true,
                 Err(other) => panic!("unexpected error kind: {other}"),
                 Ok(snaps) => {
@@ -203,26 +206,17 @@ fn dead_chunk_mid_steal_surfaces_unavailable_at_every_parallelism() {
         tgi.store().heal_machine(m);
     }
     assert!(fatal_machines > 0, "no machine failure was ever fatal");
-    assert_eq!(tgi.try_snapshots_c(&times, 4).unwrap(), reference);
-}
-
-#[test]
-#[should_panic(expected = "TGI read failed")]
-fn infallible_snapshot_panics_rather_than_shrinking() {
-    let events = trace();
-    let end = events.last().unwrap().time;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(3, 1), &events);
-    for m in 0..tgi.store().machine_count() {
-        tgi.store().fail_machine(m);
-    }
-    let _ = tgi.snapshot(end / 2);
+    assert_eq!(
+        tgi.with_clients(4).try_snapshots(&times).unwrap(),
+        reference
+    );
 }
 
 #[test]
 fn replication_masks_a_single_machine_failure() {
     let events = trace();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(4, 2), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
     let reference = tgi.try_snapshot(end / 2).unwrap();
     tgi.store().fail_machine(1);
     assert_eq!(
@@ -370,18 +364,6 @@ fn machine_death_mid_batched_append_surfaces_unavailable_and_accounts_rows() {
 }
 
 #[test]
-#[should_panic(expected = "TGI build failed")]
-fn infallible_build_panics_on_dead_cluster() {
-    let events = trace();
-    let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
-    for m in 0..store.machine_count() {
-        store.fail_machine(m);
-    }
-    // hgs-lint: allow(no-swallowed-result, "should_panic test: the expected panic means no value is ever produced")
-    let _ = Tgi::build_on(cfg(), store, &events);
-}
-
-#[test]
 fn degraded_build_succeeds_but_counts_partial_writes() {
     let events = trace();
     let end = events.last().unwrap().time;
@@ -394,7 +376,7 @@ fn degraded_build_succeeds_but_counts_partial_writes() {
     );
     assert_eq!(tgi.store().failed_put_count(), 0);
     // The surviving replicas answer exactly.
-    let healthy = Tgi::build(cfg(), StoreConfig::new(4, 2), &events);
+    let healthy = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
     assert_eq!(
         tgi.try_snapshot(end / 2).unwrap(),
         healthy.try_snapshot(end / 2).unwrap()
@@ -412,7 +394,7 @@ fn label_index_reads_surface_total_failure_and_heal() {
     .generate();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(3, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
     for m in 0..tgi.store().machine_count() {
         tgi.store().fail_machine(m);
     }
@@ -460,11 +442,12 @@ fn disabled_index_fallback_is_explicit_never_silent() {
     .generate();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let off = Tgi::build(
+    let off = Tgi::try_build(
         cfg().with_secondary_indexes(false),
         StoreConfig::new(3, 1),
         &events,
-    );
+    )
+    .unwrap();
     // The fallback materializes a snapshot; on a dead cluster that
     // must error — never return an empty match set.
     for m in 0..off.store().machine_count() {
@@ -480,7 +463,7 @@ fn disabled_index_fallback_is_explicit_never_silent() {
     ));
     off.store().heal_all();
     // Healed, the fallback answers the same as an indexed build.
-    let on = Tgi::build(cfg(), StoreConfig::new(3, 1), &events);
+    let on = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
     assert_eq!(
         off.try_nodes_with_label_at("Label00", t).expect("fallback"),
         on.try_nodes_with_label_at("Label00", t).expect("indexed"),
@@ -497,7 +480,7 @@ fn transient_outage_surfaces_transient_and_self_heals_with_time() {
     let events = trace();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(4, 1), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 1), &events).unwrap();
     let reference = tgi.try_snapshot(t).expect("healthy cluster");
     // A zero cache budget forces every read below to the store.
     tgi.set_read_cache_budget(0);
@@ -529,7 +512,7 @@ fn flaky_cluster_answers_exactly_or_errs_honestly() {
     let events = trace();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::build(cfg(), StoreConfig::new(4, 2), &events);
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
     let reference = tgi.try_snapshot(t).expect("healthy cluster");
     tgi.set_read_cache_budget(0);
     let store = tgi.store();

@@ -30,20 +30,24 @@ fn reopened_index_answers_identically() {
     let end = events.last().unwrap().time;
 
     let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
-    let built = Tgi::build_on(cfg(), store.clone(), &events);
+    let built = Tgi::try_build_on(cfg(), store.clone(), &events).unwrap();
     let reopened = Tgi::open(store).expect("open persisted index");
 
     assert_eq!(reopened.span_count(), built.span_count());
     assert_eq!(reopened.end_time(), built.end_time());
     assert_eq!(reopened.event_count(), built.event_count());
     for t in [0, end / 3, end / 2, end] {
-        assert_eq!(reopened.snapshot(t), built.snapshot(t), "snapshot at t={t}");
+        assert_eq!(
+            reopened.try_snapshot(t).unwrap(),
+            built.try_snapshot(t).unwrap(),
+            "snapshot at t={t}"
+        );
     }
     let range = TimeRange::new(end / 4, end);
     for id in [0u64, 7, 23] {
         assert_eq!(
-            reopened.node_history(id, range),
-            built.node_history(id, range),
+            reopened.try_node_history(id, range).unwrap(),
+            built.try_node_history(id, range).unwrap(),
             "history of {id}"
         );
     }
@@ -62,16 +66,20 @@ fn reopened_index_with_locality_maps() {
     let cfg = cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: true,
     });
-    let built = Tgi::build_on(cfg, store.clone(), &events);
+    let built = Tgi::try_build_on(cfg, store.clone(), &events).unwrap();
     let reopened = Tgi::open(store).expect("open persisted index");
     for t in [end / 2, end] {
-        assert_eq!(reopened.snapshot(t), built.snapshot(t), "snapshot at t={t}");
+        assert_eq!(
+            reopened.try_snapshot(t).unwrap(),
+            built.try_snapshot(t).unwrap(),
+            "snapshot at t={t}"
+        );
     }
     // Micro-partition-level fetches depend on the reloaded maps.
     for id in [1u64, 9, 31] {
         assert_eq!(
-            reopened.node_at(id, end),
-            built.node_at(id, end),
+            reopened.try_node_at(id, end).unwrap(),
+            built.try_node_at(id, end).unwrap(),
             "node {id}"
         );
     }
@@ -92,14 +100,14 @@ fn reopened_index_accepts_appends() {
     }
 
     let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-    let _first_half = Tgi::build_on(cfg(), store.clone(), &events[..cut_at]);
+    let _first_half = Tgi::try_build_on(cfg(), store.clone(), &events[..cut_at]).unwrap();
     let mut reopened = Tgi::open(store).expect("open persisted index");
-    reopened.append_events(&events[cut_at..]);
+    reopened.try_append_events(&events[cut_at..]).unwrap();
 
     let end = events.last().unwrap().time;
     for t in [0, end / 2, end] {
         assert_eq!(
-            reopened.snapshot(t),
+            reopened.try_snapshot(t).unwrap(),
             Delta::snapshot_by_replay(&events, t),
             "post-append snapshot at t={t}"
         );

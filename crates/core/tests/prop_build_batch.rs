@@ -183,8 +183,8 @@ proptest! {
         }
         for id in 0..6u64 {
             prop_assert_eq!(
-                tgi.node_at(id, end / 2),
-                rebuilt.node_at(id, end / 2),
+                tgi.try_node_at(id, end / 2).unwrap(),
+                rebuilt.try_node_at(id, end / 2).unwrap(),
                 "node_at mismatch for id={}",
                 id
             );

@@ -79,8 +79,8 @@ fn assert_same_answers(row: &Tgi, col: &Tgi, end: u64) {
     for c in [1usize, 2, 4] {
         for &t in &times {
             assert_eq!(
-                row.try_snapshot_c(t, c).unwrap(),
-                col.try_snapshot_c(t, c).unwrap(),
+                row.with_clients(c).try_snapshot(t).unwrap(),
+                col.with_clients(c).try_snapshot(t).unwrap(),
                 "snapshot mismatch at t={t} c={c}"
             );
         }
@@ -88,8 +88,8 @@ fn assert_same_answers(row: &Tgi, col: &Tgi, end: u64) {
     let range = TimeRange::new(0, end + 1);
     for nid in 0..8u64 {
         assert_eq!(
-            row.node_at(nid, end / 2),
-            col.node_at(nid, end / 2),
+            row.try_node_at(nid, end / 2).unwrap(),
+            col.try_node_at(nid, end / 2).unwrap(),
             "node_at mismatch for nid={nid}"
         );
         assert_eq!(

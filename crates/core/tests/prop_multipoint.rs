@@ -62,7 +62,7 @@ proptest! {
             horizontal_partitions: ns,
             ..TgiConfig::default()
         };
-        let tgi = Tgi::build(cfg, StoreConfig::new(3, 1), &trace);
+        let tgi = Tgi::try_build(cfg, StoreConfig::new(3, 1), &trace).unwrap();
         // Arbitrary times, including duplicates, unsorted, and past
         // the end of history.
         let times: Vec<u64> = raw_times.iter().map(|r| r % (end + 2)).collect();
@@ -98,7 +98,7 @@ proptest! {
             horizontal_partitions: ns,
             ..TgiConfig::default()
         };
-        let mut tgi = Tgi::build(cfg, StoreConfig::new(2, 1), &history);
+        let mut tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap();
         // Forced: `set_clients` clamps to the host's cores, which
         // would silence the parallel path on a small CI box.
         tgi.set_clients_forced(clients);
@@ -158,7 +158,7 @@ proptest! {
             horizontal_partitions: ns,
             ..TgiConfig::default()
         };
-        let tgi = Tgi::build(cfg, StoreConfig::new(2, 1), &history);
+        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap();
         let times: Vec<u64> = raw_times.iter().map(|r| r % (end + 2)).collect();
         let reference: Vec<_> = times
             .iter()
@@ -166,7 +166,7 @@ proptest! {
             .collect();
         for round in 0..2 {
             for c in [1usize, 2, 4] {
-                let got = tgi.try_snapshots_c(&times, c).unwrap();
+                let got = tgi.with_clients(c).try_snapshots(&times).unwrap();
                 prop_assert_eq!(&got, &reference, "round {} c={}", round, c);
             }
         }
@@ -202,14 +202,18 @@ fn empty_first_partials_merge_exactly() {
         horizontal_partitions: ns,
         ..TgiConfig::default()
     };
-    let tgi = Tgi::build(cfg, StoreConfig::new(2, 1), &events);
+    let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
     let times: Vec<u64> = vec![0, 41, 81, 121, 159];
     let reference: Vec<_> = times
         .iter()
         .map(|&t| tgi.try_snapshot_uncached_c(t, 1).unwrap())
         .collect();
     for c in [1usize, 2, 4, 8] {
-        assert_eq!(tgi.try_snapshots_c(&times, c).unwrap(), reference, "c={c}");
+        assert_eq!(
+            tgi.with_clients(c).try_snapshots(&times).unwrap(),
+            reference,
+            "c={c}"
+        );
     }
 }
 
@@ -217,7 +221,7 @@ fn empty_first_partials_merge_exactly() {
 fn plan_shares_fetches_and_batches_round_trips() {
     let trace = WikiGrowth::sized(6_000).generate();
     let end = trace.last().unwrap().time;
-    let tgi = Tgi::build(
+    let tgi = Tgi::try_build(
         TgiConfig {
             events_per_timespan: 3_000,
             eventlist_size: 200,
@@ -226,7 +230,8 @@ fn plan_shares_fetches_and_batches_round_trips() {
         },
         StoreConfig::new(4, 1),
         &trace,
-    );
+    )
+    .unwrap();
     let times: Vec<u64> = (1..=4).map(|i| end * i / 4).collect();
     let plan = tgi.plan_multipoint(&times);
     assert_eq!(plan.times, 4);
@@ -248,7 +253,7 @@ fn plan_shares_fetches_and_batches_round_trips() {
 fn times_in_one_leaf_share_a_single_replay() {
     let trace = WikiGrowth::sized(2_000).generate();
     let end = trace.last().unwrap().time;
-    let tgi = Tgi::build(
+    let tgi = Tgi::try_build(
         TgiConfig {
             events_per_timespan: 2_000,
             eventlist_size: 1_000,
@@ -257,7 +262,8 @@ fn times_in_one_leaf_share_a_single_replay() {
         },
         StoreConfig::new(2, 1),
         &trace,
-    );
+    )
+    .unwrap();
     // Many times inside one eventlist chunk: one fetch, one replay.
     let times: Vec<u64> = (0..10).map(|i| end / 2 + i).collect();
     let plan = tgi.plan_multipoint(&times);

@@ -77,15 +77,15 @@ proptest! {
             layout,
             ..TgiConfig::default()
         };
-        let tgi = Tgi::build(cfg, StoreConfig::new(2, 1), &history);
+        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap();
         // A twin index with caching disabled: identical construction,
         // every read is a genuine fetch — the bypassed reference for
         // paths that have no dedicated uncached variant.
-        let nocache = Tgi::build(
+        let nocache = Tgi::try_build(
             TgiConfig { read_cache_bytes: 0, ..cfg },
             StoreConfig::new(2, 1),
             &history,
-        );
+        ).unwrap();
         let times: Vec<u64> = raw_times.iter().map(|r| r % (end + 2)).collect();
         for round in 0..2 {
             for &t in &times {
@@ -142,7 +142,7 @@ fn warm_working_set_hits_the_cache() {
             )
         })
         .collect();
-    let tgi = Tgi::build(
+    let tgi = Tgi::try_build(
         TgiConfig {
             events_per_timespan: 2_000,
             eventlist_size: 250,
@@ -151,15 +151,22 @@ fn warm_working_set_hits_the_cache() {
         },
         StoreConfig::new(3, 1),
         &events,
-    );
+    )
+    .unwrap();
     let end = events.last().unwrap().time;
     let times: Vec<u64> = (1..=4).map(|i| end * i / 4).collect();
-    let cold: Vec<_> = times.iter().map(|&t| tgi.snapshot(t)).collect();
+    let cold: Vec<_> = times
+        .iter()
+        .map(|&t| tgi.try_snapshot(t).unwrap())
+        .collect();
     let s_cold = tgi.cache_stats();
     assert!(s_cold.insertions > 0);
 
     let before = tgi.store().stats_snapshot();
-    let warm: Vec<_> = times.iter().map(|&t| tgi.snapshot(t)).collect();
+    let warm: Vec<_> = times
+        .iter()
+        .map(|&t| tgi.try_snapshot(t).unwrap())
+        .collect();
     let diff = hgs_store::SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
     let s_warm = tgi.cache_stats();
     assert_eq!(cold, warm);
@@ -203,7 +210,7 @@ fn concurrent_readers_aggregate_shard_stats_coherently() {
         .collect();
     let end = events.last().unwrap().time;
     let budget = 2usize << 20;
-    let svc = hgs_core::TgiService::build(
+    let svc = hgs_core::TgiService::try_build(
         TgiConfig {
             events_per_timespan: 1_500,
             eventlist_size: 200,
@@ -213,7 +220,8 @@ fn concurrent_readers_aggregate_shard_stats_coherently() {
         },
         StoreConfig::new(3, 1),
         &events,
-    );
+    )
+    .unwrap();
     const { assert!(hgs_core::DEFAULT_READ_CACHE_SHARDS > 1, "striping is on") };
     std::thread::scope(|s| {
         let svc = &svc;
@@ -287,7 +295,7 @@ fn columnar_column_sharing_respects_budget() {
         .collect();
     let end = events.last().unwrap().time;
     for budget in [8usize << 10, 256 << 10, 64 << 20] {
-        let tgi = Tgi::build(
+        let tgi = Tgi::try_build(
             TgiConfig {
                 events_per_timespan: 1_500,
                 eventlist_size: 200,
@@ -297,25 +305,28 @@ fn columnar_column_sharing_respects_budget() {
             },
             StoreConfig::new(2, 1),
             &events,
-        );
+        )
+        .unwrap();
         // Pruned reads first: node_at/node_history cache parsed
         // columnar entries whose column slices share one slab.
         for nid in 0..24u64 {
-            let _ = tgi.node_at(nid, end / 2);
-            let _ = tgi.node_history(nid, TimeRange::new(0, end + 1));
+            let _ = tgi.try_node_at(nid, end / 2).unwrap();
+            let _ = tgi
+                .try_node_history(nid, TimeRange::new(0, end + 1))
+                .unwrap();
             let s = tgi.cache_stats();
             assert!(s.bytes <= s.budget, "budget {budget}: {s:?}");
         }
         // Full replays over the same rows: entries flip from columnar
         // to fully-decoded representations in place.
         for t in [end / 4, end / 2, end] {
-            let _ = tgi.snapshot(t);
+            let _ = tgi.try_snapshot(t).unwrap();
             let s = tgi.cache_stats();
             assert!(s.bytes <= s.budget, "budget {budget}: {s:?}");
         }
         // And back to pruned reads against the now-decoded entries.
         for nid in 0..24u64 {
-            let _ = tgi.node_at(nid, end);
+            let _ = tgi.try_node_at(nid, end).unwrap();
             let s = tgi.cache_stats();
             assert!(s.bytes <= s.budget, "budget {budget}: {s:?}");
         }

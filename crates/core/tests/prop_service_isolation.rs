@@ -1,6 +1,6 @@
 //! Watermark isolation as a property: reader threads querying a live
 //! [`TgiService`] — while a writer appends batches — must get answers
-//! **byte-identical** to a quiesced from-scratch [`Tgi::build`] over
+//! **byte-identical** to a quiesced from-scratch [`Tgi::try_build`] over
 //! exactly the event prefix their pinned watermark denotes. Across
 //! storage layouts and client widths, no interleaving may expose a
 //! torn span, a shrunken graph, or a mixed-watermark answer.

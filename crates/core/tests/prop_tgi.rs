@@ -74,8 +74,8 @@ proptest! {
     /// arbitrary histories (including deletions) and configurations.
     #[test]
     fn snapshot_equals_replay(events in arb_history(), cfg in arb_config(), cut in 0u64..400) {
-        let tgi = Tgi::build(cfg, StoreConfig::new(2, 1), &events);
-        let got = tgi.snapshot(cut);
+        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
+        let got = tgi.try_snapshot(cut).unwrap();
         let want = Delta::snapshot_by_replay(&events, cut);
         prop_assert_eq!(got, want);
     }
@@ -84,10 +84,10 @@ proptest! {
     /// ever existed.
     #[test]
     fn node_at_equals_replay(events in arb_history(), cfg in arb_config(), cut in 0u64..400) {
-        let tgi = Tgi::build(cfg, StoreConfig::new(2, 1), &events);
+        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
         let want = Delta::snapshot_by_replay(&events, cut);
         for id in 0u64..40 {
-            let got = tgi.node_at(id, cut);
+            let got = tgi.try_node_at(id, cut).unwrap();
             prop_assert_eq!(got.as_ref(), want.node(id), "node {}", id);
         }
     }
@@ -98,12 +98,12 @@ proptest! {
     fn node_history_equals_replay(events in arb_history(), cfg in arb_config()) {
         let end = events.last().map(|e| e.time).unwrap_or(0);
         let range = TimeRange::new(end / 4, end.max(1));
-        let tgi = Tgi::build(cfg, StoreConfig::new(2, 1), &events);
+        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
         // The index stores the *normalized* stream (RemoveNode expanded
         // into explicit RemoveEdge events): compare against it.
         let events = normalize_events(&events);
         for id in (0u64..40).step_by(7) {
-            let h = tgi.node_history(id, range);
+            let h = tgi.try_node_history(id, range).unwrap();
             let want: Vec<&Event> = events
                 .iter()
                 .filter(|e| {

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use hgs_core::{BuildError, Tgi, TgiConfig, TgiService};
+use hgs_core::{BuildError, OpenError, Tgi, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_store::{PlacementKey, StoreConfig, StoreError};
 
@@ -150,11 +150,78 @@ fn recovery_reopens_from_durable_state_and_serves_the_full_history() {
 
     // The recovered service's full history equals a from-scratch build.
     let end = events.last().unwrap().time;
-    let oracle = Tgi::build(cfg(), StoreConfig::new(4, 1), &events);
+    let oracle = Tgi::try_build(cfg(), StoreConfig::new(4, 1), &events).unwrap();
     let now = svc.pin();
     assert_eq!(
         now.try_snapshot(end).expect("recovered"),
         oracle.try_snapshot(end).expect("oracle")
     );
     assert_eq!(now.event_count(), events.len());
+}
+
+/// Recovery on a cluster that is still degraded: the descriptor rows
+/// are readable but a `Deltas` chunk of the tail snapshot is not. The
+/// re-open must report that as [`OpenError::Store`] — not panic under
+/// the writer lock — and leave the service serving its old watermark.
+#[test]
+fn recovery_on_a_still_degraded_cluster_is_an_error_not_a_panic() {
+    let events = trace();
+    let mid = events.len() / 2;
+    let svc =
+        TgiService::try_build(cfg(), StoreConfig::new(8, 1), &events[..mid]).expect("healthy");
+    let store = svc.store();
+    let w0 = svc.watermark();
+    let pinned = svc.pin();
+    let t = pinned.end_time();
+    let baseline = pinned.try_snapshot(t).expect("healthy read");
+
+    // A machine holding a delta chunk of the last sealed span but none
+    // of the rows `Tgi::open` reads first (graph descriptor at token
+    // 0, one `Timespans` row per span).
+    let spans = pinned.span_count() as u32;
+    let descriptor_machines: Vec<usize> = std::iter::once(0)
+        .chain((0..spans).map(|tsid| hgs_delta::hash::hash_u64(tsid as u64)))
+        .map(|token| store.machine_for(token, 0))
+        .collect();
+    let victim = (0..pinned.config().horizontal_partitions)
+        .map(|sid| store.machine_for(PlacementKey::new(spans - 1, sid).token(), 0))
+        .find(|m| !descriptor_machines.contains(m))
+        .expect("some tail chunk lives apart from the descriptor rows");
+
+    // Version-chain rows spread over every machine, so the dead one
+    // fails the append and poisons the writer.
+    store.fail_machine(victim);
+    assert!(svc.try_append_events(&events[mid..]).is_err());
+    assert!(svc.is_poisoned());
+
+    assert!(matches!(
+        svc.try_recover(),
+        Err(OpenError::Store(StoreError::Unavailable { .. }))
+    ));
+    assert!(svc.is_poisoned(), "a failed recovery changes nothing");
+    assert_eq!(svc.watermark(), w0);
+    let still = svc.pin();
+    assert_eq!(still.epoch(), w0);
+    // Reads that avoid the dead machine answer exactly as before.
+    let answered = baseline
+        .iter()
+        .filter(|n| match still.try_node_at(n.id, t) {
+            Ok(got) => {
+                assert_eq!(got.as_ref(), Some(*n), "node {} diverged", n.id);
+                true
+            }
+            Err(StoreError::Unavailable { .. }) => false,
+            Err(other) => panic!("unexpected error kind: {other}"),
+        })
+        .count();
+    assert!(answered > 0, "the old watermark still serves reads");
+
+    store.heal_machine(victim);
+    svc.try_recover().expect("healed cluster reopens in place");
+    assert!(!svc.is_poisoned());
+    assert_eq!(svc.pin().try_snapshot(t).expect("recovered read"), baseline);
+    let w1 = svc
+        .try_append_events(&events[mid..])
+        .expect("recovered writer accepts the replayed batch");
+    assert_eq!(w1, w0 + 1);
 }

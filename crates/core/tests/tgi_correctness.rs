@@ -32,7 +32,7 @@ fn trace() -> Vec<Event> {
 
 fn check_snapshots(tgi: &Tgi, events: &[Event], times: &[Time]) {
     for &t in times {
-        let got = tgi.snapshot(t);
+        let got = tgi.try_snapshot(t).unwrap();
         let want = Delta::snapshot_by_replay(events, t);
         assert_eq!(
             got.cardinality(),
@@ -61,7 +61,7 @@ fn sample_times(events: &[Event]) -> Vec<Time> {
 #[test]
 fn snapshots_match_replay_random_partitioning() {
     let events = trace();
-    let tgi = Tgi::build(small_cfg(), StoreConfig::new(3, 1), &events);
+    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(3, 1), &events).unwrap();
     assert!(tgi.span_count() >= 2, "want multiple timespans");
     check_snapshots(&tgi, &events, &sample_times(&events));
 }
@@ -72,7 +72,7 @@ fn snapshots_match_replay_locality_partitioning() {
     let cfg = small_cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: false,
     });
-    let tgi = Tgi::build(cfg, StoreConfig::new(3, 1), &events);
+    let tgi = Tgi::try_build(cfg, StoreConfig::new(3, 1), &events).unwrap();
     check_snapshots(&tgi, &events, &sample_times(&events));
 }
 
@@ -82,7 +82,7 @@ fn snapshots_match_replay_with_replication_aux() {
     let cfg = small_cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: true,
     });
-    let tgi = Tgi::build(cfg, StoreConfig::new(3, 1), &events);
+    let tgi = Tgi::try_build(cfg, StoreConfig::new(3, 1), &events).unwrap();
     // Aux deltas must not pollute snapshots.
     check_snapshots(&tgi, &events, &sample_times(&events));
 }
@@ -90,11 +90,11 @@ fn snapshots_match_replay_with_replication_aux() {
 #[test]
 fn snapshots_match_for_various_parallel_fetch_factors() {
     let events = trace();
-    let tgi = Tgi::build(small_cfg(), StoreConfig::new(2, 1), &events);
+    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &events).unwrap();
     let t = events.last().unwrap().time / 2;
     let want = Delta::snapshot_by_replay(&events, t);
     for c in [1usize, 2, 4, 8] {
-        assert_eq!(tgi.snapshot_c(t, c), want, "c={c}");
+        assert_eq!(tgi.with_clients(c).try_snapshot(t).unwrap(), want, "c={c}");
     }
 }
 
@@ -119,12 +119,12 @@ fn degenerate_single_point_plan_clamps_fanout() {
         horizontal_partitions: 1,
         ..TgiConfig::default()
     };
-    let tgi = Tgi::build(cfg, StoreConfig::new(2, 1), &events);
+    let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
     let t = events.last().unwrap().time / 2;
     let want = tgi.try_snapshot_uncached_c(t, 1).unwrap();
     for c in [1usize, 4, 16] {
         let before = tgi.store().stats_snapshot();
-        assert_eq!(tgi.snapshot_c(t, c), want, "c={c}");
+        assert_eq!(tgi.with_clients(c).try_snapshot(t).unwrap(), want, "c={c}");
         let diff = hgs_store::SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
         let batches: u64 = diff.iter().map(|m| m.batches).sum();
         assert_eq!(batches, 1, "one (sid, leaf) item → one grouped scan, c={c}");
@@ -153,10 +153,10 @@ fn snapshots_match_across_parameter_grid() {
             horizontal_partitions: ns,
             ..TgiConfig::default()
         };
-        let tgi = Tgi::build(cfg, StoreConfig::new(2, 1), &events);
+        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
         for t in [0, end / 3, end / 2, end] {
             assert_eq!(
-                tgi.snapshot(t),
+                tgi.try_snapshot(t).unwrap(),
                 Delta::snapshot_by_replay(&events, t),
                 "l={l} ps={ps} ns={ns} arity={arity} t={t}"
             );
@@ -167,7 +167,7 @@ fn snapshots_match_across_parameter_grid() {
 #[test]
 fn node_at_matches_replay() {
     let events = trace();
-    let tgi = Tgi::build(small_cfg(), StoreConfig::new(3, 1), &events);
+    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(3, 1), &events).unwrap();
     let end = events.last().unwrap().time;
     for t in [end / 4, end / 2, end] {
         let want = Delta::snapshot_by_replay(&events, t);
@@ -175,19 +175,19 @@ fn node_at_matches_replay() {
         let ids: Vec<NodeId> = want.sorted_ids().into_iter().step_by(37).take(30).collect();
         for id in ids {
             assert_eq!(
-                tgi.node_at(id, t).as_ref(),
+                tgi.try_node_at(id, t).unwrap().as_ref(),
                 want.node(id),
                 "node {id} at t={t}"
             );
         }
-        assert_eq!(tgi.node_at(99_999_999, t), None);
+        assert_eq!(tgi.try_node_at(99_999_999, t).unwrap(), None);
     }
 }
 
 #[test]
 fn node_history_matches_brute_force() {
     let events = trace();
-    let tgi = Tgi::build(small_cfg(), StoreConfig::new(3, 1), &events);
+    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(3, 1), &events).unwrap();
     let end = events.last().unwrap().time;
     let range = TimeRange::new(end / 4, end * 3 / 4);
 
@@ -200,7 +200,7 @@ fn node_history_matches_brute_force() {
         .take(20)
         .collect();
     for id in sample {
-        let h = tgi.node_history(id, range);
+        let h = tgi.try_node_history(id, range).unwrap();
         // Brute force: initial state + events touching id in range.
         let want_initial = Delta::snapshot_by_replay(&events, range.start);
         assert_eq!(
@@ -240,7 +240,7 @@ fn khop_strategies_agree_with_replay_bfs() {
         },
     ] {
         let cfg = small_cfg().with_strategy(strategy);
-        let tgi = Tgi::build(cfg, StoreConfig::new(3, 1), &events);
+        let tgi = Tgi::try_build(cfg, StoreConfig::new(3, 1), &events).unwrap();
         let end = events.last().unwrap().time;
         let t = end / 2;
         let want_state = Delta::snapshot_by_replay(&events, t);
@@ -253,8 +253,12 @@ fn khop_strategies_agree_with_replay_bfs() {
         for center in centers {
             for k in [0usize, 1, 2] {
                 let want_ids = bfs_ids(&want_state, center, k);
-                let via_snap = tgi.khop_with(center, t, k, KhopStrategy::ViaSnapshot);
-                let recursive = tgi.khop_with(center, t, k, KhopStrategy::Recursive);
+                let via_snap = tgi
+                    .try_khop_with(center, t, k, KhopStrategy::ViaSnapshot)
+                    .unwrap();
+                let recursive = tgi
+                    .try_khop_with(center, t, k, KhopStrategy::Recursive)
+                    .unwrap();
                 let got_snap: FxHashSet<NodeId> = via_snap.ids().collect();
                 let got_rec: FxHashSet<NodeId> = recursive.ids().collect();
                 assert_eq!(got_snap, want_ids, "via-snapshot ids center={center} k={k}");
@@ -281,7 +285,7 @@ fn one_hop_history_matches_neighborhood_replay() {
         seed: 5,
     }
     .generate();
-    let tgi = Tgi::build(
+    let tgi = Tgi::try_build(
         TgiConfig {
             events_per_timespan: 800,
             eventlist_size: 100,
@@ -291,11 +295,12 @@ fn one_hop_history_matches_neighborhood_replay() {
         },
         StoreConfig::new(2, 1),
         &events,
-    );
+    )
+    .unwrap();
     let end = events.last().unwrap().time;
     let range = TimeRange::new(end / 4, end);
     let center: NodeId = 7;
-    let nh = tgi.one_hop_history(center, range);
+    let nh = tgi.try_one_hop_history(center, range).unwrap();
 
     // At several timepoints the materialized neighborhood must equal
     // the replayed 1-hop neighborhood.
@@ -326,15 +331,15 @@ fn incremental_append_equals_bulk_build() {
     while cut < events.len() && events[cut].time == events[cut - 1].time {
         cut += 1;
     }
-    let bulk = Tgi::build(small_cfg(), StoreConfig::new(2, 1), &events);
-    let mut incr = Tgi::build(small_cfg(), StoreConfig::new(2, 1), &events[..cut]);
-    incr.append_events(&events[cut..]);
+    let bulk = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &events).unwrap();
+    let mut incr = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &events[..cut]).unwrap();
+    incr.try_append_events(&events[cut..]).unwrap();
 
     let end = events.last().unwrap().time;
     for t in [0, end / 3, (3 * end) / 5, end] {
         assert_eq!(
-            incr.snapshot(t),
-            bulk.snapshot(t),
+            incr.try_snapshot(t).unwrap(),
+            bulk.try_snapshot(t).unwrap(),
             "incremental vs bulk at t={t}"
         );
     }
@@ -343,18 +348,18 @@ fn incremental_append_equals_bulk_build() {
     let some_node = state.sorted_ids()[0];
     let r = TimeRange::new(0, end + 1);
     assert_eq!(
-        incr.node_history(some_node, r).events,
-        bulk.node_history(some_node, r).events
+        incr.try_node_history(some_node, r).unwrap().events,
+        bulk.try_node_history(some_node, r).unwrap().events
     );
 }
 
 #[test]
 fn version_chains_are_complete_and_sorted() {
     let events = trace();
-    let tgi = Tgi::build(small_cfg(), StoreConfig::new(2, 1), &events);
+    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &events).unwrap();
     let state = Delta::snapshot_by_replay(&events, u64::MAX);
     for id in state.sorted_ids().into_iter().step_by(71).take(15) {
-        let chain = tgi.version_chain(id);
+        let chain = tgi.try_version_chain(id).unwrap();
         assert!(!chain.is_empty(), "node {id} must have a chain");
         assert!(
             chain.windows(2).all(|w| w[0].time <= w[1].time),
@@ -378,12 +383,13 @@ fn version_chains_are_complete_and_sorted() {
 
 #[test]
 fn empty_history_index_answers_empty() {
-    let tgi = Tgi::build(small_cfg(), StoreConfig::new(2, 1), &[]);
-    assert!(tgi.snapshot(0).is_empty());
-    assert!(tgi.snapshot(1_000_000).is_empty());
-    assert_eq!(tgi.node_at(1, 5), None);
+    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &[]).unwrap();
+    assert!(tgi.try_snapshot(0).unwrap().is_empty());
+    assert!(tgi.try_snapshot(1_000_000).unwrap().is_empty());
+    assert_eq!(tgi.try_node_at(1, 5).unwrap(), None);
     assert!(tgi
-        .node_history(1, TimeRange::new(0, 100))
+        .try_node_history(1, TimeRange::new(0, 100))
+        .unwrap()
         .events
         .is_empty());
 }
@@ -391,11 +397,15 @@ fn empty_history_index_answers_empty() {
 #[test]
 fn replicated_store_survives_machine_failure() {
     let events = trace();
-    let tgi = Tgi::build(small_cfg(), StoreConfig::new(3, 2), &events);
+    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(3, 2), &events).unwrap();
     let end = events.last().unwrap().time;
     let want = Delta::snapshot_by_replay(&events, end / 2);
     tgi.store().fail_machine(0);
-    assert_eq!(tgi.snapshot(end / 2), want, "failover snapshot");
+    assert_eq!(
+        tgi.try_snapshot(end / 2).unwrap(),
+        want,
+        "failover snapshot"
+    );
     tgi.store().heal_machine(0);
 }
 

@@ -16,6 +16,9 @@
 //!   `store.put` round trips outside `hgs-store` itself (PR 2/PR 5
 //!   batched these paths deliberately).
 //! * **no-swallowed-result** — `let _ =` on store/cache operations.
+//! * **no-infallible-twin** — `fn NAME` next to `fn try_NAME` in one
+//!   file of `hgs-core`/`hgs-taf`/`hgs-baselines`: every fallible
+//!   operation has one spelling.
 //! * **unused-allow** — an allow annotation whose rule no longer
 //!   fires is itself an error, so annotations cannot rot.
 //!

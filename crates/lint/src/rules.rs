@@ -19,6 +19,7 @@ pub const RULES: &[&str] = &[
     "no-guard-across-callback",
     "watermark-publish",
     "bounded-retry",
+    "no-infallible-twin",
     "unused-allow",
     "malformed-allow",
 ];
@@ -26,6 +27,10 @@ pub const RULES: &[&str] = &[
 /// Crates whose non-test library code is held to the
 /// `no-panic-in-try` discipline even outside `try_*` fns.
 const PANIC_STRICT_CRATES: &[&str] = &["delta", "store", "core"];
+
+/// Crates whose non-test library code spells every fallible operation
+/// exactly once, as `try_*` (`no-infallible-twin`).
+const SINGLE_SPELLING_CRATES: &[&str] = &["core", "taf", "baselines"];
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -631,6 +636,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
     }
 
     bounded_retry(toks, &cx, ctx, store_exempt, &mut findings);
+    infallible_twins(toks, &cx, ctx, &mut findings);
 
     // Suppress findings that carry a matching allow on their line.
     findings.retain(|f| {
@@ -761,6 +767,42 @@ fn bounded_retry(
                     ),
                 });
             }
+        }
+    }
+}
+
+/// The `no-infallible-twin` pass: in the single-spelling crates a
+/// file's non-test code may not define both `fn NAME` and
+/// `fn try_NAME` (bodyless trait declarations count). The finding
+/// anchors at the infallible `fn NAME` — the half to delete.
+fn infallible_twins(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    let in_scope = ctx.kind == FileKind::Lib
+        && ctx
+            .crate_dir
+            .as_deref()
+            .is_some_and(|c| SINGLE_SPELLING_CRATES.contains(&c));
+    if !in_scope {
+        return;
+    }
+    let defs: Vec<(&str, u32)> = toks
+        .windows(2)
+        .enumerate()
+        .filter(|(i, w)| w[0].ident() == Some("fn") && !cx.per_token[*i].in_test)
+        .filter_map(|(_, w)| w[1].ident().map(|name| (name, w[1].line)))
+        .collect();
+    for &(name, line) in &defs {
+        let twin = format!("try_{name}");
+        if defs.iter().any(|(other, _)| *other == twin) {
+            findings.push(Finding {
+                rule: "no-infallible-twin",
+                file: ctx.rel_path.clone(),
+                line,
+                message: format!(
+                    "`fn {name}` duplicates `fn {twin}` in this file; keep the \
+                     fallible spelling only — a caller that wants a panic writes \
+                     `.expect(..)` at its call site"
+                ),
+            });
         }
     }
 }

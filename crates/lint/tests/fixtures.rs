@@ -162,6 +162,28 @@ fn bounded_retry_rule_is_off_in_tests() {
 }
 
 #[test]
+fn infallible_twin_fixture() {
+    check("infallible_twin.rs", "crates/taf/src/fixture.rs", false);
+    check(
+        "infallible_twin_clean.rs",
+        "crates/taf/src/fixture.rs",
+        false,
+    );
+}
+
+#[test]
+fn infallible_twin_rule_binds_only_the_single_spelling_crates_library_code() {
+    // Elsewhere (and in test-like code) a twin is not a finding — so
+    // the fixture's allow, suppressing nothing, is the only report.
+    let src = fixture("infallible_twin.rs");
+    for rel in ["crates/graph/src/fixture.rs", "crates/taf/tests/fixture.rs"] {
+        let report = lint_source(&src, &ctx(rel));
+        let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, vec!["unused-allow"], "{rel}: {:#?}", report.findings);
+    }
+}
+
+#[test]
 fn concurrency_rules_are_off_in_tests() {
     // A test may hold a guard across a fetch deliberately (e.g. to
     // force contention); the discipline binds library code only.

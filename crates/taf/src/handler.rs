@@ -4,7 +4,7 @@
 //! Mirrors the paper's `TGIHandler` / lazy fetch design: a query is a
 //! chain of specification calls (`timeslice`, `select_ids`, `khop`)
 //! that build a retrieval plan; nothing touches the store until
-//! `fetch()` (or `fetch_sots()`), which executes the **parallel fetch
+//! `try_fetch()`, which executes the **parallel fetch
 //! protocol** of Fig. 10 — each TAF worker pulls whole horizontal
 //! partitions (or node groups) directly from the store shards, and
 //! the results land partitioned across workers without a coordinator
@@ -13,13 +13,13 @@
 //! Fetches follow the same error-handling contract as the TGI query
 //! layer ([`hgs_core::query`]): `try_fetch()` surfaces
 //! [`StoreError::Unavailable`] when every replica of a chunk the plan
-//! needs is down, instead of panicking mid-analytics; the classic
-//! `fetch()` names remain as panicking wrappers for healthy-cluster
-//! callers.
+//! needs is down, instead of panicking mid-analytics. It is the only
+//! spelling of a fetch — a healthy-cluster caller that wants a panic
+//! writes `.expect(..)` on the result.
 //!
 //! A handler can bind either a single-owner [`Tgi`] handle
 //! ([`TgiHandler::new`]) or a live [`TgiService`]
-//! ([`TgiHandler::serving`]). In the latter case every `fetch()` pins
+//! ([`TgiHandler::serving`]). In the latter case every fetch pins
 //! the latest published watermark once at entry and runs all of its
 //! sub-queries against that one [`TgiView`], so an analytics answer
 //! never mixes two watermarks even while the service ingests.
@@ -69,18 +69,6 @@ impl TgiHandler {
         TgiHandler {
             source: Source::Service(service),
             workers: workers.max(1),
-        }
-    }
-
-    /// The underlying index handle. Panics for a service-backed
-    /// handler — there is no single owned handle there; use
-    /// [`TgiHandler::pin`] for a read view.
-    pub fn tgi(&self) -> &Arc<Tgi> {
-        match &self.source {
-            Source::Handle(tgi) => tgi,
-            Source::Service(_) => {
-                panic!("handler is service-backed; pin() a watermarked view instead")
-            }
         }
     }
 
@@ -157,14 +145,7 @@ impl SonQuery {
     }
 
     /// Execute the fetch (the first statement after the specification
-    /// instructions, per §5.2). Panics if a needed chunk is fully
-    /// unavailable; see [`SonQuery::try_fetch`].
-    pub fn fetch(self) -> SoN {
-        self.try_fetch()
-            .unwrap_or_else(|e| panic!("TAF SoN fetch failed ({e}); use try_fetch"))
-    }
-
-    /// Fallible [`SonQuery::fetch`]: every worker's store failure is
+    /// instructions, per §5.2). Every worker's store failure is
     /// propagated, so a degraded cluster yields
     /// [`StoreError::Unavailable`] instead of a partial SoN (or a
     /// worker panic).
@@ -173,7 +154,9 @@ impl SonQuery {
         // one watermarked view, so the SoN is internally consistent
         // even while a service-backed source keeps appending.
         let pinned = self.handler.pin();
-        let tgi: &TgiView = &pinned;
+        // The workers are the parallelism: each one's sub-queries read
+        // at one client instead of nesting a second fan-out.
+        let tgi = &pinned.with_clients(1);
         let workers = self.handler.workers;
         let range = self.range;
         let mut post_filter: Option<(String, String)> = None;
@@ -184,7 +167,7 @@ impl SonQuery {
                 post_filter = pred;
                 Some(ids)
             }
-            (None, Some((key, value))) if tgi.secondary_indexes_enabled() => {
+            (None, Some((key, value))) if tgi.config().secondary_indexes => {
                 // Pushdown: one secondary-index row names the matching
                 // nodes, so only their rows are fetched — no snapshot
                 // materialization, no full-graph read.
@@ -210,7 +193,7 @@ impl SonQuery {
                     parallel_chunks(ids, workers, |chunk| {
                         chunk
                             .into_iter()
-                            .map(|id| tgi.try_node_history_c(id, range, 1).map(NodeT::new))
+                            .map(|id| tgi.try_node_history(id, range).map(NodeT::new))
                             .collect()
                     });
                 fetched.into_iter().collect::<Result<Vec<_>, _>>()?
@@ -218,7 +201,7 @@ impl SonQuery {
             None => {
                 // Whole-graph fetch: one job per horizontal partition,
                 // workers pulling directly from the store (Fig. 10).
-                let sids: Vec<u32> = (0..tgi.horizontal_partitions()).collect();
+                let sids: Vec<u32> = (0..tgi.config().horizontal_partitions).collect();
                 let fetched: Vec<Result<Vec<NodeHistory>, StoreError>> =
                     parallel_chunks(sids, workers, |chunk| {
                         chunk
@@ -277,20 +260,12 @@ impl SotsQuery {
 
     /// Execute: for each root, fetch its k-hop membership at the range
     /// start, the members' initial states, and the members' in-range
-    /// events. Panics if a needed chunk is fully unavailable; see
-    /// [`SotsQuery::try_fetch`].
-    pub fn fetch(self) -> SoTS {
-        self.try_fetch()
-            .unwrap_or_else(|e| panic!("TAF SoTS fetch failed ({e}); use try_fetch"))
-    }
-
-    /// Fallible [`SotsQuery::fetch`]: surfaces
-    /// [`StoreError::Unavailable`] from any worker's k-hop or history
-    /// fetch instead of panicking mid-analytics.
+    /// events. Surfaces [`StoreError::Unavailable`] from any worker's
+    /// k-hop or history fetch instead of panicking mid-analytics.
     pub fn try_fetch(self) -> Result<SoTS, StoreError> {
         // Pin ONCE at entry (same discipline as `SonQuery::try_fetch`).
         let pinned = self.handler.pin();
-        let tgi: &TgiView = &pinned;
+        let tgi = &pinned.with_clients(1);
         let workers = self.handler.workers;
         let range = self.range;
         let k = self.k;
@@ -299,7 +274,9 @@ impl SotsQuery {
             (None, Some((key, value))) => {
                 tgi.try_nodes_matching_at(&key, &AttrValue::Text(value.clone()), range.start)?
             }
-            (None, None) => tgi.try_snapshot(range.start)?.sorted_ids(),
+            // Not inside the worker fan-out: the root snapshot reads at
+            // the pinned view's own width.
+            (None, None) => pinned.try_snapshot(range.start)?.sorted_ids(),
         };
         let subs: Vec<Result<SubgraphT, StoreError>> = parallel_chunks(roots, workers, |chunk| {
             chunk
@@ -319,7 +296,7 @@ impl SotsQuery {
                     let mut member_list: Vec<NodeId> = members.iter().copied().collect();
                     member_list.sort_unstable();
                     for m in member_list {
-                        let h = tgi.try_node_history_c(m, range, 1)?;
+                        let h = tgi.try_node_history(m, range)?;
                         for e in h.events {
                             let (a, b) = e.kind.touched();
                             let other = if a == m { b } else { Some(a) };
@@ -356,7 +333,7 @@ mod tests {
             seed: 9,
         }
         .generate();
-        let tgi = Tgi::build(
+        let tgi = Tgi::try_build(
             TgiConfig {
                 events_per_timespan: 700,
                 eventlist_size: 80,
@@ -366,7 +343,8 @@ mod tests {
             },
             StoreConfig::new(2, 1),
             &events,
-        );
+        )
+        .unwrap();
         (events, TgiHandler::new(Arc::new(tgi), 2))
     }
 
@@ -374,7 +352,11 @@ mod tests {
     fn full_son_fetch_covers_graph() {
         let (events, h) = setup();
         let end = events.last().unwrap().time;
-        let son = h.son().timeslice(TimeRange::new(0, end + 1)).fetch();
+        let son = h
+            .son()
+            .timeslice(TimeRange::new(0, end + 1))
+            .try_fetch()
+            .unwrap();
         let final_state = Delta::snapshot_by_replay(&events, end);
         assert_eq!(son.len(), final_state.cardinality());
         // Spot-check a node's final state through the SoN.
@@ -387,13 +369,14 @@ mod tests {
     fn select_pushdown_fetches_only_requested() {
         let (events, h) = setup();
         let end = events.last().unwrap().time;
-        let before = h.tgi().store().stats_snapshot();
+        let before = h.pin().store().stats_snapshot();
         let son = h
             .son()
             .timeslice(TimeRange::new(end / 2, end + 1))
             .select_ids(vec![1, 2, 3])
-            .fetch();
-        let diff = hgs_store::SimStore::stats_since(&h.tgi().store().stats_snapshot(), &before);
+            .try_fetch()
+            .unwrap();
+        let diff = hgs_store::SimStore::stats_since(&h.pin().store().stats_snapshot(), &before);
         let rows: u64 = diff.iter().map(|m| m.rows_read).sum();
         assert_eq!(son.len(), 3);
         assert!(
@@ -407,9 +390,9 @@ mod tests {
         let (events, h) = setup();
         let end = events.last().unwrap().time;
         let range = TimeRange::new(end / 3, end);
-        let son = h.son().timeslice(range).fetch();
+        let son = h.son().timeslice(range).try_fetch().unwrap();
         for id in [0u64, 5, 17, 40] {
-            let direct = h.tgi().node_history(id, range);
+            let direct = h.pin().try_node_history(id, range).unwrap();
             let via_son = son.get(id).expect("node in SoN");
             assert_eq!(via_son.initial(), direct.initial.as_ref(), "initial {id}");
             assert_eq!(via_son.events(), &direct.events[..], "events {id}");
@@ -422,7 +405,12 @@ mod tests {
         let (events, h) = setup();
         let end = events.last().unwrap().time;
         let range = TimeRange::new(end / 2, end);
-        let sots = h.sots(1).timeslice(range).roots(vec![0, 1, 2]).fetch();
+        let sots = h
+            .sots(1)
+            .timeslice(range)
+            .roots(vec![0, 1, 2])
+            .try_fetch()
+            .unwrap();
         assert_eq!(sots.len(), 3);
         let state = Delta::snapshot_by_replay(&events, range.start);
         for sub in sots.subgraphs() {
@@ -444,13 +432,15 @@ mod tests {
             let full = h
                 .son()
                 .timeslice(range)
-                .fetch()
+                .try_fetch()
+                .unwrap()
                 .select_attr("EntityType", label);
             let pushed = h
                 .son()
                 .timeslice(range)
                 .select_attr_eq("EntityType", label)
-                .fetch();
+                .try_fetch()
+                .unwrap();
             let want: Vec<NodeId> = full.nodes().iter().map(|n| n.id()).collect();
             let got: Vec<NodeId> = pushed.nodes().iter().map(|n| n.id()).collect();
             assert_eq!(got, want, "pushdown answer for {label}");
@@ -497,7 +487,7 @@ mod tests {
         // Two identically built TGIs, each with a cold session cache,
         // so the byte counters compare the two plans fairly.
         let fetched_bytes = |pushdown: bool| {
-            let tgi = Tgi::build(
+            let tgi = Tgi::try_build(
                 TgiConfig {
                     events_per_timespan: 700,
                     eventlist_size: 80,
@@ -507,20 +497,22 @@ mod tests {
                 },
                 StoreConfig::new(2, 1),
                 &events,
-            );
+            )
+            .unwrap();
             let h = TgiHandler::new(Arc::new(tgi), 2);
             let end = events.last().unwrap().time;
             let range = TimeRange::new(0, end + 1);
-            let before = h.tgi().store().stats_snapshot();
+            let before = h.pin().store().stats_snapshot();
             let son = if pushdown {
                 h.son()
                     .timeslice(range)
                     .select_attr_eq("EntityType", "Rare")
-                    .fetch()
+                    .try_fetch()
+                    .unwrap()
             } else {
-                h.son().timeslice(range).fetch()
+                h.son().timeslice(range).try_fetch().unwrap()
             };
-            let diff = hgs_store::SimStore::stats_since(&h.tgi().store().stats_snapshot(), &before);
+            let diff = hgs_store::SimStore::stats_since(&h.pin().store().stats_snapshot(), &before);
             (son.len(), diff.iter().map(|m| m.bytes_read).sum::<u64>())
         };
         let (pushed_len, pushed_bytes) = fetched_bytes(true);
@@ -542,14 +534,16 @@ mod tests {
             .son()
             .timeslice(range)
             .select_attr_eq("EntityType", "Author")
-            .fetch();
+            .try_fetch()
+            .unwrap();
         let ids: Vec<NodeId> = (0..10).collect();
         let narrowed = h
             .son()
             .timeslice(range)
             .select_ids(ids.clone())
             .select_attr_eq("EntityType", "Author")
-            .fetch();
+            .try_fetch()
+            .unwrap();
         for n in narrowed.nodes() {
             assert!(ids.contains(&n.id()), "fetched outside the id set");
             assert!(all.get(n.id()).is_some(), "kept a non-Author node");
@@ -577,7 +571,8 @@ mod tests {
             .sots(1)
             .timeslice(range)
             .roots_matching("EntityType", "Venue")
-            .fetch();
+            .try_fetch()
+            .unwrap();
         let mut got: Vec<NodeId> = sots.subgraphs().iter().map(|s| s.root).collect();
         got.sort_unstable();
         assert_eq!(got, want);
@@ -587,10 +582,10 @@ mod tests {
     #[test]
     fn attr_pushdown_surfaces_unavailability() {
         let (_, h) = setup();
-        let end = h.tgi().end_time();
+        let end = h.pin().end_time();
         let range = TimeRange::new(0, end.max(2));
-        for m in 0..h.tgi().store().machine_count() {
-            h.tgi().store().fail_machine(m);
+        for m in 0..h.pin().store().machine_count() {
+            h.pin().store().fail_machine(m);
         }
         assert!(matches!(
             h.son()
@@ -606,8 +601,8 @@ mod tests {
                 .try_fetch(),
             Err(StoreError::Unavailable { .. })
         ));
-        for m in 0..h.tgi().store().machine_count() {
-            h.tgi().store().heal_machine(m);
+        for m in 0..h.pin().store().machine_count() {
+            h.pin().store().heal_machine(m);
         }
         assert!(h
             .son()
@@ -620,10 +615,10 @@ mod tests {
     #[test]
     fn try_fetch_surfaces_unavailability_instead_of_panicking() {
         let (_, h) = setup();
-        let end = h.tgi().end_time();
+        let end = h.pin().end_time();
         let range = TimeRange::new(0, end.max(2));
-        for m in 0..h.tgi().store().machine_count() {
-            h.tgi().store().fail_machine(m);
+        for m in 0..h.pin().store().machine_count() {
+            h.pin().store().fail_machine(m);
         }
         assert!(matches!(
             h.son().timeslice(range).try_fetch(),
@@ -646,8 +641,8 @@ mod tests {
             Err(StoreError::Unavailable { .. })
         ));
         // Healed cluster serves the same fetch again.
-        for m in 0..h.tgi().store().machine_count() {
-            h.tgi().store().heal_machine(m);
+        for m in 0..h.pin().store().machine_count() {
+            h.pin().store().heal_machine(m);
         }
         assert!(h.son().timeslice(range).try_fetch().is_ok());
     }
@@ -663,7 +658,7 @@ mod tests {
         .generate();
         let split = events.len() / 2;
         // The service starts with the first half of the history...
-        let svc = hgs_core::TgiService::build(
+        let svc = hgs_core::TgiService::try_build(
             TgiConfig {
                 events_per_timespan: 400,
                 eventlist_size: 80,
@@ -673,11 +668,12 @@ mod tests {
             },
             StoreConfig::new(2, 1),
             &events[..split],
-        );
+        )
+        .unwrap();
         let h = TgiHandler::serving(Arc::clone(&svc), 2);
         let w0 = svc.watermark();
         let range = TimeRange::new(0, svc.pin().end_time() + 1);
-        let before = h.son().timeslice(range).fetch();
+        let before = h.son().timeslice(range).try_fetch().unwrap();
         // ...and keeps answering the same SoN for the same timeslice
         // while the second half streams in: each fetch pins whatever
         // watermark is current, and sealed history never changes.
@@ -686,11 +682,11 @@ mod tests {
             let events = &events;
             s.spawn(move || {
                 for batch in events[split..].chunks(200) {
-                    svc.append_events(batch);
+                    svc.try_append_events(batch).unwrap();
                 }
             });
             for _ in 0..5 {
-                let again = h.son().timeslice(range).fetch();
+                let again = h.son().timeslice(range).try_fetch().unwrap();
                 assert_eq!(again.len(), before.len());
                 for n in before.nodes() {
                     let b = again.get(n.id()).expect("node vanished mid-ingest");
@@ -702,7 +698,7 @@ mod tests {
         assert!(svc.watermark() > w0, "ingest advanced the watermark");
         // A fresh query (default timeslice re-reads the pinned end
         // time) now covers the full history.
-        let full = h.son().fetch();
+        let full = h.son().try_fetch().unwrap();
         let final_state = Delta::snapshot_by_replay(&events, events.last().unwrap().time);
         assert_eq!(full.len(), final_state.cardinality());
     }
@@ -710,22 +706,30 @@ mod tests {
     #[test]
     fn worker_counts_agree() {
         let (_, h) = setup();
-        let end = h.tgi().end_time();
+        let end = h.pin().end_time();
         let r = TimeRange::new(0, end);
         let son1 = SonQuery {
-            handler: TgiHandler::new(h.tgi().clone(), 1),
+            handler: TgiHandler {
+                workers: 1,
+                ..h.clone()
+            },
             range: r,
             ids: None,
             attr_eq: None,
         }
-        .fetch();
+        .try_fetch()
+        .unwrap();
         let son4 = SonQuery {
-            handler: TgiHandler::new(h.tgi().clone(), 4),
+            handler: TgiHandler {
+                workers: 4,
+                ..h.clone()
+            },
             range: r,
             ids: None,
             attr_eq: None,
         }
-        .fetch();
+        .try_fetch()
+        .unwrap();
         assert_eq!(son1.len(), son4.len());
         let d1 = son1.node_compute(|n| n.change_count());
         let d4 = son4.node_compute(|n| n.change_count());

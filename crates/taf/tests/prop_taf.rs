@@ -42,7 +42,7 @@ fn build(events: &[Event]) -> TgiHandler {
         horizontal_partitions: 2,
         ..TgiConfig::default()
     };
-    let tgi = Tgi::build(cfg, StoreConfig::new(2, 1), events);
+    let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), events).unwrap();
     TgiHandler::new(Arc::new(tgi), 3)
 }
 
@@ -55,9 +55,9 @@ proptest! {
         let handler = build(&events);
         let end = events.last().unwrap().time;
         let range = TimeRange::new(end / 3, end + 1);
-        let son = handler.son().timeslice(range).fetch();
+        let son = handler.son().timeslice(range).try_fetch().unwrap();
         for n in son.nodes() {
-            let direct = handler.tgi().node_history(n.id(), range);
+            let direct = handler.pin().try_node_history(n.id(), range).unwrap();
             prop_assert_eq!(n.initial(), direct.initial.as_ref(), "initial {}", n.id());
             prop_assert_eq!(n.events(), &direct.events[..], "events {}", n.id());
         }
@@ -70,7 +70,7 @@ proptest! {
         let handler = build(&events);
         let end = events.last().unwrap().time;
         let range = TimeRange::new(end / 2, end + 1);
-        let son = handler.son().timeslice(range).fetch();
+        let son = handler.son().timeslice(range).try_fetch().unwrap();
         // The normalized stream is what the index stores.
         let normalized = hgs_delta::normalize_events(&events);
         let mut expected: std::collections::BTreeSet<u64> =
@@ -92,7 +92,7 @@ proptest! {
         let handler = build(&events);
         let end = events.last().unwrap().time;
         let t = end / frac;
-        let full = handler.son().timeslice(TimeRange::new(0, end + 1)).fetch();
+        let full = handler.son().timeslice(TimeRange::new(0, end + 1)).try_fetch().unwrap();
         let sliced = full.timeslice(TimeRange::new(t, end + 1));
         let g1 = full.graph_at(t);
         let g2 = sliced.graph_at(t);
@@ -106,7 +106,7 @@ proptest! {
     fn operator_sanity(events in arb_history()) {
         let handler = build(&events);
         let end = events.last().unwrap().time;
-        let son = handler.son().timeslice(TimeRange::new(0, end + 1)).fetch();
+        let son = handler.son().timeslice(TimeRange::new(0, end + 1)).try_fetch().unwrap();
         let self_diff = SoN::compare(&son, &son, |n| n.change_count() as f64);
         prop_assert!(self_diff.iter().all(|(_, d)| *d == 0.0));
         let w1 = son.clone().with_workers(1).node_compute(|n| n.change_count());
@@ -122,7 +122,7 @@ proptest! {
         let end = events.last().unwrap().time;
         let range = TimeRange::new(end / 4, end + 1);
         let roots: Vec<u64> = (0..25).step_by(5).collect();
-        let sots = handler.sots(1).timeslice(range).roots(roots).fetch();
+        let sots = handler.sots(1).timeslice(range).roots(roots).try_fetch().unwrap();
         let count_edges = |d: &Delta| d.size() as i64;
         // The update function must honor the subgraph's member scope
         // (events touching non-members only change the member side),

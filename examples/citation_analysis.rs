@@ -25,13 +25,14 @@ fn main() {
     }
     .generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::build(TgiConfig::default(), StoreConfig::new(4, 1), &events);
+    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
+        .expect("healthy store");
 
     // "How many citations did I have at time X?" — a static-vertex
     // fetch at three points in the past.
     let hub = {
         // the most-cited paper at the end of history
-        let snap = tgi.snapshot(end);
+        let snap = tgi.try_snapshot(end).expect("healthy store");
         snap.iter()
             .max_by_key(|n| n.degree())
             .map(|n| n.id)
@@ -41,7 +42,8 @@ fn main() {
     for frac in [4u64, 2, 1] {
         let t = end / frac;
         let cites = tgi
-            .node_at(hub, t)
+            .try_node_at(hub, t)
+            .expect("healthy store")
             .map(|n| {
                 n.edges
                     .iter()
@@ -54,7 +56,9 @@ fn main() {
 
     // Degree evolution of that node (Fig. 1's "vertex history /
     // degree evolution" cell) via its version chain.
-    let history = tgi.node_history(hub, TimeRange::new(0, end + 1));
+    let history = tgi
+        .try_node_history(hub, TimeRange::new(0, end + 1))
+        .expect("healthy store");
     let versions = history.versions();
     println!("degree evolution ({} versions, sampled):", versions.len());
     for (t, state) in versions.iter().step_by(versions.len().div_ceil(8).max(1)) {
@@ -66,7 +70,7 @@ fn main() {
 
     // "The most central node last year": betweenness on the recent
     // 2-hop neighborhood of the hub (exact Brandes on the subgraph).
-    let neighborhood = tgi.khop(hub, end, 2);
+    let neighborhood = tgi.try_khop(hub, end, 2).expect("healthy store");
     let g = hgs::graph::Graph::from_delta(neighborhood);
     let bc = algo::betweenness(&g);
     let (best, score) = bc
@@ -80,7 +84,11 @@ fn main() {
     // PageRank drift: who rose fastest over the second half of
     // history? (Compare operator over two timeslices.)
     let handler = TgiHandler::new(Arc::new(tgi), 2);
-    let son = handler.son().timeslice(TimeRange::new(0, end + 1)).fetch();
+    let son = handler
+        .son()
+        .timeslice(TimeRange::new(0, end + 1))
+        .try_fetch()
+        .expect("healthy store");
     let g_mid = son.graph_at(end / 2);
     let g_end = son.graph_at(end);
     let pr_mid = algo::pagerank(&g_mid, 0.85, 30);

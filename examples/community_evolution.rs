@@ -27,7 +27,8 @@ fn main() {
     let events = trace.generate();
     let end = events.last().unwrap().time;
 
-    let tgi = Tgi::build(TgiConfig::default(), StoreConfig::new(4, 1), &events);
+    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
+        .expect("healthy store");
     let handler = TgiHandler::new(Arc::new(tgi), 2);
 
     // Fig. 7b: Timeslice to the analysis window, Filter down to the
@@ -36,7 +37,8 @@ fn main() {
     let son = handler
         .son()
         .timeslice(window)
-        .fetch()
+        .try_fetch()
+        .expect("healthy store")
         .filter_attrs(&["community"]);
     let son_a = son.select_attr("community", "A");
     let son_b = son.select_attr("community", "B");
@@ -60,7 +62,8 @@ fn main() {
         let members = handler
             .son()
             .timeslice(window)
-            .fetch()
+            .try_fetch()
+            .expect("healthy store")
             .select_attr("community", &name);
         let series = members.evolution(algo::density, 6);
         println!("community {name} density evolution:");
@@ -70,7 +73,11 @@ fn main() {
     }
 
     // Membership churn: who switched communities inside the window?
-    let full = handler.son().timeslice(window).fetch();
+    let full = handler
+        .son()
+        .timeslice(window)
+        .try_fetch()
+        .expect("healthy store");
     let switchers = full.select(|n| {
         let first = n.initial().and_then(|s| {
             s.attrs

@@ -17,7 +17,8 @@ fn main() {
     let base = WikiGrowth::sized(20_000).generate();
     let events = augment_with_churn(&base, 15_000, 0.45, 7);
     let end = events.last().unwrap().time;
-    let tgi = Tgi::build(TgiConfig::default(), StoreConfig::new(4, 1), &events);
+    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
+        .expect("healthy store");
 
     let patient_zero: NodeId = 0;
     let infection_time = end / 2;
@@ -26,7 +27,9 @@ fn main() {
     // Direct exposures: everyone who was a 1-hop neighbor of patient
     // zero at any time after infection — exactly Algorithm 5's
     // neighborhood history.
-    let nh = tgi.one_hop_history(patient_zero, window);
+    let nh = tgi
+        .try_one_hop_history(patient_zero, window)
+        .expect("healthy store");
     println!(
         "patient zero {patient_zero}: {} distinct contacts after t={infection_time}",
         nh.neighbors.len()
@@ -47,7 +50,9 @@ fn main() {
         let mut next = Vec::new();
         for carrier in frontier.drain(..) {
             let t0 = exposed_at[&carrier];
-            let h = tgi.one_hop_history(carrier, TimeRange::new(t0, end + 1));
+            let h = tgi
+                .try_one_hop_history(carrier, TimeRange::new(t0, end + 1))
+                .expect("healthy store");
             // A contact is exposed at the first time it is connected
             // to the carrier within the window.
             for contact in &h.neighbors {
@@ -90,7 +95,9 @@ fn main() {
     // Compare with the *static* view at the end of history: the
     // temporal trace catches transient contacts a static snapshot
     // misses, and correctly excludes contacts formed before infection.
-    let static_view = tgi.khop(patient_zero, end, generations);
+    let static_view = tgi
+        .try_khop(patient_zero, end, generations)
+        .expect("healthy store");
     let static_set: FxHashSet<NodeId> = static_view.ids().collect();
     let temporal_set: FxHashSet<NodeId> = exposed_at.keys().copied().collect();
     let only_temporal = temporal_set.difference(&static_set).count();

@@ -26,7 +26,8 @@ fn main() {
     //    l, micro-partition size ps, tree arity, horizontal partitions
     //    ns, timespan length. The store is a simulated 4-machine
     //    cluster.
-    let tgi = Tgi::build(TgiConfig::default(), StoreConfig::new(4, 1), &events);
+    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
+        .expect("healthy store");
     println!(
         "indexed: {} timespans, {:.2} MB stored",
         tgi.span_count(),
@@ -36,7 +37,7 @@ fn main() {
     // 3. Snapshot retrieval (Algorithm 1): the whole graph as of any
     //    past timepoint.
     let then = end / 2;
-    let snapshot = tgi.snapshot(then);
+    let snapshot = tgi.try_snapshot(then).expect("healthy store");
     println!(
         "snapshot at t={then}: {} nodes, {} edges",
         snapshot.cardinality(),
@@ -45,7 +46,9 @@ fn main() {
 
     // 4. Node history (Algorithm 2): every version of one node.
     let hub = *snapshot.sorted_ids().first().unwrap();
-    let history = tgi.node_history(hub, TimeRange::new(0, end + 1));
+    let history = tgi
+        .try_node_history(hub, TimeRange::new(0, end + 1))
+        .expect("healthy store");
     println!(
         "node {hub}: {} changes; final degree {}",
         history.change_count(),
@@ -58,8 +61,8 @@ fn main() {
 
     // 5. k-hop neighborhood as of a past time. The fetch strategy
     //    (Algorithm 3 vs 4) is picked automatically from the index's
-    //    cost model; `khop_with` forces one explicitly.
-    let neighborhood = tgi.khop(hub, then, 2);
+    //    cost model; `try_khop_with` forces one explicitly.
+    let neighborhood = tgi.try_khop(hub, then, 2).expect("healthy store");
     println!(
         "2-hop neighborhood of {hub} at t={then}: {} nodes",
         neighborhood.cardinality()
@@ -68,7 +71,11 @@ fn main() {
     // 6. TAF: fetch a Set of Temporal Nodes and watch graph density
     //    evolve over ten sample points (Fig. 7c of the paper).
     let handler = TgiHandler::new(Arc::new(tgi), 2);
-    let son = handler.son().timeslice(TimeRange::new(0, end + 1)).fetch();
+    let son = handler
+        .son()
+        .timeslice(TimeRange::new(0, end + 1))
+        .try_fetch()
+        .expect("healthy store");
     let evolution = son.evolution(algo::density, 10);
     println!("density evolution:");
     for (t, d) in &evolution {

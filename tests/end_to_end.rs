@@ -19,7 +19,7 @@ fn all_indexes_agree_on_all_primitives() {
     // strongest cross-validation (six independent implementations).
     let events = WikiGrowth::sized(2_000).generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::build(
+    let tgi = Tgi::try_build(
         TgiConfig {
             events_per_timespan: 900,
             eventlist_size: 100,
@@ -28,7 +28,8 @@ fn all_indexes_agree_on_all_primitives() {
         },
         StoreConfig::new(2, 1),
         &events,
-    );
+    )
+    .unwrap();
     let log = LogIndex::build(StoreConfig::new(2, 1), &events, 128);
     let copylog = CopyLogIndex::build(StoreConfig::new(2, 1), &events, 200);
     let nc = NodeCentricIndex::build(StoreConfig::new(2, 1), &events);
@@ -39,7 +40,12 @@ fn all_indexes_agree_on_all_primitives() {
     for t in [0, end / 3, end / 2, end] {
         let want = Delta::snapshot_by_replay(&events, t);
         for idx in &indexes {
-            assert_eq!(idx.snapshot(t), want, "{} snapshot at t={t}", idx.name());
+            assert_eq!(
+                idx.try_snapshot(t).unwrap(),
+                want,
+                "{} snapshot at t={t}",
+                idx.name()
+            );
         }
     }
     let range = TimeRange::new(end / 4, (3 * end) / 4);
@@ -58,7 +64,7 @@ fn all_indexes_agree_on_all_primitives() {
         };
         for idx in &indexes {
             assert_eq!(
-                idx.node_versions(nid, range),
+                idx.try_node_versions(nid, range).unwrap(),
                 reference,
                 "{} versions of {nid}",
                 idx.name()
@@ -74,9 +80,9 @@ fn tgi_converges_to_copy_log() {
     // root + one derived + one eventlist per query.
     let events = WikiGrowth::sized(2_000).generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::build(TgiConfig::copy_log(200), StoreConfig::new(1, 1), &events);
+    let tgi = Tgi::try_build(TgiConfig::copy_log(200), StoreConfig::new(1, 1), &events).unwrap();
     let before = tgi.store().stats_snapshot();
-    let snap = tgi.snapshot_c(end / 2, 1);
+    let snap = tgi.with_clients(1).try_snapshot(end / 2).unwrap();
     let diff = hgs::store::SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
     let requests: u64 = diff.iter().map(|m| m.gets + m.scans).sum();
     assert!(
@@ -100,13 +106,14 @@ fn full_pipeline_analytics_match_reference() {
     }
     .generate();
     let end = events.last().unwrap().time;
-    let tgi = Arc::new(Tgi::build(
-        TgiConfig::default(),
-        StoreConfig::new(2, 1),
-        &events,
-    ));
+    let tgi =
+        Arc::new(Tgi::try_build(TgiConfig::default(), StoreConfig::new(2, 1), &events).unwrap());
     let handler = TgiHandler::new(tgi, 3);
-    let son = handler.son().timeslice(TimeRange::new(0, end + 1)).fetch();
+    let son = handler
+        .son()
+        .timeslice(TimeRange::new(0, end + 1))
+        .try_fetch()
+        .unwrap();
 
     for t in [end / 3, end] {
         let reference = hgs::graph::Graph::from_delta(Delta::snapshot_by_replay(&events, t));
@@ -149,17 +156,15 @@ fn incremental_operator_equals_recompute_on_real_trace() {
     }
     .generate();
     let end = events.last().unwrap().time;
-    let tgi = Arc::new(Tgi::build(
-        TgiConfig::default(),
-        StoreConfig::new(2, 1),
-        &events,
-    ));
+    let tgi =
+        Arc::new(Tgi::try_build(TgiConfig::default(), StoreConfig::new(2, 1), &events).unwrap());
     let handler = TgiHandler::new(tgi, 2);
     let sots = handler
         .sots(2)
         .timeslice(TimeRange::new(end / 2, end + 1))
         .roots(vec![1, 5, 9, 13])
-        .fetch();
+        .try_fetch()
+        .unwrap();
 
     let count = |d: &Delta| -> i64 {
         d.iter()
@@ -193,17 +198,17 @@ fn incremental_operator_equals_recompute_on_real_trace() {
 fn store_failure_injection_with_replication_keeps_queries_alive() {
     let events = WikiGrowth::sized(3_000).generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::build(TgiConfig::default(), StoreConfig::new(4, 2), &events);
+    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 2), &events).unwrap();
     let want = Delta::snapshot_by_replay(&events, end);
     for failed in 0..4 {
         tgi.store().fail_machine(failed);
         assert_eq!(
-            tgi.snapshot(end),
+            tgi.try_snapshot(end).unwrap(),
             want,
             "snapshot with machine {failed} down"
         );
         assert_eq!(
-            tgi.node_at(0, end),
+            tgi.try_node_at(0, end).unwrap(),
             want.node(0).cloned(),
             "node fetch with machine {failed} down"
         );
@@ -219,11 +224,15 @@ fn compression_changes_bytes_not_answers() {
     // column, so store-level whole-value compression has nothing left
     // to squeeze there.
     let cfg = TgiConfig::default().with_layout(StorageLayout::RowWise);
-    let plain = Tgi::build(cfg, StoreConfig::new(2, 1), &events);
-    let packed = Tgi::build(cfg, StoreConfig::new(2, 1).with_compression(true), &events);
+    let plain = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
+    let packed =
+        Tgi::try_build(cfg, StoreConfig::new(2, 1).with_compression(true), &events).unwrap();
     assert!(packed.storage_bytes() < plain.storage_bytes());
     for t in [end / 2, end] {
-        assert_eq!(plain.snapshot(t), packed.snapshot(t));
+        assert_eq!(
+            plain.try_snapshot(t).unwrap(),
+            packed.try_snapshot(t).unwrap()
+        );
     }
 }
 
@@ -231,9 +240,9 @@ fn compression_changes_bytes_not_answers() {
 fn multipoint_snapshots_are_consistent() {
     let events = WikiGrowth::sized(2_500).generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::build(TgiConfig::default(), StoreConfig::new(2, 1), &events);
+    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(2, 1), &events).unwrap();
     let times: Vec<u64> = (1..=5).map(|i| end * i / 5).collect();
-    let snaps = tgi.snapshots(&times);
+    let snaps = tgi.try_snapshots(&times).unwrap();
     // Growth-only trace: node counts must be monotone.
     let counts: Vec<usize> = snaps.iter().map(|s| s.cardinality()).collect();
     assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{counts:?}");
