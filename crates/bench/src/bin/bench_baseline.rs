@@ -73,8 +73,8 @@ fn main() {
     });
 
     // Decode-path rows: cold wall time plus codec bytes materialized
-    // (the cache is still off, so every query decodes stored rows; see
-    // bench_decode for the row-wise vs columnar comparison).
+    // (the cache is still off, so every query decodes stored rows; the
+    // `node_at_pruning` test in hgs-core holds the pruned-fetch bound).
     let decode_cold = time_median(|| tgi.try_snapshot(end / 2).expect("healthy store"));
     let node_at_cold = time_median(|| {
         for &id in &nodes {

@@ -23,7 +23,6 @@ fn main() {
     e::multipoint();
     e::read_cache();
     e::build_ingest();
-    e::decode();
     e::labels();
     e::serve();
     e::chaos();

@@ -5,7 +5,6 @@ pub mod ablation;
 pub mod analytics;
 pub mod build_ingest;
 pub mod chaos;
-pub mod decode;
 pub mod labels;
 pub mod multipoint;
 pub mod partitioning;
@@ -19,7 +18,6 @@ pub use ablation::{ablation_arity, ablation_horizontal, ablation_timespan};
 pub use analytics::{fig15c, fig17};
 pub use build_ingest::{build_ingest, BuildRow};
 pub use chaos::{chaos, ChaosRow, RepairOutcome};
-pub use decode::{decode, DecodeRow};
 pub use labels::{labels, LabelRow};
 pub use multipoint::{multipoint, multipoint_row, MultipointRow};
 pub use partitioning::fig15a;

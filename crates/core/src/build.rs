@@ -54,11 +54,12 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use bytes::BytesMut;
-use hgs_delta::codec::{encode_delta, encode_eventlist, put_varint};
+use hgs_delta::codec::put_varint;
 use hgs_delta::columnar::{encode_columnar_delta, encode_columnar_eventlist};
-use hgs_delta::{Delta, Event, Eventlist, FxHashMap, NodeId, StorageLayout, Time, TimeRange};
+use hgs_delta::{Delta, Event, Eventlist, FxHashMap, NodeId, Time, TimeRange};
 use hgs_partition::{
-    CollapsedGraph, LocalityPartitioner, PartitionMap, Partitioner, RandomPartitioner,
+    CollapsedGraph, LocalityPartitioner, NodeWeighting, Omega, PartitionMap, Partitioner,
+    RandomPartitioner,
 };
 use hgs_store::key::{chain_key, node_placement_token, term_key, term_token};
 use hgs_store::parallel::{parallel_steal, steal_worker_count};
@@ -71,22 +72,6 @@ use crate::config::{PartitionStrategy, TgiConfig};
 use crate::meta::{
     encode_chain, sid_of, ChainEntry, TimespanMeta, TreeShape, AUX_BASE, ELIST_BASE,
 };
-
-/// Encode a delta row in the configured physical layout.
-fn encode_delta_value(layout: StorageLayout, d: &Delta) -> bytes::Bytes {
-    match layout {
-        StorageLayout::RowWise => encode_delta(d),
-        StorageLayout::Columnar => encode_columnar_delta(d),
-    }
-}
-
-/// Encode an eventlist row in the configured physical layout.
-fn encode_elist_value(layout: StorageLayout, el: &Eventlist) -> bytes::Bytes {
-    match layout {
-        StorageLayout::RowWise => encode_eventlist(el),
-        StorageLayout::Columnar => encode_columnar_eventlist(el),
-    }
-}
 
 /// Runtime state of one built timespan. Once pushed into a
 /// [`TgiView`] the runtime is *sealed*: published views share it by
@@ -685,16 +670,7 @@ impl Tgi {
             for sid in 0..ns {
                 if replicate {
                     let mut emit = |row: PutRow| buf.push_row(row);
-                    emit_aux(
-                        cfg.layout,
-                        tsid,
-                        sid,
-                        j as u64,
-                        &self.tail_state,
-                        maps,
-                        ns,
-                        &mut emit,
-                    )?;
+                    emit_aux(tsid, sid, j as u64, &self.tail_state, maps, ns, &mut emit)?;
                 }
                 let map = &maps[sid as usize];
                 let mut io: Result<(), StoreError> = Ok(());
@@ -703,15 +679,8 @@ impl Tgi {
                     &mut |level, idx, delta| {
                         if io.is_ok() {
                             let mut emit = |row: PutRow| buf.push_row(row);
-                            io = emit_micro(
-                                cfg.layout,
-                                tsid,
-                                sid,
-                                shape.did(level, idx),
-                                delta,
-                                map,
-                                &mut emit,
-                            );
+                            io =
+                                emit_micro(tsid, sid, shape.did(level, idx), delta, map, &mut emit);
                         }
                     },
                 );
@@ -733,7 +702,7 @@ impl Tgi {
                     chains,
                 );
                 let mut emit = |row: PutRow| buf.push_row(row);
-                emit_eventlist_rows(cfg.layout, tsid, j as u32, buckets, &mut emit)?;
+                emit_eventlist_rows(tsid, j as u32, buckets, &mut emit)?;
                 // An event changes its endpoints' records; a node
                 // removal also scrubs the edges its neighbors still
                 // hold to it (none, on a normalized stream).
@@ -763,15 +732,7 @@ impl Tgi {
             accs[sid as usize].finalize(&mut |level, idx, delta| {
                 if io.is_ok() {
                     let mut emit = |row: PutRow| buf.push_row(row);
-                    io = emit_micro(
-                        cfg.layout,
-                        tsid,
-                        sid,
-                        shape.did(level, idx),
-                        delta,
-                        map,
-                        &mut emit,
-                    );
+                    io = emit_micro(tsid, sid, shape.did(level, idx), delta, map, &mut emit);
                 }
             });
             io?;
@@ -830,7 +791,6 @@ impl Tgi {
                     ns,
                     replicate,
                     version_chains: cfg.version_chains,
-                    layout: cfg.layout,
                 })
             });
         // Advance the tail state with the same apply sequence as the
@@ -851,6 +811,12 @@ impl Tgi {
         Ok(())
     }
 
+    /// Time-collapse function Ω and node weighting of the locality
+    /// partitioner's span graph (§4.5). The only values any build has
+    /// used; the descriptor still records their tags.
+    const SPAN_OMEGA: Omega = Omega::UnionMax;
+    const SPAN_WEIGHTING: NodeWeighting = NodeWeighting::Uniform;
+
     fn compute_maps(&self, events: &[Event], range: TimeRange, ns: u32) -> Vec<PartitionMap> {
         match self.cfg.strategy {
             PartitionStrategy::Random => {
@@ -869,8 +835,8 @@ impl Tgi {
                     &self.tail_state,
                     events,
                     range,
-                    self.cfg.omega,
-                    self.cfg.weighting,
+                    Self::SPAN_OMEGA,
+                    Self::SPAN_WEIGHTING,
                 );
                 let partitioner = LocalityPartitioner::default();
                 (0..ns)
@@ -1033,7 +999,6 @@ struct SidSpanJob<'a> {
     ns: u32,
     replicate: bool,
     version_chains: bool,
-    layout: StorageLayout,
 }
 
 /// One work item's encoded output: rows in deterministic emit order,
@@ -1063,7 +1028,6 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
         ns,
         replicate,
         version_chains,
-        layout,
     } = job;
     let map = &maps[sid as usize];
     let mut rows: Vec<PutRow> = Vec::new();
@@ -1077,7 +1041,7 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
                 rows.push(row);
                 Ok(())
             };
-            emit_aux(layout, tsid, sid, j as u64, &state, maps, ns, &mut emit)
+            emit_aux(tsid, sid, j as u64, &state, maps, ns, &mut emit)
                 // hgs-lint: allow(no-panic-in-try, "emit closure appends to an in-memory Vec; the Result is only the shared emit-fn signature")
                 .expect("in-memory emit cannot fail");
             state.restrict(|id| sid_of(id, ns) == sid)
@@ -1089,17 +1053,9 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
                 rows.push(row);
                 Ok(())
             };
-            emit_micro(
-                layout,
-                tsid,
-                sid,
-                shape.did(level, idx),
-                delta,
-                map,
-                &mut emit,
-            )
-            // hgs-lint: allow(no-panic-in-try, "emit closure appends to an in-memory Vec; the Result is only the shared emit-fn signature")
-            .expect("in-memory emit cannot fail");
+            emit_micro(tsid, sid, shape.did(level, idx), delta, map, &mut emit)
+                // hgs-lint: allow(no-panic-in-try, "emit closure appends to an in-memory Vec; the Result is only the shared emit-fn signature")
+                .expect("in-memory emit cannot fail");
         });
         if let Some(&(s, e)) = chunk_bounds.get(j) {
             let chunk = &events[s..e];
@@ -1117,7 +1073,7 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
                 rows.push(row);
                 Ok(())
             };
-            emit_eventlist_rows(layout, tsid, j as u32, buckets, &mut emit)
+            emit_eventlist_rows(tsid, j as u32, buckets, &mut emit)
                 // hgs-lint: allow(no-panic-in-try, "emit closure appends to an in-memory Vec; the Result is only the shared emit-fn signature")
                 .expect("in-memory emit cannot fail");
             if replicate {
@@ -1138,17 +1094,9 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
             rows.push(row);
             Ok(())
         };
-        emit_micro(
-            layout,
-            tsid,
-            sid,
-            shape.did(level, idx),
-            delta,
-            map,
-            &mut emit,
-        )
-        // hgs-lint: allow(no-panic-in-try, "emit closure appends to an in-memory Vec; the Result is only the shared emit-fn signature")
-        .expect("in-memory emit cannot fail");
+        emit_micro(tsid, sid, shape.did(level, idx), delta, map, &mut emit)
+            // hgs-lint: allow(no-panic-in-try, "emit closure appends to an in-memory Vec; the Result is only the shared emit-fn signature")
+            .expect("in-memory emit cannot fail");
     });
     SidSpanOutput { rows, chains }
 }
@@ -1222,7 +1170,6 @@ fn bucket_chunk(
 
 /// Encode bucketed eventlists as store rows.
 fn emit_eventlist_rows(
-    layout: StorageLayout,
     tsid: u32,
     chunk_idx: u32,
     buckets: FxHashMap<(u32, u32), Vec<Event>>,
@@ -1235,7 +1182,7 @@ fn emit_eventlist_rows(
             Table::Deltas,
             key.encode().to_vec(),
             key.placement().token(),
-            encode_elist_value(layout, &el),
+            encode_columnar_eventlist(&el),
         ))?;
     }
     Ok(())
@@ -1244,9 +1191,7 @@ fn emit_eventlist_rows(
 /// Emit one sid's aux boundary rows for leaf `leaf`: for each `pid` of
 /// this sid, the replicated states of out-of-partition 1-hop neighbors
 /// (Fig. 5d). Needs the *full* graph state for neighbor lookups.
-#[allow(clippy::too_many_arguments)]
 fn emit_aux(
-    layout: StorageLayout,
     tsid: u32,
     sid: u32,
     leaf: u64,
@@ -1277,7 +1222,7 @@ fn emit_aux(
             Table::Deltas,
             key.encode().to_vec(),
             key.placement().token(),
-            encode_delta_value(layout, &delta),
+            encode_columnar_delta(&delta),
         ))?;
     }
     Ok(())
@@ -1317,9 +1262,7 @@ fn partition_state(state: &Delta, ns: u32) -> Vec<Delta> {
 }
 
 /// Emit a delta micro-partitioned by `map`.
-#[allow(clippy::too_many_arguments)]
 fn emit_micro(
-    layout: StorageLayout,
     tsid: u32,
     sid: u32,
     did: u64,
@@ -1333,7 +1276,7 @@ fn emit_micro(
             Table::Deltas,
             key.encode().to_vec(),
             key.placement().token(),
-            encode_delta_value(layout, &d),
+            encode_columnar_delta(&d),
         ))?;
     }
     Ok(())

@@ -2,7 +2,6 @@
 //! parameters, using the paper's notation.
 
 use hgs_delta::StorageLayout;
-use hgs_partition::{NodeWeighting, Omega};
 
 /// Micro-delta partitioning strategy (§4.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,10 +36,6 @@ pub struct TgiConfig {
     /// Maintain per-node version chains (the entity-centric side of
     /// TGI). Disabling converges the index to DeltaGraph.
     pub version_chains: bool,
-    /// Time-collapse function for locality partitioning.
-    pub omega: Omega,
-    /// Node weighting for locality partitioning balance.
-    pub weighting: NodeWeighting,
     /// Byte budget of the session-wide read cache (decoded rows and
     /// materialized checkpoint states, LRU-evicted; `0` disables
     /// caching). Runtime-tunable via
@@ -53,11 +48,10 @@ pub struct TgiConfig {
     /// sequential reference the build-equivalence tests and the
     /// `build_ingest` bench compare against.
     pub write_batch_rows: usize,
-    /// Physical row format for eventlist/delta rows
-    /// ([`StorageLayout::Columnar`] stores per-column LZSS segments
-    /// decoded lazily; [`StorageLayout::RowWise`] is the original
-    /// interleaved format). Persisted with the index — rows are not
-    /// self-describing.
+    /// On-disk format tag of eventlist/delta rows: per-column LZSS
+    /// segments decoded lazily. Not a knob — there is one format; the
+    /// tag is persisted with the index (rows are not self-describing)
+    /// and stamped into benchmark results.
     pub layout: StorageLayout,
     /// Maintain the secondary temporal indexes: per-term change-point
     /// rows in the `AttrIndex` table that answer label/attribute
@@ -84,8 +78,6 @@ impl Default for TgiConfig {
             horizontal_partitions: 4,
             strategy: PartitionStrategy::Random,
             version_chains: true,
-            omega: Omega::UnionMax,
-            weighting: NodeWeighting::Uniform,
             read_cache_bytes: DEFAULT_READ_CACHE_BYTES,
             write_batch_rows: DEFAULT_WRITE_BATCH_ROWS,
             layout: StorageLayout::Columnar,
@@ -106,23 +98,38 @@ pub const DEFAULT_READ_CACHE_BYTES: usize = 64 << 20;
 pub const DEFAULT_WRITE_BATCH_ROWS: usize = 8192;
 
 impl TgiConfig {
+    /// The first construction parameter outside its bounds, as
+    /// `(field, value)`: the one list both the build path
+    /// ([`TgiConfig::validate`]) and the open path (the descriptor
+    /// decoder) hold a configuration to — the query paths divide by
+    /// these numbers.
+    pub(crate) fn out_of_bounds(&self) -> Option<(&'static str, u64)> {
+        let (ts, l) = (self.events_per_timespan, self.eventlist_size);
+        [
+            ("events_per_timespan", ts, ts > 0),
+            // An eventlist must fit within a timespan.
+            ("eventlist_size", l, l > 0 && l <= ts),
+            ("arity", self.arity, self.arity >= 2),
+            (
+                "partition_size",
+                self.partition_size,
+                self.partition_size > 0,
+            ),
+            (
+                "horizontal_partitions",
+                self.horizontal_partitions as usize,
+                self.horizontal_partitions >= 1,
+            ),
+        ]
+        .into_iter()
+        .find(|&(_, _, ok)| !ok)
+        .map(|(field, v, _)| (field, v as u64))
+    }
+
     /// Validate parameter sanity; called by the builder.
     pub fn validate(&self) {
-        assert!(
-            self.events_per_timespan > 0,
-            "events_per_timespan must be positive"
-        );
-        assert!(self.eventlist_size > 0, "eventlist_size must be positive");
-        assert!(self.arity >= 2, "tree arity must be >= 2");
-        assert!(self.partition_size > 0, "partition_size must be positive");
-        assert!(
-            self.horizontal_partitions >= 1,
-            "need at least one horizontal partition"
-        );
-        assert!(
-            self.eventlist_size <= self.events_per_timespan,
-            "eventlist must fit within a timespan"
-        );
+        let bad = self.out_of_bounds();
+        assert!(bad.is_none(), "TgiConfig parameter out of bounds: {bad:?}");
         self.retry.validate();
     }
 
@@ -194,12 +201,6 @@ impl TgiConfig {
     /// batching — the seed row-at-a-time reference path).
     pub fn with_write_batch_rows(mut self, rows: usize) -> TgiConfig {
         self.write_batch_rows = rows;
-        self
-    }
-
-    /// Set the physical row layout.
-    pub fn with_layout(mut self, layout: StorageLayout) -> TgiConfig {
-        self.layout = layout;
         self
     }
 

@@ -17,6 +17,11 @@
 //! Plus the paper's auxiliary 1-hop replication micro-deltas
 //! (Fig. 5d) under locality partitioning.
 //!
+//! Eventlist and delta rows have one on-disk format, the lazily
+//! decoded per-column segments of [`hgs_delta::columnar`]: full
+//! replays decode a row whole, node-scoped reads only the columns
+//! that hold the node.
+//!
 //! The index is *tunable* ([`TgiConfig`]): with one horizontal
 //! partition, one micro-partition and no chains it degenerates to
 //! DeltaGraph; with a one-level tree it is Copy+Log; with a single

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use bytes::BytesMut;
 use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::{CodecError, FxHashMap, NodeId, StorageLayout, Time};
-use hgs_partition::{NodeWeighting, Omega, PartitionMap};
+use hgs_partition::PartitionMap;
 use hgs_store::{CostModel, SimStore, StoreError, Table};
 
 use crate::build::{mp_key, SpanRuntime, Tgi, TgiView};
@@ -62,18 +62,11 @@ pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
     };
     put_varint(&mut buf, strat);
     put_varint(&mut buf, cfg.version_chains as u64);
-    let omega = match cfg.omega {
-        Omega::Median => 0u64,
-        Omega::UnionMax => 1,
-        Omega::UnionMean => 2,
-    };
-    put_varint(&mut buf, omega);
-    let weighting = match cfg.weighting {
-        NodeWeighting::Uniform => 0u64,
-        NodeWeighting::Degree => 1,
-        NodeWeighting::AvgDegree => 2,
-    };
-    put_varint(&mut buf, weighting);
+    // Ω and node weighting are constants of the build
+    // (`Omega::UnionMax` = 1, `NodeWeighting::Uniform` = 0); their
+    // tags keep their place in the descriptor.
+    put_varint(&mut buf, 1);
+    put_varint(&mut buf, 0);
     put_varint(&mut buf, cfg.read_cache_bytes as u64);
     // `write_batch_rows` is deliberately NOT persisted: it is an
     // operational write-path knob (like the handle's client width),
@@ -81,8 +74,7 @@ pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
     // byte-identical on disk — the equivalence property the batched
     // write path guarantees.
     let layout = match cfg.layout {
-        StorageLayout::RowWise => 0u64,
-        StorageLayout::Columnar => 1,
+        StorageLayout::Columnar => 1u64,
     };
     put_varint(&mut buf, layout);
     put_varint(&mut buf, cfg.secondary_indexes as u64);
@@ -113,49 +105,33 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
         }
     };
     let version_chains = get_varint(b)? != 0;
-    let omega = match get_varint(b)? {
-        0 => Omega::Median,
-        1 => Omega::UnionMax,
-        2 => Omega::UnionMean,
-        t => {
+    // Ω and node-weighting tags: range-checked, then dropped (the
+    // build uses constants).
+    for what in ["Omega", "NodeWeighting"] {
+        let tag = get_varint(b)?;
+        if tag > 2 {
             return Err(CodecError::BadTag {
-                what: "Omega",
-                tag: t as u8,
-            })
+                what,
+                tag: tag as u8,
+            });
         }
-    };
-    let weighting = match get_varint(b)? {
-        0 => NodeWeighting::Uniform,
-        1 => NodeWeighting::Degree,
-        2 => NodeWeighting::AvgDegree,
-        t => {
-            return Err(CodecError::BadTag {
-                what: "NodeWeighting",
-                tag: t as u8,
-            })
-        }
-    };
-    // Descriptors written before the read cache existed omit the
-    // budget; fall back to the default rather than failing the open.
-    let read_cache_bytes = match get_varint(b) {
-        Ok(v) => v as usize,
-        Err(_) => crate::config::DEFAULT_READ_CACHE_BYTES,
-    };
+    }
+    let read_cache_bytes = get_varint(b)? as usize;
     // Not persisted (see `encode_config`): reopened handles write with
     // the default buffering.
     let write_batch_rows = crate::config::DEFAULT_WRITE_BATCH_ROWS;
     // Retry/breaker policy is likewise runtime-only: reopened handles
     // install the default policy on their store.
     let retry = hgs_store::RetryPolicy::default();
-    // Descriptors written before the columnar layout existed are
-    // row-wise by construction.
+    // One row format. A descriptor tagged otherwise, or cut short
+    // before the tag, does not describe rows this code can read: refuse
+    // it here rather than report every row corrupt later.
     let layout = match get_varint(b) {
-        Ok(0) | Err(_) => StorageLayout::RowWise,
         Ok(1) => StorageLayout::Columnar,
-        Ok(t) => {
+        other => {
             return Err(CodecError::BadTag {
                 what: "StorageLayout",
-                tag: t as u8,
+                tag: other.unwrap_or(0) as u8,
             })
         }
     };
@@ -165,7 +141,7 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
         Ok(v) => v != 0,
         Err(_) => false,
     };
-    Ok(TgiConfig {
+    let cfg = TgiConfig {
         events_per_timespan,
         eventlist_size,
         arity,
@@ -173,14 +149,18 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
         horizontal_partitions,
         strategy,
         version_chains,
-        omega,
-        weighting,
         read_cache_bytes,
         write_batch_rows,
         layout,
         secondary_indexes,
         retry,
-    })
+    };
+    // The query paths divide by these numbers: hold a stored
+    // descriptor to the bounds the build path asserts.
+    match cfg.out_of_bounds() {
+        Some((what, len)) => Err(CodecError::LengthOverflow { what, len }),
+        None => Ok(cfg),
+    }
 }
 
 /// Decode a persisted locality partition map blob.
@@ -307,11 +287,27 @@ mod tests {
             TgiConfig::default().with_strategy(PartitionStrategy::Locality {
                 replicate_boundary: true,
             }),
-            TgiConfig::default().with_layout(StorageLayout::RowWise),
             TgiConfig::default().with_secondary_indexes(false),
         ] {
             let back = decode_config(&encode_config(&cfg)).unwrap();
             assert_eq!(format!("{cfg:?}"), format!("{back:?}"));
+        }
+        // The layout tag is the second-to-last varint (one byte each):
+        // a descriptor tagged 0 (a retired format), or cut short before
+        // the tag, is refused rather than opened as something else.
+        let blob = encode_config(&TgiConfig::default());
+        let tag_at = blob.len() - 2;
+        assert_eq!(blob[tag_at], 1);
+        let mut retired = blob.to_vec();
+        retired[tag_at] = 0;
+        for bad in [&retired[..], &blob[..tag_at]] {
+            assert!(matches!(
+                decode_config(bad),
+                Err(CodecError::BadTag {
+                    what: "StorageLayout",
+                    ..
+                })
+            ));
         }
     }
 

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use hgs_delta::{
     ColumnarDelta, ColumnarEventlist, Delta, Event, Eventlist, FxHashMap, FxHashSet, NodeId,
-    StaticNode, StorageLayout, Time, TimeRange,
+    StaticNode, Time, TimeRange,
 };
 use hgs_store::key::{chain_prefix, node_placement_token};
 use hgs_store::parallel::parallel_chunks;
@@ -30,6 +30,7 @@ use hgs_store::{DeltaKey, PlacementKey, StoreError, Table};
 use crate::build::{SpanRuntime, TgiView};
 use crate::costs::{access_cost, CostProfile, IndexKind, QueryKind};
 use crate::meta::{decode_chain, sid_of, ChainEntry, AUX_BASE, ELIST_BASE};
+use crate::query_plan::{decode_delta_blob, decode_elist_blob};
 use crate::read_cache::{CacheKey, Cached};
 use crate::scope::apply_event_scoped;
 
@@ -149,9 +150,12 @@ impl NeighborhoodHistory {
     }
 }
 
-/// A fetched delta row in whichever representation the cache holds:
-/// fully decoded, or a lazily-decoded columnar row that answers
-/// single-node record probes from its node-index column alone.
+/// A fetched delta row in whichever state the read cache holds it
+/// under its [`CacheKey::Row`]: `Full` is what a full-replay path left
+/// (the whole row decoded), `Col` what a node-scoped path left (header
+/// parsed, columns decoded on demand, so a single-node record probe
+/// reads the node-index column alone). A cache state, not a stored
+/// format — every stored row is columnar.
 #[derive(Clone)]
 pub(crate) enum DeltaHandle {
     Full(Arc<Delta>),
@@ -170,10 +174,11 @@ impl DeltaHandle {
     }
 }
 
-/// A fetched eventlist row in whichever representation the cache
-/// holds. Node-scoped callers pull only the events touching one node,
-/// which a columnar row answers without materializing the payload
-/// columns of events the node never touches.
+/// A fetched eventlist row in whichever state the read cache holds
+/// it (see [`DeltaHandle`]: `Full` after a full replay, `Col` after a
+/// node-scoped fetch). Node-scoped callers pull only the events
+/// touching one node, which a `Col` row answers without materializing
+/// the payload columns of events the node never touches.
 #[derive(Clone)]
 pub(crate) enum ElistHandle {
     Full(Arc<Eventlist>),
@@ -288,7 +293,7 @@ impl TgiView {
             for &did in &path {
                 if let Some(pieces) = by_did.remove(&did) {
                     for (_pid, bytes) in pieces {
-                        let d = self.decode_delta_blob(&bytes)?;
+                        let d = decode_delta_blob(&bytes)?;
                         state.sum_assign_owned(d);
                     }
                 }
@@ -297,7 +302,7 @@ impl TgiView {
                 // hgs-lint: allow(no-panic-in-try, "sid enumerates 0..ns and span.maps holds ns entries")
                 let map = &span.maps[sid as usize];
                 for (pid, bytes) in pieces {
-                    let el = self.decode_elist_blob(&bytes)?;
+                    let el = decode_elist_blob(&bytes)?;
                     for e in el.events().iter().take_while(|e| e.time <= t) {
                         apply_event_scoped(&mut state, &e.kind, |id| {
                             sid_of(id, ns) == sid && map.assign(id) == pid
@@ -316,40 +321,23 @@ impl TgiView {
 
     /// State of one node as of `t` (a *static vertex* fetch in Table
     /// 1's terms): touches only the node's micro-partition along the
-    /// tree path.
-    pub fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError> {
-        let span = self.span_for(t);
-        let ns = self.cfg.horizontal_partitions;
-        let sid = sid_of(nid, ns);
-        // hgs-lint: allow(no-panic-in-try, "sid_of returns sid < ns and span.maps holds ns entries")
-        let pid = span.maps[sid as usize].assign(nid);
-        if self.cfg.layout == StorageLayout::Columnar {
-            return self.try_node_at_pruned(span, nid, sid, pid, t);
-        }
-        let state = self.try_fetch_partition_state(span, sid, pid, t)?;
-        Ok(state.node(nid).cloned())
-    }
-
-    /// Column-pruned static-vertex fetch (columnar layout only).
+    /// tree path, and decodes only the columns that hold the node.
     ///
     /// The id-wise delta sum is right-biased — a later path delta's
     /// record for a node *replaces* any earlier one — so the node's
     /// checkpoint record is simply the record in the **last** path
     /// delta containing it. Walking the path leaf-most first, each
-    /// columnar row answers "do you hold this node?" from its node
-    /// index column alone; only the one winning record slice is ever
-    /// parsed, and rows not containing the node decode nothing else.
-    /// The eventlist roll-forward likewise materializes only the
-    /// events touching the node (normalization expands `RemoveNode`
-    /// into explicit `RemoveEdge`s, so those events are sufficient).
-    fn try_node_at_pruned(
-        &self,
-        span: &SpanRuntime,
-        nid: NodeId,
-        sid: u32,
-        pid: u32,
-        t: Time,
-    ) -> Result<Option<StaticNode>, StoreError> {
+    /// row answers "do you hold this node?" from its node index column
+    /// alone; only the one winning record slice is ever parsed, and
+    /// rows not containing the node decode nothing else. The eventlist
+    /// roll-forward likewise materializes only the events touching the
+    /// node (normalization expands `RemoveNode` into explicit
+    /// `RemoveEdge`s, so those events are sufficient).
+    pub fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError> {
+        let span = self.span_for(t);
+        let sid = sid_of(nid, self.cfg.horizontal_partitions);
+        // hgs-lint: allow(no-panic-in-try, "sid_of returns sid < ns and span.maps holds ns entries")
+        let pid = span.maps[sid as usize].assign(nid);
         let meta = &span.meta;
         let tsid = meta.tsid;
         let j = meta.leaf_for_time(t);
@@ -389,10 +377,9 @@ impl TgiView {
         Ok(scratch.node(nid).cloned())
     }
 
-    /// Fetch (or serve from the read cache) one tree-delta row as a
-    /// [`DeltaHandle`] — under the columnar layout a cache miss parses
-    /// only the row header, deferring column decodes to the caller's
-    /// actual probes.
+    /// Fetch (or serve from the read cache) one tree-delta or aux row
+    /// as a [`DeltaHandle`] — a cache miss parses only the row header,
+    /// deferring column decodes to the caller's actual probes.
     fn try_fetch_delta_handle(
         &self,
         tsid: u32,
@@ -411,37 +398,16 @@ impl TgiView {
         let token = PlacementKey::new(tsid, sid).token();
         // hgs-lint: allow(batched-store-discipline, "cache-miss point read of one (tsid, sid, did, pid) row; callers batch across rows, not within one")
         match self.store.get(Table::Deltas, &dk.encode(), token)? {
-            Some(bytes) => Ok(Some(self.insert_delta_handle(tsid, sid, did, pid, bytes)?)),
+            Some(bytes) => {
+                let c = Arc::new(ColumnarDelta::parse(bytes).map_err(StoreError::Corrupt)?);
+                self.read_cache.put(key, Cached::ColDelta(c.clone()));
+                Ok(Some(DeltaHandle::Col(c)))
+            }
             None => {
                 self.read_cache.put(key, Cached::Absent);
                 Ok(None)
             }
         }
-    }
-
-    /// Cache a freshly fetched delta row in its layout-native handle
-    /// form: row-wise rows decode eagerly, columnar rows stay lazy.
-    fn insert_delta_handle(
-        &self,
-        tsid: u32,
-        sid: u32,
-        did: u64,
-        pid: u32,
-        bytes: bytes::Bytes,
-    ) -> Result<DeltaHandle, StoreError> {
-        Ok(match self.cfg.layout {
-            StorageLayout::RowWise => {
-                DeltaHandle::Full(self.insert_decoded_delta(tsid, sid, did, pid, &bytes)?)
-            }
-            StorageLayout::Columnar => {
-                let c = Arc::new(ColumnarDelta::parse(bytes).map_err(StoreError::Corrupt)?);
-                self.read_cache.put(
-                    CacheKey::Row(tsid, sid, did, pid),
-                    Cached::ColDelta(c.clone()),
-                );
-                DeltaHandle::Col(c)
-            }
-        })
     }
 
     /// Reconstruct the state of micro-partition `(sid, pid)` as of
@@ -566,9 +532,9 @@ impl TgiView {
     /// Fetch (or serve from the read cache) one eventlist chunk row as
     /// an [`ElistHandle`]. A miss re-runs the fallible point lookup; a
     /// confirmed-absent row is cached as such (write-once rows cannot
-    /// appear later in a sealed span). Under the columnar layout a
-    /// miss parses only the row header — the node-scoped callers of
-    /// this path then decode just the columns their probes touch.
+    /// appear later in a sealed span). A miss parses only the row
+    /// header — the node-scoped callers of this path then decode just
+    /// the columns their probes touch.
     pub(crate) fn try_fetch_elist(
         &self,
         tsid: u32,
@@ -588,16 +554,11 @@ impl TgiView {
         let token = PlacementKey::new(tsid, sid).token();
         // hgs-lint: allow(batched-store-discipline, "cache-miss point read of one (tsid, sid, did, pid) row; callers batch across rows, not within one")
         match self.store.get(Table::Deltas, &dk.encode(), token)? {
-            Some(bytes) => Ok(Some(match self.cfg.layout {
-                StorageLayout::RowWise => {
-                    ElistHandle::Full(self.insert_decoded_elist(tsid, sid, did, pid, &bytes)?)
-                }
-                StorageLayout::Columnar => {
-                    let c = Arc::new(ColumnarEventlist::parse(bytes).map_err(StoreError::Corrupt)?);
-                    self.read_cache.put(key, Cached::ColElist(c.clone()));
-                    ElistHandle::Col(c)
-                }
-            })),
+            Some(bytes) => {
+                let c = Arc::new(ColumnarEventlist::parse(bytes).map_err(StoreError::Corrupt)?);
+                self.read_cache.put(key, Cached::ColElist(c.clone()));
+                Ok(Some(ElistHandle::Col(c)))
+            }
             None => {
                 self.read_cache.put(key, Cached::Absent);
                 Ok(None)
@@ -777,7 +738,6 @@ impl TgiView {
         let mut fetched_parts: FxHashSet<(u32, u32)> = FxHashSet::default();
         let mut part_states: FxHashMap<(u32, u32), Delta> = FxHashMap::default();
         let mut elist_cache: FxHashMap<(u32, u32), Option<ElistHandle>> = FxHashMap::default();
-        let mut aux: Option<DeltaHandle> = None;
 
         let center_sid = sid_of(center, ns);
         // hgs-lint: allow(no-panic-in-try, "sid_of returns sid < ns and span.maps holds ns entries")
@@ -790,29 +750,11 @@ impl TgiView {
         // own eventlist chunks. Aux rows are write-once too, so they
         // ride the same read cache — held by `Arc`, never deep-copied
         // (the resolve closure only ever reads `aux.node(..)`).
-        if meta.has_aux {
-            let did = AUX_BASE + j as u64;
-            let ckey = CacheKey::Row(tsid, center_sid, did, center_pid);
-            aux = match self.read_cache.get(ckey.clone()) {
-                Some(Cached::Delta(d)) => Some(DeltaHandle::Full(d)),
-                Some(Cached::ColDelta(c)) => Some(DeltaHandle::Col(c)),
-                Some(Cached::Absent) => None,
-                _ => {
-                    let key = DeltaKey::new(tsid, center_sid, did, center_pid);
-                    let token = PlacementKey::new(tsid, center_sid).token();
-                    // hgs-lint: allow(batched-store-discipline, "cache-miss point read of the single aux row of this k-hop center; nothing to batch")
-                    match self.store.get(Table::Deltas, &key.encode(), token)? {
-                        Some(bytes) => Some(
-                            self.insert_delta_handle(tsid, center_sid, did, center_pid, bytes)?,
-                        ),
-                        None => {
-                            self.read_cache.put(ckey, Cached::Absent);
-                            None
-                        }
-                    }
-                }
-            };
-        }
+        let aux = if meta.has_aux {
+            self.try_fetch_delta_handle(tsid, center_sid, AUX_BASE + j as u64, center_pid)?
+        } else {
+            None
+        };
         part_states.insert((center_sid, center_pid), center_state);
 
         let mut result: Delta = Delta::new();

@@ -55,10 +55,7 @@
 
 use std::sync::Arc;
 
-use hgs_delta::codec::{decode_delta, decode_eventlist};
-use hgs_delta::{
-    ColumnarDelta, ColumnarEventlist, Delta, Eventlist, FxHashMap, FxHashSet, StorageLayout, Time,
-};
+use hgs_delta::{ColumnarDelta, ColumnarEventlist, Delta, Eventlist, FxHashMap, FxHashSet, Time};
 use hgs_store::parallel::parallel_steal;
 use hgs_store::{DeltaKey, PlacementKey, StoreError, Table};
 
@@ -66,6 +63,23 @@ use crate::build::{SpanRuntime, TgiView};
 use crate::meta::{sid_of, ELIST_BASE};
 use crate::read_cache::{CacheKey, Cached};
 use crate::scope::apply_event_scoped;
+
+/// Fully decode a stored delta row (no cache involvement): the
+/// full-replay paths' decoder and the uncached reference path's. A row
+/// that fails to decode surfaces [`StoreError::Corrupt`] through the
+/// `try_*` surface instead of panicking mid-query.
+pub(crate) fn decode_delta_blob(bytes: &bytes::Bytes) -> Result<Delta, StoreError> {
+    ColumnarDelta::parse(bytes.clone())
+        .and_then(|c| c.to_delta())
+        .map_err(StoreError::Corrupt)
+}
+
+/// Eventlist twin of [`decode_delta_blob`].
+pub(crate) fn decode_elist_blob(bytes: &bytes::Bytes) -> Result<Eventlist, StoreError> {
+    ColumnarEventlist::parse(bytes.clone())
+        .and_then(|c| c.to_eventlist())
+        .map_err(StoreError::Corrupt)
+}
 
 /// How much fetch work a multipoint plan shares, before running it.
 ///
@@ -337,32 +351,6 @@ impl TgiView {
         Ok(dids.into_iter().zip(groups).collect())
     }
 
-    /// Fully decode a stored delta row in the index's physical layout
-    /// (no cache involvement): the full-replay paths' decoder and the
-    /// uncached reference path's. A row that fails to decode surfaces
-    /// [`StoreError::Corrupt`] through the `try_*` surface instead of
-    /// panicking mid-query.
-    pub(crate) fn decode_delta_blob(&self, bytes: &bytes::Bytes) -> Result<Delta, StoreError> {
-        match self.cfg.layout {
-            StorageLayout::RowWise => decode_delta(bytes),
-            StorageLayout::Columnar => {
-                ColumnarDelta::parse(bytes.clone()).and_then(|c| c.to_delta())
-            }
-        }
-        .map_err(StoreError::Corrupt)
-    }
-
-    /// Eventlist twin of [`TgiView::decode_delta_blob`].
-    pub(crate) fn decode_elist_blob(&self, bytes: &bytes::Bytes) -> Result<Eventlist, StoreError> {
-        match self.cfg.layout {
-            StorageLayout::RowWise => decode_eventlist(bytes),
-            StorageLayout::Columnar => {
-                ColumnarEventlist::parse(bytes.clone()).and_then(|c| c.to_eventlist())
-            }
-        }
-        .map_err(StoreError::Corrupt)
-    }
-
     /// Decode a fetched tree row through the read cache.
     ///
     /// Full-replay callers need the whole delta, so a lazily-decoded
@@ -395,7 +383,7 @@ impl TgiView {
         pid: u32,
         bytes: &bytes::Bytes,
     ) -> Result<Arc<Delta>, StoreError> {
-        let d = Arc::new(self.decode_delta_blob(bytes)?);
+        let d = Arc::new(decode_delta_blob(bytes)?);
         self.read_cache
             .put(CacheKey::Row(tsid, sid, did, pid), Cached::Delta(d.clone()));
         Ok(d)
@@ -427,7 +415,7 @@ impl TgiView {
         pid: u32,
         bytes: &bytes::Bytes,
     ) -> Result<Arc<Eventlist>, StoreError> {
-        let e = Arc::new(self.decode_elist_blob(bytes)?);
+        let e = Arc::new(decode_elist_blob(bytes)?);
         self.read_cache
             .put(CacheKey::Row(tsid, sid, did, pid), Cached::Elist(e.clone()));
         Ok(e)

@@ -6,9 +6,10 @@
 
 use std::collections::BTreeSet;
 
-use bytes::Bytes;
-use hgs_core::{Tgi, TgiConfig};
+use bytes::{Bytes, BytesMut};
+use hgs_core::{OpenError, Tgi, TgiConfig};
 use hgs_datagen::WikiGrowth;
+use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::TimeRange;
 use hgs_store::{SimStore, StoreConfig, StoreError, Table};
 
@@ -136,4 +137,62 @@ fn corrupt_on_read_fault_surfaces_corrupt_and_leaves_storage_intact() {
         tgi.try_snapshot(t).expect("storage was never touched"),
         reference
     );
+}
+
+/// `Tgi::open` trusts nothing in the stored descriptor: a config row
+/// whose construction parameters break the bounds the build path
+/// asserts (the query paths divide by them), whose row-format tag is
+/// not the one format, or that is cut short before the tag, is
+/// `OpenError::Corrupt` — never an `Ok` handle that panics or reports
+/// every row corrupt on its first query.
+#[test]
+fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
+    let events = trace();
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let store = tgi.store().clone();
+    let good = store
+        .get(Table::Graph, b"config", 0)
+        .unwrap()
+        .expect("the build wrote a config row");
+    // The descriptor is twelve varints; see `persist::encode_config`.
+    let mut fields: Vec<u64> = Vec::new();
+    let mut b: &[u8] = &good;
+    while !b.is_empty() {
+        fields.push(get_varint(&mut b).unwrap());
+    }
+    assert_eq!(fields.len(), 12);
+    const LAYOUT: usize = 10;
+    let rewrite = |fields: &[u64]| {
+        let mut buf = BytesMut::new();
+        for &f in fields {
+            put_varint(&mut buf, f);
+        }
+        store.put(Table::Graph, b"config", 0, buf.freeze());
+    };
+    let events_per_timespan = fields[0];
+    for (idx, bad, what) in [
+        (0, 0, "events_per_timespan = 0"),
+        (1, 0, "eventlist_size = 0"),
+        (1, events_per_timespan + 1, "eventlist_size > timespan"),
+        (2, 1, "arity = 1"),
+        (3, 0, "partition_size = 0"),
+        (4, 0, "horizontal_partitions = 0"),
+        (LAYOUT, 0, "retired layout tag 0"),
+    ] {
+        let mut bad_fields = fields.clone();
+        bad_fields[idx] = bad;
+        rewrite(&bad_fields);
+        assert!(
+            matches!(Tgi::open(store.clone()), Err(OpenError::Corrupt(_))),
+            "{what} must refuse to open"
+        );
+    }
+    rewrite(&fields[..LAYOUT]);
+    assert!(
+        matches!(Tgi::open(store.clone()), Err(OpenError::Corrupt(_))),
+        "a descriptor truncated before the layout tag must refuse to open"
+    );
+    // The descriptor as written still opens.
+    rewrite(&fields);
+    Tgi::open(store).expect("intact descriptor");
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use hgs_core::{PartitionStrategy, Tgi, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
-use hgs_delta::{AttrValue, Event, EventKind, StorageLayout};
+use hgs_delta::{AttrValue, Event, EventKind};
 use hgs_store::{SimStore, StoreConfig};
 use proptest::prelude::*;
 
@@ -18,8 +18,8 @@ fn fresh_store(m: usize, r: usize) -> Arc<SimStore> {
 }
 
 /// The seed reference: sequential encode (c=1), row-at-a-time writes.
-fn build_rowwise(cfg: TgiConfig, store: Arc<SimStore>, events: &[Event]) -> Tgi {
-    Tgi::try_build_on(cfg.with_write_batch_rows(0), store, events).expect("rowwise build")
+fn build_row_at_a_time(cfg: TgiConfig, store: Arc<SimStore>, events: &[Event]) -> Tgi {
+    Tgi::try_build_on(cfg.with_write_batch_rows(0), store, events).expect("row-at-a-time build")
 }
 
 fn arb_event_kind() -> impl Strategy<Value = EventKind> {
@@ -98,7 +98,7 @@ proptest! {
             ..TgiConfig::default()
         };
         let reference_store = fresh_store(3, 2);
-        build_rowwise(cfg, reference_store.clone(), &trace);
+        build_row_at_a_time(cfg, reference_store.clone(), &trace);
         let reference = reference_store.content_rows();
         for c in [1usize, 2, 4] {
             let store = fresh_store(3, 2);
@@ -123,7 +123,7 @@ proptest! {
     /// events) through small index shapes: the width-1 fused pass (per-sid
     /// states kept current chunk by chunk) and parallel scoped-replay
     /// encoding must both place the seed's exact rows, and appends through
-    /// the buffered path must (a) keep store equality with a rowwise
+    /// the buffered path must (a) keep store equality with a row-at-a-time
     /// handle ingesting the same batches and (b) answer queries like a
     /// from-scratch rebuild over the concatenated history.
     #[test]
@@ -151,10 +151,10 @@ proptest! {
         }
         let (prefix, suffix) = history.split_at(split.min(history.len()));
 
-        // Seed rowwise handle: build prefix, append suffix.
+        // Seed row-at-a-time handle: build prefix, append suffix.
         let seed_store = fresh_store(2, 1);
-        let mut seed_tgi = build_rowwise(cfg, seed_store.clone(), prefix);
-        seed_tgi.try_append_events(suffix).expect("rowwise append");
+        let mut seed_tgi = build_row_at_a_time(cfg, seed_store.clone(), prefix);
+        seed_tgi.try_append_events(suffix).expect("row-at-a-time append");
 
         // Batched parallel handle ingesting the same batches.
         let store = fresh_store(2, 1);
@@ -169,8 +169,8 @@ proptest! {
         );
 
         // Query equivalence against a from-scratch rebuild (span
-        // layout differs, answers must not).
-        let rebuilt = build_rowwise(cfg, fresh_store(2, 1), &history);
+        // boundaries differ, answers must not).
+        let rebuilt = build_row_at_a_time(cfg, fresh_store(2, 1), &history);
         let end = history.last().map(|e| e.time).unwrap_or(0);
         let times: Vec<u64> = vec![0, end / 3, end / 2, end, end + 1];
         for &t in &times {
@@ -195,9 +195,8 @@ proptest! {
 /// The default write path — no width given, so the span encode fans
 /// out over the host's parallelism — through the service: a build
 /// plus appends must leave exactly the rows an explicit width-1 handle
-/// leaves, for every partition strategy in both layouts, on a history
-/// with node removals (the normalization path that is not an
-/// early-out).
+/// leaves, for every partition strategy, on a history with node
+/// removals (the normalization path that is not an early-out).
 #[test]
 fn default_width_service_matches_explicit_width_one() {
     let trace = WikiGrowth::sized(2_400).generate();
@@ -230,35 +229,32 @@ fn default_width_service_matches_explicit_width_one() {
             replicate_boundary: true,
         },
     ] {
-        for layout in [StorageLayout::RowWise, StorageLayout::Columnar] {
-            let cfg = TgiConfig {
-                events_per_timespan: 700,
-                eventlist_size: 90,
-                partition_size: 40,
-                horizontal_partitions: 4,
-                strategy,
-                layout,
-                ..TgiConfig::default()
-            };
-            let one_store = fresh_store(3, 1);
-            let mut one = Tgi::try_build_on_c(cfg, one_store.clone(), &history[..cuts[0]], 1)
-                .expect("width-1 build");
-            let store = fresh_store(3, 1);
-            let svc = TgiService::try_build_on(cfg, store.clone(), &history[..cuts[0]])
-                .expect("default-width build");
-            for w in cuts.windows(2) {
-                one.try_append_events(&history[w[0]..w[1]])
-                    .expect("width-1 append");
-                svc.try_append_events(&history[w[0]..w[1]])
-                    .expect("default-width append");
-            }
-            assert_eq!(
-                store.content_rows(),
-                one_store.content_rows(),
-                "default-width rows diverged for {strategy:?} / {layout:?}"
-            );
-            assert_eq!(svc.pin().clients(), 1, "reads stay at one client");
+        let cfg = TgiConfig {
+            events_per_timespan: 700,
+            eventlist_size: 90,
+            partition_size: 40,
+            horizontal_partitions: 4,
+            strategy,
+            ..TgiConfig::default()
+        };
+        let one_store = fresh_store(3, 1);
+        let mut one = Tgi::try_build_on_c(cfg, one_store.clone(), &history[..cuts[0]], 1)
+            .expect("width-1 build");
+        let store = fresh_store(3, 1);
+        let svc = TgiService::try_build_on(cfg, store.clone(), &history[..cuts[0]])
+            .expect("default-width build");
+        for w in cuts.windows(2) {
+            one.try_append_events(&history[w[0]..w[1]])
+                .expect("width-1 append");
+            svc.try_append_events(&history[w[0]..w[1]])
+                .expect("default-width append");
         }
+        assert_eq!(
+            store.content_rows(),
+            one_store.content_rows(),
+            "default-width rows diverged for {strategy:?}"
+        );
+        assert_eq!(svc.pin().clients(), 1, "reads stay at one client");
     }
 }
 
@@ -266,7 +262,7 @@ fn default_width_service_matches_explicit_width_one() {
 /// with aux boundary replication and version chains — the heaviest
 /// write-path configuration — without depending on proptest shrinking.
 #[test]
-fn parallel_aux_build_matches_rowwise_exactly() {
+fn parallel_aux_build_matches_row_at_a_time_exactly() {
     let trace = WikiGrowth::sized(2_500).generate();
     let cfg = TgiConfig {
         events_per_timespan: 800,
@@ -279,7 +275,7 @@ fn parallel_aux_build_matches_rowwise_exactly() {
         ..TgiConfig::default()
     };
     let reference_store = fresh_store(4, 1);
-    build_rowwise(cfg, reference_store.clone(), &trace);
+    build_row_at_a_time(cfg, reference_store.clone(), &trace);
     let store = fresh_store(4, 1);
     Tgi::try_build_on_c(cfg, store.clone(), &trace, 4).expect("parallel build");
     assert_eq!(store.content_rows(), reference_store.content_rows());

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use hgs_core::{Tgi, TgiConfig, TgiService};
-use hgs_delta::{Event, EventKind, StorageLayout, TimeRange};
+use hgs_delta::{Event, EventKind, TimeRange};
 use hgs_store::{FaultPlan, RetryPolicy, SimStore, StoreConfig, StoreError};
 use proptest::prelude::*;
 
@@ -67,17 +67,12 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
         })
 }
 
-fn arb_layout() -> impl Strategy<Value = StorageLayout> {
-    prop_oneof![Just(StorageLayout::RowWise), Just(StorageLayout::Columnar)]
-}
-
-fn small_cfg(layout: StorageLayout) -> TgiConfig {
+fn small_cfg() -> TgiConfig {
     TgiConfig {
         events_per_timespan: 60,
         eventlist_size: 16,
         partition_size: 8,
         horizontal_partitions: 2,
-        layout,
         ..TgiConfig::default()
     }
 }
@@ -101,11 +96,10 @@ proptest! {
     fn faulted_reads_answer_exactly_or_err_honestly(
         events in arb_history(),
         plan in arb_plan(),
-        layout in arb_layout(),
         c in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let mut tgi = Tgi::try_build_on(
-            small_cfg(layout),
+            small_cfg(),
             Arc::new(SimStore::new(StoreConfig::new(3, 2))),
             &events,
         )
@@ -179,9 +173,8 @@ proptest! {
     fn faulted_build_repairs_to_a_byte_identical_store(
         events in arb_history(),
         plan in arb_plan(),
-        layout in arb_layout(),
     ) {
-        let cfg = small_cfg(layout).with_retry(RetryPolicy {
+        let cfg = small_cfg().with_retry(RetryPolicy {
             max_attempts: 6,
             ..RetryPolicy::default()
         });
@@ -225,7 +218,6 @@ proptest! {
     fn service_append_under_chaos_recovers_to_the_oracle(
         events in arb_history(),
         plan in arb_plan(),
-        layout in arb_layout(),
     ) {
         // Cut at a strict time boundary so the append is legal.
         let mut cut = (events.len() / 2).max(1);
@@ -238,7 +230,7 @@ proptest! {
         }
 
         let store = Arc::new(SimStore::new(StoreConfig::new(3, 2)));
-        let svc = TgiService::try_build_on(small_cfg(layout), Arc::clone(&store), &events[..cut])
+        let svc = TgiService::try_build_on(small_cfg(), Arc::clone(&store), &events[..cut])
             .expect("fault-free build");
         let w0 = svc.watermark();
         store.set_fault_plan(Some(plan));
@@ -265,7 +257,7 @@ proptest! {
         }
         // Either way the service now serves the full history exactly.
         let oracle = Tgi::try_build_on(
-            small_cfg(layout),
+            small_cfg(),
             Arc::new(SimStore::new(StoreConfig::new(3, 2))),
             &events,
         )

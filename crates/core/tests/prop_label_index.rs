@@ -1,12 +1,12 @@
 //! Secondary-index equality: every label/attribute predicate query
 //! answered from the change-point rows must equal the brute-force
-//! snapshot-materialization oracle — across storage layouts, index
-//! on/off, build parallelism, and build-vs-append construction.
+//! snapshot-materialization oracle — across index on/off, build
+//! parallelism, and build-vs-append construction.
 
 use std::sync::Arc;
 
 use hgs_core::{Tgi, TgiConfig, LABEL_KEY};
-use hgs_delta::{AttrValue, Event, EventKind, StorageLayout, Time};
+use hgs_delta::{AttrValue, Event, EventKind, Time};
 use hgs_store::{SimStore, StoreConfig};
 use proptest::prelude::*;
 
@@ -51,17 +51,12 @@ fn arb_history() -> impl Strategy<Value = Vec<Event>> {
     })
 }
 
-fn arb_layout() -> impl Strategy<Value = StorageLayout> {
-    prop_oneof![Just(StorageLayout::RowWise), Just(StorageLayout::Columnar)]
-}
-
-fn small_cfg(layout: StorageLayout, on: bool) -> TgiConfig {
+fn small_cfg(on: bool) -> TgiConfig {
     TgiConfig {
         events_per_timespan: 60,
         eventlist_size: 16,
         partition_size: 8,
         horizontal_partitions: 2,
-        layout,
         ..TgiConfig::default()
     }
     .with_secondary_indexes(on)
@@ -88,17 +83,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Indexed point-in-time predicate answers equal the
-    /// materialize-then-filter oracle at every probe time, under both
-    /// layouts and every build width; with the index off, the same
-    /// calls answer identically through the documented fallback.
+    /// materialize-then-filter oracle at every probe time, under
+    /// every build width; with the index off, the same calls answer
+    /// identically through the documented fallback.
     #[test]
     fn indexed_matching_equals_materialized_oracle(
         events in arb_history(),
-        layout in arb_layout(),
         c in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        let on = build_c(small_cfg(layout, true), &events, c);
-        let off = build_c(small_cfg(layout, false), &events, c);
+        let on = build_c(small_cfg(true), &events, c);
+        let off = build_c(small_cfg(false), &events, c);
         for t in probe_times(&events) {
             for key in KEYS {
                 for label in LABELS {
@@ -121,11 +115,10 @@ proptest! {
     #[test]
     fn attr_history_matches_replay_oracle(
         events in arb_history(),
-        layout in arb_layout(),
         c in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        let on = build_c(small_cfg(layout, true), &events, c);
-        let off = build_c(small_cfg(layout, false), &events, c);
+        let on = build_c(small_cfg(true), &events, c);
+        let off = build_c(small_cfg(false), &events, c);
         for nid in 0u64..24 {
             for key in KEYS {
                 let want = on.try_attr_history_materialized(nid, key).expect("oracle");
@@ -141,18 +134,15 @@ proptest! {
     /// from-scratch build over the whole history: appended spans carry
     /// the attribute state across the cut correctly.
     #[test]
-    fn append_maintains_index_rows(
-        events in arb_history(),
-        layout in arb_layout(),
-    ) {
-        let full = build_c(small_cfg(layout, true), &events, 1);
+    fn append_maintains_index_rows(events in arb_history()) {
+        let full = build_c(small_cfg(true), &events, 1);
         // Append batches must start strictly after the indexed end:
         // advance the cut to the next time boundary.
         let mut cut = (events.len() / 2).max(1);
         while cut < events.len() && events[cut].time <= events[cut - 1].time {
             cut += 1;
         }
-        let mut appended = build_c(small_cfg(layout, true), &events[..cut], 1);
+        let mut appended = build_c(small_cfg(true), &events[..cut], 1);
         if cut < events.len() {
             appended.try_append_events(&events[cut..]).expect("append");
         }

@@ -8,7 +8,7 @@
 //! tests, checked against a reference model.)
 
 use hgs_core::{Tgi, TgiConfig};
-use hgs_delta::{AttrValue, Event, EventKind, StorageLayout, TimeRange};
+use hgs_delta::{AttrValue, Event, EventKind, TimeRange};
 use hgs_store::StoreConfig;
 use proptest::prelude::*;
 
@@ -58,23 +58,16 @@ proptest! {
         ns in 1u32..4,
         raw_times in prop::collection::vec(0u64..u64::MAX, 1..6),
         budget_kind in 0usize..3,
-        columnar in any::<bool>(),
     ) {
         let end = history.last().map(|e| e.time).unwrap_or(0);
         // 0: disabled; 1: tiny (forces eviction churn); 2: ample.
         let budget = [0usize, 4 << 10, 64 << 20][budget_kind];
-        let layout = if columnar {
-            StorageLayout::Columnar
-        } else {
-            StorageLayout::RowWise
-        };
         let cfg = TgiConfig {
             events_per_timespan: 120.max(l),
             eventlist_size: l,
             partition_size: 10,
             horizontal_partitions: ns,
             read_cache_bytes: budget,
-            layout,
             ..TgiConfig::default()
         };
         let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap();

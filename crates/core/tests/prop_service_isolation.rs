@@ -2,13 +2,13 @@
 //! [`TgiService`] — while a writer appends batches — must get answers
 //! **byte-identical** to a quiesced from-scratch [`Tgi::try_build`] over
 //! exactly the event prefix their pinned watermark denotes. Across
-//! storage layouts and client widths, no interleaving may expose a
-//! torn span, a shrunken graph, or a mixed-watermark answer.
+//! client widths, no interleaving may expose a torn span, a shrunken
+//! graph, or a mixed-watermark answer.
 
 use std::sync::Arc;
 
 use hgs_core::{NodeHistory, Tgi, TgiConfig, TgiService};
-use hgs_delta::{AttrValue, Delta, Event, EventKind, StorageLayout, TimeRange};
+use hgs_delta::{AttrValue, Delta, Event, EventKind, TimeRange};
 use hgs_store::{SimStore, StoreConfig};
 use proptest::prelude::*;
 
@@ -44,17 +44,12 @@ fn arb_history() -> impl Strategy<Value = Vec<Event>> {
     })
 }
 
-fn arb_layout() -> impl Strategy<Value = StorageLayout> {
-    prop_oneof![Just(StorageLayout::RowWise), Just(StorageLayout::Columnar)]
-}
-
-fn small_cfg(layout: StorageLayout) -> TgiConfig {
+fn small_cfg() -> TgiConfig {
     TgiConfig {
         events_per_timespan: 60,
         eventlist_size: 16,
         partition_size: 8,
         horizontal_partitions: 2,
-        layout,
         ..TgiConfig::default()
     }
 }
@@ -92,17 +87,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Concurrent pinned reads equal the quiesced rebuild at the
-    /// pinned watermark, for every layout and client width.
+    /// pinned watermark, for every client width.
     #[test]
     fn pinned_reads_equal_quiesced_rebuild(
         events in arb_history(),
-        layout in arb_layout(),
         c in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let cuts = boundaries(&events);
         let initial = cuts[0];
         let mut handle = Tgi::try_build_on(
-            small_cfg(layout),
+            small_cfg(),
             Arc::new(SimStore::new(StoreConfig::new(2, 1))),
             &events[..initial],
         )
@@ -162,7 +156,7 @@ proptest! {
             let oracle = oracles.entry(ob.epoch).or_insert_with(|| {
                 let prefix = if ob.epoch == 1 { initial } else { cuts[ob.epoch as usize - 1] };
                 Tgi::try_build_on(
-                    small_cfg(layout),
+                    small_cfg(),
                     Arc::new(SimStore::new(StoreConfig::new(2, 1))),
                     &events[..prefix],
                 )

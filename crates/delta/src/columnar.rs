@@ -1,10 +1,10 @@
-//! Columnar storage layout for eventlists and deltas.
+//! The columnar on-disk format of index eventlist and delta rows.
 //!
-//! The row-wise codec ([`crate::codec`]) interleaves every field of
-//! every event/node, so a reader pays full decode cost even when it
-//! only needs one node's structural history. This module stores the
-//! same data as **separately LZSS-compressed column segments** behind
-//! one backing [`Bytes`] value:
+//! The row-wise codec ([`crate::codec`], kept for the baseline indexes)
+//! interleaves every field of every event/node, so a reader pays full
+//! decode cost even when it only needs one node's structural history.
+//! This module stores the same data as **separately LZSS-compressed
+//! column segments** behind one backing [`Bytes`] value:
 //!
 //! * an eventlist row holds a node-id dictionary, a delta-varint
 //!   timestamp column, a kind-tag column, dictionary-index id columns,
@@ -21,8 +21,8 @@
 //! node is absent from the dictionary stops after the dictionary
 //! segment; a structural replay never decompresses attribute values.
 //! Every decompressed segment is charged to
-//! [`crate::codec::decoded_bytes`], which is how the decode benches
-//! compare layouts honestly.
+//! [`crate::codec::decoded_bytes`], which is how tests and benches see
+//! what a query's column pruning saved.
 //!
 //! Corrupt input is an error, never a panic: all lengths are validated
 //! against the codec's `MAX_LEN` cap before allocation, segment ranges
@@ -46,16 +46,11 @@ use crate::event::{Event, EventKind, Eventlist};
 use crate::node::{Neighbor, StaticNode};
 use crate::types::{EdgeDir, NodeId, Time};
 
-/// Which physical row format index rows are written in.
-///
-/// The layout is a build-time property of the whole index (persisted
-/// with the configuration; rows are not self-describing) — both
-/// layouts answer every query identically, which the cross-layout
-/// equality suite verifies.
+/// On-disk format tag of index eventlist/delta rows, persisted with
+/// the index descriptor (rows are not self-describing). There is one
+/// format; a descriptor carrying any other tag is refused on open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageLayout {
-    /// The original interleaved tag-byte format of [`crate::codec`].
-    RowWise,
     /// Per-column LZSS-compressed segments, decoded lazily.
     Columnar,
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use hgs::baselines::{CopyLogIndex, HistoricalIndex, LogIndex, NodeCentricIndex};
 use hgs::datagen::{CommunityGraph, LabeledChurn, WikiGrowth};
-use hgs::delta::{Delta, StorageLayout, TimeRange};
+use hgs::delta::{Delta, TimeRange};
 use hgs::graph::algo;
 use hgs::store::StoreConfig;
 use hgs::taf::TgiHandler;
@@ -220,10 +220,7 @@ fn store_failure_injection_with_replication_keeps_queries_alive() {
 fn compression_changes_bytes_not_answers() {
     let events = WikiGrowth::sized(3_000).generate();
     let end = events.last().unwrap().time;
-    // Row-wise layout: columnar rows are already LZSS-compressed per
-    // column, so store-level whole-value compression has nothing left
-    // to squeeze there.
-    let cfg = TgiConfig::default().with_layout(StorageLayout::RowWise);
+    let cfg = TgiConfig::default();
     let plain = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
     let packed =
         Tgi::try_build(cfg, StoreConfig::new(2, 1).with_compression(true), &events).unwrap();
