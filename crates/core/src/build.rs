@@ -158,6 +158,12 @@ pub enum BuildError {
     /// rebuild (or [`Tgi::open`](crate::persist) a fresh one from the
     /// store once the cluster is healthy).
     Poisoned,
+    /// The batch breaks the caller contract: the event at `time`
+    /// precedes `floor` — the previous event of the batch, or the end
+    /// of the indexed history. Detected before anything is written or
+    /// advanced, so the handle is **not** poisoned: fix the batch and
+    /// append again.
+    OutOfOrder { time: Time, floor: Time },
 }
 
 impl std::fmt::Display for BuildError {
@@ -168,6 +174,11 @@ impl std::fmt::Display for BuildError {
                 f,
                 "index poisoned by an earlier failed append; discard this handle and rebuild"
             ),
+            BuildError::OutOfOrder { time, floor } => write!(
+                f,
+                "batch rejected, nothing written: event at time {time} precedes {floor} \
+                 (batches must be chronologically sorted and start at or after the index end)"
+            ),
         }
     }
 }
@@ -176,7 +187,7 @@ impl std::error::Error for BuildError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BuildError::Store(e) => Some(e),
-            BuildError::Poisoned => None,
+            BuildError::Poisoned | BuildError::OutOfOrder { .. } => None,
         }
     }
 }
@@ -263,8 +274,10 @@ impl Tgi {
         Ok(tgi)
     }
 
-    /// Append a batch of events. Events must not precede the current
-    /// end of history.
+    /// Append a batch of events. The batch must be chronologically
+    /// sorted and must not start before the current end of history;
+    /// one that does is refused with [`BuildError::OutOfOrder`] before
+    /// anything is written, leaving the handle usable.
     ///
     /// The batch is normalized first ([`hgs_delta::normalize_events`]):
     /// `RemoveNode` events are expanded with explicit `RemoveEdge`
@@ -279,9 +292,9 @@ impl Tgi {
     /// replicas succeed with degraded durability and are counted in
     /// [`SimStore::partial_put_count`].
     ///
-    /// An append is **not atomic**: on `Err` some of the batch's rows
-    /// and metadata updates may already be persisted and the
-    /// in-memory tail state may have advanced. The handle is then
+    /// An append is **not atomic**: on any other `Err` some of the
+    /// batch's rows and metadata updates may already be persisted and
+    /// the in-memory tail state may have advanced. The handle is then
     /// *poisoned* — every further append fails with
     /// [`BuildError::Poisoned`] (queries remain allowed; they reflect
     /// whatever was durably written). Recover by rebuilding, or by
@@ -302,19 +315,19 @@ impl Tgi {
             }
             return Ok(());
         }
-        assert!(
-            // hgs-lint: allow(no-panic-in-try, "caller-contract precondition; windows(2) always yields 2-element slices")
-            events.windows(2).all(|w| w[0].time <= w[1].time),
-            "events must be chronologically sorted"
-        );
-        assert!(
-            // hgs-lint: allow(no-panic-in-try, "caller-contract precondition; the empty-batch early return above guarantees events[0] exists")
-            events[0].time >= self.end_time,
-            "batch starts at {} before index end {}",
-            // hgs-lint: allow(no-panic-in-try, "same non-empty guarantee as the precondition assert above")
-            events[0].time,
-            self.end_time
-        );
+        // Caller contract: time never runs backwards, within the batch
+        // or against the indexed history. Refused before anything is
+        // written, so the handle stays usable.
+        let mut floor = self.end_time;
+        for e in events {
+            if e.time < floor {
+                return Err(BuildError::OutOfOrder {
+                    time: e.time,
+                    floor,
+                });
+            }
+            floor = e.time;
+        }
 
         // Everything past this point mutates persisted and in-memory
         // state; stay poisoned unless the whole batch lands.

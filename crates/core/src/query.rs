@@ -735,7 +735,6 @@ impl TgiView {
         let tsid = meta.tsid;
         let j = meta.leaf_for_time(t) as u32;
 
-        let mut fetched_parts: FxHashSet<(u32, u32)> = FxHashSet::default();
         let mut part_states: FxHashMap<(u32, u32), Delta> = FxHashMap::default();
         let mut elist_cache: FxHashMap<(u32, u32), Option<ElistHandle>> = FxHashMap::default();
 
@@ -743,7 +742,6 @@ impl TgiView {
         // hgs-lint: allow(no-panic-in-try, "sid_of returns sid < ns and span.maps holds ns entries")
         let center_pid = span.maps[center_sid as usize].assign(center);
         let center_state = self.try_fetch_partition_state(span, center_sid, center_pid, t)?;
-        fetched_parts.insert((center_sid, center_pid));
 
         // Auxiliary 1-hop replicas (Fig. 5d): states of boundary
         // neighbors at checkpoint j, to be rolled forward with their
@@ -760,7 +758,6 @@ impl TgiView {
         let mut result: Delta = Delta::new();
         let resolve = |nid: NodeId,
                        part_states: &mut FxHashMap<(u32, u32), Delta>,
-                       fetched_parts: &mut FxHashSet<(u32, u32)>,
                        elist_cache: &mut FxHashMap<(u32, u32), Option<ElistHandle>>|
          -> Result<Option<StaticNode>, StoreError> {
             let sid = sid_of(nid, ns);
@@ -799,7 +796,6 @@ impl TgiView {
             }
             // Full micro-partition fetch.
             let state = self.try_fetch_partition_state(span, sid, pid, t)?;
-            fetched_parts.insert((sid, pid));
             let out = state.node(nid).cloned();
             part_states.insert((sid, pid), state);
             Ok(out)
@@ -811,9 +807,7 @@ impl TgiView {
         for hop in 0..=k {
             let mut next: Vec<NodeId> = Vec::new();
             for nid in frontier.drain(..) {
-                let Some(node) =
-                    resolve(nid, &mut part_states, &mut fetched_parts, &mut elist_cache)?
-                else {
+                let Some(node) = resolve(nid, &mut part_states, &mut elist_cache)? else {
                     continue;
                 };
                 if hop < k {

@@ -137,9 +137,11 @@ impl TgiService {
     /// never blocked — they keep answering at the previous watermark
     /// until the swap, and at their pinned view regardless.
     ///
-    /// On error the service publishes nothing: the writer is poisoned
-    /// (see [`Tgi::try_append_events`]) and every reader — pinned or
-    /// future — stays at the last durable watermark. Returns the new
+    /// On error the service publishes nothing and every reader —
+    /// pinned or future — stays at the last durable watermark. A
+    /// [`BuildError::OutOfOrder`] batch is refused up front and the
+    /// next good batch appends normally; any other error poisons the
+    /// writer (see [`Tgi::try_append_events`]). Returns the new
     /// watermark epoch on success.
     pub fn try_append_events(&self, events: &[Event]) -> Result<u64, BuildError> {
         let mut writer = self.writer.lock();

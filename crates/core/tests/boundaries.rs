@@ -1,7 +1,7 @@
 //! Boundary edge cases: queries landing exactly on checkpoint times,
 //! timespan borders, and before/after the indexed history.
 
-use hgs_core::{Tgi, TgiConfig};
+use hgs_core::{BuildError, Tgi, TgiConfig};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::{Delta, Event, EventKind, Time, TimeRange};
 use hgs_store::StoreConfig;
@@ -155,4 +155,51 @@ fn khop_of_missing_and_isolated_nodes() {
         let isolated = tgi.try_khop_with(999_999, t_end + 1, 2, strategy).unwrap();
         assert_eq!(isolated.cardinality(), 1, "isolated node via {strategy:?}");
     }
+}
+
+#[test]
+fn out_of_order_batch_is_an_error_and_leaves_the_handle_usable() {
+    let events = WikiGrowth::sized(1_500).generate();
+    let (built, rest) = events.split_at(1_000);
+    let mut tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), built).unwrap();
+    let end = tgi.end_time();
+    let before = tgi.store().content_rows();
+
+    // Starts inside the indexed prefix.
+    let stale = [Event::new(end - 1, EventKind::AddNode { id: 9_999_999 })];
+    assert_eq!(
+        tgi.try_append_events(&stale),
+        Err(BuildError::OutOfOrder {
+            time: end - 1,
+            floor: end
+        })
+    );
+    // Starts fine, then runs backwards.
+    let unsorted = [
+        Event::new(end + 5, EventKind::AddNode { id: 9_999_998 }),
+        Event::new(end + 2, EventKind::AddNode { id: 9_999_999 }),
+    ];
+    assert_eq!(
+        tgi.try_append_events(&unsorted),
+        Err(BuildError::OutOfOrder {
+            time: end + 2,
+            floor: end + 5
+        })
+    );
+    assert!(!tgi.is_poisoned());
+    assert_eq!(tgi.end_time(), end);
+    assert_eq!(tgi.store().content_rows(), before, "nothing was written");
+
+    // The handle still takes the batch it should have been given, and
+    // ends up byte-identical to a handle that never saw the bad ones.
+    tgi.try_append_events(rest)
+        .expect("good batch after bad ones");
+    let mut clean = Tgi::try_build(cfg(), StoreConfig::new(2, 1), built).unwrap();
+    clean.try_append_events(rest).unwrap();
+    assert_eq!(tgi.store().content_rows(), clean.store().content_rows());
+    let t = tgi.end_time();
+    assert_eq!(
+        tgi.try_snapshot(t).unwrap(),
+        Delta::snapshot_by_replay(&events, t)
+    );
 }

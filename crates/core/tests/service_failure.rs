@@ -225,3 +225,36 @@ fn recovery_on_a_still_degraded_cluster_is_an_error_not_a_panic() {
         .expect("recovered writer accepts the replayed batch");
     assert_eq!(w1, w0 + 1);
 }
+
+#[test]
+fn out_of_order_batch_is_refused_without_poisoning_the_service() {
+    let events = trace();
+    let mid = events.len() / 2;
+    let svc =
+        TgiService::try_build(cfg(), StoreConfig::new(4, 1), &events[..mid]).expect("healthy");
+    let w0 = svc.watermark();
+    let end = svc.pin().end_time();
+
+    // A batch that re-sends the tail of the indexed prefix.
+    assert_eq!(
+        svc.try_append_events(&events[mid - 10..]),
+        Err(BuildError::OutOfOrder {
+            time: events[mid - 10].time,
+            floor: end
+        })
+    );
+    assert!(!svc.is_poisoned());
+    assert_eq!(svc.watermark(), w0, "a refused batch publishes nothing");
+    assert_eq!(svc.pin().end_time(), end);
+
+    // The next good batch publishes exactly the next watermark.
+    let w1 = svc.try_append_events(&events[mid..]).expect("good batch");
+    assert_eq!(w1, w0 + 1);
+    assert_eq!(svc.watermark(), w1);
+    let view = svc.pin();
+    let t = view.end_time();
+    assert_eq!(
+        view.try_snapshot(t).expect("healthy read"),
+        hgs_delta::Delta::snapshot_by_replay(&events, t)
+    );
+}

@@ -11,6 +11,27 @@
 //! Format conventions: LEB128 varints for unsigned ints, zigzag for
 //! signed, little-endian IEEE-754 for floats, length-prefixed UTF-8
 //! strings, one tag byte per enum.
+//!
+//! A node description is `varint id, edge_list, attrs`. The edge-list
+//! is **shape-factored** — it stores only what varies across its
+//! entries:
+//!
+//! ```text
+//! edge_list := varint n_edges [ shape entry{n_edges} ]   (shape only when n_edges > 0)
+//! shape     := u8  bit 0: every dir is Both
+//!                  bit 1: every weight is bit-exactly 1.0
+//!                  bit 2: no entry carries attributes
+//!                  (any other bit: CodecError::BadTag)
+//! entry     := varint Δnbr [dir u8] [weight f32le] [has_attrs u8 [attrs]]
+//!              -- only the fields whose shape bit is clear
+//! ```
+//!
+//! so the undirected unit-weight attribute-free list that datasets are
+//! made of costs its neighbor varints plus two bytes, not six more
+//! bytes per neighbor. `put_edge_list` / `get_edge_list` are the
+//! only edge-list loops of the crate: the columnar delta records
+//! ([`crate::columnar`]) call them too, passing interned-key attribute
+//! codecs, so the index and the baselines' rows share one grammar.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,17 +69,28 @@ pub(crate) fn note_decoded(n: usize) {
 // primitives
 // ----------------------------------------------------------------------
 
-/// Append an LEB128 varint.
-pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+/// Longest LEB128 encoding of a `u64`.
+const MAX_VARINT: usize = 10;
+
+/// Write `v` as an LEB128 varint at the front of `out` (at least
+/// [`MAX_VARINT`] bytes); returns the encoded length.
+#[inline]
+fn write_varint(out: &mut [u8], mut v: u64) -> usize {
+    let mut n = 0;
+    while v >= 0x80 {
+        out[n] = v as u8 | 0x80;
         v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+        n += 1;
     }
+    out[n] = v as u8;
+    n + 1
+}
+
+/// Append an LEB128 varint.
+pub fn put_varint(buf: &mut BytesMut, v: u64) {
+    let mut tmp = [0u8; MAX_VARINT];
+    let n = write_varint(&mut tmp, v);
+    buf.put_slice(&tmp[..n]);
 }
 
 /// Read an LEB128 varint.
@@ -103,6 +135,18 @@ pub fn put_zigzag(buf: &mut BytesMut, v: i64) {
 pub fn get_zigzag(buf: &mut &[u8]) -> Result<i64, CodecError> {
     let z = get_varint(buf)?;
     Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
+}
+
+#[inline]
+pub(crate) fn get_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
+    let Some((&b, rest)) = buf.split_first() else {
+        return Err(CodecError::UnexpectedEof {
+            needed: 1,
+            remaining: 0,
+        });
+    };
+    *buf = rest;
+    Ok(b)
 }
 
 pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
@@ -191,27 +235,12 @@ pub(crate) fn put_attr_value(buf: &mut BytesMut, v: &AttrValue) {
 }
 
 pub(crate) fn get_attr_value(buf: &mut &[u8]) -> Result<AttrValue, CodecError> {
-    let Some((&tag, rest)) = buf.split_first() else {
-        return Err(CodecError::UnexpectedEof {
-            needed: 1,
-            remaining: 0,
-        });
-    };
-    *buf = rest;
+    let tag = get_u8(buf)?;
     Ok(match tag {
         0 => AttrValue::Int(get_zigzag(buf)?),
         1 => AttrValue::Float(get_f64(buf)?),
         2 => AttrValue::Text(get_str(buf)?),
-        3 => {
-            let Some((&b, rest)) = buf.split_first() else {
-                return Err(CodecError::UnexpectedEof {
-                    needed: 1,
-                    remaining: 0,
-                });
-            };
-            *buf = rest;
-            AttrValue::Bool(b != 0)
-        }
+        3 => AttrValue::Bool(get_u8(buf)? != 0),
         t => {
             return Err(CodecError::BadTag {
                 what: "AttrValue",
@@ -244,58 +273,129 @@ fn get_attrs(buf: &mut &[u8]) -> Result<Attrs, CodecError> {
 // static nodes & deltas
 // ----------------------------------------------------------------------
 
-/// Serialize one static node description.
-pub fn put_static_node(buf: &mut BytesMut, n: &StaticNode) {
-    put_varint(buf, n.id);
-    put_varint(buf, n.edges.len() as u64);
-    // Delta-encode sorted neighbor ids: adjacency lists compress well.
-    let mut prev = 0u64;
-    for e in &n.edges {
-        put_varint(buf, e.nbr.wrapping_sub(prev));
-        prev = e.nbr;
-        buf.put_u8(e.dir.tag());
-        put_f32(buf, e.weight);
-        match &e.attrs {
-            Some(a) => {
-                buf.put_u8(1);
-                put_attrs(buf, a);
-            }
-            None => buf.put_u8(0),
-        }
-    }
-    put_attrs(buf, &n.attrs);
+/// Edge-list shape bit: every entry's `dir` is [`EdgeDir::Both`].
+const SHAPE_ALL_BOTH: u8 = 1 << 0;
+/// Edge-list shape bit: every entry's weight is bit-exactly `1.0`
+/// (`-0.0`, NaNs and `1.0 ± ulp` all clear it).
+const SHAPE_UNIT_WEIGHTS: u8 = 1 << 1;
+/// Edge-list shape bit: no entry carries attributes.
+const SHAPE_NO_ATTRS: u8 = 1 << 2;
+const SHAPE_MASK: u8 = SHAPE_ALL_BOTH | SHAPE_UNIT_WEIGHTS | SHAPE_NO_ATTRS;
+
+/// Bytes an entry spends on the fields `shape` does not factor out.
+#[inline]
+fn entry_fixed_len(shape: u8) -> usize {
+    (shape & SHAPE_ALL_BOTH == 0) as usize
+        + 4 * (shape & SHAPE_UNIT_WEIGHTS == 0) as usize
+        + (shape & SHAPE_NO_ATTRS == 0) as usize
 }
 
-/// Decode one static node description.
-pub fn get_static_node(buf: &mut &[u8]) -> Result<StaticNode, CodecError> {
-    let id = get_varint(buf)?;
+/// Serialize an edge-list, shape-factored: the entry count, then (for
+/// a non-empty list) one shape byte saying which fields are constant
+/// across the whole list, then per entry the delta-encoded neighbor id
+/// and only the fields the shape leaves open. An unweighted undirected
+/// attribute-free list — nearly every list of every dataset here —
+/// costs its neighbor varints plus two bytes.
+///
+/// The one edge-list encoder of the crate: row-wise node descriptions
+/// and columnar records differ only in `put_edge_attrs` (inline vs
+/// interned keys).
+pub(crate) fn put_edge_list(
+    buf: &mut BytesMut,
+    edges: &[Neighbor],
+    mut put_edge_attrs: impl FnMut(&mut BytesMut, &Attrs),
+) {
+    put_varint(buf, edges.len() as u64);
+    if edges.is_empty() {
+        return;
+    }
+    let unit = 1.0f32.to_bits();
+    let mut shape = SHAPE_MASK;
+    for e in edges {
+        if e.dir != EdgeDir::Both {
+            shape &= !SHAPE_ALL_BOTH;
+        }
+        if e.weight.to_bits() != unit {
+            shape &= !SHAPE_UNIT_WEIGHTS;
+        }
+        if e.attrs.is_some() {
+            shape &= !SHAPE_NO_ATTRS;
+        }
+    }
+    // Sorted adjacency gaps are mostly one- or two-byte varints.
+    buf.reserve(1 + edges.len() * (2 + entry_fixed_len(shape)));
+    buf.put_u8(shape);
+    let mut prev = 0u64;
+    for e in edges {
+        // One append per entry: varint + dir + weight + attrs flag.
+        let mut entry = [0u8; MAX_VARINT + 6];
+        let mut n = write_varint(&mut entry, e.nbr.wrapping_sub(prev));
+        prev = e.nbr;
+        if shape & SHAPE_ALL_BOTH == 0 {
+            entry[n] = e.dir.tag();
+            n += 1;
+        }
+        if shape & SHAPE_UNIT_WEIGHTS == 0 {
+            entry[n..n + 4].copy_from_slice(&e.weight.to_le_bytes());
+            n += 4;
+        }
+        if shape & SHAPE_NO_ATTRS == 0 {
+            entry[n] = e.attrs.is_some() as u8;
+            n += 1;
+        }
+        buf.put_slice(&entry[..n]);
+        if let Some(a) = &e.attrs {
+            put_edge_attrs(buf, a);
+        }
+    }
+}
+
+/// Decode an edge-list written by [`put_edge_list`]. Shape bits this
+/// version does not define are a [`CodecError::BadTag`], and an entry
+/// count the remaining bytes cannot hold fails before any allocation.
+pub(crate) fn get_edge_list(
+    buf: &mut &[u8],
+    mut get_edge_attrs: impl FnMut(&mut &[u8]) -> Result<Attrs, CodecError>,
+) -> Result<Vec<Neighbor>, CodecError> {
     let n_edges = get_len(buf, "edges")?;
-    let mut edges = Vec::with_capacity(n_edges.min(1 << 16));
+    if n_edges == 0 {
+        return Ok(Vec::new());
+    }
+    let shape = get_u8(buf)?;
+    if shape & !SHAPE_MASK != 0 {
+        return Err(CodecError::BadTag {
+            what: "edge-list shape",
+            tag: shape,
+        });
+    }
+    let min_entry = 1 + entry_fixed_len(shape);
+    if n_edges > buf.len() / min_entry {
+        return Err(CodecError::UnexpectedEof {
+            needed: n_edges.saturating_mul(min_entry),
+            remaining: buf.len(),
+        });
+    }
+    let mut edges = Vec::with_capacity(n_edges);
     let mut prev = 0u64;
     for _ in 0..n_edges {
         let nbr = prev.wrapping_add(get_varint(buf)?);
         prev = nbr;
-        let Some((&dtag, rest)) = buf.split_first() else {
-            return Err(CodecError::UnexpectedEof {
-                needed: 1,
-                remaining: 0,
-            });
+        let dir = if shape & SHAPE_ALL_BOTH != 0 {
+            EdgeDir::Both
+        } else {
+            let tag = get_u8(buf)?;
+            EdgeDir::from_tag(tag).ok_or(CodecError::BadTag {
+                what: "EdgeDir",
+                tag,
+            })?
         };
-        *buf = rest;
-        let dir = EdgeDir::from_tag(dtag).ok_or(CodecError::BadTag {
-            what: "EdgeDir",
-            tag: dtag,
-        })?;
-        let weight = get_f32(buf)?;
-        let Some((&has_attrs, rest)) = buf.split_first() else {
-            return Err(CodecError::UnexpectedEof {
-                needed: 1,
-                remaining: 0,
-            });
+        let weight = if shape & SHAPE_UNIT_WEIGHTS != 0 {
+            1.0
+        } else {
+            get_f32(buf)?
         };
-        *buf = rest;
-        let attrs = if has_attrs != 0 {
-            Some(Box::new(get_attrs(buf)?))
+        let attrs = if shape & SHAPE_NO_ATTRS == 0 && get_u8(buf)? != 0 {
+            Some(Box::new(get_edge_attrs(buf)?))
         } else {
             None
         };
@@ -306,6 +406,20 @@ pub fn get_static_node(buf: &mut &[u8]) -> Result<StaticNode, CodecError> {
             attrs,
         });
     }
+    Ok(edges)
+}
+
+/// Serialize one static node description.
+pub fn put_static_node(buf: &mut BytesMut, n: &StaticNode) {
+    put_varint(buf, n.id);
+    put_edge_list(buf, &n.edges, put_attrs);
+    put_attrs(buf, &n.attrs);
+}
+
+/// Decode one static node description.
+pub fn get_static_node(buf: &mut &[u8]) -> Result<StaticNode, CodecError> {
+    let id = get_varint(buf)?;
+    let edges = get_edge_list(buf, get_attrs)?;
     let attrs = get_attrs(buf)?;
     Ok(StaticNode { id, edges, attrs })
 }
@@ -314,7 +428,7 @@ pub fn get_static_node(buf: &mut &[u8]) -> Result<StaticNode, CodecError> {
 /// makes encoding deterministic, which the store's compression and the
 /// tests rely on).
 pub fn encode_delta(d: &Delta) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + d.size() * 8);
+    let mut buf = BytesMut::with_capacity(64 + d.size() * 3);
     let ids = d.sorted_ids();
     put_varint(&mut buf, ids.len() as u64);
     for id in ids {
@@ -410,13 +524,7 @@ fn put_event_kind(buf: &mut BytesMut, k: &EventKind) {
 }
 
 fn get_event_kind(buf: &mut &[u8]) -> Result<EventKind, CodecError> {
-    let Some((&tag, rest)) = buf.split_first() else {
-        return Err(CodecError::UnexpectedEof {
-            needed: 1,
-            remaining: 0,
-        });
-    };
-    *buf = rest;
+    let tag = get_u8(buf)?;
     Ok(match tag {
         0 => EventKind::AddNode {
             id: get_varint(buf)?,
@@ -428,18 +536,11 @@ fn get_event_kind(buf: &mut &[u8]) -> Result<EventKind, CodecError> {
             let src = get_varint(buf)?;
             let dst = get_varint(buf)?;
             let weight = get_f32(buf)?;
-            let Some((&d, rest)) = buf.split_first() else {
-                return Err(CodecError::UnexpectedEof {
-                    needed: 1,
-                    remaining: 0,
-                });
-            };
-            *buf = rest;
             EventKind::AddEdge {
                 src,
                 dst,
                 weight,
-                directed: d != 0,
+                directed: get_u8(buf)? != 0,
             }
         }
         3 => EventKind::RemoveEdge {
@@ -695,6 +796,121 @@ mod tests {
         let d: Delta = vec![n].into_iter().collect();
         let bytes = encode_delta(&d);
         assert!(bytes.len() < 1000 * 8, "got {} bytes", bytes.len());
+    }
+
+    /// `edges` as a bare edge-list (no attributes on any entry).
+    fn edge_list_bytes(edges: &[Neighbor]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        put_edge_list(&mut buf, edges, put_attrs);
+        buf
+    }
+
+    fn varint_len(v: u64) -> usize {
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, v);
+        buf.len()
+    }
+
+    #[test]
+    fn default_edges_cost_their_neighbor_varints_plus_two_bytes() {
+        let nbrs = [3u64, 4, 130, 131, 20_000, 5_000_000, u64::MAX];
+        for d in 1..=nbrs.len() {
+            let edges: Vec<Neighbor> = nbrs[..d]
+                .iter()
+                .map(|&nbr| Neighbor::new(nbr, EdgeDir::Both))
+                .collect();
+            let gaps: usize = std::iter::once(0)
+                .chain(nbrs[..d].iter().copied())
+                .zip(&nbrs[..d])
+                .map(|(prev, &nbr)| varint_len(nbr - prev))
+                .sum();
+            let buf = edge_list_bytes(&edges);
+            assert_eq!(buf.len(), 1 + 1 + gaps, "d = {d}");
+            assert_eq!(buf[1], SHAPE_MASK);
+            let mut slice: &[u8] = &buf;
+            assert_eq!(get_edge_list(&mut slice, get_attrs).unwrap(), edges);
+            assert!(slice.is_empty());
+        }
+        // The empty list has no shape byte at all.
+        assert_eq!(&edge_list_bytes(&[])[..], &[0]);
+    }
+
+    #[test]
+    fn each_open_field_costs_exactly_its_bytes() {
+        let base: Vec<Neighbor> = (1..=5u64)
+            .map(|i| Neighbor::new(i * 7, EdgeDir::Both))
+            .collect();
+        let plain = edge_list_bytes(&base).len();
+
+        let mut directed = base.clone();
+        directed[2].dir = EdgeDir::Out;
+        let buf = edge_list_bytes(&directed);
+        assert_eq!(buf[1], SHAPE_MASK & !SHAPE_ALL_BOTH);
+        assert_eq!(buf.len(), plain + 5);
+
+        let mut weighted = base.clone();
+        weighted[4].weight = 2.5;
+        let buf = edge_list_bytes(&weighted);
+        assert_eq!(buf[1], SHAPE_MASK & !SHAPE_UNIT_WEIGHTS);
+        assert_eq!(buf.len(), plain + 5 * 4);
+
+        let mut attributed = base.clone();
+        attributed[0].set_attr("k", AttrValue::Bool(true));
+        let buf = edge_list_bytes(&attributed);
+        assert_eq!(buf[1], SHAPE_MASK & !SHAPE_NO_ATTRS);
+        // One flag byte per entry, plus count + "k" + Bool(true).
+        assert_eq!(buf.len(), plain + 5 + 1 + 2 + 2);
+
+        for edges in [directed, weighted, attributed] {
+            let buf = edge_list_bytes(&edges);
+            let mut slice: &[u8] = &buf;
+            assert_eq!(get_edge_list(&mut slice, get_attrs).unwrap(), edges);
+            assert!(slice.is_empty());
+        }
+    }
+
+    #[test]
+    fn only_bit_exact_one_is_a_unit_weight() {
+        let one_ulp_up = f32::from_bits(1.0f32.to_bits() + 1);
+        for w in [-0.0f32, 0.0, -1.0, f32::NAN, f32::INFINITY, one_ulp_up] {
+            let edges = [
+                Neighbor::new(1, EdgeDir::Both),
+                Neighbor::weighted(2, EdgeDir::Both, w),
+            ];
+            let buf = edge_list_bytes(&edges);
+            assert_eq!(buf[1] & SHAPE_UNIT_WEIGHTS, 0, "weight {w:?} folded");
+            let mut slice: &[u8] = &buf;
+            let back = get_edge_list(&mut slice, get_attrs).unwrap();
+            assert_eq!(back[0].weight.to_bits(), 1.0f32.to_bits());
+            assert_eq!(back[1].weight.to_bits(), w.to_bits(), "weight {w:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_shape_bits_are_a_bad_tag() {
+        for bad in [0x08u8, 0x0f, 0x80, 0xff] {
+            let mut buf = edge_list_bytes(&[Neighbor::new(9, EdgeDir::Both)]).to_vec();
+            buf[1] = bad;
+            let mut slice: &[u8] = &buf;
+            assert!(matches!(
+                get_edge_list(&mut slice, get_attrs),
+                Err(CodecError::BadTag { tag, .. }) if tag == bad
+            ));
+        }
+    }
+
+    #[test]
+    fn edge_count_beyond_the_buffer_fails_before_allocating() {
+        // Claims 2^31 entries of 6 bytes each, carries two.
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, 1 << 31);
+        buf.put_u8(0);
+        buf.put_slice(&[1, 2, 0, 0, 0x80, 0x3f, 0, 1, 2, 0, 0, 0x80, 0x3f, 0]);
+        let mut slice: &[u8] = &buf;
+        assert!(matches!(
+            get_edge_list(&mut slice, get_attrs),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //!   per-node record segment; full replays stream ids + records only
 //!   (records are self-delimiting), while pruned per-node lookups
 //!   binary-search ids and use the length column to slice one record.
+//!   A record is `edge_list attrs` in the shape-factored edge-list
+//!   grammar of [`crate::codec`] (one shape byte per list, then only
+//!   the fields that vary), with attribute keys as dictionary indexes;
+//!   the edge-list loops themselves live there and are shared with the
+//!   row-wise codec. Records are most of every index, and the factored
+//!   form is why the record segment is stored raw.
 //!
 //! Segments are decompressed lazily and memoized, so a query
 //! materializes only the columns it touches: a `node_at` probe whose
@@ -36,15 +42,15 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::attr::{AttrValue, Attrs};
 use crate::codec::{
-    get_attr_value, get_f32, get_len, get_str, get_varint, note_decoded, put_attr_value, put_f32,
-    put_str, put_varint,
+    get_attr_value, get_edge_list, get_f32, get_len, get_str, get_u8, get_varint, note_decoded,
+    put_attr_value, put_edge_list, put_f32, put_str, put_varint,
 };
 use crate::compress::{compress, decompress, decompressed_len};
 use crate::delta::Delta;
 use crate::error::CodecError;
 use crate::event::{Event, EventKind, Eventlist};
-use crate::node::{Neighbor, StaticNode};
-use crate::types::{EdgeDir, NodeId, Time};
+use crate::node::StaticNode;
+use crate::types::{NodeId, Time};
 
 /// On-disk format tag of index eventlist/delta rows, persisted with
 /// the index descriptor (rows are not self-describing). There is one
@@ -56,7 +62,10 @@ pub enum StorageLayout {
 }
 
 const ELIST_MAGIC: u8 = 0xC1;
-const DELTA_MAGIC: u8 = 0xC2;
+/// `0xC2` is retired, not free: it tags rows whose records spell
+/// `dir`, weight and an attrs flag on every edge-list entry. They have
+/// no reader and fail [`ColumnarDelta::parse`] with `BadTag`.
+const DELTA_MAGIC: u8 = 0xC3;
 
 const ELIST_SEGS: usize = 8;
 const SEG_NODE_DICT: usize = 0;
@@ -202,13 +211,7 @@ fn parse_header(
     what: &'static str,
 ) -> Result<(usize, Vec<Range<usize>>, Vec<usize>, Vec<bool>), CodecError> {
     let mut buf: &[u8] = backing;
-    let Some((&tag, rest)) = buf.split_first() else {
-        return Err(CodecError::UnexpectedEof {
-            needed: 1,
-            remaining: 0,
-        });
-    };
-    buf = rest;
+    let tag = get_u8(&mut buf)?;
     if tag != magic {
         return Err(CodecError::BadTag { what, tag });
     }
@@ -539,14 +542,7 @@ impl ColumnarEventlist {
                 let mut out = Vec::with_capacity((raw.len() / 5).min(1 << 20));
                 while !b.is_empty() {
                     let w = get_f32(&mut b)?;
-                    let Some((&flag, rest)) = b.split_first() else {
-                        return Err(CodecError::UnexpectedEof {
-                            needed: 1,
-                            remaining: 0,
-                        });
-                    };
-                    b = rest;
-                    out.push((w, flag != 0));
+                    out.push((w, get_u8(&mut b)? != 0));
                 }
                 Ok(out)
             })
@@ -814,16 +810,7 @@ impl ColumnarEventlist {
                     len: idx,
                 })
         };
-        let flag = |b: &mut &[u8]| -> Result<bool, CodecError> {
-            let Some((&f, rest)) = b.split_first() else {
-                return Err(CodecError::UnexpectedEof {
-                    needed: 1,
-                    remaining: 0,
-                });
-            };
-            *b = rest;
-            Ok(f != 0)
-        };
+        let flag = |b: &mut &[u8]| get_u8(b).map(|f| f != 0);
         let mut out = Vec::with_capacity(n);
         let mut t = 0u64;
         for &tag in kraw.iter() {
@@ -930,21 +917,7 @@ fn get_interned_attrs(buf: &mut &[u8], keys: &[String]) -> Result<Attrs, CodecEr
 }
 
 fn put_record(buf: &mut BytesMut, n: &StaticNode, keys: &[&str]) {
-    put_varint(buf, n.edges.len() as u64);
-    let mut prev = 0u64;
-    for e in &n.edges {
-        put_varint(buf, e.nbr.wrapping_sub(prev));
-        prev = e.nbr;
-        buf.put_u8(e.dir.tag());
-        put_f32(buf, e.weight);
-        match &e.attrs {
-            Some(a) => {
-                buf.put_u8(1);
-                put_interned_attrs(buf, a, keys);
-            }
-            None => buf.put_u8(0),
-        }
-    }
+    put_edge_list(buf, &n.edges, |buf, a| put_interned_attrs(buf, a, keys));
     put_interned_attrs(buf, &n.attrs, keys);
 }
 
@@ -961,43 +934,7 @@ fn parse_record(id: NodeId, mut buf: &[u8], keys: &[String]) -> Result<StaticNod
 /// Parse one record from a running cursor; records are
 /// self-delimiting, so the caller needs no length column.
 fn parse_record_from(id: NodeId, b: &mut &[u8], keys: &[String]) -> Result<StaticNode, CodecError> {
-    let n_edges = get_len(b, "edges")?;
-    let mut edges = Vec::with_capacity(n_edges.min(1 << 16));
-    let mut prev = 0u64;
-    for _ in 0..n_edges {
-        let nbr = prev.wrapping_add(get_varint(b)?);
-        prev = nbr;
-        let Some((&dtag, rest)) = b.split_first() else {
-            return Err(CodecError::UnexpectedEof {
-                needed: 1,
-                remaining: 0,
-            });
-        };
-        *b = rest;
-        let dir = EdgeDir::from_tag(dtag).ok_or(CodecError::BadTag {
-            what: "EdgeDir",
-            tag: dtag,
-        })?;
-        let weight = get_f32(b)?;
-        let Some((&has_attrs, rest)) = b.split_first() else {
-            return Err(CodecError::UnexpectedEof {
-                needed: 1,
-                remaining: 0,
-            });
-        };
-        *b = rest;
-        let attrs = if has_attrs != 0 {
-            Some(Box::new(get_interned_attrs(b, keys)?))
-        } else {
-            None
-        };
-        edges.push(Neighbor {
-            nbr,
-            dir,
-            weight,
-            attrs,
-        });
-    }
+    let edges = get_edge_list(b, |b| get_interned_attrs(b, keys))?;
     let attrs = get_interned_attrs(b, keys)?;
     Ok(StaticNode { id, edges, attrs })
 }
@@ -1031,7 +968,7 @@ pub fn encode_columnar_delta(d: &Delta) -> Bytes {
 
     let mut id_col = BytesMut::with_capacity(ids.len() * 2);
     let mut len_col = BytesMut::with_capacity(ids.len() * 2);
-    let mut records = BytesMut::new();
+    let mut records = BytesMut::with_capacity(d.size() * 3);
     let mut prev = 0u64;
     for &id in &ids {
         let start = records.len();
@@ -1043,13 +980,12 @@ pub fn encode_columnar_delta(d: &Delta) -> Bytes {
     }
 
     // The record and node-id columns carry the bulk of every cold
-    // full replay, and the row-wise baseline they compete with stores
-    // its rows uncompressed — so they stay raw (zero-copy sub-slices
-    // at decode time; `NEVER_COMPRESS`) rather than trading replay
-    // wall time for ~20% fewer stored bytes. Store-level whole-row
-    // compression can still be layered on when storage is the
-    // priority. The length and key-dictionary columns are off the
-    // full-replay path, so any saving is welcome there.
+    // full replay, so they stay raw (zero-copy sub-slices at decode
+    // time; `NEVER_COMPRESS`). Records are already factored — a
+    // shape byte per edge-list, then little but delta-varint neighbor
+    // ids — which leaves LZSS nothing worth its replay time. The
+    // length and key-dictionary columns are off the full-replay path,
+    // so any saving is welcome there.
     let mut min_save = [1; DELTA_SEGS];
     min_save[SEG_RECORDS] = NEVER_COMPRESS;
     min_save[SEG_NODE_IDS] = NEVER_COMPRESS;
@@ -1248,6 +1184,8 @@ impl ColumnarDelta {
 mod tests {
     use super::*;
     use crate::codec::{encode_delta, encode_eventlist};
+    use crate::node::Neighbor;
+    use crate::types::EdgeDir;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -1417,6 +1355,36 @@ mod tests {
         let decoded = (crate::codec::decoded_bytes() - before) as usize;
         assert!(decoded <= col.raw_lens[SEG_NODE_IDS] + col.raw_lens[SEG_RECORD_LENS]);
         assert!(decoded < col.raw_len_total());
+    }
+
+    #[test]
+    fn records_and_rowwise_nodes_share_one_edge_list_grammar() {
+        // Without attributes (where interned vs inline keys differ) a
+        // columnar record is the row-wise description minus its id.
+        let mut n = StaticNode::new(300);
+        for (nbr, dir, w) in [(2u64, EdgeDir::Both, 1.0f32), (9, EdgeDir::Out, 0.5)] {
+            n.insert_edge(Neighbor::weighted(nbr, dir, w));
+        }
+        for n in [StaticNode::new(300), n] {
+            let mut record = BytesMut::new();
+            put_record(&mut record, &n, &[]);
+            let mut row = BytesMut::new();
+            crate::codec::put_static_node(&mut row, &n);
+            assert_eq!(&row[2..], &record[..]);
+        }
+    }
+
+    #[test]
+    fn previous_format_rows_fail_closed() {
+        // A row stamped with the retired per-edge-tuple magic is
+        // refused at parse: its records are never read as this grammar.
+        let mut old = encode_columnar_delta(&sample_delta()).to_vec();
+        assert_eq!(old[0], DELTA_MAGIC);
+        old[0] = 0xC2;
+        assert!(matches!(
+            ColumnarDelta::parse(Bytes::from(old)),
+            Err(CodecError::BadTag { tag: 0xC2, .. })
+        ));
     }
 
     #[test]

@@ -1,18 +1,27 @@
-//! Property-based tests for the columnar eventlist / delta codec.
+//! Property-based tests for the columnar eventlist / delta codec, and
+//! for the edge-list grammar it shares with the row-wise delta codec.
 //!
-//! Two families:
+//! Three families:
 //!  * roundtrip — encode → parse → materialize reproduces the input
 //!    exactly, and the pruned accessors (`events_touching`,
 //!    `node_record`) agree with filtering the full decode;
 //!  * hardening — truncated or bit-flipped rows must surface
 //!    `CodecError` (or decode to *something*), never panic and never
 //!    attempt oversized allocations, no matter which column the
-//!    corruption lands in.
+//!    corruption lands in;
+//!  * shapes — the same two families over deltas whose edge-lists are
+//!    drawn per *shape* (which of `dir` / weight / attributes are
+//!    constant across a list), through both `ColumnarDelta` and the
+//!    row-wise `codec::decode_delta`: replayed random histories almost
+//!    never produce the all-default list that real datasets are made of.
 
+use hgs_delta::codec::{decode_delta, encode_delta};
 use hgs_delta::columnar::{
     encode_columnar_delta, encode_columnar_eventlist, ColumnarDelta, ColumnarEventlist,
 };
-use hgs_delta::{AttrValue, Delta, Event, EventKind, Eventlist, NodeId};
+use hgs_delta::{
+    AttrValue, Delta, EdgeDir, Event, EventKind, Eventlist, Neighbor, NodeId, StaticNode,
+};
 use proptest::prelude::*;
 
 /// Every attribute value type, so the value column exercises all tags.
@@ -88,6 +97,61 @@ fn arb_delta() -> impl Strategy<Value = Delta> {
     })
 }
 
+/// One node whose edge-list has a chosen shape: 0 all-default, 1
+/// all-default but one entry (which field differs is drawn too), 2
+/// directed only, 3 weighted only, 4 attributes on exactly one entry,
+/// 5 empty. `-0.0` rides among the weights: it must not be taken for
+/// a default.
+fn arb_shaped_node() -> impl Strategy<Value = StaticNode> {
+    let weight = prop_oneof![Just(-0.0f32), Just(1.0f32), 0.0f32..4.0];
+    (
+        (0u8..6, 0usize..64, 0u8..3),
+        prop::collection::btree_set(0u64..400, 1..14),
+        prop::collection::vec((0u8..3, weight), 14..15),
+        ("[a-c]{1,3}", arb_attr_value(), any::<bool>()),
+    )
+        .prop_map(
+            |((shape, pick, field), nbrs, draws, (key, value, node_attr))| {
+                let mut n = StaticNode::new(0);
+                if node_attr {
+                    n.attrs.set(key.clone(), value.clone());
+                }
+                if shape == 5 {
+                    return n;
+                }
+                let pick = pick % nbrs.len();
+                for (i, (nbr, (dir_tag, w))) in nbrs.into_iter().zip(draws).enumerate() {
+                    let mut e = Neighbor::new(nbr, EdgeDir::Both);
+                    let odd_one = i == pick;
+                    if shape == 2 || (shape == 1 && odd_one && field == 0) {
+                        e.dir = [EdgeDir::Out, EdgeDir::In, EdgeDir::Both][dir_tag as usize];
+                    }
+                    if shape == 3 || (shape == 1 && odd_one && field == 1) {
+                        e.weight = w;
+                    }
+                    if odd_one && (shape == 4 || (shape == 1 && field == 2)) {
+                        e.set_attr(key.clone(), value.clone());
+                    }
+                    n.insert_edge(e);
+                }
+                n
+            },
+        )
+}
+
+/// A delta of shape-biased nodes (ids 0, 3, 6, … so the hardening
+/// probes of ids 0..4 hit and miss).
+fn arb_shaped_delta() -> impl Strategy<Value = Delta> {
+    prop::collection::vec(arb_shaped_node(), 0..8).prop_map(|nodes| {
+        let mut d = Delta::new();
+        for (i, mut n) in nodes.into_iter().enumerate() {
+            n.id = i as u64 * 3;
+            d.insert(n);
+        }
+        d
+    })
+}
+
 /// Reference filter matching the columnar pruned read: the event's
 /// primary id or (when present) second id equals `nid`.
 fn touches(kind: &EventKind, nid: NodeId) -> bool {
@@ -129,6 +193,14 @@ fn exercise_delta(bytes: bytes::Bytes) {
         let _ = col.contains(nid);
         let _ = col.node_record(nid);
     }
+}
+
+/// Flip one bit of `bytes` at relative position `pos`.
+fn flip_bit(bytes: &bytes::Bytes, pos: f64, bit: u8) -> Option<Vec<u8>> {
+    let mut raw = bytes.to_vec();
+    let last = raw.len().checked_sub(1)?;
+    raw[(last as f64 * pos) as usize] ^= 1 << bit;
+    Some(raw)
 }
 
 proptest! {
@@ -189,13 +261,9 @@ proptest! {
         bit in 0u8..8,
     ) {
         let bytes = encode_columnar_eventlist(&Eventlist::from_sorted(events));
-        let mut raw = bytes.to_vec();
-        if raw.is_empty() {
-            return Ok(());
+        if let Some(raw) = flip_bit(&bytes, pos, bit) {
+            exercise_eventlist(bytes::Bytes::from(raw));
         }
-        let i = ((raw.len() - 1) as f64 * pos) as usize;
-        raw[i] ^= 1 << bit;
-        exercise_eventlist(bytes::Bytes::from(raw));
     }
 
     #[test]
@@ -207,14 +275,9 @@ proptest! {
 
     #[test]
     fn bitflipped_delta_never_panics(d in arb_delta(), pos in 0.0f64..1.0, bit in 0u8..8) {
-        let bytes = encode_columnar_delta(&d);
-        let mut raw = bytes.to_vec();
-        if raw.is_empty() {
-            return Ok(());
+        if let Some(raw) = flip_bit(&encode_columnar_delta(&d), pos, bit) {
+            exercise_delta(bytes::Bytes::from(raw));
         }
-        let i = ((raw.len() - 1) as f64 * pos) as usize;
-        raw[i] ^= 1 << bit;
-        exercise_delta(bytes::Bytes::from(raw));
     }
 
     /// Corruption confined to a *payload* column must not break parsing
@@ -231,5 +294,49 @@ proptest! {
         let i = ((raw.len() - 1) as f64 * pos) as usize;
         raw[i] ^= 1 << bit;
         exercise_eventlist(bytes::Bytes::from(raw));
+    }
+
+    #[test]
+    fn shaped_delta_roundtrips_through_both_codecs(d in arb_shaped_delta()) {
+        let col = ColumnarDelta::parse(encode_columnar_delta(&d)).unwrap();
+        prop_assert_eq!(col.n_nodes(), d.cardinality());
+        prop_assert_eq!(&col.to_delta().unwrap(), &d);
+        prop_assert_eq!(&decode_delta(&encode_delta(&d)).unwrap(), &d);
+    }
+
+    #[test]
+    fn shaped_node_record_agrees_with_to_delta(d in arb_shaped_delta()) {
+        let col = ColumnarDelta::parse(encode_columnar_delta(&d)).unwrap();
+        let full = col.to_delta().unwrap();
+        for nid in 0..26u64 {
+            let got = col.node_record(nid).unwrap();
+            prop_assert_eq!(got.as_ref(), full.node(nid));
+            prop_assert_eq!(got.as_ref(), d.node(nid));
+        }
+    }
+
+    #[test]
+    fn truncated_shaped_delta_never_panics(d in arb_shaped_delta(), cut in 0.0f64..1.0) {
+        let col = encode_columnar_delta(&d);
+        exercise_delta(col.slice(..(col.len() as f64 * cut) as usize));
+        let row = encode_delta(&d);
+        // The row-wise encoding is a prefix code: a strict prefix of a
+        // valid row runs out of bytes.
+        let keep = (row.len() as f64 * cut) as usize;
+        prop_assert!(decode_delta(&row[..keep]).is_err());
+    }
+
+    #[test]
+    fn bitflipped_shaped_delta_never_panics(
+        d in arb_shaped_delta(),
+        pos in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        if let Some(raw) = flip_bit(&encode_columnar_delta(&d), pos, bit) {
+            exercise_delta(bytes::Bytes::from(raw));
+        }
+        if let Some(raw) = flip_bit(&encode_delta(&d), pos, bit) {
+            let _ = decode_delta(&raw);
+        }
     }
 }
