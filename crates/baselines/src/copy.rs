@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use hgs_delta::codec::{decode_delta, encode_delta};
 use hgs_delta::{Delta, Event, NodeId, StaticNode, Time, TimeRange};
-use hgs_store::{SimStore, StoreConfig, StoreError, Table};
+use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
 
 use crate::traits::{node_events_in, HistoricalIndex};
 
@@ -38,6 +38,7 @@ impl CopyIndex {
     /// Materialize a snapshot at every distinct event timestamp.
     pub fn build(store_cfg: StoreConfig, events: &[Event]) -> CopyIndex {
         let store = Arc::new(SimStore::new(store_cfg));
+        let mut rows = crate::BuildRows::new(&store);
         let mut state = Delta::new();
         let mut times = Vec::new();
         let mut i = 0usize;
@@ -48,15 +49,14 @@ impl CopyIndex {
                 i += 1;
             }
             times.push(t);
-            // hgs-lint: allow(batched-store-discipline, "row-at-a-time Copy baseline is the paper's comparison target, not a batched hot path")
-            // hgs-lint: allow(bounded-retry, "the while walks a finite event stream, the cursor advances every iteration; each put writes a new key, nothing is re-issued")
-            store.put(
+            rows.put(PutRow::new(
                 Table::Deltas,
-                &Self::key(t),
+                Self::key(t).to_vec(),
                 Self::token(t),
                 encode_delta(&state),
-            );
+            ));
         }
+        rows.finish();
         CopyIndex {
             store,
             times,

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use hgs_delta::codec::{decode_delta, decode_eventlist, encode_delta, encode_eventlist};
 use hgs_delta::{Delta, Event, Eventlist, NodeId, StaticNode, Time, TimeRange};
-use hgs_store::{SimStore, StoreConfig, StoreError, Table};
+use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
 
 use crate::traits::{node_events_in, HistoricalIndex};
 
@@ -39,6 +39,7 @@ impl CopyLogIndex {
     pub fn build(store_cfg: StoreConfig, events: &[Event], k: usize) -> CopyLogIndex {
         assert!(k > 0);
         let store = Arc::new(SimStore::new(store_cfg));
+        let mut rows = crate::BuildRows::new(&store);
         let mut state = Delta::new();
         let mut checkpoints = Vec::new();
         let mut start = 0usize;
@@ -59,23 +60,19 @@ impl CopyLogIndex {
                 e
             };
             checkpoints.push(if start == 0 { 0 } else { events[start].time });
-            // hgs-lint: allow(batched-store-discipline, "row-at-a-time Copy+Log baseline is the paper's comparison target, not a batched hot path")
-            // hgs-lint: allow(bounded-retry, "the while walks a finite event stream, the cursor advances every iteration; each put writes a new key, nothing is re-issued")
-            store.put(
+            rows.put(PutRow::new(
                 Table::Deltas,
-                &Self::key(SNAP_TAG, i),
+                Self::key(SNAP_TAG, i).to_vec(),
                 Self::token(i),
                 encode_delta(&state),
-            );
+            ));
             let el = Eventlist::from_sorted(events[start..end].to_vec());
-            // hgs-lint: allow(batched-store-discipline, "row-at-a-time Copy+Log baseline is the paper's comparison target, not a batched hot path")
-            // hgs-lint: allow(bounded-retry, "the while walks a finite event stream, the cursor advances every iteration; each put writes a new key, nothing is re-issued")
-            store.put(
+            rows.put(PutRow::new(
                 Table::Deltas,
-                &Self::key(ELIST_TAG, i),
+                Self::key(ELIST_TAG, i).to_vec(),
                 Self::token(i),
                 encode_eventlist(&el),
-            );
+            ));
             for e in &events[start..end] {
                 state.apply_event(&e.kind);
             }
@@ -84,14 +81,14 @@ impl CopyLogIndex {
         }
         if checkpoints.is_empty() {
             checkpoints.push(0);
-            // hgs-lint: allow(batched-store-discipline, "row-at-a-time Copy+Log baseline is the paper's comparison target, not a batched hot path")
-            store.put(
+            rows.put(PutRow::new(
                 Table::Deltas,
-                &Self::key(SNAP_TAG, 0),
+                Self::key(SNAP_TAG, 0).to_vec(),
                 Self::token(0),
                 encode_delta(&Delta::new()),
-            );
+            ));
         }
+        rows.finish();
         CopyLogIndex { store, checkpoints }
     }
 

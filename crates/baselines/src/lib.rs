@@ -35,19 +35,42 @@ pub use nodecentric::NodeCentricIndex;
 pub use traits::HistoricalIndex;
 
 use hgs_delta::{Delta, EventKind, NodeId};
-use hgs_store::{StoreError, Table};
+use hgs_store::{PutRow, SimStore, StoreError, Table, WriteBuffer};
 
-/// Apply an event restricted to a single node's description (used by
-/// the per-node replay paths of the baselines).
-/// A `Deltas` row the index's `build` wrote. The row-at-a-time builds
-/// ignore replica counts, so a row written to a dead machine is simply
-/// not there: that is unavailability, not an empty answer.
+/// The write side of a baseline's `build`: a [`WriteBuffer`] over the
+/// store the index just created. Nothing else has touched that store —
+/// no machine is dead, no fault plan attached — so every write is
+/// `expect`ed to land.
+pub(crate) struct BuildRows<'a>(WriteBuffer<'a>);
+
+impl<'a> BuildRows<'a> {
+    const FRESH_STORE: &'static str = "a fresh store accepts every write";
+
+    pub(crate) fn new(store: &'a SimStore) -> BuildRows<'a> {
+        // A small cap: most baseline rows are whole snapshots.
+        BuildRows(WriteBuffer::new(store, 16))
+    }
+
+    pub(crate) fn put(&mut self, row: PutRow) {
+        self.0.push_row(row).expect(Self::FRESH_STORE);
+    }
+
+    pub(crate) fn finish(mut self) {
+        self.0.flush().expect(Self::FRESH_STORE);
+    }
+}
+
+/// A `Deltas` row the index's `build` wrote. `build` lands every row
+/// or panics, so a row that is not there was lost by the store: that
+/// is unavailability, not an empty answer.
 pub(crate) fn written_row<T>(row: Option<T>) -> Result<T, StoreError> {
     row.ok_or(StoreError::Unavailable {
         table: Table::Deltas,
     })
 }
 
+/// Apply an event restricted to a single node's description (used by
+/// the per-node replay paths of the baselines).
 pub(crate) fn scoped_apply(state: &mut Delta, kind: &EventKind, nid: NodeId) {
     hgs_core::scope::apply_event_scoped(state, kind, |id| id == nid);
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use hgs_delta::codec::{decode_eventlist, encode_eventlist};
 use hgs_delta::{Delta, Event, Eventlist, NodeId, StaticNode, Time, TimeRange};
-use hgs_store::{SimStore, StoreConfig, StoreError, Table};
+use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
 
 use crate::traits::HistoricalIndex;
 
@@ -37,18 +37,19 @@ impl LogIndex {
     pub fn build(store_cfg: StoreConfig, events: &[Event], chunk: usize) -> LogIndex {
         assert!(chunk > 0);
         let store = Arc::new(SimStore::new(store_cfg));
+        let mut rows = crate::BuildRows::new(&store);
         let mut starts = Vec::new();
         for (i, c) in events.chunks(chunk).enumerate() {
             starts.push(c[0].time);
             let el = Eventlist::from_sorted(c.to_vec());
-            // hgs-lint: allow(batched-store-discipline, "row-at-a-time Log baseline is the paper's comparison target, not a batched hot path")
-            store.put(
+            rows.put(PutRow::new(
                 Table::Deltas,
-                &Self::key(i),
+                Self::key(i).to_vec(),
                 Self::token(i),
                 encode_eventlist(&el),
-            );
+            ));
         }
+        rows.finish();
         LogIndex {
             store,
             starts,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use hgs_delta::codec::{decode_eventlist, encode_eventlist};
 use hgs_delta::{Delta, Event, Eventlist, NodeId, StaticNode, Time, TimeRange};
 use hgs_store::key::{node_key, node_placement_token};
-use hgs_store::{SimStore, StoreConfig, StoreError, Table};
+use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
 
 use crate::traits::HistoricalIndex;
 
@@ -28,6 +28,7 @@ impl NodeCentricIndex {
     /// replicated to both endpoints' lists).
     pub fn build(store_cfg: StoreConfig, events: &[Event]) -> NodeCentricIndex {
         let store = Arc::new(SimStore::new(store_cfg));
+        let mut rows = crate::BuildRows::new(&store);
         // Normalize so neighbor state changes implied by RemoveNode
         // reach the neighbors' per-node logs (see hgs_delta::normalize).
         let events = hgs_delta::normalize_events(events);
@@ -46,14 +47,14 @@ impl NodeCentricIndex {
         nodes.sort_unstable();
         for (nid, evs) in per_node {
             let el = Eventlist::from_sorted(evs);
-            // hgs-lint: allow(batched-store-discipline, "row-at-a-time node-centric baseline is the paper's comparison target, not a batched hot path")
-            store.put(
+            rows.put(PutRow::new(
                 Table::Versions,
-                &node_key(nid),
+                node_key(nid).to_vec(),
                 node_placement_token(nid),
                 encode_eventlist(&el),
-            );
+            ));
         }
+        rows.finish();
         NodeCentricIndex { store, nodes }
     }
 

@@ -11,8 +11,9 @@ use std::sync::Arc;
 use hgs_core::{KhopStrategy, Tgi, TgiConfig};
 use hgs_datagen::{LabeledChurn, WikiGrowth};
 use hgs_delta::codec::{decode_delta, encode_delta};
+use hgs_delta::compress::{compress, decompress};
 use hgs_delta::{Delta, TimeRange};
-use hgs_store::{compress, decompress, SimStore, StoreConfig, Table};
+use hgs_store::{PutRow, SimStore, StoreConfig, Table};
 use hgs_taf::TgiHandler;
 
 fn bench_delta_algebra(c: &mut Criterion) {
@@ -55,14 +56,15 @@ fn bench_codec(c: &mut Criterion) {
 
 fn bench_store(c: &mut Criterion) {
     let store = SimStore::new(StoreConfig::new(4, 1));
-    for i in 0..1_000u64 {
-        store.put(
+    let rows = (0..1_000u64).map(|i| {
+        PutRow::new(
             Table::Deltas,
-            &i.to_be_bytes(),
+            i.to_be_bytes().to_vec(),
             i * 31,
             bytes::Bytes::from(vec![0u8; 256]),
-        );
-    }
+        )
+    });
+    store.try_put_batch(rows.collect()).expect("healthy store");
     c.bench_function("store/get", |bench| {
         let mut i = 0u64;
         bench.iter(|| {

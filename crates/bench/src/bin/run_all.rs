@@ -22,7 +22,6 @@ fn main() {
     e::ablation_horizontal();
     e::multipoint();
     e::read_cache();
-    e::build_ingest();
     e::labels();
     e::serve();
     e::chaos();

@@ -50,7 +50,7 @@ const OPS: usize = 2_000;
 pub struct ChaosRow {
     /// `baseline`, `plan_zero` or `chaos`.
     pub phase: &'static str,
-    /// Parallel fetch clients (`set_clients_forced`).
+    /// Parallel fetch clients (`with_clients`).
     pub clients: usize,
     /// Timed reads issued.
     pub ops: u64,
@@ -104,7 +104,7 @@ fn chaos_plan() -> FaultPlan {
 /// `oracle[i]` is the no-fault answer of query `i`.
 fn run_phase(
     phase: &'static str,
-    tgi: &hgs_core::Tgi,
+    tgi: &hgs_core::TgiView,
     c: usize,
     queries: &[(u64, Time)],
     oracle: &[Option<StaticNode>],
@@ -201,7 +201,7 @@ pub fn chaos() -> (Vec<ChaosRow>, RepairOutcome) {
         ),
     );
     let events = dataset1();
-    let mut tgi = build_tgi(paper_default_cfg(), StoreConfig::new(4, 2), &events);
+    let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(4, 2), &events);
     let hot = sample_nodes(&events, 32, 4);
     assert!(!hot.is_empty(), "hot set must be non-empty");
     let end = tgi.end_time();
@@ -222,14 +222,14 @@ pub fn chaos() -> (Vec<ChaosRow>, RepairOutcome) {
     ]);
     let mut rows = Vec::new();
     for c in clients_sweep() {
-        tgi.set_clients_forced(c);
+        let view = tgi.with_clients(c);
         for (phase, plan) in [
             ("baseline", None),
             ("plan_zero", Some(FaultPlan::new(CHAOS_SEED))),
             ("chaos", Some(chaos_plan())),
         ] {
             tgi.store().set_fault_plan(plan);
-            let row = run_phase(phase, &tgi, c, &queries, &oracle);
+            let row = run_phase(phase, &view, c, &queries, &oracle);
             println!(
                 "{}\t{}\t{}\t{}\t{:.4}\t{:.1}\t{:.1}\t{}\t{}\t{}",
                 row.phase,

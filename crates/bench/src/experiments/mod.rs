@@ -3,7 +3,6 @@
 
 pub mod ablation;
 pub mod analytics;
-pub mod build_ingest;
 pub mod chaos;
 pub mod labels;
 pub mod multipoint;
@@ -16,7 +15,6 @@ pub mod versions;
 
 pub use ablation::{ablation_arity, ablation_horizontal, ablation_timespan};
 pub use analytics::{fig15c, fig17};
-pub use build_ingest::{build_ingest, BuildRow};
 pub use chaos::{chaos, ChaosRow, RepairOutcome};
 pub use labels::{labels, LabelRow};
 pub use multipoint::{multipoint, multipoint_row, MultipointRow};

@@ -25,29 +25,27 @@
 //!
 //! ## Write path
 //!
-//! Construction and ingest write at store speed: every encoded row of
-//! a span (tree micro-deltas, eventlists, aux boundary deltas, version
-//! chains, partition maps) is pushed into a [`WriteBuffer`] and
-//! flushed through [`SimStore::put_batch`] — **one round trip per
-//! machine per flush** instead of one per row
-//! ([`TgiConfig::write_batch_rows`] bounds the buffer; `0` restores
-//! the seed row-at-a-time reference path). At an encode width of two
-//! or more the span's heavy per-`(sid, pid)` encoding runs as one work
-//! item per horizontal partition on
-//! [`hgs_store::parallel::parallel_steal`]: each item
-//! replays the span scoped to its `sid` (full-state replay when aux
-//! boundary replication needs other partitions' node records), builds
-//! its own intersection tree, buckets its eventlists and collects its
+//! There is one: every span is encoded as **one work item per
+//! horizontal partition** on
+//! [`hgs_store::parallel::parallel_steal`] and every row reaches the
+//! store through [`SimStore::try_put_batch`]. Each item replays the
+//! span scoped to its `sid` (full-state replay when aux boundary
+//! replication needs other partitions' node records), builds its own
+//! intersection tree, buckets its eventlists and collects its
 //! (disjoint) version-chain entries; outputs merge in deterministic
-//! `sid` order. At width 1 one fused pass replays the span once for
-//! all partitions, keeping the per-`sid` states current from the nodes
-//! each chunk changed (the seed reference mode re-partitions the full
-//! state at every checkpoint instead).
-//! The writer's **encode width** is its own number, not
-//! the read-side client width: by default the items fan out over
+//! `sid` order into a [`WriteBuffer`] that flushes **one round trip
+//! per machine** every `WRITE_BATCH_ROWS` rows and at the span's end.
+//! The descriptor rows that make a span reachable (`Timespans`,
+//! `Graph/meta`, `Graph/config`) follow as one-row batches, so they
+//! retry, back off and classify [`StoreError::Transient`] vs
+//! [`StoreError::Unavailable`] like every other row.
+//!
+//! The writer's **encode width** is its own number, not the read-side
+//! client width: by default the items fan out over
 //! `min(available_parallelism, ns)` workers while reads stay at one
 //! client; an explicit width ([`Tgi::try_build_on_c`],
-//! [`Tgi::set_clients`]) sets both. Every width is property-tested to
+//! [`Tgi::set_clients`]) sets both, and at width 1 the items run
+//! inline, one after the other. Every width is property-tested to
 //! produce byte-for-byte identical stores.
 
 use std::borrow::Cow;
@@ -62,7 +60,7 @@ use hgs_partition::{
     RandomPartitioner,
 };
 use hgs_store::key::{chain_key, node_placement_token, term_key, term_token};
-use hgs_store::parallel::{parallel_steal, steal_worker_count};
+use hgs_store::parallel::parallel_steal;
 use hgs_store::{
     CostModel, DeltaKey, PlacementKey, PutRow, SimStore, StoreConfig, StoreError, Table,
     WriteBuffer,
@@ -444,8 +442,7 @@ impl Tgi {
     /// over-provisioned `c` only adds thread spawn/teardown overhead
     /// (the cost model, not wall-clock, answers "what would a bigger
     /// cluster do"). Explicit-`c` calls ([`TgiView::with_clients`],
-    /// [`Tgi::try_build_on_c`]) and [`Tgi::set_clients_forced`] bypass
-    /// the clamp.
+    /// [`Tgi::try_build_on_c`]) bypass the clamp.
     ///
     /// Until this (or an explicit-`c` build) is called, the two widths
     /// differ: reads run at one client, the span encode at the host's
@@ -455,14 +452,6 @@ impl Tgi {
     /// encode at width 1 and read at `c > 1`.
     pub fn set_clients(&mut self, c: usize) {
         self.view.clients = clamp_clients(c);
-        self.encode_width = self.view.clients;
-    }
-
-    /// [`Tgi::set_clients`] without the host-parallelism clamp — the
-    /// escape hatch for tests and benches that must exercise real
-    /// thread interleavings on boxes with fewer cores than `c`.
-    pub fn set_clients_forced(&mut self, c: usize) {
-        self.view.clients = c.max(1);
         self.encode_width = self.view.clients;
     }
 
@@ -477,7 +466,7 @@ impl Tgi {
 
     fn build_span(&mut self, events: &[Event], range: TimeRange) -> Result<(), StoreError> {
         let store = Arc::clone(&self.store);
-        let mut buf = WriteBuffer::new(&store, self.cfg.write_batch_rows);
+        let mut buf = WriteBuffer::new(&store, WRITE_BATCH_ROWS);
         let result = self.build_span_buffered(events, range, &mut buf);
         if result.is_err() {
             // The build already failed; pending rows would only trip
@@ -518,59 +507,25 @@ impl Tgi {
             }
         );
 
-        // 3-5. Replay the span, emitting leaves / eventlists / aux /
-        // chain entries. At width 1 that is the fused single pass: one
-        // replay of the span, each sid's leaf taken from per-sid
-        // partitions of the state. The seed reference mode
-        // (`write_batch_rows == 0`) re-derives those partitions from
-        // the full state at every checkpoint — the definition, written
-        // row-at-a-time; the batched path keeps them current from the
-        // nodes each chunk touched. From width 2 up (any strategy) the
-        // span becomes one work item per sid. With aux boundary
-        // replication each item replays the *full* state to see
-        // neighbor records, yet two workers still beat the fused pass
-        // for ns = 4, 8, 16 (1.4–1.6× on a 30 k-event trace, 1.1–1.2×
-        // on 100 k): encoding a sid's aux rows and tree, not the
-        // replay, is where the time goes, and that splits across
-        // workers. Inline items at width 1 lose to the fused pass on
-        // small states (they pay a second replay for the tail state
-        // and ns scans of the span). All paths produce
-        // identical rows (property-tested).
-        let workers = steal_worker_count(self.encode_width, ns as usize);
-        let seed_mode = cfg.write_batch_rows == 0;
         // Secondary-index rows are collected from the pre-span tail
-        // state plus the span's events — one in-memory pass, identical
-        // for the fused and parallel encode paths (which advance the
-        // tail state below), pushed into the same buffered flush.
+        // state plus the span's events — one in-memory pass before the
+        // encode advances the tail state — and pushed into the same
+        // buffered flush.
         let index_rows = cfg.secondary_indexes.then(|| {
             crate::attr_index::collect_span_index_rows(&self.tail_state, events, range.start)
         });
-        let mut chains: FxHashMap<NodeId, Vec<ChainEntry>> = FxHashMap::default();
-        if seed_mode || workers <= 1 {
-            self.encode_span_fused(
-                events,
-                &chunk_bounds,
-                q,
-                &shape,
-                &maps,
-                tsid,
-                replicate,
-                buf,
-                &mut chains,
-            )?;
-        } else {
-            self.encode_span_parallel(
-                events,
-                &chunk_bounds,
-                q,
-                &shape,
-                &maps,
-                tsid,
-                replicate,
-                buf,
-                &mut chains,
-            )?;
-        }
+        // 3-5. Replay the span, emitting leaves / eventlists / aux /
+        // chain entries.
+        let chains = self.encode_span(
+            events,
+            &chunk_bounds,
+            q,
+            &shape,
+            &maps,
+            tsid,
+            replicate,
+            buf,
+        )?;
 
         // Version chains: one append-only chain-delta row per touched
         // node, keyed `(nid, tsid)`. No read-modify-write: the row is
@@ -647,16 +602,17 @@ impl Tgi {
         self.persist_meta(self.view.spans.len() - 1)
     }
 
-    /// Seed-structure span encoding: one fused pass that replays the
-    /// span once, pushing each sid's leaf into its accumulator and
-    /// bucketing each chunk's eventlists for all sids together. Rows
-    /// go to the write buffer (which may flush mid-span and surface a
-    /// store error). The per-sid partitions the leaves are cloned from
-    /// are re-derived from the full state at every checkpoint in the
-    /// seed reference mode, and otherwise split once and kept equal to
-    /// that by re-copying the nodes each chunk changed.
+    /// Encode one span: one work item per horizontal partition on the
+    /// work-stealing queue ([`parallel_steal`], fan-out clamped to
+    /// `min(encode_width, ns)`, inline at width 1). Each item replays
+    /// the span restricted to its own `sid` (or over the full state
+    /// when aux boundary replication needs other partitions' node
+    /// records), building its intersection tree, eventlist buckets and
+    /// chain entries independently; encoded rows are staged in memory
+    /// per item and merged into the write buffer in deterministic
+    /// `sid` order. Returns the span's version-chain entries.
     #[allow(clippy::too_many_arguments)]
-    fn encode_span_fused(
+    fn encode_span(
         &mut self,
         events: &[Event],
         chunk_bounds: &[(usize, usize)],
@@ -666,116 +622,7 @@ impl Tgi {
         tsid: u32,
         replicate: bool,
         buf: &mut WriteBuffer<'_>,
-        chains: &mut FxHashMap<NodeId, Vec<ChainEntry>>,
-    ) -> Result<(), StoreError> {
-        let cfg = self.cfg;
-        let ns = cfg.horizontal_partitions;
-        let seed_mode = cfg.write_batch_rows == 0;
-        let mut accs: Vec<TreeAccumulator> = (0..ns)
-            .map(|_| TreeAccumulator::new(shape.clone()))
-            .collect();
-        let mut parts = partition_state(&self.tail_state, ns);
-        for j in 0..q {
-            // Leaf j: per-sid partitioned snapshot of the current state.
-            if seed_mode && j > 0 {
-                parts = partition_state(&self.tail_state, ns);
-            }
-            for sid in 0..ns {
-                if replicate {
-                    let mut emit = |row: PutRow| buf.push_row(row);
-                    emit_aux(tsid, sid, j as u64, &self.tail_state, maps, ns, &mut emit)?;
-                }
-                let map = &maps[sid as usize];
-                let mut io: Result<(), StoreError> = Ok(());
-                accs[sid as usize].push_leaf(
-                    parts[sid as usize].clone(),
-                    &mut |level, idx, delta| {
-                        if io.is_ok() {
-                            let mut emit = |row: PutRow| buf.push_row(row);
-                            io =
-                                emit_micro(tsid, sid, shape.did(level, idx), delta, map, &mut emit);
-                        }
-                    },
-                );
-                io?;
-            }
-
-            // Chunk j (if events exist): emit partitioned eventlists,
-            // collect chain entries, advance the state.
-            if let Some(&(s, e)) = chunk_bounds.get(j) {
-                let chunk = &events[s..e];
-                let buckets = bucket_chunk(
-                    chunk,
-                    maps,
-                    ns,
-                    None,
-                    tsid,
-                    j as u32,
-                    cfg.version_chains,
-                    chains,
-                );
-                let mut emit = |row: PutRow| buf.push_row(row);
-                emit_eventlist_rows(tsid, j as u32, buckets, &mut emit)?;
-                // An event changes its endpoints' records; a node
-                // removal also scrubs the edges its neighbors still
-                // hold to it (none, on a normalized stream).
-                let mut changed: Vec<NodeId> = Vec::new();
-                for ev in chunk {
-                    if !seed_mode {
-                        let (a, b) = ev.kind.touched();
-                        changed.push(a);
-                        changed.extend(b);
-                        if let hgs_delta::EventKind::RemoveNode { id } = &ev.kind {
-                            if let Some(n) = self.tail_state.node(*id) {
-                                changed.extend(n.all_neighbors());
-                            }
-                        }
-                    }
-                    self.tail_state.apply_event(&ev.kind);
-                }
-                for id in changed {
-                    parts[sid_of(id, ns) as usize].copy_node_from(&self.tail_state, id);
-                }
-            }
-        }
-        // Finalize trees (emit roots and remaining derived deltas).
-        for sid in 0..ns {
-            let map = &maps[sid as usize];
-            let mut io: Result<(), StoreError> = Ok(());
-            accs[sid as usize].finalize(&mut |level, idx, delta| {
-                if io.is_ok() {
-                    let mut emit = |row: PutRow| buf.push_row(row);
-                    io = emit_micro(tsid, sid, shape.did(level, idx), delta, map, &mut emit);
-                }
-            });
-            io?;
-        }
-        Ok(())
-    }
-
-    /// Parallel span encoding: one work item per horizontal partition
-    /// on the work-stealing queue ([`parallel_steal`], fan-out clamped
-    /// to `min(encode_width, ns)`). Each item replays the span restricted
-    /// to its own `sid` (or over the full state when aux boundary
-    /// replication needs other partitions' node records), building its
-    /// intersection tree, eventlist buckets and chain entries
-    /// independently; encoded rows are buffered in-memory per item and
-    /// merged into the write buffer in deterministic `sid` order. The
-    /// driver advances the tail state by the same replay sequence the
-    /// fused path applies, keeping the two paths byte-identical.
-    #[allow(clippy::too_many_arguments)]
-    fn encode_span_parallel(
-        &mut self,
-        events: &[Event],
-        chunk_bounds: &[(usize, usize)],
-        q: usize,
-        shape: &TreeShape,
-        maps: &[PartitionMap],
-        tsid: u32,
-        replicate: bool,
-        buf: &mut WriteBuffer<'_>,
-        chains: &mut FxHashMap<NodeId, Vec<ChainEntry>>,
-    ) -> Result<(), StoreError> {
+    ) -> Result<FxHashMap<NodeId, Vec<ChainEntry>>, StoreError> {
         let cfg = self.cfg;
         let ns = cfg.horizontal_partitions;
         // Per-item starting state: the sid's own partition for scoped
@@ -806,12 +653,13 @@ impl Tgi {
                     version_chains: cfg.version_chains,
                 })
             });
-        // Advance the tail state with the same apply sequence as the
-        // fused path (identical internal ordering keeps later
-        // normalization deterministic across handles).
+        // Advance the tail state by plain in-order replay: the same
+        // apply sequence on every handle keeps the state's internal
+        // ordering, and with it later normalization, deterministic.
         for ev in events {
             self.tail_state.apply_event(&ev.kind);
         }
+        let mut chains: FxHashMap<NodeId, Vec<ChainEntry>> = FxHashMap::default();
         for out in outputs {
             for row in out.rows {
                 buf.push_row(row)?;
@@ -821,7 +669,7 @@ impl Tgi {
                 debug_assert!(prev.is_none(), "chain entries are disjoint across sids");
             }
         }
-        Ok(())
+        Ok(chains)
     }
 
     /// Time-collapse function Ω and node weighting of the locality
@@ -967,9 +815,16 @@ impl TgiView {
     }
 }
 
-/// Write a row, surfacing a zero-replica write as
-/// [`StoreError::Unavailable`]: a put the cluster did not accept
-/// anywhere must fail the build, not silently drop a delta.
+/// Rows the span write buffer accumulates before it flushes one
+/// batched round trip per machine (a span flushes once more at its end
+/// regardless). This bounds the buffer's flush cadence, not build
+/// memory: the per-`sid` encode stages a whole span's rows before they
+/// reach the buffer.
+const WRITE_BATCH_ROWS: usize = 8192;
+
+/// Write one descriptor row as a one-row batch: retried, backed off
+/// and classified like every other write, and a row no replica
+/// accepted fails the build instead of silently dropping.
 fn put_checked(
     store: &SimStore,
     table: Table,
@@ -977,11 +832,8 @@ fn put_checked(
     token: u64,
     value: bytes::Bytes,
 ) -> Result<(), StoreError> {
-    // hgs-lint: allow(batched-store-discipline, "put_checked IS the workspace's single-row write primitive; batching happens upstream in WriteBuffer")
-    if store.put(table, key, token, value) == 0 {
-        return Err(StoreError::Unavailable { table });
-    }
-    Ok(())
+    let row = PutRow::new(table, key.to_vec(), token, value);
+    store.try_put_batch(vec![row]).map(drop)
 }
 
 /// The host's available parallelism — the default encode width, and
@@ -1050,25 +902,13 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
         let leaf = if replicate {
             // Full-state replay: extract this sid's partition for the
             // leaf and emit its aux boundary rows from the full state.
-            let mut emit = |row: PutRow| -> Result<(), StoreError> {
-                rows.push(row);
-                Ok(())
-            };
-            emit_aux(tsid, sid, j as u64, &state, maps, ns, &mut emit)
-                // hgs-lint: allow(no-panic-in-try, "emit closure appends to an in-memory Vec; the Result is only the shared emit-fn signature")
-                .expect("in-memory emit cannot fail");
+            emit_aux(tsid, sid, j as u64, &state, maps, ns, &mut rows);
             state.restrict(|id| sid_of(id, ns) == sid)
         } else {
             state.clone()
         };
         acc.push_leaf(leaf, &mut |level, idx, delta| {
-            let mut emit = |row: PutRow| -> Result<(), StoreError> {
-                rows.push(row);
-                Ok(())
-            };
-            emit_micro(tsid, sid, shape.did(level, idx), delta, map, &mut emit)
-                // hgs-lint: allow(no-panic-in-try, "emit closure appends to an in-memory Vec; the Result is only the shared emit-fn signature")
-                .expect("in-memory emit cannot fail");
+            emit_micro(tsid, sid, shape.did(level, idx), delta, map, &mut rows);
         });
         if let Some(&(s, e)) = chunk_bounds.get(j) {
             let chunk = &events[s..e];
@@ -1076,19 +916,13 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
                 chunk,
                 maps,
                 ns,
-                Some(sid),
+                sid,
                 tsid,
                 j as u32,
                 version_chains,
                 &mut chains,
             );
-            let mut emit = |row: PutRow| -> Result<(), StoreError> {
-                rows.push(row);
-                Ok(())
-            };
-            emit_eventlist_rows(tsid, j as u32, buckets, &mut emit)
-                // hgs-lint: allow(no-panic-in-try, "emit closure appends to an in-memory Vec; the Result is only the shared emit-fn signature")
-                .expect("in-memory emit cannot fail");
+            emit_eventlist_rows(tsid, j as u32, buckets, &mut rows);
             if replicate {
                 for ev in chunk {
                     state.apply_event(&ev.kind);
@@ -1103,37 +937,31 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
         }
     }
     acc.finalize(&mut |level, idx, delta| {
-        let mut emit = |row: PutRow| -> Result<(), StoreError> {
-            rows.push(row);
-            Ok(())
-        };
-        emit_micro(tsid, sid, shape.did(level, idx), delta, map, &mut emit)
-            // hgs-lint: allow(no-panic-in-try, "emit closure appends to an in-memory Vec; the Result is only the shared emit-fn signature")
-            .expect("in-memory emit cannot fail");
+        emit_micro(tsid, sid, shape.did(level, idx), delta, map, &mut rows);
     });
     SidSpanOutput { rows, chains }
 }
 
-/// Bucket one chunk's events into per-`(sid, pid)` eventlists and
-/// collect version-chain entries, optionally restricted to one `sid`
-/// (the per-sid buckets and chain maps of all sids partition the
-/// unrestricted result: an event lands at each endpoint's own sid, and
-/// a node's chain entries are generated only under its own sid's
-/// filter). Each distinct `(sid, pid)` gets exactly one copy of each
-/// event *instance* — comparing bucket keys, not event values, keeps
-/// genuinely duplicated events (which raw traces do contain) intact.
+/// Bucket one chunk's events into horizontal partition `only_sid`'s
+/// per-`pid` eventlists and collect its version-chain entries (the
+/// buckets and chain maps of all sids partition the chunk: an event
+/// lands at each endpoint's own sid, and a node's chain entries are
+/// generated only under its own sid). Each distinct `(sid, pid)` gets
+/// exactly one copy of each event *instance* — comparing bucket keys,
+/// not event values, keeps genuinely duplicated events (which raw
+/// traces do contain) intact.
 #[allow(clippy::too_many_arguments)]
 fn bucket_chunk(
     chunk: &[Event],
     maps: &[PartitionMap],
     ns: u32,
-    only_sid: Option<u32>,
+    only_sid: u32,
     tsid: u32,
     chunk_idx: u32,
     version_chains: bool,
     chains: &mut FxHashMap<NodeId, Vec<ChainEntry>>,
 ) -> FxHashMap<(u32, u32), Vec<Event>> {
-    let want = |sid: u32| only_sid.is_none_or(|s| s == sid);
+    let want = |sid: u32| sid == only_sid;
     let mut buckets: FxHashMap<(u32, u32), Vec<Event>> = FxHashMap::default();
     for ev in chunk {
         let (a, b) = ev.kind.touched();
@@ -1186,19 +1014,18 @@ fn emit_eventlist_rows(
     tsid: u32,
     chunk_idx: u32,
     buckets: FxHashMap<(u32, u32), Vec<Event>>,
-    emit: &mut impl FnMut(PutRow) -> Result<(), StoreError>,
-) -> Result<(), StoreError> {
+    rows: &mut Vec<PutRow>,
+) {
     for ((sid, pid), evs) in buckets {
         let el = Eventlist::from_sorted(evs);
         let key = DeltaKey::new(tsid, sid, ELIST_BASE + chunk_idx as u64, pid);
-        emit(PutRow::new(
+        rows.push(PutRow::new(
             Table::Deltas,
             key.encode().to_vec(),
             key.placement().token(),
             encode_columnar_eventlist(&el),
-        ))?;
+        ));
     }
-    Ok(())
 }
 
 /// Emit one sid's aux boundary rows for leaf `leaf`: for each `pid` of
@@ -1211,8 +1038,8 @@ fn emit_aux(
     state: &Delta,
     maps: &[PartitionMap],
     ns: u32,
-    emit: &mut impl FnMut(PutRow) -> Result<(), StoreError>,
-) -> Result<(), StoreError> {
+    rows: &mut Vec<PutRow>,
+) {
     let map = &maps[sid as usize];
     let mut aux: FxHashMap<u32, Delta> = FxHashMap::default();
     for n in state.iter() {
@@ -1231,14 +1058,13 @@ fn emit_aux(
     }
     for (pid, delta) in aux {
         let key = DeltaKey::new(tsid, sid, AUX_BASE + leaf, pid);
-        emit(PutRow::new(
+        rows.push(PutRow::new(
             Table::Deltas,
             key.encode().to_vec(),
             key.placement().token(),
             encode_columnar_delta(&delta),
-        ))?;
+        ));
     }
-    Ok(())
 }
 
 /// Chunk `events` into runs of ~`l`, never splitting a timestamp
@@ -1281,18 +1107,17 @@ fn emit_micro(
     did: u64,
     delta: &Delta,
     map: &PartitionMap,
-    emit: &mut impl FnMut(PutRow) -> Result<(), StoreError>,
-) -> Result<(), StoreError> {
+    rows: &mut Vec<PutRow>,
+) {
     for (pid, d) in delta.group_by(|id| map.assign(id)) {
         let key = DeltaKey::new(tsid, sid, did, pid);
-        emit(PutRow::new(
+        rows.push(PutRow::new(
             Table::Deltas,
             key.encode().to_vec(),
             key.placement().token(),
             encode_columnar_delta(&d),
-        ))?;
+        ));
     }
-    Ok(())
 }
 
 /// Key for a persisted partition map blob.
@@ -1483,8 +1308,6 @@ mod tests {
         assert!(tgi.clients() <= cores, "clamped to available parallelism");
         tgi.set_clients(0);
         assert_eq!(tgi.clients(), 1, "never below one client");
-        tgi.set_clients_forced(10_000);
-        assert_eq!(tgi.clients(), 10_000, "escape hatch skips the clamp");
     }
 
     #[test]
@@ -1493,8 +1316,6 @@ mod tests {
         assert_eq!((tgi.clients(), tgi.encode_width), (1, host_parallelism()));
         tgi.set_clients(1);
         assert_eq!((tgi.clients(), tgi.encode_width), (1, 1));
-        tgi.set_clients_forced(3);
-        assert_eq!((tgi.clients(), tgi.encode_width), (3, 3));
         let store = Arc::new(SimStore::new(StoreConfig::new(1, 1)));
         let tgi = Tgi::try_build_on_c(TgiConfig::default(), store, &[], 5).expect("healthy build");
         assert_eq!((tgi.clients(), tgi.encode_width), (5, 5));

@@ -41,13 +41,6 @@ pub struct TgiConfig {
     /// caching). Runtime-tunable via
     /// [`TgiView::set_read_cache_budget`](crate::build::TgiView).
     pub read_cache_bytes: usize,
-    /// Maximum rows the construction/ingest write buffer accumulates
-    /// before flushing a per-machine batched round trip
-    /// (`SimStore::put_batch`). `0` disables write batching entirely
-    /// and degrades to the seed's row-at-a-time `put` path — the
-    /// sequential reference the build-equivalence tests and the
-    /// `build_ingest` bench compare against.
-    pub write_batch_rows: usize,
     /// On-disk format tag of eventlist/delta rows: per-column LZSS
     /// segments decoded lazily. Not a knob — there is one format; the
     /// tag is persisted with the index (rows are not self-describing)
@@ -63,8 +56,7 @@ pub struct TgiConfig {
     /// Retry/backoff/circuit-breaker policy the store applies to every
     /// read and batched write issued on behalf of this index (see
     /// [`hgs_store::RetryPolicy`]). Installed on the store by the
-    /// build/open path. Like `write_batch_rows` this is a runtime
-    /// knob, not persisted with the index.
+    /// build/open path. A runtime knob, not persisted with the index.
     pub retry: hgs_store::RetryPolicy,
 }
 
@@ -79,7 +71,6 @@ impl Default for TgiConfig {
             strategy: PartitionStrategy::Random,
             version_chains: true,
             read_cache_bytes: DEFAULT_READ_CACHE_BYTES,
-            write_batch_rows: DEFAULT_WRITE_BATCH_ROWS,
             layout: StorageLayout::Columnar,
             secondary_indexes: true,
             retry: hgs_store::RetryPolicy::default(),
@@ -89,13 +80,6 @@ impl Default for TgiConfig {
 
 /// Default read-cache budget: 64 MiB of decoded rows and states.
 pub const DEFAULT_READ_CACHE_BYTES: usize = 64 << 20;
-
-/// Default write-buffer capacity: 8192 encoded rows per flush. A span
-/// flushes at least once at its end regardless. Note this bounds the
-/// *write buffer's* flush cadence, not total build memory: the
-/// per-sid encode stages a whole span's encoded rows in memory before
-/// they reach the buffer (see `encode_span_parallel`).
-pub const DEFAULT_WRITE_BATCH_ROWS: usize = 8192;
 
 impl TgiConfig {
     /// The first construction parameter outside its bounds, as
@@ -194,13 +178,6 @@ impl TgiConfig {
     /// Set the read-cache byte budget (`0` disables caching).
     pub fn with_read_cache_bytes(mut self, bytes: usize) -> TgiConfig {
         self.read_cache_bytes = bytes;
-        self
-    }
-
-    /// Set the write-buffer flush threshold (`0` disables write
-    /// batching — the seed row-at-a-time reference path).
-    pub fn with_write_batch_rows(mut self, rows: usize) -> TgiConfig {
-        self.write_batch_rows = rows;
         self
     }
 

@@ -68,11 +68,6 @@ pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
     put_varint(&mut buf, 1);
     put_varint(&mut buf, 0);
     put_varint(&mut buf, cfg.read_cache_bytes as u64);
-    // `write_batch_rows` is deliberately NOT persisted: it is an
-    // operational write-path knob (like the handle's client width),
-    // and two indexes built with different buffering must stay
-    // byte-identical on disk — the equivalence property the batched
-    // write path guarantees.
     let layout = match cfg.layout {
         StorageLayout::Columnar => 1u64,
     };
@@ -117,11 +112,8 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
         }
     }
     let read_cache_bytes = get_varint(b)? as usize;
-    // Not persisted (see `encode_config`): reopened handles write with
-    // the default buffering.
-    let write_batch_rows = crate::config::DEFAULT_WRITE_BATCH_ROWS;
-    // Retry/breaker policy is likewise runtime-only: reopened handles
-    // install the default policy on their store.
+    // Retry/breaker policy is runtime-only, not persisted: reopened
+    // handles install the default policy on their store.
     let retry = hgs_store::RetryPolicy::default();
     // One row format. A descriptor tagged otherwise, or cut short
     // before the tag, does not describe rows this code can read: refuse
@@ -150,7 +142,6 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
         strategy,
         version_chains,
         read_cache_bytes,
-        write_batch_rows,
         layout,
         secondary_indexes,
         retry,

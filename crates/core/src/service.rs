@@ -174,12 +174,6 @@ impl TgiService {
         self.writer.lock().set_clients(c);
     }
 
-    /// [`TgiService::set_clients`] without the clamp (see
-    /// [`Tgi::set_clients_forced`]).
-    pub fn set_clients_forced(&self, c: usize) {
-        self.writer.lock().set_clients_forced(c);
-    }
-
     /// Aggregated counters of the shared read cache (all views of
     /// this service share one cache; see [`crate::read_cache`]).
     pub fn cache_stats(&self) -> CacheStats {
@@ -213,8 +207,8 @@ impl TgiService {
     /// heals — machines healed, fault plan detached or its windows
     /// elapsed — this re-opens the index from the store's durable
     /// state, carries the service's runtime state over to the fresh
-    /// writer (shared read cache, client and encode widths, runtime
-    /// config knobs, watermark continuity), and finishes with an
+    /// writer (shared read cache, client and encode widths, retry
+    /// policy, watermark continuity), and finishes with an
     /// anti-entropy pass so rows degraded by the same fault window are
     /// re-replicated.
     /// Appends work again afterwards; the next one publishes the next
@@ -235,7 +229,6 @@ impl TgiService {
             reopened.view.read_cache = Arc::clone(&writer.view.read_cache);
             reopened.view.clients = writer.view.clients;
             reopened.encode_width = writer.encode_width;
-            reopened.view.cfg.write_batch_rows = writer.view.cfg.write_batch_rows;
             reopened.view.cfg.retry = writer.view.cfg.retry;
             // `Tgi::open` restarts epochs at 1; the service's sequence
             // must keep ascending past the already-published watermark.
@@ -315,16 +308,18 @@ mod tests {
     fn recover_unpoisons_the_writer_and_keeps_the_watermark_sequence() {
         let evs = chain_events(120);
         let store = Arc::new(SimStore::new(StoreConfig::new(4, 2)));
-        let svc = TgiService::try_build_on(
-            TgiConfig::default()
-                .with_timespan(50)
-                .with_eventlist_size(20),
-            Arc::clone(&store),
-            &evs[..40],
-        )
-        .expect("clean build");
+        let svc = TgiService::from_handle(
+            Tgi::try_build_on_c(
+                TgiConfig::default()
+                    .with_timespan(50)
+                    .with_eventlist_size(20),
+                Arc::clone(&store),
+                &evs[..40],
+                3,
+            )
+            .expect("clean build"),
+        );
         let w1 = svc.try_append_events(&evs[40..80]).unwrap();
-        svc.set_clients_forced(3);
         // Take the whole cluster down transiently: the next append
         // fails and poisons the writer, readers stay at w1.
         let mut plan = hgs_store::FaultPlan::new(0xBAD);

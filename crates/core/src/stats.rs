@@ -69,12 +69,13 @@ pub fn measure<R>(
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use hgs_store::{StoreConfig, Table};
+    use hgs_store::{PutRow, StoreConfig, Table};
 
     #[test]
     fn measure_brackets_only_inner_work() {
         let store = SimStore::new(StoreConfig::new(2, 1));
-        store.put(Table::Graph, b"k", 0, Bytes::from_static(b"hello"));
+        let row = PutRow::new(Table::Graph, b"k".to_vec(), 0, Bytes::from_static(b"hello"));
+        store.try_put_batch(vec![row]).unwrap();
         store.get(Table::Graph, b"k", 0).unwrap(); // outside bracket
         let model = CostModel::default();
         let ((), rep) = measure(&store, &model, 4, || {

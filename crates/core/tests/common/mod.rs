@@ -1,0 +1,122 @@
+//! The one independent oracle of the `hgs-core` suites: brute-force
+//! replay of the event history. An index answer must equal replay of
+//! the history it was built from — however it was built (any encode
+//! width, one build or build plus appends) and however it is read.
+
+use std::collections::BTreeSet;
+
+use hgs_core::{KhopStrategy, Tgi};
+use hgs_delta::{normalize_events, Delta, Event, NodeId, Time, TimeRange};
+
+pub fn touches(e: &Event, id: NodeId) -> bool {
+    let (a, b) = e.kind.touched();
+    a == id || b == Some(id)
+}
+
+/// Reference k-hop: breadth-first over the replayed state.
+fn khop_by_replay(state: &Delta, center: NodeId, k: usize) -> Delta {
+    let mut seen = BTreeSet::new();
+    if state.contains(center) {
+        seen.insert(center);
+    }
+    let mut frontier: Vec<NodeId> = seen.iter().copied().collect();
+    for _ in 0..k {
+        let nbrs: Vec<NodeId> = frontier
+            .iter()
+            .filter_map(|&id| state.node(id))
+            .flat_map(|n| n.all_neighbors())
+            .collect();
+        frontier = nbrs.into_iter().filter(|&n| seen.insert(n)).collect();
+    }
+    state.restrict(|id| seen.contains(&id))
+}
+
+/// Every query primitive against replay of `events`: snapshots at
+/// every client width, at the history's edges and at every distinct
+/// event time — so every checkpoint and every eventlist prefix is
+/// read back (strided down to ~300 times on the longer generated
+/// traces) — and per node the static-vertex fetch, the full history,
+/// the version chain and both k-hop strategies.
+pub fn assert_answers_equal_replay(tgi: &Tgi, events: &[Event]) {
+    let end = events.last().map(|e| e.time).unwrap_or(0);
+    let event_times: BTreeSet<Time> = events.iter().map(|e| e.time).collect();
+    let stride = event_times.len().div_ceil(300).max(1);
+    let mut times: BTreeSet<Time> = event_times.into_iter().step_by(stride).collect();
+    times.extend([0, end / 3, end / 2, end, end + 1]);
+    let views = [1usize, 2, 4].map(|c| tgi.with_clients(c));
+    for t in times {
+        let want = Delta::snapshot_by_replay(events, t);
+        for view in &views {
+            assert_eq!(
+                view.try_snapshot(t).unwrap(),
+                want,
+                "snapshot mismatch at t={t} c={}",
+                view.clients()
+            );
+        }
+    }
+    // The index stores the *normalized* stream (RemoveNode expanded
+    // into explicit RemoveEdge events): histories and chains are
+    // stated over it.
+    let normalized = normalize_events(events);
+    let mid = Delta::snapshot_by_replay(events, end / 2);
+    let range = TimeRange::new(0, end + 1);
+    let initial = Delta::snapshot_by_replay(events, range.start);
+    for nid in 0..8u64 {
+        assert_eq!(
+            tgi.try_node_at(nid, end / 2).unwrap().as_ref(),
+            mid.node(nid),
+            "node_at mismatch for nid={nid}"
+        );
+        let h = tgi.try_node_history(nid, range).unwrap();
+        assert_eq!(
+            h.initial.as_ref(),
+            initial.node(nid),
+            "initial of nid={nid}"
+        );
+        let want: Vec<Event> = normalized
+            .iter()
+            .filter(|e| touches(e, nid) && e.time > range.start && e.time < range.end)
+            .cloned()
+            .collect();
+        assert_eq!(h.events, want, "node_history mismatch for nid={nid}");
+        // A chain entry points at an eventlist chunk by the node's
+        // first touch in it: chronological, at touch times only, from
+        // the very first touch on, never the same chunk twice in a row.
+        let chain = tgi.try_version_chain(nid).unwrap();
+        let touch_times: BTreeSet<u64> = normalized
+            .iter()
+            .filter(|e| touches(e, nid))
+            .map(|e| e.time)
+            .collect();
+        assert_eq!(
+            chain.first().map(|e| e.time),
+            touch_times.first().copied(),
+            "version_chain start for nid={nid}"
+        );
+        for e in &chain {
+            assert!(
+                touch_times.contains(&e.time),
+                "chain entry {e:?} of nid={nid}"
+            );
+        }
+        for w in chain.windows(2) {
+            assert!(
+                w[0].time <= w[1].time && (w[0].tsid, w[0].chunk) <= (w[1].tsid, w[1].chunk),
+                "version_chain order for nid={nid}: {w:?}"
+            );
+            assert_ne!(
+                (w[0].tsid, w[0].chunk, w[0].pid),
+                (w[1].tsid, w[1].chunk, w[1].pid),
+                "version_chain repeats a chunk for nid={nid}"
+            );
+        }
+        for strategy in [KhopStrategy::ViaSnapshot, KhopStrategy::Recursive] {
+            assert_eq!(
+                tgi.try_khop_with(nid, end / 2, 2, strategy).unwrap(),
+                khop_by_replay(&mid, nid, 2),
+                "khop mismatch for nid={nid} strategy={strategy:?}"
+            );
+        }
+    }
+}

@@ -11,7 +11,7 @@ use hgs_core::{OpenError, Tgi, TgiConfig};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::TimeRange;
-use hgs_store::{SimStore, StoreConfig, StoreError, Table};
+use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
 
 fn trace() -> Vec<hgs_delta::Event> {
     WikiGrowth::sized(3_000).generate()
@@ -40,11 +40,13 @@ fn corrupt_table(store: &SimStore, table: Table) -> usize {
         }
     }
     let garbage = Bytes::from_static(b"\xff\xfenot a decodable row");
+    let mut rows = Vec::new();
     for key in &keys {
         for token in 0..store.machine_count() as u64 {
-            store.put(table, key, token, garbage.clone());
+            rows.push(PutRow::new(table, key.clone(), token, garbage.clone()));
         }
     }
+    store.try_put_batch(rows).expect("healthy store");
     keys.len()
 }
 
@@ -167,7 +169,8 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
         for &f in fields {
             put_varint(&mut buf, f);
         }
-        store.put(Table::Graph, b"config", 0, buf.freeze());
+        let row = PutRow::new(Table::Graph, b"config".to_vec(), 0, buf.freeze());
+        store.try_put_batch(vec![row]).expect("healthy store");
     };
     let events_per_timespan = fields[0];
     for (idx, bad, what) in [

@@ -280,12 +280,12 @@ fn machine_death_mid_batched_build_surfaces_unavailable_and_accounts_rows() {
     let events = trace();
     for c in [1usize, 4] {
         let store = Arc::new(SimStore::new(StoreConfig::new(4, 1)));
-        // Kill the machine holding span 0 / sid 0's delta chunk and
-        // force small flushes, so the *batched write* itself is what
-        // fails (not an earlier metadata read).
+        // Kill the machine holding span 0 / sid 0's delta chunk, so
+        // the *batched write* itself is what fails (not an earlier
+        // metadata read).
         store.fail_machine(store.machine_for(PlacementKey::new(0, 0).token(), 0));
         let before = store.stats_snapshot();
-        let err = Tgi::try_build_on_c(cfg().with_write_batch_rows(32), store.clone(), &events, c)
+        let err = Tgi::try_build_on_c(cfg(), store.clone(), &events, c)
             .err()
             .expect("build with a dead machine must fail");
         assert!(matches!(
@@ -316,13 +316,8 @@ fn machine_death_mid_batched_append_surfaces_unavailable_and_accounts_rows() {
     let mid = events.len() / 2;
     for c in [1usize, 4] {
         let store = Arc::new(SimStore::new(StoreConfig::new(4, 1)));
-        let mut tgi = Tgi::try_build_on_c(
-            cfg().with_write_batch_rows(32),
-            store.clone(),
-            &events[..mid],
-            c,
-        )
-        .expect("healthy build");
+        let mut tgi =
+            Tgi::try_build_on_c(cfg(), store.clone(), &events[..mid], c).expect("healthy build");
         assert_eq!(store.failed_put_count(), 0);
         let rows_before_failure = store.row_count();
         // The append continues the timespan sequence: kill the machine
@@ -345,13 +340,8 @@ fn machine_death_mid_batched_append_surfaces_unavailable_and_accounts_rows() {
         // Replication masks the same failure: the identical append on
         // an r=2 cluster succeeds with partial-put accounting instead.
         let store2 = Arc::new(SimStore::new(StoreConfig::new(4, 2)));
-        let mut tgi2 = Tgi::try_build_on_c(
-            cfg().with_write_batch_rows(32),
-            store2.clone(),
-            &events[..mid],
-            c,
-        )
-        .expect("healthy build");
+        let mut tgi2 =
+            Tgi::try_build_on_c(cfg(), store2.clone(), &events[..mid], c).expect("healthy build");
         store2.fail_machine(store2.machine_for(PlacementKey::new(next_tsid, 0).token(), 0));
         tgi2.try_append_events(&events[mid..])
             .expect("one replica is enough");

@@ -1,12 +1,16 @@
-//! Write-path equivalence: the batched, parallel construction path
-//! must produce a **byte-identical store** to the seed sequential
-//! row-at-a-time build (row-for-row table/key/value equality, per
-//! machine), at every client width — and ingest through the same
-//! buffered path must answer queries exactly like a from-scratch
-//! rebuild over the concatenated history.
+//! Write-path equivalence. There is one write path; what varies is
+//! the encode width and whether a history arrives in one build or as
+//! a build plus appends. Every width must leave a **byte-identical
+//! store** (row-for-row table/key/value equality, per machine), and
+//! what it leaves must answer every query like replay of the history
+//! — the independent oracle in `common`, not a second production
+//! build.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::assert_answers_equal_replay;
 use hgs_core::{PartitionStrategy, Tgi, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::{AttrValue, Event, EventKind};
@@ -15,11 +19,6 @@ use proptest::prelude::*;
 
 fn fresh_store(m: usize, r: usize) -> Arc<SimStore> {
     Arc::new(SimStore::new(StoreConfig::new(m, r)))
-}
-
-/// The seed reference: sequential encode (c=1), row-at-a-time writes.
-fn build_row_at_a_time(cfg: TgiConfig, store: Arc<SimStore>, events: &[Event]) -> Tgi {
-    Tgi::try_build_on(cfg.with_write_batch_rows(0), store, events).expect("row-at-a-time build")
 }
 
 fn arb_event_kind() -> impl Strategy<Value = EventKind> {
@@ -73,11 +72,10 @@ fn arb_strategy() -> impl Strategy<Value = PartitionStrategy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Batched builds (every client width, including mid-span buffer
-    /// flushes forced by tiny `write_batch_rows`) place exactly the
-    /// rows the seed row-at-a-time sequential build places.
+    /// Every encode width (inline at 1, work-stealing at 2 and 4)
+    /// places exactly the same rows, and those rows answer like replay.
     #[test]
-    fn batched_parallel_build_is_byte_identical_to_seed_sequential(
+    fn every_width_builds_identical_rows_that_answer_like_replay(
         seed in any::<u64>(),
         n_events in 400usize..1_500,
         ts in 300usize..900,
@@ -85,7 +83,6 @@ proptest! {
         arity in 2usize..4,
         ns in 1u32..5,
         strategy in arb_strategy(),
-        batch_rows in prop_oneof![Just(7usize), Just(256), Just(8192)],
     ) {
         let trace = WikiGrowth { seed, ..WikiGrowth::sized(n_events) }.generate();
         let cfg = TgiConfig {
@@ -97,43 +94,35 @@ proptest! {
             strategy,
             ..TgiConfig::default()
         };
-        let reference_store = fresh_store(3, 2);
-        build_row_at_a_time(cfg, reference_store.clone(), &trace);
-        let reference = reference_store.content_rows();
-        for c in [1usize, 2, 4] {
+        let one_store = fresh_store(3, 2);
+        let one = Tgi::try_build_on_c(cfg, one_store.clone(), &trace, 1).expect("width-1 build");
+        assert_answers_equal_replay(&one, &trace);
+        let reference = one_store.content_rows();
+        for c in [2usize, 4] {
             let store = fresh_store(3, 2);
-            Tgi::try_build_on_c(
-                cfg.with_write_batch_rows(batch_rows),
-                store.clone(),
-                &trace,
-                c,
-            )
-            .expect("batched build");
+            Tgi::try_build_on_c(cfg, store.clone(), &trace, c).expect("build");
             prop_assert_eq!(
                 &store.content_rows(),
                 &reference,
-                "store content diverged at c={} batch_rows={}",
-                c,
-                batch_rows
+                "store content diverged at c={}",
+                c
             );
         }
     }
 
     /// Arbitrary histories (removals, attribute churn, duplicated
-    /// events) through small index shapes: the width-1 fused pass (per-sid
-    /// states kept current chunk by chunk) and parallel scoped-replay
-    /// encoding must both place the seed's exact rows, and appends through
-    /// the buffered path must (a) keep store equality with a row-at-a-time
-    /// handle ingesting the same batches and (b) answer queries like a
-    /// from-scratch rebuild over the concatenated history.
+    /// events) through small index shapes, ingested as a build plus an
+    /// append: every width must (a) keep store equality with a width-1
+    /// handle ingesting the same batches and (b) answer like replay of
+    /// the concatenated history.
     #[test]
-    fn ingest_through_buffered_path_matches_rebuild(
+    fn ingest_at_any_width_matches_width_one_and_replay(
         history in arb_history(),
         l in 5usize..40,
         ns in 1u32..5,
         strategy in arb_strategy(),
         split_num in 1usize..4,
-        clients in 1usize..5,
+        clients in 2usize..5,
     ) {
         let cfg = TgiConfig {
             events_per_timespan: 120.max(l),
@@ -151,44 +140,22 @@ proptest! {
         }
         let (prefix, suffix) = history.split_at(split.min(history.len()));
 
-        // Seed row-at-a-time handle: build prefix, append suffix.
-        let seed_store = fresh_store(2, 1);
-        let mut seed_tgi = build_row_at_a_time(cfg, seed_store.clone(), prefix);
-        seed_tgi.try_append_events(suffix).expect("row-at-a-time append");
+        let one_store = fresh_store(2, 1);
+        let mut one =
+            Tgi::try_build_on_c(cfg, one_store.clone(), prefix, 1).expect("width-1 build");
+        one.try_append_events(suffix).expect("width-1 append");
 
-        // Batched parallel handle ingesting the same batches.
         let store = fresh_store(2, 1);
-        let mut tgi = Tgi::try_build_on_c(cfg.with_write_batch_rows(16), store.clone(), prefix, clients)
-            .expect("batched build");
-        tgi.try_append_events(suffix).expect("batched append");
+        let mut tgi =
+            Tgi::try_build_on_c(cfg, store.clone(), prefix, clients).expect("wide build");
+        tgi.try_append_events(suffix).expect("wide append");
         prop_assert_eq!(
             &store.content_rows(),
-            &seed_store.content_rows(),
+            &one_store.content_rows(),
             "ingest store content diverged at c={}",
             clients
         );
-
-        // Query equivalence against a from-scratch rebuild (span
-        // boundaries differ, answers must not).
-        let rebuilt = build_row_at_a_time(cfg, fresh_store(2, 1), &history);
-        let end = history.last().map(|e| e.time).unwrap_or(0);
-        let times: Vec<u64> = vec![0, end / 3, end / 2, end, end + 1];
-        for &t in &times {
-            prop_assert_eq!(
-                tgi.try_snapshot(t).unwrap(),
-                rebuilt.try_snapshot(t).unwrap(),
-                "snapshot mismatch at t={}",
-                t
-            );
-        }
-        for id in 0..6u64 {
-            prop_assert_eq!(
-                tgi.try_node_at(id, end / 2).unwrap(),
-                rebuilt.try_node_at(id, end / 2).unwrap(),
-                "node_at mismatch for id={}",
-                id
-            );
-        }
+        assert_answers_equal_replay(&tgi, &history);
     }
 }
 
@@ -258,11 +225,11 @@ fn default_width_service_matches_explicit_width_one() {
     }
 }
 
-/// A fixed-shape smoke case that always runs the parallel encode path
+/// A fixed-shape smoke case that always runs the work-stealing encode
 /// with aux boundary replication and version chains — the heaviest
 /// write-path configuration — without depending on proptest shrinking.
 #[test]
-fn parallel_aux_build_matches_row_at_a_time_exactly() {
+fn wide_aux_build_matches_width_one_and_stays_batched() {
     let trace = WikiGrowth::sized(2_500).generate();
     let cfg = TgiConfig {
         events_per_timespan: 800,
@@ -274,17 +241,19 @@ fn parallel_aux_build_matches_row_at_a_time_exactly() {
         },
         ..TgiConfig::default()
     };
-    let reference_store = fresh_store(4, 1);
-    build_row_at_a_time(cfg, reference_store.clone(), &trace);
+    let one_store = fresh_store(4, 1);
+    Tgi::try_build_on_c(cfg, one_store.clone(), &trace, 1).expect("width-1 build");
     let store = fresh_store(4, 1);
-    Tgi::try_build_on_c(cfg, store.clone(), &trace, 4).expect("parallel build");
-    assert_eq!(store.content_rows(), reference_store.content_rows());
-    // And the batched round trips actually happened: far fewer write
-    // batches than rows written.
+    let tgi = Tgi::try_build_on_c(cfg, store.clone(), &trace, 4).expect("wide build");
+    assert_eq!(store.content_rows(), one_store.content_rows());
+    assert_answers_equal_replay(&tgi, &trace);
+    // Writes stay batched: round trips at most 10 % of the rows
+    // written. This assertion is the sole owner of that gate — the CI
+    // step that read it off `bench_build`'s JSON went with the bin.
     let stats = store.stats_snapshot();
     let puts: u64 = stats.iter().map(|m| m.puts).sum();
     let batches: u64 = stats.iter().map(|m| m.put_batches).sum();
-    assert!(batches > 0, "batched path must issue write batches");
+    assert!(batches > 0, "the build must issue write batches");
     assert!(
         batches * 10 <= puts,
         "write round trips ({batches}) must stay well under row count ({puts})"

@@ -98,13 +98,13 @@ proptest! {
         plan in arb_plan(),
         c in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        let mut tgi = Tgi::try_build_on(
+        let tgi = Tgi::try_build_on_c(
             small_cfg(),
             Arc::new(SimStore::new(StoreConfig::new(3, 2))),
             &events,
+            c,
         )
         .expect("fault-free build");
-        tgi.set_clients_forced(c);
         let end = tgi.end_time();
         let times = [end / 2, end];
         let range = TimeRange::new(0, end + 1);

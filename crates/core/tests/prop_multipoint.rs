@@ -98,15 +98,16 @@ proptest! {
             horizontal_partitions: ns,
             ..TgiConfig::default()
         };
-        let mut tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap();
-        // Forced: `set_clients` clamps to the host's cores, which
-        // would silence the parallel path on a small CI box.
-        tgi.set_clients_forced(clients);
+        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap();
+        // `with_clients` is unclamped: `set_clients` clamps to the
+        // host's cores, which would silence the parallel path on a
+        // small CI box.
+        let view = tgi.with_clients(clients);
         let times: Vec<u64> = raw_times.iter().map(|r| r % (end + 2)).collect();
         for round in 0..2 {
-            let shared = tgi.try_snapshots(&times).unwrap();
+            let shared = view.try_snapshots(&times).unwrap();
             for (t, s) in times.iter().zip(&shared) {
-                let independent = tgi.try_snapshot_uncached_c(*t, 1).unwrap();
+                let independent = view.try_snapshot_uncached_c(*t, 1).unwrap();
                 prop_assert_eq!(s, &independent, "round {} t={}", round, t);
             }
         }

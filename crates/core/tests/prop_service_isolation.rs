@@ -95,13 +95,13 @@ proptest! {
     ) {
         let cuts = boundaries(&events);
         let initial = cuts[0];
-        let mut handle = Tgi::try_build_on(
+        let handle = Tgi::try_build_on_c(
             small_cfg(),
             Arc::new(SimStore::new(StoreConfig::new(2, 1))),
             &events[..initial],
+            c,
         )
         .expect("build");
-        handle.set_clients_forced(c);
         let svc = TgiService::from_handle(handle);
 
         let observations: Vec<Observation> = std::thread::scope(|s| {

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use hgs_core::{BuildError, OpenError, Tgi, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
-use hgs_store::{PlacementKey, StoreConfig, StoreError};
+use hgs_store::{FaultPlan, PlacementKey, StoreConfig, StoreError};
 
 fn trace() -> Vec<hgs_delta::Event> {
     WikiGrowth::sized(3_000).generate()
@@ -256,5 +256,45 @@ fn out_of_order_batch_is_refused_without_poisoning_the_service() {
     assert_eq!(
         view.try_snapshot(t).expect("healthy read"),
         hgs_delta::Delta::snapshot_by_replay(&events, t)
+    );
+}
+
+/// The rows that make an append reachable — every `Timespans` row,
+/// `Graph/meta`, `Graph/config` — go through the same retried
+/// `put_batch` as the rows they describe. With every machine alive and
+/// one request in ten flaking, an append may exhaust its retry budget
+/// (an honest `Transient`) but must never report `Unavailable`, the
+/// permanent-death error, and nearly always lands. When those rows
+/// were single un-retried puts, about half of these appends failed
+/// with `Unavailable { table: Timespans }` and poisoned the writer.
+#[test]
+fn flaky_appends_retry_descriptor_rows_and_never_report_unavailable() {
+    const SEEDS: u64 = 120;
+    let events = WikiGrowth::sized(800).generate();
+    let mut mid = events.len() / 2;
+    while events[mid].time == events[mid - 1].time {
+        mid += 1;
+    }
+    let cfg = TgiConfig {
+        events_per_timespan: 200,
+        eventlist_size: 50,
+        partition_size: 40,
+        ..TgiConfig::default()
+    };
+    let mut landed = 0;
+    for seed in 0..SEEDS {
+        let svc =
+            TgiService::try_build(cfg, StoreConfig::new(4, 1), &events[..mid]).expect("healthy");
+        let plan = FaultPlan::new(seed).with_flake_per_mille(100);
+        svc.store().set_fault_plan(Some(plan));
+        match svc.try_append_events(&events[mid..]) {
+            Ok(_) => landed += 1,
+            Err(BuildError::Store(StoreError::Transient { .. })) => {}
+            Err(other) => panic!("seed {seed}: no machine is dead, yet the append says: {other}"),
+        }
+    }
+    assert!(
+        landed * 100 >= SEEDS * 95,
+        "only {landed} of {SEEDS} flaky appends landed"
     );
 }

@@ -291,21 +291,6 @@ impl Delta {
         groups
     }
 
-    /// Make this delta's entry for `id` the one `other` holds (shared
-    /// by reference count), or absent if `other` has none — keeps a
-    /// [`Delta::restrict`]ed copy of `other` current after `other`
-    /// changed at `id`.
-    pub fn copy_node_from(&mut self, other: &Delta, id: NodeId) {
-        match other.nodes.get(&id) {
-            Some(n) => {
-                self.nodes.insert(id, Arc::clone(n));
-            }
-            None => {
-                self.nodes.remove(&id);
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Event application (graph-state semantics)
     // ------------------------------------------------------------------
@@ -835,23 +820,6 @@ mod tests {
         for (k, g) in &groups {
             assert_eq!(g, &d.restrict(|id| id % 3 == *k));
         }
-    }
-
-    #[test]
-    fn copy_node_from_tracks_changes_and_removals() {
-        let mut full: Delta = (0..6).map(StaticNode::new).collect();
-        let mut even = full.restrict(|id| id % 2 == 0);
-        full.apply_event(&EventKind::AddEdge {
-            src: 2,
-            dst: 8,
-            weight: 1.0,
-            directed: false,
-        });
-        full.apply_event(&EventKind::RemoveNode { id: 4 });
-        for id in [2, 8, 4] {
-            even.copy_node_from(&full, id);
-        }
-        assert_eq!(even, full.restrict(|id| id % 2 == 0));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   (and slice indexing) hiding inside the fallible `try_*` surface,
 //!   plus the same panic family anywhere in `hgs-core`/`hgs-store`/
 //!   `hgs-delta` non-test library code.
-//! * **batched-store-discipline** — raw `store.get`/`scan_prefix`/
-//!   `store.put` round trips outside `hgs-store` itself (PR 2/PR 5
-//!   batched these paths deliberately).
+//! * **batched-store-discipline** — raw `store.get`/`scan_prefix`
+//!   round trips outside `hgs-store` itself (PR 2/PR 5 batched these
+//!   paths deliberately; a per-row write no longer compiles).
 //! * **no-swallowed-result** — `let _ =` on store/cache operations.
 //! * **no-infallible-twin** — `fn NAME` next to `fn try_NAME` in one
 //!   file of `hgs-core`/`hgs-taf`/`hgs-baselines`: every fallible

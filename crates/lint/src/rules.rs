@@ -507,7 +507,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
                     prev.is_some_and(|p| p.is_punct('.')) && next.is_some_and(|n| n.is_punct('('));
                 let fires = if name == "scan_prefix" {
                     is_call
-                } else if name == "get" || name == "put" {
+                } else if name == "get" {
                     is_call && i >= 2 && toks[i - 2].ident() == Some("store")
                 } else {
                     false
@@ -534,7 +534,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
                 let store_fetch = is_call
                     && prev.is_some_and(|p| p.is_punct('.'))
                     && (STORE_FETCH_METHODS.contains(&name)
-                        || (matches!(name, "get" | "put" | "put_batch")
+                        || (matches!(name, "get" | "put_batch")
                             && i >= 2
                             && toks[i - 2].ident() == Some("store")));
                 let callback = is_call && CALLBACK_FNS.contains(&name);
@@ -593,8 +593,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
                     let flushes = toks.get(j + 1).is_some_and(|n| n.is_punct('('))
                         && j >= 1
                         && toks[j - 1].is_punct('.')
-                        && (matches!(m, "flush" | "try_flush" | "put_batch" | "try_put_batch")
-                            || (m == "put" && j >= 2 && toks[j - 2].ident() == Some("store")));
+                        && matches!(m, "flush" | "try_flush" | "put_batch" | "try_put_batch");
                     if flushes {
                         findings.push(Finding {
                             rule: "watermark-publish",
@@ -746,9 +745,7 @@ fn bounded_retry(
                 continue;
             }
             let hit = RETRY_SENSITIVE_METHODS.contains(&name)
-                || (matches!(name, "get" | "put")
-                    && k >= 2
-                    && toks[k - 2].ident() == Some("store"));
+                || (name == "get" && k >= 2 && toks[k - 2].ident() == Some("store"));
             if hit && !reported.contains(&toks[k].line) {
                 reported.push(toks[k].line);
                 findings.push(Finding {

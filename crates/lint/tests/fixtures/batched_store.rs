@@ -10,10 +10,6 @@ pub fn raw_scan(store: &Store, prefix: &[u8]) -> Vec<Row> {
     store.scan_prefix(Table::Deltas, prefix, 0) // FIRES:batched-store-discipline
 }
 
-pub fn raw_write(store: &Store, key: &[u8], value: Bytes) -> usize {
-    store.put(Table::Deltas, key, 0, value) // FIRES:batched-store-discipline
-}
-
 pub fn batched_read(store: &Store, keys: &[&[u8]]) -> Vec<Option<Bytes>> {
     store.multi_get(Table::Deltas, keys, 0) // clean: the batched primitive
 }

@@ -12,10 +12,6 @@ pub fn term_point_read_batched(store: &Store, keys: &[&[u8]]) -> Vec<Option<Byte
     store.multi_get(Table::AttrIndex, keys, 0) // clean: the batched primitive
 }
 
-pub fn term_row_write(store: &Store, key: &[u8], row: Bytes) -> usize {
-    store.put(Table::AttrIndex, key, 0, row) // FIRES:batched-store-discipline
-}
-
 pub fn term_history_scan(store: &Store, prefix: &[u8]) -> Vec<Row> {
     store.scan_prefix(Table::AttrIndex, prefix, 0) // FIRES:batched-store-discipline
 }

@@ -29,7 +29,6 @@
 //!   (capped backoff in simulated time, per-machine circuit breakers)
 //!   and an anti-entropy repair pass ([`SimStore::try_repair`]).
 
-pub mod compress;
 pub mod cost;
 pub mod faults;
 pub mod key;
@@ -39,7 +38,6 @@ pub mod retry;
 pub mod store;
 pub mod write;
 
-pub use compress::{compress, decompress};
 pub use cost::CostModel;
 pub use faults::{FaultPlan, FaultVerdict, Outage, CORRUPT_ON_READ_MARKER};
 pub use key::{DeltaKey, PlacementKey, Table};

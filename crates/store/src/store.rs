@@ -6,10 +6,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
+use hgs_delta::compress::{compress, decompress};
 use hgs_delta::CodecError;
 use parking_lot::{Mutex, RwLock};
 
-use crate::compress::{compress, decompress};
 use crate::faults::{FaultPlan, FaultVerdict, CORRUPT_ON_READ_MARKER};
 use crate::key::Table;
 use crate::machine::{Machine, MachineDown, MachineStatsSnapshot};
@@ -92,9 +92,9 @@ impl std::error::Error for StoreError {}
 /// Cluster-wide stats snapshot: one entry per machine.
 pub type StoreStatsSnapshot = Vec<MachineStatsSnapshot>;
 
-/// One row of a write batch: the same `(table, key, token, value)`
-/// quadruple [`SimStore::put`] takes, as a value so whole batches can
-/// be built up and shipped in per-machine round trips.
+/// One row of a write batch — `(table, key, placement token, value)`
+/// — as a value, so whole batches can be built up and shipped in
+/// per-machine round trips.
 #[derive(Debug, Clone)]
 pub struct PutRow {
     pub table: Table,
@@ -184,8 +184,8 @@ pub struct SimStore {
     /// replicas stay up). [`SimStore::try_repair`] re-replicates them
     /// from the `under_replicated` ledger.
     partial_puts: AtomicU64,
-    /// Writes that reached no replica at all (data loss if the caller
-    /// ignores the zero return).
+    /// Writes that reached no replica at all (data loss unless the
+    /// caller heeds [`SimStore::try_put_batch`]'s error).
     failed_puts: AtomicU64,
     /// The attached chaos schedule, if any (see [`crate::faults`]).
     faults: RwLock<Option<FaultPlan>>,
@@ -301,53 +301,6 @@ impl SimStore {
         k
     }
 
-    /// Write a row to all replicas of its chunk. Returns the number of
-    /// replicas that accepted the write (0 means fully unavailable).
-    ///
-    /// This is the seed's row-at-a-time reference path: a replica
-    /// inside a transient fault window simply misses this write (no
-    /// retry — the batched path, [`SimStore::put_batch`], is the one
-    /// that routes through the [`RetryPolicy`]). Rows that reach only
-    /// a subset of their replicas are recorded for
-    /// [`SimStore::try_repair`].
-    pub fn put(&self, table: Table, key: &[u8], token: u64, value: Bytes) -> usize {
-        let stored = if self.cfg.compress {
-            compress(&value)
-        } else {
-            value
-        };
-        let nk = Self::namespaced(table, key);
-        let policy = *self.retry.read();
-        let plan = self.faults.read();
-        let mut ok = 0;
-        for r in 0..self.cfg.replication {
-            let m = self.machine_for(token, r);
-            let now = self.clock.fetch_add(1, Ordering::Relaxed);
-            if let Some(p) = plan.as_ref() {
-                match p.verdict(m, now) {
-                    FaultVerdict::Outage | FaultVerdict::Flake => {
-                        self.breakers[m].record_failure(now, &policy);
-                        continue;
-                    }
-                    // Corrupt-on-read does not apply to writes.
-                    FaultVerdict::Healthy | FaultVerdict::CorruptRead => {}
-                }
-            }
-            if self.machines[m].put(nk.clone(), stored.clone()) {
-                self.breakers[m].record_success();
-                ok += 1;
-            }
-        }
-        drop(plan);
-        if ok == 0 {
-            self.failed_puts.fetch_add(1, Ordering::Relaxed);
-        } else if ok < self.cfg.replication {
-            self.partial_puts.fetch_add(1, Ordering::Relaxed);
-            self.under_replicated.lock().insert(nk, token);
-        }
-        ok
-    }
-
     /// Write one machine's share of a batch through the retry policy:
     /// transient faults are retried with capped exponential backoff in
     /// simulated time, permanent death fails fast, and an open circuit
@@ -422,8 +375,7 @@ impl SimStore {
     /// replica outcomes are re-assembled afterwards. The whole batch
     /// is always processed — a dead machine fails only the rows
     /// placed on it — so the partial/failed put counters account for
-    /// every row, exactly as `rows.len()` individual [`SimStore::put`]
-    /// calls would. Each machine's sub-batch routes through the
+    /// every row. Each machine's sub-batch routes through the
     /// [`RetryPolicy`]: transiently refused round trips are re-issued
     /// with backoff in simulated time before any row is declared
     /// failed, and rows that reach only a subset of their replicas are
@@ -868,11 +820,17 @@ mod tests {
         SimStore::new(StoreConfig::new(m, r))
     }
 
+    /// Write one row as a one-row batch.
+    fn put(s: &SimStore, table: Table, key: &[u8], token: u64, value: Bytes) -> BatchPutOutcome {
+        s.put_batch(vec![PutRow::new(table, key.to_vec(), token, value)])
+    }
+
     #[test]
     fn put_get_roundtrip() {
         let s = store(3, 1);
         let k = DeltaKey::new(0, 1, 2, 3);
-        s.put(
+        put(
+            &s,
             Table::Deltas,
             &k.encode(),
             k.placement().token(),
@@ -887,8 +845,8 @@ mod tests {
     #[test]
     fn tables_are_isolated() {
         let s = store(1, 1);
-        s.put(Table::Deltas, b"k", 0, Bytes::from_static(b"a"));
-        s.put(Table::Versions, b"k", 0, Bytes::from_static(b"b"));
+        put(&s, Table::Deltas, b"k", 0, Bytes::from_static(b"a"));
+        put(&s, Table::Versions, b"k", 0, Bytes::from_static(b"b"));
         assert_eq!(
             s.get(Table::Deltas, b"k", 0).unwrap().as_deref(),
             Some(&b"a"[..])
@@ -905,7 +863,8 @@ mod tests {
         let pk = PlacementKey::new(5, 0);
         for pid in [3u32, 1, 2, 0] {
             let k = DeltaKey::new(5, 0, 9, pid);
-            s.put(
+            put(
+                &s,
                 Table::Deltas,
                 &k.encode(),
                 pk.token(),
@@ -914,7 +873,8 @@ mod tests {
         }
         // A row of another delta on the same placement must not appear.
         let other = DeltaKey::new(5, 0, 10, 0);
-        s.put(
+        put(
+            &s,
             Table::Deltas,
             &other.encode(),
             pk.token(),
@@ -935,7 +895,7 @@ mod tests {
     fn replication_survives_failure() {
         let s = store(3, 2);
         let token = 0u64;
-        s.put(Table::Deltas, b"k", token, Bytes::from_static(b"v"));
+        put(&s, Table::Deltas, b"k", token, Bytes::from_static(b"v"));
         let primary = s.machine_for(token, 0);
         s.fail_machine(primary);
         assert_eq!(
@@ -955,7 +915,7 @@ mod tests {
     #[test]
     fn no_replication_no_failover() {
         let s = store(2, 1);
-        s.put(Table::Deltas, b"k", 0, Bytes::from_static(b"v"));
+        put(&s, Table::Deltas, b"k", 0, Bytes::from_static(b"v"));
         s.fail_machine(s.machine_for(0, 0));
         assert!(s.get(Table::Deltas, b"k", 0).is_err());
     }
@@ -964,7 +924,7 @@ mod tests {
     fn compression_is_transparent() {
         let s = SimStore::new(StoreConfig::new(1, 1).with_compression(true));
         let value = Bytes::from(b"abcabcabcabcabcabcabcabcabc".repeat(100));
-        s.put(Table::Deltas, b"k", 0, value.clone());
+        put(&s, Table::Deltas, b"k", 0, value.clone());
         assert!(
             s.stored_bytes() < value.len(),
             "stored form should be smaller"
@@ -981,7 +941,8 @@ mod tests {
         let s2 = store(4, 2);
         for s in [&s1, &s2] {
             for i in 0..32u64 {
-                s.put(
+                put(
+                    s,
                     Table::Deltas,
                     &i.to_be_bytes(),
                     i * 7919,
@@ -997,7 +958,8 @@ mod tests {
         let s = store(4, 1);
         for i in 0..4000u64 {
             let pk = PlacementKey::new((i / 64) as u32, (i % 64) as u32);
-            s.put(
+            put(
+                &s,
                 Table::Deltas,
                 &i.to_be_bytes(),
                 pk.token(),
@@ -1013,7 +975,7 @@ mod tests {
     #[test]
     fn stats_bracketing() {
         let s = store(2, 1);
-        s.put(Table::Deltas, b"k", 0, Bytes::from_static(b"hello"));
+        put(&s, Table::Deltas, b"k", 0, Bytes::from_static(b"hello"));
         let t0 = s.stats_snapshot();
         s.get(Table::Deltas, b"k", 0).unwrap();
         let diff = SimStore::stats_since(&s.stats_snapshot(), &t0);
@@ -1034,7 +996,8 @@ mod tests {
         for did in 0..4u64 {
             for pid in 0..3u32 {
                 let k = DeltaKey::new(2, 1, did, pid);
-                s.put(
+                put(
+                    &s,
                     Table::Deltas,
                     &k.encode(),
                     pk.token(),
@@ -1062,8 +1025,8 @@ mod tests {
     fn batched_reads_fail_over_and_surface_unavailability() {
         let s = store(3, 2);
         let token = 0u64;
-        s.put(Table::Deltas, b"k1", token, Bytes::from_static(b"a"));
-        s.put(Table::Deltas, b"k2", token, Bytes::from_static(b"b"));
+        put(&s, Table::Deltas, b"k1", token, Bytes::from_static(b"a"));
+        put(&s, Table::Deltas, b"k2", token, Bytes::from_static(b"b"));
         s.fail_machine(s.machine_for(token, 0));
         let got = s
             .multi_get(Table::Deltas, &[b"k1", b"k2", b"nope"], token)
@@ -1083,7 +1046,7 @@ mod tests {
     }
 
     #[test]
-    fn put_batch_matches_individual_puts_and_counts_machine_round_trips() {
+    fn put_batch_matches_one_row_batches_and_counts_machine_round_trips() {
         let individual = store(3, 1);
         let batched = store(3, 1);
         let rows: Vec<PutRow> = (0..24u64)
@@ -1097,7 +1060,7 @@ mod tests {
             })
             .collect();
         for r in &rows {
-            individual.put(r.table, &r.key, r.token, r.value.clone());
+            put(&individual, r.table, &r.key, r.token, r.value.clone());
         }
         let before = batched.stats_snapshot();
         let outcome = batched.try_put_batch(rows.clone()).unwrap();
@@ -1119,7 +1082,7 @@ mod tests {
     }
 
     #[test]
-    fn put_batch_replicates_like_put() {
+    fn put_batch_reaches_every_replica() {
         let s = store(4, 2);
         s.try_put_batch(vec![PutRow::new(
             Table::Deltas,
@@ -1189,24 +1152,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_compression_is_transparent() {
-        let s = SimStore::new(StoreConfig::new(1, 1).with_compression(true));
-        let value = Bytes::from(b"abcabcabcabcabcabcabcabcabc".repeat(100));
-        s.try_put_batch(vec![PutRow::new(
-            Table::Deltas,
-            b"k".to_vec(),
-            0,
-            value.clone(),
-        )])
-        .unwrap();
-        assert!(s.stored_bytes() < value.len());
-        assert_eq!(
-            s.get(Table::Deltas, b"k", 0).unwrap().as_deref(),
-            Some(&value[..])
-        );
-    }
-
-    #[test]
     fn flakes_are_retried_to_success_and_counted() {
         // One machine, r = 1: no failover masks the flakes, so every
         // success after a flaky verdict is the retry layer's doing.
@@ -1223,11 +1168,13 @@ mod tests {
         });
         let mut wrote = 0usize;
         for i in 0..50u64 {
-            if s.put(Table::Deltas, &i.to_be_bytes(), i, Bytes::from_static(b"v")) == 1 {
-                wrote += 1;
-            }
+            let key = i.to_be_bytes();
+            wrote += put(&s, Table::Deltas, &key, i, Bytes::from_static(b"v")).replicated;
         }
-        assert!(wrote > 25, "most single puts land despite flakes: {wrote}");
+        assert!(
+            wrote > 40,
+            "one-row batches are retried like any other: {wrote}"
+        );
         let mut ok = 0usize;
         for i in 0..50u64 {
             match s.get(Table::Deltas, &i.to_be_bytes(), i) {
@@ -1246,7 +1193,7 @@ mod tests {
     #[test]
     fn outage_window_surfaces_transient_then_heals_with_time() {
         let s = store(1, 1);
-        s.put(Table::Deltas, b"k", 0, Bytes::from_static(b"v"));
+        put(&s, Table::Deltas, b"k", 0, Bytes::from_static(b"v"));
         s.set_fault_plan(Some(FaultPlan::new(1).with_outage(0, 0, 10_000)));
         match s.get(Table::Deltas, b"k", 0) {
             Err(StoreError::Transient { attempts, .. }) => {
@@ -1267,7 +1214,7 @@ mod tests {
     #[test]
     fn permanent_death_stays_unavailable_not_transient() {
         let s = store(2, 1);
-        s.put(Table::Deltas, b"k", 0, Bytes::from_static(b"v"));
+        put(&s, Table::Deltas, b"k", 0, Bytes::from_static(b"v"));
         s.fail_machine(s.machine_for(0, 0));
         // Even with a fault plan attached, a dead replica set is
         // permanent: no retry budget is burned, the error says so.
@@ -1285,7 +1232,7 @@ mod tests {
     fn failover_masks_an_outage_on_one_replica() {
         let s = store(3, 2);
         let token = 0u64;
-        s.put(Table::Deltas, b"k", token, Bytes::from_static(b"v"));
+        put(&s, Table::Deltas, b"k", token, Bytes::from_static(b"v"));
         let primary = s.machine_for(token, 0);
         s.set_fault_plan(Some(FaultPlan::new(3).with_outage(primary, 0, 1_000_000)));
         for _ in 0..20 {
@@ -1300,7 +1247,7 @@ mod tests {
     #[test]
     fn breaker_opens_under_sustained_outage_and_probes_shut() {
         let s = store(1, 1);
-        s.put(Table::Deltas, b"k", 0, Bytes::from_static(b"v"));
+        put(&s, Table::Deltas, b"k", 0, Bytes::from_static(b"v"));
         s.set_retry_policy(RetryPolicy {
             breaker_threshold: 4,
             breaker_cooldown_ticks: 50,
@@ -1325,7 +1272,7 @@ mod tests {
     fn corrupt_on_read_surfaces_corrupt_under_compression() {
         let s = SimStore::new(StoreConfig::new(1, 1).with_compression(true));
         let value = Bytes::from(b"abcabcabc".repeat(50));
-        s.put(Table::Deltas, b"k", 0, value.clone());
+        put(&s, Table::Deltas, b"k", 0, value.clone());
         s.set_fault_plan(Some(FaultPlan::new(5).with_corrupt_per_mille(1000)));
         assert!(matches!(
             s.get(Table::Deltas, b"k", 0),
@@ -1343,7 +1290,7 @@ mod tests {
     #[test]
     fn corrupt_on_read_replaces_bytes_without_touching_storage() {
         let s = store(1, 1);
-        s.put(Table::Deltas, b"k", 0, Bytes::from_static(b"real"));
+        put(&s, Table::Deltas, b"k", 0, Bytes::from_static(b"real"));
         let before = s.content_rows();
         s.set_fault_plan(Some(FaultPlan::new(6).with_corrupt_per_mille(1000)));
         let got = s.get(Table::Deltas, b"k", 0).unwrap();
@@ -1385,7 +1332,7 @@ mod tests {
         let s = store(3, 2);
         let token = 0u64;
         s.fail_machine(s.machine_for(token, 1));
-        s.put(Table::Deltas, b"k", token, Bytes::from_static(b"v"));
+        put(&s, Table::Deltas, b"k", token, Bytes::from_static(b"v"));
         assert_eq!(s.under_replicated_count(), 1);
         // While the replica is still dead, repair makes no progress
         // but loses nothing.
@@ -1400,7 +1347,13 @@ mod tests {
         assert_eq!(s.under_replicated_count(), 0);
         // Byte-identical to a never-degraded build.
         let oracle = store(3, 2);
-        oracle.put(Table::Deltas, b"k", token, Bytes::from_static(b"v"));
+        put(
+            &oracle,
+            Table::Deltas,
+            b"k",
+            token,
+            Bytes::from_static(b"v"),
+        );
         assert_eq!(s.content_rows(), oracle.content_rows());
         // And the row now survives the primary's death.
         s.fail_machine(s.machine_for(token, 0));
@@ -1439,7 +1392,7 @@ mod tests {
         let s = store(3, 2);
         let token = 0u64;
         s.fail_machine(s.machine_for(token, 1));
-        s.put(Table::Deltas, b"k", token, Bytes::from_static(b"v"));
+        put(&s, Table::Deltas, b"k", token, Bytes::from_static(b"v"));
         s.heal_all();
         // Every repair-source read draws a corrupt verdict: the pass
         // must refuse to propagate garbage and leave the row recorded.
@@ -1450,7 +1403,13 @@ mod tests {
         s.set_fault_plan(None);
         assert_eq!(s.try_repair().unwrap().repaired, 1);
         let oracle = store(3, 2);
-        oracle.put(Table::Deltas, b"k", token, Bytes::from_static(b"v"));
+        put(
+            &oracle,
+            Table::Deltas,
+            b"k",
+            token,
+            Bytes::from_static(b"v"),
+        );
         assert_eq!(s.content_rows(), oracle.content_rows());
     }
 
@@ -1458,23 +1417,17 @@ mod tests {
     fn put_failure_counters_track_degraded_writes() {
         let s = store(3, 2);
         let token = 0u64;
-        assert_eq!(
-            s.put(Table::Deltas, b"a", token, Bytes::from_static(b"v")),
-            2
-        );
+        let full = put(&s, Table::Deltas, b"a", token, Bytes::from_static(b"v"));
+        assert_eq!((full.replicated, full.partial, full.failed), (1, 0, 0));
         assert_eq!(s.partial_put_count(), 0);
         assert_eq!(s.failed_put_count(), 0);
         s.fail_machine(s.machine_for(token, 1));
-        assert_eq!(
-            s.put(Table::Deltas, b"b", token, Bytes::from_static(b"v")),
-            1
-        );
+        let degraded = put(&s, Table::Deltas, b"b", token, Bytes::from_static(b"v"));
+        assert_eq!((degraded.partial, degraded.failed), (1, 0));
         assert_eq!(s.partial_put_count(), 1);
         s.fail_machine(s.machine_for(token, 0));
-        assert_eq!(
-            s.put(Table::Deltas, b"c", token, Bytes::from_static(b"v")),
-            0
-        );
+        let lost = put(&s, Table::Deltas, b"c", token, Bytes::from_static(b"v"));
+        assert_eq!((lost.partial, lost.failed), (0, 1));
         assert_eq!(s.failed_put_count(), 1);
         assert_eq!(s.partial_put_count(), 1);
     }

@@ -1,16 +1,12 @@
 //! Buffered, batched writes.
 //!
 //! The Index Manager's construction path (paper §4.4) emits thousands
-//! of encoded rows per timespan; issuing them as individual
-//! [`SimStore::put`]s pays one round trip per row. [`WriteBuffer`]
-//! accumulates rows and flushes them through
-//! [`SimStore::try_put_batch`], which groups the flush into **one
-//! round trip per machine** — the write-side mirror of the read
-//! planner's `multi_get`/`scan_prefix_batch` batching.
-//!
-//! A `max_rows` of `0` disables buffering entirely and degrades to the
-//! seed's row-at-a-time `put` path; the build equivalence tests and
-//! the `build_ingest` bench use that mode as the sequential reference.
+//! of encoded rows per timespan; shipping each on its own pays one
+//! round trip per row. [`WriteBuffer`] accumulates rows and flushes
+//! them through [`SimStore::try_put_batch`] — the store's one write
+//! operation — which groups the flush into **one round trip per
+//! machine**: the write-side mirror of the read planner's
+//! `multi_get`/`scan_prefix_batch` batching.
 
 use bytes::Bytes;
 
@@ -45,9 +41,7 @@ pub struct WriteBuffer<'a> {
 }
 
 impl<'a> WriteBuffer<'a> {
-    /// A buffer flushing every `max_rows` rows; `0` means unbuffered
-    /// (every push is an immediate single-row [`SimStore::put`] — the
-    /// seed reference write path).
+    /// A buffer flushing once `max_rows` rows are pending.
     pub fn new(store: &'a SimStore, max_rows: usize) -> WriteBuffer<'a> {
         WriteBuffer {
             store,
@@ -58,9 +52,7 @@ impl<'a> WriteBuffer<'a> {
         }
     }
 
-    /// Queue one row, flushing if the buffer is full. In unbuffered
-    /// mode (`max_rows == 0`) the row is written immediately and a
-    /// zero-replica write errors right here.
+    /// Queue one row, flushing if the buffer is full.
     pub fn push(
         &mut self,
         table: Table,
@@ -69,12 +61,6 @@ impl<'a> WriteBuffer<'a> {
         value: Bytes,
     ) -> Result<(), StoreError> {
         self.pushed += 1;
-        if self.max_rows == 0 {
-            if self.store.put(table, &key, token, value) == 0 {
-                return Err(StoreError::Unavailable { table });
-            }
-            return Ok(());
-        }
         self.rows.push(PutRow::new(table, key, token, value));
         if self.rows.len() >= self.max_rows {
             self.flush()?;
@@ -108,7 +94,7 @@ impl<'a> WriteBuffer<'a> {
         self.pushed
     }
 
-    /// Batched flushes issued so far (unbuffered pushes not included).
+    /// Batched flushes issued so far.
     pub fn flushes(&self) -> u64 {
         self.flushes
     }
@@ -162,28 +148,6 @@ mod tests {
         let puts: u64 = s.stats_snapshot().iter().map(|m| m.puts).sum();
         assert_eq!(puts, 7);
         assert!(batches < puts, "batched round trips stay under row count");
-    }
-
-    #[test]
-    fn unbuffered_mode_matches_seed_put_semantics() {
-        let s = SimStore::new(StoreConfig::new(2, 1));
-        let mut buf = WriteBuffer::new(&s, 0);
-        buf.push(Table::Deltas, b"k".to_vec(), 0, Bytes::from_static(b"v"))
-            .unwrap();
-        assert_eq!(buf.pending(), 0);
-        assert_eq!(
-            s.stats_snapshot()
-                .iter()
-                .map(|m| m.put_batches)
-                .sum::<u64>(),
-            0,
-            "row-at-a-time mode issues no batches"
-        );
-        s.fail_machine(s.machine_for(1, 0));
-        assert!(matches!(
-            buf.push(Table::Deltas, b"x".to_vec(), 1, Bytes::from_static(b"v")),
-            Err(StoreError::Unavailable { .. })
-        ));
     }
 
     #[test]

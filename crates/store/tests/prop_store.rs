@@ -3,9 +3,17 @@
 //! arbitrary inputs, and replication invariants under failures.
 
 use bytes::Bytes;
-use hgs_store::{compress, decompress, SimStore, StoreConfig, Table};
+use hgs_delta::compress::{compress, decompress};
+use hgs_store::{PutRow, SimStore, StoreConfig, Table};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+/// Write one row as a one-row batch on a healthy store.
+fn put(store: &SimStore, table: Table, key: &[u8], token: u64, value: Bytes) {
+    store
+        .try_put_batch(vec![PutRow::new(table, key.to_vec(), token, value)])
+        .expect("healthy store");
+}
 
 proptest! {
     #[test]
@@ -52,7 +60,7 @@ proptest! {
             let table = table_of(ti);
             match op {
                 0 => {
-                    store.put(table, &key, token, Bytes::from(value.clone()));
+                    put(&store, table, &key, token, Bytes::from(value.clone()));
                     model.insert((ti, key), (token, value));
                 }
                 _ => {
@@ -92,7 +100,7 @@ proptest! {
         };
         let keys: Vec<Vec<u8>> = keys.into_iter().collect();
         for (i, key) in keys.iter().enumerate() {
-            store.put(Table::Deltas, key, token(key), Bytes::from(vec![i as u8]));
+            put(&store, Table::Deltas, key, token(key), Bytes::from(vec![i as u8]));
         }
         store.fail_machine(failed);
         for (i, key) in keys.iter().enumerate() {
@@ -112,7 +120,7 @@ proptest! {
         let token = 7u64;
         let mut model: BTreeMap<Vec<u8>, ()> = BTreeMap::new();
         for k in &keys {
-            store.put(Table::Deltas, k, token, Bytes::from_static(b"v"));
+            put(&store, Table::Deltas, k, token, Bytes::from_static(b"v"));
             model.insert(k.clone(), ());
         }
         let got: Vec<Vec<u8>> = store
