@@ -20,10 +20,5 @@ fn main() {
     e::ablation_arity();
     e::ablation_timespan();
     e::ablation_horizontal();
-    e::multipoint();
-    e::read_cache();
-    e::labels();
-    e::serve();
-    e::chaos();
     eprintln!("# run_all finished in {:.1}s", t0.elapsed().as_secs_f64());
 }

@@ -6,16 +6,24 @@
 //! *relative* size, preserving shape). Sizes can be scaled further
 //! via the `HGS_SCALE` environment variable (default 1.0).
 
-use hgs_datagen::{augment_with_churn, FriendsterLike, LabeledChurn, SkewedLabels, WikiGrowth};
+use hgs_datagen::{augment_with_churn, FriendsterLike, LabeledChurn, WikiGrowth};
 use hgs_delta::Event;
 
 /// Global scale factor from `HGS_SCALE` (e.g. `HGS_SCALE=0.2` for a
-/// quick smoke run).
+/// quick smoke run), 1.0 when unset. Anything but a finite positive
+/// number panics rather than silently running a suite the operator
+/// never asked for.
 pub fn scale() -> f64 {
-    std::env::var("HGS_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+    match std::env::var("HGS_SCALE") {
+        Err(std::env::VarError::NotPresent) => 1.0,
+        Ok(s) => parse_scale(&s)
+            .unwrap_or_else(|| panic!("HGS_SCALE must be a finite positive number, got {s:?}")),
+        Err(e) => panic!("HGS_SCALE: {e}"),
+    }
+}
+
+fn parse_scale(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|v: &f64| v.is_finite() && *v > 0.0)
 }
 
 fn scaled(n: usize) -> usize {
@@ -77,30 +85,16 @@ pub fn dataset_labeled() -> Vec<Event> {
     .generate()
 }
 
-/// Zipf-skewed labeled trace with hot, tail, and guaranteed-dead
-/// label terms, for the secondary-index experiment.
-pub fn dataset_skewed() -> Vec<Event> {
-    SkewedLabels {
-        nodes: scaled(4_000).min(8_000),
-        edge_events: scaled(20_000),
-        attr_churn: scaled(10_000),
-        ..SkewedLabels::default()
-    }
-    .generate()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn datasets_are_wellformed() {
-        std::env::set_var("HGS_SCALE", "0.02");
         for (name, ev) in [
             ("d1", dataset1()),
             ("d4", dataset4()),
             ("lab", dataset_labeled()),
-            ("skew", dataset_skewed()),
         ] {
             assert!(!ev.is_empty(), "{name}");
             assert!(
@@ -108,6 +102,13 @@ mod tests {
                 "{name} sorted"
             );
         }
-        std::env::remove_var("HGS_SCALE");
+    }
+
+    #[test]
+    fn scale_accepts_only_finite_positive_numbers() {
+        assert_eq!(parse_scale("0.02"), Some(0.02));
+        for bad in ["", "0,2", "abc", "nan", "inf", "-inf", "0", "-0.5"] {
+            assert_eq!(parse_scale(bad), None, "{bad:?}");
+        }
     }
 }

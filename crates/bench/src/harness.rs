@@ -1,10 +1,8 @@
 //! Shared harness utilities: TSV output, timing, index construction.
 
-use std::sync::Arc;
-
 use hgs_core::{stats::measure, FetchReport, Tgi, TgiConfig};
 use hgs_delta::{Event, Time};
-use hgs_store::{CostModel, SimStore, StoreConfig};
+use hgs_store::{CostModel, StoreConfig};
 
 /// Print an experiment banner.
 pub fn banner(fig: &str, what: &str, params: &str) {
@@ -22,19 +20,10 @@ pub fn secs(v: f64) -> String {
     format!("{v:.4}")
 }
 
-/// Median of three timing samples (the experiments' standard
-/// noise-rejection for warm/naive measurements).
-pub fn median3(mut xs: [f64; 3]) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    xs[1]
-}
-
 /// Build a TGI over `events` on a fresh cluster, with the read cache
 /// **disabled**: the figure harnesses measure the raw fetch + decode
 /// cost of the index *shape* (the paper's per-query numbers), which a
-/// warm cache would flatten into clone-and-replay time. Cache-centric
-/// experiments (`multipoint`, `read_cache`) re-enable it explicitly
-/// via [`TgiView::set_read_cache_budget`](hgs_core::TgiView::set_read_cache_budget).
+/// warm cache would flatten into clone-and-replay time.
 pub fn build_tgi(cfg: TgiConfig, store: StoreConfig, events: &[Event]) -> Tgi {
     let tgi = Tgi::try_build(cfg, store, events).expect("healthy store");
     tgi.set_read_cache_budget(0);
@@ -44,11 +33,6 @@ pub fn build_tgi(cfg: TgiConfig, store: StoreConfig, events: &[Event]) -> Tgi {
 /// Run `f` and report it through the cost model at client width `c`.
 pub fn timed<R>(tgi: &Tgi, c: usize, f: impl FnOnce() -> R) -> (R, FetchReport) {
     measure(tgi.store(), &CostModel::default(), c, f)
-}
-
-/// Run `f` against an arbitrary store.
-pub fn timed_on<R>(store: &Arc<SimStore>, c: usize, f: impl FnOnce() -> R) -> (R, FetchReport) {
-    measure(store, &CostModel::default(), c, f)
 }
 
 /// Query times that produce growing snapshot sizes: `n` timepoints
@@ -87,27 +71,6 @@ pub fn sample_nodes(events: &[Event], n: usize, min_changes: usize) -> Vec<u64> 
 /// (paper defaults: ps=500, l=500, ns=4).
 pub fn paper_default_cfg() -> TgiConfig {
     TgiConfig::default()
-}
-
-/// Parallel-fetch-client sweep for the cache/multipoint experiments:
-/// `HGS_CLIENTS` as a comma-separated list of positive integers
-/// (e.g. `HGS_CLIENTS=1,8`), defaulting to `1,2,4`. A malformed list
-/// panics rather than silently measuring a sweep the operator never
-/// asked for (the rows land in committed bench artifacts).
-pub fn clients_sweep() -> Vec<usize> {
-    match std::env::var("HGS_CLIENTS") {
-        Ok(s) => s
-            .split(',')
-            .map(|p| match p.trim().parse::<usize>() {
-                Ok(c) if c >= 1 => c,
-                _ => panic!(
-                    "HGS_CLIENTS must be a comma-separated list of positive \
-                     integers, got {s:?} (bad entry {p:?})"
-                ),
-            })
-            .collect(),
-        Err(_) => vec![1, 2, 4],
-    }
 }
 
 #[cfg(test)]

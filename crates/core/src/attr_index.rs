@@ -267,7 +267,7 @@ impl TgiView {
     /// The reference answer for [`TgiView::try_nodes_matching_at`]:
     /// materialize the full snapshot at `t` and filter. This is the
     /// documented fallback when the index is disabled, and the oracle
-    /// the property suite and the `labels` bench compare against.
+    /// the property suite compares against.
     pub fn try_nodes_matching_at_materialized(
         &self,
         key: &str,

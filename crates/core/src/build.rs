@@ -43,10 +43,9 @@
 //! The writer's **encode width** is its own number, not the read-side
 //! client width: by default the items fan out over
 //! `min(available_parallelism, ns)` workers while reads stay at one
-//! client; an explicit width ([`Tgi::try_build_on_c`],
-//! [`Tgi::set_clients`]) sets both, and at width 1 the items run
-//! inline, one after the other. Every width is property-tested to
-//! produce byte-for-byte identical stores.
+//! client; an explicit width ([`Tgi::try_build_on_c`]) sets both, and
+//! at width 1 the items run inline, one after the other. Every width
+//! is property-tested to produce byte-for-byte identical stores.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -129,8 +128,8 @@ pub struct Tgi {
     pub(crate) tail_state: Delta,
     /// Worker count of the write path's per-`sid` span encode. The
     /// host's parallelism unless an explicit width was given
-    /// ([`Tgi::try_build_on_c`], [`Tgi::set_clients`]), in which case
-    /// it equals the view's read-side `clients`.
+    /// ([`Tgi::try_build_on_c`]), in which case it equals the view's
+    /// read-side `clients`.
     pub(crate) encode_width: usize,
     /// Set when an append failed partway (see
     /// [`Tgi::try_append_events`]); further appends are refused.
@@ -223,10 +222,10 @@ impl Tgi {
     /// [`Tgi::try_build_on`] with an explicit build parallelism `c`:
     /// span encoding fans out over `c` work-stealing clients (one work
     /// item per horizontal partition). Like
-    /// [`TgiView::with_clients`], `c` is taken as-is — production
-    /// callers should prefer [`Tgi::set_clients`], which clamps to the
-    /// host's parallelism. The returned handle keeps `c` as its client
-    /// width for queries and further appends.
+    /// [`TgiView::with_clients`], `c` is taken as-is, never below one.
+    /// The returned handle keeps `c` as its client width for queries
+    /// and further appends — `c = 1` is how a writer stays off the
+    /// cores its readers use.
     pub fn try_build_on_c(
         cfg: TgiConfig,
         store: Arc<SimStore>,
@@ -434,25 +433,6 @@ impl Tgi {
     /// watermark after each successful append.
     pub fn view(&self) -> TgiView {
         self.view.clone()
-    }
-
-    /// Default number of parallel clients used by queries and by the
-    /// write path's span encoding (`try_append_events`), **clamped to the
-    /// host's available parallelism**: on a small box an
-    /// over-provisioned `c` only adds thread spawn/teardown overhead
-    /// (the cost model, not wall-clock, answers "what would a bigger
-    /// cluster do"). Explicit-`c` calls ([`TgiView::with_clients`],
-    /// [`Tgi::try_build_on_c`]) bypass the clamp.
-    ///
-    /// Until this (or an explicit-`c` build) is called, the two widths
-    /// differ: reads run at one client, the span encode at the host's
-    /// parallelism. Calling it pins both to `c` — `set_clients(1)` is
-    /// how to keep a writer off the cores its readers use, and the only
-    /// way: the opt-out couples the two widths, so a handle cannot
-    /// encode at width 1 and read at `c > 1`.
-    pub fn set_clients(&mut self, c: usize) {
-        self.view.clients = clamp_clients(c);
-        self.encode_width = self.view.clients;
     }
 
     /// Latency model used for `modeled_secs` in fetch reports.
@@ -787,11 +767,10 @@ impl TgiView {
     }
 
     /// This view at fetch parallelism `c` (taken as-is, never below
-    /// one — [`Tgi::set_clients`] is the clamped, handle-wide knob): a
-    /// cheap clone sharing the spans, the store and the read cache, so
-    /// `view.with_clients(4).try_snapshots(&times)` is how one call
-    /// runs wider — or, with `1`, narrower inside an outer fan-out —
-    /// than the rest of the session.
+    /// one): a cheap clone sharing the spans, the store and the read
+    /// cache, so `view.with_clients(4).try_snapshots(&times)` is how
+    /// one call runs wider — or, with `1`, narrower inside an outer
+    /// fan-out — than the rest of the session.
     pub fn with_clients(&self, c: usize) -> TgiView {
         TgiView {
             clients: c.max(1),
@@ -836,18 +815,11 @@ fn put_checked(
     store.try_put_batch(vec![row]).map(drop)
 }
 
-/// The host's available parallelism — the default encode width, and
-/// the clamp of [`Tgi::set_clients`].
+/// The host's available parallelism — the default encode width.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Clamp a requested client width to the host's available
-/// parallelism (never below 1).
-pub(crate) fn clamp_clients(c: usize) -> usize {
-    c.max(1).min(host_parallelism())
 }
 
 /// Everything one per-`sid` span-encoding work item needs, borrowed
@@ -1299,23 +1271,9 @@ mod tests {
     }
 
     #[test]
-    fn set_clients_clamps_to_host_parallelism() {
-        let mut tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(1, 1), &[]).unwrap();
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        tgi.set_clients(10_000);
-        assert!(tgi.clients() <= cores, "clamped to available parallelism");
-        tgi.set_clients(0);
-        assert_eq!(tgi.clients(), 1, "never below one client");
-    }
-
-    #[test]
     fn explicit_widths_set_both_widths_and_the_default_only_the_encode() {
-        let mut tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(1, 1), &[]).unwrap();
+        let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(1, 1), &[]).unwrap();
         assert_eq!((tgi.clients(), tgi.encode_width), (1, host_parallelism()));
-        tgi.set_clients(1);
-        assert_eq!((tgi.clients(), tgi.encode_width), (1, 1));
         let store = Arc::new(SimStore::new(StoreConfig::new(1, 1)));
         let tgi = Tgi::try_build_on_c(TgiConfig::default(), store, &[], 5).expect("healthy build");
         assert_eq!((tgi.clients(), tgi.encode_width), (5, 5));

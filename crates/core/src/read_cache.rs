@@ -86,8 +86,8 @@ pub(crate) enum CacheKey {
 impl CacheKey {
     /// Whether this entry is a materialized checkpoint *state*
     /// (`Leaf` / `SidLeaf` / `Part`) rather than a decoded row —
-    /// states and rows keep separate hit/miss counters so the bench
-    /// and CI gates can see path-replay sharing, not just decode
+    /// states and rows keep separate hit/miss counters so tests and
+    /// `benchmark/` can see path-replay sharing, not just decode
     /// sharing.
     pub(crate) fn is_state(&self) -> bool {
         !matches!(self, CacheKey::Row(..) | CacheKey::Term(..))
@@ -558,7 +558,7 @@ impl TgiView {
     /// decoded-row vs checkpoint-state counters
     /// ([`CacheStats::row_hits`] / [`CacheStats::state_hits`], …) —
     /// a state hit spares a whole tree-path replay, not just one
-    /// decode, so the split is what the cache benches gate on.
+    /// decode, so the split is what the cache tests assert on.
     pub fn cache_stats(&self) -> CacheStats {
         self.read_cache.stats()
     }

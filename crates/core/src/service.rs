@@ -163,17 +163,6 @@ impl TgiService {
         self.writer.lock().is_poisoned()
     }
 
-    /// Set the writer's client width (clamped to host parallelism;
-    /// see [`Tgi::set_clients`]) — both the encode width of subsequent
-    /// appends and the read width of views published after the next
-    /// append. Until called, appends encode at the host's parallelism
-    /// and published views read at one client; `set_clients(1)` keeps
-    /// the writer on one core beside its readers (the two widths move
-    /// together: there is no narrow-writer, wide-reader setting).
-    pub fn set_clients(&self, c: usize) {
-        self.writer.lock().set_clients(c);
-    }
-
     /// Aggregated counters of the shared read cache (all views of
     /// this service share one cache; see [`crate::read_cache`]).
     pub fn cache_stats(&self) -> CacheStats {

@@ -10,8 +10,9 @@
 use std::sync::Arc;
 
 use hgs_core::{Tgi, TgiConfig, TgiService};
-use hgs_delta::{Event, EventKind, TimeRange};
-use hgs_store::{FaultPlan, RetryPolicy, SimStore, StoreConfig, StoreError};
+use hgs_datagen::WikiGrowth;
+use hgs_delta::{Event, EventKind, Time, TimeRange};
+use hgs_store::{CostModel, FaultPlan, RetryPolicy, SimStore, StoreConfig, StoreError};
 use proptest::prelude::*;
 
 fn arb_event_kind() -> impl Strategy<Value = EventKind> {
@@ -269,4 +270,96 @@ proptest! {
             oracle.try_snapshot(end).expect("oracle")
         );
     }
+}
+
+/// The canonical seeded schedule — one machine out for good, 60‰
+/// flakes, 20‰ corrupt reads, a 3× straggler — against a 2 000-read
+/// hot-node battery (m=4, r=2, cache off) at every read width: ≥ 75 %
+/// of the reads answer, through visible retries and an open breaker,
+/// the straggler shows in the cost model, every `Ok` equals the
+/// no-fault answer, every `Err` is honest. And the fault layer is free
+/// when off: a zero-rate plan changes no store counter of the battery.
+#[test]
+fn canonical_schedule_is_masked_and_a_zero_rate_plan_is_free() {
+    let events = WikiGrowth::sized(2_000).generate();
+    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 2), &events).unwrap();
+    tgi.set_read_cache_budget(0);
+    let (store, end) = (tgi.store(), tgi.end_time());
+    let queries: Vec<(u64, Time)> = (0..2_000u64)
+        .map(|i| (i % 32, if i % 2 == 0 { end } else { end / 2 }))
+        .collect();
+    let oracle: Vec<_> = queries
+        .iter()
+        .map(|&(nid, t)| tgi.try_node_at(nid, t).expect("healthy"))
+        .collect();
+    // One battery under `plan` at width `c`: how many reads answered,
+    // the store counters it moved, and its modeled seconds.
+    let battery = |plan: Option<FaultPlan>, c: usize| {
+        store.set_fault_plan(plan);
+        let view = tgi.with_clients(c);
+        let before = store.stats_snapshot();
+        let mut ok = 0;
+        for (&(nid, t), want) in queries.iter().zip(&oracle) {
+            match view.try_node_at(nid, t) {
+                Ok(got) => {
+                    assert_eq!(&got, want, "node_at({nid}, {t}) diverged at c={c}");
+                    ok += 1;
+                }
+                Err(e) => assert!(honest(&e), "dishonest error: {e}"),
+            }
+        }
+        let moved = SimStore::stats_since(&store.stats_snapshot(), &before);
+        let slow = store.latency_multipliers();
+        let modeled = CostModel::default().estimate_seconds_with_latency(&moved, c, &slow);
+        store.set_fault_plan(None);
+        (ok, moved, modeled)
+    };
+    let seed = 0xC4A0_5EED;
+    let chaos = FaultPlan::new(seed)
+        .with_outage(1, 0, u64::MAX)
+        .with_flake_per_mille(60)
+        .with_corrupt_per_mille(20)
+        .with_latency_multiplier(2, 3.0);
+    for c in [1usize, 2, 4] {
+        let (base_ok, base, base_modeled) = battery(None, c);
+        let (zero_ok, zero, _) = battery(Some(FaultPlan::new(seed)), c);
+        assert_eq!((base_ok, zero_ok), (queries.len(), queries.len()));
+        assert_eq!(zero, base, "c={c}: a zero-rate plan moved a store counter");
+        assert_eq!(zero.iter().map(|m| m.retries).sum::<u64>(), 0);
+        let (ok, moved, modeled) = battery(Some(chaos.clone()), c);
+        assert!(ok * 4 >= queries.len() * 3, "c={c}: {ok} of 2000 answered");
+        assert!(moved.iter().any(|m| m.retries > 0), "c={c}: no retries");
+        assert!(moved.iter().any(|m| m.breaker_opens > 0), "c={c}: no open");
+        assert!(modeled > base_modeled, "c={c}: straggler not in the model");
+    }
+}
+
+/// One machine misses the whole second half of the trace (r = 2, so
+/// the append survives); once it heals, one anti-entropy pass brings
+/// the store back to byte-identity with a never-faulted build.
+#[test]
+fn append_beside_a_dead_machine_repairs_to_byte_identity() {
+    let events = WikiGrowth::sized(4_000).generate();
+    let mid = (2_000..4_000)
+        .find(|&i| events[i].time > events[i - 1].time)
+        .expect("an append starts strictly after the indexed end");
+    let build_then_append = |dead: bool| {
+        let store = Arc::new(SimStore::new(StoreConfig::new(4, 2)));
+        let mut tgi = Tgi::try_build_on(TgiConfig::default(), Arc::clone(&store), &events[..mid])
+            .expect("healthy build");
+        if dead {
+            store.fail_machine(1);
+        }
+        tgi.try_append_events(&events[mid..])
+            .expect("r=2 append survives one dead machine");
+        store
+    };
+    let store = build_then_append(true);
+    let degraded = store.under_replicated_count();
+    assert!(degraded > 0, "the dead machine must have missed rows");
+    store.heal_machine(1);
+    let report = store.try_repair().expect("repair on a healed cluster");
+    assert_eq!((report.repaired, report.still_degraded), (degraded, 0));
+    let never_faulted = build_then_append(false);
+    assert_eq!(store.content_rows(), never_faulted.content_rows());
 }

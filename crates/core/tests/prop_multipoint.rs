@@ -99,9 +99,8 @@ proptest! {
             ..TgiConfig::default()
         };
         let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap();
-        // `with_clients` is unclamped: `set_clients` clamps to the
-        // host's cores, which would silence the parallel path on a
-        // small CI box.
+        // `with_clients` takes the width as-is, so the parallel path
+        // runs even on a one-core CI box.
         let view = tgi.with_clients(clients);
         let times: Vec<u64> = raw_times.iter().map(|r| r % (end + 2)).collect();
         for round in 0..2 {
@@ -248,6 +247,24 @@ fn plan_shares_fetches_and_batches_round_trips() {
     let batches: u64 = diff.iter().map(|m| m.batches).sum();
     assert_eq!(batches as usize, plan.round_trips);
     assert_eq!(snaps.len(), 4);
+
+    // Sharing is real at the store too: from a cold cache, at either
+    // width, fewer requests than one uncached snapshot per time.
+    let requests = |f: &dyn Fn() -> Vec<hgs_delta::Delta>| {
+        let before = tgi.store().stats_snapshot();
+        assert_eq!(f(), snaps);
+        let diff = SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
+        diff.iter().map(|m| m.gets + m.scans).sum::<u64>()
+    };
+    let uncached = |&t: &u64| tgi.try_snapshot_uncached_c(t, 1).unwrap();
+    let naive = requests(&|| times.iter().map(uncached).collect());
+    for c in [1usize, 4] {
+        tgi.set_read_cache_budget(0);
+        tgi.set_read_cache_budget(hgs_core::DEFAULT_READ_CACHE_BYTES);
+        let view = tgi.with_clients(c);
+        let shared = requests(&|| view.try_snapshots(&times).unwrap());
+        assert!(shared < naive, "c={c}: shared {shared} vs naive {naive}");
+    }
 }
 
 #[test]

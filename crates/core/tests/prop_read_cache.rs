@@ -173,6 +173,15 @@ fn warm_working_set_hits_the_cache() {
         "warm pass re-read too much: {warm_rows} vs naive {cold_rows_estimate}"
     );
     assert!(s_warm.bytes <= s_warm.budget);
+
+    // A fully warm static-vertex fetch does not touch the store at all.
+    let fetch = || [0u64, 57, 123, 399].map(|id| tgi.try_node_at(id, end / 2).unwrap());
+    let cold = fetch();
+    let before = tgi.store().stats_snapshot();
+    assert_eq!(fetch(), cold);
+    let diff = hgs_store::SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
+    let repeat_requests: u64 = diff.iter().map(|m| m.gets + m.scans).sum();
+    assert_eq!(repeat_requests, 0, "warm node_at must not touch the store");
 }
 
 /// Concurrent mixed-key traffic over a live service: the lock-striped

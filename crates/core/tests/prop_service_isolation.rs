@@ -5,6 +5,7 @@
 //! client widths, no interleaving may expose a torn span, a shrunken
 //! graph, or a mixed-watermark answer.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hgs_core::{NodeHistory, Tgi, TgiConfig, TgiService};
@@ -184,4 +185,51 @@ proptest! {
             );
         }
     }
+}
+
+/// Readers never wait for the writer: a pinned read completes *while
+/// an append is in flight*. The reader waits until the store has taken
+/// writes under an unchanged watermark (the writer is mid-append),
+/// pins, reads, and counts the read if the watermark still has not
+/// moved. A `pin()` that needed the writer's lock would block until
+/// the publish and never land inside a window.
+#[test]
+fn pinned_reads_complete_while_an_append_is_in_flight() {
+    let events = hgs_datagen::WikiGrowth::sized(60_000).generate();
+    // An append must start strictly after the indexed end.
+    let n = events.len();
+    let cut = |k: usize| (k * 10_000..n).find(|&i| events[i].time > events[i - 1].time);
+    let cuts: Vec<usize> = (1..6).filter_map(cut).chain([n]).collect();
+    let store = Arc::new(SimStore::new(StoreConfig::new(4, 1)));
+    // Five spans per append, so the store takes writes from early in
+    // each window; writer at width 1, so the reader has its own core.
+    let cfg = TgiConfig::default().with_timespan(2_000);
+    let handle = Tgi::try_build_on_c(cfg, Arc::clone(&store), &events[..cuts[0]], 1).unwrap();
+    let svc = TgiService::from_handle(handle);
+    let written = || -> u64 { store.stats_snapshot().iter().map(|m| m.put_batches).sum() };
+    let finished = AtomicBool::new(false);
+    let done = || finished.load(Ordering::Acquire);
+    let reads_inside = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut inside = 0;
+            while !done() {
+                let (w, rows) = (svc.watermark(), written());
+                while !done() && svc.watermark() == w && written() == rows {
+                    std::thread::yield_now();
+                }
+                let view = svc.pin();
+                view.try_node_at(0, view.end_time()).expect("healthy");
+                view.try_snapshot(view.end_time()).expect("healthy");
+                inside += usize::from(svc.watermark() == w && !done());
+            }
+            inside
+        });
+        for w in cuts.windows(2) {
+            svc.try_append_events(&events[w[0]..w[1]]).expect("append");
+        }
+        finished.store(true, Ordering::Release);
+        reader.join().expect("reader panicked")
+    });
+    assert_eq!(svc.watermark(), cuts.len() as u64, "one epoch per batch");
+    assert!(reads_inside >= 1, "no read landed inside an append");
 }

@@ -358,8 +358,9 @@ mod tests {
     #[test]
     fn decoding_counts_bytes() {
         let enc = encode_term_points(&sample_term_points());
-        let before = crate::codec::decoded_bytes();
+        let before = crate::codec::decoded_bytes_here();
         decode_term_points(&enc).unwrap();
-        assert_eq!(crate::codec::decoded_bytes() - before, enc.len() as u64);
+        let decoded = crate::codec::decoded_bytes_here() - before;
+        assert_eq!(decoded, enc.len() as u64);
     }
 }

@@ -50,7 +50,7 @@ pub(crate) const MAX_LEN: u64 = 1 << 32;
 
 /// Process-global count of value bytes materialized by decoding:
 /// whole-row bytes for the row-wise codec, decompressed segment bytes
-/// for the columnar codec. The decode benches report per-query deltas
+/// for the columnar codec. `benchmark/` reports per-operation deltas
 /// of this counter.
 static DECODED_BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -63,6 +63,21 @@ pub fn decoded_bytes() -> u64 {
 #[inline]
 pub(crate) fn note_decoded(n: usize) {
     DECODED_BYTES.fetch_add(n as u64, Ordering::Relaxed);
+    #[cfg(test)]
+    DECODED_HERE.with(|c| c.set(c.get() + n as u64));
+}
+
+#[cfg(test)]
+thread_local! {
+    /// This thread's share of [`DECODED_BYTES`]: what a unit test
+    /// brackets, because sibling tests decode on other threads.
+    static DECODED_HERE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Bytes decoded by the calling thread so far.
+#[cfg(test)]
+pub(crate) fn decoded_bytes_here() -> u64 {
+    DECODED_HERE.with(std::cell::Cell::get)
 }
 
 // ----------------------------------------------------------------------

@@ -1268,9 +1268,9 @@ mod tests {
     fn dictionary_miss_decodes_only_the_dictionary() {
         let el = Eventlist::from_sorted(sample_events());
         let col = ColumnarEventlist::parse(encode_columnar_eventlist(&el)).unwrap();
-        let before = crate::codec::decoded_bytes();
+        let before = crate::codec::decoded_bytes_here();
         assert!(col.events_touching(12345).unwrap().is_empty());
-        let decoded = crate::codec::decoded_bytes() - before;
+        let decoded = crate::codec::decoded_bytes_here() - before;
         assert!(
             (decoded as usize) <= col.raw_lens[SEG_NODE_DICT],
             "miss decoded {decoded} bytes, dict is {}",
@@ -1285,9 +1285,9 @@ mod tests {
         // must not decompress weights or attribute columns.
         let el = Eventlist::from_sorted(sample_events());
         let col = ColumnarEventlist::parse(encode_columnar_eventlist(&el)).unwrap();
-        let before = crate::codec::decoded_bytes();
+        let before = crate::codec::decoded_bytes_here();
         assert_eq!(col.events_touching(40).unwrap().len(), 1);
-        let decoded = (crate::codec::decoded_bytes() - before) as usize;
+        let decoded = (crate::codec::decoded_bytes_here() - before) as usize;
         let core: usize = [SEG_NODE_DICT, SEG_TIMES, SEG_KINDS, SEG_IDS]
             .iter()
             .map(|&i| col.raw_lens[i])
@@ -1349,10 +1349,10 @@ mod tests {
     fn index_miss_skips_record_segment() {
         let d = sample_delta();
         let col = ColumnarDelta::parse(encode_columnar_delta(&d)).unwrap();
-        let before = crate::codec::decoded_bytes();
+        let before = crate::codec::decoded_bytes_here();
         assert!(!col.contains(999).unwrap());
         assert_eq!(col.node_record(999).unwrap(), None);
-        let decoded = (crate::codec::decoded_bytes() - before) as usize;
+        let decoded = (crate::codec::decoded_bytes_here() - before) as usize;
         assert!(decoded <= col.raw_lens[SEG_NODE_IDS] + col.raw_lens[SEG_RECORD_LENS]);
         assert!(decoded < col.raw_len_total());
     }

@@ -6,8 +6,9 @@
 use std::sync::Arc;
 
 use hgs_core::{Tgi, TgiConfig};
+use hgs_datagen::WikiGrowth;
 use hgs_delta::{AttrValue, Delta, Event, EventKind, TimeRange};
-use hgs_store::StoreConfig;
+use hgs_store::{SimStore, StoreConfig};
 use hgs_taf::{SoN, TgiHandler};
 use proptest::prelude::*;
 
@@ -141,4 +142,33 @@ proptest! {
             prop_assert_eq!(&temporal, &incremental, "root {}", sub.root);
         }
     }
+}
+
+/// A repeated select-pushdown SoN fetch rides the session read cache:
+/// the repeat reads fewer store rows and scores cache hits.
+#[test]
+fn repeated_son_fetch_is_served_from_the_read_cache() {
+    let events = WikiGrowth::sized(6_000).generate();
+    let end = events.last().unwrap().time;
+    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events).unwrap();
+    let handler = TgiHandler::new(Arc::new(tgi), 1);
+    let view = handler.pin();
+    let ids: Vec<u64> = (0..16).map(|i| i * 7).collect();
+    let fetch = || {
+        let before = view.store().stats_snapshot();
+        let son = handler
+            .son()
+            .timeslice(TimeRange::new(end / 4, 3 * end / 4))
+            .select_ids(ids.clone())
+            .try_fetch()
+            .unwrap();
+        let diff = SimStore::stats_since(&view.store().stats_snapshot(), &before);
+        let rows: u64 = diff.iter().map(|m| m.rows_read).sum();
+        (son.len(), rows, view.cache_stats().hits)
+    };
+    let (cold_len, cold_rows, cold_hits) = fetch();
+    let (warm_len, warm_rows, warm_hits) = fetch();
+    assert_eq!((cold_len, warm_len), (ids.len(), ids.len()));
+    assert!(warm_rows < cold_rows, "rows {cold_rows} -> {warm_rows}");
+    assert!(warm_hits > cold_hits, "hits {cold_hits} -> {warm_hits}");
 }
