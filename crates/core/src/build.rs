@@ -11,7 +11,8 @@
 //! 3. the span is replayed: at each checkpoint the per-`sid`
 //!    partitioned snapshot (leaf) is pushed into a progressive
 //!    intersection-tree builder which stores the root and every
-//!    `child − parent` derived delta, micro-partitioned by `pid`;
+//!    `child − parent` derived delta, micro-partitioned by `pid`
+//!    (§ *Intersection tree* below);
 //! 4. each chunk's events are scoped per `sid`, sub-partitioned per
 //!    `pid`, and stored as partitioned eventlists; version-chain
 //!    entries are accumulated per touched node;
@@ -22,6 +23,28 @@
 //! paper's "create an independent TGI with the new events and merge":
 //! new timespans continue the id sequence, the previous last span's
 //! open time range is closed, and version chains are extended.
+//!
+//! ## Intersection tree
+//!
+//! The tree's two operators work on **components**, not on whole node
+//! descriptions ([`hgs_delta::delta`]): a component is one edge-list
+//! entry (keyed `(nid, nbr, dir)`, compared with its weight and
+//! attributes), one attribute pair `(nid, key)`, or the bare existence
+//! of `nid`. A parent holds the nodes present in every child, each
+//! with exactly the entries and pairs identical in every child; a
+//! child's stored delta holds the full record of a node its parent
+//! lacks, else only the entries and pairs the parent's record lacks,
+//! and no record at all when that is nothing. So along any
+//! root-to-leaf path **a component is stored on exactly one row** —
+//! the highest tree node all of whose leaves agree on it — and a hub
+//! that gains one edge per checkpoint costs one entry per leaf, not
+//! its whole edge-list per leaf. The record grammar is unchanged (a
+//! stored piece is an ordinary record with a shorter edge-list), and
+//! readers rebuild a leaf with the component-wise path sum
+//! ([`hgs_delta::ColumnarDelta::sum_into`]), which treats a repeated
+//! component as corruption. An index whose tree kept whole nodes
+//! (every node on exactly one row of a path) satisfies the same
+//! invariant and reads unchanged.
 //!
 //! ## Write path
 //!
@@ -1120,9 +1143,10 @@ fn encode_partition_map(map: &PartitionMap, state: &Delta, ns: u32, sid: u32) ->
 /// Progressive k-ary intersection-tree builder.
 ///
 /// Leaves are pushed in order; whenever `arity` siblings are pending at
-/// a level their parent (the intersection) is computed, each child's
-/// derived delta (`child − parent`) is emitted, the children are
-/// dropped, and the parent is pushed one level up. `finalize` reduces
+/// a level their parent (the component-wise intersection) is computed,
+/// each child's derived delta (`child − parent`, the components the
+/// parent lacks) is emitted, the children are dropped, and the parent
+/// is pushed one level up. `finalize` reduces
 /// partial groups and emits the root in full. Memory never exceeds
 /// `arity × height` retained deltas.
 struct TreeAccumulator {
@@ -1212,59 +1236,161 @@ mod tests {
         assert_eq!(covered, events.len());
     }
 
-    #[test]
-    fn tree_accumulator_reconstructs_leaves() {
-        // Five leaves, arity 2: reconstruct every leaf from emitted
-        // deltas by summing along the path.
-        let shape = TreeShape::new(5, 2);
+    /// Push `leaves` through a [`TreeAccumulator`]; the emitted
+    /// (stored) deltas by did.
+    fn emit_tree(shape: &TreeShape, leaves: &[Delta]) -> FxHashMap<u64, Delta> {
         let mut emitted: FxHashMap<u64, Delta> = FxHashMap::default();
         let mut acc = TreeAccumulator::new(shape.clone());
-        let mut leaves = Vec::new();
-        for j in 0..5u64 {
-            let mut d = Delta::new();
-            // Shared node 0 (identical everywhere) + unique node j+1.
-            d.insert(StaticNode::new(0));
-            d.insert(StaticNode::new(j + 1));
-            leaves.push(d.clone());
-            let sh = shape.clone();
-            acc.push_leaf(d, &mut |level, idx, delta| {
-                emitted.insert(sh.did(level, idx), delta.clone());
-            });
+        let mut emit = |level: usize, idx: usize, delta: &Delta| {
+            let prev = emitted.insert(shape.did(level, idx), delta.clone());
+            assert!(prev.is_none(), "each tree node is emitted once");
+        };
+        for leaf in leaves {
+            acc.push_leaf(leaf.clone(), &mut emit);
         }
-        let sh = shape.clone();
-        acc.finalize(&mut |level, idx, delta| {
-            emitted.insert(sh.did(level, idx), delta.clone());
-        });
+        acc.finalize(&mut emit);
+        emitted
+    }
 
-        for (j, leaf) in leaves.iter().enumerate() {
-            let mut rebuilt = Delta::new();
-            for did in shape.path_to_leaf(j) {
-                if let Some(d) = emitted.get(&did) {
-                    rebuilt.sum_assign(d);
+    /// Leaves that share *part* of a hub: node 0 gains a neighbor per
+    /// checkpoint, has one edge that comes and goes, one whose weight
+    /// changes once, one attribute that changes every other leaf and
+    /// one that never does; node 1 never changes; node 2 is gone from
+    /// the last leaf; every leaf has a node of its own.
+    fn hub_leaves(q: u64) -> Vec<Delta> {
+        use hgs_delta::{AttrValue, EdgeDir, Neighbor};
+        (0..q)
+            .map(|j| {
+                let mut hub = StaticNode::new(0);
+                for nbr in 1..=3 + j {
+                    let w = if nbr == 2 && j >= 3 { 2.5 } else { 1.0 };
+                    hub.insert_edge(Neighbor::weighted(nbr, EdgeDir::Both, w));
+                }
+                if j % 2 == 1 {
+                    hub.insert_edge(Neighbor::new(500, EdgeDir::Out));
+                }
+                hub.attrs.set("label", AttrValue::Int(j as i64 / 2));
+                hub.attrs.set("kind", AttrValue::Int(7));
+                let mut one = StaticNode::new(1);
+                one.insert_edge(Neighbor::new(0, EdgeDir::Both));
+                let mut d: Delta = [hub, one, StaticNode::new(10 + j)].into_iter().collect();
+                if j + 1 < q || q == 1 {
+                    d.insert(StaticNode::new(2));
+                }
+                d
+            })
+            .collect()
+    }
+
+    /// `(node, key, value)` of every edge-list entry and attribute
+    /// pair of `d`, rendered comparable.
+    fn components(d: &Delta) -> Vec<(NodeId, String, String)> {
+        let mut out = Vec::new();
+        for n in d.iter() {
+            for e in &n.edges {
+                let value = format!("{} {:?}", e.weight.to_bits(), e.attrs);
+                out.push((n.id, format!("e{} {:?}", e.nbr, e.dir), value));
+            }
+            for (k, v) in n.attrs.iter() {
+                out.push((n.id, format!("a{k}"), format!("{v:?}")));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// The shapes the tree tests run over: arities 2 and 3, full and
+    /// partial last groups, a single leaf.
+    const SHAPES: [(u64, usize); 6] = [(5, 2), (4, 2), (7, 3), (9, 3), (2, 2), (1, 2)];
+
+    #[test]
+    fn tree_accumulator_reconstructs_leaves() {
+        // Rebuild every leaf from the stored form of its path: each
+        // emitted delta encoded as a row, summed root first.
+        for (q, arity) in SHAPES {
+            let shape = TreeShape::new(q as usize, arity);
+            let leaves = hub_leaves(q);
+            let rows: FxHashMap<u64, hgs_delta::ColumnarDelta> = emit_tree(&shape, &leaves)
+                .iter()
+                .map(|(&did, d)| {
+                    let row = hgs_delta::ColumnarDelta::parse(encode_columnar_delta(d));
+                    (did, row.expect("just encoded"))
+                })
+                .collect();
+            for (j, leaf) in leaves.iter().enumerate() {
+                let mut rebuilt = Delta::new();
+                for did in shape.path_to_leaf(j) {
+                    rows[&did]
+                        .sum_into(&mut rebuilt, None)
+                        .expect("no component repeats along a path");
+                }
+                assert_eq!(&rebuilt, leaf, "leaf {j} of {q}, arity {arity}");
+            }
+        }
+    }
+
+    /// The storage invariant the component-wise path sum (and the
+    /// readability of older indexes) rests on: over every root-to-leaf
+    /// path, each component of the leaf is stored on exactly one row,
+    /// and nothing else is. And the reason the tree is small: no
+    /// component is stored in every child of a parent — it would be in
+    /// the parent instead — which is what fails if the parent goes back
+    /// to keeping only nodes identical in every child.
+    #[test]
+    fn each_component_is_stored_on_exactly_one_row_of_a_path() {
+        for (q, arity) in SHAPES {
+            let shape = TreeShape::new(q as usize, arity);
+            let leaves = hub_leaves(q);
+            let emitted = emit_tree(&shape, &leaves);
+            assert_eq!(emitted.len(), shape.node_count());
+            for (j, leaf) in leaves.iter().enumerate() {
+                let path = shape.path_to_leaf(j);
+                let mut stored: Vec<_> = path
+                    .iter()
+                    .flat_map(|did| components(&emitted[did]))
+                    .collect();
+                stored.sort();
+                assert_eq!(stored, components(leaf), "leaf {j} of {q}, arity {arity}");
+                for n in leaf.iter() {
+                    let records = path.iter().filter(|did| emitted[did].contains(n.id));
+                    assert!(records.count() >= 1, "node {} exists on the path", n.id);
+                }
+                // A record below the root always carries something the
+                // rows above it lack, or introduces its node.
+                for (depth, did) in path.iter().enumerate() {
+                    for n in emitted[did].iter() {
+                        let above = path[..depth].iter().any(|up| emitted[up].contains(n.id));
+                        assert!(!above || n.degree() + n.attrs.len() > 0, "empty piece");
+                    }
                 }
             }
-            assert_eq!(&rebuilt, leaf, "leaf {j}");
+            for level in 0..shape.height() {
+                for parent in 0..shape.level_sizes[level + 1] {
+                    let first = parent * arity;
+                    let last = (first + arity).min(shape.level_sizes[level]);
+                    let mut common = components(&emitted[&shape.did(level, first)]);
+                    for idx in first + 1..last {
+                        let sibling = components(&emitted[&shape.did(level, idx)]);
+                        common.retain(|c| sibling.contains(c));
+                    }
+                    assert_eq!(common, vec![], "level {level}, parent {parent}, q {q}");
+                }
+            }
         }
     }
 
     #[test]
     fn tree_accumulator_root_holds_common_core() {
         let shape = TreeShape::new(4, 2);
-        let mut emitted: FxHashMap<u64, Delta> = FxHashMap::default();
-        let mut acc = TreeAccumulator::new(shape.clone());
-        for j in 0..4u64 {
-            let mut d = Delta::new();
-            d.insert(StaticNode::new(42)); // identical in all leaves
-            d.insert(StaticNode::new(100 + j));
-            let sh = shape.clone();
-            acc.push_leaf(d, &mut |l, i, delta| {
-                emitted.insert(sh.did(l, i), delta.clone());
-            });
-        }
-        let sh = shape.clone();
-        acc.finalize(&mut |l, i, delta| {
-            emitted.insert(sh.did(l, i), delta.clone());
-        });
+        // Node 42 is identical in all leaves; each has one of its own.
+        let leaves: Vec<Delta> = (0..4u64)
+            .map(|j| {
+                [StaticNode::new(42), StaticNode::new(100 + j)]
+                    .into_iter()
+                    .collect()
+            })
+            .collect();
+        let emitted = emit_tree(&shape, &leaves);
         let root = emitted.get(&0).expect("root emitted");
         assert!(root.contains(42), "common node lives in the root");
         assert_eq!(root.cardinality(), 1, "unique nodes are not in the root");

@@ -30,7 +30,7 @@ use hgs_store::{DeltaKey, PlacementKey, StoreError, Table};
 use crate::build::{SpanRuntime, TgiView};
 use crate::costs::{access_cost, CostProfile, IndexKind, QueryKind};
 use crate::meta::{decode_chain, sid_of, ChainEntry, AUX_BASE, ELIST_BASE};
-use crate::query_plan::{decode_delta_blob, decode_elist_blob};
+use crate::query_plan::decode_elist_blob;
 use crate::read_cache::{CacheKey, Cached};
 use crate::scope::apply_event_scoped;
 
@@ -151,11 +151,28 @@ impl NeighborhoodHistory {
 }
 
 /// A fetched delta row in whichever state the read cache holds it
-/// under its [`CacheKey::Row`]: `Full` is what a full-replay path left
-/// (the whole row decoded), `Col` what a node-scoped path left (header
-/// parsed, columns decoded on demand, so a single-node record probe
-/// reads the node-index column alone). A cache state, not a stored
-/// format — every stored row is columnar.
+/// under its [`CacheKey::Row`]. A cache state, not a stored format —
+/// every stored row is columnar.
+///
+/// * `Col` is **the row's own records**, header parsed, columns
+///   decoded on demand: what a node-scoped path leaves, so a
+///   single-node probe reads the node-index column alone. For an aux
+///   row a record is a whole description; for a tree row it is a
+///   *piece* — the entries and pairs of the node that no row above it
+///   on the path holds.
+/// * `Full` (tree rows only) is **path-complete**: for every node the
+///   row has a record for, the node's whole description as of that
+///   tree node, i.e. the row's pieces already merged onto everything
+///   above it. It is what a full-replay path leaves after summing the
+///   row, so summing it again is a node-level
+///   [`Delta::sum_assign`] of shared `Arc`s.
+///
+/// Either way a tree row means something only in path order:
+/// [`DeltaHandle::sum_into`] is the one place a tree row is applied
+/// to a state, and every reader walks its path **root first**, where a
+/// `Full` row *replaces* what shallower rows gave a node and a `Col`
+/// row *adds* to it. (A walk that stopped at the first row holding the
+/// node, as `try_node_at` once did, would return a fragment.)
 #[derive(Clone)]
 pub(crate) enum DeltaHandle {
     Full(Arc<Delta>),
@@ -163,14 +180,58 @@ pub(crate) enum DeltaHandle {
 }
 
 impl DeltaHandle {
-    /// The stored record of `nid` in this row, if any. A columnar row
-    /// decodes its node-index column here, so corruption surfaces as
-    /// [`StoreError::Corrupt`] instead of a panic.
+    /// Parse a fetched row's header (columns stay undecoded).
+    pub(crate) fn parse(bytes: bytes::Bytes) -> Result<DeltaHandle, StoreError> {
+        ColumnarDelta::parse(bytes)
+            .map(|c| DeltaHandle::Col(Arc::new(c)))
+            .map_err(StoreError::Corrupt)
+    }
+
+    /// The stored record of `nid` in this **aux** row (a whole
+    /// description), if any. A columnar row decodes its node-index
+    /// column here, so corruption surfaces as [`StoreError::Corrupt`]
+    /// instead of a panic.
     fn record(&self, nid: NodeId) -> Result<Option<StaticNode>, StoreError> {
         match self {
             DeltaHandle::Full(d) => Ok(d.node(nid).cloned()),
             DeltaHandle::Col(c) => c.node_record(nid).map_err(StoreError::Corrupt),
         }
+    }
+
+    /// The path sum's one step: apply this **tree** row to `state`,
+    /// which must be the sum of the rows above it on the path (for
+    /// `only = Some(nid)`, of their records for `nid` — the row is then
+    /// applied for that node alone and nothing else of it is decoded).
+    ///
+    /// With `collect`, a `Col` row applied in full also returns its
+    /// path-complete form for the caller to cache as `Full`. A row
+    /// that repeats a component the state already holds is
+    /// [`StoreError::Corrupt`]; `state` is then partly summed and must
+    /// be dropped.
+    pub(crate) fn sum_into(
+        &self,
+        state: &mut Delta,
+        only: Option<NodeId>,
+        collect: bool,
+    ) -> Result<Option<Arc<Delta>>, StoreError> {
+        match (self, only) {
+            (DeltaHandle::Full(d), None) => state.sum_assign(d),
+            (DeltaHandle::Full(d), Some(nid)) => {
+                if let Some(n) = d.node(nid) {
+                    state.insert(n.clone());
+                }
+            }
+            (DeltaHandle::Col(c), Some(nid)) => {
+                c.sum_node_into(nid, state).map_err(StoreError::Corrupt)?
+            }
+            (DeltaHandle::Col(c), None) => {
+                let mut completed = collect.then(|| Delta::with_capacity(c.n_nodes()));
+                c.sum_into(state, completed.as_mut())
+                    .map_err(StoreError::Corrupt)?;
+                return Ok(completed.map(Arc::new));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -290,14 +351,13 @@ impl TgiView {
                 continue;
             };
             let mut state = Delta::new();
+            let mut path_rows = Vec::new();
             for &did in &path {
-                if let Some(pieces) = by_did.remove(&did) {
-                    for (_pid, bytes) in pieces {
-                        let d = decode_delta_blob(&bytes)?;
-                        state.sum_assign_owned(d);
-                    }
+                for (pid, bytes) in by_did.remove(&did).into_iter().flatten() {
+                    path_rows.push((did, pid, bytes));
                 }
             }
+            self.sum_scanned_path(&mut state, tsid, sid, path_rows, false)?;
             if let Some(pieces) = by_did.remove(&(ELIST_BASE + j as u64)) {
                 // hgs-lint: allow(no-panic-in-try, "sid enumerates 0..ns and span.maps holds ns entries")
                 let map = &span.maps[sid as usize];
@@ -323,13 +383,15 @@ impl TgiView {
     /// 1's terms): touches only the node's micro-partition along the
     /// tree path, and decodes only the columns that hold the node.
     ///
-    /// The id-wise delta sum is right-biased — a later path delta's
-    /// record for a node *replaces* any earlier one — so the node's
-    /// checkpoint record is simply the record in the **last** path
-    /// delta containing it. Walking the path leaf-most first, each
-    /// row answers "do you hold this node?" from its node index column
-    /// alone; only the one winning record slice is ever parsed, and
-    /// rows not containing the node decode nothing else. The eventlist
+    /// The node's checkpoint record is the union of its pieces along
+    /// the path — a component sits on exactly one row of it, but the
+    /// node's components are spread over every row where one first
+    /// became common — so every path row is consulted, root first.
+    /// Whatever the cache does not hold, path rows and the eventlist
+    /// row alike, travels in **one** batched multi-get (they share a
+    /// placement chunk). Each row answers "do you hold this node?"
+    /// from its node-index columns alone; only the node's own record
+    /// slices are ever parsed. The eventlist
     /// roll-forward likewise materializes only the events touching the
     /// node (normalization expands `RemoveNode` into explicit
     /// `RemoveEdge`s, so those events are sufficient).
@@ -344,7 +406,7 @@ impl TgiView {
         let mut scratch = Delta::new();
         // A checkpoint state materialized by a full-replay path
         // already holds the summed record — use it instead of walking.
-        match self
+        let path = match self
             .read_cache
             .get(CacheKey::Part(tsid, sid, pid, j as u32))
         {
@@ -352,20 +414,15 @@ impl TgiView {
                 if let Some(n) = d.node(nid) {
                     scratch.insert(n.clone());
                 }
+                Vec::new()
             }
-            _ => {
-                let path = meta.shape.path_to_leaf(j);
-                for &did in path.iter().rev() {
-                    if let Some(h) = self.try_fetch_delta_handle(tsid, sid, did, pid)? {
-                        if let Some(n) = h.record(nid)? {
-                            scratch.insert(n);
-                            break;
-                        }
-                    }
-                }
-            }
+            _ => meta.shape.path_to_leaf(j),
+        };
+        let (rows, elist) = self.try_fetch_node_rows(tsid, sid, pid, &path, j as u32)?;
+        for row in rows.iter().flatten() {
+            row.sum_into(&mut scratch, Some(nid), false)?;
         }
-        if let Some(el) = self.try_fetch_elist(tsid, sid, j as u32, pid)? {
+        if let Some(el) = elist {
             for e in el
                 .events_touching(nid)?
                 .into_iter()
@@ -377,8 +434,81 @@ impl TgiView {
         Ok(scratch.node(nid).cloned())
     }
 
-    /// Fetch (or serve from the read cache) one tree-delta or aux row
-    /// as a [`DeltaHandle`] — a cache miss parses only the row header,
+    /// The node-scoped fetch: tree rows `path` and eventlist chunk
+    /// `chunk` of micro-partition `(tsid, sid, pid)` as lazily-decoded
+    /// handles, in `path` order. Rows the read cache holds (in either
+    /// state, or as known-absent) are served from it; the rest travel
+    /// in one batched multi-get and are cached header-parsed.
+    fn try_fetch_node_rows(
+        &self,
+        tsid: u32,
+        sid: u32,
+        pid: u32,
+        path: &[u64],
+        chunk: u32,
+    ) -> Result<(Vec<Option<DeltaHandle>>, Option<ElistHandle>), StoreError> {
+        let elist_did = ELIST_BASE + chunk as u64;
+        let mut rows: Vec<Option<DeltaHandle>> = Vec::with_capacity(path.len());
+        let mut elist: Option<ElistHandle> = None;
+        // (did, slot in `rows`) of every row still to fetch; the
+        // eventlist, when missing, rides last with no slot.
+        let mut fetch: Vec<(u64, Option<usize>)> = Vec::new();
+        for (i, &did) in path.iter().enumerate() {
+            rows.push(
+                match self.read_cache.get(CacheKey::Row(tsid, sid, did, pid)) {
+                    Some(Cached::Delta(d)) => Some(DeltaHandle::Full(d)),
+                    Some(Cached::ColDelta(c)) => Some(DeltaHandle::Col(c)),
+                    Some(Cached::Absent) => None,
+                    _ => {
+                        fetch.push((did, Some(i)));
+                        None
+                    }
+                },
+            );
+        }
+        match self
+            .read_cache
+            .get(CacheKey::Row(tsid, sid, elist_did, pid))
+        {
+            Some(Cached::Elist(e)) => elist = Some(ElistHandle::Full(e)),
+            Some(Cached::ColElist(c)) => elist = Some(ElistHandle::Col(c)),
+            Some(Cached::Absent) => {}
+            _ => fetch.push((elist_did, None)),
+        }
+        if fetch.is_empty() {
+            return Ok((rows, elist));
+        }
+        let keys: Vec<[u8; 20]> = fetch
+            .iter()
+            .map(|&(did, _)| DeltaKey::new(tsid, sid, did, pid).encode())
+            .collect();
+        let refs: Vec<&[u8]> = keys.iter().map(|k| &k[..]).collect();
+        let token = PlacementKey::new(tsid, sid).token();
+        let values = self.store.multi_get(Table::Deltas, &refs, token)?;
+        for (&(did, slot), bytes) in fetch.iter().zip(values) {
+            let key = CacheKey::Row(tsid, sid, did, pid);
+            let Some(bytes) = bytes else {
+                self.read_cache.put(key, Cached::Absent);
+                continue;
+            };
+            match slot.and_then(|i| rows.get_mut(i)) {
+                Some(row) => {
+                    let c = Arc::new(ColumnarDelta::parse(bytes).map_err(StoreError::Corrupt)?);
+                    self.read_cache.put(key, Cached::ColDelta(c.clone()));
+                    *row = Some(DeltaHandle::Col(c));
+                }
+                None => {
+                    let c = Arc::new(ColumnarEventlist::parse(bytes).map_err(StoreError::Corrupt)?);
+                    self.read_cache.put(key, Cached::ColElist(c.clone()));
+                    elist = Some(ElistHandle::Col(c));
+                }
+            }
+        }
+        Ok((rows, elist))
+    }
+
+    /// Fetch (or serve from the read cache) one aux row as a
+    /// [`DeltaHandle`] — a cache miss parses only the row header,
     /// deferring column decodes to the caller's actual probes.
     fn try_fetch_delta_handle(
         &self,
@@ -444,17 +574,15 @@ impl TgiView {
 
         // Resolve what the cache already holds; everything else goes
         // into one batched fetch.
-        let mut tree_rows: FxHashMap<u64, Option<Arc<Delta>>> = FxHashMap::default();
+        let mut tree_rows: FxHashMap<u64, DeltaHandle> = FxHashMap::default();
         let mut fetch_dids: Vec<u64> = Vec::new();
         if base.is_none() {
             for &did in &path {
                 match self.read_cache.get(CacheKey::Row(tsid, sid, did, pid)) {
                     Some(Cached::Delta(d)) => {
-                        tree_rows.insert(did, Some(d));
+                        tree_rows.insert(did, DeltaHandle::Full(d));
                     }
-                    Some(Cached::Absent) => {
-                        tree_rows.insert(did, None);
-                    }
+                    Some(Cached::Absent) => {}
                     _ => fetch_dids.push(did),
                 }
             }
@@ -483,19 +611,13 @@ impl TgiView {
                         elist = Some(self.insert_decoded_elist(tsid, sid, did, pid, &bytes)?);
                     }
                     Some(bytes) => {
-                        tree_rows.insert(
-                            did,
-                            Some(self.insert_decoded_delta(tsid, sid, did, pid, &bytes)?),
-                        );
+                        tree_rows.insert(did, DeltaHandle::parse(bytes)?);
                     }
                     None => {
                         // Absence of a write-once row is permanent for
                         // sealed spans: cache it too.
                         self.read_cache
                             .put(CacheKey::Row(tsid, sid, did, pid), Cached::Absent);
-                        if did != elist_did {
-                            tree_rows.insert(did, None);
-                        }
                     }
                 }
             }
@@ -506,8 +628,8 @@ impl TgiView {
             None => {
                 let mut s = Delta::new();
                 for &did in &path {
-                    if let Some(Some(d)) = tree_rows.get(&did) {
-                        s.sum_assign(d);
+                    if let Some(row) = tree_rows.get(&did) {
+                        self.sum_tree_row(&mut s, CacheKey::Row(tsid, sid, did, pid), row)?;
                     }
                 }
                 if self.read_cache.is_enabled() {
@@ -1002,31 +1124,29 @@ impl TgiView {
             .map(|&did| DeltaKey::delta_prefix(tsid, sid, did))
             .collect();
         let refs: Vec<&[u8]> = prefixes.iter().map(|p| &p[..]).collect();
-        let groups = self.store.scan_prefix_batch(Table::Deltas, &refs, token)?;
+        let mut groups = self.store.scan_prefix_batch(Table::Deltas, &refs, token)?;
+        let elists = groups.pop().unwrap_or_default();
+        let mut path_rows = Vec::new();
+        for (&did, rows) in dids.iter().zip(groups) {
+            for (k, v) in rows {
+                if let Some(dk) = DeltaKey::decode(&k) {
+                    path_rows.push((did, dk.pid, v));
+                }
+            }
+        }
         let mut state = Delta::new();
+        self.sum_scanned_path(&mut state, tsid, sid, path_rows, true)?;
         // hgs-lint: allow(no-panic-in-try, "sid is validated against ns by the caller and span.maps holds ns entries")
         let map = &span.maps[sid as usize];
-        for (&did, rows) in dids.iter().zip(groups) {
-            if did >= ELIST_BASE {
-                for (k, v) in rows {
-                    let Some(dk) = DeltaKey::decode(&k) else {
-                        continue;
-                    };
-                    let el = self.decoded_elist(tsid, sid, did, dk.pid, &v)?;
-                    for e in el.events().iter().take_while(|e| e.time <= t) {
-                        apply_event_scoped(&mut state, &e.kind, |id| {
-                            sid_of(id, ns) == sid && map.assign(id) == dk.pid
-                        });
-                    }
-                }
-            } else {
-                for (k, v) in rows {
-                    let Some(dk) = DeltaKey::decode(&k) else {
-                        continue;
-                    };
-                    let d = self.decoded_delta(tsid, sid, did, dk.pid, &v)?;
-                    state.sum_assign(&d);
-                }
+        for (k, v) in elists {
+            let Some(dk) = DeltaKey::decode(&k) else {
+                continue;
+            };
+            let el = self.decoded_elist(tsid, sid, dk.did, dk.pid, &v)?;
+            for e in el.events().iter().take_while(|e| e.time <= t) {
+                apply_event_scoped(&mut state, &e.kind, |id| {
+                    sid_of(id, ns) == sid && map.assign(id) == dk.pid
+                });
             }
         }
         Ok(state)

@@ -55,26 +55,20 @@
 
 use std::sync::Arc;
 
-use hgs_delta::{ColumnarDelta, ColumnarEventlist, Delta, Eventlist, FxHashMap, FxHashSet, Time};
+use hgs_delta::{ColumnarEventlist, Delta, Eventlist, FxHashMap, FxHashSet, Time};
 use hgs_store::parallel::parallel_steal;
 use hgs_store::{DeltaKey, PlacementKey, StoreError, Table};
 
 use crate::build::{SpanRuntime, TgiView};
 use crate::meta::{sid_of, ELIST_BASE};
+use crate::query::DeltaHandle;
 use crate::read_cache::{CacheKey, Cached};
 use crate::scope::apply_event_scoped;
 
-/// Fully decode a stored delta row (no cache involvement): the
+/// Fully decode a stored eventlist row (no cache involvement): the
 /// full-replay paths' decoder and the uncached reference path's. A row
 /// that fails to decode surfaces [`StoreError::Corrupt`] through the
 /// `try_*` surface instead of panicking mid-query.
-pub(crate) fn decode_delta_blob(bytes: &bytes::Bytes) -> Result<Delta, StoreError> {
-    ColumnarDelta::parse(bytes.clone())
-        .and_then(|c| c.to_delta())
-        .map_err(StoreError::Corrupt)
-}
-
-/// Eventlist twin of [`decode_delta_blob`].
 pub(crate) fn decode_elist_blob(bytes: &bytes::Bytes) -> Result<Eventlist, StoreError> {
     ColumnarEventlist::parse(bytes.clone())
         .and_then(|c| c.to_eventlist())
@@ -351,46 +345,62 @@ impl TgiView {
         Ok(dids.into_iter().zip(groups).collect())
     }
 
-    /// Decode a fetched tree row through the read cache.
-    ///
-    /// Full-replay callers need the whole delta, so a lazily-decoded
-    /// columnar entry left by a node-scoped path does not satisfy the
-    /// probe: the row is re-decoded in full and the entry refreshed to
-    /// the materialized form (write-once rows make this safe).
-    pub(crate) fn decoded_delta(
+    /// Sum a tree row into `state` — the sum of the rows above it on
+    /// the path — and, when the row arrived as pieces and the cache is
+    /// on, keep its path-complete form under `key`, so the next sum
+    /// of this row is a node-level one.
+    pub(crate) fn sum_tree_row(
         &self,
-        tsid: u32,
-        sid: u32,
-        did: u64,
-        pid: u32,
-        bytes: &bytes::Bytes,
-    ) -> Result<Arc<Delta>, StoreError> {
-        let key = CacheKey::Row(tsid, sid, did, pid);
-        match self.read_cache.get(key) {
-            Some(Cached::Delta(d)) => Ok(d),
-            _ => self.insert_decoded_delta(tsid, sid, did, pid, bytes),
+        state: &mut Delta,
+        key: CacheKey,
+        row: &DeltaHandle,
+    ) -> Result<(), StoreError> {
+        if let Some(full) = row.sum_into(state, None, self.read_cache.is_enabled())? {
+            self.read_cache.put(key, Cached::Delta(full));
         }
+        Ok(())
     }
 
-    /// Decode a tree row and insert it without a prior cache probe —
-    /// for callers that already observed the miss (avoids
-    /// double-counting it and a redundant lock round-trip).
-    pub(crate) fn insert_decoded_delta(
+    /// Sum one horizontal partition's scanned root-to-leaf path into
+    /// `state`: `rows` are its tree rows as `(did, pid, bytes)` in path
+    /// order (root first). Micro-partitions hold disjoint node sets,
+    /// so they are summed one after the other — each one's rows root
+    /// first — which keeps the few hundred nodes a piece can land on
+    /// hot while its path is applied.
+    ///
+    /// `through_cache` probes the read cache per row and leaves the
+    /// row's path-complete form there. Full-replay callers need every
+    /// record, so a lazily-decoded columnar entry left by a
+    /// node-scoped path does not satisfy the probe: the row is applied
+    /// from its bytes and the entry refreshed (write-once rows make
+    /// this safe).
+    pub(crate) fn sum_scanned_path(
         &self,
+        state: &mut Delta,
         tsid: u32,
         sid: u32,
-        did: u64,
-        pid: u32,
-        bytes: &bytes::Bytes,
-    ) -> Result<Arc<Delta>, StoreError> {
-        let d = Arc::new(decode_delta_blob(bytes)?);
-        self.read_cache
-            .put(CacheKey::Row(tsid, sid, did, pid), Cached::Delta(d.clone()));
-        Ok(d)
+        mut rows: Vec<(u64, u32, bytes::Bytes)>,
+        through_cache: bool,
+    ) -> Result<(), StoreError> {
+        rows.sort_by_key(|&(_, pid, _)| pid); // stable: path order within a pid
+        for (did, pid, bytes) in rows {
+            if !through_cache {
+                DeltaHandle::parse(bytes)?.sum_into(state, None, false)?;
+                continue;
+            }
+            let key = CacheKey::Row(tsid, sid, did, pid);
+            let row = match self.read_cache.get(key.clone()) {
+                Some(Cached::Delta(d)) => DeltaHandle::Full(d),
+                _ => DeltaHandle::parse(bytes)?,
+            };
+            self.sum_tree_row(state, key, &row)?;
+        }
+        Ok(())
     }
 
     /// Decode a fetched eventlist row through the read cache (see
-    /// [`TgiView::decoded_delta`] for the columnar-entry refresh rule).
+    /// [`TgiView::sum_scanned_path`] for the columnar-entry refresh
+    /// rule).
     pub(crate) fn decoded_elist(
         &self,
         tsid: u32,
@@ -406,7 +416,9 @@ impl TgiView {
         }
     }
 
-    /// Eventlist twin of [`TgiView::insert_decoded_delta`].
+    /// Decode an eventlist row and insert it without a prior cache
+    /// probe — for callers that already observed the miss (avoids
+    /// double-counting it and a redundant lock round-trip).
     pub(crate) fn insert_decoded_elist(
         &self,
         tsid: u32,
@@ -494,7 +506,10 @@ impl TgiView {
                             Some(d) => Arc::clone(d),
                             None => self.build_sid_leaf_state(span, lg.leaf, sid as u32, rows)?,
                         };
-                        state.sum_assign(&sid_state);
+                        match Arc::try_unwrap(sid_state) {
+                            Ok(ours) => state.sum_assign_owned(ours),
+                            Err(shared) => state.sum_assign(&shared),
+                        }
                     }
                     let arc = Arc::new(state);
                     self.read_cache.put(
@@ -522,7 +537,7 @@ impl TgiView {
             for ((slot, _), state) in lg
                 .times
                 .iter()
-                .zip(self.replay_leaf_times(span, &base, &pieces, &lg.times))
+                .zip(self.replay_leaf_times(span, base, &pieces, &lg.times))
             {
                 out[*slot] = state;
             }
@@ -570,7 +585,7 @@ impl TgiView {
                 pieces.push((sid, dk.pid, el));
             }
         }
-        Ok(self.replay_leaf_times(span, &base, &pieces, &lg.times))
+        Ok(self.replay_leaf_times(span, base, &pieces, &lg.times))
     }
 
     /// Sum one sid's tree-path rows for `leaf` into a checkpoint
@@ -588,18 +603,15 @@ impl TgiView {
         let meta = &span.meta;
         let tsid = meta.tsid;
         let mut state = Delta::new();
+        let mut path_rows = Vec::new();
         for did in meta.shape.path_to_leaf(leaf) {
-            let Some(rows) = rows.get(&did) else {
-                continue;
-            };
-            for (k, bytes) in rows {
-                let Some(dk) = DeltaKey::decode(k) else {
-                    continue;
-                };
-                let d = self.decoded_delta(tsid, sid, did, dk.pid, bytes)?;
-                state.sum_assign(&d);
+            for (k, bytes) in rows.get(&did).into_iter().flatten() {
+                if let Some(dk) = DeltaKey::decode(k) {
+                    path_rows.push((did, dk.pid, bytes.clone()));
+                }
             }
         }
+        self.sum_scanned_path(&mut state, tsid, sid, path_rows, true)?;
         let arc = Arc::new(state);
         self.read_cache.put(
             CacheKey::SidLeaf(tsid, sid, leaf as u32),
@@ -615,12 +627,14 @@ impl TgiView {
     fn replay_leaf_times(
         &self,
         span: &SpanRuntime,
-        base: &Delta,
+        base: Arc<Delta>,
         pieces: &[(u32, u32, Arc<Eventlist>)],
         times: &[(usize, Time)],
     ) -> Vec<Delta> {
         let ns = self.cfg.horizontal_partitions;
-        let mut cur: Delta = base.clone();
+        // A state no cache kept (budget 0, or an oversized entry) is
+        // ours alone: replay onto it instead of onto a copy.
+        let mut cur: Delta = Arc::try_unwrap(base).unwrap_or_else(|shared| (*shared).clone());
         let mut cursors = vec![0usize; pieces.len()];
         let mut out: Vec<Delta> = Vec::with_capacity(times.len());
         for (i, &(_, t)) in times.iter().enumerate() {

@@ -3,10 +3,40 @@
 //! the history it was built from — however it was built (any encode
 //! width, one build or build plus appends) and however it is read.
 
+// Each suite uses its own part of this module.
+#![allow(dead_code)]
+
 use std::collections::BTreeSet;
 
 use hgs_core::{KhopStrategy, Tgi};
-use hgs_delta::{normalize_events, Delta, Event, NodeId, Time, TimeRange};
+use hgs_delta::{normalize_events, Delta, Event, EventKind, NodeId, Time, TimeRange};
+
+/// A generator case of the prop suites: `events` with a busy hub.
+/// After every event node 0 gains an edge (its weight cycling, so an
+/// entry can come back with another value), and now and then loses
+/// one — its description differs between any two checkpoints, in every
+/// chunk of every span, so under the component-granular intersection
+/// tree its pieces sit on every row of every root-to-leaf path.
+pub fn with_busy_hub(events: Vec<Event>) -> Vec<Event> {
+    let mut out = Vec::with_capacity(events.len() * 2);
+    for (i, e) in events.into_iter().enumerate() {
+        let (time, i) = (e.time, i as u64);
+        out.push(e);
+        let dst = 1 + (i * 7) % 39;
+        let kind = if i % 5 == 4 {
+            EventKind::RemoveEdge { src: 0, dst }
+        } else {
+            EventKind::AddEdge {
+                src: 0,
+                dst,
+                weight: 1.0 + (i % 3) as f32,
+                directed: false,
+            }
+        };
+        out.push(Event::new(time, kind));
+    }
+    out
+}
 
 pub fn touches(e: &Event, id: NodeId) -> bool {
     let (a, b) = e.kind.touched();

@@ -7,11 +7,13 @@
 use std::collections::BTreeSet;
 
 use bytes::{Bytes, BytesMut};
-use hgs_core::{OpenError, Tgi, TgiConfig};
+use hgs_core::meta::TimespanMeta;
+use hgs_core::{KhopStrategy, OpenError, Tgi, TgiConfig};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::codec::{get_varint, put_varint};
-use hgs_delta::TimeRange;
-use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
+use hgs_delta::columnar::encode_columnar_delta;
+use hgs_delta::{CodecError, ColumnarDelta, StaticNode, TimeRange};
+use hgs_store::{DeltaKey, PutRow, SimStore, StoreConfig, StoreError, Table};
 
 fn trace() -> Vec<hgs_delta::Event> {
     WikiGrowth::sized(3_000).generate()
@@ -113,6 +115,108 @@ fn corrupt_attr_index_rows_surface_corrupt_not_panic() {
             t,
         )
         .is_ok());
+}
+
+/// Since a tree row's records are *pieces* merged onto what the rows
+/// above it hold, a row that repeats a component an ancestor holds is
+/// no longer shadowed harmlessly: unchecked it would read back as a
+/// node with a doubled edge. Every read that crosses such a row must
+/// say `Corrupt` — whichever of the path-sum's callers it runs
+/// through, cold or through a cache already holding the rows above.
+#[test]
+fn repeated_component_in_a_child_row_is_corrupt_on_every_read() {
+    let events = trace();
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
+    let store = tgi.store();
+    let rows: Vec<_> = store.content_rows().into_iter().flatten().collect();
+    let tree_row = |key: &DeltaKey| {
+        let mut nk = vec![Table::Deltas.tag()];
+        nk.extend_from_slice(&key.encode());
+        rows.iter()
+            .find(|(k, _)| *k == nk)
+            .map(|(_, v)| ColumnarDelta::parse(v.clone()).unwrap().to_delta().unwrap())
+    };
+
+    // The second span starts on a populated graph: its root row holds
+    // real edge-lists. Read at its second checkpoint.
+    let meta = rows
+        .iter()
+        .filter(|(k, _)| k[0] == Table::Timespans.tag())
+        .map(|(_, v)| TimespanMeta::decode(v).unwrap())
+        .find(|m| m.tsid == 1)
+        .expect("the trace spans several timespans");
+    let t = meta.checkpoints[1];
+    let path = meta.shape.path_to_leaf(meta.leaf_for_time(t));
+    let (root_did, leaf_did) = (path[0], *path.last().unwrap());
+    assert_ne!(root_did, leaf_did);
+
+    // The best-connected node of any root micro-partition, and the
+    // leaf row of the same micro-partition.
+    let (root_key, hub): (DeltaKey, StaticNode) = rows
+        .iter()
+        .filter(|(k, _)| k[0] == Table::Deltas.tag())
+        .filter_map(|(k, _)| DeltaKey::decode(&k[1..]))
+        .filter(|k| k.tsid == meta.tsid && k.did == root_did)
+        .flat_map(|k| {
+            let root = tree_row(&k).expect("listed row");
+            root.iter().map(|n| (k, n.clone())).collect::<Vec<_>>()
+        })
+        .max_by_key(|(_, n)| (n.degree(), n.id))
+        .expect("the root holds nodes");
+    assert!(hub.degree() > 0);
+    let leaf_key = DeltaKey::new(meta.tsid, root_key.sid, leaf_did, root_key.pid);
+
+    // Hand-build the leaf row: whatever it held, plus a piece for the
+    // hub repeating one entry the root already holds.
+    let mut leaf = tree_row(&leaf_key).unwrap_or_default();
+    let mut piece = leaf
+        .remove(hub.id)
+        .unwrap_or_else(|| StaticNode::new(hub.id));
+    piece.insert_edge(hub.edges[0].clone());
+    leaf.insert(piece);
+    let value = encode_columnar_delta(&leaf);
+    let replicas = (0..store.machine_count() as u64)
+        .map(|token| {
+            PutRow::new(
+                Table::Deltas,
+                leaf_key.encode().to_vec(),
+                token,
+                value.clone(),
+            )
+        })
+        .collect();
+    store.try_put_batch(replicas).expect("healthy store");
+
+    let repeated = |r: Result<(), StoreError>, what: &str| {
+        assert_eq!(
+            r,
+            Err(StoreError::Corrupt(CodecError::RepeatedComponent {
+                node: hub.id
+            })),
+            "{what}"
+        );
+    };
+    let later = meta.checkpoints[2];
+    for pass in ["cold", "through the cache the first pass left"] {
+        repeated(tgi.try_snapshot(t).map(drop), pass);
+        repeated(tgi.try_snapshots(&[later, t]).map(drop), pass);
+        repeated(
+            tgi.with_clients(3).try_snapshots(&[later, t]).map(drop),
+            pass,
+        );
+        repeated(tgi.try_snapshot_uncached_c(t, 2).map(drop), pass);
+        repeated(tgi.try_node_at(hub.id, t).map(drop), pass);
+        repeated(tgi.try_sid_state_at(root_key.sid, t).map(drop), pass);
+        for strategy in [KhopStrategy::Recursive, KhopStrategy::ViaSnapshot] {
+            repeated(tgi.try_khop_with(hub.id, t, 1, strategy).map(drop), pass);
+        }
+        let range = TimeRange::new(t, later);
+        repeated(tgi.try_node_history(hub.id, range).map(drop), pass);
+    }
+    // A path that does not cross the row still answers.
+    let sibling = meta.checkpoints[0];
+    assert_ne!(meta.leaf_for_time(sibling), meta.leaf_for_time(t));
+    tgi.try_snapshot(sibling).expect("untouched path");
 }
 
 /// Wire-level corruption via the fault plan: a `CorruptRead` verdict

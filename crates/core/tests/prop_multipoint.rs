@@ -3,6 +3,9 @@
 //! the same graphs as independent per-time `snapshot` calls, on random
 //! WikiGrowth traces and index shapes.
 
+mod common;
+
+use common::with_busy_hub;
 use hgs_core::{Tgi, TgiConfig};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::{AttrValue, Event, EventKind};
@@ -28,7 +31,7 @@ fn arb_event_kind() -> impl Strategy<Value = EventKind> {
 }
 
 fn arb_history() -> impl Strategy<Value = Vec<Event>> {
-    prop::collection::vec((arb_event_kind(), 0u64..3), 1..300).prop_map(|kinds| {
+    let plain = prop::collection::vec((arb_event_kind(), 0u64..3), 1..300).prop_map(|kinds| {
         let mut t = 0u64;
         kinds
             .into_iter()
@@ -37,7 +40,18 @@ fn arb_history() -> impl Strategy<Value = Vec<Event>> {
                 Event::new(t, kind)
             })
             .collect()
-    })
+    });
+    // Every other case carries a hub whose record changes in every
+    // chunk of every span.
+    (plain, any::<bool>()).prop_map(
+        |(events, hub): (Vec<Event>, bool)| {
+            if hub {
+                with_busy_hub(events)
+            } else {
+                events
+            }
+        },
+    )
 }
 
 proptest! {

@@ -7,6 +7,9 @@
 //! (Key-level LRU order properties live in `read_cache.rs` unit
 //! tests, checked against a reference model.)
 
+mod common;
+
+use common::with_busy_hub;
 use hgs_core::{Tgi, TgiConfig};
 use hgs_delta::{AttrValue, Event, EventKind, TimeRange};
 use hgs_store::StoreConfig;
@@ -31,7 +34,7 @@ fn arb_event_kind() -> impl Strategy<Value = EventKind> {
 }
 
 fn arb_history() -> impl Strategy<Value = Vec<Event>> {
-    prop::collection::vec((arb_event_kind(), 0u64..3), 1..250).prop_map(|kinds| {
+    let plain = prop::collection::vec((arb_event_kind(), 0u64..3), 1..250).prop_map(|kinds| {
         let mut t = 0u64;
         kinds
             .into_iter()
@@ -40,7 +43,18 @@ fn arb_history() -> impl Strategy<Value = Vec<Event>> {
                 Event::new(t, kind)
             })
             .collect()
-    })
+    });
+    // Every other case carries a hub whose record changes in every
+    // chunk of every span.
+    (plain, any::<bool>()).prop_map(
+        |(events, hub): (Vec<Event>, bool)| {
+            if hub {
+                with_busy_hub(events)
+            } else {
+                events
+            }
+        },
+    )
 }
 
 proptest! {
@@ -82,9 +96,21 @@ proptest! {
         let times: Vec<u64> = raw_times.iter().map(|r| r % (end + 2)).collect();
         for round in 0..2 {
             for &t in &times {
+                // A node-scoped read first: it leaves the path's rows
+                // lazily decoded (`Col`), the full replay after it
+                // leaves them path-complete (`Full`) — so the next
+                // time's path, sharing its upper rows with this one,
+                // is read through a mix of both.
+                let hub_first = tgi.try_node_at(0, t).unwrap();
                 let cached = tgi.try_snapshot(t).unwrap();
                 let reference = tgi.try_snapshot_uncached_c(t, 1).unwrap();
                 prop_assert_eq!(&cached, &reference, "round {} t={}", round, t);
+                prop_assert_eq!(hub_first.as_ref(), reference.node(0), "round {} t={}", round, t);
+                prop_assert_eq!(
+                    &reference,
+                    &hgs_delta::Delta::snapshot_by_replay(&history, t),
+                    "the bypassing reference itself, t={}", t
+                );
                 for id in [0u64, 7, 23] {
                     let via_cache = tgi.try_node_at(id, t).unwrap();
                     prop_assert_eq!(

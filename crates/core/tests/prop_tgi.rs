@@ -8,7 +8,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{assert_answers_equal_replay, touches};
+use common::{assert_answers_equal_replay, touches, with_busy_hub};
 use hgs_core::{PartitionStrategy, Tgi, TgiConfig};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::{normalize_events, AttrValue, Delta, Event, EventKind, TimeRange};
@@ -45,7 +45,7 @@ fn arb_event_kind() -> impl Strategy<Value = EventKind> {
 }
 
 fn arb_history() -> impl Strategy<Value = Vec<Event>> {
-    prop::collection::vec((arb_event_kind(), 0u64..3), 1..300).prop_map(|kinds| {
+    let plain = prop::collection::vec((arb_event_kind(), 0u64..3), 1..300).prop_map(|kinds| {
         let mut t = 0u64;
         kinds
             .into_iter()
@@ -54,7 +54,18 @@ fn arb_history() -> impl Strategy<Value = Vec<Event>> {
                 Event::new(t, kind)
             })
             .collect()
-    })
+    });
+    // Every other case carries a hub whose record changes in every
+    // chunk of every span.
+    (plain, any::<bool>()).prop_map(
+        |(events, hub): (Vec<Event>, bool)| {
+            if hub {
+                with_busy_hub(events)
+            } else {
+                events
+            }
+        },
+    )
 }
 
 fn arb_config() -> impl Strategy<Value = TgiConfig> {

@@ -173,6 +173,18 @@ impl Attrs {
         }
     }
 
+    /// The pairs as a key-sorted slice (the component walks of
+    /// [`crate::node`] merge two of these in lockstep).
+    pub(crate) fn pairs(&self) -> &[(String, AttrValue)] {
+        &self.pairs
+    }
+
+    /// Wrap pairs already sorted by distinct keys.
+    pub(crate) fn from_sorted(pairs: Vec<(String, AttrValue)>) -> Attrs {
+        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
+        Attrs { pairs }
+    }
+
     /// Iterate pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &AttrValue)> {
         self.pairs.iter().map(|(k, v)| (k.as_str(), v))

@@ -365,16 +365,19 @@ pub(crate) fn put_edge_list(
     }
 }
 
-/// Decode an edge-list written by [`put_edge_list`]. Shape bits this
+/// Decode an edge-list written by [`put_edge_list`] onto the end of
+/// `edges` (empty for a whole description; a present node's list when
+/// the path sum parses one more stored piece of it). Shape bits this
 /// version does not define are a [`CodecError::BadTag`], and an entry
 /// count the remaining bytes cannot hold fails before any allocation.
 pub(crate) fn get_edge_list(
     buf: &mut &[u8],
+    edges: &mut Vec<Neighbor>,
     mut get_edge_attrs: impl FnMut(&mut &[u8]) -> Result<Attrs, CodecError>,
-) -> Result<Vec<Neighbor>, CodecError> {
+) -> Result<(), CodecError> {
     let n_edges = get_len(buf, "edges")?;
     if n_edges == 0 {
-        return Ok(Vec::new());
+        return Ok(());
     }
     let shape = get_u8(buf)?;
     if shape & !SHAPE_MASK != 0 {
@@ -390,7 +393,7 @@ pub(crate) fn get_edge_list(
             remaining: buf.len(),
         });
     }
-    let mut edges = Vec::with_capacity(n_edges);
+    edges.reserve(n_edges);
     let mut prev = 0u64;
     for _ in 0..n_edges {
         let nbr = prev.wrapping_add(get_varint(buf)?);
@@ -421,7 +424,7 @@ pub(crate) fn get_edge_list(
             attrs,
         });
     }
-    Ok(edges)
+    Ok(())
 }
 
 /// Serialize one static node description.
@@ -434,7 +437,8 @@ pub fn put_static_node(buf: &mut BytesMut, n: &StaticNode) {
 /// Decode one static node description.
 pub fn get_static_node(buf: &mut &[u8]) -> Result<StaticNode, CodecError> {
     let id = get_varint(buf)?;
-    let edges = get_edge_list(buf, get_attrs)?;
+    let mut edges = Vec::new();
+    get_edge_list(buf, &mut edges, get_attrs)?;
     let attrs = get_attrs(buf)?;
     Ok(StaticNode { id, edges, attrs })
 }
@@ -820,6 +824,11 @@ mod tests {
         buf
     }
 
+    fn edge_list_back(slice: &mut &[u8]) -> Result<Vec<Neighbor>, CodecError> {
+        let mut edges = Vec::new();
+        get_edge_list(slice, &mut edges, get_attrs).map(|()| edges)
+    }
+
     fn varint_len(v: u64) -> usize {
         let mut buf = BytesMut::new();
         put_varint(&mut buf, v);
@@ -843,7 +852,7 @@ mod tests {
             assert_eq!(buf.len(), 1 + 1 + gaps, "d = {d}");
             assert_eq!(buf[1], SHAPE_MASK);
             let mut slice: &[u8] = &buf;
-            assert_eq!(get_edge_list(&mut slice, get_attrs).unwrap(), edges);
+            assert_eq!(edge_list_back(&mut slice).unwrap(), edges);
             assert!(slice.is_empty());
         }
         // The empty list has no shape byte at all.
@@ -879,7 +888,7 @@ mod tests {
         for edges in [directed, weighted, attributed] {
             let buf = edge_list_bytes(&edges);
             let mut slice: &[u8] = &buf;
-            assert_eq!(get_edge_list(&mut slice, get_attrs).unwrap(), edges);
+            assert_eq!(edge_list_back(&mut slice).unwrap(), edges);
             assert!(slice.is_empty());
         }
     }
@@ -895,7 +904,7 @@ mod tests {
             let buf = edge_list_bytes(&edges);
             assert_eq!(buf[1] & SHAPE_UNIT_WEIGHTS, 0, "weight {w:?} folded");
             let mut slice: &[u8] = &buf;
-            let back = get_edge_list(&mut slice, get_attrs).unwrap();
+            let back = edge_list_back(&mut slice).unwrap();
             assert_eq!(back[0].weight.to_bits(), 1.0f32.to_bits());
             assert_eq!(back[1].weight.to_bits(), w.to_bits(), "weight {w:?}");
         }
@@ -908,7 +917,7 @@ mod tests {
             buf[1] = bad;
             let mut slice: &[u8] = &buf;
             assert!(matches!(
-                get_edge_list(&mut slice, get_attrs),
+                edge_list_back(&mut slice),
                 Err(CodecError::BadTag { tag, .. }) if tag == bad
             ));
         }
@@ -923,7 +932,7 @@ mod tests {
         buf.put_slice(&[1, 2, 0, 0, 0x80, 0x3f, 0, 1, 2, 0, 0, 0x80, 0x3f, 0]);
         let mut slice: &[u8] = &buf;
         assert!(matches!(
-            get_edge_list(&mut slice, get_attrs),
+            edge_list_back(&mut slice),
             Err(CodecError::UnexpectedEof { .. })
         ));
     }

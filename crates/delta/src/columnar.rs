@@ -14,13 +14,28 @@
 //!   column, an interned attribute-key dictionary, and a concatenated
 //!   per-node record segment; full replays stream ids + records only
 //!   (records are self-delimiting), while pruned per-node lookups
-//!   binary-search ids and use the length column to slice one record.
+//!   scan the id and length columns in lockstep up to the node and
+//!   slice one record.
 //!   A record is `edge_list attrs` in the shape-factored edge-list
 //!   grammar of [`crate::codec`] (one shape byte per list, then only
 //!   the fields that vary), with attribute keys as dictionary indexes;
 //!   the edge-list loops themselves live there and are shared with the
 //!   row-wise codec. Records are most of every index, and the factored
 //!   form is why the record segment is stored raw.
+//!
+//! A record is a whole node description in an **aux** row and in any
+//! delta encoded by itself. In a **tree** row it is a *piece*: the
+//! intersection tree stores a component (an edge-list entry, an
+//! attribute pair) on exactly one row of any root-to-leaf path, so a
+//! tree row's record for a node holds only the entries and pairs no
+//! row above it holds — the same grammar with a shorter edge-list. A
+//! tree row is therefore never decoded on its own
+//! ([`ColumnarDelta::to_delta`] of one is a set of fragments): it is
+//! *applied* to the running sum of the rows above it
+//! ([`ColumnarDelta::sum_into`], or [`ColumnarDelta::sum_node_into`]
+//! for one node), which parses each piece straight onto the node it
+//! completes and fails with [`CodecError::RepeatedComponent`] if a
+//! piece repeats a key the node already has.
 //!
 //! Segments are decompressed lazily and memoized, so a query
 //! materializes only the columns it touches: a `node_at` probe whose
@@ -35,8 +50,9 @@
 //! are bounds-checked against the backing buffer, and dictionary
 //! indexes are range-checked on use.
 
+use std::collections::hash_map::Entry;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -199,17 +215,23 @@ fn assemble(magic: u8, count: usize, segs: &[&[u8]], min_save_num: &[usize]) -> 
     out.freeze()
 }
 
+/// The parsed common header of a row with `N` column segments.
+struct Header<const N: usize> {
+    count: usize,
+    segs: [Range<usize>; N],
+    raw_lens: [usize; N],
+    comp: [bool; N],
+}
+
 /// Parse the common header and bounds-check every segment range. Also
 /// peeks each compressed segment's decompressed length (O(1) thanks
 /// to the LZSS raw-length prefix) so cache weight is known before any
 /// lazy decode; raw-stored segments report their stored length.
-#[allow(clippy::type_complexity)]
-fn parse_header(
+fn parse_header<const N: usize>(
     backing: &Bytes,
     magic: u8,
-    n_segs: usize,
     what: &'static str,
-) -> Result<(usize, Vec<Range<usize>>, Vec<usize>, Vec<bool>), CodecError> {
+) -> Result<Header<N>, CodecError> {
     let mut buf: &[u8] = backing;
     let tag = get_u8(&mut buf)?;
     if tag != magic {
@@ -217,47 +239,51 @@ fn parse_header(
     }
     let count = get_len(&mut buf, what)?;
     let got_segs = get_len(&mut buf, "segment-count")?;
-    if got_segs != n_segs {
+    if got_segs != N {
         return Err(CodecError::LengthOverflow {
             what: "segment-count",
             len: got_segs as u64,
         });
     }
-    let mut lens = Vec::with_capacity(n_segs);
-    for _ in 0..n_segs {
-        // Low bit: segment is LZSS-compressed; high bits: stored size.
-        let lv = get_len(&mut buf, "segment")?;
-        lens.push((lv >> 1, lv & 1 == 1));
+    // Low bit: segment is LZSS-compressed; high bits: stored size.
+    let mut lens = [0usize; N];
+    for lv in &mut lens {
+        *lv = get_len(&mut buf, "segment")?;
     }
     let mut pos = backing.len() - buf.len();
-    let mut segs = Vec::with_capacity(n_segs);
-    let mut raw_lens = Vec::with_capacity(n_segs);
-    let mut comp = Vec::with_capacity(n_segs);
-    for (len, compressed) in lens {
+    let mut segs: [Range<usize>; N] = std::array::from_fn(|_| 0..0);
+    let mut raw_lens = [0usize; N];
+    let mut comp = [false; N];
+    for (((lv, seg), raw_len), compressed) in lens
+        .into_iter()
+        .zip(&mut segs)
+        .zip(&mut raw_lens)
+        .zip(&mut comp)
+    {
+        let len = lv >> 1;
+        *compressed = lv & 1 == 1;
         let end = pos.checked_add(len).ok_or(CodecError::LengthOverflow {
             what: "segment",
             len: len as u64,
         })?;
-        if end > backing.len() {
+        let Some(stored) = backing.get(pos..end) else {
             return Err(CodecError::UnexpectedEof {
                 needed: len,
                 remaining: backing.len() - pos,
             });
-        }
-        let raw = if compressed {
-            let mut head: &[u8] = &backing[pos..end];
+        };
+        *raw_len = if *compressed {
+            let mut head = stored;
             // `get_len` re-applies the MAX_LEN cap to the raw length,
             // so a corrupt prefix cannot make a lazy decode
             // over-allocate.
             let raw = get_len(&mut head, "segment-raw")?;
-            debug_assert_eq!(raw, decompressed_len(&backing[pos..end]).unwrap_or(raw));
+            debug_assert_eq!(raw, decompressed_len(stored).unwrap_or(raw));
             raw
         } else {
             len
         };
-        segs.push(pos..end);
-        raw_lens.push(raw);
-        comp.push(compressed);
+        *seg = pos..end;
         pos = end;
     }
     if pos != backing.len() {
@@ -265,7 +291,12 @@ fn parse_header(
             remaining: backing.len() - pos,
         });
     }
-    Ok((count, segs, raw_lens, comp))
+    Ok(Header {
+        count,
+        segs,
+        raw_lens,
+        comp,
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -403,17 +434,18 @@ impl ColumnarEventlist {
     /// Parse the header of an encoded row. Only the header is read;
     /// column segments stay compressed until first use.
     pub fn parse(backing: Bytes) -> Result<ColumnarEventlist, CodecError> {
-        let (n_events, segs, raw_lens, comp) =
-            parse_header(&backing, ELIST_MAGIC, ELIST_SEGS, "columnar-eventlist")?;
+        let Header {
+            count: n_events,
+            segs,
+            raw_lens,
+            comp,
+        } = parse_header(&backing, ELIST_MAGIC, "columnar-eventlist")?;
         Ok(ColumnarEventlist {
             backing,
             n_events,
-            // hgs-lint: allow(no-panic-in-try, "segment vec length was checked against the fixed column count above")
-            segs: segs.try_into().expect("segment count checked"),
-            // hgs-lint: allow(no-panic-in-try, "segment vec length was checked against the fixed column count above")
-            raw_lens: raw_lens.try_into().expect("segment count checked"),
-            // hgs-lint: allow(no-panic-in-try, "segment vec length was checked against the fixed column count above")
-            comp: comp.try_into().expect("segment count checked"),
+            segs,
+            raw_lens,
+            comp,
             node_dict: OnceLock::new(),
             core: OnceLock::new(),
             weights: OnceLock::new(),
@@ -899,9 +931,14 @@ fn put_interned_attrs(buf: &mut BytesMut, attrs: &Attrs, keys: &[&str]) {
     }
 }
 
-fn get_interned_attrs(buf: &mut &[u8], keys: &[String]) -> Result<Attrs, CodecError> {
+/// Stream the pairs of an interned attribute set to `on`, keys
+/// resolved through the row's dictionary.
+fn for_each_interned_attr(
+    buf: &mut &[u8],
+    keys: &[String],
+    mut on: impl FnMut(String, AttrValue) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
     let n = get_len(buf, "attrs")?;
-    let mut pairs = Vec::with_capacity(n.min(64));
     for _ in 0..n {
         let idx = get_varint(buf)?;
         let k = keys
@@ -911,9 +948,18 @@ fn get_interned_attrs(buf: &mut &[u8], keys: &[String]) -> Result<Attrs, CodecEr
                 what: "key-dict-index",
                 len: idx,
             })?;
-        pairs.push((k, get_attr_value(buf)?));
+        on(k, get_attr_value(buf)?)?;
     }
-    Ok(Attrs::from_pairs(pairs))
+    Ok(())
+}
+
+fn get_interned_attrs(buf: &mut &[u8], keys: &[String]) -> Result<Attrs, CodecError> {
+    let mut attrs = Attrs::new();
+    for_each_interned_attr(buf, keys, |k, v| {
+        attrs.set(k, v);
+        Ok(())
+    })?;
+    Ok(attrs)
 }
 
 fn put_record(buf: &mut BytesMut, n: &StaticNode, keys: &[&str]) {
@@ -921,22 +967,54 @@ fn put_record(buf: &mut BytesMut, n: &StaticNode, keys: &[&str]) {
     put_interned_attrs(buf, &n.attrs, keys);
 }
 
-fn parse_record(id: NodeId, mut buf: &[u8], keys: &[String]) -> Result<StaticNode, CodecError> {
-    let node = parse_record_from(id, &mut buf, keys)?;
-    if !buf.is_empty() {
-        return Err(CodecError::TrailingBytes {
-            remaining: buf.len(),
-        });
-    }
-    Ok(node)
-}
-
-/// Parse one record from a running cursor; records are
-/// self-delimiting, so the caller needs no length column.
+/// Parse one record from a running cursor into a fresh description;
+/// records are self-delimiting, so the caller needs no length column.
 fn parse_record_from(id: NodeId, b: &mut &[u8], keys: &[String]) -> Result<StaticNode, CodecError> {
-    let edges = get_edge_list(b, |b| get_interned_attrs(b, keys))?;
+    let mut edges = Vec::new();
+    get_edge_list(b, &mut edges, |b| get_interned_attrs(b, keys))?;
     let attrs = get_interned_attrs(b, keys)?;
     Ok(StaticNode { id, edges, attrs })
+}
+
+/// Parse one record — a further piece of `node` — from a running
+/// cursor onto `node`: its entries onto the end of the edge-list and
+/// then merged into place, its attribute pairs set in place. A key
+/// the node already has is a [`CodecError::RepeatedComponent`].
+fn merge_record_from(
+    node: &mut StaticNode,
+    b: &mut &[u8],
+    keys: &[String],
+) -> Result<(), CodecError> {
+    let repeated = CodecError::RepeatedComponent { node: node.id };
+    let sorted_len = node.edges.len();
+    get_edge_list(b, &mut node.edges, |b| get_interned_attrs(b, keys))?;
+    if !node.settle_appended_edges(sorted_len) {
+        return Err(repeated);
+    }
+    for_each_interned_attr(b, keys, |k, v| match node.attrs.set(k, v) {
+        None => Ok(()),
+        Some(_) => Err(repeated.clone()),
+    })
+}
+
+/// One step of the path sum: apply the record at the cursor to
+/// `state`'s description of `id` — one hash probe; a fresh
+/// description when the node is absent, a copy-on-write merge when
+/// present. Returns the now path-complete description.
+fn sum_record<'a>(
+    state: &'a mut Delta,
+    id: NodeId,
+    b: &mut &[u8],
+    keys: &[String],
+) -> Result<&'a Arc<StaticNode>, CodecError> {
+    match state.slot(id) {
+        Entry::Vacant(slot) => Ok(slot.insert(Arc::new(parse_record_from(id, b, keys)?))),
+        Entry::Occupied(slot) => {
+            let node = slot.into_mut();
+            merge_record_from(Arc::make_mut(node), b, keys)?;
+            Ok(node)
+        }
+    }
 }
 
 /// Serialize a delta in the columnar layout: sorted node-id and
@@ -1002,10 +1080,6 @@ pub fn encode_columnar_delta(d: &Delta) -> Bytes {
 /// record extraction without parsing unrelated records, and skips the
 /// record segment entirely when the probed node is absent from the
 /// id column.
-/// Lazily-built record index: each present node id mapped to its
-/// record's byte range within the (decoded) record segment.
-type RecordIndex = Vec<(NodeId, Range<usize>)>;
-
 #[derive(Debug)]
 pub struct ColumnarDelta {
     backing: Bytes,
@@ -1013,7 +1087,9 @@ pub struct ColumnarDelta {
     segs: [Range<usize>; DELTA_SEGS],
     raw_lens: [usize; DELTA_SEGS],
     comp: [bool; DELTA_SEGS],
-    index: OnceLock<Result<RecordIndex, CodecError>>,
+    /// The decoded node-id and record-length columns: together the
+    /// row's node index.
+    index_cols: OnceLock<Result<(Bytes, Bytes), CodecError>>,
     key_dict: OnceLock<Result<Vec<String>, CodecError>>,
     records: OnceLock<Result<Bytes, CodecError>>,
 }
@@ -1021,18 +1097,19 @@ pub struct ColumnarDelta {
 impl ColumnarDelta {
     /// Parse the header of an encoded row (segments stay compressed).
     pub fn parse(backing: Bytes) -> Result<ColumnarDelta, CodecError> {
-        let (n_nodes, segs, raw_lens, comp) =
-            parse_header(&backing, DELTA_MAGIC, DELTA_SEGS, "columnar-delta")?;
+        let Header {
+            count: n_nodes,
+            segs,
+            raw_lens,
+            comp,
+        } = parse_header(&backing, DELTA_MAGIC, "columnar-delta")?;
         Ok(ColumnarDelta {
             backing,
             n_nodes,
-            // hgs-lint: allow(no-panic-in-try, "segment vec length was checked against the fixed column count above")
-            segs: segs.try_into().expect("segment count checked"),
-            // hgs-lint: allow(no-panic-in-try, "segment vec length was checked against the fixed column count above")
-            raw_lens: raw_lens.try_into().expect("segment count checked"),
-            // hgs-lint: allow(no-panic-in-try, "segment vec length was checked against the fixed column count above")
-            comp: comp.try_into().expect("segment count checked"),
-            index: OnceLock::new(),
+            segs,
+            raw_lens,
+            comp,
+            index_cols: OnceLock::new(),
             key_dict: OnceLock::new(),
             records: OnceLock::new(),
         })
@@ -1066,45 +1143,39 @@ impl ColumnarDelta {
         Ok(raw)
     }
 
-    fn index(&self) -> Result<&[(NodeId, Range<usize>)], CodecError> {
-        self.index
+    /// Byte range of `nid`'s record within the record segment, or
+    /// `None` if the row has no record for it: a lockstep scan of the
+    /// sorted id column and the length column that stops at the first
+    /// id not below `nid`. A point read touches a row once, so there
+    /// is no index structure to build — the two small columns are the
+    /// index.
+    fn record_range(&self, nid: NodeId) -> Result<Option<Range<usize>>, CodecError> {
+        let (ids, lens) = self
+            .index_cols
             .get_or_init(|| {
-                let ids_raw = self.decode_seg(SEG_NODE_IDS)?;
-                let lens_raw = self.decode_seg(SEG_RECORD_LENS)?;
-                let mut ib: &[u8] = &ids_raw;
-                let mut lb: &[u8] = &lens_raw;
-                let mut out = Vec::with_capacity(self.n_nodes.min(1 << 20));
-                let mut prev = 0u64;
-                let mut off = 0usize;
-                for _ in 0..self.n_nodes {
-                    prev = prev.wrapping_add(get_varint(&mut ib)?);
-                    let len = get_len(&mut lb, "record")?;
-                    let end = off.checked_add(len).ok_or(CodecError::LengthOverflow {
-                        what: "record",
-                        len: len as u64,
-                    })?;
-                    out.push((prev, off..end));
-                    off = end;
-                }
-                if !ib.is_empty() || !lb.is_empty() {
-                    return Err(CodecError::TrailingBytes {
-                        remaining: ib.len() + lb.len(),
-                    });
-                }
-                // Record extents must exactly tile the record segment
-                // (checked against the peeked raw length, so corrupt
-                // indexes are caught before the segment is decoded).
-                if off != self.raw_lens[SEG_RECORDS] {
-                    return Err(CodecError::LengthOverflow {
-                        what: "record-extent",
-                        len: off as u64,
-                    });
-                }
-                Ok(out)
+                Ok((
+                    self.decode_seg(SEG_NODE_IDS)?,
+                    self.decode_seg(SEG_RECORD_LENS)?,
+                ))
             })
             .as_ref()
-            .map(|v| v.as_slice())
-            .map_err(|e| e.clone())
+            .map_err(|e| e.clone())?;
+        let mut ib: &[u8] = ids;
+        let mut lb: &[u8] = lens;
+        let (mut id, mut off) = (0u64, 0usize);
+        for _ in 0..self.n_nodes {
+            id = id.wrapping_add(get_varint(&mut ib)?);
+            let len = get_len(&mut lb, "record")?;
+            let end = off.checked_add(len).ok_or(CodecError::LengthOverflow {
+                what: "record",
+                len: len as u64,
+            })?;
+            if id >= nid {
+                return Ok((id == nid).then_some(off..end));
+            }
+            off = end;
+        }
+        Ok(None)
     }
 
     fn key_dict(&self) -> Result<&[String], CodecError> {
@@ -1134,49 +1205,111 @@ impl ColumnarDelta {
             .map_err(|e| e.clone())
     }
 
-    /// Whether a record for `nid` is present (decodes only the index).
+    /// Whether a record for `nid` is present (decodes only the two
+    /// index columns).
     pub fn contains(&self, nid: NodeId) -> Result<bool, CodecError> {
-        Ok(self.index()?.binary_search_by_key(&nid, |e| e.0).is_ok())
+        Ok(self.record_range(nid)?.is_some())
     }
 
-    /// Extract the record for one node, or `None` if absent. On an
-    /// index miss neither the record segment nor the key dictionary is
-    /// decoded; on a hit only `nid`'s record slice is parsed.
-    pub fn node_record(&self, nid: NodeId) -> Result<Option<StaticNode>, CodecError> {
-        let index = self.index()?;
-        let Ok(i) = index.binary_search_by_key(&nid, |e| e.0) else {
+    /// `nid`'s record slice, or `None` if the row has no record for
+    /// `nid`. On an index miss the record segment is not decoded.
+    fn record_slice(&self, nid: NodeId) -> Result<Option<&[u8]>, CodecError> {
+        let Some(range) = self.record_range(nid)? else {
             return Ok(None);
         };
-        let range = index[i].1.clone();
         let records = self.records()?;
-        let keys = self.key_dict()?;
-        parse_record(nid, &records[range], keys).map(Some)
+        let record = records
+            .get(range.clone())
+            .ok_or(CodecError::UnexpectedEof {
+                needed: range.end,
+                remaining: records.len(),
+            })?;
+        Ok(Some(record))
     }
 
-    /// Decode every record and reassemble the full delta.
+    /// Extract the record for one node, or `None` if absent — the
+    /// node's whole description in an aux row, its piece in a tree
+    /// row. On a miss neither the record segment nor the key
+    /// dictionary is decoded; on a hit only `nid`'s record slice is
+    /// parsed.
+    pub fn node_record(&self, nid: NodeId) -> Result<Option<StaticNode>, CodecError> {
+        let Some(mut record) = self.record_slice(nid)? else {
+            return Ok(None);
+        };
+        let node = parse_record_from(nid, &mut record, self.key_dict()?)?;
+        no_trailing(record.len())?;
+        Ok(Some(node))
+    }
+
+    /// Decode every record as a description of its own and reassemble
+    /// the delta this row was encoded from (for a tree row, its
+    /// pieces — see the module docs): the path sum onto nothing.
+    pub fn to_delta(&self) -> Result<Delta, CodecError> {
+        let mut d = Delta::new();
+        self.sum_into(&mut d, None)?;
+        Ok(d)
+    }
+
+    /// The path sum: apply this tree row to `state`, the sum of the
+    /// rows above it on a root-to-leaf path, straight from the
+    /// columnar bytes. Each record costs one hash probe: a record for
+    /// an absent node becomes that node, a record for a present node
+    /// is parsed onto it (copy-on-write, so a state shared with a
+    /// cache is never written through). With `completed`, the
+    /// now path-complete description of every node this row has a
+    /// record for is also collected there, shared with `state` — what
+    /// a cache keeps so that summing the row again is a node-level
+    /// [`Delta::sum_assign`].
     ///
     /// Streams the id and record cursors in lockstep — records are
     /// self-delimiting, so the record-length column is never touched
     /// and a cold full replay pays exactly the row-wise parse plus one
-    /// id varint per node.
-    pub fn to_delta(&self) -> Result<Delta, CodecError> {
+    /// id varint per node. On `Err` — including
+    /// [`CodecError::RepeatedComponent`] — `state` is partly summed
+    /// and must be dropped.
+    pub fn sum_into(
+        &self,
+        state: &mut Delta,
+        mut completed: Option<&mut Delta>,
+    ) -> Result<(), CodecError> {
         let keys = self.key_dict()?;
         let iraw = self.decode_seg(SEG_NODE_IDS)?;
         let rraw = self.decode_seg(SEG_RECORDS)?;
         let mut ib: &[u8] = &iraw;
         let mut rb: &[u8] = &rraw;
-        let mut d = Delta::with_capacity(self.n_nodes.min(1 << 20));
+        // Onto nothing every record is a new node; further down a
+        // path most records land on nodes already there.
+        if state.is_empty() {
+            state.reserve(self.n_nodes.min(1 << 20));
+        }
         let mut prev = 0u64;
         for _ in 0..self.n_nodes {
             prev = prev.wrapping_add(get_varint(&mut ib)?);
-            d.insert(parse_record_from(prev, &mut rb, keys)?);
+            let node = sum_record(state, prev, &mut rb, keys)?;
+            if let Some(completed) = completed.as_deref_mut() {
+                completed.insert_shared(Arc::clone(node));
+            }
         }
-        if !ib.is_empty() || !rb.is_empty() {
-            return Err(CodecError::TrailingBytes {
-                remaining: ib.len() + rb.len(),
-            });
-        }
-        Ok(d)
+        no_trailing(ib.len() + rb.len())
+    }
+
+    /// [`ColumnarDelta::sum_into`] restricted to one node: apply
+    /// `nid`'s record, if this row has one, to `state`. Decodes what
+    /// [`ColumnarDelta::node_record`] decodes.
+    pub fn sum_node_into(&self, nid: NodeId, state: &mut Delta) -> Result<(), CodecError> {
+        let Some(mut record) = self.record_slice(nid)? else {
+            return Ok(());
+        };
+        sum_record(state, nid, &mut record, self.key_dict()?)?;
+        no_trailing(record.len())
+    }
+}
+
+fn no_trailing(remaining: usize) -> Result<(), CodecError> {
+    if remaining == 0 {
+        Ok(())
+    } else {
+        Err(CodecError::TrailingBytes { remaining })
     }
 }
 
@@ -1431,17 +1564,144 @@ mod tests {
 
     #[test]
     fn corrupt_delta_headers_error_not_panic() {
-        let enc = encode_columnar_delta(&sample_delta());
+        let d = sample_delta();
+        let enc = encode_columnar_delta(&d);
         let mut bad = enc.to_vec();
         bad[0] = 0x00;
         assert!(ColumnarDelta::parse(Bytes::from(bad)).is_err());
+        // The same row applied as a tree row onto a state that already
+        // holds part of every node: a hub's worth of other entries.
+        let mut above = Delta::new();
+        for id in d.ids() {
+            let mut n = StaticNode::new(id);
+            for nbr in 100..112 {
+                n.insert_edge(Neighbor::new(nbr, EdgeDir::Both));
+            }
+            above.insert(n);
+        }
         for cut in 0..enc.len() {
             let t = enc.slice(..cut);
             if let Ok(col) = ColumnarDelta::parse(t) {
                 let _ = col.to_delta();
                 let _ = col.node_record(3);
+                let _ = col.sum_into(&mut above.clone(), Some(&mut Delta::new()));
+                let _ = col.sum_node_into(3, &mut above.clone());
+                let _ = col.sum_node_into(3, &mut Delta::new());
             }
         }
+    }
+
+    fn tree_row(d: &Delta) -> ColumnarDelta {
+        ColumnarDelta::parse(encode_columnar_delta(d)).unwrap()
+    }
+
+    fn node_with(id: NodeId, nbrs: &[NodeId], attrs: &[(&str, i64)]) -> StaticNode {
+        let mut n = StaticNode::new(id);
+        for &nbr in nbrs {
+            n.insert_edge(Neighbor::new(nbr, EdgeDir::Both));
+        }
+        for &(k, v) in attrs {
+            n.attrs.set(k, AttrValue::Int(v));
+        }
+        n
+    }
+
+    #[test]
+    fn sum_into_merges_pieces_onto_present_nodes() {
+        // Node 1 gets a short piece and node 2 a long one, both
+        // interleaved with what the root holds; node 3 only an
+        // attribute pair; node 9 is new below the root.
+        let long: Vec<NodeId> = (0..40).map(|i| 3 * i + 1).collect();
+        let root: Delta = [
+            node_with(1, &[10, 30, 50], &[("a", 1)]),
+            node_with(2, &(0..40).map(|i| 3 * i).collect::<Vec<_>>(), &[]),
+            node_with(3, &[4], &[]),
+            node_with(6, &[], &[]),
+        ]
+        .into_iter()
+        .collect();
+        let child: Delta = [
+            node_with(1, &[5, 40, 60], &[("b", 2)]),
+            node_with(2, &long, &[]),
+            node_with(3, &[], &[("c", 3)]),
+            node_with(9, &[1], &[]),
+        ]
+        .into_iter()
+        .collect();
+
+        let mut state = Delta::new();
+        tree_row(&root).sum_into(&mut state, None).unwrap();
+        assert_eq!(state, root, "the root row onto nothing is the root");
+        let root_state = state.clone();
+        let mut completed = Delta::new();
+        tree_row(&child)
+            .sum_into(&mut state, Some(&mut completed))
+            .unwrap();
+
+        let mut all: Vec<NodeId> = (0..40).flat_map(|i| [3 * i, 3 * i + 1]).collect();
+        all.sort_unstable();
+        let want: Delta = [
+            node_with(1, &[5, 10, 30, 40, 50, 60], &[("a", 1), ("b", 2)]),
+            node_with(2, &all, &[]),
+            node_with(3, &[4], &[("c", 3)]),
+            node_with(6, &[], &[]),
+            node_with(9, &[1], &[]),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(state, want);
+        assert_eq!(root_state, root, "a shared state is copied, not written");
+
+        // What a cache keeps of the child row: the path-complete
+        // description of each node it has a record for — so that a
+        // node-level sum of it replays the row.
+        assert_eq!(completed.sorted_ids(), vec![1, 2, 3, 9]);
+        let mut replayed = root_state.clone();
+        replayed.sum_assign(&completed);
+        assert_eq!(replayed, want);
+
+        // Node-scoped twin, node by node.
+        for id in [1u64, 2, 3, 6, 9, 77] {
+            let mut one = Delta::new();
+            tree_row(&root).sum_node_into(id, &mut one).unwrap();
+            tree_row(&child).sum_node_into(id, &mut one).unwrap();
+            assert_eq!(one.node(id), want.node(id), "node {id}");
+            assert!(one.cardinality() <= 1);
+        }
+    }
+
+    #[test]
+    fn repeated_component_is_an_error_not_a_longer_list() {
+        let hub: Vec<NodeId> = (0..30).map(|i| 2 * i).collect();
+        let root: Delta = [node_with(1, &hub, &[("a", 1)])].into_iter().collect();
+        let mut reweighted = StaticNode::new(1);
+        reweighted.insert_edge(Neighbor::weighted(4, EdgeDir::Both, 7.0));
+        let mut long_repeat = node_with(1, &(0..20).map(|i| 2 * i + 1).collect::<Vec<_>>(), &[]);
+        long_repeat.insert_edge(Neighbor::new(58, EdgeDir::Both));
+        for piece in [
+            node_with(1, &[4], &[]),        // an entry the root holds
+            reweighted,                     // same key, another value
+            long_repeat,                    // one repeat among many new entries
+            node_with(1, &[], &[("a", 2)]), // an attribute key the root holds
+        ] {
+            let child: Delta = [piece].into_iter().collect();
+            let mut state = root.clone();
+            assert_eq!(
+                tree_row(&child).sum_into(&mut state, None),
+                Err(CodecError::RepeatedComponent { node: 1 })
+            );
+            assert_eq!(
+                tree_row(&child).sum_node_into(1, &mut root.clone()),
+                Err(CodecError::RepeatedComponent { node: 1 })
+            );
+        }
+        // A different direction toward the same neighbor is another key.
+        let mut out_edge = StaticNode::new(1);
+        out_edge.insert_edge(Neighbor::new(4, EdgeDir::Out));
+        let child: Delta = [out_edge].into_iter().collect();
+        let mut state = root.clone();
+        tree_row(&child).sum_into(&mut state, None).unwrap();
+        assert_eq!(state.node(1).unwrap().degree(), hub.len() + 1);
     }
 
     #[test]

@@ -1,26 +1,40 @@
 //! The Δ algebra — Definitions 2–5 and Examples 4–5 of the paper.
 //!
-//! A [`Delta`] is a set of static graph components (here: [`StaticNode`]
-//! descriptions, since the node-centric model folds edges into their
-//! endpoint nodes). The algebra provides:
+//! A [`Delta`] is a set of static graph **components**, held grouped by
+//! node: a [`StaticNode`] description is the bundle of one node's
+//! components — the bare existence of its id, one component per
+//! edge-list entry (keyed `(nbr, dir)`, valued by its weight and edge
+//! attributes) and one per node-attribute pair (keyed by attribute
+//! key). The algebra has operators at two granularities, and both are
+//! needed:
 //!
-//! * **sum** (`+`, [`Delta::sum_assign`]): id-wise, right-biased
-//!   overwrite — `∆1 + ∆2` keeps `∆2`'s description for every id in
-//!   both. Non-commutative, associative, `∆ + ∅ = ∆`.
-//! * **difference** ([`Delta::difference`]): set difference over
-//!   `(id, value)` components — `∆ − ∆ = ∅`, `∆ − ∅ = ∆`.
-//! * **intersection** ([`Delta::intersection`]): components present
-//!   *and identical* in both — this is the temporal-compression
-//!   operator of DeltaGraph/TGI (a tree parent is the intersection of
-//!   its children).
-//! * **union** ([`Delta::union`]): all components from both (left
-//!   biased on conflicting ids).
+//! * **Node-level** — **sum** (`+`, [`Delta::sum_assign`]): id-wise,
+//!   right-biased overwrite, `∆1 + ∆2` keeps `∆2`'s *whole description*
+//!   for every id in both. Non-commutative, associative, `∆ + ∅ = ∆`.
+//!   **union** ([`Delta::union`]) is its left-biased twin. These
+//!   combine deltas whose node sets are disjoint (the per-`sid` /
+//!   per-`pid` partitions of one snapshot) or whose right side is known
+//!   to be path-complete (a cached checkpoint state), where replacing a
+//!   description wholesale is both correct and a pointer copy.
+//! * **Component-level** — **intersection**
+//!   ([`Delta::intersection`]): the nodes present on both sides, each
+//!   holding exactly the entries and pairs that are *identical* on both
+//!   sides; **difference** ([`Delta::difference`]): what is left of
+//!   `self` once the components of a contained delta are taken out.
+//!   These are the temporal-compression operators of DeltaGraph/TGI: a
+//!   tree parent is the intersection of its children and each child is
+//!   stored as `child − parent`, so a hub that gains one edge between
+//!   two checkpoints costs one edge-list entry in the child, not its
+//!   whole edge-list again. Their inverse is the component-wise *path
+//!   sum* — a union of pieces in which no component may repeat —
+//!   implemented straight on the stored bytes by
+//!   [`ColumnarDelta::sum_into`](crate::columnar::ColumnarDelta::sum_into).
 //!
 //! The key reconstruction identity used throughout TGI, which follows
 //! from these definitions and is property-tested in this crate:
 //!
 //! ```text
-//! child = parent + (child − parent)        where parent = ∩ children
+//! child = path-sum(parent, child − parent)   where parent = ∩ children
 //! ```
 //!
 //! A *snapshot* (Example 4) is the delta of the graph state from the
@@ -28,6 +42,7 @@
 //! state representation, with [`Delta::apply_event`] implementing the
 //! event semantics.
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use crate::error::DeltaError;
@@ -82,6 +97,11 @@ impl Delta {
         Delta { nodes }
     }
 
+    /// Make room for `n` more node descriptions.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.nodes.reserve(n);
+    }
+
     /// Number of node descriptions — the paper's *cardinality* is the
     /// unique component count.
     #[inline]
@@ -129,6 +149,18 @@ impl Delta {
     /// Insert (or replace) a node description.
     pub fn insert(&mut self, node: StaticNode) -> Option<StaticNode> {
         self.nodes.insert(node.id, Arc::new(node)).map(unwrap_node)
+    }
+
+    /// Insert (or replace) a description that is already shared.
+    pub(crate) fn insert_shared(&mut self, node: Arc<StaticNode>) {
+        self.nodes.insert(node.id, node);
+    }
+
+    /// The map slot of `id`, vacant or occupied, in one hash probe —
+    /// the path sum's per-record step
+    /// ([`ColumnarDelta::sum_into`](crate::columnar::ColumnarDelta::sum_into)).
+    pub(crate) fn slot(&mut self, id: NodeId) -> Entry<'_, NodeId, Arc<StaticNode>> {
+        self.nodes.entry(id)
     }
 
     /// Remove a node description.
@@ -193,24 +225,41 @@ impl Delta {
         out
     }
 
-    /// Set difference over `(id, value)` components: node descriptions
-    /// of `self` that are absent from `other` *or differ* from
-    /// `other`'s description for the same id.
+    /// `self − other`, component-wise, for an `other` **contained** in
+    /// `self` (every component of `other` is a component of `self` —
+    /// what a tree parent is to each of its children): the full
+    /// description of a node `other` lacks, else only the entries and
+    /// pairs `other`'s description lacks, and no description at all
+    /// when that is nothing. `∆ − ∆ = ∅`, `∆ − ∅ = ∆`.
+    ///
+    /// Containment is what lets an unchanged section be skipped by
+    /// comparing counts instead of entries; it is checked in debug
+    /// builds only.
     pub fn difference(&self, other: &Delta) -> Delta {
         let mut out = Delta::new();
         for (id, n) in &self.nodes {
-            let same = other
-                .nodes
-                .get(id)
-                .is_some_and(|m| Arc::ptr_eq(n, m) || n == m);
-            if !same {
-                out.nodes.insert(*id, Arc::clone(n));
+            match other.nodes.get(id) {
+                None => {
+                    out.nodes.insert(*id, Arc::clone(n));
+                }
+                Some(m) if Arc::ptr_eq(n, m) => {}
+                Some(m) => {
+                    if let Some(rest) = n.residual(m) {
+                        out.nodes.insert(*id, Arc::new(rest));
+                    }
+                }
             }
         }
         out
     }
 
-    /// Components present and identical in both (Definition 5).
+    /// Components present and identical in both (Definition 5): the
+    /// nodes both sides hold, each with exactly the edge-list entries
+    /// and attribute pairs that are equal on both sides (possibly
+    /// none — the node's existence is itself a component).
+    /// Commutative by value. Descriptions are shared, not rebuilt,
+    /// whenever one side's is contained in the other's — the growth
+    /// case that nearly every node of consecutive checkpoints is.
     pub fn intersection(&self, other: &Delta) -> Delta {
         // Iterate the smaller side.
         let (small, big) = if self.nodes.len() <= other.nodes.len() {
@@ -218,14 +267,10 @@ impl Delta {
         } else {
             (other, self)
         };
-        let mut out = Delta::new();
+        let mut out = Delta::with_capacity(small.nodes.len());
         for (id, n) in &small.nodes {
-            let same = big
-                .nodes
-                .get(id)
-                .is_some_and(|m| Arc::ptr_eq(n, m) || n == m);
-            if same {
-                out.nodes.insert(*id, Arc::clone(n));
+            if let Some(m) = big.nodes.get(id) {
+                out.nodes.insert(*id, StaticNode::common(n, m));
             }
         }
         out
@@ -236,13 +281,14 @@ impl Delta {
     pub fn intersection_many(deltas: &[&Delta]) -> Delta {
         match deltas {
             [] => Delta::new(),
-            [first, rest @ ..] => {
-                let mut acc = (*first).clone();
+            [only] => (*only).clone(),
+            [first, second, rest @ ..] => {
+                let mut acc = first.intersection(second);
                 for d in rest {
-                    acc = acc.intersection(d);
                     if acc.is_empty() {
                         break;
                     }
+                    acc = acc.intersection(d);
                 }
                 acc
             }
@@ -605,22 +651,58 @@ mod tests {
     }
 
     #[test]
-    fn intersection_requires_identical_value() {
+    fn intersection_keeps_identical_components() {
         let a: Delta = vec![node_with_edge(1, 2), StaticNode::new(3)]
             .into_iter()
             .collect();
-        let b: Delta = vec![node_with_edge(1, 2), node_with_edge(3, 7)]
-            .into_iter()
-            .collect();
+        let mut both = node_with_edge(3, 7);
+        both.insert_edge(Neighbor::new(8, EdgeDir::Both));
+        let mut reweighted = node_with_edge(1, 2);
+        reweighted.insert_edge(Neighbor::weighted(4, EdgeDir::Both, 2.0));
+        let b: Delta = vec![reweighted.clone(), both].into_iter().collect();
         let i = a.intersection(&b);
-        assert!(i.contains(1), "identical node kept");
-        assert!(!i.contains(3), "differing node dropped");
+        assert_eq!(i.node(1), a.node(1), "the common entry is kept");
+        assert_eq!(
+            i.node(3),
+            Some(&StaticNode::new(3)),
+            "a node with nothing in common still exists in both"
+        );
+        // Same key, different weight: not a common component.
+        let mut c = node_with_edge(1, 2);
+        c.insert_edge(Neighbor::weighted(4, EdgeDir::Both, 3.0));
+        let c: Delta = vec![c].into_iter().collect();
+        assert_eq!(b.intersection(&c).node(1), a.node(1));
         assert!(a.intersection(&Delta::new()).is_empty(), "∆ ∩ ∅ = ∅");
     }
 
     #[test]
+    fn intersection_shares_a_contained_description() {
+        let small = Arc::new(node_with_edge(1, 2));
+        let mut grown = (*small).clone();
+        grown.insert_edge(Neighbor::new(5, EdgeDir::Both));
+        let grown = Arc::new(grown);
+        assert!(Arc::ptr_eq(&StaticNode::common(&small, &grown), &small));
+        assert!(Arc::ptr_eq(&StaticNode::common(&grown, &small), &small));
+    }
+
+    #[test]
+    fn difference_keeps_only_what_the_parent_lacks() {
+        let mut hub = node_with_edge(1, 2);
+        hub.attrs.set("label", AttrValue::Int(1));
+        let parent: Delta = vec![hub.clone(), StaticNode::new(3)].into_iter().collect();
+        hub.insert_edge(Neighbor::new(9, EdgeDir::Both));
+        let child: Delta = vec![hub, StaticNode::new(3), node_with_edge(4, 1)]
+            .into_iter()
+            .collect();
+        let rest = child.difference(&parent);
+        assert_eq!(rest.node(1), Some(&node_with_edge(1, 9)), "one entry");
+        assert!(!rest.contains(3), "nothing left: no description at all");
+        assert_eq!(rest.node(4), child.node(4), "a new node in full");
+    }
+
+    #[test]
     fn reconstruction_identity() {
-        // child = parent + (child − parent) for parent = ∩ children.
+        // child = path-sum(parent, child − parent) for parent = ∩ children.
         let c1: Delta = vec![
             node_with_edge(1, 2),
             node_with_edge(2, 1),
@@ -636,9 +718,15 @@ mod tests {
             directed: false,
         });
         let parent = c1.intersection(&c2);
+        assert_eq!(parent, c1, "growth: the earlier child is the parent");
         for child in [&c1, &c2] {
-            let derived = child.difference(&parent);
-            let rebuilt = parent.sum(&derived);
+            let mut rebuilt = Delta::new();
+            for piece in [&parent, &child.difference(&parent)] {
+                crate::ColumnarDelta::parse(crate::columnar::encode_columnar_delta(piece))
+                    .unwrap()
+                    .sum_into(&mut rebuilt, None)
+                    .unwrap();
+            }
             assert_eq!(&rebuilt, child);
         }
     }

@@ -57,6 +57,10 @@ pub enum CodecError {
     BadUtf8,
     /// Trailing garbage after a complete value (strict decodes only).
     TrailingBytes { remaining: usize },
+    /// A tree row repeated an edge-list entry or attribute pair of
+    /// `node` that a row above it on the path already holds: on any
+    /// root-to-leaf path a component lives on exactly one row.
+    RepeatedComponent { node: u64 },
 }
 
 impl fmt::Display for CodecError {
@@ -76,6 +80,9 @@ impl fmt::Display for CodecError {
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in string"),
             CodecError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after value")
+            }
+            CodecError::RepeatedComponent { node } => {
+                write!(f, "node {node}: component repeated along a tree path")
             }
         }
     }

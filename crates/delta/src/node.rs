@@ -1,7 +1,17 @@
 //! Static graph components: the state of a node (with its edge-list) at
 //! one point in time — Definition 1 of the paper.
+//!
+//! A description is also the unit the component-level operators of
+//! [`crate::delta`] work inside: its edge-list entries (keyed
+//! `(nbr, dir)`) and attribute pairs (keyed by attribute key) are the
+//! components, both held sorted by key, so intersecting, subtracting
+//! and merging two descriptions is one lockstep walk of two sorted
+//! runs.
 
-use crate::attr::Attrs;
+use std::cmp::Ordering;
+use std::sync::Arc;
+
+use crate::attr::{AttrValue, Attrs};
 use crate::types::{EdgeDir, NodeId};
 
 /// One entry of a node's edge-list: a reference to a neighbor, the edge
@@ -185,6 +195,99 @@ impl StaticNode {
         })
     }
 
+    /// The components `a` and `b` have in common: the entries and
+    /// pairs that are identical (key *and* value) in both. Shares a
+    /// description instead of building one whenever it can — the same
+    /// `Arc` on both sides, or one side contained in the other — which
+    /// also keeps pointer equality alive for the next level of a tree.
+    pub(crate) fn common(a: &Arc<StaticNode>, b: &Arc<StaticNode>) -> Arc<StaticNode> {
+        if Arc::ptr_eq(a, b) {
+            return Arc::clone(a);
+        }
+        let (mut edges, mut pairs) = (0usize, 0usize);
+        walk(&a.edges, &b.edges, edge_key_cmp, |_, held| {
+            edges += held as usize
+        });
+        walk(a.attrs.pairs(), b.attrs.pairs(), pair_key_cmp, |_, held| {
+            pairs += held as usize
+        });
+        let is_all_of = |n: &StaticNode| edges == n.edges.len() && pairs == n.attrs.len();
+        if is_all_of(a) {
+            Arc::clone(a)
+        } else if is_all_of(b) {
+            Arc::clone(b)
+        } else {
+            Arc::new(StaticNode {
+                id: a.id,
+                edges: select(&a.edges, &b.edges, edge_key_cmp, true),
+                attrs: Attrs::from_sorted(select(
+                    a.attrs.pairs(),
+                    b.attrs.pairs(),
+                    pair_key_cmp,
+                    true,
+                )),
+            })
+        }
+    }
+
+    /// What is left of this description once the components of `held`
+    /// — a description **contained** in it — are taken out, or `None`
+    /// when that is nothing. Containment makes a section whose count
+    /// equals `held`'s empty without looking at it.
+    pub(crate) fn residual(&self, held: &StaticNode) -> Option<StaticNode> {
+        debug_assert!(
+            select(&held.edges, &self.edges, edge_key_cmp, false).is_empty()
+                && select(held.attrs.pairs(), self.attrs.pairs(), pair_key_cmp, false).is_empty(),
+            "difference needs a contained right-hand side (node {})",
+            self.id
+        );
+        let edges = if self.edges.len() == held.edges.len() {
+            Vec::new()
+        } else {
+            select(&self.edges, &held.edges, edge_key_cmp, false)
+        };
+        let pairs = if self.attrs.len() == held.attrs.len() {
+            Vec::new()
+        } else {
+            select(self.attrs.pairs(), held.attrs.pairs(), pair_key_cmp, false)
+        };
+        (!edges.is_empty() || !pairs.is_empty()).then(|| StaticNode {
+            id: self.id,
+            edges,
+            attrs: Attrs::from_sorted(pairs),
+        })
+    }
+
+    /// Merge the entries appended past `sorted_len` — one stored piece
+    /// of this node, parsed onto the end of its edge-list — into their
+    /// sorted places. Everything that sorts before the whole piece
+    /// stays put (all of the list, for a hub meeting new neighbors);
+    /// only the tail from there on is (stably) sorted, which for the
+    /// two ascending runs it consists of is one merge. Returns `false`
+    /// when a `(nbr, dir)` key occurs twice; the list is then
+    /// unusable.
+    pub(crate) fn settle_appended_edges(&mut self, sorted_len: usize) -> bool {
+        let (sorted, piece) = self.edges.split_at(sorted_len.min(self.edges.len()));
+        let Some(least) = piece.iter().min_by(|a, b| edge_key_cmp(a, b)) else {
+            return true;
+        };
+        let from = match sorted.last() {
+            Some(last) if edge_key_cmp(last, least) == Ordering::Less => sorted_len,
+            _ => sorted.partition_point(|e| edge_key_cmp(e, least) == Ordering::Less),
+        };
+        let Some(tail) = self.edges.get_mut(from..) else {
+            return true;
+        };
+        let ascending = |tail: &[Neighbor]| {
+            tail.windows(2)
+                .all(|w| matches!(w, [a, b] if edge_key_cmp(a, b) == Ordering::Less))
+        };
+        ascending(tail) || {
+            tail.sort_by(edge_key_cmp);
+            ascending(tail)
+        }
+    }
+
     /// Approximate serialized footprint in bytes; this is the "size of
     /// a static node description" that the paper's Definition 3 counts.
     pub fn weight_bytes(&self) -> usize {
@@ -195,6 +298,51 @@ impl StaticNode {
             .sum();
         8 + edges + self.attrs.weight_bytes()
     }
+}
+
+fn edge_key_cmp(a: &Neighbor, b: &Neighbor) -> Ordering {
+    (a.nbr, a.dir).cmp(&(b.nbr, b.dir))
+}
+
+fn pair_key_cmp(a: &(String, AttrValue), b: &(String, AttrValue)) -> Ordering {
+    a.0.cmp(&b.0)
+}
+
+/// Walk two key-sorted runs in lockstep: `on(x, held)` for every `x`
+/// of `a`, `held` saying whether `b` has an identical entry (same key,
+/// same value).
+fn walk<T: PartialEq>(
+    a: &[T],
+    mut b: &[T],
+    key_cmp: impl Fn(&T, &T) -> Ordering,
+    mut on: impl FnMut(&T, bool),
+) {
+    for x in a {
+        while let [y, rest @ ..] = b {
+            if key_cmp(y, x) != Ordering::Less {
+                break;
+            }
+            b = rest;
+        }
+        on(x, b.first().is_some_and(|y| y == x));
+    }
+}
+
+/// The entries of `a` that `b` holds identically (`want_held`) or does
+/// not (`!want_held`), in order.
+fn select<T: PartialEq + Clone>(
+    a: &[T],
+    b: &[T],
+    key_cmp: impl Fn(&T, &T) -> Ordering,
+    want_held: bool,
+) -> Vec<T> {
+    let mut out = Vec::new();
+    walk(a, b, key_cmp, |x, held| {
+        if held == want_held {
+            out.push(x.clone());
+        }
+    });
+    out
 }
 
 #[cfg(test)]

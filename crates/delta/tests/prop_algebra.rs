@@ -1,12 +1,15 @@
 //! Property-based tests for the Δ algebra and the binary codec.
 //!
 //! These check the algebraic identities of Definitions 2–5 of the paper
-//! on arbitrary generated histories, plus the reconstruction identity
-//! `child = parent + (child − parent)` that TGI's derived-snapshot
-//! storage depends on, and codec roundtrips on arbitrary deltas.
+//! on arbitrary generated histories — the node-level sum and union,
+//! the component-level intersection and difference — plus the
+//! reconstruction identity `child = path-sum(parent, child − parent)`
+//! that TGI's derived-snapshot storage depends on, and codec
+//! roundtrips on arbitrary deltas.
 
 use hgs_delta::codec::{decode_delta, decode_eventlist, encode_delta, encode_eventlist};
-use hgs_delta::{AttrValue, Delta, Event, EventKind, Eventlist};
+use hgs_delta::columnar::encode_columnar_delta;
+use hgs_delta::{AttrValue, ColumnarDelta, Delta, Event, EventKind, Eventlist, StaticNode};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary event over a small id universe so that
@@ -78,6 +81,74 @@ fn arb_delta() -> impl Strategy<Value = Delta> {
     })
 }
 
+/// Strategy: three children of one tree parent — a common history,
+/// then a few events of their own each, so that most nodes are shared
+/// in full, some in part, and some differ in a single edge weight,
+/// edge attribute or node attribute.
+fn arb_family() -> impl Strategy<Value = [Delta; 3]> {
+    let tail = || prop::collection::vec(arb_event_kind(), 0..6);
+    (arb_history(60), tail(), tail(), tail()).prop_map(|(common, a, b, c)| {
+        let base = Delta::snapshot_by_replay(&common, u64::MAX);
+        [a, b, c].map(|tail| {
+            let mut child = base.clone();
+            for kind in &tail {
+                child.apply_event(kind);
+            }
+            child
+        })
+    })
+}
+
+/// Every component of `part` — its existence, each edge-list entry,
+/// each attribute pair — is a component of `whole`'s description of
+/// the same node.
+fn contained(part: &StaticNode, whole: Option<&StaticNode>) -> bool {
+    whole.is_some_and(|whole| {
+        part.edges
+            .iter()
+            .all(|e| whole.edge(e.nbr, e.dir) == Some(e))
+            && part
+                .attrs
+                .iter()
+                .all(|(k, v)| whole.attrs.get(k) == Some(v))
+    })
+}
+
+/// The stored form of a path — each piece encoded as a tree row —
+/// summed root first.
+fn path_sum(pieces: &[&Delta]) -> Delta {
+    let mut state = Delta::new();
+    for piece in pieces {
+        ColumnarDelta::parse(encode_columnar_delta(piece))
+            .expect("just encoded")
+            .sum_into(&mut state, None)
+            .expect("pieces of one path never repeat a component");
+    }
+    state
+}
+
+/// `parent = ∩ children`, then every child rebuilt from the parent and
+/// its own residual.
+fn assert_family_reconstructs(children: &[&Delta]) -> Result<(), TestCaseError> {
+    let parent = Delta::intersection_many(children);
+    for child in children {
+        for n in parent.iter() {
+            prop_assert!(contained(n, child.node(n.id)), "parent ⊑ child at {}", n.id);
+        }
+        let derived = child.difference(&parent);
+        for n in derived.iter() {
+            // Disjoint from the parent: nothing is stored twice.
+            if let Some(held) = parent.node(n.id) {
+                prop_assert!(n.edges.iter().all(|e| held.edge(e.nbr, e.dir).is_none()));
+                prop_assert!(n.attrs.iter().all(|(k, _)| held.attrs.get(k).is_none()));
+                prop_assert!(n.degree() + n.attrs.len() > 0, "no empty residual record");
+            }
+        }
+        prop_assert_eq!(&path_sum(&[&parent, &derived]), *child);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -103,12 +174,26 @@ proptest! {
         let i = a.intersection(&b);
         // commutative
         prop_assert_eq!(i.clone(), b.intersection(&a));
-        // ∩ result is contained (by value) in both sides
+        // every component of the result is a component of both sides…
         for n in i.iter() {
-            prop_assert_eq!(a.node(n.id), Some(n));
-            prop_assert_eq!(b.node(n.id), Some(n));
+            prop_assert!(contained(n, a.node(n.id)));
+            prop_assert!(contained(n, b.node(n.id)));
         }
-        // ∆ ∩ ∅ = ∅
+        // …and every component of both sides is in the result.
+        for n in a.iter() {
+            let Some(m) = b.node(n.id) else { continue };
+            let Some(kept) = i.node(n.id) else {
+                return Err(TestCaseError::fail(format!("node {} dropped", n.id)));
+            };
+            for e in n.edges.iter().filter(|e| m.edge(e.nbr, e.dir) == Some(e)) {
+                prop_assert_eq!(kept.edge(e.nbr, e.dir), Some(e));
+            }
+            for (k, v) in n.attrs.iter().filter(|(k, v)| m.attrs.get(k) == Some(v)) {
+                prop_assert_eq!(kept.attrs.get(k), Some(v));
+            }
+        }
+        // ∆ ∩ ∆ = ∆, ∆ ∩ ∅ = ∅
+        prop_assert_eq!(a.intersection(&a), a.clone());
         prop_assert!(a.intersection(&Delta::new()).is_empty());
     }
 
@@ -118,16 +203,21 @@ proptest! {
         prop_assert_eq!(Delta::new().union(&a), a);
     }
 
-    /// The reconstruction identity TGI storage relies on:
-    /// for any children c1..ck and parent = ∩ ci,
-    /// ci == parent + (ci − parent).
+    /// The reconstruction identity TGI storage relies on: for any
+    /// children c1..ck and parent = ∩ ci,
+    /// ci == path-sum(parent, ci − parent) — for unrelated children
+    /// (little in common) and for a family (nearly everything in
+    /// common, differences down to one weight or one attribute).
     #[test]
     fn reconstruction_identity(a in arb_delta(), b in arb_delta(), c in arb_delta()) {
-        let parent = Delta::intersection_many(&[&a, &b, &c]);
-        for child in [&a, &b, &c] {
-            let derived = child.difference(&parent);
-            prop_assert_eq!(&parent.sum(&derived), child);
-        }
+        assert_family_reconstructs(&[&a, &b, &c])?;
+    }
+
+    #[test]
+    fn reconstruction_identity_of_a_family(family in arb_family()) {
+        let [a, b, c] = &family;
+        assert_family_reconstructs(&[a, b, c])?;
+        assert_family_reconstructs(&[a, b])?;
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! * **no-infallible-twin** — `fn NAME` next to `fn try_NAME` in one
 //!   file of `hgs-core`/`hgs-taf`/`hgs-baselines`: every fallible
 //!   operation has one spelling.
+//! * **no-whole-row-decode** — `.to_delta()` anywhere in `hgs-core`'s
+//!   sources: a tree row's records are pieces of nodes, so a row
+//!   decoded on its own and node-level-summed is a silently wrong
+//!   state.
 //! * **unused-allow** — an allow annotation whose rule no longer
 //!   fires is itself an error, so annotations cannot rot.
 //!

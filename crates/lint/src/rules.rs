@@ -20,6 +20,7 @@ pub const RULES: &[&str] = &[
     "watermark-publish",
     "bounded-retry",
     "no-infallible-twin",
+    "no-whole-row-decode",
     "unused-allow",
     "malformed-allow",
 ];
@@ -31,6 +32,10 @@ const PANIC_STRICT_CRATES: &[&str] = &["delta", "store", "core"];
 /// Crates whose non-test library code spells every fallible operation
 /// exactly once, as `try_*` (`no-infallible-twin`).
 const SINGLE_SPELLING_CRATES: &[&str] = &["core", "taf", "baselines"];
+
+/// The crate whose sources read tree rows, and therefore may not
+/// decode a row as a whole (`no-whole-row-decode`).
+const TREE_ROW_READER_CRATE: &str = "core";
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -498,6 +503,24 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
                     });
                 }
             }
+        }
+
+        // ---- no-whole-row-decode: all of hgs-core's src, tests too ---
+        if ctx.kind == FileKind::Lib
+            && ctx.crate_dir.as_deref() == Some(TREE_ROW_READER_CRATE)
+            && t.ident() == Some("to_delta")
+            && prev.is_some_and(|p| p.is_punct('.'))
+            && next.is_some_and(|n| n.is_punct('('))
+        {
+            findings.push(Finding {
+                rule: "no-whole-row-decode",
+                file: ctx.rel_path.clone(),
+                line: t.line,
+                message: "`.to_delta()` decodes a stored row on its own, but a tree \
+                          row's records are pieces: apply it to the path state \
+                          (`DeltaHandle::sum_into`) or read one record (`node_record`)"
+                    .to_string(),
+            });
         }
 
         // ---- batched-store-discipline -------------------------------

@@ -184,6 +184,32 @@ fn infallible_twin_rule_binds_only_the_single_spelling_crates_library_code() {
 }
 
 #[test]
+fn whole_row_decode_fixture() {
+    check("whole_row_decode.rs", "crates/core/src/fixture.rs", true);
+}
+
+#[test]
+fn whole_row_decode_rule_binds_only_hgs_core_sources() {
+    // `to_delta` is the codec's own API (`hgs-delta`), the baselines'
+    // and every test suite's: only `crates/core/src` reads tree rows.
+    let src = fixture("whole_row_decode.rs");
+    for rel in [
+        "crates/delta/src/fixture.rs",
+        "crates/core/tests/fixture.rs",
+    ] {
+        let report = lint_source(&src, &ctx(rel));
+        assert!(
+            report
+                .findings
+                .iter()
+                .all(|f| f.rule != "no-whole-row-decode"),
+            "{rel}: {:#?}",
+            report.findings
+        );
+    }
+}
+
+#[test]
 fn concurrency_rules_are_off_in_tests() {
     // A test may hold a guard across a fetch deliberately (e.g. to
     // force contention); the discipline binds library code only.
