@@ -33,9 +33,10 @@
 //! neighborhood history, all with `c`-way parallel fetch. Multipoint
 //! snapshot batches go through the shared-path planner
 //! ([`query_plan`]): tree-path rows are fetched once per chunk and
-//! states are cloned only at path divergence points; with `c > 1` the
-//! fill runs as per-`(sid, leaf)` work items on a work-stealing queue
-//! backed by a per-`(tsid, sid, leaf)` checkpoint-state cache tier.
+//! states are cloned only at path divergence points; one fill runs at
+//! every width — `c` only says how many work-stealing workers pull
+//! its scans, path sums and per-leaf replays — and caches a
+//! checkpoint once, as the whole-graph state of its leaf.
 //! Single-point reads run as degenerate one-time plans over the same
 //! machinery, so **every** query path shares one session-wide
 //! byte-budgeted, lock-striped LRU read cache of decoded rows and

@@ -546,12 +546,13 @@ impl TgiView {
     ///
     /// The checkpoint state (path rows summed, before replay) caches
     /// under [`CacheKey::Part`]; individual rows cache under
-    /// [`CacheKey::Row`]. Everything still unknown travels in **one**
-    /// batched multi-get (the rows share a placement chunk) — that
-    /// fallible fetch is re-run on every miss, including misses caused
-    /// by eviction, so a down chunk surfaces
-    /// [`StoreError::Unavailable`] instead of a stale or partial
-    /// state.
+    /// [`CacheKey::Row`], and a row the cache holds in either form — a
+    /// node-scoped read leaves `Col` entries — is not fetched again.
+    /// Everything still unknown travels in **one** batched multi-get
+    /// (the rows share a placement chunk) — that fallible fetch is
+    /// re-run on every miss, including misses caused by eviction, so a
+    /// down chunk surfaces [`StoreError::Unavailable`] instead of a
+    /// stale or partial state.
     pub(crate) fn try_fetch_partition_state(
         &self,
         span: &SpanRuntime,
@@ -582,17 +583,25 @@ impl TgiView {
                     Some(Cached::Delta(d)) => {
                         tree_rows.insert(did, DeltaHandle::Full(d));
                     }
+                    Some(Cached::ColDelta(c)) => {
+                        tree_rows.insert(did, DeltaHandle::Col(c));
+                    }
                     Some(Cached::Absent) => {}
                     _ => fetch_dids.push(did),
                 }
             }
         }
         let mut elist: Option<Arc<Eventlist>> = None;
-        match self
-            .read_cache
-            .get(CacheKey::Row(tsid, sid, elist_did, pid))
-        {
+        let elist_key = CacheKey::Row(tsid, sid, elist_did, pid);
+        match self.read_cache.get(elist_key.clone()) {
             Some(Cached::Elist(e)) => elist = Some(e),
+            Some(Cached::ColElist(c)) => {
+                // Left by a node-scoped read: decode it here and keep
+                // the decoded form for the next replay.
+                let e = Arc::new(c.to_eventlist().map_err(StoreError::Corrupt)?);
+                self.read_cache.put(elist_key, Cached::Elist(e.clone()));
+                elist = Some(e);
+            }
             Some(Cached::Absent) => {}
             _ => fetch_dids.push(elist_did),
         }
@@ -1105,51 +1114,6 @@ impl TgiView {
         }
         out.sort_by_key(|h| h.id);
         Ok(out)
-    }
-
-    /// One horizontal partition's slice of the snapshot at `t`: the
-    /// whole root-to-leaf path plus the eventlist chunk travel as one
-    /// grouped scan.
-    pub fn try_sid_state_at(&self, sid: u32, t: Time) -> Result<Delta, StoreError> {
-        let span = self.span_for(t);
-        let meta = &span.meta;
-        let tsid = meta.tsid;
-        let ns = self.cfg.horizontal_partitions;
-        let j = meta.leaf_for_time(t);
-        let token = PlacementKey::new(tsid, sid).token();
-        let mut dids = meta.shape.path_to_leaf(j);
-        dids.push(ELIST_BASE + j as u64);
-        let prefixes: Vec<[u8; 16]> = dids
-            .iter()
-            .map(|&did| DeltaKey::delta_prefix(tsid, sid, did))
-            .collect();
-        let refs: Vec<&[u8]> = prefixes.iter().map(|p| &p[..]).collect();
-        let mut groups = self.store.scan_prefix_batch(Table::Deltas, &refs, token)?;
-        let elists = groups.pop().unwrap_or_default();
-        let mut path_rows = Vec::new();
-        for (&did, rows) in dids.iter().zip(groups) {
-            for (k, v) in rows {
-                if let Some(dk) = DeltaKey::decode(&k) {
-                    path_rows.push((did, dk.pid, v));
-                }
-            }
-        }
-        let mut state = Delta::new();
-        self.sum_scanned_path(&mut state, tsid, sid, path_rows, true)?;
-        // hgs-lint: allow(no-panic-in-try, "sid is validated against ns by the caller and span.maps holds ns entries")
-        let map = &span.maps[sid as usize];
-        for (k, v) in elists {
-            let Some(dk) = DeltaKey::decode(&k) else {
-                continue;
-            };
-            let el = self.decoded_elist(tsid, sid, dk.did, dk.pid, &v)?;
-            for e in el.events().iter().take_while(|e| e.time <= t) {
-                apply_event_scoped(&mut state, &e.kind, |id| {
-                    sid_of(id, ns) == sid && map.assign(id) == dk.pid
-                });
-            }
-        }
-        Ok(state)
     }
 }
 

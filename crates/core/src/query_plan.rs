@@ -34,26 +34,26 @@
 //! `~1×+ε` behaviour the paper's DeltaGraph ancestry promises, instead
 //! of `k×`.
 //!
-//! # Parallel fill (`clients > 1`)
+//! # One fill, at every width
 //!
-//! With `c` fetch clients the fill is decomposed into one work item
-//! per `(sid, leaf)` pulled from a shared work-stealing queue
-//! ([`hgs_store::parallel::parallel_steal`]): a hot leaf or a skewed
-//! horizontal partition delays only its own item, not a statically
-//! assigned chunk of followers, and the fan-out is clamped to the item
-//! count so degenerate single-point plans never over-spawn. Each item
-//! probes (and on a miss populates) the per-`(tsid, sid, leaf)`
-//! checkpoint-state cache tier
-//! ([`CacheKey::SidLeaf`](crate::read_cache)), so warm multi-client
-//! snapshots replay only eventlist suffixes instead of re-summing
-//! whole tree paths. The sequential path's whole-graph leaf states are
-//! composed from the same per-sid entries, so either path warms the
-//! other. Per-item partials merge into input-indexed output slots
-//! under explicit filled-ness flags — a legitimately *empty* partial
-//! (a sid with no state at `t`) is never conflated with "not yet
-//! filled".
+//! A span group is materialized by one routine, `fill_group`, whatever
+//! the view's client width ([`TgiView::with_clients`]). It probes the
+//! whole-graph checkpoint state of each requested leaf
+//! ([`CacheKey::Leaf`](crate::read_cache) — *the unit of a cached
+//! whole-graph checkpoint is the leaf*), then runs three kinds of work
+//! item: one grouped scan per sid; one tree-path sum per `(sid, leaf)`
+//! still to build, merged into its leaf's state as it is produced
+//! (sids hold disjoint nodes); and, per leaf, the tail — cache the
+//! state, decode the eventlists, replay to each requested time. The
+//! width only says how many [`hgs_store::parallel::parallel_steal`]
+//! workers pull those items: a hot leaf or a skewed horizontal
+//! partition delays only its own item, the fan-out is clamped to the
+//! item count, and at width 1 every item runs inline. Answers, store
+//! requests and cache entries are the same at every width.
 
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use hgs_delta::{ColumnarEventlist, Delta, Eventlist, FxHashMap, FxHashSet, Time};
 use hgs_store::parallel::parallel_steal;
@@ -185,17 +185,6 @@ impl MultipointPlan {
 /// Rows of one `(tsid, sid)` batch, grouped by did.
 type RowsByDid = FxHashMap<u64, Vec<(Vec<u8>, bytes::Bytes)>>;
 
-/// One sid's share of a span group, fetched once (a single grouped
-/// scan) and shared by all of that sid's `(sid, leaf)` work items:
-/// the per-leaf checkpoint states resolved from the cache at fetch
-/// time (held by `Arc`, so later eviction cannot strand a replay
-/// whose tree rows were skipped) plus the scanned rows.
-struct SidGroupFetch {
-    /// Cached checkpoint state per leaf index of the group, if any.
-    bases: Vec<Option<Arc<Delta>>>,
-    rows: RowsByDid,
-}
-
 impl TgiView {
     /// Inspect how a multipoint retrieval over `times` would share
     /// fetch work (without touching the store).
@@ -217,123 +206,142 @@ impl TgiView {
     /// ([`TgiView::with_clients`]); the degenerate `times.len() == 1`
     /// form of this is what [`TgiView::try_snapshot`] runs.
     pub fn try_snapshots(&self, times: &[Time]) -> Result<Vec<Delta>, StoreError> {
-        let c = self.clients;
         let plan = MultipointPlan::new(self, times);
         let mut out: Vec<Delta> = (0..times.len()).map(|_| Delta::new()).collect();
-        // Explicit per-slot filled-ness for the parallel merge: a
-        // legitimately *empty* first partial (a sid with no state
-        // before `t`) must not be mistaken for "not yet filled", or a
-        // later partial for the same slot would wholesale-overwrite
-        // instead of summing.
-        let mut filled = vec![false; times.len()];
-        let ns = self.cfg.horizontal_partitions;
         for group in &plan.groups {
             // hgs-lint: allow(no-panic-in-try, "plan groups carry span_idx values produced by enumerating self.spans")
             let span = &self.spans[group.span_idx];
-            if c <= 1 {
-                self.fill_group_sequential(span, &group.leaves, &mut out)?;
-                continue;
-            }
-            // Parallel clients: one work item per (sid, leaf) pulled
-            // from a shared work-stealing queue — skewed partitions
-            // and hot leaves no longer gate the group on the slowest
-            // sid. The *fetch* stays batched per sid (one grouped
-            // scan covering all of the group's leaves, exactly like
-            // the sequential path): whichever item of a sid is
-            // claimed first performs it, and the sid's other items
-            // share the result through a `OnceLock`. Cache probes for
-            // the per-sid checkpoint states happen at fetch time and
-            // the resulting `Arc`s ride along, so an eviction between
-            // fetch and replay can never strand an item with rows
-            // that lack its tree path. Items return per-time
-            // partials, merged in deterministic item order; any
-            // failed item fails the whole batch.
-            let tsid = span.meta.tsid;
-            let fetches: Vec<std::sync::OnceLock<Result<SidGroupFetch, StoreError>>> =
-                (0..ns).map(|_| std::sync::OnceLock::new()).collect();
-            // Leaf-major item order spreads the workers' initial
-            // claims across sids, so the per-sid fetches overlap
-            // instead of queueing behind one lock.
-            let items: Vec<(u32, usize)> = (0..group.leaves.len())
-                .flat_map(|li| (0..ns).map(move |sid| (sid, li)))
-                .collect();
-            let per_item: Vec<Result<Vec<Delta>, StoreError>> =
-                parallel_steal(items.clone(), c, |(sid, li)| {
-                    // hgs-lint: allow(no-panic-in-try, "work items carry sid < ns and fetches holds ns entries")
-                    let fetch = fetches[sid as usize].get_or_init(|| {
-                        let bases: Vec<Option<Arc<Delta>>> = group
-                            .leaves
-                            .iter()
-                            .map(|lg| {
-                                let key = CacheKey::SidLeaf(tsid, sid, lg.leaf as u32);
-                                match self.read_cache.get(key) {
-                                    Some(Cached::Delta(d)) => Some(d),
-                                    _ => None,
-                                }
-                            })
-                            .collect();
-                        let need_tree: Vec<bool> = bases.iter().map(|b| b.is_none()).collect();
-                        let rows = self.span_rows(span, &group.leaves, &need_tree, sid)?;
-                        Ok(SidGroupFetch { bases, rows })
-                    });
-                    match fetch {
-                        Ok(f) => self.fill_sid_leaf(
-                            span,
-                            // hgs-lint: allow(no-panic-in-try, "li enumerates group.leaves; the fetch built one base slot per leaf")
-                            &group.leaves[li],
-                            sid,
-                            // hgs-lint: allow(no-panic-in-try, "li enumerates group.leaves; the fetch built one base slot per leaf")
-                            f.bases[li].clone(),
-                            &f.rows,
-                        ),
-                        Err(e) => Err(e.clone()),
-                    }
-                });
-            for ((_, li), partials) in items.into_iter().zip(per_item) {
-                // hgs-lint: allow(no-panic-in-try, "slot indices were assigned by the planner from times.len()")
-                let lg = &group.leaves[li];
-                for ((slot, _), partial) in lg.times.iter().zip(partials?) {
-                    // hgs-lint: allow(no-panic-in-try, "slot indices were assigned by the planner from times.len()")
-                    if filled[*slot] {
-                        // hgs-lint: allow(no-panic-in-try, "slot indices were assigned by the planner from times.len()")
-                        out[*slot].sum_assign_owned(partial);
-                    } else {
-                        // hgs-lint: allow(no-panic-in-try, "slot indices were assigned by the planner from times.len()")
-                        out[*slot] = partial;
-                        // hgs-lint: allow(no-panic-in-try, "slot indices were assigned by the planner from times.len()")
-                        filled[*slot] = true;
-                    }
-                }
-            }
+            self.fill_group(span, &group.leaves, &mut out)?;
         }
         Ok(out)
     }
 
-    /// Fetch one `(tsid, sid)` chunk's rows for a span group — the
-    /// union of the tree paths of `tree_leaves` plus the eventlist
-    /// chunks of every leaf — in a single grouped scan. Leaves whose
-    /// checkpoint state is already cached are omitted from the tree
-    /// union (their eventlist prefixes still hit the same
-    /// `(tsid, sid)` placement, so a down chunk surfaces either way).
-    fn span_rows(
+    /// One horizontal partition's slice of the snapshot at `t` (TAF's
+    /// per-partition fetch): the fill's grouped scan and path sum for
+    /// the one `(sid, leaf)`, replayed to `t`. Nothing but rows is
+    /// cached — a cached checkpoint is a whole leaf.
+    pub fn try_sid_state_at(&self, sid: u32, t: Time) -> Result<Delta, StoreError> {
+        let span = self.span_for(t);
+        let leaf = span.meta.leaf_for_time(t);
+        let rows = self.span_rows(span, sid, &[(leaf, true)])?;
+        let mut state = self.sum_sid_path(span, leaf, sid, &rows)?;
+        let mut pieces = Vec::new();
+        self.leaf_pieces(span.meta.tsid, leaf, sid, &rows, &mut pieces)?;
+        self.replay_until(span, &mut state, &pieces, &mut vec![0; pieces.len()], t);
+        Ok(state)
+    }
+
+    /// Materialize one span group into its output slots — the one fill
+    /// every width runs (see the module docs). Checkpoint states the
+    /// cache holds drop their tree paths from the scans; the scans
+    /// themselves never disappear (every `(tsid, sid)` chunk is still
+    /// read for its eventlists), so a down chunk surfaces
+    /// [`StoreError::Unavailable`] even on a fully warm state. Any
+    /// failed item fails the whole batch.
+    fn fill_group(
         &self,
         span: &SpanRuntime,
         leaves: &[LeafGroup],
-        tree_leaves: &[bool],
+        out: &mut [Delta],
+    ) -> Result<(), StoreError> {
+        let tsid = span.meta.tsid;
+        let c = self.clients;
+        let bases: Vec<Option<Arc<Delta>>> = leaves
+            .iter()
+            .map(
+                |lg| match self.read_cache.get(CacheKey::Leaf(tsid, lg.leaf as u32)) {
+                    Some(Cached::Delta(d)) => Some(d),
+                    _ => None,
+                },
+            )
+            .collect();
+        let wanted: Vec<(usize, bool)> = leaves
+            .iter()
+            .zip(&bases)
+            .map(|(lg, base)| (lg.leaf, base.is_none()))
+            .collect();
+        let sids: Vec<u32> = (0..self.cfg.horizontal_partitions).collect();
+        let per_sid: Vec<RowsByDid> =
+            parallel_steal(sids, c, |sid| self.span_rows(span, sid, &wanted))
+                .into_iter()
+                .collect::<Result<_, _>>()?;
+
+        // Leaf-major, so at width 1 a leaf's sid states are summed and
+        // merged back to back, and at any width the workers' first
+        // claims spread over the sids.
+        let built: Vec<Mutex<Delta>> = leaves.iter().map(|_| Mutex::default()).collect();
+        let sums: Vec<(usize, &Mutex<Delta>, u32, &RowsByDid)> = wanted
+            .iter()
+            .zip(&built)
+            .filter(|((_, build), _)| *build)
+            .flat_map(|(&(leaf, _), state)| {
+                (0u32..)
+                    .zip(&per_sid)
+                    .map(move |(sid, rows)| (leaf, state, sid, rows))
+            })
+            .collect();
+        parallel_steal(sums, c, |(leaf, state, sid, rows)| {
+            let sid_state = self.sum_sid_path(span, leaf, sid, rows)?;
+            state.lock().sum_assign_owned(sid_state);
+            Ok(())
+        })
+        .into_iter()
+        .collect::<Result<(), StoreError>>()?;
+
+        let tails: Vec<(&LeafGroup, Option<Arc<Delta>>, Delta)> = leaves
+            .iter()
+            .zip(bases)
+            .zip(built)
+            .map(|((lg, base), built)| (lg, base, built.into_inner()))
+            .collect();
+        let filled = parallel_steal(tails, c, |(lg, base, built)| {
+            let base = base.unwrap_or_else(|| {
+                let state = Arc::new(built);
+                self.read_cache.put(
+                    CacheKey::Leaf(tsid, lg.leaf as u32),
+                    Cached::Delta(state.clone()),
+                );
+                state
+            });
+            let mut pieces = Vec::new();
+            for (sid, rows) in (0u32..).zip(&per_sid) {
+                self.leaf_pieces(tsid, lg.leaf, sid, rows, &mut pieces)?;
+            }
+            Ok(self.replay_leaf_times(span, base, &pieces, &lg.times))
+        });
+        for (lg, states) in leaves.iter().zip(filled) {
+            for (&(slot, _), state) in lg.times.iter().zip(states?) {
+                out[slot] = state;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fetch one `(tsid, sid)` chunk's rows for a span group in a
+    /// single grouped scan: per `(leaf, build)` of `leaves`, the
+    /// leaf's eventlist chunk and — when its checkpoint state is still
+    /// to build — its tree path (paths unioned across leaves). A leaf
+    /// whose state is cached still has its eventlist prefix scanned on
+    /// the same `(tsid, sid)` placement, so a down chunk surfaces
+    /// either way.
+    fn span_rows(
+        &self,
+        span: &SpanRuntime,
         sid: u32,
+        leaves: &[(usize, bool)],
     ) -> Result<RowsByDid, StoreError> {
         let meta = &span.meta;
         let mut dids: Vec<u64> = Vec::new();
         let mut seen: FxHashSet<u64> = FxHashSet::default();
-        for (lg, &need_tree) in leaves.iter().zip(tree_leaves) {
-            if need_tree {
-                for did in meta.shape.path_to_leaf(lg.leaf) {
+        for &(leaf, build) in leaves {
+            if build {
+                for did in meta.shape.path_to_leaf(leaf) {
                     if seen.insert(did) {
                         dids.push(did);
                     }
                 }
             }
-            dids.push(ELIST_BASE + lg.leaf as u64);
+            dids.push(ELIST_BASE + leaf as u64);
         }
         let prefixes: Vec<[u8; 16]> = dids
             .iter()
@@ -433,197 +441,52 @@ impl TgiView {
         Ok(e)
     }
 
-    /// Sequential (single fetch client) materialization of one span
-    /// group: one grouped scan per sid, then per leaf a shared
-    /// checkpoint state — cached across calls — cloned once per
-    /// requested time and rolled forward by a single replay cursor.
-    fn fill_group_sequential(
-        &self,
-        span: &SpanRuntime,
-        leaves: &[LeafGroup],
-        out: &mut [Delta],
-    ) -> Result<(), StoreError> {
-        let meta = &span.meta;
-        let tsid = meta.tsid;
-        let ns = self.cfg.horizontal_partitions;
-        // Resolve cached checkpoint states first so the grouped scans
-        // only carry the tree paths of leaves that still need
-        // building (the fetch itself never disappears: every
-        // `(tsid, sid)` chunk is still scanned for its eventlists).
-        // The whole-graph `Leaf` state is exactly the sum of the
-        // per-sid `SidLeaf` states, so a cache warmed by parallel
-        // fills (which populate the per-sid tier) spares the tree
-        // fetch here too — and vice versa.
-        let bases: Vec<Option<Arc<Delta>>> = leaves
-            .iter()
-            .map(
-                |lg| match self.read_cache.get(CacheKey::Leaf(tsid, lg.leaf as u32)) {
-                    Some(Cached::Delta(d)) => Some(d),
-                    _ => None,
-                },
-            )
-            .collect();
-        // sid_bases[li][sid]: the per-sid tier, probed only while the
-        // whole-leaf state is absent.
-        let sid_bases: Vec<Vec<Option<Arc<Delta>>>> = leaves
-            .iter()
-            .zip(&bases)
-            .map(|(lg, base)| {
-                if base.is_some() {
-                    vec![None; ns as usize]
-                } else {
-                    (0..ns)
-                        .map(|sid| {
-                            let key = CacheKey::SidLeaf(tsid, sid, lg.leaf as u32);
-                            match self.read_cache.get(key) {
-                                Some(Cached::Delta(d)) => Some(d),
-                                _ => None,
-                            }
-                        })
-                        .collect()
-                }
-            })
-            .collect();
-        let mut per_sid: Vec<RowsByDid> = Vec::with_capacity(ns as usize);
-        for sid in 0..ns {
-            let need_tree: Vec<bool> = (0..leaves.len())
-                .map(|li| bases[li].is_none() && sid_bases[li][sid as usize].is_none())
-                .collect();
-            per_sid.push(self.span_rows(span, leaves, &need_tree, sid)?);
-        }
-        for (li, (lg, base)) in leaves.iter().zip(bases).enumerate() {
-            // Shared checkpoint state of this leaf (all sids), cached:
-            // it derives purely from write-once rows, composed as the
-            // sum of the per-sid states (each built by the same
-            // routine the parallel fill uses and cached in its own
-            // right for it to reuse).
-            let base = match base {
-                Some(d) => d,
-                None => {
-                    let mut state = Delta::new();
-                    for (sid, rows) in per_sid.iter().enumerate() {
-                        let sid_state = match &sid_bases[li][sid] {
-                            Some(d) => Arc::clone(d),
-                            None => self.build_sid_leaf_state(span, lg.leaf, sid as u32, rows)?,
-                        };
-                        match Arc::try_unwrap(sid_state) {
-                            Ok(ours) => state.sum_assign_owned(ours),
-                            Err(shared) => state.sum_assign(&shared),
-                        }
-                    }
-                    let arc = Arc::new(state);
-                    self.read_cache.put(
-                        CacheKey::Leaf(tsid, lg.leaf as u32),
-                        Cached::Delta(arc.clone()),
-                    );
-                    arc
-                }
-            };
-            // Eventlist pieces of this leaf, all sids.
-            let elist_did = ELIST_BASE + lg.leaf as u64;
-            let mut pieces: Vec<(u32, u32, Arc<Eventlist>)> = Vec::new();
-            for (sid, rows) in per_sid.iter().enumerate() {
-                let Some(rows) = rows.get(&elist_did) else {
-                    continue;
-                };
-                for (k, bytes) in rows {
-                    let Some(dk) = DeltaKey::decode(k) else {
-                        continue;
-                    };
-                    let el = self.decoded_elist(tsid, sid as u32, elist_did, dk.pid, bytes)?;
-                    pieces.push((sid as u32, dk.pid, el));
-                }
-            }
-            for ((slot, _), state) in lg
-                .times
-                .iter()
-                .zip(self.replay_leaf_times(span, base, &pieces, &lg.times))
-            {
-                out[*slot] = state;
-            }
-        }
-        Ok(())
-    }
-
-    /// One horizontal partition's contribution to every time of one
-    /// leaf group — the parallel fill's work-stealing unit.
-    ///
-    /// `base` is the per-`(tsid, sid, leaf)` checkpoint state as
-    /// resolved from the read cache when this sid's rows were fetched
-    /// (see [`SidGroupFetch`]): on a hit the tree path was dropped
-    /// from the grouped scan entirely and the item replays only this
-    /// sid's eventlist suffix; on a miss the state is rebuilt here
-    /// from (cached) tree-path rows in root-to-leaf order and the
-    /// tier is populated for the next client. The eventlist prefix is
-    /// always scanned, so a down chunk surfaces
-    /// [`StoreError::Unavailable`] even on a fully-warm state.
-    /// Returns one partial per requested time, aligned with
-    /// `lg.times`.
-    fn fill_sid_leaf(
-        &self,
-        span: &SpanRuntime,
-        lg: &LeafGroup,
-        sid: u32,
-        base: Option<Arc<Delta>>,
-        rows: &RowsByDid,
-    ) -> Result<Vec<Delta>, StoreError> {
-        let tsid = span.meta.tsid;
-        let base = match base {
-            Some(d) => d,
-            None => self.build_sid_leaf_state(span, lg.leaf, sid, rows)?,
-        };
-        // Eventlist pieces of this sid (all pids), then the shared
-        // cursor replay.
-        let elist_did = ELIST_BASE + lg.leaf as u64;
-        let mut pieces: Vec<(u32, u32, Arc<Eventlist>)> = Vec::new();
-        if let Some(rows) = rows.get(&elist_did) {
-            for (k, bytes) in rows {
-                let Some(dk) = DeltaKey::decode(k) else {
-                    continue;
-                };
-                let el = self.decoded_elist(tsid, sid, elist_did, dk.pid, bytes)?;
-                pieces.push((sid, dk.pid, el));
-            }
-        }
-        Ok(self.replay_leaf_times(span, base, &pieces, &lg.times))
-    }
-
-    /// Sum one sid's tree-path rows for `leaf` into a checkpoint
-    /// state and cache it under its `SidLeaf` key. Both fill paths —
-    /// sequential composition and parallel work items — build per-sid
-    /// states through this one routine, so the tier's entries are
-    /// identical whichever path populated them.
-    fn build_sid_leaf_state(
+    /// One sid's checkpoint state at `leaf`: its tree-path rows out of
+    /// `rows`, summed root first through the row tier of the cache.
+    fn sum_sid_path(
         &self,
         span: &SpanRuntime,
         leaf: usize,
         sid: u32,
         rows: &RowsByDid,
-    ) -> Result<Arc<Delta>, StoreError> {
-        let meta = &span.meta;
-        let tsid = meta.tsid;
-        let mut state = Delta::new();
+    ) -> Result<Delta, StoreError> {
         let mut path_rows = Vec::new();
-        for did in meta.shape.path_to_leaf(leaf) {
+        for did in span.meta.shape.path_to_leaf(leaf) {
             for (k, bytes) in rows.get(&did).into_iter().flatten() {
                 if let Some(dk) = DeltaKey::decode(k) {
                     path_rows.push((did, dk.pid, bytes.clone()));
                 }
             }
         }
-        self.sum_scanned_path(&mut state, tsid, sid, path_rows, true)?;
-        let arc = Arc::new(state);
-        self.read_cache.put(
-            CacheKey::SidLeaf(tsid, sid, leaf as u32),
-            Cached::Delta(arc.clone()),
-        );
-        Ok(arc)
+        let mut state = Delta::new();
+        self.sum_scanned_path(&mut state, span.meta.tsid, sid, path_rows, true)?;
+        Ok(state)
+    }
+
+    /// Decode one sid's eventlist pieces of `leaf` out of `rows`
+    /// (through the cache), appending `(sid, pid, eventlist)` to
+    /// `pieces`.
+    fn leaf_pieces(
+        &self,
+        tsid: u32,
+        leaf: usize,
+        sid: u32,
+        rows: &RowsByDid,
+        pieces: &mut Vec<(u32, u32, Arc<Eventlist>)>,
+    ) -> Result<(), StoreError> {
+        let elist_did = ELIST_BASE + leaf as u64;
+        for (k, bytes) in rows.get(&elist_did).into_iter().flatten() {
+            if let Some(dk) = DeltaKey::decode(k) {
+                let el = self.decoded_elist(tsid, sid, elist_did, dk.pid, bytes)?;
+                pieces.push((sid, dk.pid, el));
+            }
+        }
+        Ok(())
     }
 
     /// Clone `base` once at the divergence point (the leaf), then
     /// advance a single replay cursor per eventlist piece over
-    /// `times` (ascending), capturing one state per time. The shared
-    /// materialization tail of both fill paths.
+    /// `times` (ascending), capturing one state per time.
     fn replay_leaf_times(
         &self,
         span: &SpanRuntime,
@@ -631,23 +494,13 @@ impl TgiView {
         pieces: &[(u32, u32, Arc<Eventlist>)],
         times: &[(usize, Time)],
     ) -> Vec<Delta> {
-        let ns = self.cfg.horizontal_partitions;
         // A state no cache kept (budget 0, or an oversized entry) is
         // ours alone: replay onto it instead of onto a copy.
         let mut cur: Delta = Arc::try_unwrap(base).unwrap_or_else(|shared| (*shared).clone());
         let mut cursors = vec![0usize; pieces.len()];
         let mut out: Vec<Delta> = Vec::with_capacity(times.len());
         for (i, &(_, t)) in times.iter().enumerate() {
-            for (pi, (sid, pid, el)) in pieces.iter().enumerate() {
-                let map = &span.maps[*sid as usize];
-                let evs = el.events();
-                while cursors[pi] < evs.len() && evs[cursors[pi]].time <= t {
-                    apply_event_scoped(&mut cur, &evs[cursors[pi]].kind, |id| {
-                        sid_of(id, ns) == *sid && map.assign(id) == *pid
-                    });
-                    cursors[pi] += 1;
-                }
-            }
+            self.replay_until(span, &mut cur, pieces, &mut cursors, t);
             if i + 1 == times.len() {
                 out.push(std::mem::take(&mut cur));
             } else {
@@ -655,6 +508,30 @@ impl TgiView {
             }
         }
         out
+    }
+
+    /// Apply to `cur` the events at or before `t` that each piece's
+    /// cursor has not passed yet, scoped to the piece's
+    /// micro-partition.
+    fn replay_until(
+        &self,
+        span: &SpanRuntime,
+        cur: &mut Delta,
+        pieces: &[(u32, u32, Arc<Eventlist>)],
+        cursors: &mut [usize],
+        t: Time,
+    ) {
+        let ns = self.cfg.horizontal_partitions;
+        for ((sid, pid, el), cursor) in pieces.iter().zip(cursors) {
+            let map = &span.maps[*sid as usize];
+            let evs = el.events();
+            while *cursor < evs.len() && evs[*cursor].time <= t {
+                apply_event_scoped(cur, &evs[*cursor].kind, |id| {
+                    sid_of(id, ns) == *sid && map.assign(id) == *pid
+                });
+                *cursor += 1;
+            }
+        }
     }
 }
 
@@ -700,56 +577,49 @@ mod tests {
         assert!(summary.shared_fetch_units <= summary.naive_fetch_units);
     }
 
-    /// Warm multi-client fills hit the per-`(tsid, sid, leaf)` state
-    /// tier (not just decoded rows), and the tiers are coherent: a
-    /// parallel fill warms the sequential path's leaf composition and
-    /// vice versa.
+    /// A fill at any width leaves, and is served by, the same `Leaf`
+    /// entries: after one cold fill, a pass at any other width probes
+    /// one state per leaf, hits every one, inserts nothing and decodes
+    /// no row.
     #[test]
     fn parallel_fill_hits_and_warms_the_state_tier() {
         let events: Vec<Event> = (0..400u64)
             .map(|i| Event::new(i, EventKind::AddNode { id: i }))
             .collect();
-        let tgi = Tgi::try_build(
-            crate::TgiConfig {
-                events_per_timespan: 400,
-                eventlist_size: 100,
-                partition_size: 50,
-                horizontal_partitions: 2,
-                ..crate::TgiConfig::default()
-            },
-            hgs_store::StoreConfig::new(2, 1),
-            &events,
-        )
-        .unwrap();
-        let (wide, narrow) = (tgi.with_clients(4), tgi.with_clients(1));
         let times = [120u64, 320];
-        let cold = wide.try_snapshots(&times).unwrap();
-        let s0 = tgi.cache_stats();
-        assert_eq!(s0.state_hits, 0, "cold cache has no state hits");
-        assert!(s0.state_misses > 0, "cold fill probes the state tier");
-        let warm = wide.try_snapshots(&times).unwrap();
-        let s1 = tgi.cache_stats();
-        assert!(
-            s1.state_hits > s0.state_hits,
-            "warm parallel fill must hit per-(tsid, sid, leaf) states: {s1:?}"
-        );
-        assert_eq!(cold, warm);
-        // The sequential path composes its whole-leaf states from the
-        // per-sid entries the parallel fill populated: no row decode
-        // beyond what is already cached, same result.
-        let seq = narrow.try_snapshots(&times).unwrap();
-        assert_eq!(seq, warm);
-        let s2 = tgi.cache_stats();
-        assert_eq!(
-            s2.row_misses, s1.row_misses,
-            "sequential pass after a parallel warm-up re-decodes nothing"
-        );
-        // And a sequential warm-up serves later parallel fills.
-        let par = wide.try_snapshots(&times).unwrap();
-        assert_eq!(par, seq);
-        let s3 = tgi.cache_stats();
-        assert_eq!(s3.row_misses, s2.row_misses);
-        assert!(s3.state_hits > s2.state_hits);
+        for (cold_c, warm_cs) in [(4usize, [4usize, 1, 2]), (1, [1, 4, 2])] {
+            let tgi = Tgi::try_build(
+                crate::TgiConfig {
+                    events_per_timespan: 400,
+                    eventlist_size: 100,
+                    partition_size: 50,
+                    horizontal_partitions: 2,
+                    ..crate::TgiConfig::default()
+                },
+                hgs_store::StoreConfig::new(2, 1),
+                &events,
+            )
+            .unwrap();
+            let leaves = tgi.plan_multipoint(&times).leaf_groups as u64;
+            let cold = tgi.with_clients(cold_c).try_snapshots(&times).unwrap();
+            let s0 = tgi.cache_stats();
+            assert_eq!(s0.state_hits, 0, "cold cache has no state hits");
+            assert_eq!(s0.state_misses, leaves, "one state probe per leaf");
+            let mut before = s0;
+            for c in warm_cs {
+                let warm = tgi.with_clients(c).try_snapshots(&times).unwrap();
+                assert_eq!(warm, cold, "cold at c={cold_c}, warm at c={c}");
+                let after = tgi.cache_stats();
+                assert_eq!(after.state_hits, before.state_hits + leaves, "c={c}");
+                assert_eq!(after.state_misses, before.state_misses, "c={c}");
+                assert_eq!(after.row_misses, before.row_misses, "c={c}: no row decoded");
+                assert_eq!(
+                    after.insertions, before.insertions,
+                    "c={c}: nothing new cached"
+                );
+                before = after;
+            }
+        }
     }
 
     /// The read cache is byte-bounded and serves repeat plans.

@@ -9,16 +9,15 @@
 //! whole session:
 //!
 //! * decoded tree-delta and eventlist rows (`CacheKey::Row`),
+//! * decoded secondary-index rows (`CacheKey::Term`),
 //! * materialized whole-graph leaf checkpoint states
-//!   (`CacheKey::Leaf`, used by sequential snapshot retrieval),
-//! * per-horizontal-partition leaf checkpoint states
-//!   (`CacheKey::SidLeaf`, the parallel fill's unit — the whole-graph
-//!   `Leaf` entry is exactly the sum of its `SidLeaf` entries, so the
-//!   sequential and parallel paths warm each other), and
+//!   (`CacheKey::Leaf` — the one form a snapshot checkpoint is cached
+//!   in, left and served by snapshot retrieval at every client
+//!   width), and
 //! * materialized micro-partition checkpoint states
 //!   (`CacheKey::Part`, used by `node_at` / k-hop / TAF fetches),
 //!
-//! all under one configurable byte budget
+//! four tiers under one configurable byte budget
 //! ([`TgiConfig::read_cache_bytes`](crate::TgiConfig), runtime-tunable
 //! via [`TgiView::set_read_cache_budget`]). Eviction is true
 //! least-recently-used — an intrusive doubly-linked list threaded
@@ -73,11 +72,6 @@ pub(crate) enum CacheKey {
     Term(u32, u8, Arc<[u8]>),
     /// `(tsid, leaf)` — whole-graph checkpoint state (all sids/pids).
     Leaf(u32, u32),
-    /// `(tsid, sid, leaf)` — one horizontal partition's checkpoint
-    /// state at a leaf (the sid's tree-path rows summed across pids,
-    /// before eventlist replay). The parallel multipoint fill's unit;
-    /// the whole-graph [`CacheKey::Leaf`] entry is the sum of these.
-    SidLeaf(u32, u32, u32),
     /// `(tsid, sid, pid, leaf)` — one micro-partition's checkpoint
     /// state (tree-path rows summed, before eventlist replay).
     Part(u32, u32, u32, u32),
@@ -85,7 +79,7 @@ pub(crate) enum CacheKey {
 
 impl CacheKey {
     /// Whether this entry is a materialized checkpoint *state*
-    /// (`Leaf` / `SidLeaf` / `Part`) rather than a decoded row —
+    /// (`Leaf` / `Part`) rather than a decoded row —
     /// states and rows keep separate hit/miss counters so tests and
     /// `benchmark/` can see path-replay sharing, not just decode
     /// sharing.
@@ -168,7 +162,7 @@ pub struct CacheStats {
     pub row_hits: u64,
     /// Decoded-row (`Row`) lookups that missed.
     pub row_misses: u64,
-    /// Checkpoint-state (`Leaf`/`SidLeaf`/`Part`) lookups answered
+    /// Checkpoint-state (`Leaf`/`Part`) lookups answered
     /// from the cache — a state hit skips a whole tree-path replay,
     /// not just one decode.
     pub state_hits: u64,
@@ -655,7 +649,7 @@ mod tests {
         let cache = ReadCache::with_shards(1 << 20, DEFAULT_READ_CACHE_SHARDS);
         let row = key(1);
         let term = CacheKey::Term(0, 0, Arc::from(&b"EntityType"[..]));
-        let state = CacheKey::SidLeaf(0, 2, 3);
+        let state = CacheKey::Part(0, 2, 0, 3);
         assert!(state.is_state() && !row.is_state() && !term.is_state());
         cache.put(row.clone(), delta_entry(2));
         cache.put(
@@ -671,13 +665,12 @@ mod tests {
         assert!(cache.get(row).is_some());
         assert!(cache.get(term).is_some());
         assert!(cache.get(state).is_some());
-        assert!(cache.get(CacheKey::SidLeaf(0, 9, 9)).is_none());
         assert!(cache.get(CacheKey::Leaf(0, 9)).is_none());
         assert!(cache.get(CacheKey::Part(0, 0, 0, 9)).is_none());
         assert!(cache.get(key(99)).is_none());
         let s = cache.stats();
         assert_eq!((s.row_hits, s.row_misses), (2, 1));
-        assert_eq!((s.state_hits, s.state_misses), (1, 3));
+        assert_eq!((s.state_hits, s.state_misses), (1, 2));
         assert_eq!(s.hits, s.row_hits + s.state_hits);
         assert_eq!(s.misses, s.row_misses + s.state_misses);
     }

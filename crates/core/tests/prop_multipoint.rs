@@ -129,7 +129,7 @@ proptest! {
 
 fn arb_sparse_kind() -> impl Strategy<Value = EventKind> {
     // Only four distinct node ids: with up to 4 horizontal partitions,
-    // most sids legitimately contribute *empty* partials.
+    // most sids legitimately contribute *empty* states.
     let id = 0u64..4;
     prop_oneof![
         3 => id.clone().prop_map(|id| EventKind::AddNode { id }),
@@ -143,10 +143,8 @@ fn arb_sparse_kind() -> impl Strategy<Value = EventKind> {
 
 proptest! {
     /// Sparse histories over few node ids: some sids hold no state at
-    /// all (their parallel partials are legitimately empty). The merge
-    /// must treat "empty" and "not yet filled" as different things, so
-    /// `c=1`, `c>1` and the cache-bypassing reference all agree —
-    /// warm and cold.
+    /// all (their path sums are legitimately empty). `c=1`, `c>1` and
+    /// the cache-bypassing reference all agree — warm and cold.
     #[test]
     fn parallel_merge_matches_on_sparse_and_empty_sids(
         history in prop::collection::vec((arb_sparse_kind(), 0u64..3), 1..120)
@@ -178,21 +176,41 @@ proptest! {
             .iter()
             .map(|&t| tgi.try_snapshot_uncached_c(t, 1).unwrap())
             .collect();
-        for round in 0..2 {
-            for c in [1usize, 2, 4] {
-                let got = tgi.with_clients(c).try_snapshots(&times).unwrap();
-                prop_assert_eq!(&got, &reference, "round {} c={}", round, c);
-            }
+        // One fill means one set of counters: from a cold cache, every
+        // width issues the same store requests and leaves the same
+        // cache entries. (Not `row_misses`: two workers may both miss
+        // a shared path row before either puts it.)
+        let mut at_width_one = None;
+        for c in [1usize, 2, 4] {
+            tgi.set_read_cache_budget(0);
+            tgi.set_read_cache_budget(hgs_core::DEFAULT_READ_CACHE_BYTES);
+            let view = tgi.with_clients(c);
+            let (store0, cache0) = (tgi.store().stats_snapshot(), tgi.cache_stats());
+            let cold = view.try_snapshots(&times).unwrap();
+            prop_assert_eq!(&cold, &reference, "cold c={}", c);
+            let cache = tgi.cache_stats();
+            let counters = (
+                SimStore::stats_since(&tgi.store().stats_snapshot(), &store0),
+                cache.insertions - cache0.insertions,
+                cache.state_misses - cache0.state_misses,
+                cache.bytes,
+            );
+            prop_assert_eq!(
+                at_width_one.get_or_insert_with(|| counters.clone()),
+                &counters,
+                "c={}: (store requests, insertions, state misses, bytes retained)", c
+            );
+            let warm = view.try_snapshots(&times).unwrap();
+            prop_assert_eq!(&warm, &reference, "warm c={}", c);
         }
     }
 }
 
-/// Regression for the partial-merge sentinel: when the first work
-/// items of a slot contribute legitimately empty partials (all of the
-/// single node's state lives in the *last* sid), a later non-empty
-/// partial used to be taken as "first fill" via `is_empty()`. The
-/// explicit filled-ness flags must keep every `c` equal to the
-/// reference.
+/// Regression for the partial-merge sentinel of the retired per-sid
+/// fill: all of the single node's state lives in the *last* sid, so
+/// every sid merged before it contributes a legitimately empty state,
+/// which a merge must never take for "not yet filled". Every `c` must
+/// equal the reference.
 #[test]
 fn empty_first_partials_merge_exactly() {
     let ns = 4u32;

@@ -10,7 +10,7 @@
 mod common;
 
 use common::with_busy_hub;
-use hgs_core::{Tgi, TgiConfig};
+use hgs_core::{KhopStrategy, Tgi, TgiConfig};
 use hgs_delta::{AttrValue, Event, EventKind, TimeRange};
 use hgs_store::StoreConfig;
 use proptest::prelude::*;
@@ -179,7 +179,13 @@ fn warm_working_set_hits_the_cache() {
         .map(|&t| tgi.try_snapshot(t).unwrap())
         .collect();
     let s_cold = tgi.cache_stats();
-    assert!(s_cold.insertions > 0);
+    // A checkpoint is cached once: one state probe and one state entry
+    // per distinct leaf (every row miss of this pass was followed by
+    // that row's one insertion, so the rest of `insertions` is states).
+    let leaves = tgi.plan_multipoint(&times).leaf_groups as u64;
+    assert_eq!(leaves, 4, "four distinct leaves");
+    assert_eq!(s_cold.state_misses, leaves, "one state probe per leaf");
+    assert_eq!(s_cold.insertions - s_cold.row_misses, leaves, "{s_cold:?}");
 
     let before = tgi.store().stats_snapshot();
     let warm: Vec<_> = times
@@ -208,6 +214,24 @@ fn warm_working_set_hits_the_cache() {
     let diff = hgs_store::SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
     let repeat_requests: u64 = diff.iter().map(|m| m.gets + m.scans).sum();
     assert_eq!(repeat_requests, 0, "warm node_at must not touch the store");
+
+    // A row the cache holds is not fetched again, whichever form it is
+    // held in: `try_node_at` at a leaf no snapshot above touched leaves
+    // its micro-partition's path and eventlist rows header-parsed, and
+    // the 0-hop recursive k-hop — the full replay of that same
+    // micro-partition (no aux rows under the default strategy) — must
+    // be served by them.
+    let t = end / 8;
+    let node = tgi.try_node_at(57, t).unwrap();
+    let before = tgi.store().stats_snapshot();
+    let hop = tgi
+        .try_khop_with(57, t, 0, KhopStrategy::Recursive)
+        .unwrap();
+    let diff = hgs_store::SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
+    assert_eq!(hop.node(57), node.as_ref());
+    assert!(node.is_some(), "node 57 exists at t={t}");
+    let refetched: u64 = diff.iter().map(|m| m.rows_read + m.gets + m.scans).sum();
+    assert_eq!(refetched, 0, "rows node_at cached were fetched again");
 }
 
 /// Concurrent mixed-key traffic over a live service: the lock-striped

@@ -1,12 +1,22 @@
 //! The lint's own acceptance gate: the real workspace must lint clean,
 //! and every allow annotation in effect must be live (suppressing a
-//! finding) and justified. `cargo test -p hgs-lint` therefore fails the
-//! moment a change introduces a violation, even before CI runs the
-//! binary.
+//! finding), justified and counted. `cargo test -p hgs-lint` therefore
+//! fails the moment a change introduces a violation or an allow, even
+//! before CI runs the binary.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use hgs_lint::{find_workspace_root, lint_workspace, render_text};
+
+/// The allows in effect, per rule. Adding (or retiring) one changes
+/// this table — and the tally in ROADMAP.md's aim 3 — in the same
+/// diff.
+const ALLOWS_IN_EFFECT: &[(&str, usize)] = &[
+    ("batched-store-discipline", 14),
+    ("no-panic-in-try", 28),
+    ("sorted-dedup", 1),
+];
 
 #[test]
 fn workspace_lints_clean() {
@@ -34,5 +44,14 @@ fn workspace_lints_clean() {
         report.allows_used(),
         report.allows.len(),
         "stale allows present (is_clean should have caught this as unused-allow)"
+    );
+    let mut per_rule: BTreeMap<&str, usize> = BTreeMap::new();
+    for (_, a) in &report.allows {
+        *per_rule.entry(a.rule.as_str()).or_default() += 1;
+    }
+    assert_eq!(
+        per_rule.into_iter().collect::<Vec<_>>(),
+        ALLOWS_IN_EFFECT,
+        "the allow tally moved: update ALLOWS_IN_EFFECT and ROADMAP.md together"
     );
 }

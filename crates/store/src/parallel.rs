@@ -62,59 +62,10 @@ where
     results.into_iter().flatten().collect()
 }
 
-/// Run `jobs` (independent closures) on up to `c` threads, returning
-/// outputs in job order. Used where per-job work is coarse (e.g. one
-/// job per horizontal partition).
-pub fn parallel_jobs<R, F>(jobs: Vec<F>, c: usize) -> Vec<R>
-where
-    R: Send,
-    F: FnOnce() -> R + Send,
-{
-    let c = c.max(1);
-    if c == 1 || jobs.len() <= 1 {
-        return jobs.into_iter().map(|j| j()).collect();
-    }
-    // Round-robin assignment keeps job order recoverable by index.
-    let n = jobs.len();
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let indexed: Vec<(usize, F)> = jobs.into_iter().enumerate().collect();
-    let buckets: Vec<Vec<(usize, F)>> = {
-        let mut b: Vec<Vec<(usize, F)>> = (0..c.min(n)).map(|_| Vec::new()).collect();
-        for (i, (idx, job)) in indexed.into_iter().enumerate() {
-            b[i % c.min(n)].push((idx, job));
-        }
-        b
-    };
-    std::thread::scope(|s| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                s.spawn(move || {
-                    bucket
-                        .into_iter()
-                        .map(|(idx, job)| (idx, job()))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // hgs-lint: allow(no-panic-in-try, "re-raises a worker panic on the caller's thread; no error to surface")
-            for (idx, r) in h.join().expect("parallel job worker panicked") {
-                slots[idx] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        // hgs-lint: allow(no-panic-in-try, "round-robin assignment covers every index exactly once")
-        .map(|r| r.expect("missing job result"))
-        .collect()
-}
-
 /// Number of worker threads [`parallel_steal`] actually uses for `c`
 /// requested clients over `items` work items: the fan-out is clamped
-/// to the item count, so a degenerate batch (e.g. a single-point
-/// snapshot with one `(sid, leaf)` item) never spawns idle threads.
+/// to the item count, so a degenerate batch (e.g. the one per-leaf
+/// replay of a single-point snapshot) never spawns idle threads.
 #[inline]
 pub fn steal_worker_count(c: usize, items: usize) -> usize {
     c.max(1).min(items.max(1))
@@ -218,8 +169,7 @@ mod tests {
     }
 
     /// A degenerate batch (one item) must run inline on the caller's
-    /// thread — `clients` threads for one `(sid, leaf)` item would be
-    /// pure overhead.
+    /// thread — `clients` threads for one item would be pure overhead.
     #[test]
     fn steal_single_item_runs_inline() {
         let caller = std::thread::current().id();
@@ -248,22 +198,5 @@ mod tests {
         });
         assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(done.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    fn jobs_run_all_and_order() {
-        let counter = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..10usize)
-            .map(|i| {
-                let counter = &counter;
-                Box::new(move || {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    i * i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let out = parallel_jobs(jobs, 3);
-        assert_eq!(counter.load(Ordering::SeqCst), 10);
-        assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
     }
 }
