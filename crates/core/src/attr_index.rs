@@ -1,13 +1,13 @@
-//! Secondary temporal indexes: label/attribute predicate queries
-//! without snapshot materialization.
+//! Secondary temporal index: label/attribute predicate queries without
+//! snapshot materialization.
 //!
 //! For every timespan the build emits one `AttrIndex` row per *term* —
-//! an attribute `(key, value)` pair or a bare attribute key — holding
-//! the sorted change points of that term within the span (see
-//! [`hgs_delta::attr_index`] for the row format). Rows ride the same
-//! [`hgs_store::WriteBuffer`] batches as every other span row, so
-//! maintenance adds zero extra round trips; they are fetched through
-//! the session read cache with exact byte accounting.
+//! an attribute `(key, value)` pair — holding the sorted change points
+//! of that term within the span (see [`hgs_delta::attr_index`] for the
+//! row format). Rows ride the same [`hgs_store::WriteBuffer`] batches
+//! as every other span row, so maintenance adds zero extra round trips;
+//! they are fetched through the session read cache with exact byte
+//! accounting.
 //!
 //! Each row is **self-contained**: state carried in from earlier spans
 //! is replayed as points stamped at the span's start time and flagged
@@ -15,12 +15,21 @@
 //! `(term, tsid)` row — `O(log changes + answer)` instead of the
 //! `O(snapshot)` decode of materialize-then-filter.
 //!
+//! There is no second row kind. The value history of one key on one
+//! node is a node-centric history question, and like every such
+//! question (§4.3, Algorithm 2) it is answered from the node's version
+//! chain: [`TgiView::try_attr_history`] folds the events touching the
+//! node and reads no `AttrIndex` row. (Indexes built before this held a
+//! bare-key row per `(key, tsid)`, tag `TERM_KIND_KEY`; such a store
+//! still opens, and nothing reads those rows.)
+//!
 //! # Fallback contract
 //!
-//! When [`TgiConfig::secondary_indexes`](crate::TgiConfig) is **off**
-//! the rows do not exist and every primitive explicitly falls back to
-//! snapshot materialization (`try_*_materialized`). When the index is
-//! **on**, a dead machine surfaces
+//! The contract covers the point predicates only. When
+//! [`TgiConfig::secondary_indexes`](crate::TgiConfig) is **off** the
+//! rows do not exist and `try_nodes_matching_at` explicitly falls back
+//! to snapshot materialization (`try_nodes_matching_at_materialized`).
+//! When the index is **on**, a dead machine surfaces
 //! [`StoreError::Unavailable`] and a damaged row surfaces
 //! [`StoreError::Corrupt`] — never a silent fallback, never a panic.
 //!
@@ -29,20 +38,19 @@
 //! * `try_nodes_matching_at(key, value, t)` — node-ids whose attribute
 //!   `key` equals `value` after applying every event with time `<= t`
 //!   (the same cut rule as [`TgiView::try_snapshot`]).
-//! * `try_attr_history(nid, key)` — the chronological `(time, new value)`
-//!   points of `key` on `nid` over the whole history: every
-//!   `SetNodeAttr` (even re-setting the same value), plus a `None`
-//!   point when the attribute or its node is removed while the key is
-//!   present.
+//! * `try_attr_history(nid, key)` — the `(time, new value)` points of
+//!   `key` on `nid` over the whole history, time 0 included, in trace
+//!   order: every `SetNodeAttr` (even re-setting the same value), plus
+//!   a `None` point when the attribute or its node is removed while the
+//!   key is present.
 
 use std::sync::Arc;
 
 use hgs_delta::attr_index::{
-    decode_key_points, decode_term_points, encode_key_points, encode_term_points, key_term,
-    matching_at, value_term, KeyPoint, TermPoint, TERM_KIND_KEY, TERM_KIND_VALUE,
+    decode_term_points, encode_term_points, matching_at, value_term, TermPoint, TERM_KIND_VALUE,
 };
 use hgs_delta::{AttrValue, Attrs, Delta, Event, EventKind, FxHashMap, NodeId, Time};
-use hgs_store::key::{term_key, term_key_tsid, term_prefix, term_token};
+use hgs_store::key::{term_key, term_token};
 use hgs_store::{StoreError, Table};
 
 use crate::build::TgiView;
@@ -52,35 +60,20 @@ use crate::read_cache::{CacheKey, Cached};
 /// `hgs-datagen` writes and the label sugar below reads).
 pub const LABEL_KEY: &str = "EntityType";
 
-/// Encoded secondary-index rows of one span, sorted by term bytes.
-pub(crate) struct SpanIndexRows {
-    /// `(term bytes, encoded change-point row)` per `(key, value)` term.
-    pub value_rows: Vec<(Vec<u8>, bytes::Bytes)>,
-    /// `(term bytes, encoded set-point row)` per bare-key term.
-    pub key_rows: Vec<(Vec<u8>, bytes::Bytes)>,
-}
-
-impl SpanIndexRows {
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.value_rows.is_empty() && self.key_rows.is_empty()
-    }
-}
-
-/// Collect one span's secondary-index rows: carry-in points for the
-/// attribute state at span start (`state` must be the tail state
-/// *before* the span's events are applied) followed by the span's
-/// transitions, replayed with the same forgiving semantics as
-/// [`Delta::apply_event`] (a `SetNodeAttr` on an unseen node implies
-/// the node; removals of absent attributes are no-ops).
+/// Collect one span's secondary-index rows — `(term bytes, encoded
+/// change-point row)` per `(key, value)` term, sorted by term bytes:
+/// carry-in points for the attribute state at span start (`state` must
+/// be the tail state *before* the span's events are applied) followed
+/// by the span's transitions, replayed with the same forgiving
+/// semantics as [`Delta::apply_event`] (a `SetNodeAttr` on an unseen
+/// node implies the node; removals of absent attributes are no-ops).
 pub(crate) fn collect_span_index_rows(
     state: &Delta,
     events: &[Event],
     span_start: Time,
-) -> SpanIndexRows {
+) -> Vec<(Vec<u8>, bytes::Bytes)> {
     let mut cur: FxHashMap<NodeId, Attrs> = FxHashMap::default();
     let mut value_map: FxHashMap<Vec<u8>, Vec<TermPoint>> = FxHashMap::default();
-    let mut key_map: FxHashMap<Vec<u8>, Vec<KeyPoint>> = FxHashMap::default();
 
     for node in state.iter() {
         if node.attrs.is_empty() {
@@ -96,12 +89,6 @@ pub(crate) fn collect_span_index_rows(
                     carry: true,
                     became: true,
                 });
-            key_map.entry(key_term(k)).or_default().push(KeyPoint {
-                time: span_start,
-                nid: node.id,
-                carry: true,
-                value: Some(v.clone()),
-            });
         }
         cur.insert(node.id, node.attrs.clone());
     }
@@ -109,9 +96,6 @@ pub(crate) fn collect_span_index_rows(
     // the emitted rows do not depend on `state`'s map iteration order.
     for pts in value_map.values_mut() {
         pts.sort_unstable_by_key(|p| p.nid);
-    }
-    for pts in key_map.values_mut() {
-        pts.sort_by_key(|p| p.nid);
     }
 
     for ev in events {
@@ -141,12 +125,6 @@ pub(crate) fn collect_span_index_rows(
                             became: true,
                         });
                 }
-                key_map.entry(key_term(key)).or_default().push(KeyPoint {
-                    time: ev.time,
-                    nid: *id,
-                    carry: false,
-                    value: Some(value.clone()),
-                });
             }
             EventKind::RemoveNodeAttr { id, key } => {
                 if let Some(old) = cur.get_mut(id).and_then(|a| a.remove(key)) {
@@ -159,12 +137,6 @@ pub(crate) fn collect_span_index_rows(
                             carry: false,
                             became: false,
                         });
-                    key_map.entry(key_term(key)).or_default().push(KeyPoint {
-                        time: ev.time,
-                        nid: *id,
-                        carry: false,
-                        value: None,
-                    });
                 }
             }
             EventKind::RemoveNode { id } => {
@@ -179,12 +151,6 @@ pub(crate) fn collect_span_index_rows(
                                 carry: false,
                                 became: false,
                             });
-                        key_map.entry(key_term(k)).or_default().push(KeyPoint {
-                            time: ev.time,
-                            nid: *id,
-                            carry: false,
-                            value: None,
-                        });
                     }
                 }
             }
@@ -197,15 +163,7 @@ pub(crate) fn collect_span_index_rows(
         .map(|(term, pts)| (term, encode_term_points(&pts)))
         .collect();
     value_rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut key_rows: Vec<(Vec<u8>, bytes::Bytes)> = key_map
-        .into_iter()
-        .map(|(term, pts)| (term, encode_key_points(&pts)))
-        .collect();
-    key_rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    SpanIndexRows {
-        value_rows,
-        key_rows,
-    }
+    value_rows
 }
 
 impl TgiView {
@@ -284,84 +242,31 @@ impl TgiView {
         Ok(out)
     }
 
-    /// The chronological `(time, new value)` points of attribute `key`
-    /// on node `nid` over the whole indexed history (`None` = the key
-    /// was cleared). One per-term prefix scan when the index is on;
-    /// explicit materialization fallback otherwise.
+    /// The `(time, new value)` points of attribute `key` on node `nid`
+    /// over the whole indexed history, in trace order (`None` = the key
+    /// was cleared): a fold over the events touching the node, located
+    /// through its version chain like any node history — no secondary
+    /// index row is read, and a pinned view sees its own spans only.
     pub fn try_attr_history(
         &self,
         nid: NodeId,
         key: &str,
     ) -> Result<Vec<(Time, Option<AttrValue>)>, StoreError> {
-        if !self.cfg.secondary_indexes {
-            return self.try_attr_history_materialized(nid, key);
-        }
-        let term = key_term(key);
-        let token = term_token(TERM_KIND_KEY, &term);
-        let prefix = term_prefix(TERM_KIND_KEY, &term);
-        // hgs-lint: allow(batched-store-discipline, "one prefix scan per (node, key) is the index's native access, mirroring the version-chain scan")
-        let rows = self.store.scan_prefix(Table::AttrIndex, &prefix, token)?;
         let mut out = Vec::new();
-        for (row_key, bytes) in rows {
-            let tsid = match term_key_tsid(&row_key) {
-                Some(t) => t,
-                None => continue,
-            };
-            let ckey = CacheKey::Term(tsid, TERM_KIND_KEY, Arc::from(term.as_slice()));
-            let points = match self.read_cache.get(ckey.clone()) {
-                Some(Cached::KeyPoints(p)) => p,
-                _ => {
-                    let p = Arc::new(decode_key_points(&bytes).map_err(StoreError::Corrupt)?);
-                    self.read_cache.put(ckey, Cached::KeyPoints(p.clone()));
-                    p
+        let mut present = false;
+        for ev in self.node_events(nid, None, Time::MAX)? {
+            match ev.kind {
+                EventKind::SetNodeAttr { id, key: k, value } if id == nid && k == key => {
+                    out.push((ev.time, Some(value)));
+                    present = true;
                 }
-            };
-            // Carry points replay state already recorded by an earlier
-            // span's transitions; only genuine transitions make history.
-            out.extend(
-                points
-                    .iter()
-                    .filter(|p| !p.carry && p.nid == nid)
-                    .map(|p| (p.time, p.value.clone())),
-            );
-        }
-        Ok(out)
-    }
-
-    /// The reference answer for [`TgiView::try_attr_history`]: replay the
-    /// node's full event history. Same point rule as the index, with
-    /// one documented deviation: churn at time 0 collapses to the
-    /// settled state at 0 (the node history's initial state already
-    /// includes time-0 events).
-    pub fn try_attr_history_materialized(
-        &self,
-        nid: NodeId,
-        key: &str,
-    ) -> Result<Vec<(Time, Option<AttrValue>)>, StoreError> {
-        let end = self.end_time.max(1);
-        let hist = self.try_node_history(nid, hgs_delta::TimeRange::new(0, end))?;
-        let mut out = Vec::new();
-        let mut cur: Option<AttrValue> = hist
-            .initial
-            .as_ref()
-            .and_then(|n| n.attrs.get(key))
-            .cloned();
-        if let Some(v) = &cur {
-            out.push((0, Some(v.clone())));
-        }
-        for ev in &hist.events {
-            match &ev.kind {
-                EventKind::SetNodeAttr { id, key: k, value } if *id == nid && k == key => {
-                    out.push((ev.time, Some(value.clone())));
-                    cur = Some(value.clone());
-                }
-                EventKind::RemoveNodeAttr { id, key: k }
-                    if *id == nid && k == key && cur.take().is_some() =>
-                {
+                EventKind::RemoveNodeAttr { id, key: k } if id == nid && k == key && present => {
                     out.push((ev.time, None));
+                    present = false;
                 }
-                EventKind::RemoveNode { id } if *id == nid && cur.take().is_some() => {
+                EventKind::RemoveNode { id } if id == nid && present => {
                     out.push((ev.time, None));
+                    present = false;
                 }
                 _ => {}
             }
@@ -405,7 +310,6 @@ mod tests {
         let rows = collect_span_index_rows(&state, &events, 10);
         let author = value_term("EntityType", &AttrValue::Text("Author".into()));
         let (_, blob) = rows
-            .value_rows
             .iter()
             .find(|(t, _)| t == &author)
             .expect("author term row");
@@ -418,7 +322,6 @@ mod tests {
 
         let paper = value_term("EntityType", &AttrValue::Text("Paper".into()));
         let (_, blob) = rows
-            .value_rows
             .iter()
             .find(|(t, _)| t == &paper)
             .expect("paper term row");
@@ -428,10 +331,13 @@ mod tests {
         assert_eq!(matching_at(&pts, 15), vec![] as Vec<NodeId>);
     }
 
+    /// What the bare-key rows once recorded, answered from the events
+    /// touching the node: a re-set of the same value is still a point,
+    /// a second clear is not, and nothing is carried across spans.
     #[test]
-    fn key_rows_record_value_history_without_carry_duplicates() {
-        let state = Delta::new();
+    fn attr_history_folds_the_events_without_carry_duplicates() {
         let events = vec![
+            set(0, 5, "Grade", "C"), // time 0 is a point like any other
             set(1, 5, "Grade", "A"),
             set(2, 5, "Grade", "A"), // re-set same value: still a point
             ev(
@@ -448,27 +354,35 @@ mod tests {
                     key: "Grade".into(),
                 },
             ), // double-remove: no-op
+            set(5, 5, "Grade", "B"),
+            set(5, 6, "Grade", "B"),
+            ev(6, EventKind::RemoveNode { id: 5 }),
         ];
-        let rows = collect_span_index_rows(&state, &events, 0);
-        let (_, blob) = rows
-            .key_rows
-            .iter()
-            .find(|(t, _)| t == &key_term("Grade"))
-            .expect("grade key row");
-        let pts = decode_key_points(blob).unwrap();
-        let hist: Vec<(Time, Option<AttrValue>)> = pts
-            .iter()
-            .filter(|p| !p.carry)
-            .map(|p| (p.time, p.value.clone()))
-            .collect();
+        // Two events per span: the value set at 5 is carried into the
+        // last span and must not show twice.
+        let cfg = crate::TgiConfig {
+            events_per_timespan: 2,
+            eventlist_size: 1,
+            ..crate::TgiConfig::default()
+        };
+        let tgi = crate::Tgi::try_build(cfg, hgs_store::StoreConfig::new(2, 1), &events).unwrap();
+        let text = |v: &str| Some(AttrValue::Text(v.into()));
         assert_eq!(
-            hist,
+            tgi.try_attr_history(5, "Grade").unwrap(),
             vec![
-                (1, Some(AttrValue::Text("A".into()))),
-                (2, Some(AttrValue::Text("A".into()))),
+                (0, text("C")),
+                (1, text("A")),
+                (2, text("A")),
                 (3, None),
+                (5, text("B")),
+                (6, None),
             ]
         );
+        assert_eq!(
+            tgi.try_attr_history(6, "Grade").unwrap(),
+            vec![(5, text("B"))]
+        );
+        assert!(tgi.try_attr_history(5, LABEL_KEY).unwrap().is_empty());
     }
 
     #[test]

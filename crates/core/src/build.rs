@@ -553,23 +553,13 @@ impl Tgi {
         // Secondary temporal indexes: one self-contained change-point
         // row per (term, span), batched with everything else — zero
         // extra round trips per span.
-        if let Some(rows) = index_rows {
-            for (term, blob) in rows.value_rows {
-                buf.push(
-                    Table::AttrIndex,
-                    term_key(hgs_delta::TERM_KIND_VALUE, &term, tsid),
-                    term_token(hgs_delta::TERM_KIND_VALUE, &term),
-                    blob,
-                )?;
-            }
-            for (term, blob) in rows.key_rows {
-                buf.push(
-                    Table::AttrIndex,
-                    term_key(hgs_delta::TERM_KIND_KEY, &term, tsid),
-                    term_token(hgs_delta::TERM_KIND_KEY, &term),
-                    blob,
-                )?;
-            }
+        for (term, blob) in index_rows.into_iter().flatten() {
+            buf.push(
+                Table::AttrIndex,
+                term_key(hgs_delta::TERM_KIND_VALUE, &term, tsid),
+                term_token(hgs_delta::TERM_KIND_VALUE, &term),
+                blob,
+            )?;
         }
 
         // Persist locality partition maps for reconstructability.

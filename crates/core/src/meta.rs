@@ -127,6 +127,24 @@ impl TimespanMeta {
             .saturating_sub(1)
     }
 
+    /// The eventlist chunks that can hold an event with
+    /// `after < time < before` (`after = None`: from time 0 on). Chunk
+    /// `j` holds the span's events in `[c_j, c_{j+1})`, the last one up
+    /// to `range.end`.
+    pub fn chunks_overlapping(
+        &self,
+        after: Option<Time>,
+        before: Time,
+    ) -> impl Iterator<Item = u32> + '_ {
+        let ends = self.checkpoints.iter().skip(1).chain([&self.range.end]);
+        self.checkpoints
+            .iter()
+            .zip(ends)
+            .enumerate()
+            .filter(move |(_, (&start, &end))| start < before && after.is_none_or(|a| end > a))
+            .map(|(chunk, _)| chunk as u32)
+    }
+
     /// Serialize for the `Timespans` table.
     pub fn encode(&self) -> bytes::Bytes {
         let mut buf = BytesMut::new();

@@ -660,41 +660,68 @@ impl TgiView {
         Ok(state)
     }
 
-    /// Fetch (or serve from the read cache) one eventlist chunk row as
-    /// an [`ElistHandle`]. A miss re-runs the fallible point lookup; a
-    /// confirmed-absent row is cached as such (write-once rows cannot
-    /// appear later in a sealed span). A miss parses only the row
-    /// header — the node-scoped callers of this path then decode just
-    /// the columns their probes touch.
-    pub(crate) fn try_fetch_elist(
+    /// Eventlist chunk rows `(chunk, pid)` of one `(tsid, sid)`
+    /// placement as [`ElistHandle`]s, in `refs` order (`None`: no such
+    /// row). Rows the read cache holds, in either state or as
+    /// known-absent, are served from it; the rest travel in **one**
+    /// batched multi-get — re-run on every miss, so a down chunk
+    /// surfaces [`StoreError::Unavailable`] — and are cached
+    /// header-parsed: the node-scoped callers of this path decode just
+    /// the columns their probes touch. A confirmed-absent row is cached
+    /// as such (write-once rows cannot appear later in a sealed span).
+    pub(crate) fn try_fetch_elists(
         &self,
         tsid: u32,
         sid: u32,
-        chunk: u32,
-        pid: u32,
-    ) -> Result<Option<ElistHandle>, StoreError> {
-        let did = ELIST_BASE + chunk as u64;
-        let key = CacheKey::Row(tsid, sid, did, pid);
-        match self.read_cache.get(key.clone()) {
-            Some(Cached::Elist(e)) => return Ok(Some(ElistHandle::Full(e))),
-            Some(Cached::ColElist(c)) => return Ok(Some(ElistHandle::Col(c))),
-            Some(Cached::Absent) => return Ok(None),
-            _ => {}
+        refs: &[(u32, u32)],
+    ) -> Result<Vec<Option<ElistHandle>>, StoreError> {
+        let cache_key =
+            |&(chunk, pid): &(u32, u32)| CacheKey::Row(tsid, sid, ELIST_BASE + chunk as u64, pid);
+        // Per ref what the cache knows; `None` is a miss, to be fetched.
+        let probed: Vec<Option<Option<ElistHandle>>> = refs
+            .iter()
+            .map(|r| match self.read_cache.get(cache_key(r)) {
+                Some(Cached::Elist(e)) => Some(Some(ElistHandle::Full(e))),
+                Some(Cached::ColElist(c)) => Some(Some(ElistHandle::Col(c))),
+                Some(Cached::Absent) => Some(None),
+                _ => None,
+            })
+            .collect();
+        let keys: Vec<[u8; 20]> = refs
+            .iter()
+            .zip(&probed)
+            .filter(|(_, hit)| hit.is_none())
+            .map(|(&(chunk, pid), _)| {
+                DeltaKey::new(tsid, sid, ELIST_BASE + chunk as u64, pid).encode()
+            })
+            .collect();
+        let mut fetched = if keys.is_empty() {
+            Vec::new()
+        } else {
+            let key_refs: Vec<&[u8]> = keys.iter().map(|k| &k[..]).collect();
+            let token = PlacementKey::new(tsid, sid).token();
+            self.store.multi_get(Table::Deltas, &key_refs, token)?
         }
-        let dk = DeltaKey::new(tsid, sid, did, pid);
-        let token = PlacementKey::new(tsid, sid).token();
-        // hgs-lint: allow(batched-store-discipline, "cache-miss point read of one (tsid, sid, did, pid) row; callers batch across rows, not within one")
-        match self.store.get(Table::Deltas, &dk.encode(), token)? {
-            Some(bytes) => {
-                let c = Arc::new(ColumnarEventlist::parse(bytes).map_err(StoreError::Corrupt)?);
-                self.read_cache.put(key, Cached::ColElist(c.clone()));
-                Ok(Some(ElistHandle::Col(c)))
-            }
-            None => {
-                self.read_cache.put(key, Cached::Absent);
-                Ok(None)
-            }
-        }
+        .into_iter();
+        refs.iter()
+            .zip(probed)
+            .map(|(r, hit)| match hit {
+                Some(hit) => Ok(hit),
+                None => match fetched.next().flatten() {
+                    Some(bytes) => {
+                        let c =
+                            Arc::new(ColumnarEventlist::parse(bytes).map_err(StoreError::Corrupt)?);
+                        self.read_cache
+                            .put(cache_key(r), Cached::ColElist(c.clone()));
+                        Ok(Some(ElistHandle::Col(c)))
+                    }
+                    None => {
+                        self.read_cache.put(cache_key(r), Cached::Absent);
+                        Ok(None)
+                    }
+                },
+            })
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -725,50 +752,75 @@ impl TgiView {
         Ok(chain)
     }
 
-    /// Node history over `range` (Algorithm 2): initial state at
-    /// `range.start`, then all events touching the node inside the
-    /// range, located via the version chain and fetched with the
-    /// view's client width.
-    pub fn try_node_history(
+    /// Every event touching `nid` with `after < time < before`
+    /// (`after = None`: from time 0 on), in trace order — the one
+    /// routine behind every node-centric history read (Algorithm 2
+    /// without its initial state).
+    ///
+    /// The version chain names the eventlist chunks that touch the
+    /// node; an index built without chains
+    /// ([`TgiConfig::version_chains`](crate::TgiConfig) off) reads
+    /// every chunk the range overlaps at the node's micro-partition
+    /// instead — the Log scan Table 1 prices at `|G|`, never a smaller
+    /// answer. Either way only spans of this view are consulted, and a
+    /// span's chunks share a placement, so whatever the read cache
+    /// does not hold travels in one multi-get per span. Chunks are
+    /// concatenated in `(tsid, chunk)` order and never re-sorted:
+    /// events sharing a timestamp keep the order they were ingested in.
+    pub(crate) fn node_events(
         &self,
         nid: NodeId,
-        range: TimeRange,
-    ) -> Result<NodeHistory, StoreError> {
-        let initial = self.try_node_at(nid, range.start)?;
-        let chain = self.try_version_chain(nid)?;
-        // Distinct eventlist refs covering (range.start, range.end).
-        // A chain entry records the *first* touch in a chunk run, so
-        // the last entry at or before range.start may still point to a
-        // chunk holding later in-range events — include it. Chains can
-        // revisit a (tsid, chunk, pid) non-adjacently (a node bouncing
-        // between chunks across spans), so dedup with a set rather
-        // than `Vec::dedup`, which would double-fetch — and
-        // double-count — such refs.
-        let boundary = chain.partition_point(|e| e.time <= range.start);
-        let from = boundary.saturating_sub(1);
-        let mut seen: FxHashSet<(u32, u32, u32)> = FxHashSet::default();
-        // hgs-lint: allow(no-panic-in-try, "partition_point + saturating_sub keep `from` within chain.len()")
-        let refs: Vec<(u32, u32, u32)> = chain[from..]
-            .iter()
-            .filter(|e| e.time < range.end)
-            .map(|e| (e.tsid, e.chunk, e.pid))
-            .filter(|r| seen.insert(*r))
-            .collect();
-        let ns = self.cfg.horizontal_partitions;
-        let sid = sid_of(nid, ns);
+        after: Option<Time>,
+        before: Time,
+    ) -> Result<Vec<Event>, StoreError> {
+        let sid = sid_of(nid, self.cfg.horizontal_partitions);
+        let mut refs: Vec<(u32, u32, u32)> = if self.cfg.version_chains {
+            let chain = self.try_version_chain(nid)?;
+            // A chain entry records the *first* touch in a chunk run,
+            // so the last entry at or before `after` may still point to
+            // a chunk holding later in-range events — include it.
+            let from = after.map_or(0, |a| {
+                chain.partition_point(|e| e.time <= a).saturating_sub(1)
+            });
+            chain
+                .iter()
+                .skip(from)
+                .filter(|e| e.time < before)
+                .map(|e| (e.tsid, e.chunk, e.pid))
+                .collect()
+        } else {
+            let mut refs = Vec::new();
+            for span in &self.spans {
+                let (meta, pid) = (&span.meta, span.maps[sid as usize].assign(nid));
+                let chunks = meta.chunks_overlapping(after, before);
+                refs.extend(chunks.map(|chunk| (meta.tsid, chunk, pid)));
+            }
+            refs
+        };
+        // A chain can name a (tsid, chunk, pid) more than once (a
+        // legacy whole-chain row beside per-span rows): fetch — and
+        // count — each chunk once.
+        refs.sort_unstable();
+        refs.dedup();
+        // One fetch per span: (tsid, its (chunk, pid) refs).
+        let mut spans: Vec<(u32, Vec<(u32, u32)>)> = Vec::new();
+        for (tsid, chunk, pid) in refs {
+            match spans.last_mut() {
+                Some((t, chunks)) if *t == tsid => chunks.push((chunk, pid)),
+                _ => spans.push((tsid, vec![(chunk, pid)])),
+            }
+        }
+        let in_range = |e: &Event| after.is_none_or(|a| e.time > a) && e.time < before;
         let lists: Vec<Result<Vec<Event>, StoreError>> =
-            parallel_chunks(refs, self.clients, |chunk| {
-                chunk
+            parallel_chunks(spans, self.clients, |spans| {
+                spans
                     .into_iter()
-                    .map(|(tsid, ch, pid)| {
-                        Ok(match self.try_fetch_elist(tsid, sid, ch, pid)? {
-                            Some(el) => el
-                                .events_touching(nid)?
-                                .into_iter()
-                                .filter(|e| e.time > range.start && e.time < range.end)
-                                .collect(),
-                            None => Vec::new(),
-                        })
+                    .map(|(tsid, chunks)| {
+                        let mut events = Vec::new();
+                        for el in self.try_fetch_elists(tsid, sid, &chunks)?.iter().flatten() {
+                            events.extend(el.events_touching(nid)?.into_iter().filter(in_range));
+                        }
+                        Ok(events)
                     })
                     .collect()
             });
@@ -776,12 +828,22 @@ impl TgiView {
         for list in lists {
             events.extend(list?);
         }
-        events.sort_by_key(|e| e.time);
+        Ok(events)
+    }
+
+    /// Node history over `range` (Algorithm 2): initial state at
+    /// `range.start`, then all events touching the node inside the
+    /// range (`node_events`), fetched with the view's client width.
+    pub fn try_node_history(
+        &self,
+        nid: NodeId,
+        range: TimeRange,
+    ) -> Result<NodeHistory, StoreError> {
         Ok(NodeHistory {
             id: nid,
             range,
-            initial,
-            events,
+            initial: self.try_node_at(nid, range.start)?,
+            events: self.node_events(nid, Some(range.start), range.end)?,
         })
     }
 
@@ -908,9 +970,11 @@ impl TgiView {
             if let Some(base) = aux_base {
                 let el = match elist_cache.entry((sid, pid)) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(self.try_fetch_elist(tsid, sid, j, pid)?)
-                    }
+                    std::collections::hash_map::Entry::Vacant(slot) => slot.insert(
+                        self.try_fetch_elists(tsid, sid, &[(j, pid)])?
+                            .pop()
+                            .flatten(),
+                    ),
                 };
                 let mut scratch = Delta::new();
                 scratch.insert(base);
@@ -1043,30 +1107,12 @@ impl TgiView {
         // range.end), one grouped scan per overlapping span.
         for span in &self.spans {
             let meta = &span.meta;
-            if !meta.range.overlaps(&range) {
-                continue;
-            }
             // hgs-lint: allow(no-panic-in-try, "sid enumerates 0..ns and span.maps holds ns entries")
             let map = &span.maps[sid as usize];
-            let chunks = meta.checkpoints.len();
-            let mut prefixes: Vec<[u8; 16]> = Vec::new();
-            for chunk in 0..chunks {
-                // hgs-lint: allow(no-panic-in-try, "chunk enumerates 0..meta.checkpoints.len()")
-                let c_start = meta.checkpoints[chunk];
-                let c_end = meta
-                    .checkpoints
-                    .get(chunk + 1)
-                    .copied()
-                    .unwrap_or(meta.range.end);
-                if c_end <= range.start || c_start >= range.end {
-                    continue;
-                }
-                prefixes.push(DeltaKey::delta_prefix(
-                    meta.tsid,
-                    sid,
-                    ELIST_BASE + chunk as u64,
-                ));
-            }
+            let prefixes: Vec<[u8; 16]> = meta
+                .chunks_overlapping(Some(range.start), range.end)
+                .map(|chunk| DeltaKey::delta_prefix(meta.tsid, sid, ELIST_BASE + chunk as u64))
+                .collect();
             if prefixes.is_empty() {
                 continue;
             }

@@ -100,8 +100,6 @@ pub(crate) enum Cached {
     ColElist(Arc<ColumnarEventlist>),
     /// A decoded value-term change-point row of the secondary index.
     TermPoints(Arc<Vec<hgs_delta::TermPoint>>),
-    /// A decoded key-term set-point row of the secondary index.
-    KeyPoints(Arc<Vec<hgs_delta::KeyPoint>>),
     /// The row is known to be absent from the store (legitimately —
     /// empty micro-partitions are never written). Absence of a
     /// write-once row is itself immutable, so it caches safely.
@@ -129,7 +127,6 @@ impl Cached {
                 Cached::ColDelta(c) => c.backing_len() + c.raw_len_total(),
                 Cached::ColElist(c) => c.backing_len() + c.raw_len_total(),
                 Cached::TermPoints(p) => hgs_delta::attr_index::term_points_weight(p),
-                Cached::KeyPoints(p) => hgs_delta::attr_index::key_points_weight(p),
                 Cached::Absent => 0,
             }
     }
@@ -142,7 +139,6 @@ impl Cached {
             Cached::ColDelta(c) => Cached::ColDelta(c.clone()),
             Cached::ColElist(c) => Cached::ColElist(c.clone()),
             Cached::TermPoints(p) => Cached::TermPoints(p.clone()),
-            Cached::KeyPoints(p) => Cached::KeyPoints(p.clone()),
             Cached::Absent => Cached::Absent,
         }
     }

@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 
 use hgs_core::{KhopStrategy, Tgi};
-use hgs_delta::{normalize_events, Delta, Event, EventKind, NodeId, Time, TimeRange};
+use hgs_delta::{normalize_events, AttrValue, Delta, Event, EventKind, NodeId, Time, TimeRange};
 
 /// A generator case of the prop suites: `events` with a busy hub.
 /// After every event node 0 gains an edge (its weight cycling, so an
@@ -41,6 +41,50 @@ pub fn with_busy_hub(events: Vec<Event>) -> Vec<Event> {
 pub fn touches(e: &Event, id: NodeId) -> bool {
     let (a, b) = e.kind.touched();
     a == id || b == Some(id)
+}
+
+/// Reference node history: the events of `normalized` touching `nid`
+/// strictly inside `range`, in trace order. The index stores the
+/// *normalized* stream (`normalize_events`: `RemoveNode` expanded into
+/// explicit `RemoveEdge` events) and histories are stated over it.
+pub fn node_events_by_replay(normalized: &[Event], nid: NodeId, range: TimeRange) -> Vec<Event> {
+    normalized
+        .iter()
+        .filter(|e| touches(e, nid) && e.time > range.start && e.time < range.end)
+        .cloned()
+        .collect()
+}
+
+/// Reference attribute history (the rule of
+/// `benchmark/src/oracle.rs::attr_points`): every `SetNodeAttr` of
+/// `key` on `nid` is a point — time 0 and re-sets of the same value
+/// included — and a removal of the attribute or of the node is a
+/// `None` point only while the key is present.
+pub fn attr_history_by_replay(
+    events: &[Event],
+    nid: NodeId,
+    key: &str,
+) -> Vec<(Time, Option<AttrValue>)> {
+    let mut out = Vec::new();
+    let mut present = false;
+    for e in events {
+        match &e.kind {
+            EventKind::SetNodeAttr { id, key: k, value } if *id == nid && k == key => {
+                out.push((e.time, Some(value.clone())));
+                present = true;
+            }
+            EventKind::RemoveNodeAttr { id, key: k } if *id == nid && k == key && present => {
+                out.push((e.time, None));
+                present = false;
+            }
+            EventKind::RemoveNode { id } if *id == nid && present => {
+                out.push((e.time, None));
+                present = false;
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Reference k-hop: breadth-first over the replayed state.
@@ -85,9 +129,6 @@ pub fn assert_answers_equal_replay(tgi: &Tgi, events: &[Event]) {
             );
         }
     }
-    // The index stores the *normalized* stream (RemoveNode expanded
-    // into explicit RemoveEdge events): histories and chains are
-    // stated over it.
     let normalized = normalize_events(events);
     let mid = Delta::snapshot_by_replay(events, end / 2);
     let range = TimeRange::new(0, end + 1);
@@ -104,12 +145,11 @@ pub fn assert_answers_equal_replay(tgi: &Tgi, events: &[Event]) {
             initial.node(nid),
             "initial of nid={nid}"
         );
-        let want: Vec<Event> = normalized
-            .iter()
-            .filter(|e| touches(e, nid) && e.time > range.start && e.time < range.end)
-            .cloned()
-            .collect();
-        assert_eq!(h.events, want, "node_history mismatch for nid={nid}");
+        assert_eq!(
+            h.events,
+            node_events_by_replay(&normalized, nid, range),
+            "node_history mismatch for nid={nid}"
+        );
         // A chain entry points at an eventlist chunk by the node's
         // first touch in it: chronological, at touch times only, from
         // the very first touch on, never the same chunk twice in a row.

@@ -4,6 +4,8 @@
 //! decode sites used to `.expect("stored delta decodes")` straight
 //! through `try_snapshot`; this pins the contract that replaced them.
 
+mod common;
+
 use std::collections::BTreeSet;
 
 use bytes::{Bytes, BytesMut};
@@ -70,6 +72,11 @@ fn corrupt_delta_rows_surface_corrupt_not_panic() {
         tgi.try_node_history(0, TimeRange::new(end / 4, (3 * end) / 4)),
         Err(StoreError::Corrupt(_))
     ));
+    // An attribute history replays the node's eventlist rows.
+    assert!(matches!(
+        tgi.try_attr_history(0, hgs_core::LABEL_KEY),
+        Err(StoreError::Corrupt(_))
+    ));
 }
 
 #[test]
@@ -80,6 +87,11 @@ fn corrupt_version_chain_surfaces_corrupt_not_panic() {
     assert!(n > 0, "the build must have written version chains");
     assert!(matches!(
         tgi.try_version_chain(0),
+        Err(StoreError::Corrupt(_))
+    ));
+    // ...and so does every read that locates its chunks through it.
+    assert!(matches!(
+        tgi.try_attr_history(0, hgs_core::LABEL_KEY),
         Err(StoreError::Corrupt(_))
     ));
 }
@@ -103,10 +115,14 @@ fn corrupt_attr_index_rows_surface_corrupt_not_panic() {
         tgi.try_nodes_with_label_at("Label00", t),
         Err(StoreError::Corrupt(_))
     ));
-    assert!(matches!(
-        tgi.try_attr_history(0, hgs_core::LABEL_KEY),
-        Err(StoreError::Corrupt(_))
-    ));
+    // An attribute history is read from the node's version chain and
+    // eventlists: a damaged `AttrIndex` table does not touch it.
+    let history = tgi.try_attr_history(0, hgs_core::LABEL_KEY).unwrap();
+    assert_eq!(
+        history,
+        common::attr_history_by_replay(&events, 0, hgs_core::LABEL_KEY)
+    );
+    assert!(!history.is_empty(), "node 0 is labelled");
     // The materialization path reads other tables and still answers.
     assert!(tgi
         .try_nodes_matching_at_materialized(

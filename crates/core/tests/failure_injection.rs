@@ -4,6 +4,8 @@
 //! a build against a dead cluster must error instead of dropping
 //! deltas.
 
+mod common;
+
 use std::sync::Arc;
 
 use hgs_core::{BuildError, Tgi, TgiConfig};
@@ -405,7 +407,13 @@ fn label_index_reads_surface_total_failure_and_heal() {
         Err(StoreError::Unavailable { .. })
     ));
     tgi.store().heal_all();
-    // Healed: indexed answers agree with the materialized oracle.
+    // Healed: the history is the replay oracle's, indexed answers
+    // agree with the materialized oracle.
+    assert_eq!(
+        tgi.try_attr_history(0, hgs_core::LABEL_KEY)
+            .expect("healed"),
+        common::attr_history_by_replay(&events, 0, hgs_core::LABEL_KEY)
+    );
     let got = tgi.try_nodes_with_label_at("Label00", t).expect("healed");
     let want = tgi
         .try_nodes_matching_at_materialized(
@@ -438,8 +446,9 @@ fn disabled_index_fallback_is_explicit_never_silent() {
         &events,
     )
     .unwrap();
-    // The fallback materializes a snapshot; on a dead cluster that
-    // must error — never return an empty match set.
+    // The fallback materializes a snapshot, and an attribute history
+    // (index or no index) walks the node's version chain; on a dead
+    // cluster both must error — never return an empty answer.
     for m in 0..off.store().machine_count() {
         off.store().fail_machine(m);
     }
@@ -457,6 +466,12 @@ fn disabled_index_fallback_is_explicit_never_silent() {
     assert_eq!(
         off.try_nodes_with_label_at("Label00", t).expect("fallback"),
         on.try_nodes_with_label_at("Label00", t).expect("indexed"),
+    );
+    assert_eq!(
+        off.try_attr_history(0, hgs_core::LABEL_KEY)
+            .expect("healed"),
+        on.try_attr_history(0, hgs_core::LABEL_KEY)
+            .expect("indexed"),
     );
 }
 

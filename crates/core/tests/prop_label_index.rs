@@ -1,13 +1,19 @@
-//! Secondary-index equality: every label/attribute predicate query
-//! answered from the change-point rows must equal the brute-force
-//! snapshot-materialization oracle — across index on/off, build
-//! parallelism, and build-vs-append construction.
+//! Label/attribute query equality: every point predicate answered from
+//! the change-point rows must equal the brute-force
+//! snapshot-materialization oracle, and every attribute history —
+//! answered from the node's version chain — the plain event-replay
+//! oracle, across index on/off, chains on/off, build parallelism, and
+//! build-vs-append construction.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{attr_history_by_replay, node_events_by_replay};
 use hgs_core::{Tgi, TgiConfig, LABEL_KEY};
-use hgs_datagen::{SkewedLabels, DEAD_LABEL};
-use hgs_delta::{AttrValue, Event, EventKind, Time};
+use hgs_datagen::{SkewedLabels, CHURN_KEY, DEAD_LABEL};
+use hgs_delta::{normalize_events, AttrValue, Event, EventKind, Time, TimeRange};
+use hgs_store::machine::MachineStatsSnapshot;
 use hgs_store::{SimStore, StoreConfig};
 use proptest::prelude::*;
 
@@ -35,13 +41,10 @@ fn arb_event_kind() -> impl Strategy<Value = EventKind> {
     ]
 }
 
-/// Chronological histories whose attribute churn stays off `t = 0`
-/// (time-0 churn is folded into a node history's settled initial
-/// state, which the replay oracle cannot tell apart from the index's
-/// genuine transition points).
+/// Chronological histories, attribute churn at `t = 0` included.
 fn arb_history() -> impl Strategy<Value = Vec<Event>> {
     prop::collection::vec((arb_event_kind(), 0u64..3), 1..250).prop_map(|kinds| {
-        let mut t = 1u64;
+        let mut t = 0u64;
         kinds
             .into_iter()
             .map(|(kind, gap)| {
@@ -110,9 +113,9 @@ proptest! {
         }
     }
 
-    /// Per-node attribute histories from the bare-key rows equal the
-    /// full event-replay oracle, and the disabled-index fallback
-    /// answers the same.
+    /// Per-node attribute histories equal the plain event-replay
+    /// oracle — time 0 included — whether or not the secondary index
+    /// exists, under every build width.
     #[test]
     fn attr_history_matches_replay_oracle(
         events in arb_history(),
@@ -122,11 +125,50 @@ proptest! {
         let off = build_c(small_cfg(false), &events, c);
         for nid in 0u64..24 {
             for key in KEYS {
-                let want = on.try_attr_history_materialized(nid, key).expect("oracle");
-                let got = on.try_attr_history(nid, key).expect("indexed");
+                let want = attr_history_by_replay(&events, nid, key);
+                let got = on.try_attr_history(nid, key).expect("index on");
                 prop_assert_eq!(&got, &want, "history of ({}, {})", nid, key);
-                let fallback = off.try_attr_history(nid, key).expect("fallback");
-                prop_assert_eq!(&fallback, &want, "fallback history of ({}, {})", nid, key);
+                let got = off.try_attr_history(nid, key).expect("index off");
+                prop_assert_eq!(&got, &want, "index-off history of ({}, {})", nid, key);
+            }
+        }
+    }
+
+    /// A chain-less index answers node-centric histories in full: with
+    /// `version_chains` off (by hand, or through the DeltaGraph and
+    /// Copy+Log presets) there is no chain to name the chunks touching
+    /// a node, and the read scans every chunk the range overlaps — it
+    /// must not answer "no events".
+    #[test]
+    fn histories_equal_replay_with_and_without_chains(events in arb_history()) {
+        let small = |preset: TgiConfig| TgiConfig {
+            events_per_timespan: 60,
+            eventlist_size: 16,
+            ..preset
+        };
+        let configs = [
+            small_cfg(true),
+            TgiConfig { version_chains: false, ..small_cfg(true) },
+            TgiConfig { version_chains: false, ..small_cfg(false) },
+            small(TgiConfig::deltagraph()),
+            small(TgiConfig::copy_log(16)),
+        ];
+        let normalized = normalize_events(&events);
+        let end = events.last().map_or(0, |e| e.time);
+        let ranges = [TimeRange::new(0, end + 1), TimeRange::new(end / 3, end / 3 * 2 + 1)];
+        for cfg in configs {
+            let tgi = build_c(cfg, &events, 1);
+            for nid in 0u64..24 {
+                for range in ranges {
+                    let got = tgi.try_node_history(nid, range).expect("healthy").events;
+                    let want = node_events_by_replay(&normalized, nid, range);
+                    prop_assert_eq!(got, want, "history of {} over {:?}, {:?}", nid, range, cfg);
+                }
+                for key in KEYS {
+                    let got = tgi.try_attr_history(nid, key).expect("healthy");
+                    let want = attr_history_by_replay(&events, nid, key);
+                    prop_assert_eq!(got, want, "history of ({}, {}), {:?}", nid, key, cfg);
+                }
             }
         }
     }
@@ -207,4 +249,60 @@ fn indexed_label_query_reads_less_than_materialization() {
     for (i, m) in i_cost.iter().zip(m_cost) {
         assert!(*i < m, "indexed {i_cost:?} vs materialized {m_cost:?}");
     }
+}
+
+/// What one call cost the store, per machine.
+fn store_cost(tgi: &Tgi, call: impl FnOnce()) -> Vec<MachineStatsSnapshot> {
+    let before = tgi.store().stats_snapshot();
+    call();
+    SimStore::stats_since(&tgi.store().stats_snapshot(), &before)
+}
+
+/// An attribute history is a node-centric history read and costs like
+/// one: on the Zipf-skewed labelled trace, cache off, it reads a few
+/// KiB — the node's chain rows and the eventlist chunks that touch the
+/// node, never more than the node's whole history does — in at most
+/// one request for the chain plus one per span. (Answered from bare-key
+/// index rows it read every node's set points: > 100 KiB per call.)
+/// It is the *same* read as `try_node_history`'s event half: one
+/// routine, so the two differ by exactly the `node_at` of the initial
+/// state.
+#[test]
+fn attr_history_costs_a_chain_walk_and_shares_it_with_node_history() {
+    let gen = SkewedLabels::default();
+    let events = gen.generate();
+    let whole = TimeRange::new(0, events.last().unwrap().time + 1);
+    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events).unwrap();
+    tgi.set_read_cache_budget(0);
+    let total = |cost: &[MachineStatsSnapshot]| {
+        let sum = cost
+            .iter()
+            .fold(MachineStatsSnapshot::default(), |s, m| s.merge(m));
+        let round_trips = sum.gets + sum.scans + sum.batches - sum.batched_subrequests;
+        (sum.bytes_read, round_trips)
+    };
+    let mut points = 0;
+    for nid in (0..32).map(|i| i * gen.nodes as u64 / 32) {
+        let at_start = store_cost(&tgi, || drop(tgi.try_node_at(nid, whole.start).unwrap()));
+        let history = store_cost(&tgi, || drop(tgi.try_node_history(nid, whole).unwrap()));
+        for key in [LABEL_KEY, CHURN_KEY] {
+            let mut got = Vec::new();
+            let cost = store_cost(&tgi, || got = tgi.try_attr_history(nid, key).unwrap());
+            assert_eq!(got, attr_history_by_replay(&events, nid, key));
+            points += got.len();
+            let (bytes, round_trips) = total(&cost);
+            assert!(bytes <= 16 << 10, "({nid}, {key}) read {bytes} B");
+            assert!(bytes <= total(&history).0, "({nid}, {key}) read {bytes} B");
+            assert!(
+                round_trips <= 1 + tgi.span_count() as u64,
+                "({nid}, {key}) took {round_trips} round trips"
+            );
+            assert_eq!(
+                cost,
+                SimStore::stats_since(&history, &at_start),
+                "({nid}, {key}): node_history minus its node_at"
+            );
+        }
+    }
+    assert!(points > 64, "degenerate workload: {points} points");
 }

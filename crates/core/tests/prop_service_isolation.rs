@@ -5,6 +5,8 @@
 //! client widths, no interleaving may expose a torn span, a shrunken
 //! graph, or a mixed-watermark answer.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -232,4 +234,57 @@ fn pinned_reads_complete_while_an_append_is_in_flight() {
     });
     assert_eq!(svc.watermark(), cuts.len() as u64, "one epoch per batch");
     assert!(reads_inside >= 1, "no read landed inside an append");
+}
+
+/// A pinned view's attribute histories end at its watermark. The read
+/// walks the node's version chain, which a view bounds by its own span
+/// list; answered from a prefix scan over per-`(key, tsid)` index rows
+/// it was not, and a pinned view grew the points of every later append.
+#[test]
+fn pinned_attr_history_ignores_points_appended_after_the_pin() {
+    let key = hgs_core::LABEL_KEY;
+    let mut events = hgs_datagen::SkewedLabels {
+        nodes: 200,
+        edge_events: 1_000,
+        attr_churn: 500,
+        ..Default::default()
+    }
+    .generate();
+    let sealed = events.len();
+    // The append sets and clears the label of nodes the prefix knows.
+    let nodes = 0u64..15;
+    let t0 = events[sealed - 1].time + 1;
+    for nid in nodes.clone() {
+        let value = AttrValue::Text("Later".into());
+        let key = key.to_string();
+        let set = EventKind::SetNodeAttr {
+            id: nid,
+            key: key.clone(),
+            value,
+        };
+        events.push(Event::new(t0 + 2 * nid, set));
+        let clear = EventKind::RemoveNodeAttr { id: nid, key };
+        events.push(Event::new(t0 + 2 * nid + 1, clear));
+    }
+    let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
+    let svc =
+        TgiService::from_handle(Tgi::try_build_on(small_cfg(), store, &events[..sealed]).unwrap());
+
+    let pinned = svc.pin();
+    let history = |view: &hgs_core::TgiView, nid| view.try_attr_history(nid, key).expect("healthy");
+    let before: Vec<_> = nodes.clone().map(|nid| history(&pinned, nid)).collect();
+    svc.try_append_events(&events[sealed..]).expect("append");
+    let fresh = svc.pin();
+    for (nid, before) in nodes.zip(before) {
+        let at_pin = common::attr_history_by_replay(&events[..sealed], nid, key);
+        assert_eq!(before, at_pin, "node {nid} before the append");
+        assert_eq!(history(&pinned, nid), at_pin, "pinned node {nid} after it");
+        let now = history(&fresh, nid);
+        assert_eq!(now, common::attr_history_by_replay(&events, nid, key));
+        assert_eq!(
+            now.len(),
+            at_pin.len() + 2,
+            "a fresh pin sees node {nid}'s new points"
+        );
+    }
 }

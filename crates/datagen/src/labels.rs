@@ -112,7 +112,7 @@ impl LabeledChurn {
 pub const DEAD_LABEL: &str = "Deprecated";
 
 /// Secondary attribute churned (set *and* removed) by
-/// [`SkewedLabels`], exercising the bare-key index rows.
+/// [`SkewedLabels`], so attribute histories hold `None` points.
 pub const CHURN_KEY: &str = "Grade";
 
 /// A Zipf-skewed labeled graph with attribute churn — the workload of
@@ -124,13 +124,13 @@ pub const CHURN_KEY: &str = "Grade";
 /// [`DEAD_LABEL`] and is guaranteed to be relabeled before the trace
 /// ends, leaving a **dead term**: its index rows exist in early spans
 /// but match nothing at late timepoints. A secondary [`CHURN_KEY`]
-/// attribute is repeatedly set and removed, so bare-key rows see
-/// `None` transitions too.
+/// attribute is repeatedly set and removed, so attribute histories
+/// see `None` transitions too.
 ///
-/// Every attribute event is stamped at `t >= 1`: time-0 churn is
-/// indistinguishable from initial state in a node history's settled
-/// initial snapshot, so keeping attributes off `t = 0` lets
-/// replay-based oracles agree with the index exactly.
+/// Every attribute event is stamped at `t >= 1`. (No reader needs
+/// that any longer — an attribute history counts time-0 points like
+/// any other — but `benchmark/`'s labelled dataset is this trace, so
+/// the stamps stay as they are.)
 #[derive(Debug, Clone, Copy)]
 pub struct SkewedLabels {
     /// Number of nodes.

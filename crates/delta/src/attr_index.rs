@@ -1,43 +1,36 @@
 //! Secondary temporal index rows: per-term change-point lists.
 //!
-//! A *term* is either an attribute `(key, value)` pair (kind
-//! [`TERM_KIND_VALUE`]) or a bare attribute key (kind [`TERM_KIND_KEY`]).
-//! For every timespan the build emits one row per term seen in (or
-//! carried into) the span:
-//!
-//! * value-term rows hold `(time, nid, became)` change points — the
-//!   interval endpoints at which a node started or stopped holding
-//!   `key == value`;
-//! * key-term rows hold `(time, nid, Option<AttrValue>)` set points —
-//!   the full per-node value history of `key`, `None` meaning the key
-//!   was cleared (attribute removal or node removal).
+//! A *term* is an attribute `(key, value)` pair (kind
+//! [`TERM_KIND_VALUE`]). For every timespan the build emits one row per
+//! term seen in (or carried into) the span, holding `(time, nid,
+//! became)` change points — the interval endpoints at which a node
+//! started or stopped holding `key == value`.
 //!
 //! Rows are **self-contained per span**: the state carried in from
 //! earlier spans is replayed as change points stamped at the span's
 //! start time and flagged `carry`, so a point query touches exactly one
-//! `(term, tsid)` row. Cross-span history queries concatenate rows and
-//! drop the carry points (they duplicate transitions already recorded
-//! in earlier spans).
+//! `(term, tsid)` row.
 //!
 //! The wire format mirrors the version-chain codec: a varint count
-//! followed by delta-encoded times, varint node-ids and a flag byte
-//! (plus the optional value for key-term rows). Decoders feed the whole
-//! blob to the crate-wide decoded-byte counter before parsing, reject
-//! trailing bytes, and never panic on malformed input.
+//! followed by delta-encoded times, varint node-ids and a flag byte.
+//! The decoder feeds the whole blob to the crate-wide decoded-byte
+//! counter before parsing, rejects trailing bytes, and never panics on
+//! malformed input.
 
 use bytes::{Bytes, BytesMut};
 
 use crate::attr::AttrValue;
-use crate::codec::{
-    get_attr_value, get_len, get_varint, note_decoded, put_attr_value, put_str, put_varint,
-};
+use crate::codec::{get_len, get_varint, note_decoded, put_attr_value, put_str, put_varint};
 use crate::error::CodecError;
 use crate::hash::FxHashSet;
 use crate::types::{NodeId, Time};
 
 /// Term kind tag for attribute `(key, value)` membership rows.
 pub const TERM_KIND_VALUE: u8 = 0;
-/// Term kind tag for bare attribute-key value-history rows.
+/// Reserved: the tag of the bare attribute-key value-history rows that
+/// indexes once carried (a node's attribute history is now read from
+/// its version chain). Nothing writes or reads the kind; the tag is
+/// never reused, so an old store's rows stay recognisably foreign.
 pub const TERM_KIND_KEY: u8 = 1;
 
 /// One endpoint of a `key == value` membership interval.
@@ -54,19 +47,6 @@ pub struct TermPoint {
     pub became: bool,
 }
 
-/// One set point in the per-key value history of a node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KeyPoint {
-    /// Event time of the set/clear (span start time for carry points).
-    pub time: Time,
-    /// Node whose attribute changed.
-    pub nid: NodeId,
-    /// True for points that replay state carried in from earlier spans.
-    pub carry: bool,
-    /// New value of the key; `None` means the key was cleared.
-    pub value: Option<AttrValue>,
-}
-
 /// Serialized bytes identifying a `(key, value)` term. Length-prefixed
 /// so distinct `(key, value)` pairs never collide byte-wise.
 pub fn value_term(key: &str, value: &AttrValue) -> Vec<u8> {
@@ -74,11 +54,6 @@ pub fn value_term(key: &str, value: &AttrValue) -> Vec<u8> {
     put_str(&mut buf, key);
     put_attr_value(&mut buf, value);
     buf.to_vec()
-}
-
-/// Serialized bytes identifying a bare attribute-key term.
-pub fn key_term(key: &str) -> Vec<u8> {
-    key.as_bytes().to_vec()
 }
 
 const CARRY_FLAG: u64 = 0b10;
@@ -132,62 +107,6 @@ pub fn decode_term_points(buf: &[u8]) -> Result<Vec<TermPoint>, CodecError> {
     Ok(out)
 }
 
-/// Encode a key-term set-point row. Points must be sorted by time
-/// (carry points first; they share the span start time).
-pub fn encode_key_points(points: &[KeyPoint]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + points.len() * 8);
-    put_varint(&mut buf, points.len() as u64);
-    let mut prev_time = 0u64;
-    for p in points {
-        put_varint(&mut buf, p.time.wrapping_sub(prev_time));
-        prev_time = p.time;
-        put_varint(&mut buf, p.nid);
-        let flags = (u64::from(p.carry) << 1) | u64::from(p.value.is_some());
-        put_varint(&mut buf, flags);
-        if let Some(v) = &p.value {
-            put_attr_value(&mut buf, v);
-        }
-    }
-    buf.freeze()
-}
-
-/// Decode a key-term set-point row.
-pub fn decode_key_points(buf: &[u8]) -> Result<Vec<KeyPoint>, CodecError> {
-    note_decoded(buf.len());
-    let mut buf = buf;
-    let n = get_len(&mut buf, "key points")?;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    let mut time = 0u64;
-    for _ in 0..n {
-        time = time.wrapping_add(get_varint(&mut buf)?);
-        let nid = get_varint(&mut buf)?;
-        let flags = get_varint(&mut buf)?;
-        if flags & !(CARRY_FLAG | TRUTH_FLAG) != 0 {
-            return Err(CodecError::BadTag {
-                what: "key point flags",
-                tag: (flags & 0xff) as u8,
-            });
-        }
-        let value = if flags & TRUTH_FLAG != 0 {
-            Some(get_attr_value(&mut buf)?)
-        } else {
-            None
-        };
-        out.push(KeyPoint {
-            time,
-            nid,
-            carry: flags & CARRY_FLAG != 0,
-            value,
-        });
-    }
-    if !buf.is_empty() {
-        return Err(CodecError::TrailingBytes {
-            remaining: buf.len(),
-        });
-    }
-    Ok(out)
-}
-
 /// Replay a value-term row up to (and including) `t`, returning the
 /// sorted node-ids matching the term at `t`. The cut point is found by
 /// binary search; only the prefix of points at or before `t` is
@@ -210,18 +129,6 @@ pub fn matching_at(points: &[TermPoint], t: Time) -> Vec<NodeId> {
 /// In-memory weight of a decoded value-term row, for cache accounting.
 pub fn term_points_weight(points: &[TermPoint]) -> usize {
     std::mem::size_of::<Vec<TermPoint>>() + std::mem::size_of_val(points)
-}
-
-/// In-memory weight of a decoded key-term row, for cache accounting.
-pub fn key_points_weight(points: &[KeyPoint]) -> usize {
-    std::mem::size_of::<Vec<KeyPoint>>()
-        + points
-            .iter()
-            .map(|p| {
-                std::mem::size_of::<KeyPoint>()
-                    + p.value.as_ref().map_or(0, AttrValue::weight_bytes)
-            })
-            .sum::<usize>()
 }
 
 #[cfg(test)]
@@ -264,36 +171,16 @@ mod tests {
         assert_eq!(decode_term_points(&enc).unwrap(), pts);
     }
 
+    /// The bare-key rows are gone; their kind tag must never come to
+    /// mean something else (an older store still holds rows under it).
     #[test]
-    fn key_points_roundtrip() {
-        let pts = vec![
-            KeyPoint {
-                time: 10,
-                nid: 3,
-                carry: true,
-                value: Some(AttrValue::Text("Author".into())),
-            },
-            KeyPoint {
-                time: 11,
-                nid: 3,
-                carry: false,
-                value: Some(AttrValue::Int(-4)),
-            },
-            KeyPoint {
-                time: 19,
-                nid: 3,
-                carry: false,
-                value: None,
-            },
-        ];
-        let enc = encode_key_points(&pts);
-        assert_eq!(decode_key_points(&enc).unwrap(), pts);
+    fn key_kind_tag_stays_reserved() {
+        assert_eq!((TERM_KIND_VALUE, TERM_KIND_KEY), (0, 1));
     }
 
     #[test]
     fn empty_rows_roundtrip() {
         assert_eq!(decode_term_points(&encode_term_points(&[])).unwrap(), []);
-        assert_eq!(decode_key_points(&encode_key_points(&[])).unwrap(), []);
     }
 
     #[test]
@@ -311,16 +198,6 @@ mod tests {
         let enc = encode_term_points(&pts);
         for cut in 1..enc.len() {
             assert!(decode_term_points(&enc[..cut]).is_err(), "cut {cut}");
-        }
-        let kp = vec![KeyPoint {
-            time: 4,
-            nid: 9,
-            carry: false,
-            value: Some(AttrValue::Text("x".into())),
-        }];
-        let enc = encode_key_points(&kp);
-        for cut in 1..enc.len() {
-            assert!(decode_key_points(&enc[..cut]).is_err(), "cut {cut}");
         }
     }
 

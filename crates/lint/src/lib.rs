@@ -23,6 +23,10 @@
 //!   sources: a tree row's records are pieces of nodes, so a row
 //!   decoded on its own and node-level-summed is a silently wrong
 //!   state.
+//! * **pinned-scan-bounded** — a `.scan_prefix()` in `hgs-core`'s
+//!   sources whose fn never consults the view's span list: a pinned
+//!   view would read rows sealed after it was published (PR 13 and
+//!   PR 23 each fixed one of these).
 //! * **unused-allow** — an allow annotation whose rule no longer
 //!   fires is itself an error, so annotations cannot rot.
 //!

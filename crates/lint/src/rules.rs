@@ -21,6 +21,7 @@ pub const RULES: &[&str] = &[
     "bounded-retry",
     "no-infallible-twin",
     "no-whole-row-decode",
+    "pinned-scan-bounded",
     "unused-allow",
     "malformed-allow",
 ];
@@ -34,7 +35,9 @@ const PANIC_STRICT_CRATES: &[&str] = &["delta", "store", "core"];
 const SINGLE_SPELLING_CRATES: &[&str] = &["core", "taf", "baselines"];
 
 /// The crate whose sources read tree rows, and therefore may not
-/// decode a row as a whole (`no-whole-row-decode`).
+/// decode a row as a whole (`no-whole-row-decode`) — and whose reads
+/// run on pinned views, so may not scan past the view's span list
+/// (`pinned-scan-bounded`).
 const TREE_ROW_READER_CRATE: &str = "core";
 
 /// One reported violation.
@@ -659,6 +662,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
 
     bounded_retry(toks, &cx, ctx, store_exempt, &mut findings);
     infallible_twins(toks, &cx, ctx, &mut findings);
+    pinned_scan_bounded(toks, &cx, ctx, &mut findings);
 
     // Suppress findings that carry a matching allow on their line.
     findings.retain(|f| {
@@ -821,6 +825,52 @@ fn infallible_twins(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut
                     "`fn {name}` duplicates `fn {twin}` in this file; keep the \
                      fallible spelling only — a caller that wants a panic writes \
                      `.expect(..)` at its call site"
+                ),
+            });
+        }
+    }
+}
+
+/// The `pinned-scan-bounded` pass: in `hgs-core`'s non-test library
+/// code, a fn that issues a `.scan_prefix(...)` must show what bounds
+/// the scan to the view it runs on — it names the view's span list
+/// (`spans`), or it builds its prefix from the `.tsid` of a span it
+/// was handed. A prefix scan over a table keyed by `tsid` returns
+/// whatever the store holds, rows sealed after the view was published
+/// included.
+fn pinned_scan_bounded(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    if ctx.kind != FileKind::Lib || ctx.crate_dir.as_deref() != Some(TREE_ROW_READER_CRATE) {
+        return;
+    }
+    for i in 1..toks.len() {
+        let is_scan = toks[i].ident() == Some("scan_prefix")
+            && toks[i - 1].is_punct('.')
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
+        let Some(f) = cx.per_token[i]
+            .fn_id
+            .filter(|_| is_scan && !cx.per_token[i].in_test)
+        else {
+            continue;
+        };
+        let bounded = (1..toks.len())
+            .filter(|&j| cx.per_token[j].fn_id == Some(f))
+            .any(|j| match toks[j].ident() {
+                Some("spans") => true,
+                Some("tsid") => toks[j - 1].is_punct('.'),
+                _ => false,
+            });
+        if !bounded {
+            findings.push(Finding {
+                rule: "pinned-scan-bounded",
+                file: ctx.rel_path.clone(),
+                line: toks[i].line,
+                message: format!(
+                    "`{}` prefix-scans the store but never consults the view's span \
+                     list: a pinned view would read rows sealed after it was \
+                     published; drop rows whose tsid is not below `spans.len()`, \
+                     scan under the `.tsid` of a span of this view, or annotate why \
+                     the table holds nothing newer",
+                    cx.fns[f].name
                 ),
             });
         }

@@ -210,6 +210,36 @@ fn whole_row_decode_rule_binds_only_hgs_core_sources() {
 }
 
 #[test]
+fn pinned_scan_fixture() {
+    check("pinned_scan.rs", "crates/core/src/fixture.rs", true);
+}
+
+#[test]
+fn pinned_scan_rule_binds_only_hgs_core_sources() {
+    // The baselines and the bench harness scan stores they own; only
+    // `crates/core/src` reads through pinned views. Elsewhere the
+    // fixture's own allow, suppressing nothing, is what surfaces.
+    let src = fixture("pinned_scan.rs");
+    for rel in [
+        "crates/baselines/src/fixture.rs",
+        "crates/core/tests/fixture.rs",
+    ] {
+        let report = lint_source(&src, &ctx(rel));
+        let rules: BTreeSet<&str> = report
+            .findings
+            .iter()
+            .map(|f| f.rule)
+            .filter(|r| *r != "batched-store-discipline")
+            .collect();
+        assert!(
+            !rules.contains("pinned-scan-bounded") && rules.contains("unused-allow"),
+            "{rel}: {:#?}",
+            report.findings
+        );
+    }
+}
+
+#[test]
 fn concurrency_rules_are_off_in_tests() {
     // A test may hold a guard across a fetch deliberately (e.g. to
     // force contention); the discipline binds library code only.

@@ -1,13 +1,14 @@
 // Fixture for the `batched-store-discipline` rule. Linted as
 // `crates/core/src/...` — inside `crates/store/src` the rule is off
-// (the store implements the primitives it wraps).
+// (the store implements the primitives it wraps). Under `crates/core`
+// the unbounded raw scan is a `pinned-scan-bounded` finding as well.
 
 pub fn point_read(store: &Store, key: &[u8]) -> Option<Bytes> {
     store.get(Table::Deltas, key, 0) // FIRES:batched-store-discipline
 }
 
 pub fn raw_scan(store: &Store, prefix: &[u8]) -> Vec<Row> {
-    store.scan_prefix(Table::Deltas, prefix, 0) // FIRES:batched-store-discipline
+    store.scan_prefix(Table::Deltas, prefix, 0) // FIRES:batched-store-discipline FIRES:pinned-scan-bounded
 }
 
 pub fn batched_read(store: &Store, keys: &[&[u8]]) -> Vec<Option<Bytes>> {
