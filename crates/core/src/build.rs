@@ -104,6 +104,19 @@ pub(crate) struct SpanRuntime {
     pub maps: Arc<Vec<PartitionMap>>,
 }
 
+impl SpanRuntime {
+    /// Where this span keeps `nid`, as `(sid, pid)`: its horizontal
+    /// partition — the span holds one map per `sid`, so the hash is
+    /// taken over the very vector it indexes — and the micro-partition
+    /// that map assigns. The build buckets a node's records and events
+    /// by this rule, so it is what every node-scoped read derives — a
+    /// chain entry's `pid` included, which is why no row stores one.
+    pub(crate) fn placement(&self, nid: NodeId) -> (u32, u32) {
+        let sid = sid_of(nid, self.maps.len() as u32);
+        (sid, self.maps[sid as usize].assign(nid))
+    }
+}
+
 /// An immutable, cheaply-clonable snapshot of the index's sealed
 /// read state: configuration, store handle, per-span metadata and
 /// partition maps, and the summary counters the query planner needs.
@@ -565,7 +578,7 @@ impl Tgi {
         // Persist locality partition maps for reconstructability.
         if matches!(cfg.strategy, PartitionStrategy::Locality { .. }) {
             for (sid, map) in maps.iter().enumerate() {
-                let blob = encode_partition_map(map, &self.tail_state, ns, sid as u32);
+                let blob = encode_partition_map(map);
                 let key = mp_key(tsid, sid as u32);
                 buf.push(
                     Table::Micropartitions,
@@ -1114,18 +1127,21 @@ pub(crate) fn mp_key(tsid: u32, sid: u32) -> [u8; 8] {
 }
 
 /// Serialize the explicit entries of a locality partition map for the
-/// `Micropartitions` table (the paper's node -> micro-partition map).
-fn encode_partition_map(map: &PartitionMap, state: &Delta, ns: u32, sid: u32) -> bytes::Bytes {
-    let mut ids: Vec<NodeId> = state.ids().filter(|&id| sid_of(id, ns) == sid).collect();
-    ids.sort_unstable();
-    let mut buf = BytesMut::with_capacity(ids.len() * 3 + 8);
+/// `Micropartitions` table (the paper's node -> micro-partition map) —
+/// all of them, not only the nodes alive when the span closed: a
+/// reopened handle derives every read's `pid` (a chain entry's
+/// included) from this row, for a node the span removed too.
+fn encode_partition_map(map: &PartitionMap) -> bytes::Bytes {
+    let mut entries: Vec<(NodeId, u32)> = map.entries().collect();
+    entries.sort_unstable();
+    let mut buf = BytesMut::with_capacity(entries.len() * 3 + 8);
     put_varint(&mut buf, map.parts() as u64);
-    put_varint(&mut buf, ids.len() as u64);
+    put_varint(&mut buf, entries.len() as u64);
     let mut prev = 0u64;
-    for id in ids {
+    for (id, pid) in entries {
         put_varint(&mut buf, id.wrapping_sub(prev));
         prev = id;
-        put_varint(&mut buf, map.assign(id) as u64);
+        put_varint(&mut buf, pid as u64);
     }
     buf.freeze()
 }

@@ -172,7 +172,7 @@ impl TimespanMeta {
         let tsid = get_varint(b)? as u32;
         let start = get_varint(b)?;
         let end = get_varint(b)?;
-        let n = get_varint(b)? as usize;
+        let n = bounded_count(b, 1, "checkpoints")?;
         let mut checkpoints = Vec::with_capacity(n);
         let mut prev = 0u64;
         for _ in 0..n {
@@ -180,7 +180,7 @@ impl TimespanMeta {
             checkpoints.push(prev);
         }
         let arity = get_varint(b)? as usize;
-        let np = get_varint(b)? as usize;
+        let np = bounded_count(b, 1, "pid_counts")?;
         let mut pid_counts = Vec::with_capacity(np);
         for _ in 0..np {
             pid_counts.push(get_varint(b)? as u32);
@@ -211,6 +211,14 @@ impl TimespanMeta {
 /// One version-chain entry: "node changed at `time`, and the events
 /// live in eventlist chunk `chunk` of timespan `tsid`, micro-partition
 /// `pid`".
+///
+/// A `Versions` row — one per `(node, timespan)`, keyed
+/// [`chain_key`](hgs_store::key::chain_key) — **stores** only `time`
+/// (as a gap to the entry before it) and `chunk`. The other two fields
+/// are constant over the row and its reader already has them: `tsid`
+/// is the last four bytes of the row's key, `pid` is where the span's
+/// partition map of the node's `sid` assigns the node — the rule the
+/// build bucketed the node's events by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainEntry {
     pub time: Time,
@@ -219,37 +227,59 @@ pub struct ChainEntry {
     pub pid: u32,
 }
 
-/// Serialize a version chain (chronologically sorted entries).
+/// Serialize one span's segment of a version chain (chronologically
+/// sorted entries): `count, (time-gap, chunk)*`. The entries' `tsid`
+/// and `pid` are not written (see [`ChainEntry`]).
 pub fn encode_chain(entries: &[ChainEntry]) -> bytes::Bytes {
-    let mut buf = BytesMut::with_capacity(entries.len() * 6 + 4);
+    let mut buf = BytesMut::with_capacity(entries.len() * 3 + 2);
     put_varint(&mut buf, entries.len() as u64);
     let mut prev_t = 0u64;
     for e in entries {
         put_varint(&mut buf, e.time.wrapping_sub(prev_t));
         prev_t = e.time;
-        put_varint(&mut buf, e.tsid as u64);
         put_varint(&mut buf, e.chunk as u64);
-        put_varint(&mut buf, e.pid as u64);
     }
     buf.freeze()
 }
 
-/// Decode a version chain.
-pub fn decode_chain(mut buf: &[u8]) -> Result<Vec<ChainEntry>, CodecError> {
+/// Decode a chain row written by [`encode_chain`] for the `(node,
+/// tsid)` of its key, whose events the span keeps at micro-partition
+/// `pid`; rejects trailing bytes.
+pub fn decode_chain(mut buf: &[u8], tsid: u32, pid: u32) -> Result<Vec<ChainEntry>, CodecError> {
     let b = &mut buf;
-    let n = get_varint(b)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let n = bounded_count(b, 2, "chain")?;
+    let mut out = Vec::with_capacity(n);
     let mut prev_t = 0u64;
     for _ in 0..n {
         prev_t = prev_t.wrapping_add(get_varint(b)?);
         out.push(ChainEntry {
             time: prev_t,
-            tsid: get_varint(b)? as u32,
+            tsid,
             chunk: get_varint(b)? as u32,
-            pid: get_varint(b)? as u32,
+            pid,
         });
     }
+    if !b.is_empty() {
+        return Err(CodecError::TrailingBytes { remaining: b.len() });
+    }
     Ok(out)
+}
+
+/// Read an element count and hold it to the bytes left: every element
+/// of a descriptor collection is at least `min_bytes` long, so a count
+/// the row cannot hold is refused here, before anything is allocated
+/// for it (the rule of `hgs_delta::codec`'s `get_len` and edge-list
+/// decoder).
+pub(crate) fn bounded_count(
+    buf: &mut &[u8],
+    min_bytes: usize,
+    what: &'static str,
+) -> Result<usize, CodecError> {
+    let len = get_varint(buf)?;
+    if len > (buf.len() / min_bytes) as u64 {
+        return Err(CodecError::LengthOverflow { what, len });
+    }
+    Ok(len as usize)
 }
 
 /// Salt decorrelating `sid` hashing from micro-partition hashing.
@@ -342,28 +372,66 @@ mod tests {
 
     #[test]
     fn chain_roundtrip() {
-        let entries = vec![
-            ChainEntry {
-                time: 5,
-                tsid: 0,
-                chunk: 1,
-                pid: 3,
-            },
-            ChainEntry {
-                time: 17,
-                tsid: 0,
-                chunk: 2,
-                pid: 3,
-            },
-            ChainEntry {
-                time: 94,
-                tsid: 1,
-                chunk: 0,
-                pid: 9,
-            },
-        ];
-        assert_eq!(decode_chain(&encode_chain(&entries)).unwrap(), entries);
-        assert!(decode_chain(&encode_chain(&[])).unwrap().is_empty());
+        // One row is one (node, span): what the entries share is not
+        // stored, it comes back from the reader's `tsid` and `pid`.
+        let entry = |time, chunk| ChainEntry {
+            time,
+            tsid: 7,
+            chunk,
+            pid: 3,
+        };
+        let entries = vec![entry(5, 1), entry(17, 2), entry(94_000, 300)];
+        let row = encode_chain(&entries);
+        assert_eq!(decode_chain(&row, 7, 3).unwrap(), entries);
+        assert!(decode_chain(&encode_chain(&[]), 0, 0).unwrap().is_empty());
+
+        // A row is `count, (time-gap, chunk)*` and nothing else.
+        let varint_len = |v: u64| {
+            let mut buf = BytesMut::new();
+            put_varint(&mut buf, v);
+            buf.len()
+        };
+        let gaps = [5u64, 12, 94_000 - 17];
+        let body: usize = gaps
+            .iter()
+            .zip(&entries)
+            .map(|(&gap, e)| varint_len(gap) + varint_len(e.chunk as u64))
+            .sum();
+        assert_eq!(row.len(), varint_len(3) + body);
+        // ...so entries differing only in `tsid` / `pid` encode alike.
+        let elsewhere: Vec<ChainEntry> = entries
+            .iter()
+            .map(|e| ChainEntry {
+                tsid: 9,
+                pid: 0,
+                ..*e
+            })
+            .collect();
+        assert_eq!(encode_chain(&elsewhere), row);
+    }
+
+    #[test]
+    fn chain_rows_with_a_bad_count_or_tail_are_refused() {
+        let row = encode_chain(&[ChainEntry {
+            time: 5,
+            tsid: 0,
+            chunk: 1,
+            pid: 0,
+        }]);
+        let mut long = row.to_vec();
+        long.push(0);
+        assert_eq!(
+            decode_chain(&long, 0, 0),
+            Err(CodecError::TrailingBytes { remaining: 1 })
+        );
+        // A count the row cannot hold fails before the allocation.
+        let mut huge = BytesMut::new();
+        put_varint(&mut huge, 1 << 62);
+        bytes::BufMut::put_slice(&mut huge, &[1, 1]);
+        assert!(matches!(
+            decode_chain(&huge, 0, 0),
+            Err(CodecError::LengthOverflow { what: "chain", .. })
+        ));
     }
 
     #[test]

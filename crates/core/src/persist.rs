@@ -18,7 +18,7 @@ use hgs_store::{CostModel, SimStore, StoreError, Table};
 
 use crate::build::{mp_key, SpanRuntime, Tgi, TgiView};
 use crate::config::{PartitionStrategy, TgiConfig};
-use crate::meta::TimespanMeta;
+use crate::meta::{bounded_count, TimespanMeta};
 
 /// Errors from [`Tgi::open`].
 #[derive(Debug)]
@@ -42,6 +42,14 @@ impl std::fmt::Display for OpenError {
 }
 
 impl std::error::Error for OpenError {}
+
+/// Descriptor tag of the one row format. It stands for every table's
+/// grammar, the `Versions` rows above all — they carry no magic of
+/// their own. Retired, never reused: `0` (row-wise rows) and `1`
+/// (chain entries spelling `tsid` and `pid`, records opening with two
+/// count varints and a shape byte, eventlists always spelling their
+/// weights). A store tagged otherwise is refused, not answered from.
+const LAYOUT_TAG: u64 = 2;
 
 /// Serialize the construction configuration.
 pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
@@ -69,7 +77,7 @@ pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
     put_varint(&mut buf, 0);
     put_varint(&mut buf, cfg.read_cache_bytes as u64);
     let layout = match cfg.layout {
-        StorageLayout::Columnar => 1u64,
+        StorageLayout::Columnar => LAYOUT_TAG,
     };
     put_varint(&mut buf, layout);
     put_varint(&mut buf, cfg.secondary_indexes as u64);
@@ -119,7 +127,7 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
     // before the tag, does not describe rows this code can read: refuse
     // it here rather than report every row corrupt later.
     let layout = match get_varint(b) {
-        Ok(1) => StorageLayout::Columnar,
+        Ok(LAYOUT_TAG) => StorageLayout::Columnar,
         other => {
             return Err(CodecError::BadTag {
                 what: "StorageLayout",
@@ -158,7 +166,8 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
 pub(crate) fn decode_partition_map(mut buf: &[u8]) -> Result<PartitionMap, CodecError> {
     let b = &mut buf;
     let parts = get_varint(b)? as u32;
-    let n = get_varint(b)? as usize;
+    // An entry is an id gap and a pid: two bytes at least.
+    let n = bounded_count(b, 2, "partition map")?;
     let mut map: FxHashMap<NodeId, u32> = FxHashMap::default();
     map.reserve(n);
     let mut prev = 0u64;
@@ -183,7 +192,7 @@ impl Tgi {
             .ok_or(OpenError::NotFound)?;
         let mut slice: &[u8] = &meta_row;
         let b = &mut slice;
-        let span_count = get_varint(b).map_err(OpenError::Corrupt)? as usize;
+        let span_count = get_varint(b).map_err(OpenError::Corrupt)?;
         let end_time: Time = get_varint(b).map_err(OpenError::Corrupt)?;
         let event_count = get_varint(b).map_err(OpenError::Corrupt)? as usize;
         let cfg_row = store
@@ -193,9 +202,16 @@ impl Tgi {
             .ok_or(OpenError::NotFound)?;
         let cfg = decode_config(&cfg_row).map_err(OpenError::Corrupt)?;
 
-        // Per-timespan metadata and partition maps.
-        let mut spans = Vec::with_capacity(span_count);
-        for tsid in 0..span_count as u32 {
+        // Per-timespan metadata and partition maps. A span is named by
+        // a `u32` tsid; nothing is allocated for the count itself.
+        let span_count = u32::try_from(span_count).map_err(|_| {
+            OpenError::Corrupt(CodecError::LengthOverflow {
+                what: "span count",
+                len: span_count,
+            })
+        })?;
+        let mut spans = Vec::new();
+        for tsid in 0..span_count {
             let row = store
                 // hgs-lint: allow(batched-store-discipline, "open() reads one descriptor row per span, once at startup; not a query path")
                 .get(
@@ -206,6 +222,14 @@ impl Tgi {
                 .map_err(OpenError::Store)?
                 .ok_or(OpenError::NotFound)?;
             let meta = TimespanMeta::decode(&row).map_err(OpenError::Corrupt)?;
+            // One partition map per `sid`: every node-scoped read
+            // indexes them by the node's hash.
+            if meta.pid_counts.len() != cfg.horizontal_partitions as usize {
+                return Err(OpenError::Corrupt(CodecError::LengthOverflow {
+                    what: "pid_counts",
+                    len: meta.pid_counts.len() as u64,
+                }));
+            }
             let maps = match cfg.strategy {
                 PartitionStrategy::Random => meta
                     .pid_counts
@@ -284,14 +308,18 @@ mod tests {
             assert_eq!(format!("{cfg:?}"), format!("{back:?}"));
         }
         // The layout tag is the second-to-last varint (one byte each):
-        // a descriptor tagged 0 (a retired format), or cut short before
-        // the tag, is refused rather than opened as something else.
+        // a descriptor tagged 0 or 1 (the retired formats), or cut
+        // short before the tag, is refused rather than opened as
+        // something else.
         let blob = encode_config(&TgiConfig::default());
         let tag_at = blob.len() - 2;
-        assert_eq!(blob[tag_at], 1);
-        let mut retired = blob.to_vec();
-        retired[tag_at] = 0;
-        for bad in [&retired[..], &blob[..tag_at]] {
+        assert_eq!(blob[tag_at] as u64, LAYOUT_TAG);
+        let retired = |tag: u8| {
+            let mut blob = blob.to_vec();
+            blob[tag_at] = tag;
+            blob
+        };
+        for bad in [&retired(0)[..], &retired(1)[..], &blob[..tag_at]] {
             assert!(matches!(
                 decode_config(bad),
                 Err(CodecError::BadTag {

@@ -20,10 +20,10 @@
 use std::sync::Arc;
 
 use hgs_delta::{
-    ColumnarDelta, ColumnarEventlist, Delta, Event, Eventlist, FxHashMap, FxHashSet, NodeId,
-    StaticNode, Time, TimeRange,
+    CodecError, ColumnarDelta, ColumnarEventlist, Delta, Event, Eventlist, FxHashMap, FxHashSet,
+    NodeId, StaticNode, Time, TimeRange,
 };
-use hgs_store::key::{chain_prefix, node_placement_token};
+use hgs_store::key::{chain_key_tsid, chain_prefix, node_placement_token};
 use hgs_store::parallel::parallel_chunks;
 use hgs_store::{DeltaKey, PlacementKey, StoreError, Table};
 
@@ -397,9 +397,7 @@ impl TgiView {
     /// `RemoveEdge`s, so those events are sufficient).
     pub fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError> {
         let span = self.span_for(t);
-        let sid = sid_of(nid, self.cfg.horizontal_partitions);
-        // hgs-lint: allow(no-panic-in-try, "sid_of returns sid < ns and span.maps holds ns entries")
-        let pid = span.maps[sid as usize].assign(nid);
+        let (sid, pid) = span.placement(nid);
         let meta = &span.meta;
         let tsid = meta.tsid;
         let j = meta.leaf_for_time(t);
@@ -730,11 +728,12 @@ impl TgiView {
 
     /// The version chain of a node (empty when chains are disabled or
     /// the node never appeared): one prefix scan over the node's
-    /// append-only chain-delta rows, concatenated in key (i.e.
-    /// `tsid`, i.e. chronological) order. A legacy whole-chain row —
-    /// keyed by the bare 8-byte node key — matches the same prefix and
-    /// sorts before every `(nid, tsid)` row, so indexes written by the
-    /// old read-modify-write path still read correctly.
+    /// append-only chain rows, concatenated in key (i.e. `tsid`, i.e.
+    /// chronological) order. A row stores `(time, chunk)` pairs; its
+    /// `tsid` is read off its key and its `pid` off the span's
+    /// partition map (see [`ChainEntry`]). Rows of spans sealed after
+    /// this view are skipped undecoded — they are not part of its
+    /// prefix, whatever state they are in.
     pub fn try_version_chain(&self, nid: NodeId) -> Result<Vec<ChainEntry>, StoreError> {
         // hgs-lint: allow(batched-store-discipline, "one prefix scan per node is the version chain's native access (Algorithm 2 batches across chunks)")
         let rows = self.store.scan_prefix(
@@ -743,12 +742,18 @@ impl TgiView {
             node_placement_token(nid),
         )?;
         let mut chain = Vec::new();
-        for (_key, bytes) in rows {
-            chain.extend(decode_chain(&bytes).map_err(StoreError::Corrupt)?);
+        for (key, bytes) in rows {
+            let tsid =
+                chain_key_tsid(&key).ok_or(StoreError::Corrupt(CodecError::LengthOverflow {
+                    what: "Versions key",
+                    len: key.len() as u64,
+                }))?;
+            let Some(span) = self.spans.get(tsid as usize) else {
+                continue;
+            };
+            let (_sid, pid) = span.placement(nid);
+            chain.extend(decode_chain(&bytes, tsid, pid).map_err(StoreError::Corrupt)?);
         }
-        // The scan also returns chain rows of spans appended after this
-        // view was published; they are not part of its sealed prefix.
-        chain.retain(|e| (e.tsid as usize) < self.spans.len());
         Ok(chain)
     }
 
@@ -791,15 +796,15 @@ impl TgiView {
         } else {
             let mut refs = Vec::new();
             for span in &self.spans {
-                let (meta, pid) = (&span.meta, span.maps[sid as usize].assign(nid));
+                let (meta, (_sid, pid)) = (&span.meta, span.placement(nid));
                 let chunks = meta.chunks_overlapping(after, before);
                 refs.extend(chunks.map(|chunk| (meta.tsid, chunk, pid)));
             }
             refs
         };
-        // A chain can name a (tsid, chunk, pid) more than once (a
-        // legacy whole-chain row beside per-span rows): fetch — and
-        // count — each chunk once.
+        // Rows are stored bytes: whatever order or repeats a damaged
+        // one names its chunks in, each is fetched — and its events
+        // counted — once, in `(tsid, chunk)` order.
         refs.sort_unstable();
         refs.dedup();
         // One fetch per span: (tsid, its (chunk, pid) refs).
@@ -924,16 +929,13 @@ impl TgiView {
     fn try_khop_recursive(&self, center: NodeId, t: Time, k: usize) -> Result<Delta, StoreError> {
         let span = self.span_for(t);
         let meta = &span.meta;
-        let ns = self.cfg.horizontal_partitions;
         let tsid = meta.tsid;
         let j = meta.leaf_for_time(t) as u32;
 
         let mut part_states: FxHashMap<(u32, u32), Delta> = FxHashMap::default();
         let mut elist_cache: FxHashMap<(u32, u32), Option<ElistHandle>> = FxHashMap::default();
 
-        let center_sid = sid_of(center, ns);
-        // hgs-lint: allow(no-panic-in-try, "sid_of returns sid < ns and span.maps holds ns entries")
-        let center_pid = span.maps[center_sid as usize].assign(center);
+        let (center_sid, center_pid) = span.placement(center);
         let center_state = self.try_fetch_partition_state(span, center_sid, center_pid, t)?;
 
         // Auxiliary 1-hop replicas (Fig. 5d): states of boundary
@@ -953,9 +955,7 @@ impl TgiView {
                        part_states: &mut FxHashMap<(u32, u32), Delta>,
                        elist_cache: &mut FxHashMap<(u32, u32), Option<ElistHandle>>|
          -> Result<Option<StaticNode>, StoreError> {
-            let sid = sid_of(nid, ns);
-            // hgs-lint: allow(no-panic-in-try, "sid_of returns sid < ns and span.maps holds ns entries")
-            let pid = span.maps[sid as usize].assign(nid);
+            let (sid, pid) = span.placement(nid);
             if let Some(state) = part_states.get(&(sid, pid)) {
                 return Ok(state.node(nid).cloned());
             }

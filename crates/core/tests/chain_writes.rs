@@ -3,14 +3,19 @@
 //! `get`/`scan` round trips during a fresh build), and a dead machine
 //! mid-chain-write surfaces `StoreError::Unavailable` without ever
 //! half-extending a chain — each `(nid, tsid)` row lands atomically or
-//! not at all.
+//! not at all. Read side: a pinned view takes a row's span from its
+//! key and never decodes a row sealed after its pin.
+
+mod common;
 
 use std::sync::Arc;
 
-use hgs_core::{Tgi, TgiConfig};
-use hgs_datagen::WikiGrowth;
-use hgs_store::key::node_placement_token;
-use hgs_store::{SimStore, StoreConfig, StoreError};
+use bytes::Bytes;
+use hgs_core::{Tgi, TgiConfig, TgiService};
+use hgs_datagen::{SkewedLabels, WikiGrowth};
+use hgs_delta::{normalize_events, TimeRange};
+use hgs_store::key::{chain_key, chain_key_tsid, node_placement_token};
+use hgs_store::{SimStore, StoreConfig, StoreError, Table};
 
 fn cfg() -> TgiConfig {
     TgiConfig {
@@ -106,4 +111,75 @@ fn dead_machine_mid_chain_write_never_half_extends() {
         before[0],
         "node 0's chain must not be half-extended"
     );
+}
+
+/// A pinned view owes nothing to rows sealed after it: `tsid` is read
+/// off a chain row's key, so a later span's row is skipped before it
+/// is decoded and damage to it cannot reach a reader pinned earlier
+/// (when entries carried their `tsid`, every scanned row had to decode
+/// before the late ones could be dropped). A fresh pin sees the span,
+/// and says `Corrupt`.
+#[test]
+fn a_damaged_chain_row_of_a_later_span_does_not_reach_a_pinned_view() {
+    let events = SkewedLabels {
+        nodes: 200,
+        edge_events: 1_500,
+        attr_churn: 800,
+        ..Default::default()
+    }
+    .generate();
+    let mut cut = events.len() / 2;
+    while events[cut].time == events[cut - 1].time {
+        cut += 1;
+    }
+    let (prefix, suffix) = events.split_at(cut);
+    let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
+    let svc = TgiService::try_build_on(cfg(), store.clone(), prefix).expect("build");
+    let pinned = svc.pin();
+    svc.try_append_events(suffix).expect("append");
+
+    // A node the pinned prefix knows that the appended spans touch
+    // too: damage its chain row in the first of them.
+    let first_new = pinned.span_count() as u32;
+    let nid = store
+        .content_rows()
+        .into_iter()
+        .flatten()
+        .filter(|(k, _)| k[0] == Table::Versions.tag())
+        .filter(|(k, _)| chain_key_tsid(&k[1..]) == Some(first_new))
+        .map(|(k, _)| u64::from_be_bytes(k[1..9].try_into().unwrap()))
+        .find(|&nid| !pinned.try_version_chain(nid).unwrap().is_empty())
+        .expect("the suffix touches a node of the prefix");
+    common::put_everywhere(
+        &store,
+        Table::Versions,
+        &chain_key(nid, first_new),
+        Bytes::from_static(b"\xff\xfenot a chain row"),
+    );
+
+    // The pinned view answers, and answers the pinned prefix.
+    let end = prefix.last().unwrap().time;
+    let range = TimeRange::new(0, end + 1);
+    assert_eq!(
+        pinned.try_node_history(nid, range).unwrap().events,
+        common::node_events_by_replay(&normalize_events(prefix), nid, range)
+    );
+    assert_eq!(
+        pinned.try_attr_history(nid, hgs_core::LABEL_KEY).unwrap(),
+        common::attr_history_by_replay(prefix, nid, hgs_core::LABEL_KEY)
+    );
+    let chain = pinned.try_version_chain(nid).unwrap();
+    assert!(chain.iter().all(|e| e.tsid < first_new));
+
+    // A view pinned after the append reads the damaged row.
+    let fresh = svc.pin();
+    assert!(fresh.span_count() as u32 > first_new);
+    assert!(matches!(
+        fresh.try_node_history(nid, range),
+        Err(StoreError::Corrupt(_))
+    ));
+    assert!(matches!(
+        fresh.try_attr_history(nid, hgs_core::LABEL_KEY),
+        Err(StoreError::Corrupt(_))
+    ));
 }

@@ -8,8 +8,12 @@
 
 use std::collections::BTreeSet;
 
+use bytes::{BufMut, Bytes, BytesMut};
+use hgs_core::meta::ELIST_BASE;
 use hgs_core::{KhopStrategy, Tgi};
+use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::{normalize_events, AttrValue, Delta, Event, EventKind, NodeId, Time, TimeRange};
+use hgs_store::{DeltaKey, PutRow, SimStore, Table};
 
 /// A generator case of the prop suites: `events` with a busy hub.
 /// After every event node 0 gains an edge (its weight cycling, so an
@@ -189,4 +193,73 @@ pub fn assert_answers_equal_replay(tgi: &Tgi, events: &[Event]) {
             );
         }
     }
+}
+
+/// Index of the weights segment among an eventlist row's eight.
+pub const ELIST_SEG_WEIGHTS: usize = 4;
+
+/// A stored columnar row taken apart as its header lays it out (see
+/// `hgs_delta::columnar`): magic, record count, then per segment the
+/// length varint — `stored_len << 1 | compressed` — and the stored
+/// bytes. What a test needs to look inside a row, or to put one back
+/// together with a segment swapped.
+pub struct RowSegments {
+    pub magic: u8,
+    pub count: u64,
+    pub segs: Vec<(bool, Vec<u8>)>,
+}
+
+impl RowSegments {
+    pub fn parse(row: &[u8]) -> RowSegments {
+        let (magic, mut b) = (row[0], &row[1..]);
+        let count = get_varint(&mut b).unwrap();
+        let n = get_varint(&mut b).unwrap();
+        let lens: Vec<u64> = (0..n).map(|_| get_varint(&mut b).unwrap()).collect();
+        let mut segs = Vec::new();
+        for lv in lens {
+            let (seg, rest) = b.split_at((lv >> 1) as usize);
+            segs.push((lv & 1 == 1, seg.to_vec()));
+            b = rest;
+        }
+        assert!(b.is_empty(), "segments cover the row");
+        RowSegments { magic, count, segs }
+    }
+
+    pub fn assemble(&self) -> Bytes {
+        let mut out = BytesMut::new();
+        out.put_u8(self.magic);
+        put_varint(&mut out, self.count);
+        put_varint(&mut out, self.segs.len() as u64);
+        for (compressed, seg) in &self.segs {
+            put_varint(&mut out, (seg.len() as u64) << 1 | *compressed as u64);
+        }
+        for (_, seg) in &self.segs {
+            out.put_slice(seg);
+        }
+        out.freeze()
+    }
+}
+
+/// Every stored eventlist row, keyed as the `Deltas` table keys it.
+pub fn stored_eventlist_rows(store: &SimStore) -> Vec<(DeltaKey, Bytes)> {
+    let mut rows: Vec<(DeltaKey, Bytes)> = store
+        .content_rows()
+        .into_iter()
+        .flatten()
+        .filter(|(k, _)| k[0] == Table::Deltas.tag())
+        .filter_map(|(k, v)| Some((DeltaKey::decode(&k[1..])?, v)))
+        .filter(|(k, _)| k.did >= ELIST_BASE && k.did < hgs_core::meta::AUX_BASE)
+        .collect();
+    rows.sort_by_key(|(k, _)| *k);
+    rows.dedup_by_key(|(k, _)| *k);
+    rows
+}
+
+/// Write `value` under `key` on every machine, so that whichever
+/// replica a read lands on serves it.
+pub fn put_everywhere(store: &SimStore, table: Table, key: &[u8], value: Bytes) {
+    let rows = (0..store.machine_count() as u64)
+        .map(|token| PutRow::new(table, key.to_vec(), token, value.clone()))
+        .collect();
+    store.try_put_batch(rows).expect("healthy store");
 }

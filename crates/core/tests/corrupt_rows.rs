@@ -8,13 +8,16 @@ mod common;
 
 use std::collections::BTreeSet;
 
+use common::put_everywhere;
+
 use bytes::{Bytes, BytesMut};
-use hgs_core::meta::TimespanMeta;
-use hgs_core::{KhopStrategy, OpenError, Tgi, TgiConfig};
+use hgs_core::meta::{sid_of, TimespanMeta};
+use hgs_core::{KhopStrategy, OpenError, PartitionStrategy, Tgi, TgiConfig};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::columnar::encode_columnar_delta;
-use hgs_delta::{CodecError, ColumnarDelta, StaticNode, TimeRange};
+use hgs_delta::{CodecError, ColumnarDelta, Delta, StaticNode, TimeRange};
+use hgs_store::key::node_key;
 use hgs_store::{DeltaKey, PutRow, SimStore, StoreConfig, StoreError, Table};
 
 fn trace() -> Vec<hgs_delta::Event> {
@@ -44,13 +47,9 @@ fn corrupt_table(store: &SimStore, table: Table) -> usize {
         }
     }
     let garbage = Bytes::from_static(b"\xff\xfenot a decodable row");
-    let mut rows = Vec::new();
     for key in &keys {
-        for token in 0..store.machine_count() as u64 {
-            rows.push(PutRow::new(table, key.clone(), token, garbage.clone()));
-        }
+        put_everywhere(store, table, key, garbage.clone());
     }
-    store.try_put_batch(rows).expect("healthy store");
     keys.len()
 }
 
@@ -191,17 +190,7 @@ fn repeated_component_in_a_child_row_is_corrupt_on_every_read() {
     piece.insert_edge(hub.edges[0].clone());
     leaf.insert(piece);
     let value = encode_columnar_delta(&leaf);
-    let replicas = (0..store.machine_count() as u64)
-        .map(|token| {
-            PutRow::new(
-                Table::Deltas,
-                leaf_key.encode().to_vec(),
-                token,
-                value.clone(),
-            )
-        })
-        .collect();
-    store.try_put_batch(replicas).expect("healthy store");
+    put_everywhere(store, Table::Deltas, &leaf_key.encode(), value);
 
     let repeated = |r: Result<(), StoreError>, what: &str| {
         assert_eq!(
@@ -301,6 +290,7 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
         (3, 0, "partition_size = 0"),
         (4, 0, "horizontal_partitions = 0"),
         (LAYOUT, 0, "retired layout tag 0"),
+        (LAYOUT, 1, "retired layout tag 1"),
     ] {
         let mut bad_fields = fields.clone();
         bad_fields[idx] = bad;
@@ -310,6 +300,20 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
             "{what} must refuse to open"
         );
     }
+    // Tag 1 is what the previous format's builds wrote: chain entries
+    // spelling `tsid` and `pid`, records opening with two count
+    // varints. `Versions` rows carry no magic of their own, so the
+    // descriptor is where such an index is refused — by name.
+    let mut previous = fields.clone();
+    previous[LAYOUT] = 1;
+    rewrite(&previous);
+    assert!(matches!(
+        Tgi::open(store.clone()),
+        Err(OpenError::Corrupt(CodecError::BadTag {
+            what: "StorageLayout",
+            tag: 1
+        }))
+    ));
     rewrite(&fields[..LAYOUT]);
     assert!(
         matches!(Tgi::open(store.clone()), Err(OpenError::Corrupt(_))),
@@ -318,4 +322,216 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
     // The descriptor as written still opens.
     rewrite(&fields);
     Tgi::open(store).expect("intact descriptor");
+}
+
+/// Every element count in the descriptor rows is held to the bytes
+/// left in its row before anything is allocated for it: a hostile
+/// count is `OpenError::Corrupt`, not a `capacity overflow` panic or
+/// an OOM-sized reservation inside `Tgi::open`. One case per site.
+#[test]
+fn hostile_descriptor_counts_are_corrupt_not_an_allocation() {
+    const HUGE: u64 = 1 << 62;
+    let varints = |fields: &[u64]| {
+        let mut buf = BytesMut::new();
+        for &f in fields {
+            put_varint(&mut buf, f);
+        }
+        buf.freeze()
+    };
+    let events = trace();
+    let build = |strategy| {
+        let cfg = cfg().with_strategy(strategy);
+        Tgi::try_build(cfg, StoreConfig::new(3, 1), &events)
+            .unwrap()
+            .store()
+            .clone()
+    };
+    let overflow = |store: &std::sync::Arc<SimStore>, what: &str| match Tgi::open(store.clone()) {
+        Err(OpenError::Corrupt(CodecError::LengthOverflow { .. })) => {}
+        Err(other) => panic!("{what}: unexpected error {other}"),
+        Ok(_) => panic!("{what}: opened"),
+    };
+    let span0 = 0u32.to_be_bytes();
+
+    // `TimespanMeta::decode`, the checkpoint count: tsid, start, end, n.
+    let store = build(PartitionStrategy::Random);
+    put_everywhere(&store, Table::Timespans, &span0, varints(&[0, 0, 0, HUGE]));
+    overflow(&store, "checkpoint count");
+    assert!(matches!(
+        TimespanMeta::decode(&varints(&[0, 0, 0, HUGE])),
+        Err(CodecError::LengthOverflow {
+            what: "checkpoints",
+            ..
+        })
+    ));
+
+    // `TimespanMeta::decode`, the `pid_counts` count: one checkpoint,
+    // arity 2, then the count.
+    put_everywhere(
+        &store,
+        Table::Timespans,
+        &span0,
+        varints(&[0, 0, 9, 1, 0, 2, HUGE]),
+    );
+    overflow(&store, "pid_counts count");
+
+    // `Graph/meta`, the span count: nothing is allocated for it, and a
+    // count no `tsid` can name is refused outright.
+    let store = build(PartitionStrategy::Random);
+    put_everywhere(&store, Table::Graph, b"meta", varints(&[HUGE, 9, 9]));
+    overflow(&store, "span count");
+
+    // `decode_partition_map`, the entry count: parts, n.
+    let store = build(PartitionStrategy::Locality {
+        replicate_boundary: false,
+    });
+    let mut mp_key = [0u8; 8];
+    mp_key[4..].copy_from_slice(&1u32.to_be_bytes());
+    put_everywhere(&store, Table::Micropartitions, &mp_key, varints(&[4, HUGE]));
+    overflow(&store, "partition-map entry count");
+}
+
+/// The three encodings of a row at their edges, each read through the
+/// index: a record head announcing a count varint the record does not
+/// hold, a weights segment of an impossible length, a `Versions` row
+/// under a key that is no `(nid, tsid)`, and rows carrying the magics
+/// of the formats before this one. Always `Corrupt` — `BadTag` for the
+/// retired magics — never a panic, never a shorter answer.
+#[test]
+fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
+    let events = trace();
+    let end = events.last().unwrap().time;
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
+    tgi.set_read_cache_budget(0);
+    let store = tgi.store();
+    let ns = tgi.config().horizontal_partitions;
+
+    // -- a Versions row under a bare node key ------------------------
+    let nid = 0u64;
+    let chain = tgi.try_version_chain(nid).unwrap();
+    assert!(!chain.is_empty());
+    put_everywhere(
+        store,
+        Table::Versions,
+        &node_key(nid),
+        Bytes::from_static(&[0]),
+    );
+    let bad_key = Err(StoreError::Corrupt(CodecError::LengthOverflow {
+        what: "Versions key",
+        len: 8,
+    }));
+    assert_eq!(tgi.try_version_chain(nid), bad_key);
+    assert_eq!(
+        tgi.try_node_history(nid, TimeRange::new(0, end + 1))
+            .map(drop),
+        bad_key.clone().map(drop)
+    );
+    assert_eq!(
+        tgi.try_attr_history(nid, hgs_core::LABEL_KEY).map(drop),
+        bad_key.map(drop)
+    );
+    // Another node's chain is another prefix.
+    tgi.try_version_chain(1).expect("untouched chain");
+
+    // -- eventlist rows ------------------------------------------------
+    // A chunk holding node 1, whose every edge is the default one: its
+    // weights segment is stored empty.
+    let entry = tgi.try_version_chain(1).unwrap()[0];
+    let key = DeltaKey::new(
+        entry.tsid,
+        sid_of(1, ns),
+        hgs_core::meta::ELIST_BASE + entry.chunk as u64,
+        entry.pid,
+    );
+    let (_, row) = common::stored_eventlist_rows(store)
+        .into_iter()
+        .find(|(k, _)| *k == key)
+        .expect("the chain names a stored row");
+    let good = common::RowSegments::parse(&row);
+    assert!(good.segs[common::ELIST_SEG_WEIGHTS].1.is_empty());
+    let range = TimeRange::new(0, end + 1);
+    let history = tgi.try_node_history(1, range).unwrap();
+
+    // Neither empty nor five bytes per weighted event.
+    let mut odd = common::RowSegments::parse(&row);
+    odd.segs[common::ELIST_SEG_WEIGHTS] = (false, vec![0, 0, 0x80, 0x3f, 0, 7, 7]);
+    put_everywhere(store, Table::Deltas, &key.encode(), odd.assemble());
+    let bad_weights = StoreError::Corrupt(CodecError::LengthOverflow {
+        what: "weights",
+        len: 7,
+    });
+    assert_eq!(
+        tgi.try_node_history(1, range).map(drop),
+        Err(bad_weights.clone())
+    );
+    // ...and a snapshot inside the chunk replays it in full.
+    let in_chunk = entry.time;
+    assert_eq!(tgi.try_snapshot(in_chunk).map(drop), Err(bad_weights));
+
+    // The magic of the rows that always spelled their weights.
+    let mut retired = row.to_vec();
+    retired[0] = 0xC1;
+    put_everywhere(store, Table::Deltas, &key.encode(), Bytes::from(retired));
+    let bad_tag = |tag| {
+        move |r: Result<(), StoreError>| {
+            assert!(
+                matches!(r, Err(StoreError::Corrupt(CodecError::BadTag { tag: t, .. })) if t == tag),
+                "{r:?}"
+            )
+        }
+    };
+    bad_tag(0xC1)(tgi.try_node_history(1, range).map(drop));
+    bad_tag(0xC1)(tgi.try_snapshot(in_chunk).map(drop));
+
+    // Put back, the row reads as before.
+    put_everywhere(store, Table::Deltas, &key.encode(), row);
+    assert_eq!(tgi.try_node_history(1, range).unwrap(), history);
+
+    // -- delta rows ------------------------------------------------------
+    // The root row of node 1's micro-partition in the last span.
+    let span = tgi.span_count() as u32 - 1;
+    let pid = tgi.try_version_chain(1).unwrap().last().unwrap().pid;
+    let root = DeltaKey::new(span, sid_of(1, ns), 0, pid);
+    let mut nk = vec![Table::Deltas.tag()];
+    nk.extend_from_slice(&root.encode());
+    let root_row = store
+        .content_rows()
+        .into_iter()
+        .flatten()
+        .find(|(k, _)| *k == nk)
+        .map(|(_, v)| v)
+        .expect("the span has a root row for the micro-partition");
+
+    // A one-record row is `…, records = [head]`: make the head announce
+    // an edge-count varint that the record is too short to hold.
+    let bare: Delta = [StaticNode::new(1)].into_iter().collect();
+    let mut cut = encode_columnar_delta(&bare).to_vec();
+    let head = cut.last_mut().unwrap();
+    assert_eq!(*head, 0b0000_0111, "no edges, no attributes, default shape");
+    *head |= 7 << 3;
+    put_everywhere(store, Table::Deltas, &root.encode(), Bytes::from(cut));
+    let eof = |r: Result<(), StoreError>| {
+        assert!(
+            matches!(
+                r,
+                Err(StoreError::Corrupt(CodecError::UnexpectedEof { .. }))
+            ),
+            "{r:?}"
+        )
+    };
+    eof(tgi.try_snapshot(end).map(drop));
+    eof(tgi.try_node_at(1, end).map(drop));
+
+    // The magic of the rows whose records opened with two counts.
+    let mut retired = root_row.to_vec();
+    retired[0] = 0xC3;
+    put_everywhere(store, Table::Deltas, &root.encode(), Bytes::from(retired));
+    bad_tag(0xC3)(tgi.try_snapshot(end).map(drop));
+    bad_tag(0xC3)(tgi.try_node_at(1, end).map(drop));
+
+    put_everywhere(store, Table::Deltas, &root.encode(), root_row);
+    assert_eq!(
+        tgi.try_snapshot(end).unwrap(),
+        Delta::snapshot_by_replay(&events, end)
+    );
 }

@@ -8,18 +8,37 @@
 //! partially-common nodes (a hub that gains an edge per checkpoint
 //! drops out of every ancestor and is re-stored in full in every
 //! leaf — 28.39 and 45.41 B/event, more than twice the bound); an
-//! un-factored edge-list grammar (`hgs_delta::codec::put_edge_list`
-//! spelling `dir`, weight and an attributes flag on every entry) trips
-//! it too. The second bound, on the total, is there so that a
-//! regression in any other table shows as well; the third holds the
-//! secondary index to its one row kind — the bare-key rows it once
-//! carried beside the value-term rows were 4.17 of its 6.16 B/event on
-//! `skew21k`, to answer a question the version chain already answers.
+//! un-factored edge-list grammar (`hgs_delta::codec` spelling `dir`,
+//! weight and an attributes flag on every entry) trips it too.
+//!
+//! Three encodings keep a row from spelling what its reader can derive,
+//! and each has the bound it trips when it is undone:
+//!
+//! * the **record head** — one byte for an edge-list's shape and both
+//!   counts — is the tree-delta bound: most tree records are one edge
+//!   or one pair, and with an `edge_count` varint, a shape byte and an
+//!   `attr_count` varint in front of each the tree rows are 11.72 and
+//!   21.34 B/event, over it;
+//! * the **chain rows** — `(time-gap, chunk)` pairs, `tsid` from the
+//!   key and `pid` from the partition map — are the `Versions` bound:
+//!   an entry growing either field back is 3.95 and 5.82 B/event;
+//! * the **weightless eventlists** — no weights column when every
+//!   weighted event is the default edge — have an assertion of their
+//!   own (`wiki20k` has no other kind of edge, so no row of it may
+//!   spell the column) and otherwise show in the total.
+//!
+//! The bound on the total is there so that a regression in any other
+//! table shows as well; the `AttrIndex` bound holds the secondary
+//! index to its one row kind — the bare-key rows it once carried beside
+//! the value-term rows were 4.17 of its 6.16 B/event on `skew21k`, to
+//! answer a question the version chain already answers.
 //!
 //! Stored bytes are exact for a dataset and a config — no timing, no
 //! thread-count dependence — so the bounds sit ~15 % above the
 //! measured values printed by the test
 //! (`cargo test --release -p hgs-core --test index_size -- --nocapture`).
+
+mod common;
 
 use hgs_core::meta::{AUX_BASE, ELIST_BASE};
 use hgs_core::{Tgi, TgiConfig};
@@ -38,6 +57,9 @@ struct Census {
     attr_index: f64,
     metadata: f64,
     total: f64,
+    /// Eventlist rows, and how many of them spell a weights column.
+    eventlist_rows: usize,
+    weighted_eventlist_rows: usize,
 }
 
 fn census(events: &[Event]) -> Census {
@@ -73,6 +95,11 @@ fn census(events: &[Event]) -> Census {
             assert_eq!(key[1], TERM_KIND_VALUE, "an index row of a retired kind");
         }
     }
+    for (_, row) in common::stored_eventlist_rows(tgi.store()) {
+        let weights = &common::RowSegments::parse(&row).segs[common::ELIST_SEG_WEIGHTS].1;
+        c.eventlist_rows += 1;
+        c.weighted_eventlist_rows += !weights.is_empty() as usize;
+    }
     let parts =
         c.tree_deltas + c.eventlists + c.aux_replicas + c.versions + c.attr_index + c.metadata;
     assert!((parts - c.total).abs() < 1e-6, "census covers every row");
@@ -80,12 +107,14 @@ fn census(events: &[Event]) -> Census {
 }
 
 /// Build, print the per-table census and hold the tree-delta rows to
-/// `bound` and the whole index to `total_bound` bytes per event.
-fn gate(name: &str, events: &[Event], bound: f64, total_bound: f64) -> Census {
+/// `bound`, the `Versions` rows to `versions_bound` and the whole index
+/// to `total_bound` bytes per event.
+fn gate(name: &str, events: &[Event], bound: f64, versions_bound: f64, total_bound: f64) -> Census {
     let c = census(events);
     println!(
         "{name} ({} events), stored bytes/event: tree deltas {:.2}, eventlists {:.2}, \
-         aux {:.2}, Versions {:.2}, AttrIndex {:.2}, metadata {:.2}, total {:.2}",
+         aux {:.2}, Versions {:.2}, AttrIndex {:.2}, metadata {:.2}, total {:.2}; \
+         {} of {} eventlist rows spell weights",
         events.len(),
         c.tree_deltas,
         c.eventlists,
@@ -93,12 +122,19 @@ fn gate(name: &str, events: &[Event], bound: f64, total_bound: f64) -> Census {
         c.versions,
         c.attr_index,
         c.metadata,
-        c.total
+        c.total,
+        c.weighted_eventlist_rows,
+        c.eventlist_rows
     );
     assert!(
         c.tree_deltas <= bound,
         "{name}: tree-delta rows grew to {:.2} B/event (bound {bound})",
         c.tree_deltas
+    );
+    assert!(
+        c.versions <= versions_bound,
+        "{name}: Versions rows grew to {:.2} B/event (bound {versions_bound})",
+        c.versions
     );
     assert!(
         c.total <= total_bound,
@@ -108,12 +144,20 @@ fn gate(name: &str, events: &[Event], bound: f64, total_bound: f64) -> Census {
     c
 }
 
-// Bounds: ~15 % above the measured bytes per event — tree deltas 11.72
-// and 21.34, totals 25.20 and 39.06, `skew21k`'s `AttrIndex` rows 1.99.
+// Bounds: ~15 % above the measured bytes per event — tree deltas 9.56
+// and 18.31, `Versions` 2.45 and 3.55, totals 21.34 and 33.67,
+// `skew21k`'s `AttrIndex` rows 1.99.
 
 #[test]
 fn wiki_tree_delta_rows_stay_factored() {
-    gate("wiki20k", &WikiGrowth::sized(20_000).generate(), 13.5, 29.0);
+    let events = WikiGrowth::sized(20_000).generate();
+    let c = gate("wiki20k", &events, 11.0, 2.8, 24.5);
+    // Every edge of the trace is the default one.
+    assert!(c.eventlist_rows > 0);
+    assert_eq!(
+        c.weighted_eventlist_rows, 0,
+        "wiki20k: an eventlist row of default edges spells its weights"
+    );
 }
 
 #[test]
@@ -125,7 +169,7 @@ fn skew_tree_delta_rows_stay_factored() {
         ..SkewedLabels::default()
     }
     .generate();
-    let c = gate("skew21k", &events, 24.6, 44.9);
+    let c = gate("skew21k", &events, 21.1, 4.1, 38.7);
     assert!(c.attr_index > 0.0, "the labelled build carries index rows");
     assert!(
         c.attr_index <= 2.3,

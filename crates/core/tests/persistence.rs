@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use hgs_core::{PartitionStrategy, Tgi, TgiConfig};
 use hgs_datagen::{augment_with_churn, WikiGrowth};
-use hgs_delta::{Delta, TimeRange};
+use hgs_delta::{Delta, Event, EventKind, TimeRange};
 use hgs_store::{SimStore, StoreConfig};
 
 fn cfg() -> TgiConfig {
@@ -83,6 +83,66 @@ fn reopened_index_with_locality_maps() {
             "node {id}"
         );
     }
+}
+
+/// The persisted map must hold every node the span assigned, not only
+/// those alive when it closed: a node removed mid-span is still read —
+/// at the times it was alive, and along its version chain, whose `pid`
+/// the reader derives from the map — at the micro-partition the build
+/// put it in.
+#[test]
+fn reopened_locality_maps_still_place_nodes_the_span_removed() {
+    let mut events = Vec::new();
+    let mut removed = Vec::new();
+    let generated = WikiGrowth {
+        events: 2_000,
+        seed: 17,
+        ..WikiGrowth::default()
+    }
+    .generate();
+    for (i, e) in generated.into_iter().enumerate() {
+        let removal = (i % 150 == 149).then(|| {
+            // The older endpoint, when there are two: alive well
+            // before this event.
+            let (a, b) = e.kind.touched();
+            let id = b.map_or(a, |b| a.min(b));
+            removed.push((id, e.time));
+            Event::new(e.time, EventKind::RemoveNode { id })
+        });
+        events.push(e);
+        events.extend(removal);
+    }
+    let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
+    let cfg = cfg().with_strategy(PartitionStrategy::Locality {
+        replicate_boundary: true,
+    });
+    let built = Tgi::try_build_on(cfg, store.clone(), &events).unwrap();
+    let reopened = Tgi::open(store).expect("open persisted index");
+    let mut alive = 0;
+    for (id, t_removed) in removed {
+        let alive_at = t_removed - 1;
+        let want = Delta::snapshot_by_replay(&events, alive_at);
+        alive += want.contains(id) as usize;
+        for (what, tgi) in [("built", &built), ("reopened", &reopened)] {
+            assert_eq!(
+                tgi.try_node_at(id, alive_at).unwrap().as_ref(),
+                want.node(id),
+                "{what}: node {id} at t={alive_at}"
+            );
+        }
+        assert_eq!(
+            reopened.try_version_chain(id).unwrap(),
+            built.try_version_chain(id).unwrap(),
+            "chain of {id}"
+        );
+        let range = TimeRange::new(0, t_removed + 1);
+        assert_eq!(
+            reopened.try_node_history(id, range).unwrap(),
+            built.try_node_history(id, range).unwrap(),
+            "history of {id}"
+        );
+    }
+    assert!(alive >= 8, "the removals hit living nodes ({alive})");
 }
 
 #[test]

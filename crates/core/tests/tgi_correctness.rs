@@ -381,6 +381,84 @@ fn version_chains_are_complete_and_sorted() {
     }
 }
 
+/// A chain row stores `(time, chunk)`; the reader takes `tsid` from
+/// the row's key and `pid` from the span's partition map. What it
+/// derives must be what the build bucketed by: every decoded entry
+/// names an eventlist row that exists and holds the node — under hash
+/// and under explicit (locality) maps, and after a reopen, where the
+/// maps come back from the `Micropartitions` rows. The trace removes
+/// a node now and then: a node gone before its span closed is the one
+/// a persisted map listing only the living would misplace.
+#[test]
+fn every_chain_entry_names_an_eventlist_row_holding_the_node() {
+    use hgs_core::meta::{sid_of, ELIST_BASE};
+    use hgs_delta::ColumnarEventlist;
+    use hgs_store::{DeltaKey, SimStore, Table};
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    // Every 300th event also removes the node it touched.
+    let mut events = Vec::new();
+    for (i, e) in trace().into_iter().enumerate() {
+        let removal = (i % 300 == 299).then(|| {
+            let id = e.kind.touched().0;
+            Event::new(e.time, hgs_delta::EventKind::RemoveNode { id })
+        });
+        events.push(e);
+        events.extend(removal);
+    }
+    let ids: FxHashSet<NodeId> = events
+        .iter()
+        .flat_map(|e| {
+            let (a, b) = e.kind.touched();
+            [Some(a), b]
+        })
+        .flatten()
+        .collect();
+    for strategy in [
+        PartitionStrategy::Random,
+        PartitionStrategy::Locality {
+            replicate_boundary: true,
+        },
+    ] {
+        let cfg = small_cfg().with_strategy(strategy);
+        let ns = cfg.horizontal_partitions;
+        let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
+        let built = Tgi::try_build_on(cfg, store.clone(), &events).unwrap();
+        assert!(built.span_count() > 1, "several spans, several maps");
+        let elists: BTreeMap<Vec<u8>, ColumnarEventlist> = store
+            .content_rows()
+            .into_iter()
+            .flatten()
+            .filter(|(k, _)| k[0] == Table::Deltas.tag())
+            .filter(|(k, _)| DeltaKey::decode(&k[1..]).is_some_and(|k| k.did >= ELIST_BASE))
+            .filter_map(|(k, v)| Some((k[1..].to_vec(), ColumnarEventlist::parse(v).ok()?)))
+            .collect();
+        let reopened = Tgi::open(store.clone()).expect("open persisted index");
+        for (what, tgi) in [("built", &built), ("reopened", &reopened)] {
+            let mut entries = 0usize;
+            for &nid in &ids {
+                let chain = tgi.try_version_chain(nid).unwrap();
+                assert_eq!(chain, built.try_version_chain(nid).unwrap(), "{what}");
+                assert!(!chain.is_empty(), "{what}: node {nid} was touched");
+                for e in chain {
+                    let key =
+                        DeltaKey::new(e.tsid, sid_of(nid, ns), ELIST_BASE + e.chunk as u64, e.pid);
+                    let row = elists.get(&key.encode()[..]).unwrap_or_else(|| {
+                        panic!("{what}, {strategy:?}: {e:?} of node {nid} names no stored row")
+                    });
+                    assert!(
+                        row.contains_node(nid).unwrap(),
+                        "{what}, {strategy:?}: the row {e:?} names does not hold node {nid}"
+                    );
+                    entries += 1;
+                }
+            }
+            assert!(entries > ids.len(), "{what}: chains span several chunks");
+        }
+    }
+}
+
 #[test]
 fn empty_history_index_answers_empty() {
     let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &[]).unwrap();

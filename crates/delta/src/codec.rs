@@ -12,26 +12,37 @@
 //! signed, little-endian IEEE-754 for floats, length-prefixed UTF-8
 //! strings, one tag byte per enum.
 //!
-//! A node description is `varint id, edge_list, attrs`. The edge-list
-//! is **shape-factored** — it stores only what varies across its
-//! entries:
+//! A node description is `varint id, record`. A **record** — the unit
+//! the columnar delta rows ([`crate::columnar`]) store per node, whole
+//! or as a piece — opens with one head byte that carries everything
+//! small about it, and is **shape-factored**: it stores only what
+//! varies across its edge-list entries:
 //!
 //! ```text
-//! edge_list := varint n_edges [ shape entry{n_edges} ]   (shape only when n_edges > 0)
-//! shape     := u8  bit 0: every dir is Both
-//!                  bit 1: every weight is bit-exactly 1.0
-//!                  bit 2: no entry carries attributes
-//!                  (any other bit: CodecError::BadTag)
-//! entry     := varint Δnbr [dir u8] [weight f32le] [has_attrs u8 [attrs]]
-//!              -- only the fields whose shape bit is clear
+//! record := head [varint n_edges] [varint n_attrs] entry{n_edges} pair{n_attrs}
+//! head   := u8  bits 0-2  shape
+//!               bits 3-5  n_edges when <= 6; 7 = the varint follows
+//!               bits 6-7  n_attrs when <= 2; 3 = the varint follows
+//! shape  :=     bit 0: every dir is Both
+//!               bit 1: every weight is bit-exactly 1.0
+//!               bit 2: no entry carries attributes
+//!               (all three set on an empty list)
+//! entry  := varint Δnbr [dir u8] [weight f32le] [has_attrs u8 [varint n pair{n}]]
+//!           -- only the fields whose shape bit is clear
+//! pair   := key value        (key: a string here, a dictionary index
+//!                             in a columnar record)
 //! ```
 //!
 //! so the undirected unit-weight attribute-free list that datasets are
-//! made of costs its neighbor varints plus two bytes, not six more
-//! bytes per neighbor. `put_edge_list` / `get_edge_list` are the
-//! only edge-list loops of the crate: the columnar delta records
-//! ([`crate::columnar`]) call them too, passing interned-key attribute
-//! codecs, so the index and the baselines' rows share one grammar.
+//! made of costs its neighbor varints plus **one** byte up to six
+//! entries (two to four bytes for the single-edge piece most tree
+//! records are), and an attribute-only piece is `head, pair`. Every
+//! value of the head byte is defined; a count its bytes cannot hold
+//! fails before any allocation. `put_record` / `get_record` are the
+//! only record codecs of the crate and `put_edge_list` /
+//! `get_edge_list` its only edge-list loops: the columnar records call
+//! them too, passing interned-key pair codecs, so the index and the
+//! baselines' rows share one grammar.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -265,16 +276,16 @@ pub(crate) fn get_attr_value(buf: &mut &[u8]) -> Result<AttrValue, CodecError> {
     })
 }
 
-fn put_attrs(buf: &mut BytesMut, attrs: &Attrs) {
-    put_varint(buf, attrs.len() as u64);
+/// The pairs of `attrs`, keys inline; the count is the caller's to
+/// write (a record's head holds it).
+fn put_attr_pairs(buf: &mut BytesMut, attrs: &Attrs) {
     for (k, v) in attrs.iter() {
         put_str(buf, k);
         put_attr_value(buf, v);
     }
 }
 
-fn get_attrs(buf: &mut &[u8]) -> Result<Attrs, CodecError> {
-    let n = get_len(buf, "attrs")?;
+fn get_attr_pairs(buf: &mut &[u8], n: usize) -> Result<Attrs, CodecError> {
     let mut pairs = Vec::with_capacity(n.min(64));
     for _ in 0..n {
         let k = get_str(buf)?;
@@ -305,25 +316,27 @@ fn entry_fixed_len(shape: u8) -> usize {
         + (shape & SHAPE_NO_ATTRS == 0) as usize
 }
 
-/// Serialize an edge-list, shape-factored: the entry count, then (for
-/// a non-empty list) one shape byte saying which fields are constant
-/// across the whole list, then per entry the delta-encoded neighbor id
-/// and only the fields the shape leaves open. An unweighted undirected
-/// attribute-free list — nearly every list of every dataset here —
-/// costs its neighbor varints plus two bytes.
-///
-/// The one edge-list encoder of the crate: row-wise node descriptions
-/// and columnar records differ only in `put_edge_attrs` (inline vs
-/// interned keys).
-pub(crate) fn put_edge_list(
-    buf: &mut BytesMut,
-    edges: &[Neighbor],
-    mut put_edge_attrs: impl FnMut(&mut BytesMut, &Attrs),
-) {
-    put_varint(buf, edges.len() as u64);
-    if edges.is_empty() {
-        return;
-    }
+/// Head-byte field: the edge count, or [`HEAD_EDGES_ESCAPE`].
+const HEAD_EDGES_SHIFT: u32 = 3;
+/// Edge-count code saying "a varint holds the count".
+const HEAD_EDGES_ESCAPE: usize = 7;
+/// Head-byte field: the node-attribute count, or [`HEAD_ATTRS_ESCAPE`].
+const HEAD_ATTRS_SHIFT: u32 = 6;
+/// Attribute-count code saying "a varint holds the count".
+const HEAD_ATTRS_ESCAPE: usize = 3;
+
+/// What a record's head says about the bytes after it.
+struct RecordHead {
+    shape: u8,
+    n_edges: usize,
+    n_attrs: usize,
+}
+
+/// Write the head of a record — the one byte holding the edge-list's
+/// shape bits, its entry count when at most six and the node-attribute
+/// count when at most two, then a varint for each count that did not
+/// fit. Returns the shape the entries are to be written in.
+fn put_record_head(buf: &mut BytesMut, edges: &[Neighbor], n_attrs: usize) -> u8 {
     let unit = 1.0f32.to_bits();
     let mut shape = SHAPE_MASK;
     for e in edges {
@@ -337,9 +350,53 @@ pub(crate) fn put_edge_list(
             shape &= !SHAPE_NO_ATTRS;
         }
     }
+    let edges_code = edges.len().min(HEAD_EDGES_ESCAPE);
+    let attrs_code = n_attrs.min(HEAD_ATTRS_ESCAPE);
+    buf.put_u8(
+        shape | (edges_code as u8) << HEAD_EDGES_SHIFT | (attrs_code as u8) << HEAD_ATTRS_SHIFT,
+    );
+    if edges_code == HEAD_EDGES_ESCAPE {
+        put_varint(buf, edges.len() as u64);
+    }
+    if attrs_code == HEAD_ATTRS_ESCAPE {
+        put_varint(buf, n_attrs as u64);
+    }
+    shape
+}
+
+/// Read a head written by [`put_record_head`]. All eight bits are
+/// spoken for, so no byte is a bad tag; the counts are checked against
+/// the bytes left by whoever allocates for them.
+#[inline]
+fn get_record_head(buf: &mut &[u8]) -> Result<RecordHead, CodecError> {
+    let head = get_u8(buf)?;
+    let mut n_edges = (head >> HEAD_EDGES_SHIFT) as usize & HEAD_EDGES_ESCAPE;
+    if n_edges == HEAD_EDGES_ESCAPE {
+        n_edges = get_len(buf, "edges")?;
+    }
+    let mut n_attrs = (head >> HEAD_ATTRS_SHIFT) as usize;
+    if n_attrs == HEAD_ATTRS_ESCAPE {
+        n_attrs = get_len(buf, "attrs")?;
+    }
+    Ok(RecordHead {
+        shape: head & SHAPE_MASK,
+        n_edges,
+        n_attrs,
+    })
+}
+
+/// Serialize the entries of an edge-list in `shape` (the constant
+/// fields its record's head factored out): per entry the
+/// delta-encoded neighbor id and only the fields the shape leaves
+/// open. The one edge-list encoder of the crate.
+fn put_edge_list(
+    buf: &mut BytesMut,
+    edges: &[Neighbor],
+    shape: u8,
+    put_pairs: &mut impl FnMut(&mut BytesMut, &Attrs),
+) {
     // Sorted adjacency gaps are mostly one- or two-byte varints.
-    buf.reserve(1 + edges.len() * (2 + entry_fixed_len(shape)));
-    buf.put_u8(shape);
+    buf.reserve(edges.len() * (2 + entry_fixed_len(shape)));
     let mut prev = 0u64;
     for e in edges {
         // One append per entry: varint + dir + weight + attrs flag.
@@ -360,31 +417,25 @@ pub(crate) fn put_edge_list(
         }
         buf.put_slice(&entry[..n]);
         if let Some(a) = &e.attrs {
-            put_edge_attrs(buf, a);
+            put_varint(buf, a.len() as u64);
+            put_pairs(buf, a);
         }
     }
 }
 
-/// Decode an edge-list written by [`put_edge_list`] onto the end of
-/// `edges` (empty for a whole description; a present node's list when
-/// the path sum parses one more stored piece of it). Shape bits this
-/// version does not define are a [`CodecError::BadTag`], and an entry
-/// count the remaining bytes cannot hold fails before any allocation.
-pub(crate) fn get_edge_list(
+/// Decode `n_edges` entries written by [`put_edge_list`] in `shape`
+/// onto the end of `edges`. An entry count the remaining bytes cannot
+/// hold fails before any allocation.
+fn get_edge_list(
     buf: &mut &[u8],
+    shape: u8,
+    n_edges: usize,
     edges: &mut Vec<Neighbor>,
-    mut get_edge_attrs: impl FnMut(&mut &[u8]) -> Result<Attrs, CodecError>,
+    get_pairs: &mut impl FnMut(&mut &[u8], usize) -> Result<Attrs, CodecError>,
 ) -> Result<(), CodecError> {
-    let n_edges = get_len(buf, "edges")?;
     if n_edges == 0 {
+        // An attribute-only piece, or a bare node.
         return Ok(());
-    }
-    let shape = get_u8(buf)?;
-    if shape & !SHAPE_MASK != 0 {
-        return Err(CodecError::BadTag {
-            what: "edge-list shape",
-            tag: shape,
-        });
     }
     let min_entry = 1 + entry_fixed_len(shape);
     if n_edges > buf.len() / min_entry {
@@ -413,7 +464,8 @@ pub(crate) fn get_edge_list(
             get_f32(buf)?
         };
         let attrs = if shape & SHAPE_NO_ATTRS == 0 && get_u8(buf)? != 0 {
-            Some(Box::new(get_edge_attrs(buf)?))
+            let n = get_len(buf, "attrs")?;
+            Some(Box::new(get_pairs(buf, n)?))
         } else {
             None
         };
@@ -427,19 +479,49 @@ pub(crate) fn get_edge_list(
     Ok(())
 }
 
+/// Serialize one record: head, edge-list entries, node-attribute
+/// pairs. `put_pairs` writes the pairs of an attribute set without
+/// their count — row-wise descriptions spell keys inline, columnar
+/// records as dictionary indexes; nothing else differs between them.
+pub(crate) fn put_record(
+    buf: &mut BytesMut,
+    edges: &[Neighbor],
+    attrs: &Attrs,
+    mut put_pairs: impl FnMut(&mut BytesMut, &Attrs),
+) {
+    let shape = put_record_head(buf, edges, attrs.len());
+    put_edge_list(buf, edges, shape, &mut put_pairs);
+    put_pairs(buf, attrs);
+}
+
+/// Decode the head and edge-list of the record at the cursor, its
+/// entries onto the end of `edges` (empty for a whole description; a
+/// present node's list when the path sum parses one more stored piece
+/// of it), and return how many node-attribute pairs follow — the
+/// caller reads them, into a fresh set or onto the node it completes.
+/// `get_pairs(buf, n)` is the inverse of [`put_record`]'s `put_pairs`.
+pub(crate) fn get_record(
+    buf: &mut &[u8],
+    edges: &mut Vec<Neighbor>,
+    mut get_pairs: impl FnMut(&mut &[u8], usize) -> Result<Attrs, CodecError>,
+) -> Result<usize, CodecError> {
+    let head = get_record_head(buf)?;
+    get_edge_list(buf, head.shape, head.n_edges, edges, &mut get_pairs)?;
+    Ok(head.n_attrs)
+}
+
 /// Serialize one static node description.
 pub fn put_static_node(buf: &mut BytesMut, n: &StaticNode) {
     put_varint(buf, n.id);
-    put_edge_list(buf, &n.edges, put_attrs);
-    put_attrs(buf, &n.attrs);
+    put_record(buf, &n.edges, &n.attrs, put_attr_pairs);
 }
 
 /// Decode one static node description.
 pub fn get_static_node(buf: &mut &[u8]) -> Result<StaticNode, CodecError> {
     let id = get_varint(buf)?;
     let mut edges = Vec::new();
-    get_edge_list(buf, &mut edges, get_attrs)?;
-    let attrs = get_attrs(buf)?;
+    let n_attrs = get_record(buf, &mut edges, get_attr_pairs)?;
+    let attrs = get_attr_pairs(buf, n_attrs)?;
     Ok(StaticNode { id, edges, attrs })
 }
 
@@ -817,16 +899,17 @@ mod tests {
         assert!(bytes.len() < 1000 * 8, "got {} bytes", bytes.len());
     }
 
-    /// `edges` as a bare edge-list (no attributes on any entry).
-    fn edge_list_bytes(edges: &[Neighbor]) -> BytesMut {
+    /// `edges` as a record with no node attributes (keys inline).
+    fn record_bytes(edges: &[Neighbor]) -> BytesMut {
         let mut buf = BytesMut::new();
-        put_edge_list(&mut buf, edges, put_attrs);
+        put_record(&mut buf, edges, &Attrs::new(), put_attr_pairs);
         buf
     }
 
-    fn edge_list_back(slice: &mut &[u8]) -> Result<Vec<Neighbor>, CodecError> {
+    /// The edge-list and node-attribute count of the record at `slice`.
+    fn record_back(slice: &mut &[u8]) -> Result<(Vec<Neighbor>, usize), CodecError> {
         let mut edges = Vec::new();
-        get_edge_list(slice, &mut edges, get_attrs).map(|()| edges)
+        get_record(slice, &mut edges, get_attr_pairs).map(|n_attrs| (edges, n_attrs))
     }
 
     fn varint_len(v: u64) -> usize {
@@ -835,10 +918,14 @@ mod tests {
         buf.len()
     }
 
+    fn head_of(shape: u8, edges_code: usize, attrs_code: usize) -> u8 {
+        shape | (edges_code as u8) << HEAD_EDGES_SHIFT | (attrs_code as u8) << HEAD_ATTRS_SHIFT
+    }
+
     #[test]
-    fn default_edges_cost_their_neighbor_varints_plus_two_bytes() {
+    fn default_edges_cost_their_neighbor_varints_plus_one_byte_up_to_six() {
         let nbrs = [3u64, 4, 130, 131, 20_000, 5_000_000, u64::MAX];
-        for d in 1..=nbrs.len() {
+        for d in 0..=nbrs.len() {
             let edges: Vec<Neighbor> = nbrs[..d]
                 .iter()
                 .map(|&nbr| Neighbor::new(nbr, EdgeDir::Both))
@@ -848,15 +935,58 @@ mod tests {
                 .zip(&nbrs[..d])
                 .map(|(prev, &nbr)| varint_len(nbr - prev))
                 .sum();
-            let buf = edge_list_bytes(&edges);
-            assert_eq!(buf.len(), 1 + 1 + gaps, "d = {d}");
-            assert_eq!(buf[1], SHAPE_MASK);
+            let buf = record_bytes(&edges);
+            // Up to six entries the head holds the count; the seventh
+            // moves it into a varint behind the head.
+            let count_varint = if d <= 6 { 0 } else { varint_len(d as u64) };
+            assert_eq!(buf.len(), 1 + count_varint + gaps, "d = {d}");
+            assert_eq!(buf[0], head_of(SHAPE_MASK, d.min(HEAD_EDGES_ESCAPE), 0));
             let mut slice: &[u8] = &buf;
-            assert_eq!(edge_list_back(&mut slice).unwrap(), edges);
+            assert_eq!(record_back(&mut slice).unwrap(), (edges, 0));
             assert!(slice.is_empty());
         }
-        // The empty list has no shape byte at all.
-        assert_eq!(&edge_list_bytes(&[])[..], &[0]);
+        // The pieces most tree records are: one default edge is
+        // `head, nbr`; the record of a bare node is the head alone.
+        assert_eq!(
+            &record_bytes(&[Neighbor::new(9, EdgeDir::Both)])[..],
+            &[head_of(SHAPE_MASK, 1, 0), 9]
+        );
+        assert_eq!(&record_bytes(&[])[..], &[head_of(SHAPE_MASK, 0, 0)]);
+    }
+
+    #[test]
+    fn node_attribute_counts_ride_the_head_up_to_two() {
+        let edges = [Neighbor::new(9, EdgeDir::Both)];
+        for n_attrs in [0usize, 1, 2, 3, 5, 200] {
+            let mut attrs = Attrs::new();
+            for i in 0..n_attrs {
+                attrs.set(format!("k{i:03}"), AttrValue::Bool(true));
+            }
+            let mut buf = BytesMut::new();
+            put_record(&mut buf, &edges, &attrs, put_attr_pairs);
+            let count_varint = if n_attrs <= 2 {
+                0
+            } else {
+                varint_len(n_attrs as u64)
+            };
+            // Each pair: length-prefixed 4-byte key, tag, bool.
+            assert_eq!(buf.len(), 1 + count_varint + 1 + n_attrs * 7);
+            assert_eq!(
+                buf[0],
+                head_of(SHAPE_MASK, 1, n_attrs.min(HEAD_ATTRS_ESCAPE))
+            );
+            let mut slice: &[u8] = &buf;
+            let (back, n) = record_back(&mut slice).unwrap();
+            assert_eq!((back.as_slice(), n), (&edges[..], n_attrs));
+            assert_eq!(get_attr_pairs(&mut slice, n).unwrap(), attrs);
+            assert!(slice.is_empty());
+        }
+        // An attribute-only piece is `head, pair`.
+        let mut attrs = Attrs::new();
+        attrs.set("k", AttrValue::Bool(true));
+        let mut buf = BytesMut::new();
+        put_record(&mut buf, &[], &attrs, put_attr_pairs);
+        assert_eq!(&buf[..], &[head_of(SHAPE_MASK, 0, 1), 1, b'k', 3, 1]);
     }
 
     #[test]
@@ -864,31 +994,32 @@ mod tests {
         let base: Vec<Neighbor> = (1..=5u64)
             .map(|i| Neighbor::new(i * 7, EdgeDir::Both))
             .collect();
-        let plain = edge_list_bytes(&base).len();
+        let plain = record_bytes(&base).len();
+        assert_eq!(plain, 1 + 5, "five one-byte gaps behind one head byte");
 
         let mut directed = base.clone();
         directed[2].dir = EdgeDir::Out;
-        let buf = edge_list_bytes(&directed);
-        assert_eq!(buf[1], SHAPE_MASK & !SHAPE_ALL_BOTH);
+        let buf = record_bytes(&directed);
+        assert_eq!(buf[0], head_of(SHAPE_MASK & !SHAPE_ALL_BOTH, 5, 0));
         assert_eq!(buf.len(), plain + 5);
 
         let mut weighted = base.clone();
         weighted[4].weight = 2.5;
-        let buf = edge_list_bytes(&weighted);
-        assert_eq!(buf[1], SHAPE_MASK & !SHAPE_UNIT_WEIGHTS);
+        let buf = record_bytes(&weighted);
+        assert_eq!(buf[0], head_of(SHAPE_MASK & !SHAPE_UNIT_WEIGHTS, 5, 0));
         assert_eq!(buf.len(), plain + 5 * 4);
 
         let mut attributed = base.clone();
         attributed[0].set_attr("k", AttrValue::Bool(true));
-        let buf = edge_list_bytes(&attributed);
-        assert_eq!(buf[1], SHAPE_MASK & !SHAPE_NO_ATTRS);
+        let buf = record_bytes(&attributed);
+        assert_eq!(buf[0], head_of(SHAPE_MASK & !SHAPE_NO_ATTRS, 5, 0));
         // One flag byte per entry, plus count + "k" + Bool(true).
         assert_eq!(buf.len(), plain + 5 + 1 + 2 + 2);
 
         for edges in [directed, weighted, attributed] {
-            let buf = edge_list_bytes(&edges);
+            let buf = record_bytes(&edges);
             let mut slice: &[u8] = &buf;
-            assert_eq!(edge_list_back(&mut slice).unwrap(), edges);
+            assert_eq!(record_back(&mut slice).unwrap(), (edges, 0));
             assert!(slice.is_empty());
         }
     }
@@ -901,25 +1032,84 @@ mod tests {
                 Neighbor::new(1, EdgeDir::Both),
                 Neighbor::weighted(2, EdgeDir::Both, w),
             ];
-            let buf = edge_list_bytes(&edges);
-            assert_eq!(buf[1] & SHAPE_UNIT_WEIGHTS, 0, "weight {w:?} folded");
+            let buf = record_bytes(&edges);
+            assert_eq!(buf[0] & SHAPE_UNIT_WEIGHTS, 0, "weight {w:?} folded");
             let mut slice: &[u8] = &buf;
-            let back = edge_list_back(&mut slice).unwrap();
+            let (back, _) = record_back(&mut slice).unwrap();
             assert_eq!(back[0].weight.to_bits(), 1.0f32.to_bits());
             assert_eq!(back[1].weight.to_bits(), w.to_bits(), "weight {w:?}");
         }
     }
 
+    /// Where a shape byte had five undefined bits (each a `BadTag`),
+    /// the head byte has none: every value announces a shape and two
+    /// counts, and decodes a body laid out as it says.
     #[test]
-    fn unknown_shape_bits_are_a_bad_tag() {
-        for bad in [0x08u8, 0x0f, 0x80, 0xff] {
-            let mut buf = edge_list_bytes(&[Neighbor::new(9, EdgeDir::Both)]).to_vec();
-            buf[1] = bad;
+    fn every_head_byte_is_defined() {
+        for head in 0..=u8::MAX {
+            let shape = head & SHAPE_MASK;
+            let edges_code = (head >> HEAD_EDGES_SHIFT) as usize & HEAD_EDGES_ESCAPE;
+            let attrs_code = (head >> HEAD_ATTRS_SHIFT) as usize;
+            // An escaped count need not be a large one.
+            let escaped = |code: usize, escape: usize| if code == escape { 4 } else { code };
+            let n_edges = escaped(edges_code, HEAD_EDGES_ESCAPE);
+            let n_attrs = escaped(attrs_code, HEAD_ATTRS_ESCAPE);
+            let mut buf = BytesMut::new();
+            buf.put_u8(head);
+            if edges_code == HEAD_EDGES_ESCAPE {
+                put_varint(&mut buf, n_edges as u64);
+            }
+            if attrs_code == HEAD_ATTRS_ESCAPE {
+                put_varint(&mut buf, n_attrs as u64);
+            }
+            for _ in 0..n_edges {
+                buf.put_u8(2); // Δnbr
+                if shape & SHAPE_ALL_BOTH == 0 {
+                    buf.put_u8(EdgeDir::In.tag());
+                }
+                if shape & SHAPE_UNIT_WEIGHTS == 0 {
+                    put_f32(&mut buf, 0.5);
+                }
+                if shape & SHAPE_NO_ATTRS == 0 {
+                    buf.put_u8(0);
+                }
+            }
             let mut slice: &[u8] = &buf;
-            assert!(matches!(
-                edge_list_back(&mut slice),
-                Err(CodecError::BadTag { tag, .. }) if tag == bad
-            ));
+            let (edges, got_attrs) = record_back(&mut slice).unwrap();
+            assert!(slice.is_empty(), "head {head:#04x}");
+            assert_eq!((edges.len(), got_attrs), (n_edges, n_attrs));
+            for (i, e) in edges.iter().enumerate() {
+                assert_eq!(e.nbr, 2 * (i as u64 + 1));
+                assert_eq!(e.dir == EdgeDir::Both, shape & SHAPE_ALL_BOTH != 0);
+                assert_eq!(e.weight == 1.0, shape & SHAPE_UNIT_WEIGHTS != 0);
+            }
+            // The head alone, or cut anywhere short of its body, is an
+            // error and never a shorter record.
+            for cut in 0..buf.len() {
+                let mut slice: &[u8] = &buf[..cut];
+                assert!(
+                    record_back(&mut slice).is_err(),
+                    "head {head:#04x} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_count_varint_cut_off_behind_the_head_is_eof() {
+        for head in [
+            head_of(SHAPE_MASK, HEAD_EDGES_ESCAPE, 0),
+            head_of(SHAPE_MASK, 0, HEAD_ATTRS_ESCAPE),
+        ] {
+            for tail in [&[][..], &[0x80][..], &[0xff, 0xff][..]] {
+                let mut buf = vec![head];
+                buf.extend_from_slice(tail);
+                let mut slice: &[u8] = &buf;
+                assert!(matches!(
+                    record_back(&mut slice),
+                    Err(CodecError::UnexpectedEof { .. })
+                ));
+            }
         }
     }
 
@@ -927,13 +1117,22 @@ mod tests {
     fn edge_count_beyond_the_buffer_fails_before_allocating() {
         // Claims 2^31 entries of 6 bytes each, carries two.
         let mut buf = BytesMut::new();
+        buf.put_u8(head_of(0, HEAD_EDGES_ESCAPE, 0));
         put_varint(&mut buf, 1 << 31);
-        buf.put_u8(0);
         buf.put_slice(&[1, 2, 0, 0, 0x80, 0x3f, 0, 1, 2, 0, 0, 0x80, 0x3f, 0]);
         let mut slice: &[u8] = &buf;
         assert!(matches!(
-            edge_list_back(&mut slice),
+            record_back(&mut slice),
             Err(CodecError::UnexpectedEof { .. })
+        ));
+        // ...and a count past the sanity cap is refused as such.
+        let mut buf = BytesMut::new();
+        buf.put_u8(head_of(SHAPE_MASK, HEAD_EDGES_ESCAPE, 0));
+        put_varint(&mut buf, u64::MAX);
+        let mut slice: &[u8] = &buf;
+        assert!(matches!(
+            record_back(&mut slice),
+            Err(CodecError::LengthOverflow { what: "edges", .. })
         ));
     }
 

@@ -9,18 +9,27 @@
 //! * an eventlist row holds a node-id dictionary, a delta-varint
 //!   timestamp column, a kind-tag column, dictionary-index id columns,
 //!   and payload columns (edge weights, interned attribute keys,
-//!   attribute values);
+//!   attribute values). The weights column has one `(f32 weight, u8
+//!   directed)` entry per `AddEdge` / `SetEdgeWeight` — unless every
+//!   one of them is the default `AddEdge { weight: 1.0, directed:
+//!   false }` (bit-exact), in which case the segment is empty and the
+//!   kinds column alone says what it held. Any other length is
+//!   corrupt;
 //! * a delta row holds a sorted node-id column, a record-length
 //!   column, an interned attribute-key dictionary, and a concatenated
 //!   per-node record segment; full replays stream ids + records only
 //!   (records are self-delimiting), while pruned per-node lookups
 //!   scan the id and length columns in lockstep up to the node and
 //!   slice one record.
-//!   A record is `edge_list attrs` in the shape-factored edge-list
-//!   grammar of [`crate::codec`] (one shape byte per list, then only
-//!   the fields that vary), with attribute keys as dictionary indexes;
-//!   the edge-list loops themselves live there and are shared with the
-//!   row-wise codec. Records are most of every index, and the factored
+//!   A record is written in the grammar of [`crate::codec`] — one
+//!   head byte holding the edge-list's shape bits and both counts when
+//!   they are small (at most six entries, at most two node
+//!   attributes; a varint follows otherwise), then only the entry
+//!   fields that vary, then the attribute pairs — with attribute keys
+//!   as dictionary indexes; the record codec and its edge-list loops
+//!   live there and are shared with the row-wise codec. Records are
+//!   most of every index — most of them a single default edge
+//!   (`head, nbr`) or a single pair (`head, pair`) — and the factored
 //!   form is why the record segment is stored raw.
 //!
 //! A record is a whole node description in an **aux** row and in any
@@ -58,8 +67,8 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::attr::{AttrValue, Attrs};
 use crate::codec::{
-    get_attr_value, get_edge_list, get_f32, get_len, get_str, get_u8, get_varint, note_decoded,
-    put_attr_value, put_edge_list, put_f32, put_str, put_varint,
+    get_attr_value, get_f32, get_len, get_record, get_str, get_u8, get_varint, note_decoded,
+    put_attr_value, put_f32, put_record, put_str, put_varint,
 };
 use crate::compress::{compress, decompress, decompressed_len};
 use crate::delta::Delta;
@@ -77,11 +86,15 @@ pub enum StorageLayout {
     Columnar,
 }
 
-const ELIST_MAGIC: u8 = 0xC1;
-/// `0xC2` is retired, not free: it tags rows whose records spell
-/// `dir`, weight and an attrs flag on every edge-list entry. They have
-/// no reader and fail [`ColumnarDelta::parse`] with `BadTag`.
-const DELTA_MAGIC: u8 = 0xC3;
+/// Retired row tags, never reused: rows carrying one have no reader
+/// and fail `parse` with `BadTag` instead of being read as this
+/// grammar. `0xC1` tagged eventlist rows that always spelled their
+/// weights column; `0xC2` delta rows whose records spelled `dir`,
+/// weight and an attrs flag on every edge-list entry; `0xC3` delta
+/// rows whose records opened with an `edge_count` varint, a shape byte
+/// and an `attr_count` varint where one head byte now stands.
+const DELTA_MAGIC: u8 = 0xC4;
+const ELIST_MAGIC: u8 = 0xC5;
 
 const ELIST_SEGS: usize = 8;
 const SEG_NODE_DICT: usize = 0;
@@ -127,6 +140,32 @@ fn has_two_ids(tag: u8) -> bool {
 #[inline]
 fn has_weight(tag: u8) -> bool {
     matches!(tag, 2 | 4)
+}
+
+/// Bytes of one weights-column entry: `f32le weight, u8 directed`.
+const WEIGHT_ENTRY_LEN: usize = 5;
+
+/// Hold a weights segment of `len` bytes to the kinds column it
+/// belongs to: one entry per weighted event (`Ok(true)`), or nothing
+/// at all when every weighted event is the default edge
+/// `AddEdge { weight: 1.0, directed: false }` (`Ok(false)` — an empty
+/// column beside a `SetEdgeWeight`, which has no default, is corrupt).
+fn weights_are_spelled(kinds: &[u8], len: usize) -> Result<bool, CodecError> {
+    let (mut weighted, mut reweighted) = (0usize, false);
+    for &t in kinds.iter().filter(|&&t| has_weight(t)) {
+        weighted += 1;
+        reweighted |= t == 4;
+    }
+    if len == 0 && !reweighted {
+        Ok(false)
+    } else if len == weighted * WEIGHT_ENTRY_LEN {
+        Ok(true)
+    } else {
+        Err(CodecError::LengthOverflow {
+            what: "weights",
+            len: len as u64,
+        })
+    }
 }
 
 /// Tags that consume one entry of the attr-key column.
@@ -344,6 +383,8 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
     let mut attr_keys = BytesMut::new();
     let mut attr_vals = BytesMut::new();
     let mut prev_t = 0u64;
+    // Whether every weighted event so far is the default edge.
+    let mut default_weights = true;
     for e in events {
         put_varint(&mut times, e.time.wrapping_sub(prev_t));
         prev_t = e.time;
@@ -357,10 +398,12 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
             EventKind::AddEdge {
                 weight, directed, ..
             } => {
+                default_weights &= weight.to_bits() == 1.0f32.to_bits() && !*directed;
                 put_f32(&mut weights, *weight);
                 weights.put_u8(*directed as u8);
             }
             EventKind::SetEdgeWeight { weight, .. } => {
+                default_weights = false;
                 put_f32(&mut weights, *weight);
                 weights.put_u8(0);
             }
@@ -377,11 +420,14 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
         }
     }
 
+    // Nothing varies: the column decodes from the kinds alone.
+    let weights: &[u8] = if default_weights { &[] } else { &weights };
+
     assemble(
         ELIST_MAGIC,
         events.len(),
         &[
-            &node_dict, &times, &kinds, &ids, &weights, &key_dict, &attr_keys, &attr_vals,
+            &node_dict, &times, &kinds, &ids, weights, &key_dict, &attr_keys, &attr_vals,
         ],
         &{
             // Role-aware policy, mirroring the delta encoder below: the
@@ -389,9 +435,10 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
             // ids) stay raw so a cold snapshot never pays decompression
             // the row-wise baseline doesn't; dictionary and payload
             // columns — where the textual redundancy lives — compress
-            // adaptively. Weights qualify too: repeated defaults make
-            // it a run-length column that LZSS restores at memcpy
-            // speed.
+            // adaptively. Weights qualify too: a column that is spelled
+            // at all (some edge is weighted or directed) is still mostly
+            // repeated defaults, a run-length column that LZSS restores
+            // at memcpy speed.
             let mut min_save = [NEVER_COMPRESS; ELIST_SEGS];
             min_save[SEG_NODE_DICT] = 1;
             min_save[SEG_WEIGHTS] = 1;
@@ -566,12 +613,15 @@ impl ColumnarEventlist {
             .map_err(|e| e.clone())
     }
 
+    /// The weights column, one entry per weighted event — or empty
+    /// when the row spells none (every one is the default edge).
     fn weights(&self) -> Result<&[(f32, bool)], CodecError> {
         self.weights
             .get_or_init(|| {
                 let raw = self.decode_seg(SEG_WEIGHTS)?;
+                weights_are_spelled(&self.core()?.kinds, raw.len())?;
                 let mut b: &[u8] = &raw;
-                let mut out = Vec::with_capacity((raw.len() / 5).min(1 << 20));
+                let mut out = Vec::with_capacity(raw.len() / WEIGHT_ENTRY_LEN);
                 while !b.is_empty() {
                     let w = get_f32(&mut b)?;
                     out.push((w, get_u8(&mut b)? != 0));
@@ -675,13 +725,14 @@ impl ColumnarEventlist {
             })
         };
         let weight = |ord: usize| -> Result<(f32, bool), CodecError> {
-            self.weights()?
-                .get(ord)
-                .copied()
-                .ok_or(CodecError::UnexpectedEof {
-                    needed: ord + 1,
-                    remaining: 0,
-                })
+            let weights = self.weights()?;
+            if weights.is_empty() {
+                return Ok((1.0, false));
+            }
+            weights.get(ord).copied().ok_or(CodecError::UnexpectedEof {
+                needed: ord + 1,
+                remaining: 0,
+            })
         };
         let attr_val = |ord: usize| -> Result<AttrValue, CodecError> {
             self.attr_vals()?
@@ -818,6 +869,7 @@ impl ColumnarEventlist {
                 remaining: kraw.len(),
             });
         }
+        let spelled = weights_are_spelled(&kraw, wraw.len())?;
         let mut tb: &[u8] = &traw;
         let mut ib: &[u8] = &iraw;
         let mut wb: &[u8] = &wraw;
@@ -843,7 +895,7 @@ impl ColumnarEventlist {
                 })
         };
         let flag = |b: &mut &[u8]| get_u8(b).map(|f| f != 0);
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(kraw.len());
         let mut t = 0u64;
         for &tag in kraw.iter() {
             // Checked, not wrapping: a corrupt gap that overflows the
@@ -855,12 +907,20 @@ impl ColumnarEventlist {
             let kind = match tag {
                 0 => EventKind::AddNode { id: a },
                 1 => EventKind::RemoveNode { id: a },
-                2 => EventKind::AddEdge {
-                    src: a,
-                    dst: one(&mut ib, dict)?,
-                    weight: get_f32(&mut wb)?,
-                    directed: flag(&mut wb)?,
-                },
+                2 => {
+                    let dst = one(&mut ib, dict)?;
+                    let (weight, directed) = if spelled {
+                        (get_f32(&mut wb)?, flag(&mut wb)?)
+                    } else {
+                        (1.0, false)
+                    };
+                    EventKind::AddEdge {
+                        src: a,
+                        dst,
+                        weight,
+                        directed,
+                    }
+                }
                 3 => EventKind::RemoveEdge {
                     src: a,
                     dst: one(&mut ib, dict)?,
@@ -923,22 +983,23 @@ impl ColumnarEventlist {
 // columnar deltas
 // ----------------------------------------------------------------------
 
-fn put_interned_attrs(buf: &mut BytesMut, attrs: &Attrs, keys: &[&str]) {
-    put_varint(buf, attrs.len() as u64);
+/// The pairs of `attrs`, keys as indexes into `keys`; the count is
+/// the caller's to write.
+fn put_interned_pairs(buf: &mut BytesMut, attrs: &Attrs, keys: &[&str]) {
     for (k, v) in attrs.iter() {
         put_varint(buf, dict_idx(keys, &k));
         put_attr_value(buf, v);
     }
 }
 
-/// Stream the pairs of an interned attribute set to `on`, keys
-/// resolved through the row's dictionary.
-fn for_each_interned_attr(
+/// Stream `n` interned pairs to `on`, keys resolved through the row's
+/// dictionary.
+fn for_each_interned_pair(
     buf: &mut &[u8],
+    n: usize,
     keys: &[String],
     mut on: impl FnMut(String, AttrValue) -> Result<(), CodecError>,
 ) -> Result<(), CodecError> {
-    let n = get_len(buf, "attrs")?;
     for _ in 0..n {
         let idx = get_varint(buf)?;
         let k = keys
@@ -953,26 +1014,27 @@ fn for_each_interned_attr(
     Ok(())
 }
 
-fn get_interned_attrs(buf: &mut &[u8], keys: &[String]) -> Result<Attrs, CodecError> {
+fn get_interned_pairs(buf: &mut &[u8], n: usize, keys: &[String]) -> Result<Attrs, CodecError> {
     let mut attrs = Attrs::new();
-    for_each_interned_attr(buf, keys, |k, v| {
+    for_each_interned_pair(buf, n, keys, |k, v| {
         attrs.set(k, v);
         Ok(())
     })?;
     Ok(attrs)
 }
 
-fn put_record(buf: &mut BytesMut, n: &StaticNode, keys: &[&str]) {
-    put_edge_list(buf, &n.edges, |buf, a| put_interned_attrs(buf, a, keys));
-    put_interned_attrs(buf, &n.attrs, keys);
+fn put_node_record(buf: &mut BytesMut, n: &StaticNode, keys: &[&str]) {
+    put_record(buf, &n.edges, &n.attrs, |buf, a| {
+        put_interned_pairs(buf, a, keys)
+    });
 }
 
 /// Parse one record from a running cursor into a fresh description;
 /// records are self-delimiting, so the caller needs no length column.
 fn parse_record_from(id: NodeId, b: &mut &[u8], keys: &[String]) -> Result<StaticNode, CodecError> {
     let mut edges = Vec::new();
-    get_edge_list(b, &mut edges, |b| get_interned_attrs(b, keys))?;
-    let attrs = get_interned_attrs(b, keys)?;
+    let n_attrs = get_record(b, &mut edges, |b, n| get_interned_pairs(b, n, keys))?;
+    let attrs = get_interned_pairs(b, n_attrs, keys)?;
     Ok(StaticNode { id, edges, attrs })
 }
 
@@ -987,11 +1049,11 @@ fn merge_record_from(
 ) -> Result<(), CodecError> {
     let repeated = CodecError::RepeatedComponent { node: node.id };
     let sorted_len = node.edges.len();
-    get_edge_list(b, &mut node.edges, |b| get_interned_attrs(b, keys))?;
+    let n_attrs = get_record(b, &mut node.edges, |b, n| get_interned_pairs(b, n, keys))?;
     if !node.settle_appended_edges(sorted_len) {
         return Err(repeated);
     }
-    for_each_interned_attr(b, keys, |k, v| match node.attrs.set(k, v) {
+    for_each_interned_pair(b, n_attrs, keys, |k, v| match node.attrs.set(k, v) {
         None => Ok(()),
         Some(_) => Err(repeated.clone()),
     })
@@ -1051,7 +1113,7 @@ pub fn encode_columnar_delta(d: &Delta) -> Bytes {
     for &id in &ids {
         let start = records.len();
         // hgs-lint: allow(no-panic-in-try, "sorted_ids yields only ids present in this delta")
-        put_record(&mut records, d.node(id).expect("id from sorted_ids"), &keys);
+        put_node_record(&mut records, d.node(id).expect("id from sorted_ids"), &keys);
         put_varint(&mut id_col, id.wrapping_sub(prev));
         prev = id;
         put_varint(&mut len_col, (records.len() - start) as u64);
@@ -1500,7 +1562,7 @@ mod tests {
         }
         for n in [StaticNode::new(300), n] {
             let mut record = BytesMut::new();
-            put_record(&mut record, &n, &[]);
+            put_node_record(&mut record, &n, &[]);
             let mut row = BytesMut::new();
             crate::codec::put_static_node(&mut row, &n);
             assert_eq!(&row[2..], &record[..]);
@@ -1509,15 +1571,163 @@ mod tests {
 
     #[test]
     fn previous_format_rows_fail_closed() {
-        // A row stamped with the retired per-edge-tuple magic is
-        // refused at parse: its records are never read as this grammar.
-        let mut old = encode_columnar_delta(&sample_delta()).to_vec();
-        assert_eq!(old[0], DELTA_MAGIC);
-        old[0] = 0xC2;
-        assert!(matches!(
-            ColumnarDelta::parse(Bytes::from(old)),
-            Err(CodecError::BadTag { tag: 0xC2, .. })
+        // A row stamped with a retired magic is refused at parse: its
+        // records, or its weights column, are never read as this
+        // grammar — whichever parser it is handed to.
+        let delta = encode_columnar_delta(&sample_delta());
+        let elist = encode_columnar_eventlist(&Eventlist::from_sorted(sample_events()));
+        assert_eq!((delta[0], elist[0]), (DELTA_MAGIC, ELIST_MAGIC));
+        for retired in [0xC1u8, 0xC2, 0xC3] {
+            let mut old = delta.to_vec();
+            old[0] = retired;
+            assert!(matches!(
+                ColumnarDelta::parse(Bytes::from(old)),
+                Err(CodecError::BadTag { tag, .. }) if tag == retired
+            ));
+            let mut old = elist.to_vec();
+            old[0] = retired;
+            assert!(matches!(
+                ColumnarEventlist::parse(Bytes::from(old)),
+                Err(CodecError::BadTag { tag, .. }) if tag == retired
+            ));
+        }
+    }
+
+    fn add_edge(t: Time, src: NodeId, dst: NodeId, weight: f32, directed: bool) -> Event {
+        Event::new(
+            t,
+            EventKind::AddEdge {
+                src,
+                dst,
+                weight,
+                directed,
+            },
+        )
+    }
+
+    #[test]
+    fn a_row_of_default_edges_spells_no_weights() {
+        let mut events: Vec<Event> = (0..50u64)
+            .map(|i| add_edge(i, i, i + 1, 1.0, false))
+            .collect();
+        events.push(Event::new(50, EventKind::RemoveEdge { src: 3, dst: 4 }));
+        let el = Eventlist::from_sorted(events.clone());
+        let col = ColumnarEventlist::parse(encode_columnar_eventlist(&el)).unwrap();
+        assert_eq!(col.segs[SEG_WEIGHTS].len(), 0);
+        assert_eq!(col.raw_lens[SEG_WEIGHTS], 0);
+        assert_eq!(col.to_eventlist().unwrap(), el);
+        for nid in [0u64, 3, 4, 50] {
+            let want: Vec<Event> = el.filter_by_node(nid).cloned().collect();
+            assert_eq!(col.events_touching(nid).unwrap(), want, "nid {nid}");
+        }
+
+        // Anything but the bit-exact default edge — one weight, one
+        // direction, one `SetEdgeWeight` (even to 1.0) — and the whole
+        // column is spelled, five bytes a weighted event.
+        let one_ulp_up = f32::from_bits(1.0f32.to_bits() + 1);
+        for (odd, weighted) in [
+            (add_edge(50, 7, 9, 2.5, false), 51),
+            (add_edge(50, 7, 9, one_ulp_up, false), 51),
+            (add_edge(50, 7, 9, -0.0, false), 51),
+            (add_edge(50, 7, 9, 1.0, true), 51),
+            (
+                Event::new(
+                    50,
+                    EventKind::SetEdgeWeight {
+                        src: 3,
+                        dst: 4,
+                        weight: 1.0,
+                    },
+                ),
+                51,
+            ),
+        ] {
+            let mut mixed = events.clone();
+            mixed.push(odd);
+            let el = Eventlist::from_sorted(mixed);
+            let col = ColumnarEventlist::parse(encode_columnar_eventlist(&el)).unwrap();
+            assert_eq!(col.raw_lens[SEG_WEIGHTS], weighted * WEIGHT_ENTRY_LEN);
+            assert_eq!(col.to_eventlist().unwrap(), el);
+            for nid in [3u64, 7, 9] {
+                let want: Vec<Event> = el.filter_by_node(nid).cloned().collect();
+                assert_eq!(col.events_touching(nid).unwrap(), want, "nid {nid}");
+            }
+        }
+    }
+
+    /// Re-assemble `el`'s row with another weights segment (raw).
+    fn with_weights_segment(el: &Eventlist, weights: &[u8]) -> ColumnarEventlist {
+        let col = ColumnarEventlist::parse(encode_columnar_eventlist(el)).unwrap();
+        let raw: Vec<Bytes> = (0..ELIST_SEGS)
+            .map(|i| col.decode_seg(i).unwrap())
+            .collect();
+        let mut segs: Vec<&[u8]> = raw.iter().map(|b| &b[..]).collect();
+        segs[SEG_WEIGHTS] = weights;
+        let row = assemble(ELIST_MAGIC, el.len(), &segs, &[NEVER_COMPRESS; ELIST_SEGS]);
+        ColumnarEventlist::parse(row).unwrap()
+    }
+
+    #[test]
+    fn a_weights_segment_of_any_other_length_is_corrupt() {
+        let plain = Eventlist::from_sorted(
+            (0..4u64)
+                .map(|i| add_edge(i, i, i + 1, 1.0, false))
+                .collect(),
+        );
+        let entry = [0, 0, 0x80, 0x3f, 0];
+        // Neither empty nor one entry per weighted event.
+        for n in [1usize, 3, 5] {
+            let col = with_weights_segment(&plain, &entry.repeat(n));
+            assert!(matches!(
+                col.to_eventlist(),
+                Err(CodecError::LengthOverflow {
+                    what: "weights",
+                    ..
+                })
+            ));
+            assert!(matches!(
+                col.events_touching(2),
+                Err(CodecError::LengthOverflow {
+                    what: "weights",
+                    ..
+                })
+            ));
+        }
+        let cut = with_weights_segment(&plain, &entry.repeat(4)[..19]);
+        assert!(cut.to_eventlist().is_err());
+        assert!(cut.events_touching(2).is_err());
+        // Spelled in full it is the same row.
+        let col = with_weights_segment(&plain, &entry.repeat(4));
+        assert_eq!(col.to_eventlist().unwrap(), plain);
+
+        // A `SetEdgeWeight` has no default: beside one, an empty
+        // column is corrupt, not "weight 1.0".
+        let mut events = plain.events().to_vec();
+        events.push(Event::new(
+            9,
+            EventKind::SetEdgeWeight {
+                src: 1,
+                dst: 2,
+                weight: 3.0,
+            },
         ));
+        let col = with_weights_segment(&Eventlist::from_sorted(events), &[]);
+        assert!(matches!(
+            col.to_eventlist(),
+            Err(CodecError::LengthOverflow {
+                what: "weights",
+                ..
+            })
+        ));
+        assert!(matches!(
+            col.events_touching(1),
+            Err(CodecError::LengthOverflow {
+                what: "weights",
+                ..
+            })
+        ));
+        // Events that read no weight still answer.
+        assert!(col.events_touching(12345).unwrap().is_empty());
     }
 
     #[test]

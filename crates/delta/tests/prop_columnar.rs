@@ -1,7 +1,7 @@
 //! Property-based tests for the columnar eventlist / delta codec, and
 //! for the edge-list grammar it shares with the row-wise delta codec.
 //!
-//! Three families:
+//! Four families:
 //!  * roundtrip — encode → parse → materialize reproduces the input
 //!    exactly, and the pruned accessors (`events_touching`,
 //!    `node_record`) agree with filtering the full decode;
@@ -13,14 +13,19 @@
 //!    drawn per *shape* (which of `dir` / weight / attributes are
 //!    constant across a list), through both `ColumnarDelta` and the
 //!    row-wise `codec::decode_delta`: replayed random histories almost
-//!    never produce the all-default list that real datasets are made of.
+//!    never produce the all-default list that real datasets are made of;
+//!  * head-byte edges (plain `#[test]`s at the end) — records on either
+//!    side of the counts a head byte holds (six entries, two node
+//!    attributes), in every shape, whole and as tree pieces; eventlist
+//!    rows on either side of "every weighted event is the default edge".
 
 use hgs_delta::codec::{decode_delta, encode_delta};
 use hgs_delta::columnar::{
     encode_columnar_delta, encode_columnar_eventlist, ColumnarDelta, ColumnarEventlist,
 };
 use hgs_delta::{
-    AttrValue, Delta, EdgeDir, Event, EventKind, Eventlist, Neighbor, NodeId, StaticNode,
+    AttrValue, CodecError, Delta, EdgeDir, Event, EventKind, Eventlist, Neighbor, NodeId,
+    StaticNode,
 };
 use proptest::prelude::*;
 
@@ -339,4 +344,150 @@ proptest! {
             let _ = decode_delta(&raw);
         }
     }
+}
+
+/// Node 5 with `n_edges` entries in `shape` (0 default, 1 one entry
+/// weighted, 2 entries pointing `In` / `Out`, 3 one entry attributed)
+/// and `n_attrs` node attributes.
+fn edge_case_node(n_edges: usize, n_attrs: usize, shape: u8) -> StaticNode {
+    let mut n = StaticNode::new(5);
+    for i in 0..n_edges {
+        let mut e = Neighbor::new(10 + 3 * i as u64, EdgeDir::Both);
+        match shape {
+            1 if i == n_edges / 2 => e.weight = 2.5,
+            2 => e.dir = [EdgeDir::In, EdgeDir::Out][i % 2],
+            3 if i == n_edges - 1 => e.set_attr("since", AttrValue::Int(1999)),
+            _ => {}
+        }
+        n.insert_edge(e);
+    }
+    for i in 0..n_attrs {
+        n.attrs.set(format!("k{i}"), AttrValue::Int(i as i64));
+    }
+    n
+}
+
+/// Split a description into two tree pieces: alternate entries, and
+/// the attribute pairs cut in half.
+fn split_in_two(n: &StaticNode) -> [StaticNode; 2] {
+    let mut pieces = [StaticNode::new(n.id), StaticNode::new(n.id)];
+    for (i, e) in n.edges.iter().enumerate() {
+        pieces[i % 2].insert_edge(e.clone());
+    }
+    for (i, (k, v)) in n.attrs.iter().enumerate() {
+        pieces[(2 * i >= n.attrs.len()) as usize]
+            .attrs
+            .set(k.to_owned(), v.clone());
+    }
+    pieces
+}
+
+fn row_of(n: &StaticNode) -> ColumnarDelta {
+    let d: Delta = [n.clone(), StaticNode::new(900)].into_iter().collect();
+    ColumnarDelta::parse(encode_columnar_delta(&d)).unwrap()
+}
+
+#[test]
+fn records_round_trip_on_both_sides_of_the_head_byte_counts() {
+    for n_edges in [0usize, 1, 6, 7, 8, 300] {
+        for n_attrs in [0usize, 2, 3, 5] {
+            for shape in 0u8..4 {
+                let case = format!("{n_edges} edges, {n_attrs} attrs, shape {shape}");
+                let node = edge_case_node(n_edges, n_attrs, shape);
+                let whole: Delta = [node.clone(), StaticNode::new(900)].into_iter().collect();
+
+                // Whole, through both codecs and the point read.
+                let col = row_of(&node);
+                assert_eq!(col.to_delta().unwrap(), whole, "{case}");
+                assert_eq!(col.node_record(5).unwrap().as_ref(), Some(&node), "{case}");
+                assert_eq!(
+                    decode_delta(&encode_delta(&whole)).unwrap(),
+                    whole,
+                    "{case}"
+                );
+
+                // As two pieces, summed in either order, row-wide and
+                // node-scoped.
+                let pieces = split_in_two(&node);
+                for order in [[0usize, 1], [1, 0]] {
+                    let (mut state, mut one) = (Delta::new(), Delta::new());
+                    for i in order {
+                        let row = row_of(&pieces[i]);
+                        row.sum_into(&mut state, None).unwrap();
+                        row.sum_node_into(5, &mut one).unwrap();
+                    }
+                    assert_eq!(state, whole, "{case}, order {order:?}");
+                    assert_eq!(one.node(5), Some(&node), "{case}, order {order:?}");
+                }
+
+                // A piece applied twice repeats its components.
+                for piece in pieces.iter().filter(|p| p.degree() + p.attrs.len() > 0) {
+                    let row = row_of(piece);
+                    let mut state = Delta::new();
+                    row.sum_into(&mut state, None).unwrap();
+                    assert_eq!(
+                        row.sum_into(&mut state, None),
+                        Err(CodecError::RepeatedComponent { node: 5 }),
+                        "{case}"
+                    );
+                    let mut one = Delta::new();
+                    row.sum_node_into(5, &mut one).unwrap();
+                    assert_eq!(
+                        row.sum_node_into(5, &mut one),
+                        Err(CodecError::RepeatedComponent { node: 5 }),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn eventlist_rows_keep_their_weights_column_unless_every_edge_is_the_default() {
+    let add = |t: u64, weight: f32, directed: bool| {
+        Event::new(
+            t,
+            EventKind::AddEdge {
+                src: t,
+                dst: t + 1,
+                weight,
+                directed,
+            },
+        )
+    };
+    let plain: Vec<Event> = (0..40).map(|t| add(t, 1.0, false)).collect();
+    let raw_len = |events: &[Event]| {
+        let el = Eventlist::from_sorted(events.to_vec());
+        let col = ColumnarEventlist::parse(encode_columnar_eventlist(&el)).unwrap();
+        assert_eq!(col.to_eventlist().unwrap(), el);
+        for nid in [0u64, 7, 40, 41] {
+            let want: Vec<Event> = el.filter_by_node(nid).cloned().collect();
+            assert_eq!(col.events_touching(nid).unwrap(), want);
+        }
+        col.raw_len_total()
+    };
+    let unspelled = raw_len(&plain);
+
+    // One non-unit weight among unit ones, or one directed edge: the
+    // column is back, an entry of five bytes for each of the 40 edges.
+    for odd in [add(7, 0.5, false), add(7, 1.0, true)] {
+        let mut mixed = plain.clone();
+        mixed[7] = odd;
+        assert_eq!(raw_len(&mixed), unspelled + 40 * 5);
+    }
+
+    // A `SetEdgeWeight` carries a weight of its own: the row with one
+    // spells all 41 entries (the event itself adds a gap, a kind tag
+    // and two dictionary indexes).
+    let mut reweighted = plain.clone();
+    reweighted.push(Event::new(
+        40,
+        EventKind::SetEdgeWeight {
+            src: 7,
+            dst: 8,
+            weight: 1.0,
+        },
+    ));
+    assert_eq!(raw_len(&reweighted), unspelled + 4 + 41 * 5);
 }

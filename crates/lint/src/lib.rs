@@ -27,6 +27,10 @@
 //!   sources whose fn never consults the view's span list: a pinned
 //!   view would read rows sealed after it was published (PR 13 and
 //!   PR 23 each fixed one of these).
+//! * **bounded-decode-alloc** — in `hgs-delta`/`hgs-store`/`hgs-core`,
+//!   a fn that reads varints and sizes a `with_capacity`/`reserve` by a
+//!   bare identifier it never bounds (PR 24 fixed four of these in the
+//!   descriptor decoders `Tgi::open` runs).
 //! * **unused-allow** — an allow annotation whose rule no longer
 //!   fires is itself an error, so annotations cannot rot.
 //!

@@ -22,6 +22,7 @@ pub const RULES: &[&str] = &[
     "no-infallible-twin",
     "no-whole-row-decode",
     "pinned-scan-bounded",
+    "bounded-decode-alloc",
     "unused-allow",
     "malformed-allow",
 ];
@@ -663,6 +664,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
     bounded_retry(toks, &cx, ctx, store_exempt, &mut findings);
     infallible_twins(toks, &cx, ctx, &mut findings);
     pinned_scan_bounded(toks, &cx, ctx, &mut findings);
+    bounded_decode_alloc(toks, &cx, ctx, &mut findings);
 
     // Suppress findings that carry a matching allow on their line.
     findings.retain(|f| {
@@ -870,6 +872,78 @@ fn pinned_scan_bounded(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &
                      published; drop rows whose tsid is not below `spans.len()`, \
                      scan under the `.tsid` of a span of this view, or annotate why \
                      the table holds nothing newer",
+                    cx.fns[f].name
+                ),
+            });
+        }
+    }
+}
+
+/// Fns whose result is a count already held to a bound: the codec's
+/// sanity cap (`get_len`) or the bytes left in the row
+/// (`bounded_count`).
+const BOUNDED_COUNT_FNS: &[&str] = &["get_len", "bounded_count"];
+
+/// The `bounded-decode-alloc` pass: in the non-test library code of
+/// the decoding crates, a fn that reads varints (`get_varint(`) may
+/// not size an allocation — `with_capacity(n)` / `.reserve(n)` — by a
+/// bare identifier unless the fn shows the bound: `n` is assigned from
+/// one of [`BOUNDED_COUNT_FNS`], or the fn refuses a large one with
+/// `if n > …`. A count read off stored bytes is whatever the bytes say;
+/// `n.min(…)` and any other expression are left alone.
+fn bounded_decode_alloc(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    let in_scope = ctx.kind == FileKind::Lib
+        && ctx
+            .crate_dir
+            .as_deref()
+            .is_some_and(|c| PANIC_STRICT_CRATES.contains(&c));
+    if !in_scope {
+        return;
+    }
+    let is_call = |i: usize, name: &str| {
+        toks[i].ident() == Some(name) && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+    };
+    for i in 1..toks.len() {
+        let allocates =
+            is_call(i, "with_capacity") || (is_call(i, "reserve") && toks[i - 1].is_punct('.'));
+        // The whole argument is one identifier: `(` ident `)`.
+        let bare = toks.get(i + 2).and_then(|t| t.ident());
+        let (Some(f), Some(count)) = (
+            cx.per_token[i]
+                .fn_id
+                .filter(|_| allocates && !cx.per_token[i].in_test),
+            bare.filter(|_| toks.get(i + 3).is_some_and(|t| t.is_punct(')'))),
+        ) else {
+            continue;
+        };
+        let in_fn: Vec<usize> = (0..toks.len())
+            .filter(|&j| cx.per_token[j].fn_id == Some(f))
+            .collect();
+        if !in_fn.iter().any(|&j| is_call(j, "get_varint")) {
+            continue;
+        }
+        let bounded = in_fn.iter().any(|&j| {
+            toks[j].ident() == Some(count)
+                && match (&toks[j - 1], toks.get(j + 1), toks.get(j + 2)) {
+                    // `count = get_len(` / `count = bounded_count(`
+                    (_, Some(eq), Some(callee)) if eq.is_punct('=') => callee
+                        .ident()
+                        .is_some_and(|c| BOUNDED_COUNT_FNS.contains(&c)),
+                    // `if count > …`
+                    (kw, Some(gt), _) => kw.ident() == Some("if") && gt.is_punct('>'),
+                    _ => false,
+                }
+        });
+        if !bounded {
+            findings.push(Finding {
+                rule: "bounded-decode-alloc",
+                file: ctx.rel_path.clone(),
+                line: toks[i].line,
+                message: format!(
+                    "`{}` decodes varints and sizes an allocation by `{count}` with no \
+                     bound in sight: a hostile count is a capacity-overflow panic or an \
+                     OOM-sized reservation; read it with `get_len` / `bounded_count`, \
+                     refuse it with `if {count} > …`, or cap it (`{count}.min(…)`)",
                     cx.fns[f].name
                 ),
             });

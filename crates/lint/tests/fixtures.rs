@@ -240,6 +240,37 @@ fn pinned_scan_rule_binds_only_hgs_core_sources() {
 }
 
 #[test]
+fn bounded_decode_alloc_fixture() {
+    for rel in [
+        "crates/core/src/fixture.rs",
+        "crates/delta/src/fixture.rs",
+        "crates/store/src/fixture.rs",
+    ] {
+        check("bounded_decode_alloc.rs", rel, true);
+    }
+}
+
+#[test]
+fn bounded_decode_alloc_binds_only_the_decoding_crates_sources() {
+    // Generators, harnesses and tests size buffers by counts they made
+    // up themselves. Elsewhere the fixture's own allow, suppressing
+    // nothing, is what surfaces.
+    let src = fixture("bounded_decode_alloc.rs");
+    for rel in [
+        "crates/datagen/src/fixture.rs",
+        "crates/core/tests/fixture.rs",
+    ] {
+        let report = lint_source(&src, &ctx(rel));
+        let rules: BTreeSet<&str> = report.findings.iter().map(|f| f.rule).collect();
+        assert!(
+            !rules.contains("bounded-decode-alloc") && rules.contains("unused-allow"),
+            "{rel}: {:#?}",
+            report.findings
+        );
+    }
+}
+
+#[test]
 fn concurrency_rules_are_off_in_tests() {
     // A test may hold a guard across a fetch deliberately (e.g. to
     // force contention); the discipline binds library code only.

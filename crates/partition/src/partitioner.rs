@@ -54,6 +54,13 @@ impl PartitionMap {
         }
     }
 
+    /// The explicit `(node, partition)` assignments, in no particular
+    /// order — with [`PartitionMap::parts`], everything
+    /// [`PartitionMap::explicit`] needs to rebuild this map.
+    pub fn entries(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+        self.map.iter().map(|(&id, &p)| (id, p))
+    }
+
     /// Number of explicit entries (the bookkeeping cost the paper
     /// talks about; zero for random partitioning).
     pub fn bookkeeping_entries(&self) -> usize {

@@ -166,10 +166,19 @@ pub fn chain_key(nid: u64, tsid: u32) -> [u8; 12] {
     out
 }
 
-/// Prefix matching every chain-delta row of one node (also matches a
-/// legacy whole-chain row keyed by the bare 8-byte node key).
+/// Prefix matching every chain-delta row of one node. Nothing else
+/// lives under it: a `Versions` key that is not a 12-byte
+/// [`chain_key`] has no reader ([`chain_key_tsid`] is `None`).
 pub fn chain_prefix(nid: u64) -> [u8; 8] {
     node_key(nid)
+}
+
+/// Timespan id of a [`chain_key`] — the half of a chain row its value
+/// does not repeat. `None` for a key of any other length.
+pub fn chain_key_tsid(key: &[u8]) -> Option<u32> {
+    let key: &[u8; 12] = key.try_into().ok()?;
+    let [.., a, b, c, d] = *key;
+    Some(u32::from_be_bytes([a, b, c, d]))
 }
 
 /// Placement token for node-keyed tables (hash-spread over machines).
@@ -281,8 +290,14 @@ mod tests {
             assert!(k.starts_with(&chain_prefix(42)));
         }
         assert!(!chain_key(43, 0).starts_with(&chain_prefix(42)));
-        // A legacy whole-chain row (bare node key) matches the prefix.
+        // The key gives the tsid back; a bare node key (which the
+        // prefix also matches) or anything longer names no chain row.
+        for &t in &[0u32, 1, 7, 300, u32::MAX] {
+            assert_eq!(chain_key_tsid(&chain_key(42, t)), Some(t));
+        }
         assert!(node_key(42).starts_with(&chain_prefix(42)));
+        assert_eq!(chain_key_tsid(&node_key(42)), None);
+        assert_eq!(chain_key_tsid(&[0u8; 13]), None);
     }
 
     #[test]
