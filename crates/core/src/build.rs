@@ -115,6 +115,13 @@ impl SpanRuntime {
         let sid = sid_of(nid, self.maps.len() as u32);
         (sid, self.maps[sid as usize].assign(nid))
     }
+
+    /// The partition map of horizontal partition `sid`; `None` when the
+    /// span has no such partition — `sid` holds no node, and a read of
+    /// it answers empty.
+    pub(crate) fn map(&self, sid: u32) -> Option<&PartitionMap> {
+        self.maps.get(sid as usize)
+    }
 }
 
 /// An immutable, cheaply-clonable snapshot of the index's sealed
@@ -550,10 +557,11 @@ impl Tgi {
         // a mid-write failure leaves old chains fully intact and at
         // worst omits whole per-span segments, never half of one.
         // Query-side, a prefix scan by `nid` concatenates the segments
-        // in `tsid` (chronological) order.
+        // in `tsid` (chronological) order. A node's entries come out of
+        // `encode_sid_span`'s chunk loop in increasing chunk order, one
+        // per chunk whose bucket holds the node.
         if cfg.version_chains {
-            for (nid, mut entries) in chains {
-                entries.sort_by_key(|e| e.time);
+            for (nid, entries) in chains {
                 buf.push(
                     Table::Versions,
                     chain_key(nid, tsid).to_vec(),
@@ -984,7 +992,6 @@ fn bucket_chunk(
                 let chain = chains.entry(nid).or_default();
                 if chain.last().map(|e| (e.tsid, e.chunk, e.pid)) != Some((tsid, chunk_idx, pid)) {
                     chain.push(ChainEntry {
-                        time: ev.time,
                         tsid,
                         chunk: chunk_idx,
                         pid,

@@ -1,6 +1,14 @@
 //! Index metadata: the intersection-tree shape, timespan descriptors,
 //! version chains, and their binary encodings (stored in the
 //! `Timespans`, `Graph` and `Versions` tables).
+//!
+//! A version chain is a set of chunks: one `Versions` row per `(node,
+//! span)` holds the span's eventlist chunks that hold the node's
+//! events, as the first chunk index and then the gap to each next one,
+//! one varint each — nothing else. What a [`ChainEntry`] carries beyond
+//! its chunk is derived by the reader: `tsid` from the row's key, `pid`
+//! from the span's partition map, and when the entry's events happened
+//! from the span's checkpoints ([`TimespanMeta::chunks_overlapping`]).
 
 use bytes::BytesMut;
 use hgs_delta::codec::{get_varint, put_varint};
@@ -128,7 +136,7 @@ impl TimespanMeta {
     }
 
     /// The eventlist chunks that can hold an event with
-    /// `after < time < before` (`after = None`: from time 0 on). Chunk
+    /// `after < time < before` (`after = None`: from time 0 on): chunk
     /// `j` holds the span's events in `[c_j, c_{j+1})`, the last one up
     /// to `range.end`.
     pub fn chunks_overlapping(
@@ -136,13 +144,23 @@ impl TimespanMeta {
         after: Option<Time>,
         before: Time,
     ) -> impl Iterator<Item = u32> + '_ {
-        let ends = self.checkpoints.iter().skip(1).chain([&self.range.end]);
-        self.checkpoints
-            .iter()
-            .zip(ends)
-            .enumerate()
-            .filter(move |(_, (&start, &end))| start < before && after.is_none_or(|a| end > a))
-            .map(|(chunk, _)| chunk as u32)
+        (0..self.checkpoints.len() as u32).filter(move |&j| self.chunk_overlaps(j, after, before))
+    }
+
+    /// Whether eventlist chunk `j` is one of
+    /// [`TimespanMeta::chunks_overlapping`]; a chunk the span does not
+    /// have holds no event.
+    pub(crate) fn chunk_overlaps(&self, j: u32, after: Option<Time>, before: Time) -> bool {
+        let j = j as usize;
+        let Some(&start) = self.checkpoints.get(j) else {
+            return false;
+        };
+        let end = self
+            .checkpoints
+            .get(j + 1)
+            .copied()
+            .unwrap_or(self.range.end);
+        start < before && after.is_none_or(|a| end > a)
     }
 
     /// Serialize for the `Timespans` table.
@@ -208,59 +226,80 @@ impl TimespanMeta {
     }
 }
 
-/// One version-chain entry: "node changed at `time`, and the events
-/// live in eventlist chunk `chunk` of timespan `tsid`, micro-partition
-/// `pid`".
+/// One version-chain entry: "eventlist chunk `chunk` of timespan
+/// `tsid` holds events touching the node, at micro-partition `pid`" —
+/// chunk `j` holds the span's events in `[c_j, c_{j+1})`.
 ///
 /// A `Versions` row — one per `(node, timespan)`, keyed
-/// [`chain_key`](hgs_store::key::chain_key) — **stores** only `time`
-/// (as a gap to the entry before it) and `chunk`. The other two fields
-/// are constant over the row and its reader already has them: `tsid`
-/// is the last four bytes of the row's key, `pid` is where the span's
-/// partition map of the node's `sid` assigns the node — the rule the
-/// build bucketed the node's events by.
+/// [`chain_key`](hgs_store::key::chain_key) — **stores** only the set
+/// of chunks: the first chunk index, then the gap to each next one, one
+/// varint each, no count (the row's length delimits it). Everything
+/// else is derived: `tsid` is the last four bytes of the row's key,
+/// `pid` is where the span's partition map of the node's `sid` assigns
+/// the node — the rule the build bucketed the node's events by — and
+/// when an entry's events happened is bounded by its span's
+/// checkpoints (`TimespanMeta::chunks_overlapping`), the same rule a
+/// chain-less read locates chunks by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainEntry {
-    pub time: Time,
     pub tsid: u32,
     pub chunk: u32,
     pub pid: u32,
 }
 
-/// Serialize one span's segment of a version chain (chronologically
-/// sorted entries): `count, (time-gap, chunk)*`. The entries' `tsid`
-/// and `pid` are not written (see [`ChainEntry`]).
+/// Serialize one span's segment of a version chain (entries in
+/// increasing `chunk` order): the first chunk, then the gap to each
+/// next one. The entries' `tsid` and `pid` are not written (see
+/// [`ChainEntry`]).
 pub fn encode_chain(entries: &[ChainEntry]) -> bytes::Bytes {
-    let mut buf = BytesMut::with_capacity(entries.len() * 3 + 2);
-    put_varint(&mut buf, entries.len() as u64);
-    let mut prev_t = 0u64;
+    let mut buf = BytesMut::with_capacity(entries.len() + 1);
+    let mut prev = 0u32;
     for e in entries {
-        put_varint(&mut buf, e.time.wrapping_sub(prev_t));
-        prev_t = e.time;
-        put_varint(&mut buf, e.chunk as u64);
+        debug_assert!(buf.is_empty() || e.chunk > prev, "chunks increase");
+        put_varint(&mut buf, (e.chunk - prev) as u64);
+        prev = e.chunk;
     }
     buf.freeze()
 }
 
 /// Decode a chain row written by [`encode_chain`] for the `(node,
 /// tsid)` of its key, whose events the span keeps at micro-partition
-/// `pid`; rejects trailing bytes.
-pub fn decode_chain(mut buf: &[u8], tsid: u32, pid: u32) -> Result<Vec<ChainEntry>, CodecError> {
+/// `pid` in eventlist chunks `0..chunk_count`. A chunk at or past
+/// `chunk_count`, or one that does not increase on the chunk before it,
+/// is refused: the row names chunks its span does not have. Every entry
+/// is at least one byte, so no more entries than the row has bytes are
+/// allocated.
+pub fn decode_chain(
+    mut buf: &[u8],
+    tsid: u32,
+    pid: u32,
+    chunk_count: usize,
+) -> Result<Vec<ChainEntry>, CodecError> {
     let b = &mut buf;
-    let n = bounded_count(b, 2, "chain")?;
-    let mut out = Vec::with_capacity(n);
-    let mut prev_t = 0u64;
-    for _ in 0..n {
-        prev_t = prev_t.wrapping_add(get_varint(b)?);
+    let mut out: Vec<ChainEntry> = Vec::with_capacity(b.len());
+    while !b.is_empty() {
+        let gap = get_varint(b)?;
+        let chunk = match out.last() {
+            None => gap,
+            Some(_) if gap == 0 => {
+                return Err(CodecError::BadRef {
+                    what: "chain gap",
+                    id: 0,
+                })
+            }
+            Some(prev) => (prev.chunk as u64).saturating_add(gap),
+        };
+        if chunk >= chunk_count as u64 {
+            return Err(CodecError::BadRef {
+                what: "chain chunk",
+                id: chunk,
+            });
+        }
         out.push(ChainEntry {
-            time: prev_t,
             tsid,
-            chunk: get_varint(b)? as u32,
+            chunk: chunk as u32,
             pid,
         });
-    }
-    if !b.is_empty() {
-        return Err(CodecError::TrailingBytes { remaining: b.len() });
     }
     Ok(out)
 }
@@ -374,30 +413,35 @@ mod tests {
     fn chain_roundtrip() {
         // One row is one (node, span): what the entries share is not
         // stored, it comes back from the reader's `tsid` and `pid`.
-        let entry = |time, chunk| ChainEntry {
-            time,
+        let entry = |chunk| ChainEntry {
             tsid: 7,
             chunk,
             pid: 3,
         };
-        let entries = vec![entry(5, 1), entry(17, 2), entry(94_000, 300)];
+        let entries = vec![entry(1), entry(2), entry(300)];
         let row = encode_chain(&entries);
-        assert_eq!(decode_chain(&row, 7, 3).unwrap(), entries);
-        assert!(decode_chain(&encode_chain(&[]), 0, 0).unwrap().is_empty());
+        assert_eq!(decode_chain(&row, 7, 3, 301).unwrap(), entries);
+        assert!(decode_chain(&encode_chain(&[]), 0, 0, 0)
+            .unwrap()
+            .is_empty());
+        assert_eq!(
+            decode_chain(&encode_chain(&[entry(0)]), 7, 3, 1).unwrap(),
+            [entry(0)]
+        );
 
-        // A row is `count, (time-gap, chunk)*` and nothing else.
+        // A row is the first chunk, then the chunk gaps, and nothing
+        // else: no count, no time.
         let varint_len = |v: u64| {
             let mut buf = BytesMut::new();
             put_varint(&mut buf, v);
             buf.len()
         };
-        let gaps = [5u64, 12, 94_000 - 17];
-        let body: usize = gaps
-            .iter()
-            .zip(&entries)
-            .map(|(&gap, e)| varint_len(gap) + varint_len(e.chunk as u64))
-            .sum();
-        assert_eq!(row.len(), varint_len(3) + body);
+        let gaps = [1u64, 1, 298];
+        assert_eq!(
+            row.len(),
+            gaps.iter().map(|&g| varint_len(g)).sum::<usize>()
+        );
+        assert_eq!(row.len(), 4);
         // ...so entries differing only in `tsid` / `pid` encode alike.
         let elsewhere: Vec<ChainEntry> = entries
             .iter()
@@ -411,26 +455,38 @@ mod tests {
     }
 
     #[test]
-    fn chain_rows_with_a_bad_count_or_tail_are_refused() {
-        let row = encode_chain(&[ChainEntry {
-            time: 5,
-            tsid: 0,
-            chunk: 1,
-            pid: 0,
-        }]);
-        let mut long = row.to_vec();
-        long.push(0);
+    fn chain_rows_naming_chunks_their_span_lacks_are_refused() {
+        let row = |gaps: &[u64]| {
+            let mut buf = BytesMut::new();
+            for &g in gaps {
+                put_varint(&mut buf, g);
+            }
+            buf.freeze()
+        };
+        let bad = |what, id| Err(CodecError::BadRef { what, id });
+        // The last chunk of a ten-chunk span, and one past it.
+        assert!(decode_chain(&row(&[3, 6]), 0, 0, 10).is_ok());
         assert_eq!(
-            decode_chain(&long, 0, 0),
-            Err(CodecError::TrailingBytes { remaining: 1 })
+            decode_chain(&row(&[3, 7]), 0, 0, 10),
+            bad("chain chunk", 10)
         );
-        // A count the row cannot hold fails before the allocation.
-        let mut huge = BytesMut::new();
-        put_varint(&mut huge, 1 << 62);
-        bytes::BufMut::put_slice(&mut huge, &[1, 1]);
+        assert_eq!(decode_chain(&row(&[10]), 0, 0, 10), bad("chain chunk", 10));
+        // A chunk that does not increase on the one before it.
+        assert_eq!(decode_chain(&row(&[3, 0]), 0, 0, 10), bad("chain gap", 0));
+        // A gap that would wrap a `u32` (or a `u64`) is out of the span,
+        // not back at its start.
+        assert_eq!(
+            decode_chain(&row(&[1, u32::MAX as u64]), 0, 0, 10),
+            bad("chain chunk", 1 + u32::MAX as u64)
+        );
+        assert_eq!(
+            decode_chain(&row(&[1, u64::MAX]), 0, 0, 10),
+            bad("chain chunk", u64::MAX)
+        );
+        // A varint cut short.
         assert!(matches!(
-            decode_chain(&huge, 0, 0),
-            Err(CodecError::LengthOverflow { what: "chain", .. })
+            decode_chain(&[0x80], 0, 0, 10),
+            Err(CodecError::UnexpectedEof { .. })
         ));
     }
 

@@ -45,11 +45,13 @@ impl std::error::Error for OpenError {}
 
 /// Descriptor tag of the one row format. It stands for every table's
 /// grammar, the `Versions` rows above all — they carry no magic of
-/// their own. Retired, never reused: `0` (row-wise rows) and `1`
-/// (chain entries spelling `tsid` and `pid`, records opening with two
-/// count varints and a shape byte, eventlists always spelling their
-/// weights). A store tagged otherwise is refused, not answered from.
-const LAYOUT_TAG: u64 = 2;
+/// their own. Retired, never reused: `0` (row-wise rows), `1` (chain
+/// entries spelling `tsid` and `pid`, records opening with two count
+/// varints and a shape byte, eventlists always spelling their weights)
+/// and `2` (chain rows of `count, (time-gap, chunk)*`, which would
+/// parse as chunk gaps under this one). A store tagged otherwise is
+/// refused, not answered from.
+const LAYOUT_TAG: u64 = 3;
 
 /// Serialize the construction configuration.
 pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
@@ -308,7 +310,7 @@ mod tests {
             assert_eq!(format!("{cfg:?}"), format!("{back:?}"));
         }
         // The layout tag is the second-to-last varint (one byte each):
-        // a descriptor tagged 0 or 1 (the retired formats), or cut
+        // a descriptor tagged 0, 1 or 2 (the retired formats), or cut
         // short before the tag, is refused rather than opened as
         // something else.
         let blob = encode_config(&TgiConfig::default());
@@ -319,7 +321,12 @@ mod tests {
             blob[tag_at] = tag;
             blob
         };
-        for bad in [&retired(0)[..], &retired(1)[..], &blob[..tag_at]] {
+        for bad in [
+            &retired(0)[..],
+            &retired(1)[..],
+            &retired(2)[..],
+            &blob[..tag_at],
+        ] {
             assert!(matches!(
                 decode_config(bad),
                 Err(CodecError::BadTag {

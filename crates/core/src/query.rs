@@ -15,7 +15,9 @@
 //!
 //! A missing *row* (`Ok(None)` / empty scan) is not an error — deltas
 //! that were never written (empty micro-partitions) are legitimately
-//! absent. Only machine unavailability surfaces as `Err`.
+//! absent — with one exception: an eventlist row a version chain names
+//! was written beside the chain entry, so its absence is
+//! [`StoreError::Corrupt`], like a row that does not decode.
 
 use std::sync::Arc;
 
@@ -358,9 +360,8 @@ impl TgiView {
                 }
             }
             self.sum_scanned_path(&mut state, tsid, sid, path_rows, false)?;
-            if let Some(pieces) = by_did.remove(&(ELIST_BASE + j as u64)) {
-                // hgs-lint: allow(no-panic-in-try, "sid enumerates 0..ns and span.maps holds ns entries")
-                let map = &span.maps[sid as usize];
+            let pieces = by_did.remove(&(ELIST_BASE + j as u64));
+            if let (Some(pieces), Some(map)) = (pieces, span.map(sid)) {
                 for (pid, bytes) in pieces {
                     let el = decode_elist_blob(&bytes)?;
                     for e in el.events().iter().take_while(|e| e.time <= t) {
@@ -646,9 +647,7 @@ impl TgiView {
                 s
             }
         };
-        if let Some(el) = elist {
-            // hgs-lint: allow(no-panic-in-try, "sid_of returns sid < ns and span.maps holds ns entries")
-            let map = &span.maps[sid as usize];
+        if let (Some(el), Some(map)) = (elist, span.map(sid)) {
             for e in el.events().iter().take_while(|e| e.time <= t) {
                 apply_event_scoped(&mut state, &e.kind, |id| {
                     sid_of(id, ns) == sid && map.assign(id) == pid
@@ -729,11 +728,13 @@ impl TgiView {
     /// The version chain of a node (empty when chains are disabled or
     /// the node never appeared): one prefix scan over the node's
     /// append-only chain rows, concatenated in key (i.e. `tsid`, i.e.
-    /// chronological) order. A row stores `(time, chunk)` pairs; its
-    /// `tsid` is read off its key and its `pid` off the span's
-    /// partition map (see [`ChainEntry`]). Rows of spans sealed after
-    /// this view are skipped undecoded — they are not part of its
-    /// prefix, whatever state they are in.
+    /// chronological) order, so entries come out in `(tsid, chunk)`
+    /// order. A row stores the set of chunks holding the node's events
+    /// and nothing else; its `tsid` is read off its key and its `pid`
+    /// off the span's partition map, and a row naming a chunk its span
+    /// does not have is [`StoreError::Corrupt`] (see [`ChainEntry`]).
+    /// Rows of spans sealed after this view are skipped undecoded —
+    /// they are not part of its prefix, whatever state they are in.
     pub fn try_version_chain(&self, nid: NodeId) -> Result<Vec<ChainEntry>, StoreError> {
         // hgs-lint: allow(batched-store-discipline, "one prefix scan per node is the version chain's native access (Algorithm 2 batches across chunks)")
         let rows = self.store.scan_prefix(
@@ -752,7 +753,9 @@ impl TgiView {
                 continue;
             };
             let (_sid, pid) = span.placement(nid);
-            chain.extend(decode_chain(&bytes, tsid, pid).map_err(StoreError::Corrupt)?);
+            let chunk_count = span.meta.checkpoints.len();
+            chain
+                .extend(decode_chain(&bytes, tsid, pid, chunk_count).map_err(StoreError::Corrupt)?);
         }
         Ok(chain)
     }
@@ -762,16 +765,23 @@ impl TgiView {
     /// routine behind every node-centric history read (Algorithm 2
     /// without its initial state).
     ///
-    /// The version chain names the eventlist chunks that touch the
-    /// node; an index built without chains
-    /// ([`TgiConfig::version_chains`](crate::TgiConfig) off) reads
-    /// every chunk the range overlaps at the node's micro-partition
-    /// instead — the Log scan Table 1 prices at `|G|`, never a smaller
-    /// answer. Either way only spans of this view are consulted, and a
-    /// span's chunks share a placement, so whatever the read cache
-    /// does not hold travels in one multi-get per span. Chunks are
-    /// concatenated in `(tsid, chunk)` order and never re-sorted:
-    /// events sharing a timestamp keep the order they were ingested in.
+    /// One rule locates the events, with or without chains: per span of
+    /// this view, the chunks whose checkpoints can bound an event of
+    /// the range ([`TimespanMeta::chunk_overlaps`]) at the node's
+    /// micro-partition — the Log scan Table 1 prices at `|G|`, all an
+    /// index built without chains
+    /// ([`TgiConfig::version_chains`](crate::TgiConfig) off) can do —
+    /// and, when the index keeps version chains, only those the node's
+    /// chain names. The build names a chunk only beside the node's
+    /// non-empty bucket, so a named chunk whose row is absent is
+    /// [`StoreError::Corrupt`], never a shorter history; without chains
+    /// an absent row is an empty bucket. A span's chunks share a
+    /// placement, so whatever the read cache does not hold travels in
+    /// one multi-get per span. Chunks are concatenated in `(tsid,
+    /// chunk)` order and never re-sorted: events sharing a timestamp
+    /// keep the order they were ingested in.
+    ///
+    /// [`TimespanMeta::chunk_overlaps`]: crate::TimespanMeta::chunk_overlaps
     pub(crate) fn node_events(
         &self,
         nid: NodeId,
@@ -779,18 +789,18 @@ impl TgiView {
         before: Time,
     ) -> Result<Vec<Event>, StoreError> {
         let sid = sid_of(nid, self.cfg.horizontal_partitions);
-        let mut refs: Vec<(u32, u32, u32)> = if self.cfg.version_chains {
+        let chains = self.cfg.version_chains;
+        // `(tsid, chunk, pid)` in `(tsid, chunk)` order. A chain is in
+        // that order already, and filtering its entries costs the
+        // node's chunks where filtering every chunk costs the spans'.
+        let refs: Vec<(u32, u32, u32)> = if chains {
             let chain = self.try_version_chain(nid)?;
-            // A chain entry records the *first* touch in a chunk run,
-            // so the last entry at or before `after` may still point to
-            // a chunk holding later in-range events — include it.
-            let from = after.map_or(0, |a| {
-                chain.partition_point(|e| e.time <= a).saturating_sub(1)
-            });
             chain
-                .iter()
-                .skip(from)
-                .filter(|e| e.time < before)
+                .into_iter()
+                .filter(|e| {
+                    let span = self.spans.get(e.tsid as usize);
+                    span.is_some_and(|s| s.meta.chunk_overlaps(e.chunk, after, before))
+                })
                 .map(|e| (e.tsid, e.chunk, e.pid))
                 .collect()
         } else {
@@ -802,11 +812,6 @@ impl TgiView {
             }
             refs
         };
-        // Rows are stored bytes: whatever order or repeats a damaged
-        // one names its chunks in, each is fetched — and its events
-        // counted — once, in `(tsid, chunk)` order.
-        refs.sort_unstable();
-        refs.dedup();
         // One fetch per span: (tsid, its (chunk, pid) refs).
         let mut spans: Vec<(u32, Vec<(u32, u32)>)> = Vec::new();
         for (tsid, chunk, pid) in refs {
@@ -822,8 +827,19 @@ impl TgiView {
                     .into_iter()
                     .map(|(tsid, chunks)| {
                         let mut events = Vec::new();
-                        for el in self.try_fetch_elists(tsid, sid, &chunks)?.iter().flatten() {
-                            events.extend(el.events_touching(nid)?.into_iter().filter(in_range));
+                        let rows = self.try_fetch_elists(tsid, sid, &chunks)?;
+                        for (row, &(chunk, _pid)) in rows.iter().zip(&chunks) {
+                            match row {
+                                Some(el) => events
+                                    .extend(el.events_touching(nid)?.into_iter().filter(in_range)),
+                                None if chains => {
+                                    return Err(StoreError::Corrupt(CodecError::BadRef {
+                                        what: "chain chunk without an eventlist row",
+                                        id: chunk as u64,
+                                    }))
+                                }
+                                None => {}
+                            }
                         }
                         Ok(events)
                     })
@@ -1073,7 +1089,9 @@ impl TgiView {
     /// All node histories of one horizontal partition over `range`:
     /// the partition's state at `range.start` plus, per node, the
     /// events touching it strictly inside the range. Nodes that first
-    /// appear mid-range are included with `initial == None`.
+    /// appear mid-range are included with `initial == None`. A `sid` at
+    /// or past the horizontal partition count holds no node, so its
+    /// answer is empty (as [`TgiView::try_sid_state_at`]'s is).
     ///
     /// This is the bulk equivalent of Algorithm 2 and the fetch unit
     /// of the TAF protocol (Fig. 10: each analytics worker pulls whole
@@ -1088,7 +1106,6 @@ impl TgiView {
         range: TimeRange,
     ) -> Result<Vec<NodeHistory>, StoreError> {
         let ns = self.cfg.horizontal_partitions;
-        debug_assert!(sid < ns);
         // Initial states: the sid's slice of the snapshot at range.start.
         let initial = self.try_sid_state_at(sid, range.start)?;
         let mut histories: FxHashMap<NodeId, NodeHistory> = FxHashMap::default();
@@ -1107,8 +1124,9 @@ impl TgiView {
         // range.end), one grouped scan per overlapping span.
         for span in &self.spans {
             let meta = &span.meta;
-            // hgs-lint: allow(no-panic-in-try, "sid enumerates 0..ns and span.maps holds ns entries")
-            let map = &span.maps[sid as usize];
+            let Some(map) = span.map(sid) else {
+                continue;
+            };
             let prefixes: Vec<[u8; 16]> = meta
                 .chunks_overlapping(Some(range.start), range.end)
                 .map(|chunk| DeltaKey::delta_prefix(meta.tsid, sid, ELIST_BASE + chunk as u64))

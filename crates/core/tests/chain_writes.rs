@@ -47,6 +47,44 @@ fn fresh_build_issues_zero_reads() {
     assert!(!chain.is_empty(), "node 0 must have a version chain");
 }
 
+/// A chain row spells its chunk set and nothing else: every stored
+/// `Versions` row is exactly as long as the varints of its first chunk
+/// and the gaps to the next ones — no count, no time, no `tsid` or
+/// `pid`.
+#[test]
+fn a_chain_row_is_its_chunk_gaps_and_nothing_else() {
+    let events = WikiGrowth::sized(4_000).generate();
+    let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
+    let tgi = Tgi::try_build_on(cfg(), store.clone(), &events).expect("build");
+    let varint_len = |v: u32| {
+        let mut buf = bytes::BytesMut::new();
+        hgs_delta::codec::put_varint(&mut buf, v as u64);
+        buf.len()
+    };
+    let mut rows = 0;
+    for (key, row) in store.content_rows().into_iter().flatten() {
+        if key[0] != Table::Versions.tag() {
+            continue;
+        }
+        let nid = u64::from_be_bytes(key[1..9].try_into().unwrap());
+        let tsid = chain_key_tsid(&key[1..]).expect("a (nid, tsid) key");
+        let chunks: Vec<u32> = tgi
+            .try_version_chain(nid)
+            .unwrap()
+            .into_iter()
+            .filter(|e| e.tsid == tsid)
+            .map(|e| e.chunk)
+            .collect();
+        assert!(!chunks.is_empty(), "a row for a span the node is not in");
+        let gaps = chunks
+            .iter()
+            .scan(0, |prev, &c| Some(c - std::mem::replace(prev, c)));
+        assert_eq!(row.len(), gaps.map(varint_len).sum::<usize>());
+        rows += 1;
+    }
+    assert!(rows > 100, "the build wrote chain rows");
+}
+
 /// Appends, too, extend chains purely by writing new `(nid, tsid)`
 /// rows — no reads of the existing chain.
 #[test]

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use hgs_core::meta::ELIST_BASE;
-use hgs_core::{KhopStrategy, Tgi};
+use hgs_core::{KhopStrategy, Tgi, TgiView, TimespanMeta};
 use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::{normalize_events, AttrValue, Delta, Event, EventKind, NodeId, Time, TimeRange};
 use hgs_store::{DeltaKey, PutRow, SimStore, Table};
@@ -57,6 +57,52 @@ pub fn node_events_by_replay(normalized: &[Event], nid: NodeId, range: TimeRange
         .filter(|e| touches(e, nid) && e.time > range.start && e.time < range.end)
         .cloned()
         .collect()
+}
+
+/// The span descriptors an index persisted, in `tsid` order.
+pub fn span_metas(store: &SimStore) -> Vec<TimespanMeta> {
+    let mut metas: Vec<TimespanMeta> = store
+        .content_rows()
+        .into_iter()
+        .flatten()
+        .filter(|(k, _)| k[0] == Table::Timespans.tag())
+        .map(|(_, v)| TimespanMeta::decode(&v).unwrap())
+        .collect();
+    metas.sort_by_key(|m| m.tsid);
+    metas.dedup_by_key(|m| m.tsid);
+    metas
+}
+
+/// The `(tsid, chunk)` whose `[c_j, c_{j+1})` holds time `t`, from the
+/// spans' checkpoints alone (a span's last chunk runs to its range's
+/// end).
+pub fn chunk_of(metas: &[TimespanMeta], t: Time) -> (u32, u32) {
+    let meta = metas
+        .iter()
+        .find(|m| m.range.contains(t))
+        .expect("the spans cover every event time");
+    (meta.tsid, meta.leaf_for_time(t) as u32)
+}
+
+/// Reference version chain, as `(tsid, chunk)` pairs in order: the
+/// eventlist chunks holding an event of `normalized` touching `nid`.
+pub fn chain_by_replay(
+    normalized: &[Event],
+    nid: NodeId,
+    metas: &[TimespanMeta],
+) -> Vec<(u32, u32)> {
+    let chunks: BTreeSet<(u32, u32)> = normalized
+        .iter()
+        .filter(|e| touches(e, nid))
+        .map(|e| chunk_of(metas, e.time))
+        .collect();
+    chunks.into_iter().collect()
+}
+
+/// A node's version chain as the `(tsid, chunk)` pairs its rows store.
+pub fn chain_chunks(tgi: &TgiView, nid: NodeId) -> Vec<(u32, u32)> {
+    let chain = tgi.try_version_chain(nid).unwrap();
+    chain.into_iter().map(|e| (e.tsid, e.chunk)).collect()
 }
 
 /// Reference attribute history (the rule of
@@ -134,6 +180,7 @@ pub fn assert_answers_equal_replay(tgi: &Tgi, events: &[Event]) {
         }
     }
     let normalized = normalize_events(events);
+    let metas = span_metas(tgi.store());
     let mid = Delta::snapshot_by_replay(events, end / 2);
     let range = TimeRange::new(0, end + 1);
     let initial = Delta::snapshot_by_replay(events, range.start);
@@ -154,37 +201,13 @@ pub fn assert_answers_equal_replay(tgi: &Tgi, events: &[Event]) {
             node_events_by_replay(&normalized, nid, range),
             "node_history mismatch for nid={nid}"
         );
-        // A chain entry points at an eventlist chunk by the node's
-        // first touch in it: chronological, at touch times only, from
-        // the very first touch on, never the same chunk twice in a row.
-        let chain = tgi.try_version_chain(nid).unwrap();
-        let touch_times: BTreeSet<u64> = normalized
-            .iter()
-            .filter(|e| touches(e, nid))
-            .map(|e| e.time)
-            .collect();
+        // A chain is exactly the chunks holding the node's events, in
+        // order: no chunk missed, none named twice, none without one.
         assert_eq!(
-            chain.first().map(|e| e.time),
-            touch_times.first().copied(),
-            "version_chain start for nid={nid}"
+            chain_chunks(tgi, nid),
+            chain_by_replay(&normalized, nid, &metas),
+            "version_chain of nid={nid}"
         );
-        for e in &chain {
-            assert!(
-                touch_times.contains(&e.time),
-                "chain entry {e:?} of nid={nid}"
-            );
-        }
-        for w in chain.windows(2) {
-            assert!(
-                w[0].time <= w[1].time && (w[0].tsid, w[0].chunk) <= (w[1].tsid, w[1].chunk),
-                "version_chain order for nid={nid}: {w:?}"
-            );
-            assert_ne!(
-                (w[0].tsid, w[0].chunk, w[0].pid),
-                (w[1].tsid, w[1].chunk, w[1].pid),
-                "version_chain repeats a chunk for nid={nid}"
-            );
-        }
         for strategy in [KhopStrategy::ViaSnapshot, KhopStrategy::Recursive] {
             assert_eq!(
                 tgi.try_khop_with(nid, end / 2, 2, strategy).unwrap(),

@@ -7,18 +7,20 @@
 mod common;
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use common::put_everywhere;
 
 use bytes::{Bytes, BytesMut};
-use hgs_core::meta::{sid_of, TimespanMeta};
+use hgs_core::meta::{encode_chain, sid_of, ChainEntry, TimespanMeta, ELIST_BASE};
 use hgs_core::{KhopStrategy, OpenError, PartitionStrategy, Tgi, TgiConfig};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::columnar::encode_columnar_delta;
-use hgs_delta::{CodecError, ColumnarDelta, Delta, StaticNode, TimeRange};
-use hgs_store::key::node_key;
+use hgs_delta::{normalize_events, CodecError, ColumnarDelta, Delta, StaticNode, TimeRange};
+use hgs_store::key::{chain_key, chain_key_tsid, node_key};
 use hgs_store::{DeltaKey, PutRow, SimStore, StoreConfig, StoreError, Table};
+use hgs_taf::TgiHandler;
 
 fn trace() -> Vec<hgs_delta::Event> {
     WikiGrowth::sized(3_000).generate()
@@ -291,6 +293,7 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
         (4, 0, "horizontal_partitions = 0"),
         (LAYOUT, 0, "retired layout tag 0"),
         (LAYOUT, 1, "retired layout tag 1"),
+        (LAYOUT, 2, "retired layout tag 2"),
     ] {
         let mut bad_fields = fields.clone();
         bad_fields[idx] = bad;
@@ -300,18 +303,18 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
             "{what} must refuse to open"
         );
     }
-    // Tag 1 is what the previous format's builds wrote: chain entries
-    // spelling `tsid` and `pid`, records opening with two count
-    // varints. `Versions` rows carry no magic of their own, so the
-    // descriptor is where such an index is refused — by name.
+    // Tag 2 is what the previous format's builds wrote: chain rows of
+    // `count, (time-gap, chunk)*`, which would parse as chunk gaps.
+    // `Versions` rows carry no magic of their own, so the descriptor is
+    // where such an index is refused — by name.
     let mut previous = fields.clone();
-    previous[LAYOUT] = 1;
+    previous[LAYOUT] = 2;
     rewrite(&previous);
     assert!(matches!(
         Tgi::open(store.clone()),
         Err(OpenError::Corrupt(CodecError::BadTag {
             what: "StorageLayout",
-            tag: 1
+            tag: 2
         }))
     ));
     rewrite(&fields[..LAYOUT]);
@@ -464,8 +467,9 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
         tgi.try_node_history(1, range).map(drop),
         Err(bad_weights.clone())
     );
-    // ...and a snapshot inside the chunk replays it in full.
-    let in_chunk = entry.time;
+    // ...and a snapshot at the chunk's checkpoint replays it in full.
+    let meta = &common::span_metas(store)[entry.tsid as usize];
+    let in_chunk = meta.checkpoints[entry.chunk as usize];
     assert_eq!(tgi.try_snapshot(in_chunk).map(drop), Err(bad_weights));
 
     // The magic of the rows that always spelled their weights.
@@ -534,4 +538,149 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
         tgi.try_snapshot(end).unwrap(),
         Delta::snapshot_by_replay(&events, end)
     );
+}
+
+/// The reads that locate a node's events through its version chain:
+/// `try_node_history`, `try_attr_history` and a TAF `son` fetch of the
+/// node. An `Ok` history, direct or fetched, must equal replay.
+fn chain_reads(
+    tgi: &Arc<Tgi>,
+    events: &[hgs_delta::Event],
+    nid: u64,
+) -> [Result<(), StoreError>; 3] {
+    let range = TimeRange::new(0, events.last().unwrap().time + 1);
+    let want = common::node_events_by_replay(&normalize_events(events), nid, range);
+    let whole = |events: Vec<hgs_delta::Event>| assert_eq!(events, want, "a shorter history");
+    [
+        tgi.try_node_history(nid, range).map(|h| whole(h.events)),
+        tgi.try_attr_history(nid, hgs_core::LABEL_KEY).map(drop),
+        TgiHandler::new(tgi.clone(), 2)
+            .son()
+            .timeslice(range)
+            .select_ids(vec![nid])
+            .try_fetch()
+            .map(|son| whole(son.nodes()[0].events().to_vec())),
+    ]
+}
+
+/// A node's entries in span `tsid`: what its `(nid, tsid)` row holds.
+fn chain_segment(tgi: &Tgi, nid: u64, tsid: u32) -> Vec<ChainEntry> {
+    let chain = tgi.try_version_chain(nid).unwrap();
+    chain.into_iter().filter(|e| e.tsid == tsid).collect()
+}
+
+/// A `Versions` row is a set of chunks, and nothing else in the index
+/// vouches for it: a row naming chunks its span does not have is
+/// `Corrupt` on every read that locates the node's events through its
+/// chain, never `Ok` with a shorter history. (When chain entries
+/// carried a time, this span-0 row shifted by 10 000 chunks answered 67
+/// of node 1's 116 events: the absent rows were flattened away.)
+#[test]
+fn a_chain_naming_chunks_past_its_span_is_corrupt_not_a_shorter_history() {
+    let events = trace();
+    let tgi = Arc::new(Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap());
+    tgi.set_read_cache_budget(0);
+    let store = tgi.store();
+    let entries = chain_segment(&tgi, 1, 0);
+    assert!(!entries.is_empty(), "node 1 is touched in span 0");
+    for r in chain_reads(&tgi, &events, 1) {
+        r.expect("the intact chain reads");
+    }
+    let shifted: Vec<ChainEntry> = entries
+        .iter()
+        .map(|e| ChainEntry {
+            chunk: e.chunk + 10_000,
+            ..*e
+        })
+        .collect();
+    put_everywhere(
+        store,
+        Table::Versions,
+        &chain_key(1, 0),
+        encode_chain(&shifted),
+    );
+    let out_of_span = Err(StoreError::Corrupt(CodecError::BadRef {
+        what: "chain chunk",
+        id: shifted[0].chunk as u64,
+    }));
+    assert_eq!(tgi.try_version_chain(1).map(drop), out_of_span);
+    for r in chain_reads(&tgi, &events, 1) {
+        assert_eq!(r, out_of_span);
+    }
+    put_everywhere(
+        store,
+        Table::Versions,
+        &chain_key(1, 0),
+        encode_chain(&entries),
+    );
+    for r in chain_reads(&tgi, &events, 1) {
+        r.expect("the chain as built reads");
+    }
+}
+
+/// The build names a chunk in a node's chain only beside the node's
+/// non-empty bucket, so a named chunk of the span whose eventlist row
+/// is absent at the node's micro-partition is `Corrupt` too — where
+/// a chain-less read takes an absent row for an empty bucket.
+#[test]
+fn a_chain_naming_a_chunk_without_the_nodes_row_is_corrupt_not_a_shorter_history() {
+    let events = trace();
+    // Micro-partitions of a few nodes each: some sit out a chunk.
+    let cfg = TgiConfig {
+        partition_size: 5,
+        ..cfg()
+    };
+    let tgi = Arc::new(Tgi::try_build(cfg, StoreConfig::new(4, 2), &events).unwrap());
+    tgi.set_read_cache_budget(0);
+    let store = tgi.store();
+    let ns = cfg.horizontal_partitions;
+    let metas = common::span_metas(store);
+    let stored: BTreeSet<DeltaKey> = common::stored_eventlist_rows(store)
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect();
+    // A node's chain row and a chunk of its span that stores no
+    // eventlist row at the node's micro-partition.
+    let (nid, tsid, missing) = store
+        .content_rows()
+        .into_iter()
+        .flatten()
+        .filter(|(k, _)| k[0] == Table::Versions.tag())
+        .find_map(|(k, _)| {
+            let nid = u64::from_be_bytes(k[1..9].try_into().unwrap());
+            let tsid = chain_key_tsid(&k[1..]).unwrap();
+            let pid = chain_segment(&tgi, nid, tsid)[0].pid;
+            let absent = |&chunk: &u32| {
+                let did = ELIST_BASE + chunk as u64;
+                !stored.contains(&DeltaKey::new(tsid, sid_of(nid, ns), did, pid))
+            };
+            let chunks = metas[tsid as usize].checkpoints.len() as u32;
+            (0..chunks).find(absent).map(|chunk| (nid, tsid, chunk))
+        })
+        .expect("some micro-partition sits out a chunk");
+    for r in chain_reads(&tgi, &events, nid) {
+        r.expect("the intact chain reads");
+    }
+    let entries = chain_segment(&tgi, nid, tsid);
+    let mut named = entries.clone();
+    named.push(ChainEntry {
+        chunk: missing,
+        ..entries[0]
+    });
+    named.sort_by_key(|e| e.chunk);
+    let key = chain_key(nid, tsid);
+    put_everywhere(store, Table::Versions, &key, encode_chain(&named));
+    // The chain itself decodes: every chunk is one the span has.
+    assert_eq!(chain_segment(&tgi, nid, tsid), named);
+    let dangling = Err(StoreError::Corrupt(CodecError::BadRef {
+        what: "chain chunk without an eventlist row",
+        id: missing as u64,
+    }));
+    for r in chain_reads(&tgi, &events, nid) {
+        assert_eq!(r, dangling);
+    }
+    put_everywhere(store, Table::Versions, &key, encode_chain(&entries));
+    for r in chain_reads(&tgi, &events, nid) {
+        r.expect("the chain as built reads");
+    }
 }

@@ -98,6 +98,27 @@ fn every_read_primitive_surfaces_total_failure() {
     ));
 }
 
+/// A horizontal partition the index does not have holds no node: both
+/// per-partition reads answer empty, on a healthy cluster — they used
+/// to disagree, `try_node_histories_for_sid` panicking on an index out
+/// of bounds where `try_sid_state_at` answered.
+#[test]
+fn a_sid_past_the_partition_count_answers_empty() {
+    let events = trace();
+    let end = events.last().unwrap().time;
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let ns = tgi.config().horizontal_partitions;
+    let range = TimeRange::new(0, end + 1);
+    assert!(!tgi.try_node_histories_for_sid(0, range).unwrap().is_empty());
+    for sid in [ns, 99, u32::MAX] {
+        assert!(tgi.try_sid_state_at(sid, end / 2).unwrap().is_empty());
+        assert!(tgi
+            .try_node_histories_for_sid(sid, range)
+            .unwrap()
+            .is_empty());
+    }
+}
+
 /// The read cache may serve fully-warm reads without touching the
 /// store (its entries are exact copies of write-once rows), but an
 /// *evicted* entry is gone: the next read must re-run the fallible

@@ -4,6 +4,8 @@
 //! eventlist size, partition size, arity, multiple timespans,
 //! incremental appends).
 
+mod common;
+
 use hgs_core::{KhopStrategy, PartitionStrategy, Tgi, TgiConfig};
 use hgs_datagen::{augment_with_churn, LabeledChurn, WikiGrowth};
 use hgs_delta::{Delta, Event, FxHashSet, NodeId, Time, TimeRange};
@@ -357,31 +359,24 @@ fn incremental_append_equals_bulk_build() {
 fn version_chains_are_complete_and_sorted() {
     let events = trace();
     let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &events).unwrap();
+    assert!(tgi.span_count() > 1, "chains over several spans");
+    let normalized = hgs_delta::normalize_events(&events);
+    let metas = common::span_metas(tgi.store());
     let state = Delta::snapshot_by_replay(&events, u64::MAX);
     for id in state.sorted_ids().into_iter().step_by(71).take(15) {
-        let chain = tgi.try_version_chain(id).unwrap();
+        // Exactly the chunks whose checkpoints bound an event touching
+        // the node, in `(tsid, chunk)` order, each once.
+        let chain = common::chain_chunks(&tgi, id);
         assert!(!chain.is_empty(), "node {id} must have a chain");
-        assert!(
-            chain.windows(2).all(|w| w[0].time <= w[1].time),
-            "sorted chain for {id}"
+        assert_eq!(
+            chain,
+            common::chain_by_replay(&normalized, id, &metas),
+            "chain of {id}"
         );
-        // Every event touching the node must be covered by some chain
-        // entry's chunk (same tsid+chunk appears once per run).
-        let touch_times: Vec<Time> = events
-            .iter()
-            .filter(|e| {
-                let (a, b) = e.kind.touched();
-                a == id || b == Some(id)
-            })
-            .map(|e| e.time)
-            .collect();
-        assert!(!touch_times.is_empty());
-        // The first touch must not precede the first chain entry's time.
-        assert!(chain[0].time <= touch_times[0]);
     }
 }
 
-/// A chain row stores `(time, chunk)`; the reader takes `tsid` from
+/// A chain row stores chunk gaps only; the reader takes `tsid` from
 /// the row's key and `pid` from the span's partition map. What it
 /// derives must be what the build bucketed by: every decoded entry
 /// names an eventlist row that exists and holds the node — under hash

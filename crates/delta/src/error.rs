@@ -61,6 +61,10 @@ pub enum CodecError {
     /// `node` that a row above it on the path already holds: on any
     /// root-to-leaf path a component lives on exactly one row.
     RepeatedComponent { node: u64 },
+    /// A stored reference (`what`, value `id`) names something the
+    /// index does not hold: a version-chain chunk its span does not
+    /// have, or one whose eventlist row is absent.
+    BadRef { what: &'static str, id: u64 },
 }
 
 impl fmt::Display for CodecError {
@@ -84,6 +88,7 @@ impl fmt::Display for CodecError {
             CodecError::RepeatedComponent { node } => {
                 write!(f, "node {node}: component repeated along a tree path")
             }
+            CodecError::BadRef { what, id } => write!(f, "{what} {id} names nothing stored"),
         }
     }
 }

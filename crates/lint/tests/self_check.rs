@@ -14,7 +14,7 @@ use hgs_lint::{find_workspace_root, lint_workspace, render_text};
 /// diff.
 const ALLOWS_IN_EFFECT: &[(&str, usize)] = &[
     ("batched-store-discipline", 12),
-    ("no-panic-in-try", 23),
+    ("no-panic-in-try", 20),
     ("sorted-dedup", 1),
 ];
 
