@@ -21,7 +21,7 @@
 //! chain: [`TgiView::try_attr_history`] folds the events touching the
 //! node and reads no `AttrIndex` row. (Indexes built before this held a
 //! bare-key row per `(key, tsid)`, tag `TERM_KIND_KEY`; such a store
-//! still opens, and nothing reads those rows.)
+//! carries a retired layout tag, and `Tgi::open` refuses it.)
 //!
 //! # Fallback contract
 //!

@@ -84,8 +84,7 @@ use hgs_partition::{
 use hgs_store::key::{chain_key, node_placement_token, term_key, term_token};
 use hgs_store::parallel::parallel_steal;
 use hgs_store::{
-    CostModel, DeltaKey, PlacementKey, PutRow, SimStore, StoreConfig, StoreError, Table,
-    WriteBuffer,
+    DeltaKey, PlacementKey, PutRow, SimStore, StoreConfig, StoreError, Table, WriteBuffer,
 };
 
 use crate::config::{PartitionStrategy, TgiConfig};
@@ -147,7 +146,6 @@ pub struct TgiView {
     /// numbers without holding the writer's mutable tail state).
     pub(crate) node_count: usize,
     pub(crate) edge_count: usize,
-    pub(crate) cost: CostModel,
     pub(crate) clients: usize,
     /// Session-wide byte-budgeted sharded LRU read cache shared by
     /// every query path *and every published view* (index rows are
@@ -298,7 +296,6 @@ impl Tgi {
                 event_count: 0,
                 node_count: 0,
                 edge_count: 0,
-                cost: CostModel::default(),
                 clients,
                 read_cache: Arc::new(crate::read_cache::ReadCache::with_shards(
                     cfg.read_cache_bytes,
@@ -466,21 +463,11 @@ impl Tgi {
         self.poisoned
     }
 
-    /// The current (latest) graph state.
-    pub fn current_state(&self) -> &Delta {
-        &self.tail_state
-    }
-
     /// A clone of the current sealed read state — what
     /// [`TgiService`](crate::service::TgiService) publishes as the
     /// watermark after each successful append.
     pub fn view(&self) -> TgiView {
         self.view.clone()
-    }
-
-    /// Latency model used for `modeled_secs` in fetch reports.
-    pub fn set_cost_model(&mut self, m: CostModel) {
-        self.view.cost = m;
     }
 
     // ------------------------------------------------------------------
@@ -1457,7 +1444,7 @@ mod tests {
         assert_eq!(&plain[..], &tgi.normalize_seeded(churn)[..]);
 
         // Remove the three best-connected live nodes after the churn.
-        let mut by_degree: Vec<&hgs_delta::StaticNode> = tgi.current_state().iter().collect();
+        let mut by_degree: Vec<&hgs_delta::StaticNode> = tgi.tail_state.iter().collect();
         by_degree.sort_by_key(|n| (std::cmp::Reverse(n.degree()), n.id));
         let mut with_removals = churn.to_vec();
         let mut t = churn.last().expect("churn events").time;

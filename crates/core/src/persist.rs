@@ -14,7 +14,7 @@ use bytes::BytesMut;
 use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::{CodecError, FxHashMap, NodeId, StorageLayout, Time};
 use hgs_partition::PartitionMap;
-use hgs_store::{CostModel, SimStore, StoreError, Table};
+use hgs_store::{SimStore, StoreError, Table};
 
 use crate::build::{mp_key, SpanRuntime, Tgi, TgiView};
 use crate::config::{PartitionStrategy, TgiConfig};
@@ -137,12 +137,7 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
             })
         }
     };
-    // Descriptors written before the secondary indexes existed never
-    // wrote index rows; the reopened handle must treat them as off.
-    let secondary_indexes = match get_varint(b) {
-        Ok(v) => v != 0,
-        Err(_) => false,
-    };
+    let secondary_indexes = get_varint(b)? != 0;
     let cfg = TgiConfig {
         events_per_timespan,
         eventlist_size,
@@ -268,7 +263,6 @@ impl Tgi {
                 event_count,
                 node_count: 0,
                 edge_count: 0,
-                cost: CostModel::default(),
                 clients: 1,
                 read_cache: Arc::new(crate::read_cache::ReadCache::with_shards(
                     cfg.read_cache_bytes,
@@ -335,6 +329,13 @@ mod tests {
                 })
             ));
         }
+        // Every descriptor of this layout spells the secondary-index
+        // flag after the tag: one cut right after it is refused too,
+        // not opened with the index off.
+        assert!(matches!(
+            decode_config(&blob[..tag_at + 1]),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
     }
 
     #[test]

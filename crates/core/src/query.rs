@@ -174,7 +174,7 @@ impl NeighborhoodHistory {
 /// to a state, and every reader walks its path **root first**, where a
 /// `Full` row *replaces* what shallower rows gave a node and a `Col`
 /// row *adds* to it. (A walk that stopped at the first row holding the
-/// node, as `try_node_at` once did, would return a fragment.)
+/// node would return a fragment.)
 #[derive(Clone)]
 pub(crate) enum DeltaHandle {
     Full(Arc<Delta>),
@@ -263,6 +263,24 @@ impl ElistHandle {
             ElistHandle::Col(c) => c.events_touching(nid).map_err(StoreError::Corrupt),
         }
     }
+
+    /// Roll `state` forward by the events touching `nid` at or before
+    /// `t`, applied to `nid` alone.
+    fn replay_node(&self, state: &mut Delta, nid: NodeId, t: Time) -> Result<(), StoreError> {
+        let events = self.events_touching(nid)?;
+        for e in events.iter().take_while(|e| e.time <= t) {
+            apply_event_scoped(state, &e.kind, |id| id == nid);
+        }
+        Ok(())
+    }
+}
+
+/// One keyed `Deltas` row, as [`TgiView::try_fetch_rows`] returns it.
+/// Its `did` decides the kind: an eventlist chunk (`ELIST_BASE ..
+/// AUX_BASE`) is `Events`, a tree or aux row is `Tree`.
+enum Row {
+    Tree(DeltaHandle),
+    Events(ElistHandle),
 }
 
 impl TgiView {
@@ -400,14 +418,13 @@ impl TgiView {
         let span = self.span_for(t);
         let (sid, pid) = span.placement(nid);
         let meta = &span.meta;
-        let tsid = meta.tsid;
         let j = meta.leaf_for_time(t);
         let mut scratch = Delta::new();
         // A checkpoint state materialized by a full-replay path
         // already holds the summed record — use it instead of walking.
-        let path = match self
+        let mut keys = match self
             .read_cache
-            .get(CacheKey::Part(tsid, sid, pid, j as u32))
+            .get(CacheKey::Part(meta.tsid, sid, pid, j as u32))
         {
             Some(Cached::Delta(d)) => {
                 if let Some(n) = d.node(nid) {
@@ -415,128 +432,100 @@ impl TgiView {
                 }
                 Vec::new()
             }
-            _ => meta.shape.path_to_leaf(j),
-        };
-        let (rows, elist) = self.try_fetch_node_rows(tsid, sid, pid, &path, j as u32)?;
-        for row in rows.iter().flatten() {
-            row.sum_into(&mut scratch, Some(nid), false)?;
-        }
-        if let Some(el) = elist {
-            for e in el
-                .events_touching(nid)?
+            _ => meta
+                .shape
+                .path_to_leaf(j)
                 .into_iter()
-                .take_while(|e| e.time <= t)
-            {
-                apply_event_scoped(&mut scratch, &e.kind, |id| id == nid);
+                .map(|did| (did, pid))
+                .collect(),
+        };
+        keys.push((ELIST_BASE + j as u64, pid));
+        // Path rows root first, then the eventlist.
+        for row in self
+            .try_fetch_rows(meta.tsid, sid, &keys)?
+            .into_iter()
+            .flatten()
+        {
+            match row {
+                Row::Tree(d) => {
+                    d.sum_into(&mut scratch, Some(nid), false)?;
+                }
+                Row::Events(el) => el.replay_node(&mut scratch, nid, t)?,
             }
         }
         Ok(scratch.node(nid).cloned())
     }
 
-    /// The node-scoped fetch: tree rows `path` and eventlist chunk
-    /// `chunk` of micro-partition `(tsid, sid, pid)` as lazily-decoded
-    /// handles, in `path` order. Rows the read cache holds (in either
-    /// state, or as known-absent) are served from it; the rest travel
-    /// in one batched multi-get and are cached header-parsed.
-    fn try_fetch_node_rows(
+    /// Rows `keys` — `(did, pid)` pairs — of one `(tsid, sid)`
+    /// placement, in `keys` order (`None`: no such row): the one point
+    /// read of `Deltas` rows, behind the static-vertex fetch, the
+    /// micro-partition fetch, the eventlist chunks of node histories and
+    /// the aux replicas of a k-hop.
+    ///
+    /// Rows the read cache holds, in either state or as known-absent,
+    /// are served from it. The rest travel in **one** batched multi-get
+    /// — re-run on every miss, so a down chunk surfaces
+    /// [`StoreError::Unavailable`] — and are cached header-parsed, so
+    /// a caller decodes just the columns its probes touch. A
+    /// confirmed-absent row is cached as such: write-once rows cannot
+    /// appear later in a sealed span.
+    fn try_fetch_rows(
         &self,
         tsid: u32,
         sid: u32,
-        pid: u32,
-        path: &[u64],
-        chunk: u32,
-    ) -> Result<(Vec<Option<DeltaHandle>>, Option<ElistHandle>), StoreError> {
-        let elist_did = ELIST_BASE + chunk as u64;
-        let mut rows: Vec<Option<DeltaHandle>> = Vec::with_capacity(path.len());
-        let mut elist: Option<ElistHandle> = None;
-        // (did, slot in `rows`) of every row still to fetch; the
-        // eventlist, when missing, rides last with no slot.
-        let mut fetch: Vec<(u64, Option<usize>)> = Vec::new();
-        for (i, &did) in path.iter().enumerate() {
-            rows.push(
-                match self.read_cache.get(CacheKey::Row(tsid, sid, did, pid)) {
-                    Some(Cached::Delta(d)) => Some(DeltaHandle::Full(d)),
-                    Some(Cached::ColDelta(c)) => Some(DeltaHandle::Col(c)),
-                    Some(Cached::Absent) => None,
-                    _ => {
-                        fetch.push((did, Some(i)));
-                        None
-                    }
-                },
-            );
-        }
-        match self
-            .read_cache
-            .get(CacheKey::Row(tsid, sid, elist_did, pid))
-        {
-            Some(Cached::Elist(e)) => elist = Some(ElistHandle::Full(e)),
-            Some(Cached::ColElist(c)) => elist = Some(ElistHandle::Col(c)),
-            Some(Cached::Absent) => {}
-            _ => fetch.push((elist_did, None)),
-        }
-        if fetch.is_empty() {
-            return Ok((rows, elist));
-        }
-        let keys: Vec<[u8; 20]> = fetch
+        keys: &[(u64, u32)],
+    ) -> Result<Vec<Option<Row>>, StoreError> {
+        let cache_key = |&(did, pid): &(u64, u32)| CacheKey::Row(tsid, sid, did, pid);
+        // Per key what the cache knows; `None` is a miss, to be fetched.
+        let probed: Vec<Option<Option<Row>>> = keys
             .iter()
-            .map(|&(did, _)| DeltaKey::new(tsid, sid, did, pid).encode())
+            .map(|k| match self.read_cache.get(cache_key(k))? {
+                Cached::Delta(d) => Some(Some(Row::Tree(DeltaHandle::Full(d)))),
+                Cached::ColDelta(c) => Some(Some(Row::Tree(DeltaHandle::Col(c)))),
+                Cached::Elist(e) => Some(Some(Row::Events(ElistHandle::Full(e)))),
+                Cached::ColElist(c) => Some(Some(Row::Events(ElistHandle::Col(c)))),
+                Cached::Absent => Some(None),
+                Cached::TermPoints(_) => None,
+            })
             .collect();
-        let refs: Vec<&[u8]> = keys.iter().map(|k| &k[..]).collect();
-        let token = PlacementKey::new(tsid, sid).token();
-        let values = self.store.multi_get(Table::Deltas, &refs, token)?;
-        for (&(did, slot), bytes) in fetch.iter().zip(values) {
-            let key = CacheKey::Row(tsid, sid, did, pid);
-            let Some(bytes) = bytes else {
-                self.read_cache.put(key, Cached::Absent);
-                continue;
-            };
-            match slot.and_then(|i| rows.get_mut(i)) {
-                Some(row) => {
-                    let c = Arc::new(ColumnarDelta::parse(bytes).map_err(StoreError::Corrupt)?);
-                    self.read_cache.put(key, Cached::ColDelta(c.clone()));
-                    *row = Some(DeltaHandle::Col(c));
+        let missing: Vec<[u8; 20]> = keys
+            .iter()
+            .zip(&probed)
+            .filter(|(_, hit)| hit.is_none())
+            .map(|(&(did, pid), _)| DeltaKey::new(tsid, sid, did, pid).encode())
+            .collect();
+        let mut fetched = if missing.is_empty() {
+            Vec::new()
+        } else {
+            let refs: Vec<&[u8]> = missing.iter().map(|k| &k[..]).collect();
+            let token = PlacementKey::new(tsid, sid).token();
+            self.store.multi_get(Table::Deltas, &refs, token)?
+        }
+        .into_iter();
+        keys.iter()
+            .zip(probed)
+            .map(|(k, hit)| {
+                if let Some(hit) = hit {
+                    return Ok(hit);
                 }
-                None => {
+                let Some(bytes) = fetched.next().flatten() else {
+                    self.read_cache.put(cache_key(k), Cached::Absent);
+                    return Ok(None);
+                };
+                let (row, cached) = if (ELIST_BASE..AUX_BASE).contains(&k.0) {
                     let c = Arc::new(ColumnarEventlist::parse(bytes).map_err(StoreError::Corrupt)?);
-                    self.read_cache.put(key, Cached::ColElist(c.clone()));
-                    elist = Some(ElistHandle::Col(c));
-                }
-            }
-        }
-        Ok((rows, elist))
-    }
-
-    /// Fetch (or serve from the read cache) one aux row as a
-    /// [`DeltaHandle`] — a cache miss parses only the row header,
-    /// deferring column decodes to the caller's actual probes.
-    fn try_fetch_delta_handle(
-        &self,
-        tsid: u32,
-        sid: u32,
-        did: u64,
-        pid: u32,
-    ) -> Result<Option<DeltaHandle>, StoreError> {
-        let key = CacheKey::Row(tsid, sid, did, pid);
-        match self.read_cache.get(key.clone()) {
-            Some(Cached::Delta(d)) => return Ok(Some(DeltaHandle::Full(d))),
-            Some(Cached::ColDelta(c)) => return Ok(Some(DeltaHandle::Col(c))),
-            Some(Cached::Absent) => return Ok(None),
-            _ => {}
-        }
-        let dk = DeltaKey::new(tsid, sid, did, pid);
-        let token = PlacementKey::new(tsid, sid).token();
-        // hgs-lint: allow(batched-store-discipline, "cache-miss point read of one (tsid, sid, did, pid) row; callers batch across rows, not within one")
-        match self.store.get(Table::Deltas, &dk.encode(), token)? {
-            Some(bytes) => {
-                let c = Arc::new(ColumnarDelta::parse(bytes).map_err(StoreError::Corrupt)?);
-                self.read_cache.put(key, Cached::ColDelta(c.clone()));
-                Ok(Some(DeltaHandle::Col(c)))
-            }
-            None => {
-                self.read_cache.put(key, Cached::Absent);
-                Ok(None)
-            }
-        }
+                    (
+                        Row::Events(ElistHandle::Col(c.clone())),
+                        Cached::ColElist(c),
+                    )
+                } else {
+                    let c = Arc::new(ColumnarDelta::parse(bytes).map_err(StoreError::Corrupt)?);
+                    (Row::Tree(DeltaHandle::Col(c.clone())), Cached::ColDelta(c))
+                };
+                self.read_cache.put(cache_key(k), cached);
+                Ok(Some(row))
+            })
+            .collect()
     }
 
     /// Reconstruct the state of micro-partition `(sid, pid)` as of
@@ -544,14 +533,13 @@ impl TgiView {
     /// single-partition chunk plan over the shared read cache.
     ///
     /// The checkpoint state (path rows summed, before replay) caches
-    /// under [`CacheKey::Part`]; individual rows cache under
-    /// [`CacheKey::Row`], and a row the cache holds in either form — a
-    /// node-scoped read leaves `Col` entries — is not fetched again.
-    /// Everything still unknown travels in **one** batched multi-get
-    /// (the rows share a placement chunk) — that fallible fetch is
-    /// re-run on every miss, including misses caused by eviction, so a
-    /// down chunk surfaces [`StoreError::Unavailable`] instead of a
-    /// stale or partial state.
+    /// under [`CacheKey::Part`]; a cached one leaves only the eventlist
+    /// to read. Rows come through [`TgiView::try_fetch_rows`], so a row
+    /// the cache holds in either form is not fetched again, and a miss
+    /// — eviction included — re-runs the fallible fetch: a down chunk
+    /// surfaces [`StoreError::Unavailable`] instead of a stale or
+    /// partial state. The eventlist is replayed whole, so it is kept
+    /// decoded.
     pub(crate) fn try_fetch_partition_state(
         &self,
         span: &SpanRuntime,
@@ -563,90 +551,44 @@ impl TgiView {
         let tsid = meta.tsid;
         let ns = self.cfg.horizontal_partitions;
         let j = meta.leaf_for_time(t);
-        let elist_did = ELIST_BASE + j as u64;
-        let path = meta.shape.path_to_leaf(j);
-
         let part_key = CacheKey::Part(tsid, sid, pid, j as u32);
         let base = match self.read_cache.get(part_key.clone()) {
             Some(Cached::Delta(d)) => Some(d),
             _ => None,
         };
-
-        // Resolve what the cache already holds; everything else goes
-        // into one batched fetch.
-        let mut tree_rows: FxHashMap<u64, DeltaHandle> = FxHashMap::default();
-        let mut fetch_dids: Vec<u64> = Vec::new();
-        if base.is_none() {
-            for &did in &path {
-                match self.read_cache.get(CacheKey::Row(tsid, sid, did, pid)) {
-                    Some(Cached::Delta(d)) => {
-                        tree_rows.insert(did, DeltaHandle::Full(d));
-                    }
-                    Some(Cached::ColDelta(c)) => {
-                        tree_rows.insert(did, DeltaHandle::Col(c));
-                    }
-                    Some(Cached::Absent) => {}
-                    _ => fetch_dids.push(did),
-                }
-            }
-        }
-        let mut elist: Option<Arc<Eventlist>> = None;
-        let elist_key = CacheKey::Row(tsid, sid, elist_did, pid);
-        match self.read_cache.get(elist_key.clone()) {
-            Some(Cached::Elist(e)) => elist = Some(e),
-            Some(Cached::ColElist(c)) => {
-                // Left by a node-scoped read: decode it here and keep
-                // the decoded form for the next replay.
-                let e = Arc::new(c.to_eventlist().map_err(StoreError::Corrupt)?);
-                self.read_cache.put(elist_key, Cached::Elist(e.clone()));
-                elist = Some(e);
-            }
-            Some(Cached::Absent) => {}
-            _ => fetch_dids.push(elist_did),
-        }
-
-        if !fetch_dids.is_empty() {
-            let token = PlacementKey::new(tsid, sid).token();
-            let keys: Vec<[u8; 20]> = fetch_dids
-                .iter()
-                .map(|&did| DeltaKey::new(tsid, sid, did, pid).encode())
-                .collect();
-            let refs: Vec<&[u8]> = keys.iter().map(|k| &k[..]).collect();
-            let values = self.store.multi_get(Table::Deltas, &refs, token)?;
-            for (&did, bytes) in fetch_dids.iter().zip(values) {
-                match bytes {
-                    Some(bytes) if did == elist_did => {
-                        elist = Some(self.insert_decoded_elist(tsid, sid, did, pid, &bytes)?);
-                    }
-                    Some(bytes) => {
-                        tree_rows.insert(did, DeltaHandle::parse(bytes)?);
-                    }
-                    None => {
-                        // Absence of a write-once row is permanent for
-                        // sealed spans: cache it too.
-                        self.read_cache
-                            .put(CacheKey::Row(tsid, sid, did, pid), Cached::Absent);
-                    }
-                }
-            }
-        }
-        // Checkpoint state, then the per-time eventlist replay.
-        let mut state = match base {
-            Some(d) => (*d).clone(),
-            None => {
-                let mut s = Delta::new();
-                for &did in &path {
-                    if let Some(row) = tree_rows.get(&did) {
-                        self.sum_tree_row(&mut s, CacheKey::Row(tsid, sid, did, pid), row)?;
-                    }
-                }
-                if self.read_cache.is_enabled() {
-                    self.read_cache
-                        .put(part_key, Cached::Delta(Arc::new(s.clone())));
-                }
-                s
-            }
+        let mut keys: Vec<(u64, u32)> = match base {
+            Some(_) => Vec::new(),
+            None => meta
+                .shape
+                .path_to_leaf(j)
+                .into_iter()
+                .map(|did| (did, pid))
+                .collect(),
         };
+        keys.push((ELIST_BASE + j as u64, pid));
+        let rows = self.try_fetch_rows(tsid, sid, &keys)?;
+
+        // Checkpoint state, root first, then the per-time eventlist
+        // replay.
+        let mut state = base.as_deref().cloned().unwrap_or_default();
+        let mut elist = None;
+        for (&(did, _), row) in keys.iter().zip(rows) {
+            let key = CacheKey::Row(tsid, sid, did, pid);
+            match row {
+                Some(Row::Tree(d)) => self.sum_tree_row(&mut state, key, &d)?,
+                Some(Row::Events(ElistHandle::Full(e))) => elist = Some(e),
+                Some(Row::Events(ElistHandle::Col(c))) => {
+                    let e = Arc::new(c.to_eventlist().map_err(StoreError::Corrupt)?);
+                    self.read_cache.put(key, Cached::Elist(e.clone()));
+                    elist = Some(e);
+                }
+                None => {}
+            }
+        }
+        if base.is_none() && self.read_cache.is_enabled() {
+            self.read_cache
+                .put(part_key, Cached::Delta(Arc::new(state.clone())));
+        }
         if let (Some(el), Some(map)) = (elist, span.map(sid)) {
             for e in el.events().iter().take_while(|e| e.time <= t) {
                 apply_event_scoped(&mut state, &e.kind, |id| {
@@ -655,70 +597,6 @@ impl TgiView {
             }
         }
         Ok(state)
-    }
-
-    /// Eventlist chunk rows `(chunk, pid)` of one `(tsid, sid)`
-    /// placement as [`ElistHandle`]s, in `refs` order (`None`: no such
-    /// row). Rows the read cache holds, in either state or as
-    /// known-absent, are served from it; the rest travel in **one**
-    /// batched multi-get — re-run on every miss, so a down chunk
-    /// surfaces [`StoreError::Unavailable`] — and are cached
-    /// header-parsed: the node-scoped callers of this path decode just
-    /// the columns their probes touch. A confirmed-absent row is cached
-    /// as such (write-once rows cannot appear later in a sealed span).
-    pub(crate) fn try_fetch_elists(
-        &self,
-        tsid: u32,
-        sid: u32,
-        refs: &[(u32, u32)],
-    ) -> Result<Vec<Option<ElistHandle>>, StoreError> {
-        let cache_key =
-            |&(chunk, pid): &(u32, u32)| CacheKey::Row(tsid, sid, ELIST_BASE + chunk as u64, pid);
-        // Per ref what the cache knows; `None` is a miss, to be fetched.
-        let probed: Vec<Option<Option<ElistHandle>>> = refs
-            .iter()
-            .map(|r| match self.read_cache.get(cache_key(r)) {
-                Some(Cached::Elist(e)) => Some(Some(ElistHandle::Full(e))),
-                Some(Cached::ColElist(c)) => Some(Some(ElistHandle::Col(c))),
-                Some(Cached::Absent) => Some(None),
-                _ => None,
-            })
-            .collect();
-        let keys: Vec<[u8; 20]> = refs
-            .iter()
-            .zip(&probed)
-            .filter(|(_, hit)| hit.is_none())
-            .map(|(&(chunk, pid), _)| {
-                DeltaKey::new(tsid, sid, ELIST_BASE + chunk as u64, pid).encode()
-            })
-            .collect();
-        let mut fetched = if keys.is_empty() {
-            Vec::new()
-        } else {
-            let key_refs: Vec<&[u8]> = keys.iter().map(|k| &k[..]).collect();
-            let token = PlacementKey::new(tsid, sid).token();
-            self.store.multi_get(Table::Deltas, &key_refs, token)?
-        }
-        .into_iter();
-        refs.iter()
-            .zip(probed)
-            .map(|(r, hit)| match hit {
-                Some(hit) => Ok(hit),
-                None => match fetched.next().flatten() {
-                    Some(bytes) => {
-                        let c =
-                            Arc::new(ColumnarEventlist::parse(bytes).map_err(StoreError::Corrupt)?);
-                        self.read_cache
-                            .put(cache_key(r), Cached::ColElist(c.clone()));
-                        Ok(Some(ElistHandle::Col(c)))
-                    }
-                    None => {
-                        self.read_cache.put(cache_key(r), Cached::Absent);
-                        Ok(None)
-                    }
-                },
-            })
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -812,12 +690,13 @@ impl TgiView {
             }
             refs
         };
-        // One fetch per span: (tsid, its (chunk, pid) refs).
-        let mut spans: Vec<(u32, Vec<(u32, u32)>)> = Vec::new();
+        // One fetch per span: (tsid, its (did, pid) keys).
+        let mut spans: Vec<(u32, Vec<(u64, u32)>)> = Vec::new();
         for (tsid, chunk, pid) in refs {
+            let key = (ELIST_BASE + chunk as u64, pid);
             match spans.last_mut() {
-                Some((t, chunks)) if *t == tsid => chunks.push((chunk, pid)),
-                _ => spans.push((tsid, vec![(chunk, pid)])),
+                Some((t, keys)) if *t == tsid => keys.push(key),
+                _ => spans.push((tsid, vec![key])),
             }
         }
         let in_range = |e: &Event| after.is_none_or(|a| e.time > a) && e.time < before;
@@ -825,20 +704,20 @@ impl TgiView {
             parallel_chunks(spans, self.clients, |spans| {
                 spans
                     .into_iter()
-                    .map(|(tsid, chunks)| {
+                    .map(|(tsid, keys)| {
                         let mut events = Vec::new();
-                        let rows = self.try_fetch_elists(tsid, sid, &chunks)?;
-                        for (row, &(chunk, _pid)) in rows.iter().zip(&chunks) {
+                        let rows = self.try_fetch_rows(tsid, sid, &keys)?;
+                        for (row, &(did, _pid)) in rows.iter().zip(&keys) {
                             match row {
-                                Some(el) => events
+                                Some(Row::Events(el)) => events
                                     .extend(el.events_touching(nid)?.into_iter().filter(in_range)),
-                                None if chains => {
+                                _ if chains => {
                                     return Err(StoreError::Corrupt(CodecError::BadRef {
                                         what: "chain chunk without an eventlist row",
-                                        id: chunk as u64,
+                                        id: did - ELIST_BASE,
                                     }))
                                 }
-                                None => {}
+                                _ => {}
                             }
                         }
                         Ok(events)
@@ -902,7 +781,7 @@ impl TgiView {
     /// the recursive walk costs roughly one micro-partition one-hop
     /// fetch per frontier node (`~|R|^(k-1)` of them), while the
     /// via-snapshot plan pays the fixed full-path cost once.
-    pub fn khop_strategy_for(&self, t: Time, k: usize) -> KhopStrategy {
+    fn khop_strategy_for(&self, t: Time, k: usize) -> KhopStrategy {
         let span = self.span_for(t);
         let s = (self.node_count.max(1)) as f64;
         let g = (self.event_count.max(1)) as f64;
@@ -949,7 +828,7 @@ impl TgiView {
         let j = meta.leaf_for_time(t) as u32;
 
         let mut part_states: FxHashMap<(u32, u32), Delta> = FxHashMap::default();
-        let mut elist_cache: FxHashMap<(u32, u32), Option<ElistHandle>> = FxHashMap::default();
+        let mut elist_cache: FxHashMap<(u32, u32), Option<Row>> = FxHashMap::default();
 
         let (center_sid, center_pid) = span.placement(center);
         let center_state = self.try_fetch_partition_state(span, center_sid, center_pid, t)?;
@@ -958,9 +837,12 @@ impl TgiView {
         // neighbors at checkpoint j, to be rolled forward with their
         // own eventlist chunks. Aux rows are write-once too, so they
         // ride the same read cache — held by `Arc`, never deep-copied
-        // (the resolve closure only ever reads `aux.node(..)`).
+        // (the resolve closure only ever reads one record of it).
         let aux = if meta.has_aux {
-            self.try_fetch_delta_handle(tsid, center_sid, AUX_BASE + j as u64, center_pid)?
+            let key = (AUX_BASE + j as u64, center_pid);
+            self.try_fetch_rows(tsid, center_sid, &[key])?
+                .pop()
+                .flatten()
         } else {
             None
         };
@@ -969,7 +851,7 @@ impl TgiView {
         let mut result: Delta = Delta::new();
         let resolve = |nid: NodeId,
                        part_states: &mut FxHashMap<(u32, u32), Delta>,
-                       elist_cache: &mut FxHashMap<(u32, u32), Option<ElistHandle>>|
+                       elist_cache: &mut FxHashMap<(u32, u32), Option<Row>>|
          -> Result<Option<StaticNode>, StoreError> {
             let (sid, pid) = span.placement(nid);
             if let Some(state) = part_states.get(&(sid, pid)) {
@@ -979,29 +861,22 @@ impl TgiView {
             // node's own eventlist chunk only (columnar rows answer the
             // record probe and the touching-events pull without
             // materializing unrelated columns).
-            let aux_base = match aux.as_ref() {
-                Some(a) => a.record(nid)?,
-                None => None,
+            let aux_base = match &aux {
+                Some(Row::Tree(a)) => a.record(nid)?,
+                _ => None,
             };
             if let Some(base) = aux_base {
                 let el = match elist_cache.entry((sid, pid)) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(slot) => slot.insert(
-                        self.try_fetch_elists(tsid, sid, &[(j, pid)])?
-                            .pop()
-                            .flatten(),
-                    ),
+                    std::collections::hash_map::Entry::Vacant(slot) => {
+                        let key = (ELIST_BASE + j as u64, pid);
+                        slot.insert(self.try_fetch_rows(tsid, sid, &[key])?.pop().flatten())
+                    }
                 };
                 let mut scratch = Delta::new();
                 scratch.insert(base);
-                if let Some(el) = el {
-                    for e in el
-                        .events_touching(nid)?
-                        .into_iter()
-                        .take_while(|e| e.time <= t)
-                    {
-                        apply_event_scoped(&mut scratch, &e.kind, |id| id == nid);
-                    }
+                if let Some(Row::Events(el)) = el {
+                    el.replay_node(&mut scratch, nid, t)?;
                 }
                 return Ok(scratch.node(nid).cloned());
             }

@@ -418,26 +418,11 @@ impl TgiView {
         bytes: &bytes::Bytes,
     ) -> Result<Arc<Eventlist>, StoreError> {
         let key = CacheKey::Row(tsid, sid, did, pid);
-        match self.read_cache.get(key) {
-            Some(Cached::Elist(e)) => Ok(e),
-            _ => self.insert_decoded_elist(tsid, sid, did, pid, bytes),
+        if let Some(Cached::Elist(e)) = self.read_cache.get(key.clone()) {
+            return Ok(e);
         }
-    }
-
-    /// Decode an eventlist row and insert it without a prior cache
-    /// probe — for callers that already observed the miss (avoids
-    /// double-counting it and a redundant lock round-trip).
-    pub(crate) fn insert_decoded_elist(
-        &self,
-        tsid: u32,
-        sid: u32,
-        did: u64,
-        pid: u32,
-        bytes: &bytes::Bytes,
-    ) -> Result<Arc<Eventlist>, StoreError> {
         let e = Arc::new(decode_elist_blob(bytes)?);
-        self.read_cache
-            .put(CacheKey::Row(tsid, sid, did, pid), Cached::Elist(e.clone()));
+        self.read_cache.put(key, Cached::Elist(e.clone()));
         Ok(e)
     }
 

@@ -15,7 +15,8 @@
 //!   in, left and served by snapshot retrieval at every client
 //!   width), and
 //! * materialized micro-partition checkpoint states
-//!   (`CacheKey::Part`, used by `node_at` / k-hop / TAF fetches),
+//!   (`CacheKey::Part`, left by the recursive k-hop — TAF `sots` roots
+//!   included — and read by it and by `node_at`),
 //!
 //! four tiers under one configurable byte budget
 //! ([`TgiConfig::read_cache_bytes`](crate::TgiConfig), runtime-tunable

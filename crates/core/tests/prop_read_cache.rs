@@ -10,9 +10,10 @@
 mod common;
 
 use common::with_busy_hub;
-use hgs_core::{KhopStrategy, Tgi, TgiConfig};
+use hgs_core::meta::{sid_of, AUX_BASE};
+use hgs_core::{KhopStrategy, PartitionStrategy, Tgi, TgiConfig};
 use hgs_delta::{AttrValue, Event, EventKind, TimeRange};
-use hgs_store::StoreConfig;
+use hgs_store::{DeltaKey, StoreConfig, Table};
 use proptest::prelude::*;
 
 fn arb_event_kind() -> impl Strategy<Value = EventKind> {
@@ -139,12 +140,9 @@ proptest! {
     }
 }
 
-/// Warm repeats of the same working set are answered from the cache:
-/// the second pass issues (almost) no new store requests beyond the
-/// liveness eventlist scans, and hit counters move.
-#[test]
-fn warm_working_set_hits_the_cache() {
-    let events: Vec<Event> = (0..4_000u64)
+/// 4 000 events over 400 nodes, one per time unit: two spans of 2 000.
+fn ring_trace() -> Vec<Event> {
+    (0..4_000u64)
         .map(|i| {
             Event::new(
                 i,
@@ -160,18 +158,36 @@ fn warm_working_set_hits_the_cache() {
                 },
             )
         })
-        .collect();
-    let tgi = Tgi::try_build(
-        TgiConfig {
-            events_per_timespan: 2_000,
-            eventlist_size: 250,
-            partition_size: 100,
-            ..TgiConfig::default()
-        },
-        StoreConfig::new(3, 1),
-        &events,
+        .collect()
+}
+
+fn ring_cfg() -> TgiConfig {
+    TgiConfig {
+        events_per_timespan: 2_000,
+        eventlist_size: 250,
+        partition_size: 100,
+        ..TgiConfig::default()
+    }
+}
+
+/// Store requests and rows read while `f` runs.
+fn store_touches<T>(tgi: &Tgi, f: impl FnOnce() -> T) -> (T, u64) {
+    let before = tgi.store().stats_snapshot();
+    let out = f();
+    let diff = hgs_store::SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
+    (
+        out,
+        diff.iter().map(|m| m.rows_read + m.gets + m.scans).sum(),
     )
-    .unwrap();
+}
+
+/// Warm repeats of the same working set are answered from the cache:
+/// the second pass issues (almost) no new store requests beyond the
+/// liveness eventlist scans, and hit counters move.
+#[test]
+fn warm_working_set_hits_the_cache() {
+    let events = ring_trace();
+    let tgi = Tgi::try_build(ring_cfg(), StoreConfig::new(3, 1), &events).unwrap();
     let end = events.last().unwrap().time;
     let times: Vec<u64> = (1..=4).map(|i| end * i / 4).collect();
     let cold: Vec<_> = times
@@ -232,6 +248,106 @@ fn warm_working_set_hits_the_cache() {
     assert!(node.is_some(), "node 57 exists at t={t}");
     let refetched: u64 = diff.iter().map(|m| m.rows_read + m.gets + m.scans).sum();
     assert_eq!(refetched, 0, "rows node_at cached were fetched again");
+}
+
+/// The reverse of the last check above: a cold 0-hop recursive k-hop
+/// leaves its micro-partition's checkpoint state and decoded eventlist
+/// in the cache, and `try_node_at` of any node of that micro-partition
+/// at the same time is answered from them without touching the store.
+#[test]
+fn recursive_khop_state_serves_node_at() {
+    let events = ring_trace();
+    let cfg = ring_cfg();
+    let tgi = Tgi::try_build(cfg, StoreConfig::new(3, 1), &events).unwrap();
+    let t = events.last().unwrap().time / 8; // in the first span
+    let reference = tgi.try_snapshot_uncached_c(t, 1).unwrap();
+    // A node's micro-partition in the first span: its sid and the pid
+    // its chain entries there name.
+    let placement = |id: u64| {
+        let chain = tgi.try_version_chain(id).unwrap();
+        let pid = chain.iter().find(|e| e.tsid == 0).map(|e| e.pid);
+        (sid_of(id, cfg.horizontal_partitions), pid)
+    };
+    let center = 57;
+    let home = placement(center);
+    assert!(
+        home.1.is_some(),
+        "node {center} has events in the first span"
+    );
+    let mates: Vec<u64> = (0..400).filter(|&id| placement(id) == home).collect();
+    assert!(
+        mates.len() > 1,
+        "a micro-partition of one node tests little"
+    );
+
+    let hop = tgi
+        .try_khop_with(center, t, 0, KhopStrategy::Recursive)
+        .unwrap();
+    assert_eq!(hop.node(center), reference.node(center));
+    let (answers, touched) = store_touches(&tgi, || {
+        mates
+            .iter()
+            .map(|&id| tgi.try_node_at(id, t).unwrap())
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(touched, 0, "node_at refetched what the k-hop cached");
+    for (id, got) in mates.iter().zip(&answers) {
+        assert_eq!(got.as_ref(), reference.node(*id), "node {id}");
+    }
+    assert!(
+        answers.iter().any(Option::is_some),
+        "some mate exists at t={t}"
+    );
+}
+
+/// Under `Locality { replicate_boundary: true }` a 1-hop recursive
+/// k-hop reads its center's aux replica and its boundary neighbors'
+/// eventlist chunks as keyed rows, through the same row tier as every
+/// other point read: a warm repeat touches the store zero times and
+/// answers the same.
+#[test]
+fn warm_recursive_khop_over_aux_replicas_touches_no_store() {
+    let events = ring_trace();
+    let cfg = ring_cfg().with_strategy(PartitionStrategy::Locality {
+        replicate_boundary: true,
+    });
+    let tgi = Tgi::try_build(cfg, StoreConfig::new(3, 1), &events).unwrap();
+    let aux_rows = tgi
+        .store()
+        .content_rows()
+        .into_iter()
+        .flatten()
+        .filter(|(k, _)| k[0] == Table::Deltas.tag())
+        .filter(|(k, _)| DeltaKey::decode(&k[1..]).is_some_and(|k| k.did >= AUX_BASE))
+        .count();
+    assert!(aux_rows > 0, "the build wrote aux replicas");
+    let nocache = Tgi::try_build(
+        TgiConfig {
+            read_cache_bytes: 0,
+            ..cfg
+        },
+        StoreConfig::new(3, 1),
+        &events,
+    )
+    .unwrap();
+
+    let t = events.last().unwrap().time / 2;
+    let centers = [0u64, 57, 123, 250, 399];
+    let khops = || centers.map(|c| tgi.try_khop_with(c, t, 1, KhopStrategy::Recursive).unwrap());
+    let cold = khops();
+    for (c, hop) in centers.iter().zip(&cold) {
+        let want = nocache
+            .try_khop_with(*c, t, 1, KhopStrategy::ViaSnapshot)
+            .unwrap();
+        assert_eq!(hop, &want, "center {c}");
+    }
+    assert!(
+        cold.iter().any(|hop| hop.cardinality() > 1),
+        "some center has neighbors at t={t}"
+    );
+    let (warm, touched) = store_touches(&tgi, khops);
+    assert_eq!(touched, 0, "a warm recursive k-hop went to the store");
+    assert_eq!(warm, cold);
 }
 
 /// Concurrent mixed-key traffic over a live service: the lock-striped

@@ -23,6 +23,7 @@ pub const RULES: &[&str] = &[
     "no-whole-row-decode",
     "pinned-scan-bounded",
     "bounded-decode-alloc",
+    "one-row-fetch",
     "unused-allow",
     "malformed-allow",
 ];
@@ -36,10 +37,15 @@ const PANIC_STRICT_CRATES: &[&str] = &["delta", "store", "core"];
 const SINGLE_SPELLING_CRATES: &[&str] = &["core", "taf", "baselines"];
 
 /// The crate whose sources read tree rows, and therefore may not
-/// decode a row as a whole (`no-whole-row-decode`) — and whose reads
-/// run on pinned views, so may not scan past the view's span list
-/// (`pinned-scan-bounded`).
+/// decode a row as a whole (`no-whole-row-decode`) — whose reads run
+/// on pinned views, so may not scan past the view's span list
+/// (`pinned-scan-bounded`) — and whose keyed `Deltas` reads all go
+/// through one fn (`one-row-fetch`).
 const TREE_ROW_READER_CRATE: &str = "core";
+
+/// The one fn of [`TREE_ROW_READER_CRATE`] that may `multi_get`
+/// `Deltas` rows (`one-row-fetch`).
+const ROW_FETCH_FN: &str = "try_fetch_rows";
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -665,6 +671,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
     infallible_twins(toks, &cx, ctx, &mut findings);
     pinned_scan_bounded(toks, &cx, ctx, &mut findings);
     bounded_decode_alloc(toks, &cx, ctx, &mut findings);
+    one_row_fetch(toks, &cx, ctx, &mut findings);
 
     // Suppress findings that carry a matching allow on their line.
     findings.retain(|f| {
@@ -945,6 +952,60 @@ fn bounded_decode_alloc(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: 
                      OOM-sized reservation; read it with `get_len` / `bounded_count`, \
                      refuse it with `if {count} > …`, or cap it (`{count}.min(…)`)",
                     cx.fns[f].name
+                ),
+            });
+        }
+    }
+}
+
+/// The `one-row-fetch` pass: in `hgs-core`'s non-test library code, a
+/// `.multi_get(` whose argument list names `Table::Deltas`, in any fn
+/// but [`ROW_FETCH_FN`]. That fn probes the read cache per key, sends
+/// the misses in one batch and caches what comes back, absent rows
+/// included; a second point read of `Deltas` rows repeats all of it,
+/// and its traffic escapes whatever counts reads in that one place.
+fn one_row_fetch(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    if ctx.kind != FileKind::Lib || ctx.crate_dir.as_deref() != Some(TREE_ROW_READER_CRATE) {
+        return;
+    }
+    for i in 1..toks.len() {
+        let is_call = toks[i].ident() == Some("multi_get")
+            && toks[i - 1].is_punct('.')
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
+        let tcx = cx.per_token[i];
+        if !is_call || tcx.in_test || tcx.fn_id.is_some_and(|f| cx.fns[f].name == ROW_FETCH_FN) {
+            continue;
+        }
+        // The argument list, up to the matching `)`.
+        let mut depth = 0i32;
+        let mut names_deltas = false;
+        for j in i + 1..toks.len() {
+            match &toks[j].kind {
+                TokKind::Punct('(') => depth += 1,
+                TokKind::Punct(')') => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                TokKind::Ident(s) if s == "Deltas" => {
+                    names_deltas |= toks[j - 1].is_punct(':')
+                        && toks[j - 2].is_punct(':')
+                        && toks[j - 3].ident() == Some("Table");
+                }
+                _ => {}
+            }
+        }
+        if names_deltas {
+            findings.push(Finding {
+                rule: "one-row-fetch",
+                file: ctx.rel_path.clone(),
+                line: toks[i].line,
+                message: format!(
+                    "a keyed read of `Deltas` rows outside `{ROW_FETCH_FN}`: that fn is \
+                     the one place a point read probes the read cache, batches its \
+                     misses and caches rows and absences; call it instead, or \
+                     annotate why this read must not go through the cache"
                 ),
             });
         }

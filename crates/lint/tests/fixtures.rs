@@ -271,6 +271,27 @@ fn bounded_decode_alloc_binds_only_the_decoding_crates_sources() {
 }
 
 #[test]
+fn one_row_fetch_fixture() {
+    check("one_row_fetch.rs", "crates/core/src/fixture.rs", true);
+}
+
+#[test]
+fn one_row_fetch_binds_only_hgs_core_sources() {
+    // The baselines keep their own row layouts, and tests read the raw
+    // store on purpose. Elsewhere the fixture's own allow, suppressing
+    // nothing, is what surfaces.
+    let src = fixture("one_row_fetch.rs");
+    for rel in [
+        "crates/baselines/src/fixture.rs",
+        "crates/core/tests/fixture.rs",
+    ] {
+        let report = lint_source(&src, &ctx(rel));
+        let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, vec!["unused-allow"], "{rel}: {:#?}", report.findings);
+    }
+}
+
+#[test]
 fn concurrency_rules_are_off_in_tests() {
     // A test may hold a guard across a fetch deliberately (e.g. to
     // force contention); the discipline binds library code only.

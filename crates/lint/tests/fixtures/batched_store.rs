@@ -1,7 +1,9 @@
 // Fixture for the `batched-store-discipline` rule. Linted as
 // `crates/core/src/...` — inside `crates/store/src` the rule is off
 // (the store implements the primitives it wraps). Under `crates/core`
-// the unbounded raw scan is a `pinned-scan-bounded` finding as well.
+// the unbounded raw scan is a `pinned-scan-bounded` finding as well,
+// and a `Deltas` multi-get outside `try_fetch_rows` a `one-row-fetch`
+// finding, so the batched read below names another table.
 
 pub fn point_read(store: &Store, key: &[u8]) -> Option<Bytes> {
     store.get(Table::Deltas, key, 0) // FIRES:batched-store-discipline
@@ -12,7 +14,7 @@ pub fn raw_scan(store: &Store, prefix: &[u8]) -> Vec<Row> {
 }
 
 pub fn batched_read(store: &Store, keys: &[&[u8]]) -> Vec<Option<Bytes>> {
-    store.multi_get(Table::Deltas, keys, 0) // clean: the batched primitive
+    store.multi_get(Table::AttrIndex, keys, 0) // clean: the batched primitive
 }
 
 pub fn batched_scan(store: &Store, prefixes: &[&[u8]]) -> Vec<Vec<Row>> {
