@@ -85,8 +85,9 @@ impl HistoricalIndex for CopyIndex {
             Some(c) => {
                 let row = self
                     .store
-                    // hgs-lint: allow(batched-store-discipline, "row-at-a-time Copy baseline is the paper's comparison target, not a batched hot path")
-                    .get(Table::Deltas, &Self::key(c), Self::token(c))?;
+                    .multi_get(Table::Deltas, &[&Self::key(c)], Self::token(c))?
+                    .pop()
+                    .flatten();
                 decode_delta(&crate::written_row(row)?).map_err(StoreError::Corrupt)
             }
             None => Ok(Delta::new()),

@@ -101,16 +101,18 @@ impl CopyLogIndex {
     fn fetch_snapshot(&self, i: usize) -> Result<Delta, StoreError> {
         let row = self
             .store
-            // hgs-lint: allow(batched-store-discipline, "row-at-a-time Copy+Log baseline is the paper's comparison target, not a batched hot path")
-            .get(Table::Deltas, &Self::key(SNAP_TAG, i), Self::token(i))?;
+            .multi_get(Table::Deltas, &[&Self::key(SNAP_TAG, i)], Self::token(i))?
+            .pop()
+            .flatten();
         // Every checkpoint has a snapshot row.
         decode_delta(&crate::written_row(row)?).map_err(StoreError::Corrupt)
     }
 
     fn fetch_elist(&self, i: usize) -> Result<Option<Eventlist>, StoreError> {
         self.store
-            // hgs-lint: allow(batched-store-discipline, "row-at-a-time Copy+Log baseline is the paper's comparison target, not a batched hot path")
-            .get(Table::Deltas, &Self::key(ELIST_TAG, i), Self::token(i))?
+            .multi_get(Table::Deltas, &[&Self::key(ELIST_TAG, i)], Self::token(i))?
+            .pop()
+            .flatten()
             .map(|bytes| decode_eventlist(&bytes).map_err(StoreError::Corrupt))
             .transpose()
     }

@@ -65,8 +65,9 @@ impl LogIndex {
             }
             let row = self
                 .store
-                // hgs-lint: allow(batched-store-discipline, "row-at-a-time Log baseline is the paper's comparison target, not a batched hot path")
-                .get(Table::Deltas, &Self::key(i), Self::token(i))?;
+                .multi_get(Table::Deltas, &[&Self::key(i)], Self::token(i))?
+                .pop()
+                .flatten();
             let el = decode_eventlist(&crate::written_row(row)?).map_err(StoreError::Corrupt)?;
             for e in el.events() {
                 if e.time > t {

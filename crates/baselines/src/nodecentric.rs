@@ -61,8 +61,13 @@ impl NodeCentricIndex {
     /// The node's eventlist (`Ok(None)`: the node never existed).
     fn node_events(&self, nid: NodeId) -> Result<Option<Eventlist>, StoreError> {
         self.store
-            // hgs-lint: allow(batched-store-discipline, "row-at-a-time node-centric baseline is the paper's comparison target, not a batched hot path")
-            .get(Table::Versions, &node_key(nid), node_placement_token(nid))?
+            .multi_get(
+                Table::Versions,
+                &[&node_key(nid)],
+                node_placement_token(nid),
+            )?
+            .pop()
+            .flatten()
             .map(|bytes| decode_eventlist(&bytes).map_err(StoreError::Corrupt))
             .transpose()
     }

@@ -8,7 +8,7 @@ use crate::harness::*;
 use hgs_delta::{Delta, Event, EventKind, TimeRange};
 use hgs_graph::algo::{count_label, local_clustering};
 use hgs_graph::Graph;
-use hgs_store::parallel::parallel_chunks;
+use hgs_store::parallel::parallel_steal;
 use hgs_store::StoreConfig;
 use hgs_taf::{SoTS, TgiHandler};
 
@@ -44,12 +44,7 @@ pub fn fig15c() {
         for workers in 1..=5usize {
             let t0 = Instant::now();
             let idx: Vec<u32> = (0..n as u32).collect();
-            let lcc = parallel_chunks(idx, workers, |chunk| {
-                chunk
-                    .into_iter()
-                    .map(|i| local_clustering(&g, i))
-                    .collect::<Vec<f64>>()
-            });
+            let lcc = parallel_steal(idx, workers, |i| local_clustering(&g, i));
             let max = lcc.iter().copied().fold(0.0f64, f64::max);
             println!(
                 "{n}\t{workers}\t{}\t{max:.4}",

@@ -184,20 +184,60 @@ impl TimespanMeta {
         buf.freeze()
     }
 
-    /// Decode a [`TimespanMeta::encode`] blob.
+    /// Decode a [`TimespanMeta::encode`] blob, held to what the build
+    /// writes: a `u32` tsid, `start <= end`, a tree of arity two or
+    /// more, and checkpoints that open at `start`, never fall, and stay
+    /// below `end` after the first (an empty span's only checkpoint is
+    /// its `start == end`). A row off these is refused by the field's
+    /// name: the tree shape and the leaf lookups assume them.
     pub fn decode(mut buf: &[u8]) -> Result<TimespanMeta, CodecError> {
         let b = &mut buf;
-        let tsid = get_varint(b)? as u32;
+        let tsid = get_varint(b)?;
+        let tsid = u32::try_from(tsid).map_err(|_| CodecError::BadRef {
+            what: "timespan tsid",
+            id: tsid,
+        })?;
         let start = get_varint(b)?;
         let end = get_varint(b)?;
+        if start > end {
+            return Err(CodecError::BadRef {
+                what: "timespan end",
+                id: end,
+            });
+        }
         let n = bounded_count(b, 1, "checkpoints")?;
+        if n == 0 {
+            return Err(CodecError::LengthOverflow {
+                what: "checkpoints",
+                len: 0,
+            });
+        }
         let mut checkpoints = Vec::with_capacity(n);
         let mut prev = 0u64;
-        for _ in 0..n {
-            prev = prev.wrapping_add(get_varint(b)?);
-            checkpoints.push(prev);
+        for j in 0..n {
+            let c = prev.wrapping_add(get_varint(b)?);
+            let fits = if j == 0 {
+                c == start
+            } else {
+                prev <= c && c < end
+            };
+            if !fits {
+                return Err(CodecError::BadRef {
+                    what: "checkpoint",
+                    id: c,
+                });
+            }
+            checkpoints.push(c);
+            prev = c;
         }
-        let arity = get_varint(b)? as usize;
+        let arity = get_varint(b)?;
+        if arity < 2 {
+            return Err(CodecError::LengthOverflow {
+                what: "arity",
+                len: arity,
+            });
+        }
+        let arity = arity as usize;
         let np = bounded_count(b, 1, "pid_counts")?;
         let mut pid_counts = Vec::with_capacity(np);
         for _ in 0..np {
@@ -218,7 +258,7 @@ impl TimespanMeta {
         Ok(TimespanMeta {
             tsid,
             range: TimeRange::new(start, end),
-            shape: TreeShape::new(checkpoints.len().max(1), arity),
+            shape: TreeShape::new(checkpoints.len(), arity),
             checkpoints,
             pid_counts,
             has_aux,

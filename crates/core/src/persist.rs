@@ -25,7 +25,8 @@ use crate::meta::{bounded_count, TimespanMeta};
 pub enum OpenError {
     /// The store holds no graph descriptor (nothing was built here).
     NotFound,
-    /// A metadata row failed to decode.
+    /// A metadata row failed to decode, contradicts the rows beside
+    /// it, or names a row the store lacks.
     Corrupt(CodecError),
     /// The store was unreachable.
     Store(StoreError),
@@ -181,44 +182,57 @@ impl Tgi {
     /// handle answers queries identically and accepts further
     /// [`Tgi::try_append_events`] batches.
     pub fn open(store: Arc<SimStore>) -> Result<Tgi, OpenError> {
-        // Global descriptor.
-        let meta_row = store
-            // hgs-lint: allow(batched-store-discipline, "open() bootstrap reads one singleton metadata row; nothing to batch")
-            .get(Table::Graph, b"meta", 0)
-            .map_err(OpenError::Store)?
-            .ok_or(OpenError::NotFound)?;
+        // Global descriptor: both rows share placement token 0.
+        let (meta_row, cfg_row) = match &store
+            .multi_get(Table::Graph, &[b"meta", b"config"], 0)
+            .map_err(OpenError::Store)?[..]
+        {
+            [Some(meta), Some(cfg)] => (meta.clone(), cfg.clone()),
+            _ => return Err(OpenError::NotFound),
+        };
         let mut slice: &[u8] = &meta_row;
         let b = &mut slice;
         let span_count = get_varint(b).map_err(OpenError::Corrupt)?;
         let end_time: Time = get_varint(b).map_err(OpenError::Corrupt)?;
         let event_count = get_varint(b).map_err(OpenError::Corrupt)? as usize;
-        let cfg_row = store
-            // hgs-lint: allow(batched-store-discipline, "open() bootstrap reads one singleton config row; nothing to batch")
-            .get(Table::Graph, b"config", 0)
-            .map_err(OpenError::Store)?
-            .ok_or(OpenError::NotFound)?;
         let cfg = decode_config(&cfg_row).map_err(OpenError::Corrupt)?;
 
         // Per-timespan metadata and partition maps. A span is named by
-        // a `u32` tsid; nothing is allocated for the count itself.
-        let span_count = u32::try_from(span_count).map_err(|_| {
-            OpenError::Corrupt(CodecError::LengthOverflow {
-                what: "span count",
-                len: span_count,
-            })
-        })?;
-        let mut spans = Vec::new();
+        // a `u32` tsid, and a build that wrote a descriptor wrote a span;
+        // nothing is allocated for the count itself.
+        let span_count = match u32::try_from(span_count) {
+            Ok(n) if n > 0 => n,
+            _ => {
+                return Err(OpenError::Corrupt(CodecError::LengthOverflow {
+                    what: "span count",
+                    len: span_count,
+                }))
+            }
+        };
+        let bad_ref = |what, id| OpenError::Corrupt(CodecError::BadRef { what, id });
+        let mut spans: Vec<Arc<SpanRuntime>> = Vec::new();
         for tsid in 0..span_count {
             let row = store
-                // hgs-lint: allow(batched-store-discipline, "open() reads one descriptor row per span, once at startup; not a query path")
-                .get(
+                .multi_get(
                     Table::Timespans,
-                    &tsid.to_be_bytes(),
+                    &[&tsid.to_be_bytes()],
                     hgs_delta::hash::hash_u64(tsid as u64),
                 )
                 .map_err(OpenError::Store)?
-                .ok_or(OpenError::NotFound)?;
+                .pop()
+                .flatten()
+                .ok_or(bad_ref("timespan", tsid as u64))?;
             let meta = TimespanMeta::decode(&row).map_err(OpenError::Corrupt)?;
+            // The spans tile time in `tsid` order from 0: a row filed
+            // under another span, or one leaving a gap or an overlap
+            // with the span before it, would answer a read at some time
+            // from the wrong span's rows.
+            if meta.tsid != tsid {
+                return Err(bad_ref("timespan tsid", meta.tsid as u64));
+            }
+            if meta.range.start != spans.last().map_or(0, |prev| prev.meta.range.end) {
+                return Err(bad_ref("timespan start", meta.range.start));
+            }
             // One partition map per `sid`: every node-scoped read
             // indexes them by the node's hash.
             if meta.pid_counts.len() != cfg.horizontal_partitions as usize {
@@ -239,10 +253,11 @@ impl Tgi {
                         let key = mp_key(tsid, sid);
                         let token = hgs_store::PlacementKey::new(tsid, sid).token();
                         let blob = store
-                            // hgs-lint: allow(batched-store-discipline, "open() reads one partition-map row per (tsid, sid), once at startup; not a query path")
-                            .get(Table::Micropartitions, &key, token)
+                            .multi_get(Table::Micropartitions, &[&key], token)
                             .map_err(OpenError::Store)?
-                            .ok_or(OpenError::NotFound)?;
+                            .pop()
+                            .flatten()
+                            .ok_or(bad_ref("partition map", sid as u64))?;
                         maps.push(decode_partition_map(&blob).map_err(OpenError::Corrupt)?);
                     }
                     maps

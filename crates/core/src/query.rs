@@ -26,7 +26,7 @@ use hgs_delta::{
     NodeId, StaticNode, Time, TimeRange,
 };
 use hgs_store::key::{chain_key_tsid, chain_prefix, node_placement_token};
-use hgs_store::parallel::parallel_chunks;
+use hgs_store::parallel::parallel_steal;
 use hgs_store::{DeltaKey, PlacementKey, StoreError, Table};
 
 use crate::build::{SpanRuntime, TgiView};
@@ -340,21 +340,17 @@ impl TgiView {
         // (sid, did, micro-partition pieces keyed by pid).
         type FetchedDelta = (u32, u64, Vec<(u32, bytes::Bytes)>);
         let store = &self.store;
-        let fetched: Vec<Result<FetchedDelta, StoreError>> = parallel_chunks(jobs, c, |chunk| {
-            chunk
+        // One prefix per request: the reference path stays plan-free.
+        let fetched: Vec<Result<FetchedDelta, StoreError>> = parallel_steal(jobs, c, |job| {
+            let prefix = DeltaKey::delta_prefix(tsid, job.sid, job.did);
+            let token = PlacementKey::new(tsid, job.sid).token();
+            let rows = store.scan_prefix_batch(Table::Deltas, &[&prefix], token)?;
+            let pieces = rows
                 .into_iter()
-                .map(|job| {
-                    let prefix = DeltaKey::delta_prefix(tsid, job.sid, job.did);
-                    let token = PlacementKey::new(tsid, job.sid).token();
-                    // hgs-lint: allow(batched-store-discipline, "uncached reference path kept deliberately plan-free as the correctness oracle for the planned path")
-                    let rows = store.scan_prefix(Table::Deltas, &prefix, token)?;
-                    let pieces = rows
-                        .into_iter()
-                        .filter_map(|(k, v)| DeltaKey::decode(&k).map(|dk| (dk.pid, v)))
-                        .collect();
-                    Ok((job.sid, job.did, pieces))
-                })
-                .collect()
+                .flatten()
+                .filter_map(|(k, v)| DeltaKey::decode(&k).map(|dk| (dk.pid, v)))
+                .collect();
+            Ok((job.sid, job.did, pieces))
         });
 
         // Merge: per sid, sum tree deltas in path order, then apply the
@@ -614,14 +610,13 @@ impl TgiView {
     /// Rows of spans sealed after this view are skipped undecoded —
     /// they are not part of its prefix, whatever state they are in.
     pub fn try_version_chain(&self, nid: NodeId) -> Result<Vec<ChainEntry>, StoreError> {
-        // hgs-lint: allow(batched-store-discipline, "one prefix scan per node is the version chain's native access (Algorithm 2 batches across chunks)")
-        let rows = self.store.scan_prefix(
+        let rows = self.store.scan_prefix_batch(
             Table::Versions,
-            &chain_prefix(nid),
+            &[&chain_prefix(nid)],
             node_placement_token(nid),
         )?;
         let mut chain = Vec::new();
-        for (key, bytes) in rows {
+        for (key, bytes) in rows.into_iter().flatten() {
             let tsid =
                 chain_key_tsid(&key).ok_or(StoreError::Corrupt(CodecError::LengthOverflow {
                     what: "Versions key",
@@ -701,28 +696,24 @@ impl TgiView {
         }
         let in_range = |e: &Event| after.is_none_or(|a| e.time > a) && e.time < before;
         let lists: Vec<Result<Vec<Event>, StoreError>> =
-            parallel_chunks(spans, self.clients, |spans| {
-                spans
-                    .into_iter()
-                    .map(|(tsid, keys)| {
-                        let mut events = Vec::new();
-                        let rows = self.try_fetch_rows(tsid, sid, &keys)?;
-                        for (row, &(did, _pid)) in rows.iter().zip(&keys) {
-                            match row {
-                                Some(Row::Events(el)) => events
-                                    .extend(el.events_touching(nid)?.into_iter().filter(in_range)),
-                                _ if chains => {
-                                    return Err(StoreError::Corrupt(CodecError::BadRef {
-                                        what: "chain chunk without an eventlist row",
-                                        id: did - ELIST_BASE,
-                                    }))
-                                }
-                                _ => {}
-                            }
+            parallel_steal(spans, self.clients, |(tsid, keys)| {
+                let mut events = Vec::new();
+                let rows = self.try_fetch_rows(tsid, sid, &keys)?;
+                for (row, &(did, _pid)) in rows.iter().zip(&keys) {
+                    match row {
+                        Some(Row::Events(el)) => {
+                            events.extend(el.events_touching(nid)?.into_iter().filter(in_range))
                         }
-                        Ok(events)
-                    })
-                    .collect()
+                        _ if chains => {
+                            return Err(StoreError::Corrupt(CodecError::BadRef {
+                                what: "chain chunk without an eventlist row",
+                                id: did - ELIST_BASE,
+                            }))
+                        }
+                        _ => {}
+                    }
+                }
+                Ok(events)
             });
         let mut events: Vec<Event> = Vec::new();
         for list in lists {
@@ -941,12 +932,7 @@ impl TgiView {
         let mut list: Vec<NodeId> = nbrs.into_iter().collect();
         list.sort_unstable();
         let fetched: Vec<Result<NodeHistory, StoreError>> =
-            parallel_chunks(list, self.clients, |chunk| {
-                chunk
-                    .into_iter()
-                    .map(|m| self.try_node_history(m, range))
-                    .collect()
-            });
+            parallel_steal(list, self.clients, |m| self.try_node_history(m, range));
         let neighbors = fetched.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(NeighborhoodHistory {
             center,

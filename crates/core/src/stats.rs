@@ -76,11 +76,11 @@ mod tests {
         let store = SimStore::new(StoreConfig::new(2, 1));
         let row = PutRow::new(Table::Graph, b"k".to_vec(), 0, Bytes::from_static(b"hello"));
         store.try_put_batch(vec![row]).unwrap();
-        store.get(Table::Graph, b"k", 0).unwrap(); // outside bracket
+        store.multi_get(Table::Graph, &[b"k"], 0).unwrap(); // outside bracket
         let model = CostModel::default();
         let ((), rep) = measure(&store, &model, 4, || {
-            store.get(Table::Graph, b"k", 0).unwrap();
-            store.get(Table::Graph, b"missing", 0).unwrap();
+            store.multi_get(Table::Graph, &[b"k"], 0).unwrap();
+            store.multi_get(Table::Graph, &[b"missing"], 0).unwrap();
         });
         assert_eq!(rep.lookups, 2);
         assert_eq!(rep.rows, 1);

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use common::put_everywhere;
 
 use bytes::{Bytes, BytesMut};
-use hgs_core::meta::{encode_chain, sid_of, ChainEntry, TimespanMeta, ELIST_BASE};
+use hgs_core::meta::{encode_chain, sid_of, ChainEntry, TimespanMeta, TreeShape, ELIST_BASE};
 use hgs_core::{KhopStrategy, OpenError, PartitionStrategy, Tgi, TgiConfig};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::codec::{get_varint, put_varint};
@@ -263,9 +263,8 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
     let events = trace();
     let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
     let store = tgi.store().clone();
-    let good = store
-        .get(Table::Graph, b"config", 0)
-        .unwrap()
+    let good = store.multi_get(Table::Graph, &[b"config"], 0).unwrap()[0]
+        .clone()
         .expect("the build wrote a config row");
     // The descriptor is twelve varints; see `persist::encode_config`.
     let mut fields: Vec<u64> = Vec::new();
@@ -379,10 +378,14 @@ fn hostile_descriptor_counts_are_corrupt_not_an_allocation() {
     overflow(&store, "pid_counts count");
 
     // `Graph/meta`, the span count: nothing is allocated for it, and a
-    // count no `tsid` can name is refused outright.
+    // count no `tsid` can name is refused outright — as is 0, which no
+    // build writes and which left every read without a span to land on
+    // (`span_index_for` panicked).
     let store = build(PartitionStrategy::Random);
     put_everywhere(&store, Table::Graph, b"meta", varints(&[HUGE, 9, 9]));
     overflow(&store, "span count");
+    put_everywhere(&store, Table::Graph, b"meta", varints(&[0, 9, 9]));
+    overflow(&store, "span count 0");
 
     // `decode_partition_map`, the entry count: parts, n.
     let store = build(PartitionStrategy::Locality {
@@ -392,6 +395,94 @@ fn hostile_descriptor_counts_are_corrupt_not_an_allocation() {
     mp_key[4..].copy_from_slice(&1u32.to_be_bytes());
     put_everywhere(&store, Table::Micropartitions, &mp_key, varints(&[4, HUGE]));
     overflow(&store, "partition-map entry count");
+}
+
+/// A `Timespans` row that decodes is not yet one the build could have
+/// written: its `tsid` must be its key's, its tree at least binary, its
+/// range not reversed, its checkpoints opening at the range's start and
+/// never falling, and the spans must tile time from 0. A row off any of
+/// these is `OpenError::Corrupt`, naming the field. (Re-encoding span
+/// 0's row this way once made `Tgi::open` panic inside `TreeShape::new`
+/// or `TimeRange::new`, or open a handle whose snapshots differed from
+/// the build's.)
+#[test]
+fn inconsistent_timespan_rows_are_corrupt_not_a_panic_or_a_wrong_graph() {
+    let events = trace();
+    let end = events.last().unwrap().time;
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let store = tgi.store().clone();
+    let built = common::span_metas(&store)[0].clone();
+    assert!(built.checkpoints.len() > 1, "span 0 holds several chunks");
+    let span0 = 0u32.to_be_bytes();
+    let reopened = |meta: &TimespanMeta| {
+        put_everywhere(&store, Table::Timespans, &span0, meta.encode());
+        Tgi::open(store.clone()).map(|tgi| tgi.try_snapshot(end / 2))
+    };
+    let bad_ref = |what, id| CodecError::BadRef { what, id };
+    let mut reversed = built.checkpoints.clone();
+    reversed.reverse();
+    for (what, meta, want) in [
+        (
+            "tsid 1 under key 0",
+            TimespanMeta {
+                tsid: 1,
+                ..built.clone()
+            },
+            bad_ref("timespan tsid", 1),
+        ),
+        (
+            "arity 1",
+            TimespanMeta {
+                shape: TreeShape {
+                    arity: 1,
+                    ..built.shape.clone()
+                },
+                ..built.clone()
+            },
+            CodecError::LengthOverflow {
+                what: "arity",
+                len: 1,
+            },
+        ),
+        (
+            "start > end",
+            TimespanMeta {
+                range: TimeRange {
+                    start: built.range.end,
+                    end: built.range.start,
+                },
+                ..built.clone()
+            },
+            bad_ref("timespan end", built.range.start),
+        ),
+        (
+            "reversed checkpoints",
+            TimespanMeta {
+                checkpoints: reversed.clone(),
+                ..built.clone()
+            },
+            bad_ref("checkpoint", reversed[0]),
+        ),
+        (
+            "span 0 overlapping span 1",
+            TimespanMeta {
+                range: TimeRange::new(built.range.start, built.range.end + 1),
+                ..built.clone()
+            },
+            bad_ref("timespan start", built.range.end),
+        ),
+    ] {
+        match reopened(&meta) {
+            Err(OpenError::Corrupt(e)) => assert_eq!(e, want, "{what}"),
+            Err(other) => panic!("{what}: unexpected error {other}"),
+            Ok(_) => panic!("{what}: opened"),
+        }
+    }
+    // The row as built reopens to the build's answers.
+    assert_eq!(
+        reopened(&built).expect("intact descriptor").unwrap(),
+        tgi.try_snapshot(end / 2).unwrap()
+    );
 }
 
 /// The three encodings of a row at their edges, each read through the

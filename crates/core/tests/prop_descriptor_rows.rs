@@ -1,0 +1,149 @@
+//! Decoder fuzz for the descriptor rows `Tgi::open` reads: a two-span
+//! build's `Timespans` rows and its `Graph/meta` row, stored unchanged,
+//! with one byte replaced, with one byte inserted, truncated, or as
+//! arbitrary bytes. `Tgi::open` answers `Ok` or `OpenError::Corrupt`,
+//! never panics; an `Ok` handle answers a snapshot at each of three
+//! times with `Ok` or `StoreError::Corrupt`; and the rows as built
+//! reopen to the build's answers.
+
+mod common;
+
+use std::sync::{Arc, OnceLock};
+
+use bytes::Bytes;
+use common::put_everywhere;
+use hgs_core::{OpenError, Tgi, TgiConfig};
+use hgs_datagen::WikiGrowth;
+use hgs_delta::{Delta, Time};
+use hgs_store::{SimStore, StoreConfig, StoreError, Table};
+use proptest::prelude::*;
+
+/// One index every case damages one descriptor row of, and puts back.
+struct Fixture {
+    store: Arc<SimStore>,
+    /// `(table, key, row as built)`: span 0's and span 1's `Timespans`
+    /// rows, then `Graph/meta`.
+    rows: Vec<(Table, Vec<u8>, Bytes)>,
+    times: [Time; 3],
+    /// The build's snapshot at each of `times`.
+    answers: Vec<Delta>,
+}
+
+fn fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let events = WikiGrowth::sized(800).generate();
+        let cfg = TgiConfig {
+            events_per_timespan: events.len() / 2 + 1,
+            eventlist_size: 60,
+            partition_size: 30,
+            ..TgiConfig::default()
+        };
+        let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
+        let tgi = Tgi::try_build_on(cfg, store.clone(), &events).expect("build");
+        assert_eq!(tgi.span_count(), 2, "a two-span build");
+        let end = tgi.end_time();
+        let times = [end / 4, end / 2, end];
+        let answers = times
+            .iter()
+            .map(|&t| tgi.try_snapshot(t).unwrap())
+            .collect();
+        let built = |table: Table, key: &[u8]| {
+            let mut nk = vec![table.tag()];
+            nk.extend_from_slice(key);
+            let row = store
+                .content_rows()
+                .into_iter()
+                .flatten()
+                .find(|(k, _)| *k == nk);
+            (table, key.to_vec(), row.expect("the build wrote the row").1)
+        };
+        let rows = vec![
+            built(Table::Timespans, &0u32.to_be_bytes()),
+            built(Table::Timespans, &1u32.to_be_bytes()),
+            built(Table::Graph, b"meta"),
+        ];
+        Fixture {
+            store,
+            rows,
+            times,
+            answers,
+        }
+    })
+}
+
+/// What a case stores in place of the row the build wrote.
+#[derive(Debug, Clone)]
+enum Damage {
+    Unchanged,
+    /// Bytes with no relation to the row.
+    Arbitrary(Vec<u8>),
+    /// One byte replaced (its position taken modulo the row's length).
+    Replace(usize, u8),
+    /// One byte inserted.
+    Insert(usize, u8),
+    /// The row cut short.
+    Truncate(usize),
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        1 => Just(Damage::Unchanged),
+        2 => prop::collection::vec(any::<u8>(), 0..24).prop_map(Damage::Arbitrary),
+        4 => (any::<usize>(), any::<u8>()).prop_map(|(at, b)| Damage::Replace(at, b)),
+        2 => (any::<usize>(), any::<u8>()).prop_map(|(at, b)| Damage::Insert(at, b)),
+        2 => any::<usize>().prop_map(Damage::Truncate),
+    ]
+}
+
+fn damage(row: &[u8], d: &Damage) -> Vec<u8> {
+    let mut out = row.to_vec();
+    match d {
+        Damage::Unchanged => {}
+        Damage::Arbitrary(bytes) => out = bytes.clone(),
+        Damage::Replace(at, b) => {
+            if !out.is_empty() {
+                let at = at % out.len();
+                out[at] = *b;
+            }
+        }
+        Damage::Insert(at, b) => out.insert(at % (out.len() + 1), *b),
+        Damage::Truncate(len) => out.truncate(len % (out.len() + 1)),
+    }
+    out
+}
+
+proptest! {
+    #[test]
+    fn damaged_descriptor_rows_open_whole_or_corrupt(pick in 0usize..3, d in arb_damage()) {
+        let fx = fixture();
+        let (table, key, built) = &fx.rows[pick];
+        put_everywhere(&fx.store, *table, key, Bytes::from(damage(built, &d)));
+        let opened = Tgi::open(fx.store.clone());
+        let answers: Option<Vec<Result<Delta, StoreError>>> = opened
+            .as_ref()
+            .ok()
+            .map(|tgi| fx.times.iter().map(|&t| tgi.try_snapshot(t)).collect());
+        put_everywhere(&fx.store, *table, key, built.clone());
+
+        let opened = opened.map(drop);
+        prop_assert!(
+            matches!(opened, Ok(()) | Err(OpenError::Corrupt(_))),
+            "{table} row under {d:?}: {opened:?}"
+        );
+        for answer in answers.iter().flatten() {
+            prop_assert!(
+                matches!(answer, Ok(_) | Err(StoreError::Corrupt(_))),
+                "{table} row under {d:?}: {answer:?}"
+            );
+        }
+        if matches!(d, Damage::Unchanged) {
+            let answers: Vec<Delta> = answers
+                .expect("the rows as built open")
+                .into_iter()
+                .map(|a| a.expect("the rows as built answer"))
+                .collect();
+            prop_assert_eq!(&answers, &fx.answers);
+        }
+    }
+}

@@ -12,9 +12,6 @@
 //!   (and slice indexing) hiding inside the fallible `try_*` surface,
 //!   plus the same panic family anywhere in `hgs-core`/`hgs-store`/
 //!   `hgs-delta` non-test library code.
-//! * **batched-store-discipline** — raw `store.get`/`scan_prefix`
-//!   round trips outside `hgs-store` itself (PR 2/PR 5 batched these
-//!   paths deliberately; a per-row write no longer compiles).
 //! * **no-swallowed-result** — `let _ =` on store/cache operations.
 //! * **no-infallible-twin** — `fn NAME` next to `fn try_NAME` in one
 //!   file of `hgs-core`/`hgs-taf`/`hgs-baselines`: every fallible
@@ -23,7 +20,7 @@
 //!   sources: a tree row's records are pieces of nodes, so a row
 //!   decoded on its own and node-level-summed is a silently wrong
 //!   state.
-//! * **pinned-scan-bounded** — a `.scan_prefix()` in `hgs-core`'s
+//! * **pinned-scan-bounded** — a `.scan_prefix_batch()` in `hgs-core`'s
 //!   sources whose fn never consults the view's span list: a pinned
 //!   view would read rows sealed after it was published (PR 13 and
 //!   PR 23 each fixed one of these).

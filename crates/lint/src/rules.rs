@@ -13,7 +13,6 @@ use crate::scan::{scan, Scanned, TokKind, Token};
 pub const RULES: &[&str] = &[
     "sorted-dedup",
     "no-panic-in-try",
-    "batched-store-discipline",
     "no-swallowed-result",
     "lock-ordering",
     "no-guard-across-callback",
@@ -385,12 +384,12 @@ const NON_RECEIVER_KEYWORDS: &[&str] = &[
 /// Store methods that cross the network to fetch rows; holding a lock
 /// guard across one of these serializes every concurrent reader on
 /// the guard for the duration of the round trip (`lock-ordering`).
-const STORE_FETCH_METHODS: &[&str] = &["multi_get", "scan_prefix", "scan_prefix_batch"];
+const STORE_FETCH_METHODS: &[&str] = &["multi_get", "scan_prefix_batch"];
 
 /// Worker-pool entry points whose closures run on other threads; a
 /// parking_lot guard crossing one deadlocks the moment a worker
 /// touches the same lock (`no-guard-across-callback`).
-const CALLBACK_FNS: &[&str] = &["parallel_steal", "parallel_chunks"];
+const CALLBACK_FNS: &[&str] = &["parallel_steal"];
 
 /// Store round trips whose re-issue inside a `loop`/`while` is a
 /// hand-rolled retry loop (`bounded-retry`): without the store's
@@ -398,7 +397,6 @@ const CALLBACK_FNS: &[&str] = &["parallel_steal", "parallel_chunks"];
 /// persistent fault spins such a loop forever.
 const RETRY_SENSITIVE_METHODS: &[&str] = &[
     "multi_get",
-    "scan_prefix",
     "scan_prefix_batch",
     "put_batch",
     "try_put_batch",
@@ -418,7 +416,6 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
             .crate_dir
             .as_deref()
             .is_some_and(|c| PANIC_STRICT_CRATES.contains(&c));
-    let store_exempt = ctx.crate_dir.as_deref() == Some("store") && ctx.kind == FileKind::Lib;
 
     for i in 0..toks.len() {
         let t = &toks[i];
@@ -533,33 +530,6 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
             });
         }
 
-        // ---- batched-store-discipline -------------------------------
-        if !tcx.in_test && ctx.kind == FileKind::Lib && !store_exempt {
-            if let Some(name) = t.ident() {
-                let is_call =
-                    prev.is_some_and(|p| p.is_punct('.')) && next.is_some_and(|n| n.is_punct('('));
-                let fires = if name == "scan_prefix" {
-                    is_call
-                } else if name == "get" {
-                    is_call && i >= 2 && toks[i - 2].ident() == Some("store")
-                } else {
-                    false
-                };
-                if fires {
-                    findings.push(Finding {
-                        rule: "batched-store-discipline",
-                        file: ctx.rel_path.clone(),
-                        line: t.line,
-                        message: format!(
-                            "raw store round trip `.{name}(...)` outside hgs-store; \
-                             hot paths must use `multi_get`/`scan_prefix_batch`/\
-                             `WriteBuffer`, reference paths must be annotated"
-                        ),
-                    });
-                }
-            }
-        }
-
         // ---- lock-ordering / no-guard-across-callback ---------------
         if !tcx.in_test && ctx.kind == FileKind::Lib {
             if let Some(name) = t.ident() {
@@ -567,9 +537,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
                 let store_fetch = is_call
                     && prev.is_some_and(|p| p.is_punct('.'))
                     && (STORE_FETCH_METHODS.contains(&name)
-                        || (matches!(name, "get" | "put_batch")
-                            && i >= 2
-                            && toks[i - 2].ident() == Some("store")));
+                        || (name == "put_batch" && i >= 2 && toks[i - 2].ident() == Some("store")));
                 let callback = is_call && CALLBACK_FNS.contains(&name);
                 if store_fetch || callback {
                     if let Some(g) = guards.iter().find(|g| g.start <= i && i < g.end) {
@@ -667,7 +635,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
         }
     }
 
-    bounded_retry(toks, &cx, ctx, store_exempt, &mut findings);
+    bounded_retry(toks, &cx, ctx, &mut findings);
     infallible_twins(toks, &cx, ctx, &mut findings);
     pinned_scan_bounded(toks, &cx, ctx, &mut findings);
     bounded_decode_alloc(toks, &cx, ctx, &mut findings);
@@ -714,14 +682,8 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
 /// loops are exempt — they iterate a finite collection, they don't
 /// re-issue on failure. Findings anchor at the store-op line so an
 /// audited allow sits next to the operation it excuses.
-fn bounded_retry(
-    toks: &[Token],
-    cx: &Contexts,
-    ctx: &FileCtx,
-    store_exempt: bool,
-    findings: &mut Vec<Finding>,
-) {
-    if ctx.kind != FileKind::Lib || store_exempt {
+fn bounded_retry(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    if ctx.kind != FileKind::Lib || ctx.crate_dir.as_deref() == Some("store") {
         return;
     }
     // Nested loops would report the same op once per level; dedupe.
@@ -780,9 +742,7 @@ fn bounded_retry(
             if !is_call {
                 continue;
             }
-            let hit = RETRY_SENSITIVE_METHODS.contains(&name)
-                || (name == "get" && k >= 2 && toks[k - 2].ident() == Some("store"));
-            if hit && !reported.contains(&toks[k].line) {
+            if RETRY_SENSITIVE_METHODS.contains(&name) && !reported.contains(&toks[k].line) {
                 reported.push(toks[k].line);
                 findings.push(Finding {
                     rule: "bounded-retry",
@@ -841,18 +801,18 @@ fn infallible_twins(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut
 }
 
 /// The `pinned-scan-bounded` pass: in `hgs-core`'s non-test library
-/// code, a fn that issues a `.scan_prefix(...)` must show what bounds
-/// the scan to the view it runs on — it names the view's span list
-/// (`spans`), or it builds its prefix from the `.tsid` of a span it
-/// was handed. A prefix scan over a table keyed by `tsid` returns
-/// whatever the store holds, rows sealed after the view was published
-/// included.
+/// code, a fn that issues a `.scan_prefix_batch(...)` — the store's
+/// one scan — must show what bounds the scan to the view it runs on:
+/// it names the view's span list (`spans`), or it builds its prefixes
+/// from the `.tsid` of a span it was handed. A prefix scan over a table
+/// keyed by `tsid` returns whatever the store holds, rows sealed after
+/// the view was published included.
 fn pinned_scan_bounded(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Vec<Finding>) {
     if ctx.kind != FileKind::Lib || ctx.crate_dir.as_deref() != Some(TREE_ROW_READER_CRATE) {
         return;
     }
     for i in 1..toks.len() {
-        let is_scan = toks[i].ident() == Some("scan_prefix")
+        let is_scan = toks[i].ident() == Some("scan_prefix_batch")
             && toks[i - 1].is_punct('.')
             && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
         let Some(f) = cx.per_token[i]
@@ -1134,7 +1094,6 @@ fn swallowed_store_op(toks: &[Token], start: usize) -> Option<String> {
         "put_batch",
         "try_put_batch",
         "multi_get",
-        "scan_prefix",
         "scan_prefix_batch",
         "flush",
     ];

@@ -83,27 +83,6 @@ fn no_panic_fixture_in_relaxed_crate() {
 }
 
 #[test]
-fn batched_store_fixture() {
-    check("batched_store.rs", "crates/core/src/fixture.rs", true);
-}
-
-#[test]
-fn batched_store_rule_is_off_inside_the_store_crate() {
-    // The store crate implements the primitives the rule polices, so
-    // raw calls there are fine — and the fixture's allow annotation,
-    // now suppressing nothing, must itself be flagged as stale.
-    let src = fixture("batched_store.rs");
-    let report = lint_source(&src, &ctx("crates/store/src/fixture.rs"));
-    let allow_line = src
-        .lines()
-        .position(|l| l.contains("hgs-lint: allow(batched-store-discipline"))
-        .map(|i| (i + 1) as u32)
-        .expect("fixture carries one batched-store allow");
-    let got: Vec<(u32, &str)> = report.findings.iter().map(|f| (f.line, f.rule)).collect();
-    assert_eq!(got, vec![(allow_line, "unused-allow")]);
-}
-
-#[test]
 fn index_rows_fixture() {
     check("index_rows.rs", "crates/core/src/fixture.rs", true);
 }
@@ -137,8 +116,8 @@ fn bounded_retry_fixture() {
 fn bounded_retry_rule_is_off_inside_the_store_crate() {
     // The store crate *implements* the RetryPolicy loops the rule
     // demands, so its own `loop`s over machine ops are the sanctioned
-    // mechanism — but batched-store findings vanish there too, so the
-    // fixture's now-useless allow must be flagged stale.
+    // mechanism — so the fixture's now-useless allow must be flagged
+    // stale.
     let src = fixture("bounded_retry.rs");
     let report = lint_source(&src, &ctx("crates/store/src/fixture.rs"));
     assert!(
@@ -225,12 +204,7 @@ fn pinned_scan_rule_binds_only_hgs_core_sources() {
         "crates/core/tests/fixture.rs",
     ] {
         let report = lint_source(&src, &ctx(rel));
-        let rules: BTreeSet<&str> = report
-            .findings
-            .iter()
-            .map(|f| f.rule)
-            .filter(|r| *r != "batched-store-discipline")
-            .collect();
+        let rules: BTreeSet<&str> = report.findings.iter().map(|f| f.rule).collect();
         assert!(
             !rules.contains("pinned-scan-bounded") && rules.contains("unused-allow"),
             "{rel}: {:#?}",

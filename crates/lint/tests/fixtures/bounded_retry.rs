@@ -21,9 +21,11 @@ pub fn retry_flush_until_ok(store: &Store, rows: Vec<Row>) {
     }
 }
 
-pub fn raw_get_in_loop_fires_both_rules(store: &Store, key: &Key) -> Option<Row> {
+pub fn get_is_no_store_read(store: &Map, key: &Key) -> Option<Row> {
     loop {
-        let row = store.get(Table::Deltas, key, 0); // FIRES:bounded-retry FIRES:batched-store-discipline
+        // clean: every store read is a batch (`multi_get` /
+        // `scan_prefix_batch`), so `get` names none.
+        let row = store.get(key);
         if row.is_some() {
             return row;
         }

@@ -9,9 +9,9 @@ pub fn steal_under_guard(stats: &Mutex<Stats>, items: Vec<Item>) -> Vec<Out> {
     out
 }
 
-pub fn chunks_under_read_guard(state: &RwLock<State>, ids: Vec<Id>) -> Vec<Row> {
+pub fn steal_under_read_guard(state: &RwLock<State>, ids: Vec<Id>) -> Vec<Row> {
     let snapshot = state.read();
-    let rows = parallel_chunks(ids, 2, fetch_chunk); // FIRES:no-guard-across-callback
+    let rows = parallel_steal(ids, 2, fetch_one); // FIRES:no-guard-across-callback
     snapshot.check(&rows);
     rows
 }

@@ -9,10 +9,10 @@ pub fn fetch_under_guard(shards: &[Mutex<Inner>], store: &Store) -> Vec<Option<B
     rows
 }
 
-pub fn point_fetch_under_guard(shards: &[Mutex<Inner>], store: &Store) {
+pub fn write_under_guard(shards: &[Mutex<Inner>], store: &Store, rows: Vec<PutRow>) {
     let inner = shards[0].lock();
-    let row = store.get(Table::Deltas, b"k", 0); // FIRES:lock-ordering FIRES:batched-store-discipline
-    inner.observe(row);
+    let outcome = store.put_batch(rows); // FIRES:lock-ordering
+    inner.observe(outcome);
 }
 
 pub fn scan_under_read_guard(state: &RwLock<State>, store: &Store) -> Vec<Row> {

@@ -10,10 +10,9 @@ impl TgiView {
     pub fn try_attr_history(&self, nid: NodeId, key: &str) -> Result<Vec<Point>, StoreError> {
         let term = key_term(key);
         let prefix = term_prefix(TERM_KIND_KEY, &term);
-        // hgs-lint: allow(batched-store-discipline, "one prefix scan per (node, key) is the index's native access")
-        let rows = self.store.scan_prefix(Table::AttrIndex, &prefix, term_token(&term))?; // FIRES:pinned-scan-bounded
+        let rows = self.store.scan_prefix_batch(Table::AttrIndex, &[&prefix], term_token(&term))?; // FIRES:pinned-scan-bounded
         let mut out = Vec::new();
-        for (row_key, bytes) in rows {
+        for (row_key, bytes) in rows.into_iter().flatten() {
             let Some(tsid) = term_key_tsid(&row_key) else {
                 continue;
             };
@@ -24,29 +23,28 @@ impl TgiView {
 
     // The PR 13 fix: rows of later spans are dropped by the span list.
     pub fn try_version_chain(&self, nid: NodeId) -> Result<Vec<ChainEntry>, StoreError> {
-        // hgs-lint: allow(batched-store-discipline, "one prefix scan per node is the chain's native access")
-        let rows = self.store.scan_prefix(Table::Versions, &chain_prefix(nid), token(nid))?; // clean
+        let rows = self.store.scan_prefix_batch(Table::Versions, &[&chain_prefix(nid)], token(nid))?; // clean
         let mut chain = decode_all(rows)?;
         chain.retain(|e| (e.tsid as usize) < self.spans.len());
         Ok(chain)
     }
 
     // A scan under the tsid of a span of this view reads that span only.
-    pub fn try_span_rows(&self, t: Time, sid: u32) -> Result<Vec<Row>, StoreError> {
+    pub fn try_span_rows(&self, t: Time, sid: u32) -> Result<Vec<Vec<Row>>, StoreError> {
         let meta = &self.span_for(t).meta;
         let prefix = DeltaKey::delta_prefix(meta.tsid, sid, 0);
-        // hgs-lint: allow(batched-store-discipline, "reference path")
-        self.store.scan_prefix(Table::Deltas, &prefix, 0) // clean
+        self.store.scan_prefix_batch(Table::Deltas, &[&prefix], 0) // clean
     }
 
+    // Prefixes handed in from outside: nothing here says which spans
+    // they name. (Before every scan was a batch, this one was exempt.)
     pub fn try_batched(&self, prefixes: &[&[u8]]) -> Result<Vec<Vec<Row>>, StoreError> {
-        self.store.scan_prefix_batch(Table::Deltas, prefixes, 0) // clean: not a bare scan
+        self.store.scan_prefix_batch(Table::Deltas, prefixes, 0) // FIRES:pinned-scan-bounded
     }
 
-    pub fn try_graph_meta(&self) -> Result<Vec<Row>, StoreError> {
-        // hgs-lint: allow(batched-store-discipline, "one-shot descriptor read")
+    pub fn try_graph_meta(&self) -> Result<Vec<Vec<Row>>, StoreError> {
         // hgs-lint: allow(pinned-scan-bounded, "the Graph table is not keyed by tsid: one row set per index")
-        self.store.scan_prefix(Table::Graph, b"", 0)
+        self.store.scan_prefix_batch(Table::Graph, &[b""], 0)
     }
 }
 
@@ -54,7 +52,7 @@ impl TgiView {
 mod tests {
     #[test]
     fn tests_may_scan_the_raw_store() {
-        let rows = store().scan_prefix(Table::AttrIndex, b"", 0); // clean
+        let rows = store().scan_prefix_batch(Table::AttrIndex, &[b""], 0); // clean
         assert!(rows.is_empty());
     }
 }

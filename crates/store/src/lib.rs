@@ -19,8 +19,12 @@
 //!   [`CostModel`] that turns access counts into estimated cluster
 //!   latencies — this is how the benches reproduce cluster-shaped
 //!   results (m, r, c sweeps) on a laptop;
+//! * **batched reads only**: [`SimStore::multi_get`] and
+//!   [`SimStore::scan_prefix_batch`] are the two reads — a single-row
+//!   read is a batch of one — so a client round trip is one batch;
 //! * **parallel fetch clients** (`c` in the paper): real OS threads
-//!   issuing requests concurrently via [`parallel::parallel_chunks`];
+//!   pulling requests from a shared queue via
+//!   [`parallel::parallel_steal`];
 //! * **failure injection**: permanent machine death with replica
 //!   failover, plus a seeded deterministic chaos layer
 //!   ([`faults::FaultPlan`]: transient outage windows, per-request

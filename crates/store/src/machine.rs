@@ -236,38 +236,10 @@ impl Machine {
         self.data.write().remove(key).is_some()
     }
 
-    /// Point lookup. `Err(MachineDown)` when the machine is down,
-    /// `Ok(None)` when absent.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>, MachineDown> {
-        if self.is_down() {
-            return Err(MachineDown);
-        }
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        let guard = self.data.read();
-        let out = guard.get(key).cloned();
-        if let Some(v) = &out {
-            self.stats.rows_read.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .bytes_read
-                .fetch_add(v.len() as u64, Ordering::Relaxed);
-        }
-        Ok(out)
-    }
-
-    /// Ordered prefix scan; returns `(key, value)` pairs whose key
-    /// starts with `prefix`.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Result<ScanRows, MachineDown> {
-        if self.is_down() {
-            return Err(MachineDown);
-        }
-        self.stats.scans.fetch_add(1, Ordering::Relaxed);
-        let guard = self.data.read();
-        Ok(self.scan_locked(&guard, prefix))
-    }
-
     /// Batched point lookups: all keys answered under one lock
     /// acquisition, accounted as a single batch round-trip (plus one
-    /// logical get per key, preserving `∑∆ 1` semantics).
+    /// logical get per key, preserving `∑∆ 1` semantics). `Ok(None)`
+    /// marks an absent key; `Err(MachineDown)` a down machine.
     pub fn multi_get(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Bytes>>, MachineDown> {
         if self.is_down() {
             return Err(MachineDown);
@@ -294,9 +266,9 @@ impl Machine {
         Ok(out)
     }
 
-    /// Batched prefix scans: one result group per prefix, all served
-    /// under one lock acquisition and accounted as one batch
-    /// round-trip (plus one logical scan per prefix).
+    /// Batched prefix scans: one result group per prefix, each ordered
+    /// by key, all served under one lock acquisition and accounted as
+    /// one batch round-trip (plus one logical scan per prefix).
     pub fn scan_prefixes(&self, prefixes: &[Vec<u8>]) -> Result<Vec<ScanRows>, MachineDown> {
         if self.is_down() {
             return Err(MachineDown);
@@ -347,13 +319,18 @@ mod tests {
         k
     }
 
+    /// Read one row as a one-key batch.
+    fn get(m: &Machine, key: Vec<u8>) -> Result<Option<Bytes>, MachineDown> {
+        Ok(m.multi_get(&[key])?.pop().flatten())
+    }
+
     #[test]
     fn put_get_delete() {
         let m = Machine::new();
         assert!(m.put(key(0, b"a"), Bytes::from_static(b"v1")));
-        assert_eq!(m.get(&key(0, b"a")).unwrap().as_deref(), Some(&b"v1"[..]));
+        assert_eq!(get(&m, key(0, b"a")).unwrap().as_deref(), Some(&b"v1"[..]));
         assert!(m.delete(&key(0, b"a")));
-        assert_eq!(m.get(&key(0, b"a")).unwrap(), None);
+        assert_eq!(get(&m, key(0, b"a")).unwrap(), None);
     }
 
     #[test]
@@ -363,7 +340,7 @@ mod tests {
         m.put(key(0, b"ab2"), Bytes::from_static(b"2"));
         m.put(key(0, b"ac3"), Bytes::from_static(b"3"));
         m.put(key(1, b"ab9"), Bytes::from_static(b"9"));
-        let rows = m.scan_prefix(&key(0, b"ab")).unwrap();
+        let rows = &m.scan_prefixes(&[key(0, b"ab")]).unwrap()[0];
         assert_eq!(rows.len(), 2);
         assert!(rows[0].0 < rows[1].0);
     }
@@ -373,11 +350,10 @@ mod tests {
         let m = Machine::new();
         m.put(key(0, b"a"), Bytes::from_static(b"v"));
         m.set_down(true);
-        assert!(m.get(&key(0, b"a")).is_err());
-        assert!(m.scan_prefix(&key(0, b"a")).is_err());
+        assert!(get(&m, key(0, b"a")).is_err());
         assert!(!m.put(key(0, b"b"), Bytes::from_static(b"v")));
         m.set_down(false);
-        assert!(m.get(&key(0, b"a")).is_ok());
+        assert!(get(&m, key(0, b"a")).is_ok());
     }
 
     #[test]
@@ -437,7 +413,7 @@ mod tests {
         assert_eq!(diff.put_batches, 1);
         assert_eq!(diff.puts, 3);
         assert_eq!(diff.bytes_written, 6);
-        assert_eq!(m.get(&key(0, b"b")).unwrap().as_deref(), Some(&b"22"[..]));
+        assert_eq!(get(&m, key(0, b"b")).unwrap().as_deref(), Some(&b"22"[..]));
         m.set_down(true);
         assert!(m
             .put_batch(vec![(key(0, b"z"), Bytes::from_static(b"v"))])
@@ -462,8 +438,8 @@ mod tests {
         let m = Machine::new();
         m.put(key(0, b"a"), Bytes::from_static(b"hello"));
         let before = m.stats().snapshot();
-        m.get(&key(0, b"a")).unwrap();
-        m.get(&key(0, b"zzz")).unwrap();
+        get(&m, key(0, b"a")).unwrap();
+        get(&m, key(0, b"zzz")).unwrap();
         let after = m.stats().snapshot().since(&before);
         assert_eq!(after.gets, 2);
         assert_eq!(after.rows_read, 1);

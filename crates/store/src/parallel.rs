@@ -1,66 +1,19 @@
-//! Parallel fetch-client helpers.
+//! The parallel fetch-client fan-out.
 //!
 //! The paper's query processors issue store requests from `c` parallel
-//! clients. [`parallel_chunks`] provides that pattern for any workload:
-//! split the request list into `c` contiguous chunks, run each chunk on
-//! its own OS thread, and splice the per-chunk results back in order.
-//! On a multi-core host this yields real speedups for
-//! deserialization-heavy fetches; for `c` beyond the core count the
-//! cost model (see [`crate::cost`]) supplies the cluster-shaped
-//! estimate.
-//!
-//! [`parallel_steal`] replaces the static split with a shared work
-//! queue: workers pull the next pending item as soon as they finish
-//! their current one, so a skewed item distribution (hot partitions,
-//! fat leaves) no longer gates the whole batch on the unluckiest
-//! chunk. Output order stays deterministic — every item writes its
-//! result into its own input-indexed slot.
+//! clients. [`parallel_steal`] provides that pattern for any workload:
+//! up to `c` OS threads pull the next pending item from a shared work
+//! queue as soon as they finish their current one, so a skewed item
+//! distribution (hot partitions, fat leaves) never gates the whole
+//! batch on the unluckiest thread. Output order stays deterministic —
+//! every item writes its result into its own input-indexed slot. On a
+//! multi-core host this yields real speedups for deserialization-heavy
+//! fetches; for `c` beyond the core count the cost model (see
+//! [`crate::cost`]) supplies the cluster-shaped estimate.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
-
-/// Run `f` over `items` split into at most `c` contiguous chunks, each
-/// chunk on its own thread; results are concatenated in input order.
-///
-/// `c == 1` (or one chunk's worth of items) runs inline with no thread
-/// spawn.
-pub fn parallel_chunks<T, R, F>(items: Vec<T>, c: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(Vec<T>) -> Vec<R> + Sync,
-{
-    let c = c.max(1);
-    if c == 1 || items.len() <= 1 {
-        return f(items);
-    }
-    let n = items.len();
-    let chunk = n.div_ceil(c);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(c);
-    let mut it = items.into_iter();
-    loop {
-        let piece: Vec<T> = it.by_ref().take(chunk).collect();
-        if piece.is_empty() {
-            break;
-        }
-        chunks.push(piece);
-    }
-
-    let f = &f;
-    let mut results: Vec<Vec<R>> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|piece| s.spawn(move || f(piece)))
-            .collect();
-        for h in handles {
-            // hgs-lint: allow(no-panic-in-try, "re-raises a worker panic on the caller's thread; no error to surface")
-            results.push(h.join().expect("parallel fetch worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
-}
 
 /// Number of worker threads [`parallel_steal`] actually uses for `c`
 /// requested clients over `items` work items: the fan-out is clamped
@@ -122,34 +75,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunks_preserve_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let out = parallel_chunks(items.clone(), 4, |chunk| {
-            chunk.into_iter().map(|x| x * 2).collect()
-        });
-        let expect: Vec<u64> = items.iter().map(|x| x * 2).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn single_client_runs_inline() {
-        let out = parallel_chunks(vec![1, 2, 3], 1, |c| c);
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn empty_input() {
-        let out: Vec<i32> = parallel_chunks(Vec::<i32>::new(), 8, |c| c);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn more_clients_than_items() {
-        let out = parallel_chunks(vec![5], 16, |c| c);
-        assert_eq!(out, vec![5]);
-    }
 
     #[test]
     fn steal_preserves_order_and_runs_everything() {

@@ -566,41 +566,11 @@ impl SimStore {
         }
     }
 
-    /// Point lookup with retry and replica failover.
-    pub fn get(&self, table: Table, key: &[u8], token: u64) -> Result<Option<Bytes>, StoreError> {
-        let nk = Self::namespaced(table, key);
-        let (got, corrupt) = self.read_with_retry(table, token, |m| m.get(&nk))?;
-        match got {
-            Some(bytes) => Ok(Some(
-                self.maybe_decompress(Self::maybe_corrupted(bytes, corrupt))?,
-            )),
-            None => Ok(None),
-        }
-    }
-
-    /// Ordered prefix scan with retry and replica failover. Keys are
-    /// returned without the table namespace byte.
-    pub fn scan_prefix(
-        &self,
-        table: Table,
-        prefix: &[u8],
-        token: u64,
-    ) -> Result<Vec<(Vec<u8>, Bytes)>, StoreError> {
-        let np = Self::namespaced(table, prefix);
-        let (rows, corrupt) = self.read_with_retry(table, token, |m| m.scan_prefix(&np))?;
-        let mut out = Vec::with_capacity(rows.len());
-        for (k, v) in rows {
-            out.push((
-                k[1..].to_vec(),
-                self.maybe_decompress(Self::maybe_corrupted(v, corrupt))?,
-            ));
-        }
-        Ok(out)
-    }
-
     /// Batched point lookups with retry and replica failover: all keys
     /// share one placement token (one chunk), so a single machine
-    /// answers the whole batch in one round-trip.
+    /// answers the whole batch in one round-trip. One of the store's
+    /// two reads (with [`SimStore::scan_prefix_batch`]): a single-row
+    /// read is a batch of one, and costs what a batch costs.
     pub fn multi_get(
         &self,
         table: Table,
@@ -706,8 +676,8 @@ impl SimStore {
             scanned: pending.len(),
             ..RepairReport::default()
         };
-        let policy = *self.retry.read();
-        let plan = self.faults.read();
+        // Copies, not guards: no lock is held across the pass's reads.
+        let (policy, plan) = (self.retry_policy(), self.fault_plan());
         for (nk, token) in pending {
             let mut copy: Option<Bytes> = None;
             for r in 0..self.cfg.replication {
@@ -727,7 +697,8 @@ impl SimStore {
                     FaultVerdict::Healthy => {}
                 }
                 // hgs-lint: allow(no-panic-in-try, "machine_for maps every token into 0..machines.len()")
-                if let Ok(Some(v)) = self.machines[m].get(&nk) {
+                let got = self.machines[m].multi_get(std::slice::from_ref(&nk));
+                if let Some(v) = got.ok().and_then(|mut rows| rows.pop()).flatten() {
                     copy = Some(v);
                     break;
                 }
@@ -825,6 +796,16 @@ mod tests {
         s.put_batch(vec![PutRow::new(table, key.to_vec(), token, value)])
     }
 
+    /// Read one row as a one-key batch.
+    fn get(
+        s: &SimStore,
+        table: Table,
+        key: &[u8],
+        token: u64,
+    ) -> Result<Option<Bytes>, StoreError> {
+        Ok(s.multi_get(table, &[key], token)?.pop().flatten())
+    }
+
     #[test]
     fn put_get_roundtrip() {
         let s = store(3, 1);
@@ -836,9 +817,7 @@ mod tests {
             k.placement().token(),
             Bytes::from_static(b"v"),
         );
-        let got = s
-            .get(Table::Deltas, &k.encode(), k.placement().token())
-            .unwrap();
+        let got = get(&s, Table::Deltas, &k.encode(), k.placement().token()).unwrap();
         assert_eq!(got.as_deref(), Some(&b"v"[..]));
     }
 
@@ -848,11 +827,11 @@ mod tests {
         put(&s, Table::Deltas, b"k", 0, Bytes::from_static(b"a"));
         put(&s, Table::Versions, b"k", 0, Bytes::from_static(b"b"));
         assert_eq!(
-            s.get(Table::Deltas, b"k", 0).unwrap().as_deref(),
+            get(&s, Table::Deltas, b"k", 0).unwrap().as_deref(),
             Some(&b"a"[..])
         );
         assert_eq!(
-            s.get(Table::Versions, b"k", 0).unwrap().as_deref(),
+            get(&s, Table::Versions, b"k", 0).unwrap().as_deref(),
             Some(&b"b"[..])
         );
     }
@@ -880,11 +859,13 @@ mod tests {
             pk.token(),
             Bytes::from_static(b"x"),
         );
-        let rows = s
-            .scan_prefix(Table::Deltas, &DeltaKey::delta_prefix(5, 0, 9), pk.token())
+        let prefix = DeltaKey::delta_prefix(5, 0, 9);
+        let groups = s
+            .scan_prefix_batch(Table::Deltas, &[&prefix], pk.token())
             .unwrap();
-        assert_eq!(rows.len(), 4);
-        let pids: Vec<u32> = rows
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].len(), 4);
+        let pids: Vec<u32> = groups[0]
             .iter()
             .map(|(k, _)| DeltaKey::decode(k).unwrap().pid)
             .collect();
@@ -899,17 +880,17 @@ mod tests {
         let primary = s.machine_for(token, 0);
         s.fail_machine(primary);
         assert_eq!(
-            s.get(Table::Deltas, b"k", token).unwrap().as_deref(),
+            get(&s, Table::Deltas, b"k", token).unwrap().as_deref(),
             Some(&b"v"[..])
         );
         // Failing the replica too makes the chunk unavailable.
         s.fail_machine(s.machine_for(token, 1));
         assert!(matches!(
-            s.get(Table::Deltas, b"k", token),
+            get(&s, Table::Deltas, b"k", token),
             Err(StoreError::Unavailable { .. })
         ));
         s.heal_machine(primary);
-        assert!(s.get(Table::Deltas, b"k", token).is_ok());
+        assert!(get(&s, Table::Deltas, b"k", token).is_ok());
     }
 
     #[test]
@@ -917,7 +898,7 @@ mod tests {
         let s = store(2, 1);
         put(&s, Table::Deltas, b"k", 0, Bytes::from_static(b"v"));
         s.fail_machine(s.machine_for(0, 0));
-        assert!(s.get(Table::Deltas, b"k", 0).is_err());
+        assert!(get(&s, Table::Deltas, b"k", 0).is_err());
     }
 
     #[test]
@@ -930,7 +911,7 @@ mod tests {
             "stored form should be smaller"
         );
         assert_eq!(
-            s.get(Table::Deltas, b"k", 0).unwrap().as_deref(),
+            get(&s, Table::Deltas, b"k", 0).unwrap().as_deref(),
             Some(&value[..])
         );
     }
@@ -977,7 +958,7 @@ mod tests {
         let s = store(2, 1);
         put(&s, Table::Deltas, b"k", 0, Bytes::from_static(b"hello"));
         let t0 = s.stats_snapshot();
-        s.get(Table::Deltas, b"k", 0).unwrap();
+        get(&s, Table::Deltas, b"k", 0).unwrap();
         let diff = SimStore::stats_since(&s.stats_snapshot(), &t0);
         let total_gets: u64 = diff.iter().map(|m| m.gets).sum();
         assert_eq!(total_gets, 1);
@@ -989,35 +970,34 @@ mod tests {
         let _ = SimStore::new(StoreConfig::new(2, 3));
     }
 
+    /// A single-row read is a batch of one, and costs what the deleted
+    /// `get` / `scan_prefix` cost: one client round trip (`batches +
+    /// gets + scans − batched_subrequests`), one seek (`gets + scans`)
+    /// and its row's bytes — so no counter derived from the store's
+    /// stats moved when they went.
     #[test]
-    fn scan_prefix_batch_matches_individual_scans() {
-        let s = store(3, 1);
-        let pk = PlacementKey::new(2, 1);
-        for did in 0..4u64 {
-            for pid in 0..3u32 {
-                let k = DeltaKey::new(2, 1, did, pid);
-                put(
-                    &s,
-                    Table::Deltas,
-                    &k.encode(),
-                    pk.token(),
-                    Bytes::from(vec![did as u8, pid as u8]),
-                );
-            }
-        }
-        let prefixes: Vec<[u8; 16]> = (0..4u64)
-            .map(|did| DeltaKey::delta_prefix(2, 1, did))
-            .collect();
-        let refs: Vec<&[u8]> = prefixes.iter().map(|p| &p[..]).collect();
-        let before = s.stats_snapshot();
-        let groups = s
-            .scan_prefix_batch(Table::Deltas, &refs, pk.token())
-            .unwrap();
-        let diff = SimStore::stats_since(&s.stats_snapshot(), &before);
-        assert_eq!(diff.iter().map(|m| m.batches).sum::<u64>(), 1);
-        for (p, group) in refs.iter().zip(&groups) {
-            let single = s.scan_prefix(Table::Deltas, p, pk.token()).unwrap();
-            assert_eq!(group, &single);
+    fn a_batch_of_one_costs_one_round_trip_one_seek_and_its_row() {
+        let s = store(2, 1);
+        let value = Bytes::from_static(b"twelve bytes");
+        put(&s, Table::Deltas, b"k", 0, value.clone());
+        let model = crate::CostModel::default();
+        let bytes = value.len() as f64;
+        let want_secs =
+            (model.rtt_us + model.seek_us + bytes * (model.server_byte_us + model.client_byte_us))
+                / 1e6;
+        let one_key = || drop(s.multi_get(Table::Deltas, &[b"k"], 0).unwrap());
+        let one_prefix = || drop(s.scan_prefix_batch(Table::Deltas, &[b"k"], 0).unwrap());
+        for read in [&one_key as &dyn Fn(), &one_prefix] {
+            let before = s.stats_snapshot();
+            read();
+            let diff = SimStore::stats_since(&s.stats_snapshot(), &before);
+            let m = diff
+                .iter()
+                .fold(MachineStatsSnapshot::default(), |a, b| a.merge(b));
+            assert_eq!(m.batches + m.gets + m.scans - m.batched_subrequests, 1);
+            assert_eq!(m.gets + m.scans, 1);
+            assert_eq!((m.rows_read, m.bytes_read), (1, value.len() as u64));
+            assert!((model.estimate_seconds(&diff, 1) - want_secs).abs() < 1e-12);
         }
     }
 
@@ -1093,7 +1073,7 @@ mod tests {
         .unwrap();
         s.fail_machine(s.machine_for(3, 0));
         assert_eq!(
-            s.get(Table::Deltas, b"k", 3).unwrap().as_deref(),
+            get(&s, Table::Deltas, b"k", 3).unwrap().as_deref(),
             Some(&b"v"[..]),
             "batched write must reach every replica"
         );
@@ -1177,7 +1157,7 @@ mod tests {
         );
         let mut ok = 0usize;
         for i in 0..50u64 {
-            match s.get(Table::Deltas, &i.to_be_bytes(), i) {
+            match get(&s, Table::Deltas, &i.to_be_bytes(), i) {
                 Ok(_) => ok += 1,
                 Err(StoreError::Transient { attempts, .. }) => {
                     assert_eq!(attempts, 8, "exhaustion reports the budget")
@@ -1195,7 +1175,7 @@ mod tests {
         let s = store(1, 1);
         put(&s, Table::Deltas, b"k", 0, Bytes::from_static(b"v"));
         s.set_fault_plan(Some(FaultPlan::new(1).with_outage(0, 0, 10_000)));
-        match s.get(Table::Deltas, b"k", 0) {
+        match get(&s, Table::Deltas, b"k", 0) {
             Err(StoreError::Transient { attempts, .. }) => {
                 assert_eq!(attempts, s.retry_policy().max_attempts);
             }
@@ -1205,7 +1185,7 @@ mod tests {
         // the same read answers again, no healing call required.
         s.advance_clock(20_000);
         assert_eq!(
-            s.get(Table::Deltas, b"k", 0).unwrap().as_deref(),
+            get(&s, Table::Deltas, b"k", 0).unwrap().as_deref(),
             Some(&b"v"[..]),
             "an elapsed outage window heals on its own"
         );
@@ -1221,7 +1201,7 @@ mod tests {
         s.set_fault_plan(Some(FaultPlan::new(2)));
         let before: u64 = s.stats_snapshot().iter().map(|m| m.retries).sum();
         assert!(matches!(
-            s.get(Table::Deltas, b"k", 0),
+            get(&s, Table::Deltas, b"k", 0),
             Err(StoreError::Unavailable { .. })
         ));
         let after: u64 = s.stats_snapshot().iter().map(|m| m.retries).sum();
@@ -1237,7 +1217,7 @@ mod tests {
         s.set_fault_plan(Some(FaultPlan::new(3).with_outage(primary, 0, 1_000_000)));
         for _ in 0..20 {
             assert_eq!(
-                s.get(Table::Deltas, b"k", token).unwrap().as_deref(),
+                get(&s, Table::Deltas, b"k", token).unwrap().as_deref(),
                 Some(&b"v"[..]),
                 "the healthy replica serves through the outage"
             );
@@ -1255,7 +1235,7 @@ mod tests {
         });
         s.set_fault_plan(Some(FaultPlan::new(4).with_outage(0, 0, 500)));
         for _ in 0..10 {
-            let _ = s.get(Table::Deltas, b"k", 0);
+            let _ = get(&s, Table::Deltas, b"k", 0);
         }
         let opens: u64 = s.stats_snapshot().iter().map(|m| m.breaker_opens).sum();
         assert!(opens >= 1, "sustained faults must open the breaker");
@@ -1263,7 +1243,7 @@ mod tests {
         // closes the breaker; reads answer again.
         s.advance_clock(1_000);
         assert_eq!(
-            s.get(Table::Deltas, b"k", 0).unwrap().as_deref(),
+            get(&s, Table::Deltas, b"k", 0).unwrap().as_deref(),
             Some(&b"v"[..])
         );
     }
@@ -1275,14 +1255,14 @@ mod tests {
         put(&s, Table::Deltas, b"k", 0, value.clone());
         s.set_fault_plan(Some(FaultPlan::new(5).with_corrupt_per_mille(1000)));
         assert!(matches!(
-            s.get(Table::Deltas, b"k", 0),
+            get(&s, Table::Deltas, b"k", 0),
             Err(StoreError::Corrupt(_))
         ));
         // The stored bytes are untouched: detach the plan and the real
         // value comes back.
         s.set_fault_plan(None);
         assert_eq!(
-            s.get(Table::Deltas, b"k", 0).unwrap().as_deref(),
+            get(&s, Table::Deltas, b"k", 0).unwrap().as_deref(),
             Some(&value[..])
         );
     }
@@ -1293,7 +1273,7 @@ mod tests {
         put(&s, Table::Deltas, b"k", 0, Bytes::from_static(b"real"));
         let before = s.content_rows();
         s.set_fault_plan(Some(FaultPlan::new(6).with_corrupt_per_mille(1000)));
-        let got = s.get(Table::Deltas, b"k", 0).unwrap();
+        let got = get(&s, Table::Deltas, b"k", 0).unwrap();
         assert_eq!(
             got.as_deref(),
             Some(crate::faults::CORRUPT_ON_READ_MARKER),
@@ -1358,7 +1338,7 @@ mod tests {
         // And the row now survives the primary's death.
         s.fail_machine(s.machine_for(token, 0));
         assert_eq!(
-            s.get(Table::Deltas, b"k", token).unwrap().as_deref(),
+            get(&s, Table::Deltas, b"k", token).unwrap().as_deref(),
             Some(&b"v"[..])
         );
     }

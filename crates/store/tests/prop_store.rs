@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use hgs_delta::compress::{compress, decompress};
-use hgs_store::{PutRow, SimStore, StoreConfig, Table};
+use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -13,6 +13,16 @@ fn put(store: &SimStore, table: Table, key: &[u8], token: u64, value: Bytes) {
     store
         .try_put_batch(vec![PutRow::new(table, key.to_vec(), token, value)])
         .expect("healthy store");
+}
+
+/// Read one row as a one-key batch.
+fn get(
+    store: &SimStore,
+    table: Table,
+    key: &[u8],
+    token: u64,
+) -> Result<Option<Bytes>, StoreError> {
+    Ok(store.multi_get(table, &[key], token)?.pop().flatten())
 }
 
 proptest! {
@@ -67,8 +77,8 @@ proptest! {
                     let got = match model.get(&(ti, key.clone())) {
                         // Reads must use the same placement token the
                         // write used (as TGI keys always do).
-                        Some((tok, _)) => store.get(table, &key, *tok).unwrap(),
-                        None => store.get(table, &key, token).unwrap_or(None),
+                        Some((tok, _)) => get(&store, table, &key, *tok).unwrap(),
+                        None => get(&store, table, &key, token).unwrap_or(None),
                     };
                     let want = model.get(&(ti, key)).map(|(_, v)| v.clone());
                     prop_assert_eq!(got.map(|b| b.to_vec()), want);
@@ -77,7 +87,7 @@ proptest! {
         }
         // Final state: every model entry is readable.
         for ((ti, key), (token, value)) in &model {
-            let got = store.get(table_of(*ti), key, *token).unwrap();
+            let got = get(&store, table_of(*ti), key, *token).unwrap();
             prop_assert_eq!(got.map(|b| b.to_vec()), Some(value.clone()));
         }
     }
@@ -104,7 +114,7 @@ proptest! {
         }
         store.fail_machine(failed);
         for (i, key) in keys.iter().enumerate() {
-            let got = store.get(Table::Deltas, key, token(key)).unwrap();
+            let got = get(&store, Table::Deltas, key, token(key)).unwrap();
             prop_assert_eq!(got.map(|b| b.to_vec()), Some(vec![i as u8]));
         }
     }
@@ -124,9 +134,10 @@ proptest! {
             model.insert(k.clone(), ());
         }
         let got: Vec<Vec<u8>> = store
-            .scan_prefix(Table::Deltas, &prefix, token)
+            .scan_prefix_batch(Table::Deltas, &[&prefix], token)
             .unwrap()
             .into_iter()
+            .flatten()
             .map(|(k, _)| k)
             .collect();
         let want: Vec<Vec<u8>> =

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use hgs_core::{NodeHistory, Tgi, TgiService, TgiView};
 use hgs_delta::{AttrValue, Delta, FxHashSet, NodeId, TimeRange};
-use hgs_store::parallel::parallel_chunks;
+use hgs_store::parallel::parallel_steal;
 use hgs_store::StoreError;
 
 use crate::node_t::NodeT;
@@ -189,13 +189,9 @@ impl SonQuery {
             Some(ids) => {
                 // Select pushdown: per-node history fetches, spread
                 // over the workers.
-                let fetched: Vec<Result<NodeT, StoreError>> =
-                    parallel_chunks(ids, workers, |chunk| {
-                        chunk
-                            .into_iter()
-                            .map(|id| tgi.try_node_history(id, range).map(NodeT::new))
-                            .collect()
-                    });
+                let fetched: Vec<Result<NodeT, StoreError>> = parallel_steal(ids, workers, |id| {
+                    tgi.try_node_history(id, range).map(NodeT::new)
+                });
                 fetched.into_iter().collect::<Result<Vec<_>, _>>()?
             }
             None => {
@@ -203,11 +199,8 @@ impl SonQuery {
                 // workers pulling directly from the store (Fig. 10).
                 let sids: Vec<u32> = (0..tgi.config().horizontal_partitions).collect();
                 let fetched: Vec<Result<Vec<NodeHistory>, StoreError>> =
-                    parallel_chunks(sids, workers, |chunk| {
-                        chunk
-                            .into_iter()
-                            .map(|sid| tgi.try_node_histories_for_sid(sid, range))
-                            .collect()
+                    parallel_steal(sids, workers, |sid| {
+                        tgi.try_node_histories_for_sid(sid, range)
                     });
                 let mut nodes = Vec::new();
                 for hs in fetched {
@@ -278,39 +271,33 @@ impl SotsQuery {
             // the pinned view's own width.
             (None, None) => pinned.try_snapshot(range.start)?.sorted_ids(),
         };
-        let subs: Vec<Result<SubgraphT, StoreError>> = parallel_chunks(roots, workers, |chunk| {
-            chunk
-                .into_iter()
-                .map(|root| {
-                    // Strategy picked per root from the Table-1 cost
-                    // estimators (recursive for small k, via-snapshot
-                    // for deep neighborhoods).
-                    let initial: Delta = tgi.try_khop(root, range.start, k)?;
-                    let members: FxHashSet<NodeId> = initial.ids().collect();
-                    // Events touching two members are returned by both
-                    // members' histories; keep a single copy. An event
-                    // is a duplicate iff its *other* endpoint is a
-                    // member we already collected.
-                    let mut collected: FxHashSet<NodeId> = FxHashSet::default();
-                    let mut events = Vec::new();
-                    let mut member_list: Vec<NodeId> = members.iter().copied().collect();
-                    member_list.sort_unstable();
-                    for m in member_list {
-                        let h = tgi.try_node_history(m, range)?;
-                        for e in h.events {
-                            let (a, b) = e.kind.touched();
-                            let other = if a == m { b } else { Some(a) };
-                            let dup = other
-                                .is_some_and(|o| members.contains(&o) && collected.contains(&o));
-                            if !dup {
-                                events.push(e);
-                            }
-                        }
-                        collected.insert(m);
+        let subs: Vec<Result<SubgraphT, StoreError>> = parallel_steal(roots, workers, |root| {
+            // Strategy picked per root from the Table-1 cost
+            // estimators (recursive for small k, via-snapshot
+            // for deep neighborhoods).
+            let initial: Delta = tgi.try_khop(root, range.start, k)?;
+            let members: FxHashSet<NodeId> = initial.ids().collect();
+            // Events touching two members are returned by both
+            // members' histories; keep a single copy. An event
+            // is a duplicate iff its *other* endpoint is a
+            // member we already collected.
+            let mut collected: FxHashSet<NodeId> = FxHashSet::default();
+            let mut events = Vec::new();
+            let mut member_list: Vec<NodeId> = members.iter().copied().collect();
+            member_list.sort_unstable();
+            for m in member_list {
+                let h = tgi.try_node_history(m, range)?;
+                for e in h.events {
+                    let (a, b) = e.kind.touched();
+                    let other = if a == m { b } else { Some(a) };
+                    let dup = other.is_some_and(|o| members.contains(&o) && collected.contains(&o));
+                    if !dup {
+                        events.push(e);
                     }
-                    Ok(SubgraphT::new(root, members, initial, events, range))
-                })
-                .collect()
+                }
+                collected.insert(m);
+            }
+            Ok(SubgraphT::new(root, members, initial, events, range))
         });
         let subs = subs.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(SoTS::new(subs, range, workers))

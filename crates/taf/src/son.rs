@@ -8,7 +8,7 @@
 
 use hgs_delta::{Delta, FxHashMap, NodeId, StaticNode, Time, TimeRange};
 use hgs_graph::Graph;
-use hgs_store::parallel::parallel_chunks;
+use hgs_store::parallel::parallel_steal;
 
 use crate::aggregate::TempAggregate;
 use crate::node_t::NodeT;
@@ -68,6 +68,12 @@ impl SoN {
         &self.nodes
     }
 
+    /// Map `f` over every temporal node on the worker pool; results in
+    /// node order.
+    fn par_map<R: Send>(&self, f: impl Fn(&NodeT) -> R + Sync) -> Vec<R> {
+        parallel_steal(self.nodes.iter().collect(), self.workers, f)
+    }
+
     /// Look up one temporal node.
     pub fn get(&self, id: NodeId) -> Option<&NodeT> {
         self.nodes
@@ -86,11 +92,9 @@ impl SoN {
     where
         F: Fn(&NodeT) -> bool + Sync,
     {
-        let kept = parallel_chunks(self.nodes.clone(), self.workers, |chunk| {
-            chunk.into_iter().filter(|n| pred(n)).collect()
-        });
+        let kept = self.par_map(|n| pred(n).then(|| n.clone()));
         SoN {
-            nodes: kept,
+            nodes: kept.into_iter().flatten().collect(),
             range: self.range,
             workers: self.workers,
         }
@@ -113,11 +117,8 @@ impl SoN {
     /// **Timeslicing** (operator 2) to a sub-interval.
     pub fn timeslice(&self, sub: TimeRange) -> SoN {
         let range = TimeRange::new(sub.start.max(self.range.start), sub.end.min(self.range.end));
-        let nodes = parallel_chunks(self.nodes.clone(), self.workers, |chunk| {
-            chunk.into_iter().map(|n| n.timeslice(range)).collect()
-        });
         SoN {
-            nodes,
+            nodes: self.par_map(|n| n.timeslice(range)),
             range,
             workers: self.workers,
         }
@@ -125,21 +126,13 @@ impl SoN {
 
     /// Timeslicing to a single timepoint: returns the static states.
     pub fn timeslice_at(&self, t: Time) -> Vec<(NodeId, Option<StaticNode>)> {
-        parallel_chunks(self.nodes.clone(), self.workers, |chunk| {
-            chunk
-                .into_iter()
-                .map(|n| (n.id(), n.version_at(t)))
-                .collect()
-        })
+        self.par_map(|n| (n.id(), n.version_at(t)))
     }
 
     /// **Filter**: project node attributes down to `keys`.
     pub fn filter_attrs(&self, keys: &[&str]) -> SoN {
-        let nodes = parallel_chunks(self.nodes.clone(), self.workers, |chunk| {
-            chunk.into_iter().map(|n| n.filter_attrs(keys)).collect()
-        });
         SoN {
-            nodes,
+            nodes: self.par_map(|n| n.filter_attrs(keys)),
             range: self.range,
             workers: self.workers,
         }
@@ -165,9 +158,7 @@ impl SoN {
         R: Send,
         F: Fn(&NodeT) -> R + Sync,
     {
-        parallel_chunks(self.nodes.clone(), self.workers, |chunk| {
-            chunk.into_iter().map(|n| (n.id(), f(&n))).collect()
-        })
+        self.par_map(|n| (n.id(), f(n)))
     }
 
     /// **NodeComputeTemporal** (operator 5): evaluate `f` on every
@@ -183,24 +174,19 @@ impl SoN {
         R: Send,
         F: Fn(&StaticNode) -> R + Sync,
     {
-        parallel_chunks(self.nodes.clone(), self.workers, |chunk| {
-            chunk
-                .into_iter()
-                .map(|n| {
-                    let series = match timepoints {
-                        Some(tp) => tp(&n)
-                            .into_iter()
-                            .filter_map(|t| n.version_at(t).map(|s| (t, f(&s))))
-                            .collect(),
-                        None => n
-                            .versions()
-                            .into_iter()
-                            .filter_map(|(t, s)| s.map(|s| (t, f(&s))))
-                            .collect(),
-                    };
-                    (n.id(), series)
-                })
-                .collect()
+        self.par_map(|n| {
+            let series = match timepoints {
+                Some(tp) => tp(n)
+                    .into_iter()
+                    .filter_map(|t| n.version_at(t).map(|s| (t, f(&s))))
+                    .collect(),
+                None => n
+                    .versions()
+                    .into_iter()
+                    .filter_map(|(t, s)| s.map(|s| (t, f(&s))))
+                    .collect(),
+            };
+            (n.id(), series)
         })
     }
 
@@ -233,15 +219,10 @@ impl SoN {
     where
         F: Fn(&StaticNode) -> f64 + Sync,
     {
-        parallel_chunks(self.nodes.clone(), self.workers, |chunk| {
-            chunk
-                .into_iter()
-                .map(|n| {
-                    let v1 = n.version_at(t1).map(|s| f(&s)).unwrap_or(0.0);
-                    let v2 = n.version_at(t2).map(|s| f(&s)).unwrap_or(0.0);
-                    (n.id(), v2 - v1)
-                })
-                .collect()
+        self.par_map(|n| {
+            let v1 = n.version_at(t1).map(|s| f(&s)).unwrap_or(0.0);
+            let v2 = n.version_at(t2).map(|s| f(&s)).unwrap_or(0.0);
+            (n.id(), v2 - v1)
         })
     }
 

@@ -2,7 +2,7 @@
 //! incremental computation operators (§5.1 operators 5 & 6, Fig. 8).
 
 use hgs_delta::{Delta, Event, NodeId, Time, TimeRange};
-use hgs_store::parallel::parallel_chunks;
+use hgs_store::parallel::parallel_steal;
 
 use crate::subgraph_t::SubgraphT;
 
@@ -49,16 +49,20 @@ impl SoTS {
         self.workers
     }
 
+    /// Map `f` over every subgraph on the worker pool; results in
+    /// subgraph order.
+    fn par_map<R: Send>(&self, f: impl Fn(&SubgraphT) -> R + Sync) -> Vec<R> {
+        parallel_steal(self.subs.iter().collect(), self.workers, f)
+    }
+
     /// **Selection** on subgraphs.
     pub fn select<F>(&self, pred: F) -> SoTS
     where
         F: Fn(&SubgraphT) -> bool + Sync,
     {
-        let subs = parallel_chunks(self.subs.clone(), self.workers, |chunk| {
-            chunk.into_iter().filter(|s| pred(s)).collect()
-        });
+        let kept = self.par_map(|s| pred(s).then(|| s.clone()));
         SoTS {
-            subs,
+            subs: kept.into_iter().flatten().collect(),
             range: self.range,
             workers: self.workers,
         }
@@ -71,12 +75,7 @@ impl SoTS {
         R: Send,
         F: Fn(&Delta) -> R + Sync,
     {
-        parallel_chunks(self.subs.clone(), self.workers, |chunk| {
-            chunk
-                .into_iter()
-                .map(|s| (s.root, f(&s.version_at(t))))
-                .collect()
-        })
+        self.par_map(|s| (s.root, f(&s.version_at(t))))
     }
 
     /// **NodeComputeTemporal** (operator 5): recompute `f` from
@@ -87,24 +86,19 @@ impl SoTS {
         R: Send,
         F: Fn(&Delta) -> R + Sync,
     {
-        parallel_chunks(self.subs.clone(), self.workers, |chunk| {
-            chunk
+        self.par_map(|s| {
+            // Deliberately materialize each version from scratch: this
+            // is the non-incremental semantics the operator is defined
+            // (and measured) with.
+            let series = s
+                .change_points()
                 .into_iter()
-                .map(|s| {
-                    // Deliberately materialize each version from
-                    // scratch: this is the non-incremental semantics the
-                    // operator is defined (and measured) with.
-                    let series = s
-                        .change_points()
-                        .into_iter()
-                        .chain(std::iter::once(s.range().start))
-                        .collect::<std::collections::BTreeSet<Time>>()
-                        .into_iter()
-                        .map(|t| (t, f(&s.version_at(t))))
-                        .collect();
-                    (s.root, series)
-                })
-                .collect()
+                .chain(std::iter::once(s.range().start))
+                .collect::<std::collections::BTreeSet<Time>>()
+                .into_iter()
+                .map(|t| (t, f(&s.version_at(t))))
+                .collect();
+            (s.root, series)
         })
     }
 
@@ -119,29 +113,24 @@ impl SoTS {
         F: Fn(&Delta) -> R + Sync,
         FD: Fn(&Delta, &R, &Event) -> R + Sync,
     {
-        parallel_chunks(self.subs.clone(), self.workers, |chunk| {
-            chunk
-                .into_iter()
-                .map(|s| {
-                    let mut series: Vec<(Time, R)> = Vec::new();
-                    // Shared between the two walk callbacks.
-                    let value: std::cell::RefCell<Option<R>> = std::cell::RefCell::new(None);
-                    s.walk(
-                        |state_before, event| {
-                            let mut slot = value.borrow_mut();
-                            let cur = slot.get_or_insert_with(|| f(state_before));
-                            let next = f_delta(state_before, cur, event);
-                            *cur = next;
-                        },
-                        |t, state_after| {
-                            let mut slot = value.borrow_mut();
-                            let cur = slot.get_or_insert_with(|| f(state_after)).clone();
-                            series.push((t, cur));
-                        },
-                    );
-                    (s.root, series)
-                })
-                .collect()
+        self.par_map(|s| {
+            let mut series: Vec<(Time, R)> = Vec::new();
+            // Shared between the two walk callbacks.
+            let value: std::cell::RefCell<Option<R>> = std::cell::RefCell::new(None);
+            s.walk(
+                |state_before, event| {
+                    let mut slot = value.borrow_mut();
+                    let cur = slot.get_or_insert_with(|| f(state_before));
+                    let next = f_delta(state_before, cur, event);
+                    *cur = next;
+                },
+                |t, state_after| {
+                    let mut slot = value.borrow_mut();
+                    let cur = slot.get_or_insert_with(|| f(state_after)).clone();
+                    series.push((t, cur));
+                },
+            );
+            (s.root, series)
         })
     }
 }
