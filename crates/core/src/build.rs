@@ -628,17 +628,20 @@ impl Tgi {
         let ns = cfg.horizontal_partitions;
         // Per-item starting state: the sid's own partition for scoped
         // replay, or a full-state clone when aux rows must look up
-        // out-of-partition neighbor records.
+        // out-of-partition neighbor records. The tail state is moved
+        // out: the items' end states are the next one.
+        let tail = std::mem::take(&mut self.tail_state);
         let items: Vec<(u32, Delta)> = if replicate {
-            (0..ns).map(|sid| (sid, self.tail_state.clone())).collect()
+            (0..ns).map(|sid| (sid, tail.clone())).collect()
         } else {
-            partition_state(&self.tail_state, ns)
+            partition_state(&tail, ns)
                 .into_iter()
                 .enumerate()
                 .map(|(sid, part)| (sid as u32, part))
                 .collect()
         };
-        let outputs: Vec<SidSpanOutput> =
+        drop(tail);
+        let mut outputs: Vec<SidSpanOutput> =
             parallel_steal(items, self.encode_width, |(sid, state)| {
                 encode_sid_span(SidSpanJob {
                     sid,
@@ -654,12 +657,24 @@ impl Tgi {
                     version_chains: cfg.version_chains,
                 })
             });
-        // Advance the tail state by plain in-order replay: the same
-        // apply sequence on every handle keeps the state's internal
-        // ordering, and with it later normalization, deterministic.
-        for ev in events {
-            self.tail_state.apply_event(&ev.kind);
-        }
+        // Each item has already replayed the span: the next tail state
+        // is their end states — any one of them when every item
+        // replayed the whole graph, else their (disjoint) union. Its
+        // iteration order reaches no row: every reader of the tail
+        // state sorts what it takes from it.
+        self.tail_state = if replicate {
+            outputs
+                .first_mut()
+                .map(|out| std::mem::take(&mut out.state))
+                .unwrap_or_default()
+        } else {
+            let mut tail =
+                Delta::with_capacity(outputs.iter().map(|o| o.state.cardinality()).sum());
+            for out in &mut outputs {
+                tail.sum_assign_owned(std::mem::take(&mut out.state));
+            }
+            tail
+        };
         let mut chains: FxHashMap<NodeId, Vec<ChainEntry>> = FxHashMap::default();
         for out in outputs {
             for row in out.rows {
@@ -860,10 +875,13 @@ struct SidSpanJob<'a> {
 }
 
 /// One work item's encoded output: rows in deterministic emit order,
-/// plus this sid's (globally disjoint) version-chain entries.
+/// this sid's (globally disjoint) version-chain entries, and the state
+/// its replay ended in — the sid's share of the next tail state, or
+/// the whole of it when the item replayed the full graph.
 struct SidSpanOutput {
     rows: Vec<PutRow>,
     chains: FxHashMap<NodeId, Vec<ChainEntry>>,
+    state: Delta,
 }
 
 /// Encode one horizontal partition's share of a span: replay the
@@ -932,7 +950,11 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
     acc.finalize(&mut |level, idx, delta| {
         emit_micro(tsid, sid, shape.did(level, idx), delta, map, &mut rows);
     });
-    SidSpanOutput { rows, chains }
+    SidSpanOutput {
+        rows,
+        chains,
+        state,
+    }
 }
 
 /// Bucket one chunk's events into horizontal partition `only_sid`'s
@@ -1459,6 +1481,50 @@ mod tests {
             expanded.len() > with_removals.len(),
             "incident edges were made explicit"
         );
+    }
+
+    /// The next tail state is taken from the span encoders' own
+    /// replays, not from a second one: after a build and appends whose
+    /// churn removes nodes, it equals an in-order replay of the trace —
+    /// scoped per `sid`, and with every item replaying the whole graph
+    /// for aux replication.
+    #[test]
+    fn tail_state_equals_an_in_order_replay() {
+        let base = hgs_datagen::WikiGrowth::sized(1_200).generate();
+        let mut trace = hgs_datagen::augment_with_churn(&base, 900, 0.4, 11);
+        // Every 40th churn event removes the node it touched instead.
+        for e in trace[base.len()..].iter_mut().step_by(40) {
+            let (id, _) = e.kind.touched();
+            e.kind = hgs_delta::EventKind::RemoveNode { id };
+        }
+        let mut replay = Delta::new();
+        for e in &trace {
+            replay.apply_event(&e.kind);
+        }
+        let (built, churn) = trace.split_at(base.len());
+        for strategy in [
+            PartitionStrategy::Random,
+            PartitionStrategy::Locality {
+                replicate_boundary: false,
+            },
+            PartitionStrategy::Locality {
+                replicate_boundary: true,
+            },
+        ] {
+            let cfg = TgiConfig {
+                events_per_timespan: 400,
+                eventlist_size: 50,
+                partition_size: 40,
+                strategy,
+                ..TgiConfig::default()
+            };
+            let mut tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), built).unwrap();
+            for batch in churn.chunks(300) {
+                tgi.try_append_events(batch).unwrap();
+            }
+            assert!(tgi.span_count() > 4, "{strategy:?}");
+            assert_eq!(tgi.tail_state, replay, "{strategy:?}");
+        }
     }
 
     #[test]

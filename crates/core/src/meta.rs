@@ -11,7 +11,7 @@
 //! from the span's checkpoints ([`TimespanMeta::chunks_overlapping`]).
 
 use bytes::BytesMut;
-use hgs_delta::codec::{get_varint, put_varint};
+use hgs_delta::codec::{bounded_count, get_varint, put_varint};
 use hgs_delta::{CodecError, NodeId, Time, TimeRange};
 
 /// Delta-id base for eventlist chunks: `did = ELIST_BASE + chunk`.
@@ -342,23 +342,6 @@ pub fn decode_chain(
         });
     }
     Ok(out)
-}
-
-/// Read an element count and hold it to the bytes left: every element
-/// of a descriptor collection is at least `min_bytes` long, so a count
-/// the row cannot hold is refused here, before anything is allocated
-/// for it (the rule of `hgs_delta::codec`'s `get_len` and edge-list
-/// decoder).
-pub(crate) fn bounded_count(
-    buf: &mut &[u8],
-    min_bytes: usize,
-    what: &'static str,
-) -> Result<usize, CodecError> {
-    let len = get_varint(buf)?;
-    if len > (buf.len() / min_bytes) as u64 {
-        return Err(CodecError::LengthOverflow { what, len });
-    }
-    Ok(len as usize)
 }
 
 /// Salt decorrelating `sid` hashing from micro-partition hashing.

@@ -11,14 +11,14 @@
 use std::sync::Arc;
 
 use bytes::BytesMut;
-use hgs_delta::codec::{get_varint, put_varint};
+use hgs_delta::codec::{bounded_count, get_varint, put_varint};
 use hgs_delta::{CodecError, FxHashMap, NodeId, StorageLayout, Time};
 use hgs_partition::PartitionMap;
 use hgs_store::{SimStore, StoreError, Table};
 
 use crate::build::{mp_key, SpanRuntime, Tgi, TgiView};
 use crate::config::{PartitionStrategy, TgiConfig};
-use crate::meta::{bounded_count, TimespanMeta};
+use crate::meta::TimespanMeta;
 
 /// Errors from [`Tgi::open`].
 #[derive(Debug)]
@@ -48,11 +48,14 @@ impl std::error::Error for OpenError {}
 /// grammar, the `Versions` rows above all — they carry no magic of
 /// their own. Retired, never reused: `0` (row-wise rows), `1` (chain
 /// entries spelling `tsid` and `pid`, records opening with two count
-/// varints and a shape byte, eventlists always spelling their weights)
-/// and `2` (chain rows of `count, (time-gap, chunk)*`, which would
-/// parse as chunk gaps under this one). A store tagged otherwise is
-/// refused, not answered from.
-const LAYOUT_TAG: u64 = 3;
+/// varints and a shape byte, eventlists always spelling their weights),
+/// `2` (chain rows of `count, (time-gap, chunk)*`, which would
+/// parse as chunk gaps under this one) and `3` (`AttrIndex` term rows
+/// of `(time-gap, nid, flags)` per point, carry points included, which
+/// would parse as the bit-coded rows of this one — the eventlist rows
+/// of that layout carry their own retired magic). A store tagged
+/// otherwise is refused, not answered from.
+const LAYOUT_TAG: u64 = 4;
 
 /// Serialize the construction configuration.
 pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
@@ -319,7 +322,7 @@ mod tests {
             assert_eq!(format!("{cfg:?}"), format!("{back:?}"));
         }
         // The layout tag is the second-to-last varint (one byte each):
-        // a descriptor tagged 0, 1 or 2 (the retired formats), or cut
+        // a descriptor tagged 0, 1, 2 or 3 (the retired formats), or cut
         // short before the tag, is refused rather than opened as
         // something else.
         let blob = encode_config(&TgiConfig::default());
@@ -334,6 +337,7 @@ mod tests {
             &retired(0)[..],
             &retired(1)[..],
             &retired(2)[..],
+            &retired(3)[..],
             &blob[..tag_at],
         ] {
             assert!(matches!(

@@ -11,7 +11,7 @@
 //! un-factored edge-list grammar (`hgs_delta::codec` spelling `dir`,
 //! weight and an attributes flag on every entry) trips it too.
 //!
-//! Three encodings keep a row from spelling what its reader can derive,
+//! Five encodings keep a row from spelling what its reader can derive,
 //! and each has the bound it trips when it is undone:
 //!
 //! * the **record head** — one byte for an edge-list's shape and both
@@ -26,16 +26,32 @@
 //!   front (the rows before PR 25) they are 2.45 and 3.55 B/event, and
 //!   with `tsid` and `pid` in every entry too (before PR 24) 3.95 and
 //!   5.82;
+//! * the **bit-coded eventlists** — Rice-coded node-id and time gaps,
+//!   a kind code of as many bits as the row has kinds, dictionary
+//!   indexes of as many bits as the dictionary needs — are the
+//!   eventlist bound: spelled in whole bytes (the rows of magic `0xC5`)
+//!   they are 9.33 and 9.81 B/event;
 //! * the **weightless eventlists** — no weights column when every
 //!   weighted event is the default edge — have an assertion of their
 //!   own (`wiki20k` has no other kind of edge, so no row of it may
-//!   spell the column) and otherwise show in the total.
+//!   spell the column) and otherwise show in the eventlist bound;
+//! * the **term rows** — a carry point spelled as its node-id gap
+//!   alone, the `became` flags of the change points as one bitmap — are
+//!   the `AttrIndex` bound: with a time gap, a node id and a flags byte
+//!   per point (the rows of layout tag 3) `skew21k`'s rows are 1.99 B/event.
 //!
 //! The bound on the total is there so that a regression in any other
-//! table shows as well; the `AttrIndex` bound holds the secondary
+//! table shows as well; the `AttrIndex` bound also holds the secondary
 //! index to its one row kind — the bare-key rows it once carried beside
 //! the value-term rows were 4.17 of its 6.16 B/event on `skew21k`, to
 //! answer a question the version chain already answers.
+//!
+//! **Span-size sweep.** The same events built at `events_per_timespan`
+//! ×1, ×½ and ×¼ (so twice and four times the spans) show the two
+//! index terms that grow with the number of spans: each span's tree
+//! roots re-store the graph common to the whole span, and each span's
+//! term rows re-state every live term as carry points. Their shares of
+//! the index are gated too.
 //!
 //! Stored bytes are exact for a dataset and a config — no timing, no
 //! thread-count dependence — so the bounds sit ~15 % above the
@@ -47,18 +63,26 @@ mod common;
 use hgs_core::meta::{AUX_BASE, ELIST_BASE};
 use hgs_core::{Tgi, TgiConfig};
 use hgs_datagen::{SkewedLabels, WikiGrowth};
+use hgs_delta::attr_index::{decode_term_points, encode_term_points};
 use hgs_delta::{Event, TERM_KIND_VALUE};
-use hgs_store::{StoreConfig, Table};
+use hgs_store::{DeltaKey, StoreConfig, Table};
 
 /// Stored value bytes per event, by table; `Deltas` rows split by what
-/// their `did` addresses.
+/// their `did` addresses, `AttrIndex` rows by the points they spell.
 #[derive(Debug, Default)]
 struct Census {
-    tree_deltas: f64,
+    /// Tree rows at the root of their span's tree.
+    roots: f64,
+    /// Every other tree row.
+    tree_pieces: f64,
     eventlists: f64,
     aux_replicas: f64,
     versions: f64,
-    attr_index: f64,
+    /// `AttrIndex` bytes spent on carry points: a term row's span
+    /// start, carry count and carry node-id gaps.
+    attr_carry: f64,
+    /// The rest of each term row: its change points and their flags.
+    attr_change: f64,
     metadata: f64,
     total: f64,
     /// Eventlist rows, and how many of them spell a weights column.
@@ -66,38 +90,59 @@ struct Census {
     weighted_eventlist_rows: usize,
 }
 
-fn census(events: &[Event]) -> Census {
-    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), events).unwrap();
+impl Census {
+    fn tree_deltas(&self) -> f64 {
+        self.roots + self.tree_pieces
+    }
+
+    fn attr_index(&self) -> f64 {
+        self.attr_carry + self.attr_change
+    }
+
+    fn share(&self, part: f64) -> f64 {
+        part / self.total
+    }
+}
+
+fn census(events: &[Event], cfg: TgiConfig) -> Census {
+    let tgi = Tgi::try_build(cfg, StoreConfig::new(4, 1), events).unwrap();
     let per_event = |bytes: usize| bytes as f64 / events.len() as f64;
     let mut c = Census {
         total: per_event(tgi.storage_bytes()),
         ..Census::default()
     };
+    let metas = common::span_metas(tgi.store());
     for (key, value) in tgi.store().content_rows().into_iter().flatten() {
-        // Namespaced key: table tag, then (for `Deltas`) the 20-byte
-        // `DeltaKey` — tsid, sid, did (big-endian u64), pid.
         let slot = match key[0] {
             t if t == Table::Deltas.tag() => {
-                let did = u64::from_be_bytes(key[9..17].try_into().unwrap());
-                if did >= AUX_BASE {
+                let k = DeltaKey::decode(&key[1..]).unwrap();
+                if k.did >= AUX_BASE {
                     &mut c.aux_replicas
-                } else if did >= ELIST_BASE {
+                } else if k.did >= ELIST_BASE {
                     &mut c.eventlists
+                } else if k.did == metas[k.tsid as usize].shape.path_to_leaf(0)[0] {
+                    &mut c.roots
                 } else {
-                    &mut c.tree_deltas
+                    &mut c.tree_pieces
                 }
             }
             t if t == Table::Versions.tag() => &mut c.versions,
-            t if t == Table::AttrIndex.tag() => &mut c.attr_index,
+            t if t == Table::AttrIndex.tag() => {
+                // Term key: the kind tag, then the length-prefixed term.
+                // Value-term rows are the only kind (`TERM_KIND_KEY` rows
+                // are no longer written).
+                assert_eq!(key[1], TERM_KIND_VALUE, "an index row of a retired kind");
+                let points = decode_term_points(&value).unwrap();
+                let carry: Vec<_> = points.into_iter().take_while(|p| p.carry).collect();
+                // The carry points alone, less the change count of 0.
+                let carry_bytes = encode_term_points(&carry).len() - 1;
+                c.attr_carry += per_event(carry_bytes);
+                c.attr_change += per_event(value.len() - carry_bytes);
+                continue;
+            }
             _ => &mut c.metadata,
         };
         *slot += per_event(value.len());
-        if key[0] == Table::AttrIndex.tag() {
-            // Term key: the kind tag, then the length-prefixed term.
-            // Value-term rows are the only kind (`TERM_KIND_KEY` rows
-            // are no longer written).
-            assert_eq!(key[1], TERM_KIND_VALUE, "an index row of a retired kind");
-        }
     }
     for (_, row) in common::stored_eventlist_rows(tgi.store()) {
         let weights = &common::RowSegments::parse(&row).segs[common::ELIST_SEG_WEIGHTS].1;
@@ -105,57 +150,91 @@ fn census(events: &[Event]) -> Census {
         c.weighted_eventlist_rows += !weights.is_empty() as usize;
     }
     let parts =
-        c.tree_deltas + c.eventlists + c.aux_replicas + c.versions + c.attr_index + c.metadata;
+        c.tree_deltas() + c.eventlists + c.aux_replicas + c.versions + c.attr_index() + c.metadata;
     assert!((parts - c.total).abs() < 1e-6, "census covers every row");
     c
 }
 
-/// Build, print the per-table census and hold the tree-delta rows to
-/// `bound`, the `Versions` rows to `versions_bound` and the whole index
-/// to `total_bound` bytes per event.
-fn gate(name: &str, events: &[Event], bound: f64, versions_bound: f64, total_bound: f64) -> Census {
-    let c = census(events);
+fn print(name: &str, events: usize, c: &Census) {
     println!(
-        "{name} ({} events), stored bytes/event: tree deltas {:.2}, eventlists {:.2}, \
-         aux {:.2}, Versions {:.2}, AttrIndex {:.2}, metadata {:.2}, total {:.2}; \
+        "{name} ({events} events), stored bytes/event: tree deltas {:.2} (roots {:.2}, \
+         non-root pieces {:.2}), eventlists {:.2}, aux {:.2}, Versions {:.2}, \
+         AttrIndex {:.2} (carry {:.2}, change {:.2}), metadata {:.2}, total {:.2}; \
          {} of {} eventlist rows spell weights",
-        events.len(),
-        c.tree_deltas,
+        c.tree_deltas(),
+        c.roots,
+        c.tree_pieces,
         c.eventlists,
         c.aux_replicas,
         c.versions,
-        c.attr_index,
+        c.attr_index(),
+        c.attr_carry,
+        c.attr_change,
         c.metadata,
         c.total,
         c.weighted_eventlist_rows,
         c.eventlist_rows
     );
-    assert!(
-        c.tree_deltas <= bound,
-        "{name}: tree-delta rows grew to {:.2} B/event (bound {bound})",
-        c.tree_deltas
-    );
-    assert!(
-        c.versions <= versions_bound,
-        "{name}: Versions rows grew to {:.2} B/event (bound {versions_bound})",
-        c.versions
-    );
-    assert!(
-        c.total <= total_bound,
-        "{name}: the index grew to {:.2} B/event (bound {total_bound})",
-        c.total
-    );
+}
+
+/// Upper bounds, in bytes per event.
+struct Bounds {
+    tree_deltas: f64,
+    eventlists: f64,
+    versions: f64,
+    attr_index: f64,
+    total: f64,
+}
+
+/// Build at the default config, print the per-table census and hold
+/// each gated table to its bound.
+fn gate(name: &str, events: &[Event], b: Bounds) -> Census {
+    let c = census(events, TgiConfig::default());
+    print(name, events.len(), &c);
+    for (table, got, bound) in [
+        ("tree-delta", c.tree_deltas(), b.tree_deltas),
+        ("eventlist", c.eventlists, b.eventlists),
+        ("Versions", c.versions, b.versions),
+        ("AttrIndex", c.attr_index(), b.attr_index),
+        ("all", c.total, b.total),
+    ] {
+        assert!(
+            got <= bound,
+            "{name}: {table} rows grew to {got:.2} B/event (bound {bound})"
+        );
+    }
     c
 }
 
 // Bounds: ~15 % above the measured bytes per event — tree deltas 9.56
-// and 18.31, `Versions` 0.75 and 1.13, totals 19.64 and 31.25,
-// `skew21k`'s `AttrIndex` rows 1.99.
+// and 18.31, eventlists 5.91 and 6.06, `Versions` 0.75 and 1.13,
+// `skew21k`'s `AttrIndex` rows 1.42, totals 16.23 and 26.92.
+
+fn wiki20k() -> Vec<Event> {
+    WikiGrowth::sized(20_000).generate()
+}
+
+fn skew21k() -> Vec<Event> {
+    SkewedLabels {
+        nodes: 1_600,
+        edge_events: 12_000,
+        attr_churn: 6_000,
+        ..SkewedLabels::default()
+    }
+    .generate()
+}
 
 #[test]
 fn wiki_tree_delta_rows_stay_factored() {
-    let events = WikiGrowth::sized(20_000).generate();
-    let c = gate("wiki20k", &events, 11.0, 0.87, 22.6);
+    let events = wiki20k();
+    let bounds = Bounds {
+        tree_deltas: 11.0,
+        eventlists: 6.8,
+        versions: 0.87,
+        attr_index: 0.0,
+        total: 18.7,
+    };
+    let c = gate("wiki20k", &events, bounds);
     // Every edge of the trace is the default one.
     assert!(c.eventlist_rows > 0);
     assert_eq!(
@@ -166,18 +245,75 @@ fn wiki_tree_delta_rows_stay_factored() {
 
 #[test]
 fn skew_tree_delta_rows_stay_factored() {
-    let events = SkewedLabels {
-        nodes: 1_600,
-        edge_events: 12_000,
-        attr_churn: 6_000,
-        ..SkewedLabels::default()
-    }
-    .generate();
-    let c = gate("skew21k", &events, 21.1, 1.3, 35.9);
-    assert!(c.attr_index > 0.0, "the labelled build carries index rows");
+    let events = skew21k();
+    let bounds = Bounds {
+        tree_deltas: 21.1,
+        eventlists: 7.0,
+        versions: 1.3,
+        attr_index: 1.63,
+        total: 31.0,
+    };
+    let c = gate("skew21k", &events, bounds);
     assert!(
-        c.attr_index <= 2.3,
-        "skew21k: AttrIndex rows grew to {:.2} B/event (bound 2.3)",
-        c.attr_index
+        c.attr_index() > 0.0,
+        "the labelled build carries index rows"
     );
+}
+
+/// Shares of the index, at one span size, that grow with the number
+/// of spans: `(roots, carry points)`.
+fn sweep(name: &str, events: &[Event]) -> Vec<(f64, f64)> {
+    let full = TgiConfig::default().events_per_timespan;
+    [1, 2, 4]
+        .into_iter()
+        .map(|div| {
+            let cfg = TgiConfig {
+                events_per_timespan: full / div,
+                ..TgiConfig::default()
+            };
+            let c = census(events, cfg);
+            print(&format!("{name} at 1/{div} span size"), events.len(), &c);
+            println!(
+                "  shares: roots + carry {:.4}: roots {:.3}, non-root pieces {:.3}, \
+                 eventlists {:.3}, AttrIndex carry {:.3}, change {:.3}",
+                c.share(c.roots + c.attr_carry),
+                c.share(c.roots),
+                c.share(c.tree_pieces),
+                c.share(c.eventlists),
+                c.share(c.attr_carry),
+                c.share(c.attr_change),
+            );
+            (c.share(c.roots), c.share(c.attr_carry))
+        })
+        .collect()
+}
+
+/// Shorter spans mean more roots and more carry points; what the gate
+/// holds is how much of the index they are. At ×1 / ×½ / ×¼ of the
+/// default span size, roots plus carry points are 0.000 / 0.068 /
+/// 0.192 of `wiki20k` (no labels, so no carry points) and 0.092 /
+/// 0.143 / 0.250 of `skew21k` (carry 0.003 / 0.006 / 0.012 of it):
+/// linear in the number of spans, roots nearly all of it. Each bound
+/// sits ~15 % above.
+#[test]
+fn shorter_spans_grow_roots_and_carry_points() {
+    for (name, events, bounds) in [
+        ("wiki20k", wiki20k(), [0.01, 0.078, 0.221]),
+        ("skew21k", skew21k(), [0.106, 0.164, 0.288]),
+    ] {
+        let shares = sweep(name, &events);
+        for (div, ((roots, carry), bound)) in [1, 2, 4].iter().zip(shares.iter().zip(bounds)) {
+            assert!(
+                roots + carry <= bound,
+                "{name} at 1/{div} span size: roots and carry points are \
+                 {:.3} of the index (bound {bound})",
+                roots + carry
+            );
+        }
+        // More spans, a larger share of roots.
+        assert!(
+            shares.windows(2).all(|w| w[1].0 > w[0].0),
+            "{name}: {shares:?}"
+        );
+    }
 }

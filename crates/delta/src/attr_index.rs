@@ -11,16 +11,31 @@
 //! start time and flagged `carry`, so a point query touches exactly one
 //! `(term, tsid)` row.
 //!
-//! The wire format mirrors the version-chain codec: a varint count
-//! followed by delta-encoded times, varint node-ids and a flag byte.
-//! The decoder feeds the whole blob to the crate-wide decoded-byte
-//! counter before parsing, rejects trailing bytes, and never panics on
+//! A row spells only what its reader cannot derive. A carry point's
+//! time is the span start, it always `became`, and carry points come
+//! in node order — so a carry point is its node-id gap and nothing
+//! else:
+//!
+//! ```text
+//! row    := varint span_start
+//!           varint n_carry  varint nid_gap{n_carry}
+//!           varint n_change (varint time_gap, varint nid){n_change}
+//!           became_bits
+//! ```
+//!
+//! Node-id gaps run from 0, time gaps from the span start, and
+//! `became_bits` is one bit per change point, least-significant first,
+//! zero-padded to a byte. The decoder feeds the whole blob to the
+//! crate-wide decoded-byte counter before parsing, accumulates with
+//! checked adds, holds both counts to the bytes left before allocating,
+//! rejects trailing bytes and set padding bits, and never panics on
 //! malformed input.
 
 use bytes::{Bytes, BytesMut};
 
 use crate::attr::AttrValue;
-use crate::codec::{get_len, get_varint, note_decoded, put_attr_value, put_str, put_varint};
+use crate::bits::{BitReader, BitWriter};
+use crate::codec::{bounded_count, get_varint, note_decoded, put_attr_value, put_str, put_varint};
 use crate::error::CodecError;
 use crate::hash::FxHashSet;
 use crate::types::{NodeId, Time};
@@ -56,22 +71,36 @@ pub fn value_term(key: &str, value: &AttrValue) -> Vec<u8> {
     buf.to_vec()
 }
 
-const CARRY_FLAG: u64 = 0b10;
-const TRUTH_FLAG: u64 = 0b01;
-
-/// Encode a value-term change-point row. Points must be sorted by time
-/// (carry points first; they share the span start time).
+/// Encode a value-term change-point row: the span's carry points — at
+/// the span start, each `became`, in node order — then its change
+/// points in time order.
 pub fn encode_term_points(points: &[TermPoint]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + points.len() * 4);
-    put_varint(&mut buf, points.len() as u64);
-    let mut prev_time = 0u64;
-    for p in points {
+    let (carry, changes) = points.split_at(points.partition_point(|p| p.carry));
+    let start = points.first().map_or(0, |p| p.time);
+    debug_assert!(carry.iter().all(|p| p.time == start && p.became));
+    debug_assert!(carry.windows(2).all(|w| w[0].nid < w[1].nid));
+    debug_assert!(changes.iter().all(|p| !p.carry));
+    let mut buf = BytesMut::with_capacity(8 + carry.len() * 2 + changes.len() * 4);
+    put_varint(&mut buf, start);
+    put_varint(&mut buf, carry.len() as u64);
+    let mut prev_nid = 0u64;
+    for p in carry {
+        put_varint(&mut buf, p.nid.wrapping_sub(prev_nid));
+        prev_nid = p.nid;
+    }
+    put_varint(&mut buf, changes.len() as u64);
+    let mut prev_time = start;
+    for p in changes {
+        debug_assert!(p.time >= prev_time, "change points in time order");
         put_varint(&mut buf, p.time.wrapping_sub(prev_time));
         prev_time = p.time;
         put_varint(&mut buf, p.nid);
-        let flags = (u64::from(p.carry) << 1) | u64::from(p.became);
-        put_varint(&mut buf, flags);
     }
+    let mut bits = BitWriter::new(&mut buf);
+    for p in changes {
+        bits.put(u64::from(p.became), 1);
+    }
+    bits.finish();
     buf.freeze()
 }
 
@@ -79,31 +108,37 @@ pub fn encode_term_points(points: &[TermPoint]) -> Bytes {
 pub fn decode_term_points(buf: &[u8]) -> Result<Vec<TermPoint>, CodecError> {
     note_decoded(buf.len());
     let mut buf = buf;
-    let n = get_len(&mut buf, "term points")?;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    let mut time = 0u64;
-    for _ in 0..n {
-        time = time.wrapping_add(get_varint(&mut buf)?);
-        let nid = get_varint(&mut buf)?;
-        let flags = get_varint(&mut buf)?;
-        if flags & !(CARRY_FLAG | TRUTH_FLAG) != 0 {
-            return Err(CodecError::BadTag {
-                what: "term point flags",
-                tag: (flags & 0xff) as u8,
-            });
-        }
+    let add = |a: u64, b: u64| a.checked_add(b).ok_or(CodecError::VarintOverflow);
+    let start = get_varint(&mut buf)?;
+    let n_carry = bounded_count(&mut buf, 1, "term carry points")?;
+    let mut out = Vec::with_capacity(n_carry);
+    let mut nid = 0u64;
+    for _ in 0..n_carry {
+        nid = add(nid, get_varint(&mut buf)?)?;
+        out.push(TermPoint {
+            time: start,
+            nid,
+            carry: true,
+            became: true,
+        });
+    }
+    let n_change = bounded_count(&mut buf, 2, "term change points")?;
+    out.reserve_exact(n_change);
+    let mut time = start;
+    for _ in 0..n_change {
+        time = add(time, get_varint(&mut buf)?)?;
         out.push(TermPoint {
             time,
-            nid,
-            carry: flags & CARRY_FLAG != 0,
-            became: flags & TRUTH_FLAG != 0,
+            nid: get_varint(&mut buf)?,
+            carry: false,
+            became: false,
         });
     }
-    if !buf.is_empty() {
-        return Err(CodecError::TrailingBytes {
-            remaining: buf.len(),
-        });
+    let mut bits = BitReader::new(buf);
+    for p in &mut out[n_carry..] {
+        p.became = bits.get(1)? == 1;
     }
+    bits.finish()?;
     Ok(out)
 }
 
@@ -134,6 +169,7 @@ pub fn term_points_weight(points: &[TermPoint]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
 
     fn sample_term_points() -> Vec<TermPoint> {
         vec![
@@ -212,16 +248,53 @@ mod tests {
     }
 
     #[test]
-    fn bad_flags_rejected() {
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, 1);
-        put_varint(&mut buf, 5); // time
-        put_varint(&mut buf, 2); // nid
-        put_varint(&mut buf, 0b100); // unknown flag bit
+    fn bad_rows_rejected() {
+        let mut enc = encode_term_points(&sample_term_points()).to_vec();
+        // A set padding bit past the two `became` flags.
+        *enc.last_mut().unwrap() |= 0b100;
         assert!(matches!(
-            decode_term_points(&buf),
-            Err(CodecError::BadTag { .. })
+            decode_term_points(&enc),
+            Err(CodecError::BadTag {
+                what: "padding",
+                ..
+            })
         ));
+        // A time gap past the clock.
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, u64::MAX); // span start
+        put_varint(&mut buf, 0);
+        put_varint(&mut buf, 1);
+        put_varint(&mut buf, 1); // time gap
+        put_varint(&mut buf, 2); // nid
+        buf.put_u8(1);
+        assert_eq!(decode_term_points(&buf), Err(CodecError::VarintOverflow));
+        // Counts the row has no bytes for fail before allocating.
+        for counts in [[u32::MAX as u64, 0], [0, u32::MAX as u64]] {
+            let mut buf = BytesMut::new();
+            put_varint(&mut buf, 0);
+            put_varint(&mut buf, counts[0]);
+            put_varint(&mut buf, counts[1]);
+            assert!(matches!(
+                decode_term_points(&buf),
+                Err(CodecError::LengthOverflow { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn carry_points_spell_only_their_node_gaps() {
+        let carry: Vec<TermPoint> = (0..100u64)
+            .map(|i| TermPoint {
+                time: 1_000_000,
+                nid: 3 * i,
+                carry: true,
+                became: true,
+            })
+            .collect();
+        let enc = encode_term_points(&carry);
+        // Start (3 bytes), count, 100 one-byte gaps, change count.
+        assert_eq!(enc.len(), 3 + 1 + 100 + 1);
+        assert_eq!(decode_term_points(&enc).unwrap(), carry);
     }
 
     #[test]

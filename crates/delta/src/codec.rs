@@ -188,6 +188,21 @@ pub(crate) fn get_len(buf: &mut &[u8], what: &'static str) -> Result<usize, Code
     Ok(len as usize)
 }
 
+/// Read an element count and hold it to the bytes left: every element
+/// is at least `min_bytes` long, so a count the buffer cannot hold is
+/// refused here, before anything is allocated for it.
+pub fn bounded_count(
+    buf: &mut &[u8],
+    min_bytes: usize,
+    what: &'static str,
+) -> Result<usize, CodecError> {
+    let len = get_varint(buf)?;
+    if len > (buf.len() / min_bytes) as u64 {
+        return Err(CodecError::LengthOverflow { what, len });
+    }
+    Ok(len as usize)
+}
+
 pub(crate) fn get_str(buf: &mut &[u8]) -> Result<String, CodecError> {
     let len = get_len(buf, "string")?;
     if buf.len() < len {

@@ -6,15 +6,31 @@
 //! This module stores the same data as **separately LZSS-compressed
 //! column segments** behind one backing [`Bytes`] value:
 //!
-//! * an eventlist row holds a node-id dictionary, a delta-varint
-//!   timestamp column, a kind-tag column, dictionary-index id columns,
-//!   and payload columns (edge weights, interned attribute keys,
-//!   attribute values). The weights column has one `(f32 weight, u8
-//!   directed)` entry per `AddEdge` / `SetEdgeWeight` — unless every
-//!   one of them is the default `AddEdge { weight: 1.0, directed:
-//!   false }` (bit-exact), in which case the segment is empty and the
-//!   kinds column alone says what it held. Any other length is
-//!   corrupt;
+//! * an eventlist row holds a node-id dictionary, a timestamp column,
+//!   a kind column, a dictionary-index id column, and payload columns
+//!   (edge weights, interned attribute keys, attribute values). The
+//!   first four spell each integer in the bits their row needs
+//!   (fixed-width and Rice codes, `bits.rs`; least-significant
+//!   bit first, the last byte zero-padded):
+//!
+//!   ```text
+//!   node_dict := varint n [varint first [u8 k Rice(gap − 1){n−1}]]
+//!   times     := [varint first [u8 k Rice(gap){n_events−1}]]
+//!   kinds     := u8 m, tag{m} ascending, code{n_events} of ⌈log2 m⌉ bits
+//!   ids       := index{1 or 2 per event} of ⌈log2 n⌉ bits
+//!   ```
+//!
+//!   where `k = ⌊log2(mean gap · ln 2)⌋` is chosen per column, a kind
+//!   code is the event's tag's rank among the row's `m` tags (no codes
+//!   at all when `m = 1`), and an edge kind has two dictionary indexes.
+//!   Times and ids accumulate with checked adds: an overflowing gap is
+//!   an error, never an out-of-order answer. The weights column has one
+//!   `(f32 weight, u8 directed)` entry per `AddEdge` / `SetEdgeWeight`
+//!   — unless every one of them is the default `AddEdge { weight: 1.0,
+//!   directed: false }` (bit-exact), in which case the segment is empty
+//!   and the kinds column alone says what it held. Any other length is
+//!   corrupt, and every payload column holds exactly the entries its
+//!   kinds call for: an unread byte is [`CodecError::TrailingBytes`];
 //! * a delta row holds a sorted node-id column, a record-length
 //!   column, an interned attribute-key dictionary, and a concatenated
 //!   per-node record segment; full replays stream ids + records only
@@ -54,10 +70,15 @@
 //! [`crate::codec::decoded_bytes`], which is how tests and benches see
 //! what a query's column pruning saved.
 //!
+//! The two eventlist reads — [`ColumnarEventlist::to_eventlist`] and
+//! the pruned [`ColumnarEventlist::events_touching`] — go through the
+//! same column decoders, so on a row the full read accepts they agree.
+//!
 //! Corrupt input is an error, never a panic: all lengths are validated
-//! against the codec's `MAX_LEN` cap before allocation, segment ranges
-//! are bounds-checked against the backing buffer, and dictionary
-//! indexes are range-checked on use.
+//! against the codec's `MAX_LEN` cap, and every count against the bits
+//! its column has, before allocation; segment ranges are bounds-checked
+//! against the backing buffer, and dictionary indexes are range-checked
+//! on decode.
 
 use std::collections::hash_map::Entry;
 use std::ops::Range;
@@ -66,6 +87,7 @@ use std::sync::{Arc, OnceLock};
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::attr::{AttrValue, Attrs};
+use crate::bits::{check_rice_k, rice_k, width_for, BitReader, BitWriter};
 use crate::codec::{
     get_attr_value, get_f32, get_len, get_record, get_str, get_u8, get_varint, note_decoded,
     put_attr_value, put_f32, put_record, put_str, put_varint,
@@ -92,9 +114,11 @@ pub enum StorageLayout {
 /// weights column; `0xC2` delta rows whose records spelled `dir`,
 /// weight and an attrs flag on every edge-list entry; `0xC3` delta
 /// rows whose records opened with an `edge_count` varint, a shape byte
-/// and an `attr_count` varint where one head byte now stands.
+/// and an `attr_count` varint where one head byte now stands; `0xC5`
+/// eventlist rows that spelled every node-id gap, time gap, kind tag
+/// and dictionary index in whole bytes.
 const DELTA_MAGIC: u8 = 0xC4;
-const ELIST_MAGIC: u8 = 0xC5;
+const ELIST_MAGIC: u8 = 0xC6;
 
 const ELIST_SEGS: usize = 8;
 const SEG_NODE_DICT: usize = 0;
@@ -115,6 +139,9 @@ const SEG_RECORDS: usize = 3;
 // ----------------------------------------------------------------------
 // kind-tag helpers (tags match the row-wise codec's event tags)
 // ----------------------------------------------------------------------
+
+/// Number of event kinds; tags run `0..N_KINDS`.
+const N_KINDS: usize = 9;
 
 fn kind_tag(k: &EventKind) -> u8 {
     match k {
@@ -342,11 +369,82 @@ fn parse_header<const N: usize>(
 // columnar eventlists
 // ----------------------------------------------------------------------
 
+/// Append an ascending integer column: `varint first`, then — when
+/// there is more than one value — `u8 k` and `Rice(gap − bias)` for
+/// each further value (`bias` 1 for a strictly ascending column, 0 for
+/// a non-decreasing one). Nothing at all for an empty column.
+fn put_ascending(
+    out: &mut BytesMut,
+    values: impl ExactSizeIterator<Item = u64> + Clone,
+    bias: u64,
+) {
+    let n = values.len();
+    let mut gaps = values
+        .clone()
+        .zip(values.clone().skip(1))
+        .map(|(a, b)| b - a - bias);
+    let Some(first) = values.clone().next() else {
+        return;
+    };
+    put_varint(out, first);
+    if n < 2 {
+        return;
+    }
+    let k = rice_k(gaps.clone().map(u128::from).sum(), n - 1);
+    out.put_u8(k);
+    let mut bits = BitWriter::new(out);
+    for gap in &mut gaps {
+        bits.put_rice(gap, k);
+    }
+    bits.finish();
+}
+
+/// Read the `n` values [`put_ascending`] wrote, accumulating with a
+/// checked add: a gap that overflows is an error, never a value out of
+/// order. `n` is held to the bits the column has before anything is
+/// allocated (every further value takes at least one).
+fn get_ascending(mut b: &[u8], n: usize, bias: u64) -> Result<Vec<u64>, CodecError> {
+    let Some(further) = n.checked_sub(1) else {
+        return no_trailing(b.len()).map(|()| Vec::new());
+    };
+    let mut v = get_varint(&mut b)?;
+    let mut out = Vec::new();
+    if further == 0 {
+        no_trailing(b.len())?;
+        out.push(v);
+        return Ok(out);
+    }
+    let k = check_rice_k(get_u8(&mut b)?)?;
+    let mut bits = BitReader::new(b);
+    if further > bits.bits_left() {
+        return Err(CodecError::UnexpectedEof {
+            needed: further.div_ceil(8),
+            remaining: b.len(),
+        });
+    }
+    out.reserve_exact(n);
+    out.push(v);
+    let mut overflow = false;
+    for _ in 0..further {
+        let (sum, o1) = v.overflowing_add(bits.get_rice(k)?);
+        let (sum, o2) = sum.overflowing_add(bias);
+        overflow |= o1 | o2;
+        v = sum;
+        out.push(v);
+    }
+    if overflow {
+        return Err(CodecError::VarintOverflow);
+    }
+    bits.finish()?;
+    Ok(out)
+}
+
 /// Serialize an eventlist in the columnar layout.
 pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
     let events = el.events();
     let mut nids: Vec<NodeId> = Vec::with_capacity(events.len() * 2);
     let mut keys: Vec<&str> = Vec::new();
+    let mut tags_present = [false; N_KINDS];
     for e in events {
         let (a, b) = e.kind.touched();
         nids.push(a);
@@ -356,6 +454,7 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
         if let Some(k) = attr_key_of(&e.kind) {
             keys.push(k);
         }
+        tags_present[kind_tag(&e.kind) as usize] = true;
     }
     nids.sort_unstable();
     nids.dedup();
@@ -364,11 +463,7 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
 
     let mut node_dict = BytesMut::new();
     put_varint(&mut node_dict, nids.len() as u64);
-    let mut prev = 0u64;
-    for &id in &nids {
-        put_varint(&mut node_dict, id.wrapping_sub(prev));
-        prev = id;
-    }
+    put_ascending(&mut node_dict, nids.iter().copied(), 1);
 
     let mut key_dict = BytesMut::new();
     put_varint(&mut key_dict, keys.len() as u64);
@@ -376,24 +471,47 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
         put_str(&mut key_dict, k);
     }
 
-    let mut times = BytesMut::with_capacity(events.len() * 2);
-    let mut kinds = BytesMut::with_capacity(events.len());
-    let mut ids = BytesMut::with_capacity(events.len() * 2);
+    let mut times = BytesMut::new();
+    put_ascending(&mut times, events.iter().map(|e| e.time), 0);
+
+    // The row's kinds, ascending, then one code per event: a kind's
+    // rank among them.
+    let mut kinds = BytesMut::new();
+    let mut code_of = [0u64; N_KINDS];
+    let mut m = 0u8;
+    for (tag, _) in tags_present.iter().enumerate().filter(|(_, &p)| p) {
+        code_of[tag] = u64::from(m);
+        m += 1;
+    }
+    kinds.put_u8(m);
+    for (tag, _) in tags_present.iter().enumerate().filter(|(_, &p)| p) {
+        kinds.put_u8(tag as u8);
+    }
+    let kind_width = width_for(m as usize);
+    let mut kind_bits = BitWriter::new(&mut kinds);
+    for e in events {
+        kind_bits.put(code_of[kind_tag(&e.kind) as usize], kind_width);
+    }
+    kind_bits.finish();
+
+    let mut ids = BytesMut::new();
+    let id_width = width_for(nids.len());
+    let mut id_bits = BitWriter::new(&mut ids);
+    for e in events {
+        let (a, b) = e.kind.touched();
+        id_bits.put(dict_idx(&nids, &a), id_width);
+        if let Some(b) = b {
+            id_bits.put(dict_idx(&nids, &b), id_width);
+        }
+    }
+    id_bits.finish();
+
     let mut weights = BytesMut::new();
     let mut attr_keys = BytesMut::new();
     let mut attr_vals = BytesMut::new();
-    let mut prev_t = 0u64;
     // Whether every weighted event so far is the default edge.
     let mut default_weights = true;
     for e in events {
-        put_varint(&mut times, e.time.wrapping_sub(prev_t));
-        prev_t = e.time;
-        kinds.put_u8(kind_tag(&e.kind));
-        let (a, b) = e.kind.touched();
-        put_varint(&mut ids, dict_idx(&nids, &a));
-        if let Some(b) = b {
-            put_varint(&mut ids, dict_idx(&nids, &b));
-        }
         match &e.kind {
             EventKind::AddEdge {
                 weight, directed, ..
@@ -431,16 +549,15 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
         ],
         &{
             // Role-aware policy, mirroring the delta encoder below: the
-            // columns a structural replay always streams (times, kinds,
-            // ids) stay raw so a cold snapshot never pays decompression
-            // the row-wise baseline doesn't; dictionary and payload
-            // columns — where the textual redundancy lives — compress
-            // adaptively. Weights qualify too: a column that is spelled
-            // at all (some edge is weighted or directed) is still mostly
-            // repeated defaults, a run-length column that LZSS restores
-            // at memcpy speed.
+            // bit-coded columns (node dictionary, times, kinds, ids)
+            // leave LZSS nothing to find and stay raw, so a cold
+            // snapshot never pays decompression the row-wise baseline
+            // doesn't; the textual key dictionary and payload columns
+            // compress adaptively. Weights qualify too: a column that
+            // is spelled at all (some edge is weighted or directed) is
+            // still mostly repeated defaults, a run-length column that
+            // LZSS restores at memcpy speed.
             let mut min_save = [NEVER_COMPRESS; ELIST_SEGS];
-            min_save[SEG_NODE_DICT] = 1;
             min_save[SEG_WEIGHTS] = 1;
             min_save[SEG_KEY_DICT] = 1;
             min_save[SEG_ATTR_KEYS] = 1;
@@ -450,14 +567,90 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
     )
 }
 
-/// The cheap always-decoded columns: timestamps, kind tags and
-/// dictionary-index id pairs (second index is `u32::MAX` filler for
-/// single-node kinds).
+/// The always-decoded columns: timestamps, kind tags and the
+/// dictionary indexes of the events' endpoints — one for a one-node
+/// kind, two for an edge kind, in event order.
 #[derive(Debug)]
 struct CoreColumns {
     times: Vec<Time>,
     kinds: Vec<u8>,
-    ids: Vec<(u32, u32)>,
+    ids: Vec<u32>,
+}
+
+/// Read the kinds column of `n` events: the row's kinds, strictly
+/// ascending, then one code per event, each a rank among them.
+fn get_kinds(mut b: &[u8], n: usize) -> Result<Vec<u8>, CodecError> {
+    let m = get_u8(&mut b)?;
+    if m as usize > N_KINDS || (m == 0) != (n == 0) {
+        return Err(CodecError::BadTag {
+            what: "kind-count",
+            tag: m,
+        });
+    }
+    let Some((tags, rest)) = b.split_at_checked(m as usize) else {
+        return Err(CodecError::UnexpectedEof {
+            needed: m as usize,
+            remaining: b.len(),
+        });
+    };
+    let mut prev = None;
+    for &t in tags {
+        if t as usize >= N_KINDS || prev.is_some_and(|p| p >= t) {
+            return Err(CodecError::BadTag {
+                what: "EventKind",
+                tag: t,
+            });
+        }
+        prev = Some(t);
+    }
+    let mut bits = BitReader::new(rest);
+    let mut kinds = Vec::with_capacity(n);
+    match tags {
+        [] => {}
+        [only] => kinds.resize(n, *only),
+        _ => {
+            // A code past the row's kinds reads as kind 0xff, refused
+            // once at the end.
+            let mut by_code = [u8::MAX; 1 << 4];
+            by_code[..tags.len()].copy_from_slice(tags);
+            bits.get_many(n, width_for(tags.len()), |code| {
+                kinds.push(by_code[code as usize]);
+            })?;
+            if let Some(&bad) = kinds.iter().find(|&&t| t == u8::MAX) {
+                return Err(CodecError::BadTag {
+                    what: "kind code",
+                    tag: bad,
+                });
+            }
+        }
+    }
+    bits.finish()?;
+    Ok(kinds)
+}
+
+/// Read the ids column: one index into a dictionary of `dict_len`
+/// nodes per endpoint of each event, each `⌈log2 dict_len⌉` bits.
+fn get_ids(b: &[u8], kinds: &[u8], dict_len: usize) -> Result<Vec<u32>, CodecError> {
+    let width = width_for(dict_len);
+    if width > 32 {
+        // More nodes than an index can name: no row spells that many.
+        return Err(CodecError::LengthOverflow {
+            what: "node-dict",
+            len: dict_len as u64,
+        });
+    }
+    let mut bits = BitReader::new(b);
+    let n = kinds.len() + kinds.iter().filter(|&&t| has_two_ids(t)).count();
+    let mut ids = Vec::with_capacity(n);
+    bits.get_many(n, width, |i| ids.push(i as u32))?;
+    bits.finish()?;
+    if let Some(&bad) = ids.iter().find(|&&i| i as usize >= dict_len) {
+        return Err(CodecError::LengthOverflow {
+            what: "node-dict-index",
+            len: u64::from(bad),
+        });
+    }
+    Ok(ids)
 }
 
 /// A parsed columnar eventlist row: one backing buffer, per-segment
@@ -537,80 +730,35 @@ impl ColumnarEventlist {
                 let raw = self.decode_seg(SEG_NODE_DICT)?;
                 let mut b: &[u8] = &raw;
                 let n = get_len(&mut b, "node-dict")?;
-                let mut out = Vec::with_capacity(n.min(1 << 20));
-                let mut prev = 0u64;
-                for _ in 0..n {
-                    prev = prev.wrapping_add(get_varint(&mut b)?);
-                    out.push(prev);
-                }
-                if !b.is_empty() {
-                    return Err(CodecError::TrailingBytes { remaining: b.len() });
-                }
-                Ok(out)
+                get_ascending(b, n, 1)
             })
             .as_ref()
             .map(|v| v.as_slice())
             .map_err(|e| e.clone())
     }
 
+    /// The one decoder of the core columns, behind both
+    /// [`ColumnarEventlist::to_eventlist`] and
+    /// [`ColumnarEventlist::events_touching`]. The times column comes
+    /// first: it holds the header's event count to the row's size
+    /// before the kinds and ids columns allocate for it.
     fn core(&self) -> Result<&CoreColumns, CodecError> {
         self.core
             .get_or_init(|| {
-                let n = self.n_events;
-                let raw = self.decode_seg(SEG_TIMES)?;
-                let mut b: &[u8] = &raw;
-                let mut times = Vec::with_capacity(n.min(1 << 20));
-                let mut prev = 0u64;
-                for _ in 0..n {
-                    prev = prev.wrapping_add(get_varint(&mut b)?);
-                    times.push(prev);
-                }
-                if !b.is_empty() {
-                    return Err(CodecError::TrailingBytes { remaining: b.len() });
-                }
-
-                let kraw = self.decode_seg(SEG_KINDS)?;
-                if kraw.len() != n {
-                    return Err(CodecError::UnexpectedEof {
-                        needed: n,
-                        remaining: kraw.len(),
-                    });
-                }
-                let kinds: Vec<u8> = kraw.to_vec();
-                for &t in &kinds {
-                    if t > 8 {
-                        return Err(CodecError::BadTag {
-                            what: "EventKind",
-                            tag: t,
-                        });
-                    }
-                }
-
-                let iraw = self.decode_seg(SEG_IDS)?;
-                let mut b: &[u8] = &iraw;
-                let mut ids = Vec::with_capacity(n.min(1 << 20));
-                for &t in &kinds {
-                    let a = get_varint(&mut b)?;
-                    let bb = if has_two_ids(t) {
-                        get_varint(&mut b)?
-                    } else {
-                        u32::MAX as u64
-                    };
-                    if a > u32::MAX as u64 || bb > u32::MAX as u64 {
-                        return Err(CodecError::LengthOverflow {
-                            what: "node-dict-index",
-                            len: a.max(bb),
-                        });
-                    }
-                    ids.push((a as u32, bb as u32));
-                }
-                if !b.is_empty() {
-                    return Err(CodecError::TrailingBytes { remaining: b.len() });
-                }
+                let dict_len = self.node_dict()?.len();
+                let times = get_ascending(&self.decode_seg(SEG_TIMES)?, self.n_events, 0)?;
+                let kinds = get_kinds(&self.decode_seg(SEG_KINDS)?, self.n_events)?;
+                let ids = get_ids(&self.decode_seg(SEG_IDS)?, &kinds, dict_len)?;
                 Ok(CoreColumns { times, kinds, ids })
             })
             .as_ref()
             .map_err(|e| e.clone())
+    }
+
+    /// How many events of the row carry a payload `has` selects — the
+    /// entry count of that payload's column.
+    fn payload_count(&self, has: fn(u8) -> bool) -> Result<usize, CodecError> {
+        Ok(self.core()?.kinds.iter().filter(|&&t| has(t)).count())
     }
 
     /// The weights column, one entry per weighted event — or empty
@@ -643,9 +791,7 @@ impl ColumnarEventlist {
                 for _ in 0..n {
                     out.push(get_str(&mut b)?);
                 }
-                if !b.is_empty() {
-                    return Err(CodecError::TrailingBytes { remaining: b.len() });
-                }
+                no_trailing(b.len())?;
                 Ok(out)
             })
             .as_ref()
@@ -653,22 +799,24 @@ impl ColumnarEventlist {
             .map_err(|e| e.clone())
     }
 
+    /// The attribute-key column: exactly one key-dictionary index per
+    /// event that names a key.
     fn attr_keys(&self) -> Result<&[u32], CodecError> {
         self.attr_keys
             .get_or_init(|| {
+                let n = self.payload_count(has_attr_key)?;
                 let raw = self.decode_seg(SEG_ATTR_KEYS)?;
                 let mut b: &[u8] = &raw;
-                let mut out = Vec::with_capacity((raw.len()).min(1 << 20));
-                while !b.is_empty() {
+                let mut out = Vec::with_capacity(n.min(raw.len()));
+                for _ in 0..n {
                     let idx = get_varint(&mut b)?;
-                    if idx > u32::MAX as u64 {
-                        return Err(CodecError::LengthOverflow {
-                            what: "key-dict-index",
-                            len: idx,
-                        });
-                    }
-                    out.push(idx as u32);
+                    let idx = u32::try_from(idx).map_err(|_| CodecError::LengthOverflow {
+                        what: "key-dict-index",
+                        len: idx,
+                    })?;
+                    out.push(idx);
                 }
+                no_trailing(b.len())?;
                 Ok(out)
             })
             .as_ref()
@@ -676,15 +824,19 @@ impl ColumnarEventlist {
             .map_err(|e| e.clone())
     }
 
+    /// The attribute-value column: exactly one value per event that
+    /// sets one.
     fn attr_vals(&self) -> Result<&[AttrValue], CodecError> {
         self.attr_vals
             .get_or_init(|| {
+                let n = self.payload_count(has_attr_val)?;
                 let raw = self.decode_seg(SEG_ATTR_VALS)?;
                 let mut b: &[u8] = &raw;
-                let mut out = Vec::new();
-                while !b.is_empty() {
+                let mut out = Vec::with_capacity(n.min(raw.len()));
+                for _ in 0..n {
                     out.push(get_attr_value(&mut b)?);
                 }
+                no_trailing(b.len())?;
                 Ok(out)
             })
             .as_ref()
@@ -794,42 +946,37 @@ impl ColumnarEventlist {
     }
 
     fn materialize(&self, filter: Option<NodeId>) -> Result<Vec<Event>, CodecError> {
-        if let Some(nid) = filter {
-            // Dictionary miss: nothing past the dictionary is decoded.
-            if self.node_dict()?.binary_search(&nid).is_err() {
-                return Ok(Vec::new());
-            }
-        }
         let dict = self.node_dict()?;
+        // The filter as a dictionary index; on a miss nothing past the
+        // dictionary is decoded.
+        let target = match filter {
+            None => None,
+            Some(nid) => match dict.binary_search(&nid) {
+                Ok(i) => Some(i as u32),
+                Err(_) => return Ok(Vec::new()),
+            },
+        };
         let core = self.core()?;
-        let mut out = Vec::with_capacity(if filter.is_some() { 8 } else { self.n_events });
+        let mut out = Vec::with_capacity(if target.is_some() { 8 } else { self.n_events });
+        let mut ids = core.ids.iter().copied();
         let (mut w_ord, mut ak_ord, mut av_ord) = (0usize, 0usize, 0usize);
-        for i in 0..self.n_events {
-            let tag = core.kinds[i];
-            let (ia, ib) = core.ids[i];
-            let a = dict_node(dict, ia)?;
-            let b = if has_two_ids(tag) {
-                Some(dict_node(dict, ib)?)
+        for (&tag, &time) in core.kinds.iter().zip(&core.times) {
+            // The column holds exactly the indexes the kinds call for.
+            let ia = ids.next().unwrap_or(u32::MAX);
+            let ib = if has_two_ids(tag) {
+                Some(ids.next().unwrap_or(u32::MAX))
             } else {
                 None
             };
-            let wanted = match filter {
-                None => true,
-                Some(nid) => a == nid || b == Some(nid),
-            };
-            if wanted {
+            if target.is_none_or(|t| ia == t || ib == Some(t)) {
+                let a = dict_node(dict, ia)?;
+                let b = ib.map(|ib| dict_node(dict, ib)).transpose()?;
                 let kind = self.build_kind(tag, a, b, w_ord, ak_ord, av_ord)?;
-                out.push(Event::new(core.times[i], kind));
+                out.push(Event::new(time, kind));
             }
-            if has_weight(tag) {
-                w_ord += 1;
-            }
-            if has_attr_key(tag) {
-                ak_ord += 1;
-            }
-            if has_attr_val(tag) {
-                av_ord += 1;
-            }
+            w_ord += has_weight(tag) as usize;
+            ak_ord += has_attr_key(tag) as usize;
+            av_ord += has_attr_val(tag) as usize;
         }
         Ok(out)
     }
@@ -847,135 +994,11 @@ impl ColumnarEventlist {
         self.materialize(Some(nid))
     }
 
-    /// Decode every column and reassemble the full eventlist.
-    ///
-    /// Full materialization streams all column cursors in one pass —
-    /// no memoized column vectors, no per-event ordinal lookups — so a
-    /// cold full replay costs what the row-wise decoder costs plus the
-    /// (adaptive) per-segment decompression.
+    /// Decode every column and reassemble the full eventlist: the
+    /// unfiltered walk of [`ColumnarEventlist::events_touching`], over
+    /// the same column decoders, so the two never disagree on a row.
     pub fn to_eventlist(&self) -> Result<Eventlist, CodecError> {
-        let dict = self.node_dict()?;
-        let key_dict = self.key_dict()?;
-        let n = self.n_events;
-        let traw = self.decode_seg(SEG_TIMES)?;
-        let kraw = self.decode_seg(SEG_KINDS)?;
-        let iraw = self.decode_seg(SEG_IDS)?;
-        let wraw = self.decode_seg(SEG_WEIGHTS)?;
-        let akraw = self.decode_seg(SEG_ATTR_KEYS)?;
-        let avraw = self.decode_seg(SEG_ATTR_VALS)?;
-        if kraw.len() != n {
-            return Err(CodecError::UnexpectedEof {
-                needed: n,
-                remaining: kraw.len(),
-            });
-        }
-        let spelled = weights_are_spelled(&kraw, wraw.len())?;
-        let mut tb: &[u8] = &traw;
-        let mut ib: &[u8] = &iraw;
-        let mut wb: &[u8] = &wraw;
-        let mut akb: &[u8] = &akraw;
-        let mut avb: &[u8] = &avraw;
-        let one = |b: &mut &[u8], dict: &[NodeId]| -> Result<NodeId, CodecError> {
-            let idx = get_varint(b)?;
-            dict.get(idx as usize)
-                .copied()
-                .ok_or(CodecError::LengthOverflow {
-                    what: "node-dict-index",
-                    len: idx,
-                })
-        };
-        let key = |b: &mut &[u8]| -> Result<String, CodecError> {
-            let idx = get_varint(b)?;
-            key_dict
-                .get(idx as usize)
-                .cloned()
-                .ok_or(CodecError::LengthOverflow {
-                    what: "key-dict-index",
-                    len: idx,
-                })
-        };
-        let flag = |b: &mut &[u8]| get_u8(b).map(|f| f != 0);
-        let mut out = Vec::with_capacity(kraw.len());
-        let mut t = 0u64;
-        for &tag in kraw.iter() {
-            // Checked, not wrapping: a corrupt gap that overflows the
-            // clock is an error, never an out-of-order eventlist.
-            t = t
-                .checked_add(get_varint(&mut tb)?)
-                .ok_or(CodecError::VarintOverflow)?;
-            let a = one(&mut ib, dict)?;
-            let kind = match tag {
-                0 => EventKind::AddNode { id: a },
-                1 => EventKind::RemoveNode { id: a },
-                2 => {
-                    let dst = one(&mut ib, dict)?;
-                    let (weight, directed) = if spelled {
-                        (get_f32(&mut wb)?, flag(&mut wb)?)
-                    } else {
-                        (1.0, false)
-                    };
-                    EventKind::AddEdge {
-                        src: a,
-                        dst,
-                        weight,
-                        directed,
-                    }
-                }
-                3 => EventKind::RemoveEdge {
-                    src: a,
-                    dst: one(&mut ib, dict)?,
-                },
-                4 => {
-                    let dst = one(&mut ib, dict)?;
-                    let weight = get_f32(&mut wb)?;
-                    flag(&mut wb)?;
-                    EventKind::SetEdgeWeight {
-                        src: a,
-                        dst,
-                        weight,
-                    }
-                }
-                5 => EventKind::SetNodeAttr {
-                    id: a,
-                    key: key(&mut akb)?,
-                    value: get_attr_value(&mut avb)?,
-                },
-                6 => EventKind::RemoveNodeAttr {
-                    id: a,
-                    key: key(&mut akb)?,
-                },
-                7 => {
-                    let dst = one(&mut ib, dict)?;
-                    EventKind::SetEdgeAttr {
-                        src: a,
-                        dst,
-                        key: key(&mut akb)?,
-                        value: get_attr_value(&mut avb)?,
-                    }
-                }
-                8 => {
-                    let dst = one(&mut ib, dict)?;
-                    EventKind::RemoveEdgeAttr {
-                        src: a,
-                        dst,
-                        key: key(&mut akb)?,
-                    }
-                }
-                bad => {
-                    return Err(CodecError::BadTag {
-                        what: "EventKind",
-                        tag: bad,
-                    })
-                }
-            };
-            out.push(Event::new(t, kind));
-        }
-        if !tb.is_empty() || !ib.is_empty() {
-            return Err(CodecError::TrailingBytes {
-                remaining: tb.len() + ib.len(),
-            });
-        }
-        Ok(Eventlist::from_sorted(out))
+        self.materialize(None).map(Eventlist::from_sorted)
     }
 }
 
@@ -1577,7 +1600,7 @@ mod tests {
         let delta = encode_columnar_delta(&sample_delta());
         let elist = encode_columnar_eventlist(&Eventlist::from_sorted(sample_events()));
         assert_eq!((delta[0], elist[0]), (DELTA_MAGIC, ELIST_MAGIC));
-        for retired in [0xC1u8, 0xC2, 0xC3] {
+        for retired in [0xC1u8, 0xC2, 0xC3, 0xC5] {
             let mut old = delta.to_vec();
             old[0] = retired;
             assert!(matches!(
@@ -1655,16 +1678,131 @@ mod tests {
         }
     }
 
-    /// Re-assemble `el`'s row with another weights segment (raw).
-    fn with_weights_segment(el: &Eventlist, weights: &[u8]) -> ColumnarEventlist {
+    /// Re-assemble `el`'s row with segment `i` (raw) made `edit` of
+    /// what it holds.
+    fn with_segment(
+        el: &Eventlist,
+        i: usize,
+        edit: impl FnOnce(&[u8]) -> Vec<u8>,
+    ) -> ColumnarEventlist {
         let col = ColumnarEventlist::parse(encode_columnar_eventlist(el)).unwrap();
         let raw: Vec<Bytes> = (0..ELIST_SEGS)
             .map(|i| col.decode_seg(i).unwrap())
             .collect();
+        let edited = edit(&raw[i]);
         let mut segs: Vec<&[u8]> = raw.iter().map(|b| &b[..]).collect();
-        segs[SEG_WEIGHTS] = weights;
+        segs[i] = &edited;
         let row = assemble(ELIST_MAGIC, el.len(), &segs, &[NEVER_COMPRESS; ELIST_SEGS]);
         ColumnarEventlist::parse(row).unwrap()
+    }
+
+    /// Re-assemble `el`'s row with another weights segment (raw).
+    fn with_weights_segment(el: &Eventlist, weights: &[u8]) -> ColumnarEventlist {
+        with_segment(el, SEG_WEIGHTS, |_| weights.to_vec())
+    }
+
+    /// Both decoders of `col` — the full one and node 7's pruned one —
+    /// refuse it with `want`.
+    fn both_paths_refuse(col: &ColumnarEventlist, want: CodecError) {
+        assert_eq!(col.to_eventlist(), Err(want.clone()));
+        assert_eq!(col.events_touching(7), Err(want));
+    }
+
+    #[test]
+    fn a_time_gap_past_the_clock_is_refused_on_both_paths() {
+        // Times `[u64::MAX, +2, +0, ...]`: a wrapping sum would hand
+        // node 7 a history that runs backwards.
+        let el = Eventlist::from_sorted(sample_events());
+        let col = with_segment(&el, SEG_TIMES, |_| {
+            let mut times = BytesMut::new();
+            put_varint(&mut times, u64::MAX);
+            times.put_u8(0);
+            let mut bits = BitWriter::new(&mut times);
+            bits.put_rice(2, 0);
+            for _ in 2..el.len() {
+                bits.put_rice(0, 0);
+            }
+            bits.finish();
+            times.to_vec()
+        });
+        both_paths_refuse(&col, CodecError::VarintOverflow);
+    }
+
+    #[test]
+    fn an_unread_payload_byte_is_trailing_on_both_paths() {
+        let el = Eventlist::from_sorted(sample_events());
+        for (seg, extra) in [(SEG_ATTR_KEYS, &[0u8][..]), (SEG_ATTR_VALS, &[3, 1][..])] {
+            let col = with_segment(&el, seg, |s| [s, extra].concat());
+            let want = CodecError::TrailingBytes {
+                remaining: extra.len(),
+            };
+            both_paths_refuse(&col, want);
+        }
+    }
+
+    #[test]
+    fn kinds_and_ids_take_the_bits_their_row_needs() {
+        // 50 default edges over 51 nodes: one kind, so no kind codes;
+        // 100 dictionary indexes of 6 bits each.
+        let el = Eventlist::from_sorted(
+            (0..50u64)
+                .map(|i| add_edge(i, i, i + 1, 1.0, false))
+                .collect(),
+        );
+        let col = ColumnarEventlist::parse(encode_columnar_eventlist(&el)).unwrap();
+        assert_eq!(&col.decode_seg(SEG_KINDS).unwrap()[..], &[1, 2]);
+        assert_eq!(col.raw_lens[SEG_IDS], 100 * 6 / 8);
+        // Times 0, 1, ..., 49 and node ids 0..=50: gaps of 1, Rice
+        // parameter 0 — two bits a time gap, one bit a node-id gap
+        // (the dictionary spells `gap - 1`).
+        assert_eq!(col.raw_lens[SEG_TIMES], 1 + 1 + (49 * 2usize).div_ceil(8));
+        assert_eq!(col.raw_lens[SEG_NODE_DICT], 1 + 1 + 1 + 50usize.div_ceil(8));
+        assert_eq!(col.to_eventlist().unwrap(), el);
+
+        // A second kind: one bit per event, and the kinds column names
+        // both, ascending.
+        let mut events = el.events().to_vec();
+        events.push(Event::new(50, EventKind::RemoveEdge { src: 3, dst: 4 }));
+        let el = Eventlist::from_sorted(events);
+        let col = ColumnarEventlist::parse(encode_columnar_eventlist(&el)).unwrap();
+        let kinds = col.decode_seg(SEG_KINDS).unwrap();
+        assert_eq!(&kinds[..3], &[2, 2, 3]);
+        assert_eq!(kinds.len(), 3 + 51usize.div_ceil(8));
+        assert_eq!(col.to_eventlist().unwrap(), el);
+    }
+
+    #[test]
+    fn corrupt_kind_columns_are_refused() {
+        let el = Eventlist::from_sorted(sample_events());
+        let n = el.len();
+        for (kinds, what) in [
+            (vec![10u8], "kind-count"),      // more kinds than there are
+            (vec![0], "kind-count"),         // no kind for ten events
+            (vec![2, 5, 5], "EventKind"),    // not strictly ascending
+            (vec![2, 0, 9], "EventKind"),    // no such kind
+            (vec![3, 0, 1, 2], "kind code"), // code 3 of 3 kinds
+        ] {
+            let col = with_segment(&el, SEG_KINDS, |_| {
+                let mut seg = BytesMut::new();
+                seg.put_slice(&kinds);
+                let width = width_for(kinds[0] as usize);
+                let mut bits = BitWriter::new(&mut seg);
+                for _ in 0..n {
+                    bits.put((1 << width) - 1, width);
+                }
+                bits.finish();
+                seg.to_vec()
+            });
+            assert!(
+                matches!(col.to_eventlist(), Err(CodecError::BadTag { what: w, .. }) if w == what),
+                "{kinds:?}: {:?}",
+                col.to_eventlist()
+            );
+            assert_eq!(
+                col.events_touching(7).unwrap_err(),
+                col.to_eventlist().unwrap_err()
+            );
+        }
     }
 
     #[test]

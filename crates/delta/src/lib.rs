@@ -25,6 +25,7 @@
 
 pub mod attr;
 pub mod attr_index;
+mod bits;
 pub mod codec;
 pub mod columnar;
 pub mod compress;

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use hgs_delta::compress::{compress, decompress};
-use hgs_delta::CodecError;
+use hgs_delta::{CodecError, FxHashSet};
 use parking_lot::{Mutex, RwLock};
 
 use crate::faults::{FaultPlan, FaultVerdict, CORRUPT_ON_READ_MARKER};
@@ -23,7 +23,8 @@ pub struct StoreConfig {
     /// Replication factor (`r`): each chunk is written to `r`
     /// consecutive machines of the ring.
     pub replication: usize,
-    /// Compress values with LZSS before storing (Fig. 13a).
+    /// Compress values with LZSS before storing (Fig. 13a); a value
+    /// LZSS does not shrink is stored as written.
     pub compress: bool,
 }
 
@@ -203,6 +204,11 @@ pub struct SimStore {
     /// namespaced key → placement token, deduplicated. Drained by
     /// [`SimStore::try_repair`].
     under_replicated: Mutex<BTreeMap<Vec<u8>, u64>>,
+    /// Namespaced keys of the rows a compressing store holds as
+    /// written, because LZSS would not have shrunk them. The choice is
+    /// store metadata — as a block store keeps a chunk's compression
+    /// type beside the chunk — never bytes of the row.
+    stored_raw: RwLock<FxHashSet<Vec<u8>>>,
 }
 
 impl SimStore {
@@ -223,6 +229,7 @@ impl SimStore {
             retry: RwLock::new(RetryPolicy::default()),
             breakers: (0..cfg.machines).map(|_| Breaker::new()).collect(),
             under_replicated: Mutex::new(BTreeMap::new()),
+            stored_raw: RwLock::new(FxHashSet::default()),
         }
     }
 
@@ -389,17 +396,13 @@ impl SimStore {
         let prepared: Vec<(Table, Vec<u8>, u64, Bytes)> = rows
             .into_iter()
             .map(|row| {
+                let nk = Self::namespaced(row.table, &row.key);
                 let stored = if self.cfg.compress {
-                    compress(&row.value)
+                    self.stored_form(&nk, row.value)
                 } else {
                     row.value
                 };
-                (
-                    row.table,
-                    Self::namespaced(row.table, &row.key),
-                    row.token,
-                    stored,
-                )
+                (row.table, nk, row.token, stored)
             })
             .collect();
         // Group row indices per destination machine (all replicas of a
@@ -580,9 +583,11 @@ impl SimStore {
         let nks: Vec<Vec<u8>> = keys.iter().map(|k| Self::namespaced(table, k)).collect();
         let (values, corrupt) = self.read_with_retry(table, token, |m| m.multi_get(&nks))?;
         let mut out = Vec::with_capacity(values.len());
-        for v in values {
+        for (nk, v) in nks.iter().zip(values) {
             out.push(match v {
-                Some(bytes) => Some(self.maybe_decompress(Self::maybe_corrupted(bytes, corrupt))?),
+                Some(bytes) => {
+                    Some(self.maybe_decompress(nk, Self::maybe_corrupted(bytes, corrupt))?)
+                }
                 None => None,
             });
         }
@@ -611,18 +616,31 @@ impl SimStore {
         for rows in groups {
             let mut group = Vec::with_capacity(rows.len());
             for (k, v) in rows {
-                group.push((
-                    k[1..].to_vec(),
-                    self.maybe_decompress(Self::maybe_corrupted(v, corrupt))?,
-                ));
+                let v = self.maybe_decompress(&k, Self::maybe_corrupted(v, corrupt))?;
+                group.push((k[1..].to_vec(), v));
             }
             out.push(group);
         }
         Ok(out)
     }
 
-    fn maybe_decompress(&self, bytes: Bytes) -> Result<Bytes, StoreError> {
-        if self.cfg.compress {
+    /// What a compressing store writes for `value` under `nk`: its
+    /// LZSS stream when that is shorter, else the value as it came
+    /// (noted in `stored_raw`).
+    fn stored_form(&self, nk: &[u8], value: Bytes) -> Bytes {
+        let lz = compress(&value);
+        let mut raw = self.stored_raw.write();
+        if lz.len() < value.len() {
+            raw.remove(nk);
+            lz
+        } else {
+            raw.insert(nk.to_vec());
+            value
+        }
+    }
+
+    fn maybe_decompress(&self, nk: &[u8], bytes: Bytes) -> Result<Bytes, StoreError> {
+        if self.cfg.compress && !self.stored_raw.read().contains(nk) {
             decompress(&bytes).map_err(StoreError::Corrupt)
         } else {
             Ok(bytes)
@@ -1246,6 +1264,28 @@ mod tests {
             get(&s, Table::Deltas, b"k", 0).unwrap().as_deref(),
             Some(&b"v"[..])
         );
+    }
+
+    #[test]
+    fn compression_keeps_a_row_it_cannot_shrink_as_written() {
+        let s = SimStore::new(StoreConfig::new(1, 1).with_compression(true));
+        let dense = Bytes::from((0..=255u8).collect::<Vec<u8>>());
+        let repetitive = Bytes::from(b"abcabcabc".repeat(50));
+        put(&s, Table::Deltas, b"dense", 0, dense.clone());
+        assert_eq!(s.stored_bytes(), dense.len(), "no framing on a kept row");
+        put(&s, Table::Deltas, b"rep", 0, repetitive.clone());
+        assert!(s.stored_bytes() < dense.len() + repetitive.len());
+        // Overwrites switch the stored form both ways.
+        put(&s, Table::Deltas, b"dense", 0, repetitive.clone());
+        put(&s, Table::Deltas, b"rep", 0, dense.clone());
+        for (key, want) in [(&b"dense"[..], &repetitive), (b"rep", &dense)] {
+            assert_eq!(get(&s, Table::Deltas, key, 0).unwrap().as_ref(), Some(want));
+        }
+        let scanned = s
+            .scan_prefix_batch(Table::Deltas, &[b"re"], 0)
+            .unwrap()
+            .remove(0);
+        assert_eq!(scanned, vec![(b"rep".to_vec(), dense)]);
     }
 
     #[test]
