@@ -53,9 +53,12 @@ impl std::error::Error for OpenError {}
 /// parse as chunk gaps under this one) and `3` (`AttrIndex` term rows
 /// of `(time-gap, nid, flags)` per point, carry points included, which
 /// would parse as the bit-coded rows of this one — the eventlist rows
-/// of that layout carry their own retired magic). A store tagged
-/// otherwise is refused, not answered from.
-const LAYOUT_TAG: u64 = 4;
+/// of that layout carry their own retired magic) and `4` (delta rows
+/// with a byte length per record where a restart every 16 records now
+/// stands; they carry their own retired magic too, and the tag moves
+/// with it so that a descriptor names the one grammar of all its
+/// rows). A store tagged otherwise is refused, not answered from.
+const LAYOUT_TAG: u64 = 5;
 
 /// Serialize the construction configuration.
 pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
@@ -322,7 +325,7 @@ mod tests {
             assert_eq!(format!("{cfg:?}"), format!("{back:?}"));
         }
         // The layout tag is the second-to-last varint (one byte each):
-        // a descriptor tagged 0, 1, 2 or 3 (the retired formats), or cut
+        // a descriptor tagged 0 to 4 (the retired formats), or cut
         // short before the tag, is refused rather than opened as
         // something else.
         let blob = encode_config(&TgiConfig::default());
@@ -338,6 +341,7 @@ mod tests {
             &retired(1)[..],
             &retired(2)[..],
             &retired(3)[..],
+            &retired(4)[..],
             &blob[..tag_at],
         ] {
             assert!(matches!(

@@ -293,6 +293,8 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
         (LAYOUT, 0, "retired layout tag 0"),
         (LAYOUT, 1, "retired layout tag 1"),
         (LAYOUT, 2, "retired layout tag 2"),
+        (LAYOUT, 3, "retired layout tag 3"),
+        (LAYOUT, 4, "retired layout tag 4"),
     ] {
         let mut bad_fields = fields.clone();
         bad_fields[idx] = bad;
@@ -306,16 +308,20 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
     // `count, (time-gap, chunk)*`, which would parse as chunk gaps.
     // `Versions` rows carry no magic of their own, so the descriptor is
     // where such an index is refused — by name.
-    let mut previous = fields.clone();
-    previous[LAYOUT] = 2;
-    rewrite(&previous);
-    assert!(matches!(
-        Tgi::open(store.clone()),
-        Err(OpenError::Corrupt(CodecError::BadTag {
-            what: "StorageLayout",
-            tag: 2
-        }))
-    ));
+    // Tag 4 is the layout whose delta rows kept a byte length per
+    // record: refused by name too, with no reader of its rows kept.
+    for tag in [2, 4] {
+        let mut previous = fields.clone();
+        previous[LAYOUT] = tag;
+        rewrite(&previous);
+        assert!(matches!(
+            Tgi::open(store.clone()),
+            Err(OpenError::Corrupt(CodecError::BadTag {
+                what: "StorageLayout",
+                tag: t
+            })) if u64::from(t) == tag
+        ));
+    }
     rewrite(&fields[..LAYOUT]);
     assert!(
         matches!(Tgi::open(store.clone()), Err(OpenError::Corrupt(_))),
@@ -485,12 +491,15 @@ fn inconsistent_timespan_rows_are_corrupt_not_a_panic_or_a_wrong_graph() {
     );
 }
 
-/// The three encodings of a row at their edges, each read through the
+/// The encodings of a row at their edges, each read through the
 /// index: a record head announcing a count varint the record does not
-/// hold, a weights segment of an impossible length, a `Versions` row
-/// under a key that is no `(nid, tsid)`, and rows carrying the magics
-/// of the formats before this one. Always `Corrupt` — `BadTag` for the
-/// retired magics — never a panic, never a shorter answer.
+/// hold, a delta row naming one node twice, a weights segment of an
+/// impossible length, a `Versions` row under a key that is no
+/// `(nid, tsid)`, and rows carrying the magics of the formats before
+/// this one. Always `Corrupt` — `BadTag` for the retired magics —
+/// never a panic, never a shorter answer. One row pins what is not
+/// refused: a wrong restart, which only the full read of a delta row
+/// checks, so a lone point read behind it answers the wrong node.
 #[test]
 fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
     let events = trace();
@@ -617,12 +626,69 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
     eof(tgi.try_snapshot(end).map(drop));
     eof(tgi.try_node_at(1, end).map(drop));
 
-    // The magic of the rows whose records opened with two counts.
-    let mut retired = root_row.to_vec();
-    retired[0] = 0xC3;
-    put_everywhere(store, Table::Deltas, &root.encode(), Bytes::from(retired));
-    bad_tag(0xC3)(tgi.try_snapshot(end).map(drop));
-    bad_tag(0xC3)(tgi.try_node_at(1, end).map(drop));
+    // The magics of the rows whose records opened with two counts, and
+    // of the rows that kept a byte length per record.
+    for magic in [0xC3, 0xC4] {
+        let mut retired = root_row.to_vec();
+        retired[0] = magic;
+        put_everywhere(store, Table::Deltas, &root.encode(), Bytes::from(retired));
+        bad_tag(magic)(tgi.try_snapshot(end).map(drop));
+        bad_tag(magic)(tgi.try_node_at(1, end).map(drop));
+    }
+
+    // A zero id gap: the row's second record claims its first node
+    // again. The full read and the point read of that node refuse it
+    // alike — neither merges the two records, neither answers the first.
+    let mut twice = common::RowSegments::parse(&root_row);
+    let ids = &mut twice.segs[0].1;
+    let mut b: &[u8] = ids;
+    let first = get_varint(&mut b).unwrap();
+    let second_gap_at = ids.len() - b.len();
+    get_varint(&mut b).unwrap();
+    let rest = b.to_vec();
+    ids.truncate(second_gap_at);
+    ids.push(0);
+    ids.extend_from_slice(&rest);
+    put_everywhere(store, Table::Deltas, &root.encode(), twice.assemble());
+    let zero_gap = Err(StoreError::Corrupt(CodecError::BadRef {
+        what: "node-id gap",
+        id: 0,
+    }));
+    assert_eq!(tgi.try_snapshot(end).map(drop), zero_gap);
+    assert_eq!(tgi.try_node_at(first, end).map(drop), zero_gap);
+
+    // The first restart one byte short. Only the full read checks a
+    // restart, so only it refuses the row; a lone point read of a node
+    // in a window behind it skips from inside a record and answers
+    // `Ok` — the wrong description, for every such node of this row.
+    let truth = Delta::snapshot_by_replay(&events, end);
+    let mut ids: Vec<u64> = ColumnarDelta::parse(root_row.clone())
+        .and_then(|row| row.to_delta())
+        .unwrap()
+        .iter()
+        .map(|n| n.id)
+        .collect();
+    ids.sort_unstable();
+    assert!(ids.len() > 16, "the row has a restart");
+    let mut short = common::RowSegments::parse(&root_row);
+    let mut b: &[u8] = &short.segs[1].1;
+    let w0 = get_varint(&mut b).unwrap();
+    let mut restarts = BytesMut::new();
+    put_varint(&mut restarts, w0 - 1);
+    restarts.extend_from_slice(b);
+    short.segs[1].1 = restarts.to_vec();
+    put_everywhere(store, Table::Deltas, &root.encode(), short.assemble());
+    assert_eq!(
+        tgi.try_snapshot(end).map(drop),
+        Err(StoreError::Corrupt(CodecError::BadRef {
+            what: "restart",
+            id: w0 - 1,
+        }))
+    );
+    for (i, &id) in ids.iter().enumerate() {
+        let got = tgi.try_node_at(id, end).expect("a parseable record");
+        assert_eq!(got.as_ref() == truth.node(id), i < 16, "node {id}");
+    }
 
     put_everywhere(store, Table::Deltas, &root.encode(), root_row);
     assert_eq!(

@@ -42,7 +42,10 @@
 //! only record codecs of the crate and `put_edge_list` /
 //! `get_edge_list` its only edge-list loops: the columnar records call
 //! them too, passing interned-key pair codecs, so the index and the
-//! baselines' rows share one grammar.
+//! baselines' rows share one grammar. `skip_record` sits beside
+//! `get_record` and follows the same grammar, building nothing: it is
+//! how a point read of a columnar row steps over the records between a
+//! restart point and the one it wants.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -122,12 +125,20 @@ pub fn put_varint(buf: &mut BytesMut, v: u64) {
 /// Read an LEB128 varint.
 #[inline]
 pub fn get_varint(buf: &mut &[u8]) -> Result<u64, CodecError> {
-    // Fast path: single-byte varints dominate every column (delta
-    // timestamps, dictionary indexes, small lengths).
+    // Fast paths: single-byte varints dominate every column (delta
+    // timestamps, dictionary indexes, small lengths), and two bytes
+    // hold the node-id gaps of a delta row's id column that a point
+    // read scans.
     if let Some((&b, rest)) = buf.split_first() {
         if b & 0x80 == 0 {
             *buf = rest;
             return Ok(b as u64);
+        }
+        if let Some((&b1, rest)) = rest.split_first() {
+            if b1 & 0x80 == 0 {
+                *buf = rest;
+                return Ok((b & 0x7f) as u64 | (b1 as u64) << 7);
+            }
         }
     }
     get_varint_slow(buf)
@@ -525,6 +536,134 @@ pub(crate) fn get_record(
     Ok(head.n_attrs)
 }
 
+/// Skip the record at the cursor — exactly the bytes `get_record`
+/// and the pairs after it consume — without building it: no
+/// edge-list, no attribute value, nothing allocated. It follows
+/// `get_record`'s grammar field by field: the same head, the same
+/// `EdgeDir` and `AttrValue` tag checks (what it does not check — a
+/// varint over ten bytes, a string's UTF-8, a key's dictionary index —
+/// the full read of the row does). Nothing is sized by a count, so an
+/// entry count the bytes cannot hold simply runs out of them.
+/// `skip_key` skips one pair's key (the inverse of what `put_pairs`
+/// wrote before each value). A default-shape edge-list — every entry
+/// undirected, unit-weight, attribute-free — is one run of neighbor
+/// varints, skipped without a per-entry branch. The point read of a
+/// columnar delta row skips its way from a restart point to the
+/// record it wants with this.
+pub(crate) fn skip_record(
+    buf: &mut &[u8],
+    mut skip_key: impl FnMut(&mut &[u8]) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
+    let head = get_record_head(buf)?;
+    let shape = head.shape;
+    if shape == SHAPE_MASK {
+        skip_varints(buf, head.n_edges)?;
+    } else {
+        for _ in 0..head.n_edges {
+            skip_varints(buf, 1)?;
+            if shape & SHAPE_ALL_BOTH == 0 {
+                let tag = get_u8(buf)?;
+                if EdgeDir::from_tag(tag).is_none() {
+                    return Err(CodecError::BadTag {
+                        what: "EdgeDir",
+                        tag,
+                    });
+                }
+            }
+            if shape & SHAPE_UNIT_WEIGHTS == 0 {
+                skip_bytes(buf, 4)?;
+            }
+            if shape & SHAPE_NO_ATTRS == 0 && get_u8(buf)? != 0 {
+                let n = get_len(buf, "attrs")?;
+                skip_pairs(buf, n, &mut skip_key)?;
+            }
+        }
+    }
+    skip_pairs(buf, head.n_attrs, &mut skip_key)
+}
+
+/// Skip `n` LEB128 varints. A varint ends at each byte whose high bit
+/// is clear, so whole words of eight bytes are counted at once — a
+/// hub's edge-list is thousands of varints. Where the `n` varints end
+/// is where `n` calls of [`get_varint`] end, and a cut-off one is
+/// refused alike; a varint longer than ten bytes, which `get_varint`
+/// refuses, is stepped over — a full read of the row refuses it.
+#[inline]
+fn skip_varints(buf: &mut &[u8], mut n: usize) -> Result<(), CodecError> {
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    if n == 0 {
+        return Ok(());
+    }
+    let mut pos = 0;
+    while let Some(word) = buf.get(pos..).and_then(<[u8]>::first_chunk::<8>) {
+        // Bit 7 of byte `j` set: a varint ends at byte `j`. Shifted to
+        // bit 0 of each byte, a multiply sums them into the top byte.
+        let ends = !u64::from_le_bytes(*word) & HIGH;
+        let count = ((ends >> 7).wrapping_mul(0x0101_0101_0101_0101) >> 56) as usize;
+        if count >= n {
+            let mut rest = ends;
+            for _ in 1..n {
+                rest &= rest - 1;
+            }
+            *buf = &buf[pos + (rest.trailing_zeros() / 8) as usize + 1..];
+            return Ok(());
+        }
+        n -= count;
+        pos += 8;
+    }
+    for (i, &b) in buf.iter().enumerate().skip(pos) {
+        if b & 0x80 == 0 {
+            n -= 1;
+            if n == 0 {
+                *buf = &buf[i + 1..];
+                return Ok(());
+            }
+        }
+    }
+    Err(CodecError::UnexpectedEof {
+        needed: 1,
+        remaining: 0,
+    })
+}
+
+fn skip_bytes(buf: &mut &[u8], n: usize) -> Result<(), CodecError> {
+    let Some(rest) = buf.get(n..) else {
+        return Err(CodecError::UnexpectedEof {
+            needed: n,
+            remaining: buf.len(),
+        });
+    };
+    *buf = rest;
+    Ok(())
+}
+
+/// Skip `n` attribute pairs: a key (`skip_key`) and a value each.
+fn skip_pairs(
+    buf: &mut &[u8],
+    n: usize,
+    skip_key: &mut impl FnMut(&mut &[u8]) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
+    for _ in 0..n {
+        skip_key(buf)?;
+        match get_u8(buf)? {
+            0 => skip_varints(buf, 1)?,
+            1 => skip_bytes(buf, 8)?,
+            2 => {
+                let len = get_len(buf, "string")?;
+                skip_bytes(buf, len)?;
+            }
+            3 => skip_bytes(buf, 1)?,
+            tag => {
+                return Err(CodecError::BadTag {
+                    what: "AttrValue",
+                    tag,
+                })
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Serialize one static node description.
 pub fn put_static_node(buf: &mut BytesMut, n: &StaticNode) {
     put_varint(buf, n.id);
@@ -545,11 +684,10 @@ pub fn get_static_node(buf: &mut &[u8]) -> Result<StaticNode, CodecError> {
 /// tests rely on).
 pub fn encode_delta(d: &Delta) -> Bytes {
     let mut buf = BytesMut::with_capacity(64 + d.size() * 3);
-    let ids = d.sorted_ids();
-    put_varint(&mut buf, ids.len() as u64);
-    for id in ids {
-        // hgs-lint: allow(no-panic-in-try, "sorted_ids yields only ids present in this delta")
-        put_static_node(&mut buf, d.node(id).expect("id from sorted_ids"));
+    let nodes = d.sorted_nodes();
+    put_varint(&mut buf, nodes.len() as u64);
+    for n in nodes {
+        put_static_node(&mut buf, n);
     }
     buf.freeze()
 }
@@ -747,6 +885,8 @@ pub fn decode_eventlist(mut buf: &[u8]) -> Result<Eventlist, CodecError> {
 mod tests {
     use super::*;
     use crate::types::NodeId;
+
+    use proptest::prelude::*;
 
     #[test]
     fn varint_roundtrip_edges() {
@@ -1149,6 +1289,152 @@ mod tests {
             record_back(&mut slice),
             Err(CodecError::LengthOverflow { what: "edges", .. })
         ));
+    }
+
+    #[test]
+    fn skip_varints_ends_where_get_varint_ends() {
+        // Byte strings of varints of any length, cut anywhere: skipping
+        // `n` varints ends where `n` reads end, and a cut-off one is
+        // refused alike.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..20_000 {
+            let len = (next() % 40) as usize;
+            let cont = next() % 4;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    let b = next() as u8 & 0x7f;
+                    if next() % 4 < cont {
+                        b | 0x80
+                    } else {
+                        b
+                    }
+                })
+                .collect();
+            let n = (next() % 12) as usize;
+            let mut read: &[u8] = &bytes;
+            let want = (0..n).try_for_each(|_| get_varint(&mut read).map(drop));
+            let mut skipped: &[u8] = &bytes;
+            let got = skip_varints(&mut skipped, n);
+            match want {
+                Ok(()) => {
+                    assert_eq!(got, Ok(()), "{bytes:02x?}, n = {n}");
+                    assert_eq!(skipped.len(), read.len(), "{bytes:02x?}, n = {n}");
+                }
+                Err(CodecError::UnexpectedEof { .. }) => {
+                    assert!(
+                        matches!(got, Err(CodecError::UnexpectedEof { .. })),
+                        "{bytes:02x?}, n = {n}"
+                    );
+                }
+                Err(_) => {}
+            }
+        }
+    }
+
+    /// A node description for the skip fuzz: a few entries, sometimes
+    /// more than the six a record head holds, most of them default;
+    /// node attributes now and then, sometimes more than the two the
+    /// head holds.
+    fn arb_record_node() -> impl Strategy<Value = StaticNode> {
+        let pairs = |len| {
+            prop::collection::vec(
+                (
+                    "[a-c]{1,3}",
+                    prop_oneof![
+                        (-100i64..100).prop_map(AttrValue::Int),
+                        (-4.0f64..4.0).prop_map(AttrValue::Float),
+                        "[a-z]{0,6}".prop_map(AttrValue::Text),
+                        any::<bool>().prop_map(AttrValue::Bool),
+                    ],
+                ),
+                len,
+            )
+        };
+        let entries = |len| {
+            let entry = (
+                0u64..1 << 40,
+                prop_oneof![6 => Just(EdgeDir::Both), 1 => Just(EdgeDir::Out), 1 => Just(EdgeDir::In)],
+                prop_oneof![6 => Just(1.0f32), 1 => 0.0f32..4.0],
+                prop_oneof![8 => Just(Vec::new()), 1 => pairs(1..3)],
+            )
+                .prop_map(|(nbr, dir, weight, pairs)| {
+                    let mut e = Neighbor::weighted(nbr, dir, weight);
+                    for (k, v) in pairs {
+                        e.set_attr(k, v);
+                    }
+                    e
+                });
+            prop::collection::vec(entry, len)
+        };
+        (
+            0u64..1 << 40,
+            prop_oneof![4 => entries(0..4), 1 => entries(4..12)],
+            prop_oneof![3 => Just(Vec::new()), 1 => pairs(1..5)],
+        )
+            .prop_map(|(id, edges, pairs)| {
+                let mut n = StaticNode::new(id);
+                for e in edges {
+                    n.insert_edge(e);
+                }
+                for (k, v) in pairs {
+                    n.attrs.set(k, v);
+                }
+                n
+            })
+    }
+
+    /// Skip one inline pair key: a length-prefixed string.
+    fn skip_inline_key(b: &mut &[u8]) -> Result<(), CodecError> {
+        let len = get_len(b, "string")?;
+        skip_bytes(b, len)
+    }
+
+    proptest! {
+        /// On a description unchanged, with a byte replaced, bytes
+        /// inserted, cut short or replaced by arbitrary bytes, followed
+        /// by whatever else a buffer holds: wherever `get_record` and
+        /// its pairs accept the record, `skip_record` accepts it too
+        /// and ends where they end.
+        #[test]
+        fn skip_record_steps_over_what_get_record_reads(
+            n in arb_record_node(),
+            mutation in 0u8..5,
+            at in any::<u64>(),
+            extra in prop::collection::vec(any::<u8>(), 1..5),
+            arbitrary in prop::collection::vec(any::<u8>(), 0..48),
+            tail in prop::collection::vec(any::<u8>(), 0..4),
+        ) {
+            let mut buf = BytesMut::new();
+            put_static_node(&mut buf, &n);
+            let mut bytes = buf.to_vec();
+            let at = (at % (bytes.len() as u64 + 1)) as usize;
+            match mutation {
+                1 if at < bytes.len() => bytes[at] = extra[0],
+                2 => drop(bytes.splice(at..at, extra)),
+                3 => bytes.truncate(at),
+                4 => bytes = arbitrary,
+                _ => {}
+            }
+            bytes.extend_from_slice(&tail);
+            let mut read: &[u8] = &bytes;
+            let mut skipped: &[u8] = &bytes;
+            let ok = get_static_node(&mut read).is_ok();
+            if ok {
+                get_varint(&mut skipped).unwrap();
+                prop_assert_eq!(skip_record(&mut skipped, skip_inline_key), Ok(()));
+                prop_assert_eq!(read.len(), skipped.len());
+            }
+            if mutation == 0 {
+                prop_assert!(ok);
+                prop_assert_eq!(read.len(), tail.len());
+            }
+        }
     }
 
     #[test]

@@ -31,12 +31,33 @@
 //!   and the kinds column alone says what it held. Any other length is
 //!   corrupt, and every payload column holds exactly the entries its
 //!   kinds call for: an unread byte is [`CodecError::TrailingBytes`];
-//! * a delta row holds a sorted node-id column, a record-length
-//!   column, an interned attribute-key dictionary, and a concatenated
-//!   per-node record segment; full replays stream ids + records only
-//!   (records are self-delimiting), while pruned per-node lookups
-//!   scan the id and length columns in lockstep up to the node and
-//!   slice one record.
+//! * a delta row holds a sorted node-id column, a restart column, an
+//!   interned attribute-key dictionary, and a concatenated per-node
+//!   record segment:
+//!
+//!   ```text
+//!   ids      := varint first_id, varint gap{n−1}        each gap ≥ 1
+//!   restarts := varint window_len{⌊n / 16⌋}
+//!   records  := record{n}
+//!   ```
+//!
+//!   where `window_len` is the byte length of records `16w .. 16w+16`,
+//!   one raw varint per full window (a row of fewer than 16 records
+//!   has none), as a LevelDB data block keeps a restart point every
+//!   few keys. Ids accumulate with checked adds, and a zero gap — two
+//!   records for one node — is refused. The full read (`sum_into`)
+//!   streams ids and records in lockstep (records are
+//!   self-delimiting) and holds every restart to the bytes its window
+//!   actually took. A point read (`node_record`, `sum_node_into`,
+//!   `contains`) scans the id column to the node's index `i` — a miss
+//!   decodes nothing else — sums the first `⌊i / 16⌋` restarts to find
+//!   its window, and steps over the `i mod 16` records before it with
+//!   `codec::skip_record`, so on every row the full read accepts the
+//!   two reads agree. Only the full read checks the restarts: a point
+//!   read alone does not detect a wrong one, and may then answer
+//!   another node's record, or one parsed from inside a record, as
+//!   `Ok` (a point read of a row nothing has read in full yet).
+//!
 //!   A record is written in the grammar of [`crate::codec`] — one
 //!   head byte holding the edge-list's shape bits and both counts when
 //!   they are small (at most six entries, at most two node
@@ -64,8 +85,8 @@
 //!
 //! Segments are decompressed lazily and memoized, so a query
 //! materializes only the columns it touches: a `node_at` probe whose
-//! node is absent from the dictionary stops after the dictionary
-//! segment; a structural replay never decompresses attribute values.
+//! node is absent from the dictionary (or the id column) stops after
+//! that segment; a structural replay never decompresses attribute values.
 //! Every decompressed segment is charged to
 //! [`crate::codec::decoded_bytes`], which is how tests and benches see
 //! what a query's column pruning saved.
@@ -90,7 +111,7 @@ use crate::attr::{AttrValue, Attrs};
 use crate::bits::{check_rice_k, rice_k, width_for, BitReader, BitWriter};
 use crate::codec::{
     get_attr_value, get_f32, get_len, get_record, get_str, get_u8, get_varint, note_decoded,
-    put_attr_value, put_f32, put_record, put_str, put_varint,
+    put_attr_value, put_f32, put_record, put_str, put_varint, skip_record,
 };
 use crate::compress::{compress, decompress, decompressed_len};
 use crate::delta::Delta;
@@ -116,8 +137,9 @@ pub enum StorageLayout {
 /// rows whose records opened with an `edge_count` varint, a shape byte
 /// and an `attr_count` varint where one head byte now stands; `0xC5`
 /// eventlist rows that spelled every node-id gap, time gap, kind tag
-/// and dictionary index in whole bytes.
-const DELTA_MAGIC: u8 = 0xC4;
+/// and dictionary index in whole bytes; `0xC4` delta rows that kept a
+/// byte length for every record where a restart column now stands.
+const DELTA_MAGIC: u8 = 0xC7;
 const ELIST_MAGIC: u8 = 0xC6;
 
 const ELIST_SEGS: usize = 8;
@@ -132,9 +154,15 @@ const SEG_ATTR_VALS: usize = 7;
 
 const DELTA_SEGS: usize = 4;
 const SEG_NODE_IDS: usize = 0;
-const SEG_RECORD_LENS: usize = 1;
+const SEG_RESTARTS: usize = 1;
 const SEG_DKEY_DICT: usize = 2;
 const SEG_RECORDS: usize = 3;
+
+/// Records per restart window of a delta row: the restart column holds
+/// the byte length of every full window, and a point read parses at
+/// most `RESTART_INTERVAL - 1` records past the restart it starts
+/// from. A constant of the grammar, not a knob.
+const RESTART_INTERVAL: usize = 16;
 
 // ----------------------------------------------------------------------
 // kind-tag helpers (tags match the row-wise codec's event tags)
@@ -1053,7 +1081,7 @@ fn put_node_record(buf: &mut BytesMut, n: &StaticNode, keys: &[&str]) {
 }
 
 /// Parse one record from a running cursor into a fresh description;
-/// records are self-delimiting, so the caller needs no length column.
+/// records are self-delimiting, so a cursor is all the caller needs.
 fn parse_record_from(id: NodeId, b: &mut &[u8], keys: &[String]) -> Result<StaticNode, CodecError> {
     let mut edges = Vec::new();
     let n_attrs = get_record(b, &mut edges, |b, n| get_interned_pairs(b, n, keys))?;
@@ -1102,13 +1130,13 @@ fn sum_record<'a>(
     }
 }
 
-/// Serialize a delta in the columnar layout: sorted node-id and
-/// record-length columns, interned attribute-key dictionary,
-/// concatenated per-node records.
+/// Serialize a delta in the columnar layout: sorted node-id column,
+/// restart column, interned attribute-key dictionary, concatenated
+/// per-node records.
 pub fn encode_columnar_delta(d: &Delta) -> Bytes {
-    let ids = d.sorted_ids();
+    let nodes = d.sorted_nodes();
     let mut keys: Vec<&str> = Vec::new();
-    for n in d.iter() {
+    for n in &nodes {
         for (k, _) in n.attrs.iter() {
             keys.push(k);
         }
@@ -1129,42 +1157,62 @@ pub fn encode_columnar_delta(d: &Delta) -> Bytes {
         put_str(&mut key_dict, k);
     }
 
-    let mut id_col = BytesMut::with_capacity(ids.len() * 2);
-    let mut len_col = BytesMut::with_capacity(ids.len() * 2);
+    let mut id_col = BytesMut::with_capacity(nodes.len() * 2);
+    let mut restarts = BytesMut::new();
     let mut records = BytesMut::with_capacity(d.size() * 3);
-    let mut prev = 0u64;
-    for &id in &ids {
-        let start = records.len();
-        // hgs-lint: allow(no-panic-in-try, "sorted_ids yields only ids present in this delta")
-        put_node_record(&mut records, d.node(id).expect("id from sorted_ids"), &keys);
-        put_varint(&mut id_col, id.wrapping_sub(prev));
-        prev = id;
-        put_varint(&mut len_col, (records.len() - start) as u64);
+    let (mut prev, mut window) = (0u64, 0usize);
+    for (i, n) in nodes.iter().enumerate() {
+        put_varint(&mut id_col, n.id - prev);
+        prev = n.id;
+        put_node_record(&mut records, n, &keys);
+        if (i + 1) % RESTART_INTERVAL == 0 {
+            put_varint(&mut restarts, (records.len() - window) as u64);
+            window = records.len();
+        }
     }
 
-    // The record and node-id columns carry the bulk of every cold
-    // full replay, so they stay raw (zero-copy sub-slices at decode
-    // time; `NEVER_COMPRESS`). Records are already factored — a
-    // shape byte per edge-list, then little but delta-varint neighbor
-    // ids — which leaves LZSS nothing worth its replay time. The
-    // length and key-dictionary columns are off the full-replay path,
-    // so any saving is welcome there.
-    let mut min_save = [1; DELTA_SEGS];
-    min_save[SEG_RECORDS] = NEVER_COMPRESS;
-    min_save[SEG_NODE_IDS] = NEVER_COMPRESS;
+    // The record, node-id and restart columns are what every read of
+    // the row walks, so they stay raw (zero-copy sub-slices at decode
+    // time; `NEVER_COMPRESS`). Records are already factored — a head
+    // byte per record, then little but delta-varint neighbor ids —
+    // which leaves LZSS nothing worth its replay time. Only the key
+    // dictionary, text, compresses when it pays.
+    let mut min_save = [NEVER_COMPRESS; DELTA_SEGS];
+    min_save[SEG_DKEY_DICT] = 1;
     assemble(
         DELTA_MAGIC,
-        ids.len(),
-        &[&id_col, &len_col, &key_dict, &records],
+        nodes.len(),
+        &[&id_col, &restarts, &key_dict, &records],
         &min_save,
     )
 }
 
-/// A parsed columnar delta row: node-id + record-length columns, key
+/// The next id of a delta row's id column, `prev` the one before it:
+/// the first id is its own gap, every later one its predecessor plus
+/// a gap of at least one. A zero gap — a second record for one node —
+/// or one past `u64::MAX` is refused, by the full read and the point
+/// read alike, so the two never disagree on which records a node has.
+fn next_id(ib: &mut &[u8], prev: Option<NodeId>) -> Result<NodeId, CodecError> {
+    let gap = get_varint(ib)?;
+    match prev {
+        None => Ok(gap),
+        Some(_) if gap == 0 => Err(CodecError::BadRef {
+            what: "node-id gap",
+            id: 0,
+        }),
+        Some(p) => p.checked_add(gap).ok_or(CodecError::VarintOverflow),
+    }
+}
+
+/// A pair key of a columnar record: a key-dictionary index.
+fn skip_interned_key(b: &mut &[u8]) -> Result<(), CodecError> {
+    get_varint(b).map(drop)
+}
+
+/// A parsed columnar delta row: node-id and restart columns, key
 /// dictionary, and record segment, decoded lazily. Supports per-node
-/// record extraction without parsing unrelated records, and skips the
-/// record segment entirely when the probed node is absent from the
-/// id column.
+/// record extraction without parsing unrelated records, and skips
+/// everything past the id column when the probed node is absent.
 #[derive(Debug)]
 pub struct ColumnarDelta {
     backing: Bytes,
@@ -1172,9 +1220,10 @@ pub struct ColumnarDelta {
     segs: [Range<usize>; DELTA_SEGS],
     raw_lens: [usize; DELTA_SEGS],
     comp: [bool; DELTA_SEGS],
-    /// The decoded node-id and record-length columns: together the
-    /// row's node index.
-    index_cols: OnceLock<Result<(Bytes, Bytes), CodecError>>,
+    /// The decoded node-id column: the row's node index.
+    ids: OnceLock<Result<Bytes, CodecError>>,
+    /// The decoded restart column: where each window of records starts.
+    restarts: OnceLock<Result<Bytes, CodecError>>,
     key_dict: OnceLock<Result<Vec<String>, CodecError>>,
     records: OnceLock<Result<Bytes, CodecError>>,
 }
@@ -1194,7 +1243,8 @@ impl ColumnarDelta {
             segs,
             raw_lens,
             comp,
-            index_cols: OnceLock::new(),
+            ids: OnceLock::new(),
+            restarts: OnceLock::new(),
             key_dict: OnceLock::new(),
             records: OnceLock::new(),
         })
@@ -1228,39 +1278,75 @@ impl ColumnarDelta {
         Ok(raw)
     }
 
-    /// Byte range of `nid`'s record within the record segment, or
-    /// `None` if the row has no record for it: a lockstep scan of the
-    /// sorted id column and the length column that stops at the first
-    /// id not below `nid`. A point read touches a row once, so there
-    /// is no index structure to build — the two small columns are the
-    /// index.
-    fn record_range(&self, nid: NodeId) -> Result<Option<Range<usize>>, CodecError> {
-        let (ids, lens) = self
-            .index_cols
-            .get_or_init(|| {
-                Ok((
-                    self.decode_seg(SEG_NODE_IDS)?,
-                    self.decode_seg(SEG_RECORD_LENS)?,
-                ))
-            })
+    /// Segment `i`, decoded once into `cell` for the point reads.
+    fn memo_seg<'a>(
+        &self,
+        cell: &'a OnceLock<Result<Bytes, CodecError>>,
+        i: usize,
+    ) -> Result<&'a Bytes, CodecError> {
+        cell.get_or_init(|| self.decode_seg(i))
             .as_ref()
-            .map_err(|e| e.clone())?;
-        let mut ib: &[u8] = ids;
-        let mut lb: &[u8] = lens;
-        let (mut id, mut off) = (0u64, 0usize);
-        for _ in 0..self.n_nodes {
-            id = id.wrapping_add(get_varint(&mut ib)?);
-            let len = get_len(&mut lb, "record")?;
-            let end = off.checked_add(len).ok_or(CodecError::LengthOverflow {
-                what: "record",
-                len: len as u64,
-            })?;
-            if id >= nid {
-                return Ok((id == nid).then_some(off..end));
+            .map_err(|e| e.clone())
+    }
+
+    /// The index of `nid`'s record among the row's, or `None` if the
+    /// row has none: a scan of the sorted id column up to the first id
+    /// past `nid`. A point read touches a row once, so there is no
+    /// index structure to build — the id column is the index, and a
+    /// miss decodes nothing else. Reading the id after a hit holds its
+    /// gap to [`next_id`]'s rule as the full read does.
+    fn node_index(&self, nid: NodeId) -> Result<Option<usize>, CodecError> {
+        let mut ib: &[u8] = self.memo_seg(&self.ids, SEG_NODE_IDS)?;
+        let (mut prev, mut hit) = (None, None);
+        for i in 0..self.n_nodes {
+            let id = next_id(&mut ib, prev)?;
+            if id > nid {
+                break;
             }
-            off = end;
+            if id == nid {
+                hit = Some(i);
+            }
+            prev = Some(id);
         }
-        Ok(None)
+        Ok(hit)
+    }
+
+    /// The record segment from `nid`'s record on, or `None` if the row
+    /// has no record for it: the restart of the record's window, then
+    /// [`skip_record`] over at most `RESTART_INTERVAL - 1` records
+    /// before it. [`ColumnarDelta::sum_into`] holds every restart to
+    /// the records it spans, so on a row the full read accepts this
+    /// lands where the full read parses `nid`'s record. It does not
+    /// check a restart itself: after a wrong one it may land inside a
+    /// record or on another one, and the caller may parse a record
+    /// from there.
+    fn record_at(&self, nid: NodeId) -> Result<Option<&[u8]>, CodecError> {
+        let Some(i) = self.node_index(nid)? else {
+            return Ok(None);
+        };
+        let mut start = 0usize;
+        let window = i / RESTART_INTERVAL;
+        if window > 0 {
+            let mut sb: &[u8] = self.memo_seg(&self.restarts, SEG_RESTARTS)?;
+            for _ in 0..window {
+                let len = get_len(&mut sb, "restart")?;
+                start = start.checked_add(len).ok_or(CodecError::LengthOverflow {
+                    what: "restart",
+                    len: len as u64,
+                })?;
+            }
+        }
+        let records = self.memo_seg(&self.records, SEG_RECORDS)?;
+        let Some(mut b) = records.get(start..) else {
+            return Err(CodecError::UnexpectedEof {
+                needed: start,
+                remaining: records.len(),
+            });
+        };
+        for _ in 0..i % RESTART_INTERVAL {
+            skip_record(&mut b, skip_interned_key)?;
+        }
+        Ok(Some(b))
     }
 
     fn key_dict(&self) -> Result<&[String], CodecError> {
@@ -1283,47 +1369,22 @@ impl ColumnarDelta {
             .map_err(|e| e.clone())
     }
 
-    fn records(&self) -> Result<&Bytes, CodecError> {
-        self.records
-            .get_or_init(|| self.decode_seg(SEG_RECORDS))
-            .as_ref()
-            .map_err(|e| e.clone())
-    }
-
-    /// Whether a record for `nid` is present (decodes only the two
-    /// index columns).
+    /// Whether a record for `nid` is present (decodes only the id
+    /// column).
     pub fn contains(&self, nid: NodeId) -> Result<bool, CodecError> {
-        Ok(self.record_range(nid)?.is_some())
-    }
-
-    /// `nid`'s record slice, or `None` if the row has no record for
-    /// `nid`. On an index miss the record segment is not decoded.
-    fn record_slice(&self, nid: NodeId) -> Result<Option<&[u8]>, CodecError> {
-        let Some(range) = self.record_range(nid)? else {
-            return Ok(None);
-        };
-        let records = self.records()?;
-        let record = records
-            .get(range.clone())
-            .ok_or(CodecError::UnexpectedEof {
-                needed: range.end,
-                remaining: records.len(),
-            })?;
-        Ok(Some(record))
+        Ok(self.node_index(nid)?.is_some())
     }
 
     /// Extract the record for one node, or `None` if absent — the
     /// node's whole description in an aux row, its piece in a tree
-    /// row. On a miss neither the record segment nor the key
-    /// dictionary is decoded; on a hit only `nid`'s record slice is
-    /// parsed.
+    /// row. On a miss only the id column is decoded; on a hit `nid`'s
+    /// record is parsed, after skipping the at most 15 records between
+    /// it and the restart of its 16-record window.
     pub fn node_record(&self, nid: NodeId) -> Result<Option<StaticNode>, CodecError> {
-        let Some(mut record) = self.record_slice(nid)? else {
+        let Some(mut record) = self.record_at(nid)? else {
             return Ok(None);
         };
-        let node = parse_record_from(nid, &mut record, self.key_dict()?)?;
-        no_trailing(record.len())?;
-        Ok(Some(node))
+        parse_record_from(nid, &mut record, self.key_dict()?).map(Some)
     }
 
     /// Decode every record as a description of its own and reassemble
@@ -1347,9 +1408,9 @@ impl ColumnarDelta {
     /// [`Delta::sum_assign`].
     ///
     /// Streams the id and record cursors in lockstep — records are
-    /// self-delimiting, so the record-length column is never touched
-    /// and a cold full replay pays exactly the row-wise parse plus one
-    /// id varint per node. On `Err` — including
+    /// self-delimiting — and holds the row to what the point read
+    /// relies on: ids strictly ascending, and every restart equal to
+    /// the bytes its window of 16 records took. On `Err` — including
     /// [`CodecError::RepeatedComponent`] — `state` is partly summed
     /// and must be dropped.
     pub fn sum_into(
@@ -1359,34 +1420,48 @@ impl ColumnarDelta {
     ) -> Result<(), CodecError> {
         let keys = self.key_dict()?;
         let iraw = self.decode_seg(SEG_NODE_IDS)?;
+        let sraw = self.decode_seg(SEG_RESTARTS)?;
         let rraw = self.decode_seg(SEG_RECORDS)?;
         let mut ib: &[u8] = &iraw;
+        let mut sb: &[u8] = &sraw;
         let mut rb: &[u8] = &rraw;
         // Onto nothing every record is a new node; further down a
-        // path most records land on nodes already there.
+        // path most records land on nodes already there. Every id takes
+        // a byte, so the id column bounds what a header count asks for.
         if state.is_empty() {
-            state.reserve(self.n_nodes.min(1 << 20));
+            state.reserve(self.n_nodes.min(iraw.len()));
         }
-        let mut prev = 0u64;
-        for _ in 0..self.n_nodes {
-            prev = prev.wrapping_add(get_varint(&mut ib)?);
-            let node = sum_record(state, prev, &mut rb, keys)?;
+        // What was left of the record segment where the window began.
+        let (mut prev, mut window) = (None, rb.len());
+        for i in 0..self.n_nodes {
+            let id = next_id(&mut ib, prev)?;
+            prev = Some(id);
+            let node = sum_record(state, id, &mut rb, keys)?;
             if let Some(completed) = completed.as_deref_mut() {
                 completed.insert_shared(Arc::clone(node));
             }
+            if (i + 1) % RESTART_INTERVAL == 0 {
+                let restart = get_varint(&mut sb)?;
+                if restart != (window - rb.len()) as u64 {
+                    return Err(CodecError::BadRef {
+                        what: "restart",
+                        id: restart,
+                    });
+                }
+                window = rb.len();
+            }
         }
-        no_trailing(ib.len() + rb.len())
+        no_trailing(ib.len() + sb.len() + rb.len())
     }
 
     /// [`ColumnarDelta::sum_into`] restricted to one node: apply
     /// `nid`'s record, if this row has one, to `state`. Decodes what
     /// [`ColumnarDelta::node_record`] decodes.
     pub fn sum_node_into(&self, nid: NodeId, state: &mut Delta) -> Result<(), CodecError> {
-        let Some(mut record) = self.record_slice(nid)? else {
+        let Some(mut record) = self.record_at(nid)? else {
             return Ok(());
         };
-        sum_record(state, nid, &mut record, self.key_dict()?)?;
-        no_trailing(record.len())
+        sum_record(state, nid, &mut record, self.key_dict()?).map(drop)
     }
 }
 
@@ -1571,7 +1646,7 @@ mod tests {
         assert!(!col.contains(999).unwrap());
         assert_eq!(col.node_record(999).unwrap(), None);
         let decoded = (crate::codec::decoded_bytes_here() - before) as usize;
-        assert!(decoded <= col.raw_lens[SEG_NODE_IDS] + col.raw_lens[SEG_RECORD_LENS]);
+        assert!(decoded <= col.raw_lens[SEG_NODE_IDS]);
         assert!(decoded < col.raw_len_total());
     }
 
@@ -1600,7 +1675,7 @@ mod tests {
         let delta = encode_columnar_delta(&sample_delta());
         let elist = encode_columnar_eventlist(&Eventlist::from_sorted(sample_events()));
         assert_eq!((delta[0], elist[0]), (DELTA_MAGIC, ELIST_MAGIC));
-        for retired in [0xC1u8, 0xC2, 0xC3, 0xC5] {
+        for retired in [0xC1u8, 0xC2, 0xC3, 0xC4, 0xC5] {
             let mut old = delta.to_vec();
             old[0] = retired;
             assert!(matches!(
@@ -1678,6 +1753,21 @@ mod tests {
         }
     }
 
+    /// A row of `count` records from its raw `segs`, segment `i` made
+    /// `edit` of what it holds, every segment stored raw.
+    fn reassembled(
+        magic: u8,
+        count: usize,
+        segs: Vec<Bytes>,
+        i: usize,
+        edit: impl FnOnce(&[u8]) -> Vec<u8>,
+    ) -> Bytes {
+        let edited = edit(&segs[i]);
+        let mut raw: Vec<&[u8]> = segs.iter().map(|b| &b[..]).collect();
+        raw[i] = &edited;
+        assemble(magic, count, &raw, &vec![NEVER_COMPRESS; raw.len()])
+    }
+
     /// Re-assemble `el`'s row with segment `i` (raw) made `edit` of
     /// what it holds.
     fn with_segment(
@@ -1686,14 +1776,10 @@ mod tests {
         edit: impl FnOnce(&[u8]) -> Vec<u8>,
     ) -> ColumnarEventlist {
         let col = ColumnarEventlist::parse(encode_columnar_eventlist(el)).unwrap();
-        let raw: Vec<Bytes> = (0..ELIST_SEGS)
+        let segs = (0..ELIST_SEGS)
             .map(|i| col.decode_seg(i).unwrap())
             .collect();
-        let edited = edit(&raw[i]);
-        let mut segs: Vec<&[u8]> = raw.iter().map(|b| &b[..]).collect();
-        segs[i] = &edited;
-        let row = assemble(ELIST_MAGIC, el.len(), &segs, &[NEVER_COMPRESS; ELIST_SEGS]);
-        ColumnarEventlist::parse(row).unwrap()
+        ColumnarEventlist::parse(reassembled(ELIST_MAGIC, el.len(), segs, i, edit)).unwrap()
     }
 
     /// Re-assemble `el`'s row with another weights segment (raw).
@@ -2050,6 +2136,156 @@ mod tests {
         let mut state = root.clone();
         tree_row(&child).sum_into(&mut state, None).unwrap();
         assert_eq!(state.node(1).unwrap().degree(), hub.len() + 1);
+    }
+
+    /// Re-assemble `d`'s row with segment `i` (raw) made `edit` of
+    /// what it holds.
+    fn with_delta_segment(
+        d: &Delta,
+        i: usize,
+        edit: impl FnOnce(&[u8]) -> Vec<u8>,
+    ) -> ColumnarDelta {
+        let col = tree_row(d);
+        let segs = (0..DELTA_SEGS)
+            .map(|i| col.decode_seg(i).unwrap())
+            .collect();
+        ColumnarDelta::parse(reassembled(DELTA_MAGIC, d.cardinality(), segs, i, edit)).unwrap()
+    }
+
+    fn varints(values: &[u64]) -> Vec<u8> {
+        let mut b = BytesMut::new();
+        for &v in values {
+            put_varint(&mut b, v);
+        }
+        b.to_vec()
+    }
+
+    #[test]
+    fn a_zero_or_overflowing_id_gap_is_refused_by_both_reads() {
+        // Ids `[5, 1]` made `[5, 0]`: the second record claims node 5
+        // again. A full read that merged the two would answer `{1, 2}`
+        // where a point read answers `{1}`; both refuse instead.
+        let d: Delta = [node_with(5, &[1], &[]), node_with(6, &[2], &[])]
+            .into_iter()
+            .collect();
+        let zero = CodecError::BadRef {
+            what: "node-id gap",
+            id: 0,
+        };
+        let top = u64::MAX - 1;
+        let at_top: Delta = [node_with(top, &[1], &[]), node_with(top + 1, &[2], &[])]
+            .into_iter()
+            .collect();
+        for (d, ids, probe, want) in [
+            (&d, [5, 0], 5, zero),
+            (&at_top, [top, 2], top, CodecError::VarintOverflow),
+        ] {
+            let col = with_delta_segment(d, SEG_NODE_IDS, |_| varints(&ids));
+            assert_eq!(col.to_delta(), Err(want.clone()));
+            assert_eq!(col.node_record(probe), Err(want.clone()));
+            assert_eq!(col.contains(probe), Err(want.clone()));
+            assert_eq!(
+                col.sum_node_into(probe, &mut Delta::new()),
+                Err(want.clone())
+            );
+        }
+    }
+
+    /// 40 nodes: two full windows of 16 records, and 8 past them.
+    fn forty_nodes() -> Delta {
+        (0..40u64)
+            .map(|i| {
+                let mut n = node_with(3 * i, &(0..i % 5).collect::<Vec<_>>(), &[]);
+                if i % 7 == 0 {
+                    n.attrs.set("k", AttrValue::Text("v".repeat(i as usize)));
+                }
+                if i % 11 == 0 {
+                    n.insert_edge(Neighbor::weighted(900, EdgeDir::Out, 0.5));
+                    n.edges[0].set_attr("e", AttrValue::Float(1.5));
+                }
+                n
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_restart_per_full_window_and_point_reads_skip_from_it() {
+        let d = forty_nodes();
+        let col = tree_row(&d);
+        let mut restarts: &[u8] = &col.decode_seg(SEG_RESTARTS).unwrap();
+        let windows: Vec<u64> = (0..2).map(|_| get_varint(&mut restarts).unwrap()).collect();
+        assert!(restarts.is_empty(), "one restart per full window");
+        assert_eq!(
+            windows.iter().sum::<u64>() as usize,
+            col.raw_lens[SEG_RECORDS]
+                - d.sorted_nodes()[32..]
+                    .iter()
+                    .map(|n| {
+                        let mut b = BytesMut::new();
+                        put_node_record(&mut b, n, &["e", "k"]);
+                        b.len()
+                    })
+                    .sum::<usize>()
+        );
+        for n in d.iter() {
+            assert_eq!(tree_row(&d).node_record(n.id).unwrap().as_ref(), Some(n));
+            let mut one = Delta::new();
+            tree_row(&d).sum_node_into(n.id, &mut one).unwrap();
+            assert_eq!(one.node(n.id), Some(n));
+            assert!(!col.contains(n.id + 1).unwrap());
+        }
+        // Fewer than 16 records: no restart at all.
+        let small: Delta = d.iter().take(15).cloned().collect();
+        assert_eq!(tree_row(&small).raw_lens[SEG_RESTARTS], 0);
+    }
+
+    #[test]
+    fn a_restart_off_its_window_is_refused_by_the_full_read() {
+        // Moving one byte between the two windows keeps the restarts'
+        // sum, so only the check against the offsets the full read
+        // reaches catches it — where a point read past the first
+        // window would skip from a point inside a record.
+        let d = forty_nodes();
+        let col = tree_row(&d);
+        let mut b: &[u8] = &col.decode_seg(SEG_RESTARTS).unwrap();
+        let (w0, w1) = (get_varint(&mut b).unwrap(), get_varint(&mut b).unwrap());
+        for (bad, restarts, behind_the_lie) in [
+            (w0 + 1, vec![w0 + 1, w1 - 1], vec![16]),
+            (w0 - 1, vec![w0 - 1, w1 + 1], (16..32).collect()),
+            (w1 + 1, vec![w0, w1 + 1], (32..40).collect()),
+        ] {
+            let col = with_delta_segment(&d, SEG_RESTARTS, |_| varints(&restarts));
+            // A point read alone does not check restarts: on a row
+            // nothing has read in full, every record it answers here is
+            // `Ok`, and some behind the lie are parsed from bytes that
+            // are not theirs (a skip landing inside a record may fall
+            // back in step with the records a few later).
+            let wrong: Vec<u64> = (0..40u64)
+                .filter(|&i| {
+                    let got = col.node_record(3 * i).expect("a parseable record");
+                    got.as_ref() != d.node(3 * i)
+                })
+                .collect();
+            assert_eq!(wrong, behind_the_lie, "restarts {restarts:?}");
+            assert_eq!(
+                col.to_delta(),
+                Err(CodecError::BadRef {
+                    what: "restart",
+                    id: bad,
+                })
+            );
+        }
+        // One restart short, or one too many.
+        let col = with_delta_segment(&d, SEG_RESTARTS, |_| varints(&[w0]));
+        assert!(matches!(
+            col.to_delta(),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+        let col = with_delta_segment(&d, SEG_RESTARTS, |_| varints(&[w0, w1, 3]));
+        assert_eq!(
+            col.to_delta(),
+            Err(CodecError::TrailingBytes { remaining: 1 })
+        );
     }
 
     #[test]

@@ -186,6 +186,14 @@ impl Delta {
         v
     }
 
+    /// Node descriptions in sorted-id order: the walk of every
+    /// encoder, whose rows spell ids as ascending gaps.
+    pub(crate) fn sorted_nodes(&self) -> Vec<&StaticNode> {
+        let mut v: Vec<&StaticNode> = self.iter().collect();
+        v.sort_unstable_by_key(|n| n.id);
+        v
+    }
+
     /// Drain into a plain id-to-description map (shared descriptions
     /// are deep-copied out of their `Arc`s).
     pub fn into_nodes(self) -> FxHashMap<NodeId, StaticNode> {

@@ -25,38 +25,21 @@
 //! Each suite prints its Ok/Err split per mutation (`--nocapture`).
 //! Cases: `PROPTEST_CASES`, default 256.
 
-use std::collections::BTreeMap;
+mod common;
 
 use bytes::{BufMut, Bytes, BytesMut};
+use common::{
+    arb_attr_value, arb_mutation, arb_node, for_cases, mutate, Mutation, RowSegments, Split,
+};
 use hgs_delta::attr_index::{decode_term_points, encode_term_points, TermPoint};
-use hgs_delta::codec::{get_varint, put_varint};
+use hgs_delta::codec::put_varint;
 use hgs_delta::columnar::encode_columnar_eventlist;
-use hgs_delta::{AttrValue, ColumnarEventlist, Event, EventKind, Eventlist, NodeId};
+use hgs_delta::{ColumnarEventlist, Event, EventKind, Eventlist, NodeId};
 use proptest::prelude::*;
-use proptest::TestRng;
 
 // ----------------------------------------------------------------------
 // inputs
 // ----------------------------------------------------------------------
-
-/// Node ids from a small universe (so dictionaries dedup), a wide one
-/// (so dictionary gaps are long) or the top of the range.
-fn arb_node() -> impl Strategy<Value = NodeId> {
-    prop_oneof![
-        4 => 0u64..24,
-        1 => 0u64..1 << 40,
-        1 => (0u64..4).prop_map(|d| u64::MAX - d),
-    ]
-}
-
-fn arb_attr_value() -> impl Strategy<Value = AttrValue> {
-    prop_oneof![
-        (-100i64..100).prop_map(AttrValue::Int),
-        (-4.0f64..4.0).prop_map(AttrValue::Float),
-        "[a-z]{0,6}".prop_map(AttrValue::Text),
-        any::<bool>().prop_map(AttrValue::Bool),
-    ]
-}
 
 /// Every event kind, edges mostly the default one (the rows datasets
 /// are made of spell no weights column).
@@ -152,129 +135,8 @@ fn arb_term_points() -> impl Strategy<Value = Vec<TermPoint>> {
 }
 
 // ----------------------------------------------------------------------
-// mutations
-// ----------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Mutation {
-    Unchanged,
-    Replaced,
-    Inserted,
-    Truncated,
-    Arbitrary,
-}
-
-/// Apply one mutation of kind `m` to `bytes`, drawing its details
-/// from `rng`.
-fn mutate(m: Mutation, bytes: &[u8], rng: &mut TestRng) -> Vec<u8> {
-    let mut out = bytes.to_vec();
-    let at = |rng: &mut TestRng, len: usize| rng.below(len as u64 + 1) as usize;
-    match m {
-        Mutation::Unchanged => {}
-        Mutation::Replaced => {
-            if !out.is_empty() {
-                let i = at(rng, out.len() - 1);
-                out[i] = any::<u8>().generate(rng);
-            }
-        }
-        Mutation::Inserted => {
-            let i = at(rng, out.len());
-            let n = 1 + rng.below(4) as usize;
-            let extra: Vec<u8> = (0..n).map(|_| any::<u8>().generate(rng)).collect();
-            out.splice(i..i, extra);
-        }
-        Mutation::Truncated => out.truncate(at(rng, out.len().saturating_sub(1))),
-        Mutation::Arbitrary => {
-            out = (0..rng.below(48))
-                .map(|_| any::<u8>().generate(rng))
-                .collect();
-        }
-    }
-    out
-}
-
-fn arb_mutation() -> impl Strategy<Value = Mutation> {
-    prop_oneof![
-        Just(Mutation::Unchanged),
-        Just(Mutation::Replaced),
-        Just(Mutation::Inserted),
-        Just(Mutation::Truncated),
-        Just(Mutation::Arbitrary),
-    ]
-}
-
-/// Ok/Err counts per mutation, printed at the end of a suite.
-#[derive(Default)]
-struct Split(BTreeMap<Mutation, (usize, usize)>);
-
-impl Split {
-    fn record(&mut self, m: Mutation, ok: bool) {
-        let e = self.0.entry(m).or_default();
-        if ok {
-            e.0 += 1;
-        } else {
-            e.1 += 1;
-        }
-    }
-
-    fn print(&self, suite: &str) {
-        for (m, (ok, err)) in &self.0 {
-            println!("{suite}: {m:?}: {ok} Ok, {err} Err");
-        }
-    }
-}
-
-/// Run `case` over `PROPTEST_CASES` (default 256) draws of `strat`.
-fn for_cases<S: Strategy>(name: &str, strat: S, mut case: impl FnMut(S::Value, &mut TestRng)) {
-    let mut rng = proptest::test_rng(name);
-    for _ in 0..ProptestConfig::default().cases {
-        let v = strat.generate(&mut rng);
-        case(v, &mut rng);
-    }
-}
-
-// ----------------------------------------------------------------------
 // eventlist rows
 // ----------------------------------------------------------------------
-
-/// A row's header taken apart: magic, event count, then per segment
-/// its `stored_len << 1 | compressed` varint and its bytes.
-struct RowSegments {
-    magic: u8,
-    count: u64,
-    segs: Vec<(bool, Vec<u8>)>,
-}
-
-impl RowSegments {
-    fn parse(row: &[u8]) -> RowSegments {
-        let (magic, mut b) = (row[0], &row[1..]);
-        let count = get_varint(&mut b).unwrap();
-        let n = get_varint(&mut b).unwrap();
-        let lens: Vec<u64> = (0..n).map(|_| get_varint(&mut b).unwrap()).collect();
-        let mut segs = Vec::new();
-        for lv in lens {
-            let (seg, rest) = b.split_at((lv >> 1) as usize);
-            segs.push((lv & 1 == 1, seg.to_vec()));
-            b = rest;
-        }
-        assert!(b.is_empty(), "segments cover the row");
-        RowSegments { magic, count, segs }
-    }
-
-    fn assemble(&self) -> Bytes {
-        let mut out = BytesMut::new();
-        out.put_u8(self.magic);
-        put_varint(&mut out, self.count);
-        put_varint(&mut out, self.segs.len() as u64);
-        for (compressed, seg) in &self.segs {
-            put_varint(&mut out, (seg.len() as u64) << 1 | *compressed as u64);
-        }
-        for (_, seg) in &self.segs {
-            out.put_slice(seg);
-        }
-        out.freeze()
-    }
-}
 
 fn touches(kind: &EventKind, nid: NodeId) -> bool {
     let (a, b) = kind.touched();
