@@ -77,10 +77,7 @@ use bytes::BytesMut;
 use hgs_delta::codec::put_varint;
 use hgs_delta::columnar::{encode_columnar_delta, encode_columnar_eventlist};
 use hgs_delta::{Delta, Event, Eventlist, FxHashMap, NodeId, Time, TimeRange};
-use hgs_partition::{
-    CollapsedGraph, LocalityPartitioner, NodeWeighting, Omega, PartitionMap, Partitioner,
-    RandomPartitioner,
-};
+use hgs_partition::{locality_partition, CollapsedGraph, PartitionMap};
 use hgs_store::key::{chain_key, node_placement_token, term_key, term_token};
 use hgs_store::parallel::parallel_steal;
 use hgs_store::{
@@ -688,12 +685,6 @@ impl Tgi {
         Ok(chains)
     }
 
-    /// Time-collapse function Ω and node weighting of the locality
-    /// partitioner's span graph (§4.5). The only values any build has
-    /// used; the descriptor still records their tags.
-    const SPAN_OMEGA: Omega = Omega::UnionMax;
-    const SPAN_WEIGHTING: NodeWeighting = NodeWeighting::Uniform;
-
     fn compute_maps(&self, events: &[Event], range: TimeRange, ns: u32) -> Vec<PartitionMap> {
         match self.cfg.strategy {
             PartitionStrategy::Random => {
@@ -708,23 +699,12 @@ impl Tgi {
                 (0..ns).map(|_| PartitionMap::random(parts)).collect()
             }
             PartitionStrategy::Locality { .. } => {
-                let collapsed = CollapsedGraph::collapse(
-                    &self.tail_state,
-                    events,
-                    range,
-                    Self::SPAN_OMEGA,
-                    Self::SPAN_WEIGHTING,
-                );
-                let partitioner = LocalityPartitioner::default();
+                let collapsed = CollapsedGraph::collapse(&self.tail_state, events, range);
                 (0..ns)
                     .map(|sid| {
                         let sub = collapsed.induced(|id| sid_of(id, ns) == sid);
                         let parts = sub.len().div_ceil(self.cfg.partition_size).max(1) as u32;
-                        if parts == 1 {
-                            RandomPartitioner.partition(&sub, 1)
-                        } else {
-                            partitioner.partition(&sub, parts)
-                        }
+                        locality_partition(&sub, parts)
                     })
                     .collect()
             }

@@ -60,6 +60,11 @@ impl std::error::Error for OpenError {}
 /// rows). A store tagged otherwise is refused, not answered from.
 const LAYOUT_TAG: u64 = 5;
 
+/// Descriptor tags of the one time-collapse function (Union-Max) and
+/// node weighting (uniform) the locality partitioner runs (§4.5).
+const OMEGA_TAG: u64 = 1;
+const NODE_WEIGHTING_TAG: u64 = 0;
+
 /// Serialize the construction configuration.
 pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
     let mut buf = BytesMut::new();
@@ -79,11 +84,11 @@ pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
     };
     put_varint(&mut buf, strat);
     put_varint(&mut buf, cfg.version_chains as u64);
-    // Ω and node weighting are constants of the build
-    // (`Omega::UnionMax` = 1, `NodeWeighting::Uniform` = 0); their
-    // tags keep their place in the descriptor.
-    put_varint(&mut buf, 1);
-    put_varint(&mut buf, 0);
+    // The time-collapse function Ω and the node weighting of the
+    // locality partitioner are Union-Max and uniform in every build;
+    // their tags (1 and 0) keep their place in the descriptor.
+    put_varint(&mut buf, OMEGA_TAG);
+    put_varint(&mut buf, NODE_WEIGHTING_TAG);
     put_varint(&mut buf, cfg.read_cache_bytes as u64);
     let layout = match cfg.layout {
         StorageLayout::Columnar => LAYOUT_TAG,
@@ -117,11 +122,11 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
         }
     };
     let version_chains = get_varint(b)? != 0;
-    // Ω and node-weighting tags: range-checked, then dropped (the
-    // build uses constants).
-    for what in ["Omega", "NodeWeighting"] {
+    // Ω and node-weighting tags: exactly the ones every build writes,
+    // or an append would build under a descriptor naming another mode.
+    for (what, want) in [("Omega", OMEGA_TAG), ("NodeWeighting", NODE_WEIGHTING_TAG)] {
         let tag = get_varint(b)?;
-        if tag > 2 {
+        if tag != want {
             return Err(CodecError::BadTag {
                 what,
                 tag: tag as u8,
@@ -169,7 +174,13 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
 /// Decode a persisted locality partition map blob.
 pub(crate) fn decode_partition_map(mut buf: &[u8]) -> Result<PartitionMap, CodecError> {
     let b = &mut buf;
-    let parts = get_varint(b)? as u32;
+    let parts = get_varint(b)?;
+    let parts = u32::try_from(parts)
+        .map_err(|_| CodecError::LengthOverflow {
+            what: "partition map parts",
+            len: parts,
+        })?
+        .max(1);
     // An entry is an id gap and a pid: two bytes at least.
     let n = bounded_count(b, 2, "partition map")?;
     let mut map: FxHashMap<NodeId, u32> = FxHashMap::default();
@@ -177,9 +188,19 @@ pub(crate) fn decode_partition_map(mut buf: &[u8]) -> Result<PartitionMap, Codec
     let mut prev = 0u64;
     for _ in 0..n {
         prev = prev.wrapping_add(get_varint(b)?);
-        map.insert(prev, get_varint(b)? as u32);
+        let pid = get_varint(b)?;
+        // A pid past the part count names no micro-partition.
+        match u32::try_from(pid) {
+            Ok(p) if p < parts => map.insert(prev, p),
+            _ => {
+                return Err(CodecError::BadRef {
+                    what: "partition map pid",
+                    id: pid,
+                })
+            }
+        };
     }
-    Ok(PartitionMap::explicit(map, parts.max(1)))
+    Ok(PartitionMap::explicit(map, parts))
 }
 
 impl Tgi {

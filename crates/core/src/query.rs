@@ -254,12 +254,7 @@ impl ElistHandle {
     /// [`StoreError::Corrupt`] instead of a panic.
     fn events_touching(&self, nid: NodeId) -> Result<Vec<Event>, StoreError> {
         match self {
-            ElistHandle::Full(el) => Ok(el
-                .events()
-                .iter()
-                .filter(|e| touches(e, nid))
-                .cloned()
-                .collect()),
+            ElistHandle::Full(el) => Ok(el.filter_by_node(nid).cloned().collect()),
             ElistHandle::Col(c) => c.events_touching(nid).map_err(StoreError::Corrupt),
         }
     }
@@ -1040,11 +1035,6 @@ impl TgiView {
         out.sort_by_key(|h| h.id);
         Ok(out)
     }
-}
-
-fn touches(e: &Event, nid: NodeId) -> bool {
-    let (a, b) = e.kind.touched();
-    a == nid || b == Some(nid)
 }
 
 /// BFS over a materialized snapshot (used by Algorithm 3).

@@ -35,6 +35,15 @@ fn cfg() -> TgiConfig {
     }
 }
 
+/// A row of bare varints.
+fn varints(fields: &[u64]) -> Bytes {
+    let mut buf = BytesMut::new();
+    for &f in fields {
+        put_varint(&mut buf, f);
+    }
+    buf.freeze()
+}
+
 /// Overwrite every row of `table` with bytes that fail decoding.
 /// Rows are rewritten under every placement token so each replica of
 /// each chunk serves the garbage, whichever machine a read lands on.
@@ -255,7 +264,8 @@ fn corrupt_on_read_fault_surfaces_corrupt_and_leaves_storage_intact() {
 /// `Tgi::open` trusts nothing in the stored descriptor: a config row
 /// whose construction parameters break the bounds the build path
 /// asserts (the query paths divide by them), whose row-format tag is
-/// not the one format, or that is cut short before the tag, is
+/// not the one format, whose Ω or node-weighting tag names a mode no
+/// build runs, or that is cut short before the layout tag, is
 /// `OpenError::Corrupt` — never an `Ok` handle that panics or reports
 /// every row corrupt on its first query.
 #[test]
@@ -273,6 +283,8 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
         fields.push(get_varint(&mut b).unwrap());
     }
     assert_eq!(fields.len(), 12);
+    const OMEGA: usize = 7;
+    const WEIGHTING: usize = 8;
     const LAYOUT: usize = 10;
     let rewrite = |fields: &[u64]| {
         let mut buf = BytesMut::new();
@@ -322,6 +334,27 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
             })) if u64::from(t) == tag
         ));
     }
+    // Every build runs Union-Max (Ω tag 1) over uniform node weights
+    // (tag 0): a descriptor naming Median (0) or Union-Mean (2), or a
+    // degree (1) or average-degree (2) weighting, is refused by name —
+    // not opened and then appended to under the one mode there is.
+    for (idx, what, tag) in [
+        (OMEGA, "Omega", 0u8),
+        (OMEGA, "Omega", 2),
+        (WEIGHTING, "NodeWeighting", 1),
+        (WEIGHTING, "NodeWeighting", 2),
+    ] {
+        let mut other = fields.clone();
+        other[idx] = u64::from(tag);
+        rewrite(&other);
+        assert!(
+            matches!(
+                Tgi::open(store.clone()),
+                Err(OpenError::Corrupt(CodecError::BadTag { what: w, tag: t })) if w == what && t == tag
+            ),
+            "{what} tag {tag} must be refused by name"
+        );
+    }
     rewrite(&fields[..LAYOUT]);
     assert!(
         matches!(Tgi::open(store.clone()), Err(OpenError::Corrupt(_))),
@@ -339,13 +372,6 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
 #[test]
 fn hostile_descriptor_counts_are_corrupt_not_an_allocation() {
     const HUGE: u64 = 1 << 62;
-    let varints = |fields: &[u64]| {
-        let mut buf = BytesMut::new();
-        for &f in fields {
-            put_varint(&mut buf, f);
-        }
-        buf.freeze()
-    };
     let events = trace();
     let build = |strategy| {
         let cfg = cfg().with_strategy(strategy);
@@ -401,6 +427,71 @@ fn hostile_descriptor_counts_are_corrupt_not_an_allocation() {
     mp_key[4..].copy_from_slice(&1u32.to_be_bytes());
     put_everywhere(&store, Table::Micropartitions, &mp_key, varints(&[4, HUGE]));
     overflow(&store, "partition-map entry count");
+}
+
+/// A `Micropartitions` row is a part count and `(id gap, pid)`
+/// entries. An entry whose pid is at or past the part count names no
+/// micro-partition: `Tgi::open` refuses the row as `Corrupt`, naming
+/// the pid, instead of panicking on the map's bound (or, without debug
+/// assertions, opening a map whose reads land on a partition no row
+/// holds). A part count or pid past `u32` is refused too, not
+/// truncated.
+#[test]
+fn a_partition_map_naming_a_pid_past_its_part_count_is_corrupt() {
+    let events = trace();
+    let cfg = cfg().with_strategy(PartitionStrategy::Locality {
+        replicate_boundary: false,
+    });
+    let store = Tgi::try_build(cfg, StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .store()
+        .clone();
+    // A stored map with two parts at least and an entry to rewrite.
+    let tag = Table::Micropartitions.tag();
+    let (key, mut fields) = store
+        .content_rows()
+        .into_iter()
+        .flatten()
+        .filter(|(nk, _)| nk.first() == Some(&tag))
+        .map(|(nk, row)| {
+            let mut b: &[u8] = &row;
+            let mut fields = Vec::new();
+            while !b.is_empty() {
+                fields.push(get_varint(&mut b).unwrap());
+            }
+            (nk[1..].to_vec(), fields)
+        })
+        .find(|(_, fields)| fields[0] >= 2 && fields[1] >= 1)
+        .expect("a locality build stores a map of two parts or more");
+    let parts = fields[0];
+    let intact = varints(&fields);
+    for pid in [parts, 5 * parts, 1 << 40] {
+        fields[3] = pid;
+        put_everywhere(&store, Table::Micropartitions, &key, varints(&fields));
+        match Tgi::open(store.clone()) {
+            Err(OpenError::Corrupt(CodecError::BadRef {
+                what: "partition map pid",
+                id,
+            })) => assert_eq!(id, pid),
+            Err(other) => panic!("pid {pid}: unexpected error {other}"),
+            Ok(_) => panic!("pid {pid} of {parts} parts opened"),
+        }
+    }
+    put_everywhere(
+        &store,
+        Table::Micropartitions,
+        &key,
+        varints(&[(1 << 32) + parts, 0]),
+    );
+    assert!(
+        matches!(
+            Tgi::open(store.clone()),
+            Err(OpenError::Corrupt(CodecError::LengthOverflow { .. }))
+        ),
+        "a part count past u32 must refuse to open"
+    );
+    put_everywhere(&store, Table::Micropartitions, &key, intact);
+    Tgi::open(store).expect("intact partition map");
 }
 
 /// A `Timespans` row that decodes is not yet one the build could have

@@ -45,7 +45,6 @@
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-use crate::error::DeltaError;
 use crate::event::{Event, EventKind};
 use crate::hash::FxHashMap;
 use crate::node::{Neighbor, StaticNode};
@@ -355,51 +354,22 @@ impl Delta {
     /// require (the paper's Wikipedia trace contains, e.g., edges whose
     /// endpoints were never explicitly added): missing endpoints are
     /// implicitly created, duplicate additions are overwrites, and
-    /// removals of absent components are no-ops. The strict variant
-    /// [`Delta::apply_event_strict`] reports those anomalies instead.
+    /// removals of absent components are no-ops.
     pub fn apply_event(&mut self, kind: &EventKind) {
-        let _ = self.apply_event_impl(kind, false);
-    }
-
-    /// Apply one event, returning an error on referencing anomalies
-    /// instead of repairing them. The state is still left consistent
-    /// (failed applications may partially repair, mirroring the
-    /// forgiving path).
-    pub fn apply_event_strict(&mut self, kind: &EventKind) -> Result<(), DeltaError> {
-        self.apply_event_impl(kind, true)
-    }
-
-    fn apply_event_impl(&mut self, kind: &EventKind, strict: bool) -> Result<(), DeltaError> {
         match kind {
             EventKind::AddNode { id } => {
-                if self.nodes.contains_key(id) {
-                    if strict {
-                        return Err(DeltaError::AlreadyExists {
-                            what: "node",
-                            id: *id,
-                        });
-                    }
-                } else {
+                if !self.nodes.contains_key(id) {
                     self.nodes.insert(*id, Arc::new(StaticNode::new(*id)));
                 }
             }
             EventKind::RemoveNode { id } => {
-                match self.nodes.remove(id) {
-                    Some(node) => {
-                        // Scrub reverse entries so no dangling edges remain.
-                        for nbr in node.all_neighbors() {
-                            if let Some(n) = self.nodes.get_mut(&nbr) {
-                                Arc::make_mut(n).remove_all_edges_to(*id);
-                            }
+                if let Some(node) = self.nodes.remove(id) {
+                    // Scrub reverse entries so no dangling edges remain.
+                    for nbr in node.all_neighbors() {
+                        if let Some(n) = self.nodes.get_mut(&nbr) {
+                            Arc::make_mut(n).remove_all_edges_to(*id);
                         }
                     }
-                    None if strict => {
-                        return Err(DeltaError::UnknownNode {
-                            node: *id,
-                            context: "RemoveNode",
-                        })
-                    }
-                    None => {}
                 }
             }
             EventKind::AddEdge {
@@ -408,15 +378,6 @@ impl Delta {
                 weight,
                 directed,
             } => {
-                let missing_src = !self.nodes.contains_key(src);
-                let missing_dst = !self.nodes.contains_key(dst);
-                if strict && (missing_src || missing_dst) {
-                    let node = if missing_src { *src } else { *dst };
-                    return Err(DeltaError::UnknownNode {
-                        node,
-                        context: "AddEdge",
-                    });
-                }
                 let (d_src, d_dst) = if *directed {
                     (EdgeDir::Out, EdgeDir::In)
                 } else {
@@ -438,31 +399,21 @@ impl Delta {
                 }
             }
             EventKind::RemoveEdge { src, dst } => {
-                let mut found = false;
                 if let Some(n) = self.nodes.get_mut(src) {
-                    found |= Arc::make_mut(n).remove_all_edges_to(*dst) > 0;
+                    Arc::make_mut(n).remove_all_edges_to(*dst);
                 }
                 if src != dst {
                     if let Some(n) = self.nodes.get_mut(dst) {
-                        found |= Arc::make_mut(n).remove_all_edges_to(*src) > 0;
+                        Arc::make_mut(n).remove_all_edges_to(*src);
                     }
-                }
-                if strict && !found {
-                    return Err(DeltaError::UnknownEdge {
-                        src: *src,
-                        dst: *dst,
-                        context: "RemoveEdge",
-                    });
                 }
             }
             EventKind::SetEdgeWeight { src, dst, weight } => {
-                let mut found = false;
                 for (a, b) in [(*src, *dst), (*dst, *src)] {
                     if let Some(n) = self.nodes.get_mut(&a) {
                         if n.edges.iter().any(|e| e.nbr == b) {
                             for e in Arc::make_mut(n).edges.iter_mut().filter(|e| e.nbr == b) {
                                 e.weight = *weight;
-                                found = true;
                             }
                         }
                     }
@@ -470,23 +421,10 @@ impl Delta {
                         break;
                     }
                 }
-                if strict && !found {
-                    return Err(DeltaError::UnknownEdge {
-                        src: *src,
-                        dst: *dst,
-                        context: "SetEdgeWeight",
-                    });
-                }
             }
             EventKind::SetNodeAttr { id, key, value } => match self.nodes.get_mut(id) {
                 Some(n) => {
                     Arc::make_mut(n).attrs.set(key.clone(), value.clone());
-                }
-                None if strict => {
-                    return Err(DeltaError::UnknownNode {
-                        node: *id,
-                        context: "SetNodeAttr",
-                    })
                 }
                 None => {
                     let mut n = StaticNode::new(*id);
@@ -495,17 +433,12 @@ impl Delta {
                 }
             },
             EventKind::RemoveNodeAttr { id, key } => {
-                let removed = self
+                if let Some(n) = self
                     .nodes
                     .get_mut(id)
                     .filter(|n| n.attrs.get(key).is_some())
-                    .and_then(|n| Arc::make_mut(n).attrs.remove(key))
-                    .is_some();
-                if strict && !removed {
-                    return Err(DeltaError::UnknownNode {
-                        node: *id,
-                        context: "RemoveNodeAttr",
-                    });
+                {
+                    Arc::make_mut(n).attrs.remove(key);
                 }
             }
             EventKind::SetEdgeAttr {
@@ -514,13 +447,11 @@ impl Delta {
                 key,
                 value,
             } => {
-                let mut found = false;
                 for (a, b) in [(*src, *dst), (*dst, *src)] {
                     if let Some(n) = self.nodes.get_mut(&a) {
                         if n.edges.iter().any(|e| e.nbr == b) {
                             for e in Arc::make_mut(n).edges.iter_mut().filter(|e| e.nbr == b) {
                                 e.set_attr(key.clone(), value.clone());
-                                found = true;
                             }
                         }
                     }
@@ -528,21 +459,13 @@ impl Delta {
                         break;
                     }
                 }
-                if strict && !found {
-                    return Err(DeltaError::UnknownEdge {
-                        src: *src,
-                        dst: *dst,
-                        context: "SetEdgeAttr",
-                    });
-                }
             }
             EventKind::RemoveEdgeAttr { src, dst, key } => {
-                let mut found = false;
                 for (a, b) in [(*src, *dst), (*dst, *src)] {
                     if let Some(n) = self.nodes.get_mut(&a) {
                         if n.edges.iter().any(|e| e.nbr == b && e.attrs.is_some()) {
                             for e in Arc::make_mut(n).edges.iter_mut().filter(|e| e.nbr == b) {
-                                found |= e.remove_attr(key).is_some();
+                                e.remove_attr(key);
                             }
                         }
                     }
@@ -550,16 +473,8 @@ impl Delta {
                         break;
                     }
                 }
-                if strict && !found {
-                    return Err(DeltaError::UnknownEdge {
-                        src: *src,
-                        dst: *dst,
-                        context: "RemoveEdgeAttr",
-                    });
-                }
             }
         }
-        Ok(())
     }
 
     /// Apply a run of events in order.
@@ -859,24 +774,6 @@ mod tests {
             let e = n.edges.iter().find(|e| e.nbr == b).unwrap();
             assert_eq!(e.attr("kind").and_then(|v| v.as_text()), Some("cites"));
         }
-    }
-
-    #[test]
-    fn strict_mode_reports_anomalies() {
-        let mut d = Delta::new();
-        assert!(d
-            .apply_event_strict(&EventKind::RemoveNode { id: 4 })
-            .is_err());
-        assert!(d
-            .apply_event_strict(&EventKind::AddEdge {
-                src: 1,
-                dst: 2,
-                weight: 1.0,
-                directed: false
-            })
-            .is_err());
-        d.apply_event(&EventKind::AddNode { id: 1 });
-        assert!(d.apply_event_strict(&EventKind::AddNode { id: 1 }).is_err());
     }
 
     #[test]

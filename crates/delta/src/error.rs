@@ -1,46 +1,6 @@
-//! Error types shared across the HGS stack.
+//! The codec error type shared across the HGS stack.
 
 use std::fmt;
-
-/// Errors arising from delta algebra misuse or inconsistent histories.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeltaError {
-    /// An event referenced a node that does not exist in the state it
-    /// was applied to (e.g. `AddEdge` before `AddNode`).
-    UnknownNode { node: u64, context: &'static str },
-    /// An event referenced an edge that does not exist.
-    UnknownEdge {
-        src: u64,
-        dst: u64,
-        context: &'static str,
-    },
-    /// An event re-created something that already exists.
-    AlreadyExists { what: &'static str, id: u64 },
-    /// Events were supplied out of chronological order where order is
-    /// required.
-    OutOfOrder { prev: u64, next: u64 },
-}
-
-impl fmt::Display for DeltaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DeltaError::UnknownNode { node, context } => {
-                write!(f, "unknown node {node} in {context}")
-            }
-            DeltaError::UnknownEdge { src, dst, context } => {
-                write!(f, "unknown edge {src}->{dst} in {context}")
-            }
-            DeltaError::AlreadyExists { what, id } => {
-                write!(f, "{what} {id} already exists")
-            }
-            DeltaError::OutOfOrder { prev, next } => {
-                write!(f, "events out of order: {next} after {prev}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DeltaError {}
 
 /// Errors from the binary codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,11 +61,6 @@ mod tests {
 
     #[test]
     fn errors_display() {
-        let e = DeltaError::UnknownNode {
-            node: 7,
-            context: "AddEdge",
-        };
-        assert!(e.to_string().contains("unknown node 7"));
         let c = CodecError::BadTag {
             what: "EventKind",
             tag: 99,

@@ -1,7 +1,7 @@
 //! Events and eventlists — Examples 1–3 of the paper's delta framework.
 
 use crate::attr::AttrValue;
-use crate::types::{NodeId, Time, TimeRange};
+use crate::types::{NodeId, Time};
 
 /// The payload of an atomic change to the graph (Example 1).
 ///
@@ -68,18 +68,6 @@ impl EventKind {
             | EventKind::SetEdgeAttr { src, dst, .. }
             | EventKind::RemoveEdgeAttr { src, dst, .. } => (src, Some(dst)),
         }
-    }
-
-    /// True for events that change graph structure rather than
-    /// attribute values.
-    pub fn is_structural(&self) -> bool {
-        matches!(
-            self,
-            EventKind::AddNode { .. }
-                | EventKind::RemoveNode { .. }
-                | EventKind::AddEdge { .. }
-                | EventKind::RemoveEdge { .. }
-        )
     }
 
     /// Approximate in-memory footprint in bytes (same accounting as
@@ -165,11 +153,6 @@ impl Eventlist {
         &self.events
     }
 
-    /// Consume into the underlying vector.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
-
     /// Approximate in-memory footprint in bytes (sum of event
     /// weights), mirroring [`crate::Delta::weight_bytes`].
     pub fn weight_bytes(&self) -> usize {
@@ -181,49 +164,12 @@ impl Eventlist {
         Some((self.events.first()?.time, self.events.last()?.time))
     }
 
-    /// Sub-slice of events with `time` in the half-open `range`
-    /// (FilterByTime in the paper's Algorithm 1/2).
-    pub fn slice_by_time(&self, range: TimeRange) -> &[Event] {
-        let lo = self.events.partition_point(|e| e.time < range.start);
-        let hi = self.events.partition_point(|e| e.time < range.end);
-        &self.events[lo..hi]
-    }
-
     /// Events touching a specific node (FilterById in Algorithm 2).
     pub fn filter_by_node(&self, id: NodeId) -> impl Iterator<Item = &Event> {
         self.events.iter().filter(move |e| {
             let (a, b) = e.kind.touched();
             a == id || b == Some(id)
         })
-    }
-
-    /// Split into chunks of at most `chunk` events, preserving order.
-    /// This is how TGI bounds eventlist delta sizes (parameter `l`).
-    pub fn chunked(&self, chunk: usize) -> Vec<Eventlist> {
-        assert!(chunk > 0);
-        self.events
-            .chunks(chunk)
-            .map(|c| Eventlist { events: c.to_vec() })
-            .collect()
-    }
-
-    /// Partition events by a node-scope function (partitioned
-    /// eventlists, Example 3): event goes to every partition that one
-    /// of its touched nodes maps to.
-    pub fn partition_by<F: Fn(NodeId) -> u32>(&self, parts: u32, f: F) -> Vec<Eventlist> {
-        let mut out: Vec<Eventlist> = (0..parts).map(|_| Eventlist::new()).collect();
-        for e in &self.events {
-            let (a, b) = e.kind.touched();
-            let pa = f(a);
-            out[pa as usize].events.push(e.clone());
-            if let Some(b) = b {
-                let pb = f(b);
-                if pb != pa {
-                    out[pb as usize].events.push(e.clone());
-                }
-            }
-        }
-        out
     }
 }
 
@@ -256,55 +202,12 @@ mod tests {
     }
 
     #[test]
-    fn slice_by_time_is_half_open() {
-        let el: Eventlist = vec![ev(1, 1), ev(2, 2), ev(3, 3), ev(5, 5)]
-            .into_iter()
-            .collect();
-        let s = el.slice_by_time(TimeRange::new(2, 5));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].time, 2);
-        assert_eq!(s[1].time, 3);
-    }
-
-    #[test]
     fn filter_by_node_sees_both_endpoints() {
         let el: Eventlist = vec![edge(1, 1, 2), edge(2, 3, 4), ev(3, 2)]
             .into_iter()
             .collect();
         let touching2: Vec<&Event> = el.filter_by_node(2).collect();
         assert_eq!(touching2.len(), 2);
-    }
-
-    #[test]
-    fn chunking_preserves_order_and_count() {
-        let el: Eventlist = (0..10).map(|i| ev(i, i)).collect();
-        let chunks = el.chunked(4);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].len(), 4);
-        assert_eq!(chunks[2].len(), 2);
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn partitioning_replicates_cross_partition_edges() {
-        let el: Eventlist = vec![edge(1, 1, 2)].into_iter().collect();
-        // nodes 1 and 2 land in different partitions
-        let parts = el.partition_by(2, |id| (id % 2) as u32);
-        assert_eq!(parts[0].len(), 1, "partition of node 2");
-        assert_eq!(parts[1].len(), 1, "partition of node 1");
-    }
-
-    #[test]
-    fn partitioning_no_duplicate_within_same_partition() {
-        let el: Eventlist = vec![edge(1, 2, 4)].into_iter().collect();
-        let parts = el.partition_by(2, |id| (id % 2) as u32);
-        assert_eq!(
-            parts[0].len(),
-            1,
-            "both endpoints in partition 0 -> one copy"
-        );
-        assert_eq!(parts[1].len(), 0);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use attr::{AttrValue, Attrs};
 pub use attr_index::{TermPoint, TERM_KIND_KEY, TERM_KIND_VALUE};
 pub use columnar::{ColumnarDelta, ColumnarEventlist, StorageLayout};
 pub use delta::Delta;
-pub use error::{CodecError, DeltaError};
+pub use error::CodecError;
 pub use event::{Event, EventKind, Eventlist};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use node::{Neighbor, StaticNode};

@@ -29,7 +29,7 @@ pub struct Neighbor {
     /// Direction of the edge relative to the owning node.
     pub dir: EdgeDir,
     /// Edge weight; defaults to 1.0. Used by the locality-aware
-    /// partitioner's Ω collapse functions.
+    /// partitioner's Ω collapse.
     pub weight: f32,
     /// Edge attributes; boxed so the common attribute-free case costs
     /// one machine word.

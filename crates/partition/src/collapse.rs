@@ -1,49 +1,21 @@
-//! Time-collapse functions Ω (§4.5).
+//! The time-collapse function Ω (§4.5).
 //!
 //! To partition a *time-evolving* graph over a timespan `τ = [ts, te)`,
 //! the paper first projects it to a single weighted static graph
 //! `Gτ = Ω(G over τ)`, then applies static partitioning. The
 //! constraint on Ω is that `Gτ` contains every vertex that existed at
-//! least once during `τ`. Three collapse options are given, plus three
-//! node-weight schemes; Union-Max with uniform node weights is the
-//! default TGI configuration.
+//! least once during `τ`. Of the paper's collapse options TGI builds
+//! with Union-Max under uniform node weights, so that is the one
+//! implemented here: every edge that existed during `τ`, at its
+//! maximum weight, and every node weighing 1.
 
-use hgs_delta::{Delta, Event, EventKind, FxHashMap, NodeId, Time, TimeRange};
+use hgs_delta::{Delta, Event, EventKind, FxHashMap, NodeId, TimeRange};
 
-/// Edge-weight collapse choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Omega {
-    /// Use the graph exactly as of the median timepoint of `τ`.
-    /// (Edges outside that instant are dropped — cheapest, least
-    /// representative.)
-    Median,
-    /// Include every edge that ever existed during `τ` with its
-    /// maximum weight. TGI's default.
-    UnionMax,
-    /// Include every edge that ever existed, weighted by the
-    /// time-fraction-weighted mean of its weight (absence counts 0).
-    UnionMean,
-}
-
-/// Node-weight scheme for balance constraints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeWeighting {
-    /// `w(n) = 1`.
-    Uniform,
-    /// `w(n) = degree(n)` in the collapsed graph.
-    Degree,
-    /// `w(n)` = average degree of `n` over `τ` (sampled at event
-    /// boundaries, time-weighted).
-    AvgDegree,
-}
-
-/// The collapsed weighted static graph fed to the partitioners.
+/// The collapsed weighted static graph fed to the partitioner.
 #[derive(Debug, Clone)]
 pub struct CollapsedGraph {
     /// All vertices that existed at least once during `τ`, sorted.
     pub nodes: Vec<NodeId>,
-    /// Node weights, aligned with `nodes`.
-    pub node_weights: Vec<f64>,
     /// Weighted undirected adjacency: `adj[i]` lists `(node index,
     /// weight)` pairs, sorted by index.
     pub adj: Vec<Vec<(u32, f64)>>,
@@ -66,12 +38,6 @@ impl CollapsedGraph {
         self.nodes.is_empty()
     }
 
-    /// Total edge weight (each edge once).
-    pub fn total_edge_weight(&self) -> f64 {
-        let twice: f64 = self.adj.iter().flatten().map(|(_, w)| *w).sum();
-        twice / 2.0
-    }
-
     /// Induced subgraph on the nodes selected by `keep`. Used by TGI
     /// to partition each horizontal slice independently: the collapse
     /// runs once over the full span, then each `sid`'s induced
@@ -86,10 +52,6 @@ impl CollapsedGraph {
             remap.insert(old_i, new_i as u32);
         }
         let nodes: Vec<NodeId> = kept.iter().map(|&i| self.nodes[i as usize]).collect();
-        let node_weights: Vec<f64> = kept
-            .iter()
-            .map(|&i| self.node_weights[i as usize])
-            .collect();
         let adj: Vec<Vec<(u32, f64)>> = kept
             .iter()
             .map(|&i| {
@@ -104,221 +66,52 @@ impl CollapsedGraph {
         for (i, id) in nodes.iter().enumerate() {
             index.insert(*id, i as u32);
         }
-        CollapsedGraph {
-            nodes,
-            node_weights,
-            adj,
-            index,
-        }
+        CollapsedGraph { nodes, adj, index }
     }
 
-    /// Collapse a temporal graph over `range`.
+    /// Union-Max collapse of a temporal graph over `range`: every
+    /// vertex of `initial` or touched by an event in `range`, and every
+    /// edge of `initial` or added or reweighted in `range`, at the
+    /// largest weight it held.
     ///
     /// `initial` is the graph state at `range.start`; `events` are the
     /// changes during `range` (events outside the range are ignored).
-    pub fn collapse(
-        initial: &Delta,
-        events: &[Event],
-        range: TimeRange,
-        omega: Omega,
-        weighting: NodeWeighting,
-    ) -> CollapsedGraph {
-        match omega {
-            Omega::Median => Self::collapse_median(initial, events, range, weighting),
-            Omega::UnionMax | Omega::UnionMean => {
-                Self::collapse_union(initial, events, range, omega, weighting)
-            }
-        }
-    }
-
-    fn collapse_median(
-        initial: &Delta,
-        events: &[Event],
-        range: TimeRange,
-        weighting: NodeWeighting,
-    ) -> CollapsedGraph {
-        let median = range.start + range.len() / 2;
-        let mut state = initial.clone();
-        for e in events {
-            if !range.contains(e.time) || e.time > median {
-                continue;
-            }
-            state.apply_event(&e.kind);
-        }
-        // Ω must keep every vertex that ever existed in τ, so union the
-        // vertex sets even though edges come from the median instant.
-        let mut all_nodes: hgs_delta::FxHashSet<NodeId> = initial.ids().collect();
-        for e in events.iter().filter(|e| range.contains(e.time)) {
-            let (a, b) = e.kind.touched();
-            all_nodes.insert(a);
-            if let Some(b) = b {
-                all_nodes.insert(b);
-            }
-        }
-        let mut edges: FxHashMap<(NodeId, NodeId), f64> = FxHashMap::default();
-        for n in state.iter() {
-            for e in &n.edges {
-                let key = (n.id.min(e.nbr), n.id.max(e.nbr));
-                edges.insert(key, e.weight as f64);
-            }
-        }
-        Self::build(all_nodes.into_iter().collect(), edges, weighting, None)
-    }
-
-    fn collapse_union(
-        initial: &Delta,
-        events: &[Event],
-        range: TimeRange,
-        omega: Omega,
-        weighting: NodeWeighting,
-    ) -> CollapsedGraph {
-        let span = range.len().max(1) as f64;
-        let mut state = initial.clone();
-        let mut all_nodes: hgs_delta::FxHashSet<NodeId> = initial.ids().collect();
-
-        // For UnionMax: running max weight per edge.
-        // For UnionMean: integral of weight·dt per edge, so we track the
-        // time each live edge was last (re)weighted.
+    pub fn collapse(initial: &Delta, events: &[Event], range: TimeRange) -> CollapsedGraph {
+        let mut nodes: Vec<NodeId> = initial.ids().collect();
         let mut max_w: FxHashMap<(NodeId, NodeId), f64> = FxHashMap::default();
-        let mut integral: FxHashMap<(NodeId, NodeId), f64> = FxHashMap::default();
-        let mut live_since: FxHashMap<(NodeId, NodeId), (Time, f64)> = FxHashMap::default();
-
-        // AvgDegree bookkeeping: integral of degree·dt per node.
-        let mut deg_integral: FxHashMap<NodeId, f64> = FxHashMap::default();
-        let mut deg_now: FxHashMap<NodeId, usize> = FxHashMap::default();
-        let mut last_t = range.start;
-
-        let open_edge = |key: (NodeId, NodeId),
-                         w: f64,
-                         t: Time,
-                         live: &mut FxHashMap<(NodeId, NodeId), (Time, f64)>,
-                         maxes: &mut FxHashMap<(NodeId, NodeId), f64>| {
-            let entry = maxes.entry(key).or_insert(w);
+        let mut raise = |key: (NodeId, NodeId), w: f64| {
+            let entry = max_w.entry(key).or_insert(w);
             if w > *entry {
                 *entry = w;
             }
-            live.entry(key).or_insert((t, w));
         };
-
-        // Seed from the initial state (edges live since range.start).
         for n in initial.iter() {
-            deg_now.insert(n.id, n.degree());
             for e in &n.edges {
                 if n.id <= e.nbr {
-                    open_edge(
-                        (n.id, e.nbr),
-                        e.weight as f64,
-                        range.start,
-                        &mut live_since,
-                        &mut max_w,
-                    );
+                    raise((n.id, e.nbr), e.weight as f64);
                 }
             }
         }
-
-        let close_edge =
-            |key: (NodeId, NodeId),
-             t: Time,
-             live: &mut FxHashMap<(NodeId, NodeId), (Time, f64)>,
-             integral: &mut FxHashMap<(NodeId, NodeId), f64>| {
-                if let Some((since, w)) = live.remove(&key) {
-                    *integral.entry(key).or_insert(0.0) += w * (t.saturating_sub(since)) as f64;
-                }
-            };
-
-        for e in events {
-            if !range.contains(e.time) {
-                continue;
-            }
+        for e in events.iter().filter(|e| range.contains(e.time)) {
             let (a, b) = e.kind.touched();
-            all_nodes.insert(a);
-            if let Some(b) = b {
-                all_nodes.insert(b);
-            }
-            // Advance degree integrals to e.time.
-            let dt = (e.time - last_t) as f64;
-            if dt > 0.0 {
-                for (id, d) in deg_now.iter() {
-                    *deg_integral.entry(*id).or_insert(0.0) += *d as f64 * dt;
-                }
-                last_t = e.time;
-            }
-            match &e.kind {
+            nodes.push(a);
+            nodes.extend(b);
+            match e.kind {
                 EventKind::AddEdge {
                     src, dst, weight, ..
-                } => {
-                    let key = (*src.min(dst), *src.max(dst));
-                    open_edge(key, *weight as f64, e.time, &mut live_since, &mut max_w);
-                    *deg_now.entry(*src).or_insert(0) += 1;
-                    *deg_now.entry(*dst).or_insert(0) += 1;
                 }
-                EventKind::RemoveEdge { src, dst } => {
-                    let key = (*src.min(dst), *src.max(dst));
-                    close_edge(key, e.time, &mut live_since, &mut integral);
-                    deg_now.entry(*src).and_modify(|d| *d = d.saturating_sub(1));
-                    deg_now.entry(*dst).and_modify(|d| *d = d.saturating_sub(1));
-                }
-                EventKind::SetEdgeWeight { src, dst, weight } => {
-                    let key = (*src.min(dst), *src.max(dst));
-                    close_edge(key, e.time, &mut live_since, &mut integral);
-                    open_edge(key, *weight as f64, e.time, &mut live_since, &mut max_w);
-                }
-                EventKind::RemoveNode { id } => {
-                    // Close all live edges incident to `id`.
-                    if let Some(n) = state.node(*id) {
-                        let nbrs: Vec<NodeId> = n.all_neighbors().collect();
-                        for nbr in nbrs {
-                            let key = (*id.min(&nbr), *id.max(&nbr));
-                            close_edge(key, e.time, &mut live_since, &mut integral);
-                            deg_now.entry(nbr).and_modify(|d| *d = d.saturating_sub(1));
-                        }
-                    }
-                    deg_now.insert(*id, 0);
+                | EventKind::SetEdgeWeight { src, dst, weight } => {
+                    raise((src.min(dst), src.max(dst)), weight as f64);
                 }
                 _ => {}
             }
-            state.apply_event(&e.kind);
         }
-        // Close out everything still live at range.end.
-        let dt = (range.end.min(Time::MAX - 1) - last_t) as f64;
-        if dt > 0.0 {
-            for (id, d) in deg_now.iter() {
-                *deg_integral.entry(*id).or_insert(0.0) += *d as f64 * dt;
-            }
-        }
-        let live_keys: Vec<(NodeId, NodeId)> = live_since.keys().copied().collect();
-        for key in live_keys {
-            if let Some((since, w)) = live_since.remove(&key) {
-                *integral.entry(key).or_insert(0.0) +=
-                    w * (range.end.min(Time::MAX - 1).saturating_sub(since)) as f64;
-            }
-        }
-
-        let edges: FxHashMap<(NodeId, NodeId), f64> = match omega {
-            Omega::UnionMax => max_w,
-            Omega::UnionMean => integral.into_iter().map(|(k, v)| (k, v / span)).collect(),
-            Omega::Median => unreachable!(),
-        };
-        let avg_deg: Option<FxHashMap<NodeId, f64>> = match weighting {
-            NodeWeighting::AvgDegree => Some(
-                deg_integral
-                    .into_iter()
-                    .map(|(k, v)| (k, v / span))
-                    .collect(),
-            ),
-            _ => None,
-        };
-        Self::build(all_nodes.into_iter().collect(), edges, weighting, avg_deg)
+        Self::build(nodes, max_w)
     }
 
-    fn build(
-        mut nodes: Vec<NodeId>,
-        edges: FxHashMap<(NodeId, NodeId), f64>,
-        weighting: NodeWeighting,
-        avg_deg: Option<FxHashMap<NodeId, f64>>,
-    ) -> CollapsedGraph {
-        // `nodes` arrives in hash-set iteration order: the sort
-        // immediately before the adjacent-only `dedup` is load-bearing.
+    fn build(mut nodes: Vec<NodeId>, edges: FxHashMap<(NodeId, NodeId), f64>) -> CollapsedGraph {
+        // The sort immediately before the adjacent-only `dedup` is
+        // load-bearing: `nodes` repeats every id an event touched.
         nodes.sort_unstable();
         nodes.dedup();
         let mut index = FxHashMap::default();
@@ -340,31 +133,14 @@ impl CollapsedGraph {
         for l in adj.iter_mut() {
             l.sort_unstable_by_key(|(i, _)| *i);
         }
-        let node_weights: Vec<f64> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, id)| match weighting {
-                NodeWeighting::Uniform => 1.0,
-                NodeWeighting::Degree => adj[i].len() as f64,
-                NodeWeighting::AvgDegree => avg_deg
-                    .as_ref()
-                    .and_then(|m| m.get(id))
-                    .copied()
-                    .unwrap_or(0.0),
-            })
-            .collect();
-        CollapsedGraph {
-            nodes,
-            node_weights,
-            adj,
-            index,
-        }
+        CollapsedGraph { nodes, adj, index }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hgs_delta::Time;
 
     fn ev(t: Time, kind: EventKind) -> Event {
         Event::new(t, kind)
@@ -390,13 +166,7 @@ mod tests {
     fn union_max_keeps_transient_edges() {
         // Edge (1,2) exists only during [2,5) but must be present.
         let events = vec![add(2, 1, 2, 3.0), del(5, 1, 2), add(6, 3, 4, 1.0)];
-        let g = CollapsedGraph::collapse(
-            &Delta::new(),
-            &events,
-            TimeRange::new(0, 10),
-            Omega::UnionMax,
-            NodeWeighting::Uniform,
-        );
+        let g = CollapsedGraph::collapse(&Delta::new(), &events, TimeRange::new(0, 10));
         assert_eq!(g.len(), 4);
         let i1 = g.idx(1).unwrap() as usize;
         assert_eq!(g.adj[i1].len(), 1);
@@ -424,49 +194,9 @@ mod tests {
                 },
             ),
         ];
-        let g = CollapsedGraph::collapse(
-            &Delta::new(),
-            &events,
-            TimeRange::new(0, 10),
-            Omega::UnionMax,
-            NodeWeighting::Uniform,
-        );
+        let g = CollapsedGraph::collapse(&Delta::new(), &events, TimeRange::new(0, 10));
         let i1 = g.idx(1).unwrap() as usize;
         assert_eq!(g.adj[i1][0].1, 9.0);
-    }
-
-    #[test]
-    fn union_mean_weights_by_time_fraction() {
-        // Edge live with weight 4.0 for half the range -> mean 2.0.
-        let events = vec![add(0, 1, 2, 4.0), del(5, 1, 2)];
-        let g = CollapsedGraph::collapse(
-            &Delta::new(),
-            &events,
-            TimeRange::new(0, 10),
-            Omega::UnionMean,
-            NodeWeighting::Uniform,
-        );
-        let i1 = g.idx(1).unwrap() as usize;
-        assert!((g.adj[i1][0].1 - 2.0).abs() < 1e-9, "{}", g.adj[i1][0].1);
-    }
-
-    #[test]
-    fn median_uses_midpoint_state() {
-        // Edge added at t=8 is after the median (5) of [0,10): excluded
-        // from edges, but its endpoints must still be vertices.
-        let events = vec![add(1, 1, 2, 1.0), add(8, 3, 4, 1.0)];
-        let g = CollapsedGraph::collapse(
-            &Delta::new(),
-            &events,
-            TimeRange::new(0, 10),
-            Omega::Median,
-            NodeWeighting::Uniform,
-        );
-        assert_eq!(g.len(), 4, "all vertices kept");
-        let i3 = g.idx(3).unwrap() as usize;
-        assert!(g.adj[i3].is_empty(), "late edge not in median state");
-        let i1 = g.idx(1).unwrap() as usize;
-        assert_eq!(g.adj[i1].len(), 1);
     }
 
     #[test]
@@ -478,47 +208,25 @@ mod tests {
             weight: 2.0,
             directed: false,
         });
-        let g = CollapsedGraph::collapse(
-            &initial,
-            &[],
-            TimeRange::new(100, 200),
-            Omega::UnionMax,
-            NodeWeighting::Uniform,
-        );
+        let g = CollapsedGraph::collapse(&initial, &[], TimeRange::new(100, 200));
         assert_eq!(g.len(), 2);
-        assert_eq!(g.total_edge_weight(), 2.0);
+        let i7 = g.idx(7).unwrap() as usize;
+        assert_eq!(g.adj[i7], vec![(g.idx(8).unwrap(), 2.0)]);
     }
 
     #[test]
-    fn degree_weighting() {
-        let events = vec![add(1, 1, 2, 1.0), add(2, 1, 3, 1.0)];
-        let g = CollapsedGraph::collapse(
-            &Delta::new(),
-            &events,
-            TimeRange::new(0, 10),
-            Omega::UnionMax,
-            NodeWeighting::Degree,
-        );
-        let i1 = g.idx(1).unwrap() as usize;
-        assert_eq!(g.node_weights[i1], 2.0);
-    }
-
-    #[test]
-    fn avg_degree_weighting_integrates_time() {
-        // Node 1 has degree 1 for [5,10) of a 10-long range -> avg 0.5.
-        let events = vec![add(5, 1, 2, 1.0)];
-        let g = CollapsedGraph::collapse(
-            &Delta::new(),
-            &events,
-            TimeRange::new(0, 10),
-            Omega::UnionMax,
-            NodeWeighting::AvgDegree,
-        );
-        let i1 = g.idx(1).unwrap() as usize;
-        assert!(
-            (g.node_weights[i1] - 0.5).abs() < 1e-9,
-            "{}",
-            g.node_weights[i1]
-        );
+    fn every_node_touched_in_range_is_kept_and_nothing_outside_it() {
+        // A node seen only in a removal is a vertex of τ; events before
+        // or after τ add neither vertices nor edges.
+        let events = vec![
+            add(1, 1, 2, 1.0),
+            add(3, 5, 6, 1.0),
+            ev(4, EventKind::RemoveNode { id: 9 }),
+            add(12, 1, 7, 1.0),
+        ];
+        let g = CollapsedGraph::collapse(&Delta::new(), &events, TimeRange::new(2, 10));
+        assert_eq!(g.nodes, vec![5, 6, 9]);
+        assert_eq!(g.adj[g.idx(9).unwrap() as usize], vec![]);
+        assert_eq!(g.adj[g.idx(5).unwrap() as usize], vec![(1, 1.0)]);
     }
 }

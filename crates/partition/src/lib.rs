@@ -2,33 +2,28 @@
 //!
 //! TGI bounds micro-delta sizes by partitioning each horizontal slice
 //! of the graph. This crate implements the paper's partitioning
-//! machinery:
+//! machinery, one mode per step:
 //!
-//! * [`collapse`] — the time-collapse functions Ω that project a
+//! * [`collapse`] — the time-collapse function Ω that projects a
 //!   temporal graph over a timespan onto a single weighted static
-//!   graph: **Median**, **Union-Max** (the paper's default) and
-//!   **Union-Mean**, plus the three node-weight schemes (uniform /
-//!   degree / average degree).
-//! * [`partitioner`] — [`partitioner::RandomPartitioner`] (hash-based,
-//!   zero bookkeeping) and [`partitioner::LocalityPartitioner`]
-//!   (streaming LDG placement + Kernighan–Lin-style refinement), the
-//!   "Maxflow"/min-cut partitioner of Fig. 15a, with
-//!   [`partitioner::edge_cut_fraction`] / [`partitioner::balance`]
+//!   graph: **Union-Max** (the paper's default), every node weighing 1.
+//! * [`partitioner`] — [`PartitionMap`], whose
+//!   [`PartitionMap::random`] is hash-based random partitioning (zero
+//!   bookkeeping), and [`locality_partition`] (streaming LDG placement
+//!   and Kernighan–Lin-style refinement), the "Maxflow"/min-cut
+//!   partitioner of Fig. 15a, with [`edge_cut_fraction`] / [`balance`]
 //!   quality metrics.
 //! * [`timespan`] — splitting the history into timespans with roughly
 //!   equal numbers of events (Fig. 4), within which the partitioning
 //!   stays fixed.
-//! * [`replication`] — planning the 1-hop edge-cut replicas stored in
-//!   auxiliary micro-deltas (Fig. 5d).
+//!
+//! The 1-hop edge-cut replicas of auxiliary micro-deltas (Fig. 5d) are
+//! planned by the build in `hgs-core`, which knows the span's state.
 
 pub mod collapse;
 pub mod partitioner;
-pub mod replication;
 pub mod timespan;
 
-pub use collapse::{CollapsedGraph, NodeWeighting, Omega};
-pub use partitioner::{
-    balance, edge_cut_fraction, LocalityPartitioner, PartitionMap, Partitioner, RandomPartitioner,
-};
-pub use replication::boundary_neighbors;
+pub use collapse::CollapsedGraph;
+pub use partitioner::{balance, edge_cut_fraction, locality_partition, PartitionMap};
 pub use timespan::{plan_timespans, Timespan};

@@ -1,13 +1,14 @@
-//! Static graph partitioners over collapsed graphs.
+//! Partition maps and the locality partitioner over collapsed graphs.
 //!
 //! Two strategies, per §4.5: random hash-based partitioning ("simpler
-//! and involves minimal bookkeeping" but loses locality) and
-//! locality-aware min-cut-style partitioning ("preserves locality but
-//! incurs extra bookkeeping in form of a {node-id: partition-id}
-//! map"). The locality partitioner is Linear Deterministic Greedy
-//! streaming placement followed by Kernighan–Lin-style boundary
-//! refinement — a standard lightweight min-cut heuristic that fills
-//! the role of the paper's "Maxflow" partitioner in Fig. 15a.
+//! and involves minimal bookkeeping" but loses locality) is
+//! [`PartitionMap::random`], an empty explicit map; locality-aware
+//! min-cut-style partitioning ("preserves locality but incurs extra
+//! bookkeeping in form of a {node-id: partition-id} map") is
+//! [`locality_partition`]: Linear Deterministic Greedy streaming
+//! placement followed by Kernighan–Lin-style boundary refinement — a
+//! standard lightweight min-cut heuristic that fills the role of the
+//! paper's "Maxflow" partitioner in Fig. 15a.
 
 use crate::collapse::CollapsedGraph;
 use hgs_delta::{hash::hash_u64, FxHashMap, NodeId};
@@ -60,157 +61,105 @@ impl PartitionMap {
     pub fn entries(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
         self.map.iter().map(|(&id, &p)| (id, p))
     }
-
-    /// Number of explicit entries (the bookkeeping cost the paper
-    /// talks about; zero for random partitioning).
-    pub fn bookkeeping_entries(&self) -> usize {
-        self.map.len()
-    }
 }
 
-/// A static-graph partitioner.
-pub trait Partitioner {
-    /// Assign every node of `g` to one of `k` partitions.
-    fn partition(&self, g: &CollapsedGraph, k: u32) -> PartitionMap;
-    /// Human-readable name for experiment output.
-    fn name(&self) -> &'static str;
-}
+/// Refinement passes over boundary vertices.
+const REFINE_PASSES: usize = 2;
+/// Allowed imbalance: a partition may exceed the ideal node count by
+/// this factor (5 % slack).
+const BALANCE_SLACK: f64 = 1.05;
 
-/// Hash-based random partitioning.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RandomPartitioner;
-
-impl Partitioner for RandomPartitioner {
-    fn partition(&self, _g: &CollapsedGraph, k: u32) -> PartitionMap {
-        PartitionMap::random(k)
+/// Locality-aware partitioning of `g` into `k` parts: LDG streaming
+/// placement (in BFS order, so neighborhoods stream together), then
+/// bounded Kernighan–Lin refinement passes, every node weighing 1.
+pub fn locality_partition(g: &CollapsedGraph, k: u32) -> PartitionMap {
+    let n = g.len();
+    if n == 0 || k <= 1 {
+        return PartitionMap::explicit(FxHashMap::default(), k.max(1));
     }
+    let cap = (n as f64 / k as f64) * BALANCE_SLACK;
 
-    fn name(&self) -> &'static str {
-        "random"
-    }
-}
+    let mut part = vec![u32::MAX; n];
+    let mut load = vec![0.0f64; k as usize];
 
-/// Locality-aware partitioning: LDG streaming placement (in BFS order,
-/// so neighborhoods stream together) + bounded Kernighan–Lin
-/// refinement passes.
-#[derive(Debug, Clone, Copy)]
-pub struct LocalityPartitioner {
-    /// Refinement passes over boundary vertices.
-    pub refine_passes: usize,
-    /// Allowed imbalance: partitions may exceed the ideal weight by
-    /// this factor (1.05 = 5% slack).
-    pub balance_slack: f64,
-}
-
-impl Default for LocalityPartitioner {
-    fn default() -> LocalityPartitioner {
-        LocalityPartitioner {
-            refine_passes: 2,
-            balance_slack: 1.05,
-        }
-    }
-}
-
-impl Partitioner for LocalityPartitioner {
-    fn partition(&self, g: &CollapsedGraph, k: u32) -> PartitionMap {
-        let n = g.len();
-        if n == 0 || k <= 1 {
-            return PartitionMap::explicit(FxHashMap::default(), k.max(1));
-        }
-        let total_w: f64 = g.node_weights.iter().sum();
-        let cap = (total_w / k as f64) * self.balance_slack;
-
-        let mut part = vec![u32::MAX; n];
-        let mut load = vec![0.0f64; k as usize];
-
-        // BFS streaming order: keeps neighborhoods adjacent in the
-        // stream, which is what makes LDG effective.
-        let order = bfs_order(g);
-        for &v in &order {
-            let vw = g.node_weights[v as usize];
-            // Score each partition: neighbors already there, damped by
-            // remaining capacity (classic LDG score).
-            let mut nbr_count = vec![0.0f64; k as usize];
-            for &(u, w) in &g.adj[v as usize] {
-                let pu = part[u as usize];
-                if pu != u32::MAX {
-                    nbr_count[pu as usize] += w;
-                }
-            }
-            let mut best = 0u32;
-            let mut best_score = f64::NEG_INFINITY;
-            for p in 0..k as usize {
-                let slack = 1.0 - load[p] / cap;
-                if slack <= 0.0 {
-                    continue;
-                }
-                let score = nbr_count[p] * slack + 1e-9 * slack;
-                if score > best_score {
-                    best_score = score;
-                    best = p as u32;
-                }
-            }
-            if best_score == f64::NEG_INFINITY {
-                // All partitions "full" (possible with slack rounding):
-                // place on lightest.
-                best = load
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i as u32)
-                    .unwrap_or(0);
-            }
-            part[v as usize] = best;
-            load[best as usize] += vw;
-        }
-
-        // KL-style refinement: greedily move boundary vertices to the
-        // partition with the highest connectivity gain, respecting
-        // capacity.
-        for _ in 0..self.refine_passes {
-            let mut moved = 0usize;
-            for v in 0..n {
-                let pv = part[v];
-                if g.adj[v].is_empty() {
-                    continue;
-                }
-                let mut conn = vec![0.0f64; k as usize];
-                for &(u, w) in &g.adj[v] {
-                    conn[part[u as usize] as usize] += w;
-                }
-                let (best_p, best_conn) = conn
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, &c)| (i as u32, c))
-                    .unwrap();
-                let vw = g.node_weights[v];
-                if best_p != pv
-                    && best_conn > conn[pv as usize]
-                    && load[best_p as usize] + vw <= cap
-                {
-                    load[pv as usize] -= vw;
-                    load[best_p as usize] += vw;
-                    part[v] = best_p;
-                    moved += 1;
-                }
-            }
-            if moved == 0 {
-                break;
+    // BFS streaming order: keeps neighborhoods adjacent in the
+    // stream, which is what makes LDG effective.
+    let order = bfs_order(g);
+    for &v in &order {
+        // Score each partition: neighbors already there, damped by
+        // remaining capacity (classic LDG score).
+        let mut nbr_count = vec![0.0f64; k as usize];
+        for &(u, w) in &g.adj[v as usize] {
+            let pu = part[u as usize];
+            if pu != u32::MAX {
+                nbr_count[pu as usize] += w;
             }
         }
-
-        let mut map = FxHashMap::default();
-        map.reserve(n);
-        for (i, &p) in part.iter().enumerate() {
-            map.insert(g.nodes[i], p);
+        let mut best = 0u32;
+        let mut best_score = f64::NEG_INFINITY;
+        for p in 0..k as usize {
+            let slack = 1.0 - load[p] / cap;
+            if slack <= 0.0 {
+                continue;
+            }
+            let score = nbr_count[p] * slack + 1e-9 * slack;
+            if score > best_score {
+                best_score = score;
+                best = p as u32;
+            }
         }
-        PartitionMap::explicit(map, k)
+        if best_score == f64::NEG_INFINITY {
+            // All partitions "full" (possible with slack rounding):
+            // place on lightest.
+            best = load
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(i, _)| i as u32)
+                .unwrap_or(0);
+        }
+        part[v as usize] = best;
+        load[best as usize] += 1.0;
     }
 
-    fn name(&self) -> &'static str {
-        "locality"
+    // KL-style refinement: greedily move boundary vertices to the
+    // partition with the highest connectivity gain, respecting
+    // capacity.
+    for _ in 0..REFINE_PASSES {
+        let mut moved = 0usize;
+        for v in 0..n {
+            let pv = part[v];
+            if g.adj[v].is_empty() {
+                continue;
+            }
+            let mut conn = vec![0.0f64; k as usize];
+            for &(u, w) in &g.adj[v] {
+                conn[part[u as usize] as usize] += w;
+            }
+            let (best_p, best_conn) = conn
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(i, &c)| (i as u32, c))
+                .unwrap();
+            if best_p != pv && best_conn > conn[pv as usize] && load[best_p as usize] + 1.0 <= cap {
+                load[pv as usize] -= 1.0;
+                load[best_p as usize] += 1.0;
+                part[v] = best_p;
+                moved += 1;
+            }
+        }
+        if moved == 0 {
+            break;
+        }
     }
+
+    let mut map = FxHashMap::default();
+    map.reserve(n);
+    for (i, &p) in part.iter().enumerate() {
+        map.insert(g.nodes[i], p);
+    }
+    PartitionMap::explicit(map, k)
 }
 
 /// BFS order over the collapsed graph, restarting at every unvisited
@@ -262,13 +211,13 @@ pub fn edge_cut_fraction(g: &CollapsedGraph, map: &PartitionMap) -> f64 {
     }
 }
 
-/// Balance: max partition weight divided by ideal weight (1.0 is
-/// perfect).
+/// Balance: max partition node count divided by the ideal count (1.0
+/// is perfect).
 pub fn balance(g: &CollapsedGraph, map: &PartitionMap) -> f64 {
     let k = map.parts() as usize;
     let mut load = vec![0.0f64; k];
-    for (i, id) in g.nodes.iter().enumerate() {
-        load[map.assign(*id) as usize] += g.node_weights[i];
+    for id in &g.nodes {
+        load[map.assign(*id) as usize] += 1.0;
     }
     let total: f64 = load.iter().sum();
     if total == 0.0 {
@@ -281,7 +230,6 @@ pub fn balance(g: &CollapsedGraph, map: &PartitionMap) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collapse::{NodeWeighting, Omega};
     use hgs_delta::{Delta, Event, EventKind, TimeRange};
 
     /// Two dense clusters joined by one bridge edge.
@@ -318,20 +266,14 @@ mod tests {
                 directed: false,
             },
         ));
-        CollapsedGraph::collapse(
-            &Delta::new(),
-            &events,
-            TimeRange::new(0, t + 10),
-            Omega::UnionMax,
-            NodeWeighting::Uniform,
-        )
+        CollapsedGraph::collapse(&Delta::new(), &events, TimeRange::new(0, t + 10))
     }
 
     #[test]
     fn locality_beats_random_on_clustered_graph() {
         let g = two_clusters(40);
-        let rand_map = RandomPartitioner.partition(&g, 2);
-        let loc_map = LocalityPartitioner::default().partition(&g, 2);
+        let rand_map = PartitionMap::random(2);
+        let loc_map = locality_partition(&g, 2);
         let cut_r = edge_cut_fraction(&g, &rand_map);
         let cut_l = edge_cut_fraction(&g, &loc_map);
         assert!(cut_l < cut_r / 4.0, "locality {cut_l} vs random {cut_r}");
@@ -344,7 +286,7 @@ mod tests {
         // must stay a small constant fraction — random hashing cuts
         // ~50% of edges on this graph.
         let g = two_clusters(40);
-        let map = LocalityPartitioner::default().partition(&g, 2);
+        let map = locality_partition(&g, 2);
         let cut = edge_cut_fraction(&g, &map);
         assert!(cut <= 0.10, "cut fraction {cut}");
     }
@@ -353,7 +295,7 @@ mod tests {
     fn balance_within_slack() {
         let g = two_clusters(40);
         for k in [2u32, 4] {
-            let map = LocalityPartitioner::default().partition(&g, k);
+            let map = locality_partition(&g, k);
             let b = balance(&g, &map);
             assert!(b <= 1.3, "k={k} balance {b}");
         }
@@ -362,8 +304,8 @@ mod tests {
     #[test]
     fn random_partitioning_has_no_bookkeeping() {
         let g = two_clusters(10);
-        let map = RandomPartitioner.partition(&g, 4);
-        assert_eq!(map.bookkeeping_entries(), 0);
+        let map = PartitionMap::random(4);
+        assert_eq!(map.entries().count(), 0);
         // ...but still assigns everything deterministically in range.
         for &id in &g.nodes {
             assert!(map.assign(id) < 4);
@@ -374,21 +316,15 @@ mod tests {
     #[test]
     fn unknown_nodes_fall_back_to_hash() {
         let g = two_clusters(10);
-        let map = LocalityPartitioner::default().partition(&g, 4);
+        let map = locality_partition(&g, 4);
         let unknown: NodeId = 999_999;
         assert!(map.assign(unknown) < 4);
     }
 
     #[test]
     fn empty_graph() {
-        let g = CollapsedGraph::collapse(
-            &Delta::new(),
-            &[],
-            TimeRange::new(0, 1),
-            Omega::UnionMax,
-            NodeWeighting::Uniform,
-        );
-        let map = LocalityPartitioner::default().partition(&g, 4);
+        let g = CollapsedGraph::collapse(&Delta::new(), &[], TimeRange::new(0, 1));
+        let map = locality_partition(&g, 4);
         assert_eq!(map.parts(), 4);
         assert_eq!(edge_cut_fraction(&g, &map), 0.0);
         assert_eq!(balance(&g, &map), 1.0);
@@ -397,7 +333,7 @@ mod tests {
     #[test]
     fn k_equals_one() {
         let g = two_clusters(10);
-        let map = LocalityPartitioner::default().partition(&g, 1);
+        let map = locality_partition(&g, 1);
         assert_eq!(edge_cut_fraction(&g, &map), 0.0);
     }
 }

@@ -85,14 +85,6 @@ pub fn plan_timespans(events: &[Event], events_per_span: usize) -> Vec<Timespan>
     spans
 }
 
-/// Locate the span containing time `t` (spans tile `[0, Time::MAX)`).
-pub fn span_for_time(spans: &[Timespan], t: Time) -> usize {
-    debug_assert!(!spans.is_empty());
-    spans
-        .partition_point(|s| s.range.end <= t)
-        .min(spans.len() - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,20 +135,10 @@ mod tests {
     }
 
     #[test]
-    fn span_lookup() {
-        let events: Vec<Event> = (0..90).map(ev).collect();
-        let spans = plan_timespans(&events, 30);
-        assert_eq!(span_for_time(&spans, 0), 0);
-        assert_eq!(span_for_time(&spans, 29), 0);
-        assert_eq!(span_for_time(&spans, 30), 1);
-        assert_eq!(span_for_time(&spans, 1_000_000), spans.len() - 1);
-    }
-
-    #[test]
     fn empty_history_single_span() {
         let spans = plan_timespans(&[], 10);
         assert_eq!(spans.len(), 1);
         assert!(spans[0].is_empty());
-        assert_eq!(span_for_time(&spans, 12345), 0);
+        assert_eq!(spans[0].range, TimeRange::new(0, Time::MAX));
     }
 }

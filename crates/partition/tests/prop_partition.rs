@@ -3,8 +3,7 @@
 
 use hgs_delta::{Delta, Event, EventKind, TimeRange};
 use hgs_partition::{
-    balance, edge_cut_fraction, plan_timespans, CollapsedGraph, LocalityPartitioner, NodeWeighting,
-    Omega, Partitioner, RandomPartitioner,
+    balance, edge_cut_fraction, locality_partition, plan_timespans, CollapsedGraph, PartitionMap,
 };
 use proptest::prelude::*;
 
@@ -74,10 +73,8 @@ proptest! {
             &Delta::new(),
             &events,
             TimeRange::new(0, events.last().map(|e| e.time + 1).unwrap_or(1)),
-            Omega::UnionMax,
-            NodeWeighting::Uniform,
         );
-        let map = LocalityPartitioner::default().partition(&g, k);
+        let map = locality_partition(&g, k);
         for &id in &g.nodes {
             prop_assert!(map.assign(id) < k);
         }
@@ -96,12 +93,10 @@ proptest! {
             &Delta::new(),
             &events,
             TimeRange::new(0, events.last().map(|e| e.time + 1).unwrap_or(1)),
-            Omega::UnionMax,
-            NodeWeighting::Uniform,
         );
         let k = 2u32;
-        let loc = LocalityPartitioner::default().partition(&g, k);
-        let rnd = RandomPartitioner.partition(&g, k);
+        let loc = locality_partition(&g, k);
+        let rnd = PartitionMap::random(k);
         let cut_l = edge_cut_fraction(&g, &loc);
         let cut_r = edge_cut_fraction(&g, &rnd);
         prop_assert!(cut_l <= cut_r + 0.05, "locality {cut_l} vs random {cut_r}");
