@@ -23,17 +23,40 @@ pub const AUX_BASE: u64 = 1 << 41;
 /// Shape of the k-ary intersection tree over the `q` leaf checkpoints
 /// of one (timespan, horizontal partition).
 ///
-/// Level 0 holds the leaves; the top level holds the root. Delta-ids
-/// are assigned top-down: the root gets did 0, then each lower level
-/// left-to-right. Only the root delta and the `child − parent` derived
-/// deltas are physically stored; leaves are reconstructed by summing
-/// along the root-to-leaf path.
+/// Level 0 holds the leaves; the top level holds the root. The tree is
+/// laid out **from the right**: it is the complete tree over
+/// `arity^height` positions whose first [`pad`](TreeShape::pad) are
+/// virtual, so leaf `j` sits at position `j + pad` and a node at level
+/// `l` covers the leaves of `arity^l` consecutive positions. Every group
+/// of siblings is full but the first of its level, which may hold fewer
+/// than `arity` children. The height is that of any tree over `q`
+/// leaves, `⌈log_arity q⌉`, and so is each level's size. Delta-ids are
+/// assigned top-down: the root gets did 0, then each lower level
+/// left-to-right, by the node's index in its level (its position less
+/// the level's virtual nodes).
+///
+/// Why from the right: a component is stored once on every node of the
+/// canonical cover of the leaves it lives through, and most of a
+/// growing graph lives from the leaf it appears at to the span's end —
+/// a suffix of the complete tree, covered by one node per nonzero digit
+/// of its length in base `arity`, where a tree grouped from the left
+/// adds a node under every ragged right edge. The price is more
+/// nonempty rows on the paths to late leaves: on a growing span rows
+/// per path plus copies per component stays the same.
+///
+/// Only the root delta and the `child − parent` derived deltas are
+/// physically stored; leaves are reconstructed by summing along the
+/// root-to-leaf path. Nothing of the shape is stored: it follows from
+/// the leaf count and the descriptor's arity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeShape {
     /// Number of leaves (`q`).
     pub leaves: usize,
-    /// Children per parent.
+    /// Children per parent: the configured arity, clipped to the leaf
+    /// count (a wider one builds the same flat tree).
     pub arity: usize,
+    /// Virtual positions before leaf 0: `arity^height − leaves`.
+    pub pad: usize,
     /// Node count per level; `level_sizes[0] == leaves`, last is 1.
     pub level_sizes: Vec<usize>,
     /// First did of each level (indexed like `level_sizes`).
@@ -41,14 +64,19 @@ pub struct TreeShape {
 }
 
 impl TreeShape {
-    /// Compute the shape for `leaves >= 1` checkpoints.
+    /// Compute the shape for `leaves >= 1` checkpoints. The one shape
+    /// of a span: the build and [`TimespanMeta::decode`] both derive it
+    /// here, from the leaf count and the configured arity.
     pub fn new(leaves: usize, arity: usize) -> TreeShape {
         assert!(leaves >= 1 && arity >= 2);
+        let arity = arity.min(leaves.max(2));
         let mut level_sizes = vec![leaves];
-        let mut cur = leaves;
-        while cur > 1 {
-            cur = cur.div_ceil(arity);
-            level_sizes.push(cur);
+        // `arity^level`; with `arity <= leaves` it stays below
+        // `leaves^2`, so it saturates only past 2^32 leaves.
+        let mut width = 1usize;
+        while width < leaves {
+            width = width.saturating_mul(arity);
+            level_sizes.push(leaves.div_ceil(width));
         }
         // dids: root level first (did 0), descending to leaves.
         let mut level_offsets = vec![0u64; level_sizes.len()];
@@ -60,6 +88,7 @@ impl TreeShape {
         TreeShape {
             leaves,
             arity,
+            pad: width - leaves,
             level_sizes,
             level_offsets,
         }
@@ -82,20 +111,22 @@ impl TreeShape {
         self.level_offsets[level] + idx as u64
     }
 
+    /// Virtual nodes before node 0 of `level`.
+    fn level_pad(&self, level: usize) -> usize {
+        (0..level).fold(self.pad, |pad, _| pad / self.arity)
+    }
+
     /// Delta-ids along the root-to-leaf path for leaf `j` (root
     /// first). Summing the corresponding stored deltas reconstructs
     /// the leaf.
     pub fn path_to_leaf(&self, j: usize) -> Vec<u64> {
         debug_assert!(j < self.leaves);
-        let mut path = Vec::with_capacity(self.level_sizes.len());
-        let mut idx = j;
-        let mut nodes = Vec::with_capacity(self.level_sizes.len());
-        for level in 0..self.level_sizes.len() {
-            nodes.push((level, idx));
-            idx /= self.arity;
-        }
-        for (level, idx) in nodes.into_iter().rev() {
-            path.push(self.did(level, idx));
+        let mut path = vec![0; self.level_sizes.len()];
+        let (mut pos, mut pad) = (j + self.pad, self.pad);
+        for (level, did) in path.iter_mut().rev().enumerate() {
+            *did = self.did(level, pos - pad);
+            pos /= self.arity;
+            pad /= self.arity;
         }
         path
     }
@@ -103,7 +134,14 @@ impl TreeShape {
     /// Parent `(level, idx)` of a non-root node.
     pub fn parent(&self, level: usize, idx: usize) -> (usize, usize) {
         debug_assert!(level < self.height());
-        (level + 1, idx / self.arity)
+        let pad = self.level_pad(level);
+        (level + 1, (idx + pad) / self.arity - pad / self.arity)
+    }
+
+    /// Whether node `(level, idx)` is the last child of its parent:
+    /// the tree builder reduces a group when it arrives.
+    pub(crate) fn closes_group(&self, level: usize, idx: usize) -> bool {
+        (idx + self.level_pad(level)) % self.arity == self.arity - 1
     }
 }
 
@@ -117,7 +155,8 @@ pub struct TimespanMeta {
     /// Checkpoint times `c_0..c_{q-1}`: `c_j` is the state *before*
     /// eventlist chunk `j`; `c_0 == range.start`.
     pub checkpoints: Vec<Time>,
-    /// Intersection-tree shape (leaves == checkpoints.len()).
+    /// Intersection-tree shape (leaves == checkpoints.len()), derived
+    /// from the checkpoints and the index's arity, never stored.
     pub shape: TreeShape,
     /// Micro-partition counts per horizontal partition.
     pub pid_counts: Vec<u32>,
@@ -175,7 +214,6 @@ impl TimespanMeta {
             put_varint(&mut buf, c.wrapping_sub(prev));
             prev = c;
         }
-        put_varint(&mut buf, self.shape.arity as u64);
         put_varint(&mut buf, self.pid_counts.len() as u64);
         for &p in &self.pid_counts {
             put_varint(&mut buf, p as u64);
@@ -184,13 +222,22 @@ impl TimespanMeta {
         buf.freeze()
     }
 
-    /// Decode a [`TimespanMeta::encode`] blob, held to what the build
-    /// writes: a `u32` tsid, `start <= end`, a tree of arity two or
-    /// more, and checkpoints that open at `start`, never fall, and stay
+    /// Decode a [`TimespanMeta::encode`] blob of an index built at
+    /// `arity`, held to what the build writes: a `u32` tsid, `start <=
+    /// end`, checkpoints that open at `start`, never fall, and stay
     /// below `end` after the first (an empty span's only checkpoint is
-    /// its `start == end`). A row off these is refused by the field's
-    /// name: the tree shape and the leaf lookups assume them.
-    pub fn decode(mut buf: &[u8]) -> Result<TimespanMeta, CodecError> {
+    /// its `start == end`), and pid counts from 1 to `u32::MAX`. A row
+    /// off these is refused by the field's name: the tree shape, the
+    /// leaf lookups and the partition maps assume them. The row spells
+    /// no shape; it is derived from the checkpoint count and `arity`
+    /// as the build derives it ([`TreeShape::new`]).
+    pub fn decode(mut buf: &[u8], arity: usize) -> Result<TimespanMeta, CodecError> {
+        if arity < 2 {
+            return Err(CodecError::LengthOverflow {
+                what: "arity",
+                len: arity as u64,
+            });
+        }
         let b = &mut buf;
         let tsid = get_varint(b)?;
         let tsid = u32::try_from(tsid).map_err(|_| CodecError::BadRef {
@@ -230,18 +277,19 @@ impl TimespanMeta {
             checkpoints.push(c);
             prev = c;
         }
-        let arity = get_varint(b)?;
-        if arity < 2 {
-            return Err(CodecError::LengthOverflow {
-                what: "arity",
-                len: arity,
-            });
-        }
-        let arity = arity as usize;
         let np = bounded_count(b, 1, "pid_counts")?;
         let mut pid_counts = Vec::with_capacity(np);
         for _ in 0..np {
-            pid_counts.push(get_varint(b)? as u32);
+            let p = get_varint(b)?;
+            match u32::try_from(p) {
+                Ok(p) if p > 0 => pid_counts.push(p),
+                _ => {
+                    return Err(CodecError::LengthOverflow {
+                        what: "pid count",
+                        len: p,
+                    })
+                }
+            }
         }
         let has_aux = match b.split_first() {
             Some((&x, rest)) => {
@@ -362,6 +410,7 @@ mod tests {
         let s = TreeShape::new(5, 2);
         assert_eq!(s.level_sizes, vec![5, 3, 2, 1]);
         assert_eq!(s.height(), 3);
+        assert_eq!(s.pad, 3);
         assert_eq!(s.node_count(), 11);
         // root did 0; level 2 gets 1..=2; level 1 gets 3..=5; leaves 6..=10
         assert_eq!(s.did(3, 0), 0);
@@ -372,10 +421,13 @@ mod tests {
 
     #[test]
     fn path_walks_root_to_leaf() {
+        // Leaves at positions 3..8 of an 8-position tree: leaf 0 alone
+        // under its level-1 node, leaves 1..5 in full groups.
         let s = TreeShape::new(5, 2);
         let p = s.path_to_leaf(4);
-        // leaf 4 -> level1 idx 2 -> level2 idx 1 -> root
         assert_eq!(p, vec![0, s.did(2, 1), s.did(1, 2), s.did(0, 4)]);
+        let p1 = s.path_to_leaf(1);
+        assert_eq!(p1, vec![0, s.did(2, 1), s.did(1, 1), s.did(0, 1)]);
         let p0 = s.path_to_leaf(0);
         assert_eq!(p0, vec![0, s.did(2, 0), s.did(1, 0), s.did(0, 0)]);
     }
@@ -392,6 +444,12 @@ mod tests {
         let s = TreeShape::new(8, 2);
         assert_eq!(s.parent(0, 5), (1, 2));
         assert_eq!(s.parent(1, 3), (2, 1));
+        // Ragged: 40 leaves at positions 24..64, 3 | 2 under the root.
+        let s = TreeShape::new(40, 2);
+        assert_eq!((s.pad, s.level_sizes[4]), (24, 3));
+        assert_eq!(s.parent(4, 0), (5, 0));
+        assert_eq!(s.parent(4, 1), (5, 1));
+        assert_eq!(s.parent(0, 39), (1, 19));
     }
 
     #[test]
@@ -399,7 +457,82 @@ mod tests {
         let s = TreeShape::new(10, usize::MAX / 2);
         assert_eq!(s.level_sizes, vec![10, 1]);
         assert_eq!(s.height(), 1);
+        assert_eq!((s.arity, s.pad), (10, 0));
         assert_eq!(s.path_to_leaf(7).len(), 2);
+    }
+
+    /// Every shape over 1..=130 leaves at arity 2..=5: leaf ranges
+    /// gathered through `parent` tile each level, each node's children
+    /// tile its range, each path is root first with one node per level
+    /// and every node on it holds its leaf, the dids number the nodes
+    /// `0..node_count()`, and only a level's first group is ragged.
+    #[test]
+    fn every_shape_tiles_its_leaves_from_the_right() {
+        for arity in 2..=5 {
+            for q in 1..=130 {
+                let s = TreeShape::new(q, arity);
+                let what = format!("q {q}, arity {arity}");
+                let a = s.arity;
+                let h = s.height();
+                assert_eq!(s.pad + q, a.pow(h as u32), "{what}");
+                assert!(h == 0 || a.pow(h as u32 - 1) < q, "{what}: height");
+                // Level 0 is the leaves in order.
+                let mut ranges = vec![(0..q).map(|j| j..j + 1).collect::<Vec<_>>()];
+                for level in 0..h {
+                    let mut up: Vec<Option<std::ops::Range<usize>>> =
+                        vec![None; s.level_sizes[level + 1]];
+                    let mut children = vec![0usize; up.len()];
+                    for (idx, r) in ranges[level].iter().enumerate() {
+                        let (pl, p) = s.parent(level, idx);
+                        assert_eq!(pl, level + 1, "{what}");
+                        up[p] = Some(match up[p].take() {
+                            None => r.clone(),
+                            Some(u) => {
+                                assert_eq!(u.end, r.start, "{what}: children tile");
+                                u.start..r.end
+                            }
+                        });
+                        children[p] += 1;
+                        let last =
+                            idx + 1 == s.level_sizes[level] || s.parent(level, idx + 1).1 != p;
+                        assert_eq!(s.closes_group(level, idx), last, "{what}");
+                    }
+                    // Only the first group may be ragged.
+                    assert!(children.iter().all(|&c| c >= 1), "{what}");
+                    assert!(children[1..].iter().all(|&c| c == a), "{what}");
+                    assert_eq!(
+                        children.last(),
+                        Some(&a.min(s.level_sizes[level])),
+                        "{what}: last group"
+                    );
+                    ranges.push(up.into_iter().map(|r| r.expect("a child")).collect());
+                }
+                for (level, nodes) in ranges.iter().enumerate() {
+                    assert_eq!(nodes.len(), s.level_sizes[level], "{what}");
+                    assert_eq!(nodes[0].start, 0, "{what}");
+                    assert_eq!(nodes.last().map(|r| r.end), Some(q), "{what}");
+                    for w in nodes.windows(2) {
+                        assert_eq!(w[0].end, w[1].start, "{what}: level {level} tiles");
+                    }
+                }
+                for j in 0..q {
+                    let path = s.path_to_leaf(j);
+                    assert_eq!(path.len(), h + 1, "{what}");
+                    for (depth, &did) in path.iter().enumerate() {
+                        let level = h - depth;
+                        let idx = (did - s.level_offsets[level]) as usize;
+                        assert_eq!(s.did(level, idx), did, "{what}");
+                        assert!(ranges[level][idx].contains(&j), "{what}: leaf {j}");
+                    }
+                }
+                let mut dids: Vec<u64> = (0..=h)
+                    .flat_map(|l| (0..s.level_sizes[l]).map(move |i| (l, i)))
+                    .map(|(l, i)| s.did(l, i))
+                    .collect();
+                dids.sort_unstable();
+                assert_eq!(dids, (0..s.node_count() as u64).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]
@@ -412,8 +545,11 @@ mod tests {
             pid_counts: vec![4, 7],
             has_aux: true,
         };
-        let back = TimespanMeta::decode(&m.encode()).unwrap();
+        let back = TimespanMeta::decode(&m.encode(), 2).unwrap();
         assert_eq!(back, m);
+        // The row spells no arity: the shape follows the one passed.
+        let flat = TimespanMeta::decode(&m.encode(), 5).unwrap();
+        assert_eq!(flat.shape, TreeShape::new(3, 3));
     }
 
     #[test]

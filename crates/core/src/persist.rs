@@ -57,8 +57,11 @@ impl std::error::Error for OpenError {}
 /// with a byte length per record where a restart every 16 records now
 /// stands; they carry their own retired magic too, and the tag moves
 /// with it so that a descriptor names the one grammar of all its
-/// rows). A store tagged otherwise is refused, not answered from.
-const LAYOUT_TAG: u64 = 5;
+/// rows) and `5` (intersection trees grouped from the left, whose
+/// `Timespans` rows spelled their arity: the same rows would sum to
+/// other leaves under this layout's right-aligned trees). A store
+/// tagged otherwise is refused, not answered from.
+const LAYOUT_TAG: u64 = 6;
 
 /// Descriptor tags of the one time-collapse function (Union-Max) and
 /// node weighting (uniform) the locality partitioner runs (§4.5).
@@ -249,7 +252,7 @@ impl Tgi {
                 .pop()
                 .flatten()
                 .ok_or(bad_ref("timespan", tsid as u64))?;
-            let meta = TimespanMeta::decode(&row).map_err(OpenError::Corrupt)?;
+            let meta = TimespanMeta::decode(&row, cfg.arity).map_err(OpenError::Corrupt)?;
             // The spans tile time in `tsid` order from 0: a row filed
             // under another span, or one leaving a gap or an overlap
             // with the span before it, would answer a read at some time
@@ -272,7 +275,7 @@ impl Tgi {
                 PartitionStrategy::Random => meta
                     .pid_counts
                     .iter()
-                    .map(|&p| PartitionMap::random(p.max(1)))
+                    .map(|&p| PartitionMap::random(p))
                     .collect(),
                 PartitionStrategy::Locality { .. } => {
                     let mut maps = Vec::with_capacity(meta.pid_counts.len());
@@ -346,7 +349,7 @@ mod tests {
             assert_eq!(format!("{cfg:?}"), format!("{back:?}"));
         }
         // The layout tag is the second-to-last varint (one byte each):
-        // a descriptor tagged 0 to 4 (the retired formats), or cut
+        // a descriptor tagged 0 to 5 (the retired formats), or cut
         // short before the tag, is refused rather than opened as
         // something else.
         let blob = encode_config(&TgiConfig::default());
@@ -363,6 +366,7 @@ mod tests {
             &retired(2)[..],
             &retired(3)[..],
             &retired(4)[..],
+            &retired(5)[..],
             &blob[..tag_at],
         ] {
             assert!(matches!(
@@ -380,6 +384,37 @@ mod tests {
             decode_config(&blob[..tag_at + 1]),
             Err(CodecError::UnexpectedEof { .. })
         ));
+    }
+
+    /// A `Timespans` row spells no tree shape: a reopened index derives
+    /// each span's from its checkpoints and the descriptor's arity, and
+    /// gets the build's — at arity 2, at arity 3, and at the clipped
+    /// arity of a copy-log build, whose spans are flat trees.
+    #[test]
+    fn reopened_spans_have_the_built_shapes() {
+        let events = hgs_datagen::WikiGrowth::sized(2_000).generate();
+        let tree = TgiConfig::default()
+            .with_timespan(700)
+            .with_eventlist_size(100);
+        for cfg in [
+            tree,
+            TgiConfig { arity: 3, ..tree },
+            TgiConfig::copy_log(100).with_timespan(700),
+        ] {
+            let tgi = Tgi::try_build(cfg, hgs_store::StoreConfig::new(2, 1), &events).unwrap();
+            let reopened = Tgi::open(tgi.store().clone()).unwrap();
+            let shapes = |t: &Tgi| -> Vec<crate::meta::TreeShape> {
+                t.spans.iter().map(|s| s.meta.shape.clone()).collect()
+            };
+            let built = shapes(&tgi);
+            assert!(built.len() > 1, "{cfg:?}");
+            assert_eq!(shapes(&reopened), built, "{cfg:?}");
+            // Trees of 7 leaves are ragged; a copy log's are flat.
+            let flat = built.iter().all(|s| s.height() <= 1);
+            let ragged = built.iter().any(|s| s.pad > 0);
+            let copy_log = cfg.arity > 3;
+            assert_eq!((flat, ragged), (copy_log, !copy_log), "{built:?}");
+        }
     }
 
     #[test]

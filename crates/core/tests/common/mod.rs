@@ -60,13 +60,15 @@ pub fn node_events_by_replay(normalized: &[Event], nid: NodeId, range: TimeRange
 }
 
 /// The span descriptors an index persisted, in `tsid` order.
-pub fn span_metas(store: &SimStore) -> Vec<TimespanMeta> {
-    let mut metas: Vec<TimespanMeta> = store
+pub fn span_metas(tgi: &TgiView) -> Vec<TimespanMeta> {
+    let arity = tgi.config().arity;
+    let mut metas: Vec<TimespanMeta> = tgi
+        .store()
         .content_rows()
         .into_iter()
         .flatten()
         .filter(|(k, _)| k[0] == Table::Timespans.tag())
-        .map(|(_, v)| TimespanMeta::decode(&v).unwrap())
+        .map(|(_, v)| TimespanMeta::decode(&v, arity).unwrap())
         .collect();
     metas.sort_by_key(|m| m.tsid);
     metas.dedup_by_key(|m| m.tsid);
@@ -180,7 +182,7 @@ pub fn assert_answers_equal_replay(tgi: &Tgi, events: &[Event]) {
         }
     }
     let normalized = normalize_events(events);
-    let metas = span_metas(tgi.store());
+    let metas = span_metas(tgi);
     let mid = Delta::snapshot_by_replay(events, end / 2);
     let range = TimeRange::new(0, end + 1);
     let initial = Delta::snapshot_by_replay(events, range.start);

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use common::put_everywhere;
 
 use bytes::{Bytes, BytesMut};
-use hgs_core::meta::{encode_chain, sid_of, ChainEntry, TimespanMeta, TreeShape, ELIST_BASE};
+use hgs_core::meta::{encode_chain, sid_of, ChainEntry, TimespanMeta, ELIST_BASE};
 use hgs_core::{KhopStrategy, OpenError, PartitionStrategy, Tgi, TgiConfig};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::codec::{get_varint, put_varint};
@@ -168,7 +168,7 @@ fn repeated_component_in_a_child_row_is_corrupt_on_every_read() {
     let meta = rows
         .iter()
         .filter(|(k, _)| k[0] == Table::Timespans.tag())
-        .map(|(_, v)| TimespanMeta::decode(v).unwrap())
+        .map(|(_, v)| TimespanMeta::decode(v, tgi.config().arity).unwrap())
         .find(|m| m.tsid == 1)
         .expect("the trace spans several timespans");
     let t = meta.checkpoints[1];
@@ -392,7 +392,7 @@ fn hostile_descriptor_counts_are_corrupt_not_an_allocation() {
     put_everywhere(&store, Table::Timespans, &span0, varints(&[0, 0, 0, HUGE]));
     overflow(&store, "checkpoint count");
     assert!(matches!(
-        TimespanMeta::decode(&varints(&[0, 0, 0, HUGE])),
+        TimespanMeta::decode(&varints(&[0, 0, 0, HUGE]), 2),
         Err(CodecError::LengthOverflow {
             what: "checkpoints",
             ..
@@ -400,12 +400,12 @@ fn hostile_descriptor_counts_are_corrupt_not_an_allocation() {
     ));
 
     // `TimespanMeta::decode`, the `pid_counts` count: one checkpoint,
-    // arity 2, then the count.
+    // then the count.
     put_everywhere(
         &store,
         Table::Timespans,
         &span0,
-        varints(&[0, 0, 9, 1, 0, 2, HUGE]),
+        varints(&[0, 0, 9, 1, 0, HUGE]),
     );
     overflow(&store, "pid_counts count");
 
@@ -495,20 +495,22 @@ fn a_partition_map_naming_a_pid_past_its_part_count_is_corrupt() {
 }
 
 /// A `Timespans` row that decodes is not yet one the build could have
-/// written: its `tsid` must be its key's, its tree at least binary, its
-/// range not reversed, its checkpoints opening at the range's start and
-/// never falling, and the spans must tile time from 0. A row off any of
-/// these is `OpenError::Corrupt`, naming the field. (Re-encoding span
-/// 0's row this way once made `Tgi::open` panic inside `TreeShape::new`
-/// or `TimeRange::new`, or open a handle whose snapshots differed from
-/// the build's.)
+/// written: its `tsid` must be its key's, its range not reversed, its
+/// checkpoints opening at the range's start and never falling, and the
+/// spans must tile time from 0. A row off any of these is
+/// `OpenError::Corrupt`, naming the field. (Re-encoding span 0's row
+/// this way once made `Tgi::open` panic inside `TreeShape::new` or
+/// `TimeRange::new`, or open a handle whose snapshots differed from the
+/// build's.) The row spells no arity to get wrong: the tree's comes
+/// from the descriptor, whose bound
+/// `out_of_bounds_descriptor_is_corrupt_not_a_panic` holds.
 #[test]
 fn inconsistent_timespan_rows_are_corrupt_not_a_panic_or_a_wrong_graph() {
     let events = trace();
     let end = events.last().unwrap().time;
     let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
     let store = tgi.store().clone();
-    let built = common::span_metas(&store)[0].clone();
+    let built = common::span_metas(&tgi)[0].clone();
     assert!(built.checkpoints.len() > 1, "span 0 holds several chunks");
     let span0 = 0u32.to_be_bytes();
     let reopened = |meta: &TimespanMeta| {
@@ -526,20 +528,6 @@ fn inconsistent_timespan_rows_are_corrupt_not_a_panic_or_a_wrong_graph() {
                 ..built.clone()
             },
             bad_ref("timespan tsid", 1),
-        ),
-        (
-            "arity 1",
-            TimespanMeta {
-                shape: TreeShape {
-                    arity: 1,
-                    ..built.shape.clone()
-                },
-                ..built.clone()
-            },
-            CodecError::LengthOverflow {
-                what: "arity",
-                len: 1,
-            },
         ),
         (
             "start > end",
@@ -580,6 +568,62 @@ fn inconsistent_timespan_rows_are_corrupt_not_a_panic_or_a_wrong_graph() {
         reopened(&built).expect("intact descriptor").unwrap(),
         tgi.try_snapshot(end / 2).unwrap()
     );
+}
+
+/// A span's pid count sizes the hash partition map every read of its
+/// `sid` places nodes by. The build writes 1 to `u32::MAX`; a count of
+/// 0, or one past `u32` (which would wrap to a small count), is
+/// `OpenError::Corrupt`, not a handle whose snapshots miss nodes.
+#[test]
+fn a_span_pid_count_of_zero_or_past_u32_is_corrupt() {
+    let events = trace();
+    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let store = tgi.store().clone();
+    let last = common::span_metas(&tgi).pop().expect("spans");
+    assert!(
+        last.pid_counts[0] > 1,
+        "sid 0 holds several micro-partitions"
+    );
+    let key = last.tsid.to_be_bytes();
+    // The row's fields: tsid, start, end, the checkpoint count and
+    // gaps, the pid counts with their count, the aux flag.
+    let row = |count0: u64| {
+        let mut fields = vec![
+            last.tsid as u64,
+            last.range.start,
+            last.range.end,
+            last.checkpoints.len() as u64,
+        ];
+        let mut prev = 0;
+        for &c in &last.checkpoints {
+            fields.push(c - prev);
+            prev = c;
+        }
+        fields.push(last.pid_counts.len() as u64);
+        fields.push(count0);
+        fields.extend(last.pid_counts[1..].iter().map(|&p| p as u64));
+        fields.push(last.has_aux as u64);
+        varints(&fields)
+    };
+    assert_eq!(row(last.pid_counts[0] as u64), last.encode());
+    for count in [0, (1 << 32) + last.pid_counts[0] as u64] {
+        put_everywhere(&store, Table::Timespans, &key, row(count));
+        match Tgi::open(store.clone()) {
+            Err(OpenError::Corrupt(e)) => assert_eq!(
+                e,
+                CodecError::LengthOverflow {
+                    what: "pid count",
+                    len: count
+                }
+            ),
+            Err(other) => panic!("pid count {count}: unexpected error {other}"),
+            Ok(_) => panic!("pid count {count} opened"),
+        }
+    }
+    put_everywhere(&store, Table::Timespans, &key, last.encode());
+    let reopened = Tgi::open(store).expect("intact descriptor");
+    let t = last.checkpoints[last.checkpoints.len() / 2];
+    assert_eq!(reopened.try_snapshot(t), tgi.try_snapshot(t));
 }
 
 /// The encodings of a row at their edges, each read through the
@@ -659,7 +703,7 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
         Err(bad_weights.clone())
     );
     // ...and a snapshot at the chunk's checkpoint replays it in full.
-    let meta = &common::span_metas(store)[entry.tsid as usize];
+    let meta = &common::span_metas(&tgi)[entry.tsid as usize];
     let in_chunk = meta.checkpoints[entry.chunk as usize];
     assert_eq!(tgi.try_snapshot(in_chunk).map(drop), Err(bad_weights));
 
@@ -882,7 +926,7 @@ fn a_chain_naming_a_chunk_without_the_nodes_row_is_corrupt_not_a_shorter_history
     tgi.set_read_cache_budget(0);
     let store = tgi.store();
     let ns = cfg.horizontal_partitions;
-    let metas = common::span_metas(store);
+    let metas = common::span_metas(&tgi);
     let stored: BTreeSet<DeltaKey> = common::stored_eventlist_rows(store)
         .into_iter()
         .map(|(k, _)| k)

@@ -45,6 +45,15 @@
 //!   the `AttrIndex` bound: with a time gap, a node id and a flags byte
 //!   per point (the rows of layout tag 3) `skew21k`'s rows are 1.99 B/event.
 //!
+//! The tree's **layout** is the tree-delta bound too. A component is
+//! stored once on each node of the canonical cover of the leaves it
+//! lives through, and most of a growing graph lives from the leaf it
+//! appears at to the span's end: a suffix, which a tree laid out from
+//! the right covers with the fewest nodes. Grouped from the left
+//! (layout tag 5) the tree rows are 8.50 and 16.93 B/event, over the
+//! bound; the level just below the roots held 1.71 and 2.25 of them,
+//! against 0.37 and 0.76 now (the census prints each level's share).
+//!
 //! The bound on the total is there so that a regression in any other
 //! table shows as well; the `AttrIndex` bound also holds the secondary
 //! index to its one row kind — the bare-key rows it once carried beside
@@ -62,7 +71,7 @@
 //! thread-count dependence — so the bounds sit ~15 % above the
 //! measured values printed by the test
 //! (`cargo test --release -p hgs-core --test index_size -- --nocapture`),
-//! the tree-delta bounds closer: below what the previous row format
+//! the tree-delta bounds closer: below what the previous tree layout
 //! stored.
 
 mod common;
@@ -78,10 +87,9 @@ use hgs_store::{DeltaKey, StoreConfig, Table};
 /// their `did` addresses, `AttrIndex` rows by the points they spell.
 #[derive(Debug, Default)]
 struct Census {
-    /// Tree rows at the root of their span's tree.
-    roots: f64,
-    /// Every other tree row.
-    tree_pieces: f64,
+    /// Tree rows by their node's depth in its span's tree: the roots
+    /// at 0, the non-root pieces below.
+    tree_by_depth: Vec<f64>,
     eventlists: f64,
     aux_replicas: f64,
     versions: f64,
@@ -98,8 +106,16 @@ struct Census {
 }
 
 impl Census {
+    fn roots(&self) -> f64 {
+        self.tree_by_depth.first().copied().unwrap_or(0.0)
+    }
+
+    fn tree_pieces(&self) -> f64 {
+        self.tree_by_depth.iter().skip(1).sum()
+    }
+
     fn tree_deltas(&self) -> f64 {
-        self.roots + self.tree_pieces
+        self.tree_by_depth.iter().sum()
     }
 
     fn attr_index(&self) -> f64 {
@@ -118,7 +134,7 @@ fn census(events: &[Event], cfg: TgiConfig) -> Census {
         total: per_event(tgi.storage_bytes()),
         ..Census::default()
     };
-    let metas = common::span_metas(tgi.store());
+    let metas = common::span_metas(&tgi);
     for (key, value) in tgi.store().content_rows().into_iter().flatten() {
         let slot = match key[0] {
             t if t == Table::Deltas.tag() => {
@@ -127,10 +143,19 @@ fn census(events: &[Event], cfg: TgiConfig) -> Census {
                     &mut c.aux_replicas
                 } else if k.did >= ELIST_BASE {
                     &mut c.eventlists
-                } else if k.did == metas[k.tsid as usize].shape.path_to_leaf(0)[0] {
-                    &mut c.roots
                 } else {
-                    &mut c.tree_pieces
+                    let shape = &metas[k.tsid as usize].shape;
+                    let level = (0..=shape.height())
+                        .find(|&l| {
+                            let first = shape.level_offsets[l];
+                            (first..first + shape.level_sizes[l] as u64).contains(&k.did)
+                        })
+                        .expect("a tree did");
+                    let depth = shape.height() - level;
+                    if c.tree_by_depth.len() <= depth {
+                        c.tree_by_depth.resize(depth + 1, 0.0);
+                    }
+                    &mut c.tree_by_depth[depth]
                 }
             }
             t if t == Table::Versions.tag() => &mut c.versions,
@@ -163,14 +188,20 @@ fn census(events: &[Event], cfg: TgiConfig) -> Census {
 }
 
 fn print(name: &str, events: usize, c: &Census) {
+    let by_depth: Vec<String> = c.tree_by_depth[1..]
+        .iter()
+        .enumerate()
+        .map(|(d, b)| format!("{}: {b:.2}", d + 1))
+        .collect();
     println!(
         "{name} ({events} events), stored bytes/event: tree deltas {:.2} (roots {:.2}, \
-         non-root pieces {:.2}), eventlists {:.2}, aux {:.2}, Versions {:.2}, \
-         AttrIndex {:.2} (carry {:.2}, change {:.2}), metadata {:.2}, total {:.2}; \
-         {} of {} eventlist rows spell weights",
+         non-root pieces {:.2}; by depth below the root {}), eventlists {:.2}, aux {:.2}, \
+         Versions {:.2}, AttrIndex {:.2} (carry {:.2}, change {:.2}), metadata {:.2}, \
+         total {:.2}; {} of {} eventlist rows spell weights",
         c.tree_deltas(),
-        c.roots,
-        c.tree_pieces,
+        c.roots(),
+        c.tree_pieces(),
+        by_depth.join(", "),
         c.eventlists,
         c.aux_replicas,
         c.versions,
@@ -215,9 +246,11 @@ fn gate(name: &str, events: &[Event], b: Bounds) -> Census {
 
 // Bounds: ~15 % above the measured bytes per event — eventlists 5.91
 // and 6.06, `Versions` 0.75 and 1.13, `skew21k`'s `AttrIndex` rows
-// 1.42, totals 15.17 and 25.54 — but for the tree deltas, 8.50 and
-// 16.93, whose bounds sit below what the rows of magic `0xC4` stored
-// (9.56 and 18.31): a length per record growing back trips them.
+// 1.42; the totals, 14.17 and 24.27, ~23 % — but for the tree deltas,
+// 7.50 and 15.65, whose bounds sit below what trees grouped from the
+// left stored (8.50 and 16.93) and what the rows of magic `0xC4` stored
+// (9.56 and 18.31): undoing the right alignment, or a length per
+// record growing back, trips them.
 
 fn wiki20k() -> Vec<Event> {
     WikiGrowth::sized(20_000).generate()
@@ -237,7 +270,7 @@ fn skew21k() -> Vec<Event> {
 fn wiki_tree_delta_rows_stay_factored() {
     let events = wiki20k();
     let bounds = Bounds {
-        tree_deltas: 9.5,
+        tree_deltas: 8.4,
         eventlists: 6.8,
         versions: 0.87,
         attr_index: 0.0,
@@ -256,7 +289,7 @@ fn wiki_tree_delta_rows_stay_factored() {
 fn skew_tree_delta_rows_stay_factored() {
     let events = skew21k();
     let bounds = Bounds {
-        tree_deltas: 18.2,
+        tree_deltas: 16.8,
         eventlists: 7.0,
         versions: 1.3,
         attr_index: 1.63,
@@ -285,26 +318,27 @@ fn sweep(name: &str, events: &[Event]) -> Vec<(f64, f64)> {
             println!(
                 "  shares: roots + carry {:.4}: roots {:.3}, non-root pieces {:.3}, \
                  eventlists {:.3}, AttrIndex carry {:.3}, change {:.3}",
-                c.share(c.roots + c.attr_carry),
-                c.share(c.roots),
-                c.share(c.tree_pieces),
+                c.share(c.roots() + c.attr_carry),
+                c.share(c.roots()),
+                c.share(c.tree_pieces()),
                 c.share(c.eventlists),
                 c.share(c.attr_carry),
                 c.share(c.attr_change),
             );
-            (c.share(c.roots), c.share(c.attr_carry))
+            (c.share(c.roots()), c.share(c.attr_carry))
         })
         .collect()
 }
 
 /// Shorter spans mean more roots and more carry points; what the gate
 /// holds is how much of the index they are. At ×1 / ×½ / ×¼ of the
-/// default span size, roots plus carry points are 0.000 / 0.068 /
-/// 0.193 of `wiki20k` (no labels, so no carry points) and 0.094 /
-/// 0.146 / 0.254 of `skew21k` (carry 0.004 / 0.007 / 0.013 of it):
+/// default span size, roots plus carry points are 0.000 / 0.074 /
+/// 0.212 of `wiki20k` (no labels, so no carry points) and 0.099 /
+/// 0.156 / 0.271 of `skew21k` (carry 0.004 / 0.007 / 0.014 of it):
 /// linear in the number of spans, roots nearly all of it. Each bound
-/// sits 13–15 % above (set when the index was ~6 % larger and these
-/// shares that much smaller).
+/// sits 4–7 % above: they were set 13–15 % above when the index was
+/// ~13 % larger, and the roots' share rises as the rest of the index
+/// shrinks.
 #[test]
 fn shorter_spans_grow_roots_and_carry_points() {
     for (name, events, bounds) in [

@@ -67,7 +67,7 @@ fn fixture() -> &'static Fixture {
             .collect();
         rows.sort_by_key(|(nid, tsid, _)| (*nid, *tsid));
         rows.dedup_by_key(|(nid, tsid, _)| (*nid, *tsid));
-        let metas = common::span_metas(&store);
+        let metas = common::span_metas(&tgi);
         assert!(metas.len() > 2, "chains over several spans");
         Fixture {
             tgi,

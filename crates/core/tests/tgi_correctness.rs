@@ -361,7 +361,7 @@ fn version_chains_are_complete_and_sorted() {
     let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &events).unwrap();
     assert!(tgi.span_count() > 1, "chains over several spans");
     let normalized = hgs_delta::normalize_events(&events);
-    let metas = common::span_metas(tgi.store());
+    let metas = common::span_metas(&tgi);
     let state = Delta::snapshot_by_replay(&events, u64::MAX);
     for id in state.sorted_ids().into_iter().step_by(71).take(15) {
         // Exactly the chunks whose checkpoints bound an event touching
