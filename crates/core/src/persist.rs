@@ -59,9 +59,12 @@ impl std::error::Error for OpenError {}
 /// with it so that a descriptor names the one grammar of all its
 /// rows) and `5` (intersection trees grouped from the left, whose
 /// `Timespans` rows spelled their arity: the same rows would sum to
-/// other leaves under this layout's right-aligned trees). A store
+/// other leaves under this layout's right-aligned trees) and `6`
+/// (eventlist and delta rows with an LZSS bit on every segment length,
+/// attribute values spelled in full where a row-local dictionary
+/// index now stands; their rows carry retired magics too). A store
 /// tagged otherwise is refused, not answered from.
-const LAYOUT_TAG: u64 = 6;
+const LAYOUT_TAG: u64 = 7;
 
 /// Descriptor tags of the one time-collapse function (Union-Max) and
 /// node weighting (uniform) the locality partitioner runs (§4.5).
@@ -349,7 +352,7 @@ mod tests {
             assert_eq!(format!("{cfg:?}"), format!("{back:?}"));
         }
         // The layout tag is the second-to-last varint (one byte each):
-        // a descriptor tagged 0 to 5 (the retired formats), or cut
+        // a descriptor tagged 0 to 6 (the retired formats), or cut
         // short before the tag, is refused rather than opened as
         // something else.
         let blob = encode_config(&TgiConfig::default());
@@ -367,6 +370,7 @@ mod tests {
             &retired(3)[..],
             &retired(4)[..],
             &retired(5)[..],
+            &retired(6)[..],
             &blob[..tag_at],
         ] {
             assert!(matches!(

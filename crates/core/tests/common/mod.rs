@@ -224,14 +224,13 @@ pub fn assert_answers_equal_replay(tgi: &Tgi, events: &[Event]) {
 pub const ELIST_SEG_WEIGHTS: usize = 4;
 
 /// A stored columnar row taken apart as its header lays it out (see
-/// `hgs_delta::columnar`): magic, record count, then per segment the
-/// length varint — `stored_len << 1 | compressed` — and the stored
-/// bytes. What a test needs to look inside a row, or to put one back
+/// `hgs_delta::columnar`): magic, record count, then per segment its
+/// length varint and its bytes. What a test needs to look inside a row, or to put one back
 /// together with a segment swapped.
 pub struct RowSegments {
     pub magic: u8,
     pub count: u64,
-    pub segs: Vec<(bool, Vec<u8>)>,
+    pub segs: Vec<Vec<u8>>,
 }
 
 impl RowSegments {
@@ -241,9 +240,9 @@ impl RowSegments {
         let n = get_varint(&mut b).unwrap();
         let lens: Vec<u64> = (0..n).map(|_| get_varint(&mut b).unwrap()).collect();
         let mut segs = Vec::new();
-        for lv in lens {
-            let (seg, rest) = b.split_at((lv >> 1) as usize);
-            segs.push((lv & 1 == 1, seg.to_vec()));
+        for len in lens {
+            let (seg, rest) = b.split_at(len as usize);
+            segs.push(seg.to_vec());
             b = rest;
         }
         assert!(b.is_empty(), "segments cover the row");
@@ -255,10 +254,10 @@ impl RowSegments {
         out.put_u8(self.magic);
         put_varint(&mut out, self.count);
         put_varint(&mut out, self.segs.len() as u64);
-        for (compressed, seg) in &self.segs {
-            put_varint(&mut out, (seg.len() as u64) << 1 | *compressed as u64);
+        for seg in &self.segs {
+            put_varint(&mut out, seg.len() as u64);
         }
-        for (_, seg) in &self.segs {
+        for seg in &self.segs {
             out.put_slice(seg);
         }
         out.freeze()

@@ -307,6 +307,8 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
         (LAYOUT, 2, "retired layout tag 2"),
         (LAYOUT, 3, "retired layout tag 3"),
         (LAYOUT, 4, "retired layout tag 4"),
+        (LAYOUT, 5, "retired layout tag 5"),
+        (LAYOUT, 6, "retired layout tag 6"),
     ] {
         let mut bad_fields = fields.clone();
         bad_fields[idx] = bad;
@@ -321,8 +323,10 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
     // `Versions` rows carry no magic of their own, so the descriptor is
     // where such an index is refused — by name.
     // Tag 4 is the layout whose delta rows kept a byte length per
-    // record: refused by name too, with no reader of its rows kept.
-    for tag in [2, 4] {
+    // record, and tag 6 the one whose rows carried an LZSS bit per
+    // segment and spelled attribute values in full: refused by name
+    // too, with no reader of their rows kept.
+    for tag in [2, 4, 6] {
         let mut previous = fields.clone();
         previous[LAYOUT] = tag;
         rewrite(&previous);
@@ -686,13 +690,13 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
         .find(|(k, _)| *k == key)
         .expect("the chain names a stored row");
     let good = common::RowSegments::parse(&row);
-    assert!(good.segs[common::ELIST_SEG_WEIGHTS].1.is_empty());
+    assert!(good.segs[common::ELIST_SEG_WEIGHTS].is_empty());
     let range = TimeRange::new(0, end + 1);
     let history = tgi.try_node_history(1, range).unwrap();
 
     // Neither empty nor five bytes per weighted event.
     let mut odd = common::RowSegments::parse(&row);
-    odd.segs[common::ELIST_SEG_WEIGHTS] = (false, vec![0, 0, 0x80, 0x3f, 0, 7, 7]);
+    odd.segs[common::ELIST_SEG_WEIGHTS] = vec![0, 0, 0x80, 0x3f, 0, 7, 7];
     put_everywhere(store, Table::Deltas, &key.encode(), odd.assemble());
     let bad_weights = StoreError::Corrupt(CodecError::LengthOverflow {
         what: "weights",
@@ -707,10 +711,8 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
     let in_chunk = meta.checkpoints[entry.chunk as usize];
     assert_eq!(tgi.try_snapshot(in_chunk).map(drop), Err(bad_weights));
 
-    // The magic of the rows that always spelled their weights.
-    let mut retired = row.to_vec();
-    retired[0] = 0xC1;
-    put_everywhere(store, Table::Deltas, &key.encode(), Bytes::from(retired));
+    // The magics of the rows that always spelled their weights, and of
+    // the rows that spelled attribute values in full.
     let bad_tag = |tag| {
         move |r: Result<(), StoreError>| {
             assert!(
@@ -719,8 +721,13 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
             )
         }
     };
-    bad_tag(0xC1)(tgi.try_node_history(1, range).map(drop));
-    bad_tag(0xC1)(tgi.try_snapshot(in_chunk).map(drop));
+    for magic in [0xC1, 0xC6] {
+        let mut retired = row.to_vec();
+        retired[0] = magic;
+        put_everywhere(store, Table::Deltas, &key.encode(), Bytes::from(retired));
+        bad_tag(magic)(tgi.try_node_history(1, range).map(drop));
+        bad_tag(magic)(tgi.try_snapshot(in_chunk).map(drop));
+    }
 
     // Put back, the row reads as before.
     put_everywhere(store, Table::Deltas, &key.encode(), row);
@@ -761,9 +768,10 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
     eof(tgi.try_snapshot(end).map(drop));
     eof(tgi.try_node_at(1, end).map(drop));
 
-    // The magics of the rows whose records opened with two counts, and
-    // of the rows that kept a byte length per record.
-    for magic in [0xC3, 0xC4] {
+    // The magics of the rows whose records opened with two counts, of
+    // the rows that kept a byte length per record, and of the rows
+    // whose records spelled every pair's value.
+    for magic in [0xC3, 0xC4, 0xC7] {
         let mut retired = root_row.to_vec();
         retired[0] = magic;
         put_everywhere(store, Table::Deltas, &root.encode(), Bytes::from(retired));
@@ -775,7 +783,7 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
     // again. The full read and the point read of that node refuse it
     // alike — neither merges the two records, neither answers the first.
     let mut twice = common::RowSegments::parse(&root_row);
-    let ids = &mut twice.segs[0].1;
+    let ids = &mut twice.segs[0];
     let mut b: &[u8] = ids;
     let first = get_varint(&mut b).unwrap();
     let second_gap_at = ids.len() - b.len();
@@ -806,12 +814,12 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
     ids.sort_unstable();
     assert!(ids.len() > 16, "the row has a restart");
     let mut short = common::RowSegments::parse(&root_row);
-    let mut b: &[u8] = &short.segs[1].1;
+    let mut b: &[u8] = &short.segs[1];
     let w0 = get_varint(&mut b).unwrap();
     let mut restarts = BytesMut::new();
     put_varint(&mut restarts, w0 - 1);
     restarts.extend_from_slice(b);
-    short.segs[1].1 = restarts.to_vec();
+    short.segs[1] = restarts.to_vec();
     put_everywhere(store, Table::Deltas, &root.encode(), short.assemble());
     assert_eq!(
         tgi.try_snapshot(end).map(drop),

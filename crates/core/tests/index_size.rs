@@ -11,8 +11,8 @@
 //! un-factored edge-list grammar (`hgs_delta::codec` spelling `dir`,
 //! weight and an attributes flag on every entry) trips it too.
 //!
-//! Six encodings keep a row from spelling what its reader can derive,
-//! and each has the bound it trips when it is undone:
+//! Seven encodings keep a row from spelling what its reader can
+//! derive, and each has the bound it trips when it is undone:
 //!
 //! * the **record head** — one byte for an edge-list's shape and both
 //!   counts — is the tree-delta bound: most tree records are one edge
@@ -24,6 +24,11 @@
 //!   record — is the tree-delta bound as well: with a length per
 //!   record (the rows of magic `0xC4`) the tree rows are 9.56 and
 //!   18.31 B/event, over it;
+//! * the **pair dictionary** — each distinct attribute pair of a delta
+//!   row spelled once, a record's pair one varint index into it — is
+//!   `skew21k`'s tree-delta and total bounds: with every pair spelled
+//!   as a key index and a value (the rows of magic `0xC7`) its tree
+//!   rows are 15.65 B/event and the index 24.27, over both;
 //! * the **chain rows** — chunk gaps only: `tsid` from the key, `pid`
 //!   from the partition map, when the events happened from the span's
 //!   checkpoints, how many entries from the row's length — are the
@@ -32,8 +37,9 @@
 //!   with `tsid` and `pid` in every entry too (before PR 24) 3.95 and
 //!   5.82;
 //! * the **bit-coded eventlists** — Rice-coded node-id and time gaps,
-//!   a kind code of as many bits as the row has kinds, dictionary
-//!   indexes of as many bits as the dictionary needs — are the
+//!   a kind code of as many bits as the row has kinds, node, key and
+//!   value dictionary indexes of as many bits as each dictionary needs
+//!   — are the
 //!   eventlist bound: spelled in whole bytes (the rows of magic `0xC5`)
 //!   they are 9.33 and 9.81 B/event;
 //! * the **weightless eventlists** — no weights column when every
@@ -177,7 +183,7 @@ fn census(events: &[Event], cfg: TgiConfig) -> Census {
         *slot += per_event(value.len());
     }
     for (_, row) in common::stored_eventlist_rows(tgi.store()) {
-        let weights = &common::RowSegments::parse(&row).segs[common::ELIST_SEG_WEIGHTS].1;
+        let weights = &common::RowSegments::parse(&row).segs[common::ELIST_SEG_WEIGHTS];
         c.eventlist_rows += 1;
         c.weighted_eventlist_rows += !weights.is_empty() as usize;
     }
@@ -244,13 +250,15 @@ fn gate(name: &str, events: &[Event], b: Bounds) -> Census {
     c
 }
 
-// Bounds: ~15 % above the measured bytes per event — eventlists 5.91
-// and 6.06, `Versions` 0.75 and 1.13, `skew21k`'s `AttrIndex` rows
-// 1.42; the totals, 14.17 and 24.27, ~23 % — but for the tree deltas,
-// 7.50 and 15.65, whose bounds sit below what trees grouped from the
-// left stored (8.50 and 16.93) and what the rows of magic `0xC4` stored
-// (9.56 and 18.31): undoing the right alignment, or a length per
-// record growing back, trips them.
+// Bounds: ~15 % above the measured bytes per event — eventlists 5.88
+// and 5.84, `Versions` 0.75 and 1.13, `skew21k`'s `AttrIndex` rows
+// 1.42, `skew21k`'s total 20.85; `wiki20k`'s total, 14.11, ~23 % — but
+// for the tree deltas, 7.48 and 12.46, whose bounds sit below what
+// trees grouped from the left stored (8.50 and 16.93), what the rows
+// of magic `0xC4` stored (9.56 and 18.31) and, for `skew21k`, what the
+// rows of magic `0xC7` stored (15.65, total 24.27): undoing the right
+// alignment, a length per record growing back, or pairs spelled in
+// full again trips them.
 
 fn wiki20k() -> Vec<Event> {
     WikiGrowth::sized(20_000).generate()
@@ -289,11 +297,11 @@ fn wiki_tree_delta_rows_stay_factored() {
 fn skew_tree_delta_rows_stay_factored() {
     let events = skew21k();
     let bounds = Bounds {
-        tree_deltas: 16.8,
+        tree_deltas: 14.3,
         eventlists: 7.0,
         versions: 1.3,
         attr_index: 1.63,
-        total: 29.4,
+        total: 24.0,
     };
     let c = gate("skew21k", &events, bounds);
     assert!(
@@ -333,12 +341,13 @@ fn sweep(name: &str, events: &[Event]) -> Vec<(f64, f64)> {
 /// Shorter spans mean more roots and more carry points; what the gate
 /// holds is how much of the index they are. At ×1 / ×½ / ×¼ of the
 /// default span size, roots plus carry points are 0.000 / 0.074 /
-/// 0.212 of `wiki20k` (no labels, so no carry points) and 0.099 /
-/// 0.156 / 0.271 of `skew21k` (carry 0.004 / 0.007 / 0.014 of it):
-/// linear in the number of spans, roots nearly all of it. Each bound
-/// sits 4–7 % above: they were set 13–15 % above when the index was
-/// ~13 % larger, and the roots' share rises as the rest of the index
-/// shrinks.
+/// 0.213 of `wiki20k` (no labels, so no carry points) and 0.088 /
+/// 0.139 / 0.232 of `skew21k` (carry 0.004 / 0.009 / 0.016 of it):
+/// linear in the number of spans, roots nearly all of it. The bounds
+/// sit 4–7 % above `wiki20k`'s shares and 20–24 % above `skew21k`'s:
+/// they were set 13–15 % above when the index was ~13 % larger, the
+/// roots' share rises as the rest of the index shrinks — but the pair
+/// dictionary shrank `skew21k`'s roots by ~25 %, more than the rest.
 #[test]
 fn shorter_spans_grow_roots_and_carry_points() {
     for (name, events, bounds) in [

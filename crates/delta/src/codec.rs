@@ -29,8 +29,8 @@
 //!               (all three set on an empty list)
 //! entry  := varint Δnbr [dir u8] [weight f32le] [has_attrs u8 [varint n pair{n}]]
 //!           -- only the fields whose shape bit is clear
-//! pair   := key value        (key: a string here, a dictionary index
-//!                             in a columnar record)
+//! pair   := str key, value   (in a columnar record, one varint index
+//!                             into its row's pair dictionary)
 //! ```
 //!
 //! so the undirected unit-weight attribute-free list that datasets are
@@ -41,7 +41,7 @@
 //! fails before any allocation. `put_record` / `get_record` are the
 //! only record codecs of the crate and `put_edge_list` /
 //! `get_edge_list` its only edge-list loops: the columnar records call
-//! them too, passing interned-key pair codecs, so the index and the
+//! them too, passing pair-dictionary codecs, so the index and the
 //! baselines' rows share one grammar. `skip_record` sits beside
 //! `get_record` and follows the same grammar, building nothing: it is
 //! how a point read of a columnar row steps over the records between a
@@ -415,11 +415,11 @@ fn get_record_head(buf: &mut &[u8]) -> Result<RecordHead, CodecError> {
 /// fields its record's head factored out): per entry the
 /// delta-encoded neighbor id and only the fields the shape leaves
 /// open. The one edge-list encoder of the crate.
-fn put_edge_list(
+fn put_edge_list<'a>(
     buf: &mut BytesMut,
-    edges: &[Neighbor],
+    edges: &'a [Neighbor],
     shape: u8,
-    put_pairs: &mut impl FnMut(&mut BytesMut, &Attrs),
+    put_pairs: &mut impl FnMut(&mut BytesMut, &'a Attrs),
 ) {
     // Sorted adjacency gaps are mostly one- or two-byte varints.
     buf.reserve(edges.len() * (2 + entry_fixed_len(shape)));
@@ -509,11 +509,11 @@ fn get_edge_list(
 /// pairs. `put_pairs` writes the pairs of an attribute set without
 /// their count — row-wise descriptions spell keys inline, columnar
 /// records as dictionary indexes; nothing else differs between them.
-pub(crate) fn put_record(
+pub(crate) fn put_record<'a>(
     buf: &mut BytesMut,
-    edges: &[Neighbor],
-    attrs: &Attrs,
-    mut put_pairs: impl FnMut(&mut BytesMut, &Attrs),
+    edges: &'a [Neighbor],
+    attrs: &'a Attrs,
+    mut put_pairs: impl FnMut(&mut BytesMut, &'a Attrs),
 ) {
     let shape = put_record_head(buf, edges, attrs.len());
     put_edge_list(buf, edges, shape, &mut put_pairs);
@@ -540,19 +540,18 @@ pub(crate) fn get_record(
 /// and the pairs after it consume — without building it: no
 /// edge-list, no attribute value, nothing allocated. It follows
 /// `get_record`'s grammar field by field: the same head, the same
-/// `EdgeDir` and `AttrValue` tag checks (what it does not check — a
-/// varint over ten bytes, a string's UTF-8, a key's dictionary index —
-/// the full read of the row does). Nothing is sized by a count, so an
-/// entry count the bytes cannot hold simply runs out of them.
-/// `skip_key` skips one pair's key (the inverse of what `put_pairs`
-/// wrote before each value). A default-shape edge-list — every entry
-/// undirected, unit-weight, attribute-free — is one run of neighbor
-/// varints, skipped without a per-entry branch. The point read of a
-/// columnar delta row skips its way from a restart point to the
-/// record it wants with this.
+/// `EdgeDir` tag check (what it does not check — a varint over ten
+/// bytes, a pair's dictionary index — the full read of the row does).
+/// Nothing is sized by a count, so an entry count the bytes cannot
+/// hold simply runs out of them. `skip_pairs(buf, n)` skips `n` pairs
+/// (the inverse of what `put_pairs` wrote). A default-shape edge-list
+/// — every entry undirected, unit-weight, attribute-free — is one run
+/// of neighbor varints, skipped without a per-entry branch. The point
+/// read of a columnar delta row skips its way from a restart point to
+/// the record it wants with this.
 pub(crate) fn skip_record(
     buf: &mut &[u8],
-    mut skip_key: impl FnMut(&mut &[u8]) -> Result<(), CodecError>,
+    mut skip_pairs: impl FnMut(&mut &[u8], usize) -> Result<(), CodecError>,
 ) -> Result<(), CodecError> {
     let head = get_record_head(buf)?;
     let shape = head.shape;
@@ -575,11 +574,11 @@ pub(crate) fn skip_record(
             }
             if shape & SHAPE_NO_ATTRS == 0 && get_u8(buf)? != 0 {
                 let n = get_len(buf, "attrs")?;
-                skip_pairs(buf, n, &mut skip_key)?;
+                skip_pairs(buf, n)?;
             }
         }
     }
-    skip_pairs(buf, head.n_attrs, &mut skip_key)
+    skip_pairs(buf, head.n_attrs)
 }
 
 /// Skip `n` LEB128 varints. A varint ends at each byte whose high bit
@@ -589,7 +588,7 @@ pub(crate) fn skip_record(
 /// refused alike; a varint longer than ten bytes, which `get_varint`
 /// refuses, is stepped over — a full read of the row refuses it.
 #[inline]
-fn skip_varints(buf: &mut &[u8], mut n: usize) -> Result<(), CodecError> {
+pub(crate) fn skip_varints(buf: &mut &[u8], mut n: usize) -> Result<(), CodecError> {
     const HIGH: u64 = 0x8080_8080_8080_8080;
     if n == 0 {
         return Ok(());
@@ -634,33 +633,6 @@ fn skip_bytes(buf: &mut &[u8], n: usize) -> Result<(), CodecError> {
         });
     };
     *buf = rest;
-    Ok(())
-}
-
-/// Skip `n` attribute pairs: a key (`skip_key`) and a value each.
-fn skip_pairs(
-    buf: &mut &[u8],
-    n: usize,
-    skip_key: &mut impl FnMut(&mut &[u8]) -> Result<(), CodecError>,
-) -> Result<(), CodecError> {
-    for _ in 0..n {
-        skip_key(buf)?;
-        match get_u8(buf)? {
-            0 => skip_varints(buf, 1)?,
-            1 => skip_bytes(buf, 8)?,
-            2 => {
-                let len = get_len(buf, "string")?;
-                skip_bytes(buf, len)?;
-            }
-            3 => skip_bytes(buf, 1)?,
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "AttrValue",
-                    tag,
-                })
-            }
-        }
-    }
     Ok(())
 }
 
@@ -1389,10 +1361,14 @@ mod tests {
             })
     }
 
-    /// Skip one inline pair key: a length-prefixed string.
-    fn skip_inline_key(b: &mut &[u8]) -> Result<(), CodecError> {
-        let len = get_len(b, "string")?;
-        skip_bytes(b, len)
+    /// Skip `n` inline pairs: a length-prefixed key and a value each.
+    fn skip_inline_pairs(b: &mut &[u8], n: usize) -> Result<(), CodecError> {
+        for _ in 0..n {
+            let len = get_len(b, "string")?;
+            skip_bytes(b, len)?;
+            get_attr_value(b)?;
+        }
+        Ok(())
     }
 
     proptest! {
@@ -1427,7 +1403,7 @@ mod tests {
             let ok = get_static_node(&mut read).is_ok();
             if ok {
                 get_varint(&mut skipped).unwrap();
-                prop_assert_eq!(skip_record(&mut skipped, skip_inline_key), Ok(()));
+                prop_assert_eq!(skip_record(&mut skipped, skip_inline_pairs), Ok(()));
                 prop_assert_eq!(read.len(), skipped.len());
             }
             if mutation == 0 {

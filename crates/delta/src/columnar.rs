@@ -3,41 +3,60 @@
 //! The row-wise codec ([`crate::codec`], kept for the baseline indexes)
 //! interleaves every field of every event/node, so a reader pays full
 //! decode cost even when it only needs one node's structural history.
-//! This module stores the same data as **separately LZSS-compressed
-//! column segments** behind one backing [`Bytes`] value:
+//! This module stores the same data as **column segments** behind one
+//! backing [`Bytes`] value:
+//!
+//! ```text
+//! row := u8 magic, varint count, varint n_segs, varint seg_len{n_segs}, seg{n_segs}
+//! ```
+//!
+//! Every segment is stored as written, so reading one is a zero-copy
+//! sub-slice of the backing buffer. What keeps a row small is its
+//! grammar — bit-coded integer columns, shape-factored records, and a
+//! row-local dictionary that spells each distinct attribute key, and
+//! each distinct attribute value or pair, once. (A store may still
+//! compress whole values: `hgs_store`'s optional LZSS, the axis of the
+//! paper's Fig. 13a, is the one compression layer.)
 //!
 //! * an eventlist row holds a node-id dictionary, a timestamp column,
 //!   a kind column, a dictionary-index id column, and payload columns
-//!   (edge weights, interned attribute keys, attribute values). The
-//!   first four spell each integer in the bits their row needs
-//!   (fixed-width and Rice codes, `bits.rs`; least-significant
-//!   bit first, the last byte zero-padded):
+//!   (edge weights, the attribute dictionary, attribute-key and
+//!   attribute-value indexes). All but the weights and the dictionary
+//!   spell each integer in the bits their row needs (fixed-width and
+//!   Rice codes, `bits.rs`; least-significant bit first, the last byte
+//!   zero-padded):
 //!
 //!   ```text
 //!   node_dict := varint n [varint first [u8 k Rice(gap − 1){n−1}]]
 //!   times     := [varint first [u8 k Rice(gap){n_events−1}]]
 //!   kinds     := u8 m, tag{m} ascending, code{n_events} of ⌈log2 m⌉ bits
 //!   ids       := index{1 or 2 per event} of ⌈log2 n⌉ bits
+//!   attr_dict := ε | varint n_keys, str{n_keys}, varint n_vals, attr_value{n_vals}
+//!   attr_keys := index{1 per keyed event} of ⌈log2 n_keys⌉ bits
+//!   attr_vals := index{1 per valued event} of ⌈log2 n_vals⌉ bits
 //!   ```
 //!
 //!   where `k = ⌊log2(mean gap · ln 2)⌋` is chosen per column, a kind
 //!   code is the event's tag's rank among the row's `m` tags (no codes
 //!   at all when `m = 1`), and an edge kind has two dictionary indexes.
-//!   Times and ids accumulate with checked adds: an overflowing gap is
-//!   an error, never an out-of-order answer. The weights column has one
+//!   The attribute dictionary is empty when no event names a key; its
+//!   keys are sorted and its values in order of first use. Times and
+//!   ids accumulate with checked adds: an overflowing gap is an error,
+//!   never an out-of-order answer. The weights column has one
 //!   `(f32 weight, u8 directed)` entry per `AddEdge` / `SetEdgeWeight`
 //!   — unless every one of them is the default `AddEdge { weight: 1.0,
 //!   directed: false }` (bit-exact), in which case the segment is empty
 //!   and the kinds column alone says what it held. Any other length is
 //!   corrupt, and every payload column holds exactly the entries its
 //!   kinds call for: an unread byte is [`CodecError::TrailingBytes`];
-//! * a delta row holds a sorted node-id column, a restart column, an
-//!   interned attribute-key dictionary, and a concatenated per-node
-//!   record segment:
+//! * a delta row holds a sorted node-id column, a restart column, a
+//!   pair dictionary, and a concatenated per-node record segment:
 //!
 //!   ```text
 //!   ids      := varint first_id, varint gap{n−1}        each gap ≥ 1
 //!   restarts := varint window_len{⌊n / 16⌋}
+//!   dict     := ε | varint n_keys, str{n_keys},
+//!                   varint n_pairs, (varint key_idx, attr_value){n_pairs}
 //!   records  := record{n}
 //!   ```
 //!
@@ -45,7 +64,9 @@
 //!   one raw varint per full window (a row of fewer than 16 records
 //!   has none), as a LevelDB data block keeps a restart point every
 //!   few keys. Ids accumulate with checked adds, and a zero gap — two
-//!   records for one node — is refused. The full read (`sum_into`)
+//!   records for one node — is refused. The dictionary is empty when
+//!   the row holds no attribute; its keys are sorted and its pairs in
+//!   order of first use. The full read (`sum_into`)
 //!   streams ids and records in lockstep (records are
 //!   self-delimiting) and holds every restart to the bytes its window
 //!   actually took. A point read (`node_record`, `sum_node_into`,
@@ -62,12 +83,12 @@
 //!   head byte holding the edge-list's shape bits and both counts when
 //!   they are small (at most six entries, at most two node
 //!   attributes; a varint follows otherwise), then only the entry
-//!   fields that vary, then the attribute pairs — with attribute keys
-//!   as dictionary indexes; the record codec and its edge-list loops
-//!   live there and are shared with the row-wise codec. Records are
-//!   most of every index — most of them a single default edge
-//!   (`head, nbr`) or a single pair (`head, pair`) — and the factored
-//!   form is why the record segment is stored raw.
+//!   fields that vary, then the attribute pairs — with every node or
+//!   edge attribute pair one `varint pair_idx` into the row's pair
+//!   dictionary; the record codec and its edge-list loops live there
+//!   and are shared with the row-wise codec. Records are most of every
+//!   index — most of them a single default edge (`head, nbr`) or a
+//!   single pair (`head, pair_idx`).
 //!
 //! A record is a whole node description in an **aux** row and in any
 //! delta encoded by itself. In a **tree** row it is a *piece*: the
@@ -83,11 +104,11 @@
 //! completes and fails with [`CodecError::RepeatedComponent`] if a
 //! piece repeats a key the node already has.
 //!
-//! Segments are decompressed lazily and memoized, so a query
-//! materializes only the columns it touches: a `node_at` probe whose
-//! node is absent from the dictionary (or the id column) stops after
-//! that segment; a structural replay never decompresses attribute values.
-//! Every decompressed segment is charged to
+//! Columns are decoded lazily and each dictionary once per row
+//! (memoized), so a query materializes only the columns it touches: a
+//! `node_at` probe whose node is absent from the dictionary (or the id
+//! column) stops after that segment; a structural replay never decodes
+//! attribute values. Every segment read is charged to
 //! [`crate::codec::decoded_bytes`], which is how tests and benches see
 //! what a query's column pruning saved.
 //!
@@ -98,8 +119,8 @@
 //! Corrupt input is an error, never a panic: all lengths are validated
 //! against the codec's `MAX_LEN` cap, and every count against the bits
 //! its column has, before allocation; segment ranges are bounds-checked
-//! against the backing buffer, and dictionary indexes are range-checked
-//! on decode.
+//! against the backing buffer, and every dictionary index — node, key,
+//! value or pair — is range-checked on decode.
 
 use std::collections::hash_map::Entry;
 use std::ops::Range;
@@ -111,12 +132,12 @@ use crate::attr::{AttrValue, Attrs};
 use crate::bits::{check_rice_k, rice_k, width_for, BitReader, BitWriter};
 use crate::codec::{
     get_attr_value, get_f32, get_len, get_record, get_str, get_u8, get_varint, note_decoded,
-    put_attr_value, put_f32, put_record, put_str, put_varint, skip_record,
+    put_attr_value, put_f32, put_record, put_str, put_varint, skip_record, skip_varints,
 };
-use crate::compress::{compress, decompress, decompressed_len};
 use crate::delta::Delta;
 use crate::error::CodecError;
 use crate::event::{Event, EventKind, Eventlist};
+use crate::hash::FxHashMap;
 use crate::node::StaticNode;
 use crate::types::{NodeId, Time};
 
@@ -125,7 +146,10 @@ use crate::types::{NodeId, Time};
 /// format; a descriptor carrying any other tag is refused on open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageLayout {
-    /// Per-column LZSS-compressed segments, decoded lazily.
+    /// Column segments stored as written, each read as a zero-copy
+    /// slice and decoded lazily: bit-coded eventlist columns, delta
+    /// records, and row-local attribute dictionaries (see the module
+    /// docs).
     Columnar,
 }
 
@@ -138,9 +162,13 @@ pub enum StorageLayout {
 /// and an `attr_count` varint where one head byte now stands; `0xC5`
 /// eventlist rows that spelled every node-id gap, time gap, kind tag
 /// and dictionary index in whole bytes; `0xC4` delta rows that kept a
-/// byte length for every record where a restart column now stands.
-const DELTA_MAGIC: u8 = 0xC7;
-const ELIST_MAGIC: u8 = 0xC6;
+/// byte length for every record where a restart column now stands;
+/// `0xC6` eventlist rows and `0xC7` delta rows whose segment lengths
+/// carried an LZSS bit, whose eventlists spelled every attribute key
+/// index as a varint and every value in full, and whose records
+/// spelled every pair as a key index and a value.
+const DELTA_MAGIC: u8 = 0xC8;
+const ELIST_MAGIC: u8 = 0xC9;
 
 const ELIST_SEGS: usize = 8;
 const SEG_NODE_DICT: usize = 0;
@@ -148,14 +176,14 @@ const SEG_TIMES: usize = 1;
 const SEG_KINDS: usize = 2;
 const SEG_IDS: usize = 3;
 const SEG_WEIGHTS: usize = 4;
-const SEG_KEY_DICT: usize = 5;
+const SEG_ATTR_DICT: usize = 5;
 const SEG_ATTR_KEYS: usize = 6;
 const SEG_ATTR_VALS: usize = 7;
 
 const DELTA_SEGS: usize = 4;
 const SEG_NODE_IDS: usize = 0;
 const SEG_RESTARTS: usize = 1;
-const SEG_DKEY_DICT: usize = 2;
+const SEG_PAIR_DICT: usize = 2;
 const SEG_RECORDS: usize = 3;
 
 /// Records per restart window of a delta row: the restart column holds
@@ -262,49 +290,20 @@ fn dict_node(dict: &[NodeId], idx: u32) -> Result<NodeId, CodecError> {
 }
 
 // ----------------------------------------------------------------------
-// shared header: magic, count, per-segment compressed lengths
+// shared header: magic, count, per-segment lengths
 // ----------------------------------------------------------------------
 
-/// Per-segment policy marker: never emit an LZSS stream for this
-/// segment (see `assemble`).
-const NEVER_COMPRESS: usize = usize::MAX;
-
-fn assemble(magic: u8, count: usize, segs: &[&[u8]], min_save_num: &[usize]) -> Bytes {
-    // Adaptive per-segment compression: keep the LZSS stream only when
-    // it buys the segment's required saving (`min_save_num[i]` / 16 of
-    // its bytes); otherwise store the segment raw, which decodes as a
-    // zero-copy sub-slice of the backing buffer. Encoders pass
-    // [`NEVER_COMPRESS`] for segments whose decompression time a cold
-    // full replay cannot afford. The per-segment length varint carries
-    // the choice in its low bit: `(stored_len << 1) | compressed`.
-    let comp: Vec<Option<Bytes>> = segs
-        .iter()
-        .zip(min_save_num)
-        .map(|(s, &num)| {
-            if num == NEVER_COMPRESS {
-                return None;
-            }
-            let c = compress(s);
-            (c.len() <= s.len() - s.len() / 16 * num).then_some(c)
-        })
-        .collect();
-    let total: usize = segs
-        .iter()
-        .zip(&comp)
-        .map(|(s, c)| c.as_ref().map_or(s.len(), |c| c.len()))
-        .sum();
+fn assemble(magic: u8, count: usize, segs: &[&[u8]]) -> Bytes {
+    let total: usize = segs.iter().map(|s| s.len()).sum();
     let mut out = BytesMut::with_capacity(total + 8 + 2 * segs.len());
     out.put_u8(magic);
     put_varint(&mut out, count as u64);
     put_varint(&mut out, segs.len() as u64);
-    for (s, c) in segs.iter().zip(&comp) {
-        match c {
-            Some(c) => put_varint(&mut out, (c.len() as u64) << 1 | 1),
-            None => put_varint(&mut out, (s.len() as u64) << 1),
-        }
+    for s in segs {
+        put_varint(&mut out, s.len() as u64);
     }
-    for (s, c) in segs.iter().zip(&comp) {
-        out.put_slice(c.as_deref().unwrap_or(s));
+    for s in segs {
+        out.put_slice(s);
     }
     out.freeze()
 }
@@ -313,14 +312,9 @@ fn assemble(magic: u8, count: usize, segs: &[&[u8]], min_save_num: &[usize]) -> 
 struct Header<const N: usize> {
     count: usize,
     segs: [Range<usize>; N],
-    raw_lens: [usize; N],
-    comp: [bool; N],
 }
 
-/// Parse the common header and bounds-check every segment range. Also
-/// peeks each compressed segment's decompressed length (O(1) thanks
-/// to the LZSS raw-length prefix) so cache weight is known before any
-/// lazy decode; raw-stored segments report their stored length.
+/// Parse the common header and bounds-check every segment range.
 fn parse_header<const N: usize>(
     backing: &Bytes,
     magic: u8,
@@ -339,44 +333,23 @@ fn parse_header<const N: usize>(
             len: got_segs as u64,
         });
     }
-    // Low bit: segment is LZSS-compressed; high bits: stored size.
     let mut lens = [0usize; N];
-    for lv in &mut lens {
-        *lv = get_len(&mut buf, "segment")?;
+    for len in &mut lens {
+        *len = get_len(&mut buf, "segment")?;
     }
     let mut pos = backing.len() - buf.len();
     let mut segs: [Range<usize>; N] = std::array::from_fn(|_| 0..0);
-    let mut raw_lens = [0usize; N];
-    let mut comp = [false; N];
-    for (((lv, seg), raw_len), compressed) in lens
-        .into_iter()
-        .zip(&mut segs)
-        .zip(&mut raw_lens)
-        .zip(&mut comp)
-    {
-        let len = lv >> 1;
-        *compressed = lv & 1 == 1;
+    for (len, seg) in lens.into_iter().zip(&mut segs) {
         let end = pos.checked_add(len).ok_or(CodecError::LengthOverflow {
             what: "segment",
             len: len as u64,
         })?;
-        let Some(stored) = backing.get(pos..end) else {
+        if end > backing.len() {
             return Err(CodecError::UnexpectedEof {
                 needed: len,
                 remaining: backing.len() - pos,
             });
-        };
-        *raw_len = if *compressed {
-            let mut head = stored;
-            // `get_len` re-applies the MAX_LEN cap to the raw length,
-            // so a corrupt prefix cannot make a lazy decode
-            // over-allocate.
-            let raw = get_len(&mut head, "segment-raw")?;
-            debug_assert_eq!(raw, decompressed_len(stored).unwrap_or(raw));
-            raw
-        } else {
-            len
-        };
+        }
         *seg = pos..end;
         pos = end;
     }
@@ -385,12 +358,138 @@ fn parse_header<const N: usize>(
             remaining: backing.len() - pos,
         });
     }
-    Ok(Header {
-        count,
-        segs,
-        raw_lens,
-        comp,
-    })
+    Ok(Header { count, segs })
+}
+
+/// Segment `range` of `backing`: a zero-copy sub-slice, charged to
+/// [`crate::codec::decoded_bytes`] as what a read materializes.
+fn read_seg(backing: &Bytes, range: &Range<usize>) -> Bytes {
+    note_decoded(range.len());
+    backing.slice(range.clone())
+}
+
+/// An attribute value as a hash key: two values have equal keys
+/// exactly when they spell alike (so a NaN is one entry, not many).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum ValueKey<'a> {
+    Int(i64),
+    Float(u64),
+    Text(&'a str),
+    Bool(bool),
+}
+
+impl<'a> ValueKey<'a> {
+    fn of(v: &'a AttrValue) -> ValueKey<'a> {
+        match v {
+            AttrValue::Int(i) => ValueKey::Int(*i),
+            AttrValue::Float(f) => ValueKey::Float(f.to_bits()),
+            AttrValue::Text(s) => ValueKey::Text(s),
+            AttrValue::Bool(b) => ValueKey::Bool(*b),
+        }
+    }
+}
+
+/// A row-local dictionary under construction: each distinct entry's
+/// bytes once, in order of first use, and the index of each.
+struct Interner<K> {
+    entries: BytesMut,
+    index: FxHashMap<K, u64>,
+}
+
+impl<K: std::hash::Hash + Eq> Interner<K> {
+    fn new() -> Interner<K> {
+        Interner {
+            entries: BytesMut::new(),
+            index: FxHashMap::default(),
+        }
+    }
+
+    /// The index of entry `key`; a new one is appended as `put`
+    /// spells it.
+    fn intern(&mut self, key: K, put: impl FnOnce(&mut BytesMut)) -> u64 {
+        let next = self.index.len() as u64;
+        *self.index.entry(key).or_insert_with(|| {
+            put(&mut self.entries);
+            next
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+}
+
+/// Spell a row-local dictionary: empty when there is no key, else the
+/// keys and then `entries`.
+fn put_dict<K: std::hash::Hash + Eq>(keys: &[&str], entries: &Interner<K>) -> BytesMut {
+    let mut dict = BytesMut::new();
+    if !keys.is_empty() {
+        put_varint(&mut dict, keys.len() as u64);
+        for k in keys {
+            put_str(&mut dict, k);
+        }
+        put_varint(&mut dict, entries.len() as u64);
+        dict.put_slice(&entries.entries);
+    }
+    dict
+}
+
+/// Read a row-local dictionary, every byte of its segment: empty, or
+/// its keys — at least one — and then the entries `entry` reads.
+fn get_dict<T>(
+    mut b: &[u8],
+    what: &'static str,
+    mut entry: impl FnMut(&mut &[u8], &[String]) -> Result<T, CodecError>,
+) -> Result<(Vec<String>, Vec<T>), CodecError> {
+    if b.is_empty() {
+        return Ok((Vec::new(), Vec::new()));
+    }
+    let n = get_len(&mut b, what)?;
+    let mut keys = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        keys.push(get_str(&mut b)?);
+    }
+    if keys.is_empty() {
+        // The dictionary of no key is spelled empty.
+        return Err(CodecError::LengthOverflow { what, len: 0 });
+    }
+    let n = get_len(&mut b, what)?;
+    let mut entries = Vec::with_capacity(n.min(b.len()));
+    for _ in 0..n {
+        entries.push(entry(&mut b, &keys)?);
+    }
+    no_trailing(b.len())?;
+    Ok((keys, entries))
+}
+
+/// Read a column of `n` fixed-width indexes into a dictionary of
+/// `dict_len` entries, `⌈log2 dict_len⌉` bits each, and refuse any
+/// index at or past `dict_len` — so none beside an empty dictionary.
+fn get_indexes(
+    b: &[u8],
+    n: usize,
+    dict_len: usize,
+    what: &'static str,
+) -> Result<Vec<u32>, CodecError> {
+    let width = width_for(dict_len);
+    if width > 32 {
+        // More entries than an index can name: no row spells that many.
+        return Err(CodecError::LengthOverflow {
+            what,
+            len: dict_len as u64,
+        });
+    }
+    let mut bits = BitReader::new(b);
+    let mut out = Vec::with_capacity(n);
+    bits.get_many(n, width, |i| out.push(i as u32))?;
+    bits.finish()?;
+    if let Some(&bad) = out.iter().find(|&&i| i as usize >= dict_len) {
+        return Err(CodecError::LengthOverflow {
+            what,
+            len: u64::from(bad),
+        });
+    }
+    Ok(out)
 }
 
 // ----------------------------------------------------------------------
@@ -493,12 +592,6 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
     put_varint(&mut node_dict, nids.len() as u64);
     put_ascending(&mut node_dict, nids.iter().copied(), 1);
 
-    let mut key_dict = BytesMut::new();
-    put_varint(&mut key_dict, keys.len() as u64);
-    for k in &keys {
-        put_str(&mut key_dict, k);
-    }
-
     let mut times = BytesMut::new();
     put_ascending(&mut times, events.iter().map(|e| e.time), 0);
 
@@ -536,7 +629,10 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
 
     let mut weights = BytesMut::new();
     let mut attr_keys = BytesMut::new();
-    let mut attr_vals = BytesMut::new();
+    let mut key_bits = BitWriter::new(&mut attr_keys);
+    let key_width = width_for(keys.len());
+    let mut vals = Interner::new();
+    let mut val_idx = Vec::new();
     // Whether every weighted event so far is the default edge.
     let mut default_weights = true;
     for e in events {
@@ -556,15 +652,24 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
             _ => {}
         }
         if let Some(k) = attr_key_of(&e.kind) {
-            put_varint(&mut attr_keys, dict_idx(&keys, &k));
+            key_bits.put(dict_idx(&keys, &k), key_width);
         }
         match &e.kind {
             EventKind::SetNodeAttr { value, .. } | EventKind::SetEdgeAttr { value, .. } => {
-                put_attr_value(&mut attr_vals, value);
+                val_idx.push(vals.intern(ValueKey::of(value), |b| put_attr_value(b, value)));
             }
             _ => {}
         }
     }
+    key_bits.finish();
+
+    let mut attr_vals = BytesMut::new();
+    let val_width = width_for(vals.len());
+    let mut val_bits = BitWriter::new(&mut attr_vals);
+    for i in val_idx {
+        val_bits.put(i, val_width);
+    }
+    val_bits.finish();
 
     // Nothing varies: the column decodes from the kinds alone.
     let weights: &[u8] = if default_weights { &[] } else { &weights };
@@ -573,25 +678,15 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
         ELIST_MAGIC,
         events.len(),
         &[
-            &node_dict, &times, &kinds, &ids, weights, &key_dict, &attr_keys, &attr_vals,
+            &node_dict,
+            &times,
+            &kinds,
+            &ids,
+            weights,
+            &put_dict(&keys, &vals),
+            &attr_keys,
+            &attr_vals,
         ],
-        &{
-            // Role-aware policy, mirroring the delta encoder below: the
-            // bit-coded columns (node dictionary, times, kinds, ids)
-            // leave LZSS nothing to find and stay raw, so a cold
-            // snapshot never pays decompression the row-wise baseline
-            // doesn't; the textual key dictionary and payload columns
-            // compress adaptively. Weights qualify too: a column that
-            // is spelled at all (some edge is weighted or directed) is
-            // still mostly repeated defaults, a run-length column that
-            // LZSS restores at memcpy speed.
-            let mut min_save = [NEVER_COMPRESS; ELIST_SEGS];
-            min_save[SEG_WEIGHTS] = 1;
-            min_save[SEG_KEY_DICT] = 1;
-            min_save[SEG_ATTR_KEYS] = 1;
-            min_save[SEG_ATTR_VALS] = 1;
-            min_save
-        },
     )
 }
 
@@ -659,26 +754,16 @@ fn get_kinds(mut b: &[u8], n: usize) -> Result<Vec<u8>, CodecError> {
 /// Read the ids column: one index into a dictionary of `dict_len`
 /// nodes per endpoint of each event, each `⌈log2 dict_len⌉` bits.
 fn get_ids(b: &[u8], kinds: &[u8], dict_len: usize) -> Result<Vec<u32>, CodecError> {
-    let width = width_for(dict_len);
-    if width > 32 {
-        // More nodes than an index can name: no row spells that many.
-        return Err(CodecError::LengthOverflow {
-            what: "node-dict",
-            len: dict_len as u64,
-        });
-    }
-    let mut bits = BitReader::new(b);
     let n = kinds.len() + kinds.iter().filter(|&&t| has_two_ids(t)).count();
-    let mut ids = Vec::with_capacity(n);
-    bits.get_many(n, width, |i| ids.push(i as u32))?;
-    bits.finish()?;
-    if let Some(&bad) = ids.iter().find(|&&i| i as usize >= dict_len) {
-        return Err(CodecError::LengthOverflow {
-            what: "node-dict-index",
-            len: u64::from(bad),
-        });
-    }
-    Ok(ids)
+    get_indexes(b, n, dict_len, "node-dict-index")
+}
+
+/// An eventlist row's attribute dictionary, decoded: the keys its
+/// events name and the values they set.
+#[derive(Debug)]
+struct AttrDict {
+    keys: Vec<String>,
+    vals: Vec<AttrValue>,
 }
 
 /// A parsed columnar eventlist row: one backing buffer, per-segment
@@ -688,36 +773,30 @@ pub struct ColumnarEventlist {
     backing: Bytes,
     n_events: usize,
     segs: [Range<usize>; ELIST_SEGS],
-    raw_lens: [usize; ELIST_SEGS],
-    comp: [bool; ELIST_SEGS],
     node_dict: OnceLock<Result<Vec<NodeId>, CodecError>>,
     core: OnceLock<Result<CoreColumns, CodecError>>,
     weights: OnceLock<Result<Vec<(f32, bool)>, CodecError>>,
-    key_dict: OnceLock<Result<Vec<String>, CodecError>>,
+    attr_dict: OnceLock<Result<AttrDict, CodecError>>,
     attr_keys: OnceLock<Result<Vec<u32>, CodecError>>,
-    attr_vals: OnceLock<Result<Vec<AttrValue>, CodecError>>,
+    attr_vals: OnceLock<Result<Vec<u32>, CodecError>>,
 }
 
 impl ColumnarEventlist {
     /// Parse the header of an encoded row. Only the header is read;
-    /// column segments stay compressed until first use.
+    /// columns are decoded on first use.
     pub fn parse(backing: Bytes) -> Result<ColumnarEventlist, CodecError> {
         let Header {
             count: n_events,
             segs,
-            raw_lens,
-            comp,
         } = parse_header(&backing, ELIST_MAGIC, "columnar-eventlist")?;
         Ok(ColumnarEventlist {
             backing,
             n_events,
             segs,
-            raw_lens,
-            comp,
             node_dict: OnceLock::new(),
             core: OnceLock::new(),
             weights: OnceLock::new(),
-            key_dict: OnceLock::new(),
+            attr_dict: OnceLock::new(),
             attr_keys: OnceLock::new(),
             attr_vals: OnceLock::new(),
         })
@@ -733,29 +812,21 @@ impl ColumnarEventlist {
         self.backing.len()
     }
 
-    /// Sum of all segments' decompressed lengths — the upper bound of
-    /// what lazy decoding can ever materialize. Known without
-    /// decompressing anything; the read cache charges this up front.
+    /// Sum of all segments' lengths — the most lazy decoding can ever
+    /// read. Known from the header alone; the read cache charges this
+    /// up front.
     pub fn raw_len_total(&self) -> usize {
-        self.raw_lens.iter().sum()
+        self.segs.iter().map(Range::len).sum()
     }
 
-    fn decode_seg(&self, i: usize) -> Result<Bytes, CodecError> {
-        let raw = if self.comp[i] {
-            decompress(&self.backing[self.segs[i].clone()])?
-        } else {
-            // Raw-stored segment: a zero-copy sub-slice of the
-            // shared backing buffer.
-            self.backing.slice(self.segs[i].clone())
-        };
-        note_decoded(raw.len());
-        Ok(raw)
+    fn seg(&self, i: usize) -> Bytes {
+        read_seg(&self.backing, &self.segs[i])
     }
 
     fn node_dict(&self) -> Result<&[NodeId], CodecError> {
         self.node_dict
             .get_or_init(|| {
-                let raw = self.decode_seg(SEG_NODE_DICT)?;
+                let raw = self.seg(SEG_NODE_DICT);
                 let mut b: &[u8] = &raw;
                 let n = get_len(&mut b, "node-dict")?;
                 get_ascending(b, n, 1)
@@ -774,9 +845,9 @@ impl ColumnarEventlist {
         self.core
             .get_or_init(|| {
                 let dict_len = self.node_dict()?.len();
-                let times = get_ascending(&self.decode_seg(SEG_TIMES)?, self.n_events, 0)?;
-                let kinds = get_kinds(&self.decode_seg(SEG_KINDS)?, self.n_events)?;
-                let ids = get_ids(&self.decode_seg(SEG_IDS)?, &kinds, dict_len)?;
+                let times = get_ascending(&self.seg(SEG_TIMES), self.n_events, 0)?;
+                let kinds = get_kinds(&self.seg(SEG_KINDS), self.n_events)?;
+                let ids = get_ids(&self.seg(SEG_IDS), &kinds, dict_len)?;
                 Ok(CoreColumns { times, kinds, ids })
             })
             .as_ref()
@@ -794,7 +865,7 @@ impl ColumnarEventlist {
     fn weights(&self) -> Result<&[(f32, bool)], CodecError> {
         self.weights
             .get_or_init(|| {
-                let raw = self.decode_seg(SEG_WEIGHTS)?;
+                let raw = self.seg(SEG_WEIGHTS);
                 weights_are_spelled(&self.core()?.kinds, raw.len())?;
                 let mut b: &[u8] = &raw;
                 let mut out = Vec::with_capacity(raw.len() / WEIGHT_ENTRY_LEN);
@@ -809,84 +880,65 @@ impl ColumnarEventlist {
             .map_err(|e| e.clone())
     }
 
-    fn key_dict(&self) -> Result<&[String], CodecError> {
-        self.key_dict
+    /// The attribute dictionary, decoded once.
+    fn attr_dict(&self) -> Result<&AttrDict, CodecError> {
+        self.attr_dict
             .get_or_init(|| {
-                let raw = self.decode_seg(SEG_KEY_DICT)?;
-                let mut b: &[u8] = &raw;
-                let n = get_len(&mut b, "key-dict")?;
-                let mut out = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    out.push(get_str(&mut b)?);
-                }
-                no_trailing(b.len())?;
-                Ok(out)
+                let (keys, vals) = get_dict(&self.seg(SEG_ATTR_DICT), "attr-dict", |b, _| {
+                    get_attr_value(b)
+                })?;
+                Ok(AttrDict { keys, vals })
             })
             .as_ref()
-            .map(|v| v.as_slice())
             .map_err(|e| e.clone())
     }
 
-    /// The attribute-key column: exactly one key-dictionary index per
-    /// event that names a key.
+    /// The attribute-key column: exactly one key index per event that
+    /// names a key.
     fn attr_keys(&self) -> Result<&[u32], CodecError> {
         self.attr_keys
             .get_or_init(|| {
                 let n = self.payload_count(has_attr_key)?;
-                let raw = self.decode_seg(SEG_ATTR_KEYS)?;
-                let mut b: &[u8] = &raw;
-                let mut out = Vec::with_capacity(n.min(raw.len()));
-                for _ in 0..n {
-                    let idx = get_varint(&mut b)?;
-                    let idx = u32::try_from(idx).map_err(|_| CodecError::LengthOverflow {
-                        what: "key-dict-index",
-                        len: idx,
-                    })?;
-                    out.push(idx);
-                }
-                no_trailing(b.len())?;
-                Ok(out)
+                let n_keys = self.attr_dict()?.keys.len();
+                get_indexes(&self.seg(SEG_ATTR_KEYS), n, n_keys, "key-dict-index")
             })
             .as_ref()
             .map(|v| v.as_slice())
             .map_err(|e| e.clone())
     }
 
-    /// The attribute-value column: exactly one value per event that
-    /// sets one.
-    fn attr_vals(&self) -> Result<&[AttrValue], CodecError> {
+    /// The attribute-value column: exactly one value index per event
+    /// that sets one.
+    fn attr_vals(&self) -> Result<&[u32], CodecError> {
         self.attr_vals
             .get_or_init(|| {
                 let n = self.payload_count(has_attr_val)?;
-                let raw = self.decode_seg(SEG_ATTR_VALS)?;
-                let mut b: &[u8] = &raw;
-                let mut out = Vec::with_capacity(n.min(raw.len()));
-                for _ in 0..n {
-                    out.push(get_attr_value(&mut b)?);
-                }
-                no_trailing(b.len())?;
-                Ok(out)
+                let n_vals = self.attr_dict()?.vals.len();
+                get_indexes(&self.seg(SEG_ATTR_VALS), n, n_vals, "value-dict-index")
             })
             .as_ref()
             .map(|v| v.as_slice())
             .map_err(|e| e.clone())
     }
 
-    fn attr_key_at(&self, ord: usize) -> Result<String, CodecError> {
-        let idx = *self
-            .attr_keys()?
-            .get(ord)
-            .ok_or(CodecError::UnexpectedEof {
-                needed: ord + 1,
-                remaining: 0,
-            })?;
-        self.key_dict()?
-            .get(idx as usize)
+    /// Entry `ord` of a payload column of dictionary indexes, looked
+    /// up in `dict` (the indexes are range-checked when the column is
+    /// decoded).
+    fn dict_entry<T: Clone>(idx: &[u32], ord: usize, dict: &[T]) -> Result<T, CodecError> {
+        let i = *idx.get(ord).ok_or(CodecError::UnexpectedEof {
+            needed: ord + 1,
+            remaining: 0,
+        })?;
+        dict.get(i as usize)
             .cloned()
             .ok_or(CodecError::LengthOverflow {
-                what: "key-dict-index",
-                len: idx as u64,
+                what: "attr-dict-index",
+                len: u64::from(i),
             })
+    }
+
+    fn attr_key_at(&self, ord: usize) -> Result<String, CodecError> {
+        Self::dict_entry(self.attr_keys()?, ord, &self.attr_dict()?.keys)
     }
 
     fn build_kind(
@@ -915,13 +967,7 @@ impl ColumnarEventlist {
             })
         };
         let attr_val = |ord: usize| -> Result<AttrValue, CodecError> {
-            self.attr_vals()?
-                .get(ord)
-                .cloned()
-                .ok_or(CodecError::UnexpectedEof {
-                    needed: ord + 1,
-                    remaining: 0,
-                })
+            Self::dict_entry(self.attr_vals()?, ord, &self.attr_dict()?.vals)
         };
         Ok(match tag {
             0 => EventKind::AddNode { id: a },
@@ -1025,7 +1071,13 @@ impl ColumnarEventlist {
     /// Decode every column and reassemble the full eventlist: the
     /// unfiltered walk of [`ColumnarEventlist::events_touching`], over
     /// the same column decoders, so the two never disagree on a row.
+    /// Every payload column is decoded, even one no event reads (an
+    /// empty one, on a row this codec wrote), so a byte where none
+    /// belongs is refused here.
     pub fn to_eventlist(&self) -> Result<Eventlist, CodecError> {
+        self.weights()?;
+        self.attr_keys()?;
+        self.attr_vals()?;
         self.materialize(None).map(Eventlist::from_sorted)
     }
 }
@@ -1034,58 +1086,65 @@ impl ColumnarEventlist {
 // columnar deltas
 // ----------------------------------------------------------------------
 
-/// The pairs of `attrs`, keys as indexes into `keys`; the count is
-/// the caller's to write.
-fn put_interned_pairs(buf: &mut BytesMut, attrs: &Attrs, keys: &[&str]) {
-    for (k, v) in attrs.iter() {
-        put_varint(buf, dict_idx(keys, &k));
-        put_attr_value(buf, v);
-    }
-}
+/// A delta row's pair dictionary, decoded: every distinct attribute
+/// pair its records name, in order of first use.
+type Pairs = [(String, AttrValue)];
 
-/// Stream `n` interned pairs to `on`, keys resolved through the row's
-/// dictionary.
-fn for_each_interned_pair(
+/// Stream `n` pairs, each a pair-dictionary index, to `on`.
+fn for_each_dict_pair(
     buf: &mut &[u8],
     n: usize,
-    keys: &[String],
+    pairs: &Pairs,
     mut on: impl FnMut(String, AttrValue) -> Result<(), CodecError>,
 ) -> Result<(), CodecError> {
     for _ in 0..n {
         let idx = get_varint(buf)?;
-        let k = keys
-            .get(idx as usize)
-            .cloned()
-            .ok_or(CodecError::LengthOverflow {
-                what: "key-dict-index",
+        let (k, v) = usize::try_from(idx).ok().and_then(|i| pairs.get(i)).ok_or(
+            CodecError::LengthOverflow {
+                what: "pair-dict-index",
                 len: idx,
-            })?;
-        on(k, get_attr_value(buf)?)?;
+            },
+        )?;
+        on(k.clone(), v.clone())?;
     }
     Ok(())
 }
 
-fn get_interned_pairs(buf: &mut &[u8], n: usize, keys: &[String]) -> Result<Attrs, CodecError> {
+fn get_dict_pairs(buf: &mut &[u8], n: usize, pairs: &Pairs) -> Result<Attrs, CodecError> {
     let mut attrs = Attrs::new();
-    for_each_interned_pair(buf, n, keys, |k, v| {
+    for_each_dict_pair(buf, n, pairs, |k, v| {
         attrs.set(k, v);
         Ok(())
     })?;
     Ok(attrs)
 }
 
-fn put_node_record(buf: &mut BytesMut, n: &StaticNode, keys: &[&str]) {
-    put_record(buf, &n.edges, &n.attrs, |buf, a| {
-        put_interned_pairs(buf, a, keys)
+/// Append `n`'s record, each attribute pair — the node's and its
+/// entries' — as its index in `pairs` (a new pair spelled there with
+/// its key's index in `keys`).
+fn put_node_record<'a>(
+    buf: &mut BytesMut,
+    n: &'a StaticNode,
+    keys: &[&str],
+    pairs: &mut Interner<(&'a str, ValueKey<'a>)>,
+) {
+    put_record(buf, &n.edges, &n.attrs, |buf, attrs| {
+        for (k, v) in attrs.iter() {
+            let idx = pairs.intern((k, ValueKey::of(v)), |b| {
+                put_varint(b, dict_idx(keys, &k));
+                put_attr_value(b, v);
+            });
+            put_varint(buf, idx);
+        }
     });
 }
 
 /// Parse one record from a running cursor into a fresh description;
 /// records are self-delimiting, so a cursor is all the caller needs.
-fn parse_record_from(id: NodeId, b: &mut &[u8], keys: &[String]) -> Result<StaticNode, CodecError> {
+fn parse_record_from(id: NodeId, b: &mut &[u8], pairs: &Pairs) -> Result<StaticNode, CodecError> {
     let mut edges = Vec::new();
-    let n_attrs = get_record(b, &mut edges, |b, n| get_interned_pairs(b, n, keys))?;
-    let attrs = get_interned_pairs(b, n_attrs, keys)?;
+    let n_attrs = get_record(b, &mut edges, |b, n| get_dict_pairs(b, n, pairs))?;
+    let attrs = get_dict_pairs(b, n_attrs, pairs)?;
     Ok(StaticNode { id, edges, attrs })
 }
 
@@ -1096,15 +1155,15 @@ fn parse_record_from(id: NodeId, b: &mut &[u8], keys: &[String]) -> Result<Stati
 fn merge_record_from(
     node: &mut StaticNode,
     b: &mut &[u8],
-    keys: &[String],
+    pairs: &Pairs,
 ) -> Result<(), CodecError> {
     let repeated = CodecError::RepeatedComponent { node: node.id };
     let sorted_len = node.edges.len();
-    let n_attrs = get_record(b, &mut node.edges, |b, n| get_interned_pairs(b, n, keys))?;
+    let n_attrs = get_record(b, &mut node.edges, |b, n| get_dict_pairs(b, n, pairs))?;
     if !node.settle_appended_edges(sorted_len) {
         return Err(repeated);
     }
-    for_each_interned_pair(b, n_attrs, keys, |k, v| match node.attrs.set(k, v) {
+    for_each_dict_pair(b, n_attrs, pairs, |k, v| match node.attrs.set(k, v) {
         None => Ok(()),
         Some(_) => Err(repeated.clone()),
     })
@@ -1118,21 +1177,20 @@ fn sum_record<'a>(
     state: &'a mut Delta,
     id: NodeId,
     b: &mut &[u8],
-    keys: &[String],
+    pairs: &Pairs,
 ) -> Result<&'a Arc<StaticNode>, CodecError> {
     match state.slot(id) {
-        Entry::Vacant(slot) => Ok(slot.insert(Arc::new(parse_record_from(id, b, keys)?))),
+        Entry::Vacant(slot) => Ok(slot.insert(Arc::new(parse_record_from(id, b, pairs)?))),
         Entry::Occupied(slot) => {
             let node = slot.into_mut();
-            merge_record_from(Arc::make_mut(node), b, keys)?;
+            merge_record_from(Arc::make_mut(node), b, pairs)?;
             Ok(node)
         }
     }
 }
 
 /// Serialize a delta in the columnar layout: sorted node-id column,
-/// restart column, interned attribute-key dictionary, concatenated
-/// per-node records.
+/// restart column, pair dictionary, concatenated per-node records.
 pub fn encode_columnar_delta(d: &Delta) -> Bytes {
     let nodes = d.sorted_nodes();
     let mut keys: Vec<&str> = Vec::new();
@@ -1151,39 +1209,25 @@ pub fn encode_columnar_delta(d: &Delta) -> Bytes {
     keys.sort_unstable();
     keys.dedup();
 
-    let mut key_dict = BytesMut::new();
-    put_varint(&mut key_dict, keys.len() as u64);
-    for k in &keys {
-        put_str(&mut key_dict, k);
-    }
-
     let mut id_col = BytesMut::with_capacity(nodes.len() * 2);
     let mut restarts = BytesMut::new();
     let mut records = BytesMut::with_capacity(d.size() * 3);
+    let mut pairs = Interner::new();
     let (mut prev, mut window) = (0u64, 0usize);
     for (i, n) in nodes.iter().enumerate() {
         put_varint(&mut id_col, n.id - prev);
         prev = n.id;
-        put_node_record(&mut records, n, &keys);
+        put_node_record(&mut records, n, &keys, &mut pairs);
         if (i + 1) % RESTART_INTERVAL == 0 {
             put_varint(&mut restarts, (records.len() - window) as u64);
             window = records.len();
         }
     }
 
-    // The record, node-id and restart columns are what every read of
-    // the row walks, so they stay raw (zero-copy sub-slices at decode
-    // time; `NEVER_COMPRESS`). Records are already factored — a head
-    // byte per record, then little but delta-varint neighbor ids —
-    // which leaves LZSS nothing worth its replay time. Only the key
-    // dictionary, text, compresses when it pays.
-    let mut min_save = [NEVER_COMPRESS; DELTA_SEGS];
-    min_save[SEG_DKEY_DICT] = 1;
     assemble(
         DELTA_MAGIC,
         nodes.len(),
-        &[&id_col, &restarts, &key_dict, &records],
-        &min_save,
+        &[&id_col, &restarts, &put_dict(&keys, &pairs), &records],
     )
 }
 
@@ -1204,12 +1248,7 @@ fn next_id(ib: &mut &[u8], prev: Option<NodeId>) -> Result<NodeId, CodecError> {
     }
 }
 
-/// A pair key of a columnar record: a key-dictionary index.
-fn skip_interned_key(b: &mut &[u8]) -> Result<(), CodecError> {
-    get_varint(b).map(drop)
-}
-
-/// A parsed columnar delta row: node-id and restart columns, key
+/// A parsed columnar delta row: node-id and restart columns, pair
 /// dictionary, and record segment, decoded lazily. Supports per-node
 /// record extraction without parsing unrelated records, and skips
 /// everything past the id column when the probed node is absent.
@@ -1218,34 +1257,29 @@ pub struct ColumnarDelta {
     backing: Bytes,
     n_nodes: usize,
     segs: [Range<usize>; DELTA_SEGS],
-    raw_lens: [usize; DELTA_SEGS],
-    comp: [bool; DELTA_SEGS],
-    /// The decoded node-id column: the row's node index.
-    ids: OnceLock<Result<Bytes, CodecError>>,
-    /// The decoded restart column: where each window of records starts.
-    restarts: OnceLock<Result<Bytes, CodecError>>,
-    key_dict: OnceLock<Result<Vec<String>, CodecError>>,
-    records: OnceLock<Result<Bytes, CodecError>>,
+    /// The node-id column: the row's node index.
+    ids: OnceLock<Bytes>,
+    /// The restart column: where each window of records starts.
+    restarts: OnceLock<Bytes>,
+    pair_dict: OnceLock<Result<Vec<(String, AttrValue)>, CodecError>>,
+    records: OnceLock<Bytes>,
 }
 
 impl ColumnarDelta {
-    /// Parse the header of an encoded row (segments stay compressed).
+    /// Parse the header of an encoded row (columns are decoded on
+    /// first use).
     pub fn parse(backing: Bytes) -> Result<ColumnarDelta, CodecError> {
         let Header {
             count: n_nodes,
             segs,
-            raw_lens,
-            comp,
         } = parse_header(&backing, DELTA_MAGIC, "columnar-delta")?;
         Ok(ColumnarDelta {
             backing,
             n_nodes,
             segs,
-            raw_lens,
-            comp,
             ids: OnceLock::new(),
             restarts: OnceLock::new(),
-            key_dict: OnceLock::new(),
+            pair_dict: OnceLock::new(),
             records: OnceLock::new(),
         })
     }
@@ -1260,33 +1294,19 @@ impl ColumnarDelta {
         self.backing.len()
     }
 
-    /// Sum of all segments' decompressed lengths (see
+    /// Sum of all segments' lengths (see
     /// [`ColumnarEventlist::raw_len_total`]).
     pub fn raw_len_total(&self) -> usize {
-        self.raw_lens.iter().sum()
+        self.segs.iter().map(Range::len).sum()
     }
 
-    fn decode_seg(&self, i: usize) -> Result<Bytes, CodecError> {
-        let raw = if self.comp[i] {
-            decompress(&self.backing[self.segs[i].clone()])?
-        } else {
-            // Raw-stored segment: a zero-copy sub-slice of the
-            // shared backing buffer.
-            self.backing.slice(self.segs[i].clone())
-        };
-        note_decoded(raw.len());
-        Ok(raw)
+    fn seg(&self, i: usize) -> Bytes {
+        read_seg(&self.backing, &self.segs[i])
     }
 
-    /// Segment `i`, decoded once into `cell` for the point reads.
-    fn memo_seg<'a>(
-        &self,
-        cell: &'a OnceLock<Result<Bytes, CodecError>>,
-        i: usize,
-    ) -> Result<&'a Bytes, CodecError> {
-        cell.get_or_init(|| self.decode_seg(i))
-            .as_ref()
-            .map_err(|e| e.clone())
+    /// Segment `i`, read once into `cell` for the point reads.
+    fn memo_seg<'a>(&self, cell: &'a OnceLock<Bytes>, i: usize) -> &'a Bytes {
+        cell.get_or_init(|| self.seg(i))
     }
 
     /// The index of `nid`'s record among the row's, or `None` if the
@@ -1296,7 +1316,7 @@ impl ColumnarDelta {
     /// miss decodes nothing else. Reading the id after a hit holds its
     /// gap to [`next_id`]'s rule as the full read does.
     fn node_index(&self, nid: NodeId) -> Result<Option<usize>, CodecError> {
-        let mut ib: &[u8] = self.memo_seg(&self.ids, SEG_NODE_IDS)?;
+        let mut ib: &[u8] = self.memo_seg(&self.ids, SEG_NODE_IDS);
         let (mut prev, mut hit) = (None, None);
         for i in 0..self.n_nodes {
             let id = next_id(&mut ib, prev)?;
@@ -1327,7 +1347,7 @@ impl ColumnarDelta {
         let mut start = 0usize;
         let window = i / RESTART_INTERVAL;
         if window > 0 {
-            let mut sb: &[u8] = self.memo_seg(&self.restarts, SEG_RESTARTS)?;
+            let mut sb: &[u8] = self.memo_seg(&self.restarts, SEG_RESTARTS);
             for _ in 0..window {
                 let len = get_len(&mut sb, "restart")?;
                 start = start.checked_add(len).ok_or(CodecError::LengthOverflow {
@@ -1336,7 +1356,7 @@ impl ColumnarDelta {
                 })?;
             }
         }
-        let records = self.memo_seg(&self.records, SEG_RECORDS)?;
+        let records = self.memo_seg(&self.records, SEG_RECORDS);
         let Some(mut b) = records.get(start..) else {
             return Err(CodecError::UnexpectedEof {
                 needed: start,
@@ -1344,25 +1364,27 @@ impl ColumnarDelta {
             });
         };
         for _ in 0..i % RESTART_INTERVAL {
-            skip_record(&mut b, skip_interned_key)?;
+            // A pair is one dictionary index.
+            skip_record(&mut b, skip_varints)?;
         }
         Ok(Some(b))
     }
 
-    fn key_dict(&self) -> Result<&[String], CodecError> {
-        self.key_dict
+    /// The pair dictionary, decoded once, each pair's key index
+    /// range-checked.
+    fn pair_dict(&self) -> Result<&Pairs, CodecError> {
+        self.pair_dict
             .get_or_init(|| {
-                let raw = self.decode_seg(SEG_DKEY_DICT)?;
-                let mut b: &[u8] = &raw;
-                let n = get_len(&mut b, "key-dict")?;
-                let mut out = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    out.push(get_str(&mut b)?);
-                }
-                if !b.is_empty() {
-                    return Err(CodecError::TrailingBytes { remaining: b.len() });
-                }
-                Ok(out)
+                let (_, pairs) = get_dict(&self.seg(SEG_PAIR_DICT), "pair-dict", |b, keys| {
+                    let idx = get_varint(b)?;
+                    let key = usize::try_from(idx).ok().and_then(|i| keys.get(i));
+                    let key = key.ok_or(CodecError::LengthOverflow {
+                        what: "key-dict-index",
+                        len: idx,
+                    })?;
+                    Ok((key.clone(), get_attr_value(b)?))
+                })?;
+                Ok(pairs)
             })
             .as_ref()
             .map(|v| v.as_slice())
@@ -1384,7 +1406,7 @@ impl ColumnarDelta {
         let Some(mut record) = self.record_at(nid)? else {
             return Ok(None);
         };
-        parse_record_from(nid, &mut record, self.key_dict()?).map(Some)
+        parse_record_from(nid, &mut record, self.pair_dict()?).map(Some)
     }
 
     /// Decode every record as a description of its own and reassemble
@@ -1418,10 +1440,10 @@ impl ColumnarDelta {
         state: &mut Delta,
         mut completed: Option<&mut Delta>,
     ) -> Result<(), CodecError> {
-        let keys = self.key_dict()?;
-        let iraw = self.decode_seg(SEG_NODE_IDS)?;
-        let sraw = self.decode_seg(SEG_RESTARTS)?;
-        let rraw = self.decode_seg(SEG_RECORDS)?;
+        let pairs = self.pair_dict()?;
+        let iraw = self.seg(SEG_NODE_IDS);
+        let sraw = self.seg(SEG_RESTARTS);
+        let rraw = self.seg(SEG_RECORDS);
         let mut ib: &[u8] = &iraw;
         let mut sb: &[u8] = &sraw;
         let mut rb: &[u8] = &rraw;
@@ -1436,7 +1458,7 @@ impl ColumnarDelta {
         for i in 0..self.n_nodes {
             let id = next_id(&mut ib, prev)?;
             prev = Some(id);
-            let node = sum_record(state, id, &mut rb, keys)?;
+            let node = sum_record(state, id, &mut rb, pairs)?;
             if let Some(completed) = completed.as_deref_mut() {
                 completed.insert_shared(Arc::clone(node));
             }
@@ -1461,7 +1483,7 @@ impl ColumnarDelta {
         let Some(mut record) = self.record_at(nid)? else {
             return Ok(());
         };
-        sum_record(state, nid, &mut record, self.key_dict()?).map(drop)
+        sum_record(state, nid, &mut record, self.pair_dict()?).map(drop)
     }
 }
 
@@ -1565,9 +1587,9 @@ mod tests {
         assert!(col.events_touching(12345).unwrap().is_empty());
         let decoded = crate::codec::decoded_bytes_here() - before;
         assert!(
-            (decoded as usize) <= col.raw_lens[SEG_NODE_DICT],
+            (decoded as usize) <= col.segs[SEG_NODE_DICT].len(),
             "miss decoded {decoded} bytes, dict is {}",
-            col.raw_lens[SEG_NODE_DICT]
+            col.segs[SEG_NODE_DICT].len()
         );
         assert!((decoded as usize) < col.raw_len_total());
     }
@@ -1575,7 +1597,7 @@ mod tests {
     #[test]
     fn structural_filter_skips_attr_value_column() {
         // Node 40's only event is AddNode: materializing its history
-        // must not decompress weights or attribute columns.
+        // must not decode weights or attribute columns.
         let el = Eventlist::from_sorted(sample_events());
         let col = ColumnarEventlist::parse(encode_columnar_eventlist(&el)).unwrap();
         let before = crate::codec::decoded_bytes_here();
@@ -1583,7 +1605,7 @@ mod tests {
         let decoded = (crate::codec::decoded_bytes_here() - before) as usize;
         let core: usize = [SEG_NODE_DICT, SEG_TIMES, SEG_KINDS, SEG_IDS]
             .iter()
-            .map(|&i| col.raw_lens[i])
+            .map(|&i| col.segs[i].len())
             .sum();
         assert!(decoded <= core, "decoded {decoded} > core columns {core}");
     }
@@ -1646,21 +1668,22 @@ mod tests {
         assert!(!col.contains(999).unwrap());
         assert_eq!(col.node_record(999).unwrap(), None);
         let decoded = (crate::codec::decoded_bytes_here() - before) as usize;
-        assert!(decoded <= col.raw_lens[SEG_NODE_IDS]);
+        assert!(decoded <= col.segs[SEG_NODE_IDS].len());
         assert!(decoded < col.raw_len_total());
     }
 
     #[test]
     fn records_and_rowwise_nodes_share_one_edge_list_grammar() {
-        // Without attributes (where interned vs inline keys differ) a
-        // columnar record is the row-wise description minus its id.
+        // Without attributes (where dictionary indexes and inline pairs
+        // differ) a columnar record is the row-wise description minus
+        // its id.
         let mut n = StaticNode::new(300);
         for (nbr, dir, w) in [(2u64, EdgeDir::Both, 1.0f32), (9, EdgeDir::Out, 0.5)] {
             n.insert_edge(Neighbor::weighted(nbr, dir, w));
         }
         for n in [StaticNode::new(300), n] {
             let mut record = BytesMut::new();
-            put_node_record(&mut record, &n, &[]);
+            put_node_record(&mut record, &n, &[], &mut Interner::new());
             let mut row = BytesMut::new();
             crate::codec::put_static_node(&mut row, &n);
             assert_eq!(&row[2..], &record[..]);
@@ -1675,7 +1698,7 @@ mod tests {
         let delta = encode_columnar_delta(&sample_delta());
         let elist = encode_columnar_eventlist(&Eventlist::from_sorted(sample_events()));
         assert_eq!((delta[0], elist[0]), (DELTA_MAGIC, ELIST_MAGIC));
-        for retired in [0xC1u8, 0xC2, 0xC3, 0xC4, 0xC5] {
+        for retired in [0xC1u8, 0xC2, 0xC3, 0xC4, 0xC5, 0xC6, 0xC7] {
             let mut old = delta.to_vec();
             old[0] = retired;
             assert!(matches!(
@@ -1712,7 +1735,7 @@ mod tests {
         let el = Eventlist::from_sorted(events.clone());
         let col = ColumnarEventlist::parse(encode_columnar_eventlist(&el)).unwrap();
         assert_eq!(col.segs[SEG_WEIGHTS].len(), 0);
-        assert_eq!(col.raw_lens[SEG_WEIGHTS], 0);
+        assert_eq!(col.segs[SEG_WEIGHTS].len(), 0);
         assert_eq!(col.to_eventlist().unwrap(), el);
         for nid in [0u64, 3, 4, 50] {
             let want: Vec<Event> = el.filter_by_node(nid).cloned().collect();
@@ -1744,7 +1767,7 @@ mod tests {
             mixed.push(odd);
             let el = Eventlist::from_sorted(mixed);
             let col = ColumnarEventlist::parse(encode_columnar_eventlist(&el)).unwrap();
-            assert_eq!(col.raw_lens[SEG_WEIGHTS], weighted * WEIGHT_ENTRY_LEN);
+            assert_eq!(col.segs[SEG_WEIGHTS].len(), weighted * WEIGHT_ENTRY_LEN);
             assert_eq!(col.to_eventlist().unwrap(), el);
             for nid in [3u64, 7, 9] {
                 let want: Vec<Event> = el.filter_by_node(nid).cloned().collect();
@@ -1753,8 +1776,8 @@ mod tests {
         }
     }
 
-    /// A row of `count` records from its raw `segs`, segment `i` made
-    /// `edit` of what it holds, every segment stored raw.
+    /// A row of `count` records from its `segs`, segment `i` made
+    /// `edit` of what it holds.
     fn reassembled(
         magic: u8,
         count: usize,
@@ -1765,10 +1788,10 @@ mod tests {
         let edited = edit(&segs[i]);
         let mut raw: Vec<&[u8]> = segs.iter().map(|b| &b[..]).collect();
         raw[i] = &edited;
-        assemble(magic, count, &raw, &vec![NEVER_COMPRESS; raw.len()])
+        assemble(magic, count, &raw)
     }
 
-    /// Re-assemble `el`'s row with segment `i` (raw) made `edit` of
+    /// Re-assemble `el`'s row with segment `i` made `edit` of
     /// what it holds.
     fn with_segment(
         el: &Eventlist,
@@ -1776,13 +1799,11 @@ mod tests {
         edit: impl FnOnce(&[u8]) -> Vec<u8>,
     ) -> ColumnarEventlist {
         let col = ColumnarEventlist::parse(encode_columnar_eventlist(el)).unwrap();
-        let segs = (0..ELIST_SEGS)
-            .map(|i| col.decode_seg(i).unwrap())
-            .collect();
+        let segs = (0..ELIST_SEGS).map(|i| col.seg(i)).collect();
         ColumnarEventlist::parse(reassembled(ELIST_MAGIC, el.len(), segs, i, edit)).unwrap()
     }
 
-    /// Re-assemble `el`'s row with another weights segment (raw).
+    /// Re-assemble `el`'s row with another weights segment.
     fn with_weights_segment(el: &Eventlist, weights: &[u8]) -> ColumnarEventlist {
         with_segment(el, SEG_WEIGHTS, |_| weights.to_vec())
     }
@@ -1836,13 +1857,16 @@ mod tests {
                 .collect(),
         );
         let col = ColumnarEventlist::parse(encode_columnar_eventlist(&el)).unwrap();
-        assert_eq!(&col.decode_seg(SEG_KINDS).unwrap()[..], &[1, 2]);
-        assert_eq!(col.raw_lens[SEG_IDS], 100 * 6 / 8);
+        assert_eq!(&col.seg(SEG_KINDS)[..], &[1, 2]);
+        assert_eq!(col.segs[SEG_IDS].len(), 100 * 6 / 8);
         // Times 0, 1, ..., 49 and node ids 0..=50: gaps of 1, Rice
         // parameter 0 — two bits a time gap, one bit a node-id gap
         // (the dictionary spells `gap - 1`).
-        assert_eq!(col.raw_lens[SEG_TIMES], 1 + 1 + (49 * 2usize).div_ceil(8));
-        assert_eq!(col.raw_lens[SEG_NODE_DICT], 1 + 1 + 1 + 50usize.div_ceil(8));
+        assert_eq!(col.segs[SEG_TIMES].len(), 1 + 1 + (49 * 2usize).div_ceil(8));
+        assert_eq!(
+            col.segs[SEG_NODE_DICT].len(),
+            1 + 1 + 1 + 50usize.div_ceil(8)
+        );
         assert_eq!(col.to_eventlist().unwrap(), el);
 
         // A second kind: one bit per event, and the kinds column names
@@ -1851,7 +1875,7 @@ mod tests {
         events.push(Event::new(50, EventKind::RemoveEdge { src: 3, dst: 4 }));
         let el = Eventlist::from_sorted(events);
         let col = ColumnarEventlist::parse(encode_columnar_eventlist(&el)).unwrap();
-        let kinds = col.decode_seg(SEG_KINDS).unwrap();
+        let kinds = col.seg(SEG_KINDS);
         assert_eq!(&kinds[..3], &[2, 2, 3]);
         assert_eq!(kinds.len(), 3 + 51usize.div_ceil(8));
         assert_eq!(col.to_eventlist().unwrap(), el);
@@ -1966,8 +1990,8 @@ mod tests {
         let d = sample_delta();
         let col = encode_columnar_delta(&d);
         let row = encode_delta(&d);
-        // The columnar row as a whole is compressed, so it should not
-        // be drastically larger than the row-wise encoding.
+        // The pair dictionary spells each key once, so the columnar
+        // row should not be drastically larger than the row-wise one.
         assert!(
             col.len() < row.len() * 2,
             "columnar {} vs row-wise {}",
@@ -2138,7 +2162,7 @@ mod tests {
         assert_eq!(state.node(1).unwrap().degree(), hub.len() + 1);
     }
 
-    /// Re-assemble `d`'s row with segment `i` (raw) made `edit` of
+    /// Re-assemble `d`'s row with segment `i` made `edit` of
     /// what it holds.
     fn with_delta_segment(
         d: &Delta,
@@ -2146,9 +2170,7 @@ mod tests {
         edit: impl FnOnce(&[u8]) -> Vec<u8>,
     ) -> ColumnarDelta {
         let col = tree_row(d);
-        let segs = (0..DELTA_SEGS)
-            .map(|i| col.decode_seg(i).unwrap())
-            .collect();
+        let segs = (0..DELTA_SEGS).map(|i| col.seg(i)).collect();
         ColumnarDelta::parse(reassembled(DELTA_MAGIC, d.cardinality(), segs, i, edit)).unwrap()
     }
 
@@ -2212,20 +2234,20 @@ mod tests {
     fn a_restart_per_full_window_and_point_reads_skip_from_it() {
         let d = forty_nodes();
         let col = tree_row(&d);
-        let mut restarts: &[u8] = &col.decode_seg(SEG_RESTARTS).unwrap();
+        let mut restarts: &[u8] = &col.seg(SEG_RESTARTS);
         let windows: Vec<u64> = (0..2).map(|_| get_varint(&mut restarts).unwrap()).collect();
         assert!(restarts.is_empty(), "one restart per full window");
+        // The two windows are the records of the first 32 nodes: a row
+        // of those alone spells them alike (pairs are numbered in order
+        // of first use, so a prefix of the nodes numbers its pairs as
+        // the whole row does).
+        let first: Delta = d.sorted_nodes()[..32]
+            .iter()
+            .map(|n| (*n).clone())
+            .collect();
         assert_eq!(
             windows.iter().sum::<u64>() as usize,
-            col.raw_lens[SEG_RECORDS]
-                - d.sorted_nodes()[32..]
-                    .iter()
-                    .map(|n| {
-                        let mut b = BytesMut::new();
-                        put_node_record(&mut b, n, &["e", "k"]);
-                        b.len()
-                    })
-                    .sum::<usize>()
+            tree_row(&first).segs[SEG_RECORDS].len()
         );
         for n in d.iter() {
             assert_eq!(tree_row(&d).node_record(n.id).unwrap().as_ref(), Some(n));
@@ -2236,7 +2258,7 @@ mod tests {
         }
         // Fewer than 16 records: no restart at all.
         let small: Delta = d.iter().take(15).cloned().collect();
-        assert_eq!(tree_row(&small).raw_lens[SEG_RESTARTS], 0);
+        assert_eq!(tree_row(&small).segs[SEG_RESTARTS].len(), 0);
     }
 
     #[test]
@@ -2247,7 +2269,7 @@ mod tests {
         // window would skip from a point inside a record.
         let d = forty_nodes();
         let col = tree_row(&d);
-        let mut b: &[u8] = &col.decode_seg(SEG_RESTARTS).unwrap();
+        let mut b: &[u8] = &col.seg(SEG_RESTARTS);
         let (w0, w1) = (get_varint(&mut b).unwrap(), get_varint(&mut b).unwrap());
         for (bad, restarts, behind_the_lie) in [
             (w0 + 1, vec![w0 + 1, w1 - 1], vec![16]),
@@ -2290,8 +2312,8 @@ mod tests {
 
     #[test]
     fn absurd_lengths_are_rejected_before_allocation() {
-        // Hand-craft a header claiming a ludicrous event count and a
-        // segment whose raw length exceeds MAX_LEN.
+        // Hand-craft a header claiming a ludicrous event count, and one
+        // claiming a segment longer than MAX_LEN.
         let mut buf = BytesMut::new();
         buf.put_u8(ELIST_MAGIC);
         put_varint(&mut buf, u64::MAX); // event count
@@ -2300,19 +2322,12 @@ mod tests {
             Err(CodecError::LengthOverflow { .. })
         ));
 
-        let mut seg = BytesMut::new();
-        put_varint(&mut seg, u64::MAX); // fake raw_len prefix
+        // A segment length past the cap.
         let mut buf = BytesMut::new();
         buf.put_u8(ELIST_MAGIC);
         put_varint(&mut buf, 0);
         put_varint(&mut buf, ELIST_SEGS as u64);
-        for _ in 0..ELIST_SEGS {
-            // Compressed flag set: the raw-length prefix is consulted.
-            put_varint(&mut buf, (seg.len() as u64) << 1 | 1);
-        }
-        for _ in 0..ELIST_SEGS {
-            buf.put_slice(&seg);
-        }
+        put_varint(&mut buf, u64::MAX);
         assert!(matches!(
             ColumnarEventlist::parse(buf.freeze()),
             Err(CodecError::LengthOverflow { .. })

@@ -12,14 +12,19 @@
 //! * `0x01 [varint dist] [varint len]` — copy `len` bytes from `dist`
 //!   bytes back (overlapping copies allowed, as usual for LZ).
 //!
-//! Serialized deltas are full of small varint-delta-encoded integers
-//! and repeated attribute keys, which this catches well (typically
-//! 1.5–3x on our workloads).
+//! Its one caller outside tests is the store's optional value
+//! compression (`hgs_store`'s `StoreConfig::with_compression`): the
+//! one compression layer, applied to whole stored values. Row-wise
+//! serialized deltas, full of repeated attribute keys, compress well;
+//! the index's columnar rows already spell each key, value and pair
+//! once and leave it little to find (3.5 % of a labelled build's
+//! value bytes, almost nothing on an attribute-free one).
 
 use std::cell::RefCell;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
+use crate::codec::MAX_LEN;
 use crate::error::CodecError;
 
 const WINDOW: usize = 32 * 1024;
@@ -247,16 +252,14 @@ pub fn compress(data: &[u8]) -> Bytes {
     MATCH_FINDER.with(|mf| mf.borrow_mut().compress(data))
 }
 
-/// Peek the decompressed length of a [`compress`] blob without
-/// decompressing it. The raw-length prefix makes this O(1); the
-/// columnar codec uses it to charge cache weight for lazily decoded
-/// column segments *before* they are materialized.
-pub fn decompressed_len(data: &[u8]) -> Result<usize, CodecError> {
-    let mut pos = 0usize;
-    Ok(get_varint(data, &mut pos)? as usize)
-}
-
 /// Decompress data produced by [`compress`].
+///
+/// Any other input is an error, never a panic or an outsized
+/// allocation: the raw-length prefix is held to the codec's `MAX_LEN`
+/// cap and to what the ops after it can write — a match copies at
+/// most `MAX_MATCH` bytes (longer ones, which [`compress`] never
+/// emits, are refused) and a literal no more than its own bytes, so
+/// every input byte yields at most `MAX_MATCH` output bytes.
 ///
 /// The output buffer is allocated (zero-initialized) up front and
 /// written through a cursor, so copy ops are plain slice-to-slice
@@ -269,7 +272,15 @@ pub fn decompressed_len(data: &[u8]) -> Result<usize, CodecError> {
 /// re-written by the next op, so the result is exact.
 pub fn decompress(data: &[u8]) -> Result<Bytes, CodecError> {
     let mut pos = 0usize;
-    let raw_len = get_varint(data, &mut pos)? as usize;
+    let raw = get_varint(data, &mut pos)?;
+    let most = ((data.len() - pos) as u64).saturating_mul(MAX_MATCH as u64);
+    let raw_len = usize::try_from(raw)
+        .ok()
+        .filter(|_| raw <= MAX_LEN.min(most))
+        .ok_or(CodecError::LengthOverflow {
+            what: "lz-output",
+            len: raw,
+        })?;
     let mut out = vec![0u8; raw_len];
     let mut w = 0usize;
     while pos < data.len() {
@@ -277,14 +288,15 @@ pub fn decompress(data: &[u8]) -> Result<Bytes, CodecError> {
         pos += 1;
         match tag {
             0 => {
-                let n = get_varint(data, &mut pos)? as usize;
-                if pos + n > data.len() {
+                let n = get_varint(data, &mut pos)?;
+                if n > (data.len() - pos) as u64 {
                     return Err(CodecError::UnexpectedEof {
-                        needed: n,
+                        needed: n as usize,
                         remaining: data.len() - pos,
                     });
                 }
-                if w + n > raw_len {
+                let n = n as usize;
+                if n > raw_len - w {
                     return Err(CodecError::LengthOverflow {
                         what: "lz-output",
                         len: (w + n) as u64,
@@ -295,15 +307,22 @@ pub fn decompress(data: &[u8]) -> Result<Bytes, CodecError> {
                 w += n;
             }
             1 => {
-                let dist = get_varint(data, &mut pos)? as usize;
-                let len = get_varint(data, &mut pos)? as usize;
-                if dist == 0 || dist > w {
+                let dist = get_varint(data, &mut pos)?;
+                let len = get_varint(data, &mut pos)?;
+                if dist == 0 || dist > w as u64 {
                     return Err(CodecError::BadTag {
                         what: "lz-distance",
                         tag: 1,
                     });
                 }
-                if w + len > raw_len {
+                if len > MAX_MATCH as u64 {
+                    return Err(CodecError::LengthOverflow {
+                        what: "lz-match",
+                        len,
+                    });
+                }
+                let (dist, len) = (dist as usize, len as usize);
+                if len > raw_len - w {
                     return Err(CodecError::LengthOverflow {
                         what: "lz-output",
                         len: (w + len) as u64,
@@ -655,13 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn decompressed_len_peeks_without_decoding() {
-        let data = b"abcdabcdabcdabcd".repeat(10);
-        let c = compress(&data);
-        assert_eq!(decompressed_len(&c).unwrap(), data.len());
-    }
-
-    #[test]
     fn serialized_delta_compresses() {
         use crate::{codec::encode_delta, Delta, EventKind};
         let mut d = Delta::new();
@@ -693,5 +705,68 @@ mod tests {
     fn corrupt_input_is_an_error_not_a_panic() {
         assert!(decompress(&[0x05, 0x01, 0x09]).is_err());
         assert!(decompress(&[0x02, 0x01, 0xff, 0x10, 0x10]).is_err());
+        // A raw length past the cap, or past what the ops could write.
+        let mut huge = BytesMut::new();
+        put_varint(&mut huge, u64::MAX);
+        huge.put_slice(&[0, 1, 7]);
+        assert!(decompress(&huge).is_err());
+        // Lengths whose sums with the cursor would wrap.
+        for op in [
+            &[
+                0x10, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+            ][..],
+            &[
+                0x10, 0, 1, 7, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+            ],
+        ] {
+            assert!(decompress(op).is_err());
+        }
+        // A match longer than the compressor ever writes.
+        assert!(decompress(&[0x10, 0, 1, 7, 1, 1, 0x81, 0x08]).is_err());
+    }
+
+    /// Some data and `compress`'s output for it with one of five
+    /// mutations: unchanged (`0`), a byte replaced, bytes inserted, cut
+    /// short, or arbitrary bytes.
+    fn arb_stream() -> impl Strategy<Value = (Vec<u8>, u8, Vec<u8>)> {
+        (
+            prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), any::<u8>()], 0..300),
+            0u8..5,
+            any::<u64>(),
+            prop::collection::vec(any::<u8>(), 1..5),
+            prop::collection::vec(any::<u8>(), 0..64),
+        )
+            .prop_map(|(data, mutation, at, extra, arbitrary)| {
+                let mut c = compress(&data).to_vec();
+                let at = (at % (c.len() as u64 + 1)) as usize;
+                match mutation {
+                    1 if at < c.len() => c[at] = extra[0],
+                    2 => drop(c.splice(at..at, extra)),
+                    3 => c.truncate(at),
+                    4 => c = arbitrary,
+                    _ => {}
+                }
+                (data, mutation, c)
+            })
+    }
+
+    proptest! {
+        /// The store's one LZSS path reads whatever bytes a replica
+        /// holds: any input decompresses or is refused, never panics,
+        /// and never yields more than the cap or than its ops can
+        /// write. Unchanged streams round-trip.
+        #[test]
+        fn decompress_refuses_or_answers_within_the_cap(
+            (data, mutation, stream) in arb_stream()
+        ) {
+            let got = decompress(&stream);
+            if let Ok(out) = &got {
+                prop_assert!(out.len() as u64 <= MAX_LEN);
+                prop_assert!(out.len() <= stream.len() * MAX_MATCH);
+            }
+            if mutation == 0 {
+                prop_assert_eq!(&got.unwrap()[..], &data[..]);
+            }
+        }
     }
 }

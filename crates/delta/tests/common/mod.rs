@@ -120,11 +120,11 @@ pub fn for_cases<S: Strategy>(name: &str, strat: S, mut case: impl FnMut(S::Valu
 // ----------------------------------------------------------------------
 
 /// A row's header taken apart: magic, record count, then per segment
-/// its `stored_len << 1 | compressed` varint and its bytes.
+/// its length varint and its bytes.
 pub struct RowSegments {
     pub magic: u8,
     pub count: u64,
-    pub segs: Vec<(bool, Vec<u8>)>,
+    pub segs: Vec<Vec<u8>>,
 }
 
 impl RowSegments {
@@ -134,9 +134,9 @@ impl RowSegments {
         let n = get_varint(&mut b).unwrap();
         let lens: Vec<u64> = (0..n).map(|_| get_varint(&mut b).unwrap()).collect();
         let mut segs = Vec::new();
-        for lv in lens {
-            let (seg, rest) = b.split_at((lv >> 1) as usize);
-            segs.push((lv & 1 == 1, seg.to_vec()));
+        for len in lens {
+            let (seg, rest) = b.split_at(len as usize);
+            segs.push(seg.to_vec());
             b = rest;
         }
         assert!(b.is_empty(), "segments cover the row");
@@ -148,10 +148,10 @@ impl RowSegments {
         out.put_u8(self.magic);
         put_varint(&mut out, self.count);
         put_varint(&mut out, self.segs.len() as u64);
-        for (compressed, seg) in &self.segs {
-            put_varint(&mut out, (seg.len() as u64) << 1 | *compressed as u64);
+        for seg in &self.segs {
+            put_varint(&mut out, seg.len() as u64);
         }
-        for (_, seg) in &self.segs {
+        for seg in &self.segs {
             out.put_slice(seg);
         }
         out.freeze()

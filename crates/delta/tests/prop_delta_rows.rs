@@ -23,6 +23,14 @@
 //!   gaps and every restart.)
 //! * unchanged rows round-trip exactly, tree rows onto their root too.
 //!
+//! The pair dictionary gets cases of its own: replaced by arbitrary
+//! bytes, or followed by them, it is read or refused and never panics
+//! (a dictionary with bytes after its last pair is always refused);
+//! and a pair index past the dictionary, a key index past its keys, a
+//! record pair beside an empty dictionary and a trailing dictionary
+//! byte are each refused by every read. Rows of the retired magics are
+//! refused by name.
+//!
 //! That the record skipper the point read steps with ends where the
 //! record decoder ends is fuzzed beside both, in `codec.rs`.
 //!
@@ -31,7 +39,7 @@
 
 mod common;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use common::{
     arb_attr_value, arb_mutation, arb_node, for_cases, mutate, Mutation, RowSegments, Split,
 };
@@ -220,7 +228,7 @@ fn delta_rows_decode_or_refuse_and_both_reads_agree() {
             } else {
                 let mut parts = RowSegments::parse(&row);
                 let i = rng.below(parts.segs.len() as u64) as usize;
-                parts.segs[i].1 = mutate(m, &parts.segs[i].1, rng);
+                parts.segs[i] = mutate(m, &parts.segs[i], rng);
                 parts.assemble()
             };
             let ok = check_delta_row(mutated, &base, stored)
@@ -269,7 +277,7 @@ fn hostile_counts_and_restarts_are_refused() {
         let mut parts = RowSegments::parse(&row);
         let mut seg = BytesMut::new();
         put_varint(&mut seg, restart);
-        parts.segs[1].1 = seg.to_vec();
+        parts.segs[1] = seg.to_vec();
         let col = ColumnarDelta::parse(parts.assemble()).unwrap();
         assert!(col.node_record(17).is_err(), "restart {restart}");
         assert!(col.node_record(3).unwrap().is_some(), "before the restart");
@@ -277,7 +285,7 @@ fn hostile_counts_and_restarts_are_refused() {
     }
     // A record head announcing 2^31 entries over a handful of bytes.
     let mut parts = RowSegments::parse(&row);
-    let records = &mut parts.segs[3].1;
+    let records = &mut parts.segs[3];
     records[0] |= 7 << 3;
     let mut escaped = vec![records[0]];
     let mut count = BytesMut::new();
@@ -291,4 +299,150 @@ fn hostile_counts_and_restarts_are_refused() {
         Err(CodecError::UnexpectedEof { .. })
     ));
     assert!(col.to_delta().is_err());
+}
+
+// ----------------------------------------------------------------------
+// the pair dictionary
+// ----------------------------------------------------------------------
+
+/// Where a delta row keeps its pair dictionary and its records.
+const DICT: usize = 2;
+const RECORDS: usize = 3;
+
+/// Every read of `row` refuses it: the full read, the path sum, and
+/// the point reads of each of `ids`.
+fn every_read_refuses(row: Bytes, ids: &[NodeId], what: &str) {
+    let col = || ColumnarDelta::parse(row.clone()).expect("a well-formed header");
+    assert!(col().to_delta().is_err(), "{what}: to_delta");
+    assert!(
+        col().sum_into(&mut Delta::new(), None).is_err(),
+        "{what}: sum_into"
+    );
+    for &id in ids {
+        assert!(col().node_record(id).is_err(), "{what}: node_record({id})");
+        assert!(
+            col().sum_node_into(id, &mut Delta::new()).is_err(),
+            "{what}: sum_node_into({id})"
+        );
+    }
+}
+
+#[test]
+fn arbitrary_pair_dictionaries_are_read_or_refused() {
+    let mut tally = Split::default();
+    for_cases(
+        "prop_delta_rows::dict",
+        (
+            arb_graph(),
+            0usize..3,
+            any::<bool>(),
+            prop::collection::vec(any::<u8>(), 1..48),
+        ),
+        |(g, kind, append, bytes), _rng| {
+            let (root, tree) = split(&g);
+            let (stored, base) = match kind {
+                0 => (&g, Delta::new()),
+                1 => (&root, Delta::new()),
+                _ => (&tree, root.clone()),
+            };
+            let row = encode_columnar_delta(stored);
+            let mut parts = RowSegments::parse(&row);
+            let had_dict = !parts.segs[DICT].is_empty();
+            if append {
+                parts.segs[DICT].extend_from_slice(&bytes);
+            } else {
+                parts.segs[DICT] = bytes;
+            }
+            let mutated = parts.assemble();
+            let ok = check_delta_row(mutated.clone(), &base, stored)
+                .unwrap_or_else(|e| panic!("dictionary case: {e}"));
+            if append && had_dict {
+                let ids: Vec<NodeId> = stored.ids().collect();
+                every_read_refuses(mutated, &ids, "trailing dictionary bytes");
+            }
+            let m = if append {
+                Mutation::Inserted
+            } else {
+                Mutation::Arbitrary
+            };
+            tally.record(m, ok);
+        },
+    );
+    tally.print("pair dictionaries");
+}
+
+#[test]
+fn dictionary_indexes_past_their_dictionary_are_refused() {
+    // Two nodes of one pair each: `1 {a: 1}` and `2 {b: 2}`.
+    let g: Delta = [(1u64, "a", 1i64), (2, "b", 2)]
+        .into_iter()
+        .map(|(id, k, v)| {
+            let mut n = StaticNode::new(id);
+            n.attrs.set(k, AttrValue::Int(v));
+            n
+        })
+        .collect();
+    let row = encode_columnar_delta(&g);
+    let parts = RowSegments::parse(&row);
+    // Keys `a`, `b`; pairs `(0, Int 1)`, `(1, Int 2)` (an `Int` is tag
+    // 0 and a zigzag varint).
+    let dict = vec![2, 1, b'a', 1, b'b', 2, 0, 0, 2, 1, 0, 4];
+    assert_eq!(parts.segs[DICT], dict);
+    // A record of no edges and one pair: the head, then pair 0 or 1.
+    assert_eq!(parts.segs[RECORDS], vec![0x47, 0, 0x47, 1]);
+    let ids = [1, 2];
+
+    let with = |dict: Vec<u8>, records: Vec<u8>| {
+        let mut p = RowSegments::parse(&row);
+        p.segs[DICT] = dict;
+        p.segs[RECORDS] = records;
+        p.assemble()
+    };
+    // Pair index 2 of two pairs, in either record.
+    every_read_refuses(
+        with(dict.clone(), vec![0x47, 2, 0x47, 2]),
+        &ids,
+        "pair index",
+    );
+    // A pair naming key 2 of two keys.
+    let mut bad_key = dict.clone();
+    bad_key[9] = 2;
+    every_read_refuses(with(bad_key, vec![0x47, 0, 0x47, 1]), &ids, "key index");
+    // Record pairs beside an empty dictionary.
+    every_read_refuses(
+        with(Vec::new(), vec![0x47, 0, 0x47, 0]),
+        &ids,
+        "empty dictionary",
+    );
+    // A byte after the last pair.
+    let mut trailing = dict.clone();
+    trailing.push(0);
+    every_read_refuses(
+        with(trailing, vec![0x47, 0, 0x47, 1]),
+        &ids,
+        "trailing byte",
+    );
+    // Unchanged, the row reads.
+    assert_eq!(
+        ColumnarDelta::parse(with(dict, vec![0x47, 0, 0x47, 1]))
+            .unwrap()
+            .to_delta(),
+        Ok(g)
+    );
+}
+
+#[test]
+fn rows_of_the_retired_magics_are_refused_by_name() {
+    let mut n = StaticNode::new(4);
+    n.attrs.set("k", AttrValue::Bool(true));
+    let row = encode_columnar_delta(&[n].into_iter().collect());
+    for magic in [0xC6u8, 0xC7] {
+        let mut old = BytesMut::new();
+        old.put_u8(magic);
+        old.put_slice(&row[1..]);
+        assert!(matches!(
+            ColumnarDelta::parse(old.freeze()),
+            Err(CodecError::BadTag { tag, .. }) if tag == magic
+        ));
+    }
 }

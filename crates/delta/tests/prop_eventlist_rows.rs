@@ -22,6 +22,14 @@
 //!   a row `to_eventlist` refuses it may still answer.)
 //! * unchanged rows round-trip exactly.
 //!
+//! The attribute dictionary gets cases of its own: replaced by
+//! arbitrary bytes, or followed by them, it is read or refused and
+//! never panics (a dictionary with bytes after its last value is always
+//! refused); and a key or value index past its dictionary, a keyed
+//! event beside an empty dictionary and a trailing dictionary byte are
+//! each refused by both decoders. Rows of the retired magics are
+//! refused by name.
+//!
 //! Each suite prints its Ok/Err split per mutation (`--nocapture`).
 //! Cases: `PROPTEST_CASES`, default 256.
 
@@ -34,7 +42,7 @@ use common::{
 use hgs_delta::attr_index::{decode_term_points, encode_term_points, TermPoint};
 use hgs_delta::codec::put_varint;
 use hgs_delta::columnar::encode_columnar_eventlist;
-use hgs_delta::{ColumnarEventlist, Event, EventKind, Eventlist, NodeId};
+use hgs_delta::{AttrValue, CodecError, ColumnarEventlist, Event, EventKind, Eventlist, NodeId};
 use proptest::prelude::*;
 
 // ----------------------------------------------------------------------
@@ -195,7 +203,7 @@ fn eventlist_rows_decode_or_refuse_and_both_decoders_agree() {
             } else {
                 let mut parts = RowSegments::parse(&row);
                 let i = rng.below(parts.segs.len() as u64) as usize;
-                parts.segs[i].1 = mutate(m, &parts.segs[i].1, rng);
+                parts.segs[i] = mutate(m, &parts.segs[i], rng);
                 parts.assemble()
             };
             let ok = check_eventlist_row(mutated, &el).unwrap_or_else(|e| panic!("{m:?}: {e}"));
@@ -207,6 +215,154 @@ fn eventlist_rows_decode_or_refuse_and_both_decoders_agree() {
         },
     );
     split.print("eventlist rows");
+}
+
+// ----------------------------------------------------------------------
+// the attribute dictionary
+// ----------------------------------------------------------------------
+
+/// Where an eventlist row keeps its attribute dictionary and its key
+/// and value index columns.
+const DICT: usize = 5;
+const ATTR_KEYS: usize = 6;
+const ATTR_VALS: usize = 7;
+
+/// Both decoders refuse `row`: the full read, and the pruned read of
+/// each of `nodes`.
+fn both_decoders_refuse(row: Bytes, nodes: &[NodeId], what: &str) {
+    let col = || ColumnarEventlist::parse(row.clone()).expect("a well-formed header");
+    assert!(col().to_eventlist().is_err(), "{what}: to_eventlist");
+    for &nid in nodes {
+        assert!(
+            col().events_touching(nid).is_err(),
+            "{what}: events_touching({nid})"
+        );
+    }
+}
+
+/// The nodes whose events name an attribute key.
+fn keyed_nodes(el: &Eventlist) -> Vec<NodeId> {
+    el.events()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::SetNodeAttr { .. }
+                    | EventKind::RemoveNodeAttr { .. }
+                    | EventKind::SetEdgeAttr { .. }
+                    | EventKind::RemoveEdgeAttr { .. }
+            )
+        })
+        .map(|e| e.kind.touched().0)
+        .collect()
+}
+
+#[test]
+fn arbitrary_attribute_dictionaries_are_read_or_refused() {
+    let mut split = Split::default();
+    for_cases(
+        "prop_eventlist_rows::dict",
+        (
+            arb_eventlist(),
+            any::<bool>(),
+            prop::collection::vec(any::<u8>(), 1..48),
+        ),
+        |(el, append, bytes), _rng| {
+            let row = encode_columnar_eventlist(&el);
+            let mut parts = RowSegments::parse(&row);
+            let had_dict = !parts.segs[DICT].is_empty();
+            if append {
+                parts.segs[DICT].extend_from_slice(&bytes);
+            } else {
+                parts.segs[DICT] = bytes;
+            }
+            let mutated = parts.assemble();
+            let ok = check_eventlist_row(mutated.clone(), &el)
+                .unwrap_or_else(|e| panic!("dictionary case: {e}"));
+            if append && had_dict {
+                both_decoders_refuse(mutated, &keyed_nodes(&el), "trailing dictionary bytes");
+            }
+            let m = if append {
+                Mutation::Inserted
+            } else {
+                Mutation::Arbitrary
+            };
+            split.record(m, ok);
+        },
+    );
+    split.print("attribute dictionaries");
+}
+
+#[test]
+fn dictionary_indexes_past_their_dictionary_are_refused() {
+    // Three nodes setting three keys to three values: two-bit key and
+    // value indexes, of which `3` names nothing.
+    let el = Eventlist::from_sorted(
+        [(1u64, "a", 1i64), (2, "b", 2), (3, "c", 3)]
+            .into_iter()
+            .map(|(id, key, v)| {
+                let kind = EventKind::SetNodeAttr {
+                    id,
+                    key: key.into(),
+                    value: AttrValue::Int(v),
+                };
+                Event::new(id, kind)
+            })
+            .collect(),
+    );
+    let row = encode_columnar_eventlist(&el);
+    let parts = RowSegments::parse(&row);
+    // Keys `a`, `b`, `c`; values `Int 1, 2, 3` (tag 0, zigzag varint).
+    let dict = vec![3, 1, b'a', 1, b'b', 1, b'c', 3, 0, 2, 0, 4, 0, 6];
+    assert_eq!(parts.segs[DICT], dict);
+    // Indexes 0, 1, 2 of two bits each, least-significant first.
+    assert_eq!(parts.segs[ATTR_KEYS], vec![0b10_01_00]);
+    assert_eq!(parts.segs[ATTR_VALS], vec![0b10_01_00]);
+    let nodes = [1, 2, 3];
+
+    let with = |dict: &[u8], keys: &[u8], vals: &[u8]| {
+        let mut p = RowSegments::parse(&row);
+        p.segs[DICT] = dict.to_vec();
+        p.segs[ATTR_KEYS] = keys.to_vec();
+        p.segs[ATTR_VALS] = vals.to_vec();
+        p.assemble()
+    };
+    let past = 0b11_01_00;
+    both_decoders_refuse(with(&dict, &[past], &[0b10_01_00]), &nodes, "key index");
+    both_decoders_refuse(with(&dict, &[0b10_01_00], &[past]), &nodes, "value index");
+    // Keyed events beside an empty dictionary: every index is zero
+    // bits long, and names nothing.
+    both_decoders_refuse(with(&[], &[], &[]), &nodes, "empty dictionary");
+    let mut trailing = dict.clone();
+    trailing.push(0);
+    both_decoders_refuse(
+        with(&trailing, &[0b10_01_00], &[0b10_01_00]),
+        &nodes,
+        "trailing byte",
+    );
+    let col = ColumnarEventlist::parse(with(&dict, &[0b10_01_00], &[0b10_01_00])).unwrap();
+    assert_eq!(col.to_eventlist(), Ok(el));
+}
+
+#[test]
+fn rows_of_the_retired_magics_are_refused_by_name() {
+    let el = Eventlist::from_sorted(vec![Event::new(
+        5,
+        EventKind::RemoveNodeAttr {
+            id: 7,
+            key: "k".into(),
+        },
+    )]);
+    let row = encode_columnar_eventlist(&el);
+    for magic in [0xC6u8, 0xC7] {
+        let mut old = BytesMut::new();
+        old.put_u8(magic);
+        old.put_slice(&row[1..]);
+        assert!(matches!(
+            ColumnarEventlist::parse(old.freeze()),
+            Err(CodecError::BadTag { tag, .. }) if tag == magic
+        ));
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -262,8 +418,8 @@ fn hostile_counts_are_refused_before_allocation() {
     let mut parts = RowSegments::parse(&row);
     let mut dict = BytesMut::new();
     put_varint(&mut dict, u64::from(u32::MAX));
-    dict.put_slice(&parts.segs[0].1[1..]);
-    parts.segs[0].1 = dict.to_vec();
+    dict.put_slice(&parts.segs[0][1..]);
+    parts.segs[0] = dict.to_vec();
     let col = ColumnarEventlist::parse(parts.assemble()).unwrap();
     assert!(col.events_touching(7).is_err());
     // A term row's carry and change counts.

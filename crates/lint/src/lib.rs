@@ -28,6 +28,10 @@
 //!   a fn that reads varints and sizes a `with_capacity`/`reserve` by a
 //!   bare identifier it never bounds (PR 24 fixed four of these in the
 //!   descriptor decoders `Tgi::open` runs).
+//! * **one-compression-layer** — `hgs_delta::compress::{compress,
+//!   decompress}` named in non-test code anywhere but
+//!   `crates/store/src/store.rs`: the store's optional value
+//!   compression is the one LZSS layer; index rows carry none.
 //! * **unused-allow** — an allow annotation whose rule no longer
 //!   fires is itself an error, so annotations cannot rot.
 //!

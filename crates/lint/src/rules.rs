@@ -23,6 +23,7 @@ pub const RULES: &[&str] = &[
     "pinned-scan-bounded",
     "bounded-decode-alloc",
     "one-row-fetch",
+    "one-compression-layer",
     "unused-allow",
     "malformed-allow",
 ];
@@ -45,6 +46,10 @@ const TREE_ROW_READER_CRATE: &str = "core";
 /// The one fn of [`TREE_ROW_READER_CRATE`] that may `multi_get`
 /// `Deltas` rows (`one-row-fetch`).
 const ROW_FETCH_FN: &str = "try_fetch_rows";
+
+/// The one file that may call the LZSS codec
+/// (`one-compression-layer`): the store's optional value compression.
+const LZSS_CALLER_FILE: &str = "crates/store/src/store.rs";
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -640,6 +645,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
     pinned_scan_bounded(toks, &cx, ctx, &mut findings);
     bounded_decode_alloc(toks, &cx, ctx, &mut findings);
     one_row_fetch(toks, &cx, ctx, &mut findings);
+    one_compression_layer(toks, &cx, ctx, &mut findings);
 
     // Suppress findings that carry a matching allow on their line.
     findings.retain(|f| {
@@ -966,6 +972,73 @@ fn one_row_fetch(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Ve
                      the one place a point read probes the read cache, batches its \
                      misses and caches rows and absences; call it instead, or \
                      annotate why this read must not go through the cache"
+                ),
+            });
+        }
+    }
+}
+
+/// The `one-compression-layer` pass: in non-test library code outside
+/// [`LZSS_CALLER_FILE`], a path that names `compress::compress` or
+/// `compress::decompress` — a qualified call, or a `use` bringing
+/// either into scope, in a `{..}` group or by a `*` glob. Index rows
+/// are kept small by their grammar; the store's value compression is
+/// the one LZSS layer, and a second one inside the rows it stores
+/// would compress what the first then cannot.
+fn one_compression_layer(
+    toks: &[Token],
+    cx: &Contexts,
+    ctx: &FileCtx,
+    findings: &mut Vec<Finding>,
+) {
+    if ctx.kind != FileKind::Lib || ctx.rel_path == LZSS_CALLER_FILE {
+        return;
+    }
+    let is_codec_fn = |t: &Token| matches!(t.ident(), Some("compress" | "decompress"));
+    for i in 0..toks.len() {
+        let path = toks[i].ident() == Some("compress")
+            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'));
+        if !path || cx.per_token[i].in_test {
+            continue;
+        }
+        let names_codec = match toks.get(i + 3) {
+            Some(t) if t.is_punct('*') => true,
+            // A use group: any leaf at its top level.
+            Some(t) if t.is_punct('{') => {
+                let mut depth = 0i32;
+                let mut hit = false;
+                for j in i + 3..toks.len() {
+                    match &toks[j].kind {
+                        TokKind::Punct('{') => depth += 1,
+                        TokKind::Punct('}') => {
+                            depth -= 1;
+                            if depth == 0 {
+                                break;
+                            }
+                        }
+                        _ => {
+                            hit |= depth == 1
+                                && is_codec_fn(&toks[j])
+                                && !toks.get(j + 1).is_some_and(|t| t.is_punct(':'));
+                        }
+                    }
+                }
+                hit
+            }
+            Some(t) => is_codec_fn(t),
+            None => false,
+        };
+        if names_codec {
+            findings.push(Finding {
+                rule: "one-compression-layer",
+                file: ctx.rel_path.clone(),
+                line: toks[i].line,
+                message: format!(
+                    "the LZSS codec named outside `{LZSS_CALLER_FILE}`: rows are \
+                     compressed by their grammar, and the store's optional value \
+                     compression is the one LZSS layer; drop the second layer, or \
+                     annotate why this code must compress on its own"
                 ),
             });
         }

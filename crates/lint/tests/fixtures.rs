@@ -266,6 +266,28 @@ fn one_row_fetch_binds_only_hgs_core_sources() {
 }
 
 #[test]
+fn one_compression_layer_fixture() {
+    check(
+        "one_compression_layer.rs",
+        "crates/delta/src/fixture.rs",
+        true,
+    );
+}
+
+#[test]
+fn one_compression_layer_spares_the_store_and_tests() {
+    // The store's value compression is the one caller, and tests may
+    // call the codec anywhere. There the fixture's own allow,
+    // suppressing nothing, is what surfaces.
+    let src = fixture("one_compression_layer.rs");
+    for rel in ["crates/store/src/store.rs", "crates/store/tests/fixture.rs"] {
+        let report = lint_source(&src, &ctx(rel));
+        let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, vec!["unused-allow"], "{rel}: {:#?}", report.findings);
+    }
+}
+
+#[test]
 fn concurrency_rules_are_off_in_tests() {
     // A test may hold a guard across a fetch deliberately (e.g. to
     // force contention); the discipline binds library code only.
