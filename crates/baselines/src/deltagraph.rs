@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use hgs_core::{Tgi, TgiConfig};
+use hgs_core::{TgiConfig, TgiService, TgiView};
 use hgs_delta::{Delta, Event, NodeId, StaticNode, Time, TimeRange};
 use hgs_store::{SimStore, StoreConfig, StoreError};
 
@@ -16,7 +16,7 @@ use crate::traits::{node_events_in, HistoricalIndex};
 
 /// DeltaGraph = TGI with the degenerate partitioning configuration.
 pub struct DeltaGraphIndex {
-    tgi: Tgi,
+    tgi: Arc<TgiView>,
     /// Retained trace for version queries (DeltaGraph has no version
     /// chains; the paper charges it `|G|` for those queries — we
     /// replay the kept trace, charging the same asymptotics in-memory).
@@ -36,17 +36,13 @@ impl DeltaGraphIndex {
             arity,
             ..TgiConfig::deltagraph()
         };
-        let tgi = Tgi::try_build(cfg, store_cfg, events)
-            .expect("a fresh simulated cluster accepts every write");
+        let tgi = TgiService::try_build(cfg, store_cfg, events)
+            .expect("a fresh simulated cluster accepts every write")
+            .pin();
         DeltaGraphIndex {
             tgi,
             events: events.to_vec(),
         }
-    }
-
-    /// The underlying TGI handle.
-    pub fn tgi(&self) -> &Tgi {
-        &self.tgi
     }
 }
 
@@ -83,22 +79,23 @@ impl HistoricalIndex for DeltaGraphIndex {
     }
 }
 
-/// TGI itself as a [`HistoricalIndex`], closing the comparison set.
-impl HistoricalIndex for Tgi {
+/// TGI itself — a pinned view — as a [`HistoricalIndex`], closing the
+/// comparison set.
+impl HistoricalIndex for TgiView {
     fn name(&self) -> &'static str {
         "tgi"
     }
 
     fn store(&self) -> &Arc<SimStore> {
-        hgs_core::TgiView::store(self)
+        TgiView::store(self)
     }
 
     fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
-        hgs_core::TgiView::try_snapshot(self, t)
+        TgiView::try_snapshot(self, t)
     }
 
     fn try_node_at(&self, nid: NodeId, t: Time) -> Result<Option<StaticNode>, StoreError> {
-        hgs_core::TgiView::try_node_at(self, nid, t)
+        TgiView::try_node_at(self, nid, t)
     }
 
     fn try_node_versions(
@@ -106,12 +103,12 @@ impl HistoricalIndex for Tgi {
         nid: NodeId,
         range: TimeRange,
     ) -> Result<(Option<StaticNode>, Vec<Event>), StoreError> {
-        let h = hgs_core::TgiView::try_node_history(self, nid, range)?;
+        let h = TgiView::try_node_history(self, nid, range)?;
         Ok((h.initial, h.events))
     }
 
     fn try_one_hop(&self, nid: NodeId, t: Time) -> Result<Delta, StoreError> {
-        hgs_core::TgiView::try_khop_with(self, nid, t, 1, hgs_core::KhopStrategy::Recursive)
+        TgiView::try_khop_with(self, nid, t, 1, hgs_core::KhopStrategy::Recursive)
     }
 }
 
@@ -145,14 +142,16 @@ mod tests {
             partition_size: 50,
             ..hgs_core::TgiConfig::default()
         };
-        let tgi = Tgi::try_build(tgi_cfg, StoreConfig::new(2, 1), &events).unwrap();
+        let tgi = TgiService::try_build(tgi_cfg, StoreConfig::new(2, 1), &events)
+            .unwrap()
+            .pin();
         assert!(idx.store().row_count() < tgi.store().row_count() / 2);
     }
 
     #[test]
     fn tgi_as_historical_index() {
         let events = WikiGrowth::sized(800).generate();
-        let tgi = Tgi::try_build(
+        let tgi = TgiService::try_build(
             hgs_core::TgiConfig {
                 events_per_timespan: 500,
                 eventlist_size: 100,
@@ -162,8 +161,9 @@ mod tests {
             StoreConfig::new(2, 1),
             &events,
         )
-        .unwrap();
-        let idx: &dyn HistoricalIndex = &tgi;
+        .unwrap()
+        .pin();
+        let idx: &dyn HistoricalIndex = &*tgi;
         let end = events.last().unwrap().time;
         assert_eq!(
             idx.try_snapshot(end).unwrap(),
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn try_surface_is_shared_and_fallible_for_tgi() {
         let events = WikiGrowth::sized(800).generate();
-        let tgi = Tgi::try_build(
+        let tgi = TgiService::try_build(
             hgs_core::TgiConfig {
                 events_per_timespan: 500,
                 eventlist_size: 100,
@@ -188,11 +188,12 @@ mod tests {
             StoreConfig::new(2, 1),
             &events,
         )
-        .unwrap();
+        .unwrap()
+        .pin();
         let log = crate::LogIndex::build(StoreConfig::new(2, 1), &events, 128);
         let end = events.last().unwrap().time;
         let oracle = Delta::snapshot_by_replay(&events, end / 2);
-        for idx in [&tgi as &dyn HistoricalIndex, &log] {
+        for idx in [&*tgi as &dyn HistoricalIndex, &log] {
             assert_eq!(
                 idx.try_snapshot(end / 2).expect("healthy cluster"),
                 oracle,
@@ -210,7 +211,7 @@ mod tests {
         for m in 0..tgi.store().machine_count() {
             tgi.store().fail_machine(m);
         }
-        let idx: &dyn HistoricalIndex = &tgi;
+        let idx: &dyn HistoricalIndex = &*tgi;
         assert!(matches!(
             idx.try_snapshot(end / 2),
             Err(StoreError::Unavailable { .. })

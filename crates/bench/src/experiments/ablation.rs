@@ -32,7 +32,7 @@ pub fn ablation_arity() {
             arity,
             ..TgiConfig::default()
         };
-        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events);
+        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events).pin();
         let view = tgi.with_clients(4);
         let (_, rep) = timed(&tgi, 4, || {
             view.try_snapshot(end / 2).expect("healthy store")
@@ -71,7 +71,7 @@ pub fn ablation_timespan() {
             events_per_timespan: ts,
             ..TgiConfig::default()
         };
-        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events);
+        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events).pin();
         let mut wall = 0.0;
         let mut modeled = 0.0;
         for &id in &probes {
@@ -111,7 +111,7 @@ pub fn ablation_horizontal() {
     ]);
     for ns in [1u32, 2, 4, 8] {
         let cfg = TgiConfig::default().with_horizontal(ns);
-        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events);
+        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events).pin();
         let before = tgi.store().stats_snapshot();
         let view = tgi.with_clients(8);
         let (_, rep) = timed(&tgi, 8, || {

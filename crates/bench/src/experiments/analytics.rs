@@ -1,6 +1,5 @@
 //! TAF analytics experiments: Figs. 15c and 17.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::datasets::*;
@@ -23,17 +22,13 @@ pub fn fig15c() {
         "compute time only (fetch excluded)",
     );
     let events = dataset1();
-    let tgi = Arc::new(build_tgi(
-        paper_default_cfg(),
-        StoreConfig::new(4, 1),
-        &events,
-    ));
+    let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(4, 1), &events);
     let end = events.last().unwrap().time;
     header(&["graph_nodes", "workers", "wall_s", "max_lcc"]);
     for frac in [4u64, 2, 1] {
         let t = end / frac;
         // Fetch once (excluded from timing), then sweep workers.
-        let handler = TgiHandler::new(tgi.clone(), 1);
+        let handler = TgiHandler::serving(tgi.clone(), 1);
         let son = handler
             .son()
             .timeslice(TimeRange::new(t, t + 1))
@@ -93,13 +88,9 @@ pub fn fig17() {
         "2 workers; cumulative compute time (fetch excluded)",
     );
     let events = dataset_labeled();
-    let tgi = Arc::new(build_tgi(
-        paper_default_cfg(),
-        StoreConfig::new(4, 1),
-        &events,
-    ));
+    let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(4, 1), &events);
     let end = events.last().unwrap().time;
-    let handler = TgiHandler::new(tgi.clone(), 2);
+    let handler = TgiHandler::serving(tgi.clone(), 2);
     let range = TimeRange::new(end / 4, end + 1);
     let roots = sample_nodes(&events, 24, 20);
     let sots = handler

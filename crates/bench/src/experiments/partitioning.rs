@@ -47,7 +47,7 @@ pub fn fig15a() {
         let cfg = TgiConfig::default()
             .with_strategy(strategy)
             .with_horizontal(1);
-        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events);
+        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events).pin();
         let mut wall = 0.0f64;
         let mut modeled = 0.0f64;
         let mut requests = 0u64;

@@ -14,7 +14,7 @@ pub fn fig11() {
         "m=4 r=1 ps=500 l=500",
     );
     let events = dataset1();
-    let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(4, 1), &events);
+    let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(4, 1), &events).pin();
     header(&[
         "snapshot_nodes",
         "c",
@@ -54,7 +54,7 @@ pub fn fig12() {
         (2, 1, vec![1, 2, 4, 8]),
         (2, 2, vec![1, 4, 8, 16]),
     ] {
-        let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(m, r), &events);
+        let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(m, r), &events).pin();
         for t in growth_times(&events, 4) {
             for &c in &cs {
                 let view = tgi.with_clients(c);
@@ -81,7 +81,7 @@ pub fn fig13a() {
     header(&["mode", "snapshot_nodes", "wall_s", "modeled_s", "stored_mb"]);
     for compress in [false, true] {
         let store_cfg = StoreConfig::new(2, 1).with_compression(compress);
-        let tgi = build_tgi(paper_default_cfg(), store_cfg, &events);
+        let tgi = build_tgi(paper_default_cfg(), store_cfg, &events).pin();
         let stored_mb = tgi.storage_bytes() as f64 / 1e6;
         for t in growth_times(&events, 4) {
             let view = tgi.with_clients(8);
@@ -113,7 +113,7 @@ pub fn fig13b() {
     header(&["ps", "snapshot_nodes", "wall_s", "modeled_s", "requests"]);
     for ps in [1000usize, 2000, 4000] {
         let cfg = TgiConfig::default().with_partition_size(ps);
-        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events);
+        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events).pin();
         for t in growth_times(&events, 4) {
             let view = tgi.with_clients(8);
             let (snap, rep) = timed(&tgi, 8, || view.try_snapshot(t).expect("healthy store"));
@@ -137,7 +137,7 @@ pub fn fig13c() {
         "m=6 r=1 c=1 ps=500",
     );
     let events = dataset4();
-    let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(6, 1), &events);
+    let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(6, 1), &events).pin();
     // Friendster's nodes all exist from t=0 (the paper added synthetic
     // dates to a static snapshot): growth shows in the edge count.
     header(&["snapshot_nodes", "snapshot_edges", "wall_s", "modeled_s"]);
@@ -169,7 +169,7 @@ pub fn fig15b() {
         ("dataset2", dataset2()),
         ("dataset3", dataset3()),
     ] {
-        let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(4, 1), &events);
+        let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(4, 1), &events).pin();
         // Query at the *base* trace's growth points so snapshot sizes
         // align across datasets, as in the paper.
         let base_end = dataset1().last().unwrap().time;

@@ -78,9 +78,10 @@ pub fn table1() {
         },
         StoreConfig::new(2, 1),
         &events,
-    );
+    )
+    .pin();
 
-    let indexes: Vec<&dyn HistoricalIndex> = vec![&log, &copy, &copylog, &nc, &dg, &tgi];
+    let indexes: Vec<&dyn HistoricalIndex> = vec![&log, &copy, &copylog, &nc, &dg, &*tgi];
     header(&[
         "index",
         "storage_mb",

@@ -34,7 +34,7 @@ pub fn fig14a() {
         let cfg = TgiConfig::default()
             .with_eventlist_size(l)
             .with_timespan(50_000);
-        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events);
+        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events).pin();
         for id in version_probes(&events) {
             let (h, rep) = timed(&tgi, 1, || {
                 tgi.try_node_history(id, full).expect("healthy store")
@@ -60,7 +60,7 @@ pub fn fig14b() {
     );
     let events = dataset1();
     let full = TimeRange::new(0, events.last().unwrap().time + 1);
-    let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(4, 1), &events);
+    let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(4, 1), &events).pin();
     header(&["c", "change_points", "wall_s", "modeled_s"]);
     for c in [1usize, 2, 4] {
         for id in version_probes(&events) {
@@ -92,7 +92,7 @@ pub fn fig14c() {
     let heavy = sample_nodes(&events, 6, 100);
     for ps in [500usize, 1_000, 2_500, 5_000, 10_000] {
         let cfg = TgiConfig::default().with_partition_size(ps);
-        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events);
+        let tgi = build_tgi(cfg, StoreConfig::new(4, 1), &events).pin();
         for &id in &heavy {
             let (h, rep) = timed(&tgi, 1, || {
                 tgi.try_node_history(id, full).expect("healthy store")
@@ -118,7 +118,7 @@ pub fn fig16() {
     );
     let events = dataset4();
     let full = TimeRange::new(0, events.last().unwrap().time + 1);
-    let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(6, 1), &events);
+    let tgi = build_tgi(paper_default_cfg(), StoreConfig::new(6, 1), &events).pin();
     header(&["c", "change_points", "wall_s", "modeled_s"]);
     for c in [1usize, 2] {
         for id in version_probes(&events) {

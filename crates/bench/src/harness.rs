@@ -1,6 +1,8 @@
 //! Shared harness utilities: TSV output, timing, index construction.
 
-use hgs_core::{stats::measure, FetchReport, Tgi, TgiConfig};
+use std::sync::Arc;
+
+use hgs_core::{stats::measure, FetchReport, TgiConfig, TgiService, TgiView};
 use hgs_delta::{Event, Time};
 use hgs_store::{CostModel, StoreConfig};
 
@@ -24,14 +26,14 @@ pub fn secs(v: f64) -> String {
 /// **disabled**: the figure harnesses measure the raw fetch + decode
 /// cost of the index *shape* (the paper's per-query numbers), which a
 /// warm cache would flatten into clone-and-replay time.
-pub fn build_tgi(cfg: TgiConfig, store: StoreConfig, events: &[Event]) -> Tgi {
-    let tgi = Tgi::try_build(cfg, store, events).expect("healthy store");
+pub fn build_tgi(cfg: TgiConfig, store: StoreConfig, events: &[Event]) -> Arc<TgiService> {
+    let tgi = TgiService::try_build(cfg, store, events).expect("healthy store");
     tgi.set_read_cache_budget(0);
     tgi
 }
 
 /// Run `f` and report it through the cost model at client width `c`.
-pub fn timed<R>(tgi: &Tgi, c: usize, f: impl FnOnce() -> R) -> (R, FetchReport) {
+pub fn timed<R>(tgi: &TgiView, c: usize, f: impl FnOnce() -> R) -> (R, FetchReport) {
     measure(tgi.store(), &CostModel::default(), c, f)
 }
 

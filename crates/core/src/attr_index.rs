@@ -21,7 +21,7 @@
 //! chain: [`TgiView::try_attr_history`] folds the events touching the
 //! node and reads no `AttrIndex` row. (Indexes built before this held a
 //! bare-key row per `(key, tsid)`, tag `TERM_KIND_KEY`; such a store
-//! carries a retired layout tag, and `Tgi::open` refuses it.)
+//! carries a retired layout tag, and `TgiService::open` refuses it.)
 //!
 //! # Fallback contract
 //!
@@ -365,7 +365,9 @@ mod tests {
             eventlist_size: 1,
             ..crate::TgiConfig::default()
         };
-        let tgi = crate::Tgi::try_build(cfg, hgs_store::StoreConfig::new(2, 1), &events).unwrap();
+        let tgi = crate::TgiService::try_build(cfg, hgs_store::StoreConfig::new(2, 1), &events)
+            .unwrap()
+            .pin();
         let text = |v: &str| Some(AttrValue::Text(v.into()));
         assert_eq!(
             tgi.try_attr_history(5, "Grade").unwrap(),

@@ -19,7 +19,7 @@
 //! 5. under locality+replication, auxiliary 1-hop boundary deltas are
 //!    stored per (leaf, `sid`, `pid`).
 //!
-//! Updates append in batches (`Tgi::try_append_events`), equivalent to the
+//! Updates append in batches ([`TgiService::try_append_events`]), equivalent to the
 //! paper's "create an independent TGI with the new events and merge":
 //! new timespans continue the id sequence, the previous last span's
 //! open time range is closed, and version chains are extended.
@@ -85,9 +85,12 @@
 //! The writer's **encode width** is its own number, not the read-side
 //! client width: by default the items fan out over
 //! `min(available_parallelism, ns)` workers while reads stay at one
-//! client; an explicit width ([`Tgi::try_build_on_c`]) sets both, and
-//! at width 1 the items run inline, one after the other. Every width
-//! is property-tested to produce byte-for-byte identical stores.
+//! client; an explicit width ([`TgiService::try_build_on_c`]) sets both,
+//! and at width 1 the items run inline, one after the other. Every
+//! width is property-tested to produce byte-for-byte identical stores.
+//!
+//! [`TgiService::try_append_events`]: crate::service::TgiService::try_append_events
+//! [`TgiService::try_build_on_c`]: crate::service::TgiService::try_build_on_c
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -99,9 +102,7 @@ use hgs_delta::{Delta, Event, Eventlist, FxHashMap, NodeId, Time, TimeRange};
 use hgs_partition::{locality_partition, CollapsedGraph, PartitionMap};
 use hgs_store::key::{chain_key, node_placement_token, term_key, term_token};
 use hgs_store::parallel::parallel_steal;
-use hgs_store::{
-    DeltaKey, PlacementKey, PutRow, SimStore, StoreConfig, StoreError, Table, WriteBuffer,
-};
+use hgs_store::{DeltaKey, PlacementKey, PutRow, SimStore, StoreError, Table, WriteBuffer};
 
 use crate::config::{PartitionStrategy, TgiConfig};
 use crate::meta::{
@@ -143,13 +144,11 @@ impl SpanRuntime {
 /// read state: configuration, store handle, per-span metadata and
 /// partition maps, and the summary counters the query planner needs.
 ///
-/// Every read path lives on `TgiView` (the owning [`Tgi`] handle
-/// `Deref`s to its current view, so `tgi.try_snapshot(t)` works on the
-/// handle too).
-/// A clone shares the spans, the store and the read cache by `Arc` —
-/// this is what [`TgiService`](crate::service::TgiService) publishes
-/// as the watermark: readers pin one clone and keep answering from
-/// that sealed prefix no matter what the writer does behind them.
+/// Every read path lives on `TgiView`, the one read handle. A clone
+/// shares the spans, the store and the read cache by `Arc` — this is
+/// what [`TgiService`](crate::service::TgiService) publishes as the
+/// watermark: readers pin one clone and keep answering from that
+/// sealed prefix no matter what the writer does behind them.
 #[derive(Clone)]
 pub struct TgiView {
     pub(crate) cfg: TgiConfig,
@@ -174,30 +173,22 @@ pub struct TgiView {
     pub(crate) epoch: u64,
 }
 
-/// The Temporal Graph Index handle.
+/// The writer behind a [`TgiService`](crate::service::TgiService).
 ///
 /// Owns the current sealed read state (a [`TgiView`]) plus the
 /// writer-only append state: the running tail used to normalize and
-/// replay further batches, and the poison flag. `Deref`s to the view,
-/// so every query method is callable directly on the handle.
-pub struct Tgi {
+/// replay further batches, and the poison flag.
+pub(crate) struct Writer {
     pub(crate) view: TgiView,
     pub(crate) tail_state: Delta,
     /// Worker count of the write path's per-`sid` span encode. The
     /// host's parallelism unless an explicit width was given
-    /// ([`Tgi::try_build_on_c`]), in which case it equals the view's
-    /// read-side `clients`.
+    /// (`TgiService::try_build_on_c`), in which case it equals the
+    /// view's read-side `clients`.
     pub(crate) encode_width: usize,
     /// Set when an append failed partway (see
-    /// [`Tgi::try_append_events`]); further appends are refused.
+    /// [`Writer::try_append_events`]); further appends are refused.
     pub(crate) poisoned: bool,
-}
-
-impl std::ops::Deref for Tgi {
-    type Target = TgiView;
-    fn deref(&self) -> &TgiView {
-        &self.view
-    }
 }
 
 /// Errors from the fallible build path.
@@ -208,14 +199,14 @@ pub enum BuildError {
     /// A previous `try_append_events` failed partway: some of that
     /// batch's rows and span-metadata updates are persisted and the
     /// in-memory tail state has advanced, so retrying the batch on
-    /// this handle would double-apply events. Discard the handle and
-    /// rebuild (or [`Tgi::open`](crate::persist) a fresh one from the
-    /// store once the cluster is healthy).
+    /// this writer would double-apply events. Once the cluster is
+    /// healthy, [`TgiService::try_recover`](crate::service::TgiService::try_recover)
+    /// re-opens the writer from the store in place.
     Poisoned,
     /// The batch breaks the caller contract: the event at `time`
     /// precedes `floor` — the previous event of the batch, or the end
     /// of the indexed history. Detected before anything is written or
-    /// advanced, so the handle is **not** poisoned: fix the batch and
+    /// advanced, so the writer is **not** poisoned: fix the batch and
     /// append again.
     OutOfOrder { time: Time, floor: Time },
 }
@@ -226,7 +217,7 @@ impl std::fmt::Display for BuildError {
             BuildError::Store(e) => write!(f, "index write failed: {e}"),
             BuildError::Poisoned => write!(
                 f,
-                "index poisoned by an earlier failed append; discard this handle and rebuild"
+                "index writer poisoned by an earlier failed append; recover it once the cluster heals"
             ),
             BuildError::OutOfOrder { time, floor } => write!(
                 f,
@@ -252,58 +243,20 @@ impl From<StoreError> for BuildError {
     }
 }
 
-impl Tgi {
-    /// Build an index over `events` (chronologically sorted) on a
-    /// fresh simulated cluster: errors with
-    /// [`StoreError::Unavailable`] (wrapped in [`BuildError::Store`])
-    /// if any delta write is accepted by zero replicas — a build
-    /// against a degraded cluster must not silently drop deltas.
-    pub fn try_build(
-        cfg: TgiConfig,
-        store_cfg: StoreConfig,
-        events: &[Event],
-    ) -> Result<Tgi, BuildError> {
-        Tgi::try_build_on(cfg, Arc::new(SimStore::new(store_cfg)), events)
-    }
-
-    /// [`Tgi::try_build`] on an existing store (lets several indexes
-    /// share a cluster in experiments).
-    pub fn try_build_on(
-        cfg: TgiConfig,
-        store: Arc<SimStore>,
-        events: &[Event],
-    ) -> Result<Tgi, BuildError> {
-        Tgi::try_build_with(cfg, store, events, 1, host_parallelism())
-    }
-
-    /// [`Tgi::try_build_on`] with an explicit build parallelism `c`:
-    /// span encoding fans out over `c` work-stealing clients (one work
-    /// item per horizontal partition). Like
-    /// [`TgiView::with_clients`], `c` is taken as-is, never below one.
-    /// The returned handle keeps `c` as its client width for queries
-    /// and further appends — `c = 1` is how a writer stays off the
-    /// cores its readers use.
-    pub fn try_build_on_c(
-        cfg: TgiConfig,
-        store: Arc<SimStore>,
-        events: &[Event],
-        c: usize,
-    ) -> Result<Tgi, BuildError> {
-        Tgi::try_build_with(cfg, store, events, c.max(1), c.max(1))
-    }
-
-    fn try_build_with(
+impl Writer {
+    /// Build an index over `events` (chronologically sorted) on
+    /// `store`, encoding spans on `encode_width` workers and reading at
+    /// `clients`. Every built index starts at the default read-cache
+    /// budget; the store keeps whatever retry policy it has.
+    pub(crate) fn try_build(
         cfg: TgiConfig,
         store: Arc<SimStore>,
         events: &[Event],
         clients: usize,
         encode_width: usize,
-    ) -> Result<Tgi, BuildError> {
+    ) -> Result<Writer, BuildError> {
         cfg.validate();
-        // Runtime knob: every read/write the index issues from here on
-        // retries under this policy.
-        store.set_retry_policy(cfg.retry);
-        let mut tgi = Tgi {
+        let mut writer = Writer {
             view: TgiView {
                 cfg,
                 store,
@@ -314,7 +267,7 @@ impl Tgi {
                 edge_count: 0,
                 clients,
                 read_cache: Arc::new(crate::read_cache::ReadCache::with_shards(
-                    cfg.read_cache_bytes,
+                    crate::config::DEFAULT_READ_CACHE_BYTES,
                     crate::read_cache::DEFAULT_READ_CACHE_SHARDS,
                 )),
                 epoch: 0,
@@ -323,36 +276,18 @@ impl Tgi {
             encode_width,
             poisoned: false,
         };
-        tgi.try_append_events(events)?;
-        Ok(tgi)
+        writer.try_append_events(events)?;
+        Ok(writer)
     }
 
-    /// Append a batch of events. The batch must be chronologically
-    /// sorted and must not start before the current end of history;
-    /// one that does is refused with [`BuildError::OutOfOrder`] before
-    /// anything is written, leaving the handle usable.
-    ///
-    /// The batch is normalized first ([`hgs_delta::normalize_events`]):
-    /// `RemoveNode` events are expanded with explicit `RemoveEdge`
-    /// events for their incident edges, so that partitioned eventlists
-    /// and version chains reach every affected node. Normalization
-    /// needs the edges *entering* the batch too, so the expansion runs
-    /// against the current tail state.
-    ///
-    /// Any index write that reached zero replicas surfaces as
-    /// [`StoreError::Unavailable`] (wrapped in
-    /// [`BuildError::Store`]). Writes that reach only *some*
-    /// replicas succeed with degraded durability and are counted in
-    /// [`SimStore::partial_put_count`].
-    ///
-    /// An append is **not atomic**: on any other `Err` some of the
-    /// batch's rows and metadata updates may already be persisted and
-    /// the in-memory tail state may have advanced. The handle is then
-    /// *poisoned* — every further append fails with
-    /// [`BuildError::Poisoned`] (queries remain allowed; they reflect
-    /// whatever was durably written). Recover by rebuilding, or by
-    /// re-opening from the store on a healed cluster.
-    pub fn try_append_events(&mut self, events: &[Event]) -> Result<(), BuildError> {
+    /// Append a batch of events (the contract is
+    /// `TgiService::try_append_events`'s). An out-of-order batch is
+    /// refused with [`BuildError::OutOfOrder`] before anything is
+    /// written; any other error leaves the writer poisoned, because
+    /// some of the batch's rows may be persisted and the tail state may
+    /// have advanced. Normalization needs the edges *entering* the
+    /// batch, so it runs against the tail state.
+    pub(crate) fn try_append_events(&mut self, events: &[Event]) -> Result<(), BuildError> {
         if self.poisoned {
             return Err(BuildError::Poisoned);
         }
@@ -370,8 +305,8 @@ impl Tgi {
         }
         // Caller contract: time never runs backwards, within the batch
         // or against the indexed history. Refused before anything is
-        // written, so the handle stays usable.
-        let mut floor = self.end_time;
+        // written, so the writer stays usable.
+        let mut floor = self.view.end_time;
         for e in events {
             if e.time < floor {
                 return Err(BuildError::OutOfOrder {
@@ -404,7 +339,7 @@ impl Tgi {
             0
         };
 
-        let spans = hgs_partition::plan_timespans(events, self.cfg.events_per_timespan);
+        let spans = hgs_partition::plan_timespans(events, self.view.cfg.events_per_timespan);
         let n = spans.len();
         for (i, sp) in spans.into_iter().enumerate() {
             let range_end = if i + 1 == n { Time::MAX } else { sp.range.end };
@@ -470,28 +405,11 @@ impl Tgi {
     }
 
     // ------------------------------------------------------------------
-    // writer-side accessors (need the append state)
-    // ------------------------------------------------------------------
-
-    /// Whether an earlier append failed partway, refusing further
-    /// appends (see [`Tgi::try_append_events`]).
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// A clone of the current sealed read state — what
-    /// [`TgiService`](crate::service::TgiService) publishes as the
-    /// watermark after each successful append.
-    pub fn view(&self) -> TgiView {
-        self.view.clone()
-    }
-
-    // ------------------------------------------------------------------
     // span construction
     // ------------------------------------------------------------------
 
     fn build_span(&mut self, events: &[Event], range: TimeRange) -> Result<(), StoreError> {
-        let store = Arc::clone(&self.store);
+        let store = Arc::clone(&self.view.store);
         let mut buf = WriteBuffer::new(&store, WRITE_BATCH_ROWS);
         let result = self.build_span_buffered(events, range, &mut buf);
         if result.is_err() {
@@ -508,8 +426,8 @@ impl Tgi {
         range: TimeRange,
         buf: &mut WriteBuffer<'_>,
     ) -> Result<(), StoreError> {
-        let cfg = self.cfg;
-        let tsid = self.spans.len() as u32;
+        let cfg = self.view.cfg;
+        let tsid = self.view.spans.len() as u32;
         let ns = cfg.horizontal_partitions;
 
         // 1. Chunk the span's events every `l`, snapping timestamp
@@ -640,7 +558,7 @@ impl Tgi {
         replicate: bool,
         buf: &mut WriteBuffer<'_>,
     ) -> Result<FxHashMap<NodeId, Vec<ChainEntry>>, StoreError> {
-        let cfg = self.cfg;
+        let cfg = self.view.cfg;
         let ns = cfg.horizontal_partitions;
         // Per-item starting state: the sid's own partition for scoped
         // replay, or a full-state clone when aux rows must look up
@@ -705,7 +623,8 @@ impl Tgi {
     }
 
     fn compute_maps(&self, events: &[Event], range: TimeRange, ns: u32) -> Vec<PartitionMap> {
-        match self.cfg.strategy {
+        let ps = self.view.cfg.partition_size;
+        match self.view.cfg.strategy {
             PartitionStrategy::Random => {
                 // Estimate end-of-span node count to size the pid space.
                 let adds = events
@@ -714,7 +633,7 @@ impl Tgi {
                     .count();
                 let est_total = self.tail_state.cardinality() + adds;
                 let per_sid = (est_total as f64 / ns as f64).ceil() as usize;
-                let parts = per_sid.div_ceil(self.cfg.partition_size).max(1) as u32;
+                let parts = per_sid.div_ceil(ps).max(1) as u32;
                 (0..ns).map(|_| PartitionMap::random(parts)).collect()
             }
             PartitionStrategy::Locality { .. } => {
@@ -722,7 +641,7 @@ impl Tgi {
                 (0..ns)
                     .map(|sid| {
                         let sub = collapsed.induced(|id| sid_of(id, ns) == sid);
-                        let parts = sub.len().div_ceil(self.cfg.partition_size).max(1) as u32;
+                        let parts = sub.len().div_ceil(ps).max(1) as u32;
                         locality_partition(&sub, parts)
                     })
                     .collect()
@@ -731,10 +650,10 @@ impl Tgi {
     }
 
     fn persist_meta(&self, span_idx: usize) -> Result<(), StoreError> {
-        let meta = &self.spans[span_idx].meta;
+        let meta = &self.view.spans[span_idx].meta;
         let key = meta.tsid.to_be_bytes();
         put_checked(
-            &self.store,
+            &self.view.store,
             Table::Timespans,
             &key,
             hgs_delta::hash::hash_u64(meta.tsid as u64),
@@ -743,25 +662,25 @@ impl Tgi {
     }
 
     fn persist_graph_meta(&self) -> Result<(), StoreError> {
+        let view = &self.view;
         let mut buf = BytesMut::new();
-        put_varint(&mut buf, self.spans.len() as u64);
-        put_varint(&mut buf, self.end_time);
-        put_varint(&mut buf, self.event_count as u64);
-        put_checked(&self.store, Table::Graph, b"meta", 0, buf.freeze())?;
+        put_varint(&mut buf, view.spans.len() as u64);
+        put_varint(&mut buf, view.end_time);
+        put_varint(&mut buf, view.event_count as u64);
+        put_checked(&view.store, Table::Graph, b"meta", 0, buf.freeze())?;
         put_checked(
-            &self.store,
+            &view.store,
             Table::Graph,
             b"config",
             0,
-            crate::persist::encode_config(&self.cfg),
+            crate::persist::encode_config(&view.cfg),
         )
     }
 }
 
 impl TgiView {
     // ------------------------------------------------------------------
-    // read-side accessors (sealed state only; also reachable through
-    // the owning `Tgi` handle via `Deref`)
+    // read-side accessors (sealed state only)
     // ------------------------------------------------------------------
 
     /// Index configuration.
@@ -795,7 +714,7 @@ impl TgiView {
         self.store.stored_bytes()
     }
 
-    /// The view's client width (inherited from the handle that
+    /// The view's client width (inherited from the service that
     /// published it, or set by [`TgiView::with_clients`]).
     pub fn clients(&self) -> usize {
         self.clients
@@ -1141,7 +1060,7 @@ pub(crate) fn mp_key(tsid: u32, sid: u32) -> [u8; 8] {
 /// Serialize the explicit entries of a locality partition map for the
 /// `Micropartitions` table (the paper's node -> micro-partition map) —
 /// all of them, not only the nodes alive when the span closed: a
-/// reopened handle derives every read's `pid` (a chain entry's
+/// reopened index derives every read's `pid` (a chain entry's
 /// included) from this row, for a node the span removed too.
 fn encode_partition_map(map: &PartitionMap) -> bytes::Bytes {
     let mut entries: Vec<(NodeId, u32)> = map.entries().collect();
@@ -1230,7 +1149,15 @@ impl TreeAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TgiService;
     use hgs_delta::StaticNode;
+    use hgs_store::StoreConfig;
+
+    /// A writer over `events` on a fresh cluster, at the default widths.
+    fn writer(cfg: TgiConfig, store_cfg: StoreConfig, events: &[Event]) -> Writer {
+        let store = Arc::new(SimStore::new(store_cfg));
+        Writer::try_build(cfg, store, events, 1, host_parallelism()).expect("healthy build")
+    }
 
     #[test]
     fn chunking_respects_l_and_timestamps() {
@@ -1455,32 +1382,28 @@ mod tests {
         assert_eq!(root.cardinality(), 1, "unique nodes are not in the root");
     }
 
-    #[test]
-    fn explicit_widths_set_both_widths_and_the_default_only_the_encode() {
-        let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(1, 1), &[]).unwrap();
-        assert_eq!((tgi.clients(), tgi.encode_width), (1, host_parallelism()));
-        let store = Arc::new(SimStore::new(StoreConfig::new(1, 1)));
-        let tgi = Tgi::try_build_on_c(TgiConfig::default(), store, &[], 5).expect("healthy build");
-        assert_eq!((tgi.clients(), tgi.encode_width), (5, 5));
-    }
-
     /// A default build encodes at the host's width but its reads stay
     /// at one client: a cold snapshot costs exactly the store batches
-    /// it costs on an explicit width-1 handle.
+    /// it costs on an explicit width-1 service.
     #[test]
     fn default_build_reads_at_width_one() {
         let events = hgs_datagen::WikiGrowth::sized(3_000).generate();
         let cfg = TgiConfig::default().with_timespan(1_000);
-        let cold_snapshot_batches = |tgi: &Tgi| {
-            let batches =
-                |tgi: &Tgi| -> u64 { tgi.store().stats_snapshot().iter().map(|m| m.batches).sum() };
+        let cold_snapshot_batches = |tgi: &TgiView| {
+            let batches = |tgi: &TgiView| -> u64 {
+                tgi.store().stats_snapshot().iter().map(|m| m.batches).sum()
+            };
             let before = batches(tgi);
             tgi.try_snapshot(tgi.end_time()).expect("healthy read");
             batches(tgi) - before
         };
-        let default = Tgi::try_build(cfg, StoreConfig::new(4, 1), &events).expect("build");
+        let default = TgiService::try_build(cfg, StoreConfig::new(4, 1), &events)
+            .expect("build")
+            .pin();
         let store = Arc::new(SimStore::new(StoreConfig::new(4, 1)));
-        let one = Tgi::try_build_on_c(cfg, store, &events, 1).expect("build");
+        let one = TgiService::try_build_on_c(cfg, store, &events, 1)
+            .expect("build")
+            .pin();
         assert_eq!(default.clients(), 1);
         let batches = cold_snapshot_batches(&default);
         assert!(batches > 0);
@@ -1496,7 +1419,7 @@ mod tests {
         let base = hgs_datagen::WikiGrowth::sized(800).generate();
         let trace = hgs_datagen::augment_with_churn(&base, 500, 0.5, 7);
         let (built, churn) = trace.split_at(base.len());
-        let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(2, 1), built).unwrap();
+        let tgi = writer(TgiConfig::default(), StoreConfig::new(2, 1), built);
 
         let plain = tgi.normalize_batch(churn);
         assert!(matches!(plain, Cow::Borrowed(_)));
@@ -1555,11 +1478,11 @@ mod tests {
                 strategy,
                 ..TgiConfig::default()
             };
-            let mut tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), built).unwrap();
+            let mut tgi = writer(cfg, StoreConfig::new(2, 1), built);
             for batch in churn.chunks(300) {
                 tgi.try_append_events(batch).unwrap();
             }
-            assert!(tgi.span_count() > 4, "{strategy:?}");
+            assert!(tgi.view.span_count() > 4, "{strategy:?}");
             assert_eq!(tgi.tail_state, replay, "{strategy:?}");
         }
     }

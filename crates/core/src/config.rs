@@ -15,6 +15,12 @@ pub enum PartitionStrategy {
 }
 
 /// TGI construction parameters. Paper notation in brackets.
+///
+/// Every field is stored in the index's `Graph/config` descriptor row,
+/// so a re-opened index builds its appends under the same parameters.
+/// Session state is not configuration: the store owns its retry policy
+/// ([`hgs_store::SimStore::set_retry_policy`]) and the read cache its
+/// budget ([`DEFAULT_READ_CACHE_BYTES`]).
 #[derive(Debug, Clone, Copy)]
 pub struct TgiConfig {
     /// Events per timespan `ts`: partitioning is recomputed at
@@ -36,12 +42,7 @@ pub struct TgiConfig {
     /// Maintain per-node version chains (the entity-centric side of
     /// TGI). Disabling converges the index to DeltaGraph.
     pub version_chains: bool,
-    /// Byte budget of the session-wide read cache (decoded rows and
-    /// materialized checkpoint states, LRU-evicted; `0` disables
-    /// caching). Runtime-tunable via
-    /// [`TgiView::set_read_cache_budget`](crate::build::TgiView).
-    pub read_cache_bytes: usize,
-    /// On-disk format tag of eventlist/delta rows: per-column LZSS
+    /// On-disk format tag of eventlist/delta rows: per-column
     /// segments decoded lazily. Not a knob — there is one format; the
     /// tag is persisted with the index (rows are not self-describing)
     /// and stamped into benchmark results.
@@ -49,15 +50,10 @@ pub struct TgiConfig {
     /// Maintain the secondary temporal indexes: per-term change-point
     /// rows in the `AttrIndex` table that answer label/attribute
     /// predicate queries without materializing a snapshot
-    /// (`Tgi::try_nodes_with_label_at` and friends). Persisted with the
+    /// (`TgiView::try_nodes_with_label_at` and friends). Persisted with the
     /// index — the query path must know whether the rows exist.
     /// Disabling falls back to explicit snapshot materialization.
     pub secondary_indexes: bool,
-    /// Retry/backoff/circuit-breaker policy the store applies to every
-    /// read and batched write issued on behalf of this index (see
-    /// [`hgs_store::RetryPolicy`]). Installed on the store by the
-    /// build/open path. A runtime knob, not persisted with the index.
-    pub retry: hgs_store::RetryPolicy,
 }
 
 impl Default for TgiConfig {
@@ -70,15 +66,18 @@ impl Default for TgiConfig {
             horizontal_partitions: 4,
             strategy: PartitionStrategy::Random,
             version_chains: true,
-            read_cache_bytes: DEFAULT_READ_CACHE_BYTES,
             layout: StorageLayout::Columnar,
             secondary_indexes: true,
-            retry: hgs_store::RetryPolicy::default(),
         }
     }
 }
 
-/// Default read-cache budget: 64 MiB of decoded rows and states.
+/// Read-cache budget every built or opened index starts at: 64 MiB of
+/// decoded rows and states. A session budget, not a construction
+/// parameter: [`TgiService::set_read_cache_budget`] changes it (`0`
+/// disables caching), and nothing persists it.
+///
+/// [`TgiService::set_read_cache_budget`]: crate::service::TgiService::set_read_cache_budget
 pub const DEFAULT_READ_CACHE_BYTES: usize = 64 << 20;
 
 impl TgiConfig {
@@ -114,7 +113,6 @@ impl TgiConfig {
     pub fn validate(&self) {
         let bad = self.out_of_bounds();
         assert!(bad.is_none(), "TgiConfig parameter out of bounds: {bad:?}");
-        self.retry.validate();
     }
 
     /// A configuration that makes TGI equivalent to the DeltaGraph
@@ -175,22 +173,9 @@ impl TgiConfig {
         self
     }
 
-    /// Set the read-cache byte budget (`0` disables caching).
-    pub fn with_read_cache_bytes(mut self, bytes: usize) -> TgiConfig {
-        self.read_cache_bytes = bytes;
-        self
-    }
-
     /// Enable or disable the secondary temporal indexes.
     pub fn with_secondary_indexes(mut self, on: bool) -> TgiConfig {
         self.secondary_indexes = on;
-        self
-    }
-
-    /// Set the store retry/backoff/breaker policy (validated by
-    /// [`TgiConfig::validate`]).
-    pub fn with_retry(mut self, retry: hgs_store::RetryPolicy) -> TgiConfig {
-        self.retry = retry;
         self
     }
 }
@@ -249,10 +234,5 @@ mod tests {
         ));
         assert!(c.secondary_indexes, "secondary indexes default on");
         assert!(!c.with_secondary_indexes(false).secondary_indexes);
-        let policy = hgs_store::RetryPolicy {
-            max_attempts: 2,
-            ..hgs_store::RetryPolicy::default()
-        };
-        assert_eq!(c.with_retry(policy).retry, policy);
     }
 }

@@ -40,8 +40,9 @@
 //! Single-point reads run as degenerate one-time plans over the same
 //! machinery, so **every** query path shares one session-wide
 //! byte-budgeted, lock-striped LRU read cache of decoded rows and
-//! materialized checkpoint states ([`read_cache`]; budget via
-//! [`TgiConfig::read_cache_bytes`], counters — split into row vs
+//! materialized checkpoint states ([`read_cache`]; every index starts
+//! at [`DEFAULT_READ_CACHE_BYTES`], re-budgeted via
+//! [`TgiService::set_read_cache_budget`], counters — split into row vs
 //! state hits — via [`TgiView::cache_stats`]). Every retrieval and
 //! build primitive has exactly one spelling, `try_*`, which surfaces
 //! [`hgs_store::StoreError::Unavailable`] instead of silently
@@ -52,13 +53,15 @@
 //! [`TgiView::with_clients`] returns a cheap clone that reads at `c`
 //! clients.
 //!
-//! Serving: the owning [`Tgi`] handle separates its mutable append
-//! state from an immutable, cheaply-clonable [`TgiView`] holding every
-//! read path ([`Tgi`] `Deref`s to its current view). [`TgiService`]
-//! wraps the handle for concurrent use — one serialized writer
-//! publishing a watermarked view per append, any number of reader
-//! threads pinning views for snapshot-isolated reads over live ingest
-//! ([`service`]).
+//! Serving: there are two handles. [`TgiService`] is the one owning
+//! handle — it builds an index ([`TgiService::try_build`]) or re-opens
+//! one from its store ([`TgiService::open`]), and its one serialized
+//! writer publishes a watermarked view per append ([`service`]).
+//! [`TgiView`] is the one read handle: an immutable, cheaply-clonable
+//! view holding every read path, which any number of reader threads
+//! pin ([`TgiService::pin`]) for snapshot-isolated reads over live
+//! ingest. A view answers from its own sealed prefix, so a reader
+//! re-pins to see an append.
 
 pub mod attr_index;
 pub mod build;
@@ -74,7 +77,7 @@ pub mod service;
 pub mod stats;
 
 pub use attr_index::LABEL_KEY;
-pub use build::{BuildError, Tgi, TgiView};
+pub use build::{BuildError, TgiView};
 pub use config::{PartitionStrategy, TgiConfig, DEFAULT_READ_CACHE_BYTES};
 pub use meta::{TimespanMeta, TreeShape};
 pub use persist::OpenError;

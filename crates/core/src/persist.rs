@@ -1,12 +1,13 @@
 //! Index persistence: everything the query paths need lives in the
-//! store's five tables, so a `Tgi` handle can be re-opened from a
-//! store without the original process — the "persistent, distributed,
-//! compact graph history" property of the paper's Fig. 2.
+//! store's five tables, so an index can be re-opened from a store
+//! ([`TgiService::open`](crate::TgiService::open)) without the original
+//! process — the "persistent, distributed, compact graph history"
+//! property of the paper's Fig. 2.
 //!
 //! Layout recap: `Graph` holds the global descriptor (config, span
-//! count, end time); `Timespans` holds one metadata row per timespan;
-//! `Micropartitions` holds the locality partition maps; `Deltas` and
-//! `Versions` hold the index body.
+//! count, end time, event count); `Timespans` holds one metadata row
+//! per timespan; `Micropartitions` holds the locality partition maps;
+//! `Deltas` and `Versions` hold the index body.
 
 use std::sync::Arc;
 
@@ -16,11 +17,11 @@ use hgs_delta::{CodecError, FxHashMap, NodeId, StorageLayout, Time};
 use hgs_partition::PartitionMap;
 use hgs_store::{SimStore, StoreError, Table};
 
-use crate::build::{mp_key, SpanRuntime, Tgi, TgiView};
+use crate::build::{mp_key, SpanRuntime, TgiView, Writer};
 use crate::config::{PartitionStrategy, TgiConfig};
 use crate::meta::TimespanMeta;
 
-/// Errors from [`Tgi::open`].
+/// Errors from [`TgiService::open`](crate::TgiService::open).
 #[derive(Debug)]
 pub enum OpenError {
     /// The store holds no graph descriptor (nothing was built here).
@@ -62,16 +63,20 @@ impl std::error::Error for OpenError {}
 /// other leaves under this layout's right-aligned trees) and `6`
 /// (eventlist and delta rows with an LZSS bit on every segment length,
 /// attribute values spelled in full where a row-local dictionary
-/// index now stands; their rows carry retired magics too). A store
-/// tagged otherwise is refused, not answered from.
-const LAYOUT_TAG: u64 = 7;
+/// index now stands; their rows carry retired magics too) and `7`
+/// (descriptors spelling a read-cache budget before this tag: the rows
+/// are this layout's, but the `Graph/config` row is one varint longer).
+/// A store tagged otherwise is refused, not answered from.
+const LAYOUT_TAG: u64 = 8;
 
 /// Descriptor tags of the one time-collapse function (Union-Max) and
 /// node weighting (uniform) the locality partitioner runs (§4.5).
 const OMEGA_TAG: u64 = 1;
 const NODE_WEIGHTING_TAG: u64 = 0;
 
-/// Serialize the construction configuration.
+/// Serialize the construction configuration: every field of
+/// [`TgiConfig`] in declaration order, with the Ω and node-weighting
+/// tags before the layout tag.
 pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
     let mut buf = BytesMut::new();
     put_varint(&mut buf, cfg.events_per_timespan as u64);
@@ -95,7 +100,6 @@ pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
     // their tags (1 and 0) keep their place in the descriptor.
     put_varint(&mut buf, OMEGA_TAG);
     put_varint(&mut buf, NODE_WEIGHTING_TAG);
-    put_varint(&mut buf, cfg.read_cache_bytes as u64);
     let layout = match cfg.layout {
         StorageLayout::Columnar => LAYOUT_TAG,
     };
@@ -139,10 +143,6 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
             });
         }
     }
-    let read_cache_bytes = get_varint(b)? as usize;
-    // Retry/breaker policy is runtime-only, not persisted: reopened
-    // handles install the default policy on their store.
-    let retry = hgs_store::RetryPolicy::default();
     // One row format. A descriptor tagged otherwise, or cut short
     // before the tag, does not describe rows this code can read: refuse
     // it here rather than report every row corrupt later.
@@ -156,6 +156,7 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
         }
     };
     let secondary_indexes = get_varint(b)? != 0;
+    no_trailing_bytes(b)?;
     let cfg = TgiConfig {
         events_per_timespan,
         eventlist_size,
@@ -164,16 +165,23 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
         horizontal_partitions,
         strategy,
         version_chains,
-        read_cache_bytes,
         layout,
         secondary_indexes,
-        retry,
     };
     // The query paths divide by these numbers: hold a stored
     // descriptor to the bounds the build path asserts.
     match cfg.out_of_bounds() {
         Some((what, len)) => Err(CodecError::LengthOverflow { what, len }),
         None => Ok(cfg),
+    }
+}
+
+/// A descriptor row ends where its grammar does: an unread byte means
+/// the row is not the one this code wrote.
+fn no_trailing_bytes(rest: &[u8]) -> Result<(), CodecError> {
+    match rest.len() {
+        0 => Ok(()),
+        remaining => Err(CodecError::TrailingBytes { remaining }),
     }
 }
 
@@ -206,15 +214,15 @@ pub(crate) fn decode_partition_map(mut buf: &[u8]) -> Result<PartitionMap, Codec
             }
         };
     }
+    no_trailing_bytes(b)?;
     Ok(PartitionMap::explicit(map, parts))
 }
 
-impl Tgi {
+impl Writer {
     /// Re-open an index previously built on `store`, reconstructing
-    /// all in-memory metadata from the persisted tables. The returned
-    /// handle answers queries identically and accepts further
-    /// [`Tgi::try_append_events`] batches.
-    pub fn open(store: Arc<SimStore>) -> Result<Tgi, OpenError> {
+    /// all in-memory metadata from the persisted tables, at the default
+    /// widths and read-cache budget.
+    pub(crate) fn open(store: Arc<SimStore>) -> Result<Writer, OpenError> {
         // Global descriptor: both rows share placement token 0.
         let (meta_row, cfg_row) = match &store
             .multi_get(Table::Graph, &[b"meta", b"config"], 0)
@@ -228,6 +236,7 @@ impl Tgi {
         let span_count = get_varint(b).map_err(OpenError::Corrupt)?;
         let end_time: Time = get_varint(b).map_err(OpenError::Corrupt)?;
         let event_count = get_varint(b).map_err(OpenError::Corrupt)? as usize;
+        no_trailing_bytes(b).map_err(OpenError::Corrupt)?;
         let cfg = decode_config(&cfg_row).map_err(OpenError::Corrupt)?;
 
         // Per-timespan metadata and partition maps. A span is named by
@@ -302,7 +311,7 @@ impl Tgi {
             }));
         }
 
-        let mut tgi = Tgi {
+        let mut writer = Writer {
             view: TgiView {
                 cfg,
                 store,
@@ -313,7 +322,7 @@ impl Tgi {
                 edge_count: 0,
                 clients: 1,
                 read_cache: Arc::new(crate::read_cache::ReadCache::with_shards(
-                    cfg.read_cache_bytes,
+                    crate::config::DEFAULT_READ_CACHE_BYTES,
                     crate::read_cache::DEFAULT_READ_CACHE_SHARDS,
                 )),
                 epoch: 0,
@@ -325,12 +334,15 @@ impl Tgi {
         // The tail state (needed for appends) is the latest snapshot;
         // the view's shape summary follows it.
         if end_time > 0 {
-            tgi.tail_state = tgi.try_snapshot(end_time).map_err(OpenError::Store)?;
-            tgi.view.node_count = tgi.tail_state.cardinality();
-            tgi.view.edge_count = tgi.tail_state.edge_count();
+            writer.tail_state = writer
+                .view
+                .try_snapshot(end_time)
+                .map_err(OpenError::Store)?;
+            writer.view.node_count = writer.tail_state.cardinality();
+            writer.view.edge_count = writer.tail_state.edge_count();
         }
-        tgi.view.epoch = 1;
-        Ok(tgi)
+        writer.view.epoch = 1;
+        Ok(writer)
     }
 }
 
@@ -346,13 +358,45 @@ mod tests {
             TgiConfig::default().with_strategy(PartitionStrategy::Locality {
                 replicate_boundary: true,
             }),
-            TgiConfig::default().with_secondary_indexes(false),
+            TgiConfig {
+                arity: 3,
+                ..TgiConfig::default().with_secondary_indexes(false)
+            },
         ] {
-            let back = decode_config(&encode_config(&cfg)).unwrap();
-            assert_eq!(format!("{cfg:?}"), format!("{back:?}"));
+            // The pattern names every field, with no `..`: a field added
+            // to `TgiConfig` without a place in the descriptor fails to
+            // compile here, which keeps session state out of the config.
+            let TgiConfig {
+                events_per_timespan,
+                eventlist_size,
+                arity,
+                partition_size,
+                horizontal_partitions,
+                strategy,
+                version_chains,
+                layout,
+                secondary_indexes,
+            } = decode_config(&encode_config(&cfg)).unwrap();
+            assert_eq!(
+                (
+                    (events_per_timespan, eventlist_size, arity, partition_size),
+                    (horizontal_partitions, strategy, version_chains),
+                    (layout, secondary_indexes),
+                ),
+                (
+                    (
+                        cfg.events_per_timespan,
+                        cfg.eventlist_size,
+                        cfg.arity,
+                        cfg.partition_size
+                    ),
+                    (cfg.horizontal_partitions, cfg.strategy, cfg.version_chains),
+                    (cfg.layout, cfg.secondary_indexes),
+                )
+            );
         }
         // The layout tag is the second-to-last varint (one byte each):
-        // a descriptor tagged 0 to 6 (the retired formats), or cut
+        // a descriptor tagged 0 to 7 (the retired formats), or cut
         // short before the tag, is refused rather than opened as
         // something else.
         let blob = encode_config(&TgiConfig::default());
@@ -363,18 +407,9 @@ mod tests {
             blob[tag_at] = tag;
             blob
         };
-        for bad in [
-            &retired(0)[..],
-            &retired(1)[..],
-            &retired(2)[..],
-            &retired(3)[..],
-            &retired(4)[..],
-            &retired(5)[..],
-            &retired(6)[..],
-            &blob[..tag_at],
-        ] {
+        for bad in (0..8).map(retired).chain([blob[..tag_at].to_vec()]) {
             assert!(matches!(
-                decode_config(bad),
+                decode_config(&bad),
                 Err(CodecError::BadTag {
                     what: "StorageLayout",
                     ..
@@ -383,11 +418,82 @@ mod tests {
         }
         // Every descriptor of this layout spells the secondary-index
         // flag after the tag: one cut right after it is refused too,
-        // not opened with the index off.
+        // not opened with the index off. So is one a byte too long.
         assert!(matches!(
             decode_config(&blob[..tag_at + 1]),
             Err(CodecError::UnexpectedEof { .. })
         ));
+        assert_eq!(
+            decode_config(&[&blob[..], &[0]].concat()).map(drop),
+            Err(CodecError::TrailingBytes { remaining: 1 })
+        );
+    }
+
+    /// A tag-7 descriptor spelled a read-cache budget just before its
+    /// tag, where this layout's tag stands. Whatever the budget, it is
+    /// refused: read as a tag, a budget of 8 names this layout, and
+    /// then the old secondary-index flag is one byte too many.
+    #[test]
+    fn a_tag_7_descriptor_is_refused_whatever_its_budget() {
+        let blob = encode_config(&TgiConfig::default());
+        let tag_at = blob.len() - 2;
+        for budget in [0, 1, 7, 8, 9, 127, 128, 64 << 20, u64::MAX] {
+            let mut old = BytesMut::new();
+            old.extend_from_slice(&blob[..tag_at]);
+            put_varint(&mut old, budget);
+            put_varint(&mut old, 7);
+            old.extend_from_slice(&blob[tag_at + 1..]);
+            let got = decode_config(&old).map(drop);
+            if budget == LAYOUT_TAG {
+                assert_eq!(got, Err(CodecError::TrailingBytes { remaining: 1 }));
+            } else {
+                assert!(
+                    matches!(
+                        got,
+                        Err(CodecError::BadTag {
+                            what: "StorageLayout",
+                            ..
+                        })
+                    ),
+                    "budget {budget}: {got:?}"
+                );
+            }
+        }
+    }
+
+    /// `Graph/meta` and `Graph/config` end where their grammars do: a
+    /// row one byte longer than the build wrote does not open.
+    #[test]
+    fn a_descriptor_row_one_byte_longer_is_refused() {
+        let events = hgs_datagen::WikiGrowth::sized(300).generate();
+        let cfg = TgiConfig::default()
+            .with_timespan(200)
+            .with_eventlist_size(50);
+        let svc = crate::TgiService::try_build(cfg, hgs_store::StoreConfig::new(1, 1), &events)
+            .expect("healthy build");
+        let store = svc.store();
+        let put = |key: &[u8], value: Vec<u8>| {
+            let row = hgs_store::PutRow::new(Table::Graph, key.to_vec(), 0, value.into());
+            store.try_put_batch(vec![row]).expect("healthy store");
+        };
+        for key in [&b"meta"[..], b"config"] {
+            let built = store.multi_get(Table::Graph, &[key], 0).unwrap()[0]
+                .clone()
+                .expect("the build wrote the row");
+            put(key, [&built[..], &[0]].concat());
+            assert!(
+                matches!(
+                    crate::TgiService::open(Arc::clone(&store)).map(drop),
+                    Err(OpenError::Corrupt(CodecError::TrailingBytes {
+                        remaining: 1
+                    }))
+                ),
+                "{}",
+                String::from_utf8_lossy(key)
+            );
+            put(key, built.to_vec());
+            crate::TgiService::open(Arc::clone(&store)).expect("the rows as built open");
+        }
     }
 
     /// A `Timespans` row spells no tree shape: a reopened index derives
@@ -405,9 +511,11 @@ mod tests {
             TgiConfig { arity: 3, ..tree },
             TgiConfig::copy_log(100).with_timespan(700),
         ] {
-            let tgi = Tgi::try_build(cfg, hgs_store::StoreConfig::new(2, 1), &events).unwrap();
-            let reopened = Tgi::open(tgi.store().clone()).unwrap();
-            let shapes = |t: &Tgi| -> Vec<crate::meta::TreeShape> {
+            let tgi = crate::TgiService::try_build(cfg, hgs_store::StoreConfig::new(2, 1), &events)
+                .unwrap()
+                .pin();
+            let reopened = crate::TgiService::open(tgi.store().clone()).unwrap().pin();
+            let shapes = |t: &TgiView| -> Vec<crate::meta::TreeShape> {
                 t.spans.iter().map(|s| s.meta.shape.clone()).collect()
             };
             let built = shapes(&tgi);
@@ -424,6 +532,9 @@ mod tests {
     #[test]
     fn open_on_empty_store_is_not_found() {
         let store = Arc::new(SimStore::new(hgs_store::StoreConfig::new(1, 1)));
-        assert!(matches!(Tgi::open(store), Err(OpenError::NotFound)));
+        assert!(matches!(
+            crate::TgiService::open(store),
+            Err(OpenError::NotFound)
+        ));
     }
 }

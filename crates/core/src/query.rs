@@ -947,7 +947,7 @@ impl TgiView {
     /// events touching it strictly inside the range. Nodes that first
     /// appear mid-range are included with `initial == None`. A `sid` at
     /// or past the horizontal partition count holds no node, so its
-    /// answer is empty (as [`TgiView::try_sid_state_at`]'s is).
+    /// answer is empty.
     ///
     /// This is the bulk equivalent of Algorithm 2 and the fetch unit
     /// of the TAF protocol (Fig. 10: each analytics worker pulls whole

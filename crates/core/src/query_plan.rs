@@ -216,11 +216,13 @@ impl TgiView {
         Ok(out)
     }
 
-    /// One horizontal partition's slice of the snapshot at `t` (TAF's
-    /// per-partition fetch): the fill's grouped scan and path sum for
-    /// the one `(sid, leaf)`, replayed to `t`. Nothing but rows is
-    /// cached — a cached checkpoint is a whole leaf.
-    pub fn try_sid_state_at(&self, sid: u32, t: Time) -> Result<Delta, StoreError> {
+    /// One horizontal partition's slice of the snapshot at `t`: the
+    /// fill's grouped scan and path sum for the one `(sid, leaf)`,
+    /// replayed to `t`. It is the initial state of
+    /// [`TgiView::try_node_histories_for_sid`], TAF's per-partition
+    /// fetch. Nothing but rows is cached — a cached checkpoint is a
+    /// whole leaf.
+    pub(crate) fn try_sid_state_at(&self, sid: u32, t: Time) -> Result<Delta, StoreError> {
         let span = self.span_for(t);
         let leaf = span.meta.leaf_for_time(t);
         let rows = self.span_rows(span, sid, &[(leaf, true)])?;
@@ -523,7 +525,7 @@ impl TgiView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::Tgi;
+    use crate::TgiService;
     use hgs_delta::Event;
     use hgs_delta::EventKind;
 
@@ -534,7 +536,7 @@ mod tests {
         let events: Vec<Event> = (0..200u64)
             .map(|i| Event::new(i, EventKind::AddNode { id: i }))
             .collect();
-        let tgi = Tgi::try_build(
+        let tgi = TgiService::try_build(
             crate::TgiConfig {
                 events_per_timespan: 200,
                 eventlist_size: 50,
@@ -545,7 +547,8 @@ mod tests {
             hgs_store::StoreConfig::new(1, 1),
             &events,
         )
-        .unwrap();
+        .unwrap()
+        .pin();
         let times = [150u64, 10, 150, 60];
         let plan = MultipointPlan::new(&tgi, &times);
         let slots: Vec<usize> = plan
@@ -573,7 +576,7 @@ mod tests {
             .collect();
         let times = [120u64, 320];
         for (cold_c, warm_cs) in [(4usize, [4usize, 1, 2]), (1, [1, 4, 2])] {
-            let tgi = Tgi::try_build(
+            let tgi = TgiService::try_build(
                 crate::TgiConfig {
                     events_per_timespan: 400,
                     eventlist_size: 100,
@@ -584,7 +587,8 @@ mod tests {
                 hgs_store::StoreConfig::new(2, 1),
                 &events,
             )
-            .unwrap();
+            .unwrap()
+            .pin();
             let leaves = tgi.plan_multipoint(&times).leaf_groups as u64;
             let cold = tgi.with_clients(cold_c).try_snapshots(&times).unwrap();
             let s0 = tgi.cache_stats();
@@ -613,7 +617,7 @@ mod tests {
         let events: Vec<Event> = (0..400u64)
             .map(|i| Event::new(i, EventKind::AddNode { id: i }))
             .collect();
-        let tgi = Tgi::try_build(
+        let tgi = TgiService::try_build(
             crate::TgiConfig {
                 events_per_timespan: 400,
                 eventlist_size: 100,
@@ -624,7 +628,8 @@ mod tests {
             hgs_store::StoreConfig::new(1, 1),
             &events,
         )
-        .unwrap();
+        .unwrap()
+        .pin();
         let times = [100u64, 300];
         let first = tgi.try_snapshots(&times).unwrap();
         let s0 = tgi.cache_stats();

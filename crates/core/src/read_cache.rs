@@ -18,9 +18,9 @@
 //!   (`CacheKey::Part`, left by the recursive k-hop — TAF `sots` roots
 //!   included — and read by it and by `node_at`),
 //!
-//! four tiers under one configurable byte budget
-//! ([`TgiConfig::read_cache_bytes`](crate::TgiConfig), runtime-tunable
-//! via [`TgiView::set_read_cache_budget`]). Eviction is true
+//! four tiers under one byte budget (every index starts at
+//! [`DEFAULT_READ_CACHE_BYTES`](crate::DEFAULT_READ_CACHE_BYTES);
+//! [`TgiView::set_read_cache_budget`] changes it). Eviction is true
 //! least-recently-used — an intrusive doubly-linked list threaded
 //! through a slab, `O(1)` per touch — **never** a wholesale clear, so
 //! a working set one entry over budget degrades by exactly one entry,
@@ -114,11 +114,11 @@ impl Cached {
     /// Byte footprint charged against the budget.
     ///
     /// Columnar entries charge the shared backing buffer **once** plus
-    /// the total decompressed size of every column segment (known up
-    /// front from the LZSS length prefixes): the charge is fixed when
-    /// the entry is inserted and already covers any column the entry
-    /// later materializes, so lazy decodes never grow an entry past
-    /// its accounted weight and the backing `Bytes` is never counted
+    /// the total length of every column segment (known up front from
+    /// the row's header): the charge is fixed when the entry is
+    /// inserted and already covers any column the entry later
+    /// materializes, so lazy decodes never grow an entry past its
+    /// accounted weight and the backing `Bytes` is never counted
     /// per-column.
     fn weight(&self) -> usize {
         ENTRY_OVERHEAD
@@ -146,8 +146,10 @@ impl Cached {
 }
 
 /// Point-in-time counters of the read cache, via
-/// [`TgiView::cache_stats`] (reachable as `tgi.cache_stats()` on the
-/// owning handle too).
+/// [`TgiView::cache_stats`] or
+/// [`TgiService::cache_stats`](crate::TgiService::cache_stats) — every
+/// view of one service shares its cache, so both read the same
+/// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache (rows + states).
@@ -295,10 +297,9 @@ impl Inner {
 
 /// Shard (stripe) count of every index's read cache: entries are
 /// sharded by key hash over this many independent LRU lists, each
-/// behind its own mutex with its own slice of
-/// [`TgiConfig::read_cache_bytes`](crate::TgiConfig) (the slices sum
-/// to the total), so concurrent pinned readers do not serialize on
-/// one lock.
+/// behind its own mutex with its own slice of the byte budget (the
+/// slices sum to the total), so concurrent pinned readers do not
+/// serialize on one lock.
 pub const DEFAULT_READ_CACHE_SHARDS: usize = 8;
 
 /// Split `total` bytes over `n` shards so the per-shard budgets sum

@@ -3,16 +3,18 @@
 //! The paper positions TGI as infrastructure for "snapshot retrieval
 //! and temporal analytics at scale" — an always-available service over
 //! an ever-growing history, not a single-owner handle. [`TgiService`]
-//! is that service layer: one writer appends event batches while any
-//! number of reader threads keep answering snapshot/history/k-hop
-//! queries, each isolated at the **watermark** it observed at entry.
+//! is that service layer and the one owning handle: it builds
+//! ([`TgiService::try_build`]) or re-opens ([`TgiService::open`]) an
+//! index, then one writer appends event batches while any number of
+//! reader threads keep answering snapshot/history/k-hop queries, each
+//! isolated at the **watermark** it observed at entry.
 //!
 //! # Watermark semantics
 //!
 //! The index is append-only at span granularity: an append creates
 //! *new* timespans and never rewrites a sealed row (closing the
 //! previous open span's time range is per-view metadata, not stored
-//! rows — see [`Tgi::try_append_events`]). The writer therefore
+//! rows — see [`TgiService::try_append_events`]). The writer therefore
 //! publishes, at the end of each successful append, an immutable
 //! [`TgiView`] — config, span metadata, partition maps and summary
 //! counters — tagged with a monotonically increasing epoch. That
@@ -34,8 +36,8 @@
 //!
 //! # Failure semantics
 //!
-//! A failed append poisons the *writer* exactly as on a plain [`Tgi`]
-//! handle ([`BuildError::Poisoned`] on retry) and publishes nothing:
+//! A failed append poisons the *writer* ([`BuildError::Poisoned`] on
+//! retry) and publishes nothing:
 //! already-pinned readers and new [`TgiService::pin`] calls keep
 //! answering at the last durable watermark. Once the cluster heals,
 //! [`TgiService::try_recover`] re-opens the writer from the durable
@@ -60,7 +62,7 @@ use parking_lot::{Mutex, RwLock};
 use hgs_delta::Event;
 use hgs_store::{RepairReport, SimStore, StoreConfig};
 
-use crate::build::{BuildError, Tgi, TgiView};
+use crate::build::{host_parallelism, BuildError, TgiView, Writer};
 use crate::config::TgiConfig;
 use crate::persist::OpenError;
 use crate::read_cache::CacheStats;
@@ -69,9 +71,9 @@ use crate::read_cache::CacheStats;
 /// number of watermark-pinned readers. Cheap to share as
 /// `Arc<TgiService>` across threads.
 pub struct TgiService {
-    /// The owning handle with its mutable append state. Locked only
-    /// by appends (and writer-side accessors); never by readers.
-    writer: Mutex<Tgi>,
+    /// The writer with its mutable append state. Locked only by
+    /// appends (and writer-side accessors); never by readers.
+    writer: Mutex<Writer>,
     /// The latest published watermark. Readers take the read lock
     /// just long enough to clone the `Arc`.
     published: RwLock<Arc<TgiView>>,
@@ -81,40 +83,68 @@ pub struct TgiService {
 }
 
 impl TgiService {
-    /// Wrap an existing handle (built or re-opened) into a service,
-    /// publishing its current state as the first watermark.
-    pub fn from_handle(tgi: Tgi) -> Arc<TgiService> {
-        let view = Arc::new(tgi.view());
+    /// Serve `writer`, publishing its current state as the first
+    /// watermark.
+    fn serve(writer: Writer) -> Arc<TgiService> {
+        let view = Arc::new(writer.view.clone());
         let watermark = AtomicU64::new(view.epoch());
         Arc::new(TgiService {
-            writer: Mutex::new(tgi),
+            writer: Mutex::new(writer),
             published: RwLock::new(view),
             watermark,
         })
     }
 
-    /// Build an index over `events` on a fresh simulated cluster and
-    /// serve it (see [`Tgi::try_build`]).
+    /// Build an index over `events` (chronologically sorted) on a
+    /// fresh simulated cluster and serve it. Errors with
+    /// [`StoreError::Unavailable`](hgs_store::StoreError::Unavailable)
+    /// (wrapped in [`BuildError::Store`]) if any write is accepted by
+    /// zero replicas — a build against a degraded cluster must not
+    /// silently drop deltas.
     pub fn try_build(
         cfg: TgiConfig,
         store_cfg: StoreConfig,
         events: &[Event],
     ) -> Result<Arc<TgiService>, BuildError> {
-        Ok(TgiService::from_handle(Tgi::try_build(
-            cfg, store_cfg, events,
-        )?))
+        TgiService::try_build_on(cfg, Arc::new(SimStore::new(store_cfg)), events)
     }
 
-    /// [`TgiService::try_build`] on an existing store (see
-    /// [`Tgi::try_build_on`]).
+    /// [`TgiService::try_build`] on an existing store (lets several
+    /// indexes share a cluster in experiments). The store keeps its own
+    /// retry policy ([`SimStore::set_retry_policy`]).
     pub fn try_build_on(
         cfg: TgiConfig,
         store: Arc<SimStore>,
         events: &[Event],
     ) -> Result<Arc<TgiService>, BuildError> {
-        Ok(TgiService::from_handle(Tgi::try_build_on(
-            cfg, store, events,
-        )?))
+        Writer::try_build(cfg, store, events, 1, host_parallelism()).map(TgiService::serve)
+    }
+
+    /// [`TgiService::try_build_on`] with an explicit build parallelism
+    /// `c`: span encoding fans out over `c` work-stealing clients (one
+    /// work item per horizontal partition). Like
+    /// [`TgiView::with_clients`], `c` is taken as-is, never below one.
+    /// The service keeps `c` as the client width of the views it
+    /// publishes and as the encode width of further appends — `c = 1`
+    /// is how a writer stays off the cores its readers use.
+    pub fn try_build_on_c(
+        cfg: TgiConfig,
+        store: Arc<SimStore>,
+        events: &[Event],
+        c: usize,
+    ) -> Result<Arc<TgiService>, BuildError> {
+        Writer::try_build(cfg, store, events, c.max(1), c.max(1)).map(TgiService::serve)
+    }
+
+    /// Re-open and serve an index previously built on `store`,
+    /// reconstructing all in-memory metadata from the persisted tables.
+    /// The service answers queries identically and accepts further
+    /// appends. Like a fresh build it reads at one client, encodes at
+    /// the host's parallelism and starts at
+    /// [`DEFAULT_READ_CACHE_BYTES`](crate::DEFAULT_READ_CACHE_BYTES):
+    /// none of those is stored with the index.
+    pub fn open(store: Arc<SimStore>) -> Result<Arc<TgiService>, OpenError> {
+        Writer::open(store).map(TgiService::serve)
     }
 
     /// Pin the latest published watermark. The returned view is
@@ -141,8 +171,25 @@ impl TgiService {
     /// pinned or future — stays at the last durable watermark. A
     /// [`BuildError::OutOfOrder`] batch is refused up front and the
     /// next good batch appends normally; any other error poisons the
-    /// writer (see [`Tgi::try_append_events`]). Returns the new
-    /// watermark epoch on success.
+    /// writer. Returns the new watermark epoch on success.
+    ///
+    /// The batch must be chronologically sorted and must not start
+    /// before the current end of history. It is normalized first
+    /// ([`hgs_delta::normalize_events`]) against the writer's live
+    /// state: `RemoveNode` events gain explicit `RemoveEdge` events for
+    /// their incident edges, so partitioned eventlists and version
+    /// chains reach every affected node. Closing the previous open
+    /// span's time range is per-view metadata, never a rewrite of a
+    /// sealed row.
+    ///
+    /// Any index write that reached zero replicas surfaces as
+    /// [`StoreError::Unavailable`](hgs_store::StoreError::Unavailable)
+    /// (wrapped in [`BuildError::Store`]); writes that reach only
+    /// *some* replicas succeed with degraded durability and are counted
+    /// in [`SimStore::partial_put_count`]. An append is **not atomic**:
+    /// after any such error some of the batch's rows may be persisted
+    /// and the writer's live state may have advanced, which is why it
+    /// poisons (see [`TgiService::try_recover`]).
     pub fn try_append_events(&self, events: &[Event]) -> Result<u64, BuildError> {
         let mut writer = self.writer.lock();
         writer.try_append_events(events)?;
@@ -150,7 +197,7 @@ impl TgiService {
         // graph descriptor is durable (both happen inside
         // `try_append_events`, before it returns Ok): watermark
         // publication must never make unflushed rows reachable.
-        let view = Arc::new(writer.view());
+        let view = Arc::new(writer.view.clone());
         let epoch = view.epoch();
         *self.published.write() = view;
         self.watermark.store(epoch, Ordering::Release);
@@ -160,7 +207,7 @@ impl TgiService {
     /// Whether an earlier append failed partway, refusing further
     /// appends (the read side keeps serving the last watermark).
     pub fn is_poisoned(&self) -> bool {
-        self.writer.lock().is_poisoned()
+        self.writer.lock().poisoned
     }
 
     /// Aggregated counters of the shared read cache (all views of
@@ -196,8 +243,9 @@ impl TgiService {
     /// heals — machines healed, fault plan detached or its windows
     /// elapsed — this re-opens the index from the store's durable
     /// state, carries the service's runtime state over to the fresh
-    /// writer (shared read cache, client and encode widths, retry
-    /// policy, watermark continuity), and finishes with an
+    /// writer (shared read cache, client and encode widths, watermark
+    /// continuity; the retry policy is the store's and never left it),
+    /// and finishes with an
     /// anti-entropy pass so rows degraded by the same fault window are
     /// re-replicated.
     /// Appends work again afterwards; the next one publishes the next
@@ -209,22 +257,21 @@ impl TgiService {
     /// stays poisoned — call again once the cluster actually healed.
     pub fn try_recover(&self) -> Result<RepairReport, OpenError> {
         let mut writer = self.writer.lock();
-        if writer.is_poisoned() {
-            let store = Arc::clone(writer.store());
-            let mut reopened = Tgi::open(store)?;
+        if writer.poisoned {
+            let store = Arc::clone(&writer.view.store);
+            let mut reopened = Writer::open(store)?;
             // Runtime state is not persisted; carry it across the
             // swap so recovery is invisible to everything but the
             // poison flag.
             reopened.view.read_cache = Arc::clone(&writer.view.read_cache);
             reopened.view.clients = writer.view.clients;
             reopened.encode_width = writer.encode_width;
-            reopened.view.cfg.retry = writer.view.cfg.retry;
-            // `Tgi::open` restarts epochs at 1; the service's sequence
+            // `Writer::open` restarts epochs at 1; the service's sequence
             // must keep ascending past the already-published watermark.
             reopened.view.epoch = self.watermark.load(Ordering::Acquire);
             *writer = reopened;
         }
-        writer.store().try_repair().map_err(OpenError::Store)
+        writer.view.store.try_repair().map_err(OpenError::Store)
     }
 }
 
@@ -255,6 +302,52 @@ mod tests {
             }
         }
         evs
+    }
+
+    #[test]
+    fn explicit_widths_set_both_widths_and_the_default_only_the_encode() {
+        let widths = |svc: &TgiService| {
+            let writer = svc.writer.lock();
+            (writer.view.clients(), writer.encode_width)
+        };
+        let svc = TgiService::try_build(TgiConfig::default(), StoreConfig::new(1, 1), &[]).unwrap();
+        assert_eq!(widths(&svc), (1, host_parallelism()));
+        let store = Arc::new(SimStore::new(StoreConfig::new(1, 1)));
+        let svc = TgiService::try_build_on_c(TgiConfig::default(), store, &[], 5).unwrap();
+        assert_eq!(widths(&svc), (5, 5));
+        assert_eq!(svc.pin().clients(), 5, "published views read at 5");
+    }
+
+    /// The store owns its retry policy: a build on a store with a
+    /// policy installed leaves that policy in place.
+    #[test]
+    fn a_build_keeps_the_stores_retry_policy() {
+        let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
+        let policy = hgs_store::RetryPolicy {
+            max_attempts: 2,
+            ..hgs_store::RetryPolicy::default()
+        };
+        assert_ne!(policy, hgs_store::RetryPolicy::default());
+        store.set_retry_policy(policy);
+        let evs = chain_events(30);
+        TgiService::try_build_on_c(TgiConfig::default(), Arc::clone(&store), &evs, 2).unwrap();
+        assert_eq!(store.retry_policy(), policy);
+    }
+
+    /// The read-cache budget is session state: an opened index starts
+    /// at the default whatever budget its builder ran at.
+    #[test]
+    fn an_opened_index_starts_at_the_default_budget() {
+        let svc = TgiService::try_build(
+            TgiConfig::default(),
+            StoreConfig::new(2, 1),
+            &chain_events(30),
+        )
+        .unwrap();
+        svc.set_read_cache_budget(0);
+        let opened = TgiService::open(svc.store()).unwrap();
+        assert_eq!(svc.cache_stats().budget, 0);
+        assert_eq!(opened.cache_stats().budget, crate::DEFAULT_READ_CACHE_BYTES);
     }
 
     #[test]
@@ -297,17 +390,15 @@ mod tests {
     fn recover_unpoisons_the_writer_and_keeps_the_watermark_sequence() {
         let evs = chain_events(120);
         let store = Arc::new(SimStore::new(StoreConfig::new(4, 2)));
-        let svc = TgiService::from_handle(
-            Tgi::try_build_on_c(
-                TgiConfig::default()
-                    .with_timespan(50)
-                    .with_eventlist_size(20),
-                Arc::clone(&store),
-                &evs[..40],
-                3,
-            )
-            .expect("clean build"),
-        );
+        let svc = TgiService::try_build_on_c(
+            TgiConfig::default()
+                .with_timespan(50)
+                .with_eventlist_size(20),
+            Arc::clone(&store),
+            &evs[..40],
+            3,
+        )
+        .expect("clean build");
         let w1 = svc.try_append_events(&evs[40..80]).unwrap();
         // Take the whole cluster down transiently: the next append
         // fails and poisons the writer, readers stay at w1.
@@ -331,7 +422,7 @@ mod tests {
         {
             let writer = svc.writer.lock();
             assert_eq!(
-                (writer.clients(), writer.encode_width),
+                (writer.view.clients(), writer.encode_width),
                 (3, 3),
                 "both widths survive recovery"
             );

@@ -1,7 +1,7 @@
 //! Boundary edge cases: queries landing exactly on checkpoint times,
 //! timespan borders, and before/after the indexed history.
 
-use hgs_core::{BuildError, Tgi, TgiConfig};
+use hgs_core::{BuildError, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::{Delta, Event, EventKind, Time, TimeRange};
 use hgs_store::StoreConfig;
@@ -26,7 +26,9 @@ fn snapshots_at_every_event_timestamp() {
         ..WikiGrowth::default()
     }
     .generate();
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
     let mut times: Vec<Time> = events.iter().map(|e| e.time).collect();
     times.sort_unstable();
     times.dedup();
@@ -50,7 +52,9 @@ fn queries_beyond_history_return_final_state() {
     }
     .generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
     let final_state = Delta::snapshot_by_replay(&events, u64::MAX);
     for t in [end, end + 1, end * 10, u64::MAX - 1] {
         assert_eq!(tgi.try_snapshot(t).unwrap(), final_state, "t={t}");
@@ -69,7 +73,9 @@ fn queries_before_history_start() {
     for e in &mut events {
         e.time += 1000;
     }
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
     for t in [0u64, 500, 999] {
         assert!(
             tgi.try_snapshot(t).unwrap().is_empty(),
@@ -96,7 +102,9 @@ fn single_timestamp_burst_history() {
             )
         })
         .collect();
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
     assert!(tgi.try_snapshot(41).unwrap().is_empty());
     assert_eq!(
         tgi.try_snapshot(42).unwrap(),
@@ -114,7 +122,9 @@ fn node_history_over_degenerate_ranges() {
     }
     .generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
     // Empty range: initial state only, no events.
     let h = tgi
         .try_node_history(0, TimeRange::new(end / 2, end / 2))
@@ -145,7 +155,9 @@ fn khop_of_missing_and_isolated_nodes() {
     .generate();
     let t_end = events.last().unwrap().time;
     events.push(Event::new(t_end + 1, EventKind::AddNode { id: 999_999 }));
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
     for strategy in [
         hgs_core::KhopStrategy::ViaSnapshot,
         hgs_core::KhopStrategy::Recursive,
@@ -161,8 +173,8 @@ fn khop_of_missing_and_isolated_nodes() {
 fn out_of_order_batch_is_an_error_and_leaves_the_handle_usable() {
     let events = WikiGrowth::sized(1_500).generate();
     let (built, rest) = events.split_at(1_000);
-    let mut tgi = Tgi::try_build(cfg(), StoreConfig::new(2, 1), built).unwrap();
-    let end = tgi.end_time();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(2, 1), built).unwrap();
+    let end = tgi.pin().end_time();
     let before = tgi.store().content_rows();
 
     // Starts inside the indexed prefix.
@@ -187,19 +199,20 @@ fn out_of_order_batch_is_an_error_and_leaves_the_handle_usable() {
         })
     );
     assert!(!tgi.is_poisoned());
-    assert_eq!(tgi.end_time(), end);
+    assert_eq!(tgi.pin().end_time(), end);
     assert_eq!(tgi.store().content_rows(), before, "nothing was written");
 
     // The handle still takes the batch it should have been given, and
     // ends up byte-identical to a handle that never saw the bad ones.
     tgi.try_append_events(rest)
         .expect("good batch after bad ones");
-    let mut clean = Tgi::try_build(cfg(), StoreConfig::new(2, 1), built).unwrap();
+    let clean = TgiService::try_build(cfg(), StoreConfig::new(2, 1), built).unwrap();
     clean.try_append_events(rest).unwrap();
     assert_eq!(tgi.store().content_rows(), clean.store().content_rows());
-    let t = tgi.end_time();
+    let view = tgi.pin();
+    let t = view.end_time();
     assert_eq!(
-        tgi.try_snapshot(t).unwrap(),
+        view.try_snapshot(t).unwrap(),
         Delta::snapshot_by_replay(&events, t)
     );
 }

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use hgs_core::meta::ELIST_BASE;
-use hgs_core::{KhopStrategy, Tgi, TgiView, TimespanMeta};
+use hgs_core::{KhopStrategy, TgiView, TimespanMeta};
 use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::{normalize_events, AttrValue, Delta, Event, EventKind, NodeId, Time, TimeRange};
 use hgs_store::{DeltaKey, PutRow, SimStore, Table};
@@ -163,7 +163,7 @@ fn khop_by_replay(state: &Delta, center: NodeId, k: usize) -> Delta {
 /// read back (strided down to ~300 times on the longer generated
 /// traces) — and per node the static-vertex fetch, the full history,
 /// the version chain and both k-hop strategies.
-pub fn assert_answers_equal_replay(tgi: &Tgi, events: &[Event]) {
+pub fn assert_answers_equal_replay(tgi: &TgiView, events: &[Event]) {
     let end = events.last().map(|e| e.time).unwrap_or(0);
     let event_times: BTreeSet<Time> = events.iter().map(|e| e.time).collect();
     let stride = event_times.len().div_ceil(300).max(1);

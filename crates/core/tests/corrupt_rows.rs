@@ -13,7 +13,7 @@ use common::put_everywhere;
 
 use bytes::{Bytes, BytesMut};
 use hgs_core::meta::{encode_chain, sid_of, ChainEntry, TimespanMeta, ELIST_BASE};
-use hgs_core::{KhopStrategy, OpenError, PartitionStrategy, Tgi, TgiConfig};
+use hgs_core::{KhopStrategy, OpenError, PartitionStrategy, TgiConfig, TgiService, TgiView};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::columnar::encode_columnar_delta;
@@ -69,7 +69,9 @@ fn corrupt_delta_rows_surface_corrupt_not_panic() {
     let events = trace();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(4, 2), &events)
+        .unwrap()
+        .pin();
 
     // Corrupt before the first read: the read cache is cold, so every
     // query below must hit the store and trip the decode.
@@ -92,7 +94,9 @@ fn corrupt_delta_rows_surface_corrupt_not_panic() {
 #[test]
 fn corrupt_version_chain_surfaces_corrupt_not_panic() {
     let events = trace();
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     let n = corrupt_table(tgi.store(), Table::Versions);
     assert!(n > 0, "the build must have written version chains");
     assert!(matches!(
@@ -117,7 +121,9 @@ fn corrupt_attr_index_rows_surface_corrupt_not_panic() {
     .generate();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     let n = corrupt_table(tgi.store(), Table::AttrIndex);
     assert!(n > 0, "the build must have written secondary-index rows");
 
@@ -152,7 +158,9 @@ fn corrupt_attr_index_rows_surface_corrupt_not_panic() {
 #[test]
 fn repeated_component_in_a_child_row_is_corrupt_on_every_read() {
     let events = trace();
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(4, 2), &events)
+        .unwrap()
+        .pin();
     let store = tgi.store();
     let rows: Vec<_> = store.content_rows().into_iter().flatten().collect();
     let tree_row = |key: &DeltaKey| {
@@ -222,7 +230,11 @@ fn repeated_component_in_a_child_row_is_corrupt_on_every_read() {
         );
         repeated(tgi.try_snapshot_uncached_c(t, 2).map(drop), pass);
         repeated(tgi.try_node_at(hub.id, t).map(drop), pass);
-        repeated(tgi.try_sid_state_at(root_key.sid, t).map(drop), pass);
+        repeated(
+            tgi.try_node_histories_for_sid(root_key.sid, TimeRange::new(t, later))
+                .map(drop),
+            pass,
+        );
         for strategy in [KhopStrategy::Recursive, KhopStrategy::ViaSnapshot] {
             repeated(tgi.try_khop_with(hub.id, t, 1, strategy).map(drop), pass);
         }
@@ -245,7 +257,9 @@ fn corrupt_on_read_fault_surfaces_corrupt_and_leaves_storage_intact() {
     let events = trace();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(4, 2), &events)
+        .unwrap()
+        .pin();
     let reference = tgi.try_snapshot(t).expect("healthy cluster");
     // Cold cache: every read below must hit the (corrupting) wire.
     tgi.set_read_cache_budget(0);
@@ -261,7 +275,7 @@ fn corrupt_on_read_fault_surfaces_corrupt_and_leaves_storage_intact() {
     );
 }
 
-/// `Tgi::open` trusts nothing in the stored descriptor: a config row
+/// `TgiService::open` trusts nothing in the stored descriptor: a config row
 /// whose construction parameters break the bounds the build path
 /// asserts (the query paths divide by them), whose row-format tag is
 /// not the one format, whose Ω or node-weighting tag names a mode no
@@ -271,21 +285,23 @@ fn corrupt_on_read_fault_surfaces_corrupt_and_leaves_storage_intact() {
 #[test]
 fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
     let events = trace();
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     let store = tgi.store().clone();
     let good = store.multi_get(Table::Graph, &[b"config"], 0).unwrap()[0]
         .clone()
         .expect("the build wrote a config row");
-    // The descriptor is twelve varints; see `persist::encode_config`.
+    // The descriptor is eleven varints; see `persist::encode_config`.
     let mut fields: Vec<u64> = Vec::new();
     let mut b: &[u8] = &good;
     while !b.is_empty() {
         fields.push(get_varint(&mut b).unwrap());
     }
-    assert_eq!(fields.len(), 12);
+    assert_eq!(fields.len(), 11);
     const OMEGA: usize = 7;
     const WEIGHTING: usize = 8;
-    const LAYOUT: usize = 10;
+    const LAYOUT: usize = 9;
     let rewrite = |fields: &[u64]| {
         let mut buf = BytesMut::new();
         for &f in fields {
@@ -309,12 +325,13 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
         (LAYOUT, 4, "retired layout tag 4"),
         (LAYOUT, 5, "retired layout tag 5"),
         (LAYOUT, 6, "retired layout tag 6"),
+        (LAYOUT, 7, "retired layout tag 7"),
     ] {
         let mut bad_fields = fields.clone();
         bad_fields[idx] = bad;
         rewrite(&bad_fields);
         assert!(
-            matches!(Tgi::open(store.clone()), Err(OpenError::Corrupt(_))),
+            matches!(TgiService::open(store.clone()), Err(OpenError::Corrupt(_))),
             "{what} must refuse to open"
         );
     }
@@ -325,13 +342,14 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
     // Tag 4 is the layout whose delta rows kept a byte length per
     // record, and tag 6 the one whose rows carried an LZSS bit per
     // segment and spelled attribute values in full: refused by name
-    // too, with no reader of their rows kept.
-    for tag in [2, 4, 6] {
+    // too, with no reader of their rows kept. Tag 7 rows are this
+    // layout's, but its descriptors spelled a read-cache budget.
+    for tag in [2, 4, 6, 7] {
         let mut previous = fields.clone();
         previous[LAYOUT] = tag;
         rewrite(&previous);
         assert!(matches!(
-            Tgi::open(store.clone()),
+            TgiService::open(store.clone()),
             Err(OpenError::Corrupt(CodecError::BadTag {
                 what: "StorageLayout",
                 tag: t
@@ -353,7 +371,7 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
         rewrite(&other);
         assert!(
             matches!(
-                Tgi::open(store.clone()),
+                TgiService::open(store.clone()),
                 Err(OpenError::Corrupt(CodecError::BadTag { what: w, tag: t })) if w == what && t == tag
             ),
             "{what} tag {tag} must be refused by name"
@@ -361,34 +379,36 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
     }
     rewrite(&fields[..LAYOUT]);
     assert!(
-        matches!(Tgi::open(store.clone()), Err(OpenError::Corrupt(_))),
+        matches!(TgiService::open(store.clone()), Err(OpenError::Corrupt(_))),
         "a descriptor truncated before the layout tag must refuse to open"
     );
     // The descriptor as written still opens.
     rewrite(&fields);
-    Tgi::open(store).expect("intact descriptor");
+    TgiService::open(store).expect("intact descriptor").pin();
 }
 
 /// Every element count in the descriptor rows is held to the bytes
 /// left in its row before anything is allocated for it: a hostile
 /// count is `OpenError::Corrupt`, not a `capacity overflow` panic or
-/// an OOM-sized reservation inside `Tgi::open`. One case per site.
+/// an OOM-sized reservation inside `TgiService::open`. One case per site.
 #[test]
 fn hostile_descriptor_counts_are_corrupt_not_an_allocation() {
     const HUGE: u64 = 1 << 62;
     let events = trace();
     let build = |strategy| {
         let cfg = cfg().with_strategy(strategy);
-        Tgi::try_build(cfg, StoreConfig::new(3, 1), &events)
+        TgiService::try_build(cfg, StoreConfig::new(3, 1), &events)
             .unwrap()
+            .pin()
             .store()
             .clone()
     };
-    let overflow = |store: &std::sync::Arc<SimStore>, what: &str| match Tgi::open(store.clone()) {
-        Err(OpenError::Corrupt(CodecError::LengthOverflow { .. })) => {}
-        Err(other) => panic!("{what}: unexpected error {other}"),
-        Ok(_) => panic!("{what}: opened"),
-    };
+    let overflow =
+        |store: &std::sync::Arc<SimStore>, what: &str| match TgiService::open(store.clone()) {
+            Err(OpenError::Corrupt(CodecError::LengthOverflow { .. })) => {}
+            Err(other) => panic!("{what}: unexpected error {other}"),
+            Ok(_) => panic!("{what}: opened"),
+        };
     let span0 = 0u32.to_be_bytes();
 
     // `TimespanMeta::decode`, the checkpoint count: tsid, start, end, n.
@@ -435,19 +455,20 @@ fn hostile_descriptor_counts_are_corrupt_not_an_allocation() {
 
 /// A `Micropartitions` row is a part count and `(id gap, pid)`
 /// entries. An entry whose pid is at or past the part count names no
-/// micro-partition: `Tgi::open` refuses the row as `Corrupt`, naming
-/// the pid, instead of panicking on the map's bound (or, without debug
-/// assertions, opening a map whose reads land on a partition no row
-/// holds). A part count or pid past `u32` is refused too, not
-/// truncated.
+/// micro-partition: `TgiService::open` refuses the row as `Corrupt`,
+/// naming the pid, instead of panicking on the map's bound (or, without
+/// debug assertions, opening a map whose reads land on a partition no
+/// row holds). A part count or pid past `u32` is refused too, not
+/// truncated, and so is a byte past the last entry.
 #[test]
 fn a_partition_map_naming_a_pid_past_its_part_count_is_corrupt() {
     let events = trace();
     let cfg = cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: false,
     });
-    let store = Tgi::try_build(cfg, StoreConfig::new(3, 1), &events)
+    let store = TgiService::try_build(cfg, StoreConfig::new(3, 1), &events)
         .unwrap()
+        .pin()
         .store()
         .clone();
     // A stored map with two parts at least and an entry to rewrite.
@@ -472,7 +493,7 @@ fn a_partition_map_naming_a_pid_past_its_part_count_is_corrupt() {
     for pid in [parts, 5 * parts, 1 << 40] {
         fields[3] = pid;
         put_everywhere(&store, Table::Micropartitions, &key, varints(&fields));
-        match Tgi::open(store.clone()) {
+        match TgiService::open(store.clone()) {
             Err(OpenError::Corrupt(CodecError::BadRef {
                 what: "partition map pid",
                 id,
@@ -489,13 +510,25 @@ fn a_partition_map_naming_a_pid_past_its_part_count_is_corrupt() {
     );
     assert!(
         matches!(
-            Tgi::open(store.clone()),
+            TgiService::open(store.clone()),
             Err(OpenError::Corrupt(CodecError::LengthOverflow { .. }))
         ),
         "a part count past u32 must refuse to open"
     );
+    let mut longer = intact.to_vec();
+    longer.push(0);
+    put_everywhere(&store, Table::Micropartitions, &key, Bytes::from(longer));
+    assert!(
+        matches!(
+            TgiService::open(store.clone()),
+            Err(OpenError::Corrupt(CodecError::TrailingBytes {
+                remaining: 1
+            }))
+        ),
+        "a map one byte longer must refuse to open"
+    );
     put_everywhere(&store, Table::Micropartitions, &key, intact);
-    Tgi::open(store).expect("intact partition map");
+    TgiService::open(store).expect("intact partition map");
 }
 
 /// A `Timespans` row that decodes is not yet one the build could have
@@ -503,7 +536,7 @@ fn a_partition_map_naming_a_pid_past_its_part_count_is_corrupt() {
 /// checkpoints opening at the range's start and never falling, and the
 /// spans must tile time from 0. A row off any of these is
 /// `OpenError::Corrupt`, naming the field. (Re-encoding span 0's row
-/// this way once made `Tgi::open` panic inside `TreeShape::new` or
+/// this way once made a re-open panic inside `TreeShape::new` or
 /// `TimeRange::new`, or open a handle whose snapshots differed from the
 /// build's.) The row spells no arity to get wrong: the tree's comes
 /// from the descriptor, whose bound
@@ -512,14 +545,16 @@ fn a_partition_map_naming_a_pid_past_its_part_count_is_corrupt() {
 fn inconsistent_timespan_rows_are_corrupt_not_a_panic_or_a_wrong_graph() {
     let events = trace();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     let store = tgi.store().clone();
     let built = common::span_metas(&tgi)[0].clone();
     assert!(built.checkpoints.len() > 1, "span 0 holds several chunks");
     let span0 = 0u32.to_be_bytes();
     let reopened = |meta: &TimespanMeta| {
         put_everywhere(&store, Table::Timespans, &span0, meta.encode());
-        Tgi::open(store.clone()).map(|tgi| tgi.try_snapshot(end / 2))
+        TgiService::open(store.clone()).map(|svc| svc.pin().try_snapshot(end / 2))
     };
     let bad_ref = |what, id| CodecError::BadRef { what, id };
     let mut reversed = built.checkpoints.clone();
@@ -577,11 +612,13 @@ fn inconsistent_timespan_rows_are_corrupt_not_a_panic_or_a_wrong_graph() {
 /// A span's pid count sizes the hash partition map every read of its
 /// `sid` places nodes by. The build writes 1 to `u32::MAX`; a count of
 /// 0, or one past `u32` (which would wrap to a small count), is
-/// `OpenError::Corrupt`, not a handle whose snapshots miss nodes.
+/// `OpenError::Corrupt`, not an index whose snapshots miss nodes.
 #[test]
 fn a_span_pid_count_of_zero_or_past_u32_is_corrupt() {
     let events = trace();
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     let store = tgi.store().clone();
     let last = common::span_metas(&tgi).pop().expect("spans");
     assert!(
@@ -612,7 +649,7 @@ fn a_span_pid_count_of_zero_or_past_u32_is_corrupt() {
     assert_eq!(row(last.pid_counts[0] as u64), last.encode());
     for count in [0, (1 << 32) + last.pid_counts[0] as u64] {
         put_everywhere(&store, Table::Timespans, &key, row(count));
-        match Tgi::open(store.clone()) {
+        match TgiService::open(store.clone()) {
             Err(OpenError::Corrupt(e)) => assert_eq!(
                 e,
                 CodecError::LengthOverflow {
@@ -625,7 +662,7 @@ fn a_span_pid_count_of_zero_or_past_u32_is_corrupt() {
         }
     }
     put_everywhere(&store, Table::Timespans, &key, last.encode());
-    let reopened = Tgi::open(store).expect("intact descriptor");
+    let reopened = TgiService::open(store).expect("intact descriptor").pin();
     let t = last.checkpoints[last.checkpoints.len() / 2];
     assert_eq!(reopened.try_snapshot(t), tgi.try_snapshot(t));
 }
@@ -643,7 +680,9 @@ fn a_span_pid_count_of_zero_or_past_u32_is_corrupt() {
 fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
     let events = trace();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(4, 2), &events)
+        .unwrap()
+        .pin();
     tgi.set_read_cache_budget(0);
     let store = tgi.store();
     let ns = tgi.config().horizontal_partitions;
@@ -844,17 +883,18 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
 /// `try_node_history`, `try_attr_history` and a TAF `son` fetch of the
 /// node. An `Ok` history, direct or fetched, must equal replay.
 fn chain_reads(
-    tgi: &Arc<Tgi>,
+    svc: &Arc<TgiService>,
     events: &[hgs_delta::Event],
     nid: u64,
 ) -> [Result<(), StoreError>; 3] {
+    let tgi = svc.pin();
     let range = TimeRange::new(0, events.last().unwrap().time + 1);
     let want = common::node_events_by_replay(&normalize_events(events), nid, range);
     let whole = |events: Vec<hgs_delta::Event>| assert_eq!(events, want, "a shorter history");
     [
         tgi.try_node_history(nid, range).map(|h| whole(h.events)),
         tgi.try_attr_history(nid, hgs_core::LABEL_KEY).map(drop),
-        TgiHandler::new(tgi.clone(), 2)
+        TgiHandler::serving(Arc::clone(svc), 2)
             .son()
             .timeslice(range)
             .select_ids(vec![nid])
@@ -864,7 +904,7 @@ fn chain_reads(
 }
 
 /// A node's entries in span `tsid`: what its `(nid, tsid)` row holds.
-fn chain_segment(tgi: &Tgi, nid: u64, tsid: u32) -> Vec<ChainEntry> {
+fn chain_segment(tgi: &TgiView, nid: u64, tsid: u32) -> Vec<ChainEntry> {
     let chain = tgi.try_version_chain(nid).unwrap();
     chain.into_iter().filter(|e| e.tsid == tsid).collect()
 }
@@ -878,12 +918,13 @@ fn chain_segment(tgi: &Tgi, nid: u64, tsid: u32) -> Vec<ChainEntry> {
 #[test]
 fn a_chain_naming_chunks_past_its_span_is_corrupt_not_a_shorter_history() {
     let events = trace();
-    let tgi = Arc::new(Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap());
-    tgi.set_read_cache_budget(0);
+    let svc = TgiService::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
+    svc.set_read_cache_budget(0);
+    let tgi = svc.pin();
     let store = tgi.store();
     let entries = chain_segment(&tgi, 1, 0);
     assert!(!entries.is_empty(), "node 1 is touched in span 0");
-    for r in chain_reads(&tgi, &events, 1) {
+    for r in chain_reads(&svc, &events, 1) {
         r.expect("the intact chain reads");
     }
     let shifted: Vec<ChainEntry> = entries
@@ -904,7 +945,7 @@ fn a_chain_naming_chunks_past_its_span_is_corrupt_not_a_shorter_history() {
         id: shifted[0].chunk as u64,
     }));
     assert_eq!(tgi.try_version_chain(1).map(drop), out_of_span);
-    for r in chain_reads(&tgi, &events, 1) {
+    for r in chain_reads(&svc, &events, 1) {
         assert_eq!(r, out_of_span);
     }
     put_everywhere(
@@ -913,7 +954,7 @@ fn a_chain_naming_chunks_past_its_span_is_corrupt_not_a_shorter_history() {
         &chain_key(1, 0),
         encode_chain(&entries),
     );
-    for r in chain_reads(&tgi, &events, 1) {
+    for r in chain_reads(&svc, &events, 1) {
         r.expect("the chain as built reads");
     }
 }
@@ -930,8 +971,9 @@ fn a_chain_naming_a_chunk_without_the_nodes_row_is_corrupt_not_a_shorter_history
         partition_size: 5,
         ..cfg()
     };
-    let tgi = Arc::new(Tgi::try_build(cfg, StoreConfig::new(4, 2), &events).unwrap());
-    tgi.set_read_cache_budget(0);
+    let svc = TgiService::try_build(cfg, StoreConfig::new(4, 2), &events).unwrap();
+    svc.set_read_cache_budget(0);
+    let tgi = svc.pin();
     let store = tgi.store();
     let ns = cfg.horizontal_partitions;
     let metas = common::span_metas(&tgi);
@@ -958,7 +1000,7 @@ fn a_chain_naming_a_chunk_without_the_nodes_row_is_corrupt_not_a_shorter_history
             (0..chunks).find(absent).map(|chunk| (nid, tsid, chunk))
         })
         .expect("some micro-partition sits out a chunk");
-    for r in chain_reads(&tgi, &events, nid) {
+    for r in chain_reads(&svc, &events, nid) {
         r.expect("the intact chain reads");
     }
     let entries = chain_segment(&tgi, nid, tsid);
@@ -976,11 +1018,11 @@ fn a_chain_naming_a_chunk_without_the_nodes_row_is_corrupt_not_a_shorter_history
         what: "chain chunk without an eventlist row",
         id: missing as u64,
     }));
-    for r in chain_reads(&tgi, &events, nid) {
+    for r in chain_reads(&svc, &events, nid) {
         assert_eq!(r, dangling);
     }
     put_everywhere(store, Table::Versions, &key, encode_chain(&entries));
-    for r in chain_reads(&tgi, &events, nid) {
+    for r in chain_reads(&svc, &events, nid) {
         r.expect("the chain as built reads");
     }
 }

@@ -8,7 +8,7 @@ mod common;
 
 use std::sync::Arc;
 
-use hgs_core::{BuildError, Tgi, TgiConfig};
+use hgs_core::{BuildError, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::TimeRange;
 use hgs_store::{PlacementKey, SimStore, StoreConfig, StoreError};
@@ -31,7 +31,9 @@ fn down_chunk_errors_instead_of_shrinking_the_snapshot() {
     let events = trace();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(4, 1), &events)
+        .unwrap()
+        .pin();
     let reference = tgi.try_snapshot(t).expect("healthy cluster");
 
     // With replication 1, failing any machine that holds part of the
@@ -59,7 +61,9 @@ fn down_chunk_errors_instead_of_shrinking_the_snapshot() {
 fn every_read_primitive_surfaces_total_failure() {
     let events = trace();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     for m in 0..tgi.store().machine_count() {
         tgi.store().fail_machine(m);
     }
@@ -89,29 +93,26 @@ fn every_read_primitive_surfaces_total_failure() {
         Err(StoreError::Unavailable { .. })
     ));
     assert!(matches!(
-        tgi.try_sid_state_at(0, end / 2),
-        Err(StoreError::Unavailable { .. })
-    ));
-    assert!(matches!(
         tgi.try_node_histories_for_sid(0, range),
         Err(StoreError::Unavailable { .. })
     ));
 }
 
-/// A horizontal partition the index does not have holds no node: both
-/// per-partition reads answer empty, on a healthy cluster — they used
-/// to disagree, `try_node_histories_for_sid` panicking on an index out
-/// of bounds where `try_sid_state_at` answered.
+/// A horizontal partition the index does not have holds no node: TAF's
+/// per-partition fetch answers empty, on a healthy cluster — it used
+/// to panic on an index out of bounds where the partition's initial
+/// state answered.
 #[test]
 fn a_sid_past_the_partition_count_answers_empty() {
     let events = trace();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     let ns = tgi.config().horizontal_partitions;
     let range = TimeRange::new(0, end + 1);
     assert!(!tgi.try_node_histories_for_sid(0, range).unwrap().is_empty());
     for sid in [ns, 99, u32::MAX] {
-        assert!(tgi.try_sid_state_at(sid, end / 2).unwrap().is_empty());
         assert!(tgi
             .try_node_histories_for_sid(sid, range)
             .unwrap()
@@ -130,7 +131,9 @@ fn evicted_row_refetch_surfaces_unavailable_not_stale_data() {
     let end = events.last().unwrap().time;
     let t = end / 2;
     let nid = 0u64;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
 
     // Warm the cache with this exact read.
     let healthy = tgi.try_node_at(nid, t).expect("healthy cluster");
@@ -176,7 +179,9 @@ fn warm_snapshot_still_surfaces_dead_chunks() {
     let events = trace();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(4, 1), &events)
+        .unwrap()
+        .pin();
     tgi.try_snapshot(t).expect("warm the cache");
     for m in 0..tgi.store().machine_count() {
         tgi.store().fail_machine(m);
@@ -197,7 +202,9 @@ fn dead_chunk_mid_steal_surfaces_unavailable_at_every_parallelism() {
     let events = trace();
     let end = events.last().unwrap().time;
     let times = [end / 4, end / 2, (3 * end) / 4];
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(4, 1), &events)
+        .unwrap()
+        .pin();
     let reference = tgi
         .with_clients(1)
         .try_snapshots(&times)
@@ -239,7 +246,9 @@ fn dead_chunk_mid_steal_surfaces_unavailable_at_every_parallelism() {
 fn replication_masks_a_single_machine_failure() {
     let events = trace();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(4, 2), &events)
+        .unwrap()
+        .pin();
     let reference = tgi.try_snapshot(end / 2).unwrap();
     tgi.store().fail_machine(1);
     assert_eq!(
@@ -259,36 +268,9 @@ fn build_against_dead_cluster_errors() {
         store.fail_machine(m);
     }
     assert!(matches!(
-        Tgi::try_build_on(cfg(), store, &events),
+        TgiService::try_build_on(cfg(), store, &events),
         Err(BuildError::Store(StoreError::Unavailable { .. }))
     ));
-}
-
-#[test]
-fn failed_append_poisons_the_handle() {
-    let events = trace();
-    let mid = events.len() / 2;
-    let mut tgi =
-        Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events[..mid]).expect("healthy build");
-    assert!(!tgi.is_poisoned());
-    for m in 0..tgi.store().machine_count() {
-        tgi.store().fail_machine(m);
-    }
-    assert!(matches!(
-        tgi.try_append_events(&events[mid..]),
-        Err(BuildError::Store(StoreError::Unavailable { .. }))
-    ));
-    assert!(tgi.is_poisoned());
-    // Even on a healed cluster, retrying the batch on this handle
-    // would double-apply events: the append must refuse.
-    tgi.store().heal_all();
-    assert!(matches!(
-        tgi.try_append_events(&events[mid..]),
-        Err(BuildError::Poisoned)
-    ));
-    // Queries still answer from what was durably written.
-    let end = events[mid - 1].time;
-    assert!(tgi.try_snapshot(end / 2).is_ok());
 }
 
 /// Write-path failure injection for the batched path: a machine dying
@@ -308,7 +290,7 @@ fn machine_death_mid_batched_build_surfaces_unavailable_and_accounts_rows() {
         // metadata read).
         store.fail_machine(store.machine_for(PlacementKey::new(0, 0).token(), 0));
         let before = store.stats_snapshot();
-        let err = Tgi::try_build_on_c(cfg(), store.clone(), &events, c)
+        let err = TgiService::try_build_on_c(cfg(), store.clone(), &events, c)
             .err()
             .expect("build with a dead machine must fail");
         assert!(matches!(
@@ -332,26 +314,26 @@ fn machine_death_mid_batched_build_surfaces_unavailable_and_accounts_rows() {
 
 /// Same injection against `try_append_events`: the first append lands
 /// healthy, the machine dies, the second append fails loudly and
-/// poisons the handle, and the batch's rows are all accounted.
+/// poisons the writer, and the batch's rows are all accounted.
 #[test]
 fn machine_death_mid_batched_append_surfaces_unavailable_and_accounts_rows() {
     let events = trace();
     let mid = events.len() / 2;
     for c in [1usize, 4] {
         let store = Arc::new(SimStore::new(StoreConfig::new(4, 1)));
-        let mut tgi =
-            Tgi::try_build_on_c(cfg(), store.clone(), &events[..mid], c).expect("healthy build");
+        let svc = TgiService::try_build_on_c(cfg(), store.clone(), &events[..mid], c)
+            .expect("healthy build");
         assert_eq!(store.failed_put_count(), 0);
         let rows_before_failure = store.row_count();
         // The append continues the timespan sequence: kill the machine
         // holding the next span's sid-0 delta chunk.
-        let next_tsid = tgi.span_count() as u32;
+        let next_tsid = svc.pin().span_count() as u32;
         store.fail_machine(store.machine_for(PlacementKey::new(next_tsid, 0).token(), 0));
         assert!(matches!(
-            tgi.try_append_events(&events[mid..]),
+            svc.try_append_events(&events[mid..]),
             Err(BuildError::Store(StoreError::Unavailable { .. }))
         ));
-        assert!(tgi.is_poisoned(), "c={c}: failed append must poison");
+        assert!(svc.is_poisoned(), "c={c}: failed append must poison");
         assert!(
             store.failed_put_count() > 0,
             "c={c}: the dead machine's rows are accounted as failed"
@@ -363,10 +345,10 @@ fn machine_death_mid_batched_append_surfaces_unavailable_and_accounts_rows() {
         // Replication masks the same failure: the identical append on
         // an r=2 cluster succeeds with partial-put accounting instead.
         let store2 = Arc::new(SimStore::new(StoreConfig::new(4, 2)));
-        let mut tgi2 =
-            Tgi::try_build_on_c(cfg(), store2.clone(), &events[..mid], c).expect("healthy build");
+        let svc2 = TgiService::try_build_on_c(cfg(), store2.clone(), &events[..mid], c)
+            .expect("healthy build");
         store2.fail_machine(store2.machine_for(PlacementKey::new(next_tsid, 0).token(), 0));
-        tgi2.try_append_events(&events[mid..])
+        svc2.try_append_events(&events[mid..])
             .expect("one replica is enough");
         assert!(
             store2.partial_put_count() > 0,
@@ -382,14 +364,18 @@ fn degraded_build_succeeds_but_counts_partial_writes() {
     let end = events.last().unwrap().time;
     let store = Arc::new(SimStore::new(StoreConfig::new(4, 2)));
     store.fail_machine(2);
-    let tgi = Tgi::try_build_on(cfg(), store, &events).expect("one replica is enough to build");
+    let tgi = TgiService::try_build_on(cfg(), store, &events)
+        .expect("one replica is enough to build")
+        .pin();
     assert!(
         tgi.store().partial_put_count() > 0,
         "writes that missed the down replica must be accounted"
     );
     assert_eq!(tgi.store().failed_put_count(), 0);
     // The surviving replicas answer exactly.
-    let healthy = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
+    let healthy = TgiService::try_build(cfg(), StoreConfig::new(4, 2), &events)
+        .unwrap()
+        .pin();
     assert_eq!(
         tgi.try_snapshot(end / 2).unwrap(),
         healthy.try_snapshot(end / 2).unwrap()
@@ -407,7 +393,9 @@ fn label_index_reads_surface_total_failure_and_heal() {
     .generate();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     for m in 0..tgi.store().machine_count() {
         tgi.store().fail_machine(m);
     }
@@ -461,12 +449,13 @@ fn disabled_index_fallback_is_explicit_never_silent() {
     .generate();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let off = Tgi::try_build(
+    let off = TgiService::try_build(
         cfg().with_secondary_indexes(false),
         StoreConfig::new(3, 1),
         &events,
     )
-    .unwrap();
+    .unwrap()
+    .pin();
     // The fallback materializes a snapshot, and an attribute history
     // (index or no index) walks the node's version chain; on a dead
     // cluster both must error — never return an empty answer.
@@ -483,7 +472,9 @@ fn disabled_index_fallback_is_explicit_never_silent() {
     ));
     off.store().heal_all();
     // Healed, the fallback answers the same as an indexed build.
-    let on = Tgi::try_build(cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let on = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     assert_eq!(
         off.try_nodes_with_label_at("Label00", t).expect("fallback"),
         on.try_nodes_with_label_at("Label00", t).expect("indexed"),
@@ -506,7 +497,9 @@ fn transient_outage_surfaces_transient_and_self_heals_with_time() {
     let events = trace();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(4, 1), &events)
+        .unwrap()
+        .pin();
     let reference = tgi.try_snapshot(t).expect("healthy cluster");
     // A zero cache budget forces every read below to the store.
     tgi.set_read_cache_budget(0);
@@ -538,7 +531,9 @@ fn flaky_cluster_answers_exactly_or_errs_honestly() {
     let events = trace();
     let end = events.last().unwrap().time;
     let t = end / 2;
-    let tgi = Tgi::try_build(cfg(), StoreConfig::new(4, 2), &events).unwrap();
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(4, 2), &events)
+        .unwrap()
+        .pin();
     let reference = tgi.try_snapshot(t).expect("healthy cluster");
     tgi.set_read_cache_budget(0);
     let store = tgi.store();

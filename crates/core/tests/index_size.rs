@@ -83,7 +83,7 @@
 mod common;
 
 use hgs_core::meta::{AUX_BASE, ELIST_BASE};
-use hgs_core::{Tgi, TgiConfig};
+use hgs_core::{TgiConfig, TgiService};
 use hgs_datagen::{SkewedLabels, WikiGrowth};
 use hgs_delta::attr_index::{decode_term_points, encode_term_points};
 use hgs_delta::{Event, TERM_KIND_VALUE};
@@ -134,7 +134,9 @@ impl Census {
 }
 
 fn census(events: &[Event], cfg: TgiConfig) -> Census {
-    let tgi = Tgi::try_build(cfg, StoreConfig::new(4, 1), events).unwrap();
+    let tgi = TgiService::try_build(cfg, StoreConfig::new(4, 1), events)
+        .unwrap()
+        .pin();
     let per_event = |bytes: usize| bytes as f64 / events.len() as f64;
     let mut c = Census {
         total: per_event(tgi.storage_bytes()),

@@ -16,7 +16,7 @@
 //! `hgs_delta::codec::decoded_bytes()` is process-global, so this
 //! file holds exactly one test: nothing else decodes in its process.
 
-use hgs_core::{KhopStrategy, Tgi, TgiConfig};
+use hgs_core::{KhopStrategy, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::codec::decoded_bytes;
 use hgs_store::StoreConfig;
@@ -30,10 +30,12 @@ fn cold_node_at_decodes_fewer_bytes_than_its_micro_partition() {
         events_per_timespan: 1_200,
         eventlist_size: 150,
         partition_size: 60,
-        read_cache_bytes: 0,
         ..TgiConfig::default()
     };
-    let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
+    tgi.set_read_cache_budget(0);
 
     let (mut probed, mut pruned_total, mut full_total) = (0, 0, 0);
     for nid in (0..400u64).step_by(37) {

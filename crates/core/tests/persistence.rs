@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use hgs_core::{PartitionStrategy, Tgi, TgiConfig};
+use hgs_core::{PartitionStrategy, TgiConfig, TgiService};
 use hgs_datagen::{augment_with_churn, WikiGrowth};
 use hgs_delta::{Delta, Event, EventKind, TimeRange};
 use hgs_store::{SimStore, StoreConfig};
@@ -30,8 +30,10 @@ fn reopened_index_answers_identically() {
     let end = events.last().unwrap().time;
 
     let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
-    let built = Tgi::try_build_on(cfg(), store.clone(), &events).unwrap();
-    let reopened = Tgi::open(store).expect("open persisted index");
+    let built = TgiService::try_build_on(cfg(), store.clone(), &events)
+        .unwrap()
+        .pin();
+    let reopened = TgiService::open(store).expect("open persisted index").pin();
 
     assert_eq!(reopened.span_count(), built.span_count());
     assert_eq!(reopened.end_time(), built.end_time());
@@ -66,8 +68,10 @@ fn reopened_index_with_locality_maps() {
     let cfg = cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: true,
     });
-    let built = Tgi::try_build_on(cfg, store.clone(), &events).unwrap();
-    let reopened = Tgi::open(store).expect("open persisted index");
+    let built = TgiService::try_build_on(cfg, store.clone(), &events)
+        .unwrap()
+        .pin();
+    let reopened = TgiService::open(store).expect("open persisted index").pin();
     for t in [end / 2, end] {
         assert_eq!(
             reopened.try_snapshot(t).unwrap(),
@@ -116,8 +120,10 @@ fn reopened_locality_maps_still_place_nodes_the_span_removed() {
     let cfg = cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: true,
     });
-    let built = Tgi::try_build_on(cfg, store.clone(), &events).unwrap();
-    let reopened = Tgi::open(store).expect("open persisted index");
+    let built = TgiService::try_build_on(cfg, store.clone(), &events)
+        .unwrap()
+        .pin();
+    let reopened = TgiService::open(store).expect("open persisted index").pin();
     let mut alive = 0;
     for (id, t_removed) in removed {
         let alive_at = t_removed - 1;
@@ -160,9 +166,10 @@ fn reopened_index_accepts_appends() {
     }
 
     let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-    let _first_half = Tgi::try_build_on(cfg(), store.clone(), &events[..cut_at]).unwrap();
-    let mut reopened = Tgi::open(store).expect("open persisted index");
+    TgiService::try_build_on(cfg(), store.clone(), &events[..cut_at]).unwrap();
+    let reopened = TgiService::open(store).expect("open persisted index");
     reopened.try_append_events(&events[cut_at..]).unwrap();
+    let reopened = reopened.pin();
 
     let end = events.last().unwrap().time;
     for t in [0, end / 2, end] {

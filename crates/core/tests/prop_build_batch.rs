@@ -11,7 +11,7 @@ mod common;
 use std::sync::Arc;
 
 use common::assert_answers_equal_replay;
-use hgs_core::{PartitionStrategy, Tgi, TgiConfig, TgiService};
+use hgs_core::{PartitionStrategy, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::{AttrValue, Event, EventKind};
 use hgs_store::{SimStore, StoreConfig};
@@ -95,12 +95,12 @@ proptest! {
             ..TgiConfig::default()
         };
         let one_store = fresh_store(3, 2);
-        let one = Tgi::try_build_on_c(cfg, one_store.clone(), &trace, 1).expect("width-1 build");
+        let one = TgiService::try_build_on_c(cfg, one_store.clone(), &trace, 1).expect("width-1 build").pin();
         assert_answers_equal_replay(&one, &trace);
         let reference = one_store.content_rows();
         for c in [2usize, 4] {
             let store = fresh_store(3, 2);
-            Tgi::try_build_on_c(cfg, store.clone(), &trace, c).expect("build");
+            TgiService::try_build_on_c(cfg, store.clone(), &trace, c).expect("build").pin();
             prop_assert_eq!(
                 &store.content_rows(),
                 &reference,
@@ -141,13 +141,13 @@ proptest! {
         let (prefix, suffix) = history.split_at(split.min(history.len()));
 
         let one_store = fresh_store(2, 1);
-        let mut one =
-            Tgi::try_build_on_c(cfg, one_store.clone(), prefix, 1).expect("width-1 build");
+        let one =
+            TgiService::try_build_on_c(cfg, one_store.clone(), prefix, 1).expect("width-1 build");
         one.try_append_events(suffix).expect("width-1 append");
 
         let store = fresh_store(2, 1);
-        let mut tgi =
-            Tgi::try_build_on_c(cfg, store.clone(), prefix, clients).expect("wide build");
+        let tgi =
+            TgiService::try_build_on_c(cfg, store.clone(), prefix, clients).expect("wide build");
         tgi.try_append_events(suffix).expect("wide append");
         prop_assert_eq!(
             &store.content_rows(),
@@ -155,7 +155,7 @@ proptest! {
             "ingest store content diverged at c={}",
             clients
         );
-        assert_answers_equal_replay(&tgi, &history);
+        assert_answers_equal_replay(&tgi.pin(), &history);
     }
 }
 
@@ -205,7 +205,7 @@ fn default_width_service_matches_explicit_width_one() {
             ..TgiConfig::default()
         };
         let one_store = fresh_store(3, 1);
-        let mut one = Tgi::try_build_on_c(cfg, one_store.clone(), &history[..cuts[0]], 1)
+        let one = TgiService::try_build_on_c(cfg, one_store.clone(), &history[..cuts[0]], 1)
             .expect("width-1 build");
         let store = fresh_store(3, 1);
         let svc = TgiService::try_build_on(cfg, store.clone(), &history[..cuts[0]])
@@ -242,9 +242,13 @@ fn wide_aux_build_matches_width_one_and_stays_batched() {
         ..TgiConfig::default()
     };
     let one_store = fresh_store(4, 1);
-    Tgi::try_build_on_c(cfg, one_store.clone(), &trace, 1).expect("width-1 build");
+    TgiService::try_build_on_c(cfg, one_store.clone(), &trace, 1)
+        .expect("width-1 build")
+        .pin();
     let store = fresh_store(4, 1);
-    let tgi = Tgi::try_build_on_c(cfg, store.clone(), &trace, 4).expect("wide build");
+    let tgi = TgiService::try_build_on_c(cfg, store.clone(), &trace, 4)
+        .expect("wide build")
+        .pin();
     assert_eq!(store.content_rows(), one_store.content_rows());
     assert_answers_equal_replay(&tgi, &trace);
     // Writes stay batched: round trips at most 10 % of the rows

@@ -20,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 use bytes::Bytes;
 use common::{attr_history_by_replay, chunk_of, put_everywhere, touches};
 use hgs_core::meta::{encode_chain, ChainEntry};
-use hgs_core::{Tgi, TgiConfig, TimespanMeta, LABEL_KEY};
+use hgs_core::{TgiConfig, TgiService, TgiView, TimespanMeta, LABEL_KEY};
 use hgs_datagen::SkewedLabels;
 use hgs_delta::{normalize_events, Event, TimeRange};
 use hgs_store::key::{chain_key, chain_key_tsid};
@@ -29,7 +29,7 @@ use proptest::prelude::*;
 
 /// One index every case damages one row of, and puts back.
 struct Fixture {
-    tgi: Tgi,
+    tgi: Arc<TgiView>,
     normalized: Vec<Event>,
     metas: Vec<TimespanMeta>,
     /// Every `(nid, tsid)` chain row, as built.
@@ -54,7 +54,9 @@ fn fixture() -> &'static Fixture {
             ..TgiConfig::default()
         };
         let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-        let tgi = Tgi::try_build_on(cfg, store.clone(), &events).expect("build");
+        let tgi = TgiService::try_build_on(cfg, store.clone(), &events)
+            .expect("build")
+            .pin();
         let mut rows: Vec<(u64, u32, Bytes)> = store
             .content_rows()
             .into_iter()

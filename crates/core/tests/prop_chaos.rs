@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use hgs_core::{Tgi, TgiConfig, TgiService};
+use hgs_core::{TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::{Event, EventKind, Time, TimeRange};
 use hgs_store::{CostModel, FaultPlan, RetryPolicy, SimStore, StoreConfig, StoreError};
@@ -99,13 +99,13 @@ proptest! {
         plan in arb_plan(),
         c in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        let tgi = Tgi::try_build_on_c(
+        let tgi = TgiService::try_build_on_c(
             small_cfg(),
             Arc::new(SimStore::new(StoreConfig::new(3, 2))),
             &events,
             c,
         )
-        .expect("fault-free build");
+        .expect("fault-free build").pin();
         let end = tgi.end_time();
         let times = [end / 2, end];
         let range = TimeRange::new(0, end + 1);
@@ -175,13 +175,14 @@ proptest! {
         events in arb_history(),
         plan in arb_plan(),
     ) {
-        let cfg = small_cfg().with_retry(RetryPolicy {
+        let cfg = small_cfg();
+        let store = Arc::new(SimStore::new(StoreConfig::new(3, 2)));
+        store.set_retry_policy(RetryPolicy {
             max_attempts: 6,
             ..RetryPolicy::default()
         });
-        let store = Arc::new(SimStore::new(StoreConfig::new(3, 2)));
         store.set_fault_plan(Some(plan));
-        match Tgi::try_build_on(cfg, Arc::clone(&store), &events) {
+        match TgiService::try_build_on(cfg, Arc::clone(&store), &events) {
             Err(e) => {
                 // An overwhelmed build is allowed — but only with an
                 // honest store error, and without poisoning the
@@ -191,7 +192,8 @@ proptest! {
                     other => prop_assert!(false, "unexpected build error kind: {}", other),
                 }
             }
-            Ok(tgi) => {
+            Ok(svc) => {
+                let tgi = svc.pin();
                 store.set_fault_plan(None);
                 let report = store.try_repair().expect("repair on a healed cluster");
                 prop_assert_eq!(report.still_degraded, 0, "nothing may stay degraded");
@@ -199,8 +201,8 @@ proptest! {
                 // Byte-identical to the never-faulted build: same rows,
                 // same replicas, same bytes.
                 let oracle_store = Arc::new(SimStore::new(StoreConfig::new(3, 2)));
-                let oracle = Tgi::try_build_on(cfg, Arc::clone(&oracle_store), &events)
-                    .expect("fault-free build");
+                let oracle = TgiService::try_build_on(cfg, Arc::clone(&oracle_store), &events)
+                    .expect("fault-free build").pin();
                 prop_assert_eq!(store.content_rows(), oracle_store.content_rows());
                 let end = tgi.end_time();
                 prop_assert_eq!(
@@ -257,12 +259,12 @@ proptest! {
             }
         }
         // Either way the service now serves the full history exactly.
-        let oracle = Tgi::try_build_on(
+        let oracle = TgiService::try_build_on(
             small_cfg(),
             Arc::new(SimStore::new(StoreConfig::new(3, 2))),
             &events,
         )
-        .expect("oracle build");
+        .expect("oracle build").pin();
         let view = svc.pin();
         let end = view.end_time();
         prop_assert_eq!(
@@ -282,7 +284,9 @@ proptest! {
 #[test]
 fn canonical_schedule_is_masked_and_a_zero_rate_plan_is_free() {
     let events = WikiGrowth::sized(2_000).generate();
-    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 2), &events).unwrap();
+    let tgi = TgiService::try_build(TgiConfig::default(), StoreConfig::new(4, 2), &events)
+        .unwrap()
+        .pin();
     tgi.set_read_cache_budget(0);
     let (store, end) = (tgi.store(), tgi.end_time());
     let queries: Vec<(u64, Time)> = (0..2_000u64)
@@ -345,12 +349,13 @@ fn append_beside_a_dead_machine_repairs_to_byte_identity() {
         .expect("an append starts strictly after the indexed end");
     let build_then_append = |dead: bool| {
         let store = Arc::new(SimStore::new(StoreConfig::new(4, 2)));
-        let mut tgi = Tgi::try_build_on(TgiConfig::default(), Arc::clone(&store), &events[..mid])
-            .expect("healthy build");
+        let svc =
+            TgiService::try_build_on(TgiConfig::default(), Arc::clone(&store), &events[..mid])
+                .expect("healthy build");
         if dead {
             store.fail_machine(1);
         }
-        tgi.try_append_events(&events[mid..])
+        svc.try_append_events(&events[mid..])
             .expect("r=2 append survives one dead machine");
         store
     };

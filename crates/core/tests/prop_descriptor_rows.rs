@@ -1,10 +1,12 @@
-//! Decoder fuzz for the descriptor rows `Tgi::open` reads: a two-span
-//! build's `Timespans` rows and its `Graph/meta` row, stored unchanged,
-//! with one byte replaced, with one byte inserted, truncated, or as
-//! arbitrary bytes. `Tgi::open` answers `Ok` or `OpenError::Corrupt`,
-//! never panics; an `Ok` handle answers a snapshot at each of three
-//! times with `Ok` or `StoreError::Corrupt`; and the rows as built
-//! reopen to the build's answers.
+//! Decoder fuzz for the descriptor rows `TgiService::open` reads: a
+//! two-span locality build's `Timespans` rows, its `Graph/meta` and
+//! `Graph/config` rows and its `Micropartitions` rows (one partition
+//! map per span and `sid`), stored unchanged, with one byte replaced,
+//! with one byte inserted, with one byte appended, truncated, or as
+//! arbitrary bytes. `TgiService::open` answers `Ok` or
+//! `OpenError::Corrupt`, never panics; an opened index answers a
+//! snapshot at each of three times with `Ok` or `StoreError::Corrupt`;
+//! and the rows as built reopen to the build's answers.
 
 mod common;
 
@@ -12,7 +14,7 @@ use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use common::put_everywhere;
-use hgs_core::{OpenError, Tgi, TgiConfig};
+use hgs_core::{OpenError, PartitionStrategy, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::{Delta, Time};
 use hgs_store::{SimStore, StoreConfig, StoreError, Table};
@@ -22,7 +24,8 @@ use proptest::prelude::*;
 struct Fixture {
     store: Arc<SimStore>,
     /// `(table, key, row as built)`: span 0's and span 1's `Timespans`
-    /// rows, then `Graph/meta`.
+    /// rows, `Graph/meta`, `Graph/config`, then every `Micropartitions`
+    /// row.
     rows: Vec<(Table, Vec<u8>, Bytes)>,
     times: [Time; 3],
     /// The build's snapshot at each of `times`.
@@ -38,9 +41,14 @@ fn fixture() -> &'static Fixture {
             eventlist_size: 60,
             partition_size: 30,
             ..TgiConfig::default()
-        };
+        }
+        .with_strategy(PartitionStrategy::Locality {
+            replicate_boundary: false,
+        });
         let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-        let tgi = Tgi::try_build_on(cfg, store.clone(), &events).expect("build");
+        let tgi = TgiService::try_build_on(cfg, store.clone(), &events)
+            .expect("build")
+            .pin();
         assert_eq!(tgi.span_count(), 2, "a two-span build");
         let end = tgi.end_time();
         let times = [end / 4, end / 2, end];
@@ -48,21 +56,31 @@ fn fixture() -> &'static Fixture {
             .iter()
             .map(|&t| tgi.try_snapshot(t).unwrap())
             .collect();
+        let stored: Vec<(Vec<u8>, Bytes)> = store.content_rows().into_iter().flatten().collect();
         let built = |table: Table, key: &[u8]| {
             let mut nk = vec![table.tag()];
             nk.extend_from_slice(key);
-            let row = store
-                .content_rows()
-                .into_iter()
-                .flatten()
-                .find(|(k, _)| *k == nk);
-            (table, key.to_vec(), row.expect("the build wrote the row").1)
+            let row = stored.iter().find(|(k, _)| *k == nk);
+            (
+                table,
+                key.to_vec(),
+                row.expect("the build wrote the row").1.clone(),
+            )
         };
-        let rows = vec![
+        let mut rows = vec![
             built(Table::Timespans, &0u32.to_be_bytes()),
             built(Table::Timespans, &1u32.to_be_bytes()),
             built(Table::Graph, b"meta"),
+            built(Table::Graph, b"config"),
         ];
+        let maps: std::collections::BTreeSet<Vec<u8>> = stored
+            .iter()
+            .filter(|(k, _)| k[0] == Table::Micropartitions.tag())
+            .map(|(k, _)| k[1..].to_vec())
+            .collect();
+        let ns = cfg.horizontal_partitions as usize;
+        assert_eq!(maps.len(), 2 * ns, "one map per span and sid");
+        rows.extend(maps.iter().map(|key| built(Table::Micropartitions, key)));
         Fixture {
             store,
             rows,
@@ -82,6 +100,8 @@ enum Damage {
     Replace(usize, u8),
     /// One byte inserted.
     Insert(usize, u8),
+    /// One byte appended: the row one byte longer than its grammar.
+    Append(u8),
     /// The row cut short.
     Truncate(usize),
 }
@@ -92,6 +112,7 @@ fn arb_damage() -> impl Strategy<Value = Damage> {
         2 => prop::collection::vec(any::<u8>(), 0..24).prop_map(Damage::Arbitrary),
         4 => (any::<usize>(), any::<u8>()).prop_map(|(at, b)| Damage::Replace(at, b)),
         2 => (any::<usize>(), any::<u8>()).prop_map(|(at, b)| Damage::Insert(at, b)),
+        1 => any::<u8>().prop_map(Damage::Append),
         2 => any::<usize>().prop_map(Damage::Truncate),
     ]
 }
@@ -108,6 +129,7 @@ fn damage(row: &[u8], d: &Damage) -> Vec<u8> {
             }
         }
         Damage::Insert(at, b) => out.insert(at % (out.len() + 1), *b),
+        Damage::Append(b) => out.push(*b),
         Damage::Truncate(len) => out.truncate(len % (out.len() + 1)),
     }
     out
@@ -115,15 +137,15 @@ fn damage(row: &[u8], d: &Damage) -> Vec<u8> {
 
 proptest! {
     #[test]
-    fn damaged_descriptor_rows_open_whole_or_corrupt(pick in 0usize..3, d in arb_damage()) {
+    fn damaged_descriptor_rows_open_whole_or_corrupt(pick in any::<usize>(), d in arb_damage()) {
         let fx = fixture();
-        let (table, key, built) = &fx.rows[pick];
+        let (table, key, built) = &fx.rows[pick % fx.rows.len()];
         put_everywhere(&fx.store, *table, key, Bytes::from(damage(built, &d)));
-        let opened = Tgi::open(fx.store.clone());
-        let answers: Option<Vec<Result<Delta, StoreError>>> = opened
-            .as_ref()
-            .ok()
-            .map(|tgi| fx.times.iter().map(|&t| tgi.try_snapshot(t)).collect());
+        let opened = TgiService::open(fx.store.clone());
+        let answers: Option<Vec<Result<Delta, StoreError>>> = opened.as_ref().ok().map(|svc| {
+            let tgi = svc.pin();
+            fx.times.iter().map(|&t| tgi.try_snapshot(t)).collect()
+        });
         put_everywhere(&fx.store, *table, key, built.clone());
 
         let opened = opened.map(drop);

@@ -10,7 +10,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{attr_history_by_replay, node_events_by_replay};
-use hgs_core::{Tgi, TgiConfig, LABEL_KEY};
+use hgs_core::{TgiConfig, TgiService, TgiView, LABEL_KEY};
 use hgs_datagen::{SkewedLabels, CHURN_KEY, DEAD_LABEL};
 use hgs_delta::{normalize_events, AttrValue, Event, EventKind, Time, TimeRange};
 use hgs_store::machine::MachineStatsSnapshot;
@@ -66,8 +66,8 @@ fn small_cfg(on: bool) -> TgiConfig {
     .with_secondary_indexes(on)
 }
 
-fn build_c(cfg: TgiConfig, events: &[Event], c: usize) -> Tgi {
-    Tgi::try_build_on_c(
+fn build_c(cfg: TgiConfig, events: &[Event], c: usize) -> Arc<TgiService> {
+    TgiService::try_build_on_c(
         cfg,
         Arc::new(SimStore::new(StoreConfig::new(2, 1))),
         events,
@@ -95,8 +95,8 @@ proptest! {
         events in arb_history(),
         c in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        let on = build_c(small_cfg(true), &events, c);
-        let off = build_c(small_cfg(false), &events, c);
+        let on = build_c(small_cfg(true), &events, c).pin();
+        let off = build_c(small_cfg(false), &events, c).pin();
         for t in probe_times(&events) {
             for key in KEYS {
                 for label in LABELS {
@@ -121,8 +121,8 @@ proptest! {
         events in arb_history(),
         c in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        let on = build_c(small_cfg(true), &events, c);
-        let off = build_c(small_cfg(false), &events, c);
+        let on = build_c(small_cfg(true), &events, c).pin();
+        let off = build_c(small_cfg(false), &events, c).pin();
         for nid in 0u64..24 {
             for key in KEYS {
                 let want = attr_history_by_replay(&events, nid, key);
@@ -157,7 +157,7 @@ proptest! {
         let end = events.last().map_or(0, |e| e.time);
         let ranges = [TimeRange::new(0, end + 1), TimeRange::new(end / 3, end / 3 * 2 + 1)];
         for cfg in configs {
-            let tgi = build_c(cfg, &events, 1);
+            let tgi = build_c(cfg, &events, 1).pin();
             for nid in 0u64..24 {
                 for range in ranges {
                     let got = tgi.try_node_history(nid, range).expect("healthy").events;
@@ -178,17 +178,18 @@ proptest! {
     /// the attribute state across the cut correctly.
     #[test]
     fn append_maintains_index_rows(events in arb_history()) {
-        let full = build_c(small_cfg(true), &events, 1);
+        let full = build_c(small_cfg(true), &events, 1).pin();
         // Append batches must start strictly after the indexed end:
         // advance the cut to the next time boundary.
         let mut cut = (events.len() / 2).max(1);
         while cut < events.len() && events[cut].time <= events[cut - 1].time {
             cut += 1;
         }
-        let mut appended = build_c(small_cfg(true), &events[..cut], 1);
+        let svc = build_c(small_cfg(true), &events[..cut], 1);
         if cut < events.len() {
-            appended.try_append_events(&events[cut..]).expect("append");
+            svc.try_append_events(&events[cut..]).expect("append");
         }
+        let appended = svc.pin();
         for t in probe_times(&events) {
             for key in KEYS {
                 for label in LABELS {
@@ -215,7 +216,9 @@ proptest! {
 fn indexed_label_query_reads_less_than_materialization() {
     let events = SkewedLabels::default().generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events).unwrap();
+    let tgi = TgiService::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
+        .unwrap()
+        .pin();
     tgi.set_read_cache_budget(0);
     let labels = ["Label00", "Label03", "Label10", DEAD_LABEL];
     // Answers and [rows, bytes, requests] of one pass over every
@@ -252,7 +255,7 @@ fn indexed_label_query_reads_less_than_materialization() {
 }
 
 /// What one call cost the store, per machine.
-fn store_cost(tgi: &Tgi, call: impl FnOnce()) -> Vec<MachineStatsSnapshot> {
+fn store_cost(tgi: &TgiView, call: impl FnOnce()) -> Vec<MachineStatsSnapshot> {
     let before = tgi.store().stats_snapshot();
     call();
     SimStore::stats_since(&tgi.store().stats_snapshot(), &before)
@@ -272,7 +275,9 @@ fn attr_history_costs_a_chain_walk_and_shares_it_with_node_history() {
     let gen = SkewedLabels::default();
     let events = gen.generate();
     let whole = TimeRange::new(0, events.last().unwrap().time + 1);
-    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events).unwrap();
+    let tgi = TgiService::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
+        .unwrap()
+        .pin();
     tgi.set_read_cache_budget(0);
     let total = |cost: &[MachineStatsSnapshot]| {
         let sum = cost

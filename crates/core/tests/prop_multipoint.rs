@@ -6,7 +6,7 @@
 mod common;
 
 use common::with_busy_hub;
-use hgs_core::{Tgi, TgiConfig};
+use hgs_core::{TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::{AttrValue, Event, EventKind};
 use hgs_store::{SimStore, StoreConfig};
@@ -76,7 +76,7 @@ proptest! {
             horizontal_partitions: ns,
             ..TgiConfig::default()
         };
-        let tgi = Tgi::try_build(cfg, StoreConfig::new(3, 1), &trace).unwrap();
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(3, 1), &trace).unwrap().pin();
         // Arbitrary times, including duplicates, unsorted, and past
         // the end of history.
         let times: Vec<u64> = raw_times.iter().map(|r| r % (end + 2)).collect();
@@ -112,7 +112,7 @@ proptest! {
             horizontal_partitions: ns,
             ..TgiConfig::default()
         };
-        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap();
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap().pin();
         // `with_clients` takes the width as-is, so the parallel path
         // runs even on a one-core CI box.
         let view = tgi.with_clients(clients);
@@ -170,7 +170,7 @@ proptest! {
             horizontal_partitions: ns,
             ..TgiConfig::default()
         };
-        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap();
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap().pin();
         let times: Vec<u64> = raw_times.iter().map(|r| r % (end + 2)).collect();
         let reference: Vec<_> = times
             .iter()
@@ -234,7 +234,9 @@ fn empty_first_partials_merge_exactly() {
         horizontal_partitions: ns,
         ..TgiConfig::default()
     };
-    let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
     let times: Vec<u64> = vec![0, 41, 81, 121, 159];
     let reference: Vec<_> = times
         .iter()
@@ -253,7 +255,7 @@ fn empty_first_partials_merge_exactly() {
 fn plan_shares_fetches_and_batches_round_trips() {
     let trace = WikiGrowth::sized(6_000).generate();
     let end = trace.last().unwrap().time;
-    let tgi = Tgi::try_build(
+    let tgi = TgiService::try_build(
         TgiConfig {
             events_per_timespan: 3_000,
             eventlist_size: 200,
@@ -263,7 +265,8 @@ fn plan_shares_fetches_and_batches_round_trips() {
         StoreConfig::new(4, 1),
         &trace,
     )
-    .unwrap();
+    .unwrap()
+    .pin();
     let times: Vec<u64> = (1..=4).map(|i| end * i / 4).collect();
     let plan = tgi.plan_multipoint(&times);
     assert_eq!(plan.times, 4);
@@ -303,7 +306,7 @@ fn plan_shares_fetches_and_batches_round_trips() {
 fn times_in_one_leaf_share_a_single_replay() {
     let trace = WikiGrowth::sized(2_000).generate();
     let end = trace.last().unwrap().time;
-    let tgi = Tgi::try_build(
+    let tgi = TgiService::try_build(
         TgiConfig {
             events_per_timespan: 2_000,
             eventlist_size: 1_000,
@@ -313,7 +316,8 @@ fn times_in_one_leaf_share_a_single_replay() {
         StoreConfig::new(2, 1),
         &trace,
     )
-    .unwrap();
+    .unwrap()
+    .pin();
     // Many times inside one eventlist chunk: one fetch, one replay.
     let times: Vec<u64> = (0..10).map(|i| end / 2 + i).collect();
     let plan = tgi.plan_multipoint(&times);

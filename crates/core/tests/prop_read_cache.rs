@@ -11,7 +11,7 @@ mod common;
 
 use common::with_busy_hub;
 use hgs_core::meta::{sid_of, AUX_BASE};
-use hgs_core::{KhopStrategy, PartitionStrategy, Tgi, TgiConfig};
+use hgs_core::{KhopStrategy, PartitionStrategy, TgiConfig, TgiService, TgiView};
 use hgs_delta::{AttrValue, Event, EventKind, TimeRange};
 use hgs_store::{DeltaKey, StoreConfig, Table};
 use proptest::prelude::*;
@@ -82,18 +82,15 @@ proptest! {
             eventlist_size: l,
             partition_size: 10,
             horizontal_partitions: ns,
-            read_cache_bytes: budget,
             ..TgiConfig::default()
         };
-        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap();
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap().pin();
+        tgi.set_read_cache_budget(budget);
         // A twin index with caching disabled: identical construction,
         // every read is a genuine fetch — the bypassed reference for
         // paths that have no dedicated uncached variant.
-        let nocache = Tgi::try_build(
-            TgiConfig { read_cache_bytes: 0, ..cfg },
-            StoreConfig::new(2, 1),
-            &history,
-        ).unwrap();
+        let nocache = TgiService::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap().pin();
+        nocache.set_read_cache_budget(0);
         let times: Vec<u64> = raw_times.iter().map(|r| r % (end + 2)).collect();
         for round in 0..2 {
             for &t in &times {
@@ -171,7 +168,7 @@ fn ring_cfg() -> TgiConfig {
 }
 
 /// Store requests and rows read while `f` runs.
-fn store_touches<T>(tgi: &Tgi, f: impl FnOnce() -> T) -> (T, u64) {
+fn store_touches<T>(tgi: &TgiView, f: impl FnOnce() -> T) -> (T, u64) {
     let before = tgi.store().stats_snapshot();
     let out = f();
     let diff = hgs_store::SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
@@ -187,7 +184,9 @@ fn store_touches<T>(tgi: &Tgi, f: impl FnOnce() -> T) -> (T, u64) {
 #[test]
 fn warm_working_set_hits_the_cache() {
     let events = ring_trace();
-    let tgi = Tgi::try_build(ring_cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(ring_cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     let end = events.last().unwrap().time;
     let times: Vec<u64> = (1..=4).map(|i| end * i / 4).collect();
     let cold: Vec<_> = times
@@ -258,7 +257,9 @@ fn warm_working_set_hits_the_cache() {
 fn recursive_khop_state_serves_node_at() {
     let events = ring_trace();
     let cfg = ring_cfg();
-    let tgi = Tgi::try_build(cfg, StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg, StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     let t = events.last().unwrap().time / 8; // in the first span
     let reference = tgi.try_snapshot_uncached_c(t, 1).unwrap();
     // A node's micro-partition in the first span: its sid and the pid
@@ -311,7 +312,9 @@ fn warm_recursive_khop_over_aux_replicas_touches_no_store() {
     let cfg = ring_cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: true,
     });
-    let tgi = Tgi::try_build(cfg, StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg, StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     let aux_rows = tgi
         .store()
         .content_rows()
@@ -321,15 +324,10 @@ fn warm_recursive_khop_over_aux_replicas_touches_no_store() {
         .filter(|(k, _)| DeltaKey::decode(&k[1..]).is_some_and(|k| k.did >= AUX_BASE))
         .count();
     assert!(aux_rows > 0, "the build wrote aux replicas");
-    let nocache = Tgi::try_build(
-        TgiConfig {
-            read_cache_bytes: 0,
-            ..cfg
-        },
-        StoreConfig::new(3, 1),
-        &events,
-    )
-    .unwrap();
+    let nocache = TgiService::try_build(cfg, StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
+    nocache.set_read_cache_budget(0);
 
     let t = events.last().unwrap().time / 2;
     let centers = [0u64, 57, 123, 250, 399];
@@ -383,13 +381,13 @@ fn concurrent_readers_aggregate_shard_stats_coherently() {
             events_per_timespan: 1_500,
             eventlist_size: 200,
             partition_size: 60,
-            read_cache_bytes: budget,
             ..TgiConfig::default()
         },
         StoreConfig::new(3, 1),
         &events,
     )
     .unwrap();
+    svc.set_read_cache_budget(budget);
     const { assert!(hgs_core::DEFAULT_READ_CACHE_SHARDS > 1, "striping is on") };
     std::thread::scope(|s| {
         let svc = &svc;
@@ -463,18 +461,19 @@ fn columnar_column_sharing_respects_budget() {
         .collect();
     let end = events.last().unwrap().time;
     for budget in [8usize << 10, 256 << 10, 64 << 20] {
-        let tgi = Tgi::try_build(
+        let tgi = TgiService::try_build(
             TgiConfig {
                 events_per_timespan: 1_500,
                 eventlist_size: 200,
                 partition_size: 60,
-                read_cache_bytes: budget,
                 ..TgiConfig::default()
             },
             StoreConfig::new(2, 1),
             &events,
         )
-        .unwrap();
+        .unwrap()
+        .pin();
+        tgi.set_read_cache_budget(budget);
         // Pruned reads first: node_at/node_history cache parsed
         // columnar entries whose column slices share one slab.
         for nid in 0..24u64 {

@@ -1,6 +1,6 @@
 //! Watermark isolation as a property: reader threads querying a live
 //! [`TgiService`] — while a writer appends batches — must get answers
-//! **byte-identical** to a quiesced from-scratch [`Tgi::try_build`] over
+//! **byte-identical** to a quiesced from-scratch [`TgiService::try_build`] over
 //! exactly the event prefix their pinned watermark denotes. Across
 //! client widths, no interleaving may expose a torn span, a shrunken
 //! graph, or a mixed-watermark answer.
@@ -10,7 +10,7 @@ mod common;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use hgs_core::{NodeHistory, Tgi, TgiConfig, TgiService};
+use hgs_core::{NodeHistory, TgiConfig, TgiService, TgiView};
 use hgs_delta::{AttrValue, Delta, Event, EventKind, TimeRange};
 use hgs_store::{SimStore, StoreConfig};
 use proptest::prelude::*;
@@ -98,14 +98,13 @@ proptest! {
     ) {
         let cuts = boundaries(&events);
         let initial = cuts[0];
-        let handle = Tgi::try_build_on_c(
+        let svc = TgiService::try_build_on_c(
             small_cfg(),
             Arc::new(SimStore::new(StoreConfig::new(2, 1))),
             &events[..initial],
             c,
         )
         .expect("build");
-        let svc = TgiService::from_handle(handle);
 
         let observations: Vec<Observation> = std::thread::scope(|s| {
             let svc = &svc;
@@ -154,16 +153,18 @@ proptest! {
 
         // Epoch e was published after the initial build plus (e - 1)
         // appends: its sealed prefix ends at cuts[e - 1].
-        let mut oracles: std::collections::BTreeMap<u64, Tgi> = std::collections::BTreeMap::new();
+        let mut oracles: std::collections::BTreeMap<u64, Arc<TgiView>> =
+            std::collections::BTreeMap::new();
         for ob in &observations {
             let oracle = oracles.entry(ob.epoch).or_insert_with(|| {
                 let prefix = if ob.epoch == 1 { initial } else { cuts[ob.epoch as usize - 1] };
-                Tgi::try_build_on(
+                TgiService::try_build_on(
                     small_cfg(),
                     Arc::new(SimStore::new(StoreConfig::new(2, 1))),
                     &events[..prefix],
                 )
                 .expect("oracle build")
+                .pin()
             });
             let t = oracle.end_time();
             prop_assert_eq!(
@@ -206,8 +207,7 @@ fn pinned_reads_complete_while_an_append_is_in_flight() {
     // Five spans per append, so the store takes writes from early in
     // each window; writer at width 1, so the reader has its own core.
     let cfg = TgiConfig::default().with_timespan(2_000);
-    let handle = Tgi::try_build_on_c(cfg, Arc::clone(&store), &events[..cuts[0]], 1).unwrap();
-    let svc = TgiService::from_handle(handle);
+    let svc = TgiService::try_build_on_c(cfg, Arc::clone(&store), &events[..cuts[0]], 1).unwrap();
     let written = || -> u64 { store.stats_snapshot().iter().map(|m| m.put_batches).sum() };
     let finished = AtomicBool::new(false);
     let done = || finished.load(Ordering::Acquire);
@@ -267,8 +267,7 @@ fn pinned_attr_history_ignores_points_appended_after_the_pin() {
         events.push(Event::new(t0 + 2 * nid + 1, clear));
     }
     let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-    let svc =
-        TgiService::from_handle(Tgi::try_build_on(small_cfg(), store, &events[..sealed]).unwrap());
+    let svc = TgiService::try_build_on(small_cfg(), store, &events[..sealed]).unwrap();
 
     let pinned = svc.pin();
     let history = |view: &hgs_core::TgiView, nid| view.try_attr_history(nid, key).expect("healthy");

@@ -9,7 +9,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{assert_answers_equal_replay, touches, with_busy_hub};
-use hgs_core::{PartitionStrategy, Tgi, TgiConfig};
+use hgs_core::{PartitionStrategy, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::{normalize_events, AttrValue, Delta, Event, EventKind, TimeRange};
 use hgs_store::{SimStore, StoreConfig};
@@ -107,7 +107,7 @@ proptest! {
         events in arb_history(),
         cfg in arb_config(),
     ) {
-        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap().pin();
         assert_answers_equal_replay(&tgi, &events);
     }
 
@@ -129,7 +129,7 @@ proptest! {
             ..shape
         };
         let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-        let tgi = Tgi::try_build_on_c(cfg, store, &trace, 4).unwrap();
+        let tgi = TgiService::try_build_on_c(cfg, store, &trace, 4).unwrap().pin();
         assert_answers_equal_replay(&tgi, &trace);
     }
 }
@@ -142,7 +142,7 @@ proptest! {
     /// arbitrary histories (including deletions) and configurations.
     #[test]
     fn snapshot_equals_replay(events in arb_history(), cfg in arb_config(), cut in 0u64..400) {
-        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap().pin();
         let got = tgi.try_snapshot(cut).unwrap();
         let want = Delta::snapshot_by_replay(&events, cut);
         prop_assert_eq!(got, want);
@@ -152,7 +152,7 @@ proptest! {
     /// ever existed.
     #[test]
     fn node_at_equals_replay(events in arb_history(), cfg in arb_config(), cut in 0u64..400) {
-        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap().pin();
         let want = Delta::snapshot_by_replay(&events, cut);
         for id in 0u64..40 {
             let got = tgi.try_node_at(id, cut).unwrap();
@@ -166,7 +166,7 @@ proptest! {
     fn node_history_equals_replay(events in arb_history(), cfg in arb_config()) {
         let end = events.last().map(|e| e.time).unwrap_or(0);
         let range = TimeRange::new(end / 4, end.max(1));
-        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap().pin();
         // The index stores the *normalized* stream (RemoveNode expanded
         // into explicit RemoveEdge events): compare against it.
         let events = normalize_events(&events);

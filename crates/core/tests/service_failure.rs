@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use hgs_core::{BuildError, OpenError, Tgi, TgiConfig, TgiService};
+use hgs_core::{BuildError, OpenError, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_store::{FaultPlan, PlacementKey, StoreConfig, StoreError};
 
@@ -150,7 +150,9 @@ fn recovery_reopens_from_durable_state_and_serves_the_full_history() {
 
     // The recovered service's full history equals a from-scratch build.
     let end = events.last().unwrap().time;
-    let oracle = Tgi::try_build(cfg(), StoreConfig::new(4, 1), &events).unwrap();
+    let oracle = TgiService::try_build(cfg(), StoreConfig::new(4, 1), &events)
+        .unwrap()
+        .pin();
     let now = svc.pin();
     assert_eq!(
         now.try_snapshot(end).expect("recovered"),
@@ -176,7 +178,7 @@ fn recovery_on_a_still_degraded_cluster_is_an_error_not_a_panic() {
     let baseline = pinned.try_snapshot(t).expect("healthy read");
 
     // A machine holding a delta chunk of the last sealed span but none
-    // of the rows `Tgi::open` reads first (graph descriptor at token
+    // of the rows a re-open reads first (graph descriptor at token
     // 0, one `Timespans` row per span).
     let spans = pinned.span_count() as u32;
     let descriptor_machines: Vec<usize> = std::iter::once(0)

@@ -6,7 +6,7 @@
 
 mod common;
 
-use hgs_core::{KhopStrategy, PartitionStrategy, Tgi, TgiConfig};
+use hgs_core::{KhopStrategy, PartitionStrategy, TgiConfig, TgiService, TgiView};
 use hgs_datagen::{augment_with_churn, LabeledChurn, WikiGrowth};
 use hgs_delta::{Delta, Event, FxHashSet, NodeId, Time, TimeRange};
 use hgs_store::StoreConfig;
@@ -32,7 +32,7 @@ fn trace() -> Vec<Event> {
     augment_with_churn(&base, 1_500, 0.4, 11)
 }
 
-fn check_snapshots(tgi: &Tgi, events: &[Event], times: &[Time]) {
+fn check_snapshots(tgi: &TgiView, events: &[Event], times: &[Time]) {
     for &t in times {
         let got = tgi.try_snapshot(t).unwrap();
         let want = Delta::snapshot_by_replay(events, t);
@@ -63,7 +63,9 @@ fn sample_times(events: &[Event]) -> Vec<Time> {
 #[test]
 fn snapshots_match_replay_random_partitioning() {
     let events = trace();
-    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(small_cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     assert!(tgi.span_count() >= 2, "want multiple timespans");
     check_snapshots(&tgi, &events, &sample_times(&events));
 }
@@ -74,7 +76,9 @@ fn snapshots_match_replay_locality_partitioning() {
     let cfg = small_cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: false,
     });
-    let tgi = Tgi::try_build(cfg, StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg, StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     check_snapshots(&tgi, &events, &sample_times(&events));
 }
 
@@ -84,7 +88,9 @@ fn snapshots_match_replay_with_replication_aux() {
     let cfg = small_cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: true,
     });
-    let tgi = Tgi::try_build(cfg, StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg, StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     // Aux deltas must not pollute snapshots.
     check_snapshots(&tgi, &events, &sample_times(&events));
 }
@@ -92,7 +98,9 @@ fn snapshots_match_replay_with_replication_aux() {
 #[test]
 fn snapshots_match_for_various_parallel_fetch_factors() {
     let events = trace();
-    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &events).unwrap();
+    let tgi = TgiService::try_build(small_cfg(), StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
     let t = events.last().unwrap().time / 2;
     let want = Delta::snapshot_by_replay(&events, t);
     for c in [1usize, 2, 4, 8] {
@@ -121,7 +129,9 @@ fn degenerate_single_point_plan_clamps_fanout() {
         horizontal_partitions: 1,
         ..TgiConfig::default()
     };
-    let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
+    let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
     let t = events.last().unwrap().time / 2;
     let want = tgi.try_snapshot_uncached_c(t, 1).unwrap();
     for c in [1usize, 4, 16] {
@@ -155,7 +165,9 @@ fn snapshots_match_across_parameter_grid() {
             horizontal_partitions: ns,
             ..TgiConfig::default()
         };
-        let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events)
+            .unwrap()
+            .pin();
         for t in [0, end / 3, end / 2, end] {
             assert_eq!(
                 tgi.try_snapshot(t).unwrap(),
@@ -169,7 +181,9 @@ fn snapshots_match_across_parameter_grid() {
 #[test]
 fn node_at_matches_replay() {
     let events = trace();
-    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(small_cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     let end = events.last().unwrap().time;
     for t in [end / 4, end / 2, end] {
         let want = Delta::snapshot_by_replay(&events, t);
@@ -189,7 +203,9 @@ fn node_at_matches_replay() {
 #[test]
 fn node_history_matches_brute_force() {
     let events = trace();
-    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(3, 1), &events).unwrap();
+    let tgi = TgiService::try_build(small_cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
     let end = events.last().unwrap().time;
     let range = TimeRange::new(end / 4, end * 3 / 4);
 
@@ -242,7 +258,9 @@ fn khop_strategies_agree_with_replay_bfs() {
         },
     ] {
         let cfg = small_cfg().with_strategy(strategy);
-        let tgi = Tgi::try_build(cfg, StoreConfig::new(3, 1), &events).unwrap();
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(3, 1), &events)
+            .unwrap()
+            .pin();
         let end = events.last().unwrap().time;
         let t = end / 2;
         let want_state = Delta::snapshot_by_replay(&events, t);
@@ -287,7 +305,7 @@ fn one_hop_history_matches_neighborhood_replay() {
         seed: 5,
     }
     .generate();
-    let tgi = Tgi::try_build(
+    let tgi = TgiService::try_build(
         TgiConfig {
             events_per_timespan: 800,
             eventlist_size: 100,
@@ -298,7 +316,8 @@ fn one_hop_history_matches_neighborhood_replay() {
         StoreConfig::new(2, 1),
         &events,
     )
-    .unwrap();
+    .unwrap()
+    .pin();
     let end = events.last().unwrap().time;
     let range = TimeRange::new(end / 4, end);
     let center: NodeId = 7;
@@ -333,9 +352,12 @@ fn incremental_append_equals_bulk_build() {
     while cut < events.len() && events[cut].time == events[cut - 1].time {
         cut += 1;
     }
-    let bulk = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &events).unwrap();
-    let mut incr = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &events[..cut]).unwrap();
+    let bulk = TgiService::try_build(small_cfg(), StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
+    let incr = TgiService::try_build(small_cfg(), StoreConfig::new(2, 1), &events[..cut]).unwrap();
     incr.try_append_events(&events[cut..]).unwrap();
+    let incr = incr.pin();
 
     let end = events.last().unwrap().time;
     for t in [0, end / 3, (3 * end) / 5, end] {
@@ -358,7 +380,9 @@ fn incremental_append_equals_bulk_build() {
 #[test]
 fn version_chains_are_complete_and_sorted() {
     let events = trace();
-    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &events).unwrap();
+    let tgi = TgiService::try_build(small_cfg(), StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
     assert!(tgi.span_count() > 1, "chains over several spans");
     let normalized = hgs_delta::normalize_events(&events);
     let metas = common::span_metas(&tgi);
@@ -419,7 +443,9 @@ fn every_chain_entry_names_an_eventlist_row_holding_the_node() {
         let cfg = small_cfg().with_strategy(strategy);
         let ns = cfg.horizontal_partitions;
         let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-        let built = Tgi::try_build_on(cfg, store.clone(), &events).unwrap();
+        let built = TgiService::try_build_on(cfg, store.clone(), &events)
+            .unwrap()
+            .pin();
         assert!(built.span_count() > 1, "several spans, several maps");
         let elists: BTreeMap<Vec<u8>, ColumnarEventlist> = store
             .content_rows()
@@ -429,7 +455,9 @@ fn every_chain_entry_names_an_eventlist_row_holding_the_node() {
             .filter(|(k, _)| DeltaKey::decode(&k[1..]).is_some_and(|k| k.did >= ELIST_BASE))
             .filter_map(|(k, v)| Some((k[1..].to_vec(), ColumnarEventlist::parse(v).ok()?)))
             .collect();
-        let reopened = Tgi::open(store.clone()).expect("open persisted index");
+        let reopened = TgiService::open(store.clone())
+            .expect("open persisted index")
+            .pin();
         for (what, tgi) in [("built", &built), ("reopened", &reopened)] {
             let mut entries = 0usize;
             for &nid in &ids {
@@ -456,7 +484,9 @@ fn every_chain_entry_names_an_eventlist_row_holding_the_node() {
 
 #[test]
 fn empty_history_index_answers_empty() {
-    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(2, 1), &[]).unwrap();
+    let tgi = TgiService::try_build(small_cfg(), StoreConfig::new(2, 1), &[])
+        .unwrap()
+        .pin();
     assert!(tgi.try_snapshot(0).unwrap().is_empty());
     assert!(tgi.try_snapshot(1_000_000).unwrap().is_empty());
     assert_eq!(tgi.try_node_at(1, 5).unwrap(), None);
@@ -470,7 +500,9 @@ fn empty_history_index_answers_empty() {
 #[test]
 fn replicated_store_survives_machine_failure() {
     let events = trace();
-    let tgi = Tgi::try_build(small_cfg(), StoreConfig::new(3, 2), &events).unwrap();
+    let tgi = TgiService::try_build(small_cfg(), StoreConfig::new(3, 2), &events)
+        .unwrap()
+        .pin();
     let end = events.last().unwrap().time;
     let want = Delta::snapshot_by_replay(&events, end / 2);
     tgi.store().fail_machine(0);

@@ -27,7 +27,7 @@
 //! * **bounded-decode-alloc** — in `hgs-delta`/`hgs-store`/`hgs-core`,
 //!   a fn that reads varints and sizes a `with_capacity`/`reserve` by a
 //!   bare identifier it never bounds (PR 24 fixed four of these in the
-//!   descriptor decoders `Tgi::open` runs).
+//!   descriptor decoders `TgiService::open` runs).
 //! * **one-compression-layer** — `hgs_delta::compress::{compress,
 //!   decompress}` named in non-test code anywhere but
 //!   `crates/store/src/store.rs`: the store's optional value

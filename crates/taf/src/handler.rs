@@ -17,16 +17,15 @@
 //! spelling of a fetch — a healthy-cluster caller that wants a panic
 //! writes `.expect(..)` on the result.
 //!
-//! A handler can bind either a single-owner [`Tgi`] handle
-//! ([`TgiHandler::new`]) or a live [`TgiService`]
-//! ([`TgiHandler::serving`]). In the latter case every fetch pins
-//! the latest published watermark once at entry and runs all of its
-//! sub-queries against that one [`TgiView`], so an analytics answer
-//! never mixes two watermarks even while the service ingests.
+//! A handler binds a live [`TgiService`] ([`TgiHandler::serving`]):
+//! every fetch pins the latest published watermark once at entry and
+//! runs all of its sub-queries against that one [`TgiView`], so an
+//! analytics answer never mixes two watermarks even while the service
+//! ingests.
 
 use std::sync::Arc;
 
-use hgs_core::{NodeHistory, Tgi, TgiService, TgiView};
+use hgs_core::{NodeHistory, TgiService, TgiView};
 use hgs_delta::{AttrValue, Delta, FxHashSet, NodeId, TimeRange};
 use hgs_store::parallel::parallel_steal;
 use hgs_store::StoreError;
@@ -36,50 +35,30 @@ use crate::son::SoN;
 use crate::sots::SoTS;
 use crate::subgraph_t::SubgraphT;
 
-/// Where the handler's reads come from: a single-owner handle, or a
-/// live [`TgiService`] whose watermark advances under concurrent
-/// appends.
-#[derive(Clone)]
-enum Source {
-    Handle(Arc<Tgi>),
-    Service(Arc<TgiService>),
-}
-
 /// Handle binding a TGI to a TAF worker pool.
 #[derive(Clone)]
 pub struct TgiHandler {
-    source: Source,
+    service: Arc<TgiService>,
     workers: usize,
 }
 
 impl TgiHandler {
-    /// Connect with `workers` analytics workers (the paper's `ma`).
-    pub fn new(tgi: Arc<Tgi>, workers: usize) -> TgiHandler {
-        TgiHandler {
-            source: Source::Handle(tgi),
-            workers: workers.max(1),
-        }
-    }
-
-    /// Connect to a live [`TgiService`]: every fetch pins the latest
+    /// Connect to a live [`TgiService`] with `workers` analytics
+    /// workers (the paper's `ma`): every fetch pins the latest
     /// published watermark **once at entry** and runs all of its
     /// sub-queries against that one view, so an analytics answer is
     /// internally consistent even while the service ingests.
     pub fn serving(service: Arc<TgiService>, workers: usize) -> TgiHandler {
         TgiHandler {
-            source: Source::Service(service),
+            service,
             workers: workers.max(1),
         }
     }
 
-    /// Pin a read view: the handle's current state, or — for a
-    /// service-backed handler — the latest published watermark
+    /// Pin a read view: the latest published watermark
     /// ([`TgiService::pin`]).
     pub fn pin(&self) -> Arc<TgiView> {
-        match &self.source {
-            Source::Handle(tgi) => Arc::new(tgi.view()),
-            Source::Service(service) => service.pin(),
-        }
+        self.service.pin()
     }
 
     /// Worker count.
@@ -307,7 +286,7 @@ impl SotsQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hgs_core::TgiConfig;
+    use hgs_core::{TgiConfig, TgiService};
     use hgs_datagen::LabeledChurn;
     use hgs_delta::Delta;
     use hgs_store::StoreConfig;
@@ -320,7 +299,7 @@ mod tests {
             seed: 9,
         }
         .generate();
-        let tgi = Tgi::try_build(
+        let tgi = TgiService::try_build(
             TgiConfig {
                 events_per_timespan: 700,
                 eventlist_size: 80,
@@ -332,7 +311,7 @@ mod tests {
             &events,
         )
         .unwrap();
-        (events, TgiHandler::new(Arc::new(tgi), 2))
+        (events, TgiHandler::serving(tgi, 2))
     }
 
     #[test]
@@ -474,7 +453,7 @@ mod tests {
         // Two identically built TGIs, each with a cold session cache,
         // so the byte counters compare the two plans fairly.
         let fetched_bytes = |pushdown: bool| {
-            let tgi = Tgi::try_build(
+            let tgi = TgiService::try_build(
                 TgiConfig {
                     events_per_timespan: 700,
                     eventlist_size: 80,
@@ -486,7 +465,7 @@ mod tests {
                 &events,
             )
             .unwrap();
-            let h = TgiHandler::new(Arc::new(tgi), 2);
+            let h = TgiHandler::serving(tgi, 2);
             let end = events.last().unwrap().time;
             let range = TimeRange::new(0, end + 1);
             let before = h.pin().store().stats_snapshot();

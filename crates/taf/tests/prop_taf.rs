@@ -3,9 +3,7 @@
 //! agree with their sequential/naive counterparts; the incremental
 //! operator must equal recompute for arbitrary incremental quantities.
 
-use std::sync::Arc;
-
-use hgs_core::{Tgi, TgiConfig};
+use hgs_core::{TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::{AttrValue, Delta, Event, EventKind, TimeRange};
 use hgs_store::{SimStore, StoreConfig};
@@ -43,8 +41,8 @@ fn build(events: &[Event]) -> TgiHandler {
         horizontal_partitions: 2,
         ..TgiConfig::default()
     };
-    let tgi = Tgi::try_build(cfg, StoreConfig::new(2, 1), events).unwrap();
-    TgiHandler::new(Arc::new(tgi), 3)
+    let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), events).unwrap();
+    TgiHandler::serving(tgi, 3)
 }
 
 proptest! {
@@ -150,8 +148,8 @@ proptest! {
 fn repeated_son_fetch_is_served_from_the_read_cache() {
     let events = WikiGrowth::sized(6_000).generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events).unwrap();
-    let handler = TgiHandler::new(Arc::new(tgi), 1);
+    let tgi = TgiService::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events).unwrap();
+    let handler = TgiHandler::serving(tgi, 1);
     let view = handler.pin();
     let ids: Vec<u64> = (0..16).map(|i| i * 7).collect();
     let fetch = || {

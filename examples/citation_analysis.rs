@@ -5,14 +5,12 @@
 //!
 //! Run with: `cargo run --release --example citation_analysis`
 
-use std::sync::Arc;
-
 use hgs::datagen::WikiGrowth;
 use hgs::delta::TimeRange;
 use hgs::graph::algo;
 use hgs::store::StoreConfig;
 use hgs::taf::TgiHandler;
-use hgs::tgi::{Tgi, TgiConfig};
+use hgs::tgi::{TgiConfig, TgiService};
 
 fn main() {
     // A directed citation network: new papers cite existing ones with
@@ -25,8 +23,9 @@ fn main() {
     }
     .generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
+    let service = TgiService::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
         .expect("healthy store");
+    let tgi = service.pin();
 
     // "How many citations did I have at time X?" — a static-vertex
     // fetch at three points in the past.
@@ -83,7 +82,7 @@ fn main() {
 
     // PageRank drift: who rose fastest over the second half of
     // history? (Compare operator over two timeslices.)
-    let handler = TgiHandler::new(Arc::new(tgi), 2);
+    let handler = TgiHandler::serving(service, 2);
     let son = handler
         .son()
         .timeslice(TimeRange::new(0, end + 1))

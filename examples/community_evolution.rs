@@ -4,14 +4,12 @@
 //!
 //! Run with: `cargo run --release --example community_evolution`
 
-use std::sync::Arc;
-
 use hgs::datagen::{community::community_name, CommunityGraph};
 use hgs::delta::TimeRange;
 use hgs::graph::algo;
 use hgs::store::StoreConfig;
 use hgs::taf::{SoN, TgiHandler};
-use hgs::tgi::{Tgi, TgiConfig};
+use hgs::tgi::{TgiConfig, TgiService};
 
 fn main() {
     // A social network with four planted communities whose membership
@@ -27,9 +25,9 @@ fn main() {
     let events = trace.generate();
     let end = events.last().unwrap().time;
 
-    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
+    let service = TgiService::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
         .expect("healthy store");
-    let handler = TgiHandler::new(Arc::new(tgi), 2);
+    let handler = TgiHandler::serving(service, 2);
 
     // Fig. 7b: Timeslice to the analysis window, Filter down to the
     // community attribute, Select each community, Compare.

@@ -8,7 +8,7 @@
 use hgs::datagen::{augment_with_churn, WikiGrowth};
 use hgs::delta::{FxHashSet, NodeId, Time, TimeRange};
 use hgs::store::StoreConfig;
-use hgs::tgi::{Tgi, TgiConfig};
+use hgs::tgi::{TgiConfig, TgiService};
 
 fn main() {
     // An interaction network where contacts appear and disappear over
@@ -17,8 +17,9 @@ fn main() {
     let base = WikiGrowth::sized(20_000).generate();
     let events = augment_with_churn(&base, 15_000, 0.45, 7);
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
-        .expect("healthy store");
+    let tgi = TgiService::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
+        .expect("healthy store")
+        .pin();
 
     let patient_zero: NodeId = 0;
     let infection_time = end / 2;

@@ -4,14 +4,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use std::sync::Arc;
-
 use hgs::datagen::WikiGrowth;
 use hgs::delta::TimeRange;
 use hgs::graph::algo;
 use hgs::store::StoreConfig;
 use hgs::taf::TgiHandler;
-use hgs::tgi::{Tgi, TgiConfig};
+use hgs::tgi::{TgiConfig, TgiService};
 
 fn main() {
     // 1. A historical trace: 30k events of citation-network-like
@@ -25,9 +23,11 @@ fn main() {
     // 2. Index it. TgiConfig's knobs are the paper's: eventlist size
     //    l, micro-partition size ps, tree arity, horizontal partitions
     //    ns, timespan length. The store is a simulated 4-machine
-    //    cluster.
-    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
+    //    cluster. The service owns the index; every read goes through
+    //    a view pinned at its latest watermark.
+    let service = TgiService::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
         .expect("healthy store");
+    let tgi = service.pin();
     println!(
         "indexed: {} timespans, {:.2} MB stored",
         tgi.span_count(),
@@ -70,7 +70,7 @@ fn main() {
 
     // 6. TAF: fetch a Set of Temporal Nodes and watch graph density
     //    evolve over ten sample points (Fig. 7c of the paper).
-    let handler = TgiHandler::new(Arc::new(tgi), 2);
+    let handler = TgiHandler::serving(service, 2);
     let son = handler
         .son()
         .timeslice(TimeRange::new(0, end + 1))

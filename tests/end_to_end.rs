@@ -3,15 +3,13 @@
 //! generalization claim (TGI configurations converge to the baseline
 //! indexes).
 
-use std::sync::Arc;
-
 use hgs::baselines::{CopyLogIndex, HistoricalIndex, LogIndex, NodeCentricIndex};
 use hgs::datagen::{CommunityGraph, LabeledChurn, WikiGrowth};
 use hgs::delta::{Delta, TimeRange};
 use hgs::graph::algo;
 use hgs::store::StoreConfig;
 use hgs::taf::TgiHandler;
-use hgs::tgi::{Tgi, TgiConfig};
+use hgs::tgi::{TgiConfig, TgiService};
 
 #[test]
 fn all_indexes_agree_on_all_primitives() {
@@ -19,7 +17,7 @@ fn all_indexes_agree_on_all_primitives() {
     // strongest cross-validation (six independent implementations).
     let events = WikiGrowth::sized(2_000).generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(
+    let tgi = TgiService::try_build(
         TgiConfig {
             events_per_timespan: 900,
             eventlist_size: 100,
@@ -29,14 +27,15 @@ fn all_indexes_agree_on_all_primitives() {
         StoreConfig::new(2, 1),
         &events,
     )
-    .unwrap();
+    .unwrap()
+    .pin();
     let log = LogIndex::build(StoreConfig::new(2, 1), &events, 128);
     let copylog = CopyLogIndex::build(StoreConfig::new(2, 1), &events, 200);
     let nc = NodeCentricIndex::build(StoreConfig::new(2, 1), &events);
     let dg = hgs::baselines::DeltaGraphIndex::build(StoreConfig::new(2, 1), &events, 150, 2);
     let copy = hgs::baselines::CopyIndex::build(StoreConfig::new(2, 1), &events);
 
-    let indexes: Vec<&dyn HistoricalIndex> = vec![&tgi, &log, &copylog, &nc, &dg, &copy];
+    let indexes: Vec<&dyn HistoricalIndex> = vec![&*tgi, &log, &copylog, &nc, &dg, &copy];
     for t in [0, end / 3, end / 2, end] {
         let want = Delta::snapshot_by_replay(&events, t);
         for idx in &indexes {
@@ -80,7 +79,9 @@ fn tgi_converges_to_copy_log() {
     // root + one derived + one eventlist per query.
     let events = WikiGrowth::sized(2_000).generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(TgiConfig::copy_log(200), StoreConfig::new(1, 1), &events).unwrap();
+    let tgi = TgiService::try_build(TgiConfig::copy_log(200), StoreConfig::new(1, 1), &events)
+        .unwrap()
+        .pin();
     let before = tgi.store().stats_snapshot();
     let snap = tgi.with_clients(1).try_snapshot(end / 2).unwrap();
     let diff = hgs::store::SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
@@ -106,9 +107,8 @@ fn full_pipeline_analytics_match_reference() {
     }
     .generate();
     let end = events.last().unwrap().time;
-    let tgi =
-        Arc::new(Tgi::try_build(TgiConfig::default(), StoreConfig::new(2, 1), &events).unwrap());
-    let handler = TgiHandler::new(tgi, 3);
+    let tgi = TgiService::try_build(TgiConfig::default(), StoreConfig::new(2, 1), &events).unwrap();
+    let handler = TgiHandler::serving(tgi, 3);
     let son = handler
         .son()
         .timeslice(TimeRange::new(0, end + 1))
@@ -156,9 +156,8 @@ fn incremental_operator_equals_recompute_on_real_trace() {
     }
     .generate();
     let end = events.last().unwrap().time;
-    let tgi =
-        Arc::new(Tgi::try_build(TgiConfig::default(), StoreConfig::new(2, 1), &events).unwrap());
-    let handler = TgiHandler::new(tgi, 2);
+    let tgi = TgiService::try_build(TgiConfig::default(), StoreConfig::new(2, 1), &events).unwrap();
+    let handler = TgiHandler::serving(tgi, 2);
     let sots = handler
         .sots(2)
         .timeslice(TimeRange::new(end / 2, end + 1))
@@ -198,7 +197,9 @@ fn incremental_operator_equals_recompute_on_real_trace() {
 fn store_failure_injection_with_replication_keeps_queries_alive() {
     let events = WikiGrowth::sized(3_000).generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(4, 2), &events).unwrap();
+    let tgi = TgiService::try_build(TgiConfig::default(), StoreConfig::new(4, 2), &events)
+        .unwrap()
+        .pin();
     let want = Delta::snapshot_by_replay(&events, end);
     for failed in 0..4 {
         tgi.store().fail_machine(failed);
@@ -221,9 +222,12 @@ fn compression_changes_bytes_not_answers() {
     let events = WikiGrowth::sized(3_000).generate();
     let end = events.last().unwrap().time;
     let cfg = TgiConfig::default();
-    let plain = Tgi::try_build(cfg, StoreConfig::new(2, 1), &events).unwrap();
-    let packed =
-        Tgi::try_build(cfg, StoreConfig::new(2, 1).with_compression(true), &events).unwrap();
+    let plain = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
+    let packed = TgiService::try_build(cfg, StoreConfig::new(2, 1).with_compression(true), &events)
+        .unwrap()
+        .pin();
     assert!(packed.storage_bytes() < plain.storage_bytes());
     for t in [end / 2, end] {
         assert_eq!(
@@ -237,7 +241,9 @@ fn compression_changes_bytes_not_answers() {
 fn multipoint_snapshots_are_consistent() {
     let events = WikiGrowth::sized(2_500).generate();
     let end = events.last().unwrap().time;
-    let tgi = Tgi::try_build(TgiConfig::default(), StoreConfig::new(2, 1), &events).unwrap();
+    let tgi = TgiService::try_build(TgiConfig::default(), StoreConfig::new(2, 1), &events)
+        .unwrap()
+        .pin();
     let times: Vec<u64> = (1..=5).map(|i| end * i / 5).collect();
     let snaps = tgi.try_snapshots(&times).unwrap();
     // Growth-only trace: node counts must be monotone.
