@@ -28,7 +28,10 @@
 //! The contract covers the point predicates only. When
 //! [`TgiConfig::secondary_indexes`](crate::TgiConfig) is **off** the
 //! rows do not exist and `try_nodes_matching_at` explicitly falls back
-//! to snapshot materialization (`try_nodes_matching_at_materialized`).
+//! to materializing the snapshot at `t` and filtering it. This module
+//! is the one reader that asks whether the index exists: callers such
+//! as TAF's attribute Selection always go through
+//! `try_nodes_matching_at`.
 //! When the index is **on**, a dead machine surfaces
 //! [`StoreError::Unavailable`] and a damaged row surfaces
 //! [`StoreError::Corrupt`] — never a silent fallback, never a panic.
@@ -199,7 +202,8 @@ impl TgiView {
 
     /// Node-ids whose attribute `key` equals `value` at time `t`,
     /// sorted. Answered from one secondary-index row when the index is
-    /// on; explicit materialization fallback otherwise.
+    /// on; with it off, the snapshot at `t` is materialized and
+    /// filtered.
     pub fn try_nodes_matching_at(
         &self,
         key: &str,
@@ -207,7 +211,14 @@ impl TgiView {
         t: Time,
     ) -> Result<Vec<NodeId>, StoreError> {
         if !self.cfg.secondary_indexes {
-            return self.try_nodes_matching_at_materialized(key, value, t);
+            let mut out: Vec<NodeId> = self
+                .try_snapshot(t)?
+                .iter()
+                .filter(|n| n.attrs.get(key) == Some(value))
+                .map(|n| n.id)
+                .collect();
+            out.sort_unstable();
+            return Ok(out);
         }
         let tsid = self.span_for(t).meta.tsid;
         let term = value_term(key, value);
@@ -220,26 +231,6 @@ impl TgiView {
     /// Node-ids labelled `label` (attribute [`LABEL_KEY`]) at time `t`.
     pub fn try_nodes_with_label_at(&self, label: &str, t: Time) -> Result<Vec<NodeId>, StoreError> {
         self.try_nodes_matching_at(LABEL_KEY, &AttrValue::Text(label.to_string()), t)
-    }
-
-    /// The reference answer for [`TgiView::try_nodes_matching_at`]:
-    /// materialize the full snapshot at `t` and filter. This is the
-    /// documented fallback when the index is disabled, and the oracle
-    /// the property suite compares against.
-    pub fn try_nodes_matching_at_materialized(
-        &self,
-        key: &str,
-        value: &AttrValue,
-        t: Time,
-    ) -> Result<Vec<NodeId>, StoreError> {
-        let snap = self.try_snapshot(t)?;
-        let mut out: Vec<NodeId> = snap
-            .iter()
-            .filter(|n| n.attrs.get(key) == Some(value))
-            .map(|n| n.id)
-            .collect();
-        out.sort_unstable();
-        Ok(out)
     }
 
     /// The `(time, new value)` points of attribute `key` on node `nid`

@@ -95,8 +95,6 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use bytes::BytesMut;
-use hgs_delta::codec::put_varint;
 use hgs_delta::columnar::{encode_columnar_delta, encode_columnar_eventlist};
 use hgs_delta::{Delta, Event, Eventlist, FxHashMap, NodeId, Time, TimeRange};
 use hgs_partition::{locality_partition, CollapsedGraph, PartitionMap};
@@ -108,6 +106,7 @@ use crate::config::{PartitionStrategy, TgiConfig};
 use crate::meta::{
     encode_chain, sid_of, ChainEntry, TimespanMeta, TreeShape, AUX_BASE, ELIST_BASE,
 };
+use crate::persist::{encode_config, encode_graph_meta, encode_partition_map};
 
 /// Runtime state of one built timespan. Once pushed into a
 /// [`TgiView`] the runtime is *sealed*: published views share it by
@@ -663,17 +662,14 @@ impl Writer {
 
     fn persist_graph_meta(&self) -> Result<(), StoreError> {
         let view = &self.view;
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, view.spans.len() as u64);
-        put_varint(&mut buf, view.end_time);
-        put_varint(&mut buf, view.event_count as u64);
-        put_checked(&view.store, Table::Graph, b"meta", 0, buf.freeze())?;
+        let meta = encode_graph_meta(view.spans.len(), view.end_time, view.event_count);
+        put_checked(&view.store, Table::Graph, b"meta", 0, meta)?;
         put_checked(
             &view.store,
             Table::Graph,
             b"config",
             0,
-            crate::persist::encode_config(&view.cfg),
+            encode_config(&view.cfg),
         )
     }
 }
@@ -770,7 +766,7 @@ fn put_checked(
 }
 
 /// The host's available parallelism — the default encode width.
-pub fn host_parallelism() -> usize {
+pub(crate) fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -1055,26 +1051,6 @@ pub(crate) fn mp_key(tsid: u32, sid: u32) -> [u8; 8] {
     k[0..4].copy_from_slice(&tsid.to_be_bytes());
     k[4..8].copy_from_slice(&sid.to_be_bytes());
     k
-}
-
-/// Serialize the explicit entries of a locality partition map for the
-/// `Micropartitions` table (the paper's node -> micro-partition map) —
-/// all of them, not only the nodes alive when the span closed: a
-/// reopened index derives every read's `pid` (a chain entry's
-/// included) from this row, for a node the span removed too.
-fn encode_partition_map(map: &PartitionMap) -> bytes::Bytes {
-    let mut entries: Vec<(NodeId, u32)> = map.entries().collect();
-    entries.sort_unstable();
-    let mut buf = BytesMut::with_capacity(entries.len() * 3 + 8);
-    put_varint(&mut buf, map.parts() as u64);
-    put_varint(&mut buf, entries.len() as u64);
-    let mut prev = 0u64;
-    for (id, pid) in entries {
-        put_varint(&mut buf, id.wrapping_sub(prev));
-        prev = id;
-        put_varint(&mut buf, pid as u64);
-    }
-    buf.freeze()
 }
 
 /// Progressive k-ary intersection-tree builder.

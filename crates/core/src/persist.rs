@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use hgs_delta::codec::{bounded_count, get_varint, put_varint};
 use hgs_delta::{CodecError, FxHashMap, NodeId, StorageLayout, Time};
 use hgs_partition::PartitionMap;
@@ -77,7 +77,7 @@ const NODE_WEIGHTING_TAG: u64 = 0;
 /// Serialize the construction configuration: every field of
 /// [`TgiConfig`] in declaration order, with the Ω and node-weighting
 /// tags before the layout tag.
-pub(crate) fn encode_config(cfg: &TgiConfig) -> bytes::Bytes {
+pub(crate) fn encode_config(cfg: &TgiConfig) -> Bytes {
     let mut buf = BytesMut::new();
     put_varint(&mut buf, cfg.events_per_timespan as u64);
     put_varint(&mut buf, cfg.eventlist_size as u64);
@@ -115,7 +115,12 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
     let eventlist_size = get_varint(b)? as usize;
     let arity = get_varint(b)? as usize;
     let partition_size = get_varint(b)? as usize;
-    let horizontal_partitions = get_varint(b)? as u32;
+    let horizontal_partitions = get_varint(b)?;
+    let horizontal_partitions =
+        u32::try_from(horizontal_partitions).map_err(|_| CodecError::LengthOverflow {
+            what: "horizontal_partitions",
+            len: horizontal_partitions,
+        })?;
     let strategy = match get_varint(b)? {
         0 => PartitionStrategy::Random,
         1 => PartitionStrategy::Locality {
@@ -185,16 +190,65 @@ fn no_trailing_bytes(rest: &[u8]) -> Result<(), CodecError> {
     }
 }
 
-/// Decode a persisted locality partition map blob.
-pub(crate) fn decode_partition_map(mut buf: &[u8]) -> Result<PartitionMap, CodecError> {
+/// Serialize the `Graph/meta` row: span count, end time, event count.
+pub(crate) fn encode_graph_meta(span_count: usize, end_time: Time, event_count: usize) -> Bytes {
+    let mut buf = BytesMut::new();
+    put_varint(&mut buf, span_count as u64);
+    put_varint(&mut buf, end_time);
+    put_varint(&mut buf, event_count as u64);
+    buf.freeze()
+}
+
+/// Decode [`encode_graph_meta`]. A span is named by a `u32` tsid, and
+/// a build that wrote a descriptor wrote a span; nothing is allocated
+/// for the count itself.
+fn decode_graph_meta(mut buf: &[u8]) -> Result<(u32, Time, usize), CodecError> {
     let b = &mut buf;
-    let parts = get_varint(b)?;
-    let parts = u32::try_from(parts)
-        .map_err(|_| CodecError::LengthOverflow {
+    let span_count = get_varint(b)?;
+    let end_time = get_varint(b)?;
+    let event_count = get_varint(b)? as usize;
+    no_trailing_bytes(b)?;
+    match u32::try_from(span_count) {
+        Ok(n) if n > 0 => Ok((n, end_time, event_count)),
+        _ => Err(CodecError::LengthOverflow {
+            what: "span count",
+            len: span_count,
+        }),
+    }
+}
+
+/// Serialize the explicit entries of a locality partition map for the
+/// `Micropartitions` table (the paper's node -> micro-partition map) —
+/// all of them, not only the nodes alive when the span closed: a
+/// reopened index derives every read's `pid` (a chain entry's
+/// included) from this row, for a node the span removed too.
+pub(crate) fn encode_partition_map(map: &PartitionMap) -> Bytes {
+    let mut entries: Vec<(NodeId, u32)> = map.entries().collect();
+    entries.sort_unstable();
+    let mut buf = BytesMut::with_capacity(entries.len() * 3 + 8);
+    put_varint(&mut buf, map.parts() as u64);
+    put_varint(&mut buf, entries.len() as u64);
+    let mut prev = 0u64;
+    for (id, pid) in entries {
+        put_varint(&mut buf, id.wrapping_sub(prev));
+        prev = id;
+        put_varint(&mut buf, pid as u64);
+    }
+    buf.freeze()
+}
+
+/// Decode [`encode_partition_map`] for a span whose `sid` has `parts`
+/// micro-partitions: a map of any other part count would send a node
+/// to a micro-partition the span never wrote, or never read one it did.
+fn decode_partition_map(mut buf: &[u8], parts: u32) -> Result<PartitionMap, CodecError> {
+    let b = &mut buf;
+    let stored = get_varint(b)?;
+    if stored != parts as u64 {
+        return Err(CodecError::LengthOverflow {
             what: "partition map parts",
-            len: parts,
-        })?
-        .max(1);
+            len: stored,
+        });
+    }
     // An entry is an id gap and a pid: two bytes at least.
     let n = bounded_count(b, 2, "partition map")?;
     let mut map: FxHashMap<NodeId, u32> = FxHashMap::default();
@@ -231,26 +285,11 @@ impl Writer {
             [Some(meta), Some(cfg)] => (meta.clone(), cfg.clone()),
             _ => return Err(OpenError::NotFound),
         };
-        let mut slice: &[u8] = &meta_row;
-        let b = &mut slice;
-        let span_count = get_varint(b).map_err(OpenError::Corrupt)?;
-        let end_time: Time = get_varint(b).map_err(OpenError::Corrupt)?;
-        let event_count = get_varint(b).map_err(OpenError::Corrupt)? as usize;
-        no_trailing_bytes(b).map_err(OpenError::Corrupt)?;
+        let (span_count, end_time, event_count) =
+            decode_graph_meta(&meta_row).map_err(OpenError::Corrupt)?;
         let cfg = decode_config(&cfg_row).map_err(OpenError::Corrupt)?;
 
-        // Per-timespan metadata and partition maps. A span is named by
-        // a `u32` tsid, and a build that wrote a descriptor wrote a span;
-        // nothing is allocated for the count itself.
-        let span_count = match u32::try_from(span_count) {
-            Ok(n) if n > 0 => n,
-            _ => {
-                return Err(OpenError::Corrupt(CodecError::LengthOverflow {
-                    what: "span count",
-                    len: span_count,
-                }))
-            }
-        };
+        // Per-timespan metadata and partition maps.
         let bad_ref = |what, id| OpenError::Corrupt(CodecError::BadRef { what, id });
         let mut spans: Vec<Arc<SpanRuntime>> = Vec::new();
         for tsid in 0..span_count {
@@ -291,7 +330,7 @@ impl Writer {
                     .collect(),
                 PartitionStrategy::Locality { .. } => {
                     let mut maps = Vec::with_capacity(meta.pid_counts.len());
-                    for sid in 0..meta.pid_counts.len() as u32 {
+                    for (sid, &parts) in (0u32..).zip(&meta.pid_counts) {
                         let key = mp_key(tsid, sid);
                         let token = hgs_store::PlacementKey::new(tsid, sid).token();
                         let blob = store
@@ -300,7 +339,7 @@ impl Writer {
                             .pop()
                             .flatten()
                             .ok_or(bad_ref("partition map", sid as u64))?;
-                        maps.push(decode_partition_map(&blob).map_err(OpenError::Corrupt)?);
+                        maps.push(decode_partition_map(&blob, parts).map_err(OpenError::Corrupt)?);
                     }
                     maps
                 }

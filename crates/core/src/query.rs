@@ -32,7 +32,6 @@ use hgs_store::{DeltaKey, PlacementKey, StoreError, Table};
 use crate::build::{SpanRuntime, TgiView};
 use crate::costs::{access_cost, CostProfile, IndexKind, QueryKind};
 use crate::meta::{decode_chain, sid_of, ChainEntry, AUX_BASE, ELIST_BASE};
-use crate::query_plan::decode_elist_blob;
 use crate::read_cache::{CacheKey, Cached};
 use crate::scope::apply_event_scoped;
 
@@ -292,97 +291,11 @@ impl TgiView {
     /// machinery ([`TgiView::try_snapshots`]), so it consults and
     /// populates the session-wide read cache: a warm repeat pays only
     /// the checkpoint-state clone and the eventlist replay, never the
-    /// tree-path fetch + decode. The cache-bypassing reference path
-    /// remains as [`TgiView::try_snapshot_uncached_c`].
+    /// tree-path fetch + decode.
     pub fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
         let mut out = self.try_snapshots(std::slice::from_ref(&t))?;
         // hgs-lint: allow(no-panic-in-try, "try_snapshots returns exactly one state per requested time")
         Ok(out.pop().expect("one snapshot per requested time"))
-    }
-
-    /// Cache-bypassing [`TgiView::try_snapshot`] with an explicit
-    /// parallel fetch factor `c`: refetches and re-decodes the whole
-    /// root-to-leaf path, touching neither cached entries nor the
-    /// cache's counters. This is the reference implementation the
-    /// cached paths are tested against, and the honest "cold" baseline
-    /// for benchmarks.
-    pub fn try_snapshot_uncached_c(&self, t: Time, c: usize) -> Result<Delta, StoreError> {
-        let span = self.span_for(t);
-        let meta = &span.meta;
-        let tsid = meta.tsid;
-        let ns = self.cfg.horizontal_partitions;
-        let j = meta.leaf_for_time(t);
-        let path = meta.shape.path_to_leaf(j);
-
-        // One fetch job per (sid, did-in-path) plus one per sid for the
-        // eventlist chunk: this is the unit of work the c clients pull.
-        #[derive(Clone, Copy)]
-        struct Job {
-            sid: u32,
-            did: u64,
-        }
-        let mut jobs: Vec<Job> = Vec::with_capacity(ns as usize * (path.len() + 1));
-        for sid in 0..ns {
-            for &did in &path {
-                jobs.push(Job { sid, did });
-            }
-            jobs.push(Job {
-                sid,
-                did: ELIST_BASE + j as u64,
-            });
-        }
-
-        // (sid, did, micro-partition pieces keyed by pid).
-        type FetchedDelta = (u32, u64, Vec<(u32, bytes::Bytes)>);
-        let store = &self.store;
-        // One prefix per request: the reference path stays plan-free.
-        let fetched: Vec<Result<FetchedDelta, StoreError>> = parallel_steal(jobs, c, |job| {
-            let prefix = DeltaKey::delta_prefix(tsid, job.sid, job.did);
-            let token = PlacementKey::new(tsid, job.sid).token();
-            let rows = store.scan_prefix_batch(Table::Deltas, &[&prefix], token)?;
-            let pieces = rows
-                .into_iter()
-                .flatten()
-                .filter_map(|(k, v)| DeltaKey::decode(&k).map(|dk| (dk.pid, v)))
-                .collect();
-            Ok((job.sid, job.did, pieces))
-        });
-
-        // Merge: per sid, sum tree deltas in path order, then apply the
-        // chunk-j events (scoped per micro-partition) up to t.
-        let mut per_sid: FxHashMap<u32, FxHashMap<u64, Vec<(u32, bytes::Bytes)>>> =
-            FxHashMap::default();
-        for item in fetched {
-            let (sid, did, pieces) = item?;
-            per_sid.entry(sid).or_default().insert(did, pieces);
-        }
-        let mut out = Delta::new();
-        for sid in 0..ns {
-            let Some(mut by_did) = per_sid.remove(&sid) else {
-                continue;
-            };
-            let mut state = Delta::new();
-            let mut path_rows = Vec::new();
-            for &did in &path {
-                for (pid, bytes) in by_did.remove(&did).into_iter().flatten() {
-                    path_rows.push((did, pid, bytes));
-                }
-            }
-            self.sum_scanned_path(&mut state, tsid, sid, path_rows, false)?;
-            let pieces = by_did.remove(&(ELIST_BASE + j as u64));
-            if let (Some(pieces), Some(map)) = (pieces, span.map(sid)) {
-                for (pid, bytes) in pieces {
-                    let el = decode_elist_blob(&bytes)?;
-                    for e in el.events().iter().take_while(|e| e.time <= t) {
-                        apply_event_scoped(&mut state, &e.kind, |id| {
-                            sid_of(id, ns) == sid && map.assign(id) == pid
-                        });
-                    }
-                }
-            }
-            out.sum_assign_owned(state);
-        }
-        Ok(out)
     }
 
     // ------------------------------------------------------------------

@@ -65,16 +65,6 @@ use crate::query::DeltaHandle;
 use crate::read_cache::{CacheKey, Cached};
 use crate::scope::apply_event_scoped;
 
-/// Fully decode a stored eventlist row (no cache involvement): the
-/// full-replay paths' decoder and the uncached reference path's. A row
-/// that fails to decode surfaces [`StoreError::Corrupt`] through the
-/// `try_*` surface instead of panicking mid-query.
-pub(crate) fn decode_elist_blob(bytes: &bytes::Bytes) -> Result<Eventlist, StoreError> {
-    ColumnarEventlist::parse(bytes.clone())
-        .and_then(|c| c.to_eventlist())
-        .map_err(StoreError::Corrupt)
-}
-
 /// How much fetch work a multipoint plan shares, before running it.
 ///
 /// `shared_fetch_units` counts the distinct `(sid, did)` rows the plan
@@ -378,26 +368,20 @@ impl TgiView {
     /// first — which keeps the few hundred nodes a piece can land on
     /// hot while its path is applied.
     ///
-    /// `through_cache` probes the read cache per row and leaves the
-    /// row's path-complete form there. Full-replay callers need every
-    /// record, so a lazily-decoded columnar entry left by a
-    /// node-scoped path does not satisfy the probe: the row is applied
-    /// from its bytes and the entry refreshed (write-once rows make
-    /// this safe).
+    /// Each row probes the read cache and leaves its path-complete
+    /// form there. Full-replay callers need every record, so a
+    /// lazily-decoded columnar entry left by a node-scoped path does
+    /// not satisfy the probe: the row is applied from its bytes and the
+    /// entry refreshed (write-once rows make this safe).
     pub(crate) fn sum_scanned_path(
         &self,
         state: &mut Delta,
         tsid: u32,
         sid: u32,
         mut rows: Vec<(u64, u32, bytes::Bytes)>,
-        through_cache: bool,
     ) -> Result<(), StoreError> {
         rows.sort_by_key(|&(_, pid, _)| pid); // stable: path order within a pid
         for (did, pid, bytes) in rows {
-            if !through_cache {
-                DeltaHandle::parse(bytes)?.sum_into(state, None, false)?;
-                continue;
-            }
             let key = CacheKey::Row(tsid, sid, did, pid);
             let row = match self.read_cache.get(key.clone()) {
                 Some(Cached::Delta(d)) => DeltaHandle::Full(d),
@@ -410,7 +394,8 @@ impl TgiView {
 
     /// Decode a fetched eventlist row through the read cache (see
     /// [`TgiView::sum_scanned_path`] for the columnar-entry refresh
-    /// rule).
+    /// rule). A row that fails to decode surfaces
+    /// [`StoreError::Corrupt`] instead of panicking mid-query.
     pub(crate) fn decoded_elist(
         &self,
         tsid: u32,
@@ -423,7 +408,11 @@ impl TgiView {
         if let Some(Cached::Elist(e)) = self.read_cache.get(key.clone()) {
             return Ok(e);
         }
-        let e = Arc::new(decode_elist_blob(bytes)?);
+        let e = Arc::new(
+            ColumnarEventlist::parse(bytes.clone())
+                .and_then(|c| c.to_eventlist())
+                .map_err(StoreError::Corrupt)?,
+        );
         self.read_cache.put(key, Cached::Elist(e.clone()));
         Ok(e)
     }
@@ -446,7 +435,7 @@ impl TgiView {
             }
         }
         let mut state = Delta::new();
-        self.sum_scanned_path(&mut state, span.meta.tsid, sid, path_rows, true)?;
+        self.sum_scanned_path(&mut state, span.meta.tsid, sid, path_rows)?;
         Ok(state)
     }
 

@@ -107,6 +107,23 @@ pub fn chain_chunks(tgi: &TgiView, nid: NodeId) -> Vec<(u32, u32)> {
     chain.into_iter().map(|e| (e.tsid, e.chunk)).collect()
 }
 
+/// Reference attribute predicate: the node-ids of the replayed state
+/// at `t` whose attribute `key` equals `value`, sorted.
+pub fn nodes_matching_by_replay(
+    events: &[Event],
+    key: &str,
+    value: &AttrValue,
+    t: Time,
+) -> Vec<NodeId> {
+    let mut ids: Vec<NodeId> = Delta::snapshot_by_replay(events, t)
+        .iter()
+        .filter(|n| n.attrs.get(key) == Some(value))
+        .map(|n| n.id)
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
 /// Reference attribute history (the rule of
 /// `benchmark/src/oracle.rs::attr_points`): every `SetNodeAttr` of
 /// `key` on `nid` is a point — time 0 and re-sets of the same value

@@ -416,21 +416,20 @@ fn label_index_reads_surface_total_failure_and_heal() {
         Err(StoreError::Unavailable { .. })
     ));
     tgi.store().heal_all();
-    // Healed: the history is the replay oracle's, indexed answers
-    // agree with the materialized oracle.
+    // Healed: the history and the indexed answer are the replay
+    // oracle's.
     assert_eq!(
         tgi.try_attr_history(0, hgs_core::LABEL_KEY)
             .expect("healed"),
         common::attr_history_by_replay(&events, 0, hgs_core::LABEL_KEY)
     );
     let got = tgi.try_nodes_with_label_at("Label00", t).expect("healed");
-    let want = tgi
-        .try_nodes_matching_at_materialized(
-            hgs_core::LABEL_KEY,
-            &hgs_delta::AttrValue::Text("Label00".into()),
-            t,
-        )
-        .expect("healed oracle");
+    let want = common::nodes_matching_by_replay(
+        &events,
+        hgs_core::LABEL_KEY,
+        &hgs_delta::AttrValue::Text("Label00".into()),
+        t,
+    );
     assert_eq!(got, want);
     assert!(
         !got.is_empty(),

@@ -1,6 +1,6 @@
-//! Label/attribute query equality: every point predicate answered from
-//! the change-point rows must equal the brute-force
-//! snapshot-materialization oracle, and every attribute history —
+//! Label/attribute query equality: every point predicate — answered
+//! from the change-point rows, or by the index-off fallback — must
+//! equal a filter of the replayed state, and every attribute history —
 //! answered from the node's version chain — the plain event-replay
 //! oracle, across index on/off, chains on/off, build parallelism, and
 //! build-vs-append construction.
@@ -9,7 +9,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{attr_history_by_replay, node_events_by_replay};
+use common::{attr_history_by_replay, node_events_by_replay, nodes_matching_by_replay};
 use hgs_core::{TgiConfig, TgiService, TgiView, LABEL_KEY};
 use hgs_datagen::{SkewedLabels, CHURN_KEY, DEAD_LABEL};
 use hgs_delta::{normalize_events, AttrValue, Event, EventKind, Time, TimeRange};
@@ -86,12 +86,12 @@ fn probe_times(events: &[Event]) -> Vec<Time> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Indexed point-in-time predicate answers equal the
-    /// materialize-then-filter oracle at every probe time, under
-    /// every build width; with the index off, the same calls answer
-    /// identically through the documented fallback.
+    /// Indexed point-in-time predicate answers equal a filter of the
+    /// replayed state at every probe time, under every build width;
+    /// with the index off, the same calls answer identically through
+    /// the documented fallback.
     #[test]
-    fn indexed_matching_equals_materialized_oracle(
+    fn indexed_matching_equals_replay_oracle(
         events in arb_history(),
         c in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
@@ -101,9 +101,7 @@ proptest! {
             for key in KEYS {
                 for label in LABELS {
                     let value = AttrValue::Text(label.into());
-                    let want = on
-                        .try_nodes_matching_at_materialized(key, &value, t)
-                        .expect("oracle");
+                    let want = nodes_matching_by_replay(&events, key, &value, t);
                     let got = on.try_nodes_matching_at(key, &value, t).expect("indexed");
                     prop_assert_eq!(&got, &want, "indexed ({}, {}) at {}", key, label, t);
                     let fallback = off.try_nodes_matching_at(key, &value, t).expect("fallback");
@@ -211,19 +209,27 @@ proptest! {
 /// What the secondary index buys: on a Zipf-skewed labelled trace,
 /// cache off, label point queries (hot, mid-rank, tail and dead labels)
 /// read strictly fewer store rows and bytes, in fewer requests, than
-/// materialize-then-filter — with equal answers.
+/// the materialize-then-filter fallback of the same index built with
+/// the secondary index off — both answering what replay answers.
 #[test]
 fn indexed_label_query_reads_less_than_materialization() {
     let events = SkewedLabels::default().generate();
     let end = events.last().unwrap().time;
-    let tgi = TgiService::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
-        .unwrap()
-        .pin();
-    tgi.set_read_cache_budget(0);
+    let build = |cfg: TgiConfig| {
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(4, 1), &events)
+            .unwrap()
+            .pin();
+        tgi.set_read_cache_budget(0);
+        tgi
+    };
+    let (on, off) = (
+        build(TgiConfig::default()),
+        build(TgiConfig::default().with_secondary_indexes(false)),
+    );
     let labels = ["Label00", "Label03", "Label10", DEAD_LABEL];
     // Answers and [rows, bytes, requests] of one pass over every
     // (label, quarter-of-the-trace time).
-    let pass = |query: &dyn Fn(&str, Time) -> Vec<u64>| {
+    let pass = |tgi: &TgiView, query: &dyn Fn(&str, Time) -> Vec<u64>| {
         let before = tgi.store().stats_snapshot();
         let answers: Vec<Vec<u64>> = labels
             .iter()
@@ -240,12 +246,13 @@ fn indexed_label_query_reads_less_than_materialization() {
         });
         (answers, cost)
     };
-    let (indexed, i_cost) = pass(&|l, t| tgi.try_nodes_with_label_at(l, t).unwrap());
-    let (materialized, m_cost) = pass(&|l, t| {
-        tgi.try_nodes_matching_at_materialized(LABEL_KEY, &AttrValue::Text(l.into()), t)
-            .unwrap()
+    let (indexed, i_cost) = pass(&on, &|l, t| on.try_nodes_with_label_at(l, t).unwrap());
+    let (materialized, m_cost) = pass(&off, &|l, t| off.try_nodes_with_label_at(l, t).unwrap());
+    let (replayed, _) = pass(&on, &|l, t| {
+        nodes_matching_by_replay(&events, LABEL_KEY, &AttrValue::Text(l.into()), t)
     });
-    assert_eq!(indexed, materialized);
+    assert_eq!(indexed, replayed);
+    assert_eq!(materialized, replayed);
     assert!(indexed.iter().any(|a| !a.is_empty()), "degenerate workload");
     let dead_at_end = indexed.last().unwrap();
     assert!(dead_at_end.is_empty(), "the dead label is gone by the end");

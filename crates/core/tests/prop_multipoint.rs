@@ -1,14 +1,14 @@
 //! Multipoint planner equivalence: `try_snapshots` (shared-path
 //! planner, batched fetches, clone-at-divergence) must produce exactly
-//! the same graphs as independent per-time `snapshot` calls, on random
-//! WikiGrowth traces and index shapes.
+//! the graphs event replay produces at each time, on random WikiGrowth
+//! traces, arbitrary histories and index shapes.
 
 mod common;
 
 use common::with_busy_hub;
 use hgs_core::{TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
-use hgs_delta::{AttrValue, Event, EventKind};
+use hgs_delta::{AttrValue, Delta, Event, EventKind};
 use hgs_store::{SimStore, StoreConfig};
 use proptest::prelude::*;
 
@@ -57,7 +57,7 @@ fn arb_history() -> impl Strategy<Value = Vec<Event>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
-    fn planner_matches_independent_snapshots(
+    fn planner_matches_replay(
         seed in any::<u64>(),
         n_events in 500usize..2_000,
         ts in 300usize..900,
@@ -83,10 +83,7 @@ proptest! {
         let shared = tgi.try_snapshots(&times).unwrap();
         prop_assert_eq!(shared.len(), times.len());
         for (t, s) in times.iter().zip(&shared) {
-            // `try_snapshot` now runs through the same planner + cache,
-            // so compare against the cache-bypassing reference path.
-            let independent = tgi.try_snapshot_uncached_c(*t, 1).unwrap();
-            prop_assert_eq!(s, &independent, "mismatch at t={}", t);
+            prop_assert_eq!(s, &Delta::snapshot_by_replay(&trace, *t), "mismatch at t={}", t);
         }
         let plan = tgi.plan_multipoint(&times);
         prop_assert!(plan.shared_fetch_units <= plan.naive_fetch_units);
@@ -94,8 +91,8 @@ proptest! {
 
     /// Arbitrary histories — node/edge removals, attribute churn,
     /// duplicated events — through small index shapes: the planner's
-    /// merged-state replay must agree with per-time snapshots, with
-    /// both cold and warm caches and with parallel fetch clients.
+    /// merged-state replay must agree with event replay, with both
+    /// cold and warm caches and with parallel fetch clients.
     #[test]
     fn planner_matches_on_arbitrary_histories(
         history in arb_history(),
@@ -120,8 +117,8 @@ proptest! {
         for round in 0..2 {
             let shared = view.try_snapshots(&times).unwrap();
             for (t, s) in times.iter().zip(&shared) {
-                let independent = view.try_snapshot_uncached_c(*t, 1).unwrap();
-                prop_assert_eq!(s, &independent, "round {} t={}", round, t);
+                let want = Delta::snapshot_by_replay(&history, *t);
+                prop_assert_eq!(s, &want, "round {} t={}", round, t);
             }
         }
     }
@@ -143,8 +140,8 @@ fn arb_sparse_kind() -> impl Strategy<Value = EventKind> {
 
 proptest! {
     /// Sparse histories over few node ids: some sids hold no state at
-    /// all (their path sums are legitimately empty). `c=1`, `c>1` and
-    /// the cache-bypassing reference all agree — warm and cold.
+    /// all (their path sums are legitimately empty). `c=1` and `c>1`
+    /// both equal event replay — warm and cold.
     #[test]
     fn parallel_merge_matches_on_sparse_and_empty_sids(
         history in prop::collection::vec((arb_sparse_kind(), 0u64..3), 1..120)
@@ -174,7 +171,7 @@ proptest! {
         let times: Vec<u64> = raw_times.iter().map(|r| r % (end + 2)).collect();
         let reference: Vec<_> = times
             .iter()
-            .map(|&t| tgi.try_snapshot_uncached_c(t, 1).unwrap())
+            .map(|&t| Delta::snapshot_by_replay(&history, t))
             .collect();
         // One fill means one set of counters: from a cold cache, every
         // width issues the same store requests and leaves the same
@@ -210,7 +207,7 @@ proptest! {
 /// fill: all of the single node's state lives in the *last* sid, so
 /// every sid merged before it contributes a legitimately empty state,
 /// which a merge must never take for "not yet filled". Every `c` must
-/// equal the reference.
+/// equal event replay.
 #[test]
 fn empty_first_partials_merge_exactly() {
     let ns = 4u32;
@@ -240,7 +237,7 @@ fn empty_first_partials_merge_exactly() {
     let times: Vec<u64> = vec![0, 41, 81, 121, 159];
     let reference: Vec<_> = times
         .iter()
-        .map(|&t| tgi.try_snapshot_uncached_c(t, 1).unwrap())
+        .map(|&t| Delta::snapshot_by_replay(&events, t))
         .collect();
     for c in [1usize, 2, 4, 8] {
         assert_eq!(
@@ -284,15 +281,21 @@ fn plan_shares_fetches_and_batches_round_trips() {
     assert_eq!(snaps.len(), 4);
 
     // Sharing is real at the store too: from a cold cache, at either
-    // width, fewer requests than one uncached snapshot per time.
-    let requests = |f: &dyn Fn() -> Vec<hgs_delta::Delta>| {
+    // width, fewer requests than one cold snapshot per time (the cache
+    // off, so no time reuses another's rows).
+    let requests = |f: &dyn Fn() -> Vec<Delta>| {
         let before = tgi.store().stats_snapshot();
         assert_eq!(f(), snaps);
         let diff = SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
         diff.iter().map(|m| m.gets + m.scans).sum::<u64>()
     };
-    let uncached = |&t: &u64| tgi.try_snapshot_uncached_c(t, 1).unwrap();
-    let naive = requests(&|| times.iter().map(uncached).collect());
+    tgi.set_read_cache_budget(0);
+    let naive = requests(&|| {
+        times
+            .iter()
+            .map(|&t| tgi.try_snapshot(t).unwrap())
+            .collect()
+    });
     for c in [1usize, 4] {
         tgi.set_read_cache_budget(0);
         tgi.set_read_cache_budget(hgs_core::DEFAULT_READ_CACHE_BYTES);
@@ -324,6 +327,6 @@ fn times_in_one_leaf_share_a_single_replay() {
     assert_eq!(plan.leaf_groups, 1);
     let shared = tgi.try_snapshots(&times).unwrap();
     for (t, s) in times.iter().zip(&shared) {
-        assert_eq!(s, &tgi.try_snapshot_uncached_c(*t, 1).unwrap(), "t={t}");
+        assert_eq!(s, &Delta::snapshot_by_replay(&trace, *t), "t={t}");
     }
 }

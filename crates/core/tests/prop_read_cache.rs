@@ -1,6 +1,6 @@
 //! Read-cache equivalence and budget properties over whole indexes:
 //! cached reads (which may skip fetch + decode on hits) must return
-//! exactly what the cache-bypassing reference path returns, on
+//! exactly what event replay, or an index with caching off, returns, on
 //! arbitrary histories, budgets — including budgets tiny enough to
 //! force constant LRU eviction — and repeat patterns; and the cache's
 //! retained bytes must never exceed the configured budget.
@@ -61,8 +61,8 @@ fn arb_history() -> impl Strategy<Value = Vec<Event>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Cached single-point reads agree with the cache-bypassing
-    /// reference on arbitrary histories, with the budget anywhere
+    /// Cached single-point reads agree with event replay, and with a
+    /// cache-off twin, on arbitrary histories, with the budget anywhere
     /// between "evicts constantly" and "holds everything", over
     /// repeated rounds (cold then warm), and the cache never exceeds
     /// its byte budget.
@@ -87,8 +87,8 @@ proptest! {
         let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap().pin();
         tgi.set_read_cache_budget(budget);
         // A twin index with caching disabled: identical construction,
-        // every read is a genuine fetch — the bypassed reference for
-        // paths that have no dedicated uncached variant.
+        // every read is a genuine fetch — the reference for the
+        // histories and k-hops below.
         let nocache = TgiService::try_build(cfg, StoreConfig::new(2, 1), &history).unwrap().pin();
         nocache.set_read_cache_budget(0);
         let times: Vec<u64> = raw_times.iter().map(|r| r % (end + 2)).collect();
@@ -101,14 +101,9 @@ proptest! {
                 // is read through a mix of both.
                 let hub_first = tgi.try_node_at(0, t).unwrap();
                 let cached = tgi.try_snapshot(t).unwrap();
-                let reference = tgi.try_snapshot_uncached_c(t, 1).unwrap();
+                let reference = hgs_delta::Delta::snapshot_by_replay(&history, t);
                 prop_assert_eq!(&cached, &reference, "round {} t={}", round, t);
                 prop_assert_eq!(hub_first.as_ref(), reference.node(0), "round {} t={}", round, t);
-                prop_assert_eq!(
-                    &reference,
-                    &hgs_delta::Delta::snapshot_by_replay(&history, t),
-                    "the bypassing reference itself, t={}", t
-                );
                 for id in [0u64, 7, 23] {
                     let via_cache = tgi.try_node_at(id, t).unwrap();
                     prop_assert_eq!(
@@ -261,7 +256,7 @@ fn recursive_khop_state_serves_node_at() {
         .unwrap()
         .pin();
     let t = events.last().unwrap().time / 8; // in the first span
-    let reference = tgi.try_snapshot_uncached_c(t, 1).unwrap();
+    let reference = hgs_delta::Delta::snapshot_by_replay(&events, t);
     // A node's micro-partition in the first span: its sid and the pid
     // its chain entries there name.
     let placement = |id: u64| {

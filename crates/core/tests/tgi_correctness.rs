@@ -133,7 +133,7 @@ fn degenerate_single_point_plan_clamps_fanout() {
         .unwrap()
         .pin();
     let t = events.last().unwrap().time / 2;
-    let want = tgi.try_snapshot_uncached_c(t, 1).unwrap();
+    let want = Delta::snapshot_by_replay(&events, t);
     for c in [1usize, 4, 16] {
         let before = tgi.store().stats_snapshot();
         assert_eq!(tgi.with_clients(c).try_snapshot(t).unwrap(), want, "c={c}");

@@ -47,6 +47,11 @@ const TREE_ROW_READER_CRATE: &str = "core";
 /// `Deltas` rows (`one-row-fetch`).
 const ROW_FETCH_FN: &str = "try_fetch_rows";
 
+/// The fns of [`TREE_ROW_READER_CRATE`] that may `scan_prefix_batch`
+/// `Deltas` rows (`one-row-fetch`): the snapshot fill's grouped scan
+/// and the TAF partition fetch.
+const PREFIX_READER_FNS: &[&str] = &["span_rows", "try_node_histories_for_sid"];
+
 /// The one file that may call the LZSS codec
 /// (`one-compression-layer`): the store's optional value compression.
 const LZSS_CALLER_FILE: &str = "crates/store/src/store.rs";
@@ -926,20 +931,31 @@ fn bounded_decode_alloc(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: 
 
 /// The `one-row-fetch` pass: in `hgs-core`'s non-test library code, a
 /// `.multi_get(` whose argument list names `Table::Deltas`, in any fn
-/// but [`ROW_FETCH_FN`]. That fn probes the read cache per key, sends
-/// the misses in one batch and caches what comes back, absent rows
-/// included; a second point read of `Deltas` rows repeats all of it,
-/// and its traffic escapes whatever counts reads in that one place.
+/// but [`ROW_FETCH_FN`], or a `.scan_prefix_batch(` naming it, in any
+/// fn but the [`PREFIX_READER_FNS`]. The one keyed fetch probes the
+/// read cache per key, sends the misses in one batch and caches what
+/// comes back, absent rows included; a second point read of `Deltas`
+/// rows repeats all of it, and its traffic escapes whatever counts
+/// reads in that one place. A new prefix reader of the index body is a
+/// second way to a snapshot or a history, beside the ones that are.
 fn one_row_fetch(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Vec<Finding>) {
     if ctx.kind != FileKind::Lib || ctx.crate_dir.as_deref() != Some(TREE_ROW_READER_CRATE) {
         return;
     }
     for i in 1..toks.len() {
-        let is_call = toks[i].ident() == Some("multi_get")
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
+        let (keyed, allowed_fns): (bool, &[&str]) = match toks[i].ident() {
+            Some("multi_get") => (true, &[ROW_FETCH_FN]),
+            Some("scan_prefix_batch") => (false, PREFIX_READER_FNS),
+            _ => continue,
+        };
+        let is_call = toks[i - 1].is_punct('.') && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
         let tcx = cx.per_token[i];
-        if !is_call || tcx.in_test || tcx.fn_id.is_some_and(|f| cx.fns[f].name == ROW_FETCH_FN) {
+        if !is_call
+            || tcx.in_test
+            || tcx
+                .fn_id
+                .is_some_and(|f| allowed_fns.contains(&cx.fns[f].name.as_str()))
+        {
             continue;
         }
         // The argument list, up to the matching `)`.
@@ -962,19 +978,32 @@ fn one_row_fetch(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Ve
                 _ => {}
             }
         }
-        if names_deltas {
-            findings.push(Finding {
-                rule: "one-row-fetch",
-                file: ctx.rel_path.clone(),
-                line: toks[i].line,
-                message: format!(
-                    "a keyed read of `Deltas` rows outside `{ROW_FETCH_FN}`: that fn is \
-                     the one place a point read probes the read cache, batches its \
-                     misses and caches rows and absences; call it instead, or \
-                     annotate why this read must not go through the cache"
-                ),
-            });
+        if !names_deltas {
+            continue;
         }
+        let message = if keyed {
+            format!(
+                "a keyed read of `Deltas` rows outside `{ROW_FETCH_FN}`: that fn is \
+                 the one place a point read probes the read cache, batches its \
+                 misses and caches rows and absences; call it instead, or \
+                 annotate why this read must not go through the cache"
+            )
+        } else {
+            format!(
+                "a prefix scan of `Deltas` rows outside `{}`: those are the index \
+                 body's prefix readers (the snapshot fill's grouped scan and the \
+                 TAF partition fetch); read through one of them or through \
+                 `{ROW_FETCH_FN}`, or annotate why this scan is not a second \
+                 reader of the same rows",
+                PREFIX_READER_FNS.join("` / `")
+            )
+        };
+        findings.push(Finding {
+            rule: "one-row-fetch",
+            file: ctx.rel_path.clone(),
+            line: toks[i].line,
+            message,
+        });
     }
 }
 

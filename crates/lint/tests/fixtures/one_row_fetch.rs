@@ -1,7 +1,8 @@
 // Fixture for the `one-row-fetch` rule, linted as
 // `crates/core/src/...`: every keyed read of a `Deltas` row goes
 // through `try_fetch_rows`, which probes the read cache per key, sends
-// the misses in one batch and caches what comes back.
+// the misses in one batch and caches what comes back, and every prefix
+// scan of them through `span_rows` or `try_node_histories_for_sid`.
 
 impl TgiView {
     // The shape the eventlist fetch of node histories had before it was
@@ -36,6 +37,37 @@ impl TgiView {
     // Other tables are not rows of the index body.
     fn try_term_row(&self, key: &[u8], token: u64) -> Result<Vec<Option<Bytes>>, StoreError> {
         self.store.multi_get(Table::AttrIndex, &[key], token) // clean
+    }
+
+    // The shape of the retired cache-bypassing snapshot: a second
+    // prefix reader of the same tree and eventlist rows.
+    pub fn try_snapshot_uncached_c(&self, span: &SpanRuntime, sid: u32, did: u64) -> Result<Vec<ScanRows>, StoreError> {
+        let prefix = DeltaKey::delta_prefix(span.meta.tsid, sid, did);
+        let token = PlacementKey::new(span.meta.tsid, sid).token();
+        self.store.scan_prefix_batch(Table::Deltas, &[&prefix], token) // FIRES:one-row-fetch
+    }
+
+    // The snapshot fill's grouped scan and the TAF partition fetch are
+    // the prefix readers.
+    fn span_rows(&self, span: &SpanRuntime, sid: u32, refs: &[&[u8]]) -> Result<Vec<ScanRows>, StoreError> {
+        let token = PlacementKey::new(span.meta.tsid, sid).token();
+        self.store.scan_prefix_batch(Table::Deltas, refs, token) // clean
+    }
+
+    pub fn try_node_histories_for_sid(&self, sid: u32, refs: &[&[u8]]) -> Result<Vec<ScanRows>, StoreError> {
+        let mut out = Vec::new();
+        for span in &self.spans {
+            let token = PlacementKey::new(span.meta.tsid, sid).token();
+            out.extend(self.store.scan_prefix_batch(Table::Deltas, refs, token)?); // clean
+        }
+        Ok(out)
+    }
+
+    // A scan of another table is not a read of the index body.
+    fn try_chain(&self, prefix: &[u8], token: u64) -> Result<Vec<ScanRows>, StoreError> {
+        let mut rows = self.store.scan_prefix_batch(Table::Versions, &[prefix], token)?; // clean
+        rows.truncate(self.spans.len());
+        Ok(rows)
     }
 
     fn try_audited(&self, keys: &[&[u8]]) -> Result<Vec<Option<Bytes>>, StoreError> {

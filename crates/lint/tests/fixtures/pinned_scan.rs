@@ -30,7 +30,7 @@ impl TgiView {
     }
 
     // A scan under the tsid of a span of this view reads that span only.
-    pub fn try_span_rows(&self, t: Time, sid: u32) -> Result<Vec<Vec<Row>>, StoreError> {
+    fn span_rows(&self, t: Time, sid: u32) -> Result<Vec<Vec<Row>>, StoreError> {
         let meta = &self.span_for(t).meta;
         let prefix = DeltaKey::delta_prefix(meta.tsid, sid, 0);
         self.store.scan_prefix_batch(Table::Deltas, &[&prefix], 0) // clean
@@ -39,7 +39,7 @@ impl TgiView {
     // Prefixes handed in from outside: nothing here says which spans
     // they name. (Before every scan was a batch, this one was exempt.)
     pub fn try_batched(&self, prefixes: &[&[u8]]) -> Result<Vec<Vec<Row>>, StoreError> {
-        self.store.scan_prefix_batch(Table::Deltas, prefixes, 0) // FIRES:pinned-scan-bounded
+        self.store.scan_prefix_batch(Table::Deltas, prefixes, 0) // FIRES:pinned-scan-bounded FIRES:one-row-fetch
     }
 
     pub fn try_graph_meta(&self) -> Result<Vec<Vec<Row>>, StoreError> {

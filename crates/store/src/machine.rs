@@ -180,19 +180,6 @@ impl Machine {
         self.data.read().values().map(|v| v.len()).sum()
     }
 
-    /// Insert a row. Returns `false` if the machine is down.
-    pub fn put(&self, key: Vec<u8>, value: Bytes) -> bool {
-        if self.is_down() {
-            return false;
-        }
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_written
-            .fetch_add(value.len() as u64, Ordering::Relaxed);
-        self.data.write().insert(key, value);
-        true
-    }
-
     /// Insert a batch of rows under one lock acquisition, accounted as
     /// a single write round-trip (`put_batches += 1`) plus one logical
     /// put per row, mirroring [`Machine::multi_get`]'s read-side
@@ -226,14 +213,6 @@ impl Machine {
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
-    }
-
-    /// Remove a row.
-    pub fn delete(&self, key: &[u8]) -> bool {
-        if self.is_down() {
-            return false;
-        }
-        self.data.write().remove(key).is_some()
     }
 
     /// Batched point lookups: all keys answered under one lock
@@ -324,22 +303,26 @@ mod tests {
         Ok(m.multi_get(&[key])?.pop().flatten())
     }
 
+    /// Write one row as a one-row batch.
+    fn put(m: &Machine, key: Vec<u8>, value: &'static [u8]) -> Result<(), MachineDown> {
+        m.put_batch(vec![(key, Bytes::from_static(value))])
+    }
+
     #[test]
-    fn put_get_delete() {
+    fn put_then_get() {
         let m = Machine::new();
-        assert!(m.put(key(0, b"a"), Bytes::from_static(b"v1")));
+        put(&m, key(0, b"a"), b"v1").unwrap();
         assert_eq!(get(&m, key(0, b"a")).unwrap().as_deref(), Some(&b"v1"[..]));
-        assert!(m.delete(&key(0, b"a")));
-        assert_eq!(get(&m, key(0, b"a")).unwrap(), None);
+        assert_eq!(get(&m, key(0, b"b")).unwrap(), None);
     }
 
     #[test]
     fn prefix_scan_is_ordered_and_bounded() {
         let m = Machine::new();
-        m.put(key(0, b"ab1"), Bytes::from_static(b"1"));
-        m.put(key(0, b"ab2"), Bytes::from_static(b"2"));
-        m.put(key(0, b"ac3"), Bytes::from_static(b"3"));
-        m.put(key(1, b"ab9"), Bytes::from_static(b"9"));
+        put(&m, key(0, b"ab1"), b"1").unwrap();
+        put(&m, key(0, b"ab2"), b"2").unwrap();
+        put(&m, key(0, b"ac3"), b"3").unwrap();
+        put(&m, key(1, b"ab9"), b"9").unwrap();
         let rows = &m.scan_prefixes(&[key(0, b"ab")]).unwrap()[0];
         assert_eq!(rows.len(), 2);
         assert!(rows[0].0 < rows[1].0);
@@ -348,10 +331,10 @@ mod tests {
     #[test]
     fn down_machine_refuses() {
         let m = Machine::new();
-        m.put(key(0, b"a"), Bytes::from_static(b"v"));
+        put(&m, key(0, b"a"), b"v").unwrap();
         m.set_down(true);
         assert!(get(&m, key(0, b"a")).is_err());
-        assert!(!m.put(key(0, b"b"), Bytes::from_static(b"v")));
+        assert!(put(&m, key(0, b"b"), b"v").is_err());
         m.set_down(false);
         assert!(get(&m, key(0, b"a")).is_ok());
     }
@@ -359,8 +342,8 @@ mod tests {
     #[test]
     fn multi_get_counts_one_batch() {
         let m = Machine::new();
-        m.put(key(0, b"a"), Bytes::from_static(b"1"));
-        m.put(key(0, b"b"), Bytes::from_static(b"22"));
+        put(&m, key(0, b"a"), b"1").unwrap();
+        put(&m, key(0, b"b"), b"22").unwrap();
         let before = m.stats().snapshot();
         let got = m
             .multi_get(&[key(0, b"a"), key(0, b"missing"), key(0, b"b")])
@@ -379,9 +362,9 @@ mod tests {
     #[test]
     fn scan_prefixes_groups_per_prefix() {
         let m = Machine::new();
-        m.put(key(0, b"aa1"), Bytes::from_static(b"1"));
-        m.put(key(0, b"aa2"), Bytes::from_static(b"2"));
-        m.put(key(0, b"bb1"), Bytes::from_static(b"3"));
+        put(&m, key(0, b"aa1"), b"1").unwrap();
+        put(&m, key(0, b"aa2"), b"2").unwrap();
+        put(&m, key(0, b"bb1"), b"3").unwrap();
         let before = m.stats().snapshot();
         let groups = m
             .scan_prefixes(&[key(0, b"aa"), key(0, b"zz"), key(0, b"bb")])
@@ -424,8 +407,8 @@ mod tests {
     #[test]
     fn dump_rows_returns_ordered_content() {
         let m = Machine::new();
-        m.put(key(0, b"b"), Bytes::from_static(b"2"));
-        m.put(key(0, b"a"), Bytes::from_static(b"1"));
+        put(&m, key(0, b"b"), b"2").unwrap();
+        put(&m, key(0, b"a"), b"1").unwrap();
         let rows = m.dump_rows();
         assert_eq!(rows.len(), 2);
         assert!(rows[0].0 < rows[1].0);
@@ -436,7 +419,7 @@ mod tests {
     #[test]
     fn stats_track_reads() {
         let m = Machine::new();
-        m.put(key(0, b"a"), Bytes::from_static(b"hello"));
+        put(&m, key(0, b"a"), b"hello").unwrap();
         let before = m.stats().snapshot();
         get(&m, key(0, b"a")).unwrap();
         get(&m, key(0, b"zzz")).unwrap();

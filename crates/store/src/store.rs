@@ -260,12 +260,6 @@ impl SimStore {
         *self.retry.read()
     }
 
-    /// Current simulated time in ticks (monotone; advanced by every
-    /// machine-level request and by retry backoff).
-    pub fn clock_ticks(&self) -> u64 {
-        self.clock.load(Ordering::Relaxed)
-    }
-
     /// Advance simulated time without issuing requests — how tests and
     /// benches step past a scheduled outage window or a breaker
     /// cooldown.
@@ -736,7 +730,9 @@ impl SimStore {
                     FaultVerdict::Outage | FaultVerdict::Flake
                 );
                 // hgs-lint: allow(no-panic-in-try, "machine_for maps every token into 0..machines.len()")
-                if refused || !self.machines[m].put(nk.clone(), v.clone()) {
+                let machine = &self.machines[m];
+                // A re-write is a batch of one, like a point read.
+                if refused || machine.put_batch(vec![(nk.clone(), v.clone())]).is_err() {
                     complete = false;
                 }
             }

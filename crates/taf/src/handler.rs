@@ -113,11 +113,11 @@ impl SonQuery {
     /// Attribute-equality Selection pushdown: keep only nodes whose
     /// attribute `key` equals `value` at the range's last timepoint
     /// (the [`SoN::select_attr`] predicate, pushed into the fetch).
-    /// With secondary indexes on, one index row names the matching
-    /// nodes ([`TgiView::try_nodes_matching_at`](hgs_core::TgiView::try_nodes_matching_at)) and only their
-    /// micro-partitions are fetched; with the index off — or when an
-    /// explicit [`SonQuery::select_ids`] set is also given — the fetch
-    /// is unchanged and the predicate runs as a post-filter.
+    /// [`TgiView::try_nodes_matching_at`](hgs_core::TgiView::try_nodes_matching_at)
+    /// names the matching nodes — from one index row with secondary
+    /// indexes on — and only their micro-partitions are fetched. When
+    /// an explicit [`SonQuery::select_ids`] set is also given, that
+    /// set is fetched and the predicate runs as a post-filter.
     pub fn select_attr_eq(mut self, key: &str, value: &str) -> SonQuery {
         self.attr_eq = Some((key.to_string(), value.to_string()));
         self
@@ -138,31 +138,19 @@ impl SonQuery {
         let tgi = &pinned.with_clients(1);
         let workers = self.handler.workers;
         let range = self.range;
-        let mut post_filter: Option<(String, String)> = None;
-        let ids = match (self.ids, self.attr_eq) {
-            (Some(ids), pred) => {
-                // An explicit id set stays authoritative for the fetch;
-                // the predicate still applies, as a post-filter.
-                post_filter = pred;
-                Some(ids)
+        let (ids, post_filter) = match (self.ids, self.attr_eq) {
+            // An explicit id set stays authoritative for the fetch; the
+            // predicate still applies, as a post-filter.
+            (Some(ids), pred) => (Some(ids), pred),
+            // Pushdown: the core names the matching nodes (one
+            // secondary-index row, or its own fallback with the index
+            // off), so only their rows are fetched.
+            (None, Some((key, value))) => {
+                let t = range.end.saturating_sub(1);
+                let ids = tgi.try_nodes_matching_at(&key, &AttrValue::Text(value), t)?;
+                (Some(ids), None)
             }
-            (None, Some((key, value))) if tgi.config().secondary_indexes => {
-                // Pushdown: one secondary-index row names the matching
-                // nodes, so only their rows are fetched — no snapshot
-                // materialization, no full-graph read.
-                Some(tgi.try_nodes_matching_at(
-                    &key,
-                    &AttrValue::Text(value.clone()),
-                    range.end.saturating_sub(1),
-                )?)
-            }
-            (None, Some(pred)) => {
-                // Documented fallback with the index off: full fetch,
-                // then the classic `select_attr` filter.
-                post_filter = Some(pred);
-                None
-            }
-            (None, None) => None,
+            (None, None) => (None, None),
         };
         let nodes: Vec<NodeT> = match ids {
             Some(ids) => {
@@ -411,6 +399,40 @@ mod tests {
             let got: Vec<NodeId> = pushed.nodes().iter().map(|n| n.id()).collect();
             assert_eq!(got, want, "pushdown answer for {label}");
             assert!(!got.is_empty(), "degenerate: no {label} nodes at all");
+        }
+    }
+
+    /// The attribute Selection asks the core the same question with
+    /// the secondary index on or off; only how the core answers it
+    /// differs. Both builds fetch the same SoN, over the whole history
+    /// and over its second half.
+    #[test]
+    fn attr_pushdown_answers_alike_with_the_index_on_and_off() {
+        let (events, on) = setup();
+        let off = TgiHandler::serving(
+            TgiService::try_build(
+                on.pin().config().with_secondary_indexes(false),
+                StoreConfig::new(2, 1),
+                &events,
+            )
+            .unwrap(),
+            2,
+        );
+        let end = events.last().unwrap().time;
+        for range in [TimeRange::new(0, end + 1), TimeRange::new(end / 2, end + 1)] {
+            for label in ["Author", "Paper", "Venue"] {
+                let fetch = |h: &TgiHandler| {
+                    h.son()
+                        .select_attr_eq("EntityType", label)
+                        .timeslice(range)
+                        .try_fetch()
+                        .unwrap()
+                };
+                let (want, got) = (fetch(&on), fetch(&off));
+                assert!(!want.is_empty(), "no {label} nodes in {range:?}");
+                assert_eq!(got.range(), want.range());
+                assert_eq!(got.nodes(), want.nodes(), "{label} in {range:?}");
+            }
         }
     }
 
