@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use hgs_delta::codec::{decode_delta, encode_delta};
+use hgs_delta::columnar::encode_columnar_delta;
 use hgs_delta::{Delta, Event, NodeId, StaticNode, Time, TimeRange};
 use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
 
@@ -53,7 +53,7 @@ impl CopyIndex {
                 Table::Deltas,
                 Self::key(t).to_vec(),
                 Self::token(t),
-                encode_delta(&state),
+                encode_columnar_delta(&state),
             ));
         }
         rows.finish();
@@ -88,7 +88,7 @@ impl HistoricalIndex for CopyIndex {
                     .multi_get(Table::Deltas, &[&Self::key(c)], Self::token(c))?
                     .pop()
                     .flatten();
-                decode_delta(&crate::written_row(row)?).map_err(StoreError::Corrupt)
+                crate::delta_row(crate::written_row(row)?)
             }
             None => Ok(Delta::new()),
         }

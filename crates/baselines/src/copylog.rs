@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use hgs_delta::codec::{decode_delta, decode_eventlist, encode_delta, encode_eventlist};
+use hgs_delta::columnar::{encode_columnar_delta, encode_columnar_eventlist};
 use hgs_delta::{Delta, Event, Eventlist, NodeId, StaticNode, Time, TimeRange};
 use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
 
@@ -64,14 +64,14 @@ impl CopyLogIndex {
                 Table::Deltas,
                 Self::key(SNAP_TAG, i).to_vec(),
                 Self::token(i),
-                encode_delta(&state),
+                encode_columnar_delta(&state),
             ));
             let el = Eventlist::from_sorted(events[start..end].to_vec());
             rows.put(PutRow::new(
                 Table::Deltas,
                 Self::key(ELIST_TAG, i).to_vec(),
                 Self::token(i),
-                encode_eventlist(&el),
+                encode_columnar_eventlist(&el),
             ));
             for e in &events[start..end] {
                 state.apply_event(&e.kind);
@@ -85,7 +85,7 @@ impl CopyLogIndex {
                 Table::Deltas,
                 Self::key(SNAP_TAG, 0).to_vec(),
                 Self::token(0),
-                encode_delta(&Delta::new()),
+                encode_columnar_delta(&Delta::new()),
             ));
         }
         rows.finish();
@@ -105,7 +105,7 @@ impl CopyLogIndex {
             .pop()
             .flatten();
         // Every checkpoint has a snapshot row.
-        decode_delta(&crate::written_row(row)?).map_err(StoreError::Corrupt)
+        crate::delta_row(crate::written_row(row)?)
     }
 
     fn fetch_elist(&self, i: usize) -> Result<Option<Eventlist>, StoreError> {
@@ -113,7 +113,7 @@ impl CopyLogIndex {
             .multi_get(Table::Deltas, &[&Self::key(ELIST_TAG, i)], Self::token(i))?
             .pop()
             .flatten()
-            .map(|bytes| decode_eventlist(&bytes).map_err(StoreError::Corrupt))
+            .map(crate::eventlist_row)
             .transpose()
     }
 }

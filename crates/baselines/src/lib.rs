@@ -19,6 +19,12 @@
 //!   micro-deltas and no version chains (§4.2's generalization claim).
 //!
 //! All of them — and TGI itself — implement [`HistoricalIndex`].
+//!
+//! Every index stores the same row bytes: a snapshot or a piece of
+//! one is a columnar delta row, a run of events a columnar eventlist
+//! row ([`hgs_delta::columnar`], the rows TGI stores). What Table 1
+//! compares is then the structure alone — which rows an index keeps,
+//! under which keys, and how many a query fetches.
 
 pub mod copy;
 pub mod copylog;
@@ -34,7 +40,8 @@ pub use log::LogIndex;
 pub use nodecentric::NodeCentricIndex;
 pub use traits::HistoricalIndex;
 
-use hgs_delta::{Delta, EventKind, NodeId};
+use bytes::Bytes;
+use hgs_delta::{ColumnarDelta, ColumnarEventlist, Delta, EventKind, Eventlist, NodeId};
 use hgs_store::{PutRow, SimStore, StoreError, Table, WriteBuffer};
 
 /// The write side of a baseline's `build`: a [`WriteBuffer`] over the
@@ -67,6 +74,22 @@ pub(crate) fn written_row<T>(row: Option<T>) -> Result<T, StoreError> {
     row.ok_or(StoreError::Unavailable {
         table: Table::Deltas,
     })
+}
+
+/// Read a stored delta row whole. Bytes that do not decode are
+/// [`StoreError::Corrupt`].
+pub(crate) fn delta_row(row: Bytes) -> Result<Delta, StoreError> {
+    ColumnarDelta::parse(row)
+        .and_then(|d| d.to_delta())
+        .map_err(StoreError::Corrupt)
+}
+
+/// Read a stored eventlist row whole. Bytes that do not decode are
+/// [`StoreError::Corrupt`].
+pub(crate) fn eventlist_row(row: Bytes) -> Result<Eventlist, StoreError> {
+    ColumnarEventlist::parse(row)
+        .and_then(|el| el.to_eventlist())
+        .map_err(StoreError::Corrupt)
 }
 
 /// Apply an event restricted to a single node's description (used by

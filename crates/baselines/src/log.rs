@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use hgs_delta::codec::{decode_eventlist, encode_eventlist};
+use hgs_delta::columnar::encode_columnar_eventlist;
 use hgs_delta::{Delta, Event, Eventlist, NodeId, StaticNode, Time, TimeRange};
 use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
 
@@ -46,7 +46,7 @@ impl LogIndex {
                 Table::Deltas,
                 Self::key(i).to_vec(),
                 Self::token(i),
-                encode_eventlist(&el),
+                encode_columnar_eventlist(&el),
             ));
         }
         rows.finish();
@@ -68,7 +68,7 @@ impl LogIndex {
                 .multi_get(Table::Deltas, &[&Self::key(i)], Self::token(i))?
                 .pop()
                 .flatten();
-            let el = decode_eventlist(&crate::written_row(row)?).map_err(StoreError::Corrupt)?;
+            let el = crate::eventlist_row(crate::written_row(row)?)?;
             for e in el.events() {
                 if e.time > t {
                     return Ok(());

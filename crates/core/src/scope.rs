@@ -7,7 +7,7 @@
 //! partition only. The union of all partitioned states then equals the
 //! full graph state — an invariant the integration tests check.
 
-use hgs_delta::{Delta, EdgeDir, EventKind, Neighbor, NodeId, StaticNode};
+use hgs_delta::{Delta, EdgeDir, EventKind, Neighbor, NodeId};
 
 /// Apply `kind` to `state`, but only mutate node descriptions whose id
 /// satisfies `in_scope`. Endpoints outside the scope are neither
@@ -15,8 +15,8 @@ use hgs_delta::{Delta, EdgeDir, EventKind, Neighbor, NodeId, StaticNode};
 pub fn apply_event_scoped<F: Fn(NodeId) -> bool>(state: &mut Delta, kind: &EventKind, in_scope: F) {
     match kind {
         EventKind::AddNode { id } => {
-            if in_scope(*id) && !state.contains(*id) {
-                state.insert(StaticNode::new(*id));
+            if in_scope(*id) {
+                state.node_or_insert(*id);
             }
         }
         EventKind::RemoveNode { id } => {
@@ -67,10 +67,14 @@ pub fn apply_event_scoped<F: Fn(NodeId) -> bool>(state: &mut Delta, kind: &Event
                 (EdgeDir::Both, EdgeDir::Both)
             };
             if in_scope(*src) {
-                ensure(state, *src).insert_edge(Neighbor::weighted(*dst, d_src, *weight));
+                state
+                    .node_or_insert(*src)
+                    .insert_edge(Neighbor::weighted(*dst, d_src, *weight));
             }
             if src != dst && in_scope(*dst) {
-                ensure(state, *dst).insert_edge(Neighbor::weighted(*src, d_dst, *weight));
+                state
+                    .node_or_insert(*dst)
+                    .insert_edge(Neighbor::weighted(*src, d_dst, *weight));
             }
         }
         EventKind::RemoveEdge { src, dst } => {
@@ -98,7 +102,10 @@ pub fn apply_event_scoped<F: Fn(NodeId) -> bool>(state: &mut Delta, kind: &Event
         }
         EventKind::SetNodeAttr { id, key, value } => {
             if in_scope(*id) {
-                ensure(state, *id).attrs.set(key.clone(), value.clone());
+                state
+                    .node_or_insert(*id)
+                    .attrs
+                    .set(key.clone(), value.clone());
             }
         }
         EventKind::RemoveNodeAttr { id, key } => {
@@ -136,14 +143,6 @@ pub fn apply_event_scoped<F: Fn(NodeId) -> bool>(state: &mut Delta, kind: &Event
             }
         }
     }
-}
-
-fn ensure(state: &mut Delta, id: NodeId) -> &mut StaticNode {
-    if !state.contains(id) {
-        state.insert(StaticNode::new(id));
-    }
-    // hgs-lint: allow(no-panic-in-try, "the node was inserted two lines above when absent")
-    state.node_mut(id).expect("just inserted")
 }
 
 fn endpoint_pairs(src: NodeId, dst: NodeId) -> impl Iterator<Item = (NodeId, NodeId)> {

@@ -1,4 +1,5 @@
-//! Compact binary codec for deltas, events and version chains.
+//! The byte-level codec under every stored row: varints, strings,
+//! attribute values, and the node record of the columnar delta rows.
 //!
 //! TGI stores every delta as a serialized binary string in the
 //! key-value store ("`dval` contains serialized value of the
@@ -12,11 +13,11 @@
 //! signed, little-endian IEEE-754 for floats, length-prefixed UTF-8
 //! strings, one tag byte per enum.
 //!
-//! A node description is `varint id, record`. A **record** — the unit
-//! the columnar delta rows ([`crate::columnar`]) store per node, whole
-//! or as a piece — opens with one head byte that carries everything
-//! small about it, and is **shape-factored**: it stores only what
-//! varies across its edge-list entries:
+//! A **record** — the unit the columnar delta rows
+//! ([`crate::columnar`]) store per node, whole or as a piece — opens
+//! with one head byte that carries everything small about it, and is
+//! **shape-factored**: it stores only what varies across its
+//! edge-list entries:
 //!
 //! ```text
 //! record := head [varint n_edges] [varint n_attrs] entry{n_edges} pair{n_attrs}
@@ -40,12 +41,15 @@
 //! value of the head byte is defined; a count its bytes cannot hold
 //! fails before any allocation. `put_record` / `get_record` are the
 //! only record codecs of the crate and `put_edge_list` /
-//! `get_edge_list` its only edge-list loops: the columnar records call
-//! them too, passing pair-dictionary codecs, so the index and the
-//! baselines' rows share one grammar. `skip_record` sits beside
+//! `get_edge_list` its only edge-list loops; the columnar records call
+//! them with pair-dictionary codecs. `skip_record` sits beside
 //! `get_record` and follows the same grammar, building nothing: it is
 //! how a point read of a columnar row steps over the records between a
 //! restart point and the one it wants.
+//!
+//! Every index — TGI and the baselines alike — stores columnar rows,
+//! so this module holds no row reader. [`encode_delta`] is the one
+//! row-wise spelling left: write-only, read by nothing in the system.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,7 +58,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crate::attr::{AttrValue, Attrs};
 use crate::delta::Delta;
 use crate::error::CodecError;
-use crate::event::{Event, EventKind, Eventlist};
 use crate::node::{Neighbor, StaticNode};
 use crate::types::EdgeDir;
 
@@ -62,14 +65,12 @@ use crate::types::EdgeDir;
 /// length prefixes allocating unbounded memory).
 pub(crate) const MAX_LEN: u64 = 1 << 32;
 
-/// Process-global count of value bytes materialized by decoding:
-/// whole-row bytes for the row-wise codec, decompressed segment bytes
-/// for the columnar codec. `benchmark/` reports per-operation deltas
-/// of this counter.
+/// Process-global count of value bytes materialized by decoding: the
+/// columnar segments and term rows a read actually touches.
+/// `benchmark/` reports per-operation deltas of this counter.
 static DECODED_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Total bytes decoded by this process so far (row-wise rows plus
-/// columnar segments actually materialized).
+/// Total bytes decoded by this process so far.
 pub fn decoded_bytes() -> u64 {
     DECODED_BYTES.load(Ordering::Relaxed)
 }
@@ -164,12 +165,12 @@ fn get_varint_slow(buf: &mut &[u8]) -> Result<u64, CodecError> {
 }
 
 /// Zigzag-encode a signed integer as a varint.
-pub fn put_zigzag(buf: &mut BytesMut, v: i64) {
+pub(crate) fn put_zigzag(buf: &mut BytesMut, v: i64) {
     put_varint(buf, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 /// Read a zigzag varint.
-pub fn get_zigzag(buf: &mut &[u8]) -> Result<i64, CodecError> {
+pub(crate) fn get_zigzag(buf: &mut &[u8]) -> Result<i64, CodecError> {
     let z = get_varint(buf)?;
     Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
 }
@@ -309,16 +310,6 @@ fn put_attr_pairs(buf: &mut BytesMut, attrs: &Attrs) {
         put_str(buf, k);
         put_attr_value(buf, v);
     }
-}
-
-fn get_attr_pairs(buf: &mut &[u8], n: usize) -> Result<Attrs, CodecError> {
-    let mut pairs = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        let k = get_str(buf)?;
-        let v = get_attr_value(buf)?;
-        pairs.push((k, v));
-    }
-    Ok(Attrs::from_pairs(pairs))
 }
 
 // ----------------------------------------------------------------------
@@ -636,24 +627,19 @@ fn skip_bytes(buf: &mut &[u8], n: usize) -> Result<(), CodecError> {
     Ok(())
 }
 
-/// Serialize one static node description.
-pub fn put_static_node(buf: &mut BytesMut, n: &StaticNode) {
+/// Serialize one static node description: `varint id, record`, keys
+/// inline.
+pub(crate) fn put_static_node(buf: &mut BytesMut, n: &StaticNode) {
     put_varint(buf, n.id);
     put_record(buf, &n.edges, &n.attrs, put_attr_pairs);
 }
 
-/// Decode one static node description.
-pub fn get_static_node(buf: &mut &[u8]) -> Result<StaticNode, CodecError> {
-    let id = get_varint(buf)?;
-    let mut edges = Vec::new();
-    let n_attrs = get_record(buf, &mut edges, get_attr_pairs)?;
-    let attrs = get_attr_pairs(buf, n_attrs)?;
-    Ok(StaticNode { id, edges, attrs })
-}
-
-/// Serialize a delta: node descriptions in sorted-id order (the sort
-/// makes encoding deterministic, which the store's compression and the
-/// tests rely on).
+/// Spell a delta row-wise: `varint n, (varint id, record){n}`, in
+/// sorted-id order, keys inline. Nothing in the system stores or reads
+/// these bytes. The one caller outside tests is the benchmark's
+/// decompress probe (`benchmark/src/probes.rs`), which feeds them to
+/// the store's LZSS; this function goes when that probe is moved onto
+/// a columnar row.
 pub fn encode_delta(d: &Delta) -> Bytes {
     let mut buf = BytesMut::with_capacity(64 + d.size() * 3);
     let nodes = d.sorted_nodes();
@@ -664,199 +650,9 @@ pub fn encode_delta(d: &Delta) -> Bytes {
     buf.freeze()
 }
 
-/// Decode a delta; rejects trailing bytes.
-pub fn decode_delta(mut buf: &[u8]) -> Result<Delta, CodecError> {
-    note_decoded(buf.len());
-    let n = get_len(&mut buf, "delta")?;
-    let mut d = Delta::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        d.insert(get_static_node(&mut buf)?);
-    }
-    if !buf.is_empty() {
-        return Err(CodecError::TrailingBytes {
-            remaining: buf.len(),
-        });
-    }
-    Ok(d)
-}
-
-// ----------------------------------------------------------------------
-// events & eventlists
-// ----------------------------------------------------------------------
-
-fn put_event_kind(buf: &mut BytesMut, k: &EventKind) {
-    match k {
-        EventKind::AddNode { id } => {
-            buf.put_u8(0);
-            put_varint(buf, *id);
-        }
-        EventKind::RemoveNode { id } => {
-            buf.put_u8(1);
-            put_varint(buf, *id);
-        }
-        EventKind::AddEdge {
-            src,
-            dst,
-            weight,
-            directed,
-        } => {
-            buf.put_u8(2);
-            put_varint(buf, *src);
-            put_varint(buf, *dst);
-            put_f32(buf, *weight);
-            buf.put_u8(*directed as u8);
-        }
-        EventKind::RemoveEdge { src, dst } => {
-            buf.put_u8(3);
-            put_varint(buf, *src);
-            put_varint(buf, *dst);
-        }
-        EventKind::SetEdgeWeight { src, dst, weight } => {
-            buf.put_u8(4);
-            put_varint(buf, *src);
-            put_varint(buf, *dst);
-            put_f32(buf, *weight);
-        }
-        EventKind::SetNodeAttr { id, key, value } => {
-            buf.put_u8(5);
-            put_varint(buf, *id);
-            put_str(buf, key);
-            put_attr_value(buf, value);
-        }
-        EventKind::RemoveNodeAttr { id, key } => {
-            buf.put_u8(6);
-            put_varint(buf, *id);
-            put_str(buf, key);
-        }
-        EventKind::SetEdgeAttr {
-            src,
-            dst,
-            key,
-            value,
-        } => {
-            buf.put_u8(7);
-            put_varint(buf, *src);
-            put_varint(buf, *dst);
-            put_str(buf, key);
-            put_attr_value(buf, value);
-        }
-        EventKind::RemoveEdgeAttr { src, dst, key } => {
-            buf.put_u8(8);
-            put_varint(buf, *src);
-            put_varint(buf, *dst);
-            put_str(buf, key);
-        }
-    }
-}
-
-fn get_event_kind(buf: &mut &[u8]) -> Result<EventKind, CodecError> {
-    let tag = get_u8(buf)?;
-    Ok(match tag {
-        0 => EventKind::AddNode {
-            id: get_varint(buf)?,
-        },
-        1 => EventKind::RemoveNode {
-            id: get_varint(buf)?,
-        },
-        2 => {
-            let src = get_varint(buf)?;
-            let dst = get_varint(buf)?;
-            let weight = get_f32(buf)?;
-            EventKind::AddEdge {
-                src,
-                dst,
-                weight,
-                directed: get_u8(buf)? != 0,
-            }
-        }
-        3 => EventKind::RemoveEdge {
-            src: get_varint(buf)?,
-            dst: get_varint(buf)?,
-        },
-        4 => {
-            let src = get_varint(buf)?;
-            let dst = get_varint(buf)?;
-            EventKind::SetEdgeWeight {
-                src,
-                dst,
-                weight: get_f32(buf)?,
-            }
-        }
-        5 => {
-            let id = get_varint(buf)?;
-            let key = get_str(buf)?;
-            EventKind::SetNodeAttr {
-                id,
-                key,
-                value: get_attr_value(buf)?,
-            }
-        }
-        6 => EventKind::RemoveNodeAttr {
-            id: get_varint(buf)?,
-            key: get_str(buf)?,
-        },
-        7 => {
-            let src = get_varint(buf)?;
-            let dst = get_varint(buf)?;
-            let key = get_str(buf)?;
-            EventKind::SetEdgeAttr {
-                src,
-                dst,
-                key,
-                value: get_attr_value(buf)?,
-            }
-        }
-        8 => EventKind::RemoveEdgeAttr {
-            src: get_varint(buf)?,
-            dst: get_varint(buf)?,
-            key: get_str(buf)?,
-        },
-        t => {
-            return Err(CodecError::BadTag {
-                what: "EventKind",
-                tag: t,
-            })
-        }
-    })
-}
-
-/// Serialize an eventlist; times are delta-encoded (chronological order
-/// makes the gaps small).
-pub fn encode_eventlist(el: &Eventlist) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + el.len() * 8);
-    put_varint(&mut buf, el.len() as u64);
-    let mut prev = 0u64;
-    for e in el.events() {
-        put_varint(&mut buf, e.time.wrapping_sub(prev));
-        prev = e.time;
-        put_event_kind(&mut buf, &e.kind);
-    }
-    buf.freeze()
-}
-
-/// Decode an eventlist; rejects trailing bytes.
-pub fn decode_eventlist(mut buf: &[u8]) -> Result<Eventlist, CodecError> {
-    note_decoded(buf.len());
-    let n = get_len(&mut buf, "eventlist")?;
-    let mut events = Vec::with_capacity(n.min(1 << 20));
-    let mut prev = 0u64;
-    for _ in 0..n {
-        let t = prev.wrapping_add(get_varint(&mut buf)?);
-        prev = t;
-        events.push(Event::new(t, get_event_kind(&mut buf)?));
-    }
-    if !buf.is_empty() {
-        return Err(CodecError::TrailingBytes {
-            remaining: buf.len(),
-        });
-    }
-    Ok(Eventlist::from_sorted(events))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::NodeId;
 
     use proptest::prelude::*;
 
@@ -900,119 +696,6 @@ mod tests {
         ));
     }
 
-    fn sample_delta() -> Delta {
-        let mut d = Delta::new();
-        d.apply_event(&EventKind::AddEdge {
-            src: 1,
-            dst: 1000,
-            weight: 2.5,
-            directed: true,
-        });
-        d.apply_event(&EventKind::AddEdge {
-            src: 1,
-            dst: 3,
-            weight: 1.0,
-            directed: false,
-        });
-        d.apply_event(&EventKind::SetNodeAttr {
-            id: 1,
-            key: "name".into(),
-            value: AttrValue::Text("alpha".into()),
-        });
-        d.apply_event(&EventKind::SetEdgeAttr {
-            src: 1,
-            dst: 3,
-            key: "since".into(),
-            value: AttrValue::Int(1999),
-        });
-        d
-    }
-
-    #[test]
-    fn delta_roundtrip() {
-        let d = sample_delta();
-        let bytes = encode_delta(&d);
-        let back = decode_delta(&bytes).unwrap();
-        assert_eq!(back, d);
-    }
-
-    #[test]
-    fn empty_delta_roundtrip() {
-        let bytes = encode_delta(&Delta::new());
-        assert_eq!(decode_delta(&bytes).unwrap(), Delta::new());
-    }
-
-    #[test]
-    fn delta_rejects_trailing_garbage() {
-        let mut bytes = encode_delta(&sample_delta()).to_vec();
-        bytes.push(0xAB);
-        assert!(matches!(
-            decode_delta(&bytes),
-            Err(CodecError::TrailingBytes { .. })
-        ));
-    }
-
-    #[test]
-    fn eventlist_roundtrip_all_kinds() {
-        let events = vec![
-            Event::new(1, EventKind::AddNode { id: 7 }),
-            Event::new(
-                2,
-                EventKind::AddEdge {
-                    src: 7,
-                    dst: 8,
-                    weight: 0.5,
-                    directed: false,
-                },
-            ),
-            Event::new(
-                2,
-                EventKind::SetNodeAttr {
-                    id: 7,
-                    key: "k".into(),
-                    value: AttrValue::Bool(true),
-                },
-            ),
-            Event::new(
-                3,
-                EventKind::SetEdgeWeight {
-                    src: 7,
-                    dst: 8,
-                    weight: 9.0,
-                },
-            ),
-            Event::new(
-                4,
-                EventKind::SetEdgeAttr {
-                    src: 7,
-                    dst: 8,
-                    key: "e".into(),
-                    value: AttrValue::Float(0.25),
-                },
-            ),
-            Event::new(
-                5,
-                EventKind::RemoveEdgeAttr {
-                    src: 7,
-                    dst: 8,
-                    key: "e".into(),
-                },
-            ),
-            Event::new(
-                6,
-                EventKind::RemoveNodeAttr {
-                    id: 7,
-                    key: "k".into(),
-                },
-            ),
-            Event::new(7, EventKind::RemoveEdge { src: 7, dst: 8 }),
-            Event::new(8, EventKind::RemoveNode { id: 7 }),
-        ];
-        let el = Eventlist::from_sorted(events);
-        let bytes = encode_eventlist(&el);
-        assert_eq!(decode_eventlist(&bytes).unwrap(), el);
-    }
-
     #[test]
     fn adjacency_delta_encoding_is_compact() {
         // 1000 consecutive neighbors should take ~2-3 bytes each, far
@@ -1024,6 +707,17 @@ mod tests {
         let d: Delta = vec![n].into_iter().collect();
         let bytes = encode_delta(&d);
         assert!(bytes.len() < 1000 * 8, "got {} bytes", bytes.len());
+    }
+
+    /// Read `n` pairs written by `put_attr_pairs`.
+    fn get_attr_pairs(buf: &mut &[u8], n: usize) -> Result<Attrs, CodecError> {
+        let mut pairs = Vec::with_capacity(n.min(64));
+        for _ in 0..n {
+            let k = get_str(buf)?;
+            let v = get_attr_value(buf)?;
+            pairs.push((k, v));
+        }
+        Ok(Attrs::from_pairs(pairs))
     }
 
     /// `edges` as a record with no node attributes (keys inline).
@@ -1400,7 +1094,10 @@ mod tests {
             bytes.extend_from_slice(&tail);
             let mut read: &[u8] = &bytes;
             let mut skipped: &[u8] = &bytes;
-            let ok = get_static_node(&mut read).is_ok();
+            let ok = get_varint(&mut read)
+                .and_then(|_| get_record(&mut read, &mut Vec::new(), get_attr_pairs))
+                .and_then(|n_attrs| get_attr_pairs(&mut read, n_attrs))
+                .is_ok();
             if ok {
                 get_varint(&mut skipped).unwrap();
                 prop_assert_eq!(skip_record(&mut skipped, skip_inline_pairs), Ok(()));
@@ -1411,29 +1108,5 @@ mod tests {
                 prop_assert_eq!(read.len(), tail.len());
             }
         }
-    }
-
-    #[test]
-    fn bad_tag_reported() {
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, 1); // one event
-        put_varint(&mut buf, 0); // time delta
-        buf.put_u8(99); // invalid kind tag
-        assert!(matches!(
-            decode_eventlist(&buf),
-            Err(CodecError::BadTag {
-                what: "EventKind",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn node_ids_beyond_u32_roundtrip() {
-        let big: NodeId = (u32::MAX as u64) + 12345;
-        let mut d = Delta::new();
-        d.apply_event(&EventKind::AddNode { id: big });
-        let back = decode_delta(&encode_delta(&d)).unwrap();
-        assert!(back.contains(big));
     }
 }

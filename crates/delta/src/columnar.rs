@@ -1,10 +1,10 @@
-//! The columnar on-disk format of index eventlist and delta rows.
+//! The on-disk format of every eventlist and delta row — TGI's and
+//! the baseline indexes' alike.
 //!
-//! The row-wise codec ([`crate::codec`], kept for the baseline indexes)
-//! interleaves every field of every event/node, so a reader pays full
-//! decode cost even when it only needs one node's structural history.
-//! This module stores the same data as **column segments** behind one
-//! backing [`Bytes`] value:
+//! A row-wise layout would interleave every field of every event or
+//! node, so a reader would pay full decode cost even when it needs only
+//! one node's structural history. A row here stores its data as
+//! **column segments** behind one backing [`Bytes`] value:
 //!
 //! ```text
 //! row := u8 magic, varint count, varint n_segs, varint seg_len{n_segs}, seg{n_segs}
@@ -85,10 +85,9 @@
 //!   attributes; a varint follows otherwise), then only the entry
 //!   fields that vary, then the attribute pairs — with every node or
 //!   edge attribute pair one `varint pair_idx` into the row's pair
-//!   dictionary; the record codec and its edge-list loops live there
-//!   and are shared with the row-wise codec. Records are most of every
-//!   index — most of them a single default edge (`head, nbr`) or a
-//!   single pair (`head, pair_idx`).
+//!   dictionary; the record codec and its edge-list loops live there.
+//!   Records are most of every index — most of them a single default
+//!   edge (`head, nbr`) or a single pair (`head, pair_idx`).
 //!
 //! A record is a whole node description in an **aux** row and in any
 //! delta encoded by itself. In a **tree** row it is a *piece*: the
@@ -193,7 +192,7 @@ const SEG_RECORDS: usize = 3;
 const RESTART_INTERVAL: usize = 16;
 
 // ----------------------------------------------------------------------
-// kind-tag helpers (tags match the row-wise codec's event tags)
+// kind-tag helpers
 // ----------------------------------------------------------------------
 
 /// Number of event kinds; tags run `0..N_KINDS`.
@@ -1498,7 +1497,7 @@ fn no_trailing(remaining: usize) -> Result<(), CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{encode_delta, encode_eventlist};
+    use crate::codec::encode_delta;
     use crate::node::Neighbor;
     use crate::types::EdgeDir;
 
@@ -2008,9 +2007,6 @@ mod tests {
         let mut bad = enc.to_vec();
         bad[0] = 0x77;
         assert!(ColumnarEventlist::parse(Bytes::from(bad)).is_err());
-        // Row-wise bytes fed to the columnar parser.
-        let row = encode_eventlist(&el);
-        assert!(ColumnarEventlist::parse(row).is_err());
         // Truncations anywhere must parse-fail or decode-fail.
         for cut in 0..enc.len() {
             let t = enc.slice(..cut);

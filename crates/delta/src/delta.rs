@@ -139,6 +139,17 @@ impl Delta {
         self.nodes.get_mut(&id).map(Arc::make_mut)
     }
 
+    /// The description of `id`, inserted bare when absent, for writing
+    /// (copy-on-write, as [`Delta::node_mut`]).
+    #[inline]
+    pub fn node_or_insert(&mut self, id: NodeId) -> &mut StaticNode {
+        Arc::make_mut(
+            self.nodes
+                .entry(id)
+                .or_insert_with(|| Arc::new(StaticNode::new(id))),
+        )
+    }
+
     /// Whether a node description for `id` is present.
     #[inline]
     pub fn contains(&self, id: NodeId) -> bool {
@@ -358,9 +369,7 @@ impl Delta {
     pub fn apply_event(&mut self, kind: &EventKind) {
         match kind {
             EventKind::AddNode { id } => {
-                if !self.nodes.contains_key(id) {
-                    self.nodes.insert(*id, Arc::new(StaticNode::new(*id)));
-                }
+                self.node_or_insert(*id);
             }
             EventKind::RemoveNode { id } => {
                 if let Some(node) = self.nodes.remove(id) {
@@ -383,19 +392,11 @@ impl Delta {
                 } else {
                     (EdgeDir::Both, EdgeDir::Both)
                 };
-                Arc::make_mut(
-                    self.nodes
-                        .entry(*src)
-                        .or_insert_with(|| Arc::new(StaticNode::new(*src))),
-                )
-                .insert_edge(Neighbor::weighted(*dst, d_src, *weight));
+                self.node_or_insert(*src)
+                    .insert_edge(Neighbor::weighted(*dst, d_src, *weight));
                 if src != dst {
-                    Arc::make_mut(
-                        self.nodes
-                            .entry(*dst)
-                            .or_insert_with(|| Arc::new(StaticNode::new(*dst))),
-                    )
-                    .insert_edge(Neighbor::weighted(*src, d_dst, *weight));
+                    self.node_or_insert(*dst)
+                        .insert_edge(Neighbor::weighted(*src, d_dst, *weight));
                 }
             }
             EventKind::RemoveEdge { src, dst } => {
@@ -422,16 +423,11 @@ impl Delta {
                     }
                 }
             }
-            EventKind::SetNodeAttr { id, key, value } => match self.nodes.get_mut(id) {
-                Some(n) => {
-                    Arc::make_mut(n).attrs.set(key.clone(), value.clone());
-                }
-                None => {
-                    let mut n = StaticNode::new(*id);
-                    n.attrs.set(key.clone(), value.clone());
-                    self.nodes.insert(*id, Arc::new(n));
-                }
-            },
+            EventKind::SetNodeAttr { id, key, value } => {
+                self.node_or_insert(*id)
+                    .attrs
+                    .set(key.clone(), value.clone());
+            }
             EventKind::RemoveNodeAttr { id, key } => {
                 if let Some(n) = self
                     .nodes

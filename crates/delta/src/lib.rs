@@ -15,9 +15,11 @@
 //!   *difference*, *union* and *intersection* (Definitions 2–5). Graph
 //!   snapshots (Example 4) and partitioned snapshots (Example 5) are
 //!   deltas from the empty graph.
-//! * [`codec`] — a compact binary serialization for all of the above;
-//!   serialized size is the storage cost that every index in the paper
-//!   (Table 1) is measured by.
+//! * [`columnar`] — the one on-disk format of delta and eventlist rows,
+//!   stored alike by TGI and by every baseline; serialized size is the
+//!   storage cost that every index in the paper (Table 1) is measured
+//!   by. [`codec`] holds the byte-level primitives and the node record
+//!   under it.
 //!
 //! Everything higher in the stack (the simulated distributed store, the
 //! Temporal Graph Index, the baselines and the analytics framework) is

@@ -1,15 +1,13 @@
-//! Property-based tests for the Δ algebra and the binary codec.
+//! Property-based tests for the Δ algebra.
 //!
 //! These check the algebraic identities of Definitions 2–5 of the paper
 //! on arbitrary generated histories — the node-level sum and union,
 //! the component-level intersection and difference — plus the
 //! reconstruction identity `child = path-sum(parent, child − parent)`
-//! that TGI's derived-snapshot storage depends on, and codec
-//! roundtrips on arbitrary deltas.
+//! that TGI's derived-snapshot storage depends on.
 
-use hgs_delta::codec::{decode_delta, decode_eventlist, encode_delta, encode_eventlist};
 use hgs_delta::columnar::encode_columnar_delta;
-use hgs_delta::{AttrValue, ColumnarDelta, Delta, Event, EventKind, Eventlist, StaticNode};
+use hgs_delta::{AttrValue, ColumnarDelta, Delta, Event, EventKind, StaticNode};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary event over a small id universe so that
@@ -218,20 +216,6 @@ proptest! {
         let [a, b, c] = &family;
         assert_family_reconstructs(&[a, b, c])?;
         assert_family_reconstructs(&[a, b])?;
-    }
-
-    #[test]
-    fn delta_codec_roundtrip(d in arb_delta()) {
-        let bytes = encode_delta(&d);
-        let back = decode_delta(&bytes).unwrap();
-        prop_assert_eq!(back, d);
-    }
-
-    #[test]
-    fn eventlist_codec_roundtrip(events in arb_history(80)) {
-        let el = Eventlist::from_sorted(events);
-        let back = decode_eventlist(&encode_eventlist(&el)).unwrap();
-        prop_assert_eq!(back, el);
     }
 
     /// Replay determinism: applying the same history twice yields

@@ -1,5 +1,4 @@
-//! Property-based tests for the columnar eventlist / delta codec, and
-//! for the edge-list grammar it shares with the row-wise delta codec.
+//! Property-based tests for the columnar eventlist / delta codec.
 //!
 //! Four families:
 //!  * roundtrip — encode → parse → materialize reproduces the input
@@ -11,15 +10,13 @@
 //!    corruption lands in;
 //!  * shapes — the same two families over deltas whose edge-lists are
 //!    drawn per *shape* (which of `dir` / weight / attributes are
-//!    constant across a list), through both `ColumnarDelta` and the
-//!    row-wise `codec::decode_delta`: replayed random histories almost
-//!    never produce the all-default list that real datasets are made of;
+//!    constant across a list): replayed random histories almost never
+//!    produce the all-default list that real datasets are made of;
 //!  * head-byte edges (plain `#[test]`s at the end) — records on either
 //!    side of the counts a head byte holds (six entries, two node
 //!    attributes), in every shape, whole and as tree pieces; eventlist
 //!    rows on either side of "every weighted event is the default edge".
 
-use hgs_delta::codec::{decode_delta, encode_delta};
 use hgs_delta::columnar::{
     encode_columnar_delta, encode_columnar_eventlist, ColumnarDelta, ColumnarEventlist,
 };
@@ -302,11 +299,10 @@ proptest! {
     }
 
     #[test]
-    fn shaped_delta_roundtrips_through_both_codecs(d in arb_shaped_delta()) {
+    fn shaped_delta_roundtrip(d in arb_shaped_delta()) {
         let col = ColumnarDelta::parse(encode_columnar_delta(&d)).unwrap();
         prop_assert_eq!(col.n_nodes(), d.cardinality());
         prop_assert_eq!(&col.to_delta().unwrap(), &d);
-        prop_assert_eq!(&decode_delta(&encode_delta(&d)).unwrap(), &d);
     }
 
     #[test]
@@ -324,11 +320,6 @@ proptest! {
     fn truncated_shaped_delta_never_panics(d in arb_shaped_delta(), cut in 0.0f64..1.0) {
         let col = encode_columnar_delta(&d);
         exercise_delta(col.slice(..(col.len() as f64 * cut) as usize));
-        let row = encode_delta(&d);
-        // The row-wise encoding is a prefix code: a strict prefix of a
-        // valid row runs out of bytes.
-        let keep = (row.len() as f64 * cut) as usize;
-        prop_assert!(decode_delta(&row[..keep]).is_err());
     }
 
     #[test]
@@ -339,9 +330,6 @@ proptest! {
     ) {
         if let Some(raw) = flip_bit(&encode_columnar_delta(&d), pos, bit) {
             exercise_delta(bytes::Bytes::from(raw));
-        }
-        if let Some(raw) = flip_bit(&encode_delta(&d), pos, bit) {
-            let _ = decode_delta(&raw);
         }
     }
 }
@@ -396,15 +384,10 @@ fn records_round_trip_on_both_sides_of_the_head_byte_counts() {
                 let node = edge_case_node(n_edges, n_attrs, shape);
                 let whole: Delta = [node.clone(), StaticNode::new(900)].into_iter().collect();
 
-                // Whole, through both codecs and the point read.
+                // Whole, through the full read and the point read.
                 let col = row_of(&node);
                 assert_eq!(col.to_delta().unwrap(), whole, "{case}");
                 assert_eq!(col.node_record(5).unwrap().as_ref(), Some(&node), "{case}");
-                assert_eq!(
-                    decode_delta(&encode_delta(&whole)).unwrap(),
-                    whole,
-                    "{case}"
-                );
 
                 // As two pieces, summed in either order, row-wide and
                 // node-scoped.

@@ -43,7 +43,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use common::{
     arb_attr_value, arb_mutation, arb_node, for_cases, mutate, Mutation, RowSegments, Split,
 };
-use hgs_delta::codec::{put_static_node, put_varint};
+use hgs_delta::codec::{encode_delta, put_varint};
 use hgs_delta::columnar::encode_columnar_delta;
 use hgs_delta::{
     AttrValue, CodecError, ColumnarDelta, Delta, EdgeDir, Neighbor, NodeId, StaticNode,
@@ -141,14 +141,11 @@ enum Kind {
 // the law
 // ----------------------------------------------------------------------
 
-/// A description as bytes: equal bytes are equal descriptions, a NaN
-/// weight or value included.
+/// A description as bytes — the row-wise spelling of the one-node
+/// delta: equal bytes are equal descriptions, a NaN weight or value
+/// included.
 fn spelled(n: Option<&StaticNode>) -> Option<Vec<u8>> {
-    n.map(|n| {
-        let mut b = BytesMut::new();
-        put_static_node(&mut b, n);
-        b.to_vec()
-    })
+    n.map(|n| encode_delta(&[n.clone()].into_iter().collect()).to_vec())
 }
 
 /// Hold every read of `row` to the properties in the module docs, the
