@@ -19,9 +19,7 @@
 //! node is a node-centric history question, and like every such
 //! question (§4.3, Algorithm 2) it is answered from the node's version
 //! chain: [`TgiView::try_attr_history`] folds the events touching the
-//! node and reads no `AttrIndex` row. (Indexes built before this held a
-//! bare-key row per `(key, tsid)`, tag `TERM_KIND_KEY`; such a store
-//! carries a retired layout tag, and `TgiService::open` refuses it.)
+//! node and reads no `AttrIndex` row.
 //!
 //! # Fallback contract
 //!

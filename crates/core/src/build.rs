@@ -21,8 +21,11 @@
 //!
 //! Updates append in batches ([`TgiService::try_append_events`]), equivalent to the
 //! paper's "create an independent TGI with the new events and merge":
-//! new timespans continue the id sequence, the previous last span's
-//! open time range is closed, and version chains are extended.
+//! new timespans continue the id sequence and version chains gain one
+//! row per new span, and no stored row is rewritten but `Graph/meta`.
+//! The previous last span's open time range is closed in the published
+//! view only: a `Timespans` row spells no end, a reader takes it from
+//! the next span's first checkpoint.
 //!
 //! ## Intersection tree
 //!
@@ -77,9 +80,10 @@
 //! (disjoint) version-chain entries; outputs merge in deterministic
 //! `sid` order into a [`WriteBuffer`] that flushes **one round trip
 //! per machine** every `WRITE_BATCH_ROWS` rows and at the span's end.
-//! The descriptor rows that make a span reachable (`Timespans`,
-//! `Graph/meta`, `Graph/config`) follow as one-row batches, so they
-//! retry, back off and classify [`StoreError::Transient`] vs
+//! The descriptor rows that make a span reachable follow as batches of
+//! their own — each span's `Timespans` row, then one `Graph/meta` row
+//! per append (with `Graph/config` beside it in the index's first) —
+//! so they retry, back off and classify [`StoreError::Transient`] vs
 //! [`StoreError::Unavailable`] like every other row.
 //!
 //! The writer's **encode width** is its own number, not the read-side
@@ -319,24 +323,22 @@ impl Writer {
         // Everything past this point mutates persisted and in-memory
         // state; stay poisoned unless the whole batch lands.
         self.poisoned = true;
-        // Close the previous open-ended span at the batch start. The
-        // closed incarnation is a *fresh* `Arc` (sharing the maps):
-        // views published before this append keep the open-ended span
-        // runtime and stay byte-identical at their pinned watermark.
-        let mut start = if let Some(last) = self.view.spans.last_mut() {
-            // hgs-lint: allow(no-panic-in-try, "the empty-batch early return above guarantees events[0] exists")
-            let cut = last.meta.range.start.max(events[0].time);
+        // Close the previous open-ended span at the batch start, in the
+        // view only: its stored row spells no end, the next span's
+        // `c_0` is it. The closed incarnation is a *fresh* `Arc`
+        // (sharing the maps): views published before this append keep
+        // the open-ended span runtime and stay byte-identical at their
+        // pinned watermark.
+        let mut start = 0;
+        if let (Some(last), Some(first)) = (self.view.spans.last_mut(), events.first()) {
+            start = last.meta.range.start.max(first.time);
             let mut meta = last.meta.clone();
-            meta.range = TimeRange::new(meta.range.start, cut);
+            meta.range.end = start;
             *last = Arc::new(SpanRuntime {
                 meta,
                 maps: Arc::clone(&last.maps),
             });
-            self.persist_meta(self.view.spans.len() - 1)?;
-            cut
-        } else {
-            0
-        };
+        }
 
         let spans = hgs_partition::plan_timespans(events, self.view.cfg.events_per_timespan);
         let n = spans.len();
@@ -351,8 +353,11 @@ impl Writer {
             .last()
             .map(|e| e.time + 1)
             .unwrap_or(self.view.end_time);
+        // The first batch of events writes the first `Graph/meta`, and
+        // `Graph/config` beside it, once.
+        let first_descriptor = self.view.event_count == 0;
         self.view.event_count += events.len();
-        self.persist_graph_meta()?;
+        self.persist_graph_meta(first_descriptor)?;
         self.view.node_count = self.tail_state.cardinality();
         self.view.edge_count = self.tail_state.edge_count();
         self.view.epoch += 1;
@@ -443,12 +448,7 @@ impl Writer {
         // 2. Partition maps per sid.
         let maps = self.compute_maps(events, range, ns);
         let pid_counts: Vec<u32> = maps.iter().map(|m| m.parts()).collect();
-        let replicate = matches!(
-            cfg.strategy,
-            PartitionStrategy::Locality {
-                replicate_boundary: true
-            }
-        );
+        let replicate = cfg.replicates_boundary();
 
         // Secondary-index rows are collected from the pre-span tail
         // state plus the span's events — one in-memory pass before the
@@ -521,19 +521,24 @@ impl Writer {
         // makes them reachable.
         buf.flush()?;
 
+        // Then that row, as a batch of one: retried, backed off and
+        // classified like every other write.
         let meta = TimespanMeta {
             tsid,
             range,
             checkpoints,
             shape,
             pid_counts,
-            has_aux: replicate,
         };
+        let key = tsid.to_be_bytes().to_vec();
+        let token = hgs_delta::hash::hash_u64(tsid as u64);
+        let row = PutRow::new(Table::Timespans, key, token, meta.encode());
+        self.view.store.try_put_batch(vec![row])?;
         self.view.spans.push(Arc::new(SpanRuntime {
             meta,
             maps: Arc::new(maps),
         }));
-        self.persist_meta(self.view.spans.len() - 1)
+        Ok(())
     }
 
     /// Encode one span: one work item per horizontal partition on the
@@ -648,29 +653,18 @@ impl Writer {
         }
     }
 
-    fn persist_meta(&self, span_idx: usize) -> Result<(), StoreError> {
-        let meta = &self.view.spans[span_idx].meta;
-        let key = meta.tsid.to_be_bytes();
-        put_checked(
-            &self.view.store,
-            Table::Timespans,
-            &key,
-            hgs_delta::hash::hash_u64(meta.tsid as u64),
-            meta.encode(),
-        )
-    }
-
-    fn persist_graph_meta(&self) -> Result<(), StoreError> {
+    /// Write `Graph/meta`, the append's commit record, with
+    /// `Graph/config` in the same batch when `with_config` (the
+    /// index's first descriptor write; the config never changes).
+    fn persist_graph_meta(&self, with_config: bool) -> Result<(), StoreError> {
         let view = &self.view;
         let meta = encode_graph_meta(view.spans.len(), view.end_time, view.event_count);
-        put_checked(&view.store, Table::Graph, b"meta", 0, meta)?;
-        put_checked(
-            &view.store,
-            Table::Graph,
-            b"config",
-            0,
-            encode_config(&view.cfg),
-        )
+        let mut rows = vec![PutRow::new(Table::Graph, b"meta".to_vec(), 0, meta)];
+        if with_config {
+            let config = encode_config(&view.cfg);
+            rows.push(PutRow::new(Table::Graph, b"config".to_vec(), 0, config));
+        }
+        view.store.try_put_batch(rows).map(drop)
     }
 }
 
@@ -750,20 +744,6 @@ impl TgiView {
 /// memory: the per-`sid` encode stages a whole span's rows before they
 /// reach the buffer.
 const WRITE_BATCH_ROWS: usize = 8192;
-
-/// Write one descriptor row as a one-row batch: retried, backed off
-/// and classified like every other write, and a row no replica
-/// accepted fails the build instead of silently dropping.
-fn put_checked(
-    store: &SimStore,
-    table: Table,
-    key: &[u8],
-    token: u64,
-    value: bytes::Bytes,
-) -> Result<(), StoreError> {
-    let row = PutRow::new(table, key.to_vec(), token, value);
-    store.try_put_batch(vec![row]).map(drop)
-}
 
 /// The host's available parallelism — the default encode width.
 pub(crate) fn host_parallelism() -> usize {

@@ -109,6 +109,15 @@ impl TgiConfig {
         .map(|(field, v, _)| (field, v as u64))
     }
 
+    /// Whether the build stores auxiliary 1-hop replicas of boundary
+    /// neighbours (Fig. 5d) — in every span, so no span row says so.
+    pub(crate) fn replicates_boundary(&self) -> bool {
+        self.strategy
+            == PartitionStrategy::Locality {
+                replicate_boundary: true,
+            }
+    }
+
     /// Validate parameter sanity; called by the builder.
     pub fn validate(&self) {
         let bad = self.out_of_bounds();

@@ -11,7 +11,7 @@
 //! from the span's checkpoints ([`TimespanMeta::chunks_overlapping`]).
 
 use bytes::BytesMut;
-use hgs_delta::codec::{bounded_count, get_varint, put_varint};
+use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::{CodecError, NodeId, Time, TimeRange};
 
 /// Delta-id base for eventlist chunks: `did = ELIST_BASE + chunk`.
@@ -146,11 +146,18 @@ impl TreeShape {
 }
 
 /// Metadata for one timespan, shared by all horizontal partitions.
+///
+/// A `Timespans` row stores only what its reader cannot derive (see
+/// [`TimespanMeta::encode`]): the `tsid` is its key's, the end of the
+/// range the next span's `c_0`, the tree shape follows from the
+/// checkpoint count and the index's arity, and whether the span keeps
+/// auxiliary 1-hop replicas from the index's partition strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimespanMeta {
     /// Timespan id.
     pub tsid: u32,
-    /// Time range covered (last span extends to `Time::MAX`).
+    /// Time range covered: from `c_0` to the next span's `c_0` (the
+    /// last span extends to `Time::MAX`).
     pub range: TimeRange,
     /// Checkpoint times `c_0..c_{q-1}`: `c_j` is the state *before*
     /// eventlist chunk `j`; `c_0 == range.start`.
@@ -160,8 +167,6 @@ pub struct TimespanMeta {
     pub shape: TreeShape,
     /// Micro-partition counts per horizontal partition.
     pub pid_counts: Vec<u32>,
-    /// Whether auxiliary 1-hop replication deltas were stored.
-    pub has_aux: bool,
 }
 
 impl TimespanMeta {
@@ -202,36 +207,36 @@ impl TimespanMeta {
         start < before && after.is_none_or(|a| end > a)
     }
 
-    /// Serialize for the `Timespans` table.
+    /// Serialize for the `Timespans` table: one pid count per
+    /// horizontal partition, then `c_0` and the gap to each next
+    /// checkpoint, ending with the row.
     pub fn encode(&self) -> bytes::Bytes {
         let mut buf = BytesMut::new();
-        put_varint(&mut buf, self.tsid as u64);
-        put_varint(&mut buf, self.range.start);
-        put_varint(&mut buf, self.range.end);
-        put_varint(&mut buf, self.checkpoints.len() as u64);
-        let mut prev = 0u64;
-        for &c in &self.checkpoints {
-            put_varint(&mut buf, c.wrapping_sub(prev));
-            prev = c;
-        }
-        put_varint(&mut buf, self.pid_counts.len() as u64);
         for &p in &self.pid_counts {
             put_varint(&mut buf, p as u64);
         }
-        bytes::BufMut::put_u8(&mut buf, self.has_aux as u8);
+        let mut prev = 0u64;
+        for &c in &self.checkpoints {
+            put_varint(&mut buf, c - prev);
+            prev = c;
+        }
         buf.freeze()
     }
 
-    /// Decode a [`TimespanMeta::encode`] blob of an index built at
-    /// `arity`, held to what the build writes: a `u32` tsid, `start <=
-    /// end`, checkpoints that open at `start`, never fall, and stay
-    /// below `end` after the first (an empty span's only checkpoint is
-    /// its `start == end`), and pid counts from 1 to `u32::MAX`. A row
-    /// off these is refused by the field's name: the tree shape, the
-    /// leaf lookups and the partition maps assume them. The row spells
-    /// no shape; it is derived from the checkpoint count and `arity`
-    /// as the build derives it ([`TreeShape::new`]).
-    pub fn decode(mut buf: &[u8], arity: usize) -> Result<TimespanMeta, CodecError> {
+    /// Decode the [`TimespanMeta::encode`] row of span `tsid` of an
+    /// index of `ns` horizontal partitions built at `arity`, held to
+    /// what the build writes: pid counts from 1 to `u32::MAX`, at
+    /// least one checkpoint, and checkpoints that stay below
+    /// `Time::MAX` (a gap that would pass it names no time). A row off
+    /// these is refused by the field's name. The range runs from `c_0`
+    /// to `Time::MAX`; the next span's row closes it
+    /// ([`TimespanMeta::close_at`]).
+    pub fn decode(
+        mut buf: &[u8],
+        tsid: u32,
+        ns: u32,
+        arity: usize,
+    ) -> Result<TimespanMeta, CodecError> {
         if arity < 2 {
             return Err(CodecError::LengthOverflow {
                 what: "arity",
@@ -239,47 +244,9 @@ impl TimespanMeta {
             });
         }
         let b = &mut buf;
-        let tsid = get_varint(b)?;
-        let tsid = u32::try_from(tsid).map_err(|_| CodecError::BadRef {
-            what: "timespan tsid",
-            id: tsid,
-        })?;
-        let start = get_varint(b)?;
-        let end = get_varint(b)?;
-        if start > end {
-            return Err(CodecError::BadRef {
-                what: "timespan end",
-                id: end,
-            });
-        }
-        let n = bounded_count(b, 1, "checkpoints")?;
-        if n == 0 {
-            return Err(CodecError::LengthOverflow {
-                what: "checkpoints",
-                len: 0,
-            });
-        }
-        let mut checkpoints = Vec::with_capacity(n);
-        let mut prev = 0u64;
-        for j in 0..n {
-            let c = prev.wrapping_add(get_varint(b)?);
-            let fits = if j == 0 {
-                c == start
-            } else {
-                prev <= c && c < end
-            };
-            if !fits {
-                return Err(CodecError::BadRef {
-                    what: "checkpoint",
-                    id: c,
-                });
-            }
-            checkpoints.push(c);
-            prev = c;
-        }
-        let np = bounded_count(b, 1, "pid_counts")?;
-        let mut pid_counts = Vec::with_capacity(np);
-        for _ in 0..np {
+        // Every varint is a byte at least.
+        let mut pid_counts = Vec::with_capacity(b.len().min(ns as usize));
+        for _ in 0..ns {
             let p = get_varint(b)?;
             match u32::try_from(p) {
                 Ok(p) if p > 0 => pid_counts.push(p),
@@ -291,26 +258,47 @@ impl TimespanMeta {
                 }
             }
         }
-        let has_aux = match b.split_first() {
-            Some((&x, rest)) => {
-                *b = rest;
-                x != 0
-            }
-            None => {
-                return Err(CodecError::UnexpectedEof {
-                    needed: 1,
-                    remaining: 0,
-                })
-            }
-        };
+        let mut c = get_varint(b)?;
+        let mut checkpoints = Vec::with_capacity(b.len() + 1);
+        checkpoints.push(c);
+        while !b.is_empty() {
+            let gap = get_varint(b)?;
+            c = match c.checked_add(gap) {
+                Some(next) if next < Time::MAX => next,
+                _ => {
+                    return Err(CodecError::BadRef {
+                        what: "checkpoint",
+                        id: gap,
+                    })
+                }
+            };
+            checkpoints.push(c);
+        }
         Ok(TimespanMeta {
             tsid,
-            range: TimeRange::new(start, end),
+            range: TimeRange::new(checkpoints[0], Time::MAX),
             shape: TreeShape::new(checkpoints.len(), arity),
             checkpoints,
             pid_counts,
-            has_aux,
         })
+    }
+
+    /// End this span where the next one opens, at `next_start`, the
+    /// next span's `c_0`, held to the one rule the build keeps across
+    /// rows: span starts never fall, and this span's checkpoints after
+    /// its `c_0` lie below the next span's `c_0`. A pair off it is
+    /// refused as the next span's `timespan start`: a read at some time
+    /// would land in the wrong span's rows.
+    pub fn close_at(&mut self, next_start: Time) -> Result<(), CodecError> {
+        let mut after_c0 = self.checkpoints.iter().skip(1);
+        if next_start < self.range.start || after_c0.any(|&c| c >= next_start) {
+            return Err(CodecError::BadRef {
+                what: "timespan start",
+                id: next_start,
+            });
+        }
+        self.range.end = next_start;
+        Ok(())
     }
 }
 
@@ -539,17 +527,111 @@ mod tests {
     fn meta_roundtrip() {
         let m = TimespanMeta {
             tsid: 3,
-            range: TimeRange::new(100, 900),
+            range: TimeRange::new(100, Time::MAX),
             checkpoints: vec![100, 250, 430],
             shape: TreeShape::new(3, 2),
             pid_counts: vec![4, 7],
-            has_aux: true,
         };
-        let back = TimespanMeta::decode(&m.encode(), 2).unwrap();
+        // Two pid counts, `c_0`, two gaps: one varint each, and nothing
+        // else — no tsid, no end, no counts, no aux flag.
+        let row = m.encode();
+        assert_eq!(row.len(), 1 + 1 + 1 + 2 + 2);
+        let back = TimespanMeta::decode(&row, 3, 2, 2).unwrap();
         assert_eq!(back, m);
         // The row spells no arity: the shape follows the one passed.
-        let flat = TimespanMeta::decode(&m.encode(), 5).unwrap();
+        let flat = TimespanMeta::decode(&row, 3, 2, 5).unwrap();
         assert_eq!(flat.shape, TreeShape::new(3, 3));
+        // Nor its partition count: read at one, the second pid count
+        // is `c_0`, the span's times shift, and the next row's `c_0`
+        // refuses them.
+        let mut shifted = TimespanMeta::decode(&row, 3, 1, 2).unwrap();
+        assert_eq!(shifted.checkpoints, vec![7, 107, 257, 437]);
+        assert!(shifted.close_at(430).is_err());
+    }
+
+    /// A span ends where the next opens. Starts never fall, and the
+    /// checkpoints after `c_0` lie below the next span's `c_0` — an
+    /// empty span's lone `c_0` may equal it.
+    #[test]
+    fn close_at_holds_the_cross_row_rule() {
+        let span = |checkpoints: Vec<Time>| TimespanMeta {
+            tsid: 0,
+            range: TimeRange::new(checkpoints[0], Time::MAX),
+            shape: TreeShape::new(checkpoints.len(), 2),
+            checkpoints,
+            pid_counts: vec![1],
+        };
+        let refused = |id| {
+            Err(CodecError::BadRef {
+                what: "timespan start",
+                id,
+            })
+        };
+        let mut m = span(vec![10, 20, 30]);
+        assert_eq!(m.close_at(30), refused(30));
+        assert_eq!(m.close_at(25), refused(25));
+        assert_eq!(m.close_at(5), refused(5));
+        assert_eq!(
+            m.range.end,
+            Time::MAX,
+            "a refused close leaves the span open"
+        );
+        assert_eq!(m.close_at(31), Ok(()));
+        assert_eq!(m.range, TimeRange::new(10, 31));
+        let mut empty = span(vec![10]);
+        assert_eq!(empty.close_at(9), refused(9));
+        assert_eq!(empty.close_at(10), Ok(()));
+        assert_eq!(empty.range, TimeRange::new(10, 10));
+    }
+
+    /// A `Timespans` row off its grammar is refused by the field's
+    /// name, never a panic.
+    #[test]
+    fn timespan_rows_off_the_grammar_are_refused() {
+        let row = |fields: &[u64]| {
+            let mut buf = BytesMut::new();
+            for &f in fields {
+                put_varint(&mut buf, f);
+            }
+            buf.freeze()
+        };
+        let decode = |fields: &[u64]| TimespanMeta::decode(&row(fields), 0, 2, 2).map(drop);
+        assert_eq!(decode(&[3, 4, 0, 10]), Ok(()));
+        for p in [0, 1 << 32] {
+            assert_eq!(
+                decode(&[3, p, 0]),
+                Err(CodecError::LengthOverflow {
+                    what: "pid count",
+                    len: p
+                })
+            );
+        }
+        // No checkpoint at all, or a varint cut short.
+        for short in [&row(&[3, 4])[..], &[3, 4, 0x80]] {
+            assert!(matches!(
+                TimespanMeta::decode(short, 0, 2, 2),
+                Err(CodecError::UnexpectedEof { .. })
+            ));
+        }
+        // A checkpoint at or past `Time::MAX`.
+        assert_eq!(
+            decode(&[3, 4, 1, Time::MAX - 1]),
+            Err(CodecError::BadRef {
+                what: "checkpoint",
+                id: Time::MAX - 1
+            })
+        );
+        assert_eq!(
+            decode(&[3, 4, 1, 1, u64::MAX]),
+            Err(CodecError::BadRef {
+                what: "checkpoint",
+                id: u64::MAX
+            })
+        );
+        assert!(matches!(
+            TimespanMeta::decode(&row(&[3, 4, 0]), 0, 2, 1),
+            Err(CodecError::LengthOverflow { what: "arity", .. })
+        ));
     }
 
     #[test]
@@ -560,7 +642,6 @@ mod tests {
             checkpoints: vec![0, 100, 200],
             shape: TreeShape::new(3, 2),
             pid_counts: vec![1],
-            has_aux: false,
         };
         assert_eq!(m.leaf_for_time(0), 0);
         assert_eq!(m.leaf_for_time(99), 0);

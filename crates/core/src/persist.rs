@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use hgs_delta::codec::{bounded_count, get_varint, put_varint};
+use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::{CodecError, FxHashMap, NodeId, StorageLayout, Time};
 use hgs_partition::PartitionMap;
 use hgs_store::{SimStore, StoreError, Table};
@@ -27,7 +27,8 @@ pub enum OpenError {
     /// The store holds no graph descriptor (nothing was built here).
     NotFound,
     /// A metadata row failed to decode, contradicts the rows beside
-    /// it, or names a row the store lacks.
+    /// it, or names a row the store lacks — or the rows it describes
+    /// do not decode to the latest state.
     Corrupt(CodecError),
     /// The store was unreachable.
     Store(StoreError),
@@ -64,21 +65,22 @@ impl std::error::Error for OpenError {}
 /// (eventlist and delta rows with an LZSS bit on every segment length,
 /// attribute values spelled in full where a row-local dictionary
 /// index now stands; their rows carry retired magics too) and `7`
-/// (descriptors spelling a read-cache budget before this tag: the rows
-/// are this layout's, but the `Graph/config` row is one varint longer).
-/// A store tagged otherwise is refused, not answered from.
-const LAYOUT_TAG: u64 = 8;
+/// (descriptors spelling a read-cache budget before this tag) and `8`
+/// (descriptors opening with `events_per_timespan` and spelling the
+/// time-collapse and node-weighting tags, `Timespans` rows spelling
+/// `tsid`, end, counts and an aux flag, partition maps spelling their
+/// part count and entry count). A store tagged otherwise is refused,
+/// not answered from.
+const LAYOUT_TAG: u64 = 9;
 
-/// Descriptor tags of the one time-collapse function (Union-Max) and
-/// node weighting (uniform) the locality partitioner runs (§4.5).
-const OMEGA_TAG: u64 = 1;
-const NODE_WEIGHTING_TAG: u64 = 0;
-
-/// Serialize the construction configuration: every field of
-/// [`TgiConfig`] in declaration order, with the Ω and node-weighting
-/// tags before the layout tag.
+/// Serialize the construction configuration: the layout tag, then
+/// every other field of [`TgiConfig`] in declaration order.
 pub(crate) fn encode_config(cfg: &TgiConfig) -> Bytes {
     let mut buf = BytesMut::new();
+    let layout = match cfg.layout {
+        StorageLayout::Columnar => LAYOUT_TAG,
+    };
+    put_varint(&mut buf, layout);
     put_varint(&mut buf, cfg.events_per_timespan as u64);
     put_varint(&mut buf, cfg.eventlist_size as u64);
     put_varint(&mut buf, cfg.arity as u64);
@@ -95,15 +97,6 @@ pub(crate) fn encode_config(cfg: &TgiConfig) -> Bytes {
     };
     put_varint(&mut buf, strat);
     put_varint(&mut buf, cfg.version_chains as u64);
-    // The time-collapse function Ω and the node weighting of the
-    // locality partitioner are Union-Max and uniform in every build;
-    // their tags (1 and 0) keep their place in the descriptor.
-    put_varint(&mut buf, OMEGA_TAG);
-    put_varint(&mut buf, NODE_WEIGHTING_TAG);
-    let layout = match cfg.layout {
-        StorageLayout::Columnar => LAYOUT_TAG,
-    };
-    put_varint(&mut buf, layout);
     put_varint(&mut buf, cfg.secondary_indexes as u64);
     buf.freeze()
 }
@@ -111,6 +104,18 @@ pub(crate) fn encode_config(cfg: &TgiConfig) -> Bytes {
 /// Decode [`encode_config`].
 pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
     let b = &mut buf;
+    // One row format. A descriptor tagged otherwise, or empty, does
+    // not describe rows this code can read: refuse it here rather than
+    // report every row corrupt later.
+    let layout = match get_varint(b) {
+        Ok(LAYOUT_TAG) => StorageLayout::Columnar,
+        other => {
+            return Err(CodecError::BadTag {
+                what: "StorageLayout",
+                tag: other.unwrap_or(0) as u8,
+            })
+        }
+    };
     let events_per_timespan = get_varint(b)? as usize;
     let eventlist_size = get_varint(b)? as usize;
     let arity = get_varint(b)? as usize;
@@ -137,29 +142,6 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
         }
     };
     let version_chains = get_varint(b)? != 0;
-    // Ω and node-weighting tags: exactly the ones every build writes,
-    // or an append would build under a descriptor naming another mode.
-    for (what, want) in [("Omega", OMEGA_TAG), ("NodeWeighting", NODE_WEIGHTING_TAG)] {
-        let tag = get_varint(b)?;
-        if tag != want {
-            return Err(CodecError::BadTag {
-                what,
-                tag: tag as u8,
-            });
-        }
-    }
-    // One row format. A descriptor tagged otherwise, or cut short
-    // before the tag, does not describe rows this code can read: refuse
-    // it here rather than report every row corrupt later.
-    let layout = match get_varint(b) {
-        Ok(LAYOUT_TAG) => StorageLayout::Columnar,
-        other => {
-            return Err(CodecError::BadTag {
-                what: "StorageLayout",
-                tag: other.unwrap_or(0) as u8,
-            })
-        }
-    };
     let secondary_indexes = get_varint(b)? != 0;
     no_trailing_bytes(b)?;
     let cfg = TgiConfig {
@@ -221,16 +203,16 @@ fn decode_graph_meta(mut buf: &[u8]) -> Result<(u32, Time, usize), CodecError> {
 /// `Micropartitions` table (the paper's node -> micro-partition map) —
 /// all of them, not only the nodes alive when the span closed: a
 /// reopened index derives every read's `pid` (a chain entry's
-/// included) from this row, for a node the span removed too.
+/// included) from this row, for a node the span removed too. The row
+/// is `(id gap, pid)*` in node order, ending with the row; its part
+/// count is the span row's pid count for the `sid`.
 pub(crate) fn encode_partition_map(map: &PartitionMap) -> Bytes {
     let mut entries: Vec<(NodeId, u32)> = map.entries().collect();
     entries.sort_unstable();
-    let mut buf = BytesMut::with_capacity(entries.len() * 3 + 8);
-    put_varint(&mut buf, map.parts() as u64);
-    put_varint(&mut buf, entries.len() as u64);
+    let mut buf = BytesMut::with_capacity(entries.len() * 3);
     let mut prev = 0u64;
     for (id, pid) in entries {
-        put_varint(&mut buf, id.wrapping_sub(prev));
+        put_varint(&mut buf, id - prev);
         prev = id;
         put_varint(&mut buf, pid as u64);
     }
@@ -238,28 +220,31 @@ pub(crate) fn encode_partition_map(map: &PartitionMap) -> Bytes {
 }
 
 /// Decode [`encode_partition_map`] for a span whose `sid` has `parts`
-/// micro-partitions: a map of any other part count would send a node
-/// to a micro-partition the span never wrote, or never read one it did.
+/// micro-partitions. Node ids rise from entry to entry, and a pid
+/// names one of the `parts`: a repeated node would be read from
+/// whichever entry came last, and a pid past the part count sends a
+/// node to a micro-partition the span never wrote.
 fn decode_partition_map(mut buf: &[u8], parts: u32) -> Result<PartitionMap, CodecError> {
     let b = &mut buf;
-    let stored = get_varint(b)?;
-    if stored != parts as u64 {
-        return Err(CodecError::LengthOverflow {
-            what: "partition map parts",
-            len: stored,
-        });
-    }
     // An entry is an id gap and a pid: two bytes at least.
-    let n = bounded_count(b, 2, "partition map")?;
     let mut map: FxHashMap<NodeId, u32> = FxHashMap::default();
-    map.reserve(n);
-    let mut prev = 0u64;
-    for _ in 0..n {
-        prev = prev.wrapping_add(get_varint(b)?);
+    map.reserve(b.len() / 2);
+    let mut prev: Option<NodeId> = None;
+    while !b.is_empty() {
+        let gap = get_varint(b)?;
+        let id = match prev {
+            None => Some(gap),
+            Some(prev) if gap > 0 => prev.checked_add(gap),
+            Some(_) => None,
+        }
+        .ok_or(CodecError::BadRef {
+            what: "partition map id gap",
+            id: gap,
+        })?;
+        prev = Some(id);
         let pid = get_varint(b)?;
-        // A pid past the part count names no micro-partition.
         match u32::try_from(pid) {
-            Ok(p) if p < parts => map.insert(prev, p),
+            Ok(p) if p < parts => map.insert(id, p),
             _ => {
                 return Err(CodecError::BadRef {
                     what: "partition map pid",
@@ -268,7 +253,6 @@ fn decode_partition_map(mut buf: &[u8], parts: u32) -> Result<PartitionMap, Code
             }
         };
     }
-    no_trailing_bytes(b)?;
     Ok(PartitionMap::explicit(map, parts))
 }
 
@@ -289,9 +273,12 @@ impl Writer {
             decode_graph_meta(&meta_row).map_err(OpenError::Corrupt)?;
         let cfg = decode_config(&cfg_row).map_err(OpenError::Corrupt)?;
 
-        // Per-timespan metadata and partition maps.
+        // Per-timespan metadata and partition maps. A row spells
+        // neither its `tsid` (the key's) nor its end (the next row's
+        // `c_0`): each row closes the span before it, held to the rule
+        // the spans keep across rows, and the first opens at time 0.
         let bad_ref = |what, id| OpenError::Corrupt(CodecError::BadRef { what, id });
-        let mut spans: Vec<Arc<SpanRuntime>> = Vec::new();
+        let mut spans: Vec<SpanRuntime> = Vec::new();
         for tsid in 0..span_count {
             let row = store
                 .multi_get(
@@ -303,24 +290,13 @@ impl Writer {
                 .pop()
                 .flatten()
                 .ok_or(bad_ref("timespan", tsid as u64))?;
-            let meta = TimespanMeta::decode(&row, cfg.arity).map_err(OpenError::Corrupt)?;
-            // The spans tile time in `tsid` order from 0: a row filed
-            // under another span, or one leaving a gap or an overlap
-            // with the span before it, would answer a read at some time
-            // from the wrong span's rows.
-            if meta.tsid != tsid {
-                return Err(bad_ref("timespan tsid", meta.tsid as u64));
-            }
-            if meta.range.start != spans.last().map_or(0, |prev| prev.meta.range.end) {
-                return Err(bad_ref("timespan start", meta.range.start));
-            }
-            // One partition map per `sid`: every node-scoped read
-            // indexes them by the node's hash.
-            if meta.pid_counts.len() != cfg.horizontal_partitions as usize {
-                return Err(OpenError::Corrupt(CodecError::LengthOverflow {
-                    what: "pid_counts",
-                    len: meta.pid_counts.len() as u64,
-                }));
+            let meta = TimespanMeta::decode(&row, tsid, cfg.horizontal_partitions, cfg.arity)
+                .map_err(OpenError::Corrupt)?;
+            let start = meta.range.start;
+            match spans.last_mut() {
+                Some(prev) => prev.meta.close_at(start).map_err(OpenError::Corrupt)?,
+                None if start != 0 => return Err(bad_ref("timespan start", start)),
+                None => {}
             }
             let maps = match cfg.strategy {
                 PartitionStrategy::Random => meta
@@ -344,17 +320,17 @@ impl Writer {
                     maps
                 }
             };
-            spans.push(Arc::new(SpanRuntime {
+            spans.push(SpanRuntime {
                 meta,
                 maps: Arc::new(maps),
-            }));
+            });
         }
 
         let mut writer = Writer {
             view: TgiView {
                 cfg,
                 store,
-                spans,
+                spans: spans.into_iter().map(Arc::new).collect(),
                 end_time,
                 event_count,
                 node_count: 0,
@@ -373,10 +349,12 @@ impl Writer {
         // The tail state (needed for appends) is the latest snapshot;
         // the view's shape summary follows it.
         if end_time > 0 {
-            writer.tail_state = writer
-                .view
-                .try_snapshot(end_time)
-                .map_err(OpenError::Store)?;
+            writer.tail_state = writer.view.try_snapshot(end_time).map_err(|e| match e {
+                // Rows that do not sum to a state are damage the
+                // descriptor did not show, not an unreachable store.
+                StoreError::Corrupt(e) => OpenError::Corrupt(e),
+                e => OpenError::Store(e),
+            })?;
             writer.view.node_count = writer.tail_state.cardinality();
             writer.view.edge_count = writer.tail_state.edge_count();
         }
@@ -434,19 +412,13 @@ mod tests {
                 )
             );
         }
-        // The layout tag is the second-to-last varint (one byte each):
-        // a descriptor tagged 0 to 7 (the retired formats), or cut
-        // short before the tag, is refused rather than opened as
-        // something else.
+        // The layout tag is the first varint (one byte): a descriptor
+        // tagged 0 to 8 (the retired formats), or empty, is refused
+        // rather than opened as something else.
         let blob = encode_config(&TgiConfig::default());
-        let tag_at = blob.len() - 2;
-        assert_eq!(blob[tag_at] as u64, LAYOUT_TAG);
-        let retired = |tag: u8| {
-            let mut blob = blob.to_vec();
-            blob[tag_at] = tag;
-            blob
-        };
-        for bad in (0..8).map(retired).chain([blob[..tag_at].to_vec()]) {
+        assert_eq!(blob[0] as u64, LAYOUT_TAG);
+        let retired = |tag: u8| [&[tag], &blob[1..]].concat();
+        for bad in (0..9).map(retired).chain([Vec::new()]) {
             assert!(matches!(
                 decode_config(&bad),
                 Err(CodecError::BadTag {
@@ -455,11 +427,11 @@ mod tests {
                 })
             ));
         }
-        // Every descriptor of this layout spells the secondary-index
-        // flag after the tag: one cut right after it is refused too,
-        // not opened with the index off. So is one a byte too long.
+        // Every descriptor of this layout ends with the secondary-index
+        // flag: one cut right before it is refused too, not opened with
+        // the index off. So is one a byte too long.
         assert!(matches!(
-            decode_config(&blob[..tag_at + 1]),
+            decode_config(&blob[..blob.len() - 1]),
             Err(CodecError::UnexpectedEof { .. })
         ));
         assert_eq!(
@@ -468,23 +440,30 @@ mod tests {
         );
     }
 
-    /// A tag-7 descriptor spelled a read-cache budget just before its
-    /// tag, where this layout's tag stands. Whatever the budget, it is
-    /// refused: read as a tag, a budget of 8 names this layout, and
-    /// then the old secondary-index flag is one byte too many.
+    /// A tag-8 descriptor opened with `events_per_timespan`, where this
+    /// layout's tag stands, and spelled the time-collapse (1) and
+    /// node-weighting (0) tags before its own. Whatever its span size,
+    /// it is refused: read as a tag, only a span size of 9 names this
+    /// layout, and then the row is two varints too long.
     #[test]
-    fn a_tag_7_descriptor_is_refused_whatever_its_budget() {
-        let blob = encode_config(&TgiConfig::default());
-        let tag_at = blob.len() - 2;
-        for budget in [0, 1, 7, 8, 9, 127, 128, 64 << 20, u64::MAX] {
+    fn a_tag_8_descriptor_is_refused_whatever_its_span_size() {
+        for events_per_timespan in [1, 8, 9, 10, 127, 128, 20_000, 1 << 40] {
+            let cfg = TgiConfig {
+                events_per_timespan,
+                eventlist_size: 1,
+                ..TgiConfig::default()
+            };
+            let blob = encode_config(&cfg);
+            let (fields, secondary) = blob[1..].split_at(blob.len() - 2);
             let mut old = BytesMut::new();
-            old.extend_from_slice(&blob[..tag_at]);
-            put_varint(&mut old, budget);
-            put_varint(&mut old, 7);
-            old.extend_from_slice(&blob[tag_at + 1..]);
+            old.extend_from_slice(fields);
+            for v in [1, 0, 8] {
+                put_varint(&mut old, v);
+            }
+            old.extend_from_slice(secondary);
             let got = decode_config(&old).map(drop);
-            if budget == LAYOUT_TAG {
-                assert_eq!(got, Err(CodecError::TrailingBytes { remaining: 1 }));
+            if events_per_timespan == LAYOUT_TAG as usize {
+                assert_eq!(got, Err(CodecError::TrailingBytes { remaining: 2 }));
             } else {
                 assert!(
                     matches!(
@@ -494,7 +473,7 @@ mod tests {
                             ..
                         })
                     ),
-                    "budget {budget}: {got:?}"
+                    "span size {events_per_timespan}: {got:?}"
                 );
             }
         }
@@ -535,13 +514,21 @@ mod tests {
         }
     }
 
-    /// A `Timespans` row spells no tree shape: a reopened index derives
-    /// each span's from its checkpoints and the descriptor's arity, and
-    /// gets the build's — at arity 2, at arity 3, and at the clipped
-    /// arity of a copy-log build, whose spans are flat trees.
+    /// A `Timespans` row spells no tree shape, no `tsid` and no end: a
+    /// reopened index derives each span's shape from its checkpoints
+    /// and the descriptor's arity, its end from the next span's start,
+    /// and gets the live view's spans whole — at arity 2, at arity 3,
+    /// and at the clipped arity of a copy-log build, whose spans are
+    /// flat trees — after a build and an append whose close of the
+    /// build's last span never reached the store.
     #[test]
-    fn reopened_spans_have_the_built_shapes() {
+    fn reopened_spans_are_the_live_views() {
         let events = hgs_datagen::WikiGrowth::sized(2_000).generate();
+        let cut = 1_000
+            + events[1_000..]
+                .iter()
+                .position(|e| e.time > events[999].time)
+                .unwrap();
         let tree = TgiConfig::default()
             .with_timespan(700)
             .with_eventlist_size(100);
@@ -550,19 +537,25 @@ mod tests {
             TgiConfig { arity: 3, ..tree },
             TgiConfig::copy_log(100).with_timespan(700),
         ] {
-            let tgi = crate::TgiService::try_build(cfg, hgs_store::StoreConfig::new(2, 1), &events)
-                .unwrap()
-                .pin();
-            let reopened = crate::TgiService::open(tgi.store().clone()).unwrap().pin();
-            let shapes = |t: &TgiView| -> Vec<crate::meta::TreeShape> {
-                t.spans.iter().map(|s| s.meta.shape.clone()).collect()
+            let svc = crate::TgiService::try_build(
+                cfg,
+                hgs_store::StoreConfig::new(2, 1),
+                &events[..cut],
+            )
+            .unwrap();
+            svc.try_append_events(&events[cut..]).unwrap();
+            let live = svc.pin();
+            let reopened = crate::TgiService::open(live.store().clone()).unwrap().pin();
+            let metas = |t: &TgiView| -> Vec<TimespanMeta> {
+                t.spans.iter().map(|s| s.meta.clone()).collect()
             };
-            let built = shapes(&tgi);
-            assert!(built.len() > 1, "{cfg:?}");
-            assert_eq!(shapes(&reopened), built, "{cfg:?}");
+            let built = metas(&live);
+            assert!(built.len() > 2, "{cfg:?}");
+            assert_eq!(metas(&reopened), built, "{cfg:?}");
+            assert_eq!(built.last().unwrap().range.end, Time::MAX);
             // Trees of 7 leaves are ragged; a copy log's are flat.
-            let flat = built.iter().all(|s| s.height() <= 1);
-            let ragged = built.iter().any(|s| s.pad > 0);
+            let flat = built.iter().all(|m| m.shape.height() <= 1);
+            let ragged = built.iter().any(|m| m.shape.pad > 0);
             let copy_log = cfg.arity > 3;
             assert_eq!((flat, ragged), (copy_log, !copy_log), "{built:?}");
         }

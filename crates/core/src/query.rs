@@ -737,7 +737,7 @@ impl TgiView {
         // own eventlist chunks. Aux rows are write-once too, so they
         // ride the same read cache — held by `Arc`, never deep-copied
         // (the resolve closure only ever reads one record of it).
-        let aux = if meta.has_aux {
+        let aux = if self.cfg.replicates_boundary() {
             let key = (AUX_BASE + j as u64, center_pid);
             self.try_fetch_rows(tsid, center_sid, &[key])?
                 .pop()

@@ -51,6 +51,7 @@
 //! item count, and at width 1 every item runs inline. Answers, store
 //! requests and cache entries are the same at every width.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -96,7 +97,7 @@ struct LeafGroup {
 
 /// All leaf groups of one timespan, ascending by leaf index.
 struct SpanGroup {
-    span_idx: usize,
+    span: Arc<SpanRuntime>,
     leaves: Vec<LeafGroup>,
 }
 
@@ -108,11 +109,9 @@ pub(crate) struct MultipointPlan {
 
 impl MultipointPlan {
     pub(crate) fn new(tgi: &TgiView, times: &[Time]) -> MultipointPlan {
-        // span_idx -> leaf -> [(slot, t)], kept ordered so materialized
-        // states distribute deterministically.
-        let mut groups: Vec<SpanGroup> = Vec::new();
-        let mut by_span: FxHashMap<usize, FxHashMap<usize, Vec<(usize, Time)>>> =
-            FxHashMap::default();
+        // span_idx -> leaf -> [(slot, t)], walked in key order so
+        // materialized states distribute deterministically.
+        let mut by_span: BTreeMap<usize, BTreeMap<usize, Vec<(usize, Time)>>> = BTreeMap::new();
         for (slot, &t) in times.iter().enumerate() {
             let span_idx = tgi.span_index_for(t);
             let leaf = tgi.spans[span_idx].meta.leaf_for_time(t);
@@ -123,23 +122,19 @@ impl MultipointPlan {
                 .or_default()
                 .push((slot, t));
         }
-        let mut span_ids: Vec<usize> = by_span.keys().copied().collect();
-        span_ids.sort_unstable();
-        for span_idx in span_ids {
-            // hgs-lint: allow(no-panic-in-try, "span_ids are by_span's own keys, each removed exactly once")
-            let leaves_map = by_span.remove(&span_idx).expect("key listed");
-            let mut leaf_ids: Vec<usize> = leaves_map.keys().copied().collect();
-            leaf_ids.sort_unstable();
-            let leaves = leaf_ids
-                .into_iter()
-                .map(|leaf| {
-                    let mut ts = leaves_map[&leaf].clone();
-                    ts.sort_by_key(|&(_, t)| t);
-                    LeafGroup { leaf, times: ts }
-                })
-                .collect();
-            groups.push(SpanGroup { span_idx, leaves });
-        }
+        let groups = by_span
+            .into_iter()
+            .map(|(span_idx, leaves)| SpanGroup {
+                span: Arc::clone(&tgi.spans[span_idx]),
+                leaves: leaves
+                    .into_iter()
+                    .map(|(leaf, mut times)| {
+                        times.sort_by_key(|&(_, t)| t);
+                        LeafGroup { leaf, times }
+                    })
+                    .collect(),
+            })
+            .collect();
         MultipointPlan {
             groups,
             n_times: times.len(),
@@ -155,7 +150,7 @@ impl MultipointPlan {
             ..PlanSummary::default()
         };
         for g in &self.groups {
-            let meta = &tgi.spans[g.span_idx].meta;
+            let meta = &g.span.meta;
             let mut union: FxHashSet<u64> = FxHashSet::default();
             for lg in &g.leaves {
                 s.leaf_groups += 1;
@@ -199,9 +194,7 @@ impl TgiView {
         let plan = MultipointPlan::new(self, times);
         let mut out: Vec<Delta> = (0..times.len()).map(|_| Delta::new()).collect();
         for group in &plan.groups {
-            // hgs-lint: allow(no-panic-in-try, "plan groups carry span_idx values produced by enumerating self.spans")
-            let span = &self.spans[group.span_idx];
-            self.fill_group(span, &group.leaves, &mut out)?;
+            self.fill_group(&group.span, &group.leaves, &mut out)?;
         }
         Ok(out)
     }

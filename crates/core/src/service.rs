@@ -11,10 +11,12 @@
 //!
 //! # Watermark semantics
 //!
-//! The index is append-only at span granularity: an append creates
-//! *new* timespans and never rewrites a sealed row (closing the
-//! previous open span's time range is per-view metadata, not stored
-//! rows — see [`TgiService::try_append_events`]). The writer therefore
+//! The index is append-only at span granularity: an append writes its
+//! *new* timespans' rows and then `Graph/meta`, its commit record, and
+//! rewrites no other row. Closing the previous open span's time range
+//! is per-view metadata: no `Timespans` row spells its end, which
+//! [`TgiService::open`] derives from the next span's start (see
+//! [`TgiService::try_append_events`]). The writer therefore
 //! publishes, at the end of each successful append, an immutable
 //! [`TgiView`] — config, span metadata, partition maps and summary
 //! counters — tagged with a monotonically increasing epoch. That
@@ -42,9 +44,9 @@
 //! answering at the last durable watermark. Once the cluster heals,
 //! [`TgiService::try_recover`] re-opens the writer from the durable
 //! state *in place* — same service, same shared cache, watermark
-//! sequence intact — and finishes with an anti-entropy
-//! [`TgiService::try_repair`] pass that re-replicates any rows a
-//! degraded write left short (see [`SimStore::try_repair`]).
+//! sequence intact — and finishes with an anti-entropy pass
+//! ([`SimStore::try_repair`]) that re-replicates any rows a degraded
+//! write left short.
 //!
 //! # Caching
 //!
@@ -180,7 +182,8 @@ impl TgiService {
     /// their incident edges, so partitioned eventlists and version
     /// chains reach every affected node. Closing the previous open
     /// span's time range is per-view metadata, never a rewrite of a
-    /// sealed row.
+    /// sealed row: the append writes its new spans' rows and
+    /// `Graph/meta`, and nothing else.
     ///
     /// Any index write that reached zero replicas surfaces as
     /// [`StoreError::Unavailable`](hgs_store::StoreError::Unavailable)
@@ -227,15 +230,6 @@ impl TgiService {
         Arc::clone(self.pin().store())
     }
 
-    /// Run one anti-entropy pass over the backing store
-    /// ([`SimStore::try_repair`]): re-replicate every row an earlier
-    /// degraded write left under-replicated. Honest about progress —
-    /// rows whose replicas are still refusing stay recorded and are
-    /// reported as `still_degraded`.
-    pub fn try_repair(&self) -> Result<RepairReport, OpenError> {
-        self.store().try_repair().map_err(OpenError::Store)
-    }
-
     /// Recover a poisoned writer in place and repair the store.
     ///
     /// A failed append leaves the writer poisoned at the last durable
@@ -251,7 +245,7 @@ impl TgiService {
     /// Appends work again afterwards; the next one publishes the next
     /// epoch in the service's watermark sequence.
     ///
-    /// On an unpoisoned writer this is just [`TgiService::try_repair`]
+    /// On an unpoisoned writer this is just the anti-entropy pass
     /// behind the writer lock. If the store is still refusing reads
     /// the re-open fails with an honest [`OpenError`] and the writer
     /// stays poisoned — call again once the cluster actually healed.

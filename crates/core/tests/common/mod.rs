@@ -6,7 +6,7 @@
 // Each suite uses its own part of this module.
 #![allow(dead_code)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use hgs_core::meta::ELIST_BASE;
@@ -59,19 +59,26 @@ pub fn node_events_by_replay(normalized: &[Event], nid: NodeId, range: TimeRange
         .collect()
 }
 
-/// The span descriptors an index persisted, in `tsid` order.
+/// The span descriptors an index persisted, in `tsid` order, each
+/// read under its key's `tsid` and closed where the next one opens.
 pub fn span_metas(tgi: &TgiView) -> Vec<TimespanMeta> {
-    let arity = tgi.config().arity;
-    let mut metas: Vec<TimespanMeta> = tgi
+    let cfg = tgi.config();
+    let rows: BTreeMap<Vec<u8>, Bytes> = tgi
         .store()
         .content_rows()
         .into_iter()
         .flatten()
         .filter(|(k, _)| k[0] == Table::Timespans.tag())
-        .map(|(_, v)| TimespanMeta::decode(&v, arity).unwrap())
         .collect();
-    metas.sort_by_key(|m| m.tsid);
-    metas.dedup_by_key(|m| m.tsid);
+    let mut metas: Vec<TimespanMeta> = Vec::new();
+    for (key, row) in rows {
+        let tsid = u32::from_be_bytes(key[1..].try_into().unwrap());
+        let meta = TimespanMeta::decode(&row, tsid, cfg.horizontal_partitions, cfg.arity).unwrap();
+        if let Some(prev) = metas.last_mut() {
+            prev.close_at(meta.range.start).unwrap();
+        }
+        metas.push(meta);
+    }
     metas
 }
 

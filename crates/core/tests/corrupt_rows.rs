@@ -171,11 +171,9 @@ fn repeated_component_in_a_child_row_is_corrupt_on_every_read() {
 
     // The second span starts on a populated graph: its root row holds
     // real edge-lists. Read at its second checkpoint.
-    let meta = rows
-        .iter()
-        .filter(|(k, _)| k[0] == Table::Timespans.tag())
-        .map(|(_, v)| TimespanMeta::decode(v, tgi.config().arity).unwrap())
-        .find(|m| m.tsid == 1)
+    let meta = common::span_metas(&tgi)
+        .into_iter()
+        .nth(1)
         .expect("the trace spans several timespans");
     let t = meta.checkpoints[1];
     let path = meta.shape.path_to_leaf(meta.leaf_for_time(t));
@@ -275,10 +273,9 @@ fn corrupt_on_read_fault_surfaces_corrupt_and_leaves_storage_intact() {
 /// `TgiService::open` trusts nothing in the stored descriptor: a config row
 /// whose construction parameters break the bounds the build path
 /// asserts (the query paths divide by them), whose row-format tag is
-/// not the one format, whose Ω or node-weighting tag names a mode no
-/// build runs, or that is cut short before the layout tag, is
-/// `OpenError::Corrupt` — never an `Ok` handle that panics or reports
-/// every row corrupt on its first query.
+/// not the one format, or that is empty, is `OpenError::Corrupt` —
+/// never an `Ok` handle that panics or reports every row corrupt on
+/// its first query.
 #[test]
 fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
     let events = trace();
@@ -289,46 +286,38 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
     let good = store.multi_get(Table::Graph, &[b"config"], 0).unwrap()[0]
         .clone()
         .expect("the build wrote a config row");
-    // The descriptor is eleven varints; see `persist::encode_config`.
+    // The descriptor is nine varints, the layout tag first; see
+    // `persist::encode_config`.
     let mut fields: Vec<u64> = Vec::new();
     let mut b: &[u8] = &good;
     while !b.is_empty() {
         fields.push(get_varint(&mut b).unwrap());
     }
-    assert_eq!(fields.len(), 11);
-    const OMEGA: usize = 7;
-    const WEIGHTING: usize = 8;
-    const LAYOUT: usize = 9;
+    assert_eq!(fields.len(), 9);
+    const LAYOUT: usize = 0;
     let rewrite = |fields: &[u64]| {
-        let mut buf = BytesMut::new();
-        for &f in fields {
-            put_varint(&mut buf, f);
-        }
-        let row = PutRow::new(Table::Graph, b"config".to_vec(), 0, buf.freeze());
+        let row = PutRow::new(Table::Graph, b"config".to_vec(), 0, varints(fields));
         store.try_put_batch(vec![row]).expect("healthy store");
     };
-    let events_per_timespan = fields[0];
+    let events_per_timespan = fields[1];
+    let retired = (0..9).map(|tag| (LAYOUT, tag, format!("retired layout tag {tag}")));
     for (idx, bad, what) in [
-        (0, 0, "events_per_timespan = 0"),
-        (1, 0, "eventlist_size = 0"),
-        (1, events_per_timespan + 1, "eventlist_size > timespan"),
-        (2, 1, "arity = 1"),
-        (3, 0, "partition_size = 0"),
-        (4, 0, "horizontal_partitions = 0"),
+        (1, 0, "events_per_timespan = 0"),
+        (2, 0, "eventlist_size = 0"),
+        (2, events_per_timespan + 1, "eventlist_size > timespan"),
+        (3, 1, "arity = 1"),
+        (4, 0, "partition_size = 0"),
+        (5, 0, "horizontal_partitions = 0"),
         (
-            4,
-            fields[4] + (1 << 32),
+            5,
+            fields[5] + (1 << 32),
             "horizontal_partitions wrapping past u32",
         ),
-        (LAYOUT, 0, "retired layout tag 0"),
-        (LAYOUT, 1, "retired layout tag 1"),
-        (LAYOUT, 2, "retired layout tag 2"),
-        (LAYOUT, 3, "retired layout tag 3"),
-        (LAYOUT, 4, "retired layout tag 4"),
-        (LAYOUT, 5, "retired layout tag 5"),
-        (LAYOUT, 6, "retired layout tag 6"),
-        (LAYOUT, 7, "retired layout tag 7"),
-    ] {
+    ]
+    .map(|(idx, bad, what)| (idx, bad, what.to_string()))
+    .into_iter()
+    .chain(retired)
+    {
         let mut bad_fields = fields.clone();
         bad_fields[idx] = bad;
         rewrite(&bad_fields);
@@ -337,16 +326,16 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
             "{what} must refuse to open"
         );
     }
-    // Tag 2 is what the previous format's builds wrote: chain rows of
-    // `count, (time-gap, chunk)*`, which would parse as chunk gaps.
-    // `Versions` rows carry no magic of their own, so the descriptor is
-    // where such an index is refused — by name.
-    // Tag 4 is the layout whose delta rows kept a byte length per
-    // record, and tag 6 the one whose rows carried an LZSS bit per
-    // segment and spelled attribute values in full: refused by name
-    // too, with no reader of their rows kept. Tag 7 rows are this
-    // layout's, but its descriptors spelled a read-cache budget.
-    for tag in [2, 4, 6, 7] {
+    // Tag 2 is the format whose chain rows were `count, (time-gap,
+    // chunk)*`, which would parse as chunk gaps. `Versions` rows carry
+    // no magic of their own, so the descriptor is where such an index
+    // is refused — by name. Tag 4 is the layout whose delta rows kept a
+    // byte length per record, and tag 6 the one whose rows carried an
+    // LZSS bit per segment and spelled attribute values in full:
+    // refused by name too, with no reader of their rows kept. Tag 7
+    // rows are this layout's, but its descriptors spelled a read-cache
+    // budget, and tag 8's spelled what `open` now derives.
+    for tag in [2, 4, 6, 7, 8] {
         let mut previous = fields.clone();
         previous[LAYOUT] = tag;
         rewrite(&previous);
@@ -358,218 +347,167 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
             })) if u64::from(t) == tag
         ));
     }
-    // Every build runs Union-Max (Ω tag 1) over uniform node weights
-    // (tag 0): a descriptor naming Median (0) or Union-Mean (2), or a
-    // degree (1) or average-degree (2) weighting, is refused by name —
-    // not opened and then appended to under the one mode there is.
-    for (idx, what, tag) in [
-        (OMEGA, "Omega", 0u8),
-        (OMEGA, "Omega", 2),
-        (WEIGHTING, "NodeWeighting", 1),
-        (WEIGHTING, "NodeWeighting", 2),
-    ] {
-        let mut other = fields.clone();
-        other[idx] = u64::from(tag);
-        rewrite(&other);
-        assert!(
-            matches!(
-                TgiService::open(store.clone()),
-                Err(OpenError::Corrupt(CodecError::BadTag { what: w, tag: t })) if w == what && t == tag
-            ),
-            "{what} tag {tag} must be refused by name"
-        );
-    }
-    rewrite(&fields[..LAYOUT]);
+    rewrite(&[]);
     assert!(
         matches!(TgiService::open(store.clone()), Err(OpenError::Corrupt(_))),
-        "a descriptor truncated before the layout tag must refuse to open"
+        "an empty descriptor must refuse to open"
     );
     // The descriptor as written still opens.
     rewrite(&fields);
     TgiService::open(store).expect("intact descriptor").pin();
 }
 
-/// Every element count in the descriptor rows is held to the bytes
+/// Every element count `TgiService::open` reads is held to the bytes
 /// left in its row before anything is allocated for it: a hostile
-/// count is `OpenError::Corrupt`, not a `capacity overflow` panic or
-/// an OOM-sized reservation inside `TgiService::open`. One case per site.
+/// count is `OpenError::Corrupt`, not a `capacity overflow` panic or an
+/// OOM-sized reservation. No descriptor row spells a count of its own
+/// elements any more; two counts are left, one case each.
 #[test]
 fn hostile_descriptor_counts_are_corrupt_not_an_allocation() {
     const HUGE: u64 = 1 << 62;
     let events = trace();
-    let build = |strategy| {
-        let cfg = cfg().with_strategy(strategy);
-        TgiService::try_build(cfg, StoreConfig::new(3, 1), &events)
-            .unwrap()
-            .pin()
-            .store()
-            .clone()
+    let store = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin()
+        .store()
+        .clone();
+    let corrupt = |what: &str| match TgiService::open(store.clone()) {
+        Err(OpenError::Corrupt(e)) => e,
+        Err(other) => panic!("{what}: unexpected error {other}"),
+        Ok(_) => panic!("{what}: opened"),
     };
-    let overflow =
-        |store: &std::sync::Arc<SimStore>, what: &str| match TgiService::open(store.clone()) {
-            Err(OpenError::Corrupt(CodecError::LengthOverflow { .. })) => {}
-            Err(other) => panic!("{what}: unexpected error {other}"),
-            Ok(_) => panic!("{what}: opened"),
-        };
-    let span0 = 0u32.to_be_bytes();
-
-    // `TimespanMeta::decode`, the checkpoint count: tsid, start, end, n.
-    let store = build(PartitionStrategy::Random);
-    put_everywhere(&store, Table::Timespans, &span0, varints(&[0, 0, 0, HUGE]));
-    overflow(&store, "checkpoint count");
-    assert!(matches!(
-        TimespanMeta::decode(&varints(&[0, 0, 0, HUGE]), 2),
-        Err(CodecError::LengthOverflow {
-            what: "checkpoints",
-            ..
-        })
-    ));
-
-    // `TimespanMeta::decode`, the `pid_counts` count: one checkpoint,
-    // then the count.
-    put_everywhere(
-        &store,
-        Table::Timespans,
-        &span0,
-        varints(&[0, 0, 9, 1, 0, HUGE]),
-    );
-    overflow(&store, "pid_counts count");
 
     // `Graph/meta`, the span count: nothing is allocated for it, and a
     // count no `tsid` can name is refused outright — as is 0, which no
     // build writes and which left every read without a span to land on
     // (`span_index_for` panicked).
-    let store = build(PartitionStrategy::Random);
-    put_everywhere(&store, Table::Graph, b"meta", varints(&[HUGE, 9, 9]));
-    overflow(&store, "span count");
-    put_everywhere(&store, Table::Graph, b"meta", varints(&[0, 9, 9]));
-    overflow(&store, "span count 0");
+    let meta = store.multi_get(Table::Graph, &[b"meta"], 0).unwrap()[0]
+        .clone()
+        .expect("the build wrote a meta row");
+    for count in [HUGE, 0] {
+        put_everywhere(&store, Table::Graph, b"meta", varints(&[count, 9, 9]));
+        assert_eq!(
+            corrupt("span count"),
+            CodecError::LengthOverflow {
+                what: "span count",
+                len: count
+            }
+        );
+    }
+    put_everywhere(&store, Table::Graph, b"meta", meta);
 
-    // `decode_partition_map`, the entry count: parts (the span's own,
-    // so that the count is what is refused), n.
-    let store = build(PartitionStrategy::Locality {
-        replicate_boundary: false,
-    });
-    let mut mp_key = [0u8; 8];
-    mp_key[4..].copy_from_slice(&1u32.to_be_bytes());
-    let built = store
-        .multi_get(
-            Table::Micropartitions,
-            &[&mp_key],
-            hgs_store::PlacementKey::new(0, 1).token(),
-        )
-        .unwrap()
-        .pop()
-        .flatten()
-        .expect("a locality build stores the map of sid 1");
-    let parts = get_varint(&mut &built[..]).unwrap();
-    put_everywhere(
-        &store,
-        Table::Micropartitions,
-        &mp_key,
-        varints(&[parts, HUGE]),
+    // `Graph/config`, the horizontal partitions: the pid counts each
+    // `Timespans` row opens with. The most a `u32` names is held to
+    // the span row's bytes before anything is allocated for them.
+    let config = store.multi_get(Table::Graph, &[b"config"], 0).unwrap()[0]
+        .clone()
+        .expect("the build wrote a config row");
+    let mut fields: Vec<u64> = Vec::new();
+    let mut b: &[u8] = &config;
+    while !b.is_empty() {
+        fields.push(get_varint(&mut b).unwrap());
+    }
+    fields[5] = u32::MAX as u64;
+    put_everywhere(&store, Table::Graph, b"config", varints(&fields));
+    // Span 0's `c_0`, read as one more pid count, is the first of them
+    // out of bounds.
+    assert_eq!(
+        corrupt("horizontal partitions"),
+        CodecError::LengthOverflow {
+            what: "pid count",
+            len: 0
+        }
     );
-    overflow(&store, "partition-map entry count");
+    put_everywhere(&store, Table::Graph, b"config", config);
+    TgiService::open(store).expect("intact descriptor");
 }
 
-/// A `Micropartitions` row is a part count and `(id gap, pid)`
-/// entries. An entry whose pid is at or past the part count names no
+/// A `Micropartitions` row is `(id gap, pid)` entries in node order,
+/// and its part count is the span row's pid count for the sid. An
+/// entry whose pid is at or past the part count names no
 /// micro-partition: `TgiService::open` refuses the row as `Corrupt`,
 /// naming the pid, instead of panicking on the map's bound (or, without
 /// debug assertions, opening a map whose reads land on a partition no
-/// row holds). A part count or pid past `u32` is refused too, not
-/// truncated, and so is a byte past the last entry. The part count is
-/// the span's pid count for the sid and nothing else: one part more,
-/// with an entry on it, would send a node's reads to a micro-partition
-/// the span never wrote (`node_at` answering `None` where the build
-/// holds the node), and a count of 0 is no map at all.
+/// row holds). A pid past `u32` is refused too, not truncated. A node
+/// named twice — an id gap of 0 after the first entry — or an id past
+/// `u64` is refused by the gap, and a row ending inside an entry is cut
+/// short.
 #[test]
 fn a_partition_map_naming_a_pid_past_its_part_count_is_corrupt() {
     let events = trace();
     let cfg = cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: false,
     });
-    let store = TgiService::try_build(cfg, StoreConfig::new(3, 1), &events)
+    let tgi = TgiService::try_build(cfg, StoreConfig::new(3, 1), &events)
         .unwrap()
-        .pin()
-        .store()
-        .clone();
-    // A stored map with two parts at least and an entry to rewrite.
+        .pin();
+    let store = tgi.store().clone();
+    let metas = common::span_metas(&tgi);
+    // A stored map of two parts at least, with two entries.
     let tag = Table::Micropartitions.tag();
-    let (key, mut fields) = store
+    let (key, parts, fields) = store
         .content_rows()
         .into_iter()
         .flatten()
         .filter(|(nk, _)| nk.first() == Some(&tag))
         .map(|(nk, row)| {
+            let tsid = u32::from_be_bytes(nk[1..5].try_into().unwrap());
+            let sid = u32::from_be_bytes(nk[5..9].try_into().unwrap());
+            let parts = metas[tsid as usize].pid_counts[sid as usize] as u64;
             let mut b: &[u8] = &row;
             let mut fields = Vec::new();
             while !b.is_empty() {
                 fields.push(get_varint(&mut b).unwrap());
             }
-            (nk[1..].to_vec(), fields)
+            (nk[1..].to_vec(), parts, fields)
         })
-        .find(|(_, fields)| fields[0] >= 2 && fields[1] >= 1)
+        .find(|(_, parts, fields)| *parts >= 2 && fields.len() >= 4)
         .expect("a locality build stores a map of two parts or more");
-    let parts = fields[0];
     let intact = varints(&fields);
-    for pid in [parts, 5 * parts, 1 << 40] {
-        fields[3] = pid;
-        put_everywhere(&store, Table::Micropartitions, &key, varints(&fields));
-        match TgiService::open(store.clone()) {
-            Err(OpenError::Corrupt(CodecError::BadRef {
-                what: "partition map pid",
-                id,
-            })) => assert_eq!(id, pid),
-            Err(other) => panic!("pid {pid}: unexpected error {other}"),
-            Ok(_) => panic!("pid {pid} of {parts} parts opened"),
-        }
-    }
-    let mut one_more = fields.clone();
-    one_more[0] = parts + 1;
-    one_more[3] = parts;
-    for (what, row) in [
-        ("a part count past u32", varints(&[(1 << 32) + parts, 0])),
-        ("one part more, with an entry on it", varints(&one_more)),
-        ("a part count of 0", varints(&[0, 0])),
-    ] {
+    let open = |row: Bytes| {
         put_everywhere(&store, Table::Micropartitions, &key, row);
-        assert!(
-            matches!(
-                TgiService::open(store.clone()),
-                Err(OpenError::Corrupt(CodecError::LengthOverflow {
-                    what: "partition map parts",
-                    ..
-                }))
-            ),
-            "{what} must refuse to open"
+        TgiService::open(store.clone()).map(drop)
+    };
+    let refused = |at: usize, value: u64| {
+        let mut bad = fields.clone();
+        bad[at] = value;
+        match open(varints(&bad)) {
+            Err(OpenError::Corrupt(CodecError::BadRef { what, id })) if id == value => what,
+            other => panic!("field {at} = {value}: {other:?}"),
+        }
+    };
+    for pid in [parts, 5 * parts, 1 << 40] {
+        assert_eq!(
+            refused(3, pid),
+            "partition map pid",
+            "pid {pid} of {parts} parts"
         );
     }
-    let mut longer = intact.to_vec();
-    longer.push(0);
-    put_everywhere(&store, Table::Micropartitions, &key, Bytes::from(longer));
+    // A node named twice, and an id past `u64`.
+    for gap in [0, u64::MAX] {
+        assert_eq!(refused(2, gap), "partition map id gap");
+    }
+    let mut cut = intact.to_vec();
+    cut.push(1);
     assert!(
         matches!(
-            TgiService::open(store.clone()),
-            Err(OpenError::Corrupt(CodecError::TrailingBytes {
-                remaining: 1
-            }))
+            open(Bytes::from(cut)),
+            Err(OpenError::Corrupt(CodecError::UnexpectedEof { .. }))
         ),
-        "a map one byte longer must refuse to open"
+        "a map ending inside an entry must refuse to open"
     );
-    put_everywhere(&store, Table::Micropartitions, &key, intact);
-    TgiService::open(store).expect("intact partition map");
+    open(intact).expect("intact partition map");
 }
 
-/// A `Timespans` row that decodes is not yet one the build could have
-/// written: its `tsid` must be its key's, its range not reversed, its
-/// checkpoints opening at the range's start and never falling, and the
-/// spans must tile time from 0. A row off any of these is
-/// `OpenError::Corrupt`, naming the field. (Re-encoding span 0's row
-/// this way once made a re-open panic inside `TreeShape::new` or
-/// `TimeRange::new`, or open a handle whose snapshots differed from the
-/// build's.) The row spells no arity to get wrong: the tree's comes
-/// from the descriptor, whose bound
+/// A `Timespans` row spells neither its `tsid` nor its end: the
+/// reader takes the first from the key and the second from the next
+/// span's `c_0`. What is left to hold is one rule across rows — span
+/// starts never fall, each span's checkpoints after its `c_0` lie below
+/// the next span's `c_0`, and the first span opens at 0 — and within a
+/// row, checkpoints below `Time::MAX`. A row off these is
+/// `OpenError::Corrupt`, naming the field, never a re-open that panics
+/// or answers from the wrong span's rows. The row spells no arity to
+/// get wrong: the tree's comes from the descriptor, whose bound
 /// `out_of_bounds_descriptor_is_corrupt_not_a_panic` holds.
 #[test]
 fn inconsistent_timespan_rows_are_corrupt_not_a_panic_or_a_wrong_graph() {
@@ -579,62 +517,79 @@ fn inconsistent_timespan_rows_are_corrupt_not_a_panic_or_a_wrong_graph() {
         .unwrap()
         .pin();
     let store = tgi.store().clone();
-    let built = common::span_metas(&tgi)[0].clone();
-    assert!(built.checkpoints.len() > 1, "span 0 holds several chunks");
-    let span0 = 0u32.to_be_bytes();
-    let reopened = |meta: &TimespanMeta| {
-        put_everywhere(&store, Table::Timespans, &span0, meta.encode());
-        TgiService::open(store.clone()).map(|svc| svc.pin().try_snapshot(end / 2))
+    let metas = common::span_metas(&tgi);
+    let (span0, span1) = (&metas[0], &metas[1]);
+    assert!(span0.checkpoints.len() > 1, "span 0 holds several chunks");
+    let last0 = *span0.checkpoints.last().unwrap();
+    let reopened = |tsid: u32, meta: &TimespanMeta| {
+        put_everywhere(&store, Table::Timespans, &tsid.to_be_bytes(), meta.encode());
+        let got = TgiService::open(store.clone()).map(|svc| svc.pin().try_snapshot(end / 2));
+        put_everywhere(
+            &store,
+            Table::Timespans,
+            &tsid.to_be_bytes(),
+            metas[tsid as usize].encode(),
+        );
+        got
     };
     let bad_ref = |what, id| CodecError::BadRef { what, id };
-    let mut reversed = built.checkpoints.clone();
-    reversed.reverse();
-    for (what, meta, want) in [
+    let opening_at = |meta: &TimespanMeta, start: u64| TimespanMeta {
+        checkpoints: [start]
+            .into_iter()
+            .chain(meta.checkpoints[1..].iter().copied())
+            .collect(),
+        ..meta.clone()
+    };
+    for (what, tsid, meta, want) in [
         (
-            "tsid 1 under key 0",
-            TimespanMeta {
-                tsid: 1,
-                ..built.clone()
-            },
-            bad_ref("timespan tsid", 1),
+            "span 1 opening below span 0's last checkpoint",
+            1,
+            opening_at(span1, last0 - 1),
+            bad_ref("timespan start", last0 - 1),
         ),
         (
-            "start > end",
-            TimespanMeta {
-                range: TimeRange {
-                    start: built.range.end,
-                    end: built.range.start,
-                },
-                ..built.clone()
-            },
-            bad_ref("timespan end", built.range.start),
+            "span 1 opening at span 0's last checkpoint",
+            1,
+            opening_at(span1, last0),
+            bad_ref("timespan start", last0),
         ),
         (
-            "reversed checkpoints",
+            "span 1 opening where span 0 opens",
+            1,
             TimespanMeta {
-                checkpoints: reversed.clone(),
-                ..built.clone()
+                checkpoints: vec![0],
+                ..span1.clone()
             },
-            bad_ref("checkpoint", reversed[0]),
+            bad_ref("timespan start", 0),
         ),
         (
-            "span 0 overlapping span 1",
-            TimespanMeta {
-                range: TimeRange::new(built.range.start, built.range.end + 1),
-                ..built.clone()
-            },
-            bad_ref("timespan start", built.range.end),
+            "span 0 opening after time 0",
+            0,
+            opening_at(span0, 1),
+            bad_ref("timespan start", 1),
         ),
     ] {
-        match reopened(&meta) {
+        match reopened(tsid, &meta) {
             Err(OpenError::Corrupt(e)) => assert_eq!(e, want, "{what}"),
             Err(other) => panic!("{what}: unexpected error {other}"),
             Ok(_) => panic!("{what}: opened"),
         }
     }
-    // The row as built reopens to the build's answers.
+    // A checkpoint gap that runs past `Time::MAX`.
+    let mut row = BytesMut::new();
+    row.extend_from_slice(&span1.encode());
+    put_varint(&mut row, u64::MAX - 1);
+    put_everywhere(&store, Table::Timespans, &1u32.to_be_bytes(), row.freeze());
+    assert!(matches!(
+        TgiService::open(store.clone()).map(drop),
+        Err(OpenError::Corrupt(CodecError::BadRef {
+            what: "checkpoint",
+            ..
+        }))
+    ));
+    // The rows as built reopen to the build's answers.
     assert_eq!(
-        reopened(&built).expect("intact descriptor").unwrap(),
+        reopened(1, span1).expect("intact descriptor").unwrap(),
         tgi.try_snapshot(end / 2).unwrap()
     );
 }
@@ -656,24 +611,16 @@ fn a_span_pid_count_of_zero_or_past_u32_is_corrupt() {
         "sid 0 holds several micro-partitions"
     );
     let key = last.tsid.to_be_bytes();
-    // The row's fields: tsid, start, end, the checkpoint count and
-    // gaps, the pid counts with their count, the aux flag.
+    // The row's fields: one pid count per sid, then `c_0` and the
+    // checkpoint gaps.
     let row = |count0: u64| {
-        let mut fields = vec![
-            last.tsid as u64,
-            last.range.start,
-            last.range.end,
-            last.checkpoints.len() as u64,
-        ];
+        let mut fields = vec![count0];
+        fields.extend(last.pid_counts[1..].iter().map(|&p| p as u64));
         let mut prev = 0;
         for &c in &last.checkpoints {
             fields.push(c - prev);
             prev = c;
         }
-        fields.push(last.pid_counts.len() as u64);
-        fields.push(count0);
-        fields.extend(last.pid_counts[1..].iter().map(|&p| p as u64));
-        fields.push(last.has_aux as u64);
         varints(&fields)
     };
     assert_eq!(row(last.pid_counts[0] as u64), last.encode());

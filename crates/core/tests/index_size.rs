@@ -169,8 +169,7 @@ fn census(events: &[Event], cfg: TgiConfig) -> Census {
             t if t == Table::Versions.tag() => &mut c.versions,
             t if t == Table::AttrIndex.tag() => {
                 // Term key: the kind tag, then the length-prefixed term.
-                // Value-term rows are the only kind (`TERM_KIND_KEY` rows
-                // are no longer written).
+                // Value-term rows are the only kind.
                 assert_eq!(key[1], TERM_KIND_VALUE, "an index row of a retired kind");
                 let points = decode_term_points(&value).unwrap();
                 let carry: Vec<_> = points.into_iter().take_while(|p| p.carry).collect();

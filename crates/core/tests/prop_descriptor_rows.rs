@@ -2,20 +2,23 @@
 //! two-span locality build's `Timespans` rows, its `Graph/meta` and
 //! `Graph/config` rows and its `Micropartitions` rows (one partition
 //! map per span and `sid`), stored unchanged, with one byte replaced,
-//! with one byte inserted, with one byte appended, truncated, or as
-//! arbitrary bytes. `TgiService::open` answers `Ok` or
-//! `OpenError::Corrupt`, never panics; an opened index answers a
-//! snapshot at each of three times with `Ok` or `StoreError::Corrupt`;
-//! and the rows as built reopen to the build's answers.
+//! with one byte inserted, with one byte appended, truncated, as
+//! arbitrary bytes, or — every descriptor row being a run of varints —
+//! re-encoded with one field replaced or dropped. `TgiService::open`
+//! answers `Ok` or `OpenError::Corrupt`, never panics; an opened index
+//! answers a snapshot at each of three times with `Ok` or
+//! `StoreError::Corrupt`; and the rows as built reopen to the build's
+//! answers.
 
 mod common;
 
 use std::sync::{Arc, OnceLock};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use common::put_everywhere;
 use hgs_core::{OpenError, PartitionStrategy, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
+use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::{Delta, Time};
 use hgs_store::{SimStore, StoreConfig, StoreError, Table};
 use proptest::prelude::*;
@@ -104,6 +107,11 @@ enum Damage {
     Append(u8),
     /// The row cut short.
     Truncate(usize),
+    /// One varint field replaced (its index taken modulo the row's
+    /// field count), the row re-encoded.
+    Field(usize, u64),
+    /// One varint field dropped, the row re-encoded.
+    DropField(usize),
 }
 
 fn arb_damage() -> impl Strategy<Value = Damage> {
@@ -114,6 +122,9 @@ fn arb_damage() -> impl Strategy<Value = Damage> {
         2 => (any::<usize>(), any::<u8>()).prop_map(|(at, b)| Damage::Insert(at, b)),
         1 => any::<u8>().prop_map(Damage::Append),
         2 => any::<usize>().prop_map(Damage::Truncate),
+        3 => (any::<usize>(), prop_oneof![0..4u64, any::<u64>()])
+            .prop_map(|(at, v)| Damage::Field(at, v)),
+        1 => any::<usize>().prop_map(Damage::DropField),
     ]
 }
 
@@ -131,8 +142,33 @@ fn damage(row: &[u8], d: &Damage) -> Vec<u8> {
         Damage::Insert(at, b) => out.insert(at % (out.len() + 1), *b),
         Damage::Append(b) => out.push(*b),
         Damage::Truncate(len) => out.truncate(len % (out.len() + 1)),
+        Damage::Field(at, v) => out = refield(row, *at, |fields, at| fields[at] = *v),
+        Damage::DropField(at) => {
+            out = refield(row, *at, |fields, at| {
+                fields.remove(at);
+            })
+        }
     }
     out
+}
+
+/// `row` read as varints, the field at `at` (modulo the field count)
+/// changed by `edit`, and encoded again.
+fn refield(row: &[u8], at: usize, edit: impl FnOnce(&mut Vec<u64>, usize)) -> Vec<u8> {
+    let mut fields = Vec::new();
+    let mut b = row;
+    while !b.is_empty() {
+        fields.push(get_varint(&mut b).expect("a row as built is varints"));
+    }
+    if !fields.is_empty() {
+        let at = at % fields.len();
+        edit(&mut fields, at);
+    }
+    let mut out = BytesMut::new();
+    for f in fields {
+        put_varint(&mut out, f);
+    }
+    out.to_vec()
 }
 
 proptest! {

@@ -42,11 +42,6 @@ use crate::types::{NodeId, Time};
 
 /// Term kind tag for attribute `(key, value)` membership rows.
 pub const TERM_KIND_VALUE: u8 = 0;
-/// Reserved: the tag of the bare attribute-key value-history rows that
-/// indexes once carried (a node's attribute history is now read from
-/// its version chain). Nothing writes or reads the kind; the tag is
-/// never reused, so an old store's rows stay recognisably foreign.
-pub const TERM_KIND_KEY: u8 = 1;
 
 /// One endpoint of a `key == value` membership interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,11 +202,10 @@ mod tests {
         assert_eq!(decode_term_points(&enc).unwrap(), pts);
     }
 
-    /// The bare-key rows are gone; their kind tag must never come to
-    /// mean something else (an older store still holds rows under it).
+    /// The one term kind keeps its key byte.
     #[test]
-    fn key_kind_tag_stays_reserved() {
-        assert_eq!((TERM_KIND_VALUE, TERM_KIND_KEY), (0, 1));
+    fn value_kind_tag_is_zero() {
+        assert_eq!(TERM_KIND_VALUE, 0);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod normalize;
 pub mod types;
 
 pub use attr::{AttrValue, Attrs};
-pub use attr_index::{TermPoint, TERM_KIND_KEY, TERM_KIND_VALUE};
+pub use attr_index::{TermPoint, TERM_KIND_VALUE};
 pub use columnar::{ColumnarDelta, ColumnarEventlist, StorageLayout};
 pub use delta::Delta;
 pub use error::CodecError;
