@@ -7,7 +7,12 @@
 //!    groups never split), defining checkpoint times `c_0..c_{q-1}`;
 //! 2. a partition map per horizontal partition is computed (hash for
 //!    [`PartitionStrategy::Random`]; LDG+KL over the Ω-collapsed span
-//!    graph for [`PartitionStrategy::Locality`]);
+//!    graph for [`PartitionStrategy::Locality`]), and the span's pair
+//!    table — every attribute pair its rows can name — is collected in
+//!    one pass over the pre-span tail state and the span's events;
+//!    every row below is encoded against it
+//!    ([`hgs_delta::columnar`]), and the span's `Timespans` row
+//!    stores it;
 //! 3. the span is replayed: at each checkpoint the per-`sid`
 //!    partitioned snapshot (leaf) is pushed into a progressive
 //!    intersection-tree builder which stores the root and every
@@ -99,8 +104,10 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use hgs_delta::columnar::{encode_columnar_delta, encode_columnar_eventlist};
-use hgs_delta::{Delta, Event, Eventlist, FxHashMap, NodeId, Time, TimeRange};
+use hgs_delta::columnar::{encode_columnar_delta_in, encode_columnar_eventlist_in};
+use hgs_delta::{
+    Delta, Event, EventKind, Eventlist, FxHashMap, NodeId, PairTable, Time, TimeRange,
+};
 use hgs_partition::{locality_partition, CollapsedGraph, PartitionMap};
 use hgs_store::key::{chain_key, node_placement_token, term_key, term_token};
 use hgs_store::parallel::parallel_steal;
@@ -449,6 +456,8 @@ impl Writer {
         let maps = self.compute_maps(events, range, ns);
         let pid_counts: Vec<u32> = maps.iter().map(|m| m.parts()).collect();
         let replicate = cfg.replicates_boundary();
+        // The span's pair table, before any row is encoded against it.
+        let pairs = Arc::new(span_pair_table(&self.tail_state, events));
 
         // Secondary-index rows are collected from the pre-span tail
         // state plus the span's events — one in-memory pass before the
@@ -465,6 +474,7 @@ impl Writer {
             q,
             &shape,
             &maps,
+            &pairs,
             tsid,
             replicate,
             buf,
@@ -529,6 +539,7 @@ impl Writer {
             checkpoints,
             shape,
             pid_counts,
+            pairs,
         };
         let key = tsid.to_be_bytes().to_vec();
         let token = hgs_delta::hash::hash_u64(tsid as u64);
@@ -558,6 +569,7 @@ impl Writer {
         q: usize,
         shape: &TreeShape,
         maps: &[PartitionMap],
+        pairs: &PairTable,
         tsid: u32,
         replicate: bool,
         buf: &mut WriteBuffer<'_>,
@@ -589,6 +601,7 @@ impl Writer {
                     q,
                     shape,
                     maps,
+                    pairs,
                     tsid,
                     ns,
                     replicate,
@@ -762,6 +775,7 @@ struct SidSpanJob<'a> {
     q: usize,
     shape: &'a TreeShape,
     maps: &'a [PartitionMap],
+    pairs: &'a PairTable,
     tsid: u32,
     ns: u32,
     replicate: bool,
@@ -794,6 +808,7 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
         q,
         shape,
         maps,
+        pairs,
         tsid,
         ns,
         replicate,
@@ -807,13 +822,14 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
         let leaf = if replicate {
             // Full-state replay: extract this sid's partition for the
             // leaf and emit its aux boundary rows from the full state.
-            emit_aux(tsid, sid, j as u64, &state, maps, ns, &mut rows);
+            emit_aux(tsid, sid, j as u64, &state, maps, ns, pairs, &mut rows);
             state.restrict(|id| sid_of(id, ns) == sid)
         } else {
             state.clone()
         };
         acc.push_leaf(leaf, &mut |level, idx, delta| {
-            emit_micro(tsid, sid, shape.did(level, idx), delta, map, &mut rows);
+            let did = shape.did(level, idx);
+            emit_micro(tsid, sid, did, delta, map, pairs, &mut rows);
         });
         if let Some(&(s, e)) = chunk_bounds.get(j) {
             let chunk = &events[s..e];
@@ -827,7 +843,7 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
                 version_chains,
                 &mut chains,
             );
-            emit_eventlist_rows(tsid, j as u32, buckets, &mut rows);
+            emit_eventlist_rows(tsid, j as u32, buckets, pairs, &mut rows);
             if replicate {
                 for ev in chunk {
                     state.apply_event(&ev.kind);
@@ -914,11 +930,13 @@ fn bucket_chunk(
     buckets
 }
 
-/// Encode bucketed eventlists as store rows.
+/// Encode bucketed eventlists as store rows, against the span's
+/// `pairs`.
 fn emit_eventlist_rows(
     tsid: u32,
     chunk_idx: u32,
     buckets: FxHashMap<(u32, u32), Vec<Event>>,
+    pairs: &PairTable,
     rows: &mut Vec<PutRow>,
 ) {
     for ((sid, pid), evs) in buckets {
@@ -928,7 +946,7 @@ fn emit_eventlist_rows(
             Table::Deltas,
             key.encode().to_vec(),
             key.placement().token(),
-            encode_columnar_eventlist(&el),
+            encode_columnar_eventlist_in(&el, pairs),
         ));
     }
 }
@@ -936,6 +954,7 @@ fn emit_eventlist_rows(
 /// Emit one sid's aux boundary rows for leaf `leaf`: for each `pid` of
 /// this sid, the replicated states of out-of-partition 1-hop neighbors
 /// (Fig. 5d). Needs the *full* graph state for neighbor lookups.
+#[allow(clippy::too_many_arguments)]
 fn emit_aux(
     tsid: u32,
     sid: u32,
@@ -943,6 +962,7 @@ fn emit_aux(
     state: &Delta,
     maps: &[PartitionMap],
     ns: u32,
+    pairs: &PairTable,
     rows: &mut Vec<PutRow>,
 ) {
     let map = &maps[sid as usize];
@@ -967,7 +987,7 @@ fn emit_aux(
             Table::Deltas,
             key.encode().to_vec(),
             key.placement().token(),
-            encode_columnar_delta(&delta),
+            encode_columnar_delta_in(&delta, pairs),
         ));
     }
 }
@@ -1005,13 +1025,15 @@ fn partition_state(state: &Delta, ns: u32) -> Vec<Delta> {
         .collect()
 }
 
-/// Emit a delta micro-partitioned by `map`.
+/// Emit a delta micro-partitioned by `map`, encoded against the
+/// span's `pairs`.
 fn emit_micro(
     tsid: u32,
     sid: u32,
     did: u64,
     delta: &Delta,
     map: &PartitionMap,
+    pairs: &PairTable,
     rows: &mut Vec<PutRow>,
 ) {
     for (pid, d) in delta.group_by(|id| map.assign(id)) {
@@ -1020,9 +1042,37 @@ fn emit_micro(
             Table::Deltas,
             key.encode().to_vec(),
             key.placement().token(),
-            encode_columnar_delta(&d),
+            encode_columnar_delta_in(&d, pairs),
         ));
     }
+}
+
+/// The pair table of a span, in one pass over what its rows can name:
+/// every attribute pair the pre-span `state`'s nodes and edges hold,
+/// every pair the span's `events` set, and every key they remove. Each
+/// tree, aux and eventlist row of the span then finds all of its pairs
+/// in the table and spells no dictionary of its own.
+fn span_pair_table(state: &Delta, events: &[Event]) -> PairTable {
+    let held = state.iter().flat_map(|n| {
+        let on_edges = n
+            .edges
+            .iter()
+            .flat_map(|e| e.attrs.iter().flat_map(|a| a.iter()));
+        n.attrs.iter().chain(on_edges)
+    });
+    let set = events.iter().filter_map(|e| match &e.kind {
+        EventKind::SetNodeAttr { key, value, .. } | EventKind::SetEdgeAttr { key, value, .. } => {
+            Some((key.as_str(), value))
+        }
+        _ => None,
+    });
+    let removed = events.iter().filter_map(|e| match &e.kind {
+        EventKind::RemoveNodeAttr { key, .. } | EventKind::RemoveEdgeAttr { key, .. } => {
+            Some(key.as_str())
+        }
+        _ => None,
+    });
+    PairTable::new(held.chain(set), removed)
 }
 
 /// Key for a persisted partition map blob.
@@ -1106,6 +1156,7 @@ impl TreeAccumulator {
 mod tests {
     use super::*;
     use crate::TgiService;
+    use hgs_delta::columnar::encode_columnar_delta;
     use hgs_delta::StaticNode;
     use hgs_store::StoreConfig;
 

@@ -5,10 +5,14 @@
 //! two metrics: `∑∆ |∆|` (sum of delta cardinalities fetched) and
 //! `∑∆ 1` (number of deltas fetched), plus the index storage size.
 //! These estimators evaluate those closed forms for a concrete
-//! workload profile, so the `table1_costs` harness can print the
-//! paper's table with real numbers next to the formulas; the
-//! integration tests cross-check the TGI column against measured
-//! fetch counts.
+//! workload profile. Two callers use them: the `table1_costs` harness
+//! (`hgs_bench`'s `table1.rs`), which prints the paper's table with
+//! real numbers next to the formulas, and `TgiView::try_khop`'s
+//! strategy choice (`khop_strategy_for`), which compares the two k-hop
+//! plans' estimates on the index's current shape. Nothing checks an
+//! estimate against what a read measures: the unit tests below compare
+//! formulas with formulas. Holding the TGI column to measured fetch
+//! counts is ROADMAP direction 8.
 
 /// Workload profile in the paper's notation.
 #[derive(Debug, Clone, Copy)]

@@ -10,9 +10,11 @@
 //! from the span's partition map, and when the entry's events happened
 //! from the span's checkpoints ([`TimespanMeta::chunks_overlapping`]).
 
+use std::sync::Arc;
+
 use bytes::BytesMut;
 use hgs_delta::codec::{get_varint, put_varint};
-use hgs_delta::{CodecError, NodeId, Time, TimeRange};
+use hgs_delta::{CodecError, NodeId, PairTable, Time, TimeRange};
 
 /// Delta-id base for eventlist chunks: `did = ELIST_BASE + chunk`.
 pub const ELIST_BASE: u64 = 1 << 40;
@@ -151,7 +153,10 @@ impl TreeShape {
 /// [`TimespanMeta::encode`]): the `tsid` is its key's, the end of the
 /// range the next span's `c_0`, the tree shape follows from the
 /// checkpoint count and the index's arity, and whether the span keeps
-/// auxiliary 1-hop replicas from the index's partition strategy.
+/// auxiliary 1-hop replicas from the index's partition strategy. What
+/// it does store beside the partition counts and checkpoints is the
+/// span's pair table, which every delta and eventlist row of the span
+/// is encoded against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimespanMeta {
     /// Timespan id.
@@ -167,6 +172,10 @@ pub struct TimespanMeta {
     pub shape: TreeShape,
     /// Micro-partition counts per horizontal partition.
     pub pid_counts: Vec<u32>,
+    /// The span's pair table: every attribute pair its rows name by id
+    /// (see [`hgs_delta::columnar`]). Empty for a span without
+    /// attributes.
+    pub pairs: Arc<PairTable>,
 }
 
 impl TimespanMeta {
@@ -207,11 +216,27 @@ impl TimespanMeta {
         start < before && after.is_none_or(|a| end > a)
     }
 
-    /// Serialize for the `Timespans` table: one pid count per
-    /// horizontal partition, then `c_0` and the gap to each next
-    /// checkpoint, ending with the row.
+    /// Serialize for the `Timespans` table:
+    ///
+    /// ```text
+    /// row := [0x00, varint table_len, pair_table]
+    ///        varint pid_count{ns}, varint c_0, varint gap*
+    /// ```
+    ///
+    /// The span's pair table, when it has one, opens the row behind a
+    /// zero — no pid count is zero — and its byte length; then one pid
+    /// count per horizontal partition, then `c_0` and the gap to each
+    /// next checkpoint, ending with the row. A span without attributes
+    /// spells no table, not an empty one.
     pub fn encode(&self) -> bytes::Bytes {
         let mut buf = BytesMut::new();
+        if !self.pairs.is_empty() {
+            let mut table = BytesMut::new();
+            self.pairs.encode(&mut table);
+            buf.extend_from_slice(&[0]);
+            put_varint(&mut buf, table.len() as u64);
+            buf.extend_from_slice(&table);
+        }
         for &p in &self.pid_counts {
             put_varint(&mut buf, p as u64);
         }
@@ -225,12 +250,13 @@ impl TimespanMeta {
 
     /// Decode the [`TimespanMeta::encode`] row of span `tsid` of an
     /// index of `ns` horizontal partitions built at `arity`, held to
-    /// what the build writes: pid counts from 1 to `u32::MAX`, at
-    /// least one checkpoint, and checkpoints that stay below
-    /// `Time::MAX` (a gap that would pass it names no time). A row off
-    /// these is refused by the field's name. The range runs from `c_0`
-    /// to `Time::MAX`; the next span's row closes it
-    /// ([`TimespanMeta::close_at`]).
+    /// what the build writes: a pair table that fills exactly its
+    /// length and holds something (`PairTable::decode` holds it to its
+    /// own grammar), pid counts from 1 to `u32::MAX`, at least one
+    /// checkpoint, and checkpoints that stay below `Time::MAX` (a gap
+    /// that would pass it names no time). A row off these is refused by
+    /// the field's name. The range runs from `c_0` to `Time::MAX`; the
+    /// next span's row closes it ([`TimespanMeta::close_at`]).
     pub fn decode(
         mut buf: &[u8],
         tsid: u32,
@@ -244,6 +270,13 @@ impl TimespanMeta {
             });
         }
         let b = &mut buf;
+        let pairs = match b.split_first() {
+            Some((0, rest)) => {
+                *b = rest;
+                Arc::new(decode_pair_table(b)?)
+            }
+            _ => Arc::default(),
+        };
         // Every varint is a byte at least.
         let mut pid_counts = Vec::with_capacity(b.len().min(ns as usize));
         for _ in 0..ns {
@@ -280,6 +313,7 @@ impl TimespanMeta {
             shape: TreeShape::new(checkpoints.len(), arity),
             checkpoints,
             pid_counts,
+            pairs,
         })
     }
 
@@ -300,6 +334,36 @@ impl TimespanMeta {
         self.range.end = next_start;
         Ok(())
     }
+}
+
+/// Read a `Timespans` row's pair table from the cursor: its byte
+/// length, then the table, which must fill exactly that length and
+/// hold something (a span without pairs spells no table).
+fn decode_pair_table(b: &mut &[u8]) -> Result<PairTable, CodecError> {
+    let len = get_varint(b)?;
+    let Some((mut spelled, rest)) = usize::try_from(len)
+        .ok()
+        .and_then(|n| b.split_at_checked(n))
+    else {
+        return Err(CodecError::UnexpectedEof {
+            needed: usize::try_from(len).unwrap_or(usize::MAX),
+            remaining: b.len(),
+        });
+    };
+    *b = rest;
+    let table = PairTable::decode(&mut spelled)?;
+    if !spelled.is_empty() {
+        return Err(CodecError::TrailingBytes {
+            remaining: spelled.len(),
+        });
+    }
+    if table.is_empty() {
+        return Err(CodecError::LengthOverflow {
+            what: "pair table",
+            len: 0,
+        });
+    }
+    Ok(table)
 }
 
 /// One version-chain entry: "eventlist chunk `chunk` of timespan
@@ -531,6 +595,7 @@ mod tests {
             checkpoints: vec![100, 250, 430],
             shape: TreeShape::new(3, 2),
             pid_counts: vec![4, 7],
+            pairs: Arc::default(),
         };
         // Two pid counts, `c_0`, two gaps: one varint each, and nothing
         // else — no tsid, no end, no counts, no aux flag.
@@ -549,6 +614,66 @@ mod tests {
         assert!(shifted.close_at(430).is_err());
     }
 
+    /// A span with attribute pairs opens its row with its pair table —
+    /// a zero, the table's length, the table — before the row an
+    /// attribute-free span writes; a table spelled empty, or one that
+    /// does not fill its length, is refused.
+    #[test]
+    fn a_span_with_pairs_spells_its_table_first() {
+        let (one, text) = (
+            hgs_delta::AttrValue::Int(1),
+            hgs_delta::AttrValue::from("x"),
+        );
+        let m = TimespanMeta {
+            tsid: 3,
+            range: TimeRange::new(100, Time::MAX),
+            checkpoints: vec![100, 250],
+            shape: TreeShape::new(2, 2),
+            pid_counts: vec![4, 7],
+            pairs: Arc::new(PairTable::new([("k", &one), ("j", &text)], ["gone"])),
+        };
+        let row = m.encode();
+        let bare = TimespanMeta {
+            pairs: Arc::default(),
+            ..m.clone()
+        }
+        .encode();
+        let mut table = BytesMut::new();
+        m.pairs.encode(&mut table);
+        assert_eq!(row[..2], [0, table.len() as u8]);
+        assert_eq!(row[2..2 + table.len()], table[..]);
+        assert_eq!(row[2 + table.len()..], bare[..]);
+        assert_eq!(TimespanMeta::decode(&row, 3, 2, 2), Ok(m));
+
+        let spelled = |table: &[u8], len: usize| {
+            let mut b = BytesMut::new();
+            b.extend_from_slice(&[0]);
+            put_varint(&mut b, len as u64);
+            b.extend_from_slice(table);
+            b.extend_from_slice(&bare);
+            TimespanMeta::decode(&b, 3, 2, 2).map(drop)
+        };
+        let mut empty = BytesMut::new();
+        PairTable::default().encode(&mut empty);
+        assert_eq!(
+            spelled(&empty, empty.len()),
+            Err(CodecError::LengthOverflow {
+                what: "pair table",
+                len: 0
+            })
+        );
+        // A length one short cuts the table; one long takes a byte of
+        // the pid counts into it.
+        assert!(matches!(
+            spelled(&table[..table.len() - 1], table.len() - 1),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+        assert_eq!(
+            spelled(&table, table.len() + 1),
+            Err(CodecError::TrailingBytes { remaining: 1 })
+        );
+    }
+
     /// A span ends where the next opens. Starts never fall, and the
     /// checkpoints after `c_0` lie below the next span's `c_0` — an
     /// empty span's lone `c_0` may equal it.
@@ -560,6 +685,7 @@ mod tests {
             shape: TreeShape::new(checkpoints.len(), 2),
             checkpoints,
             pid_counts: vec![1],
+            pairs: Arc::default(),
         };
         let refused = |id| {
             Err(CodecError::BadRef {
@@ -642,6 +768,7 @@ mod tests {
             checkpoints: vec![0, 100, 200],
             shape: TreeShape::new(3, 2),
             pid_counts: vec![1],
+            pairs: Arc::default(),
         };
         assert_eq!(m.leaf_for_time(0), 0);
         assert_eq!(m.leaf_for_time(99), 0);

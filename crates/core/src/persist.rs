@@ -69,9 +69,13 @@ impl std::error::Error for OpenError {}
 /// (descriptors opening with `events_per_timespan` and spelling the
 /// time-collapse and node-weighting tags, `Timespans` rows spelling
 /// `tsid`, end, counts and an aux flag, partition maps spelling their
-/// part count and entry count). A store tagged otherwise is refused,
-/// not answered from.
-const LAYOUT_TAG: u64 = 9;
+/// part count and entry count) and `9` (delta and eventlist rows
+/// spelling every attribute key, value and pair they name in a
+/// dictionary of their own, beside `Timespans` rows with no pair
+/// table — rows this layout would read as those of spans without
+/// pairs, refused all the same: one tag names one writer of every
+/// row). A store tagged otherwise is refused, not answered from.
+const LAYOUT_TAG: u64 = 10;
 
 /// Serialize the construction configuration: the layout tag, then
 /// every other field of [`TgiConfig`] in declaration order.
@@ -413,12 +417,12 @@ mod tests {
             );
         }
         // The layout tag is the first varint (one byte): a descriptor
-        // tagged 0 to 8 (the retired formats), or empty, is refused
+        // tagged 0 to 9 (the retired formats), or empty, is refused
         // rather than opened as something else.
         let blob = encode_config(&TgiConfig::default());
         assert_eq!(blob[0] as u64, LAYOUT_TAG);
         let retired = |tag: u8| [&[tag], &blob[1..]].concat();
-        for bad in (0..9).map(retired).chain([Vec::new()]) {
+        for bad in (0..10).map(retired).chain([Vec::new()]) {
             assert!(matches!(
                 decode_config(&bad),
                 Err(CodecError::BadTag {
@@ -443,7 +447,7 @@ mod tests {
     /// A tag-8 descriptor opened with `events_per_timespan`, where this
     /// layout's tag stands, and spelled the time-collapse (1) and
     /// node-weighting (0) tags before its own. Whatever its span size,
-    /// it is refused: read as a tag, only a span size of 9 names this
+    /// it is refused: read as a tag, only a span size of 10 names this
     /// layout, and then the row is two varints too long.
     #[test]
     fn a_tag_8_descriptor_is_refused_whatever_its_span_size() {

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use hgs_delta::{
     CodecError, ColumnarDelta, ColumnarEventlist, Delta, Event, Eventlist, FxHashMap, FxHashSet,
-    NodeId, StaticNode, Time, TimeRange,
+    NodeId, PairTable, StaticNode, Time, TimeRange,
 };
 use hgs_store::key::{chain_key_tsid, chain_prefix, node_placement_token};
 use hgs_store::parallel::parallel_steal;
@@ -181,9 +181,13 @@ pub(crate) enum DeltaHandle {
 }
 
 impl DeltaHandle {
-    /// Parse a fetched row's header (columns stay undecoded).
-    pub(crate) fn parse(bytes: bytes::Bytes) -> Result<DeltaHandle, StoreError> {
-        ColumnarDelta::parse(bytes)
+    /// Parse a fetched row's header (columns stay undecoded); its
+    /// pairs resolve through its span's `pairs`.
+    pub(crate) fn parse(
+        bytes: bytes::Bytes,
+        pairs: &Arc<PairTable>,
+    ) -> Result<DeltaHandle, StoreError> {
+        ColumnarDelta::parse_in(bytes, pairs)
             .map(|c| DeltaHandle::Col(Arc::new(c)))
             .map_err(StoreError::Corrupt)
     }
@@ -345,11 +349,7 @@ impl TgiView {
         };
         keys.push((ELIST_BASE + j as u64, pid));
         // Path rows root first, then the eventlist.
-        for row in self
-            .try_fetch_rows(meta.tsid, sid, &keys)?
-            .into_iter()
-            .flatten()
-        {
+        for row in self.try_fetch_rows(span, sid, &keys)?.into_iter().flatten() {
             match row {
                 Row::Tree(d) => {
                     d.sum_into(&mut scratch, Some(nid), false)?;
@@ -361,7 +361,8 @@ impl TgiView {
     }
 
     /// Rows `keys` — `(did, pid)` pairs — of one `(tsid, sid)`
-    /// placement, in `keys` order (`None`: no such row): the one point
+    /// placement of `span`, in `keys` order (`None`: no such row),
+    /// their pairs resolved through the span's table: the one point
     /// read of `Deltas` rows, behind the static-vertex fetch, the
     /// micro-partition fetch, the eventlist chunks of node histories and
     /// the aux replicas of a k-hop.
@@ -375,10 +376,11 @@ impl TgiView {
     /// appear later in a sealed span.
     fn try_fetch_rows(
         &self,
-        tsid: u32,
+        span: &SpanRuntime,
         sid: u32,
         keys: &[(u64, u32)],
     ) -> Result<Vec<Option<Row>>, StoreError> {
+        let (tsid, pairs) = (span.meta.tsid, &span.meta.pairs);
         let cache_key = |&(did, pid): &(u64, u32)| CacheKey::Row(tsid, sid, did, pid);
         // Per key what the cache knows; `None` is a miss, to be fetched.
         let probed: Vec<Option<Option<Row>>> = keys
@@ -417,13 +419,16 @@ impl TgiView {
                     return Ok(None);
                 };
                 let (row, cached) = if (ELIST_BASE..AUX_BASE).contains(&k.0) {
-                    let c = Arc::new(ColumnarEventlist::parse(bytes).map_err(StoreError::Corrupt)?);
+                    let c =
+                        ColumnarEventlist::parse_in(bytes, pairs).map_err(StoreError::Corrupt)?;
+                    let c = Arc::new(c);
                     (
                         Row::Events(ElistHandle::Col(c.clone())),
                         Cached::ColElist(c),
                     )
                 } else {
-                    let c = Arc::new(ColumnarDelta::parse(bytes).map_err(StoreError::Corrupt)?);
+                    let c = ColumnarDelta::parse_in(bytes, pairs).map_err(StoreError::Corrupt)?;
+                    let c = Arc::new(c);
                     (Row::Tree(DeltaHandle::Col(c.clone())), Cached::ColDelta(c))
                 };
                 self.read_cache.put(cache_key(k), cached);
@@ -470,7 +475,7 @@ impl TgiView {
                 .collect(),
         };
         keys.push((ELIST_BASE + j as u64, pid));
-        let rows = self.try_fetch_rows(tsid, sid, &keys)?;
+        let rows = self.try_fetch_rows(span, sid, &keys)?;
 
         // Checkpoint state, root first, then the per-time eventlist
         // replay.
@@ -571,42 +576,42 @@ impl TgiView {
     ) -> Result<Vec<Event>, StoreError> {
         let sid = sid_of(nid, self.cfg.horizontal_partitions);
         let chains = self.cfg.version_chains;
-        // `(tsid, chunk, pid)` in `(tsid, chunk)` order. A chain is in
+        // `(span, chunk, pid)` in `(tsid, chunk)` order. A chain is in
         // that order already, and filtering its entries costs the
         // node's chunks where filtering every chunk costs the spans'.
-        let refs: Vec<(u32, u32, u32)> = if chains {
+        let refs: Vec<(&SpanRuntime, u32, u32)> = if chains {
             let chain = self.try_version_chain(nid)?;
             chain
                 .into_iter()
-                .filter(|e| {
-                    let span = self.spans.get(e.tsid as usize);
-                    span.is_some_and(|s| s.meta.chunk_overlaps(e.chunk, after, before))
+                .filter_map(|e| {
+                    let span = self.spans.get(e.tsid as usize)?;
+                    let overlaps = span.meta.chunk_overlaps(e.chunk, after, before);
+                    overlaps.then_some((&**span, e.chunk, e.pid))
                 })
-                .map(|e| (e.tsid, e.chunk, e.pid))
                 .collect()
         } else {
             let mut refs = Vec::new();
             for span in &self.spans {
                 let (meta, (_sid, pid)) = (&span.meta, span.placement(nid));
                 let chunks = meta.chunks_overlapping(after, before);
-                refs.extend(chunks.map(|chunk| (meta.tsid, chunk, pid)));
+                refs.extend(chunks.map(|chunk| (&**span, chunk, pid)));
             }
             refs
         };
-        // One fetch per span: (tsid, its (did, pid) keys).
-        let mut spans: Vec<(u32, Vec<(u64, u32)>)> = Vec::new();
-        for (tsid, chunk, pid) in refs {
+        // One fetch per span: (span, its (did, pid) keys).
+        let mut spans: Vec<(&SpanRuntime, Vec<(u64, u32)>)> = Vec::new();
+        for (span, chunk, pid) in refs {
             let key = (ELIST_BASE + chunk as u64, pid);
             match spans.last_mut() {
-                Some((t, keys)) if *t == tsid => keys.push(key),
-                _ => spans.push((tsid, vec![key])),
+                Some((s, keys)) if s.meta.tsid == span.meta.tsid => keys.push(key),
+                _ => spans.push((span, vec![key])),
             }
         }
         let in_range = |e: &Event| after.is_none_or(|a| e.time > a) && e.time < before;
         let lists: Vec<Result<Vec<Event>, StoreError>> =
-            parallel_steal(spans, self.clients, |(tsid, keys)| {
+            parallel_steal(spans, self.clients, |(span, keys)| {
                 let mut events = Vec::new();
-                let rows = self.try_fetch_rows(tsid, sid, &keys)?;
+                let rows = self.try_fetch_rows(span, sid, &keys)?;
                 for (row, &(did, _pid)) in rows.iter().zip(&keys) {
                     match row {
                         Some(Row::Events(el)) => {
@@ -722,9 +727,7 @@ impl TgiView {
 
     fn try_khop_recursive(&self, center: NodeId, t: Time, k: usize) -> Result<Delta, StoreError> {
         let span = self.span_for(t);
-        let meta = &span.meta;
-        let tsid = meta.tsid;
-        let j = meta.leaf_for_time(t) as u32;
+        let j = span.meta.leaf_for_time(t) as u32;
 
         let mut part_states: FxHashMap<(u32, u32), Delta> = FxHashMap::default();
         let mut elist_cache: FxHashMap<(u32, u32), Option<Row>> = FxHashMap::default();
@@ -739,7 +742,7 @@ impl TgiView {
         // (the resolve closure only ever reads one record of it).
         let aux = if self.cfg.replicates_boundary() {
             let key = (AUX_BASE + j as u64, center_pid);
-            self.try_fetch_rows(tsid, center_sid, &[key])?
+            self.try_fetch_rows(span, center_sid, &[key])?
                 .pop()
                 .flatten()
         } else {
@@ -769,7 +772,7 @@ impl TgiView {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(slot) => {
                         let key = (ELIST_BASE + j as u64, pid);
-                        slot.insert(self.try_fetch_rows(tsid, sid, &[key])?.pop().flatten())
+                        slot.insert(self.try_fetch_rows(span, sid, &[key])?.pop().flatten())
                     }
                 };
                 let mut scratch = Delta::new();
@@ -911,7 +914,7 @@ impl TgiView {
                     let Some(dk) = DeltaKey::decode(&k) else {
                         continue;
                     };
-                    let el = self.decoded_elist(meta.tsid, sid, dk.did, dk.pid, &v)?;
+                    let el = self.decoded_elist(span, sid, dk.did, dk.pid, &v)?;
                     for e in el.events() {
                         if e.time <= range.start || e.time >= range.end {
                             continue;

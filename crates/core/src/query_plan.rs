@@ -211,7 +211,7 @@ impl TgiView {
         let rows = self.span_rows(span, sid, &[(leaf, true)])?;
         let mut state = self.sum_sid_path(span, leaf, sid, &rows)?;
         let mut pieces = Vec::new();
-        self.leaf_pieces(span.meta.tsid, leaf, sid, &rows, &mut pieces)?;
+        self.leaf_pieces(span, leaf, sid, &rows, &mut pieces)?;
         self.replay_until(span, &mut state, &pieces, &mut vec![0; pieces.len()], t);
         Ok(state)
     }
@@ -290,7 +290,7 @@ impl TgiView {
             });
             let mut pieces = Vec::new();
             for (sid, rows) in (0u32..).zip(&per_sid) {
-                self.leaf_pieces(tsid, lg.leaf, sid, rows, &mut pieces)?;
+                self.leaf_pieces(span, lg.leaf, sid, rows, &mut pieces)?;
             }
             Ok(self.replay_leaf_times(span, base, &pieces, &lg.times))
         });
@@ -369,16 +369,16 @@ impl TgiView {
     pub(crate) fn sum_scanned_path(
         &self,
         state: &mut Delta,
-        tsid: u32,
+        span: &SpanRuntime,
         sid: u32,
         mut rows: Vec<(u64, u32, bytes::Bytes)>,
     ) -> Result<(), StoreError> {
         rows.sort_by_key(|&(_, pid, _)| pid); // stable: path order within a pid
         for (did, pid, bytes) in rows {
-            let key = CacheKey::Row(tsid, sid, did, pid);
+            let key = CacheKey::Row(span.meta.tsid, sid, did, pid);
             let row = match self.read_cache.get(key.clone()) {
                 Some(Cached::Delta(d)) => DeltaHandle::Full(d),
-                _ => DeltaHandle::parse(bytes)?,
+                _ => DeltaHandle::parse(bytes, &span.meta.pairs)?,
             };
             self.sum_tree_row(state, key, &row)?;
         }
@@ -391,18 +391,18 @@ impl TgiView {
     /// [`StoreError::Corrupt`] instead of panicking mid-query.
     pub(crate) fn decoded_elist(
         &self,
-        tsid: u32,
+        span: &SpanRuntime,
         sid: u32,
         did: u64,
         pid: u32,
         bytes: &bytes::Bytes,
     ) -> Result<Arc<Eventlist>, StoreError> {
-        let key = CacheKey::Row(tsid, sid, did, pid);
+        let key = CacheKey::Row(span.meta.tsid, sid, did, pid);
         if let Some(Cached::Elist(e)) = self.read_cache.get(key.clone()) {
             return Ok(e);
         }
         let e = Arc::new(
-            ColumnarEventlist::parse(bytes.clone())
+            ColumnarEventlist::parse_in(bytes.clone(), &span.meta.pairs)
                 .and_then(|c| c.to_eventlist())
                 .map_err(StoreError::Corrupt)?,
         );
@@ -428,7 +428,7 @@ impl TgiView {
             }
         }
         let mut state = Delta::new();
-        self.sum_scanned_path(&mut state, span.meta.tsid, sid, path_rows)?;
+        self.sum_scanned_path(&mut state, span, sid, path_rows)?;
         Ok(state)
     }
 
@@ -437,7 +437,7 @@ impl TgiView {
     /// `pieces`.
     fn leaf_pieces(
         &self,
-        tsid: u32,
+        span: &SpanRuntime,
         leaf: usize,
         sid: u32,
         rows: &RowsByDid,
@@ -446,7 +446,7 @@ impl TgiView {
         let elist_did = ELIST_BASE + leaf as u64;
         for (k, bytes) in rows.get(&elist_did).into_iter().flatten() {
             if let Some(dk) = DeltaKey::decode(k) {
-                let el = self.decoded_elist(tsid, sid, elist_did, dk.pid, bytes)?;
+                let el = self.decoded_elist(span, sid, elist_did, dk.pid, bytes)?;
                 pieces.push((sid, dk.pid, el));
             }
         }

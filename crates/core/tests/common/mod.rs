@@ -247,6 +247,14 @@ pub fn assert_answers_equal_replay(tgi: &TgiView, events: &[Event]) {
 /// Index of the weights segment among an eventlist row's eight.
 pub const ELIST_SEG_WEIGHTS: usize = 4;
 
+/// Index of the row's own attribute dictionary among an eventlist
+/// row's eight segments.
+pub const ELIST_SEG_ATTR_DICT: usize = 5;
+
+/// Index of the row's own pair dictionary among a delta row's four
+/// segments.
+pub const DELTA_SEG_PAIR_DICT: usize = 2;
+
 /// A stored columnar row taken apart as its header lays it out (see
 /// `hgs_delta::columnar`): magic, record count, then per segment its
 /// length varint and its bytes. What a test needs to look inside a row, or to put one back

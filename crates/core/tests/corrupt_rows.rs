@@ -300,7 +300,7 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
         store.try_put_batch(vec![row]).expect("healthy store");
     };
     let events_per_timespan = fields[1];
-    let retired = (0..9).map(|tag| (LAYOUT, tag, format!("retired layout tag {tag}")));
+    let retired = (0..10).map(|tag| (LAYOUT, tag, format!("retired layout tag {tag}")));
     for (idx, bad, what) in [
         (1, 0, "events_per_timespan = 0"),
         (2, 0, "eventlist_size = 0"),
@@ -597,7 +597,9 @@ fn inconsistent_timespan_rows_are_corrupt_not_a_panic_or_a_wrong_graph() {
 /// A span's pid count sizes the hash partition map every read of its
 /// `sid` places nodes by. The build writes 1 to `u32::MAX`; a count of
 /// 0, or one past `u32` (which would wrap to a small count), is
-/// `OpenError::Corrupt`, not an index whose snapshots miss nodes.
+/// `OpenError::Corrupt`, not an index whose snapshots miss nodes. A
+/// zero where sid 0's count stands opens the span's pair table
+/// instead; one that names more bytes than the row has is corrupt too.
 #[test]
 fn a_span_pid_count_of_zero_or_past_u32_is_corrupt() {
     let events = trace();
@@ -607,15 +609,15 @@ fn a_span_pid_count_of_zero_or_past_u32_is_corrupt() {
     let store = tgi.store().clone();
     let last = common::span_metas(&tgi).pop().expect("spans");
     assert!(
-        last.pid_counts[0] > 1,
-        "sid 0 holds several micro-partitions"
+        last.pid_counts[1] > 1,
+        "sid 1 holds several micro-partitions"
     );
     let key = last.tsid.to_be_bytes();
     // The row's fields: one pid count per sid, then `c_0` and the
-    // checkpoint gaps.
-    let row = |count0: u64| {
-        let mut fields = vec![count0];
-        fields.extend(last.pid_counts[1..].iter().map(|&p| p as u64));
+    // checkpoint gaps (an attribute-free span spells no pair table).
+    let row = |count0: u64, count1: u64| {
+        let mut fields = vec![count0, count1];
+        fields.extend(last.pid_counts[2..].iter().map(|&p| p as u64));
         let mut prev = 0;
         for &c in &last.checkpoints {
             fields.push(c - prev);
@@ -623,9 +625,10 @@ fn a_span_pid_count_of_zero_or_past_u32_is_corrupt() {
         }
         varints(&fields)
     };
-    assert_eq!(row(last.pid_counts[0] as u64), last.encode());
-    for count in [0, (1 << 32) + last.pid_counts[0] as u64] {
-        put_everywhere(&store, Table::Timespans, &key, row(count));
+    let (count0, count1) = (last.pid_counts[0] as u64, last.pid_counts[1] as u64);
+    assert_eq!(row(count0, count1), last.encode());
+    for count in [0, (1 << 32) + count1] {
+        put_everywhere(&store, Table::Timespans, &key, row(count0, count));
         match TgiService::open(store.clone()) {
             Err(OpenError::Corrupt(e)) => assert_eq!(
                 e,
@@ -638,6 +641,11 @@ fn a_span_pid_count_of_zero_or_past_u32_is_corrupt() {
             Ok(_) => panic!("pid count {count} opened"),
         }
     }
+    put_everywhere(&store, Table::Timespans, &key, row(0, 0xff));
+    assert!(matches!(
+        TgiService::open(store.clone()).map(drop),
+        Err(OpenError::Corrupt(CodecError::UnexpectedEof { .. }))
+    ));
     put_everywhere(&store, Table::Timespans, &key, last.encode());
     let reopened = TgiService::open(store).expect("intact descriptor").pin();
     let t = last.checkpoints[last.checkpoints.len() / 2];
@@ -1002,4 +1010,128 @@ fn a_chain_naming_a_chunk_without_the_nodes_row_is_corrupt_not_a_shorter_history
     for r in chain_reads(&svc, &events, nid) {
         r.expect("the chain as built reads");
     }
+}
+
+/// A labelled span's `Timespans` row opens with its pair table, which
+/// every row of the span names its attribute pairs through. A table cut
+/// short, or one whose pair names a key past the table's keys, is
+/// refused by `open`; a stored row that names a pair id past its span's
+/// table and its own dictionary is `Corrupt` on the reads that cross
+/// it — never a panic, never another pair.
+#[test]
+fn a_pair_table_off_its_grammar_or_an_id_past_it_is_corrupt() {
+    let events = hgs_datagen::SkewedLabels {
+        nodes: 200,
+        edge_events: 1_000,
+        attr_churn: 500,
+        ..Default::default()
+    }
+    .generate();
+    let end = events.last().unwrap().time;
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
+        .unwrap()
+        .pin();
+    let store = tgi.store().clone();
+    let span = common::span_metas(&tgi).pop().expect("spans");
+    let table = Arc::clone(&span.pairs);
+    assert!(!table.is_empty(), "a labelled span has a pair table");
+    let key = span.tsid.to_be_bytes();
+
+    // The row: a zero, the table's length, the table, the rest.
+    let built = span.encode();
+    assert_eq!(built[0], 0);
+    let mut b: &[u8] = &built[1..];
+    let len = get_varint(&mut b).unwrap() as usize;
+    let (spelled, rest) = b.split_at(len);
+    let respell = |table: &[u8]| {
+        let mut row = BytesMut::new();
+        row.extend_from_slice(&[0]);
+        put_varint(&mut row, table.len() as u64);
+        row.extend_from_slice(table);
+        row.extend_from_slice(rest);
+        row.freeze()
+    };
+    assert_eq!(respell(spelled), built);
+    let refused = |row: Bytes, what: &str| -> CodecError {
+        put_everywhere(&store, Table::Timespans, &key, row);
+        match TgiService::open(store.clone()) {
+            Err(OpenError::Corrupt(e)) => e,
+            Err(other) => panic!("{what}: unexpected error {other}"),
+            Ok(_) => panic!("{what}: opened"),
+        }
+    };
+    // Cut short by its last byte, the length following the cut: the
+    // last pair's value id is missing.
+    assert!(matches!(
+        refused(respell(&spelled[..len - 1]), "a truncated table"),
+        CodecError::UnexpectedEof { .. }
+    ));
+    // The row cut inside the table, the length as built.
+    assert!(matches!(
+        refused(
+            built.slice(..1 + (built.len() - rest.len()) - 1),
+            "a row cut in its table"
+        ),
+        CodecError::UnexpectedEof { .. }
+    ));
+    // The last pair's key id (its second-to-last byte, as every id of
+    // so small a table is one byte) made the table's key count.
+    let n_keys = table.keys().len() as u8;
+    let mut past = spelled.to_vec();
+    past[len - 2] = n_keys;
+    assert_eq!(
+        refused(respell(&past), "a pair past the keys"),
+        CodecError::BadRef {
+            what: "pair-table key",
+            id: n_keys as u64
+        }
+    );
+    put_everywhere(&store, Table::Timespans, &key, built);
+
+    // The first node of one of the span's root rows, the row replaced
+    // by one whose record names a pair past the table with no
+    // dictionary of its own to name: a pair the table lacks is spelled
+    // in the row's own dictionary, and that dictionary is then emptied.
+    TgiService::open(store.clone()).expect("the rows as built open");
+    let (root, nid) = store
+        .content_rows()
+        .into_iter()
+        .flatten()
+        .filter(|(k, _)| k[0] == Table::Deltas.tag())
+        .filter_map(|(k, v)| Some((DeltaKey::decode(&k[1..])?, v)))
+        .filter(|(k, _)| k.tsid == span.tsid && k.did == 0)
+        .find_map(|(k, v)| {
+            let d = ColumnarDelta::parse_in(v, &table)
+                .unwrap()
+                .to_delta()
+                .unwrap();
+            Some((k, *d.sorted_ids().first()?))
+        })
+        .expect("a root row holds a node");
+    let mut odd = StaticNode::new(nid);
+    odd.attrs
+        .set("a key no span names", hgs_delta::AttrValue::Int(7));
+    let row = hgs_delta::columnar::encode_columnar_delta_in(&[odd].into_iter().collect(), &table);
+    let mut parts = common::RowSegments::parse(&row);
+    assert!(!parts.segs[common::DELTA_SEG_PAIR_DICT].is_empty());
+    parts.segs[common::DELTA_SEG_PAIR_DICT].clear();
+    put_everywhere(&store, Table::Deltas, &root.encode(), parts.assemble());
+    let past_the_table = StoreError::Corrupt(CodecError::LengthOverflow {
+        what: "pair-dict-index",
+        len: table.pairs().len() as u64,
+    });
+    // `open` sums the latest state, which crosses the row.
+    assert_eq!(
+        TgiService::open(store.clone())
+            .map(drop)
+            .map_err(|e| e.to_string()),
+        Err(OpenError::Corrupt(CodecError::LengthOverflow {
+            what: "pair-dict-index",
+            len: table.pairs().len() as u64,
+        })
+        .to_string())
+    );
+    // The built view has read nothing yet: both reads reach the row.
+    assert_eq!(tgi.try_node_at(nid, end), Err(past_the_table.clone()));
+    assert_eq!(tgi.try_snapshot(end).map(drop), Err(past_the_table));
 }

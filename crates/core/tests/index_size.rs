@@ -11,7 +11,7 @@
 //! un-factored edge-list grammar (`hgs_delta::codec` spelling `dir`,
 //! weight and an attributes flag on every entry) trips it too.
 //!
-//! Seven encodings keep a row from spelling what its reader can
+//! Eight encodings keep a row from spelling what its reader can
 //! derive, and each has the bound it trips when it is undone:
 //!
 //! * the **record head** — one byte for an edge-list's shape and both
@@ -29,6 +29,13 @@
 //!   `skew21k`'s tree-delta and total bounds: with every pair spelled
 //!   as a key index and a value (the rows of magic `0xC7`) its tree
 //!   rows are 15.65 B/event and the index 24.27, over both;
+//! * the **pair table** — a span's attribute keys, values and pairs
+//!   spelled once in its `Timespans` row, which every row of the span
+//!   names them from, so that no row spells a dictionary of its own —
+//!   is `skew21k`'s tree-delta and total bounds too, and an assertion
+//!   of its own (every row dictionary of the index is empty): with a
+//!   dictionary per row (layout tag 9) its tree rows are 12.46 B/event
+//!   and the index 20.85, over both;
 //! * the **chain rows** — chunk gaps only: `tsid` from the key, `pid`
 //!   from the partition map, when the events happened from the span's
 //!   checkpoints, how many entries from the row's length — are the
@@ -109,6 +116,10 @@ struct Census {
     /// Eventlist rows, and how many of them spell a weights column.
     eventlist_rows: usize,
     weighted_eventlist_rows: usize,
+    /// Bytes of the rows' own dictionaries: tree and aux rows' pair
+    /// dictionaries, eventlist rows' attribute dictionaries.
+    delta_dicts: f64,
+    eventlist_dicts: f64,
 }
 
 impl Census {
@@ -147,6 +158,12 @@ fn census(events: &[Event], cfg: TgiConfig) -> Census {
         let slot = match key[0] {
             t if t == Table::Deltas.tag() => {
                 let k = DeltaKey::decode(&key[1..]).unwrap();
+                let segs = common::RowSegments::parse(&value).segs;
+                if (ELIST_BASE..AUX_BASE).contains(&k.did) {
+                    c.eventlist_dicts += per_event(segs[common::ELIST_SEG_ATTR_DICT].len());
+                } else {
+                    c.delta_dicts += per_event(segs[common::DELTA_SEG_PAIR_DICT].len());
+                }
                 if k.did >= AUX_BASE {
                     &mut c.aux_replicas
                 } else if k.did >= ELIST_BASE {
@@ -204,7 +221,8 @@ fn print(name: &str, events: usize, c: &Census) {
         "{name} ({events} events), stored bytes/event: tree deltas {:.2} (roots {:.2}, \
          non-root pieces {:.2}; by depth below the root {}), eventlists {:.2}, aux {:.2}, \
          Versions {:.2}, AttrIndex {:.2} (carry {:.2}, change {:.2}), metadata {:.2}, \
-         total {:.2}; {} of {} eventlist rows spell weights",
+         total {:.2}; row dictionaries: tree and aux {:.2}, eventlists {:.2}; \
+         {} of {} eventlist rows spell weights",
         c.tree_deltas(),
         c.roots(),
         c.tree_pieces(),
@@ -217,6 +235,8 @@ fn print(name: &str, events: usize, c: &Census) {
         c.attr_change,
         c.metadata,
         c.total,
+        c.delta_dicts,
+        c.eventlist_dicts,
         c.weighted_eventlist_rows,
         c.eventlist_rows
     );
@@ -252,14 +272,16 @@ fn gate(name: &str, events: &[Event], b: Bounds) -> Census {
 }
 
 // Bounds: ~15 % above the measured bytes per event — eventlists 5.88
-// and 5.84, `Versions` 0.75 and 1.13, `skew21k`'s `AttrIndex` rows
-// 1.42, `skew21k`'s total 20.85; `wiki20k`'s total, 14.11, ~23 % — but
-// for the tree deltas, 7.48 and 12.46, whose bounds sit below what
-// trees grouped from the left stored (8.50 and 16.93), what the rows
-// of magic `0xC4` stored (9.56 and 18.31) and, for `skew21k`, what the
-// rows of magic `0xC7` stored (15.65, total 24.27): undoing the right
-// alignment, a length per record growing back, or pairs spelled in
-// full again trips them.
+// and 5.03, `Versions` 0.75 and 1.13, `skew21k`'s `AttrIndex` rows
+// 1.42; `wiki20k`'s total, 14.11, ~23 % — but for the tree deltas,
+// 7.48 and 10.52, whose bounds sit below what trees grouped from the
+// left stored (8.50 and 16.93), what the rows of magic `0xC4` stored
+// (9.56 and 18.31) and, for `skew21k`, what rows with dictionaries of
+// their own stored (12.46, total 20.85 — its total bound sits below
+// that too, 12 % above the 18.15 it stores) and what the rows of magic
+// `0xC7` stored (15.65, total 24.27): undoing the right alignment, a
+// length per record growing back, a dictionary per row, or pairs
+// spelled in full again trips them.
 
 fn wiki20k() -> Vec<Event> {
     WikiGrowth::sized(20_000).generate()
@@ -298,16 +320,22 @@ fn wiki_tree_delta_rows_stay_factored() {
 fn skew_tree_delta_rows_stay_factored() {
     let events = skew21k();
     let bounds = Bounds {
-        tree_deltas: 14.3,
+        tree_deltas: 12.0,
         eventlists: 7.0,
         versions: 1.3,
         attr_index: 1.63,
-        total: 24.0,
+        total: 20.4,
     };
     let c = gate("skew21k", &events, bounds);
     assert!(
         c.attr_index() > 0.0,
         "the labelled build carries index rows"
+    );
+    // Every pair a row names is in its span's pair table.
+    assert_eq!(
+        (c.delta_dicts, c.eventlist_dicts),
+        (0.0, 0.0),
+        "skew21k: a row spells a dictionary of its own"
     );
 }
 

@@ -12,11 +12,28 @@
 //!
 //! Every segment is stored as written, so reading one is a zero-copy
 //! sub-slice of the backing buffer. What keeps a row small is its
-//! grammar — bit-coded integer columns, shape-factored records, and a
-//! row-local dictionary that spells each distinct attribute key, and
-//! each distinct attribute value or pair, once. (A store may still
+//! grammar — bit-coded integer columns, shape-factored records, and
+//! attribute keys, values and pairs named by id. (A store may still
 //! compress whole values: `hgs_store`'s optional LZSS, the axis of the
 //! paper's Fig. 13a, is the one compression layer.)
+//!
+//! **Context tables.** A row is encoded and read in the context of a
+//! [`PairTable`]: sorted attribute keys, distinct values and distinct
+//! `(key, value)` pairs that a set of rows shares, spelled once
+//! outside them. A row's own dictionary *extends* its context table:
+//! an id below the table's length names a table entry, a larger one
+//! names an entry of the row's own, which holds exactly what the table
+//! lacks, each distinct key, value or pair once. The index encodes
+//! every row of a span against the span's table
+//! ([`encode_columnar_delta_in`], [`ColumnarDelta::parse_in`] and their
+//! eventlist twins), so its rows' dictionaries are empty; a pair the
+//! table lacks is still spelled in the row, so a complete table saves
+//! bytes but is not needed for correctness. A row encoded by itself —
+//! a baseline index's, a benchmark probe's — has the empty table for
+//! its context ([`encode_columnar_delta`], [`ColumnarDelta::parse`]),
+//! and spells every key, value and pair it names. A row read in
+//! another context than its own reads other pairs or is refused: the
+//! context is part of the row's meaning, as a span's layout is.
 //!
 //! * an eventlist row holds a node-id dictionary, a timestamp column,
 //!   a kind column, a dictionary-index id column, and payload columns
@@ -32,15 +49,17 @@
 //!   kinds     := u8 m, tag{m} ascending, code{n_events} of ⌈log2 m⌉ bits
 //!   ids       := index{1 or 2 per event} of ⌈log2 n⌉ bits
 //!   attr_dict := ε | varint n_keys, str{n_keys}, varint n_vals, attr_value{n_vals}
-//!   attr_keys := index{1 per keyed event} of ⌈log2 n_keys⌉ bits
-//!   attr_vals := index{1 per valued event} of ⌈log2 n_vals⌉ bits
+//!   attr_keys := id{1 per keyed event} of ⌈log2 (T.keys + n_keys)⌉ bits
+//!   attr_vals := id{1 per valued event} of ⌈log2 (T.vals + n_vals)⌉ bits
 //!   ```
 //!
 //!   where `k = ⌊log2(mean gap · ln 2)⌋` is chosen per column, a kind
 //!   code is the event's tag's rank among the row's `m` tags (no codes
 //!   at all when `m = 1`), and an edge kind has two dictionary indexes.
-//!   The attribute dictionary is empty when no event names a key; its
-//!   keys are sorted and its values in order of first use. Times and
+//!   The attribute dictionary holds the keys and values the context
+//!   table `T` lacks, and is empty when there are none; its keys are
+//!   sorted and its values in order of first use. A non-empty one has
+//!   a key of its own, or an entry beside the table's keys. Times and
 //!   ids accumulate with checked adds: an overflowing gap is an error,
 //!   never an out-of-order answer. The weights column has one
 //!   `(f32 weight, u8 directed)` entry per `AddEdge` / `SetEdgeWeight`
@@ -56,7 +75,7 @@
 //!   ids      := varint first_id, varint gap{n−1}        each gap ≥ 1
 //!   restarts := varint window_len{⌊n / 16⌋}
 //!   dict     := ε | varint n_keys, str{n_keys},
-//!                   varint n_pairs, (varint key_idx, attr_value){n_pairs}
+//!                   varint n_pairs, (varint key_id, attr_value){n_pairs}
 //!   records  := record{n}
 //!   ```
 //!
@@ -64,9 +83,11 @@
 //!   one raw varint per full window (a row of fewer than 16 records
 //!   has none), as a LevelDB data block keeps a restart point every
 //!   few keys. Ids accumulate with checked adds, and a zero gap — two
-//!   records for one node — is refused. The dictionary is empty when
-//!   the row holds no attribute; its keys are sorted and its pairs in
-//!   order of first use. The full read (`sum_into`)
+//!   records for one node — is refused. The dictionary holds the pairs
+//!   the context table lacks, and is empty when there are none; its
+//!   keys are the keys of those pairs the table lacks, sorted, a pair's
+//!   `key_id` names a table key or, past the table's keys, one of them,
+//!   and its pairs are in order of first use. The full read (`sum_into`)
 //!   streams ids and records in lockstep (records are
 //!   self-delimiting) and holds every restart to the bytes its window
 //!   actually took. A point read (`node_record`, `sum_node_into`,
@@ -84,10 +105,11 @@
 //!   they are small (at most six entries, at most two node
 //!   attributes; a varint follows otherwise), then only the entry
 //!   fields that vary, then the attribute pairs — with every node or
-//!   edge attribute pair one `varint pair_idx` into the row's pair
-//!   dictionary; the record codec and its edge-list loops live there.
+//!   edge attribute pair one `varint pair_id`: a table pair, or past
+//!   the table's pairs one of the row's own; the record codec and its
+//!   edge-list loops live there.
 //!   Records are most of every index — most of them a single default
-//!   edge (`head, nbr`) or a single pair (`head, pair_idx`).
+//!   edge (`head, nbr`) or a single pair (`head, pair_id`).
 //!
 //! A record is a whole node description in an **aux** row and in any
 //! delta encoded by itself. In a **tree** row it is a *piece*: the
@@ -103,8 +125,10 @@
 //! completes and fails with [`CodecError::RepeatedComponent`] if a
 //! piece repeats a key the node already has.
 //!
-//! Columns are decoded lazily and each dictionary once per row
-//! (memoized), so a query materializes only the columns it touches: a
+//! Columns are decoded lazily and each row's own dictionary once
+//! (memoized; an empty one allocates nothing — the context table was
+//! decoded once, by its owner), so a query materializes only the
+//! columns it touches: a
 //! `node_at` probe whose node is absent from the dictionary (or the id
 //! column) stops after that segment; a structural replay never decodes
 //! attribute values. Every segment read is charged to
@@ -138,6 +162,8 @@ use crate::error::CodecError;
 use crate::event::{Event, EventKind, Eventlist};
 use crate::hash::FxHashMap;
 use crate::node::StaticNode;
+pub use crate::pair_table::PairTable;
+use crate::pair_table::{ValueKey, EMPTY};
 use crate::types::{NodeId, Time};
 
 /// On-disk format tag of index eventlist/delta rows, persisted with
@@ -147,8 +173,8 @@ use crate::types::{NodeId, Time};
 pub enum StorageLayout {
     /// Column segments stored as written, each read as a zero-copy
     /// slice and decoded lazily: bit-coded eventlist columns, delta
-    /// records, and row-local attribute dictionaries (see the module
-    /// docs).
+    /// records, and attribute dictionaries that extend a context pair
+    /// table (see the module docs).
     Columnar,
 }
 
@@ -367,27 +393,6 @@ fn read_seg(backing: &Bytes, range: &Range<usize>) -> Bytes {
     backing.slice(range.clone())
 }
 
-/// An attribute value as a hash key: two values have equal keys
-/// exactly when they spell alike (so a NaN is one entry, not many).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum ValueKey<'a> {
-    Int(i64),
-    Float(u64),
-    Text(&'a str),
-    Bool(bool),
-}
-
-impl<'a> ValueKey<'a> {
-    fn of(v: &'a AttrValue) -> ValueKey<'a> {
-        match v {
-            AttrValue::Int(i) => ValueKey::Int(*i),
-            AttrValue::Float(f) => ValueKey::Float(f.to_bits()),
-            AttrValue::Text(s) => ValueKey::Text(s),
-            AttrValue::Bool(b) => ValueKey::Bool(*b),
-        }
-    }
-}
-
 /// A row-local dictionary under construction: each distinct entry's
 /// bytes once, in order of first use, and the index of each.
 struct Interner<K> {
@@ -418,47 +423,67 @@ impl<K: std::hash::Hash + Eq> Interner<K> {
     }
 }
 
-/// Spell a row-local dictionary: empty when there is no key, else the
-/// keys and then `entries`.
-fn put_dict<K: std::hash::Hash + Eq>(keys: &[&str], entries: &Interner<K>) -> BytesMut {
+/// Spell a row's own dictionary: empty when it has neither a key nor
+/// an entry of its own, else its keys and then its `n` entries, spelled
+/// in `entries`.
+fn put_dict(keys: &[&str], n: usize, entries: &[u8]) -> BytesMut {
     let mut dict = BytesMut::new();
-    if !keys.is_empty() {
+    if !keys.is_empty() || n > 0 {
         put_varint(&mut dict, keys.len() as u64);
         for k in keys {
             put_str(&mut dict, k);
         }
-        put_varint(&mut dict, entries.len() as u64);
-        dict.put_slice(&entries.entries);
+        put_varint(&mut dict, n as u64);
+        dict.put_slice(entries);
     }
     dict
 }
 
-/// Read a row-local dictionary, every byte of its segment: empty, or
-/// its keys — at least one — and then the entries `entry` reads.
+/// Read a row's own dictionary, every byte of its segment: empty, or
+/// its keys and then the entries `entry` reads. A row in the context of
+/// a table of `ctx_keys` keys may have no key of its own, but not
+/// nothing at all; without a context key a row's entries need a key of
+/// its own.
 fn get_dict<T>(
     mut b: &[u8],
     what: &'static str,
+    ctx_keys: usize,
     mut entry: impl FnMut(&mut &[u8], &[String]) -> Result<T, CodecError>,
 ) -> Result<(Vec<String>, Vec<T>), CodecError> {
     if b.is_empty() {
         return Ok((Vec::new(), Vec::new()));
     }
+    // The dictionary of nothing is spelled empty.
+    let spelled_empty = CodecError::LengthOverflow { what, len: 0 };
     let n = get_len(&mut b, what)?;
     let mut keys = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         keys.push(get_str(&mut b)?);
     }
-    if keys.is_empty() {
-        // The dictionary of no key is spelled empty.
-        return Err(CodecError::LengthOverflow { what, len: 0 });
+    if keys.is_empty() && ctx_keys == 0 {
+        return Err(spelled_empty);
     }
     let n = get_len(&mut b, what)?;
+    if keys.is_empty() && n == 0 {
+        return Err(spelled_empty);
+    }
     let mut entries = Vec::with_capacity(n.min(b.len()));
     for _ in 0..n {
         entries.push(entry(&mut b, &keys)?);
     }
     no_trailing(b.len())?;
     Ok((keys, entries))
+}
+
+/// Entry `id` of a dictionary that extends the context table's
+/// `table` entries with a row's `own`: a table entry below the
+/// table's length, one of the row's own past it.
+fn extended<'a, T>(table: &'a [T], own: &'a [T], id: u64) -> Option<&'a T> {
+    let id = usize::try_from(id).ok()?;
+    match id.checked_sub(table.len()) {
+        None => table.get(id),
+        Some(own_id) => own.get(own_id),
+    }
 }
 
 /// Read a column of `n` fixed-width indexes into a dictionary of
@@ -565,8 +590,16 @@ fn get_ascending(mut b: &[u8], n: usize, bias: u64) -> Result<Vec<u64>, CodecErr
     Ok(out)
 }
 
-/// Serialize an eventlist in the columnar layout.
+/// Serialize an eventlist in the columnar layout, by itself: the
+/// empty-table case of [`encode_columnar_eventlist_in`].
 pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
+    encode_columnar_eventlist_in(el, &EMPTY)
+}
+
+/// Serialize an eventlist in the columnar layout in the context of
+/// `table`: a key or value the table has is spelled as its table id,
+/// and the row's own dictionary holds only those it lacks.
+pub fn encode_columnar_eventlist_in(el: &Eventlist, table: &PairTable) -> Bytes {
     let events = el.events();
     let mut nids: Vec<NodeId> = Vec::with_capacity(events.len() * 2);
     let mut keys: Vec<&str> = Vec::new();
@@ -577,7 +610,7 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
         if let Some(b) = b {
             nids.push(b);
         }
-        if let Some(k) = attr_key_of(&e.kind) {
+        if let Some(k) = attr_key_of(&e.kind).filter(|k| table.key_id(k).is_none()) {
             keys.push(k);
         }
         tags_present[kind_tag(&e.kind) as usize] = true;
@@ -629,7 +662,8 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
     let mut weights = BytesMut::new();
     let mut attr_keys = BytesMut::new();
     let mut key_bits = BitWriter::new(&mut attr_keys);
-    let key_width = width_for(keys.len());
+    let (table_keys, table_vals) = (table.keys().len(), table.values().len());
+    let key_width = width_for(table_keys + keys.len());
     let mut vals = Interner::new();
     let mut val_idx = Vec::new();
     // Whether every weighted event so far is the default edge.
@@ -651,11 +685,21 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
             _ => {}
         }
         if let Some(k) = attr_key_of(&e.kind) {
-            key_bits.put(dict_idx(&keys, &k), key_width);
+            let id = match table.key_id(k) {
+                Some(id) => id,
+                None => table_keys as u64 + dict_idx(&keys, &k),
+            };
+            key_bits.put(id, key_width);
         }
         match &e.kind {
             EventKind::SetNodeAttr { value, .. } | EventKind::SetEdgeAttr { value, .. } => {
-                val_idx.push(vals.intern(ValueKey::of(value), |b| put_attr_value(b, value)));
+                val_idx.push(match table.value_id(value) {
+                    Some(id) => id,
+                    None => {
+                        let own = vals.intern(ValueKey::of(value), |b| put_attr_value(b, value));
+                        table_vals as u64 + own
+                    }
+                });
             }
             _ => {}
         }
@@ -663,7 +707,7 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
     key_bits.finish();
 
     let mut attr_vals = BytesMut::new();
-    let val_width = width_for(vals.len());
+    let val_width = width_for(table_vals + vals.len());
     let mut val_bits = BitWriter::new(&mut attr_vals);
     for i in val_idx {
         val_bits.put(i, val_width);
@@ -682,7 +726,7 @@ pub fn encode_columnar_eventlist(el: &Eventlist) -> Bytes {
             &kinds,
             &ids,
             weights,
-            &put_dict(&keys, &vals),
+            &put_dict(&keys, vals.len(), &vals.entries),
             &attr_keys,
             &attr_vals,
         ],
@@ -757,8 +801,8 @@ fn get_ids(b: &[u8], kinds: &[u8], dict_len: usize) -> Result<Vec<u32>, CodecErr
     get_indexes(b, n, dict_len, "node-dict-index")
 }
 
-/// An eventlist row's attribute dictionary, decoded: the keys its
-/// events name and the values they set.
+/// An eventlist row's own attribute dictionary, decoded: the keys its
+/// events name and the values they set that its context table lacks.
 #[derive(Debug)]
 struct AttrDict {
     keys: Vec<String>,
@@ -766,12 +810,15 @@ struct AttrDict {
 }
 
 /// A parsed columnar eventlist row: one backing buffer, per-segment
-/// sub-ranges, and lazily decoded (memoized) columns.
+/// sub-ranges, the context table its dictionary extends, and lazily
+/// decoded (memoized) columns.
 #[derive(Debug)]
 pub struct ColumnarEventlist {
     backing: Bytes,
     n_events: usize,
     segs: [Range<usize>; ELIST_SEGS],
+    /// The context table; `None` is the empty one.
+    table: Option<Arc<PairTable>>,
     node_dict: OnceLock<Result<Vec<NodeId>, CodecError>>,
     core: OnceLock<Result<CoreColumns, CodecError>>,
     weights: OnceLock<Result<Vec<(f32, bool)>, CodecError>>,
@@ -781,9 +828,26 @@ pub struct ColumnarEventlist {
 }
 
 impl ColumnarEventlist {
-    /// Parse the header of an encoded row. Only the header is read;
-    /// columns are decoded on first use.
+    /// Parse the header of a row encoded by itself: the empty-table
+    /// case of [`ColumnarEventlist::parse_in`].
     pub fn parse(backing: Bytes) -> Result<ColumnarEventlist, CodecError> {
+        Self::parse_with(backing, None)
+    }
+
+    /// Parse the header of a row encoded in the context of `table`
+    /// ([`encode_columnar_eventlist_in`]). Only the header is read;
+    /// columns are decoded on first use.
+    pub fn parse_in(
+        backing: Bytes,
+        table: &Arc<PairTable>,
+    ) -> Result<ColumnarEventlist, CodecError> {
+        Self::parse_with(backing, Some(Arc::clone(table)))
+    }
+
+    fn parse_with(
+        backing: Bytes,
+        table: Option<Arc<PairTable>>,
+    ) -> Result<ColumnarEventlist, CodecError> {
         let Header {
             count: n_events,
             segs,
@@ -792,6 +856,7 @@ impl ColumnarEventlist {
             backing,
             n_events,
             segs,
+            table,
             node_dict: OnceLock::new(),
             core: OnceLock::new(),
             weights: OnceLock::new(),
@@ -820,6 +885,10 @@ impl ColumnarEventlist {
 
     fn seg(&self, i: usize) -> Bytes {
         read_seg(&self.backing, &self.segs[i])
+    }
+
+    fn table(&self) -> &PairTable {
+        self.table.as_deref().unwrap_or(&EMPTY)
     }
 
     fn node_dict(&self) -> Result<&[NodeId], CodecError> {
@@ -879,26 +948,28 @@ impl ColumnarEventlist {
             .map_err(|e| e.clone())
     }
 
-    /// The attribute dictionary, decoded once.
+    /// The row's own attribute dictionary, decoded once.
     fn attr_dict(&self) -> Result<&AttrDict, CodecError> {
         self.attr_dict
             .get_or_init(|| {
-                let (keys, vals) = get_dict(&self.seg(SEG_ATTR_DICT), "attr-dict", |b, _| {
-                    get_attr_value(b)
-                })?;
+                let ctx_keys = self.table().keys().len();
+                let (keys, vals) =
+                    get_dict(&self.seg(SEG_ATTR_DICT), "attr-dict", ctx_keys, |b, _| {
+                        get_attr_value(b)
+                    })?;
                 Ok(AttrDict { keys, vals })
             })
             .as_ref()
             .map_err(|e| e.clone())
     }
 
-    /// The attribute-key column: exactly one key index per event that
-    /// names a key.
+    /// The attribute-key column: exactly one key id per event that
+    /// names a key, each a table key or one of the row's own.
     fn attr_keys(&self) -> Result<&[u32], CodecError> {
         self.attr_keys
             .get_or_init(|| {
                 let n = self.payload_count(has_attr_key)?;
-                let n_keys = self.attr_dict()?.keys.len();
+                let n_keys = self.table().keys().len() + self.attr_dict()?.keys.len();
                 get_indexes(&self.seg(SEG_ATTR_KEYS), n, n_keys, "key-dict-index")
             })
             .as_ref()
@@ -906,13 +977,13 @@ impl ColumnarEventlist {
             .map_err(|e| e.clone())
     }
 
-    /// The attribute-value column: exactly one value index per event
-    /// that sets one.
+    /// The attribute-value column: exactly one value id per event that
+    /// sets one, each a table value or one of the row's own.
     fn attr_vals(&self) -> Result<&[u32], CodecError> {
         self.attr_vals
             .get_or_init(|| {
                 let n = self.payload_count(has_attr_val)?;
-                let n_vals = self.attr_dict()?.vals.len();
+                let n_vals = self.table().values().len() + self.attr_dict()?.vals.len();
                 get_indexes(&self.seg(SEG_ATTR_VALS), n, n_vals, "value-dict-index")
             })
             .as_ref()
@@ -920,15 +991,20 @@ impl ColumnarEventlist {
             .map_err(|e| e.clone())
     }
 
-    /// Entry `ord` of a payload column of dictionary indexes, looked
-    /// up in `dict` (the indexes are range-checked when the column is
-    /// decoded).
-    fn dict_entry<T: Clone>(idx: &[u32], ord: usize, dict: &[T]) -> Result<T, CodecError> {
+    /// Entry `ord` of a payload column of dictionary ids, looked up in
+    /// the dictionary that extends `table` with the row's `own` (the
+    /// ids are range-checked when the column is decoded).
+    fn dict_entry<T: Clone>(
+        idx: &[u32],
+        ord: usize,
+        table: &[T],
+        own: &[T],
+    ) -> Result<T, CodecError> {
         let i = *idx.get(ord).ok_or(CodecError::UnexpectedEof {
             needed: ord + 1,
             remaining: 0,
         })?;
-        dict.get(i as usize)
+        extended(table, own, u64::from(i))
             .cloned()
             .ok_or(CodecError::LengthOverflow {
                 what: "attr-dict-index",
@@ -937,7 +1013,8 @@ impl ColumnarEventlist {
     }
 
     fn attr_key_at(&self, ord: usize) -> Result<String, CodecError> {
-        Self::dict_entry(self.attr_keys()?, ord, &self.attr_dict()?.keys)
+        let own = &self.attr_dict()?.keys;
+        Self::dict_entry(self.attr_keys()?, ord, self.table().keys(), own)
     }
 
     fn build_kind(
@@ -966,7 +1043,8 @@ impl ColumnarEventlist {
             })
         };
         let attr_val = |ord: usize| -> Result<AttrValue, CodecError> {
-            Self::dict_entry(self.attr_vals()?, ord, &self.attr_dict()?.vals)
+            let own = &self.attr_dict()?.vals;
+            Self::dict_entry(self.attr_vals()?, ord, self.table().values(), own)
         };
         Ok(match tag {
             0 => EventKind::AddNode { id: a },
@@ -1085,31 +1163,37 @@ impl ColumnarEventlist {
 // columnar deltas
 // ----------------------------------------------------------------------
 
-/// A delta row's pair dictionary, decoded: every distinct attribute
-/// pair its records name, in order of first use.
+/// A list of attribute pairs: a pair table's, or a delta row's own.
 type Pairs = [(String, AttrValue)];
 
-/// Stream `n` pairs, each a pair-dictionary index, to `on`.
+/// The pairs a delta row's records name by id: its context table's,
+/// then the row's own (every distinct pair the table lacks, in order
+/// of first use).
+#[derive(Clone, Copy)]
+struct PairSpace<'a> {
+    table: &'a Pairs,
+    own: &'a Pairs,
+}
+
+/// Stream `n` pairs, each a pair id, to `on`.
 fn for_each_dict_pair(
     buf: &mut &[u8],
     n: usize,
-    pairs: &Pairs,
+    pairs: PairSpace<'_>,
     mut on: impl FnMut(String, AttrValue) -> Result<(), CodecError>,
 ) -> Result<(), CodecError> {
     for _ in 0..n {
         let idx = get_varint(buf)?;
-        let (k, v) = usize::try_from(idx).ok().and_then(|i| pairs.get(i)).ok_or(
-            CodecError::LengthOverflow {
-                what: "pair-dict-index",
-                len: idx,
-            },
-        )?;
+        let (k, v) = extended(pairs.table, pairs.own, idx).ok_or(CodecError::LengthOverflow {
+            what: "pair-dict-index",
+            len: idx,
+        })?;
         on(k.clone(), v.clone())?;
     }
     Ok(())
 }
 
-fn get_dict_pairs(buf: &mut &[u8], n: usize, pairs: &Pairs) -> Result<Attrs, CodecError> {
+fn get_dict_pairs(buf: &mut &[u8], n: usize, pairs: PairSpace<'_>) -> Result<Attrs, CodecError> {
     let mut attrs = Attrs::new();
     for_each_dict_pair(buf, n, pairs, |k, v| {
         attrs.set(k, v);
@@ -1118,29 +1202,76 @@ fn get_dict_pairs(buf: &mut &[u8], n: usize, pairs: &Pairs) -> Result<Attrs, Cod
     Ok(attrs)
 }
 
+/// A delta row's own pairs under construction: each pair its context
+/// table lacks, in order of first use, and the index of each.
+#[derive(Default)]
+struct OwnPairs<'a> {
+    pairs: Vec<(&'a str, &'a AttrValue)>,
+    index: FxHashMap<(&'a str, ValueKey<'a>), u64>,
+}
+
+impl<'a> OwnPairs<'a> {
+    fn intern(&mut self, k: &'a str, v: &'a AttrValue) -> u64 {
+        let next = self.pairs.len() as u64;
+        *self.index.entry((k, ValueKey::of(v))).or_insert_with(|| {
+            self.pairs.push((k, v));
+            next
+        })
+    }
+
+    /// Spell the row's own dictionary: the keys of its own pairs that
+    /// `table` lacks, sorted, then each pair as its key's id — in the
+    /// key space that extends the table's keys with those — and its
+    /// value.
+    fn put_dict(&self, table: &PairTable) -> BytesMut {
+        let mut keys: Vec<&str> = self
+            .pairs
+            .iter()
+            .map(|&(k, _)| k)
+            .filter(|k| table.key_id(k).is_none())
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut entries = BytesMut::new();
+        for &(k, v) in &self.pairs {
+            let id = match table.key_id(k) {
+                Some(id) => id,
+                None => table.keys().len() as u64 + dict_idx(&keys, &k),
+            };
+            put_varint(&mut entries, id);
+            put_attr_value(&mut entries, v);
+        }
+        put_dict(&keys, self.pairs.len(), &entries)
+    }
+}
+
 /// Append `n`'s record, each attribute pair — the node's and its
-/// entries' — as its index in `pairs` (a new pair spelled there with
-/// its key's index in `keys`).
+/// entries' — as its id: its id in `table`, or past the table's pairs
+/// its index among the row's `own`.
 fn put_node_record<'a>(
     buf: &mut BytesMut,
     n: &'a StaticNode,
-    keys: &[&str],
-    pairs: &mut Interner<(&'a str, ValueKey<'a>)>,
+    table: &PairTable,
+    own: &mut OwnPairs<'a>,
 ) {
     put_record(buf, &n.edges, &n.attrs, |buf, attrs| {
         for (k, v) in attrs.iter() {
-            let idx = pairs.intern((k, ValueKey::of(v)), |b| {
-                put_varint(b, dict_idx(keys, &k));
-                put_attr_value(b, v);
-            });
-            put_varint(buf, idx);
+            let id = match table.pair_id(k, v) {
+                Some(id) => id,
+                None => table.pairs().len() as u64 + own.intern(k, v),
+            };
+            put_varint(buf, id);
         }
     });
 }
 
 /// Parse one record from a running cursor into a fresh description;
 /// records are self-delimiting, so a cursor is all the caller needs.
-fn parse_record_from(id: NodeId, b: &mut &[u8], pairs: &Pairs) -> Result<StaticNode, CodecError> {
+fn parse_record_from(
+    id: NodeId,
+    b: &mut &[u8],
+    pairs: PairSpace<'_>,
+) -> Result<StaticNode, CodecError> {
     let mut edges = Vec::new();
     let n_attrs = get_record(b, &mut edges, |b, n| get_dict_pairs(b, n, pairs))?;
     let attrs = get_dict_pairs(b, n_attrs, pairs)?;
@@ -1154,7 +1285,7 @@ fn parse_record_from(id: NodeId, b: &mut &[u8], pairs: &Pairs) -> Result<StaticN
 fn merge_record_from(
     node: &mut StaticNode,
     b: &mut &[u8],
-    pairs: &Pairs,
+    pairs: PairSpace<'_>,
 ) -> Result<(), CodecError> {
     let repeated = CodecError::RepeatedComponent { node: node.id };
     let sorted_len = node.edges.len();
@@ -1176,7 +1307,7 @@ fn sum_record<'a>(
     state: &'a mut Delta,
     id: NodeId,
     b: &mut &[u8],
-    pairs: &Pairs,
+    pairs: PairSpace<'_>,
 ) -> Result<&'a Arc<StaticNode>, CodecError> {
     match state.slot(id) {
         Entry::Vacant(slot) => Ok(slot.insert(Arc::new(parse_record_from(id, b, pairs)?))),
@@ -1188,35 +1319,26 @@ fn sum_record<'a>(
     }
 }
 
-/// Serialize a delta in the columnar layout: sorted node-id column,
-/// restart column, pair dictionary, concatenated per-node records.
+/// Serialize a delta in the columnar layout, by itself: the
+/// empty-table case of [`encode_columnar_delta_in`].
 pub fn encode_columnar_delta(d: &Delta) -> Bytes {
-    let nodes = d.sorted_nodes();
-    let mut keys: Vec<&str> = Vec::new();
-    for n in &nodes {
-        for (k, _) in n.attrs.iter() {
-            keys.push(k);
-        }
-        for e in &n.edges {
-            if let Some(a) = &e.attrs {
-                for (k, _) in a.iter() {
-                    keys.push(k);
-                }
-            }
-        }
-    }
-    keys.sort_unstable();
-    keys.dedup();
+    encode_columnar_delta_in(d, &EMPTY)
+}
 
+/// Serialize a delta in the columnar layout in the context of `table`:
+/// sorted node-id column, restart column, the row's own pair
+/// dictionary (the pairs `table` lacks), concatenated per-node records.
+pub fn encode_columnar_delta_in(d: &Delta, table: &PairTable) -> Bytes {
+    let nodes = d.sorted_nodes();
     let mut id_col = BytesMut::with_capacity(nodes.len() * 2);
     let mut restarts = BytesMut::new();
     let mut records = BytesMut::with_capacity(d.size() * 3);
-    let mut pairs = Interner::new();
+    let mut own = OwnPairs::default();
     let (mut prev, mut window) = (0u64, 0usize);
     for (i, n) in nodes.iter().enumerate() {
         put_varint(&mut id_col, n.id - prev);
         prev = n.id;
-        put_node_record(&mut records, n, &keys, &mut pairs);
+        put_node_record(&mut records, n, table, &mut own);
         if (i + 1) % RESTART_INTERVAL == 0 {
             put_varint(&mut restarts, (records.len() - window) as u64);
             window = records.len();
@@ -1226,7 +1348,7 @@ pub fn encode_columnar_delta(d: &Delta) -> Bytes {
     assemble(
         DELTA_MAGIC,
         nodes.len(),
-        &[&id_col, &restarts, &put_dict(&keys, &pairs), &records],
+        &[&id_col, &restarts, &own.put_dict(table), &records],
     )
 }
 
@@ -1247,15 +1369,18 @@ fn next_id(ib: &mut &[u8], prev: Option<NodeId>) -> Result<NodeId, CodecError> {
     }
 }
 
-/// A parsed columnar delta row: node-id and restart columns, pair
-/// dictionary, and record segment, decoded lazily. Supports per-node
-/// record extraction without parsing unrelated records, and skips
-/// everything past the id column when the probed node is absent.
+/// A parsed columnar delta row: node-id and restart columns, the row's
+/// own pair dictionary, and record segment, decoded lazily, and the
+/// context table the dictionary extends. Supports per-node record
+/// extraction without parsing unrelated records, and skips everything
+/// past the id column when the probed node is absent.
 #[derive(Debug)]
 pub struct ColumnarDelta {
     backing: Bytes,
     n_nodes: usize,
     segs: [Range<usize>; DELTA_SEGS],
+    /// The context table; `None` is the empty one.
+    table: Option<Arc<PairTable>>,
     /// The node-id column: the row's node index.
     ids: OnceLock<Bytes>,
     /// The restart column: where each window of records starts.
@@ -1265,9 +1390,23 @@ pub struct ColumnarDelta {
 }
 
 impl ColumnarDelta {
-    /// Parse the header of an encoded row (columns are decoded on
-    /// first use).
+    /// Parse the header of a row encoded by itself: the empty-table
+    /// case of [`ColumnarDelta::parse_in`].
     pub fn parse(backing: Bytes) -> Result<ColumnarDelta, CodecError> {
+        Self::parse_with(backing, None)
+    }
+
+    /// Parse the header of a row encoded in the context of `table`
+    /// ([`encode_columnar_delta_in`]); columns are decoded on first
+    /// use.
+    pub fn parse_in(backing: Bytes, table: &Arc<PairTable>) -> Result<ColumnarDelta, CodecError> {
+        Self::parse_with(backing, Some(Arc::clone(table)))
+    }
+
+    fn parse_with(
+        backing: Bytes,
+        table: Option<Arc<PairTable>>,
+    ) -> Result<ColumnarDelta, CodecError> {
         let Header {
             count: n_nodes,
             segs,
@@ -1276,6 +1415,7 @@ impl ColumnarDelta {
             backing,
             n_nodes,
             segs,
+            table,
             ids: OnceLock::new(),
             restarts: OnceLock::new(),
             pair_dict: OnceLock::new(),
@@ -1369,15 +1509,16 @@ impl ColumnarDelta {
         Ok(Some(b))
     }
 
-    /// The pair dictionary, decoded once, each pair's key index
-    /// range-checked.
+    /// The row's own pair dictionary, decoded once, each pair's key id
+    /// range-checked against the table's keys and the row's own.
     fn pair_dict(&self) -> Result<&Pairs, CodecError> {
         self.pair_dict
             .get_or_init(|| {
-                let (_, pairs) = get_dict(&self.seg(SEG_PAIR_DICT), "pair-dict", |b, keys| {
+                let table = self.table().keys();
+                let seg = self.seg(SEG_PAIR_DICT);
+                let (_, pairs) = get_dict(&seg, "pair-dict", table.len(), |b, keys| {
                     let idx = get_varint(b)?;
-                    let key = usize::try_from(idx).ok().and_then(|i| keys.get(i));
-                    let key = key.ok_or(CodecError::LengthOverflow {
+                    let key = extended(table, keys, idx).ok_or(CodecError::LengthOverflow {
                         what: "key-dict-index",
                         len: idx,
                     })?;
@@ -1388,6 +1529,19 @@ impl ColumnarDelta {
             .as_ref()
             .map(|v| v.as_slice())
             .map_err(|e| e.clone())
+    }
+
+    fn table(&self) -> &PairTable {
+        self.table.as_deref().unwrap_or(&EMPTY)
+    }
+
+    /// The pairs the records name by id: the table's, then the row's
+    /// own.
+    fn pairs(&self) -> Result<PairSpace<'_>, CodecError> {
+        Ok(PairSpace {
+            table: self.table().pairs(),
+            own: self.pair_dict()?,
+        })
     }
 
     /// Whether a record for `nid` is present (decodes only the id
@@ -1405,7 +1559,7 @@ impl ColumnarDelta {
         let Some(mut record) = self.record_at(nid)? else {
             return Ok(None);
         };
-        parse_record_from(nid, &mut record, self.pair_dict()?).map(Some)
+        parse_record_from(nid, &mut record, self.pairs()?).map(Some)
     }
 
     /// Decode every record as a description of its own and reassemble
@@ -1439,7 +1593,7 @@ impl ColumnarDelta {
         state: &mut Delta,
         mut completed: Option<&mut Delta>,
     ) -> Result<(), CodecError> {
-        let pairs = self.pair_dict()?;
+        let pairs = self.pairs()?;
         let iraw = self.seg(SEG_NODE_IDS);
         let sraw = self.seg(SEG_RESTARTS);
         let rraw = self.seg(SEG_RECORDS);
@@ -1482,7 +1636,7 @@ impl ColumnarDelta {
         let Some(mut record) = self.record_at(nid)? else {
             return Ok(());
         };
-        sum_record(state, nid, &mut record, self.pair_dict()?).map(drop)
+        sum_record(state, nid, &mut record, self.pairs()?).map(drop)
     }
 }
 
@@ -1682,7 +1836,7 @@ mod tests {
         }
         for n in [StaticNode::new(300), n] {
             let mut record = BytesMut::new();
-            put_node_record(&mut record, &n, &[], &mut Interner::new());
+            put_node_record(&mut record, &n, &EMPTY, &mut OwnPairs::default());
             let mut row = BytesMut::new();
             crate::codec::put_static_node(&mut row, &n);
             assert_eq!(&row[2..], &record[..]);

@@ -37,11 +37,12 @@ pub mod event;
 pub mod hash;
 pub mod node;
 pub mod normalize;
+mod pair_table;
 pub mod types;
 
 pub use attr::{AttrValue, Attrs};
 pub use attr_index::{TermPoint, TERM_KIND_VALUE};
-pub use columnar::{ColumnarDelta, ColumnarEventlist, StorageLayout};
+pub use columnar::{ColumnarDelta, ColumnarEventlist, PairTable, StorageLayout};
 pub use delta::Delta;
 pub use error::CodecError;
 pub use event::{Event, EventKind, Eventlist};

@@ -15,14 +15,20 @@
 //!  * head-byte edges (plain `#[test]`s at the end) — records on either
 //!    side of the counts a head byte holds (six entries, two node
 //!    attributes), in every shape, whole and as tree pieces; eventlist
-//!    rows on either side of "every weighted event is the default edge".
+//!    rows on either side of "every weighted event is the default edge";
+//!  * context tables — a row encoded against a pair table that shares
+//!    any subset of its pairs (and holds pairs of its own) round-trips
+//!    when parsed against that table.
+
+use std::sync::Arc;
 
 use hgs_delta::columnar::{
-    encode_columnar_delta, encode_columnar_eventlist, ColumnarDelta, ColumnarEventlist,
+    encode_columnar_delta, encode_columnar_delta_in, encode_columnar_eventlist,
+    encode_columnar_eventlist_in, ColumnarDelta, ColumnarEventlist,
 };
 use hgs_delta::{
     AttrValue, CodecError, Delta, EdgeDir, Event, EventKind, Eventlist, Neighbor, NodeId,
-    StaticNode,
+    PairTable, StaticNode,
 };
 use proptest::prelude::*;
 
@@ -152,6 +158,55 @@ fn arb_shaped_delta() -> impl Strategy<Value = Delta> {
         }
         d
     })
+}
+
+/// The table of the `pairs`, then `keys`, whose bit in `mask` is set
+/// (a bit past the mask is clear), and of `extra` pairs of its own.
+fn table_sharing<'a>(
+    pairs: &[(&'a str, &'a AttrValue)],
+    keys: &[&'a str],
+    mask: &[bool],
+    extra: &'a [(String, AttrValue)],
+) -> Arc<PairTable> {
+    let kept = |i: usize| mask.get(i).copied().unwrap_or(false);
+    let shared = (0..pairs.len()).filter(|&i| kept(i)).map(|i| pairs[i]);
+    let own = extra.iter().map(|(k, v)| (k.as_str(), v));
+    let keys = (0..keys.len())
+        .filter(|&i| kept(pairs.len() + i))
+        .map(|i| keys[i]);
+    Arc::new(PairTable::new(shared.chain(own), keys))
+}
+
+/// Every attribute pair of `d`: each node's, then its entries'.
+fn delta_pairs(d: &Delta) -> Vec<(&str, &AttrValue)> {
+    let mut out = Vec::new();
+    for n in d.iter() {
+        out.extend(n.attrs.iter());
+        for a in n.edges.iter().filter_map(|e| e.attrs.as_deref()) {
+            out.extend(a.iter());
+        }
+    }
+    out
+}
+
+/// Every pair `el`'s events set, and every key they remove.
+fn eventlist_pairs(el: &Eventlist) -> (Vec<(&str, &AttrValue)>, Vec<&str>) {
+    let (mut pairs, mut keys) = (Vec::new(), Vec::new());
+    for e in el.events() {
+        match &e.kind {
+            EventKind::SetNodeAttr { key, value, .. }
+            | EventKind::SetEdgeAttr { key, value, .. } => pairs.push((key.as_str(), value)),
+            EventKind::RemoveNodeAttr { key, .. } | EventKind::RemoveEdgeAttr { key, .. } => {
+                keys.push(key.as_str())
+            }
+            _ => {}
+        }
+    }
+    (pairs, keys)
+}
+
+fn arb_extra_pairs() -> impl Strategy<Value = Vec<(String, AttrValue)>> {
+    prop::collection::vec(("[a-d]{1,3}", arb_attr_value()), 0..4)
 }
 
 /// Reference filter matching the columnar pruned read: the event's
@@ -320,6 +375,51 @@ proptest! {
     fn truncated_shaped_delta_never_panics(d in arb_shaped_delta(), cut in 0.0f64..1.0) {
         let col = encode_columnar_delta(&d);
         exercise_delta(col.slice(..(col.len() as f64 * cut) as usize));
+    }
+
+    #[test]
+    fn delta_roundtrips_in_any_context(
+        d in arb_delta(),
+        mask in prop::collection::vec(any::<bool>(), 0..64),
+        extra in arb_extra_pairs(),
+    ) {
+        let table = table_sharing(&delta_pairs(&d), &[], &mask, &extra);
+        let col = ColumnarDelta::parse_in(encode_columnar_delta_in(&d, &table), &table).unwrap();
+        prop_assert_eq!(col.to_delta().unwrap(), d.clone());
+        for nid in 0..26u64 {
+            let got = col.node_record(nid).unwrap();
+            prop_assert_eq!(got.as_ref(), d.node(nid));
+        }
+    }
+
+    #[test]
+    fn shaped_delta_roundtrips_in_any_context(
+        d in arb_shaped_delta(),
+        mask in prop::collection::vec(any::<bool>(), 0..16),
+        extra in arb_extra_pairs(),
+    ) {
+        let table = table_sharing(&delta_pairs(&d), &[], &mask, &extra);
+        let col = ColumnarDelta::parse_in(encode_columnar_delta_in(&d, &table), &table).unwrap();
+        prop_assert_eq!(&col.to_delta().unwrap(), &d);
+    }
+
+    #[test]
+    fn eventlist_roundtrips_in_any_context(
+        events in arb_history(80),
+        mask in prop::collection::vec(any::<bool>(), 0..64),
+        extra in arb_extra_pairs(),
+    ) {
+        let el = Eventlist::from_sorted(events);
+        let (pairs, keys) = eventlist_pairs(&el);
+        let table = table_sharing(&pairs, &keys, &mask, &extra);
+        let row = encode_columnar_eventlist_in(&el, &table);
+        let col = ColumnarEventlist::parse_in(row.clone(), &table).unwrap();
+        prop_assert_eq!(col.to_eventlist().unwrap(), el.clone());
+        for nid in 0..26u64 {
+            let want: Vec<Event> = el.filter_by_node(nid).cloned().collect();
+            let col = ColumnarEventlist::parse_in(row.clone(), &table).unwrap();
+            prop_assert_eq!(col.events_touching(nid).unwrap(), want);
+        }
     }
 
     #[test]

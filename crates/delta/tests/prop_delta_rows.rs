@@ -23,6 +23,12 @@
 //!   gaps and every restart.)
 //! * unchanged rows round-trip exactly, tree rows onto their root too.
 //!
+//! Every case is encoded and read in one of two contexts, drawn per
+//! case: the empty pair table of a row encoded by itself, or a table
+//! that shares some of the graph's pairs and holds others of its own
+//! (an index span's, whose rows name what it has by its id and spell
+//! the rest in their own dictionary).
+//!
 //! The pair dictionary gets cases of its own: replaced by arbitrary
 //! bytes, or followed by them, it is read or refused and never panics
 //! (a dictionary with bytes after its last pair is always refused);
@@ -44,9 +50,11 @@ use common::{
     arb_attr_value, arb_mutation, arb_node, for_cases, mutate, Mutation, RowSegments, Split,
 };
 use hgs_delta::codec::{encode_delta, put_varint};
-use hgs_delta::columnar::encode_columnar_delta;
+use std::sync::Arc;
+
+use hgs_delta::columnar::{encode_columnar_delta, encode_columnar_delta_in};
 use hgs_delta::{
-    AttrValue, CodecError, ColumnarDelta, Delta, EdgeDir, Neighbor, NodeId, StaticNode,
+    AttrValue, CodecError, ColumnarDelta, Delta, EdgeDir, Neighbor, NodeId, PairTable, StaticNode,
 };
 use proptest::prelude::*;
 
@@ -129,6 +137,24 @@ fn split(g: &Delta) -> (Delta, Delta) {
     (root, tree)
 }
 
+/// A context table sharing some of `g`'s pairs — those of its even
+/// nodes and their entries — beside a pair and a key of its own; or,
+/// without `shared`, the empty table.
+fn context(g: &Delta, shared: bool) -> Arc<PairTable> {
+    if !shared {
+        return Arc::default();
+    }
+    let foreign = AttrValue::Int(-99);
+    let mut pairs: Vec<(&str, &AttrValue)> = vec![("zz", &foreign)];
+    for n in g.iter().filter(|n| n.id % 2 == 0) {
+        pairs.extend(n.attrs.iter());
+        for a in n.edges.iter().filter_map(|e| e.attrs.as_deref()) {
+            pairs.extend(a.iter());
+        }
+    }
+    Arc::new(PairTable::new(pairs, ["zy"]))
+}
+
 /// The three kinds of stored delta row.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
@@ -148,15 +174,21 @@ fn spelled(n: Option<&StaticNode>) -> Option<Vec<u8>> {
     n.map(|n| encode_delta(&[n.clone()].into_iter().collect()).to_vec())
 }
 
-/// Hold every read of `row` to the properties in the module docs, the
-/// path sum applied onto `base` (empty but for tree rows), probing the
-/// ids of `original`, of what the row decodes to, and their
-/// neighbors. Returns whether `to_delta` accepted the row.
-fn check_delta_row(row: Bytes, base: &Delta, original: &Delta) -> Result<bool, TestCaseError> {
-    let Ok(col) = ColumnarDelta::parse(row.clone()) else {
+/// Hold every read of `row`, in the context of `table`, to the
+/// properties in the module docs, the path sum applied onto `base`
+/// (empty but for tree rows), probing the ids of `original`, of what
+/// the row decodes to, and their neighbors. Returns whether `to_delta`
+/// accepted the row.
+fn check_delta_row(
+    row: Bytes,
+    table: &Arc<PairTable>,
+    base: &Delta,
+    original: &Delta,
+) -> Result<bool, TestCaseError> {
+    let Ok(col) = ColumnarDelta::parse_in(row.clone(), table) else {
         return Ok(false);
     };
-    let fresh = || ColumnarDelta::parse(row.clone()).expect("parsed once");
+    let fresh = || ColumnarDelta::parse_in(row.clone(), table).expect("parsed once");
     let mut probes: Vec<NodeId> = vec![0, 1, 2, 3, u64::MAX];
     let mut near = |id: NodeId| probes.extend([id.wrapping_sub(1), id, id.wrapping_add(1)]);
     original.ids().for_each(&mut near);
@@ -208,8 +240,14 @@ fn delta_rows_decode_or_refuse_and_both_reads_agree() {
     let mut split_by_kind = [Split::default(), Split::default(), Split::default()];
     for_cases(
         "prop_delta_rows::delta",
-        (arb_graph(), 0usize..3, arb_mutation(), 0.0f64..1.0),
-        |(g, kind, m, where_), rng| {
+        (
+            arb_graph(),
+            0usize..3,
+            arb_mutation(),
+            0.0f64..1.0,
+            any::<bool>(),
+        ),
+        |(g, kind, m, where_, shared), rng| {
             let (root, tree) = split(&g);
             let kind = [Kind::Aux, Kind::Root, Kind::Tree][kind];
             let (stored, base) = match kind {
@@ -217,7 +255,8 @@ fn delta_rows_decode_or_refuse_and_both_reads_agree() {
                 Kind::Root => (&root, Delta::new()),
                 Kind::Tree => (&tree, root.clone()),
             };
-            let row = encode_columnar_delta(stored);
+            let table = context(&g, shared);
+            let row = encode_columnar_delta_in(stored, &table);
             let mutated = if m == Mutation::Unchanged {
                 row.clone()
             } else if where_ < 0.25 {
@@ -228,10 +267,10 @@ fn delta_rows_decode_or_refuse_and_both_reads_agree() {
                 parts.segs[i] = mutate(m, &parts.segs[i], rng);
                 parts.assemble()
             };
-            let ok = check_delta_row(mutated, &base, stored)
+            let ok = check_delta_row(mutated, &table, &base, stored)
                 .unwrap_or_else(|e| panic!("{kind:?} {m:?}: {e}"));
             if m == Mutation::Unchanged {
-                let col = ColumnarDelta::parse(row).unwrap();
+                let col = ColumnarDelta::parse_in(row, &table).unwrap();
                 assert_eq!(col.to_delta().unwrap(), *stored, "round trip");
                 let mut state = base;
                 col.sum_into(&mut state, None).unwrap();
@@ -306,10 +345,10 @@ fn hostile_counts_and_restarts_are_refused() {
 const DICT: usize = 2;
 const RECORDS: usize = 3;
 
-/// Every read of `row` refuses it: the full read, the path sum, and
-/// the point reads of each of `ids`.
-fn every_read_refuses(row: Bytes, ids: &[NodeId], what: &str) {
-    let col = || ColumnarDelta::parse(row.clone()).expect("a well-formed header");
+/// Every read of `row`, in the context of `table`, refuses it: the
+/// full read, the path sum, and the point reads of each of `ids`.
+fn every_read_refuses(row: Bytes, table: &Arc<PairTable>, ids: &[NodeId], what: &str) {
+    let col = || ColumnarDelta::parse_in(row.clone(), table).expect("a well-formed header");
     assert!(col().to_delta().is_err(), "{what}: to_delta");
     assert!(
         col().sum_into(&mut Delta::new(), None).is_err(),
@@ -334,15 +373,17 @@ fn arbitrary_pair_dictionaries_are_read_or_refused() {
             0usize..3,
             any::<bool>(),
             prop::collection::vec(any::<u8>(), 1..48),
+            any::<bool>(),
         ),
-        |(g, kind, append, bytes), _rng| {
+        |(g, kind, append, bytes, shared), _rng| {
             let (root, tree) = split(&g);
             let (stored, base) = match kind {
                 0 => (&g, Delta::new()),
                 1 => (&root, Delta::new()),
                 _ => (&tree, root.clone()),
             };
-            let row = encode_columnar_delta(stored);
+            let table = context(&g, shared);
+            let row = encode_columnar_delta_in(stored, &table);
             let mut parts = RowSegments::parse(&row);
             let had_dict = !parts.segs[DICT].is_empty();
             if append {
@@ -351,11 +392,11 @@ fn arbitrary_pair_dictionaries_are_read_or_refused() {
                 parts.segs[DICT] = bytes;
             }
             let mutated = parts.assemble();
-            let ok = check_delta_row(mutated.clone(), &base, stored)
+            let ok = check_delta_row(mutated.clone(), &table, &base, stored)
                 .unwrap_or_else(|e| panic!("dictionary case: {e}"));
             if append && had_dict {
                 let ids: Vec<NodeId> = stored.ids().collect();
-                every_read_refuses(mutated, &ids, "trailing dictionary bytes");
+                every_read_refuses(mutated, &table, &ids, "trailing dictionary bytes");
             }
             let m = if append {
                 Mutation::Inserted
@@ -388,6 +429,7 @@ fn dictionary_indexes_past_their_dictionary_are_refused() {
     // A record of no edges and one pair: the head, then pair 0 or 1.
     assert_eq!(parts.segs[RECORDS], vec![0x47, 0, 0x47, 1]);
     let ids = [1, 2];
+    let empty = Arc::default();
 
     let with = |dict: Vec<u8>, records: Vec<u8>| {
         let mut p = RowSegments::parse(&row);
@@ -398,16 +440,23 @@ fn dictionary_indexes_past_their_dictionary_are_refused() {
     // Pair index 2 of two pairs, in either record.
     every_read_refuses(
         with(dict.clone(), vec![0x47, 2, 0x47, 2]),
+        &empty,
         &ids,
         "pair index",
     );
     // A pair naming key 2 of two keys.
     let mut bad_key = dict.clone();
     bad_key[9] = 2;
-    every_read_refuses(with(bad_key, vec![0x47, 0, 0x47, 1]), &ids, "key index");
+    every_read_refuses(
+        with(bad_key, vec![0x47, 0, 0x47, 1]),
+        &empty,
+        &ids,
+        "key index",
+    );
     // Record pairs beside an empty dictionary.
     every_read_refuses(
         with(Vec::new(), vec![0x47, 0, 0x47, 0]),
+        &empty,
         &ids,
         "empty dictionary",
     );
@@ -416,6 +465,7 @@ fn dictionary_indexes_past_their_dictionary_are_refused() {
     trailing.push(0);
     every_read_refuses(
         with(trailing, vec![0x47, 0, 0x47, 1]),
+        &empty,
         &ids,
         "trailing byte",
     );
@@ -426,6 +476,81 @@ fn dictionary_indexes_past_their_dictionary_are_refused() {
             .to_delta(),
         Ok(g)
     );
+}
+
+/// In the context of a table, a row's ids extend the table's: pair
+/// ids past the table name the row's own pairs, and an own pair's key
+/// id past the table's keys names one of the row's own keys. An id
+/// past both is refused by every read.
+#[test]
+fn ids_past_the_table_and_the_row_are_refused() {
+    // The table holds `a: 1` and the key `a`; node 2's `b: 2` is the
+    // row's own.
+    let one = AttrValue::Int(1);
+    let table = Arc::new(PairTable::new([("a", &one)], []));
+    let g: Delta = [(1u64, "a", 1i64), (2, "b", 2)]
+        .into_iter()
+        .map(|(id, k, v)| {
+            let mut n = StaticNode::new(id);
+            n.attrs.set(k, AttrValue::Int(v));
+            n
+        })
+        .collect();
+    let row = encode_columnar_delta_in(&g, &table);
+    let parts = RowSegments::parse(&row);
+    // One own key, `b`, and one own pair: key id 1 (past the table's
+    // one key), `Int 2`.
+    let dict = vec![1, 1, b'b', 1, 1, 0, 4];
+    assert_eq!(parts.segs[DICT], dict);
+    // Table pair 0, then the row's own pair, id 1.
+    assert_eq!(parts.segs[RECORDS], vec![0x47, 0, 0x47, 1]);
+    let ids = [1, 2];
+    let with = |dict: Vec<u8>, records: Vec<u8>| {
+        let mut p = RowSegments::parse(&row);
+        p.segs[DICT] = dict;
+        p.segs[RECORDS] = records;
+        p.assemble()
+    };
+    every_read_refuses(
+        with(dict.clone(), vec![0x47, 2, 0x47, 2]),
+        &table,
+        &ids,
+        "pair id past the table and the row",
+    );
+    let mut bad_key = dict.clone();
+    bad_key[4] = 2;
+    every_read_refuses(
+        with(bad_key, vec![0x47, 0, 0x47, 1]),
+        &table,
+        &ids,
+        "key id past the table and the row",
+    );
+    // Without the row's own pairs, node 2's id 1 names nothing.
+    every_read_refuses(
+        with(Vec::new(), vec![0x47, 0, 0x47, 1]),
+        &table,
+        &[2],
+        "empty dictionary",
+    );
+    // A dictionary of no key and no pair is spelled empty; one of no
+    // key of its own may still hold pairs, its keys the table's.
+    every_read_refuses(
+        with(vec![0, 0], vec![0x47, 0, 0x47, 0]),
+        &table,
+        &ids,
+        "an empty dictionary spelled",
+    );
+    let own_a = with(vec![0, 1, 0, 0, 4], vec![0x47, 0, 0x47, 1]);
+    let col = ColumnarDelta::parse_in(own_a, &table).unwrap();
+    let mut want = g.clone();
+    let mut two = StaticNode::new(2);
+    two.attrs.set("a", AttrValue::Int(2));
+    want.insert(two);
+    assert_eq!(col.to_delta(), Ok(want));
+    // Unchanged, the row reads — in its context, and only there.
+    let col = ColumnarDelta::parse_in(with(dict.clone(), vec![0x47, 0, 0x47, 1]), &table);
+    assert_eq!(col.unwrap().to_delta(), Ok(g));
+    every_read_refuses(row, &Arc::default(), &ids, "the row out of its context");
 }
 
 #[test]

@@ -30,6 +30,12 @@
 //! each refused by both decoders. Rows of the retired magics are
 //! refused by name.
 //!
+//! Every eventlist case is encoded and read in one of two contexts,
+//! drawn per case: the empty pair table of a row encoded by itself, or
+//! a table that shares some of the row's keys and values and holds
+//! others of its own (an index span's, whose rows name what it has by
+//! its id and spell the rest in their own dictionary).
+//!
 //! Each suite prints its Ok/Err split per mutation (`--nocapture`).
 //! Cases: `PROPTEST_CASES`, default 256.
 
@@ -41,8 +47,12 @@ use common::{
 };
 use hgs_delta::attr_index::{decode_term_points, encode_term_points, TermPoint};
 use hgs_delta::codec::put_varint;
-use hgs_delta::columnar::encode_columnar_eventlist;
-use hgs_delta::{AttrValue, CodecError, ColumnarEventlist, Event, EventKind, Eventlist, NodeId};
+use std::sync::Arc;
+
+use hgs_delta::columnar::{encode_columnar_eventlist, encode_columnar_eventlist_in};
+use hgs_delta::{
+    AttrValue, CodecError, ColumnarEventlist, Event, EventKind, Eventlist, NodeId, PairTable,
+};
 use proptest::prelude::*;
 
 // ----------------------------------------------------------------------
@@ -151,11 +161,40 @@ fn touches(kind: &EventKind, nid: NodeId) -> bool {
     a == nid || b == Some(nid)
 }
 
-/// Hold both decoders of `row` to the properties in the module docs,
-/// probing the nodes of `original` and of whatever the row decodes
-/// to. Returns whether `to_eventlist` accepted the row.
-fn check_eventlist_row(row: Bytes, original: &Eventlist) -> Result<bool, TestCaseError> {
-    let Ok(col) = ColumnarEventlist::parse(row.clone()) else {
+/// A context table sharing some of `el`'s keys and values — those its
+/// events on even nodes set or remove — beside a pair and a key of its
+/// own; or, without `shared`, the empty table.
+fn context(el: &Eventlist, shared: bool) -> Arc<PairTable> {
+    if !shared {
+        return Arc::default();
+    }
+    let foreign = AttrValue::Int(-99);
+    let mut pairs: Vec<(&str, &AttrValue)> = vec![("zz", &foreign)];
+    let mut keys = vec!["zy"];
+    for e in el.events().iter().filter(|e| e.kind.touched().0 % 2 == 0) {
+        match &e.kind {
+            EventKind::SetNodeAttr { key, value, .. }
+            | EventKind::SetEdgeAttr { key, value, .. } => pairs.push((key, value)),
+            EventKind::RemoveNodeAttr { key, .. } | EventKind::RemoveEdgeAttr { key, .. } => {
+                keys.push(key)
+            }
+            _ => {}
+        }
+    }
+    Arc::new(PairTable::new(pairs, keys))
+}
+
+/// Hold both decoders of `row`, in the context of `table`, to the
+/// properties in the module docs, probing the nodes of `original` and
+/// of whatever the row decodes to. Returns whether `to_eventlist`
+/// accepted the row.
+fn check_eventlist_row(
+    row: Bytes,
+    table: &Arc<PairTable>,
+    original: &Eventlist,
+) -> Result<bool, TestCaseError> {
+    let parse = || ColumnarEventlist::parse_in(row.clone(), table);
+    let Ok(col) = parse() else {
         return Ok(false);
     };
     // A refusal needs no more checking: the pruned reads of a row the
@@ -176,7 +215,7 @@ fn check_eventlist_row(row: Bytes, original: &Eventlist) -> Result<bool, TestCas
     probes.dedup();
     for nid in probes {
         // A fresh parse: no column memoized by the full read.
-        let got = ColumnarEventlist::parse(row.clone()).and_then(|c| c.events_touching(nid));
+        let got = parse().and_then(|c| c.events_touching(nid));
         let want: Vec<Event> = el
             .events()
             .iter()
@@ -193,9 +232,10 @@ fn eventlist_rows_decode_or_refuse_and_both_decoders_agree() {
     let mut split = Split::default();
     for_cases(
         "prop_eventlist_rows::eventlist",
-        (arb_eventlist(), arb_mutation(), 0.0f64..1.0),
-        |(el, m, where_), rng| {
-            let row = encode_columnar_eventlist(&el);
+        (arb_eventlist(), arb_mutation(), 0.0f64..1.0, any::<bool>()),
+        |(el, m, where_, shared), rng| {
+            let table = context(&el, shared);
+            let row = encode_columnar_eventlist_in(&el, &table);
             let mutated = if m == Mutation::Unchanged {
                 row.clone()
             } else if where_ < 0.25 {
@@ -206,9 +246,10 @@ fn eventlist_rows_decode_or_refuse_and_both_decoders_agree() {
                 parts.segs[i] = mutate(m, &parts.segs[i], rng);
                 parts.assemble()
             };
-            let ok = check_eventlist_row(mutated, &el).unwrap_or_else(|e| panic!("{m:?}: {e}"));
+            let ok =
+                check_eventlist_row(mutated, &table, &el).unwrap_or_else(|e| panic!("{m:?}: {e}"));
             if m == Mutation::Unchanged {
-                let col = ColumnarEventlist::parse(row).unwrap();
+                let col = ColumnarEventlist::parse_in(row, &table).unwrap();
                 assert_eq!(col.to_eventlist().unwrap(), el, "round trip");
             }
             split.record(m, ok);
@@ -227,10 +268,10 @@ const DICT: usize = 5;
 const ATTR_KEYS: usize = 6;
 const ATTR_VALS: usize = 7;
 
-/// Both decoders refuse `row`: the full read, and the pruned read of
-/// each of `nodes`.
-fn both_decoders_refuse(row: Bytes, nodes: &[NodeId], what: &str) {
-    let col = || ColumnarEventlist::parse(row.clone()).expect("a well-formed header");
+/// Both decoders refuse `row`, in the context of `table`: the full
+/// read, and the pruned read of each of `nodes`.
+fn both_decoders_refuse(row: Bytes, table: &Arc<PairTable>, nodes: &[NodeId], what: &str) {
+    let col = || ColumnarEventlist::parse_in(row.clone(), table).expect("a well-formed header");
     assert!(col().to_eventlist().is_err(), "{what}: to_eventlist");
     for &nid in nodes {
         assert!(
@@ -266,9 +307,11 @@ fn arbitrary_attribute_dictionaries_are_read_or_refused() {
             arb_eventlist(),
             any::<bool>(),
             prop::collection::vec(any::<u8>(), 1..48),
+            any::<bool>(),
         ),
-        |(el, append, bytes), _rng| {
-            let row = encode_columnar_eventlist(&el);
+        |(el, append, bytes, shared), _rng| {
+            let table = context(&el, shared);
+            let row = encode_columnar_eventlist_in(&el, &table);
             let mut parts = RowSegments::parse(&row);
             let had_dict = !parts.segs[DICT].is_empty();
             if append {
@@ -277,10 +320,11 @@ fn arbitrary_attribute_dictionaries_are_read_or_refused() {
                 parts.segs[DICT] = bytes;
             }
             let mutated = parts.assemble();
-            let ok = check_eventlist_row(mutated.clone(), &el)
+            let ok = check_eventlist_row(mutated.clone(), &table, &el)
                 .unwrap_or_else(|e| panic!("dictionary case: {e}"));
             if append && had_dict {
-                both_decoders_refuse(mutated, &keyed_nodes(&el), "trailing dictionary bytes");
+                let nodes = keyed_nodes(&el);
+                both_decoders_refuse(mutated, &table, &nodes, "trailing dictionary bytes");
             }
             let m = if append {
                 Mutation::Inserted
@@ -319,6 +363,7 @@ fn dictionary_indexes_past_their_dictionary_are_refused() {
     assert_eq!(parts.segs[ATTR_KEYS], vec![0b10_01_00]);
     assert_eq!(parts.segs[ATTR_VALS], vec![0b10_01_00]);
     let nodes = [1, 2, 3];
+    let empty = Arc::default();
 
     let with = |dict: &[u8], keys: &[u8], vals: &[u8]| {
         let mut p = RowSegments::parse(&row);
@@ -328,20 +373,78 @@ fn dictionary_indexes_past_their_dictionary_are_refused() {
         p.assemble()
     };
     let past = 0b11_01_00;
-    both_decoders_refuse(with(&dict, &[past], &[0b10_01_00]), &nodes, "key index");
-    both_decoders_refuse(with(&dict, &[0b10_01_00], &[past]), &nodes, "value index");
+    let keys_past = with(&dict, &[past], &[0b10_01_00]);
+    both_decoders_refuse(keys_past, &empty, &nodes, "key index");
+    let vals_past = with(&dict, &[0b10_01_00], &[past]);
+    both_decoders_refuse(vals_past, &empty, &nodes, "value index");
     // Keyed events beside an empty dictionary: every index is zero
     // bits long, and names nothing.
-    both_decoders_refuse(with(&[], &[], &[]), &nodes, "empty dictionary");
+    both_decoders_refuse(with(&[], &[], &[]), &empty, &nodes, "empty dictionary");
     let mut trailing = dict.clone();
     trailing.push(0);
     both_decoders_refuse(
         with(&trailing, &[0b10_01_00], &[0b10_01_00]),
+        &empty,
         &nodes,
         "trailing byte",
     );
     let col = ColumnarEventlist::parse(with(&dict, &[0b10_01_00], &[0b10_01_00])).unwrap();
     assert_eq!(col.to_eventlist(), Ok(el));
+}
+
+/// In the context of a table, a row's key and value ids extend the
+/// table's: an id past the table's names one of the row's own, its
+/// column as wide as the table and the row need together. An id past
+/// both is refused by both decoders.
+#[test]
+fn ids_past_the_table_and_the_row_are_refused() {
+    // The table holds keys `a`, `b` and values `Int 1, 2`; node 3's
+    // `c: 3` is the row's own.
+    let (one, two) = (AttrValue::Int(1), AttrValue::Int(2));
+    let table = Arc::new(PairTable::new([("a", &one), ("b", &two)], []));
+    let el = Eventlist::from_sorted(
+        [(1u64, "a", 1i64), (2, "b", 2), (3, "c", 3)]
+            .into_iter()
+            .map(|(id, key, v)| {
+                let kind = EventKind::SetNodeAttr {
+                    id,
+                    key: key.into(),
+                    value: AttrValue::Int(v),
+                };
+                Event::new(id, kind)
+            })
+            .collect(),
+    );
+    let row = encode_columnar_eventlist_in(&el, &table);
+    let parts = RowSegments::parse(&row);
+    // The row's own key `c` and value `Int 3`.
+    let dict = vec![1, 1, b'c', 1, 0, 6];
+    assert_eq!(parts.segs[DICT], dict);
+    // Ids 0, 1 of the table and 2 of the row, two bits each.
+    assert_eq!(parts.segs[ATTR_KEYS], vec![0b10_01_00]);
+    assert_eq!(parts.segs[ATTR_VALS], vec![0b10_01_00]);
+    let with = |dict: &[u8], keys: &[u8], vals: &[u8]| {
+        let mut p = RowSegments::parse(&row);
+        p.segs[DICT] = dict.to_vec();
+        p.segs[ATTR_KEYS] = keys.to_vec();
+        p.segs[ATTR_VALS] = vals.to_vec();
+        p.assemble()
+    };
+    let past = 0b11_01_00;
+    let nodes = [1, 2, 3];
+    let keys_past = with(&dict, &[past], &[0b10_01_00]);
+    both_decoders_refuse(keys_past, &table, &nodes, "key id");
+    let vals_past = with(&dict, &[0b10_01_00], &[past]);
+    both_decoders_refuse(vals_past, &table, &nodes, "value id");
+    // Without the row's own entries the ids are one bit wide, over the
+    // table's two keys and two values, and the columns as spelled do
+    // not fit them.
+    let no_dict = with(&[], &[0b10_01_00], &[0b10_01_00]);
+    both_decoders_refuse(no_dict, &table, &nodes, "no dictionary");
+    let col = ColumnarEventlist::parse_in(with(&dict, &[0b10_01_00], &[0b10_01_00]), &table);
+    assert_eq!(col.unwrap().to_eventlist(), Ok(el));
+    // Out of its context, the row's ids name its own entries only.
+    both_decoders_refuse(row, &Arc::default(), &nodes, "the row out of its context");
 }
 
 #[test]

@@ -28,20 +28,6 @@ pub fn average_degree(g: &Graph) -> f64 {
     2.0 * g.edge_count() as f64 / g.node_count() as f64
 }
 
-/// Degree distribution histogram: `hist[d]` = number of nodes with
-/// degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for (i, _) in g.iter() {
-        let d = g.degree(i);
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
 /// Number of triangles incident to dense index `v`.
 pub fn triangles_at(g: &Graph, v: u32) -> usize {
     let ns = g.neighbors(v);
@@ -272,27 +258,6 @@ pub fn count_label(g: &Graph, key: &str, value: &str) -> usize {
         .count()
 }
 
-/// Approximate diameter: the maximum eccentricity observed from a
-/// small set of BFS sweeps (double sweep heuristic). Exact on trees;
-/// a lower bound in general.
-pub fn diameter_estimate(g: &Graph) -> usize {
-    if g.node_count() == 0 {
-        return 0;
-    }
-    let far = |src: u32| -> (u32, usize) {
-        let dist = bfs_distances(g, src);
-        dist.iter()
-            .enumerate()
-            .filter(|(_, &d)| d != usize::MAX)
-            .max_by_key(|(_, &d)| d)
-            .map(|(i, &d)| (i as u32, d))
-            .unwrap_or((src, 0))
-    };
-    let (a, _) = far(0);
-    let (_, d) = far(a);
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,26 +382,11 @@ mod tests {
     }
 
     #[test]
-    fn diameter_of_path() {
-        let g = graph_from_edges(&[(1, 2), (2, 3), (3, 4)]);
-        assert_eq!(diameter_estimate(&g), 3);
-    }
-
-    #[test]
-    fn degree_histogram_shape() {
-        let g = graph_from_edges(&[(1, 2), (1, 3), (1, 4)]);
-        let h = degree_histogram(&g);
-        assert_eq!(h[1], 3, "three leaves");
-        assert_eq!(h[3], 1, "one hub");
-    }
-
-    #[test]
     fn empty_graph_algorithms() {
         let g = Graph::from_delta(Delta::new());
         assert_eq!(density(&g), 0.0);
         assert_eq!(average_clustering(&g), 0.0);
         assert!(pagerank(&g, 0.85, 10).is_empty());
         assert_eq!(connected_components(&g).1, 0);
-        assert_eq!(diameter_estimate(&g), 0);
     }
 }
