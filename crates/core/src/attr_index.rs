@@ -68,30 +68,36 @@ pub const LABEL_KEY: &str = "EntityType";
 /// by the span's transitions, replayed with the same forgiving
 /// semantics as [`Delta::apply_event`] (a `SetNodeAttr` on an unseen
 /// node implies the node; removals of absent attributes are no-ops).
+/// Only the attributes of nodes the span's events touch are copied
+/// out of `state`.
 pub(crate) fn collect_span_index_rows(
     state: &Delta,
     events: &[Event],
     span_start: Time,
 ) -> Vec<(Vec<u8>, bytes::Bytes)> {
-    let mut cur: FxHashMap<NodeId, Attrs> = FxHashMap::default();
     let mut value_map: FxHashMap<Vec<u8>, Vec<TermPoint>> = FxHashMap::default();
+    fn push(
+        value_map: &mut FxHashMap<Vec<u8>, Vec<TermPoint>>,
+        key: &str,
+        value: &AttrValue,
+        point: TermPoint,
+    ) {
+        value_map
+            .entry(value_term(key, value))
+            .or_default()
+            .push(point);
+    }
 
     for node in state.iter() {
-        if node.attrs.is_empty() {
-            continue;
-        }
         for (k, v) in node.attrs.iter() {
-            value_map
-                .entry(value_term(k, v))
-                .or_default()
-                .push(TermPoint {
-                    time: span_start,
-                    nid: node.id,
-                    carry: true,
-                    became: true,
-                });
+            let point = TermPoint {
+                time: span_start,
+                nid: node.id,
+                carry: true,
+                became: true,
+            };
+            push(&mut value_map, k, v, point);
         }
-        cur.insert(node.id, node.attrs.clone());
     }
     // Carry points all share the span start time; order them by node so
     // the emitted rows do not depend on `state`'s map iteration order.
@@ -99,60 +105,41 @@ pub(crate) fn collect_span_index_rows(
         pts.sort_unstable_by_key(|p| p.nid);
     }
 
+    // The attributes of each node an event touches, as of that event.
+    let mut cur: FxHashMap<NodeId, Attrs> = FxHashMap::default();
+    fn attrs_of<'c>(
+        cur: &'c mut FxHashMap<NodeId, Attrs>,
+        state: &Delta,
+        id: NodeId,
+    ) -> &'c mut Attrs {
+        cur.entry(id)
+            .or_insert_with(|| state.node(id).map(|n| n.attrs.clone()).unwrap_or_default())
+    }
     for ev in events {
+        let change = |nid: NodeId, became: bool| TermPoint {
+            time: ev.time,
+            nid,
+            carry: false,
+            became,
+        };
         match &ev.kind {
             EventKind::SetNodeAttr { id, key, value } => {
-                let attrs = cur.entry(*id).or_default();
-                let old = attrs.set(key.clone(), value.clone());
+                let old = attrs_of(&mut cur, state, *id).set(key.clone(), value.clone());
                 if old.as_ref() != Some(value) {
                     if let Some(old) = &old {
-                        value_map
-                            .entry(value_term(key, old))
-                            .or_default()
-                            .push(TermPoint {
-                                time: ev.time,
-                                nid: *id,
-                                carry: false,
-                                became: false,
-                            });
+                        push(&mut value_map, key, old, change(*id, false));
                     }
-                    value_map
-                        .entry(value_term(key, value))
-                        .or_default()
-                        .push(TermPoint {
-                            time: ev.time,
-                            nid: *id,
-                            carry: false,
-                            became: true,
-                        });
+                    push(&mut value_map, key, value, change(*id, true));
                 }
             }
             EventKind::RemoveNodeAttr { id, key } => {
-                if let Some(old) = cur.get_mut(id).and_then(|a| a.remove(key)) {
-                    value_map
-                        .entry(value_term(key, &old))
-                        .or_default()
-                        .push(TermPoint {
-                            time: ev.time,
-                            nid: *id,
-                            carry: false,
-                            became: false,
-                        });
+                if let Some(old) = attrs_of(&mut cur, state, *id).remove(key) {
+                    push(&mut value_map, key, &old, change(*id, false));
                 }
             }
             EventKind::RemoveNode { id } => {
-                if let Some(attrs) = cur.remove(id) {
-                    for (k, v) in attrs.iter() {
-                        value_map
-                            .entry(value_term(k, v))
-                            .or_default()
-                            .push(TermPoint {
-                                time: ev.time,
-                                nid: *id,
-                                carry: false,
-                                became: false,
-                            });
-                    }
+                for (k, v) in std::mem::take(attrs_of(&mut cur, state, *id)).iter() {
+                    push(&mut value_map, k, v, change(*id, false));
                 }
             }
             _ => {}

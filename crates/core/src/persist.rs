@@ -74,8 +74,10 @@ impl std::error::Error for OpenError {}
 /// dictionary of their own, beside `Timespans` rows with no pair
 /// table — rows this layout would read as those of spans without
 /// pairs, refused all the same: one tag names one writer of every
-/// row). A store tagged otherwise is refused, not answered from.
-const LAYOUT_TAG: u64 = 10;
+/// row) and `10` (delta rows whose records each opened with a head
+/// byte, beside a varint id column; they carry a retired magic too).
+/// A store tagged otherwise is refused, not answered from.
+const LAYOUT_TAG: u64 = 11;
 
 /// Serialize the construction configuration: the layout tag, then
 /// every other field of [`TgiConfig`] in declaration order.

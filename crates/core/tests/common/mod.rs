@@ -251,9 +251,22 @@ pub const ELIST_SEG_WEIGHTS: usize = 4;
 /// row's eight segments.
 pub const ELIST_SEG_ATTR_DICT: usize = 5;
 
-/// Index of the row's own pair dictionary among a delta row's four
+/// Index of the id column among a delta row's five segments.
+pub const DELTA_SEG_NODE_IDS: usize = 0;
+
+/// Index of the restart column among a delta row's five segments.
+pub const DELTA_SEG_RESTARTS: usize = 1;
+
+/// Index of the row's own pair dictionary among a delta row's five
 /// segments.
 pub const DELTA_SEG_PAIR_DICT: usize = 2;
+
+/// Index of the counts column — every record's head — among a delta
+/// row's five segments.
+pub const DELTA_SEG_COUNTS: usize = 3;
+
+/// Index of the record segment among a delta row's five segments.
+pub const DELTA_SEG_RECORDS: usize = 4;
 
 /// A stored columnar row taken apart as its header lays it out (see
 /// `hgs_delta::columnar`): magic, record count, then per segment its

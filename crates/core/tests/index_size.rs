@@ -11,14 +11,23 @@
 //! un-factored edge-list grammar (`hgs_delta::codec` spelling `dir`,
 //! weight and an attributes flag on every entry) trips it too.
 //!
-//! Eight encodings keep a row from spelling what its reader can
+//! Nine encodings keep a row from spelling what its reader can
 //! derive, and each has the bound it trips when it is undone:
 //!
-//! * the **record head** — one byte for an edge-list's shape and both
-//!   counts — is the tree-delta bound: most tree records are one edge
-//!   or one pair, and with an `edge_count` varint, a shape byte and an
-//!   `attr_count` varint in front of each the tree rows are 11.72 and
-//!   21.34 B/event, over it;
+//! * the **record head** — an edge-list's shape and both counts, and
+//!   nothing else, in front of each record's entries — is the
+//!   tree-delta bound: most tree records are one edge or one pair, and
+//!   with an `edge_count` varint, a shape byte and an `attr_count`
+//!   varint in front of each the tree rows are 11.72 and 21.34
+//!   B/event, over it;
+//! * the **counts column** — every record's head as one bit-coded
+//!   code in a column of the row's own (its edge count a Rice code,
+//!   its attribute count and shape only when some record of the row
+//!   needs them), beside an Elias–Fano-coded id column — is the tree-delta
+//!   bound as well: with a head byte per record and a varint per id
+//!   gap (the rows of magic `0xC8`) the tree rows are 7.48 and 10.52
+//!   B/event, over it (the census prints the tree rows' ids, restarts,
+//!   counts and records);
 //! * the **restart column** — one window length per 16 records, where
 //!   a point read starts skipping, instead of a byte length for every
 //!   record — is the tree-delta bound as well: with a length per
@@ -120,6 +129,8 @@ struct Census {
     /// dictionaries, eventlist rows' attribute dictionaries.
     delta_dicts: f64,
     eventlist_dicts: f64,
+    /// Tree rows' segments: ids, restarts, counts, records.
+    tree_segs: [f64; 4],
 }
 
 impl Census {
@@ -177,6 +188,14 @@ fn census(events: &[Event], cfg: TgiConfig) -> Census {
                         })
                         .expect("a tree did");
                     let depth = shape.height() - level;
+                    for (sum, seg) in c.tree_segs.iter_mut().zip([
+                        common::DELTA_SEG_NODE_IDS,
+                        common::DELTA_SEG_RESTARTS,
+                        common::DELTA_SEG_COUNTS,
+                        common::DELTA_SEG_RECORDS,
+                    ]) {
+                        *sum += per_event(segs[seg].len());
+                    }
                     if c.tree_by_depth.len() <= depth {
                         c.tree_by_depth.resize(depth + 1, 0.0);
                     }
@@ -221,7 +240,8 @@ fn print(name: &str, events: usize, c: &Census) {
         "{name} ({events} events), stored bytes/event: tree deltas {:.2} (roots {:.2}, \
          non-root pieces {:.2}; by depth below the root {}), eventlists {:.2}, aux {:.2}, \
          Versions {:.2}, AttrIndex {:.2} (carry {:.2}, change {:.2}), metadata {:.2}, \
-         total {:.2}; row dictionaries: tree and aux {:.2}, eventlists {:.2}; \
+         total {:.2}; tree segments: ids {:.2}, restarts {:.2}, counts {:.2}, \
+         records {:.2}; row dictionaries: tree and aux {:.2}, eventlists {:.2}; \
          {} of {} eventlist rows spell weights",
         c.tree_deltas(),
         c.roots(),
@@ -235,6 +255,10 @@ fn print(name: &str, events: usize, c: &Census) {
         c.attr_change,
         c.metadata,
         c.total,
+        c.tree_segs[0],
+        c.tree_segs[1],
+        c.tree_segs[2],
+        c.tree_segs[3],
         c.delta_dicts,
         c.eventlist_dicts,
         c.weighted_eventlist_rows,
@@ -273,15 +297,16 @@ fn gate(name: &str, events: &[Event], b: Bounds) -> Census {
 
 // Bounds: ~15 % above the measured bytes per event — eventlists 5.88
 // and 5.03, `Versions` 0.75 and 1.13, `skew21k`'s `AttrIndex` rows
-// 1.42; `wiki20k`'s total, 14.11, ~23 % — but for the tree deltas,
-// 7.48 and 10.52, whose bounds sit below what trees grouped from the
-// left stored (8.50 and 16.93), what the rows of magic `0xC4` stored
-// (9.56 and 18.31) and, for `skew21k`, what rows with dictionaries of
-// their own stored (12.46, total 20.85 — its total bound sits below
-// that too, 12 % above the 18.15 it stores) and what the rows of magic
-// `0xC7` stored (15.65, total 24.27): undoing the right alignment, a
-// length per record growing back, a dictionary per row, or pairs
-// spelled in full again trips them.
+// 1.42; `wiki20k`'s total, 13.22, ~32 % — but for the tree deltas,
+// 6.59 and 8.91, whose bounds sit below what the rows of magic `0xC8`
+// stored (7.48 and 10.52), what trees grouped from the left stored
+// (8.50 and 16.93), what the rows of magic `0xC4` stored (9.56 and
+// 18.31) and, for `skew21k`, what rows with dictionaries of their own
+// stored (12.46, total 20.85 — its total bound sits below that too,
+// 23 % above the 16.54 it stores) and what the rows of magic `0xC7`
+// stored (15.65, total 24.27): a head byte per record coming back,
+// undoing the right alignment, a length per record growing back, a
+// dictionary per row, or pairs spelled in full again trips them.
 
 fn wiki20k() -> Vec<Event> {
     WikiGrowth::sized(20_000).generate()
@@ -301,7 +326,7 @@ fn skew21k() -> Vec<Event> {
 fn wiki_tree_delta_rows_stay_factored() {
     let events = wiki20k();
     let bounds = Bounds {
-        tree_deltas: 8.4,
+        tree_deltas: 7.3,
         eventlists: 6.8,
         versions: 0.87,
         attr_index: 0.0,
@@ -320,7 +345,7 @@ fn wiki_tree_delta_rows_stay_factored() {
 fn skew_tree_delta_rows_stay_factored() {
     let events = skew21k();
     let bounds = Bounds {
-        tree_deltas: 12.0,
+        tree_deltas: 10.0,
         eventlists: 7.0,
         versions: 1.3,
         attr_index: 1.63,
@@ -370,13 +395,14 @@ fn sweep(name: &str, events: &[Event]) -> Vec<(f64, f64)> {
 /// Shorter spans mean more roots and more carry points; what the gate
 /// holds is how much of the index they are. At ×1 / ×½ / ×¼ of the
 /// default span size, roots plus carry points are 0.000 / 0.074 /
-/// 0.213 of `wiki20k` (no labels, so no carry points) and 0.088 /
-/// 0.139 / 0.232 of `skew21k` (carry 0.004 / 0.009 / 0.016 of it):
+/// 0.211 of `wiki20k` (no labels, so no carry points) and 0.101 /
+/// 0.157 / 0.254 of `skew21k` (carry 0.006 / 0.011 / 0.021 of it):
 /// linear in the number of spans, roots nearly all of it. The bounds
-/// sit 4–7 % above `wiki20k`'s shares and 20–24 % above `skew21k`'s:
-/// they were set 13–15 % above when the index was ~13 % larger, the
-/// roots' share rises as the rest of the index shrinks — but the pair
-/// dictionary shrank `skew21k`'s roots by ~25 %, more than the rest.
+/// sit 5 % above `wiki20k`'s shares and 4–13 % above `skew21k`'s:
+/// they were set 13–15 % above when the index was ~13 % larger, and
+/// the roots' share rises as the rest of the index shrinks — the pair
+/// dictionary shrank `skew21k`'s roots by ~25 %, more than the rest,
+/// and the pair table and the counts column the rest more than them.
 #[test]
 fn shorter_spans_grow_roots_and_carry_points() {
     for (name, events, bounds) in [

@@ -213,18 +213,30 @@ impl<'a> BitReader<'a> {
     /// the bits left; a value past `u64::MAX` is an overflow.
     #[inline]
     pub(crate) fn get_rice(&mut self, k: u8) -> Result<u64, CodecError> {
-        if self.nacc < WINDOW_BITS {
-            self.refill();
+        // Fast path: the whole code lies in the window, topped up only
+        // when it does not.
+        if let Some(v) = self.rice_in_window(k) {
+            return Ok(v);
         }
-        // Fast path: the whole code lies in the window.
-        let zeros = self.acc.trailing_zeros();
-        let len = zeros + 1 + u32::from(k);
-        if len <= self.nacc {
-            let low = (self.acc >> (zeros + 1)) & ((1u64 << k) - 1);
-            self.consume(len);
-            return Ok(u64::from(zeros) << k | low);
+        self.refill();
+        if let Some(v) = self.rice_in_window(k) {
+            return Ok(v);
         }
         self.get_rice_slow(k)
+    }
+
+    /// The Rice code at the front of the window, if all of it is
+    /// there.
+    #[inline]
+    fn rice_in_window(&mut self, k: u8) -> Option<u64> {
+        let zeros = self.acc.trailing_zeros();
+        let len = zeros + 1 + u32::from(k);
+        if len > self.nacc {
+            return None;
+        }
+        let low = (self.acc >> (zeros + 1)) & ((1u64 << k) - 1);
+        self.consume(len);
+        Some(u64::from(zeros) << k | low)
     }
 
     #[cold]

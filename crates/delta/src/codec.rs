@@ -14,38 +14,36 @@
 //! strings, one tag byte per enum.
 //!
 //! A **record** — the unit the columnar delta rows
-//! ([`crate::columnar`]) store per node, whole or as a piece — opens
-//! with one head byte that carries everything small about it, and is
+//! ([`crate::columnar`]) store per node, whole or as a piece — is laid
+//! out by a **head** spelled outside it (a columnar row keeps every
+//! record's head in its bit-coded counts column), and is
 //! **shape-factored**: it stores only what varies across its
 //! edge-list entries:
 //!
 //! ```text
-//! record := head [varint n_edges] [varint n_attrs] entry{n_edges} pair{n_attrs}
-//! head   := u8  bits 0-2  shape
-//!               bits 3-5  n_edges when <= 6; 7 = the varint follows
-//!               bits 6-7  n_attrs when <= 2; 3 = the varint follows
-//! shape  :=     bit 0: every dir is Both
-//!               bit 1: every weight is bit-exactly 1.0
-//!               bit 2: no entry carries attributes
-//!               (all three set on an empty list)
+//! head   := shape, n_edges, n_attrs
+//! shape  := bit 0: every dir is Both
+//!           bit 1: every weight is bit-exactly 1.0
+//!           bit 2: no entry carries attributes
+//!           (all three set on an empty list: the default shape)
+//! record := entry{n_edges} pair{n_attrs}
 //! entry  := varint Δnbr [dir u8] [weight f32le] [has_attrs u8 [varint n pair{n}]]
 //!           -- only the fields whose shape bit is clear
-//! pair   := str key, value   (in a columnar record, one varint index
-//!                             into its row's pair dictionary)
+//! pair   := str key, value   (in a columnar record, one varint pair id)
 //! ```
 //!
 //! so the undirected unit-weight attribute-free list that datasets are
-//! made of costs its neighbor varints plus **one** byte up to six
-//! entries (two to four bytes for the single-edge piece most tree
-//! records are), and an attribute-only piece is `head, pair`. Every
-//! value of the head byte is defined; a count its bytes cannot hold
-//! fails before any allocation. `put_record` / `get_record` are the
-//! only record codecs of the crate and `put_edge_list` /
-//! `get_edge_list` its only edge-list loops; the columnar records call
-//! them with pair-dictionary codecs. `skip_record` sits beside
-//! `get_record` and follows the same grammar, building nothing: it is
-//! how a point read of a columnar row steps over the records between a
-//! restart point and the one it wants.
+//! made of costs its neighbor varints alone (one to three bytes for
+//! the single-edge piece most tree records are), and an
+//! attribute-only piece is its pair ids. Every shape is defined; a
+//! count its bytes cannot hold fails before any allocation.
+//! `put_record` / `get_record` are the only record codecs of the
+//! crate and `put_edge_list` / `get_edge_list` its only edge-list
+//! loops; the columnar records call them with pair-id codecs.
+//! `skip_record` sits beside `get_record` and follows the same
+//! grammar, building nothing: it is how a point read of a columnar row
+//! steps over the records between a restart point and the one it
+//! wants.
 //!
 //! Every index — TGI and the baselines alike — stores columnar rows,
 //! so this module holds no row reader. [`encode_delta`] is the one
@@ -323,7 +321,11 @@ const SHAPE_ALL_BOTH: u8 = 1 << 0;
 const SHAPE_UNIT_WEIGHTS: u8 = 1 << 1;
 /// Edge-list shape bit: no entry carries attributes.
 const SHAPE_NO_ATTRS: u8 = 1 << 2;
-const SHAPE_MASK: u8 = SHAPE_ALL_BOTH | SHAPE_UNIT_WEIGHTS | SHAPE_NO_ATTRS;
+/// The default shape — every bit set: undirected, unit-weight,
+/// attribute-free entries, as on an empty list.
+pub(crate) const SHAPE_DEFAULT: u8 = SHAPE_ALL_BOTH | SHAPE_UNIT_WEIGHTS | SHAPE_NO_ATTRS;
+/// Bits a shape takes.
+pub(crate) const SHAPE_BITS: u32 = 3;
 
 /// Bytes an entry spends on the fields `shape` does not factor out.
 #[inline]
@@ -333,73 +335,40 @@ fn entry_fixed_len(shape: u8) -> usize {
         + (shape & SHAPE_NO_ATTRS == 0) as usize
 }
 
-/// Head-byte field: the edge count, or [`HEAD_EDGES_ESCAPE`].
-const HEAD_EDGES_SHIFT: u32 = 3;
-/// Edge-count code saying "a varint holds the count".
-const HEAD_EDGES_ESCAPE: usize = 7;
-/// Head-byte field: the node-attribute count, or [`HEAD_ATTRS_ESCAPE`].
-const HEAD_ATTRS_SHIFT: u32 = 6;
-/// Attribute-count code saying "a varint holds the count".
-const HEAD_ATTRS_ESCAPE: usize = 3;
-
-/// What a record's head says about the bytes after it.
-struct RecordHead {
-    shape: u8,
-    n_edges: usize,
-    n_attrs: usize,
+/// What a record's bytes are laid out by, spelled outside them: its
+/// edge-list's shape and both counts. A columnar row keeps every
+/// record's head in its counts column; the row-wise spelling puts it
+/// in front of the record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecordHead {
+    pub(crate) shape: u8,
+    pub(crate) n_edges: usize,
+    pub(crate) n_attrs: usize,
 }
 
-/// Write the head of a record — the one byte holding the edge-list's
-/// shape bits, its entry count when at most six and the node-attribute
-/// count when at most two, then a varint for each count that did not
-/// fit. Returns the shape the entries are to be written in.
-fn put_record_head(buf: &mut BytesMut, edges: &[Neighbor], n_attrs: usize) -> u8 {
-    let unit = 1.0f32.to_bits();
-    let mut shape = SHAPE_MASK;
-    for e in edges {
-        if e.dir != EdgeDir::Both {
-            shape &= !SHAPE_ALL_BOTH;
+impl RecordHead {
+    /// The head of the record of `edges` and `attrs`: the shape bits
+    /// every entry shares, and both counts.
+    pub(crate) fn of(edges: &[Neighbor], attrs: &Attrs) -> RecordHead {
+        let unit = 1.0f32.to_bits();
+        let mut shape = SHAPE_DEFAULT;
+        for e in edges {
+            if e.dir != EdgeDir::Both {
+                shape &= !SHAPE_ALL_BOTH;
+            }
+            if e.weight.to_bits() != unit {
+                shape &= !SHAPE_UNIT_WEIGHTS;
+            }
+            if e.attrs.is_some() {
+                shape &= !SHAPE_NO_ATTRS;
+            }
         }
-        if e.weight.to_bits() != unit {
-            shape &= !SHAPE_UNIT_WEIGHTS;
+        RecordHead {
+            shape,
+            n_edges: edges.len(),
+            n_attrs: attrs.len(),
         }
-        if e.attrs.is_some() {
-            shape &= !SHAPE_NO_ATTRS;
-        }
     }
-    let edges_code = edges.len().min(HEAD_EDGES_ESCAPE);
-    let attrs_code = n_attrs.min(HEAD_ATTRS_ESCAPE);
-    buf.put_u8(
-        shape | (edges_code as u8) << HEAD_EDGES_SHIFT | (attrs_code as u8) << HEAD_ATTRS_SHIFT,
-    );
-    if edges_code == HEAD_EDGES_ESCAPE {
-        put_varint(buf, edges.len() as u64);
-    }
-    if attrs_code == HEAD_ATTRS_ESCAPE {
-        put_varint(buf, n_attrs as u64);
-    }
-    shape
-}
-
-/// Read a head written by [`put_record_head`]. All eight bits are
-/// spoken for, so no byte is a bad tag; the counts are checked against
-/// the bytes left by whoever allocates for them.
-#[inline]
-fn get_record_head(buf: &mut &[u8]) -> Result<RecordHead, CodecError> {
-    let head = get_u8(buf)?;
-    let mut n_edges = (head >> HEAD_EDGES_SHIFT) as usize & HEAD_EDGES_ESCAPE;
-    if n_edges == HEAD_EDGES_ESCAPE {
-        n_edges = get_len(buf, "edges")?;
-    }
-    let mut n_attrs = (head >> HEAD_ATTRS_SHIFT) as usize;
-    if n_attrs == HEAD_ATTRS_ESCAPE {
-        n_attrs = get_len(buf, "attrs")?;
-    }
-    Ok(RecordHead {
-        shape: head & SHAPE_MASK,
-        n_edges,
-        n_attrs,
-    })
 }
 
 /// Serialize the entries of an edge-list in `shape` (the constant
@@ -496,41 +465,41 @@ fn get_edge_list(
     Ok(())
 }
 
-/// Serialize one record: head, edge-list entries, node-attribute
-/// pairs. `put_pairs` writes the pairs of an attribute set without
-/// their count — row-wise descriptions spell keys inline, columnar
-/// records as dictionary indexes; nothing else differs between them.
+/// Serialize the record `head` lays out: edge-list entries, then
+/// node-attribute pairs. `put_pairs` writes the pairs of an attribute
+/// set without their count — row-wise descriptions spell keys inline,
+/// columnar records as pair ids; nothing else differs between them.
 pub(crate) fn put_record<'a>(
     buf: &mut BytesMut,
+    head: &RecordHead,
     edges: &'a [Neighbor],
     attrs: &'a Attrs,
     mut put_pairs: impl FnMut(&mut BytesMut, &'a Attrs),
 ) {
-    let shape = put_record_head(buf, edges, attrs.len());
-    put_edge_list(buf, edges, shape, &mut put_pairs);
+    put_edge_list(buf, edges, head.shape, &mut put_pairs);
     put_pairs(buf, attrs);
 }
 
-/// Decode the head and edge-list of the record at the cursor, its
-/// entries onto the end of `edges` (empty for a whole description; a
-/// present node's list when the path sum parses one more stored piece
-/// of it), and return how many node-attribute pairs follow — the
-/// caller reads them, into a fresh set or onto the node it completes.
-/// `get_pairs(buf, n)` is the inverse of [`put_record`]'s `put_pairs`.
+/// Decode the edge-list of the record at the cursor, laid out as
+/// `head` says, its entries onto the end of `edges` (empty for a whole
+/// description; a present node's list when the path sum parses one
+/// more stored piece of it). The `head.n_attrs` node-attribute pairs
+/// follow: the caller reads them, into a fresh set or onto the node
+/// it completes. `get_pairs(buf, n)` is the inverse of
+/// [`put_record`]'s `put_pairs`.
 pub(crate) fn get_record(
     buf: &mut &[u8],
+    head: &RecordHead,
     edges: &mut Vec<Neighbor>,
     mut get_pairs: impl FnMut(&mut &[u8], usize) -> Result<Attrs, CodecError>,
-) -> Result<usize, CodecError> {
-    let head = get_record_head(buf)?;
-    get_edge_list(buf, head.shape, head.n_edges, edges, &mut get_pairs)?;
-    Ok(head.n_attrs)
+) -> Result<(), CodecError> {
+    get_edge_list(buf, head.shape, head.n_edges, edges, &mut get_pairs)
 }
 
-/// Skip the record at the cursor — exactly the bytes `get_record`
-/// and the pairs after it consume — without building it: no
-/// edge-list, no attribute value, nothing allocated. It follows
-/// `get_record`'s grammar field by field: the same head, the same
+/// Skip the record at the cursor, laid out as `head` says — exactly
+/// the bytes `get_record` and the pairs after it consume — without
+/// building it: no edge-list, no attribute value, nothing allocated.
+/// It follows `get_record`'s grammar field by field, with the same
 /// `EdgeDir` tag check (what it does not check — a varint over ten
 /// bytes, a pair's dictionary index — the full read of the row does).
 /// Nothing is sized by a count, so an entry count the bytes cannot
@@ -542,11 +511,11 @@ pub(crate) fn get_record(
 /// the record it wants with this.
 pub(crate) fn skip_record(
     buf: &mut &[u8],
+    head: &RecordHead,
     mut skip_pairs: impl FnMut(&mut &[u8], usize) -> Result<(), CodecError>,
 ) -> Result<(), CodecError> {
-    let head = get_record_head(buf)?;
     let shape = head.shape;
-    if shape == SHAPE_MASK {
+    if shape == SHAPE_DEFAULT {
         skip_varints(buf, head.n_edges)?;
     } else {
         for _ in 0..head.n_edges {
@@ -627,19 +596,48 @@ fn skip_bytes(buf: &mut &[u8], n: usize) -> Result<(), CodecError> {
     Ok(())
 }
 
-/// Serialize one static node description: `varint id, record`, keys
-/// inline.
+/// Row-wise head field: the edge count, or [`HEAD_EDGES_ESCAPE`].
+const HEAD_EDGES_SHIFT: u32 = 3;
+/// Edge-count code saying "a varint holds the count".
+const HEAD_EDGES_ESCAPE: usize = 7;
+/// Row-wise head field: the node-attribute count, or
+/// [`HEAD_ATTRS_ESCAPE`].
+const HEAD_ATTRS_SHIFT: u32 = 6;
+/// Attribute-count code saying "a varint holds the count".
+const HEAD_ATTRS_ESCAPE: usize = 3;
+
+/// Serialize one static node description: `varint id, head, record`,
+/// keys inline. The head is one byte — the shape in bits 0-2, the
+/// edge count in bits 3-5 when at most six, the attribute count in
+/// bits 6-7 when at most two — then a varint for each count that did
+/// not fit.
 pub(crate) fn put_static_node(buf: &mut BytesMut, n: &StaticNode) {
+    let head = RecordHead::of(&n.edges, &n.attrs);
+    let edges_code = head.n_edges.min(HEAD_EDGES_ESCAPE);
+    let attrs_code = head.n_attrs.min(HEAD_ATTRS_ESCAPE);
     put_varint(buf, n.id);
-    put_record(buf, &n.edges, &n.attrs, put_attr_pairs);
+    buf.put_u8(
+        head.shape
+            | (edges_code as u8) << HEAD_EDGES_SHIFT
+            | (attrs_code as u8) << HEAD_ATTRS_SHIFT,
+    );
+    if edges_code == HEAD_EDGES_ESCAPE {
+        put_varint(buf, head.n_edges as u64);
+    }
+    if attrs_code == HEAD_ATTRS_ESCAPE {
+        put_varint(buf, head.n_attrs as u64);
+    }
+    put_record(buf, &head, &n.edges, &n.attrs, put_attr_pairs);
 }
 
-/// Spell a delta row-wise: `varint n, (varint id, record){n}`, in
-/// sorted-id order, keys inline. Nothing in the system stores or reads
-/// these bytes. The one caller outside tests is the benchmark's
+/// Spell a delta row-wise: `varint n, (varint id, head, record){n}`,
+/// in sorted-id order, keys inline. Nothing in the system stores or
+/// reads these bytes. The one caller outside tests is the benchmark's
 /// decompress probe (`benchmark/src/probes.rs`), which feeds them to
-/// the store's LZSS; this function goes when that probe is moved onto
-/// a columnar row.
+/// the store's LZSS; the one-byte head keeps that probe's input what it
+/// was when columnar records carried the same head, so its timings
+/// compare across commits. This function goes when that probe is moved
+/// onto a columnar row.
 pub fn encode_delta(d: &Delta) -> Bytes {
     let mut buf = BytesMut::with_capacity(64 + d.size() * 3);
     let nodes = d.sorted_nodes();
@@ -720,17 +718,20 @@ mod tests {
         Ok(Attrs::from_pairs(pairs))
     }
 
-    /// `edges` as a record with no node attributes (keys inline).
-    fn record_bytes(edges: &[Neighbor]) -> BytesMut {
+    /// `edges` as a record with no node attributes (keys inline), and
+    /// its head.
+    fn record_bytes(edges: &[Neighbor]) -> (RecordHead, BytesMut) {
         let mut buf = BytesMut::new();
-        put_record(&mut buf, edges, &Attrs::new(), put_attr_pairs);
-        buf
+        let attrs = Attrs::new();
+        let head = RecordHead::of(edges, &attrs);
+        put_record(&mut buf, &head, edges, &attrs, put_attr_pairs);
+        (head, buf)
     }
 
-    /// The edge-list and node-attribute count of the record at `slice`.
-    fn record_back(slice: &mut &[u8]) -> Result<(Vec<Neighbor>, usize), CodecError> {
+    /// The edge-list of the record at `slice`, laid out by `head`.
+    fn record_back(slice: &mut &[u8], head: &RecordHead) -> Result<Vec<Neighbor>, CodecError> {
         let mut edges = Vec::new();
-        get_record(slice, &mut edges, get_attr_pairs).map(|n_attrs| (edges, n_attrs))
+        get_record(slice, head, &mut edges, get_attr_pairs).map(|()| edges)
     }
 
     fn varint_len(v: u64) -> usize {
@@ -739,12 +740,8 @@ mod tests {
         buf.len()
     }
 
-    fn head_of(shape: u8, edges_code: usize, attrs_code: usize) -> u8 {
-        shape | (edges_code as u8) << HEAD_EDGES_SHIFT | (attrs_code as u8) << HEAD_ATTRS_SHIFT
-    }
-
     #[test]
-    fn default_edges_cost_their_neighbor_varints_plus_one_byte_up_to_six() {
+    fn default_edges_cost_their_neighbor_varints_alone() {
         let nbrs = [3u64, 4, 130, 131, 20_000, 5_000_000, u64::MAX];
         for d in 0..=nbrs.len() {
             let edges: Vec<Neighbor> = nbrs[..d]
@@ -756,58 +753,48 @@ mod tests {
                 .zip(&nbrs[..d])
                 .map(|(prev, &nbr)| varint_len(nbr - prev))
                 .sum();
-            let buf = record_bytes(&edges);
-            // Up to six entries the head holds the count; the seventh
-            // moves it into a varint behind the head.
-            let count_varint = if d <= 6 { 0 } else { varint_len(d as u64) };
-            assert_eq!(buf.len(), 1 + count_varint + gaps, "d = {d}");
-            assert_eq!(buf[0], head_of(SHAPE_MASK, d.min(HEAD_EDGES_ESCAPE), 0));
+            let (head, buf) = record_bytes(&edges);
+            assert_eq!(
+                head,
+                RecordHead {
+                    shape: SHAPE_DEFAULT,
+                    n_edges: d,
+                    n_attrs: 0
+                }
+            );
+            assert_eq!(buf.len(), gaps, "d = {d}");
             let mut slice: &[u8] = &buf;
-            assert_eq!(record_back(&mut slice).unwrap(), (edges, 0));
+            assert_eq!(record_back(&mut slice, &head).unwrap(), edges);
             assert!(slice.is_empty());
         }
-        // The pieces most tree records are: one default edge is
-        // `head, nbr`; the record of a bare node is the head alone.
+        // The pieces most tree records are: one default edge is its
+        // neighbor; the record of a bare node is nothing at all.
         assert_eq!(
-            &record_bytes(&[Neighbor::new(9, EdgeDir::Both)])[..],
-            &[head_of(SHAPE_MASK, 1, 0), 9]
+            &record_bytes(&[Neighbor::new(9, EdgeDir::Both)]).1[..],
+            &[9]
         );
-        assert_eq!(&record_bytes(&[])[..], &[head_of(SHAPE_MASK, 0, 0)]);
+        assert!(record_bytes(&[]).1.is_empty());
     }
 
     #[test]
-    fn node_attribute_counts_ride_the_head_up_to_two() {
+    fn node_attribute_pairs_follow_the_entries() {
         let edges = [Neighbor::new(9, EdgeDir::Both)];
         for n_attrs in [0usize, 1, 2, 3, 5, 200] {
             let mut attrs = Attrs::new();
             for i in 0..n_attrs {
                 attrs.set(format!("k{i:03}"), AttrValue::Bool(true));
             }
+            let head = RecordHead::of(&edges, &attrs);
+            assert_eq!((head.n_edges, head.n_attrs), (1, n_attrs));
             let mut buf = BytesMut::new();
-            put_record(&mut buf, &edges, &attrs, put_attr_pairs);
-            let count_varint = if n_attrs <= 2 {
-                0
-            } else {
-                varint_len(n_attrs as u64)
-            };
+            put_record(&mut buf, &head, &edges, &attrs, put_attr_pairs);
             // Each pair: length-prefixed 4-byte key, tag, bool.
-            assert_eq!(buf.len(), 1 + count_varint + 1 + n_attrs * 7);
-            assert_eq!(
-                buf[0],
-                head_of(SHAPE_MASK, 1, n_attrs.min(HEAD_ATTRS_ESCAPE))
-            );
+            assert_eq!(buf.len(), 1 + n_attrs * 7);
             let mut slice: &[u8] = &buf;
-            let (back, n) = record_back(&mut slice).unwrap();
-            assert_eq!((back.as_slice(), n), (&edges[..], n_attrs));
-            assert_eq!(get_attr_pairs(&mut slice, n).unwrap(), attrs);
+            assert_eq!(record_back(&mut slice, &head).unwrap(), edges);
+            assert_eq!(get_attr_pairs(&mut slice, n_attrs).unwrap(), attrs);
             assert!(slice.is_empty());
         }
-        // An attribute-only piece is `head, pair`.
-        let mut attrs = Attrs::new();
-        attrs.set("k", AttrValue::Bool(true));
-        let mut buf = BytesMut::new();
-        put_record(&mut buf, &[], &attrs, put_attr_pairs);
-        assert_eq!(&buf[..], &[head_of(SHAPE_MASK, 0, 1), 1, b'k', 3, 1]);
     }
 
     #[test]
@@ -815,32 +802,32 @@ mod tests {
         let base: Vec<Neighbor> = (1..=5u64)
             .map(|i| Neighbor::new(i * 7, EdgeDir::Both))
             .collect();
-        let plain = record_bytes(&base).len();
-        assert_eq!(plain, 1 + 5, "five one-byte gaps behind one head byte");
+        let plain = record_bytes(&base).1.len();
+        assert_eq!(plain, 5, "five one-byte gaps");
 
         let mut directed = base.clone();
         directed[2].dir = EdgeDir::Out;
-        let buf = record_bytes(&directed);
-        assert_eq!(buf[0], head_of(SHAPE_MASK & !SHAPE_ALL_BOTH, 5, 0));
+        let (head, buf) = record_bytes(&directed);
+        assert_eq!(head.shape, SHAPE_DEFAULT & !SHAPE_ALL_BOTH);
         assert_eq!(buf.len(), plain + 5);
 
         let mut weighted = base.clone();
         weighted[4].weight = 2.5;
-        let buf = record_bytes(&weighted);
-        assert_eq!(buf[0], head_of(SHAPE_MASK & !SHAPE_UNIT_WEIGHTS, 5, 0));
+        let (head, buf) = record_bytes(&weighted);
+        assert_eq!(head.shape, SHAPE_DEFAULT & !SHAPE_UNIT_WEIGHTS);
         assert_eq!(buf.len(), plain + 5 * 4);
 
         let mut attributed = base.clone();
         attributed[0].set_attr("k", AttrValue::Bool(true));
-        let buf = record_bytes(&attributed);
-        assert_eq!(buf[0], head_of(SHAPE_MASK & !SHAPE_NO_ATTRS, 5, 0));
+        let (head, buf) = record_bytes(&attributed);
+        assert_eq!(head.shape, SHAPE_DEFAULT & !SHAPE_NO_ATTRS);
         // One flag byte per entry, plus count + "k" + Bool(true).
         assert_eq!(buf.len(), plain + 5 + 1 + 2 + 2);
 
         for edges in [directed, weighted, attributed] {
-            let buf = record_bytes(&edges);
+            let (head, buf) = record_bytes(&edges);
             let mut slice: &[u8] = &buf;
-            assert_eq!(record_back(&mut slice).unwrap(), (edges, 0));
+            assert_eq!(record_back(&mut slice, &head).unwrap(), edges);
             assert!(slice.is_empty());
         }
     }
@@ -853,37 +840,28 @@ mod tests {
                 Neighbor::new(1, EdgeDir::Both),
                 Neighbor::weighted(2, EdgeDir::Both, w),
             ];
-            let buf = record_bytes(&edges);
-            assert_eq!(buf[0] & SHAPE_UNIT_WEIGHTS, 0, "weight {w:?} folded");
+            let (head, buf) = record_bytes(&edges);
+            assert_eq!(head.shape & SHAPE_UNIT_WEIGHTS, 0, "weight {w:?} folded");
             let mut slice: &[u8] = &buf;
-            let (back, _) = record_back(&mut slice).unwrap();
+            let back = record_back(&mut slice, &head).unwrap();
             assert_eq!(back[0].weight.to_bits(), 1.0f32.to_bits());
             assert_eq!(back[1].weight.to_bits(), w.to_bits(), "weight {w:?}");
         }
     }
 
-    /// Where a shape byte had five undefined bits (each a `BadTag`),
-    /// the head byte has none: every value announces a shape and two
-    /// counts, and decodes a body laid out as it says.
+    /// Every shape is defined: each lays out a body of entries as it
+    /// says, and a body cut anywhere short is an error, never a
+    /// shorter record.
     #[test]
-    fn every_head_byte_is_defined() {
-        for head in 0..=u8::MAX {
-            let shape = head & SHAPE_MASK;
-            let edges_code = (head >> HEAD_EDGES_SHIFT) as usize & HEAD_EDGES_ESCAPE;
-            let attrs_code = (head >> HEAD_ATTRS_SHIFT) as usize;
-            // An escaped count need not be a large one.
-            let escaped = |code: usize, escape: usize| if code == escape { 4 } else { code };
-            let n_edges = escaped(edges_code, HEAD_EDGES_ESCAPE);
-            let n_attrs = escaped(attrs_code, HEAD_ATTRS_ESCAPE);
+    fn every_shape_is_defined() {
+        for shape in 0..1u8 << SHAPE_BITS {
+            let head = RecordHead {
+                shape,
+                n_edges: 4,
+                n_attrs: 0,
+            };
             let mut buf = BytesMut::new();
-            buf.put_u8(head);
-            if edges_code == HEAD_EDGES_ESCAPE {
-                put_varint(&mut buf, n_edges as u64);
-            }
-            if attrs_code == HEAD_ATTRS_ESCAPE {
-                put_varint(&mut buf, n_attrs as u64);
-            }
-            for _ in 0..n_edges {
+            for _ in 0..head.n_edges {
                 buf.put_u8(2); // Δnbr
                 if shape & SHAPE_ALL_BOTH == 0 {
                     buf.put_u8(EdgeDir::In.tag());
@@ -896,40 +874,20 @@ mod tests {
                 }
             }
             let mut slice: &[u8] = &buf;
-            let (edges, got_attrs) = record_back(&mut slice).unwrap();
-            assert!(slice.is_empty(), "head {head:#04x}");
-            assert_eq!((edges.len(), got_attrs), (n_edges, n_attrs));
+            let edges = record_back(&mut slice, &head).unwrap();
+            assert!(slice.is_empty(), "shape {shape:#05b}");
+            assert_eq!(edges.len(), head.n_edges);
             for (i, e) in edges.iter().enumerate() {
                 assert_eq!(e.nbr, 2 * (i as u64 + 1));
                 assert_eq!(e.dir == EdgeDir::Both, shape & SHAPE_ALL_BOTH != 0);
                 assert_eq!(e.weight == 1.0, shape & SHAPE_UNIT_WEIGHTS != 0);
             }
-            // The head alone, or cut anywhere short of its body, is an
-            // error and never a shorter record.
             for cut in 0..buf.len() {
                 let mut slice: &[u8] = &buf[..cut];
                 assert!(
-                    record_back(&mut slice).is_err(),
-                    "head {head:#04x} cut at {cut}"
+                    record_back(&mut slice, &head).is_err(),
+                    "shape {shape:#05b} cut at {cut}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn a_count_varint_cut_off_behind_the_head_is_eof() {
-        for head in [
-            head_of(SHAPE_MASK, HEAD_EDGES_ESCAPE, 0),
-            head_of(SHAPE_MASK, 0, HEAD_ATTRS_ESCAPE),
-        ] {
-            for tail in [&[][..], &[0x80][..], &[0xff, 0xff][..]] {
-                let mut buf = vec![head];
-                buf.extend_from_slice(tail);
-                let mut slice: &[u8] = &buf;
-                assert!(matches!(
-                    record_back(&mut slice),
-                    Err(CodecError::UnexpectedEof { .. })
-                ));
             }
         }
     }
@@ -937,23 +895,16 @@ mod tests {
     #[test]
     fn edge_count_beyond_the_buffer_fails_before_allocating() {
         // Claims 2^31 entries of 6 bytes each, carries two.
-        let mut buf = BytesMut::new();
-        buf.put_u8(head_of(0, HEAD_EDGES_ESCAPE, 0));
-        put_varint(&mut buf, 1 << 31);
-        buf.put_slice(&[1, 2, 0, 0, 0x80, 0x3f, 0, 1, 2, 0, 0, 0x80, 0x3f, 0]);
+        let head = RecordHead {
+            shape: 0,
+            n_edges: 1 << 31,
+            n_attrs: 0,
+        };
+        let buf = [1u8, 2, 0, 0, 0x80, 0x3f, 0, 1, 2, 0, 0, 0x80, 0x3f, 0];
         let mut slice: &[u8] = &buf;
         assert!(matches!(
-            record_back(&mut slice),
+            record_back(&mut slice, &head),
             Err(CodecError::UnexpectedEof { .. })
-        ));
-        // ...and a count past the sanity cap is refused as such.
-        let mut buf = BytesMut::new();
-        buf.put_u8(head_of(SHAPE_MASK, HEAD_EDGES_ESCAPE, 0));
-        put_varint(&mut buf, u64::MAX);
-        let mut slice: &[u8] = &buf;
-        assert!(matches!(
-            record_back(&mut slice),
-            Err(CodecError::LengthOverflow { what: "edges", .. })
         ));
     }
 
@@ -1004,9 +955,7 @@ mod tests {
     }
 
     /// A node description for the skip fuzz: a few entries, sometimes
-    /// more than the six a record head holds, most of them default;
-    /// node attributes now and then, sometimes more than the two the
-    /// head holds.
+    /// a dozen, most of them default; node attributes now and then.
     fn arb_record_node() -> impl Strategy<Value = StaticNode> {
         let pairs = |len| {
             prop::collection::vec(
@@ -1066,22 +1015,24 @@ mod tests {
     }
 
     proptest! {
-        /// On a description unchanged, with a byte replaced, bytes
-        /// inserted, cut short or replaced by arbitrary bytes, followed
-        /// by whatever else a buffer holds: wherever `get_record` and
-        /// its pairs accept the record, `skip_record` accepts it too
-        /// and ends where they end.
+        /// On a record unchanged, with a byte replaced, bytes inserted,
+        /// cut short or replaced by arbitrary bytes, followed by
+        /// whatever else a buffer holds, and read by its own head or
+        /// another one: wherever `get_record` and its pairs accept the
+        /// record, `skip_record` accepts it too and ends where they end.
         #[test]
         fn skip_record_steps_over_what_get_record_reads(
             n in arb_record_node(),
-            mutation in 0u8..5,
+            mutation in 0u8..6,
             at in any::<u64>(),
             extra in prop::collection::vec(any::<u8>(), 1..5),
             arbitrary in prop::collection::vec(any::<u8>(), 0..48),
             tail in prop::collection::vec(any::<u8>(), 0..4),
+            other_head in (0u8..1 << SHAPE_BITS, 0usize..14, 0usize..6),
         ) {
+            let mut head = RecordHead::of(&n.edges, &n.attrs);
             let mut buf = BytesMut::new();
-            put_static_node(&mut buf, &n);
+            put_record(&mut buf, &head, &n.edges, &n.attrs, put_attr_pairs);
             let mut bytes = buf.to_vec();
             let at = (at % (bytes.len() as u64 + 1)) as usize;
             match mutation {
@@ -1089,18 +1040,20 @@ mod tests {
                 2 => drop(bytes.splice(at..at, extra)),
                 3 => bytes.truncate(at),
                 4 => bytes = arbitrary,
+                5 => {
+                    let (shape, n_edges, n_attrs) = other_head;
+                    head = RecordHead { shape, n_edges, n_attrs };
+                }
                 _ => {}
             }
             bytes.extend_from_slice(&tail);
             let mut read: &[u8] = &bytes;
             let mut skipped: &[u8] = &bytes;
-            let ok = get_varint(&mut read)
-                .and_then(|_| get_record(&mut read, &mut Vec::new(), get_attr_pairs))
-                .and_then(|n_attrs| get_attr_pairs(&mut read, n_attrs))
+            let ok = get_record(&mut read, &head, &mut Vec::new(), get_attr_pairs)
+                .and_then(|()| get_attr_pairs(&mut read, head.n_attrs))
                 .is_ok();
             if ok {
-                get_varint(&mut skipped).unwrap();
-                prop_assert_eq!(skip_record(&mut skipped, skip_inline_pairs), Ok(()));
+                prop_assert_eq!(skip_record(&mut skipped, &head, skip_inline_pairs), Ok(()));
                 prop_assert_eq!(read.len(), skipped.len());
             }
             if mutation == 0 {

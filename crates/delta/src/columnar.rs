@@ -69,47 +69,68 @@
 //!   corrupt, and every payload column holds exactly the entries its
 //!   kinds call for: an unread byte is [`CodecError::TrailingBytes`];
 //! * a delta row holds a sorted node-id column, a restart column, a
-//!   pair dictionary, and a concatenated per-node record segment:
+//!   pair dictionary, a counts column and a concatenated per-node
+//!   record segment:
 //!
 //!   ```text
-//!   ids      := varint first_id, varint gap{n−1}        each gap ≥ 1
-//!   restarts := varint window_len{⌊n / 16⌋}
+//!   ids      := [varint first_id [u8 l, low{n−1} of l bits, high{n−1}]]
+//!   high     := Rice(rise, 0)
+//!   restarts := (varint window_len, varint window_bits){⌊n / 16⌋}
 //!   dict     := ε | varint n_keys, str{n_keys},
 //!                   varint n_pairs, (varint key_id, attr_value){n_pairs}
+//!   counts   := [u8 params [u8 k_attrs] code{n}]
+//!   params   := bits 0-5 k_edges, bit 6 attrs, bit 7 shapes
+//!   code     := Rice(n_edges, k_edges) [Rice(n_attrs, k_attrs)] [shape:3]
 //!   records  := record{n}
 //!   ```
 //!
-//!   where `window_len` is the byte length of records `16w .. 16w+16`,
-//!   one raw varint per full window (a row of fewer than 16 records
-//!   has none), as a LevelDB data block keeps a restart point every
-//!   few keys. Ids accumulate with checked adds, and a zero gap — two
-//!   records for one node — is refused. The dictionary holds the pairs
-//!   the context table lacks, and is empty when there are none; its
-//!   keys are the keys of those pairs the table lacks, sorted, a pair's
-//!   `key_id` names a table key or, past the table's keys, one of them,
-//!   and its pairs are in order of first use. The full read (`sum_into`)
-//!   streams ids and records in lockstep (records are
-//!   self-delimiting) and holds every restart to the bytes its window
-//!   actually took. A point read (`node_record`, `sum_node_into`,
-//!   `contains`) scans the id column to the node's index `i` — a miss
-//!   decodes nothing else — sums the first `⌊i / 16⌋` restarts to find
-//!   its window, and steps over the `i mod 16` records before it with
-//!   `codec::skip_record`, so on every row the full read accepts the
-//!   two reads agree. Only the full read checks the restarts: a point
-//!   read alone does not detect a wrong one, and may then answer
-//!   another node's record, or one parsed from inside a record, as
-//!   `Ok` (a point read of a row nothing has read in full yet).
+//!   where the id column is Elias–Fano coded: each further id's offset
+//!   from the first is split into its low `l` bits, fixed-width and all
+//!   together (zero-padded to a byte), and its high part, spelled as a
+//!   unary code of its rise over the previous id's high part
+//!   (zero-padded too), with `l = ⌊log2(last offset / (n − 1))⌋`. That
+//!   costs about what Rice-coded gaps would, and a point read can step
+//!   over every id whose high part lies below the probed id's by
+//!   counting bits a word at a time, without reading them. An id that
+//!   does not rise over the one before it, or one that overflows, is
+//!   refused. A restart is spelled per full window `w` of 16 records (a
+//!   row of fewer than 16 records has none), as a LevelDB data block
+//!   keeps a restart point every few keys: `window_len` is the byte
+//!   length of records `16w .. 16w+16`, `window_bits` the bit length of
+//!   their codes in the counts column. The counts column holds each
+//!   record's **head** — what lays its bytes out — as one bit-coded
+//!   code: its edge count, then its attribute count only when the
+//!   `attrs` flag says some record of the row has one, then its
+//!   edge-list's three shape bits only when the `shapes` flag says some
+//!   record's shape is not the default (every entry undirected,
+//!   unit-weight, attribute-free). A flag no record needs, or a shape
+//!   other than the default on a record of no entries, is refused: no
+//!   writer spells either. The dictionary holds the pairs the context
+//!   table lacks, and is empty when there are none; its keys are the
+//!   keys of those pairs the table lacks, sorted, a pair's `key_id`
+//!   names a table key or, past the table's keys, one of them, and its
+//!   pairs are in order of first use. The full read (`sum_into`)
+//!   streams ids, heads and records in lockstep and holds every restart
+//!   to the bytes and code bits its window actually took. A point read
+//!   (`node_record`, `sum_node_into`, `contains`) seeks the node's
+//!   index `i` in the id column — a miss decodes nothing else — sums
+//!   the first `⌊i / 16⌋` restarts to find its window's records and
+//!   codes, reads the heads from the window's first to `i`'s, and steps
+//!   over the `i mod 16` records before it with `codec::skip_record` (a
+//!   run of default-shape records, varints alone, at once), so on every
+//!   row the full read accepts the two reads agree. Only the full read
+//!   checks the restarts and the flags: a point read alone does not
+//!   detect a wrong restart, and may then answer another node's record,
+//!   or one parsed from inside a record, as `Ok` (a point read of a row
+//!   nothing has read in full yet).
 //!
-//!   A record is written in the grammar of [`crate::codec`] — one
-//!   head byte holding the edge-list's shape bits and both counts when
-//!   they are small (at most six entries, at most two node
-//!   attributes; a varint follows otherwise), then only the entry
-//!   fields that vary, then the attribute pairs — with every node or
-//!   edge attribute pair one `varint pair_id`: a table pair, or past
-//!   the table's pairs one of the row's own; the record codec and its
-//!   edge-list loops live there.
-//!   Records are most of every index — most of them a single default
-//!   edge (`head, nbr`) or a single pair (`head, pair_id`).
+//!   A record is written in the grammar of [`crate::codec`] — only the
+//!   entry fields its shape leaves open, then the attribute pairs —
+//!   with every node or edge attribute pair one `varint pair_id`: a
+//!   table pair, or past the table's pairs one of the row's own; the
+//!   record codec and its edge-list loops live there. Records are most
+//!   of every index — most of them a single default edge (`nbr`, beside
+//!   a two-bit code) or a single pair (`pair_id`).
 //!
 //! A record is a whole node description in an **aux** row and in any
 //! delta encoded by itself. In a **tree** row it is a *piece*: the
@@ -156,6 +177,7 @@ use crate::bits::{check_rice_k, rice_k, width_for, BitReader, BitWriter};
 use crate::codec::{
     get_attr_value, get_f32, get_len, get_record, get_str, get_u8, get_varint, note_decoded,
     put_attr_value, put_f32, put_record, put_str, put_varint, skip_record, skip_varints,
+    RecordHead, MAX_LEN, SHAPE_BITS, SHAPE_DEFAULT,
 };
 use crate::delta::Delta;
 use crate::error::CodecError;
@@ -191,8 +213,10 @@ pub enum StorageLayout {
 /// `0xC6` eventlist rows and `0xC7` delta rows whose segment lengths
 /// carried an LZSS bit, whose eventlists spelled every attribute key
 /// index as a varint and every value in full, and whose records
-/// spelled every pair as a key index and a value.
-const DELTA_MAGIC: u8 = 0xC8;
+/// spelled every pair as a key index and a value; `0xC8` delta rows
+/// whose records each opened with a head byte and whose id column
+/// spelled every gap as a varint.
+const DELTA_MAGIC: u8 = 0xCA;
 const ELIST_MAGIC: u8 = 0xC9;
 
 const ELIST_SEGS: usize = 8;
@@ -205,16 +229,19 @@ const SEG_ATTR_DICT: usize = 5;
 const SEG_ATTR_KEYS: usize = 6;
 const SEG_ATTR_VALS: usize = 7;
 
-const DELTA_SEGS: usize = 4;
+const DELTA_SEGS: usize = 5;
 const SEG_NODE_IDS: usize = 0;
 const SEG_RESTARTS: usize = 1;
 const SEG_PAIR_DICT: usize = 2;
-const SEG_RECORDS: usize = 3;
+const SEG_COUNTS: usize = 3;
+const SEG_RECORDS: usize = 4;
 
 /// Records per restart window of a delta row: the restart column holds
-/// the byte length of every full window, and a point read parses at
-/// most `RESTART_INTERVAL - 1` records past the restart it starts
-/// from. A constant of the grammar, not a knob.
+/// the byte length of every full window's records and the bit length
+/// of their codes in the counts column, and a point read reads at most
+/// `RESTART_INTERVAL` heads and steps over at most
+/// `RESTART_INTERVAL - 1` records past the restart it starts from. A
+/// constant of the grammar, not a knob.
 const RESTART_INTERVAL: usize = 16;
 
 // ----------------------------------------------------------------------
@@ -550,43 +577,81 @@ fn put_ascending(
     bits.finish();
 }
 
-/// Read the `n` values [`put_ascending`] wrote, accumulating with a
-/// checked add: a gap that overflows is an error, never a value out of
-/// order. `n` is held to the bits the column has before anything is
-/// allocated (every further value takes at least one).
-fn get_ascending(mut b: &[u8], n: usize, bias: u64) -> Result<Vec<u64>, CodecError> {
-    let Some(further) = n.checked_sub(1) else {
-        return no_trailing(b.len()).map(|()| Vec::new());
-    };
-    let mut v = get_varint(&mut b)?;
-    let mut out = Vec::new();
-    if further == 0 {
-        no_trailing(b.len())?;
-        out.push(v);
-        return Ok(out);
+/// The values [`put_ascending`] wrote, read one at a time: what an
+/// eventlist's node dictionary and times are decoded with. Values
+/// accumulate with a checked add: a gap that overflows is an error,
+/// never a value out of order.
+struct Ascending<'a> {
+    bits: BitReader<'a>,
+    k: u8,
+    bias: u64,
+    /// The first value, until it is read.
+    first: Option<u64>,
+    prev: u64,
+}
+
+impl<'a> Ascending<'a> {
+    /// Open a column of `n` values. `n` is held to the bits the column
+    /// has before anything is read (every further value takes at least
+    /// one), so a caller may size by it.
+    fn new(mut b: &'a [u8], n: usize, bias: u64) -> Result<Ascending<'a>, CodecError> {
+        let first = if n > 0 {
+            Some(get_varint(&mut b)?)
+        } else {
+            None
+        };
+        let k = if n > 1 {
+            check_rice_k(get_u8(&mut b)?)?
+        } else {
+            0
+        };
+        let bits = BitReader::new(b);
+        let further = n.saturating_sub(1);
+        if further > bits.bits_left() {
+            return Err(CodecError::UnexpectedEof {
+                needed: further.div_ceil(8),
+                remaining: b.len(),
+            });
+        }
+        Ok(Ascending {
+            bits,
+            k,
+            bias,
+            first,
+            prev: 0,
+        })
     }
-    let k = check_rice_k(get_u8(&mut b)?)?;
-    let mut bits = BitReader::new(b);
-    if further > bits.bits_left() {
-        return Err(CodecError::UnexpectedEof {
-            needed: further.div_ceil(8),
-            remaining: b.len(),
-        });
+
+    /// The next value; the caller reads at most the `n` it opened the
+    /// column with.
+    #[inline]
+    fn next(&mut self) -> Result<u64, CodecError> {
+        let v = match self.first.take() {
+            Some(first) => first,
+            None => self
+                .prev
+                .checked_add(self.bits.get_rice(self.k)?)
+                .and_then(|v| v.checked_add(self.bias))
+                .ok_or(CodecError::VarintOverflow)?,
+        };
+        self.prev = v;
+        Ok(v)
     }
-    out.reserve_exact(n);
-    out.push(v);
-    let mut overflow = false;
-    for _ in 0..further {
-        let (sum, o1) = v.overflowing_add(bits.get_rice(k)?);
-        let (sum, o2) = sum.overflowing_add(bias);
-        overflow |= o1 | o2;
-        v = sum;
-        out.push(v);
+
+    /// End of the column, after its last value: only padding remains.
+    fn finish(self) -> Result<(), CodecError> {
+        self.bits.finish()
     }
-    if overflow {
-        return Err(CodecError::VarintOverflow);
+}
+
+/// Read all `n` values [`put_ascending`] wrote.
+fn get_ascending(b: &[u8], n: usize, bias: u64) -> Result<Vec<u64>, CodecError> {
+    let mut col = Ascending::new(b, n, bias)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(col.next()?);
     }
-    bits.finish()?;
+    col.finish()?;
     Ok(out)
 }
 
@@ -1245,16 +1310,17 @@ impl<'a> OwnPairs<'a> {
     }
 }
 
-/// Append `n`'s record, each attribute pair — the node's and its
-/// entries' — as its id: its id in `table`, or past the table's pairs
-/// its index among the row's `own`.
+/// Append `n`'s record, laid out by `head`, each attribute pair —
+/// the node's and its entries' — as its id: its id in `table`, or
+/// past the table's pairs its index among the row's `own`.
 fn put_node_record<'a>(
     buf: &mut BytesMut,
+    head: &RecordHead,
     n: &'a StaticNode,
     table: &PairTable,
     own: &mut OwnPairs<'a>,
 ) {
-    put_record(buf, &n.edges, &n.attrs, |buf, attrs| {
+    put_record(buf, head, &n.edges, &n.attrs, |buf, attrs| {
         for (k, v) in attrs.iter() {
             let id = match table.pair_id(k, v) {
                 Some(id) => id,
@@ -1265,57 +1331,538 @@ fn put_node_record<'a>(
     });
 }
 
-/// Parse one record from a running cursor into a fresh description;
-/// records are self-delimiting, so a cursor is all the caller needs.
+/// Counts-column parameter bits: the edge counts' Rice parameter.
+const COUNTS_K_EDGES: u8 = 0x3f;
+/// Counts-column flag: every code holds an attribute count.
+const COUNTS_ATTRS: u8 = 1 << 6;
+/// Counts-column flag: every code holds a shape.
+const COUNTS_SHAPES: u8 = 1 << 7;
+
+/// Bits a Rice code of `v` with parameter `k` takes.
+fn rice_len(v: u64, k: u8) -> u64 {
+    (v >> k) + 1 + u64::from(k)
+}
+
+/// Spell a delta row's counts column — the heads of its records, one
+/// code each; nothing for a row of no records — and return it with
+/// the bits each full window of `RESTART_INTERVAL` codes took.
+fn put_counts(heads: &[RecordHead]) -> (BytesMut, Vec<u64>) {
+    let mut out = BytesMut::new();
+    let mut windows = Vec::with_capacity(heads.len() / RESTART_INTERVAL);
+    if heads.is_empty() {
+        return (out, windows);
+    }
+    let (mut edge_sum, mut attr_sum, mut shapes) = (0u128, 0u128, false);
+    for h in heads {
+        edge_sum += h.n_edges as u128;
+        attr_sum += h.n_attrs as u128;
+        shapes |= h.shape != SHAPE_DEFAULT;
+    }
+    let k_edges = rice_k(edge_sum, heads.len());
+    let k_attrs = rice_k(attr_sum, heads.len());
+    let attrs = attr_sum > 0;
+    let mut params = k_edges;
+    if attrs {
+        params |= COUNTS_ATTRS;
+    }
+    if shapes {
+        params |= COUNTS_SHAPES;
+    }
+    out.put_u8(params);
+    if attrs {
+        out.put_u8(k_attrs);
+    }
+    let mut bits = BitWriter::new(&mut out);
+    let mut window = 0u64;
+    for (i, h) in heads.iter().enumerate() {
+        bits.put_rice(h.n_edges as u64, k_edges);
+        window += rice_len(h.n_edges as u64, k_edges);
+        if attrs {
+            bits.put_rice(h.n_attrs as u64, k_attrs);
+            window += rice_len(h.n_attrs as u64, k_attrs);
+        }
+        if shapes {
+            bits.put(u64::from(h.shape), SHAPE_BITS);
+            window += u64::from(SHAPE_BITS);
+        }
+        if (i + 1) % RESTART_INTERVAL == 0 {
+            windows.push(window);
+            window = 0;
+        }
+    }
+    bits.finish();
+    (out, windows)
+}
+
+/// A count of a record head, held to the codec's sanity cap.
+#[inline]
+fn count(v: u64, what: &'static str) -> Result<usize, CodecError> {
+    match usize::try_from(v) {
+        Ok(n) if v <= MAX_LEN => Ok(n),
+        _ => Err(CodecError::LengthOverflow { what, len: v }),
+    }
+}
+
+/// A delta row's counts column, read one record head at a time.
+struct Counts<'a> {
+    bits: BitReader<'a>,
+    /// When every code of the column is unary — both Rice parameters
+    /// 0, no shapes — its one bits, and the position the next code
+    /// starts at: the common column, read a word at a time.
+    unary: Option<(Ones<'a>, u64)>,
+    /// Bits of the column past its parameters.
+    len_bits: usize,
+    params: u8,
+    k_attrs: u8,
+    /// The flags the heads read so far needed.
+    needed: u8,
+}
+
+impl<'a> Counts<'a> {
+    /// Open the counts column of a row of `n` records at its first
+    /// code, or — for a point read — at the code `skip` bits past it.
+    /// `n` is held to the bits the column has (every code takes at
+    /// least one) before anything is read, so a caller may size by it.
+    fn new(mut b: &'a [u8], n: usize, skip: usize) -> Result<Counts<'a>, CodecError> {
+        let (mut params, mut k_attrs) = (0, 0);
+        if n > 0 {
+            params = get_u8(&mut b)?;
+            if params & COUNTS_ATTRS != 0 {
+                k_attrs = check_rice_k(get_u8(&mut b)?)?;
+            }
+        }
+        let short = CodecError::UnexpectedEof {
+            needed: n.max(skip).div_ceil(8),
+            remaining: b.len(),
+        };
+        if n > b.len() * 8 {
+            return Err(short);
+        }
+        let mut bits = BitReader::new(b.get(skip / 8..).ok_or(short)?);
+        bits.get((skip % 8) as u32)?;
+        let unary = params & (COUNTS_K_EDGES | COUNTS_SHAPES) == 0 && k_attrs == 0;
+        Ok(Counts {
+            bits,
+            unary: unary.then(|| (Ones::new(b, skip), skip as u64)),
+            len_bits: b.len() * 8,
+            params,
+            k_attrs,
+            needed: 0,
+        })
+    }
+
+    /// The next record's head. A shape other than the default on a
+    /// record of no entries is refused: no writer spells one.
+    #[inline]
+    fn next(&mut self) -> Result<RecordHead, CodecError> {
+        if let Some((ones, at)) = &mut self.unary {
+            let mut code = |what| {
+                let one = ones.next_one().ok_or(CodecError::UnexpectedEof {
+                    needed: 1,
+                    remaining: 0,
+                })?;
+                let v = one - *at;
+                *at = one + 1;
+                count(v, what)
+            };
+            let n_edges = code("edges")?;
+            let n_attrs = if self.params & COUNTS_ATTRS != 0 {
+                code("attrs")?
+            } else {
+                0
+            };
+            self.needed |= COUNTS_ATTRS * u8::from(n_attrs > 0);
+            return Ok(RecordHead {
+                shape: SHAPE_DEFAULT,
+                n_edges,
+                n_attrs,
+            });
+        }
+        let n_edges = count(self.bits.get_rice(self.params & COUNTS_K_EDGES)?, "edges")?;
+        let mut head = RecordHead {
+            shape: SHAPE_DEFAULT,
+            n_edges,
+            n_attrs: 0,
+        };
+        if self.params & (COUNTS_ATTRS | COUNTS_SHAPES) != 0 {
+            self.read_flagged(&mut head)?;
+        }
+        Ok(head)
+    }
+
+    /// The fields of `head` past its edge count that the flags call for.
+    fn read_flagged(&mut self, head: &mut RecordHead) -> Result<(), CodecError> {
+        if self.params & COUNTS_ATTRS != 0 {
+            head.n_attrs = count(self.bits.get_rice(self.k_attrs)?, "attrs")?;
+            if head.n_attrs > 0 {
+                self.needed |= COUNTS_ATTRS;
+            }
+        }
+        if self.params & COUNTS_SHAPES != 0 {
+            head.shape = self.bits.get(SHAPE_BITS)? as u8;
+            if head.shape != SHAPE_DEFAULT {
+                if head.n_edges == 0 {
+                    return Err(CodecError::BadTag {
+                        what: "record shape",
+                        tag: head.shape,
+                    });
+                }
+                self.needed |= COUNTS_SHAPES;
+            }
+        }
+        Ok(())
+    }
+
+    /// Bits not yet read (padding included).
+    fn bits_left(&self) -> usize {
+        match &self.unary {
+            Some((_, at)) => self.len_bits.saturating_sub(*at as usize),
+            None => self.bits.bits_left(),
+        }
+    }
+
+    /// End of the column, after its last head: every flag it sets was
+    /// needed by some record, and only padding remains.
+    fn finish(self) -> Result<(), CodecError> {
+        if self.needed != self.params & (COUNTS_ATTRS | COUNTS_SHAPES) {
+            return Err(CodecError::BadTag {
+                what: "counts flags",
+                tag: self.params,
+            });
+        }
+        match &self.unary {
+            Some((ones, at)) => ones.finish(at.checked_sub(1)),
+            None => self.bits.finish(),
+        }
+    }
+}
+
+/// Parse one record, laid out by `head`, from a running cursor into a
+/// fresh description.
 fn parse_record_from(
     id: NodeId,
+    head: &RecordHead,
     b: &mut &[u8],
     pairs: PairSpace<'_>,
 ) -> Result<StaticNode, CodecError> {
     let mut edges = Vec::new();
-    let n_attrs = get_record(b, &mut edges, |b, n| get_dict_pairs(b, n, pairs))?;
-    let attrs = get_dict_pairs(b, n_attrs, pairs)?;
+    get_record(b, head, &mut edges, |b, n| get_dict_pairs(b, n, pairs))?;
+    let attrs = get_dict_pairs(b, head.n_attrs, pairs)?;
     Ok(StaticNode { id, edges, attrs })
 }
 
-/// Parse one record — a further piece of `node` — from a running
-/// cursor onto `node`: its entries onto the end of the edge-list and
-/// then merged into place, its attribute pairs set in place. A key
-/// the node already has is a [`CodecError::RepeatedComponent`].
+/// Parse one record — a further piece of `node`, laid out by `head` —
+/// from a running cursor onto `node`: its entries onto the end of the
+/// edge-list and then merged into place, its attribute pairs set in
+/// place. A key the node already has is a
+/// [`CodecError::RepeatedComponent`].
 fn merge_record_from(
     node: &mut StaticNode,
+    head: &RecordHead,
     b: &mut &[u8],
     pairs: PairSpace<'_>,
 ) -> Result<(), CodecError> {
     let repeated = CodecError::RepeatedComponent { node: node.id };
     let sorted_len = node.edges.len();
-    let n_attrs = get_record(b, &mut node.edges, |b, n| get_dict_pairs(b, n, pairs))?;
+    get_record(b, head, &mut node.edges, |b, n| get_dict_pairs(b, n, pairs))?;
     if !node.settle_appended_edges(sorted_len) {
         return Err(repeated);
     }
-    for_each_dict_pair(b, n_attrs, pairs, |k, v| match node.attrs.set(k, v) {
+    for_each_dict_pair(b, head.n_attrs, pairs, |k, v| match node.attrs.set(k, v) {
         None => Ok(()),
         Some(_) => Err(repeated.clone()),
     })
 }
 
-/// One step of the path sum: apply the record at the cursor to
-/// `state`'s description of `id` — one hash probe; a fresh
-/// description when the node is absent, a copy-on-write merge when
-/// present. Returns the now path-complete description.
+/// One step of the path sum: apply the record at the cursor, laid out
+/// by `head`, to `state`'s description of `id` — one hash probe; a
+/// fresh description when the node is absent, a copy-on-write merge
+/// when present. Returns the now path-complete description.
 fn sum_record<'a>(
     state: &'a mut Delta,
     id: NodeId,
+    head: &RecordHead,
     b: &mut &[u8],
     pairs: PairSpace<'_>,
 ) -> Result<&'a Arc<StaticNode>, CodecError> {
     match state.slot(id) {
-        Entry::Vacant(slot) => Ok(slot.insert(Arc::new(parse_record_from(id, b, pairs)?))),
+        Entry::Vacant(slot) => Ok(slot.insert(Arc::new(parse_record_from(id, head, b, pairs)?))),
         Entry::Occupied(slot) => {
             let node = slot.into_mut();
-            merge_record_from(Arc::make_mut(node), b, pairs)?;
+            merge_record_from(Arc::make_mut(node), head, b, pairs)?;
             Ok(node)
         }
+    }
+}
+
+/// Append a delta row's id column — its ascending node ids, Elias–Fano
+/// coded: `varint first`, then, when there are more, `u8 l` and each
+/// further id's offset from the first in two parts: its low `l` bits,
+/// fixed-width, for every id together (the last byte zero-padded),
+/// then its high part as a unary code of its rise over the previous
+/// id's. `l = ⌊log2(last offset / (n − 1))⌋`, so the unary codes take
+/// at most two bits an id. Nothing at all for an empty column.
+fn put_ids(out: &mut BytesMut, ids: &[NodeId]) {
+    let Some((&first, rest)) = ids.split_first() else {
+        return;
+    };
+    put_varint(out, first);
+    let Some(&last) = rest.last() else {
+        return;
+    };
+    let l = ((last - first) / rest.len() as u64)
+        .checked_ilog2()
+        .unwrap_or(0);
+    out.put_u8(l as u8);
+    let mut bits = BitWriter::new(out);
+    for &id in rest {
+        bits.put((id - first) & ((1u64 << l) - 1), l);
+    }
+    bits.finish();
+    let mut bits = BitWriter::new(out);
+    let mut high = 0;
+    for &id in rest {
+        let h = (id - first) >> l;
+        bits.put_rice(h - high, 0);
+        high = h;
+    }
+    bits.finish();
+}
+
+/// The little-endian word of `bytes` at byte `at`, zero past their
+/// end.
+#[inline]
+fn word_at(bytes: &[u8], at: usize) -> u64 {
+    let mut w = [0u8; 8];
+    match bytes.get(at..at + 8) {
+        Some(whole) => w.copy_from_slice(whole),
+        None => {
+            let tail = bytes.get(at..).unwrap_or_default();
+            w[..tail.len()].copy_from_slice(tail);
+        }
+    }
+    u64::from_le_bytes(w)
+}
+
+/// A run of unary codes — Rice codes of parameter 0, each as many zero
+/// bits as its value and a one — read by its one bits, a word at a
+/// time: an id column's high parts, and a counts column of nothing
+/// else.
+struct Ones<'a> {
+    bytes: &'a [u8],
+    /// Byte offset of the word being read.
+    at: usize,
+    /// That word, with the bits already read cleared.
+    word: u64,
+}
+
+impl<'a> Ones<'a> {
+    /// The bits of `bytes` from bit `bit` on.
+    fn new(bytes: &'a [u8], bit: usize) -> Ones<'a> {
+        let at = bit / 8;
+        Ones {
+            bytes,
+            at,
+            word: word_at(bytes, at) & u64::MAX << (bit % 8),
+        }
+    }
+
+    /// The position of the next one bit, read; `None` past the last.
+    #[inline]
+    fn next_one(&mut self) -> Option<u64> {
+        while self.word == 0 {
+            self.at += 8;
+            if self.at >= self.bytes.len() {
+                return None;
+            }
+            self.word = word_at(self.bytes, self.at);
+        }
+        let bit = self.word.trailing_zeros();
+        self.word &= self.word - 1;
+        Some(self.at as u64 * 8 + u64::from(bit))
+    }
+
+    /// From the start of the run, read on past the `zeros`-th zero
+    /// bit, and return how many one bits lay before it — how many ids
+    /// have a high part below `zeros`. Past the end it stops, having
+    /// counted every one.
+    fn skip_zeros(&mut self, mut zeros: u64) -> u64 {
+        let mut ones = 0u64;
+        while zeros > 0 {
+            let here = u64::from(self.word.count_zeros());
+            if here < zeros {
+                ones += u64::from(self.word.count_ones());
+                zeros -= here;
+                self.at += 8;
+                if self.at >= self.bytes.len() {
+                    self.word = 0;
+                    break;
+                }
+                self.word = word_at(self.bytes, self.at);
+                continue;
+            }
+            // The word holds the `zeros`-th zero: clear the zeros before
+            // it, and every bit up to it.
+            let mut unread = !self.word;
+            for _ in 1..zeros {
+                unread &= unread - 1;
+            }
+            let at = unread.trailing_zeros();
+            ones += u64::from((self.word & ((1u64 << at) - 1)).count_ones());
+            self.word &= u64::MAX.checked_shl(at + 1).unwrap_or(0);
+            break;
+        }
+        ones
+    }
+
+    /// End of the run, after its last one bit, read at `last`: only
+    /// the zero padding of that bit's byte remains.
+    fn finish(&self, last: Option<u64>) -> Result<(), CodecError> {
+        let used = last.map_or(0, |p| p as usize / 8 + 1);
+        if self.bytes.len() > used {
+            return Err(CodecError::TrailingBytes {
+                remaining: self.bytes.len() - used,
+            });
+        }
+        if self.word != 0 {
+            return Err(CodecError::BadTag {
+                what: "padding",
+                tag: (self.word >> (self.word.trailing_zeros() & !7)) as u8,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// A delta row's id column ([`put_ids`]), read one id at a time or
+/// sought. The high parts are read a word at a time, and each id's low
+/// part straight from its offset. Every id must rise over the one
+/// before it, and offsets are held to a `u64`: a step that does not
+/// rise, or one that overflows, is an error, never an id out of order.
+struct Ids<'a> {
+    low_bytes: &'a [u8],
+    highs: Ones<'a>,
+    l: u32,
+    first: NodeId,
+    /// Ids read so far.
+    read: usize,
+    /// The last id read, and its one bit's position in the high parts.
+    prev: NodeId,
+    last_one: Option<u64>,
+}
+
+impl<'a> Ids<'a> {
+    /// Open a column of `n` ids. `n` is held to the bits the column
+    /// has before anything is read (every id past the first takes at
+    /// least one in the high parts), so a caller may size by it.
+    fn new(mut b: &'a [u8], n: usize) -> Result<Ids<'a>, CodecError> {
+        let first = if n > 0 { get_varint(&mut b)? } else { 0 };
+        let further = n.saturating_sub(1);
+        let l = if further > 0 {
+            check_rice_k(get_u8(&mut b)?)?
+        } else {
+            0
+        };
+        let low_len = further.saturating_mul(usize::from(l)).div_ceil(8);
+        if low_len > b.len() || further > (b.len() - low_len) * 8 {
+            return Err(CodecError::UnexpectedEof {
+                needed: low_len.saturating_add(further.div_ceil(8)),
+                remaining: b.len(),
+            });
+        }
+        let (low_bytes, high_bytes) = b.split_at(low_len);
+        Ok(Ids {
+            low_bytes,
+            highs: Ones::new(high_bytes, 0),
+            l: u32::from(l),
+            first,
+            read: 0,
+            prev: 0,
+            last_one: None,
+        })
+    }
+
+    /// The low part of the `j`-th id past the first.
+    #[inline]
+    fn low(&self, j: usize) -> u64 {
+        let bit = j * self.l as usize;
+        let shift = (bit % 8) as u32;
+        let mut v = word_at(self.low_bytes, bit / 8) >> shift;
+        if self.l + shift > 64 {
+            v |= word_at(self.low_bytes, bit / 8 + 8) << (64 - shift);
+        }
+        v & ((1u64 << self.l) - 1)
+    }
+
+    /// The next id; the caller reads at most the `n` it opened the
+    /// column with.
+    #[inline]
+    fn next(&mut self) -> Result<NodeId, CodecError> {
+        self.read += 1;
+        if self.read == 1 {
+            self.prev = self.first;
+            return Ok(self.first);
+        }
+        let j = self.read - 2;
+        let one = self.highs.next_one().ok_or(CodecError::UnexpectedEof {
+            needed: 1,
+            remaining: 0,
+        })?;
+        self.last_one = Some(one);
+        // As many zeros before the one as the high part is large.
+        let high = one - j as u64;
+        if high > u64::MAX >> self.l {
+            return Err(CodecError::VarintOverflow);
+        }
+        let id = self
+            .first
+            .checked_add(high << self.l | self.low(j))
+            .ok_or(CodecError::VarintOverflow)?;
+        if id <= self.prev {
+            return Err(CodecError::BadRef {
+                what: "node-id gap",
+                id: 0,
+            });
+        }
+        self.prev = id;
+        Ok(id)
+    }
+
+    /// On a column nothing has been read from: read on to the first of
+    /// its `n` ids at or past `target`, and return its index if it is
+    /// `target`. The ids whose high part lies below `target`'s are
+    /// stepped over by counting bits a word at a time, not read.
+    fn seek(&mut self, n: usize, target: NodeId) -> Result<Option<usize>, CodecError> {
+        if n == 0 || target <= self.first {
+            return Ok((n > 0 && target == self.first).then_some(0));
+        }
+        let below = self.highs.skip_zeros((target - self.first) >> self.l);
+        let Some(from) = usize::try_from(below).ok().filter(|&b| b < n - 1) else {
+            return Ok(None);
+        };
+        // Ids `1 ..= from` are below `target`: read on from the next.
+        (self.read, self.prev) = (from + 1, self.first);
+        for i in from + 1..n {
+            let id = self.next()?;
+            if id >= target {
+                return Ok((id == target).then_some(i));
+            }
+        }
+        Ok(None)
+    }
+
+    /// End of the column, after its last id: only the padding of the
+    /// low parts' last byte and the high parts' remains, all zero.
+    fn finish(self) -> Result<(), CodecError> {
+        let used = self.read.saturating_sub(1) * self.l as usize;
+        let padding = word_at(self.low_bytes, used / 8) >> (used % 8);
+        if padding != 0 {
+            return Err(CodecError::BadTag {
+                what: "padding",
+                tag: padding as u8,
+            });
+        }
+        self.highs.finish(self.last_one)
     }
 }
 
@@ -1327,53 +1874,47 @@ pub fn encode_columnar_delta(d: &Delta) -> Bytes {
 
 /// Serialize a delta in the columnar layout in the context of `table`:
 /// sorted node-id column, restart column, the row's own pair
-/// dictionary (the pairs `table` lacks), concatenated per-node records.
+/// dictionary (the pairs `table` lacks), counts column, concatenated
+/// per-node records.
 pub fn encode_columnar_delta_in(d: &Delta, table: &PairTable) -> Bytes {
     let nodes = d.sorted_nodes();
-    let mut id_col = BytesMut::with_capacity(nodes.len() * 2);
-    let mut restarts = BytesMut::new();
-    let mut records = BytesMut::with_capacity(d.size() * 3);
+    let heads: Vec<RecordHead> = nodes
+        .iter()
+        .map(|n| RecordHead::of(&n.edges, &n.attrs))
+        .collect();
+    let ids: Vec<NodeId> = nodes.iter().map(|n| n.id).collect();
+    let mut id_col = BytesMut::new();
+    put_ids(&mut id_col, &ids);
+    let (counts, count_windows) = put_counts(&heads);
+    let mut records = BytesMut::with_capacity(d.size() * 2);
+    let mut record_windows = Vec::with_capacity(count_windows.len());
     let mut own = OwnPairs::default();
-    let (mut prev, mut window) = (0u64, 0usize);
-    for (i, n) in nodes.iter().enumerate() {
-        put_varint(&mut id_col, n.id - prev);
-        prev = n.id;
-        put_node_record(&mut records, n, table, &mut own);
+    let mut window = 0usize;
+    for (i, (n, head)) in nodes.iter().zip(&heads).enumerate() {
+        put_node_record(&mut records, head, n, table, &mut own);
         if (i + 1) % RESTART_INTERVAL == 0 {
-            put_varint(&mut restarts, (records.len() - window) as u64);
+            record_windows.push((records.len() - window) as u64);
             window = records.len();
         }
+    }
+    let mut restarts = BytesMut::new();
+    for (&bytes, &bits) in record_windows.iter().zip(&count_windows) {
+        put_varint(&mut restarts, bytes);
+        put_varint(&mut restarts, bits);
     }
 
     assemble(
         DELTA_MAGIC,
         nodes.len(),
-        &[&id_col, &restarts, &own.put_dict(table), &records],
+        &[&id_col, &restarts, &own.put_dict(table), &counts, &records],
     )
 }
 
-/// The next id of a delta row's id column, `prev` the one before it:
-/// the first id is its own gap, every later one its predecessor plus
-/// a gap of at least one. A zero gap — a second record for one node —
-/// or one past `u64::MAX` is refused, by the full read and the point
-/// read alike, so the two never disagree on which records a node has.
-fn next_id(ib: &mut &[u8], prev: Option<NodeId>) -> Result<NodeId, CodecError> {
-    let gap = get_varint(ib)?;
-    match prev {
-        None => Ok(gap),
-        Some(_) if gap == 0 => Err(CodecError::BadRef {
-            what: "node-id gap",
-            id: 0,
-        }),
-        Some(p) => p.checked_add(gap).ok_or(CodecError::VarintOverflow),
-    }
-}
-
-/// A parsed columnar delta row: node-id and restart columns, the row's
-/// own pair dictionary, and record segment, decoded lazily, and the
-/// context table the dictionary extends. Supports per-node record
-/// extraction without parsing unrelated records, and skips everything
-/// past the id column when the probed node is absent.
+/// A parsed columnar delta row: node-id, restart and counts columns,
+/// the row's own pair dictionary, and record segment, decoded lazily,
+/// and the context table the dictionary extends. Supports per-node
+/// record extraction without parsing unrelated records, and skips
+/// everything past the id column when the probed node is absent.
 #[derive(Debug)]
 pub struct ColumnarDelta {
     backing: Bytes,
@@ -1385,6 +1926,8 @@ pub struct ColumnarDelta {
     ids: OnceLock<Bytes>,
     /// The restart column: where each window of records starts.
     restarts: OnceLock<Bytes>,
+    /// The counts column: how each record is laid out.
+    counts: OnceLock<Bytes>,
     pair_dict: OnceLock<Result<Vec<(String, AttrValue)>, CodecError>>,
     records: OnceLock<Bytes>,
 }
@@ -1418,6 +1961,7 @@ impl ColumnarDelta {
             table,
             ids: OnceLock::new(),
             restarts: OnceLock::new(),
+            counts: OnceLock::new(),
             pair_dict: OnceLock::new(),
             records: OnceLock::new(),
         })
@@ -1450,49 +1994,43 @@ impl ColumnarDelta {
 
     /// The index of `nid`'s record among the row's, or `None` if the
     /// row has none: a scan of the sorted id column up to the first id
-    /// past `nid`. A point read touches a row once, so there is no
-    /// index structure to build — the id column is the index, and a
-    /// miss decodes nothing else. Reading the id after a hit holds its
-    /// gap to [`next_id`]'s rule as the full read does.
+    /// at or past `nid`. A point read touches a row once, so there is
+    /// no index structure to build — the id column is the index, and a
+    /// miss decodes nothing else.
     fn node_index(&self, nid: NodeId) -> Result<Option<usize>, CodecError> {
-        let mut ib: &[u8] = self.memo_seg(&self.ids, SEG_NODE_IDS);
-        let (mut prev, mut hit) = (None, None);
-        for i in 0..self.n_nodes {
-            let id = next_id(&mut ib, prev)?;
-            if id > nid {
-                break;
-            }
-            if id == nid {
-                hit = Some(i);
-            }
-            prev = Some(id);
-        }
-        Ok(hit)
+        let ids = self.memo_seg(&self.ids, SEG_NODE_IDS);
+        Ids::new(ids, self.n_nodes)?.seek(self.n_nodes, nid)
     }
 
-    /// The record segment from `nid`'s record on, or `None` if the row
-    /// has no record for it: the restart of the record's window, then
-    /// [`skip_record`] over at most `RESTART_INTERVAL - 1` records
-    /// before it. [`ColumnarDelta::sum_into`] holds every restart to
-    /// the records it spans, so on a row the full read accepts this
-    /// lands where the full read parses `nid`'s record. It does not
-    /// check a restart itself: after a wrong one it may land inside a
-    /// record or on another one, and the caller may parse a record
-    /// from there.
-    fn record_at(&self, nid: NodeId) -> Result<Option<&[u8]>, CodecError> {
+    /// `nid`'s record head and the record segment from its record on,
+    /// or `None` if the row has no record for it: the restart of the
+    /// record's window — where its records and their codes start —
+    /// then [`skip_record`] over at most `RESTART_INTERVAL - 1` records
+    /// before it, each laid out by its head in the counts column.
+    /// [`ColumnarDelta::sum_into`] holds every restart to the records
+    /// and codes it spans, so on a row the full
+    /// read accepts this lands where the full read parses `nid`'s
+    /// record. It does not check a restart itself: after a wrong one it
+    /// may land inside a record or on another one, and the caller may
+    /// parse a record from there.
+    fn record_at(&self, nid: NodeId) -> Result<Option<(RecordHead, &[u8])>, CodecError> {
         let Some(i) = self.node_index(nid)? else {
             return Ok(None);
         };
-        let mut start = 0usize;
+        // Where the record's window starts: in the record segment, and
+        // in the counts column past its parameters.
+        let (mut start, mut bit) = (0usize, 0usize);
         let window = i / RESTART_INTERVAL;
         if window > 0 {
             let mut sb: &[u8] = self.memo_seg(&self.restarts, SEG_RESTARTS);
             for _ in 0..window {
-                let len = get_len(&mut sb, "restart")?;
-                start = start.checked_add(len).ok_or(CodecError::LengthOverflow {
-                    what: "restart",
-                    len: len as u64,
-                })?;
+                for at in [&mut start, &mut bit] {
+                    let len = get_len(&mut sb, "restart")?;
+                    *at = at.checked_add(len).ok_or(CodecError::LengthOverflow {
+                        what: "restart",
+                        len: len as u64,
+                    })?;
+                }
             }
         }
         let records = self.memo_seg(&self.records, SEG_RECORDS);
@@ -1502,11 +2040,24 @@ impl ColumnarDelta {
                 remaining: records.len(),
             });
         };
+        let counts = self.memo_seg(&self.counts, SEG_COUNTS);
+        let mut counts = Counts::new(counts, self.n_nodes, bit)?;
+        // A record of the default shape is varints alone — its
+        // entries' neighbor gaps, then its pair ids — so a run of them
+        // is stepped over at once.
+        let mut varints = 0usize;
         for _ in 0..i % RESTART_INTERVAL {
-            // A pair is one dictionary index.
-            skip_record(&mut b, skip_varints)?;
+            let head = counts.next()?;
+            if head.shape == SHAPE_DEFAULT {
+                varints += head.n_edges + head.n_attrs;
+            } else {
+                skip_varints(&mut b, std::mem::take(&mut varints))?;
+                // A pair is one pair id.
+                skip_record(&mut b, &head, skip_varints)?;
+            }
         }
-        Ok(Some(b))
+        skip_varints(&mut b, varints)?;
+        Ok(Some((counts.next()?, b)))
     }
 
     /// The row's own pair dictionary, decoded once, each pair's key id
@@ -1556,10 +2107,10 @@ impl ColumnarDelta {
     /// record is parsed, after skipping the at most 15 records between
     /// it and the restart of its 16-record window.
     pub fn node_record(&self, nid: NodeId) -> Result<Option<StaticNode>, CodecError> {
-        let Some(mut record) = self.record_at(nid)? else {
+        let Some((head, mut record)) = self.record_at(nid)? else {
             return Ok(None);
         };
-        parse_record_from(nid, &mut record, self.pairs()?).map(Some)
+        parse_record_from(nid, &head, &mut record, self.pairs()?).map(Some)
     }
 
     /// Decode every record as a description of its own and reassemble
@@ -1582,10 +2133,10 @@ impl ColumnarDelta {
     /// a cache keeps so that summing the row again is a node-level
     /// [`Delta::sum_assign`].
     ///
-    /// Streams the id and record cursors in lockstep — records are
-    /// self-delimiting — and holds the row to what the point read
-    /// relies on: ids strictly ascending, and every restart equal to
-    /// the bytes its window of 16 records took. On `Err` — including
+    /// Streams the id, counts and record cursors in lockstep and holds
+    /// the row to what the point read relies on: every restart equal
+    /// to the bytes its window of 16 records took and the bits of their
+    /// codes. On `Err` — including
     /// [`CodecError::RepeatedComponent`] — `state` is partly summed
     /// and must be dropped.
     pub fn sum_into(
@@ -1596,47 +2147,55 @@ impl ColumnarDelta {
         let pairs = self.pairs()?;
         let iraw = self.seg(SEG_NODE_IDS);
         let sraw = self.seg(SEG_RESTARTS);
+        let craw = self.seg(SEG_COUNTS);
         let rraw = self.seg(SEG_RECORDS);
-        let mut ib: &[u8] = &iraw;
+        let mut ids = Ids::new(&iraw, self.n_nodes)?;
+        let mut counts = Counts::new(&craw, self.n_nodes, 0)?;
         let mut sb: &[u8] = &sraw;
         let mut rb: &[u8] = &rraw;
         // Onto nothing every record is a new node; further down a
-        // path most records land on nodes already there. Every id takes
-        // a byte, so the id column bounds what a header count asks for.
+        // path most records land on nodes already there. The counts
+        // column has bits for every record the header counts.
         if state.is_empty() {
-            state.reserve(self.n_nodes.min(iraw.len()));
+            state.reserve(self.n_nodes);
         }
-        // What was left of the record segment where the window began.
-        let (mut prev, mut window) = (None, rb.len());
+        // What was left of the record segment and of the counts column
+        // where the window began.
+        let (mut window, mut window_bits) = (rb.len(), counts.bits_left());
         for i in 0..self.n_nodes {
-            let id = next_id(&mut ib, prev)?;
-            prev = Some(id);
-            let node = sum_record(state, id, &mut rb, pairs)?;
+            let id = ids.next()?;
+            let head = counts.next()?;
+            let node = sum_record(state, id, &head, &mut rb, pairs)?;
             if let Some(completed) = completed.as_deref_mut() {
                 completed.insert_shared(Arc::clone(node));
             }
             if (i + 1) % RESTART_INTERVAL == 0 {
-                let restart = get_varint(&mut sb)?;
-                if restart != (window - rb.len()) as u64 {
-                    return Err(CodecError::BadRef {
-                        what: "restart",
-                        id: restart,
-                    });
+                let took = [window - rb.len(), window_bits - counts.bits_left()];
+                for took in took {
+                    let restart = get_varint(&mut sb)?;
+                    if restart != took as u64 {
+                        return Err(CodecError::BadRef {
+                            what: "restart",
+                            id: restart,
+                        });
+                    }
                 }
-                window = rb.len();
+                (window, window_bits) = (rb.len(), counts.bits_left());
             }
         }
-        no_trailing(ib.len() + sb.len() + rb.len())
+        ids.finish()?;
+        counts.finish()?;
+        no_trailing(sb.len() + rb.len())
     }
 
     /// [`ColumnarDelta::sum_into`] restricted to one node: apply
     /// `nid`'s record, if this row has one, to `state`. Decodes what
     /// [`ColumnarDelta::node_record`] decodes.
     pub fn sum_node_into(&self, nid: NodeId, state: &mut Delta) -> Result<(), CodecError> {
-        let Some(mut record) = self.record_at(nid)? else {
+        let Some((head, mut record)) = self.record_at(nid)? else {
             return Ok(());
         };
-        sum_record(state, nid, &mut record, self.pairs()?).map(drop)
+        sum_record(state, nid, &head, &mut record, self.pairs()?).map(drop)
     }
 }
 
@@ -1829,18 +2388,156 @@ mod tests {
     fn records_and_rowwise_nodes_share_one_edge_list_grammar() {
         // Without attributes (where dictionary indexes and inline pairs
         // differ) a columnar record is the row-wise description minus
-        // its id.
+        // its id and head.
         let mut n = StaticNode::new(300);
         for (nbr, dir, w) in [(2u64, EdgeDir::Both, 1.0f32), (9, EdgeDir::Out, 0.5)] {
             n.insert_edge(Neighbor::weighted(nbr, dir, w));
         }
         for n in [StaticNode::new(300), n] {
+            let head = RecordHead::of(&n.edges, &n.attrs);
             let mut record = BytesMut::new();
-            put_node_record(&mut record, &n, &EMPTY, &mut OwnPairs::default());
+            put_node_record(&mut record, &head, &n, &EMPTY, &mut OwnPairs::default());
             let mut row = BytesMut::new();
             crate::codec::put_static_node(&mut row, &n);
-            assert_eq!(&row[2..], &record[..]);
+            let row_head = head.shape | (n.edges.len() as u8) << 3;
+            assert_eq!(&row[..3], &[0xac, 0x02, row_head]);
+            assert_eq!(&row[3..], &record[..]);
         }
+    }
+
+    #[test]
+    fn a_default_edge_piece_costs_its_neighbor_and_two_bits() {
+        // 64 nodes of one default edge each: every head is edge count 1
+        // at Rice parameter 0 (`01`), no attribute count, no shape —
+        // the counts column is its parameter byte and 128 bits, and
+        // the records are the 64 neighbor varints alone.
+        let d: Delta = (0..64u64)
+            .map(|i| node_with(2 * i, &[i + 1], &[]))
+            .collect();
+        let col = tree_row(&d);
+        assert_eq!(&col.seg(SEG_COUNTS)[..2], &[0, 0b1010_1010]);
+        assert_eq!(col.segs[SEG_COUNTS].len(), 1 + 64 * 2 / 8);
+        assert_eq!(col.segs[SEG_RECORDS].len(), 64);
+        // Ids 0, 2, ..., 126: offsets 2, 4, ..., 126 from the first, so
+        // `l = 1` — a low bit each, then a unary rise of one (`01`)
+        // each.
+        assert_eq!(
+            col.segs[SEG_NODE_IDS].len(),
+            1 + 1 + 63usize.div_ceil(8) + (63 * 2usize).div_ceil(8)
+        );
+        assert_eq!(col.to_delta().unwrap(), d);
+
+        // One attributed record and one weighted one: every code
+        // gains an attribute count and a shape.
+        let mut odd = d.clone();
+        odd.insert(node_with(1, &[], &[("a", 1)]));
+        let mut weighted = StaticNode::new(3);
+        weighted.insert_edge(Neighbor::weighted(4, EdgeDir::Both, 2.0));
+        odd.insert(weighted);
+        let col = tree_row(&odd);
+        let counts = col.seg(SEG_COUNTS);
+        assert_eq!(counts[0], COUNTS_ATTRS | COUNTS_SHAPES);
+        assert_eq!(counts[1], 0, "the attribute counts' Rice parameter");
+        assert_eq!(col.to_delta().unwrap(), odd);
+        for n in odd.iter() {
+            assert_eq!(col.node_record(n.id).unwrap().as_ref(), Some(n));
+        }
+    }
+
+    #[test]
+    fn counts_columns_off_the_grammar_are_refused() {
+        let d = forty_nodes();
+        let good = tree_row(&d).seg(SEG_COUNTS).to_vec();
+        assert_eq!(
+            good[0] & (COUNTS_ATTRS | COUNTS_SHAPES),
+            COUNTS_ATTRS | COUNTS_SHAPES
+        );
+        // 21 codes of two bits: the last byte has six bits of padding.
+        let plain: Delta = (0..21u64).map(|i| node_with(i, &[i + 1], &[])).collect();
+        let plain_counts = tree_row(&plain).seg(SEG_COUNTS).to_vec();
+        let flagged = |flag: u8| {
+            // The plain row's codes read with one more flag: each code
+            // then spells more than the column holds, or the records
+            // never need the flag.
+            let mut c = plain_counts.clone();
+            c[0] |= flag;
+            if flag == COUNTS_ATTRS {
+                c.insert(1, 0);
+            }
+            c
+        };
+        for (row, counts, what) in [
+            (&d, good[..good.len() - 1].to_vec(), "short"),
+            (&d, [&good[..], &[0]].concat(), "overlong"),
+            (
+                &plain,
+                {
+                    let mut c = plain_counts.clone();
+                    *c.last_mut().unwrap() |= 0x80;
+                    c
+                },
+                "set padding",
+            ),
+            (&plain, flagged(COUNTS_SHAPES), "shapes flag"),
+            (&plain, flagged(COUNTS_ATTRS), "attrs flag"),
+            (
+                &plain,
+                vec![0; plain_counts.len()],
+                "a unary run past the end",
+            ),
+            (&plain, Vec::new(), "empty"),
+        ] {
+            let col = with_delta_segment(row, SEG_COUNTS, |_| counts.clone());
+            assert!(col.to_delta().is_err(), "{what}");
+            let mut state = Delta::new();
+            assert!(col.sum_into(&mut state, None).is_err(), "{what}");
+        }
+        // The flags of a row whose records need neither, set anyway and
+        // each code spelled to match: only the full read refuses it.
+        let mut both = BytesMut::new();
+        both.put_slice(&[COUNTS_ATTRS | COUNTS_SHAPES, 0]);
+        let mut bits = BitWriter::new(&mut both);
+        for _ in 0..plain.cardinality() {
+            bits.put_rice(1, 0);
+            bits.put_rice(0, 0);
+            bits.put(u64::from(SHAPE_DEFAULT), SHAPE_BITS);
+        }
+        bits.finish();
+        // Its one full window's codes now take 16 · 6 bits.
+        let row = tree_row(&plain);
+        let mut segs: Vec<Bytes> = (0..DELTA_SEGS).map(|i| row.seg(i)).collect();
+        let w0 = get_varint(&mut &segs[SEG_RESTARTS][..]).unwrap();
+        segs[SEG_RESTARTS] = varints(&[w0, 16 * 6]).into();
+        let both = reassembled(DELTA_MAGIC, 21, segs, SEG_COUNTS, |_| both.to_vec());
+        let col = ColumnarDelta::parse(both).unwrap();
+        assert_eq!(
+            col.to_delta(),
+            Err(CodecError::BadTag {
+                what: "counts flags",
+                tag: COUNTS_ATTRS | COUNTS_SHAPES,
+            })
+        );
+        for n in plain.iter() {
+            assert_eq!(col.node_record(n.id).unwrap().as_ref(), Some(n));
+        }
+
+        // An edge count past the codec's sanity cap: at Rice parameter
+        // 33, a quotient of one is 2^33 entries.
+        let mut huge = BytesMut::new();
+        huge.put_u8(33);
+        let mut bits = BitWriter::new(&mut huge);
+        bits.put_rice(1 << 33, 33);
+        for _ in 1..plain.cardinality() {
+            bits.put_rice(1, 33);
+        }
+        bits.finish();
+        let col = with_delta_segment(&plain, SEG_COUNTS, |_| huge.to_vec());
+        let too_many = CodecError::LengthOverflow {
+            what: "edges",
+            len: 1 << 33,
+        };
+        assert_eq!(col.to_delta(), Err(too_many.clone()));
+        assert_eq!(col.node_record(0), Err(too_many));
     }
 
     #[test]
@@ -1851,7 +2548,7 @@ mod tests {
         let delta = encode_columnar_delta(&sample_delta());
         let elist = encode_columnar_eventlist(&Eventlist::from_sorted(sample_events()));
         assert_eq!((delta[0], elist[0]), (DELTA_MAGIC, ELIST_MAGIC));
-        for retired in [0xC1u8, 0xC2, 0xC3, 0xC4, 0xC5, 0xC6, 0xC7] {
+        for retired in [0xC1u8, 0xC2, 0xC3, 0xC4, 0xC5, 0xC6, 0xC7, 0xC8] {
             let mut old = delta.to_vec();
             old[0] = retired;
             assert!(matches!(
@@ -2332,34 +3029,86 @@ mod tests {
         b.to_vec()
     }
 
+    /// An id column spelled by hand: `first`, then `l`, the low parts
+    /// and the high parts' rises.
+    fn id_column(first: u64, l: u8, lows: &[u64], rises: &[u64]) -> Vec<u8> {
+        let mut ids = BytesMut::new();
+        put_varint(&mut ids, first);
+        ids.put_u8(l);
+        let mut bits = BitWriter::new(&mut ids);
+        for &low in lows {
+            bits.put(low, u32::from(l));
+        }
+        bits.finish();
+        let mut bits = BitWriter::new(&mut ids);
+        for &rise in rises {
+            bits.put_rice(rise, 0);
+        }
+        bits.finish();
+        ids.to_vec()
+    }
+
     #[test]
-    fn a_zero_or_overflowing_id_gap_is_refused_by_both_reads() {
-        // Ids `[5, 1]` made `[5, 0]`: the second record claims node 5
-        // again. A full read that merged the two would answer `{1, 2}`
-        // where a point read answers `{1}`; both refuse instead.
-        let d: Delta = [node_with(5, &[1], &[]), node_with(6, &[2], &[])]
+    fn an_id_that_does_not_rise_or_overflows_is_refused() {
+        // Ids `[top, top + 2]`: a wrapping sum would put the second
+        // record before the first. Both reads refuse it.
+        let top = u64::MAX - 1;
+        let d: Delta = [node_with(top - 1, &[1], &[]), node_with(top, &[2], &[])]
             .into_iter()
             .collect();
-        let zero = CodecError::BadRef {
+        let col = with_delta_segment(&d, SEG_NODE_IDS, |_| id_column(top, 0, &[], &[2]));
+        let want = CodecError::VarintOverflow;
+        assert_eq!(col.to_delta(), Err(want.clone()));
+        assert_eq!(col.node_record(u64::MAX), Err(want.clone()));
+        assert_eq!(col.contains(u64::MAX), Err(want.clone()));
+        assert_eq!(col.sum_node_into(u64::MAX, &mut Delta::new()), Err(want));
+
+        // Ids `[5, 10, 9]`, and `[5, 10, 10]`: offsets 5 and 4 (or 5)
+        // share their high part at `l = 1`, and the low bits fall (or
+        // stay). A full read that took them would answer two records
+        // for one node or ids out of order; it refuses instead.
+        let d: Delta = (1..4u64).map(|i| node_with(i, &[9], &[])).collect();
+        let not_rising = CodecError::BadRef {
             what: "node-id gap",
             id: 0,
         };
-        let top = u64::MAX - 1;
-        let at_top: Delta = [node_with(top, &[1], &[]), node_with(top + 1, &[2], &[])]
-            .into_iter()
-            .collect();
-        for (d, ids, probe, want) in [
-            (&d, [5, 0], 5, zero),
-            (&at_top, [top, 2], top, CodecError::VarintOverflow),
-        ] {
-            let col = with_delta_segment(d, SEG_NODE_IDS, |_| varints(&ids));
-            assert_eq!(col.to_delta(), Err(want.clone()));
-            assert_eq!(col.node_record(probe), Err(want.clone()));
-            assert_eq!(col.contains(probe), Err(want.clone()));
-            assert_eq!(
-                col.sum_node_into(probe, &mut Delta::new()),
-                Err(want.clone())
-            );
+        for lows in [[1, 0], [1, 1]] {
+            let col = with_delta_segment(&d, SEG_NODE_IDS, |_| id_column(5, 1, &lows, &[2, 0]));
+            assert_eq!(col.to_delta(), Err(not_rising.clone()), "lows {lows:?}");
+        }
+        // In order, the same column reads.
+        let col = with_delta_segment(&d, SEG_NODE_IDS, |_| id_column(5, 1, &[0, 1], &[2, 0]));
+        assert_eq!(col.to_delta().unwrap().sorted_ids(), [5, 9, 10]);
+        assert!(col.contains(9).unwrap() && !col.contains(8).unwrap());
+    }
+
+    #[test]
+    fn a_seek_finds_every_id_and_no_other() {
+        // Gaps of one, of a few, and now and then of thousands: high
+        // parts that cross word boundaries, runs of ids sharing one
+        // high part, and long runs of zeros between ones.
+        for (n, spread) in [(2u64, 1u64), (65, 1), (300, 7), (300, 5_000)] {
+            let ids: Vec<u64> = (0..n)
+                .scan(10u64, |id, i| {
+                    *id += 1 + (i * 7919) % spread + (i % 37 == 0) as u64 * 3 * spread;
+                    Some(*id)
+                })
+                .collect();
+            let d: Delta = ids.iter().map(|&id| node_with(id, &[1], &[])).collect();
+            let col = tree_row(&d);
+            assert_eq!(col.to_delta().unwrap(), d);
+            let mut probes: Vec<u64> = ids.iter().flat_map(|&id| [id - 1, id, id + 1]).collect();
+            probes.extend([0, u64::MAX, ids[ids.len() - 1] + 10_000]);
+            for id in probes {
+                let want = ids.binary_search(&id).is_ok();
+                let fresh = tree_row(&d);
+                assert_eq!(
+                    fresh.contains(id).unwrap(),
+                    want,
+                    "n {n}, spread {spread}, id {id}"
+                );
+                assert_eq!(fresh.node_record(id).unwrap().as_ref(), d.node(id));
+            }
         }
     }
 
@@ -2385,8 +3134,23 @@ mod tests {
         let d = forty_nodes();
         let col = tree_row(&d);
         let mut restarts: &[u8] = &col.seg(SEG_RESTARTS);
-        let windows: Vec<u64> = (0..2).map(|_| get_varint(&mut restarts).unwrap()).collect();
+        let (windows, bits): (Vec<u64>, Vec<u64>) = (0..2)
+            .map(|_| {
+                let len = get_varint(&mut restarts).unwrap();
+                (len, get_varint(&mut restarts).unwrap())
+            })
+            .unzip();
         assert!(restarts.is_empty(), "one restart per full window");
+        // Each window's codes take the bits its restart says.
+        let craw = col.seg(SEG_COUNTS);
+        let mut counts = Counts::new(&craw, 40, 0).unwrap();
+        for want in bits {
+            let before = counts.bits_left();
+            for _ in 0..RESTART_INTERVAL {
+                counts.next().unwrap();
+            }
+            assert_eq!((before - counts.bits_left()) as u64, want);
+        }
         // The two windows are the records of the first 32 nodes: a row
         // of those alone spells them alike (pairs are numbered in order
         // of first use, so a prefix of the nodes numbers its pairs as
@@ -2413,29 +3177,45 @@ mod tests {
 
     #[test]
     fn a_restart_off_its_window_is_refused_by_the_full_read() {
-        // Moving one byte between the two windows keeps the restarts'
-        // sum, so only the check against the offsets the full read
-        // reaches catches it — where a point read past the first
-        // window would skip from a point inside a record.
+        // Moving one byte, or one bit, between the two windows keeps
+        // the restarts' sums, so only the check against the offsets the
+        // full read reaches catches it — where a point read past the
+        // first window would skip from a point inside a record, or read
+        // heads from inside a code.
         let d = forty_nodes();
         let col = tree_row(&d);
         let mut b: &[u8] = &col.seg(SEG_RESTARTS);
-        let (w0, w1) = (get_varint(&mut b).unwrap(), get_varint(&mut b).unwrap());
+        let [w0, b0, w1, b1] = [(); 4].map(|()| get_varint(&mut b).unwrap());
         for (bad, restarts, behind_the_lie) in [
-            (w0 + 1, vec![w0 + 1, w1 - 1], vec![16]),
-            (w0 - 1, vec![w0 - 1, w1 + 1], (16..32).collect()),
-            (w1 + 1, vec![w0, w1 + 1], (32..40).collect()),
+            (
+                w0 + 1,
+                vec![w0 + 1, b0, w1 - 1, b1],
+                vec![17, 18, 19, 21, 22],
+            ),
+            (
+                w0 - 1,
+                vec![w0 - 1, b0, w1 + 1, b1],
+                vec![16, 17, 18, 19, 21, 22],
+            ),
+            (w1 + 1, vec![w0, b0, w1 + 1, b1], vec![32, 33]),
+            (
+                b0 + 1,
+                vec![w0, b0 + 1, w1, b1 - 1],
+                vec![16, 17, 18, 19, 21, 22],
+            ),
+            (b1 - 1, vec![w0, b0, w1, b1 - 1], (32..40).collect()),
         ] {
             let col = with_delta_segment(&d, SEG_RESTARTS, |_| varints(&restarts));
             // A point read alone does not check restarts: on a row
-            // nothing has read in full, every record it answers here is
-            // `Ok`, and some behind the lie are parsed from bytes that
-            // are not theirs (a skip landing inside a record may fall
-            // back in step with the records a few later).
+            // nothing has read in full, some records behind the lie are
+            // parsed from bytes or heads that are not theirs and
+            // answered as `Ok`, or refused where what the read lands on
+            // is off the grammar (a skip landing inside a record may
+            // fall back in step with the records a few later).
             let wrong: Vec<u64> = (0..40u64)
-                .filter(|&i| {
-                    let got = col.node_record(3 * i).expect("a parseable record");
-                    got.as_ref() != d.node(3 * i)
+                .filter(|&i| match col.node_record(3 * i) {
+                    Ok(got) => got.as_ref() != d.node(3 * i),
+                    Err(_) => true,
                 })
                 .collect();
             assert_eq!(wrong, behind_the_lie, "restarts {restarts:?}");
@@ -2453,7 +3233,7 @@ mod tests {
             col.to_delta(),
             Err(CodecError::UnexpectedEof { .. })
         ));
-        let col = with_delta_segment(&d, SEG_RESTARTS, |_| varints(&[w0, w1, 3]));
+        let col = with_delta_segment(&d, SEG_RESTARTS, |_| varints(&[w0, b0, w1, b1, 3]));
         assert_eq!(
             col.to_delta(),
             Err(CodecError::TrailingBytes { remaining: 1 })

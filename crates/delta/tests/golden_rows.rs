@@ -78,7 +78,7 @@ fn hex(b: &[u8]) -> String {
     b.iter().map(|x| format!("{x:02x}")).collect()
 }
 
-const GOLDEN_DELTA: &str = "c8030403003f1a030223050a456e7469747954797065054772616465026f6b0573636f72650573696e63650504009e1f000206506572736f6e0100040203010301000000000000e03f9005020000803f000400000020400101000102cf030301030407";
+const GOLDEN_DELTA: &str = "ca030504003f051603045209050a456e7469747954797065054772616465026f6b0573636f72650573696e63650504009e1f000206506572736f6e0100040203010301000000000000e03fc00024c47f05020000803f00040000002040010100010203010304";
 const GOLDEN_ELIST: &str = "c9080804040a02002602010203000201004d490600020305060758b652b804030a456e74697479547970650547726164650573696e6365030206506572736f6e0004009e1f840184";
 
 #[test]

@@ -12,10 +12,11 @@
 //!    drawn per *shape* (which of `dir` / weight / attributes are
 //!    constant across a list): replayed random histories almost never
 //!    produce the all-default list that real datasets are made of;
-//!  * head-byte edges (plain `#[test]`s at the end) — records on either
-//!    side of the counts a head byte holds (six entries, two node
-//!    attributes), in every shape, whole and as tree pieces; eventlist
-//!    rows on either side of "every weighted event is the default edge";
+//!  * counts edges (plain `#[test]`s at the end) — records of no, one,
+//!    a few and 300 entries and of up to five node attributes, in
+//!    every shape, beside a bare node whose code the 300-entry record's
+//!    Rice parameter widens, whole and as tree pieces; eventlist rows
+//!    on either side of "every weighted event is the default edge";
 //!  * context tables — a row encoded against a pair table that shares
 //!    any subset of its pairs (and holds pairs of its own) round-trips
 //!    when parsed against that table.
@@ -476,7 +477,7 @@ fn row_of(n: &StaticNode) -> ColumnarDelta {
 }
 
 #[test]
-fn records_round_trip_on_both_sides_of_the_head_byte_counts() {
+fn records_round_trip_whatever_their_counts_and_shape() {
     for n_edges in [0usize, 1, 6, 7, 8, 300] {
         for n_attrs in [0usize, 2, 3, 5] {
             for shape in 0u8..4 {

@@ -6,8 +6,8 @@
 //! **tree** row (the rest, read onto the root's sum) — and tries it
 //! five ways: unchanged, with one byte replaced, with bytes inserted,
 //! truncated, and replaced by arbitrary bytes; as a whole or inside one
-//! of its segments (id column, restart column, key dictionary,
-//! records), with the header re-spelled to fit. The properties:
+//! of its segments (id column, restart column, key dictionary, counts
+//! column, records), with the header re-spelled to fit. The properties:
 //!
 //! * `parse`, `to_delta`, `sum_into`, `node_record`, `sum_node_into`
 //!   and `contains` return `Ok` or `Err`, never panic, and never answer
@@ -20,7 +20,7 @@
 //!   onto a state, `sum_node_into(id)` onto that node's part of the
 //!   state is the path sum's description of it. (It holds because
 //!   the full read checks everything the point read steps by: the id
-//!   gaps and every restart.)
+//!   column, the counts column and every restart.)
 //! * unchanged rows round-trip exactly, tree rows onto their root too.
 //!
 //! Every case is encoded and read in one of two contexts, drawn per
@@ -28,6 +28,14 @@
 //! that shares some of the graph's pairs and holds others of its own
 //! (an index span's, whose rows name what it has by its id and spell
 //! the rest in their own dictionary).
+//!
+//! The counts column — every record's head, bit-coded — gets cases of
+//! its own at row sizes of 1, 15, 16, 17 and 300 records, with and
+//! without its two flags: short, overlong, badly padded, a Rice run
+//! past its end and an empty column are refused by the full read, and
+//! a flag the records contradict is answered alike by both reads
+//! (`columnar.rs`'s unit tests pin that the full read refuses a flag
+//! no record needs).
 //!
 //! The pair dictionary gets cases of its own: replaced by arbitrary
 //! bytes, or followed by them, it is read or refused and never panics
@@ -49,7 +57,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use common::{
     arb_attr_value, arb_mutation, arb_node, for_cases, mutate, Mutation, RowSegments, Split,
 };
-use hgs_delta::codec::{encode_delta, put_varint};
+use hgs_delta::codec::{encode_delta, get_varint, put_varint};
 use std::sync::Arc;
 
 use hgs_delta::columnar::{encode_columnar_delta, encode_columnar_delta_in};
@@ -84,9 +92,8 @@ fn arb_neighbor() -> impl Strategy<Value = Neighbor> {
         })
 }
 
-/// A node description: a few entries, sometimes more than the six a
-/// record head holds; node attributes now and then, sometimes more
-/// than the two it holds.
+/// A node description: a few entries, sometimes a dozen; node
+/// attributes now and then, sometimes several.
 fn arb_static_node() -> impl Strategy<Value = StaticNode> {
     (
         arb_node(),
@@ -307,28 +314,37 @@ fn hostile_counts_and_restarts_are_refused() {
     let col = ColumnarDelta::parse(parts.assemble()).unwrap();
     assert!(col.to_delta().is_err());
     assert!(col.node_record(19).is_err());
-    // A restart past the record segment, or past the sanity cap: the
-    // point read of a node behind it refuses, and so does the full read.
+    // A restart past the record segment or the counts column, or past
+    // the sanity cap: the point read of a node behind it refuses, and
+    // so does the full read.
+    let mut restarts: &[u8] = &RowSegments::parse(&row).segs[1];
+    let window = [(); 2].map(|()| get_varint(&mut restarts).unwrap());
     for restart in [1u64 << 20, u64::from(u32::MAX) << 4] {
-        let mut parts = RowSegments::parse(&row);
-        let mut seg = BytesMut::new();
-        put_varint(&mut seg, restart);
-        parts.segs[1] = seg.to_vec();
-        let col = ColumnarDelta::parse(parts.assemble()).unwrap();
-        assert!(col.node_record(17).is_err(), "restart {restart}");
-        assert!(col.node_record(3).unwrap().is_some(), "before the restart");
-        assert!(col.to_delta().is_err());
+        for at in 0..2 {
+            let mut parts = RowSegments::parse(&row);
+            let mut seg = BytesMut::new();
+            let mut lied = window;
+            lied[at] = restart;
+            for v in lied {
+                put_varint(&mut seg, v);
+            }
+            parts.segs[1] = seg.to_vec();
+            let col = ColumnarDelta::parse(parts.assemble()).unwrap();
+            assert!(col.node_record(17).is_err(), "restart {lied:?}");
+            assert!(col.node_record(3).unwrap().is_some(), "before the restart");
+            assert!(col.to_delta().is_err());
+        }
     }
-    // A record head announcing 2^31 entries over a handful of bytes.
+    // A counts column announcing 2^31 entries for the first record,
+    // over a handful of bytes: at Rice parameter 31, a quotient of one
+    // (`01`) and 31 zero bits, then what the other codes were.
     let mut parts = RowSegments::parse(&row);
-    let records = &mut parts.segs[3];
-    records[0] |= 7 << 3;
-    let mut escaped = vec![records[0]];
-    let mut count = BytesMut::new();
-    put_varint(&mut count, 1 << 31);
-    escaped.extend_from_slice(&count);
-    escaped.extend_from_slice(&records[1..]);
-    *records = escaped;
+    let mut counts = BytesMut::new();
+    counts.put_u8(31);
+    let rest = &parts.segs[COUNTS][1..];
+    counts.put_slice(&[0b10, 0, 0, 0, 0]);
+    counts.put_slice(rest);
+    parts.segs[COUNTS] = counts.to_vec();
     let col = ColumnarDelta::parse(parts.assemble()).unwrap();
     assert!(matches!(
         col.node_record(0),
@@ -341,9 +357,11 @@ fn hostile_counts_and_restarts_are_refused() {
 // the pair dictionary
 // ----------------------------------------------------------------------
 
-/// Where a delta row keeps its pair dictionary and its records.
+/// Where a delta row keeps its pair dictionary, its counts column and
+/// its records.
 const DICT: usize = 2;
-const RECORDS: usize = 3;
+const COUNTS: usize = 3;
+const RECORDS: usize = 4;
 
 /// Every read of `row`, in the context of `table`, refuses it: the
 /// full read, the path sum, and the point reads of each of `ids`.
@@ -426,8 +444,8 @@ fn dictionary_indexes_past_their_dictionary_are_refused() {
     // 0 and a zigzag varint).
     let dict = vec![2, 1, b'a', 1, b'b', 2, 0, 0, 2, 1, 0, 4];
     assert_eq!(parts.segs[DICT], dict);
-    // A record of no edges and one pair: the head, then pair 0 or 1.
-    assert_eq!(parts.segs[RECORDS], vec![0x47, 0, 0x47, 1]);
+    // Two records of no edges and one pair each: pair 0, then pair 1.
+    assert_eq!(parts.segs[RECORDS], vec![0, 1]);
     let ids = [1, 2];
     let empty = Arc::default();
 
@@ -438,24 +456,14 @@ fn dictionary_indexes_past_their_dictionary_are_refused() {
         p.assemble()
     };
     // Pair index 2 of two pairs, in either record.
-    every_read_refuses(
-        with(dict.clone(), vec![0x47, 2, 0x47, 2]),
-        &empty,
-        &ids,
-        "pair index",
-    );
+    every_read_refuses(with(dict.clone(), vec![2, 2]), &empty, &ids, "pair index");
     // A pair naming key 2 of two keys.
     let mut bad_key = dict.clone();
     bad_key[9] = 2;
-    every_read_refuses(
-        with(bad_key, vec![0x47, 0, 0x47, 1]),
-        &empty,
-        &ids,
-        "key index",
-    );
+    every_read_refuses(with(bad_key, vec![0, 1]), &empty, &ids, "key index");
     // Record pairs beside an empty dictionary.
     every_read_refuses(
-        with(Vec::new(), vec![0x47, 0, 0x47, 0]),
+        with(Vec::new(), vec![0, 0]),
         &empty,
         &ids,
         "empty dictionary",
@@ -463,15 +471,10 @@ fn dictionary_indexes_past_their_dictionary_are_refused() {
     // A byte after the last pair.
     let mut trailing = dict.clone();
     trailing.push(0);
-    every_read_refuses(
-        with(trailing, vec![0x47, 0, 0x47, 1]),
-        &empty,
-        &ids,
-        "trailing byte",
-    );
+    every_read_refuses(with(trailing, vec![0, 1]), &empty, &ids, "trailing byte");
     // Unchanged, the row reads.
     assert_eq!(
-        ColumnarDelta::parse(with(dict, vec![0x47, 0, 0x47, 1]))
+        ColumnarDelta::parse(with(dict, vec![0, 1]))
             .unwrap()
             .to_delta(),
         Ok(g)
@@ -503,7 +506,7 @@ fn ids_past_the_table_and_the_row_are_refused() {
     let dict = vec![1, 1, b'b', 1, 1, 0, 4];
     assert_eq!(parts.segs[DICT], dict);
     // Table pair 0, then the row's own pair, id 1.
-    assert_eq!(parts.segs[RECORDS], vec![0x47, 0, 0x47, 1]);
+    assert_eq!(parts.segs[RECORDS], vec![0, 1]);
     let ids = [1, 2];
     let with = |dict: Vec<u8>, records: Vec<u8>| {
         let mut p = RowSegments::parse(&row);
@@ -512,7 +515,7 @@ fn ids_past_the_table_and_the_row_are_refused() {
         p.assemble()
     };
     every_read_refuses(
-        with(dict.clone(), vec![0x47, 2, 0x47, 2]),
+        with(dict.clone(), vec![2, 2]),
         &table,
         &ids,
         "pair id past the table and the row",
@@ -520,14 +523,14 @@ fn ids_past_the_table_and_the_row_are_refused() {
     let mut bad_key = dict.clone();
     bad_key[4] = 2;
     every_read_refuses(
-        with(bad_key, vec![0x47, 0, 0x47, 1]),
+        with(bad_key, vec![0, 1]),
         &table,
         &ids,
         "key id past the table and the row",
     );
     // Without the row's own pairs, node 2's id 1 names nothing.
     every_read_refuses(
-        with(Vec::new(), vec![0x47, 0, 0x47, 1]),
+        with(Vec::new(), vec![0, 1]),
         &table,
         &[2],
         "empty dictionary",
@@ -535,12 +538,12 @@ fn ids_past_the_table_and_the_row_are_refused() {
     // A dictionary of no key and no pair is spelled empty; one of no
     // key of its own may still hold pairs, its keys the table's.
     every_read_refuses(
-        with(vec![0, 0], vec![0x47, 0, 0x47, 0]),
+        with(vec![0, 0], vec![0, 0]),
         &table,
         &ids,
         "an empty dictionary spelled",
     );
-    let own_a = with(vec![0, 1, 0, 0, 4], vec![0x47, 0, 0x47, 1]);
+    let own_a = with(vec![0, 1, 0, 0, 4], vec![0, 1]);
     let col = ColumnarDelta::parse_in(own_a, &table).unwrap();
     let mut want = g.clone();
     let mut two = StaticNode::new(2);
@@ -548,9 +551,104 @@ fn ids_past_the_table_and_the_row_are_refused() {
     want.insert(two);
     assert_eq!(col.to_delta(), Ok(want));
     // Unchanged, the row reads — in its context, and only there.
-    let col = ColumnarDelta::parse_in(with(dict.clone(), vec![0x47, 0, 0x47, 1]), &table);
+    let col = ColumnarDelta::parse_in(with(dict.clone(), vec![0, 1]), &table);
     assert_eq!(col.unwrap().to_delta(), Ok(g));
     every_read_refuses(row, &Arc::default(), &ids, "the row out of its context");
+}
+
+// ----------------------------------------------------------------------
+// the counts column
+// ----------------------------------------------------------------------
+
+/// A row of `n` records, each one default edge, but for what `variant`
+/// adds: an attributed record (1), a record of a weighted entry (2),
+/// or both (3) — a counts column with neither flag, either, or both.
+fn row_of_records(n: u64, variant: u8) -> Delta {
+    (0..n)
+        .map(|i| {
+            let mut node = StaticNode::new(3 * i);
+            let mut e = Neighbor::new(3 * i + 1, EdgeDir::Both);
+            if i == n / 2 && variant & 2 != 0 {
+                e.weight = 0.5;
+            }
+            node.insert_edge(e);
+            if i == n - 1 && variant & 1 != 0 {
+                node.attrs.set("k", AttrValue::Int(i as i64));
+            }
+            node
+        })
+        .collect()
+}
+
+/// Rows of 1, 15, 16, 17 and 300 records — no restart, one window
+/// short of one, exactly one, one past, many — each with and without
+/// the counts column's two flags: read alike by both reads, and with
+/// the counts column short, overlong, badly padded, run past its end
+/// or flagged otherwise, refused by the full read or, where the full
+/// read accepts, answered alike by the point read.
+#[test]
+fn counts_columns_off_the_grammar_are_refused_at_every_row_size() {
+    let empty = Arc::default();
+    for n in [1u64, 15, 16, 17, 300] {
+        for variant in 0u8..4 {
+            let case = format!("{n} records, variant {variant}");
+            let d = row_of_records(n, variant);
+            let row = encode_columnar_delta(&d);
+            assert!(check_delta_row(row.clone(), &empty, &Delta::new(), &d).unwrap());
+            let parts = RowSegments::parse(&row);
+            let counts = &parts.segs[COUNTS];
+            let flags = counts[0] & 0xc0;
+            assert_eq!(flags, [0, 0x40, 0x80, 0xc0][variant as usize], "{case}");
+
+            let with_counts = |counts: Vec<u8>| {
+                let mut p = RowSegments::parse(&row);
+                p.segs[COUNTS] = counts;
+                p.assemble()
+            };
+            let mut refused = vec![
+                ("short", counts[..counts.len() - 1].to_vec()),
+                ("overlong", [&counts[..], &[0]].concat()),
+                ("empty", Vec::new()),
+                // Every code bit zero: the first unary run never ends.
+                ("a Rice run past the end", {
+                    let mut c = counts.clone();
+                    let params = 1 + (flags & 0x40 != 0) as usize;
+                    c[params..].fill(0);
+                    c
+                }),
+            ];
+            if variant == 0 && n % 4 != 0 {
+                // Two bits a code: the last byte has padding, its top
+                // bit among it.
+                let mut c = counts.clone();
+                *c.last_mut().unwrap() |= 0x80;
+                refused.push(("badly padded", c));
+            }
+            for (what, bad) in refused {
+                let bad = with_counts(bad);
+                let col = ColumnarDelta::parse(bad.clone()).unwrap();
+                assert!(col.to_delta().is_err(), "{case}: {what}");
+                check_delta_row(bad, &empty, &Delta::new(), &d)
+                    .unwrap_or_else(|e| panic!("{case}: {what}: {e}"));
+            }
+            // A flag set or cleared against the records: whatever the
+            // full read makes of it, the point read agrees.
+            for flag in [0x40u8, 0x80] {
+                let mut c = counts.clone();
+                c[0] ^= flag;
+                if flag == 0x40 {
+                    if flags & 0x40 == 0 {
+                        c.insert(1, 0);
+                    } else {
+                        c.remove(1);
+                    }
+                }
+                let bad = with_counts(c);
+                check_delta_row(bad, &empty, &Delta::new(), &d)
+                    .unwrap_or_else(|e| panic!("{case}: flag {flag:#x}: {e}"));
+            }
+        }
+    }
 }
 
 #[test]
@@ -558,7 +656,7 @@ fn rows_of_the_retired_magics_are_refused_by_name() {
     let mut n = StaticNode::new(4);
     n.attrs.set("k", AttrValue::Bool(true));
     let row = encode_columnar_delta(&[n].into_iter().collect());
-    for magic in [0xC6u8, 0xC7] {
+    for magic in [0xC6u8, 0xC7, 0xC8] {
         let mut old = BytesMut::new();
         old.put_u8(magic);
         old.put_slice(&row[1..]);

@@ -20,14 +20,6 @@ pub fn density(g: &Graph) -> f64 {
     2.0 * g.edge_count() as f64 / (n * (n - 1.0))
 }
 
-/// Mean undirected degree.
-pub fn average_degree(g: &Graph) -> f64 {
-    if g.node_count() == 0 {
-        return 0.0;
-    }
-    2.0 * g.edge_count() as f64 / g.node_count() as f64
-}
-
 /// Number of triangles incident to dense index `v`.
 pub fn triangles_at(g: &Graph, v: u32) -> usize {
     let ns = g.neighbors(v);
@@ -280,7 +272,6 @@ mod tests {
     fn density_of_complete_graph_is_one() {
         let g = graph_from_edges(&[(1, 2), (2, 3), (1, 3)]);
         assert!((density(&g) - 1.0).abs() < 1e-12);
-        assert!((average_degree(&g) - 2.0).abs() < 1e-12);
     }
 
     #[test]

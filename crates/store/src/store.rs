@@ -695,8 +695,12 @@ impl SimStore {
             for r in 0..self.cfg.replication {
                 let m = self.machine_for(token, r);
                 let now = self.clock.fetch_add(1, Ordering::Relaxed);
-                // hgs-lint: allow(no-panic-in-try, "machine_for maps every token into 0..machines.len(), and breakers is built with one entry per machine")
-                if !self.breakers[m].allows(now, &policy) {
+                // A replica past the cluster cannot serve: skip it.
+                let (Some(breaker), Some(machine)) = (self.breakers.get(m), self.machines.get(m))
+                else {
+                    continue;
+                };
+                if !breaker.allows(now, &policy) {
                     continue;
                 }
                 match plan
@@ -708,8 +712,7 @@ impl SimStore {
                     }
                     FaultVerdict::Healthy => {}
                 }
-                // hgs-lint: allow(no-panic-in-try, "machine_for maps every token into 0..machines.len()")
-                let got = self.machines[m].multi_get(std::slice::from_ref(&nk));
+                let got = machine.multi_get(std::slice::from_ref(&nk));
                 if let Some(v) = got.ok().and_then(|mut rows| rows.pop()).flatten() {
                     copy = Some(v);
                     break;
@@ -729,10 +732,11 @@ impl SimStore {
                         .map_or(FaultVerdict::Healthy, |p| p.verdict(m, now)),
                     FaultVerdict::Outage | FaultVerdict::Flake
                 );
-                // hgs-lint: allow(no-panic-in-try, "machine_for maps every token into 0..machines.len()")
-                let machine = &self.machines[m];
-                // A re-write is a batch of one, like a point read.
-                if refused || machine.put_batch(vec![(nk.clone(), v.clone())]).is_err() {
+                // A re-write is a batch of one, like a point read; a
+                // replica past the cluster cannot take it.
+                let written =
+                    |machine: &Machine| machine.put_batch(vec![(nk.clone(), v.clone())]).is_ok();
+                if refused || !self.machines.get(m).is_some_and(written) {
                     complete = false;
                 }
             }
