@@ -50,7 +50,7 @@ use std::sync::Arc;
 use hgs_delta::attr_index::{
     decode_term_points, encode_term_points, matching_at, value_term, TermPoint, TERM_KIND_VALUE,
 };
-use hgs_delta::{AttrValue, Attrs, Delta, Event, EventKind, FxHashMap, NodeId, Time};
+use hgs_delta::{AttrValue, Attrs, Delta, Event, EventKind, FxHashMap, NodeId, PairTable, Time};
 use hgs_store::key::{term_key, term_token};
 use hgs_store::{StoreError, Table};
 
@@ -61,6 +61,29 @@ use crate::read_cache::{CacheKey, Cached};
 /// `hgs-datagen` writes and the label sugar below reads).
 pub const LABEL_KEY: &str = "EntityType";
 
+/// One span's change points by term: a term of the span's pair table
+/// by its pair id, so a term's bytes are spelled once, when its row
+/// is; one the table lacks (a table built from the same state and
+/// events has every one) by its bytes.
+struct SpanTerms<'t> {
+    table: &'t PairTable,
+    by_pair: Vec<Vec<TermPoint>>,
+    stray: FxHashMap<Vec<u8>, Vec<TermPoint>>,
+}
+
+impl SpanTerms<'_> {
+    fn push(&mut self, key: &str, value: &AttrValue, point: TermPoint) {
+        match self.table.pair_id(key, value) {
+            Some(id) => self.by_pair[id as usize].push(point),
+            None => self
+                .stray
+                .entry(value_term(key, value))
+                .or_default()
+                .push(point),
+        }
+    }
+}
+
 /// Collect one span's secondary-index rows — `(term bytes, encoded
 /// change-point row)` per `(key, value)` term, sorted by term bytes:
 /// carry-in points for the attribute state at span start (`state` must
@@ -69,25 +92,20 @@ pub const LABEL_KEY: &str = "EntityType";
 /// semantics as [`Delta::apply_event`] (a `SetNodeAttr` on an unseen
 /// node implies the node; removals of absent attributes are no-ops).
 /// Only the attributes of nodes the span's events touch are copied
-/// out of `state`.
+/// out of `state`. Points are gathered by `table`'s pair ids — the
+/// span's pair table, which holds every pair of `state` and every pair
+/// the events set.
 pub(crate) fn collect_span_index_rows(
     state: &Delta,
     events: &[Event],
     span_start: Time,
+    table: &PairTable,
 ) -> Vec<(Vec<u8>, bytes::Bytes)> {
-    let mut value_map: FxHashMap<Vec<u8>, Vec<TermPoint>> = FxHashMap::default();
-    fn push(
-        value_map: &mut FxHashMap<Vec<u8>, Vec<TermPoint>>,
-        key: &str,
-        value: &AttrValue,
-        point: TermPoint,
-    ) {
-        value_map
-            .entry(value_term(key, value))
-            .or_default()
-            .push(point);
-    }
-
+    let mut terms = SpanTerms {
+        table,
+        by_pair: vec![Vec::new(); table.pairs().len()],
+        stray: FxHashMap::default(),
+    };
     for node in state.iter() {
         for (k, v) in node.attrs.iter() {
             let point = TermPoint {
@@ -96,12 +114,12 @@ pub(crate) fn collect_span_index_rows(
                 carry: true,
                 became: true,
             };
-            push(&mut value_map, k, v, point);
+            terms.push(k, v, point);
         }
     }
     // Carry points all share the span start time; order them by node so
     // the emitted rows do not depend on `state`'s map iteration order.
-    for pts in value_map.values_mut() {
+    for pts in terms.by_pair.iter_mut().chain(terms.stray.values_mut()) {
         pts.sort_unstable_by_key(|p| p.nid);
     }
 
@@ -127,27 +145,30 @@ pub(crate) fn collect_span_index_rows(
                 let old = attrs_of(&mut cur, state, *id).set(key.clone(), value.clone());
                 if old.as_ref() != Some(value) {
                     if let Some(old) = &old {
-                        push(&mut value_map, key, old, change(*id, false));
+                        terms.push(key, old, change(*id, false));
                     }
-                    push(&mut value_map, key, value, change(*id, true));
+                    terms.push(key, value, change(*id, true));
                 }
             }
             EventKind::RemoveNodeAttr { id, key } => {
                 if let Some(old) = attrs_of(&mut cur, state, *id).remove(key) {
-                    push(&mut value_map, key, &old, change(*id, false));
+                    terms.push(key, &old, change(*id, false));
                 }
             }
             EventKind::RemoveNode { id } => {
                 for (k, v) in std::mem::take(attrs_of(&mut cur, state, *id)).iter() {
-                    push(&mut value_map, k, v, change(*id, false));
+                    terms.push(k, v, change(*id, false));
                 }
             }
             _ => {}
         }
     }
 
-    let mut value_rows: Vec<(Vec<u8>, bytes::Bytes)> = value_map
-        .into_iter()
+    let pairs = table.pairs();
+    let mut value_rows: Vec<(Vec<u8>, bytes::Bytes)> = (terms.by_pair.into_iter().enumerate())
+        .filter(|(_, pts)| !pts.is_empty())
+        .map(|(id, pts)| (value_term(&pairs[id].0, &pairs[id].1), pts))
+        .chain(terms.stray)
         .map(|(term, pts)| (term, encode_term_points(&pts)))
         .collect();
     value_rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -283,7 +304,15 @@ mod tests {
             set(12, 3, "EntityType", "Author"),
             ev(15, EventKind::RemoveNode { id: 7 }),
         ];
-        let rows = collect_span_index_rows(&state, &events, 10);
+        let table = crate::build::span_pair_table(&state, &events);
+        let rows = collect_span_index_rows(&state, &events, 10, &table);
+        // The rows do not depend on the table: gathered by the bytes of
+        // each term, as a table lacking them all leaves them, they are
+        // the same.
+        assert_eq!(
+            collect_span_index_rows(&state, &events, 10, &PairTable::default()),
+            rows
+        );
         let author = value_term("EntityType", &AttrValue::Text("Author".into()));
         let (_, blob) = rows
             .iter()
@@ -365,7 +394,7 @@ mod tests {
 
     #[test]
     fn empty_span_emits_no_rows() {
-        let rows = collect_span_index_rows(&Delta::new(), &[], 0);
+        let rows = collect_span_index_rows(&Delta::new(), &[], 0, &PairTable::default());
         assert!(rows.is_empty());
     }
 }

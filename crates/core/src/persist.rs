@@ -75,9 +75,13 @@ impl std::error::Error for OpenError {}
 /// table — rows this layout would read as those of spans without
 /// pairs, refused all the same: one tag names one writer of every
 /// row) and `10` (delta rows whose records each opened with a head
-/// byte, beside a varint id column; they carry a retired magic too).
+/// byte, beside a varint id column; they carry a retired magic too)
+/// and `11` (row headers spelling a segment count and every segment's
+/// length, records spelling their first neighbour as a varint, and
+/// chain and term rows spelling their integers in whole bytes; the
+/// delta and eventlist rows carry retired magics too).
 /// A store tagged otherwise is refused, not answered from.
-const LAYOUT_TAG: u64 = 11;
+const LAYOUT_TAG: u64 = 12;
 
 /// Serialize the construction configuration: the layout tag, then
 /// every other field of [`TgiConfig`] in declaration order.

@@ -50,9 +50,10 @@ fn fresh_build_issues_zero_reads() {
 }
 
 /// A chain row spells its chunk set and nothing else: every stored
-/// `Versions` row is exactly as long as the varints of its first chunk
-/// and the gaps to the next ones — no count, no time, no `tsid` or
-/// `pid`.
+/// `Versions` row is exactly as long as the bits of its first chunk —
+/// as many as its span's chunk count `q` needs — and of the Rice codes
+/// (parameter `⌊⌈log2 q⌉ / 3⌋`) of each gap to the next chunk less one,
+/// zero-padded to a byte — no count, no time, no `tsid` or `pid`.
 #[test]
 fn a_chain_row_is_its_chunk_gaps_and_nothing_else() {
     let events = WikiGrowth::sized(4_000).generate();
@@ -60,11 +61,7 @@ fn a_chain_row_is_its_chunk_gaps_and_nothing_else() {
     let tgi = TgiService::try_build_on(cfg(), store.clone(), &events)
         .expect("build")
         .pin();
-    let varint_len = |v: u32| {
-        let mut buf = bytes::BytesMut::new();
-        hgs_delta::codec::put_varint(&mut buf, v as u64);
-        buf.len()
-    };
+    let metas = common::span_metas(&tgi);
     let mut rows = 0;
     for (key, row) in store.content_rows().into_iter().flatten() {
         if key[0] != Table::Versions.tag() {
@@ -80,10 +77,14 @@ fn a_chain_row_is_its_chunk_gaps_and_nothing_else() {
             .map(|e| e.chunk)
             .collect();
         assert!(!chunks.is_empty(), "a row for a span the node is not in");
-        let gaps = chunks
-            .iter()
-            .scan(0, |prev, &c| Some(c - std::mem::replace(prev, c)));
-        assert_eq!(row.len(), gaps.map(varint_len).sum::<usize>());
+        let q = metas[tsid as usize].checkpoints.len() as u32;
+        let width = u32::BITS - (q - 1).leading_zeros();
+        let k = width / 3;
+        let codes: u32 = chunks
+            .windows(2)
+            .map(|w| ((w[1] - w[0] - 1) >> k) + 1 + k)
+            .sum();
+        assert_eq!(row.len() as u32, (width + codes).div_ceil(8));
         rows += 1;
     }
     assert!(rows > 100, "the build wrote chain rows");

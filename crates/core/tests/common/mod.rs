@@ -269,24 +269,50 @@ pub const DELTA_SEG_COUNTS: usize = 3;
 pub const DELTA_SEG_RECORDS: usize = 4;
 
 /// A stored columnar row taken apart as its header lays it out (see
-/// `hgs_delta::columnar`): magic, record count, then per segment its
-/// length varint and its bytes. What a test needs to look inside a row, or to put one back
-/// together with a segment swapped.
+/// `hgs_delta::columnar`), what a test needs to look inside a row or to
+/// put one back together with a segment swapped: magic, record count,
+/// then every segment's bytes — the magic says how many segments there
+/// are, a presence bitmap which of them are spelled, and every spelled
+/// one but the last has a length varint.
 pub struct RowSegments {
     pub magic: u8,
     pub count: u64,
     pub segs: Vec<Vec<u8>>,
 }
 
+/// Segments of a delta row (magic `0xCB`) and of an eventlist row
+/// (magic `0xCC`).
+fn segment_count(magic: u8) -> usize {
+    match magic {
+        0xCB => 5,
+        0xCC => 8,
+        _ => panic!("no row has magic {magic:#x}"),
+    }
+}
+
 impl RowSegments {
     pub fn parse(row: &[u8]) -> RowSegments {
         let (magic, mut b) = (row[0], &row[1..]);
         let count = get_varint(&mut b).unwrap();
-        let n = get_varint(&mut b).unwrap();
-        let lens: Vec<u64> = (0..n).map(|_| get_varint(&mut b).unwrap()).collect();
+        let (present, rest) = b.split_first().unwrap();
+        b = rest;
+        let n = segment_count(magic);
+        assert_eq!(
+            u32::from(*present) >> n,
+            0,
+            "presence bits past the row's segments"
+        );
+        let last = (0..n).rev().find(|i| present & 1 << i != 0);
+        let lens: Vec<usize> = (0..n)
+            .map(|i| match present & 1 << i {
+                0 => 0,
+                _ if Some(i) == last => usize::MAX,
+                _ => get_varint(&mut b).unwrap() as usize,
+            })
+            .collect();
         let mut segs = Vec::new();
         for len in lens {
-            let (seg, rest) = b.split_at(len as usize);
+            let (seg, rest) = b.split_at(len.min(b.len()));
             segs.push(seg.to_vec());
             b = rest;
         }
@@ -298,8 +324,11 @@ impl RowSegments {
         let mut out = BytesMut::new();
         out.put_u8(self.magic);
         put_varint(&mut out, self.count);
-        put_varint(&mut out, self.segs.len() as u64);
-        for seg in &self.segs {
+        let present = (self.segs.iter().enumerate())
+            .fold(0u8, |bits, (i, s)| bits | u8::from(!s.is_empty()) << i);
+        out.put_u8(present);
+        let last = self.segs.iter().rposition(|s| !s.is_empty()).unwrap_or(0);
+        for seg in self.segs[..last].iter().filter(|s| !s.is_empty()) {
             put_varint(&mut out, seg.len() as u64);
         }
         for seg in &self.segs {

@@ -735,8 +735,9 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
     let in_chunk = meta.checkpoints[entry.chunk as usize];
     assert_eq!(tgi.try_snapshot(in_chunk).map(drop), Err(bad_weights));
 
-    // The magics of the rows that always spelled their weights, and of
-    // the rows that spelled attribute values in full.
+    // The magics of the rows that always spelled their weights, of the
+    // rows that spelled attribute values in full, and of the rows whose
+    // headers spelled every segment's length.
     let bad_tag = |tag| {
         move |r: Result<(), StoreError>| {
             assert!(
@@ -745,7 +746,7 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
             )
         }
     };
-    for magic in [0xC1, 0xC6] {
+    for magic in [0xC1, 0xC6, 0xC9] {
         let mut retired = row.to_vec();
         retired[0] = magic;
         put_everywhere(store, Table::Deltas, &key.encode(), Bytes::from(retired));
@@ -797,8 +798,9 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
     // The magics of the rows whose records opened with two counts, of
     // the rows that kept a byte length per record, of the rows whose
     // records spelled every pair's value, and of the rows whose
-    // records each opened with a head byte.
-    for magic in [0xC3, 0xC4, 0xC7, 0xC8] {
+    // records each opened with a head byte, and of the rows whose
+    // headers spelled every segment's length.
+    for magic in [0xC3, 0xC4, 0xC7, 0xC8, 0xCA] {
         let mut retired = root_row.to_vec();
         retired[0] = magic;
         put_everywhere(store, Table::Deltas, &root.encode(), Bytes::from(retired));
@@ -895,7 +897,10 @@ fn chain_segment(tgi: &TgiView, nid: u64, tsid: u32) -> Vec<ChainEntry> {
 /// `Corrupt` on every read that locates the node's events through its
 /// chain, never `Ok` with a shorter history. (When chain entries
 /// carried a time, this span-0 row shifted by 10 000 chunks answered 67
-/// of node 1's 116 events: the absent rows were flattened away.)
+/// of node 1's 116 events: the absent rows were flattened away. A
+/// chain row's first chunk now takes the bits its span's chunk count
+/// needs, so the row that names a chunk past the span here names one
+/// more after the chunks it was built with.)
 #[test]
 fn a_chain_naming_chunks_past_its_span_is_corrupt_not_a_shorter_history() {
     let events = trace();
@@ -908,22 +913,22 @@ fn a_chain_naming_chunks_past_its_span_is_corrupt_not_a_shorter_history() {
     for r in chain_reads(&svc, &events, 1) {
         r.expect("the intact chain reads");
     }
-    let shifted: Vec<ChainEntry> = entries
-        .iter()
-        .map(|e| ChainEntry {
-            chunk: e.chunk + 10_000,
-            ..*e
-        })
-        .collect();
+    // The row as built, and one chunk 10 000 past its last.
+    let chunks = common::span_metas(&tgi)[0].checkpoints.len();
+    let mut shifted = entries.clone();
+    shifted.push(ChainEntry {
+        chunk: entries[entries.len() - 1].chunk + 10_000,
+        ..entries[0]
+    });
     put_everywhere(
         store,
         Table::Versions,
         &chain_key(1, 0),
-        encode_chain(&shifted),
+        encode_chain(&shifted, chunks),
     );
     let out_of_span = Err(StoreError::Corrupt(CodecError::BadRef {
         what: "chain chunk",
-        id: shifted[0].chunk as u64,
+        id: shifted[entries.len()].chunk as u64,
     }));
     assert_eq!(tgi.try_version_chain(1).map(drop), out_of_span);
     for r in chain_reads(&svc, &events, 1) {
@@ -933,7 +938,7 @@ fn a_chain_naming_chunks_past_its_span_is_corrupt_not_a_shorter_history() {
         store,
         Table::Versions,
         &chain_key(1, 0),
-        encode_chain(&entries),
+        encode_chain(&entries, chunks),
     );
     for r in chain_reads(&svc, &events, 1) {
         r.expect("the chain as built reads");
@@ -992,7 +997,8 @@ fn a_chain_naming_a_chunk_without_the_nodes_row_is_corrupt_not_a_shorter_history
     });
     named.sort_by_key(|e| e.chunk);
     let key = chain_key(nid, tsid);
-    put_everywhere(store, Table::Versions, &key, encode_chain(&named));
+    let chunks = metas[tsid as usize].checkpoints.len();
+    put_everywhere(store, Table::Versions, &key, encode_chain(&named, chunks));
     // The chain itself decodes: every chunk is one the span has.
     assert_eq!(chain_segment(&tgi, nid, tsid), named);
     let dangling = Err(StoreError::Corrupt(CodecError::BadRef {
@@ -1002,7 +1008,7 @@ fn a_chain_naming_a_chunk_without_the_nodes_row_is_corrupt_not_a_shorter_history
     for r in chain_reads(&svc, &events, nid) {
         assert_eq!(r, dangling);
     }
-    put_everywhere(store, Table::Versions, &key, encode_chain(&entries));
+    put_everywhere(store, Table::Versions, &key, encode_chain(&entries, chunks));
     for r in chain_reads(&svc, &events, nid) {
         r.expect("the chain as built reads");
     }

@@ -11,7 +11,7 @@
 //! un-factored edge-list grammar (`hgs_delta::codec` spelling `dir`,
 //! weight and an attributes flag on every entry) trips it too.
 //!
-//! Nine encodings keep a row from spelling what its reader can
+//! Thirteen encodings keep a row from spelling what its reader can
 //! derive, and each has the bound it trips when it is undone:
 //!
 //! * the **record head** — an edge-list's shape and both counts, and
@@ -28,6 +28,22 @@
 //!   gap (the rows of magic `0xC8`) the tree rows are 7.48 and 10.52
 //!   B/event, over it (the census prints the tree rows' ids, restarts,
 //!   counts and records);
+//! * the **first neighbour in the head code** — each tree record's
+//!   first neighbour a fixed-width field of its code in the counts
+//!   column, as wide as the row's largest first neighbour needs, so a
+//!   single default edge is no record bytes at all, in every row where
+//!   that is smaller than a varint in front of each record — is
+//!   `skew21k`'s tree-delta bound: with the first neighbour a varint in
+//!   front of every record (the rows of magic `0xCA`) its tree rows are
+//!   8.88 B/event, over it (`wiki20k`'s first neighbours mostly fit
+//!   varints narrower than its widest id, so few of its rows move them:
+//!   6.54 B/event then, 6.51 now);
+//! * the **row header** — the magic, the record count, a bitmap of the
+//!   segments that are not empty and the length of each but the last,
+//!   the row's length giving that one — is the row-header bound: with a
+//!   segment count and every segment's length (the rows of magics
+//!   `0xC9` and `0xCA`) the headers are 0.334 and 0.247 B/event, over
+//!   it;
 //! * the **restart column** — one window length per 16 records, where
 //!   a point read starts skipping, instead of a byte length for every
 //!   record — is the tree-delta bound as well: with a length per
@@ -52,6 +68,10 @@
 //!   front (the rows before PR 25) they are 2.45 and 3.55 B/event, and
 //!   with `tsid` and `pid` in every entry too (before PR 24) 3.95 and
 //!   5.82;
+//! * the **bit-coded chain rows** — the first chunk in the bits the
+//!   span's chunk count needs, each further gap a Rice code — are the
+//!   `Versions` bound too: with a varint per chunk gap (layout tag 11)
+//!   they are 0.75 and 1.13 B/event;
 //! * the **bit-coded eventlists** — Rice-coded node-id and time gaps,
 //!   a kind code of as many bits as the row has kinds, node, key and
 //!   value dictionary indexes of as many bits as each dictionary needs
@@ -65,7 +85,12 @@
 //! * the **term rows** — a carry point spelled as its node-id gap
 //!   alone, the `became` flags of the change points as one bitmap — are
 //!   the `AttrIndex` bound: with a time gap, a node id and a flags byte
-//!   per point (the rows of layout tag 3) `skew21k`'s rows are 1.99 B/event.
+//!   per point (the rows of layout tag 3) `skew21k`'s rows are 1.99
+//!   B/event;
+//! * the **bit-coded term rows** — Rice-coded carry node-id gaps and
+//!   change-point time gaps, change-point node ids as wide as the
+//!   row's largest — are the `AttrIndex` bound too: in whole-byte
+//!   varints (layout tag 11) `skew21k`'s rows are 1.42 B/event.
 //!
 //! The tree's **layout** is the tree-delta bound too. A component is
 //! stored once on each node of the canonical cover of the leaves it
@@ -131,6 +156,9 @@ struct Census {
     eventlist_dicts: f64,
     /// Tree rows' segments: ids, restarts, counts, records.
     tree_segs: [f64; 4],
+    /// The headers of every delta and eventlist row: magic, count,
+    /// presence bitmap and the spelled segment lengths.
+    headers: f64,
 }
 
 impl Census {
@@ -170,6 +198,7 @@ fn census(events: &[Event], cfg: TgiConfig) -> Census {
             t if t == Table::Deltas.tag() => {
                 let k = DeltaKey::decode(&key[1..]).unwrap();
                 let segs = common::RowSegments::parse(&value).segs;
+                c.headers += per_event(value.len() - segs.iter().map(Vec::len).sum::<usize>());
                 if (ELIST_BASE..AUX_BASE).contains(&k.did) {
                     c.eventlist_dicts += per_event(segs[common::ELIST_SEG_ATTR_DICT].len());
                 } else {
@@ -242,7 +271,7 @@ fn print(name: &str, events: usize, c: &Census) {
          Versions {:.2}, AttrIndex {:.2} (carry {:.2}, change {:.2}), metadata {:.2}, \
          total {:.2}; tree segments: ids {:.2}, restarts {:.2}, counts {:.2}, \
          records {:.2}; row dictionaries: tree and aux {:.2}, eventlists {:.2}; \
-         {} of {} eventlist rows spell weights",
+         row headers {:.3}; {} of {} eventlist rows spell weights",
         c.tree_deltas(),
         c.roots(),
         c.tree_pieces(),
@@ -261,6 +290,7 @@ fn print(name: &str, events: usize, c: &Census) {
         c.tree_segs[3],
         c.delta_dicts,
         c.eventlist_dicts,
+        c.headers,
         c.weighted_eventlist_rows,
         c.eventlist_rows
     );
@@ -272,6 +302,7 @@ struct Bounds {
     eventlists: f64,
     versions: f64,
     attr_index: f64,
+    headers: f64,
     total: f64,
 }
 
@@ -285,6 +316,7 @@ fn gate(name: &str, events: &[Event], b: Bounds) -> Census {
         ("eventlist", c.eventlists, b.eventlists),
         ("Versions", c.versions, b.versions),
         ("AttrIndex", c.attr_index(), b.attr_index),
+        ("row-header", c.headers, b.headers),
         ("all", c.total, b.total),
     ] {
         assert!(
@@ -295,18 +327,20 @@ fn gate(name: &str, events: &[Event], b: Bounds) -> Census {
     c
 }
 
-// Bounds: ~15 % above the measured bytes per event — eventlists 5.88
-// and 5.03, `Versions` 0.75 and 1.13, `skew21k`'s `AttrIndex` rows
-// 1.42; `wiki20k`'s total, 13.22, ~32 % — but for the tree deltas,
-// 6.59 and 8.91, whose bounds sit below what the rows of magic `0xC8`
-// stored (7.48 and 10.52), what trees grouped from the left stored
-// (8.50 and 16.93), what the rows of magic `0xC4` stored (9.56 and
-// 18.31) and, for `skew21k`, what rows with dictionaries of their own
-// stored (12.46, total 20.85 — its total bound sits below that too,
-// 23 % above the 16.54 it stores) and what the rows of magic `0xC7`
-// stored (15.65, total 24.27): a head byte per record coming back,
-// undoing the right alignment, a length per record growing back, a
-// dictionary per row, or pairs spelled in full again trips them.
+// Bounds: ~15 % above the measured bytes per event — eventlists 5.78
+// and 5.01, `Versions` 0.42 and 0.53, `skew21k`'s `AttrIndex` rows
+// 1.04, row headers 0.196 and 0.187; `wiki20k`'s total, 12.71, ~37 %
+// — but for the tree deltas, 6.51 and 8.34, whose bounds sit below
+// what the rows of magic `0xC8` stored (7.48 and 10.52), what trees
+// grouped from the left stored (8.50 and 16.93), what the rows of
+// magic `0xC4` stored (9.56 and 18.31) and, for `skew21k`, what the
+// rows of magic `0xCA` stored (8.88), what rows with dictionaries of
+// their own stored (12.46, total 20.85 — its total bound sits below
+// that too, 36 % above the 14.96 it stores) and what the rows of
+// magic `0xC7` stored (15.65, total 24.27): a head byte per record
+// coming back, undoing the right alignment, a length per record
+// growing back, a first neighbour spelled in its record, a dictionary
+// per row, or pairs spelled in full again trips them.
 
 fn wiki20k() -> Vec<Event> {
     WikiGrowth::sized(20_000).generate()
@@ -328,8 +362,9 @@ fn wiki_tree_delta_rows_stay_factored() {
     let bounds = Bounds {
         tree_deltas: 7.3,
         eventlists: 6.8,
-        versions: 0.87,
+        versions: 0.48,
         attr_index: 0.0,
+        headers: 0.23,
         total: 17.4,
     };
     let c = gate("wiki20k", &events, bounds);
@@ -345,10 +380,11 @@ fn wiki_tree_delta_rows_stay_factored() {
 fn skew_tree_delta_rows_stay_factored() {
     let events = skew21k();
     let bounds = Bounds {
-        tree_deltas: 10.0,
+        tree_deltas: 8.7,
         eventlists: 7.0,
-        versions: 1.3,
-        attr_index: 1.63,
+        versions: 0.61,
+        attr_index: 1.2,
+        headers: 0.215,
         total: 20.4,
     };
     let c = gate("skew21k", &events, bounds);
@@ -394,20 +430,26 @@ fn sweep(name: &str, events: &[Event]) -> Vec<(f64, f64)> {
 
 /// Shorter spans mean more roots and more carry points; what the gate
 /// holds is how much of the index they are. At ×1 / ×½ / ×¼ of the
-/// default span size, roots plus carry points are 0.000 / 0.074 /
-/// 0.211 of `wiki20k` (no labels, so no carry points) and 0.101 /
-/// 0.157 / 0.254 of `skew21k` (carry 0.006 / 0.011 / 0.021 of it):
+/// default span size, roots plus carry points are 0.000 / 0.078 /
+/// 0.221 of `wiki20k` (no labels, so no carry points) and 0.109 /
+/// 0.169 / 0.270 of `skew21k` (carry 0.004 / 0.008 / 0.015 of it):
 /// linear in the number of spans, roots nearly all of it. The bounds
-/// sit 5 % above `wiki20k`'s shares and 4–13 % above `skew21k`'s:
-/// they were set 13–15 % above when the index was ~13 % larger, and
-/// the roots' share rises as the rest of the index shrinks — the pair
-/// dictionary shrank `skew21k`'s roots by ~25 %, more than the rest,
-/// and the pair table and the counts column the rest more than them.
+/// sit at most 5 % above `wiki20k`'s shares and 4–7 % above
+/// `skew21k`'s: they were set 13–15 % above when the index was ~13 %
+/// larger, and the roots' share rises as the rest of the index shrinks
+/// — the pair dictionary shrank `skew21k`'s roots by ~25 %, more than
+/// the rest, and the pair table and the counts column the rest more
+/// than them. Layout tag 12 took `skew21k`'s index from 16.54 to
+/// 14.96 B/event (bit-coded chain and term rows, the first neighbour
+/// in the head code), its roots held at 1.56, and roots plus carry
+/// points fell from 1.66 to 1.62 B/event while their share rose from
+/// 0.101 to 0.109 at ×1 and from 0.157 to 0.169 at ×½: those two
+/// bounds moved from 0.106 and 0.164 to 4 % above the new shares.
 #[test]
 fn shorter_spans_grow_roots_and_carry_points() {
     for (name, events, bounds) in [
         ("wiki20k", wiki20k(), [0.01, 0.078, 0.221]),
-        ("skew21k", skew21k(), [0.106, 0.164, 0.288]),
+        ("skew21k", skew21k(), [0.113, 0.176, 0.288]),
     ] {
         let shares = sweep(name, &events);
         for (div, ((roots, carry), bound)) in [1, 2, 4].iter().zip(shares.iter().zip(bounds)) {

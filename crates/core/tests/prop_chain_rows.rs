@@ -2,8 +2,8 @@
 //! as one node's chain row in one span. Every read that decodes the row
 //! — `try_version_chain`, `try_node_history`, `try_attr_history` —
 //! answers `Ok` or `StoreError::Corrupt`; never panics; never holds
-//! more entries than the row has bytes; and an `Ok` chain names only
-//! chunks its spans have.
+//! more entries than the span has chunks, however long the row; and an
+//! `Ok` chain names only chunks its spans have.
 //!
 //! An `Ok` history holds every event of every chunk the chain names,
 //! so it is never shorter than the replay of those chunks, and it is
@@ -94,7 +94,8 @@ enum Damage {
     Truncate(usize),
     /// A row in the grammar naming an arbitrary chunk set — chunks past
     /// the span's end and chunks the node has no row in included (each
-    /// taken modulo the span's chunk count plus two).
+    /// taken modulo the span's chunk count plus two, and spelled as for
+    /// a span of that many chunks).
     Chunks(Vec<u32>),
 }
 
@@ -132,7 +133,7 @@ fn damage(row: &[u8], d: &Damage, chunks: u32) -> Vec<u8> {
                     pid: 0,
                 })
                 .collect();
-            out = encode_chain(&entries).to_vec();
+            out = encode_chain(&entries, chunks as usize + 2).to_vec();
         }
     }
     out
@@ -172,7 +173,7 @@ proptest! {
             return Ok(());
         };
         let segment = chain.iter().filter(|e| e.tsid == tsid).count();
-        prop_assert!(segment <= row.len(), "{segment} entries out of {} bytes", row.len());
+        prop_assert!(segment <= chunks as usize, "{segment} entries in a span of {chunks} chunks");
         for e in &chain {
             let span_chunks = fx.metas[e.tsid as usize].checkpoints.len();
             prop_assert!((e.chunk as usize) < span_chunks, "{e:?} past its span's end");

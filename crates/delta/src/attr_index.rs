@@ -14,28 +14,33 @@
 //! A row spells only what its reader cannot derive. A carry point's
 //! time is the span start, it always `became`, and carry points come
 //! in node order — so a carry point is its node-id gap and nothing
-//! else:
+//! else. Past three varints, a row is one bit string (least-significant
+//! bit first, the last byte zero-padded):
 //!
 //! ```text
-//! row    := varint span_start
-//!           varint n_carry  varint nid_gap{n_carry}
-//!           varint n_change (varint time_gap, varint nid){n_change}
-//!           became_bits
+//! row    := varint span_start, varint n_carry, varint n_change, bits
+//! bits   := [k_carry:6 Rice(nid_gap, k_carry){n_carry}]
+//!           [k_time:6 w:7 Rice(time_gap, k_time){n_change}
+//!            nid:w{n_change} became:1{n_change}]
 //! ```
 //!
-//! Node-id gaps run from 0, time gaps from the span start, and
-//! `became_bits` is one bit per change point, least-significant first,
-//! zero-padded to a byte. The decoder feeds the whole blob to the
-//! crate-wide decoded-byte counter before parsing, accumulates with
-//! checked adds, holds both counts to the bytes left before allocating,
-//! rejects trailing bytes and set padding bits, and never panics on
-//! malformed input.
+//! Each part is there only when it has points, and spells its points
+//! column by column. A carry point's gap runs from the node before it
+//! less one (the first from 0), a change point's time gap from the
+//! point before it (the first from the span start), and a change
+//! point's node id takes `w` bits — the bit length of the row's largest
+//! changed id. Each Rice parameter is `k = ⌊log2(mean · ln 2)⌋` of its
+//! gaps. The decoder feeds the whole blob to the crate-wide
+//! decoded-byte counter before parsing, accumulates with checked adds,
+//! holds both counts to the bits left before allocating, and refuses a
+//! width past 64 bits or other than the largest id's, trailing bytes
+//! and set padding bits; it never panics on malformed input.
 
 use bytes::{Bytes, BytesMut};
 
 use crate::attr::AttrValue;
-use crate::bits::{BitReader, BitWriter};
-use crate::codec::{bounded_count, get_varint, note_decoded, put_attr_value, put_str, put_varint};
+use crate::bits::{rice_k, BitReader, BitWriter};
+use crate::codec::{get_len, get_varint, note_decoded, put_attr_value, put_str, put_varint};
 use crate::error::CodecError;
 use crate::hash::FxHashSet;
 use crate::types::{NodeId, Time};
@@ -75,63 +80,141 @@ pub fn encode_term_points(points: &[TermPoint]) -> Bytes {
     debug_assert!(carry.iter().all(|p| p.time == start && p.became));
     debug_assert!(carry.windows(2).all(|w| w[0].nid < w[1].nid));
     debug_assert!(changes.iter().all(|p| !p.carry));
-    let mut buf = BytesMut::with_capacity(8 + carry.len() * 2 + changes.len() * 4);
+    debug_assert!(changes.windows(2).all(|w| w[0].time <= w[1].time));
+    let mut buf = BytesMut::with_capacity(8 + carry.len() + changes.len() * 3);
     put_varint(&mut buf, start);
     put_varint(&mut buf, carry.len() as u64);
-    let mut prev_nid = 0u64;
-    for p in carry {
-        put_varint(&mut buf, p.nid.wrapping_sub(prev_nid));
-        prev_nid = p.nid;
-    }
     put_varint(&mut buf, changes.len() as u64);
-    let mut prev_time = start;
-    for p in changes {
-        debug_assert!(p.time >= prev_time, "change points in time order");
-        put_varint(&mut buf, p.time.wrapping_sub(prev_time));
-        prev_time = p.time;
-        put_varint(&mut buf, p.nid);
-    }
+    let carry_gaps = carry.iter().enumerate().map(|(i, p)| match i {
+        0 => p.nid,
+        _ => p.nid - carry[i - 1].nid - 1,
+    });
+    let time_gaps = changes.iter().enumerate().map(|(i, p)| match i {
+        0 => p.time - start,
+        _ => p.time - changes[i - 1].time,
+    });
     let mut bits = BitWriter::new(&mut buf);
-    for p in changes {
-        bits.put(u64::from(p.became), 1);
+    if !carry.is_empty() {
+        let k = rice_k(carry_gaps.clone().map(u128::from).sum(), carry.len());
+        bits.put(u64::from(k), K_BITS);
+        for gap in carry_gaps {
+            bits.put_rice(gap, k);
+        }
+    }
+    if !changes.is_empty() {
+        let k = rice_k(time_gaps.clone().map(u128::from).sum(), changes.len());
+        let w = nid_width(changes);
+        bits.put(u64::from(k), K_BITS);
+        bits.put(u64::from(w), W_BITS);
+        for gap in time_gaps {
+            bits.put_rice(gap, k);
+        }
+        for p in changes {
+            bits.put(p.nid, w);
+        }
+        for p in changes {
+            bits.put(u64::from(p.became), 1);
+        }
     }
     bits.finish();
     buf.freeze()
+}
+
+/// Bits of a stored Rice parameter.
+const K_BITS: u32 = 6;
+/// Bits of the stored node-id width.
+const W_BITS: u32 = 7;
+
+/// The bit length of the largest node id of `changes`.
+fn nid_width(changes: &[TermPoint]) -> u32 {
+    let max = changes.iter().map(|p| p.nid).max().unwrap_or(0);
+    u64::BITS - max.leading_zeros()
 }
 
 /// Decode a value-term change-point row.
 pub fn decode_term_points(buf: &[u8]) -> Result<Vec<TermPoint>, CodecError> {
     note_decoded(buf.len());
     let mut buf = buf;
-    let add = |a: u64, b: u64| a.checked_add(b).ok_or(CodecError::VarintOverflow);
     let start = get_varint(&mut buf)?;
-    let n_carry = bounded_count(&mut buf, 1, "term carry points")?;
-    let mut out = Vec::with_capacity(n_carry);
-    let mut nid = 0u64;
-    for _ in 0..n_carry {
-        nid = add(nid, get_varint(&mut buf)?)?;
-        out.push(TermPoint {
-            time: start,
-            nid,
-            carry: true,
-            became: true,
+    let n_carry = get_len(&mut buf, "term carry points")?;
+    let n_change = get_len(&mut buf, "term change points")?;
+    // Every carry point takes at least one bit, every change point two.
+    let needed = n_carry.saturating_add(n_change.saturating_mul(2));
+    if needed > buf.len() * 8 {
+        return Err(CodecError::LengthOverflow {
+            what: "term points",
+            len: needed as u64,
         });
     }
-    let n_change = bounded_count(&mut buf, 2, "term change points")?;
-    out.reserve_exact(n_change);
-    let mut time = start;
-    for _ in 0..n_change {
-        time = add(time, get_varint(&mut buf)?)?;
-        out.push(TermPoint {
-            time,
-            nid: get_varint(&mut buf)?,
-            carry: false,
-            became: false,
-        });
-    }
+    let mut out = Vec::with_capacity(n_carry + n_change);
     let mut bits = BitReader::new(buf);
-    for p in &mut out[n_carry..] {
-        p.became = bits.get(1)? == 1;
+    // Sums are taken in `u128`, so one check after a column finds any
+    // that passed `u64::MAX`.
+    let mut overflow = false;
+    if n_carry > 0 {
+        let k = bits.get(K_BITS)? as u8;
+        let (mut nid, mut bias) = (0u128, 0u128);
+        bits.get_rice_many(n_carry, k, |gap| {
+            nid += u128::from(gap) + bias;
+            bias = 1;
+            overflow |= nid > u128::from(u64::MAX);
+            out.push(TermPoint {
+                time: start,
+                nid: nid as u64,
+                carry: true,
+                became: true,
+            });
+        })?;
+    }
+    if n_change > 0 {
+        let k = bits.get(K_BITS)? as u8;
+        let w = bits.get(W_BITS)? as u32;
+        if w > u64::BITS {
+            return Err(CodecError::BadTag {
+                what: "term node-id width",
+                tag: w as u8,
+            });
+        }
+        let mut time = u128::from(start);
+        bits.get_rice_many(n_change, k, |gap| {
+            time += u128::from(gap);
+            overflow |= time > u128::from(u64::MAX);
+            out.push(TermPoint {
+                time: time as u64,
+                nid: 0,
+                carry: false,
+                became: false,
+            });
+        })?;
+        let changes = &mut out[n_carry..];
+        if w <= 56 {
+            let mut at = changes.iter_mut();
+            bits.get_many(n_change, w, |nid| {
+                if let Some(p) = at.next() {
+                    p.nid = nid;
+                }
+            })?;
+        } else {
+            for p in changes.iter_mut() {
+                p.nid = bits.get(w)?;
+            }
+        }
+        // The flags, up to 56 at a time.
+        for run in changes.chunks_mut(56) {
+            let flags = bits.get(run.len() as u32)?;
+            for (i, p) in run.iter_mut().enumerate() {
+                p.became = flags >> i & 1 == 1;
+            }
+        }
+        if nid_width(changes) != w {
+            return Err(CodecError::BadTag {
+                what: "term node-id width",
+                tag: w as u8,
+            });
+        }
+    }
+    if overflow {
+        return Err(CodecError::VarintOverflow);
     }
     bits.finish()?;
     Ok(out)
@@ -164,7 +247,6 @@ pub fn term_points_weight(points: &[TermPoint]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BufMut;
 
     fn sample_term_points() -> Vec<TermPoint> {
         vec![
@@ -241,11 +323,29 @@ mod tests {
         ));
     }
 
+    /// A row's three counts, then `bits` as its bit string.
+    fn raw_row(
+        start: u64,
+        n_carry: u64,
+        n_change: u64,
+        bits: impl FnOnce(&mut BitWriter),
+    ) -> BytesMut {
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, start);
+        put_varint(&mut buf, n_carry);
+        put_varint(&mut buf, n_change);
+        let mut w = BitWriter::new(&mut buf);
+        bits(&mut w);
+        w.finish();
+        buf
+    }
+
     #[test]
     fn bad_rows_rejected() {
+        // A set padding bit past the last `became` flag (the sample's
+        // bits end six short of a byte).
         let mut enc = encode_term_points(&sample_term_points()).to_vec();
-        // A set padding bit past the two `became` flags.
-        *enc.last_mut().unwrap() |= 0b100;
+        *enc.last_mut().unwrap() |= 0x80;
         assert!(matches!(
             decode_term_points(&enc),
             Err(CodecError::BadTag {
@@ -254,25 +354,66 @@ mod tests {
             })
         ));
         // A time gap past the clock.
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, u64::MAX); // span start
-        put_varint(&mut buf, 0);
-        put_varint(&mut buf, 1);
-        put_varint(&mut buf, 1); // time gap
-        put_varint(&mut buf, 2); // nid
-        buf.put_u8(1);
-        assert_eq!(decode_term_points(&buf), Err(CodecError::VarintOverflow));
-        // Counts the row has no bytes for fail before allocating.
-        for counts in [[u32::MAX as u64, 0], [0, u32::MAX as u64]] {
-            let mut buf = BytesMut::new();
-            put_varint(&mut buf, 0);
-            put_varint(&mut buf, counts[0]);
-            put_varint(&mut buf, counts[1]);
+        let row = raw_row(u64::MAX, 0, 1, |w| {
+            w.put(0, K_BITS);
+            w.put(2, W_BITS);
+            w.put_rice(1, 0);
+            w.put(2, 2);
+            w.put(1, 1);
+        });
+        assert_eq!(decode_term_points(&row), Err(CodecError::VarintOverflow));
+        // A carry gap past the last node id.
+        let row = raw_row(0, 2, 0, |w| {
+            w.put(63, K_BITS);
+            w.put_rice(u64::MAX, 63);
+            w.put_rice(0, 63);
+        });
+        assert_eq!(decode_term_points(&row), Err(CodecError::VarintOverflow));
+        // Counts the row has no bits for fail before allocating.
+        for counts in [[u32::MAX as u64, 0], [0, u32::MAX as u64], [9, 0], [0, 5]] {
+            let row = raw_row(0, counts[0], counts[1], |w| w.put(0, 8));
             assert!(matches!(
-                decode_term_points(&buf),
+                decode_term_points(&row),
                 Err(CodecError::LengthOverflow { .. })
             ));
         }
+    }
+
+    #[test]
+    fn a_node_id_width_the_ids_do_not_have_is_refused() {
+        // One change point at node 5 (three bits), spelled at `w`.
+        let row = |w: u64| {
+            raw_row(0, 0, 1, |bits| {
+                bits.put(0, K_BITS);
+                bits.put(w, W_BITS);
+                bits.put_rice(0, 0);
+                bits.put(5 & ((1u64 << w.min(63)) - 1), w.min(64) as u32);
+                bits.put(1, 1);
+            })
+        };
+        assert_eq!(decode_term_points(&row(3)).unwrap()[0].nid, 5);
+        for w in [4, 64] {
+            assert_eq!(
+                decode_term_points(&row(w)),
+                Err(CodecError::BadTag {
+                    what: "term node-id width",
+                    tag: w as u8
+                })
+            );
+        }
+        // A width past a `u64`.
+        let row = raw_row(0, 0, 1, |bits| {
+            bits.put(0, K_BITS);
+            bits.put(65, W_BITS);
+            bits.put(0, 24);
+        });
+        assert_eq!(
+            decode_term_points(&row),
+            Err(CodecError::BadTag {
+                what: "term node-id width",
+                tag: 65
+            })
+        );
     }
 
     #[test]
@@ -286,9 +427,56 @@ mod tests {
             })
             .collect();
         let enc = encode_term_points(&carry);
-        // Start (3 bytes), count, 100 one-byte gaps, change count.
-        assert_eq!(enc.len(), 3 + 1 + 100 + 1);
+        // Start (3 bytes), two counts, then k = 0 (mean gap 2 − ...:
+        // gaps of 2, ⌊log2(1.98 · ln 2)⌋ = 0) in six bits and 99 codes
+        // of 3 bits after the first's 1: 304 bits in 38 bytes.
+        assert_eq!(enc.len(), 3 + 1 + 1 + 38);
         assert_eq!(decode_term_points(&enc).unwrap(), carry);
+    }
+
+    #[test]
+    fn term_rows_round_trip_and_refuse_every_cut() {
+        // Rows of carry and change points from a small generator: each
+        // decodes to what was encoded, and every prefix is refused.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        for case in 0..300u64 {
+            let start = next(1 << (case % 40));
+            let mut points = Vec::new();
+            let mut nid = 0;
+            for _ in 0..next(20) {
+                nid += 1 + next(1 << (case % 17));
+                points.push(TermPoint {
+                    time: start,
+                    nid,
+                    carry: true,
+                    became: true,
+                });
+            }
+            let mut time = start;
+            for _ in 0..next(30) {
+                time += next(1 << (case % 23));
+                points.push(TermPoint {
+                    time,
+                    nid: next(1 << (case % 64).max(1)),
+                    carry: false,
+                    became: next(2) == 1,
+                });
+            }
+            let enc = encode_term_points(&points);
+            assert_eq!(decode_term_points(&enc).unwrap(), points, "case {case}");
+            for cut in 0..enc.len() {
+                assert!(
+                    decode_term_points(&enc[..cut]).is_err(),
+                    "case {case} cut {cut}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Bit-level codes for the integer columns of index rows.
+//! Bit-level codes for the integer columns of index rows — the
+//! eventlist, delta and term rows of this crate, and the version-chain
+//! rows of `hgs-core`.
 //!
 //! A byte-aligned varint spends at least eight bits on every integer;
 //! most columns of an eventlist or term row need far fewer — a kind tag
@@ -25,7 +27,7 @@ use crate::error::CodecError;
 
 /// Bits needed to tell `n` values apart: `⌈log2 n⌉`, `0` for `n <= 1`.
 #[inline]
-pub(crate) fn width_for(n: usize) -> u32 {
+pub fn width_for(n: usize) -> u32 {
     usize::BITS - n.saturating_sub(1).leading_zeros()
 }
 
@@ -49,20 +51,20 @@ pub(crate) fn rice_k(sum: u128, n: usize) -> u8 {
 }
 
 /// Appends bits to a byte buffer, least-significant first.
-pub(crate) struct BitWriter<'a> {
+pub struct BitWriter<'a> {
     out: &'a mut BytesMut,
     acc: u128,
     n: u32,
 }
 
 impl<'a> BitWriter<'a> {
-    pub(crate) fn new(out: &'a mut BytesMut) -> BitWriter<'a> {
+    pub fn new(out: &'a mut BytesMut) -> BitWriter<'a> {
         BitWriter { out, acc: 0, n: 0 }
     }
 
     /// Write the low `width` bits of `v` (`width <= 64`).
     #[inline]
-    pub(crate) fn put(&mut self, v: u64, width: u32) {
+    pub fn put(&mut self, v: u64, width: u32) {
         debug_assert!(width <= 64 && (width == 64 || v >> width == 0));
         if width == 0 {
             return;
@@ -77,7 +79,7 @@ impl<'a> BitWriter<'a> {
     }
 
     /// Write `v` as a Rice code with parameter `k`.
-    pub(crate) fn put_rice(&mut self, v: u64, k: u8) {
+    pub fn put_rice(&mut self, v: u64, k: u8) {
         let mut q = v >> k;
         while q >= 32 {
             self.put(0, 32);
@@ -89,7 +91,7 @@ impl<'a> BitWriter<'a> {
     }
 
     /// Pad the last byte with zero bits.
-    pub(crate) fn finish(self) {
+    pub fn finish(self) {
         if self.n > 0 {
             self.out.put_u8(self.acc as u8);
         }
@@ -103,7 +105,7 @@ impl<'a> BitWriter<'a> {
 /// bytes. Bits of the window above `nacc` are the stream's next bits
 /// (or zero past its end), so a refill that ORs them in again changes
 /// nothing.
-pub(crate) struct BitReader<'a> {
+pub struct BitReader<'a> {
     buf: &'a [u8],
     /// First byte not yet in the window.
     next: usize,
@@ -116,7 +118,7 @@ pub(crate) struct BitReader<'a> {
 const WINDOW_BITS: u32 = 56;
 
 impl<'a> BitReader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> BitReader<'a> {
+    pub fn new(buf: &'a [u8]) -> BitReader<'a> {
         let mut r = BitReader {
             buf,
             next: 0,
@@ -146,9 +148,12 @@ impl<'a> BitReader<'a> {
         self.nacc += bytes * 8;
     }
 
+    /// Drop `width <= nacc` read bits. A refill leaves at most 63 bits
+    /// in the window, so the shift never reaches 64.
     #[inline]
     fn consume(&mut self, width: u32) {
-        self.acc = self.acc.checked_shr(width).unwrap_or(0);
+        debug_assert!(width <= self.nacc && self.nacc < 64);
+        self.acc >>= width;
         self.nacc -= width;
     }
 
@@ -156,6 +161,13 @@ impl<'a> BitReader<'a> {
     #[inline]
     pub(crate) fn bits_left(&self) -> usize {
         (self.buf.len() - self.next) * 8 + self.nacc as usize
+    }
+
+    /// Whether every bit not yet read is zero: what a column without a
+    /// count ends on. Every Rice code holds a one bit, so no code starts
+    /// where this holds.
+    pub fn at_padding(&self) -> bool {
+        self.acc == 0 && self.buf[self.next..].iter().all(|&b| b == 0)
     }
 
     fn short(&self, needed_bits: usize) -> CodecError {
@@ -167,13 +179,13 @@ impl<'a> BitReader<'a> {
 
     /// Read a `width`-bit code (`width <= 64`).
     #[inline]
-    pub(crate) fn get(&mut self, width: u32) -> Result<u64, CodecError> {
-        if width > WINDOW_BITS {
-            let lo = self.get(32)?;
-            return Ok(lo | self.get(width - 32)? << 32);
-        }
+    pub fn get(&mut self, width: u32) -> Result<u64, CodecError> {
         if width as usize > self.bits_left() {
             return Err(self.short(width as usize));
+        }
+        if width > WINDOW_BITS {
+            let lo = self.take(32);
+            return Ok(lo | self.take(width - 32) << 32);
         }
         Ok(self.take(width))
     }
@@ -212,7 +224,7 @@ impl<'a> BitReader<'a> {
     /// Read a Rice code with parameter `k`. The unary run is bounded by
     /// the bits left; a value past `u64::MAX` is an overflow.
     #[inline]
-    pub(crate) fn get_rice(&mut self, k: u8) -> Result<u64, CodecError> {
+    pub fn get_rice(&mut self, k: u8) -> Result<u64, CodecError> {
         // Fast path: the whole code lies in the window, topped up only
         // when it does not.
         if let Some(v) = self.rice_in_window(k) {
@@ -223,6 +235,70 @@ impl<'a> BitReader<'a> {
             return Ok(v);
         }
         self.get_rice_slow(k)
+    }
+
+    /// Read `count` Rice codes of parameter `k` into `out`, in order:
+    /// what [`BitReader::get_rice`] reads, without a `Result` per code.
+    #[inline]
+    pub(crate) fn get_rice_many(
+        &mut self,
+        count: usize,
+        k: u8,
+        out: impl FnMut(u64),
+    ) -> Result<(), CodecError> {
+        // Unary codes, the common column, with the parameter folded in.
+        match k {
+            0 => self.rice_run(count, 0, out),
+            k => self.rice_run(count, k, out),
+        }
+    }
+
+    #[inline(always)]
+    fn rice_run(
+        &mut self,
+        count: usize,
+        k: u8,
+        mut out: impl FnMut(u64),
+    ) -> Result<(), CodecError> {
+        for _ in 0..count {
+            let v = match self.rice_in_window(k) {
+                Some(v) => v,
+                None => {
+                    self.refill();
+                    match self.rice_in_window(k) {
+                        Some(v) => v,
+                        None => self.get_rice_slow(k)?,
+                    }
+                }
+            };
+            out(v);
+        }
+        Ok(())
+    }
+
+    /// Read a Rice code of parameter `k` and, when it is not zero, a
+    /// `width`-bit code after it: a delta row's edge count and first
+    /// neighbour. One window check covers both where the window holds
+    /// them, as it does for all but codes longer than 56 bits.
+    #[inline]
+    pub(crate) fn get_rice_then(&mut self, k: u8, width: u32) -> Result<(u64, u64), CodecError> {
+        for _ in 0..2 {
+            let zeros = self.acc.trailing_zeros();
+            let len = zeros + 1 + u32::from(k);
+            if len <= self.nacc {
+                let v = u64::from(zeros) << k | (self.acc >> (zeros + 1)) & ((1u64 << k) - 1);
+                let then = if v == 0 { 0 } else { width };
+                if len + then <= self.nacc {
+                    // `len + then <= nacc < 64`: neither shift reaches 64.
+                    let w = (self.acc >> len) & ((1u64 << then) - 1);
+                    self.consume(len + then);
+                    return Ok((v, w));
+                }
+            }
+            self.refill();
+        }
+        let v = self.get_rice_slow(k)?;
+        Ok((v, if v == 0 { 0 } else { self.get(width)? }))
     }
 
     /// The Rice code at the front of the window, if all of it is
@@ -265,7 +341,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// End of the column: only zero padding may remain.
-    pub(crate) fn finish(mut self) -> Result<(), CodecError> {
+    pub fn finish(mut self) -> Result<(), CodecError> {
         let left = self.bits_left();
         if left >= 8 {
             return Err(CodecError::TrailingBytes {

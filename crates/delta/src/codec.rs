@@ -21,21 +21,25 @@
 //! edge-list entries:
 //!
 //! ```text
-//! head   := shape, n_edges, n_attrs
+//! head   := shape, n_edges, n_attrs, [first]
 //! shape  := bit 0: every dir is Both
 //!           bit 1: every weight is bit-exactly 1.0
 //!           bit 2: no entry carries attributes
 //!           (all three set on an empty list: the default shape)
+//! first  := the first entry's neighbour, when the head holds it
 //! record := entry{n_edges} pair{n_attrs}
-//! entry  := varint Δnbr [dir u8] [weight f32le] [has_attrs u8 [varint n pair{n}]]
-//!           -- only the fields whose shape bit is clear
+//! entry  := [varint Δnbr] [dir u8] [weight f32le]
+//!           [has_attrs u8 [varint n pair{n}]]
+//!           -- Δnbr on every entry but a first one whose neighbour the
+//!           -- head holds; the other fields only where their shape bit
+//!           -- is clear
 //! pair   := str key, value   (in a columnar record, one varint pair id)
 //! ```
 //!
 //! so the undirected unit-weight attribute-free list that datasets are
 //! made of costs its neighbor varints alone (one to three bytes for
-//! the single-edge piece most tree records are), and an
-//! attribute-only piece is its pair ids. Every shape is defined; a
+//! the single-edge piece most tree records are, nothing when its head
+//! holds the neighbour), and an attribute-only piece is its pair ids. Every shape is defined; a
 //! count its bytes cannot hold fails before any allocation.
 //! `put_record` / `get_record` are the only record codecs of the
 //! crate and `put_edge_list` / `get_edge_list` its only edge-list
@@ -57,7 +61,7 @@ use crate::attr::{AttrValue, Attrs};
 use crate::delta::Delta;
 use crate::error::CodecError;
 use crate::node::{Neighbor, StaticNode};
-use crate::types::EdgeDir;
+use crate::types::{EdgeDir, NodeId};
 
 /// Sanity cap for decoded collection lengths (guards against corrupt
 /// length prefixes allocating unbounded memory).
@@ -198,21 +202,6 @@ pub(crate) fn get_len(buf: &mut &[u8], what: &'static str) -> Result<usize, Code
     Ok(len as usize)
 }
 
-/// Read an element count and hold it to the bytes left: every element
-/// is at least `min_bytes` long, so a count the buffer cannot hold is
-/// refused here, before anything is allocated for it.
-pub fn bounded_count(
-    buf: &mut &[u8],
-    min_bytes: usize,
-    what: &'static str,
-) -> Result<usize, CodecError> {
-    let len = get_varint(buf)?;
-    if len > (buf.len() / min_bytes) as u64 {
-        return Err(CodecError::LengthOverflow { what, len });
-    }
-    Ok(len as usize)
-}
-
 pub(crate) fn get_str(buf: &mut &[u8]) -> Result<String, CodecError> {
     let len = get_len(buf, "string")?;
     if buf.len() < len {
@@ -336,14 +325,19 @@ fn entry_fixed_len(shape: u8) -> usize {
 }
 
 /// What a record's bytes are laid out by, spelled outside them: its
-/// edge-list's shape and both counts. A columnar row keeps every
-/// record's head in its counts column; the row-wise spelling puts it
-/// in front of the record.
+/// edge-list's shape, both counts and, where the head holds it, its
+/// first entry's neighbour. A columnar row keeps every record's head in
+/// its counts column; the row-wise spelling puts it in front of the
+/// record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RecordHead {
     pub(crate) shape: u8,
     pub(crate) n_edges: usize,
     pub(crate) n_attrs: usize,
+    /// The first entry's neighbour when the head holds it, so that the
+    /// record starts past it; `None` when the record spells it, as its
+    /// first varint.
+    pub(crate) first: Option<NodeId>,
 }
 
 impl RecordHead {
@@ -367,27 +361,33 @@ impl RecordHead {
             shape,
             n_edges: edges.len(),
             n_attrs: attrs.len(),
+            first: None,
         }
     }
 }
 
-/// Serialize the entries of an edge-list in `shape` (the constant
-/// fields its record's head factored out): per entry the
-/// delta-encoded neighbor id and only the fields the shape leaves
-/// open. The one edge-list encoder of the crate.
+/// Serialize the entries of an edge-list laid out by `head` (the
+/// constant fields its shape factored out): per entry the
+/// delta-encoded neighbor id — but for a first entry whose neighbour
+/// the head holds — and only the fields the shape leaves open. The one
+/// edge-list encoder of the crate.
 fn put_edge_list<'a>(
     buf: &mut BytesMut,
     edges: &'a [Neighbor],
-    shape: u8,
+    head: &RecordHead,
     put_pairs: &mut impl FnMut(&mut BytesMut, &'a Attrs),
 ) {
+    let shape = head.shape;
     // Sorted adjacency gaps are mostly one- or two-byte varints.
     buf.reserve(edges.len() * (2 + entry_fixed_len(shape)));
     let mut prev = 0u64;
-    for e in edges {
+    for (i, e) in edges.iter().enumerate() {
         // One append per entry: varint + dir + weight + attrs flag.
         let mut entry = [0u8; MAX_VARINT + 6];
-        let mut n = write_varint(&mut entry, e.nbr.wrapping_sub(prev));
+        let mut n = match (i, head.first) {
+            (0, Some(_)) => 0,
+            _ => write_varint(&mut entry, e.nbr.wrapping_sub(prev)),
+        };
         prev = e.nbr;
         if shape & SHAPE_ALL_BOTH == 0 {
             entry[n] = e.dir.tag();
@@ -409,32 +409,38 @@ fn put_edge_list<'a>(
     }
 }
 
-/// Decode `n_edges` entries written by [`put_edge_list`] in `shape`
-/// onto the end of `edges`. An entry count the remaining bytes cannot
-/// hold fails before any allocation.
+/// Decode the `head.n_edges` entries written by [`put_edge_list`] in
+/// `head.shape` onto the end of `edges`, the first one's neighbour
+/// `head.first` where the head holds it. An entry count the remaining
+/// bytes cannot hold fails before any allocation.
 fn get_edge_list(
     buf: &mut &[u8],
-    shape: u8,
-    n_edges: usize,
+    head: &RecordHead,
     edges: &mut Vec<Neighbor>,
     get_pairs: &mut impl FnMut(&mut &[u8], usize) -> Result<Attrs, CodecError>,
 ) -> Result<(), CodecError> {
+    let (shape, n_edges) = (head.shape, head.n_edges);
     if n_edges == 0 {
         // An attribute-only piece, or a bare node.
         return Ok(());
     }
-    let min_entry = 1 + entry_fixed_len(shape);
-    if n_edges > buf.len() / min_entry {
+    // Every entry spells a neighbour varint, but a first one whose
+    // neighbour the head holds.
+    let fixed = entry_fixed_len(shape);
+    let held = usize::from(head.first.is_some());
+    if n_edges > held + buf.len().saturating_sub(held * fixed) / (1 + fixed) {
         return Err(CodecError::UnexpectedEof {
-            needed: n_edges.saturating_mul(min_entry),
+            needed: n_edges.saturating_mul(1 + fixed) - held,
             remaining: buf.len(),
         });
     }
     edges.reserve(n_edges);
-    let mut prev = 0u64;
-    for _ in 0..n_edges {
-        let nbr = prev.wrapping_add(get_varint(buf)?);
-        prev = nbr;
+    let mut nbr = 0u64;
+    for i in 0..n_edges {
+        nbr = match (i, head.first) {
+            (0, Some(first)) => first,
+            _ => nbr.wrapping_add(get_varint(buf)?),
+        };
         let dir = if shape & SHAPE_ALL_BOTH != 0 {
             EdgeDir::Both
         } else {
@@ -476,7 +482,7 @@ pub(crate) fn put_record<'a>(
     attrs: &'a Attrs,
     mut put_pairs: impl FnMut(&mut BytesMut, &'a Attrs),
 ) {
-    put_edge_list(buf, edges, head.shape, &mut put_pairs);
+    put_edge_list(buf, edges, head, &mut put_pairs);
     put_pairs(buf, attrs);
 }
 
@@ -493,7 +499,7 @@ pub(crate) fn get_record(
     edges: &mut Vec<Neighbor>,
     mut get_pairs: impl FnMut(&mut &[u8], usize) -> Result<Attrs, CodecError>,
 ) -> Result<(), CodecError> {
-    get_edge_list(buf, head.shape, head.n_edges, edges, &mut get_pairs)
+    get_edge_list(buf, head, edges, &mut get_pairs)
 }
 
 /// Skip the record at the cursor, laid out as `head` says — exactly
@@ -506,20 +512,22 @@ pub(crate) fn get_record(
 /// hold simply runs out of them. `skip_pairs(buf, n)` skips `n` pairs
 /// (the inverse of what `put_pairs` wrote). A default-shape edge-list
 /// — every entry undirected, unit-weight, attribute-free — is one run
-/// of neighbor varints, skipped without a per-entry branch. The point
-/// read of a columnar delta row skips its way from a restart point to
-/// the record it wants with this.
+/// of neighbor varints (but a first one the head holds), skipped
+/// without a per-entry branch. The point read of a columnar delta row
+/// skips its way from a restart point to the record it wants with
+/// this.
 pub(crate) fn skip_record(
     buf: &mut &[u8],
     head: &RecordHead,
     mut skip_pairs: impl FnMut(&mut &[u8], usize) -> Result<(), CodecError>,
 ) -> Result<(), CodecError> {
     let shape = head.shape;
+    let held = usize::from(head.first.is_some());
     if shape == SHAPE_DEFAULT {
-        skip_varints(buf, head.n_edges)?;
+        skip_varints(buf, head.n_edges.saturating_sub(held))?;
     } else {
-        for _ in 0..head.n_edges {
-            skip_varints(buf, 1)?;
+        for i in 0..head.n_edges {
+            skip_varints(buf, usize::from(i >= held))?;
             if shape & SHAPE_ALL_BOTH == 0 {
                 let tag = get_u8(buf)?;
                 if EdgeDir::from_tag(tag).is_none() {
@@ -759,13 +767,28 @@ mod tests {
                 RecordHead {
                     shape: SHAPE_DEFAULT,
                     n_edges: d,
-                    n_attrs: 0
+                    n_attrs: 0,
+                    first: None,
                 }
             );
             assert_eq!(buf.len(), gaps, "d = {d}");
             let mut slice: &[u8] = &buf;
             assert_eq!(record_back(&mut slice, &head).unwrap(), edges);
             assert!(slice.is_empty());
+            // A head that holds the first neighbour: the record starts
+            // past its varint.
+            if let Some(e) = edges.first() {
+                let held = RecordHead {
+                    first: Some(e.nbr),
+                    ..head
+                };
+                let mut record = BytesMut::new();
+                put_record(&mut record, &held, &edges, &Attrs::new(), put_attr_pairs);
+                assert_eq!(&record[..], &buf[varint_len(e.nbr)..]);
+                let mut slice: &[u8] = &record;
+                assert_eq!(record_back(&mut slice, &held).unwrap(), edges);
+                assert!(slice.is_empty());
+            }
         }
         // The pieces most tree records are: one default edge is its
         // neighbor; the record of a bare node is nothing at all.
@@ -854,15 +877,18 @@ mod tests {
     /// shorter record.
     #[test]
     fn every_shape_is_defined() {
-        for shape in 0..1u8 << SHAPE_BITS {
+        for (shape, first) in (0..1u8 << SHAPE_BITS).flat_map(|s| [(s, None), (s, Some(2))]) {
             let head = RecordHead {
                 shape,
                 n_edges: 4,
                 n_attrs: 0,
+                first,
             };
             let mut buf = BytesMut::new();
-            for _ in 0..head.n_edges {
-                buf.put_u8(2); // Δnbr
+            for i in 0..head.n_edges {
+                if i > 0 || first.is_none() {
+                    buf.put_u8(2); // Δnbr
+                }
                 if shape & SHAPE_ALL_BOTH == 0 {
                     buf.put_u8(EdgeDir::In.tag());
                 }
@@ -899,6 +925,7 @@ mod tests {
             shape: 0,
             n_edges: 1 << 31,
             n_attrs: 0,
+            first: None,
         };
         let buf = [1u8, 2, 0, 0, 0x80, 0x3f, 0, 1, 2, 0, 0, 0x80, 0x3f, 0];
         let mut slice: &[u8] = &buf;
@@ -1028,7 +1055,7 @@ mod tests {
             extra in prop::collection::vec(any::<u8>(), 1..5),
             arbitrary in prop::collection::vec(any::<u8>(), 0..48),
             tail in prop::collection::vec(any::<u8>(), 0..4),
-            other_head in (0u8..1 << SHAPE_BITS, 0usize..14, 0usize..6),
+            other_head in (0u8..1 << SHAPE_BITS, 0usize..14, 0usize..6, any::<bool>(), 0u64..1 << 20),
         ) {
             let mut head = RecordHead::of(&n.edges, &n.attrs);
             let mut buf = BytesMut::new();
@@ -1041,8 +1068,8 @@ mod tests {
                 3 => bytes.truncate(at),
                 4 => bytes = arbitrary,
                 5 => {
-                    let (shape, n_edges, n_attrs) = other_head;
-                    head = RecordHead { shape, n_edges, n_attrs };
+                    let (shape, n_edges, n_attrs, held, first) = other_head;
+                    head = RecordHead { shape, n_edges, n_attrs, first: held.then_some(first) };
                 }
                 _ => {}
             }

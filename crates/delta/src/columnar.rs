@@ -7,11 +7,18 @@
 //! **column segments** behind one backing [`Bytes`] value:
 //!
 //! ```text
-//! row := u8 magic, varint count, varint n_segs, varint seg_len{n_segs}, seg{n_segs}
+//! row := u8 magic, varint count, u8 present,
+//!        varint seg_len{n_present − 1}, seg{n_present}
 //! ```
 //!
-//! Every segment is stored as written, so reading one is a zero-copy
-//! sub-slice of the backing buffer. What keeps a row small is its
+//! The magic says how many segments the row has (eight in an eventlist
+//! row, five in a delta row); `present` has bit `i` set when segment
+//! `i` is not empty, and only the non-empty segments are spelled, each
+//! but the last with its length — the row's length gives the last one.
+//! A presence bit past the magic's segments, a spelled length of zero
+//! or a present last segment of no bytes is refused. Every segment is
+//! stored as written, so reading one is a zero-copy sub-slice of the
+//! backing buffer. What keeps a row small is its
 //! grammar — bit-coded integer columns, shape-factored records, and
 //! attribute keys, values and pairs named by id. (A store may still
 //! compress whole values: `hgs_store`'s optional LZSS, the axis of the
@@ -78,9 +85,10 @@
 //!   restarts := (varint window_len, varint window_bits){⌊n / 16⌋}
 //!   dict     := ε | varint n_keys, str{n_keys},
 //!                   varint n_pairs, (varint key_id, attr_value){n_pairs}
-//!   counts   := [u8 params [u8 k_attrs] code{n}]
-//!   params   := bits 0-5 k_edges, bit 6 attrs, bit 7 shapes
-//!   code     := Rice(n_edges, k_edges) [Rice(n_attrs, k_attrs)] [shape:3]
+//!   counts   := [u8 params [u8 k_attrs] [u8 w_first] code{n}]
+//!   params   := bits 0-4 k_edges, bit 5 firsts, bit 6 attrs, bit 7 shapes
+//!   code     := Rice(n_edges, k_edges) [first:w_first]
+//!               [Rice(n_attrs, k_attrs)] [shape:3]
 //!   records  := record{n}
 //!   ```
 //!
@@ -99,17 +107,27 @@
 //!   length of records `16w .. 16w+16`, `window_bits` the bit length of
 //!   their codes in the counts column. The counts column holds each
 //!   record's **head** — what lays its bytes out — as one bit-coded
-//!   code: its edge count, then its attribute count only when the
-//!   `attrs` flag says some record of the row has one, then its
-//!   edge-list's three shape bits only when the `shapes` flag says some
-//!   record's shape is not the default (every entry undirected,
-//!   unit-weight, attribute-free). A flag no record needs, or a shape
-//!   other than the default on a record of no entries, is refused: no
-//!   writer spells either. The dictionary holds the pairs the context
-//!   table lacks, and is empty when there are none; its keys are the
-//!   keys of those pairs the table lacks, sorted, a pair's `key_id`
-//!   names a table key or, past the table's keys, one of them, and its
-//!   pairs are in order of first use. The full read (`sum_into`)
+//!   code: its edge count; then, when the `firsts` flag is set and the
+//!   record has entries, its first entry's neighbour in `w_first` bits,
+//!   the bit length of the row's largest first neighbour; then its
+//!   attribute count only when the `attrs` flag says some record of
+//!   the row has one; then its edge-list's three shape bits only when
+//!   the `shapes` flag says some record's shape is not the default
+//!   (every entry undirected, unit-weight, attribute-free). The writer
+//!   sets `firsts` where that makes the row smaller than spelling each
+//!   first neighbour as a varint in its record, by more than the width
+//!   byte, the rounding and a byte of each restart can cost — where the
+//!   row's first neighbours need about as many bits each; a growing
+//!   graph's early, popular neighbours fit varints narrower than its
+//!   widest id. A flag no record needs, a `w_first` past 64 or other
+//!   than the largest first neighbour's bit length, or a shape other
+//!   than the default on a record of no entries, is refused: no writer
+//!   spells any of them (the point read refuses only the width past
+//!   64). The dictionary holds the pairs
+//!   the context table lacks, and is empty when there are none; its
+//!   keys are the keys of those pairs the table lacks, sorted, a pair's
+//!   `key_id` names a table key or, past the table's keys, one of them,
+//!   and its pairs are in order of first use. The full read (`sum_into`)
 //!   streams ids, heads and records in lockstep and holds every restart
 //!   to the bytes and code bits its window actually took. A point read
 //!   (`node_record`, `sum_node_into`, `contains`) seeks the node's
@@ -117,20 +135,25 @@
 //!   the first `⌊i / 16⌋` restarts to find its window's records and
 //!   codes, reads the heads from the window's first to `i`'s, and steps
 //!   over the `i mod 16` records before it with `codec::skip_record` (a
-//!   run of default-shape records, varints alone, at once), so on every
-//!   row the full read accepts the two reads agree. Only the full read
-//!   checks the restarts and the flags: a point read alone does not
-//!   detect a wrong restart, and may then answer another node's record,
-//!   or one parsed from inside a record, as `Ok` (a point read of a row
-//!   nothing has read in full yet).
+//!   run of default-shape records, varints alone, at once); the
+//!   window's code bits bound that head walk as its bytes bound the
+//!   skip, so on every row the full read accepts the two reads agree.
+//!   Only the full read checks the restarts and the flags: a point
+//!   read alone does not detect a wrong restart, and may then answer
+//!   another node's record, or one parsed from inside a record, as `Ok`
+//!   (a point read of a row nothing has read in full yet).
 //!
 //!   A record is written in the grammar of [`crate::codec`] — only the
-//!   entry fields its shape leaves open, then the attribute pairs —
-//!   with every node or edge attribute pair one `varint pair_id`: a
-//!   table pair, or past the table's pairs one of the row's own; the
-//!   record codec and its edge-list loops live there. Records are most
-//!   of every index — most of them a single default edge (`nbr`, beside
-//!   a two-bit code) or a single pair (`pair_id`).
+//!   entry fields its shape leaves open (and no first neighbour the
+//!   head holds), then the attribute pairs — with every node or edge
+//!   attribute pair one `varint pair_id`: a table pair, or past the
+//!   table's pairs one of the row's own; the record codec and its
+//!   edge-list loops live there. Records are most of every index —
+//!   most of them a single default edge (`nbr` beside a two-bit code,
+//!   or no record bytes at all where the code holds it) or a single
+//!   pair (`pair_id`). Every later neighbour stays a byte-aligned
+//!   varint gap, so the runs of unit gaps a growing graph's hubs make
+//!   are left for a store's LZSS to find.
 //!
 //! A record is a whole node description in an **aux** row and in any
 //! delta encoded by itself. In a **tree** row it is a *piece*: the
@@ -215,9 +238,12 @@ pub enum StorageLayout {
 /// index as a varint and every value in full, and whose records
 /// spelled every pair as a key index and a value; `0xC8` delta rows
 /// whose records each opened with a head byte and whose id column
-/// spelled every gap as a varint.
-const DELTA_MAGIC: u8 = 0xCA;
-const ELIST_MAGIC: u8 = 0xC9;
+/// spelled every gap as a varint; `0xC9` eventlist rows and `0xCA`
+/// delta rows whose headers spelled a segment count and every
+/// segment's length, and whose records spelled their first neighbour
+/// as a varint.
+const DELTA_MAGIC: u8 = 0xCB;
+const ELIST_MAGIC: u8 = 0xCC;
 
 const ELIST_SEGS: usize = 8;
 const SEG_NODE_DICT: usize = 0;
@@ -342,16 +368,26 @@ fn dict_node(dict: &[NodeId], idx: u32) -> Result<NodeId, CodecError> {
 }
 
 // ----------------------------------------------------------------------
-// shared header: magic, count, per-segment lengths
+// shared header: magic, count, which segments are present, their lengths
 // ----------------------------------------------------------------------
 
+/// Spell a row: its magic, its record count, a bitmap of its non-empty
+/// segments (bit `i` for segment `i`; the magic says how many segments
+/// the row has), the length of every non-empty segment but the last —
+/// the row's length gives that one — and the non-empty segments.
 fn assemble(magic: u8, count: usize, segs: &[&[u8]]) -> Bytes {
+    debug_assert!(segs.len() <= 8);
     let total: usize = segs.iter().map(|s| s.len()).sum();
-    let mut out = BytesMut::with_capacity(total + 8 + 2 * segs.len());
+    let mut out = BytesMut::with_capacity(total + 4 + 2 * segs.len());
     out.put_u8(magic);
     put_varint(&mut out, count as u64);
-    put_varint(&mut out, segs.len() as u64);
-    for s in segs {
+    let mut present = 0u8;
+    for (i, s) in segs.iter().enumerate() {
+        present |= u8::from(!s.is_empty()) << i;
+    }
+    out.put_u8(present);
+    let last = segs.iter().rposition(|s| !s.is_empty()).unwrap_or(0);
+    for s in segs[..last].iter().filter(|s| !s.is_empty()) {
         put_varint(&mut out, s.len() as u64);
     }
     for s in segs {
@@ -366,7 +402,10 @@ struct Header<const N: usize> {
     segs: [Range<usize>; N],
 }
 
-/// Parse the common header and bounds-check every segment range.
+/// Parse the common header and bounds-check every segment range. A
+/// presence bit past the magic's `N` segments, or a spelled length of
+/// zero — a present segment is not empty — is refused; so is a last
+/// present segment the row has no bytes left for.
 fn parse_header<const N: usize>(
     backing: &Bytes,
     magic: u8,
@@ -378,20 +417,44 @@ fn parse_header<const N: usize>(
         return Err(CodecError::BadTag { what, tag });
     }
     let count = get_len(&mut buf, what)?;
-    let got_segs = get_len(&mut buf, "segment-count")?;
-    if got_segs != N {
-        return Err(CodecError::LengthOverflow {
-            what: "segment-count",
-            len: got_segs as u64,
+    let present = get_u8(&mut buf)?;
+    if u32::from(present) >> N != 0 {
+        return Err(CodecError::BadTag {
+            what: "segment presence",
+            tag: present,
         });
     }
+    // The highest present segment: its length is the rest of the row.
+    let last = (present != 0).then(|| 7 - present.leading_zeros() as usize);
     let mut lens = [0usize; N];
-    for len in &mut lens {
+    for (i, len) in lens.iter_mut().enumerate() {
+        if present & 1 << i == 0 || Some(i) == last {
+            continue;
+        }
         *len = get_len(&mut buf, "segment")?;
+        if *len == 0 {
+            return Err(CodecError::LengthOverflow {
+                what: "segment",
+                len: 0,
+            });
+        }
     }
     let mut pos = backing.len() - buf.len();
     let mut segs: [Range<usize>; N] = std::array::from_fn(|_| 0..0);
-    for (len, seg) in lens.into_iter().zip(&mut segs) {
+    for (i, (len, seg)) in lens.into_iter().zip(&mut segs).enumerate() {
+        let len = if Some(i) == last {
+            match backing.len() - pos {
+                0 => {
+                    return Err(CodecError::UnexpectedEof {
+                        needed: 1,
+                        remaining: 0,
+                    })
+                }
+                rest => rest,
+            }
+        } else {
+            len
+        };
         let end = pos.checked_add(len).ok_or(CodecError::LengthOverflow {
             what: "segment",
             len: len as u64,
@@ -405,11 +468,7 @@ fn parse_header<const N: usize>(
         *seg = pos..end;
         pos = end;
     }
-    if pos != backing.len() {
-        return Err(CodecError::TrailingBytes {
-            remaining: backing.len() - pos,
-        });
-    }
+    no_trailing(backing.len() - pos)?;
     Ok(Header { count, segs })
 }
 
@@ -1331,8 +1390,12 @@ fn put_node_record<'a>(
     });
 }
 
-/// Counts-column parameter bits: the edge counts' Rice parameter.
-const COUNTS_K_EDGES: u8 = 0x3f;
+/// Counts-column parameter bits: the edge counts' Rice parameter
+/// (at most 31: no record has 2^32 entries).
+const COUNTS_K_EDGES: u8 = 0x1f;
+/// Counts-column flag: every code of a record with entries holds its
+/// first neighbour, and a width byte follows the parameters.
+const COUNTS_FIRSTS: u8 = 1 << 5;
 /// Counts-column flag: every code holds an attribute count.
 const COUNTS_ATTRS: u8 = 1 << 6;
 /// Counts-column flag: every code holds a shape.
@@ -1343,9 +1406,33 @@ fn rice_len(v: u64, k: u8) -> u64 {
     (v >> k) + 1 + u64::from(k)
 }
 
+/// The bit length of `v`: what a fixed-width code of it needs.
+fn bit_len(v: u64) -> u32 {
+    u64::BITS - v.leading_zeros()
+}
+
+/// Whether the records of `nodes` are smaller with each first neighbour
+/// in its head's code, as wide as the largest, than as a varint in front
+/// of its record — by more than it can cost elsewhere: the width byte,
+/// the rounding of the counts column, and a byte of each restart's code
+/// bits. A growing graph's first neighbours are mostly early, popular
+/// nodes, whose varints may be narrower than the width its largest sets.
+fn firsts_in_heads(nodes: &[&StaticNode]) -> bool {
+    let (mut held, mut max, mut varint_bytes) = (0u64, 0u64, 0u64);
+    for e in nodes.iter().filter_map(|n| n.edges.first()) {
+        held += 1;
+        max = max.max(e.nbr);
+        varint_bytes += u64::from(bit_len(e.nbr).max(1).div_ceil(7));
+    }
+    let moved = (held * u64::from(bit_len(max))).div_ceil(8);
+    2 + moved + (nodes.len() / RESTART_INTERVAL) as u64 <= varint_bytes
+}
+
 /// Spell a delta row's counts column — the heads of its records, one
 /// code each; nothing for a row of no records — and return it with
-/// the bits each full window of `RESTART_INTERVAL` codes took.
+/// the bits each full window of `RESTART_INTERVAL` codes took. Every
+/// head of a record with entries holds its first neighbour, or none
+/// does.
 fn put_counts(heads: &[RecordHead]) -> (BytesMut, Vec<u64>) {
     let mut out = BytesMut::new();
     let mut windows = Vec::with_capacity(heads.len() / RESTART_INTERVAL);
@@ -1353,30 +1440,46 @@ fn put_counts(heads: &[RecordHead]) -> (BytesMut, Vec<u64>) {
         return (out, windows);
     }
     let (mut edge_sum, mut attr_sum, mut shapes) = (0u128, 0u128, false);
+    let (mut firsts, mut max_first) = (false, 0u64);
     for h in heads {
         edge_sum += h.n_edges as u128;
         attr_sum += h.n_attrs as u128;
         shapes |= h.shape != SHAPE_DEFAULT;
+        if let Some(first) = h.first {
+            firsts = true;
+            max_first = max_first.max(first);
+        }
     }
-    let k_edges = rice_k(edge_sum, heads.len());
+    let k_edges = rice_k(edge_sum, heads.len()).min(COUNTS_K_EDGES);
     let k_attrs = rice_k(attr_sum, heads.len());
+    let w_first = bit_len(max_first);
     let attrs = attr_sum > 0;
     let mut params = k_edges;
-    if attrs {
-        params |= COUNTS_ATTRS;
-    }
-    if shapes {
-        params |= COUNTS_SHAPES;
+    for (on, flag) in [
+        (firsts, COUNTS_FIRSTS),
+        (attrs, COUNTS_ATTRS),
+        (shapes, COUNTS_SHAPES),
+    ] {
+        if on {
+            params |= flag;
+        }
     }
     out.put_u8(params);
     if attrs {
         out.put_u8(k_attrs);
+    }
+    if firsts {
+        out.put_u8(w_first as u8);
     }
     let mut bits = BitWriter::new(&mut out);
     let mut window = 0u64;
     for (i, h) in heads.iter().enumerate() {
         bits.put_rice(h.n_edges as u64, k_edges);
         window += rice_len(h.n_edges as u64, k_edges);
+        if let Some(first) = h.first {
+            bits.put(first, w_first);
+            window += u64::from(w_first);
+        }
         if attrs {
             bits.put_rice(h.n_attrs as u64, k_attrs);
             window += rice_len(h.n_attrs as u64, k_attrs);
@@ -1407,15 +1510,20 @@ fn count(v: u64, what: &'static str) -> Result<usize, CodecError> {
 struct Counts<'a> {
     bits: BitReader<'a>,
     /// When every code of the column is unary — both Rice parameters
-    /// 0, no shapes — its one bits, and the position the next code
-    /// starts at: the common column, read a word at a time.
+    /// 0, no shapes, no first neighbours — its one bits, and the
+    /// position the next code starts at: the common column, read a
+    /// word at a time.
     unary: Option<(Ones<'a>, u64)>,
     /// Bits of the column past its parameters.
     len_bits: usize,
     params: u8,
     k_attrs: u8,
+    /// The width of every first neighbour, when the codes hold them.
+    w_first: Option<u32>,
     /// The flags the heads read so far needed.
     needed: u8,
+    /// The largest first neighbour read so far.
+    max_first: u64,
 }
 
 impl<'a> Counts<'a> {
@@ -1423,12 +1531,23 @@ impl<'a> Counts<'a> {
     /// code, or — for a point read — at the code `skip` bits past it.
     /// `n` is held to the bits the column has (every code takes at
     /// least one) before anything is read, so a caller may size by it.
+    /// A first-neighbour width past 64 bits is refused.
     fn new(mut b: &'a [u8], n: usize, skip: usize) -> Result<Counts<'a>, CodecError> {
-        let (mut params, mut k_attrs) = (0, 0);
+        let (mut params, mut k_attrs, mut w_first) = (0, 0, None);
         if n > 0 {
             params = get_u8(&mut b)?;
             if params & COUNTS_ATTRS != 0 {
                 k_attrs = check_rice_k(get_u8(&mut b)?)?;
+            }
+            if params & COUNTS_FIRSTS != 0 {
+                let w = get_u8(&mut b)?;
+                if u32::from(w) > u64::BITS {
+                    return Err(CodecError::BadTag {
+                        what: "first-neighbour width",
+                        tag: w,
+                    });
+                }
+                w_first = Some(u32::from(w));
             }
         }
         let short = CodecError::UnexpectedEof {
@@ -1440,14 +1559,16 @@ impl<'a> Counts<'a> {
         }
         let mut bits = BitReader::new(b.get(skip / 8..).ok_or(short)?);
         bits.get((skip % 8) as u32)?;
-        let unary = params & (COUNTS_K_EDGES | COUNTS_SHAPES) == 0 && k_attrs == 0;
+        let unary = params & (COUNTS_K_EDGES | COUNTS_FIRSTS | COUNTS_SHAPES) == 0 && k_attrs == 0;
         Ok(Counts {
             bits,
             unary: unary.then(|| (Ones::new(b, skip), skip as u64)),
             len_bits: b.len() * 8,
             params,
             k_attrs,
+            w_first,
             needed: 0,
+            max_first: 0,
         })
     }
 
@@ -1476,17 +1597,28 @@ impl<'a> Counts<'a> {
                 shape: SHAPE_DEFAULT,
                 n_edges,
                 n_attrs,
+                first: None,
             });
         }
-        let n_edges = count(self.bits.get_rice(self.params & COUNTS_K_EDGES)?, "edges")?;
+        let k_edges = self.params & COUNTS_K_EDGES;
+        let (n_edges, first) = match self.w_first {
+            Some(w) => {
+                let (n_edges, first) = self.bits.get_rice_then(k_edges, w)?;
+                self.max_first = self.max_first.max(first);
+                (n_edges, (n_edges > 0).then_some(first))
+            }
+            None => (self.bits.get_rice(k_edges)?, None),
+        };
         let mut head = RecordHead {
             shape: SHAPE_DEFAULT,
-            n_edges,
+            n_edges: count(n_edges, "edges")?,
             n_attrs: 0,
+            first,
         };
         if self.params & (COUNTS_ATTRS | COUNTS_SHAPES) != 0 {
             self.read_flagged(&mut head)?;
         }
+        self.needed |= COUNTS_FIRSTS * u8::from(head.first.is_some());
         Ok(head)
     }
 
@@ -1522,12 +1654,20 @@ impl<'a> Counts<'a> {
     }
 
     /// End of the column, after its last head: every flag it sets was
-    /// needed by some record, and only padding remains.
+    /// needed by some record, its first-neighbour width is the largest
+    /// first neighbour's, and only padding remains.
     fn finish(self) -> Result<(), CodecError> {
-        if self.needed != self.params & (COUNTS_ATTRS | COUNTS_SHAPES) {
+        let flags = COUNTS_FIRSTS | COUNTS_ATTRS | COUNTS_SHAPES;
+        if self.needed != self.params & flags {
             return Err(CodecError::BadTag {
                 what: "counts flags",
                 tag: self.params,
+            });
+        }
+        if let Some(w) = self.w_first.filter(|&w| w != bit_len(self.max_first)) {
+            return Err(CodecError::BadTag {
+                what: "first-neighbour width",
+                tag: w as u8,
             });
         }
         match &self.unary {
@@ -1878,9 +2018,13 @@ pub fn encode_columnar_delta(d: &Delta) -> Bytes {
 /// per-node records.
 pub fn encode_columnar_delta_in(d: &Delta, table: &PairTable) -> Bytes {
     let nodes = d.sorted_nodes();
+    let firsts = firsts_in_heads(&nodes);
     let heads: Vec<RecordHead> = nodes
         .iter()
-        .map(|n| RecordHead::of(&n.edges, &n.attrs))
+        .map(|n| RecordHead {
+            first: n.edges.first().filter(|_| firsts).map(|e| e.nbr),
+            ..RecordHead::of(&n.edges, &n.attrs)
+        })
         .collect();
     let ids: Vec<NodeId> = nodes.iter().map(|n| n.id).collect();
     let mut id_col = BytesMut::new();
@@ -2043,13 +2187,14 @@ impl ColumnarDelta {
         let counts = self.memo_seg(&self.counts, SEG_COUNTS);
         let mut counts = Counts::new(counts, self.n_nodes, bit)?;
         // A record of the default shape is varints alone — its
-        // entries' neighbor gaps, then its pair ids — so a run of them
-        // is stepped over at once.
+        // entries' neighbor gaps past the first, then its pair ids — so
+        // a run of them is stepped over at once.
         let mut varints = 0usize;
         for _ in 0..i % RESTART_INTERVAL {
             let head = counts.next()?;
             if head.shape == SHAPE_DEFAULT {
-                varints += head.n_edges + head.n_attrs;
+                let held = usize::from(head.first.is_some());
+                varints += head.n_edges - held + head.n_attrs;
             } else {
                 skip_varints(&mut b, std::mem::take(&mut varints))?;
                 // A pair is one pair id.
@@ -2406,18 +2551,23 @@ mod tests {
     }
 
     #[test]
-    fn a_default_edge_piece_costs_its_neighbor_and_two_bits() {
-        // 64 nodes of one default edge each: every head is edge count 1
-        // at Rice parameter 0 (`01`), no attribute count, no shape —
-        // the counts column is its parameter byte and 128 bits, and
-        // the records are the 64 neighbor varints alone.
+    fn a_default_edge_piece_costs_its_head_alone() {
+        // 64 nodes of one default edge each, to neighbours 1..=64: every
+        // head is edge count 1 at Rice parameter 0 (`01`) and its
+        // neighbour in 7 bits (the width of 64; 57 bytes in all, where
+        // the neighbours' varints take 64), no attribute count, no
+        // shape — the counts column is its two parameter bytes and 64
+        // codes of 9 bits, and the records are nothing at all.
         let d: Delta = (0..64u64)
             .map(|i| node_with(2 * i, &[i + 1], &[]))
             .collect();
         let col = tree_row(&d);
-        assert_eq!(&col.seg(SEG_COUNTS)[..2], &[0, 0b1010_1010]);
-        assert_eq!(col.segs[SEG_COUNTS].len(), 1 + 64 * 2 / 8);
-        assert_eq!(col.segs[SEG_RECORDS].len(), 64);
+        let counts = col.seg(SEG_COUNTS);
+        assert_eq!(&counts[..2], &[COUNTS_FIRSTS, 7]);
+        // `01` then 1 in seven bits: bits 1 and 2 of the first byte.
+        assert_eq!(counts[2], 0b110);
+        assert_eq!(counts.len(), 2 + 64 * 9 / 8);
+        assert!(col.segs[SEG_RECORDS].is_empty());
         // Ids 0, 2, ..., 126: offsets 2, 4, ..., 126 from the first, so
         // `l = 1` — a low bit each, then a unary rise of one (`01`)
         // each.
@@ -2426,6 +2576,9 @@ mod tests {
             1 + 1 + 63usize.div_ceil(8) + (63 * 2usize).div_ceil(8)
         );
         assert_eq!(col.to_delta().unwrap(), d);
+        for n in d.iter() {
+            assert_eq!(col.node_record(n.id).unwrap().as_ref(), Some(n));
+        }
 
         // One attributed record and one weighted one: every code
         // gains an attribute count and a shape.
@@ -2436,12 +2589,81 @@ mod tests {
         odd.insert(weighted);
         let col = tree_row(&odd);
         let counts = col.seg(SEG_COUNTS);
-        assert_eq!(counts[0], COUNTS_ATTRS | COUNTS_SHAPES);
+        assert_eq!(counts[0], COUNTS_FIRSTS | COUNTS_ATTRS | COUNTS_SHAPES);
         assert_eq!(counts[1], 0, "the attribute counts' Rice parameter");
+        assert_eq!(counts[2], 7, "the first neighbours' width");
         assert_eq!(col.to_delta().unwrap(), odd);
         for n in odd.iter() {
             assert_eq!(col.node_record(n.id).unwrap().as_ref(), Some(n));
         }
+
+        // With one far neighbour the width is 17 bits, wider than the
+        // one-byte varints of the rest: the records keep their first
+        // neighbours, and the counts column holds no width.
+        let mut far = d.clone();
+        far.insert(node_with(500, &[100_000], &[]));
+        let col = tree_row(&far);
+        let counts = col.seg(SEG_COUNTS);
+        assert_eq!(counts[0], 0);
+        assert_eq!(col.segs[SEG_RECORDS].len(), 64 + 3);
+        assert_eq!(col.to_delta().unwrap(), far);
+        for n in far.iter() {
+            assert_eq!(col.node_record(n.id).unwrap().as_ref(), Some(n));
+        }
+    }
+
+    #[test]
+    fn first_neighbour_widths_off_the_grammar_are_refused() {
+        // Three nodes of two default edges each, first neighbours 1, 2
+        // and 3: two bits wide.
+        let d: Delta = (0..3u64)
+            .map(|i| node_with(10 * i, &[i + 1, 50], &[]))
+            .collect();
+        let counts = tree_row(&d).seg(SEG_COUNTS).to_vec();
+        assert_eq!(&counts[..2], &[COUNTS_FIRSTS, 2]);
+        // The codes respelled at width `w`.
+        let at_width = |w: u8| {
+            let mut c = BytesMut::new();
+            c.put_slice(&[COUNTS_FIRSTS, w]);
+            let mut bits = BitWriter::new(&mut c);
+            for i in 0..3u64 {
+                bits.put_rice(2, 0);
+                bits.put(i + 1, u32::from(w));
+            }
+            bits.finish();
+            with_delta_segment(&d, SEG_COUNTS, |_| c.to_vec())
+        };
+        assert_eq!(at_width(2).to_delta().unwrap(), d);
+        // Wider than the largest first neighbour: the full read refuses
+        // it, the point read (which does not check) still lands right.
+        let wide = at_width(9);
+        assert_eq!(
+            wide.to_delta(),
+            Err(CodecError::BadTag {
+                what: "first-neighbour width",
+                tag: 9
+            })
+        );
+        for n in d.iter() {
+            assert_eq!(wide.node_record(n.id).unwrap().as_ref(), Some(n));
+        }
+        // A width no `u64` has: refused by both reads.
+        let mut c = counts.clone();
+        c[1] = 65;
+        let col = with_delta_segment(&d, SEG_COUNTS, |_| c.clone());
+        let too_wide = CodecError::BadTag {
+            what: "first-neighbour width",
+            tag: 65,
+        };
+        assert_eq!(col.to_delta(), Err(too_wide.clone()));
+        assert_eq!(col.node_record(10), Err(too_wide));
+        // Full 64-bit neighbours round-trip.
+        let far: Delta = [node_with(1, &[u64::MAX - 1, u64::MAX], &[])]
+            .into_iter()
+            .collect();
+        let col = tree_row(&far);
+        assert_eq!(col.seg(SEG_COUNTS)[1], 64);
+        assert_eq!(col.to_delta().unwrap(), far);
     }
 
     #[test]
@@ -2452,7 +2674,8 @@ mod tests {
             good[0] & (COUNTS_ATTRS | COUNTS_SHAPES),
             COUNTS_ATTRS | COUNTS_SHAPES
         );
-        // 21 codes of two bits: the last byte has six bits of padding.
+        // 21 codes of seven bits — an edge count of one, a neighbour
+        // of five bits: the last byte has five bits of padding.
         let plain: Delta = (0..21u64).map(|i| node_with(i, &[i + 1], &[])).collect();
         let plain_counts = tree_row(&plain).seg(SEG_COUNTS).to_vec();
         let flagged = |flag: u8| {
@@ -2495,26 +2718,27 @@ mod tests {
         // The flags of a row whose records need neither, set anyway and
         // each code spelled to match: only the full read refuses it.
         let mut both = BytesMut::new();
-        both.put_slice(&[COUNTS_ATTRS | COUNTS_SHAPES, 0]);
+        both.put_slice(&[COUNTS_FIRSTS | COUNTS_ATTRS | COUNTS_SHAPES, 0, 5]);
         let mut bits = BitWriter::new(&mut both);
-        for _ in 0..plain.cardinality() {
+        for i in 0..plain.cardinality() as u64 {
             bits.put_rice(1, 0);
+            bits.put(i + 1, 5);
             bits.put_rice(0, 0);
             bits.put(u64::from(SHAPE_DEFAULT), SHAPE_BITS);
         }
         bits.finish();
-        // Its one full window's codes now take 16 · 6 bits.
+        // Its one full window's codes now take 16 · 11 bits.
         let row = tree_row(&plain);
         let mut segs: Vec<Bytes> = (0..DELTA_SEGS).map(|i| row.seg(i)).collect();
         let w0 = get_varint(&mut &segs[SEG_RESTARTS][..]).unwrap();
-        segs[SEG_RESTARTS] = varints(&[w0, 16 * 6]).into();
+        segs[SEG_RESTARTS] = varints(&[w0, 16 * 11]).into();
         let both = reassembled(DELTA_MAGIC, 21, segs, SEG_COUNTS, |_| both.to_vec());
         let col = ColumnarDelta::parse(both).unwrap();
         assert_eq!(
             col.to_delta(),
             Err(CodecError::BadTag {
                 what: "counts flags",
-                tag: COUNTS_ATTRS | COUNTS_SHAPES,
+                tag: COUNTS_FIRSTS | COUNTS_ATTRS | COUNTS_SHAPES,
             })
         );
         for n in plain.iter() {
@@ -2522,13 +2746,13 @@ mod tests {
         }
 
         // An edge count past the codec's sanity cap: at Rice parameter
-        // 33, a quotient of one is 2^33 entries.
+        // 31, a quotient of four is 2^33 entries.
         let mut huge = BytesMut::new();
-        huge.put_u8(33);
+        huge.put_u8(31);
         let mut bits = BitWriter::new(&mut huge);
-        bits.put_rice(1 << 33, 33);
+        bits.put_rice(1 << 33, 31);
         for _ in 1..plain.cardinality() {
-            bits.put_rice(1, 33);
+            bits.put_rice(1, 31);
         }
         bits.finish();
         let col = with_delta_segment(&plain, SEG_COUNTS, |_| huge.to_vec());
@@ -2548,7 +2772,7 @@ mod tests {
         let delta = encode_columnar_delta(&sample_delta());
         let elist = encode_columnar_eventlist(&Eventlist::from_sorted(sample_events()));
         assert_eq!((delta[0], elist[0]), (DELTA_MAGIC, ELIST_MAGIC));
-        for retired in [0xC1u8, 0xC2, 0xC3, 0xC4, 0xC5, 0xC6, 0xC7, 0xC8] {
+        for retired in [0xC1u8, 0xC2, 0xC3, 0xC4, 0xC5, 0xC6, 0xC7, 0xC8, 0xC9, 0xCA] {
             let mut old = delta.to_vec();
             old[0] = retired;
             assert!(matches!(
@@ -3256,11 +3480,151 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u8(ELIST_MAGIC);
         put_varint(&mut buf, 0);
-        put_varint(&mut buf, ELIST_SEGS as u64);
+        buf.put_u8(0b11);
         put_varint(&mut buf, u64::MAX);
         assert!(matches!(
             ColumnarEventlist::parse(buf.freeze()),
             Err(CodecError::LengthOverflow { .. })
         ));
+    }
+
+    /// A header of magic, count, presence bitmap and the spelled
+    /// lengths, then `body`.
+    fn header(magic: u8, present: u8, lens: &[u64], body: &[u8]) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_u8(magic);
+        put_varint(&mut buf, 1);
+        buf.put_u8(present);
+        for &len in lens {
+            put_varint(&mut buf, len);
+        }
+        buf.put_slice(body);
+        buf.freeze()
+    }
+
+    #[test]
+    fn headers_spell_only_the_present_segments() {
+        // A row of ids, counts and records spells two lengths: the
+        // records run to the row's end.
+        let d: Delta = [node_with(3, &[5, 8], &[])].into_iter().collect();
+        let row = encode_columnar_delta(&d);
+        let col = ColumnarDelta::parse(row.clone()).unwrap();
+        let present: Vec<usize> = (0..DELTA_SEGS)
+            .filter(|&i| !col.segs[i].is_empty())
+            .collect();
+        assert_eq!(present, [SEG_NODE_IDS, SEG_COUNTS, SEG_RECORDS]);
+        let spelled = 2 + col.segs[SEG_NODE_IDS].len() + col.segs[SEG_COUNTS].len();
+        assert_eq!(row.len(), 3 + spelled + col.segs[SEG_RECORDS].len());
+        assert_eq!(
+            row[2],
+            1 << SEG_NODE_IDS | 1 << SEG_COUNTS | 1 << SEG_RECORDS
+        );
+        // A delta of nothing is its magic, its count and an empty bitmap.
+        assert_eq!(
+            &encode_columnar_delta(&Delta::new())[..],
+            [DELTA_MAGIC, 0, 0]
+        );
+    }
+
+    #[test]
+    fn headers_round_trip_every_presence_pattern() {
+        // Every set of empty and non-empty segments of a delta row and
+        // of an eventlist row, the non-empty ones of lengths that take
+        // one- and two-byte varints: the header parses back to exactly
+        // the segments assembled, and a row cut short never parses to
+        // more bytes than it has.
+        for n in [DELTA_SEGS, ELIST_SEGS] {
+            let magic = if n == DELTA_SEGS {
+                DELTA_MAGIC
+            } else {
+                ELIST_MAGIC
+            };
+            for mask in 0u32..1 << n {
+                let segs: Vec<Vec<u8>> = (0..n)
+                    .map(|i| {
+                        let len = if mask >> i & 1 == 0 {
+                            0
+                        } else {
+                            1 + (i * 97 + mask as usize) % 200
+                        };
+                        (0..len).map(|b| (b + i) as u8).collect()
+                    })
+                    .collect();
+                let raw: Vec<&[u8]> = segs.iter().map(Vec::as_slice).collect();
+                let row = assemble(magic, 300 + mask as usize, &raw);
+                let check = |row: Bytes| {
+                    let parsed = if n == DELTA_SEGS {
+                        parse_header::<DELTA_SEGS>(&row, magic, "row")
+                            .map(|h| (h.count, h.segs.to_vec()))
+                    } else {
+                        parse_header::<ELIST_SEGS>(&row, magic, "row")
+                            .map(|h| (h.count, h.segs.to_vec()))
+                    };
+                    parsed.map(|(count, ranges)| {
+                        (
+                            count,
+                            ranges
+                                .iter()
+                                .map(|r| row[r.clone()].to_vec())
+                                .collect::<Vec<_>>(),
+                        )
+                    })
+                };
+                assert_eq!(
+                    check(row.clone()).unwrap(),
+                    (300 + mask as usize, segs.clone()),
+                    "mask {mask:#b}"
+                );
+                for cut in 0..row.len() {
+                    if let Ok((_, got)) = check(row.slice(..cut)) {
+                        assert!(
+                            got.iter().map(Vec::len).sum::<usize>() < cut,
+                            "mask {mask:#b} cut {cut}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn headers_off_the_grammar_are_refused() {
+        // A presence bit for a segment the magic does not have.
+        for bit in DELTA_SEGS..8 {
+            assert_eq!(
+                ColumnarDelta::parse(header(DELTA_MAGIC, 1 << bit, &[], &[1])).err(),
+                Some(CodecError::BadTag {
+                    what: "segment presence",
+                    tag: 1 << bit
+                })
+            );
+        }
+        // A present segment spelled empty, or a present last segment
+        // the row has no bytes for.
+        assert_eq!(
+            ColumnarDelta::parse(header(DELTA_MAGIC, 0b11, &[0], &[1])).err(),
+            Some(CodecError::LengthOverflow {
+                what: "segment",
+                len: 0
+            })
+        );
+        assert!(matches!(
+            ColumnarDelta::parse(header(DELTA_MAGIC, 0b11, &[1], &[1])),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+        assert!(matches!(
+            ColumnarEventlist::parse(header(ELIST_MAGIC, 0b1000_0000, &[], &[])),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+        // A spelled length past the row's end, and bytes past an empty
+        // bitmap.
+        assert!(matches!(
+            ColumnarDelta::parse(header(DELTA_MAGIC, 0b11, &[5], &[1, 2])),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+        assert_eq!(
+            ColumnarDelta::parse(header(DELTA_MAGIC, 0, &[], &[7])).err(),
+            Some(CodecError::TrailingBytes { remaining: 1 })
+        );
     }
 }

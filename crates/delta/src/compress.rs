@@ -332,9 +332,12 @@ pub fn decompress(data: &[u8]) -> Result<Bytes, CodecError> {
                 if dist >= 8 && w + len + 8 <= raw_len {
                     let mut copied = 0usize;
                     while copied < len {
-                        let word: [u8; 8] =
-                            // hgs-lint: allow(no-panic-in-try, "the copied word slice is exactly 8 bytes by construction")
-                            out[start + copied..start + copied + 8].try_into().unwrap();
+                        let word = *out[start + copied..].first_chunk::<8>().ok_or(
+                            CodecError::LengthOverflow {
+                                what: "lz-output",
+                                len: (start + copied + 8) as u64,
+                            },
+                        )?;
                         out[w + copied..w + copied + 8].copy_from_slice(&word);
                         copied += 8;
                     }

@@ -35,12 +35,10 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            // hgs-lint: allow(no-panic-in-try, "chunks_exact(8) yields exactly 8-byte slices")
-            self.add_to_hash(u64::from_le_bytes(c.try_into().unwrap()));
+        let (words, rem) = bytes.as_chunks::<8>();
+        for &w in words {
+            self.add_to_hash(u64::from_le_bytes(w));
         }
-        let rem = chunks.remainder();
         if !rem.is_empty() {
             let mut buf = [0u8; 8];
             buf[..rem.len()].copy_from_slice(rem);

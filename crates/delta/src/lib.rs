@@ -27,7 +27,7 @@
 
 pub mod attr;
 pub mod attr_index;
-mod bits;
+pub mod bits;
 pub mod codec;
 pub mod columnar;
 pub mod compress;

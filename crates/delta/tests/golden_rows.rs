@@ -4,6 +4,8 @@
 //! every caller that encodes rows by themselves — the baseline indexes,
 //! the benchmark's codec probes — writes. A change here is a change of
 //! the row grammar: it moves a row magic and the index's layout tag.
+//! These are the rows of delta magic `0xCB` and eventlist magic `0xCC`,
+//! under layout tag 12.
 
 use hgs_delta::columnar::{
     encode_columnar_delta, encode_columnar_delta_in, encode_columnar_eventlist,
@@ -78,8 +80,8 @@ fn hex(b: &[u8]) -> String {
     b.iter().map(|x| format!("{x:02x}")).collect()
 }
 
-const GOLDEN_DELTA: &str = "ca030504003f051603045209050a456e7469747954797065054772616465026f6b0573636f72650573696e63650504009e1f000206506572736f6e0100040203010301000000000000e03fc00024c47f05020000803f00040000002040010100010203010304";
-const GOLDEN_ELIST: &str = "c9080804040a02002602010203000201004d490600020305060758b652b804030a456e74697479547970650547726164650573696e6365030206506572736f6e0004009e1f840184";
+const GOLDEN_DELTA: &str = "cb031d043f0503045209050a456e7469747954797065054772616465026f6b0573636f72650573696e63650504009e1f000206506572736f6e0100040203010301000000000000e03fc00024c47f05020000803f00040000002040010100010203010304";
+const GOLDEN_ELIST: &str = "cc08ef04040a0226020203000201004d490600020305060758b652b804030a456e74697479547970650547726164650573696e6365030206506572736f6e0004009e1f840184";
 
 #[test]
 fn the_empty_table_forms_write_the_pinned_bytes() {

@@ -340,8 +340,10 @@ fn hostile_counts_and_restarts_are_refused() {
     // (`01`) and 31 zero bits, then what the other codes were.
     let mut parts = RowSegments::parse(&row);
     let mut counts = BytesMut::new();
-    counts.put_u8(31);
-    let rest = &parts.segs[COUNTS][1..];
+    let (params, w_first) = (parts.segs[COUNTS][0], parts.segs[COUNTS][1]);
+    assert_eq!(params, 0x20, "the codes hold first neighbours");
+    counts.put_slice(&[params | 31, w_first]);
+    let rest = &parts.segs[COUNTS][2..];
     counts.put_slice(&[0b10, 0, 0, 0, 0]);
     counts.put_slice(rest);
     parts.segs[COUNTS] = counts.to_vec();
@@ -599,6 +601,11 @@ fn counts_columns_off_the_grammar_are_refused_at_every_row_size() {
             let counts = &parts.segs[COUNTS];
             let flags = counts[0] & 0xc0;
             assert_eq!(flags, [0, 0x40, 0x80, 0xc0][variant as usize], "{case}");
+            // The parameter bytes: the flags and the edges' Rice
+            // parameter, then the attribute counts' parameter and the
+            // first neighbours' width where their flags are set.
+            let params =
+                1 + usize::from(counts[0] & 0x40 != 0) + usize::from(counts[0] & 0x20 != 0);
 
             let with_counts = |counts: Vec<u8>| {
                 let mut p = RowSegments::parse(&row);
@@ -612,14 +619,19 @@ fn counts_columns_off_the_grammar_are_refused_at_every_row_size() {
                 // Every code bit zero: the first unary run never ends.
                 ("a Rice run past the end", {
                     let mut c = counts.clone();
-                    let params = 1 + (flags & 0x40 != 0) as usize;
                     c[params..].fill(0);
                     c
                 }),
             ];
-            if variant == 0 && n % 4 != 0 {
-                // Two bits a code: the last byte has padding, its top
-                // bit among it.
+            // Two bits a code, and a neighbour when the codes hold
+            // them: where the last byte has padding, its top bit is
+            // among it.
+            let w_first = if counts[0] & 0x20 != 0 {
+                u64::from(counts[params - 1])
+            } else {
+                0
+            };
+            if variant == 0 && n * (2 + w_first) % 8 != 0 {
                 let mut c = counts.clone();
                 *c.last_mut().unwrap() |= 0x80;
                 refused.push(("badly padded", c));
@@ -633,14 +645,22 @@ fn counts_columns_off_the_grammar_are_refused_at_every_row_size() {
             }
             // A flag set or cleared against the records: whatever the
             // full read makes of it, the point read agrees.
-            for flag in [0x40u8, 0x80] {
+            for flag in [0x20u8, 0x40, 0x80] {
                 let mut c = counts.clone();
                 c[0] ^= flag;
-                if flag == 0x40 {
-                    if flags & 0x40 == 0 {
-                        c.insert(1, 0);
+                // The parameter byte the flag brings or takes away: the
+                // attribute counts' Rice parameter, right after the
+                // flags, or the first neighbours' width, after that.
+                let byte = match flag {
+                    0x40 => Some((1, 0)),
+                    0x20 => Some((1 + usize::from(counts[0] & 0x40 != 0), 12)),
+                    _ => None,
+                };
+                if let Some((at, v)) = byte {
+                    if counts[0] & flag == 0 {
+                        c.insert(at, v);
                     } else {
-                        c.remove(1);
+                        c.remove(at);
                     }
                 }
                 let bad = with_counts(c);
@@ -656,7 +676,7 @@ fn rows_of_the_retired_magics_are_refused_by_name() {
     let mut n = StaticNode::new(4);
     n.attrs.set("k", AttrValue::Bool(true));
     let row = encode_columnar_delta(&[n].into_iter().collect());
-    for magic in [0xC6u8, 0xC7, 0xC8] {
+    for magic in [0xC6u8, 0xC7, 0xC8, 0xCA] {
         let mut old = BytesMut::new();
         old.put_u8(magic);
         old.put_slice(&row[1..]);

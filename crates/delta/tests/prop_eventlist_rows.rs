@@ -457,7 +457,7 @@ fn rows_of_the_retired_magics_are_refused_by_name() {
         },
     )]);
     let row = encode_columnar_eventlist(&el);
-    for magic in [0xC6u8, 0xC7] {
+    for magic in [0xC6u8, 0xC7, 0xC9] {
         let mut old = BytesMut::new();
         old.put_u8(magic);
         old.put_slice(&row[1..]);
@@ -483,7 +483,12 @@ fn term_rows_decode_or_refuse() {
             let mutated = mutate(m, &row, rng);
             let got = decode_term_points(&mutated);
             if let Ok(pts) = &got {
-                assert!(pts.len() <= mutated.len(), "{m:?}: {} points", pts.len());
+                // Every point takes at least one bit of the row.
+                assert!(
+                    pts.len() <= mutated.len() * 8,
+                    "{m:?}: {} points",
+                    pts.len()
+                );
                 assert!(
                     pts.windows(2).all(|w| w[0].time <= w[1].time),
                     "{m:?}: out of order"
