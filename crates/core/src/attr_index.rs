@@ -50,7 +50,7 @@ use std::sync::Arc;
 use hgs_delta::attr_index::{
     decode_term_points, encode_term_points, matching_at, value_term, TermPoint, TERM_KIND_VALUE,
 };
-use hgs_delta::{AttrValue, Attrs, Delta, Event, EventKind, FxHashMap, NodeId, PairTable, Time};
+use hgs_delta::{AttrValue, Attrs, Delta, Event, EventKind, FxHashMap, NodeId, Time};
 use hgs_store::key::{term_key, term_token};
 use hgs_store::{StoreError, Table};
 
@@ -61,29 +61,6 @@ use crate::read_cache::{CacheKey, Cached};
 /// `hgs-datagen` writes and the label sugar below reads).
 pub const LABEL_KEY: &str = "EntityType";
 
-/// One span's change points by term: a term of the span's pair table
-/// by its pair id, so a term's bytes are spelled once, when its row
-/// is; one the table lacks (a table built from the same state and
-/// events has every one) by its bytes.
-struct SpanTerms<'t> {
-    table: &'t PairTable,
-    by_pair: Vec<Vec<TermPoint>>,
-    stray: FxHashMap<Vec<u8>, Vec<TermPoint>>,
-}
-
-impl SpanTerms<'_> {
-    fn push(&mut self, key: &str, value: &AttrValue, point: TermPoint) {
-        match self.table.pair_id(key, value) {
-            Some(id) => self.by_pair[id as usize].push(point),
-            None => self
-                .stray
-                .entry(value_term(key, value))
-                .or_default()
-                .push(point),
-        }
-    }
-}
-
 /// Collect one span's secondary-index rows — `(term bytes, encoded
 /// change-point row)` per `(key, value)` term, sorted by term bytes:
 /// carry-in points for the attribute state at span start (`state` must
@@ -92,20 +69,25 @@ impl SpanTerms<'_> {
 /// semantics as [`Delta::apply_event`] (a `SetNodeAttr` on an unseen
 /// node implies the node; removals of absent attributes are no-ops).
 /// Only the attributes of nodes the span's events touch are copied
-/// out of `state`. Points are gathered by `table`'s pair ids — the
-/// span's pair table, which holds every pair of `state` and every pair
-/// the events set.
+/// out of `state`.
 pub(crate) fn collect_span_index_rows(
     state: &Delta,
     events: &[Event],
     span_start: Time,
-    table: &PairTable,
 ) -> Vec<(Vec<u8>, bytes::Bytes)> {
-    let mut terms = SpanTerms {
-        table,
-        by_pair: vec![Vec::new(); table.pairs().len()],
-        stray: FxHashMap::default(),
-    };
+    let mut value_map: FxHashMap<Vec<u8>, Vec<TermPoint>> = FxHashMap::default();
+    fn push(
+        value_map: &mut FxHashMap<Vec<u8>, Vec<TermPoint>>,
+        key: &str,
+        value: &AttrValue,
+        point: TermPoint,
+    ) {
+        value_map
+            .entry(value_term(key, value))
+            .or_default()
+            .push(point);
+    }
+
     for node in state.iter() {
         for (k, v) in node.attrs.iter() {
             let point = TermPoint {
@@ -114,12 +96,12 @@ pub(crate) fn collect_span_index_rows(
                 carry: true,
                 became: true,
             };
-            terms.push(k, v, point);
+            push(&mut value_map, k, v, point);
         }
     }
     // Carry points all share the span start time; order them by node so
     // the emitted rows do not depend on `state`'s map iteration order.
-    for pts in terms.by_pair.iter_mut().chain(terms.stray.values_mut()) {
+    for pts in value_map.values_mut() {
         pts.sort_unstable_by_key(|p| p.nid);
     }
 
@@ -145,30 +127,27 @@ pub(crate) fn collect_span_index_rows(
                 let old = attrs_of(&mut cur, state, *id).set(key.clone(), value.clone());
                 if old.as_ref() != Some(value) {
                     if let Some(old) = &old {
-                        terms.push(key, old, change(*id, false));
+                        push(&mut value_map, key, old, change(*id, false));
                     }
-                    terms.push(key, value, change(*id, true));
+                    push(&mut value_map, key, value, change(*id, true));
                 }
             }
             EventKind::RemoveNodeAttr { id, key } => {
                 if let Some(old) = attrs_of(&mut cur, state, *id).remove(key) {
-                    terms.push(key, &old, change(*id, false));
+                    push(&mut value_map, key, &old, change(*id, false));
                 }
             }
             EventKind::RemoveNode { id } => {
                 for (k, v) in std::mem::take(attrs_of(&mut cur, state, *id)).iter() {
-                    terms.push(k, v, change(*id, false));
+                    push(&mut value_map, k, v, change(*id, false));
                 }
             }
             _ => {}
         }
     }
 
-    let pairs = table.pairs();
-    let mut value_rows: Vec<(Vec<u8>, bytes::Bytes)> = (terms.by_pair.into_iter().enumerate())
-        .filter(|(_, pts)| !pts.is_empty())
-        .map(|(id, pts)| (value_term(&pairs[id].0, &pairs[id].1), pts))
-        .chain(terms.stray)
+    let mut value_rows: Vec<(Vec<u8>, bytes::Bytes)> = value_map
+        .into_iter()
         .map(|(term, pts)| (term, encode_term_points(&pts)))
         .collect();
     value_rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -304,15 +283,7 @@ mod tests {
             set(12, 3, "EntityType", "Author"),
             ev(15, EventKind::RemoveNode { id: 7 }),
         ];
-        let table = crate::build::span_pair_table(&state, &events);
-        let rows = collect_span_index_rows(&state, &events, 10, &table);
-        // The rows do not depend on the table: gathered by the bytes of
-        // each term, as a table lacking them all leaves them, they are
-        // the same.
-        assert_eq!(
-            collect_span_index_rows(&state, &events, 10, &PairTable::default()),
-            rows
-        );
+        let rows = collect_span_index_rows(&state, &events, 10);
         let author = value_term("EntityType", &AttrValue::Text("Author".into()));
         let (_, blob) = rows
             .iter()
@@ -394,7 +365,7 @@ mod tests {
 
     #[test]
     fn empty_span_emits_no_rows() {
-        let rows = collect_span_index_rows(&Delta::new(), &[], 0, &PairTable::default());
+        let rows = collect_span_index_rows(&Delta::new(), &[], 0);
         assert!(rows.is_empty());
     }
 }

@@ -464,12 +464,7 @@ impl Writer {
         // encode advances the tail state — and pushed into the same
         // buffered flush.
         let index_rows = cfg.secondary_indexes.then(|| {
-            crate::attr_index::collect_span_index_rows(
-                &self.tail_state,
-                events,
-                range.start,
-                &pairs,
-            )
+            crate::attr_index::collect_span_index_rows(&self.tail_state, events, range.start)
         });
         // 3-5. Replay the span, emitting leaves / eventlists / aux /
         // chain entries.
@@ -1057,7 +1052,7 @@ fn emit_micro(
 /// every pair the span's `events` set, and every key they remove. Each
 /// tree, aux and eventlist row of the span then finds all of its pairs
 /// in the table and spells no dictionary of its own.
-pub(crate) fn span_pair_table(state: &Delta, events: &[Event]) -> PairTable {
+fn span_pair_table(state: &Delta, events: &[Event]) -> PairTable {
     let held = state.iter().flat_map(|n| {
         let on_edges = n
             .edges

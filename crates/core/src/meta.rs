@@ -14,9 +14,10 @@
 use std::sync::Arc;
 
 use bytes::BytesMut;
-use hgs_delta::bits::{width_for, BitReader, BitWriter};
 use hgs_delta::codec::{get_varint, put_varint};
-use hgs_delta::{CodecError, NodeId, PairTable, Time, TimeRange};
+use hgs_delta::{
+    decode_chunk_set, encode_chunk_set, CodecError, NodeId, PairTable, Time, TimeRange,
+};
 
 /// Delta-id base for eventlist chunks: `did = ELIST_BASE + chunk`.
 pub const ELIST_BASE: u64 = 1 << 40;
@@ -374,24 +375,15 @@ fn decode_pair_table(b: &mut &[u8]) -> Result<PairTable, CodecError> {
 ///
 /// A `Versions` row — one per `(node, timespan)`, keyed
 /// [`chain_key`](hgs_store::key::chain_key) — **stores** only the set
-/// of chunks, as one bit string (least-significant bit first, the last
-/// byte zero-padded):
-///
-/// ```text
-/// chain := first:⌈log2 q⌉ Rice(gap − 1, k){n − 1}
-/// ```
-///
-/// where `q` is the span's chunk count and `k = ⌊⌈log2 q⌉ / 3⌋` (the
-/// Rice parameter the chunk gaps of the benchmark builds cost least
-/// under). There is no count: every Rice code holds a one bit, so the
-/// zero padding never completes one, and the row ends where only zero
-/// bits are left. Everything else is derived: `q` from the span's
-/// checkpoints, `tsid` from the last four bytes of the row's key, `pid`
-/// from where the span's partition map of the node's `sid` assigns the
-/// node — the rule the build bucketed the node's events by — and when
-/// an entry's events happened from its span's checkpoints
-/// (`TimespanMeta::chunks_overlapping`), the same rule a chain-less
-/// read locates chunks by.
+/// of chunks: the first chunk in the bits the span's chunk count `q`
+/// needs, then each gap less one as a Rice code (the grammar is
+/// [`encode_chunk_set`]'s). Everything else is derived: `q` from the
+/// span's checkpoints, `tsid` from the last four bytes of the row's
+/// key, `pid` from where the span's partition map of the node's `sid`
+/// assigns the node — the rule the build bucketed the node's events
+/// by — and when an entry's events happened from its span's
+/// checkpoints (`TimespanMeta::chunks_overlapping`), the same rule a
+/// chain-less read locates chunks by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainEntry {
     pub tsid: u32,
@@ -399,74 +391,30 @@ pub struct ChainEntry {
     pub pid: u32,
 }
 
-/// The Rice parameter of the chunk gaps of a span of `chunk_count`
-/// chunks.
-fn chain_rice_k(chunk_count: usize) -> u8 {
-    (width_for(chunk_count) / 3) as u8
-}
-
 /// Serialize one span's segment of a version chain, for a span of
 /// `chunk_count` chunks: entries in increasing `chunk` order, the first
-/// below `chunk_count`. The entries' `tsid` and `pid` are not written
-/// (see [`ChainEntry`]).
+/// below `chunk_count`, spelled by [`encode_chunk_set`]. The entries'
+/// `tsid` and `pid` are not written (see [`ChainEntry`]).
 pub fn encode_chain(entries: &[ChainEntry], chunk_count: usize) -> bytes::Bytes {
-    let mut buf = BytesMut::with_capacity(entries.len() + 1);
-    let Some((first, rest)) = entries.split_first() else {
-        return buf.freeze();
-    };
-    debug_assert!(
-        (first.chunk as usize) < chunk_count,
-        "first chunk in the span"
-    );
-    let k = chain_rice_k(chunk_count);
-    let mut bits = BitWriter::new(&mut buf);
-    bits.put(u64::from(first.chunk), width_for(chunk_count));
-    let mut prev = first.chunk;
-    for e in rest {
-        debug_assert!(e.chunk > prev, "chunks increase");
-        bits.put_rice(u64::from(e.chunk - prev - 1), k);
-        prev = e.chunk;
-    }
-    bits.finish();
-    buf.freeze()
+    encode_chunk_set(entries.iter().map(|e| e.chunk), chunk_count)
 }
 
 /// Decode a chain row written by [`encode_chain`] for the `(node,
 /// tsid)` of its key, whose events the span keeps at micro-partition
 /// `pid` in eventlist chunks `0..chunk_count`. A chunk at or past
 /// `chunk_count` is refused: the row names chunks its span does not
-/// have. Chunks increase, so no more than `chunk_count` entries are
-/// read, whatever the row's length; a code the row's bits cannot
-/// complete, or a whole byte past the last code, is refused too.
+/// have. No more than `chunk_count` entries are read, whatever the
+/// row's length (see [`decode_chunk_set`]).
 pub fn decode_chain(
     buf: &[u8],
     tsid: u32,
     pid: u32,
     chunk_count: usize,
 ) -> Result<Vec<ChainEntry>, CodecError> {
-    let k = chain_rice_k(chunk_count);
-    let mut bits = BitReader::new(buf);
-    let mut chunk = bits.get(width_for(chunk_count))?;
-    let mut out = Vec::new();
-    loop {
-        if chunk >= chunk_count as u64 {
-            return Err(CodecError::BadRef {
-                what: "chain chunk",
-                id: chunk,
-            });
-        }
-        out.push(ChainEntry {
-            tsid,
-            chunk: chunk as u32,
-            pid,
-        });
-        if bits.at_padding() {
-            break;
-        }
-        chunk = chunk.saturating_add(bits.get_rice(k)?).saturating_add(1);
-    }
-    bits.finish()?;
-    Ok(out)
+    Ok(decode_chunk_set(buf, chunk_count)?
+        .into_iter()
+        .map(|chunk| ChainEntry { tsid, chunk, pid })
+        .collect())
 }
 
 /// Salt decorrelating `sid` hashing from micro-partition hashing.
@@ -816,18 +764,8 @@ mod tests {
         let entries = vec![entry(1), entry(2), entry(300)];
         let row = encode_chain(&entries, 301);
         assert_eq!(decode_chain(&row, 7, 3, 301).unwrap(), entries);
-        // A span of one chunk: its one entry takes no bits at all.
-        let one = encode_chain(&[entry(0)], 1);
-        assert!(one.is_empty());
-        assert_eq!(decode_chain(&one, 7, 3, 1).unwrap(), [entry(0)]);
-
-        // A row is the first chunk in ⌈log2 q⌉ bits, then each gap − 1
-        // as a Rice code of parameter ⌊⌈log2 q⌉ / 3⌋, and nothing else:
-        // no count, no time. Here 9 bits, then at k = 3 four for gap
-        // − 1 = 0 and 41 for 297 = 37 · 8 + 1 (37 zeros, a one, three
-        // low bits): 54 bits in 7 bytes.
-        assert_eq!(chain_rice_k(301), 3);
-        assert_eq!(row.len(), 7);
+        assert_eq!(row, encode_chunk_set([1, 2, 300], 301));
+        assert!(encode_chain(&[], 301).is_empty());
         // ...so entries differing only in `tsid` / `pid` encode alike.
         let elsewhere: Vec<ChainEntry> = entries
             .iter()
@@ -841,154 +779,26 @@ mod tests {
     }
 
     #[test]
-    fn chain_rows_round_trip_every_chunk_set() {
-        // Every chunk set of spans up to 9 chunks, and a run of sets of
-        // a 40-chunk span (the default span's): each set is its row's
-        // only reading, and its length is what its bits need.
-        let mut sets: Vec<(usize, Vec<u32>)> = Vec::new();
-        for q in 1..=9usize {
-            for mask in 1u32..1 << q {
-                sets.push((q, (0..q as u32).filter(|c| mask >> c & 1 == 1).collect()));
-            }
-        }
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        for _ in 0..2000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let set: Vec<u32> = (0..40).filter(|c| x >> c & 1 == 1).collect();
-            if !set.is_empty() {
-                sets.push((40, set));
-            }
-        }
-        for (q, set) in sets {
-            let entries: Vec<ChainEntry> = set.iter().map(|&c| entry(c)).collect();
-            let row = encode_chain(&entries, q);
-            assert_eq!(decode_chain(&row, 7, 3, q).unwrap(), entries, "q {q}");
-            let k = u64::from(chain_rice_k(q));
-            let bits = u64::from(width_for(q))
-                + set
-                    .windows(2)
-                    .map(|w| (u64::from(w[1] - w[0] - 1) >> k) + 1 + k)
-                    .sum::<u64>();
-            assert_eq!(row.len() as u64, bits.div_ceil(8), "q {q} {set:?}");
-            // Cut short, the row is refused or names fewer chunks;
-            // never more, never one past the span.
-            for cut in 0..row.len() {
-                if let Ok(got) = decode_chain(&row[..cut], 7, 3, q) {
-                    assert!(
-                        got.len() < entries.len() && got.iter().all(|e| (e.chunk as usize) < q)
-                    );
-                }
-            }
-        }
-    }
-
-    /// A row of `first` in `width` bits, then `codes` as Rice codes of
-    /// parameter `k`.
-    fn chain_row(first: u64, width: u32, k: u8, codes: &[u64]) -> BytesMut {
-        let mut buf = BytesMut::new();
-        let mut bits = BitWriter::new(&mut buf);
-        bits.put(first, width);
-        for &c in codes {
-            bits.put_rice(c, k);
-        }
-        bits.finish();
-        buf
-    }
-
-    #[test]
     fn chain_rows_naming_chunks_their_span_lacks_are_refused() {
-        let bad = |what, id| Err(CodecError::BadRef { what, id });
-        // A ten-chunk span: a 4-bit first chunk, gaps at k = 1.
-        assert_eq!(chain_rice_k(10), 1);
-        let row = |first, codes: &[u64]| chain_row(first, 4, 1, codes);
-        // The last chunk of a ten-chunk span, and one past it.
-        assert!(decode_chain(&row(3, &[5]), 0, 0, 10).is_ok());
-        assert_eq!(
-            decode_chain(&row(3, &[6]), 0, 0, 10),
-            bad("chain chunk", 10)
-        );
-        assert_eq!(
-            decode_chain(&row(10, &[]), 0, 0, 10),
-            bad("chain chunk", 10)
-        );
-        assert_eq!(
-            decode_chain(&row(15, &[]), 0, 0, 10),
-            bad("chain chunk", 15)
-        );
-        // A span of no chunks has no chain row to read.
-        assert_eq!(decode_chain(&[], 0, 0, 0), bad("chain chunk", 0));
-        // A gap past a `u32` is out of the span, not back at its start.
-        assert_eq!(
-            decode_chain(&row(1, &[u32::MAX as u64]), 0, 0, 10),
-            bad("chain chunk", 2 + u32::MAX as u64)
-        );
-        // However long the row, no more entries than the span has
-        // chunks: eight one-bit codes past the ninth chunk.
-        let long = row(0, &[0; 17]);
-        assert_eq!(decode_chain(&long, 0, 0, 10), bad("chain chunk", 10));
-    }
-
-    #[test]
-    fn arbitrary_bytes_read_as_a_chain_or_refused() {
-        // Byte strings with no relation to a row, read for spans of 1 to
-        // 64 chunks: every `Ok` names chunks that rise and lie in the
-        // span — so at most `q` of them — and nothing panics.
-        let mut x = 0x853c_49e6_748f_ea9bu64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
+        // Rows of a 16-chunk span read as a ten-chunk span's: the same
+        // 4-bit first chunk and Rice parameter, so what they name past
+        // chunk 9 is what a ten-chunk span lacks.
+        let row = |chunks: &[u32]| {
+            encode_chain(&chunks.iter().map(|&c| entry(c)).collect::<Vec<_>>(), 16)
         };
-        for _ in 0..20_000 {
-            let len = (next() % 12) as usize;
-            let row: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-            let q = 1 + (next() % 64) as usize;
-            if let Ok(got) = decode_chain(&row, 0, 0, q) {
-                assert!(!got.is_empty() && got.len() <= q, "{row:02x?} q {q}");
-                assert!(got.windows(2).all(|w| w[0].chunk < w[1].chunk));
-                assert!(got.iter().all(|e| (e.chunk as usize) < q));
-            }
-        }
-    }
-
-    #[test]
-    fn chain_rows_off_the_grammar_are_refused() {
-        // A first chunk cut short.
-        assert!(matches!(
-            decode_chain(&[], 0, 0, 10),
-            Err(CodecError::UnexpectedEof { .. })
-        ));
-        // Set bits past the last code that begin a code the row cannot
-        // complete: the zero padding never completes one, so a one bit
-        // there starts a code, and its low bits are past the row's end.
-        // A ten-chunk span: chunk 3, then `1` and one low bit missing.
-        let mut row = chain_row(3, 4, 1, &[]).to_vec();
-        assert_eq!(row, [3]);
-        row[0] |= 1 << 7;
-        assert!(matches!(
-            decode_chain(&row, 0, 0, 10),
-            Err(CodecError::UnexpectedEof { .. })
-        ));
-        // A whole byte past the last code, zero or not.
-        for tail in [0u8, 0x80] {
-            let mut row = chain_row(3, 4, 1, &[1]).to_vec();
-            row.push(tail);
-            assert!(decode_chain(&row, 0, 0, 10).is_err(), "tail {tail:#x}");
-        }
-        let mut row = chain_row(3, 4, 1, &[1]).to_vec();
-        row.push(0);
+        let bad = |id| {
+            Err(CodecError::BadRef {
+                what: "chain chunk",
+                id,
+            })
+        };
         assert_eq!(
-            decode_chain(&row, 0, 0, 10),
-            Err(CodecError::TrailingBytes { remaining: 1 })
+            decode_chain(&row(&[3, 9]), 7, 3, 10).unwrap(),
+            [entry(3), entry(9)]
         );
-        // A unary run that never ends.
-        assert!(matches!(
-            decode_chain(&[0x03, 0, 0, 0, 0x80], 0, 0, 1 << 20),
-            Err(CodecError::UnexpectedEof { .. }) | Err(CodecError::BadRef { .. })
-        ));
+        assert_eq!(decode_chain(&row(&[3, 10]), 7, 3, 10), bad(10));
+        assert_eq!(decode_chain(&row(&[10]), 7, 3, 10), bad(10));
+        assert_eq!(decode_chain(&row(&[15]), 7, 3, 10), bad(15));
     }
 
     #[test]

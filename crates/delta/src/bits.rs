@@ -1,6 +1,5 @@
 //! Bit-level codes for the integer columns of index rows — the
-//! eventlist, delta and term rows of this crate, and the version-chain
-//! rows of `hgs-core`.
+//! eventlist, delta, term and version-chain rows.
 //!
 //! A byte-aligned varint spends at least eight bits on every integer;
 //! most columns of an eventlist or term row need far fewer — a kind tag
@@ -27,7 +26,7 @@ use crate::error::CodecError;
 
 /// Bits needed to tell `n` values apart: `⌈log2 n⌉`, `0` for `n <= 1`.
 #[inline]
-pub fn width_for(n: usize) -> u32 {
+pub(crate) fn width_for(n: usize) -> u32 {
     usize::BITS - n.saturating_sub(1).leading_zeros()
 }
 
@@ -51,20 +50,20 @@ pub(crate) fn rice_k(sum: u128, n: usize) -> u8 {
 }
 
 /// Appends bits to a byte buffer, least-significant first.
-pub struct BitWriter<'a> {
+pub(crate) struct BitWriter<'a> {
     out: &'a mut BytesMut,
     acc: u128,
     n: u32,
 }
 
 impl<'a> BitWriter<'a> {
-    pub fn new(out: &'a mut BytesMut) -> BitWriter<'a> {
+    pub(crate) fn new(out: &'a mut BytesMut) -> BitWriter<'a> {
         BitWriter { out, acc: 0, n: 0 }
     }
 
     /// Write the low `width` bits of `v` (`width <= 64`).
     #[inline]
-    pub fn put(&mut self, v: u64, width: u32) {
+    pub(crate) fn put(&mut self, v: u64, width: u32) {
         debug_assert!(width <= 64 && (width == 64 || v >> width == 0));
         if width == 0 {
             return;
@@ -79,7 +78,7 @@ impl<'a> BitWriter<'a> {
     }
 
     /// Write `v` as a Rice code with parameter `k`.
-    pub fn put_rice(&mut self, v: u64, k: u8) {
+    pub(crate) fn put_rice(&mut self, v: u64, k: u8) {
         let mut q = v >> k;
         while q >= 32 {
             self.put(0, 32);
@@ -91,7 +90,7 @@ impl<'a> BitWriter<'a> {
     }
 
     /// Pad the last byte with zero bits.
-    pub fn finish(self) {
+    pub(crate) fn finish(self) {
         if self.n > 0 {
             self.out.put_u8(self.acc as u8);
         }
@@ -105,7 +104,7 @@ impl<'a> BitWriter<'a> {
 /// bytes. Bits of the window above `nacc` are the stream's next bits
 /// (or zero past its end), so a refill that ORs them in again changes
 /// nothing.
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     buf: &'a [u8],
     /// First byte not yet in the window.
     next: usize,
@@ -118,7 +117,7 @@ pub struct BitReader<'a> {
 const WINDOW_BITS: u32 = 56;
 
 impl<'a> BitReader<'a> {
-    pub fn new(buf: &'a [u8]) -> BitReader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> BitReader<'a> {
         let mut r = BitReader {
             buf,
             next: 0,
@@ -166,7 +165,7 @@ impl<'a> BitReader<'a> {
     /// Whether every bit not yet read is zero: what a column without a
     /// count ends on. Every Rice code holds a one bit, so no code starts
     /// where this holds.
-    pub fn at_padding(&self) -> bool {
+    pub(crate) fn at_padding(&self) -> bool {
         self.acc == 0 && self.buf[self.next..].iter().all(|&b| b == 0)
     }
 
@@ -179,7 +178,7 @@ impl<'a> BitReader<'a> {
 
     /// Read a `width`-bit code (`width <= 64`).
     #[inline]
-    pub fn get(&mut self, width: u32) -> Result<u64, CodecError> {
+    pub(crate) fn get(&mut self, width: u32) -> Result<u64, CodecError> {
         if width as usize > self.bits_left() {
             return Err(self.short(width as usize));
         }
@@ -224,7 +223,7 @@ impl<'a> BitReader<'a> {
     /// Read a Rice code with parameter `k`. The unary run is bounded by
     /// the bits left; a value past `u64::MAX` is an overflow.
     #[inline]
-    pub fn get_rice(&mut self, k: u8) -> Result<u64, CodecError> {
+    pub(crate) fn get_rice(&mut self, k: u8) -> Result<u64, CodecError> {
         // Fast path: the whole code lies in the window, topped up only
         // when it does not.
         if let Some(v) = self.rice_in_window(k) {
@@ -341,7 +340,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// End of the column: only zero padding may remain.
-    pub fn finish(mut self) -> Result<(), CodecError> {
+    pub(crate) fn finish(mut self) -> Result<(), CodecError> {
         let left = self.bits_left();
         if left >= 8 {
             return Err(CodecError::TrailingBytes {

@@ -27,7 +27,8 @@
 
 pub mod attr;
 pub mod attr_index;
-pub mod bits;
+mod bits;
+mod chain;
 pub mod codec;
 pub mod columnar;
 pub mod compress;
@@ -42,6 +43,7 @@ pub mod types;
 
 pub use attr::{AttrValue, Attrs};
 pub use attr_index::{TermPoint, TERM_KIND_VALUE};
+pub use chain::{decode_chunk_set, encode_chunk_set};
 pub use columnar::{ColumnarDelta, ColumnarEventlist, PairTable, StorageLayout};
 pub use delta::Delta;
 pub use error::CodecError;

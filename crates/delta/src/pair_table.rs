@@ -157,7 +157,7 @@ impl PairTable {
     }
 
     /// The id of pair `(k, v)`, if the table has it.
-    pub fn pair_id(&self, k: &str, v: &AttrValue) -> Option<u64> {
+    pub(crate) fn pair_id(&self, k: &str, v: &AttrValue) -> Option<u64> {
         let pair = (self.key_id(k)? as u32, self.value_id(v)? as u32);
         self.ids.binary_search(&pair).ok().map(|i| i as u64)
     }
