@@ -20,7 +20,6 @@ pub struct LogIndex {
     /// First event time of each chunk (chunk i covers
     /// `[starts[i], starts[i+1])`).
     starts: Vec<Time>,
-    chunk: usize,
 }
 
 impl LogIndex {
@@ -50,11 +49,7 @@ impl LogIndex {
             ));
         }
         rows.finish();
-        LogIndex {
-            store,
-            starts,
-            chunk,
-        }
+        LogIndex { store, starts }
     }
 
     /// Fetch and replay all events with `time <= t` through `f`.
@@ -77,11 +72,6 @@ impl LogIndex {
             }
         }
         Ok(())
-    }
-
-    /// Configured chunk size.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk
     }
 }
 

@@ -178,18 +178,6 @@ pub struct CacheStats {
     pub budget: usize,
 }
 
-impl CacheStats {
-    /// Hit fraction over all lookups so far (0 when no lookups).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Sentinel slab index for "no neighbor".
 const NIL: usize = usize::MAX;
 

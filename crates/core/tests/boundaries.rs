@@ -143,6 +143,13 @@ fn node_history_over_degenerate_ranges() {
         h2.initial.as_ref(),
         Delta::snapshot_by_replay(&events, u64::MAX).node(0)
     );
+    // A horizontal partition the index does not have holds no node:
+    // TAF's per-partition fetch answers it empty.
+    let (ns, all) = (cfg().horizontal_partitions, TimeRange::new(0, end + 1));
+    assert!(!tgi.try_node_histories_for_sid(0, all).unwrap().is_empty());
+    for sid in [ns, 99, u32::MAX] {
+        assert!(tgi.try_node_histories_for_sid(sid, all).unwrap().is_empty());
+    }
 }
 
 #[test]
@@ -174,9 +181,18 @@ fn out_of_order_batch_is_an_error_and_leaves_the_handle_usable() {
     let events = WikiGrowth::sized(1_500).generate();
     let (built, rest) = events.split_at(1_000);
     let tgi = TgiService::try_build(cfg(), StoreConfig::new(2, 1), built).unwrap();
-    let end = tgi.pin().end_time();
+    let (end, w0) = (tgi.pin().end_time(), tgi.watermark());
     let before = tgi.store().content_rows();
 
+    // Re-sends the tail of the indexed prefix.
+    let tail = &built[built.len() - 10..];
+    assert_eq!(
+        tgi.try_append_events(tail),
+        Err(BuildError::OutOfOrder {
+            time: tail[0].time,
+            floor: end
+        })
+    );
     // Starts inside the indexed prefix.
     let stale = [Event::new(end - 1, EventKind::AddNode { id: 9_999_999 })];
     assert_eq!(
@@ -199,13 +215,16 @@ fn out_of_order_batch_is_an_error_and_leaves_the_handle_usable() {
         })
     );
     assert!(!tgi.is_poisoned());
-    assert_eq!(tgi.pin().end_time(), end);
+    assert_eq!((tgi.watermark(), tgi.pin().end_time()), (w0, end));
     assert_eq!(tgi.store().content_rows(), before, "nothing was written");
 
-    // The handle still takes the batch it should have been given, and
-    // ends up byte-identical to a handle that never saw the bad ones.
-    tgi.try_append_events(rest)
+    // The handle still takes the batch it should have been given — as
+    // the next watermark — and ends up byte-identical to a handle that
+    // never saw the bad ones.
+    let w1 = tgi
+        .try_append_events(rest)
         .expect("good batch after bad ones");
+    assert_eq!(w1, w0 + 1);
     let clean = TgiService::try_build(cfg(), StoreConfig::new(2, 1), built).unwrap();
     clean.try_append_events(rest).unwrap();
     assert_eq!(tgi.store().content_rows(), clean.store().content_rows());

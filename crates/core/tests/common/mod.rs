@@ -164,7 +164,7 @@ pub fn attr_history_by_replay(
 }
 
 /// Reference k-hop: breadth-first over the replayed state.
-fn khop_by_replay(state: &Delta, center: NodeId, k: usize) -> Delta {
+pub fn khop_by_replay(state: &Delta, center: NodeId, k: usize) -> Delta {
     let mut seen = BTreeSet::new();
     if state.contains(center) {
         seen.insert(center);

@@ -123,14 +123,6 @@ impl StaticNode {
         self.edge_pos(nbr, dir).ok().map(|i| &self.edges[i])
     }
 
-    /// Mutable edge lookup.
-    pub fn edge_mut(&mut self, nbr: NodeId, dir: EdgeDir) -> Option<&mut Neighbor> {
-        match self.edge_pos(nbr, dir) {
-            Ok(i) => Some(&mut self.edges[i]),
-            Err(_) => None,
-        }
-    }
-
     /// Whether any edge (any direction) connects to `nbr`.
     pub fn has_neighbor(&self, nbr: NodeId) -> bool {
         // Partition point = first index with e.nbr > nbr; a match, if

@@ -44,14 +44,6 @@ pub fn local_clustering(g: &Graph, v: u32) -> f64 {
     2.0 * triangles_at(g, v) as f64 / (d as f64 * (d as f64 - 1.0))
 }
 
-/// Local clustering coefficient for every node; the workload of the
-/// paper's Fig. 15c TAF experiment.
-pub fn local_clustering_all(g: &Graph) -> Vec<(NodeId, f64)> {
-    (0..g.node_count() as u32)
-        .map(|i| (g.id(i), local_clustering(g, i)))
-        .collect()
-}
-
 /// Average clustering coefficient.
 pub fn average_clustering(g: &Graph) -> f64 {
     if g.node_count() == 0 {

@@ -15,10 +15,12 @@
 //!   [`SimStore::latency_multipliers`](crate::SimStore::latency_multipliers)
 //!   (a degraded disk, a noisy neighbour);
 //! * **corrupt-on-read** — an independent per-request chance that a
-//!   read returns garbage bytes instead of the stored value (a torn
-//!   page caught by the checksum, a bad NIC). The *stored* bytes are
-//!   untouched — corruption happens on the wire, so a retry or another
-//!   replica still sees the real row.
+//!   read returns [`CORRUPT_ON_READ_MARKER`] instead of the stored
+//!   value: a corruption that every decoder refuses. The store keeps
+//!   no checksum, so a flipped bit inside a real row — which a decoder
+//!   may accept as another plausible row — is not modelled yet. The
+//!   *stored* bytes are untouched — corruption happens on the wire, so
+//!   a retry or another replica still sees the real row.
 //!
 //! Everything is a pure function of `(seed, machine, tick)`, where the
 //! tick is the store's simulated clock (one tick per machine-level

@@ -57,9 +57,10 @@ impl StoreConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// Every replica holding the requested chunk is **permanently**
-    /// down ([`SimStore::fail_machine`]). Retrying cannot help until a
-    /// machine heals, so the error surfaces without burning the retry
-    /// budget.
+    /// down ([`SimStore::fail_machine`]), or missed a write of it that
+    /// only dead replicas took. Retrying cannot help until a machine
+    /// heals (and, for a missed write, [`SimStore::try_repair`] runs),
+    /// so the error surfaces without burning the retry budget.
     Unavailable { table: Table },
     /// Transient faults (outage windows, flakes — see
     /// [`crate::faults`]) survived every retry attempt on every
@@ -175,6 +176,10 @@ enum MachineWriteOutcome {
     Exhausted(u32),
 }
 
+/// An under-replicated row's placement token, and the machines that
+/// took its latest write.
+type Degraded = (u64, Vec<usize>);
+
 /// The simulated cluster. Cheap to share behind an `Arc`; all methods
 /// take `&self`.
 pub struct SimStore {
@@ -201,9 +206,11 @@ pub struct SimStore {
     /// Per-machine circuit breakers and retry counters.
     breakers: Vec<Breaker>,
     /// Rows that reached only a strict subset of their replicas:
-    /// namespaced key → placement token, deduplicated. Drained by
-    /// [`SimStore::try_repair`].
-    under_replicated: Mutex<BTreeMap<Vec<u8>, u64>>,
+    /// namespaced key → placement token and the machines that took
+    /// the key's latest partial write, deduplicated. Drained by
+    /// [`SimStore::try_repair`], and of a key by a write that reaches
+    /// every replica.
+    under_replicated: Mutex<BTreeMap<Vec<u8>, Degraded>>,
     /// Namespaced keys of the rows a compressing store holds as
     /// written, because LZSS would not have shrunk them. The choice is
     /// store metadata — as a block store keeps a chunk's compression
@@ -265,6 +272,12 @@ impl SimStore {
     /// cooldown.
     pub fn advance_clock(&self, ticks: u64) {
         self.clock.fetch_add(ticks, Ordering::Relaxed);
+    }
+
+    /// Simulated time now: how a simulator places an outage window at
+    /// a request it has counted ticks to.
+    pub fn clock(&self) -> u64 {
+        self.clock.load(Ordering::Relaxed)
     }
 
     /// Per-machine modelled latency multipliers from the attached
@@ -425,6 +438,7 @@ impl SimStore {
             }
             machine_result[m] = Some(res);
         }
+        let mut ledger = self.under_replicated.lock();
         for (i, &(table, ref nk, token, _)) in prepared.iter().enumerate() {
             if ok[i] == 0 {
                 self.failed_puts.fetch_add(1, Ordering::Relaxed);
@@ -444,9 +458,18 @@ impl SimStore {
             } else if ok[i] < self.cfg.replication {
                 self.partial_puts.fetch_add(1, Ordering::Relaxed);
                 outcome.partial += 1;
-                self.under_replicated.lock().insert(nk.clone(), token);
+                // Only these machines hold this write: a replica that
+                // missed it may hold an older value of the same key.
+                let took = (0..self.cfg.replication)
+                    .map(|r| self.machine_for(token, r))
+                    .filter(|&m| machine_result[m] == Some(MachineWriteOutcome::Accepted))
+                    .collect();
+                ledger.insert(nk.clone(), (token, took));
             } else {
                 outcome.replicated += 1;
+                // Every replica holds this write now, whatever an older
+                // partial one of the same key missed.
+                ledger.remove(nk);
             }
         }
         outcome
@@ -496,6 +519,7 @@ impl SimStore {
         &self,
         table: Table,
         token: u64,
+        missed: impl Fn(usize) -> bool,
         op: impl Fn(&Machine) -> Result<T, MachineDown>,
     ) -> Result<(T, bool), StoreError> {
         let policy = *self.retry.read();
@@ -510,6 +534,12 @@ impl SimStore {
                     self.breakers[m].note_retry();
                 }
                 let now = self.clock.fetch_add(1, Ordering::Relaxed);
+                if missed(m) {
+                    // A replica that missed a write this read may
+                    // return would answer it absent or old: like a dead
+                    // one, it cannot serve until repaired.
+                    continue;
+                }
                 if !self.breakers[m].allows(now, &policy) {
                     // Skipped by an open breaker: permanent if the
                     // machine really is dead behind it, transient
@@ -553,6 +583,22 @@ impl SimStore {
         }
     }
 
+    /// Whether machine `m` missed the latest write of a row a read may
+    /// return: one of `nks`, or with `prefixes` a row under one of
+    /// them. A replica that was down or refusing when a write reached
+    /// only its peers holds the row absent, or old, until
+    /// [`SimStore::try_repair`] copies it over.
+    fn missed(&self, m: usize, nks: &[Vec<u8>], prefixes: bool) -> bool {
+        let ledger = self.under_replicated.lock();
+        let stale = |(_, (_, took)): (&Vec<u8>, &Degraded)| !took.contains(&m);
+        nks.iter().any(|nk| match prefixes {
+            true => (ledger.range::<Vec<u8>, _>(nk..))
+                .take_while(|(k, _)| k.starts_with(nk))
+                .any(stale),
+            false => ledger.get_key_value(nk).is_some_and(stale),
+        })
+    }
+
     /// Replace a read's bytes with garbage when the fault plan
     /// corrupted it on the wire (the stored row is untouched).
     fn maybe_corrupted(bytes: Bytes, corrupt: bool) -> Bytes {
@@ -575,7 +621,9 @@ impl SimStore {
         token: u64,
     ) -> Result<Vec<Option<Bytes>>, StoreError> {
         let nks: Vec<Vec<u8>> = keys.iter().map(|k| Self::namespaced(table, k)).collect();
-        let (values, corrupt) = self.read_with_retry(table, token, |m| m.multi_get(&nks))?;
+        let missed = |m| self.missed(m, &nks, false);
+        let (values, corrupt) =
+            self.read_with_retry(table, token, missed, |m| m.multi_get(&nks))?;
         let mut out = Vec::with_capacity(values.len());
         for (nk, v) in nks.iter().zip(values) {
             out.push(match v {
@@ -605,7 +653,9 @@ impl SimStore {
             .iter()
             .map(|p| Self::namespaced(table, p))
             .collect();
-        let (groups, corrupt) = self.read_with_retry(table, token, |m| m.scan_prefixes(&nps))?;
+        let missed = |m| self.missed(m, &nps, true);
+        let (groups, corrupt) =
+            self.read_with_retry(table, token, missed, |m| m.scan_prefixes(&nps))?;
         let mut out = Vec::with_capacity(groups.len());
         for rows in groups {
             let mut group = Vec::with_capacity(rows.len());
@@ -670,8 +720,10 @@ impl SimStore {
     }
 
     /// One anti-entropy pass over the under-replication ledger: for
-    /// every recorded row, read the stored bytes back from a surviving
-    /// replica and re-write them — verbatim, already compressed — to
+    /// every recorded row, read the stored bytes back from a replica
+    /// that took the row's latest write — never from one that missed
+    /// it, which may hold an older value of a rewritten key such as
+    /// `Graph/meta` — and re-write them — verbatim, already compressed — to
     /// every replica of the row's chunk (idempotent for the ones that
     /// already hold it). Rows whose surviving copies are unreachable,
     /// or whose re-writes are refused, stay in the ledger for the next
@@ -680,20 +732,21 @@ impl SimStore {
     /// state). After a pass that repairs everything, the store's
     /// content is byte-identical to a never-degraded build.
     pub fn try_repair(&self) -> Result<RepairReport, StoreError> {
-        let pending: Vec<(Vec<u8>, u64)> = {
-            let mut ledger = self.under_replicated.lock();
-            std::mem::take(&mut *ledger).into_iter().collect()
-        };
+        // A copy: rows stay in the ledger — and off the replicas that
+        // missed them — until their re-writes land.
+        let pending: Vec<(Vec<u8>, Degraded)> = (self.under_replicated.lock())
+            .iter()
+            .map(|(nk, entry)| (nk.clone(), entry.clone()))
+            .collect();
         let mut report = RepairReport {
             scanned: pending.len(),
             ..RepairReport::default()
         };
         // Copies, not guards: no lock is held across the pass's reads.
         let (policy, plan) = (self.retry_policy(), self.fault_plan());
-        for (nk, token) in pending {
+        for (nk, (token, took)) in pending {
             let mut copy: Option<Bytes> = None;
-            for r in 0..self.cfg.replication {
-                let m = self.machine_for(token, r);
+            for &m in &took {
                 let now = self.clock.fetch_add(1, Ordering::Relaxed);
                 // A replica past the cluster cannot serve: skip it.
                 let (Some(breaker), Some(machine)) = (self.breakers.get(m), self.machines.get(m))
@@ -720,7 +773,6 @@ impl SimStore {
             }
             let Some(v) = copy else {
                 report.still_degraded += 1;
-                self.under_replicated.lock().insert(nk, token);
                 continue;
             };
             let mut complete = true;
@@ -742,9 +794,13 @@ impl SimStore {
             }
             if complete {
                 report.repaired += 1;
+                let mut ledger = self.under_replicated.lock();
+                // Unless a newer partial write replaced the entry.
+                if ledger.get(&nk).is_some_and(|(_, now)| *now == took) {
+                    ledger.remove(&nk);
+                }
             } else {
                 report.still_degraded += 1;
-                self.under_replicated.lock().insert(nk, token);
             }
         }
         Ok(report)
@@ -1381,6 +1437,71 @@ mod tests {
             get(&s, Table::Deltas, b"k", token).unwrap().as_deref(),
             Some(&b"v"[..])
         );
+    }
+
+    /// A rewritten key whose newest write missed the first replica:
+    /// that replica still holds the old value, and repair must copy
+    /// the new one over it, not the old one over the new.
+    #[test]
+    fn repair_copies_the_latest_write_over_a_stale_replica() {
+        let s = store(3, 2);
+        let token = 0u64;
+        put(&s, Table::Graph, b"meta", token, Bytes::from_static(b"old"));
+        s.fail_machine(s.machine_for(token, 0));
+        put(&s, Table::Graph, b"meta", token, Bytes::from_static(b"new"));
+        s.heal_all();
+        assert_eq!(s.try_repair().unwrap().repaired, 1);
+        let oracle = store(3, 2);
+        put(
+            &oracle,
+            Table::Graph,
+            b"meta",
+            token,
+            Bytes::from_static(b"new"),
+        );
+        assert_eq!(s.content_rows(), oracle.content_rows());
+    }
+
+    /// A healed replica that missed a write does not serve the row —
+    /// to a point read or to a scan — until repair copies it over: the
+    /// read goes to the replica that took the write, or fails.
+    #[test]
+    fn a_replica_that_missed_a_write_does_not_serve_it() {
+        let s = store(3, 2);
+        let token = 0u64;
+        let (first, second) = (s.machine_for(token, 0), s.machine_for(token, 1));
+        s.fail_machine(first);
+        put(&s, Table::Deltas, b"k", token, Bytes::from_static(b"v"));
+        s.heal_all();
+        let read = |s: &SimStore| get(s, Table::Deltas, b"k", token);
+        assert_eq!(read(&s).unwrap().as_deref(), Some(&b"v"[..]));
+        let scanned = s.scan_prefix_batch(Table::Deltas, &[b"k"], token).unwrap();
+        assert_eq!(scanned[0].len(), 1, "a scan does not miss the row either");
+        s.fail_machine(second);
+        assert!(matches!(read(&s), Err(StoreError::Unavailable { .. })));
+        s.heal_all();
+        assert_eq!(s.try_repair().unwrap().repaired, 1);
+        s.fail_machine(second);
+        assert_eq!(read(&s).unwrap().as_deref(), Some(&b"v"[..]));
+    }
+
+    /// A write that reaches every replica clears its key's ledger
+    /// entry: the replica that missed the older partial write serves
+    /// the key again, and no repair is owed.
+    #[test]
+    fn a_fully_replicated_rewrite_clears_the_ledger_entry() {
+        let s = store(3, 2);
+        let token = 0u64;
+        let (first, second) = (s.machine_for(token, 0), s.machine_for(token, 1));
+        s.fail_machine(first);
+        put(&s, Table::Graph, b"meta", token, Bytes::from_static(b"old"));
+        s.heal_all();
+        put(&s, Table::Graph, b"meta", token, Bytes::from_static(b"new"));
+        assert_eq!(s.under_replicated_count(), 0);
+        s.fail_machine(second);
+        let read = get(&s, Table::Graph, b"meta", token).unwrap();
+        assert_eq!(read.as_deref(), Some(&b"new"[..]));
+        assert_eq!(s.try_repair().unwrap(), RepairReport::default());
     }
 
     #[test]

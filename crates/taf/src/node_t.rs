@@ -154,11 +154,6 @@ impl NodeT {
             },
         }
     }
-
-    /// Into the underlying history.
-    pub fn into_history(self) -> NodeHistory {
-        self.history
-    }
 }
 
 #[cfg(test)]
