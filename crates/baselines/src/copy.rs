@@ -9,8 +9,9 @@
 
 use std::sync::Arc;
 
-use hgs_delta::columnar::encode_columnar_delta;
-use hgs_delta::{Delta, Event, NodeId, StaticNode, Time, TimeRange};
+use hgs_delta::{
+    columnar::encode_columnar_delta, Delta, Event, NodeId, StaticNode, Time, TimeRange,
+};
 use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
 
 use crate::traits::{node_events_in, HistoricalIndex};
@@ -32,7 +33,7 @@ impl CopyIndex {
     }
 
     fn token(t: Time) -> u64 {
-        hgs_delta::hash::hash_u64(t)
+        hgs_delta::hash_u64(t)
     }
 
     /// Materialize a snapshot at every distinct event timestamp.

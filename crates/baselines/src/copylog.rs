@@ -31,7 +31,7 @@ impl CopyLogIndex {
     }
 
     fn token(i: usize) -> u64 {
-        hgs_delta::hash::hash_u64(i as u64)
+        hgs_delta::hash_u64(i as u64)
     }
 
     /// Build with a snapshot every `k` events (timestamp groups are

@@ -26,12 +26,12 @@
 //! compares is then the structure alone — which rows an index keeps,
 //! under which keys, and how many a query fetches.
 
-pub mod copy;
-pub mod copylog;
-pub mod deltagraph;
-pub mod log;
-pub mod nodecentric;
-pub mod traits;
+mod copy;
+mod copylog;
+mod deltagraph;
+mod log;
+mod nodecentric;
+mod traits;
 
 pub use copy::CopyIndex;
 pub use copylog::CopyLogIndex;
@@ -95,5 +95,5 @@ pub(crate) fn eventlist_row(row: Bytes) -> Result<Eventlist, StoreError> {
 /// Apply an event restricted to a single node's description (used by
 /// the per-node replay paths of the baselines).
 pub(crate) fn scoped_apply(state: &mut Delta, kind: &EventKind, nid: NodeId) {
-    hgs_core::scope::apply_event_scoped(state, kind, |id| id == nid);
+    hgs_core::apply_event_scoped(state, kind, |id| id == nid);
 }

@@ -8,8 +8,10 @@
 
 use std::sync::Arc;
 
-use hgs_delta::columnar::encode_columnar_eventlist;
-use hgs_delta::{Delta, Event, Eventlist, NodeId, StaticNode, Time, TimeRange};
+use hgs_delta::{
+    columnar::encode_columnar_eventlist, Delta, Event, Eventlist, NodeId, StaticNode, Time,
+    TimeRange,
+};
 use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
 
 use crate::traits::HistoricalIndex;
@@ -29,7 +31,7 @@ impl LogIndex {
     }
 
     fn token(i: usize) -> u64 {
-        hgs_delta::hash::hash_u64(i as u64)
+        hgs_delta::hash_u64(i as u64)
     }
 
     /// Build over `events` with `chunk`-sized eventlist values.

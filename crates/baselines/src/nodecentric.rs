@@ -8,10 +8,11 @@
 
 use std::sync::Arc;
 
-use hgs_delta::columnar::encode_columnar_eventlist;
-use hgs_delta::{Delta, Event, Eventlist, NodeId, StaticNode, Time, TimeRange};
-use hgs_store::key::{node_key, node_placement_token};
-use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
+use hgs_delta::{
+    columnar::encode_columnar_eventlist, Delta, Event, Eventlist, NodeId, StaticNode, Time,
+    TimeRange,
+};
+use hgs_store::{node_key, node_placement_token, PutRow, SimStore, StoreConfig, StoreError, Table};
 
 use crate::traits::HistoricalIndex;
 
@@ -70,11 +71,6 @@ impl NodeCentricIndex {
             .flatten()
             .map(crate::eventlist_row)
             .transpose()
-    }
-
-    /// All node-ids ever seen.
-    pub fn universe(&self) -> &[NodeId] {
-        &self.nodes
     }
 }
 
@@ -182,7 +178,7 @@ mod tests {
         idx.try_snapshot(events.last().unwrap().time).unwrap();
         let diff = SimStore::stats_since(&idx.store().stats_snapshot(), &before);
         let gets: u64 = diff.iter().map(|m| m.gets).sum();
-        assert_eq!(gets as usize, idx.universe().len());
+        assert_eq!(gets as usize, idx.nodes.len());
     }
 
     /// An edge event is stored once in each endpoint's list, and every
@@ -196,7 +192,7 @@ mod tests {
         let log = LogIndex::build(StoreConfig::new(1, 1), &events, 100);
         let nc = NodeCentricIndex::build(StoreConfig::new(1, 1), &events);
         let stored: usize = nc
-            .universe()
+            .nodes
             .iter()
             .map(|&nid| nc.node_events(nid).unwrap().unwrap().len())
             .sum();

@@ -7,8 +7,7 @@ use crate::harness::*;
 use hgs_delta::{Delta, Event, EventKind, TimeRange};
 use hgs_graph::algo::{count_label, local_clustering};
 use hgs_graph::Graph;
-use hgs_store::parallel::parallel_steal;
-use hgs_store::StoreConfig;
+use hgs_store::{parallel_steal, StoreConfig};
 use hgs_taf::{SoTS, TgiHandler};
 
 /// Fig. 15c: local-clustering-coefficient computation time on three

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use hgs_core::{stats::measure, FetchReport, TgiConfig, TgiService, TgiView};
+use hgs_core::{measure, FetchReport, TgiConfig, TgiService, TgiView};
 use hgs_delta::{Event, Time};
 use hgs_store::{CostModel, StoreConfig};
 

@@ -47,12 +47,11 @@
 
 use std::sync::Arc;
 
-use hgs_delta::attr_index::{
-    decode_term_points, encode_term_points, matching_at, value_term, TermPoint, TERM_KIND_VALUE,
+use hgs_delta::{
+    decode_term_points, encode_term_points, matching_at, value_term, AttrValue, Attrs, Delta,
+    Event, EventKind, FxHashMap, NodeId, TermPoint, Time, TERM_KIND_VALUE,
 };
-use hgs_delta::{AttrValue, Attrs, Delta, Event, EventKind, FxHashMap, NodeId, Time};
-use hgs_store::key::{term_key, term_token};
-use hgs_store::{StoreError, Table};
+use hgs_store::{term_key, term_token, StoreError, Table};
 
 use crate::build::TgiView;
 use crate::read_cache::{CacheKey, Cached};

@@ -77,7 +77,7 @@
 //!
 //! There is one: every span is encoded as **one work item per
 //! horizontal partition** on
-//! [`hgs_store::parallel::parallel_steal`] and every row reaches the
+//! [`hgs_store::parallel_steal`] and every row reaches the
 //! store through [`SimStore::try_put_batch`]. Each item replays the
 //! span scoped to its `sid` (full-state replay when aux boundary
 //! replication needs other partitions' node records), builds its own
@@ -109,9 +109,10 @@ use hgs_delta::{
     Delta, Event, EventKind, Eventlist, FxHashMap, NodeId, PairTable, Time, TimeRange,
 };
 use hgs_partition::{locality_partition, CollapsedGraph, PartitionMap};
-use hgs_store::key::{chain_key, node_placement_token, term_key, term_token};
-use hgs_store::parallel::parallel_steal;
-use hgs_store::{DeltaKey, PlacementKey, PutRow, SimStore, StoreError, Table, WriteBuffer};
+use hgs_store::{
+    chain_key, node_placement_token, parallel_steal, term_key, term_token, DeltaKey, PlacementKey,
+    PutRow, SimStore, StoreError, Table, WriteBuffer,
+};
 
 use crate::config::{PartitionStrategy, TgiConfig};
 use crate::meta::{
@@ -156,7 +157,7 @@ impl SpanRuntime {
 ///
 /// Every read path lives on `TgiView`, the one read handle. A clone
 /// shares the spans, the store and the read cache by `Arc` — this is
-/// what [`TgiService`](crate::service::TgiService) publishes as the
+/// what [`TgiService`](crate::TgiService) publishes as the
 /// watermark: readers pin one clone and keep answering from that
 /// sealed prefix no matter what the writer does behind them.
 #[derive(Clone)]
@@ -178,12 +179,13 @@ pub struct TgiView {
     /// [`crate::read_cache`].
     pub(crate) read_cache: Arc<crate::read_cache::ReadCache>,
     /// Monotonic publication counter: bumped once per successful
-    /// append. [`TgiService`](crate::service::TgiService) uses it as
-    /// the watermark readers pin.
+    /// append, and spelled by the `Graph/meta` that commits it, so a
+    /// re-open continues it. [`TgiService`](crate::TgiService) uses it
+    /// as the watermark readers pin.
     pub(crate) epoch: u64,
 }
 
-/// The writer behind a [`TgiService`](crate::service::TgiService).
+/// The writer behind a [`TgiService`](crate::TgiService).
 ///
 /// Owns the current sealed read state (a [`TgiView`]) plus the
 /// writer-only append state: the running tail used to normalize and
@@ -210,7 +212,7 @@ pub enum BuildError {
     /// batch's rows and span-metadata updates are persisted and the
     /// in-memory tail state has advanced, so retrying the batch on
     /// this writer would double-apply events. Once the cluster is
-    /// healthy, [`TgiService::try_recover`](crate::service::TgiService::try_recover)
+    /// healthy, [`TgiService::try_recover`](crate::TgiService::try_recover)
     /// re-opens the writer from the store in place.
     Poisoned,
     /// The batch breaks the caller contract: the event at `time`
@@ -308,8 +310,8 @@ impl Writer {
                 // (with empty results): materialize one empty span.
                 self.poisoned = true;
                 self.build_span(&[], TimeRange::new(0, Time::MAX))?;
+                self.commit()?;
                 self.poisoned = false;
-                self.view.epoch += 1;
             }
             return Ok(());
         }
@@ -360,14 +362,10 @@ impl Writer {
             .last()
             .map(|e| e.time + 1)
             .unwrap_or(self.view.end_time);
-        // The first batch of events writes the first `Graph/meta`, and
-        // `Graph/config` beside it, once.
-        let first_descriptor = self.view.event_count == 0;
         self.view.event_count += events.len();
-        self.persist_graph_meta(first_descriptor)?;
+        self.commit()?;
         self.view.node_count = self.tail_state.cardinality();
         self.view.edge_count = self.tail_state.edge_count();
-        self.view.epoch += 1;
         self.poisoned = false;
         Ok(())
     }
@@ -542,7 +540,7 @@ impl Writer {
             pairs,
         };
         let key = tsid.to_be_bytes().to_vec();
-        let token = hgs_delta::hash::hash_u64(tsid as u64);
+        let token = hgs_delta::hash_u64(tsid as u64);
         let row = PutRow::new(Table::Timespans, key, token, meta.encode());
         self.view.store.try_put_batch(vec![row])?;
         self.view.spans.push(Arc::new(SpanRuntime {
@@ -666,18 +664,22 @@ impl Writer {
         }
     }
 
-    /// Write `Graph/meta`, the append's commit record, with
-    /// `Graph/config` in the same batch when `with_config` (the
-    /// index's first descriptor write; the config never changes).
-    fn persist_graph_meta(&self, with_config: bool) -> Result<(), StoreError> {
+    /// Write `Graph/meta`, the commit record of the next epoch, and
+    /// move the view to that epoch once it is durable. The first
+    /// commit writes `Graph/config` in the same batch; the config
+    /// never changes.
+    fn commit(&mut self) -> Result<(), StoreError> {
         let view = &self.view;
-        let meta = encode_graph_meta(view.spans.len(), view.end_time, view.event_count);
+        let epoch = view.epoch + 1;
+        let meta = encode_graph_meta(view.spans.len(), view.end_time, view.event_count, epoch);
         let mut rows = vec![PutRow::new(Table::Graph, b"meta".to_vec(), 0, meta)];
-        if with_config {
+        if view.epoch == 0 {
             let config = encode_config(&view.cfg);
             rows.push(PutRow::new(Table::Graph, b"config".to_vec(), 0, config));
         }
-        view.store.try_put_batch(rows).map(drop)
+        view.store.try_put_batch(rows)?;
+        self.view.epoch = epoch;
+        Ok(())
     }
 }
 

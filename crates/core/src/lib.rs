@@ -32,23 +32,23 @@
 //! node history, k-hop neighborhood (both strategies), and 1-hop
 //! neighborhood history, all with `c`-way parallel fetch. Multipoint
 //! snapshot batches go through the shared-path planner
-//! ([`query_plan`]): tree-path rows are fetched once per chunk and
-//! states are cloned only at path divergence points; one fill runs at
-//! every width — `c` only says how many work-stealing workers pull
-//! its scans, path sums and per-leaf replays — and caches a
-//! checkpoint once, as the whole-graph state of its leaf.
+//! ([`TgiView::try_snapshots`]): tree-path rows are fetched once per
+//! chunk and states are cloned only at path divergence points; one
+//! fill runs at every width — `c` only says how many work-stealing
+//! workers pull its scans, path sums and per-leaf replays — and
+//! caches a checkpoint once, as the whole-graph state of its leaf.
 //! Single-point reads run as degenerate one-time plans over the same
 //! machinery, so **every** query path shares one session-wide
 //! byte-budgeted, lock-striped LRU read cache of decoded rows and
-//! materialized checkpoint states ([`read_cache`]; every index starts
-//! at [`DEFAULT_READ_CACHE_BYTES`], re-budgeted via
+//! materialized checkpoint states (every index starts at
+//! [`DEFAULT_READ_CACHE_BYTES`], re-budgeted via
 //! [`TgiService::set_read_cache_budget`], counters — split into row vs
 //! state hits — via [`TgiView::cache_stats`]). Every retrieval and
 //! build primitive has exactly one spelling, `try_*`, which surfaces
 //! [`hgs_store::StoreError::Unavailable`] instead of silently
-//! returning partial results (see [`query`] for the contract; a
-//! caller that wants a panic writes `.expect(..)` at the call site);
-//! a cache miss — including one caused by eviction — always re-runs
+//! returning partial results (a caller that wants a panic writes
+//! `.expect(..)` at the call site); a cache miss — including one
+//! caused by eviction — always re-runs
 //! the fallible fetch. The fetch width is a property of the view:
 //! [`TgiView::with_clients`] returns a cheap clone that reads at `c`
 //! clients.
@@ -56,33 +56,34 @@
 //! Serving: there are two handles. [`TgiService`] is the one owning
 //! handle — it builds an index ([`TgiService::try_build`]) or re-opens
 //! one from its store ([`TgiService::open`]), and its one serialized
-//! writer publishes a watermarked view per append ([`service`]).
+//! writer publishes a watermarked view per append.
 //! [`TgiView`] is the one read handle: an immutable, cheaply-clonable
 //! view holding every read path, which any number of reader threads
 //! pin ([`TgiService::pin`]) for snapshot-isolated reads over live
 //! ingest. A view answers from its own sealed prefix, so a reader
 //! re-pins to see an append.
 
-pub mod attr_index;
-pub mod build;
-pub mod config;
+mod attr_index;
+mod build;
+mod config;
 pub mod costs;
-pub mod meta;
-pub mod persist;
-pub mod query;
-pub mod query_plan;
-pub mod read_cache;
-pub mod scope;
-pub mod service;
-pub mod stats;
+mod meta;
+mod persist;
+mod query;
+mod query_plan;
+mod read_cache;
+mod scope;
+mod service;
+mod stats;
 
 pub use attr_index::LABEL_KEY;
 pub use build::{BuildError, TgiView};
 pub use config::{PartitionStrategy, TgiConfig, DEFAULT_READ_CACHE_BYTES};
-pub use meta::{TimespanMeta, TreeShape};
+pub use meta::{encode_chain, sid_of, ChainEntry, TimespanMeta, TreeShape, AUX_BASE, ELIST_BASE};
 pub use persist::OpenError;
 pub use query::{KhopStrategy, NeighborhoodHistory, NodeHistory};
 pub use query_plan::PlanSummary;
 pub use read_cache::{CacheStats, DEFAULT_READ_CACHE_SHARDS};
+pub use scope::apply_event_scoped;
 pub use service::TgiService;
-pub use stats::FetchReport;
+pub use stats::{measure, FetchReport};

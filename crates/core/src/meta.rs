@@ -195,7 +195,7 @@ impl TimespanMeta {
     /// `after < time < before` (`after = None`: from time 0 on): chunk
     /// `j` holds the span's events in `[c_j, c_{j+1})`, the last one up
     /// to `range.end`.
-    pub fn chunks_overlapping(
+    pub(crate) fn chunks_overlapping(
         &self,
         after: Option<Time>,
         before: Time,
@@ -374,7 +374,7 @@ fn decode_pair_table(b: &mut &[u8]) -> Result<PairTable, CodecError> {
 /// chunk `j` holds the span's events in `[c_j, c_{j+1})`.
 ///
 /// A `Versions` row — one per `(node, timespan)`, keyed
-/// [`chain_key`](hgs_store::key::chain_key) — **stores** only the set
+/// [`chain_key`](hgs_store::chain_key) — **stores** only the set
 /// of chunks: the first chunk in the bits the span's chunk count `q`
 /// needs, then each gap less one as a Rice code (the grammar is
 /// [`encode_chunk_set`]'s). Everything else is derived: `q` from the
@@ -405,7 +405,7 @@ pub fn encode_chain(entries: &[ChainEntry], chunk_count: usize) -> bytes::Bytes 
 /// `chunk_count` is refused: the row names chunks its span does not
 /// have. No more than `chunk_count` entries are read, whatever the
 /// row's length (see [`decode_chunk_set`]).
-pub fn decode_chain(
+pub(crate) fn decode_chain(
     buf: &[u8],
     tsid: u32,
     pid: u32,
@@ -423,7 +423,7 @@ const SID_SALT: u64 = 0x9027_3321_AB03_77F1;
 /// Horizontal partition (`sid`) of a node: a pure hash (§4.4 point 2).
 #[inline]
 pub fn sid_of(nid: NodeId, ns: u32) -> u32 {
-    (hgs_delta::hash::hash_u64(nid ^ SID_SALT) % ns as u64) as u32
+    (hgs_delta::hash_u64(nid ^ SID_SALT) % ns as u64) as u32
 }
 
 #[cfg(test)]

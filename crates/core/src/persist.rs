@@ -5,9 +5,9 @@
 //! property of the paper's Fig. 2.
 //!
 //! Layout recap: `Graph` holds the global descriptor (config, span
-//! count, end time, event count); `Timespans` holds one metadata row
-//! per timespan; `Micropartitions` holds the locality partition maps;
-//! `Deltas` and `Versions` hold the index body.
+//! count, end time, event count, epoch); `Timespans` holds one
+//! metadata row per timespan; `Micropartitions` holds the locality
+//! partition maps; `Deltas` and `Versions` hold the index body.
 
 use std::sync::Arc;
 
@@ -79,9 +79,11 @@ impl std::error::Error for OpenError {}
 /// and `11` (row headers spelling a segment count and every segment's
 /// length, records spelling their first neighbour as a varint, and
 /// chain and term rows spelling their integers in whole bytes; the
-/// delta and eventlist rows carry retired magics too).
+/// delta and eventlist rows carry retired magics too) and `12`
+/// (`Graph/meta` rows of three varints, with no epoch: an index
+/// re-opened from one published its watermarks from 1 again).
 /// A store tagged otherwise is refused, not answered from.
-const LAYOUT_TAG: u64 = 12;
+const LAYOUT_TAG: u64 = 13;
 
 /// Serialize the construction configuration: the layout tag, then
 /// every other field of [`TgiConfig`] in declaration order.
@@ -182,30 +184,47 @@ fn no_trailing_bytes(rest: &[u8]) -> Result<(), CodecError> {
     }
 }
 
-/// Serialize the `Graph/meta` row: span count, end time, event count.
-pub(crate) fn encode_graph_meta(span_count: usize, end_time: Time, event_count: usize) -> Bytes {
+/// Serialize the `Graph/meta` row, the commit record: span count, end
+/// time, event count and the epoch it publishes.
+pub(crate) fn encode_graph_meta(
+    span_count: usize,
+    end_time: Time,
+    event_count: usize,
+    epoch: u64,
+) -> Bytes {
     let mut buf = BytesMut::new();
     put_varint(&mut buf, span_count as u64);
     put_varint(&mut buf, end_time);
     put_varint(&mut buf, event_count as u64);
+    put_varint(&mut buf, epoch);
     buf.freeze()
 }
 
 /// Decode [`encode_graph_meta`]. A span is named by a `u32` tsid, and
 /// a build that wrote a descriptor wrote a span; nothing is allocated
-/// for the count itself.
-fn decode_graph_meta(mut buf: &[u8]) -> Result<(u32, Time, usize), CodecError> {
+/// for the count itself. The first commit publishes epoch 1.
+fn decode_graph_meta(mut buf: &[u8]) -> Result<(u32, Time, usize, u64), CodecError> {
     let b = &mut buf;
     let span_count = get_varint(b)?;
     let end_time = get_varint(b)?;
     let event_count = get_varint(b)? as usize;
+    let epoch = get_varint(b)?;
     no_trailing_bytes(b)?;
-    match u32::try_from(span_count) {
-        Ok(n) if n > 0 => Ok((n, end_time, event_count)),
-        _ => Err(CodecError::LengthOverflow {
-            what: "span count",
-            len: span_count,
+    let span_count = match u32::try_from(span_count) {
+        Ok(n) if n > 0 => n,
+        _ => {
+            return Err(CodecError::LengthOverflow {
+                what: "span count",
+                len: span_count,
+            })
+        }
+    };
+    match epoch {
+        0 => Err(CodecError::BadRef {
+            what: "epoch",
+            id: 0,
         }),
+        _ => Ok((span_count, end_time, event_count, epoch)),
     }
 }
 
@@ -279,9 +298,11 @@ impl Writer {
             [Some(meta), Some(cfg)] => (meta.clone(), cfg.clone()),
             _ => return Err(OpenError::NotFound),
         };
-        let (span_count, end_time, event_count) =
-            decode_graph_meta(&meta_row).map_err(OpenError::Corrupt)?;
+        // The config first: its layout tag names the grammar of every
+        // other row, `Graph/meta` included.
         let cfg = decode_config(&cfg_row).map_err(OpenError::Corrupt)?;
+        let (span_count, end_time, event_count, epoch) =
+            decode_graph_meta(&meta_row).map_err(OpenError::Corrupt)?;
 
         // Per-timespan metadata and partition maps. A row spells
         // neither its `tsid` (the key's) nor its end (the next row's
@@ -294,7 +315,7 @@ impl Writer {
                 .multi_get(
                     Table::Timespans,
                     &[&tsid.to_be_bytes()],
-                    hgs_delta::hash::hash_u64(tsid as u64),
+                    hgs_delta::hash_u64(tsid as u64),
                 )
                 .map_err(OpenError::Store)?
                 .pop()
@@ -350,7 +371,7 @@ impl Writer {
                     crate::config::DEFAULT_READ_CACHE_BYTES,
                     crate::read_cache::DEFAULT_READ_CACHE_SHARDS,
                 )),
-                epoch: 0,
+                epoch,
             },
             tail_state: hgs_delta::Delta::new(),
             encode_width: crate::build::host_parallelism(),
@@ -368,7 +389,6 @@ impl Writer {
             writer.view.node_count = writer.tail_state.cardinality();
             writer.view.edge_count = writer.tail_state.edge_count();
         }
-        writer.view.epoch = 1;
         Ok(writer)
     }
 }
@@ -423,12 +443,12 @@ mod tests {
             );
         }
         // The layout tag is the first varint (one byte): a descriptor
-        // tagged 0 to 9 (the retired formats), or empty, is refused
+        // tagged 0 to 12 (the retired formats), or empty, is refused
         // rather than opened as something else.
         let blob = encode_config(&TgiConfig::default());
         assert_eq!(blob[0] as u64, LAYOUT_TAG);
         let retired = |tag: u8| [&[tag], &blob[1..]].concat();
-        for bad in (0..10).map(retired).chain([Vec::new()]) {
+        for bad in (0..LAYOUT_TAG as u8).map(retired).chain([Vec::new()]) {
             assert!(matches!(
                 decode_config(&bad),
                 Err(CodecError::BadTag {
@@ -569,6 +589,26 @@ mod tests {
             let copy_log = cfg.arity > 3;
             assert_eq!((flat, ragged), (copy_log, !copy_log), "{built:?}");
         }
+    }
+
+    /// `Graph/meta` spells the epoch it publishes, last: a row of three
+    /// varints, as written before it did, is refused, and so is epoch
+    /// 0, which no commit publishes.
+    #[test]
+    fn a_graph_meta_without_an_epoch_is_refused() {
+        let meta = encode_graph_meta(2, 50, 40, 3);
+        assert_eq!(decode_graph_meta(&meta), Ok((2, 50, 40, 3)));
+        assert!(matches!(
+            decode_graph_meta(&meta[..3]),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+        assert_eq!(
+            decode_graph_meta(&encode_graph_meta(2, 50, 40, 0)),
+            Err(CodecError::BadRef {
+                what: "epoch",
+                id: 0
+            })
+        );
     }
 
     #[test]

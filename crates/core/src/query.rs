@@ -25,9 +25,10 @@ use hgs_delta::{
     CodecError, ColumnarDelta, ColumnarEventlist, Delta, Event, Eventlist, FxHashMap, FxHashSet,
     NodeId, PairTable, StaticNode, Time, TimeRange,
 };
-use hgs_store::key::{chain_key_tsid, chain_prefix, node_placement_token};
-use hgs_store::parallel::parallel_steal;
-use hgs_store::{DeltaKey, PlacementKey, StoreError, Table};
+use hgs_store::{
+    chain_key_tsid, chain_prefix, node_placement_token, parallel_steal, DeltaKey, PlacementKey,
+    StoreError, Table,
+};
 
 use crate::build::{SpanRuntime, TgiView};
 use crate::costs::{access_cost, CostProfile, IndexKind, QueryKind};

@@ -45,7 +45,7 @@
 //! still to build, merged into its leaf's state as it is produced
 //! (sids hold disjoint nodes); and, per leaf, the tail — cache the
 //! state, decode the eventlists, replay to each requested time. The
-//! width only says how many [`hgs_store::parallel::parallel_steal`]
+//! width only says how many [`hgs_store::parallel_steal`]
 //! workers pull those items: a hot leaf or a skewed horizontal
 //! partition delays only its own item, the fan-out is clamped to the
 //! item count, and at width 1 every item runs inline. Answers, store
@@ -57,8 +57,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use hgs_delta::{ColumnarEventlist, Delta, Eventlist, FxHashMap, FxHashSet, Time};
-use hgs_store::parallel::parallel_steal;
-use hgs_store::{DeltaKey, PlacementKey, StoreError, Table};
+use hgs_store::{parallel_steal, DeltaKey, PlacementKey, StoreError, Table};
 
 use crate::build::{SpanRuntime, TgiView};
 use crate::meta::{sid_of, ELIST_BASE};

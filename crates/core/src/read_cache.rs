@@ -32,7 +32,7 @@
 //! hash over [`DEFAULT_READ_CACHE_SHARDS`]
 //! independent LRU lists, each behind its own mutex, so concurrent
 //! readers pinned to different watermarks (see
-//! [`TgiService`](crate::service::TgiService)) contend only when they
+//! [`TgiService`](crate::TgiService)) contend only when they
 //! touch the *same* stripe. The per-shard byte budgets always sum to
 //! the configured total; eviction is per-shard LRU. A shard's lock is
 //! only ever held for the pointer surgery of one lookup or insert —
@@ -127,7 +127,7 @@ impl Cached {
                 Cached::Elist(e) => e.weight_bytes(),
                 Cached::ColDelta(c) => c.backing_len() + c.raw_len_total(),
                 Cached::ColElist(c) => c.backing_len() + c.raw_len_total(),
-                Cached::TermPoints(p) => hgs_delta::attr_index::term_points_weight(p),
+                Cached::TermPoints(p) => hgs_delta::term_points_weight(p),
                 Cached::Absent => 0,
             }
     }
@@ -306,7 +306,7 @@ fn shard_budgets(total: usize, n: usize) -> impl Iterator<Item = usize> {
 fn shard_of(key: &CacheKey, n: usize) -> usize {
     let mut h = FxHasher::default();
     key.hash(&mut h);
-    (hgs_delta::hash::hash_u64(h.finish()) % n as u64) as usize
+    (hgs_delta::hash_u64(h.finish()) % n as u64) as usize
 }
 
 /// The session-wide read cache, shared by `Arc` between every query
@@ -316,7 +316,7 @@ fn shard_of(key: &CacheKey, n: usize) -> usize {
 /// Lock-striped by key hash: each shard is an independent LRU behind
 /// its own mutex with its own slice of the byte budget (the slices
 /// always sum to the configured total).
-pub struct ReadCache {
+pub(crate) struct ReadCache {
     shards: Box<[Mutex<Inner>]>,
     /// Configured total budget, mirrored outside the shard locks so
     /// [`ReadCache::is_enabled`] is a lock-free load.

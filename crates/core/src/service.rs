@@ -111,9 +111,9 @@ impl TgiService {
         TgiService::try_build_on(cfg, Arc::new(SimStore::new(store_cfg)), events)
     }
 
-    /// [`TgiService::try_build`] on an existing store (lets several
-    /// indexes share a cluster in experiments). The store keeps its own
-    /// retry policy ([`SimStore::set_retry_policy`]).
+    /// [`TgiService::try_build`] on an existing store, e.g. one whose
+    /// machines, fault plan or counters the caller already holds. The
+    /// store keeps its own retry policy ([`SimStore::set_retry_policy`]).
     pub fn try_build_on(
         cfg: TgiConfig,
         store: Arc<SimStore>,
@@ -214,7 +214,7 @@ impl TgiService {
     }
 
     /// Aggregated counters of the shared read cache (all views of
-    /// this service share one cache; see [`crate::read_cache`]).
+    /// this service share one cache).
     pub fn cache_stats(&self) -> CacheStats {
         self.pin().cache_stats()
     }
@@ -237,9 +237,9 @@ impl TgiService {
     /// heals — machines healed, fault plan detached or its windows
     /// elapsed — this re-opens the index from the store's durable
     /// state, carries the service's runtime state over to the fresh
-    /// writer (shared read cache, client and encode widths, watermark
-    /// continuity; the retry policy is the store's and never left it),
-    /// and finishes with an
+    /// writer (shared read cache, client and encode widths; the
+    /// watermark is the commit record's and the retry policy the
+    /// store's, so neither left it), and finishes with an
     /// anti-entropy pass so rows degraded by the same fault window are
     /// re-replicated.
     /// Appends work again afterwards; the next one publishes the next
@@ -260,9 +260,6 @@ impl TgiService {
             reopened.view.read_cache = Arc::clone(&writer.view.read_cache);
             reopened.view.clients = writer.view.clients;
             reopened.encode_width = writer.encode_width;
-            // `Writer::open` restarts epochs at 1; the service's sequence
-            // must keep ascending past the already-published watermark.
-            reopened.view.epoch = self.watermark.load(Ordering::Acquire);
             *writer = reopened;
         }
         writer.view.store.try_repair().map_err(OpenError::Store)
@@ -487,6 +484,49 @@ mod tests {
                 .cardinality(),
             300,
             "latest watermark sees the whole history"
+        );
+    }
+
+    /// `Graph/meta` spells the epoch it publishes, so a re-opened
+    /// service continues the watermark rather than restarting it.
+    #[test]
+    fn a_reopened_service_continues_the_watermark() {
+        let evs = chain_events(80);
+        let cfg = TgiConfig::default()
+            .with_timespan(50)
+            .with_eventlist_size(20);
+        let svc = TgiService::try_build(cfg, StoreConfig::new(2, 1), &evs[..60]).unwrap();
+        svc.try_append_events(&evs[60..100]).unwrap();
+        svc.try_append_events(&evs[100..130]).unwrap();
+        let opened = TgiService::open(svc.store()).unwrap();
+        assert_eq!(opened.watermark(), 3);
+        assert_eq!(opened.pin().epoch(), 3);
+        assert_eq!(opened.try_append_events(&evs[130..]).unwrap(), 4);
+        let end = evs.last().unwrap().time + 1;
+        let whole = TgiService::try_build(cfg, StoreConfig::new(2, 1), &evs).unwrap();
+        assert_eq!(
+            opened.pin().try_snapshot(end).unwrap(),
+            whole.pin().try_snapshot(end).unwrap()
+        );
+    }
+
+    /// An index built over no events writes its commit record too: it
+    /// re-opens at watermark 1 and accepts an append.
+    #[test]
+    fn an_empty_index_reopens_and_accepts_an_append() {
+        let evs = chain_events(30);
+        let empty =
+            TgiService::try_build(TgiConfig::default(), StoreConfig::new(1, 1), &[]).unwrap();
+        assert_eq!(empty.watermark(), 1);
+        let opened = TgiService::open(empty.store()).unwrap();
+        assert_eq!(opened.watermark(), 1);
+        assert_eq!(opened.try_append_events(&evs).unwrap(), 2);
+        let end = evs.last().unwrap().time + 1;
+        let whole =
+            TgiService::try_build(TgiConfig::default(), StoreConfig::new(1, 1), &evs).unwrap();
+        assert_eq!(
+            opened.pin().try_snapshot(end).unwrap(),
+            whole.pin().try_snapshot(end).unwrap()
         );
     }
 }

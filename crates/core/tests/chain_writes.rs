@@ -14,8 +14,9 @@ use bytes::Bytes;
 use hgs_core::{TgiConfig, TgiService, TgiView};
 use hgs_datagen::{SkewedLabels, WikiGrowth};
 use hgs_delta::{normalize_events, TimeRange};
-use hgs_store::key::{chain_key, chain_key_tsid, node_placement_token};
-use hgs_store::{SimStore, StoreConfig, StoreError, Table};
+use hgs_store::{
+    chain_key, chain_key_tsid, node_placement_token, SimStore, StoreConfig, StoreError, Table,
+};
 
 fn cfg() -> TgiConfig {
     TgiConfig {

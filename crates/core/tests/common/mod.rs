@@ -9,8 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::{BufMut, Bytes, BytesMut};
-use hgs_core::meta::ELIST_BASE;
-use hgs_core::{KhopStrategy, TgiView, TimespanMeta};
+use hgs_core::{KhopStrategy, TgiView, TimespanMeta, ELIST_BASE};
 use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::{normalize_events, AttrValue, Delta, Event, EventKind, NodeId, Time, TimeRange};
 use hgs_store::{DeltaKey, PutRow, SimStore, Table};
@@ -21,7 +20,7 @@ use hgs_store::{DeltaKey, PutRow, SimStore, Table};
 /// one — its description differs between any two checkpoints, in every
 /// chunk of every span, so under the component-granular intersection
 /// tree its pieces sit on every row of every root-to-leaf path.
-pub fn with_busy_hub(events: Vec<Event>) -> Vec<Event> {
+pub(crate) fn with_busy_hub(events: Vec<Event>) -> Vec<Event> {
     let mut out = Vec::with_capacity(events.len() * 2);
     for (i, e) in events.into_iter().enumerate() {
         let (time, i) = (e.time, i as u64);
@@ -42,7 +41,7 @@ pub fn with_busy_hub(events: Vec<Event>) -> Vec<Event> {
     out
 }
 
-pub fn touches(e: &Event, id: NodeId) -> bool {
+pub(crate) fn touches(e: &Event, id: NodeId) -> bool {
     let (a, b) = e.kind.touched();
     a == id || b == Some(id)
 }
@@ -51,7 +50,11 @@ pub fn touches(e: &Event, id: NodeId) -> bool {
 /// strictly inside `range`, in trace order. The index stores the
 /// *normalized* stream (`normalize_events`: `RemoveNode` expanded into
 /// explicit `RemoveEdge` events) and histories are stated over it.
-pub fn node_events_by_replay(normalized: &[Event], nid: NodeId, range: TimeRange) -> Vec<Event> {
+pub(crate) fn node_events_by_replay(
+    normalized: &[Event],
+    nid: NodeId,
+    range: TimeRange,
+) -> Vec<Event> {
     normalized
         .iter()
         .filter(|e| touches(e, nid) && e.time > range.start && e.time < range.end)
@@ -61,7 +64,7 @@ pub fn node_events_by_replay(normalized: &[Event], nid: NodeId, range: TimeRange
 
 /// The span descriptors an index persisted, in `tsid` order, each
 /// read under its key's `tsid` and closed where the next one opens.
-pub fn span_metas(tgi: &TgiView) -> Vec<TimespanMeta> {
+pub(crate) fn span_metas(tgi: &TgiView) -> Vec<TimespanMeta> {
     let cfg = tgi.config();
     let rows: BTreeMap<Vec<u8>, Bytes> = tgi
         .store()
@@ -85,7 +88,7 @@ pub fn span_metas(tgi: &TgiView) -> Vec<TimespanMeta> {
 /// The `(tsid, chunk)` whose `[c_j, c_{j+1})` holds time `t`, from the
 /// spans' checkpoints alone (a span's last chunk runs to its range's
 /// end).
-pub fn chunk_of(metas: &[TimespanMeta], t: Time) -> (u32, u32) {
+pub(crate) fn chunk_of(metas: &[TimespanMeta], t: Time) -> (u32, u32) {
     let meta = metas
         .iter()
         .find(|m| m.range.contains(t))
@@ -95,7 +98,7 @@ pub fn chunk_of(metas: &[TimespanMeta], t: Time) -> (u32, u32) {
 
 /// Reference version chain, as `(tsid, chunk)` pairs in order: the
 /// eventlist chunks holding an event of `normalized` touching `nid`.
-pub fn chain_by_replay(
+pub(crate) fn chain_by_replay(
     normalized: &[Event],
     nid: NodeId,
     metas: &[TimespanMeta],
@@ -109,14 +112,14 @@ pub fn chain_by_replay(
 }
 
 /// A node's version chain as the `(tsid, chunk)` pairs its rows store.
-pub fn chain_chunks(tgi: &TgiView, nid: NodeId) -> Vec<(u32, u32)> {
+pub(crate) fn chain_chunks(tgi: &TgiView, nid: NodeId) -> Vec<(u32, u32)> {
     let chain = tgi.try_version_chain(nid).unwrap();
     chain.into_iter().map(|e| (e.tsid, e.chunk)).collect()
 }
 
 /// Reference attribute predicate: the node-ids of the replayed state
 /// at `t` whose attribute `key` equals `value`, sorted.
-pub fn nodes_matching_by_replay(
+pub(crate) fn nodes_matching_by_replay(
     events: &[Event],
     key: &str,
     value: &AttrValue,
@@ -136,7 +139,7 @@ pub fn nodes_matching_by_replay(
 /// `key` on `nid` is a point — time 0 and re-sets of the same value
 /// included — and a removal of the attribute or of the node is a
 /// `None` point only while the key is present.
-pub fn attr_history_by_replay(
+pub(crate) fn attr_history_by_replay(
     events: &[Event],
     nid: NodeId,
     key: &str,
@@ -164,7 +167,7 @@ pub fn attr_history_by_replay(
 }
 
 /// Reference k-hop: breadth-first over the replayed state.
-pub fn khop_by_replay(state: &Delta, center: NodeId, k: usize) -> Delta {
+pub(crate) fn khop_by_replay(state: &Delta, center: NodeId, k: usize) -> Delta {
     let mut seen = BTreeSet::new();
     if state.contains(center) {
         seen.insert(center);
@@ -187,7 +190,7 @@ pub fn khop_by_replay(state: &Delta, center: NodeId, k: usize) -> Delta {
 /// read back (strided down to ~300 times on the longer generated
 /// traces) — and per node the static-vertex fetch, the full history,
 /// the version chain and both k-hop strategies.
-pub fn assert_answers_equal_replay(tgi: &TgiView, events: &[Event]) {
+pub(crate) fn assert_answers_equal_replay(tgi: &TgiView, events: &[Event]) {
     let end = events.last().map(|e| e.time).unwrap_or(0);
     let event_times: BTreeSet<Time> = events.iter().map(|e| e.time).collect();
     let stride = event_times.len().div_ceil(300).max(1);
@@ -245,28 +248,28 @@ pub fn assert_answers_equal_replay(tgi: &TgiView, events: &[Event]) {
 }
 
 /// Index of the weights segment among an eventlist row's eight.
-pub const ELIST_SEG_WEIGHTS: usize = 4;
+pub(crate) const ELIST_SEG_WEIGHTS: usize = 4;
 
 /// Index of the row's own attribute dictionary among an eventlist
 /// row's eight segments.
-pub const ELIST_SEG_ATTR_DICT: usize = 5;
+pub(crate) const ELIST_SEG_ATTR_DICT: usize = 5;
 
 /// Index of the id column among a delta row's five segments.
-pub const DELTA_SEG_NODE_IDS: usize = 0;
+pub(crate) const DELTA_SEG_NODE_IDS: usize = 0;
 
 /// Index of the restart column among a delta row's five segments.
-pub const DELTA_SEG_RESTARTS: usize = 1;
+pub(crate) const DELTA_SEG_RESTARTS: usize = 1;
 
 /// Index of the row's own pair dictionary among a delta row's five
 /// segments.
-pub const DELTA_SEG_PAIR_DICT: usize = 2;
+pub(crate) const DELTA_SEG_PAIR_DICT: usize = 2;
 
 /// Index of the counts column — every record's head — among a delta
 /// row's five segments.
-pub const DELTA_SEG_COUNTS: usize = 3;
+pub(crate) const DELTA_SEG_COUNTS: usize = 3;
 
 /// Index of the record segment among a delta row's five segments.
-pub const DELTA_SEG_RECORDS: usize = 4;
+pub(crate) const DELTA_SEG_RECORDS: usize = 4;
 
 /// A stored columnar row taken apart as its header lays it out (see
 /// `hgs_delta::columnar`), what a test needs to look inside a row or to
@@ -274,7 +277,7 @@ pub const DELTA_SEG_RECORDS: usize = 4;
 /// then every segment's bytes — the magic says how many segments there
 /// are, a presence bitmap which of them are spelled, and every spelled
 /// one but the last has a length varint.
-pub struct RowSegments {
+pub(crate) struct RowSegments {
     pub magic: u8,
     pub count: u64,
     pub segs: Vec<Vec<u8>>,
@@ -291,7 +294,7 @@ fn segment_count(magic: u8) -> usize {
 }
 
 impl RowSegments {
-    pub fn parse(row: &[u8]) -> RowSegments {
+    pub(crate) fn parse(row: &[u8]) -> RowSegments {
         let (magic, mut b) = (row[0], &row[1..]);
         let count = get_varint(&mut b).unwrap();
         let (present, rest) = b.split_first().unwrap();
@@ -320,7 +323,7 @@ impl RowSegments {
         RowSegments { magic, count, segs }
     }
 
-    pub fn assemble(&self) -> Bytes {
+    pub(crate) fn assemble(&self) -> Bytes {
         let mut out = BytesMut::new();
         out.put_u8(self.magic);
         put_varint(&mut out, self.count);
@@ -339,14 +342,14 @@ impl RowSegments {
 }
 
 /// Every stored eventlist row, keyed as the `Deltas` table keys it.
-pub fn stored_eventlist_rows(store: &SimStore) -> Vec<(DeltaKey, Bytes)> {
+pub(crate) fn stored_eventlist_rows(store: &SimStore) -> Vec<(DeltaKey, Bytes)> {
     let mut rows: Vec<(DeltaKey, Bytes)> = store
         .content_rows()
         .into_iter()
         .flatten()
         .filter(|(k, _)| k[0] == Table::Deltas.tag())
         .filter_map(|(k, v)| Some((DeltaKey::decode(&k[1..])?, v)))
-        .filter(|(k, _)| k.did >= ELIST_BASE && k.did < hgs_core::meta::AUX_BASE)
+        .filter(|(k, _)| k.did >= ELIST_BASE && k.did < hgs_core::AUX_BASE)
         .collect();
     rows.sort_by_key(|(k, _)| *k);
     rows.dedup_by_key(|(k, _)| *k);
@@ -355,7 +358,7 @@ pub fn stored_eventlist_rows(store: &SimStore) -> Vec<(DeltaKey, Bytes)> {
 
 /// Write `value` under `key` on every machine, so that whichever
 /// replica a read lands on serves it.
-pub fn put_everywhere(store: &SimStore, table: Table, key: &[u8], value: Bytes) {
+pub(crate) fn put_everywhere(store: &SimStore, table: Table, key: &[u8], value: Bytes) {
     let rows = (0..store.machine_count() as u64)
         .map(|token| PutRow::new(table, key.to_vec(), token, value.clone()))
         .collect();

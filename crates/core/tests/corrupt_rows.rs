@@ -12,14 +12,19 @@ use std::sync::Arc;
 use common::put_everywhere;
 
 use bytes::{Bytes, BytesMut};
-use hgs_core::meta::{encode_chain, sid_of, ChainEntry, TimespanMeta, ELIST_BASE};
-use hgs_core::{KhopStrategy, OpenError, PartitionStrategy, TgiConfig, TgiService, TgiView};
+use hgs_core::{
+    encode_chain, sid_of, ChainEntry, KhopStrategy, OpenError, PartitionStrategy, TgiConfig,
+    TgiService, TgiView, TimespanMeta, ELIST_BASE,
+};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::codec::{get_varint, put_varint};
-use hgs_delta::columnar::encode_columnar_delta;
-use hgs_delta::{normalize_events, CodecError, ColumnarDelta, Delta, StaticNode, TimeRange};
-use hgs_store::key::{chain_key, chain_key_tsid, node_key};
-use hgs_store::{DeltaKey, PutRow, SimStore, StoreConfig, StoreError, Table};
+use hgs_delta::{
+    columnar::encode_columnar_delta, normalize_events, CodecError, ColumnarDelta, Delta,
+    StaticNode, TimeRange,
+};
+use hgs_store::{
+    chain_key, chain_key_tsid, node_key, DeltaKey, PutRow, SimStore, StoreConfig, StoreError, Table,
+};
 use hgs_taf::TgiHandler;
 
 fn trace() -> Vec<hgs_delta::Event> {
@@ -300,7 +305,7 @@ fn out_of_bounds_descriptor_is_corrupt_not_a_panic() {
         store.try_put_batch(vec![row]).expect("healthy store");
     };
     let events_per_timespan = fields[1];
-    let retired = (0..11).map(|tag| (LAYOUT, tag, format!("retired layout tag {tag}")));
+    let retired = (0..13).map(|tag| (LAYOUT, tag, format!("retired layout tag {tag}")));
     for (idx, bad, what) in [
         (1, 0, "events_per_timespan = 0"),
         (2, 0, "eventlist_size = 0"),
@@ -385,7 +390,7 @@ fn hostile_descriptor_counts_are_corrupt_not_an_allocation() {
         .clone()
         .expect("the build wrote a meta row");
     for count in [HUGE, 0] {
-        put_everywhere(&store, Table::Graph, b"meta", varints(&[count, 9, 9]));
+        put_everywhere(&store, Table::Graph, b"meta", varints(&[count, 9, 9, 1]));
         assert_eq!(
             corrupt("span count"),
             CodecError::LengthOverflow {
@@ -706,7 +711,7 @@ fn rows_off_the_grammar_are_corrupt_on_the_reads_that_cross_them() {
     let key = DeltaKey::new(
         entry.tsid,
         sid_of(1, ns),
-        hgs_core::meta::ELIST_BASE + entry.chunk as u64,
+        hgs_core::ELIST_BASE + entry.chunk as u64,
         entry.pid,
     );
     let (_, row) = common::stored_eventlist_rows(store)

@@ -123,11 +123,9 @@
 
 mod common;
 
-use hgs_core::meta::{AUX_BASE, ELIST_BASE};
-use hgs_core::{TgiConfig, TgiService};
+use hgs_core::{TgiConfig, TgiService, AUX_BASE, ELIST_BASE};
 use hgs_datagen::{SkewedLabels, WikiGrowth};
-use hgs_delta::attr_index::{decode_term_points, encode_term_points};
-use hgs_delta::{Event, TERM_KIND_VALUE};
+use hgs_delta::{decode_term_points, encode_term_points, Event, TERM_KIND_VALUE};
 use hgs_store::{DeltaKey, StoreConfig, Table};
 
 /// Stored value bytes per event, by table; `Deltas` rows split by what

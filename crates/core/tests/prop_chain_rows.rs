@@ -19,12 +19,10 @@ use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use common::{attr_history_by_replay, chunk_of, put_everywhere, touches};
-use hgs_core::meta::{encode_chain, ChainEntry};
-use hgs_core::{TgiConfig, TgiService, TgiView, TimespanMeta, LABEL_KEY};
+use hgs_core::{encode_chain, ChainEntry, TgiConfig, TgiService, TgiView, TimespanMeta, LABEL_KEY};
 use hgs_datagen::SkewedLabels;
 use hgs_delta::{normalize_events, Event, TimeRange};
-use hgs_store::key::{chain_key, chain_key_tsid};
-use hgs_store::{SimStore, StoreConfig, StoreError, Table};
+use hgs_store::{chain_key, chain_key_tsid, SimStore, StoreConfig, StoreError, Table};
 use proptest::prelude::*;
 
 /// One index every case damages one row of, and puts back.

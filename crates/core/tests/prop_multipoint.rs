@@ -214,7 +214,7 @@ fn empty_first_partials_merge_exactly() {
     // A node id whose sid is the *last* of 4, so sids iterated before
     // it all produce empty partials.
     let nid = (0u64..1_000)
-        .find(|&id| hgs_core::meta::sid_of(id, ns) == ns - 1)
+        .find(|&id| hgs_core::sid_of(id, ns) == ns - 1)
         .expect("some id hashes to the last sid");
     let events: Vec<Event> = (0..40u64)
         .flat_map(|i| {

@@ -10,8 +10,7 @@
 mod common;
 
 use common::with_busy_hub;
-use hgs_core::meta::{sid_of, AUX_BASE};
-use hgs_core::{KhopStrategy, PartitionStrategy, TgiConfig, TgiService, TgiView};
+use hgs_core::{sid_of, KhopStrategy, PartitionStrategy, TgiConfig, TgiService, TgiView, AUX_BASE};
 use hgs_delta::{AttrValue, Event, EventKind, TimeRange};
 use hgs_store::{DeltaKey, StoreConfig, Table};
 use proptest::prelude::*;

@@ -7,7 +7,7 @@
 //!   `Transient`, `Unavailable` or `Corrupt` — never a panic;
 //! * the watermark moves only when an append publishes, by one, and the
 //!   service serves the last published prefix — through failed appends,
-//!   `try_recover` and `TgiService::open` (whose epochs start afresh);
+//!   `try_recover` and `TgiService::open`;
 //! * after heal plus `try_repair`, `content_rows()` equals a build of
 //!   the same batches that never saw a fault.
 //!
@@ -644,7 +644,11 @@ impl Sim {
             false => self.svc().try_recover().map(drop),
             true => TgiService::open(Arc::clone(&self.store)).map(|svc| {
                 svc.set_read_cache_budget(self.budget);
-                self.watermark = svc.watermark();
+                assert_eq!(
+                    svc.watermark(),
+                    self.watermark,
+                    "a re-open moved the watermark"
+                );
                 self.svc = Some(svc);
             }),
         };
@@ -877,8 +881,9 @@ const DEATH_UNDER_WRITES: Named<'static> = ("DEATH_UNDER_WRITES", WIKI_4, &[
 
 /// The outage that poisons the writer is a plan window, not a death:
 /// the append fails `Transient`; detached, the writer recovers in place
-/// with its watermark, and the replayed batch lands next. Re-opened,
-/// the index takes the last batch. Every view answers as a bulk build
+/// with its watermark, and the replayed batch lands next. Re-opened at
+/// that watermark, the index takes the last batch as the one after it.
+/// Every view answers as a bulk build
 /// of its events does: snapshots on both sides of an append and a
 /// history across it.
 #[rustfmt::skip]
@@ -888,7 +893,7 @@ const OUTAGE_MID_APPEND: Named<'static> = ("OUTAGE_MID_APPEND", Setup { batches:
     Append, Expect("Transient"), Plan(None), Recover, Expect("ok"), Ask(0, Snapshot(1_000)),
     Append, Expect("w2"), Pin, Ask(1, Snapshot(0)), Ask(1, Snapshot(333)), Ask(1, Snapshot(600)),
     Ask(1, Snapshot(1_000)), Ask(1, History(0, 0, 1_001)), Ask(1, NodeAt(3, 900)),
-    Open, Append, Expect("w2"), Pin, Ask(2, Snapshot(1_000)), Ask(2, History(0, 0, 1_001)),
+    Open, Append, Expect("w3"), Pin, Ask(2, Snapshot(1_000)), Ask(2, History(0, 0, 1_001)),
 ]);
 
 /// Recovery on a still-degraded cluster fails `Unavailable` instead of

@@ -410,7 +410,7 @@ fn version_chains_are_complete_and_sorted() {
 /// a persisted map listing only the living would misplace.
 #[test]
 fn every_chain_entry_names_an_eventlist_row_holding_the_node() {
-    use hgs_core::meta::{sid_of, ELIST_BASE};
+    use hgs_core::{sid_of, ELIST_BASE};
     use hgs_delta::ColumnarEventlist;
     use hgs_store::{DeltaKey, SimStore, Table};
     use std::collections::BTreeMap;

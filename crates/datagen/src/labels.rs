@@ -13,7 +13,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 /// Entity labels used by the generator.
-pub const LABELS: [&str; 3] = ["Author", "Paper", "Venue"];
+pub(crate) const LABELS: [&str; 3] = ["Author", "Paper", "Venue"];
 
 /// Configuration for the labeled-churn generator.
 #[derive(Debug, Clone, Copy)]

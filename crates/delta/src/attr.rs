@@ -21,35 +21,10 @@ pub enum AttrValue {
 }
 
 impl AttrValue {
-    /// Integer view, if the value is an `Int`.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            AttrValue::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Float view; ints are widened.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            AttrValue::Float(v) => Some(*v),
-            AttrValue::Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
     /// Text view, if the value is `Text`.
     pub fn as_text(&self) -> Option<&str> {
         match self {
             AttrValue::Text(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Bool view, if the value is `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            AttrValue::Bool(v) => Some(*v),
             _ => None,
         }
     }
@@ -120,7 +95,7 @@ impl Attrs {
     }
 
     /// Build from an iterator of pairs; later duplicates win.
-    pub fn from_pairs<I, K>(pairs: I) -> Attrs
+    pub(crate) fn from_pairs<I, K>(pairs: I) -> Attrs
     where
         I: IntoIterator<Item = (K, AttrValue)>,
         K: Into<String>,
@@ -223,7 +198,7 @@ mod tests {
                 .as_deref(),
             Some("red")
         );
-        assert_eq!(a.remove("size").and_then(|v| v.as_int()), Some(10));
+        assert_eq!(a.remove("size"), Some(AttrValue::Int(10)));
         assert_eq!(a.remove("size"), None);
         assert_eq!(a.len(), 1);
     }
@@ -239,15 +214,7 @@ mod tests {
     fn duplicate_keys_last_wins() {
         let a = Attrs::from_pairs([("k", AttrValue::Int(1)), ("k", AttrValue::Int(2))]);
         assert_eq!(a.len(), 1);
-        assert_eq!(a.get("k").and_then(|v| v.as_int()), Some(2));
-    }
-
-    #[test]
-    fn value_views() {
-        assert_eq!(AttrValue::Int(3).as_float(), Some(3.0));
-        assert_eq!(AttrValue::Bool(true).as_bool(), Some(true));
-        assert_eq!(AttrValue::Text("t".into()).as_text(), Some("t"));
-        assert_eq!(AttrValue::Float(1.5).as_int(), None);
+        assert_eq!(a.get("k"), Some(&AttrValue::Int(2)));
     }
 
     #[test]

@@ -768,7 +768,8 @@ mod tests {
         for (a, b) in [(1, 2), (2, 1)] {
             let n = d.node(a).unwrap();
             let e = n.edges.iter().find(|e| e.nbr == b).unwrap();
-            assert_eq!(e.attr("kind").and_then(|v| v.as_text()), Some("cites"));
+            let kind = e.attrs.as_deref().and_then(|a| a.get("kind"));
+            assert_eq!(kind.and_then(|v| v.as_text()), Some("cites"));
         }
     }
 

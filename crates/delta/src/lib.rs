@@ -25,30 +25,33 @@
 //! Temporal Graph Index, the baselines and the analytics framework) is
 //! built out of these primitives.
 
-pub mod attr;
-pub mod attr_index;
+mod attr;
+mod attr_index;
 mod bits;
 mod chain;
 pub mod codec;
 pub mod columnar;
 pub mod compress;
-pub mod delta;
-pub mod error;
-pub mod event;
-pub mod hash;
-pub mod node;
-pub mod normalize;
+mod delta;
+mod error;
+mod event;
+mod hash;
+mod node;
+mod normalize;
 mod pair_table;
-pub mod types;
+mod types;
 
 pub use attr::{AttrValue, Attrs};
-pub use attr_index::{TermPoint, TERM_KIND_VALUE};
+pub use attr_index::{
+    decode_term_points, encode_term_points, matching_at, term_points_weight, value_term, TermPoint,
+    TERM_KIND_VALUE,
+};
 pub use chain::{decode_chunk_set, encode_chunk_set};
 pub use columnar::{ColumnarDelta, ColumnarEventlist, PairTable, StorageLayout};
 pub use delta::Delta;
 pub use error::CodecError;
 pub use event::{Event, EventKind, Eventlist};
-pub use hash::{FxHashMap, FxHashSet, FxHasher};
+pub use hash::{hash_u64, FxHashMap, FxHashSet, FxHasher};
 pub use node::{Neighbor, StaticNode};
-pub use normalize::{is_normalized, normalize_events};
+pub use normalize::normalize_events;
 pub use types::{EdgeDir, NodeId, Time, TimeRange};

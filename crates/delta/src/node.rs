@@ -57,11 +57,6 @@ impl Neighbor {
         }
     }
 
-    /// Edge attributes (empty view when none are set).
-    pub fn attr(&self, key: &str) -> Option<&crate::attr::AttrValue> {
-        self.attrs.as_ref().and_then(|a| a.get(key))
-    }
-
     /// Set an edge attribute, allocating the attribute box on first use.
     pub fn set_attr(&mut self, key: impl Into<String>, value: crate::attr::AttrValue) {
         self.attrs
@@ -144,14 +139,6 @@ impl StaticNode {
                 self.edges.insert(i, e);
                 true
             }
-        }
-    }
-
-    /// Remove the `(nbr, dir)` edge entry, returning it if present.
-    pub fn remove_edge(&mut self, nbr: NodeId, dir: EdgeDir) -> Option<Neighbor> {
-        match self.edge_pos(nbr, dir) {
-            Ok(i) => Some(self.edges.remove(i)),
-            Err(_) => None,
         }
     }
 
@@ -349,8 +336,8 @@ mod tests {
         assert!(n.insert_edge(Neighbor::new(9, EdgeDir::Out)));
         let ids: Vec<NodeId> = n.edges.iter().map(|e| e.nbr).collect();
         assert_eq!(ids, vec![2, 5, 9]);
-        assert!(n.remove_edge(5, EdgeDir::Both).is_some());
-        assert!(n.remove_edge(5, EdgeDir::Both).is_none());
+        assert_eq!(n.remove_all_edges_to(5), 1);
+        assert_eq!(n.remove_all_edges_to(5), 0);
         assert_eq!(n.degree(), 2);
     }
 
@@ -406,7 +393,8 @@ mod tests {
         let mut e = Neighbor::new(2, EdgeDir::Both);
         assert!(e.attrs.is_none());
         e.set_attr("type", "friend".into());
-        assert_eq!(e.attr("type").and_then(|v| v.as_text()), Some("friend"));
+        let attrs = e.attrs.as_deref().expect("boxed on first set");
+        assert_eq!(attrs.get("type").and_then(|v| v.as_text()), Some("friend"));
         e.remove_attr("type");
         assert!(e.attrs.is_none(), "empty attr box should be dropped");
     }

@@ -61,22 +61,6 @@ pub fn normalize_events(events: &[Event]) -> Vec<Event> {
     out
 }
 
-/// Whether a stream is already normalized (contains no `RemoveNode`
-/// with live incident edges). Cheap full check used in debug
-/// assertions.
-pub fn is_normalized(events: &[Event]) -> bool {
-    let mut state = crate::delta::Delta::new();
-    for e in events {
-        if let EventKind::RemoveNode { id } = &e.kind {
-            if state.node(*id).is_some_and(|n| n.degree() > 0) {
-                return false;
-            }
-        }
-        state.apply_event(&e.kind);
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,8 +101,7 @@ mod tests {
         ));
         assert!(matches!(norm[4].kind, EventKind::RemoveNode { id: 1 }));
         assert_eq!(norm[2].time, 5, "expansion keeps the removal's timestamp");
-        assert!(is_normalized(&norm));
-        assert!(!is_normalized(&events));
+        assert_eq!(normalize_events(&norm), norm, "normalizing is idempotent");
     }
 
     #[test]

@@ -27,16 +27,6 @@ pub enum EdgeDir {
 }
 
 impl EdgeDir {
-    /// The direction the same edge has in the other endpoint's list.
-    #[inline]
-    pub fn flip(self) -> EdgeDir {
-        match self {
-            EdgeDir::Out => EdgeDir::In,
-            EdgeDir::In => EdgeDir::Out,
-            EdgeDir::Both => EdgeDir::Both,
-        }
-    }
-
     /// Compact wire tag used by the binary codec.
     #[inline]
     pub fn tag(self) -> u8 {
@@ -49,7 +39,7 @@ impl EdgeDir {
 
     /// Inverse of [`EdgeDir::tag`].
     #[inline]
-    pub fn from_tag(t: u8) -> Option<EdgeDir> {
+    pub(crate) fn from_tag(t: u8) -> Option<EdgeDir> {
         match t {
             0 => Some(EdgeDir::Out),
             1 => Some(EdgeDir::In),
@@ -86,25 +76,10 @@ impl TimeRange {
         }
     }
 
-    /// Single-point range `[t, t+1)`.
-    #[inline]
-    pub fn at(t: Time) -> TimeRange {
-        TimeRange {
-            start: t,
-            end: t.saturating_add(1),
-        }
-    }
-
     /// Whether `t` lies in `[start, end)`.
     #[inline]
     pub fn contains(&self, t: Time) -> bool {
         t >= self.start && t < self.end
-    }
-
-    /// Whether the two half-open ranges intersect.
-    #[inline]
-    pub fn overlaps(&self, other: &TimeRange) -> bool {
-        self.start < other.end && other.start < self.end
     }
 
     /// Length of the range.
@@ -118,29 +93,11 @@ impl TimeRange {
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
-
-    /// Intersection of two ranges, or `None` when disjoint.
-    pub fn intersect(&self, other: &TimeRange) -> Option<TimeRange> {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end);
-        if start < end {
-            Some(TimeRange { start, end })
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn edge_dir_flip_is_involution() {
-        for d in [EdgeDir::Out, EdgeDir::In, EdgeDir::Both] {
-            assert_eq!(d.flip().flip(), d);
-        }
-    }
 
     #[test]
     fn edge_dir_tag_roundtrip() {
@@ -157,25 +114,6 @@ mod tests {
         assert!(r.contains(5));
         assert!(r.contains(9));
         assert!(!r.contains(10));
-    }
-
-    #[test]
-    fn range_overlap_and_intersection() {
-        let a = TimeRange::new(0, 10);
-        let b = TimeRange::new(5, 15);
-        let c = TimeRange::new(10, 20);
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c));
-        assert_eq!(a.intersect(&b), Some(TimeRange::new(5, 10)));
-        assert_eq!(a.intersect(&c), None);
-    }
-
-    #[test]
-    fn range_at_is_single_point() {
-        let r = TimeRange::at(7);
-        assert!(r.contains(7));
-        assert!(!r.contains(8));
-        assert_eq!(r.len(), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use proptest::TestRng;
 
 /// Node ids from a small universe (so dictionaries dedup), a wide one
 /// (so dictionary gaps are long) or the top of the range.
-pub fn arb_node() -> impl Strategy<Value = NodeId> {
+pub(crate) fn arb_node() -> impl Strategy<Value = NodeId> {
     prop_oneof![
         4 => 0u64..24,
         1 => 0u64..1 << 40,
@@ -24,7 +24,7 @@ pub fn arb_node() -> impl Strategy<Value = NodeId> {
     ]
 }
 
-pub fn arb_attr_value() -> impl Strategy<Value = AttrValue> {
+pub(crate) fn arb_attr_value() -> impl Strategy<Value = AttrValue> {
     prop_oneof![
         (-100i64..100).prop_map(AttrValue::Int),
         (-4.0f64..4.0).prop_map(AttrValue::Float),
@@ -38,7 +38,7 @@ pub fn arb_attr_value() -> impl Strategy<Value = AttrValue> {
 // ----------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Mutation {
+pub(crate) enum Mutation {
     Unchanged,
     Replaced,
     Inserted,
@@ -48,7 +48,7 @@ pub enum Mutation {
 
 /// Apply one mutation of kind `m` to `bytes`, drawing its details
 /// from `rng`.
-pub fn mutate(m: Mutation, bytes: &[u8], rng: &mut TestRng) -> Vec<u8> {
+pub(crate) fn mutate(m: Mutation, bytes: &[u8], rng: &mut TestRng) -> Vec<u8> {
     let mut out = bytes.to_vec();
     let at = |rng: &mut TestRng, len: usize| rng.below(len as u64 + 1) as usize;
     match m {
@@ -75,7 +75,7 @@ pub fn mutate(m: Mutation, bytes: &[u8], rng: &mut TestRng) -> Vec<u8> {
     out
 }
 
-pub fn arb_mutation() -> impl Strategy<Value = Mutation> {
+pub(crate) fn arb_mutation() -> impl Strategy<Value = Mutation> {
     prop_oneof![
         Just(Mutation::Unchanged),
         Just(Mutation::Replaced),
@@ -87,10 +87,10 @@ pub fn arb_mutation() -> impl Strategy<Value = Mutation> {
 
 /// Ok/Err counts per mutation, printed at the end of a suite.
 #[derive(Default)]
-pub struct Split(BTreeMap<Mutation, (usize, usize)>);
+pub(crate) struct Split(BTreeMap<Mutation, (usize, usize)>);
 
 impl Split {
-    pub fn record(&mut self, m: Mutation, ok: bool) {
+    pub(crate) fn record(&mut self, m: Mutation, ok: bool) {
         let e = self.0.entry(m).or_default();
         if ok {
             e.0 += 1;
@@ -99,7 +99,7 @@ impl Split {
         }
     }
 
-    pub fn print(&self, suite: &str) {
+    pub(crate) fn print(&self, suite: &str) {
         for (m, (ok, err)) in &self.0 {
             println!("{suite}: {m:?}: {ok} Ok, {err} Err");
         }
@@ -107,7 +107,11 @@ impl Split {
 }
 
 /// Run `case` over `PROPTEST_CASES` (default 256) draws of `strat`.
-pub fn for_cases<S: Strategy>(name: &str, strat: S, mut case: impl FnMut(S::Value, &mut TestRng)) {
+pub(crate) fn for_cases<S: Strategy>(
+    name: &str,
+    strat: S,
+    mut case: impl FnMut(S::Value, &mut TestRng),
+) {
     let mut rng = proptest::test_rng(name);
     for _ in 0..ProptestConfig::default().cases {
         let v = strat.generate(&mut rng);
@@ -123,7 +127,7 @@ pub fn for_cases<S: Strategy>(name: &str, strat: S, mut case: impl FnMut(S::Valu
 /// segment's bytes — the magic says how many segments there are, a
 /// presence bitmap which of them are spelled, and every spelled one but
 /// the last has a length varint.
-pub struct RowSegments {
+pub(crate) struct RowSegments {
     pub magic: u8,
     pub count: u64,
     pub segs: Vec<Vec<u8>>,
@@ -140,7 +144,7 @@ fn segment_count(magic: u8) -> usize {
 }
 
 impl RowSegments {
-    pub fn parse(row: &[u8]) -> RowSegments {
+    pub(crate) fn parse(row: &[u8]) -> RowSegments {
         let (magic, mut b) = (row[0], &row[1..]);
         let count = get_varint(&mut b).unwrap();
         let (present, rest) = b.split_first().unwrap();
@@ -169,7 +173,7 @@ impl RowSegments {
         RowSegments { magic, count, segs }
     }
 
-    pub fn assemble(&self) -> Bytes {
+    pub(crate) fn assemble(&self) -> Bytes {
         let mut out = BytesMut::new();
         out.put_u8(self.magic);
         put_varint(&mut out, self.count);

@@ -45,14 +45,13 @@ use bytes::{BufMut, Bytes, BytesMut};
 use common::{
     arb_attr_value, arb_mutation, arb_node, for_cases, mutate, Mutation, RowSegments, Split,
 };
-use hgs_delta::attr_index::{decode_term_points, encode_term_points, TermPoint};
-use hgs_delta::codec::put_varint;
+use hgs_delta::{
+    codec::put_varint, decode_term_points, encode_term_points, AttrValue, CodecError,
+    ColumnarEventlist, Event, EventKind, Eventlist, NodeId, PairTable, TermPoint,
+};
 use std::sync::Arc;
 
 use hgs_delta::columnar::{encode_columnar_eventlist, encode_columnar_eventlist_in};
-use hgs_delta::{
-    AttrValue, CodecError, ColumnarEventlist, Event, EventKind, Eventlist, NodeId, PairTable,
-};
 use proptest::prelude::*;
 
 // ----------------------------------------------------------------------

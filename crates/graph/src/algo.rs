@@ -62,7 +62,7 @@ pub fn triangle_count(g: &Graph) -> usize {
 }
 
 /// BFS distances (in hops) from `src`; `usize::MAX` marks unreachable.
-pub fn bfs_distances(g: &Graph, src: u32) -> Vec<usize> {
+fn bfs_distances(g: &Graph, src: u32) -> Vec<usize> {
     let mut dist = vec![usize::MAX; g.node_count()];
     let mut q = VecDeque::new();
     dist[src as usize] = 0;

@@ -149,7 +149,7 @@ impl Graph {
     }
 
     /// Whether an undirected edge exists between two dense indices.
-    pub fn has_edge(&self, a: u32, b: u32) -> bool {
+    pub(crate) fn has_edge(&self, a: u32, b: u32) -> bool {
         self.neighbors[a as usize].binary_search(&b).is_ok()
     }
 

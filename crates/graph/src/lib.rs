@@ -13,6 +13,6 @@
 //! neighborhood extraction, and label counting (Fig. 17's workload).
 
 pub mod algo;
-pub mod graph;
+mod graph;
 
 pub use graph::Graph;

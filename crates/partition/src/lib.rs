@@ -4,25 +4,25 @@
 //! of the graph. This crate implements the paper's partitioning
 //! machinery, one mode per step:
 //!
-//! * [`collapse`] — the time-collapse function Ω that projects a
+//! * [`CollapsedGraph`] — the time-collapse function Ω that projects a
 //!   temporal graph over a timespan onto a single weighted static
 //!   graph: **Union-Max** (the paper's default), every node weighing 1.
-//! * [`partitioner`] — [`PartitionMap`], whose
+//! * [`PartitionMap`], whose
 //!   [`PartitionMap::random`] is hash-based random partitioning (zero
 //!   bookkeeping), and [`locality_partition`] (streaming LDG placement
 //!   and Kernighan–Lin-style refinement), the "Maxflow"/min-cut
 //!   partitioner of Fig. 15a, with [`edge_cut_fraction`] / [`balance`]
 //!   quality metrics.
-//! * [`timespan`] — splitting the history into timespans with roughly
+//! * [`plan_timespans`] — splitting the history into timespans with roughly
 //!   equal numbers of events (Fig. 4), within which the partitioning
 //!   stays fixed.
 //!
 //! The 1-hop edge-cut replicas of auxiliary micro-deltas (Fig. 5d) are
 //! planned by the build in `hgs-core`, which knows the span's state.
 
-pub mod collapse;
-pub mod partitioner;
-pub mod timespan;
+mod collapse;
+mod partitioner;
+mod timespan;
 
 pub use collapse::CollapsedGraph;
 pub use partitioner::{balance, edge_cut_fraction, locality_partition, PartitionMap};

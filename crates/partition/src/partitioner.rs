@@ -11,7 +11,7 @@
 //! paper's "Maxflow" partitioner in Fig. 15a.
 
 use crate::collapse::CollapsedGraph;
-use hgs_delta::{hash::hash_u64, FxHashMap, NodeId};
+use hgs_delta::{hash_u64, FxHashMap, NodeId};
 
 /// A `{node-id: partition-id}` map with a hash fallback for nodes that
 /// appear after the map was computed (new arrivals within a timespan).

@@ -43,7 +43,7 @@
 /// header — a corrupt read must surface as
 /// [`StoreError::Corrupt`](crate::StoreError::Corrupt), never decode
 /// by luck into a plausible answer.
-pub const CORRUPT_ON_READ_MARKER: &[u8] = b"\xff\xfenot a decodable row";
+pub(crate) const CORRUPT_ON_READ_MARKER: &[u8] = b"\xff\xfenot a decodable row";
 
 /// One transient outage: `machine` refuses every request whose tick
 /// falls in `[from_tick, until_tick)`.
@@ -56,7 +56,7 @@ pub struct Outage {
 
 /// Per-request fault decision for one `(machine, tick)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultVerdict {
+pub(crate) enum FaultVerdict {
     /// The request proceeds normally.
     Healthy,
     /// The machine is inside a scheduled outage window; the request is
@@ -153,14 +153,14 @@ impl FaultPlan {
 
     /// Whether any fault kind can ever fire (false for a zero-rate,
     /// no-outage plan — latency multipliers never fail requests).
-    pub fn can_fault(&self) -> bool {
+    pub(crate) fn can_fault(&self) -> bool {
         self.flake_per_mille > 0 || self.corrupt_per_mille > 0 || !self.outages.is_empty()
     }
 
     /// The fault decision for one request against `machine` at
     /// simulated time `tick`. Pure: the same inputs always yield the
     /// same verdict.
-    pub fn verdict(&self, machine: usize, tick: u64) -> FaultVerdict {
+    pub(crate) fn verdict(&self, machine: usize, tick: u64) -> FaultVerdict {
         if self
             .outages
             .iter()

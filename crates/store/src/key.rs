@@ -74,7 +74,7 @@ impl PlacementKey {
     /// Stable 64-bit token for ring placement.
     #[inline]
     pub fn token(&self) -> u64 {
-        hgs_delta::hash::hash_u64(((self.tsid as u64) << 32) | self.sid as u64)
+        hgs_delta::hash_u64(((self.tsid as u64) << 32) | self.sid as u64)
     }
 }
 
@@ -183,7 +183,7 @@ pub fn chain_key_tsid(key: &[u8]) -> Option<u32> {
 
 /// Placement token for node-keyed tables (hash-spread over machines).
 pub fn node_placement_token(nid: u64) -> u64 {
-    hgs_delta::hash::hash_u64(nid ^ 0xABCD_EF01_2345_6789)
+    hgs_delta::hash_u64(nid ^ 0xABCD_EF01_2345_6789)
 }
 
 /// Key of one secondary-index row in the `AttrIndex` table:
@@ -199,18 +199,12 @@ pub fn term_key(kind: u8, term: &[u8], tsid: u32) -> Vec<u8> {
 }
 
 /// Prefix matching every timespan's row of one `(kind, term)`.
-pub fn term_prefix(kind: u8, term: &[u8]) -> Vec<u8> {
+pub(crate) fn term_prefix(kind: u8, term: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(5 + term.len() + 4);
     out.push(kind);
     out.extend_from_slice(&(term.len() as u32).to_be_bytes());
     out.extend_from_slice(term);
     out
-}
-
-/// Timespan id of a [`term_key`], recovered from its trailing bytes.
-pub fn term_key_tsid(key: &[u8]) -> Option<u32> {
-    let tail = key.len().checked_sub(4)?;
-    Some(u32::from_be_bytes(key[tail..].try_into().ok()?))
 }
 
 /// Placement token for secondary-index rows. All timespans of one term
@@ -224,7 +218,7 @@ pub fn term_token(kind: u8, term: &[u8]) -> u64 {
     h.write(term);
     // Post-mix: ring placement buckets by low bits, which FxHash
     // leaves poorly mixed for short similar terms.
-    hgs_delta::hash::hash_u64(h.finish())
+    hgs_delta::hash_u64(h.finish())
 }
 
 #[cfg(test)]
@@ -330,7 +324,7 @@ mod tests {
         let prefix = term_prefix(0, term);
         for (k, tsid) in keys.iter().zip([0u32, 1, 7, 300]) {
             assert!(k.starts_with(&prefix));
-            assert_eq!(term_key_tsid(k), Some(tsid));
+            assert_eq!(k[prefix.len()..], tsid.to_be_bytes());
         }
         // A term that extends another term's bytes must not match its
         // prefix (the length prefix disambiguates).

@@ -24,28 +24,31 @@
 //!   read is a batch of one — so a client round trip is one batch;
 //! * **parallel fetch clients** (`c` in the paper): real OS threads
 //!   pulling requests from a shared queue via
-//!   [`parallel::parallel_steal`];
+//!   [`parallel_steal`];
 //! * **failure injection**: permanent machine death with replica
 //!   failover, plus a seeded deterministic chaos layer
-//!   ([`faults::FaultPlan`]: transient outage windows, per-request
+//!   ([`FaultPlan`]: transient outage windows, per-request
 //!   flakes, corrupt-on-read, latency multipliers) that every
-//!   operation survives through a bounded [`retry::RetryPolicy`]
+//!   operation survives through a bounded [`RetryPolicy`]
 //!   (capped backoff in simulated time, per-machine circuit breakers)
 //!   and an anti-entropy repair pass ([`SimStore::try_repair`]).
 
-pub mod cost;
-pub mod faults;
-pub mod key;
+mod cost;
+mod faults;
+mod key;
 pub mod machine;
-pub mod parallel;
-pub mod retry;
-pub mod store;
-pub mod write;
+mod parallel;
+mod retry;
+mod store;
+mod write;
 
 pub use cost::CostModel;
-pub use faults::{FaultPlan, FaultVerdict, Outage, CORRUPT_ON_READ_MARKER};
-pub use key::{DeltaKey, PlacementKey, Table};
-pub use machine::{Machine, MachineDown, MachineStats};
+pub use faults::{FaultPlan, Outage};
+pub use key::{
+    chain_key, chain_key_tsid, chain_prefix, node_key, node_placement_token, term_key, term_token,
+    DeltaKey, PlacementKey, Table,
+};
+pub use parallel::parallel_steal;
 pub use retry::RetryPolicy;
 pub use store::{
     BatchPutOutcome, PutRow, RepairReport, SimStore, StoreConfig, StoreError, StoreStatsSnapshot,

@@ -12,36 +12,36 @@ use parking_lot::RwLock;
 /// process-lifetime totals; [`MachineStats::snapshot`] and subtraction
 /// of snapshots give per-experiment figures.
 #[derive(Debug, Default)]
-pub struct MachineStats {
+pub(crate) struct MachineStats {
     /// Point lookups served.
-    pub gets: AtomicU64,
+    pub(crate) gets: AtomicU64,
     /// Range scans served.
-    pub scans: AtomicU64,
+    pub(crate) scans: AtomicU64,
     /// Batched requests served (one batch = one client round-trip
     /// regardless of how many keys/prefixes it groups).
-    pub batches: AtomicU64,
+    pub(crate) batches: AtomicU64,
     /// Individual lookups/scans that arrived inside a batch (also
     /// counted in `gets`/`scans`, preserving `∑∆ 1` semantics; the
     /// cost model subtracts these and charges the batch one
     /// round-trip instead).
-    pub batched_subrequests: AtomicU64,
+    pub(crate) batched_subrequests: AtomicU64,
     /// Values returned (scan rows + successful gets).
-    pub rows_read: AtomicU64,
+    pub(crate) rows_read: AtomicU64,
     /// Bytes of value data returned (stored, i.e. possibly compressed,
     /// size — what would travel over the wire).
-    pub bytes_read: AtomicU64,
+    pub(crate) bytes_read: AtomicU64,
     /// Writes applied.
-    pub puts: AtomicU64,
+    pub(crate) puts: AtomicU64,
     /// Batched write requests served (one write batch = one client
     /// round-trip regardless of how many rows it carries — the
     /// write-side mirror of `batches`). Rows arriving inside a batch
     /// are still counted in `puts`, preserving `∑∆ 1` semantics.
-    pub put_batches: AtomicU64,
+    pub(crate) put_batches: AtomicU64,
     /// Bytes of value data written.
-    pub bytes_written: AtomicU64,
+    pub(crate) bytes_written: AtomicU64,
 }
 
-/// A plain-old-data copy of [`MachineStats`], plus the store-level
+/// A plain-old-data copy of one machine's access counters, plus the store-level
 /// retry/breaker counters (`retries`, `breaker_opens`): those live in
 /// the `SimStore`'s per-machine circuit breakers, not on the machine
 /// itself, and are folded in by `SimStore::stats_snapshot` — a
@@ -102,7 +102,7 @@ impl MachineStatsSnapshot {
 }
 
 impl MachineStats {
-    pub fn snapshot(&self) -> MachineStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> MachineStatsSnapshot {
         MachineStatsSnapshot {
             gets: self.gets.load(Ordering::Relaxed),
             scans: self.scans.load(Ordering::Relaxed),
@@ -124,17 +124,17 @@ impl MachineStats {
 /// Error returned by reads against a machine that is currently failed
 /// (see [`Machine::set_down`]); the store retries the next replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MachineDown;
+pub(crate) struct MachineDown;
 
 /// Rows returned by a prefix scan: `(namespaced key, value)` pairs.
-pub type ScanRows = Vec<(Vec<u8>, Bytes)>;
+pub(crate) type ScanRows = Vec<(Vec<u8>, Bytes)>;
 
 /// One storage machine: an ordered map from namespaced keys to values.
 ///
 /// Keys are `[table_tag] ++ key_bytes`; because the map is ordered,
 /// rows sharing a key prefix are contiguous, reproducing Cassandra's
 /// clustering behaviour that TGI's layout exploits.
-pub struct Machine {
+pub(crate) struct Machine {
     data: RwLock<BTreeMap<Vec<u8>, Bytes>>,
     stats: MachineStats,
     down: AtomicBool,
@@ -147,7 +147,7 @@ impl Default for Machine {
 }
 
 impl Machine {
-    pub fn new() -> Machine {
+    pub(crate) fn new() -> Machine {
         Machine {
             data: RwLock::new(BTreeMap::new()),
             stats: MachineStats::default(),
@@ -156,27 +156,27 @@ impl Machine {
     }
 
     /// Access counters.
-    pub fn stats(&self) -> &MachineStats {
+    pub(crate) fn stats(&self) -> &MachineStats {
         &self.stats
     }
 
     /// Failure injection: a down machine refuses reads and writes.
-    pub fn set_down(&self, down: bool) {
+    pub(crate) fn set_down(&self, down: bool) {
         self.down.store(down, Ordering::SeqCst);
     }
 
     /// Whether the machine is marked failed.
-    pub fn is_down(&self) -> bool {
+    pub(crate) fn is_down(&self) -> bool {
         self.down.load(Ordering::SeqCst)
     }
 
     /// Number of rows stored.
-    pub fn row_count(&self) -> usize {
+    pub(crate) fn row_count(&self) -> usize {
         self.data.read().len()
     }
 
     /// Total stored value bytes.
-    pub fn stored_bytes(&self) -> usize {
+    pub(crate) fn stored_bytes(&self) -> usize {
         self.data.read().values().map(|v| v.len()).sum()
     }
 
@@ -185,7 +185,7 @@ impl Machine {
     /// put per row, mirroring [`Machine::multi_get`]'s read-side
     /// semantics. A down machine refuses the whole batch atomically —
     /// either every row lands or none does.
-    pub fn put_batch(&self, rows: Vec<(Vec<u8>, Bytes)>) -> Result<(), MachineDown> {
+    pub(crate) fn put_batch(&self, rows: Vec<(Vec<u8>, Bytes)>) -> Result<(), MachineDown> {
         if self.is_down() {
             return Err(MachineDown);
         }
@@ -207,7 +207,7 @@ impl Machine {
     /// Full ordered content dump (namespaced keys, stored values) —
     /// an out-of-band inspection for equality tests, served even when
     /// the machine is marked down and not counted in the stats.
-    pub fn dump_rows(&self) -> ScanRows {
+    pub(crate) fn dump_rows(&self) -> ScanRows {
         self.data
             .read()
             .iter()
@@ -219,7 +219,7 @@ impl Machine {
     /// acquisition, accounted as a single batch round-trip (plus one
     /// logical get per key, preserving `∑∆ 1` semantics). `Ok(None)`
     /// marks an absent key; `Err(MachineDown)` a down machine.
-    pub fn multi_get(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Bytes>>, MachineDown> {
+    pub(crate) fn multi_get(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Bytes>>, MachineDown> {
         if self.is_down() {
             return Err(MachineDown);
         }
@@ -248,7 +248,7 @@ impl Machine {
     /// Batched prefix scans: one result group per prefix, each ordered
     /// by key, all served under one lock acquisition and accounted as
     /// one batch round-trip (plus one logical scan per prefix).
-    pub fn scan_prefixes(&self, prefixes: &[Vec<u8>]) -> Result<Vec<ScanRows>, MachineDown> {
+    pub(crate) fn scan_prefixes(&self, prefixes: &[Vec<u8>]) -> Result<Vec<ScanRows>, MachineDown> {
         if self.is_down() {
             return Err(MachineDown);
         }

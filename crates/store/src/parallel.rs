@@ -6,12 +6,11 @@
 //! queue as soon as they finish their current one, so a skewed item
 //! distribution (hot partitions, fat leaves) never gates the whole
 //! batch on the unluckiest thread. Output order stays deterministic —
-//! every item writes its result into its own input-indexed slot. On a
-//! multi-core host this yields real speedups for deserialization-heavy
-//! fetches; for `c` beyond the core count the cost model (see
-//! [`crate::cost`]) supplies the cluster-shaped estimate.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! every result carries its input index, and the results are sorted
+//! once every worker has joined. On a multi-core host this yields real
+//! speedups for deserialization-heavy fetches; for `c` beyond the core
+//! count the cost model (see [`CostModel`](crate::CostModel)) supplies
+//! the cluster-shaped estimate.
 
 use parking_lot::Mutex;
 
@@ -20,19 +19,18 @@ use parking_lot::Mutex;
 /// to the item count, so a degenerate batch (e.g. the one per-leaf
 /// replay of a single-point snapshot) never spawns idle threads.
 #[inline]
-pub fn steal_worker_count(c: usize, items: usize) -> usize {
+fn steal_worker_count(c: usize, items: usize) -> usize {
     c.max(1).min(items.max(1))
 }
 
-/// Run `f` over every item on up to `c` worker threads pulling from a
-/// shared queue (work-stealing by next-item claim): a worker that
+/// Run `f` over every item on up to `c` worker threads pulling from
+/// one locked iterator (work-stealing by next-item claim): a worker that
 /// finishes a cheap item immediately claims the next pending one, so
 /// one slow item delays only its own thread, not a statically-assigned
 /// chunk of followers. Results land in input order.
 ///
-/// The fan-out is clamped to the item count
-/// ([`steal_worker_count`]); one effective worker (or `c == 1`, or a
-/// single item) runs inline with no thread spawn.
+/// The fan-out is clamped to the item count; one effective worker (or
+/// `c == 1`, or a single item) runs inline with no thread spawn.
 pub fn parallel_steal<T, R, F>(items: Vec<T>, c: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -43,38 +41,33 @@ where
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let n = items.len();
-    let queue: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let done = Mutex::new(Vec::new());
     std::thread::scope(|s| {
         for _ in 0..workers {
-            let (queue, slots, next, f) = (&queue, &slots, &next, &f);
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            s.spawn(|| {
+                let mut mine = Vec::new();
+                loop {
+                    // The guard drops at the end of the `let`, so `f`
+                    // runs with the queue unlocked.
+                    let Some((i, item)) = queue.lock().next() else {
+                        break;
+                    };
+                    mine.push((i, f(item)));
                 }
-                let item = queue[i]
-                    .lock()
-                    .take()
-                    // hgs-lint: allow(no-panic-in-try, "fetch_add hands out each queue index exactly once")
-                    .expect("each item is claimed exactly once");
-                let r = f(item);
-                *slots[i].lock() = Some(r);
+                done.lock().extend(mine);
             });
         }
     });
-    slots
-        .into_iter()
-        // hgs-lint: allow(no-panic-in-try, "scope() joined all workers, so every slot was written")
-        .map(|m| m.into_inner().expect("every claimed item wrote its slot"))
-        .collect()
+    let mut done = done.into_inner();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn steal_preserves_order_and_runs_everything() {

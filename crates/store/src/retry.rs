@@ -26,9 +26,9 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Retry/backoff/breaker knobs, in simulated ticks. Runtime-tunable
-/// via [`SimStore::set_retry_policy`](crate::SimStore::set_retry_policy)
-/// (and `TgiConfig::retry` one layer up); not persisted with any
-/// index.
+/// via [`SimStore::set_retry_policy`](crate::SimStore::set_retry_policy):
+/// the store owns its policy, every index on it reads through it, and
+/// no index persists it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per logical operation, including the first
@@ -72,7 +72,7 @@ impl RetryPolicy {
 
     /// The backoff to wait after `failed_attempts` attempts have
     /// failed: `base · 2^(failed_attempts-1)`, capped.
-    pub fn backoff_ticks(&self, failed_attempts: u32) -> u64 {
+    pub(crate) fn backoff_ticks(&self, failed_attempts: u32) -> u64 {
         if failed_attempts == 0 || self.base_backoff_ticks == 0 {
             return 0;
         }

@@ -63,7 +63,7 @@ pub enum StoreError {
     /// so the error surfaces without burning the retry budget.
     Unavailable { table: Table },
     /// Transient faults (outage windows, flakes — see
-    /// [`crate::faults`]) survived every retry attempt on every
+    /// [`FaultPlan`]) survived every retry attempt on every
     /// replica. Distinct from [`StoreError::Unavailable`]: the replica
     /// set is alive, the operation may well succeed if re-issued
     /// later.
@@ -131,7 +131,7 @@ pub struct BatchPutOutcome {
     /// did not land anywhere: [`SimStore::try_put_batch`] surfaces
     /// them as an error so the caller can re-issue the batch — the
     /// write buffer does exactly that before giving up (see
-    /// [`crate::write`]).
+    /// [`WriteBuffer`](crate::WriteBuffer)).
     pub failed: usize,
     /// Table of the first fully-failed row, used by
     /// [`SimStore::try_put_batch`] to surface the error.
@@ -251,7 +251,7 @@ impl SimStore {
     }
 
     /// The currently attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
+    fn fault_plan(&self) -> Option<FaultPlan> {
         self.faults.read().clone()
     }
 
@@ -385,7 +385,7 @@ impl SimStore {
     /// Write a batch of rows, grouped into **one round trip per
     /// machine**: every row is routed to all `r` replica machines of
     /// its placement token, the rows destined to one machine travel
-    /// together as a single [`Machine::put_batch`], and per-row
+    /// together as a single machine write, and per-row
     /// replica outcomes are re-assembled afterwards. The whole batch
     /// is always processed — a dead machine fails only the rows
     /// placed on it — so the partial/failed put counters account for
@@ -693,7 +693,7 @@ impl SimStore {
 
     /// Mark a machine failed (**permanent** death until healed —
     /// transient faults are the fault plan's job, see
-    /// [`crate::faults`]).
+    /// [`FaultPlan`]).
     pub fn fail_machine(&self, idx: usize) {
         self.machines[idx].set_down(true);
     }
@@ -839,11 +839,6 @@ impl SimStore {
     /// Total row count across machines (replicas included).
     pub fn row_count(&self) -> usize {
         self.machines.iter().map(|m| m.row_count()).sum()
-    }
-
-    /// Per-machine row counts; used to check placement balance.
-    pub fn rows_per_machine(&self) -> Vec<usize> {
-        self.machines.iter().map(|m| m.row_count()).collect()
     }
 
     /// Full per-machine content dump (namespaced keys, stored values),
@@ -1021,7 +1016,7 @@ mod tests {
                 Bytes::from_static(b"v"),
             );
         }
-        let rows = s.rows_per_machine();
+        let rows: Vec<usize> = s.content_rows().iter().map(Vec::len).collect();
         let min = *rows.iter().min().unwrap();
         let max = *rows.iter().max().unwrap();
         assert!(max < 2 * min, "placement imbalance: {rows:?}");

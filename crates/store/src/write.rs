@@ -36,8 +36,6 @@ pub struct WriteBuffer<'a> {
     store: &'a SimStore,
     rows: Vec<PutRow>,
     max_rows: usize,
-    pushed: u64,
-    flushes: u64,
 }
 
 impl<'a> WriteBuffer<'a> {
@@ -47,8 +45,6 @@ impl<'a> WriteBuffer<'a> {
             store,
             rows: Vec::with_capacity(max_rows.min(1 << 14)),
             max_rows,
-            pushed: 0,
-            flushes: 0,
         }
     }
 
@@ -60,7 +56,6 @@ impl<'a> WriteBuffer<'a> {
         token: u64,
         value: Bytes,
     ) -> Result<(), StoreError> {
-        self.pushed += 1;
         self.rows.push(PutRow::new(table, key, token, value));
         if self.rows.len() >= self.max_rows {
             self.flush()?;
@@ -79,24 +74,8 @@ impl<'a> WriteBuffer<'a> {
         if self.rows.is_empty() {
             return Ok(());
         }
-        self.flushes += 1;
         let rows = std::mem::take(&mut self.rows);
         self.store.try_put_batch(rows).map(drop)
-    }
-
-    /// Rows currently buffered (not yet flushed).
-    pub fn pending(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Total rows pushed through this buffer so far.
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Batched flushes issued so far.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
     }
 
     /// Drop any pending rows without writing them (error-path cleanup
@@ -138,11 +117,9 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(buf.flushes(), 2, "two full batches of 3 auto-flushed");
-        assert_eq!(buf.pending(), 1);
+        assert_eq!(buf.rows.len(), 1, "two full batches of 3 auto-flushed");
         buf.flush().unwrap();
-        assert_eq!(buf.pending(), 0);
-        assert_eq!(buf.pushed(), 7);
+        assert!(buf.rows.is_empty());
         assert_eq!(s.row_count(), 7);
         let batches: u64 = s.stats_snapshot().iter().map(|m| m.put_batches).sum();
         let puts: u64 = s.stats_snapshot().iter().map(|m| m.puts).sum();

@@ -106,7 +106,7 @@ proptest! {
             for &b in key {
                 h = h.wrapping_mul(31).wrapping_add(b as u64);
             }
-            hgs_delta::hash::hash_u64(h)
+            hgs_delta::hash_u64(h)
         };
         let keys: Vec<Vec<u8>> = keys.into_iter().collect();
         for (i, key) in keys.iter().enumerate() {

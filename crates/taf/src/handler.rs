@@ -27,8 +27,7 @@ use std::sync::Arc;
 
 use hgs_core::{NodeHistory, TgiService, TgiView};
 use hgs_delta::{AttrValue, Delta, FxHashSet, NodeId, TimeRange};
-use hgs_store::parallel::parallel_steal;
-use hgs_store::StoreError;
+use hgs_store::{parallel_steal, StoreError};
 
 use crate::node_t::NodeT;
 use crate::son::SoN;

@@ -14,12 +14,12 @@
 //! (incremental), Compare, Evolution, and the TempAggregation family
 //! (Max / Min / Mean / Peak / Saturate).
 
-pub mod aggregate;
-pub mod handler;
-pub mod node_t;
-pub mod son;
-pub mod sots;
-pub mod subgraph_t;
+mod aggregate;
+mod handler;
+mod node_t;
+mod son;
+mod sots;
+mod subgraph_t;
 
 pub use aggregate::{mean, peak, saturate, TempAggregate};
 pub use handler::TgiHandler;

@@ -8,15 +8,14 @@
 
 use hgs_delta::{Delta, FxHashMap, NodeId, StaticNode, Time, TimeRange};
 use hgs_graph::Graph;
-use hgs_store::parallel::parallel_steal;
+use hgs_store::parallel_steal;
 
-use crate::aggregate::TempAggregate;
 use crate::node_t::NodeT;
 
 /// Caller-supplied selector of evaluation timepoints for
 /// [`SoN::node_compute_temporal`] (§5.2 "specifying interesting time
 /// points").
-pub type TimepointSelector = dyn Fn(&NodeT) -> Vec<Time> + Sync;
+pub(crate) type TimepointSelector = dyn Fn(&NodeT) -> Vec<Time> + Sync;
 
 /// A set of temporal nodes over a common time range.
 #[derive(Debug, Clone)]
@@ -122,11 +121,6 @@ impl SoN {
             range,
             workers: self.workers,
         }
-    }
-
-    /// Timeslicing to a single timepoint: returns the static states.
-    pub fn timeslice_at(&self, t: Time) -> Vec<(NodeId, Option<StaticNode>)> {
-        self.par_map(|n| (n.id(), n.version_at(t)))
     }
 
     /// **Filter**: project node attributes down to `keys`.
@@ -238,20 +232,9 @@ impl SoN {
             .collect()
     }
 
-    /// Evolution at caller-chosen timepoints.
-    pub fn evolution_at<F>(&self, quantity: F, times: &[Time]) -> Vec<(Time, f64)>
-    where
-        F: Fn(&Graph) -> f64 + Sync,
-    {
-        times
-            .iter()
-            .map(|&t| (t, quantity(&self.graph_at(t))))
-            .collect()
-    }
-
     /// `points` evenly spaced timepoints across the range (always
     /// includes both endpoints when `points >= 2`).
-    pub fn sample_points(&self, points: usize) -> Vec<Time> {
+    fn sample_points(&self, points: usize) -> Vec<Time> {
         let points = points.max(1);
         let end = self.range.end.min(
             self.nodes
@@ -268,16 +251,12 @@ impl SoN {
             .map(|i| start + (end - 1 - start) * i as u64 / (points as u64 - 1))
             .collect()
     }
-
-    /// **TempAggregation** helper: max over an evolution series.
-    pub fn aggregate_max(series: &[(Time, f64)]) -> Option<(Time, f64)> {
-        series.t_max()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::TempAggregate;
     use hgs_core::NodeHistory;
     use hgs_delta::{AttrValue, Event, EventKind};
 
@@ -393,10 +372,7 @@ mod tests {
             series.last().unwrap().1 > series.first().unwrap().1,
             "graph densifies"
         );
-        assert_eq!(
-            SoN::aggregate_max(&series).unwrap().1,
-            series.last().unwrap().1
-        );
+        assert_eq!(series.t_max().unwrap().1, series.last().unwrap().1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! incremental computation operators (§5.1 operators 5 & 6, Fig. 8).
 
 use hgs_delta::{Delta, Event, NodeId, Time, TimeRange};
-use hgs_store::parallel::parallel_steal;
+use hgs_store::parallel_steal;
 
 use crate::subgraph_t::SubgraphT;
 

@@ -122,9 +122,7 @@ impl SubgraphT {
     pub fn version_at(&self, t: Time) -> Delta {
         let mut state = self.initial.clone();
         for e in self.events.iter().take_while(|e| e.time <= t) {
-            hgs_core::scope::apply_event_scoped(&mut state, &e.kind, |id| {
-                self.members.contains(&id)
-            });
+            hgs_core::apply_event_scoped(&mut state, &e.kind, |id| self.members.contains(&id));
         }
         state
     }
@@ -139,7 +137,7 @@ impl SubgraphT {
         while i < self.events.len() {
             let t = self.events[i].time;
             while i < self.events.len() && self.events[i].time == t {
-                hgs_core::scope::apply_event_scoped(&mut state, &self.events[i].kind, |id| {
+                hgs_core::apply_event_scoped(&mut state, &self.events[i].kind, |id| {
                     self.members.contains(&id)
                 });
                 i += 1;
@@ -154,7 +152,7 @@ impl SubgraphT {
     /// initial state. This is the incremental walk NodeComputeDelta
     /// uses; `on_event(state_before, event)` fires before each event
     /// is applied.
-    pub fn walk<FEv, FVer>(&self, mut on_event: FEv, mut visit: FVer)
+    pub(crate) fn walk<FEv, FVer>(&self, mut on_event: FEv, mut visit: FVer)
     where
         FEv: FnMut(&Delta, &Event),
         FVer: FnMut(Time, &Delta),
@@ -166,7 +164,7 @@ impl SubgraphT {
             let t = self.events[i].time;
             while i < self.events.len() && self.events[i].time == t {
                 on_event(&state, &self.events[i]);
-                hgs_core::scope::apply_event_scoped(&mut state, &self.events[i].kind, |id| {
+                hgs_core::apply_event_scoped(&mut state, &self.events[i].kind, |id| {
                     self.members.contains(&id)
                 });
                 i += 1;

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example community_evolution`
 
-use hgs::datagen::{community::community_name, CommunityGraph};
+use hgs::datagen::{community_name, CommunityGraph};
 use hgs::delta::TimeRange;
 use hgs::graph::algo;
 use hgs::store::StoreConfig;
