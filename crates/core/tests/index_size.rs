@@ -114,6 +114,12 @@
 //! term rows re-state every live term as carry points. Their bytes per
 //! event are gated too (the census prints their shares of the index).
 //!
+//! **Every stored row.** Six builds — both datasets one-shot, and at
+//! 40 % plus appends of 2 000 and of 100 events — are pinned by their
+//! row count, their key-plus-value bytes and a digest of every row, so
+//! a change that claims to leave the row grammar alone is held to
+//! every byte; the table moves only with `LAYOUT_TAG`.
+//!
 //! Stored bytes are exact for a dataset and a config — no timing, no
 //! thread-count dependence — so the bounds sit ~15 % above the
 //! measured values printed by the test
@@ -123,9 +129,11 @@
 
 mod common;
 
+use std::hash::{Hash, Hasher};
+
 use hgs_core::{TgiConfig, TgiService, AUX_BASE, ELIST_BASE};
 use hgs_datagen::{SkewedLabels, WikiGrowth};
-use hgs_delta::{decode_term_points, encode_term_points, Event, TERM_KIND_VALUE};
+use hgs_delta::{decode_term_points, encode_term_points, Event, FxHasher, TERM_KIND_VALUE};
 use hgs_store::{DeltaKey, StoreConfig, Table};
 
 /// Stored value bytes per event, by table; `Deltas` rows split by what
@@ -463,5 +471,77 @@ fn shorter_spans_grow_roots_and_carry_points() {
             costs.windows(2).all(|w| w[1].0 > w[0].0),
             "{name}: {costs:?}"
         );
+    }
+}
+
+/// The first cut at or past `at` where the time rises: an append from
+/// there starts past the end of what was built before it.
+fn align(events: &[Event], mut at: usize) -> usize {
+    while at > 0 && at < events.len() && events[at].time <= events[at - 1].time {
+        at += 1;
+    }
+    at
+}
+
+/// Rows, key-plus-value bytes, and a digest of every row.
+type Digest = (usize, usize, u64);
+
+/// Build `events` at the default config — in one go when `batch` is
+/// `None`, else 40 % of them and then appends of `batch` events, every
+/// cut moved forward to a time boundary — and return the row count,
+/// the key-plus-value bytes and a digest of every `(machine, key,
+/// value)` the store holds.
+fn row_digest(events: &[Event], batch: Option<usize>) -> Digest {
+    let built = batch.map_or(events.len(), |_| align(events, events.len() * 2 / 5));
+    let svc = TgiService::try_build(
+        TgiConfig::default(),
+        StoreConfig::new(4, 1),
+        &events[..built],
+    )
+    .unwrap();
+    let mut at = built;
+    while let Some(batch) = batch.filter(|_| at < events.len()) {
+        let next = align(events, (at + batch).min(events.len()));
+        svc.try_append_events(&events[at..next]).unwrap();
+        at = next;
+    }
+    let (mut rows, mut bytes, mut h) = (0, 0, FxHasher::default());
+    for (machine, content) in svc.store().content_rows().into_iter().enumerate() {
+        for (key, value) in content {
+            (machine, &key[..], &value[..]).hash(&mut h);
+            rows += 1;
+            bytes += key.len() + value.len();
+        }
+    }
+    (rows, bytes, h.finish())
+}
+
+/// Every stored row, pinned: a change that claims to leave the row
+/// grammar alone must leave this table alone, byte for byte. It moves
+/// only with `LAYOUT_TAG`; a mismatch prints the new table.
+#[test]
+fn every_stored_row_is_pinned() {
+    #[rustfmt::skip]
+    let pinned: [(&str, Option<usize>, Digest); 6] = [
+        ("wiki20k", None, (3499, 304764, 0x0d8a9117b4dffaed)),
+        ("wiki20k", Some(2000), (8491, 457236, 0x1b3d72810ef3fb4f)),
+        ("wiki20k", Some(100), (16617, 3679749, 0xd7ad66a450ea6089)),
+        ("skew21k", None, (3213, 363817, 0x420e4ae701ec81c2)),
+        ("skew21k", Some(2000), (11399, 566489, 0xdc688c38a0cd9483)),
+        ("skew21k", Some(100), (26691, 4107433, 0x65944c9943d30f6d)),
+    ];
+    let (wiki, skew) = (wiki20k(), skew21k());
+    let got: Vec<_> = pinned
+        .iter()
+        .map(|&(name, batch, _)| {
+            let events = if name == "wiki20k" { &wiki } else { &skew };
+            (name, batch, row_digest(events, batch))
+        })
+        .collect();
+    if got != pinned {
+        for (name, batch, (rows, bytes, digest)) in &got {
+            println!("        ({name:?}, {batch:?}, ({rows}, {bytes}, {digest:#018x})),");
+        }
+        panic!("the stored rows changed: the new table is above");
     }
 }
