@@ -29,9 +29,11 @@
 //! less one (the first from 0), a change point's time gap from the
 //! point before it (the first from the span start), and a change
 //! point's node id takes `w` bits — the bit length of the row's largest
-//! changed id. Each Rice parameter is `k = ⌊log2(mean · ln 2)⌋` of its
-//! gaps. The decoder feeds the whole blob to the crate-wide
-//! decoded-byte counter before parsing, accumulates with checked adds,
+//! changed id. The carry ids and the change times are rising columns
+//! (`bits.rs`: from 0 with bias 1, and from the span start with bias
+//! 0), each Rice parameter `k = ⌊log2(mean · ln 2)⌋` of its gaps. The
+//! decoder feeds the whole blob to the crate-wide decoded-byte counter
+//! before parsing, sums each rising column with one overflow check,
 //! holds both counts to the bits left before allocating, and refuses a
 //! width past 64 bits or other than the largest id's, trailing bytes
 //! and set padding bits; it never panics on malformed input.
@@ -39,7 +41,7 @@
 use bytes::{Bytes, BytesMut};
 
 use crate::attr::AttrValue;
-use crate::bits::{rice_k, BitReader, BitWriter};
+use crate::bits::{rising_k, BitReader, BitWriter};
 use crate::codec::{get_len, get_varint, note_decoded, put_attr_value, put_str, put_varint};
 use crate::error::CodecError;
 use crate::hash::FxHashSet;
@@ -85,30 +87,18 @@ pub fn encode_term_points(points: &[TermPoint]) -> Bytes {
     put_varint(&mut buf, start);
     put_varint(&mut buf, carry.len() as u64);
     put_varint(&mut buf, changes.len() as u64);
-    let carry_gaps = carry.iter().enumerate().map(|(i, p)| match i {
-        0 => p.nid,
-        _ => p.nid - carry[i - 1].nid - 1,
-    });
-    let time_gaps = changes.iter().enumerate().map(|(i, p)| match i {
-        0 => p.time - start,
-        _ => p.time - changes[i - 1].time,
-    });
     let mut bits = BitWriter::new(&mut buf);
-    if !carry.is_empty() {
-        let k = rice_k(carry_gaps.clone().map(u128::from).sum(), carry.len());
+    if let Some(last) = carry.last() {
+        let k = rising_k(0, last.nid, carry.len(), 1);
         bits.put(u64::from(k), K_BITS);
-        for gap in carry_gaps {
-            bits.put_rice(gap, k);
-        }
+        bits.put_rising(0, carry.iter().map(|p| p.nid), 1, k);
     }
-    if !changes.is_empty() {
-        let k = rice_k(time_gaps.clone().map(u128::from).sum(), changes.len());
+    if let Some(last) = changes.last() {
+        let k = rising_k(start, last.time, changes.len(), 0);
         let w = nid_width(changes);
         bits.put(u64::from(k), K_BITS);
         bits.put(u64::from(w), W_BITS);
-        for gap in time_gaps {
-            bits.put_rice(gap, k);
-        }
+        bits.put_rising(start, changes.iter().map(|p| p.time), 0, k);
         for p in changes {
             bits.put(p.nid, w);
         }
@@ -148,22 +138,15 @@ pub fn decode_term_points(buf: &[u8]) -> Result<Vec<TermPoint>, CodecError> {
     }
     let mut out = Vec::with_capacity(n_carry + n_change);
     let mut bits = BitReader::new(buf);
-    // Sums are taken in `u128`, so one check after a column finds any
-    // that passed `u64::MAX`.
-    let mut overflow = false;
     if n_carry > 0 {
         let k = bits.get(K_BITS)? as u8;
-        let (mut nid, mut bias) = (0u128, 0u128);
-        bits.get_rice_many(n_carry, k, |gap| {
-            nid += u128::from(gap) + bias;
-            bias = 1;
-            overflow |= nid > u128::from(u64::MAX);
+        bits.get_rising(n_carry, 0, 1, k, |nid| {
             out.push(TermPoint {
                 time: start,
-                nid: nid as u64,
+                nid,
                 carry: true,
                 became: true,
-            });
+            })
         })?;
     }
     if n_change > 0 {
@@ -175,30 +158,21 @@ pub fn decode_term_points(buf: &[u8]) -> Result<Vec<TermPoint>, CodecError> {
                 tag: w as u8,
             });
         }
-        let mut time = u128::from(start);
-        bits.get_rice_many(n_change, k, |gap| {
-            time += u128::from(gap);
-            overflow |= time > u128::from(u64::MAX);
+        bits.get_rising(n_change, start, 0, k, |time| {
             out.push(TermPoint {
-                time: time as u64,
+                time,
                 nid: 0,
                 carry: false,
                 became: false,
-            });
+            })
         })?;
         let changes = &mut out[n_carry..];
-        if w <= 56 {
-            let mut at = changes.iter_mut();
-            bits.get_many(n_change, w, |nid| {
-                if let Some(p) = at.next() {
-                    p.nid = nid;
-                }
-            })?;
-        } else {
-            for p in changes.iter_mut() {
-                p.nid = bits.get(w)?;
+        let mut at = changes.iter_mut();
+        bits.get_many(n_change, w, |nid| {
+            if let Some(p) = at.next() {
+                p.nid = nid;
             }
-        }
+        })?;
         // The flags, up to 56 at a time.
         for run in changes.chunks_mut(56) {
             let flags = bits.get(run.len() as u32)?;
@@ -212,9 +186,6 @@ pub fn decode_term_points(buf: &[u8]) -> Result<Vec<TermPoint>, CodecError> {
                 tag: w as u8,
             });
         }
-    }
-    if overflow {
-        return Err(CodecError::VarintOverflow);
     }
     bits.finish()?;
     Ok(out)

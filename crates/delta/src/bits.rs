@@ -5,23 +5,36 @@
 //! most columns of an eventlist or term row need far fewer — a kind tag
 //! among the two a row uses, an index into a dictionary of sixty nodes,
 //! a time gap of a few ticks. This module writes such a column as one
-//! bit string:
+//! bit string, in one of four codings:
 //!
 //! * **fixed-width codes** — `width` bits each, for values the row's
 //!   own header bounds (a kind code, a dictionary index, a flag);
-//! * **Rice codes** — for gaps: `v >> k` in unary (that many zero
-//!   bits, then a one), then the low `k` bits of `v`. The parameter is
-//!   chosen per column by [`rice_k`] and stored beside it.
+//! * **Rice codes** — for counts and gaps: `v >> k` in unary (that many
+//!   zero bits, then a one), then the low `k` bits of `v`;
+//! * **rising columns** — a rising run of values as one Rice code per
+//!   value ([`BitWriter::put_rising`], [`BitReader::get_rising`]): each
+//!   value's rise over the one before it, less a `bias` the grammar
+//!   fixes. The grammar spells the first value and the parameter as it
+//!   likes: an eventlist or term row stores the parameter [`rising_k`]
+//!   chose, a chain row derives its own from the span's chunk count;
+//! * **Elias–Fano columns** — a rising column a point read seeks
+//!   ([`put_elias_fano`], [`EliasFano`]): each value's low bits
+//!   fixed-width, its high part a rising column of parameter 0, which a
+//!   seek steps over by counting bits a word at a time
+//!   ([`BitReader::skip_zeros`]).
 //!
 //! Bits are packed least-significant first; the last byte is padded
-//! with zero bits. A reader refuses what a writer never produces: a
-//! code past the end ([`CodecError::UnexpectedEof`]), a whole unread
-//! byte at the end ([`CodecError::TrailingBytes`]), set padding bits,
-//! and a unary run longer than the bits left. Every read is bounded by
-//! the bits left, so no input makes a reader loop or allocate.
+//! with zero bits. [`BitReader`] is the one reader of them all, and it
+//! refuses what a writer never produces: a code past the end
+//! ([`CodecError::UnexpectedEof`]), a whole unread byte at the end
+//! ([`CodecError::TrailingBytes`]), set padding bits, a unary run
+//! longer than the bits left, and a value past `u64::MAX`
+//! ([`CodecError::VarintOverflow`]). Every read is bounded by the bits
+//! left, so no input makes a reader loop or allocate.
 
 use bytes::{BufMut, BytesMut};
 
+use crate::codec::{get_u8, get_varint, put_varint};
 use crate::error::CodecError;
 
 /// Bits needed to tell `n` values apart: `⌈log2 n⌉`, `0` for `n <= 1`.
@@ -47,6 +60,14 @@ pub(crate) fn rice_k(sum: u128, n: usize) -> u8 {
     } else {
         (scaled.log2().floor() as u8).min(MAX_RICE_K)
     }
+}
+
+/// The Rice parameter of a rising column of `n` values from `from` to
+/// `last` ([`BitWriter::put_rising`]): its codes telescope to
+/// `last − from − bias · (n − 1)`.
+pub(crate) fn rising_k(from: u64, last: u64, n: usize, bias: u64) -> u8 {
+    let biases = u128::from(bias) * n.saturating_sub(1) as u128;
+    rice_k(u128::from(last - from) - biases, n)
 }
 
 /// Appends bits to a byte buffer, least-significant first.
@@ -89,6 +110,23 @@ impl<'a> BitWriter<'a> {
         self.put(v & ((1u64 << k) - 1), k);
     }
 
+    /// Write the codes of a rising column: each of `values` as its rise
+    /// over the value before it (`from` before the first), less `bias`
+    /// for every value but the first, in a Rice code of parameter `k`.
+    pub(crate) fn put_rising(
+        &mut self,
+        from: u64,
+        values: impl IntoIterator<Item = u64>,
+        bias: u64,
+        k: u8,
+    ) {
+        let (mut prev, mut less) = (from, 0);
+        for v in values {
+            self.put_rice(v - prev - less, k);
+            (prev, less) = (v, bias);
+        }
+    }
+
     /// Pad the last byte with zero bits.
     pub(crate) fn finish(self) {
         if self.n > 0 {
@@ -126,6 +164,16 @@ impl<'a> BitReader<'a> {
         };
         r.refill();
         r
+    }
+
+    /// The bits of `buf` from bit `bit` on.
+    pub(crate) fn from_bit(buf: &'a [u8], bit: usize) -> Result<BitReader<'a>, CodecError> {
+        let mut r = BitReader::new(buf.get(bit / 8..).ok_or(CodecError::UnexpectedEof {
+            needed: bit.div_ceil(8),
+            remaining: buf.len(),
+        })?);
+        r.get((bit % 8) as u32)?;
+        Ok(r)
     }
 
     /// Top the window up to at least [`WINDOW_BITS`] bits, or to the
@@ -176,20 +224,24 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Refuse a column of fewer than `bits` bits left.
+    #[inline]
+    pub(crate) fn check_left(&self, bits: usize) -> Result<(), CodecError> {
+        if bits > self.bits_left() {
+            Err(self.short(bits))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Read a `width`-bit code (`width <= 64`).
     #[inline]
     pub(crate) fn get(&mut self, width: u32) -> Result<u64, CodecError> {
-        if width as usize > self.bits_left() {
-            return Err(self.short(width as usize));
-        }
-        if width > WINDOW_BITS {
-            let lo = self.take(32);
-            return Ok(lo | self.take(width - 32) << 32);
-        }
+        self.check_left(width as usize)?;
         Ok(self.take(width))
     }
 
-    /// Read `count` codes of `width <= 56` bits each into `out`, after
+    /// Read `count` codes of `width <= 64` bits each into `out`, after
     /// one check that the column holds them all.
     pub(crate) fn get_many(
         &mut self,
@@ -197,21 +249,20 @@ impl<'a> BitReader<'a> {
         width: u32,
         mut out: impl FnMut(u64),
     ) -> Result<(), CodecError> {
-        debug_assert!(width <= WINDOW_BITS);
-        let bits = count.saturating_mul(width as usize);
-        if bits > self.bits_left() {
-            return Err(self.short(bits));
-        }
+        self.check_left(count.saturating_mul(width as usize))?;
         for _ in 0..count {
             out(self.take(width));
         }
         Ok(())
     }
 
-    /// The next `width <= 56` bits, which the caller has checked are
+    /// The next `width <= 64` bits, which the caller has checked are
     /// there.
     #[inline]
     fn take(&mut self, width: u32) -> u64 {
+        if width > WINDOW_BITS {
+            return self.take_wide(width);
+        }
         if width > self.nacc {
             self.refill();
         }
@@ -220,9 +271,16 @@ impl<'a> BitReader<'a> {
         v
     }
 
+    /// A code wider than one refilled window holds, in two takes.
+    #[cold]
+    fn take_wide(&mut self, width: u32) -> u64 {
+        let lo = self.take(32);
+        lo | self.take(width - 32) << 32
+    }
+
     /// Read a Rice code with parameter `k`. The unary run is bounded by
     /// the bits left; a value past `u64::MAX` is an overflow.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn get_rice(&mut self, k: u8) -> Result<u64, CodecError> {
         // Fast path: the whole code lies in the window, topped up only
         // when it does not.
@@ -236,43 +294,47 @@ impl<'a> BitReader<'a> {
         self.get_rice_slow(k)
     }
 
-    /// Read `count` Rice codes of parameter `k` into `out`, in order:
-    /// what [`BitReader::get_rice`] reads, without a `Result` per code.
+    /// Read `n` codes of a rising column ([`BitWriter::put_rising`])
+    /// and pass each value to `out`, in order, without a `Result` per
+    /// value. Values are summed in a `u128` and checked once, at the
+    /// end: a column that rises past `u64::MAX` is an overflow, and what
+    /// `out` was passed is to be dropped.
     #[inline]
-    pub(crate) fn get_rice_many(
+    pub(crate) fn get_rising(
         &mut self,
-        count: usize,
+        n: usize,
+        from: u64,
+        bias: u64,
         k: u8,
         out: impl FnMut(u64),
     ) -> Result<(), CodecError> {
         // Unary codes, the common column, with the parameter folded in.
-        match k {
-            0 => self.rice_run(count, 0, out),
-            k => self.rice_run(count, k, out),
+        let last = match k {
+            0 => self.rising_run(n, from, bias, 0, out),
+            k => self.rising_run(n, from, bias, k, out),
+        }?;
+        if last > u128::from(u64::MAX) {
+            return Err(CodecError::VarintOverflow);
         }
+        Ok(())
     }
 
     #[inline(always)]
-    fn rice_run(
+    fn rising_run(
         &mut self,
-        count: usize,
+        n: usize,
+        from: u64,
+        bias: u64,
         k: u8,
         mut out: impl FnMut(u64),
-    ) -> Result<(), CodecError> {
-        for _ in 0..count {
-            let v = match self.rice_in_window(k) {
-                Some(v) => v,
-                None => {
-                    self.refill();
-                    match self.rice_in_window(k) {
-                        Some(v) => v,
-                        None => self.get_rice_slow(k)?,
-                    }
-                }
-            };
-            out(v);
+    ) -> Result<u128, CodecError> {
+        let (mut v, mut less) = (u128::from(from), 0);
+        for _ in 0..n {
+            v += u128::from(self.get_rice(k)?) + less;
+            less = u128::from(bias);
+            out(v as u64);
         }
-        Ok(())
+        Ok(v)
     }
 
     /// Read a Rice code of parameter `k` and, when it is not zero, a
@@ -339,6 +401,38 @@ impl<'a> BitReader<'a> {
         Ok(q << k | self.get(u32::from(k))?)
     }
 
+    /// Read on past the `zeros`-th zero bit and return how many one
+    /// bits lay before it, counting a window at a time. Past the end it
+    /// stops, having read every bit.
+    pub(crate) fn skip_zeros(&mut self, mut zeros: u64) -> u64 {
+        let mut ones = 0u64;
+        while zeros > 0 {
+            self.refill();
+            if self.nacc == 0 {
+                break;
+            }
+            let window = self.acc & ((1u64 << self.nacc) - 1);
+            let here = u64::from(self.nacc - window.count_ones());
+            if here < zeros {
+                ones += u64::from(window.count_ones());
+                zeros -= here;
+                self.consume(self.nacc);
+                continue;
+            }
+            // The window holds the `zeros`-th zero: clear the zeros
+            // before it, and read up to it.
+            let mut unread = !window;
+            for _ in 1..zeros {
+                unread &= unread - 1;
+            }
+            let at = unread.trailing_zeros();
+            ones += u64::from((window & ((1u64 << at) - 1)).count_ones());
+            self.consume(at + 1);
+            break;
+        }
+        ones
+    }
+
     /// End of the column: only zero padding may remain.
     pub(crate) fn finish(mut self) -> Result<(), CodecError> {
         let left = self.bits_left();
@@ -367,6 +461,136 @@ pub(crate) fn check_rice_k(k: u8) -> Result<u8, CodecError> {
         });
     }
     Ok(k)
+}
+
+/// Append an Elias–Fano column of rising `values`: `varint first`,
+/// then, when there are more, `u8 l` and each further value's offset
+/// from the first in two parts: its low `l` bits, fixed-width, for
+/// every value together (the last byte zero-padded), then its high
+/// part, as a rising column of parameter 0 from 0 (zero-padded too).
+/// `l = ⌊log2(last offset / (n − 1))⌋`, so the high parts take at most
+/// two bits a value. Nothing at all for an empty column.
+pub(crate) fn put_elias_fano(out: &mut BytesMut, values: &[u64]) {
+    let Some((&first, rest)) = values.split_first() else {
+        return;
+    };
+    put_varint(out, first);
+    let Some(&last) = rest.last() else {
+        return;
+    };
+    let l = ((last - first) / rest.len() as u64)
+        .checked_ilog2()
+        .unwrap_or(0);
+    out.put_u8(l as u8);
+    let mut bits = BitWriter::new(out);
+    for &v in rest {
+        bits.put((v - first) & ((1u64 << l) - 1), l);
+    }
+    bits.finish();
+    let mut bits = BitWriter::new(out);
+    bits.put_rising(0, rest.iter().map(|&v| (v - first) >> l), 0, 0);
+    bits.finish();
+}
+
+/// An Elias–Fano column ([`put_elias_fano`]), read in full or sought.
+/// Every value must rise over the one before it, and offsets are held
+/// to a `u64`: a step that does not rise, or one that overflows, is an
+/// error, never a value out of order.
+pub(crate) struct EliasFano<'a> {
+    n: usize,
+    first: u64,
+    l: u32,
+    lows: &'a [u8],
+    highs: &'a [u8],
+}
+
+impl<'a> EliasFano<'a> {
+    /// Open a column of `n` values. `n` is held to the bits the column
+    /// has before anything is read (every value past the first takes
+    /// at least one in the high parts), so a caller may size by it.
+    pub(crate) fn open(mut b: &'a [u8], n: usize) -> Result<EliasFano<'a>, CodecError> {
+        let first = if n > 0 { get_varint(&mut b)? } else { 0 };
+        let further = n.saturating_sub(1);
+        let l = if further > 0 {
+            check_rice_k(get_u8(&mut b)?)?
+        } else {
+            0
+        };
+        let low_len = further.saturating_mul(usize::from(l)).div_ceil(8);
+        BitReader::new(b).check_left(low_len.saturating_mul(8).saturating_add(further))?;
+        let (lows, highs) = b.split_at(low_len);
+        Ok(EliasFano {
+            n,
+            first,
+            l: u32::from(l),
+            lows,
+            highs,
+        })
+    }
+
+    /// The value of high part `high` and the next low part of `lows`,
+    /// held to a `u64` and to rising over `prev`.
+    #[inline]
+    fn after(&self, prev: u64, high: u64, lows: &mut BitReader<'_>) -> Result<u64, CodecError> {
+        let low = lows.get(self.l)?;
+        let offset = (high <= u64::MAX >> self.l).then_some(high << self.l | low);
+        match offset.and_then(|o| self.first.checked_add(o)) {
+            None => Err(CodecError::VarintOverflow),
+            Some(v) if v <= prev => Err(CodecError::BadRef {
+                what: "node-id gap",
+                id: 0,
+            }),
+            Some(v) => Ok(v),
+        }
+    }
+
+    /// Every value, in order; only the zero padding of each part's last
+    /// byte may remain.
+    pub(crate) fn get_all(&self) -> Result<Vec<u64>, CodecError> {
+        let mut out = Vec::with_capacity(self.n);
+        let (mut lows, mut highs) = (BitReader::new(self.lows), BitReader::new(self.highs));
+        if self.n > 0 {
+            out.push(self.first);
+            highs.get_rising(self.n - 1, 0, 0, 0, |high| out.push(high))?;
+            let mut prev = self.first;
+            for v in &mut out[1..] {
+                prev = self.after(prev, *v, &mut lows)?;
+                *v = prev;
+            }
+        }
+        lows.finish()?;
+        highs.finish()?;
+        Ok(out)
+    }
+
+    /// Read on to the first value at or past `target`, and return its
+    /// index if it is `target`. The values whose high part lies below
+    /// `target`'s are stepped over by [`BitReader::skip_zeros`], not
+    /// read.
+    pub(crate) fn seek(&self, target: u64) -> Result<Option<usize>, CodecError> {
+        let n = self.n;
+        if n == 0 || target <= self.first {
+            return Ok((n > 0 && target == self.first).then_some(0));
+        }
+        let mut high = (target - self.first) >> self.l;
+        let mut highs = BitReader::new(self.highs);
+        let below = highs.skip_zeros(high);
+        let Some(from) = usize::try_from(below).ok().filter(|&b| b < n - 1) else {
+            return Ok(None);
+        };
+        // Values `1 ..= from` are below `target`: read on from the
+        // next, whose high part rises from `high`.
+        let mut lows = BitReader::from_bit(self.lows, from * self.l as usize)?;
+        let mut prev = self.first;
+        for i in from + 1..n {
+            highs.get_rising(1, high, 0, 0, |h| high = h)?;
+            prev = self.after(prev, high, &mut lows)?;
+            if prev >= target {
+                return Ok((prev == target).then_some(i));
+            }
+        }
+        Ok(None)
+    }
 }
 
 #[cfg(test)]
@@ -424,6 +648,83 @@ mod tests {
         assert_eq!(rice_k(u128::from(u64::MAX) * 4, 2), MAX_RICE_K);
     }
 
+    /// A xorshift generator of values below `m`.
+    fn xorshift(mut x: u64) -> impl FnMut(u64) -> u64 {
+        move |m| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        }
+    }
+
+    #[test]
+    fn rising_columns_round_trip_at_every_parameter() {
+        // Bias 0 and 1, parameters 0 to 20, columns of up to 200 values
+        // rising about `2^k` a step, the odd ones from near `u64::MAX`.
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        for (bias, k, n) in (0..2u64)
+            .flat_map(|b| (0..=20u8).map(move |k| (b, k)))
+            .flat_map(|(b, k)| [0usize, 1, 2, 7, 64, 200].map(|n| (b, k, n)))
+        {
+            let top = 1u64 << k;
+            let from = if n % 2 == 1 {
+                u64::MAX - 5 * top * n as u64
+            } else {
+                top
+            };
+            let gaps: Vec<u64> = (0..n).map(|_| next(2 * top)).collect();
+            let values: Vec<u64> = (0..n)
+                .scan(from, |v, i| {
+                    *v += gaps[i] + if i > 0 { bias } else { 0 };
+                    Some(*v)
+                })
+                .collect();
+            let buf = written(|w| w.put_rising(from, values.iter().copied(), bias, k));
+            let (mut r, mut got) = (BitReader::new(&buf), Vec::new());
+            r.get_rising(n, from, bias, k, |v| got.push(v)).unwrap();
+            r.finish().unwrap();
+            assert_eq!(got, values, "bias {bias} k {k} n {n}");
+            if let Some(&last) = values.last() {
+                let sum = gaps.iter().map(|&g| u128::from(g)).sum();
+                assert_eq!(rising_k(from, last, n, bias), rice_k(sum, n));
+            }
+        }
+    }
+
+    #[test]
+    fn skip_zeros_counts_what_a_bit_walk_counts() {
+        // Sparse, mixed and dense bits, from every start bit, for runs
+        // of zeros within a window, across windows and past the end.
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        for (len, density) in [0usize, 1, 7, 9, 40]
+            .into_iter()
+            .flat_map(|l| [1, 4, 7].map(|d| (l, d)))
+        {
+            let buf: Vec<u8> = (0..len)
+                .map(|_| (0..8).fold(0, |b, i| b | u8::from(next(8) < density) << i))
+                .collect();
+            let bit = |i: usize| buf[i / 8] >> (i % 8) & 1 == 1;
+            for start in 0..=len * 8 {
+                for zeros in [0u64, 1, 2, 17, 64, 65, 500] {
+                    let (mut ones, mut left, mut at) = (0u64, zeros, start);
+                    while left > 0 && at < len * 8 {
+                        ones += u64::from(bit(at));
+                        left -= u64::from(!bit(at));
+                        at += 1;
+                    }
+                    let mut r = BitReader::from_bit(&buf, start).unwrap();
+                    assert_eq!(
+                        r.skip_zeros(zeros),
+                        ones,
+                        "len {len} start {start} zeros {zeros}"
+                    );
+                    assert_eq!(r.bits_left(), len * 8 - at);
+                }
+            }
+        }
+    }
+
     #[test]
     fn readers_refuse_what_no_writer_wrote() {
         // A unary run that never ends, however long the input.
@@ -440,6 +741,13 @@ mod tests {
             BitReader::new(&buf).get_rice(63),
             Err(CodecError::VarintOverflow)
         );
+        // A rising column past `u64::MAX`, and one that ends on it: from
+        // `u64::MAX − 2`, rises of 1 and then 1 (or 0) + bias 1.
+        for (last, want) in [(1, Err(CodecError::VarintOverflow)), (0, Ok(()))] {
+            let buf = written(|w| w.put_rising(0, [1, last + 2], 1, 0));
+            let read = BitReader::new(&buf).get_rising(2, u64::MAX - 2, 1, 0, |_| {});
+            assert_eq!(read, want, "last rise {last}");
+        }
         // Set padding, a whole unread byte, a code past the end.
         let buf = written(|w| w.put(0b100, 3));
         let mut r = BitReader::new(&buf);

@@ -6,12 +6,14 @@
 //! chain := first:⌈log2 q⌉ Rice(gap − 1, k){n − 1}
 //! ```
 //!
-//! where `q` is the span's chunk count and `k = ⌊⌈log2 q⌉ / 3⌋` (the
-//! Rice parameter the chunk gaps of the benchmark builds cost least
-//! under). There is no count: every Rice code holds a one bit, so the
-//! zero padding never completes one, and the row ends where only zero
-//! bits are left. The reader knows `q` from the span's checkpoints;
-//! what else a chain entry carries is `hgs-core`'s to derive.
+//! where `q` is the span's chunk count, the gaps are a rising column
+//! (`bits.rs`) from `first + 1` with bias 1, and `k = ⌊⌈log2 q⌉ / 3⌋`
+//! (the Rice parameter the chunk gaps of the benchmark builds cost
+//! least under), derived, not stored. There is no count: every Rice
+//! code holds a one bit, so the zero padding never completes one, and
+//! the row ends where only zero bits are left. The reader knows `q`
+//! from the span's checkpoints; what else a chain entry carries is
+//! `hgs-core`'s to derive.
 
 use bytes::{Bytes, BytesMut};
 
@@ -36,12 +38,7 @@ pub fn encode_chunk_set(chunks: impl IntoIterator<Item = u32>, chunk_count: usiz
     let k = chain_rice_k(chunk_count);
     let mut bits = BitWriter::new(&mut buf);
     bits.put(u64::from(first), width_for(chunk_count));
-    let mut prev = first;
-    for chunk in chunks {
-        debug_assert!(chunk > prev, "chunks increase");
-        bits.put_rice(u64::from(chunk - prev - 1), k);
-        prev = chunk;
-    }
+    bits.put_rising(u64::from(first) + 1, chunks.map(u64::from), 1, k);
     bits.finish();
     buf.freeze()
 }
@@ -68,7 +65,7 @@ pub fn decode_chunk_set(buf: &[u8], chunk_count: usize) -> Result<Vec<u32>, Code
         if bits.at_padding() {
             break;
         }
-        chunk = chunk.saturating_add(bits.get_rice(k)?).saturating_add(1);
+        bits.get_rising(1, chunk + 1, 1, k, |next| chunk = next)?;
     }
     bits.finish()?;
     Ok(out)

@@ -62,12 +62,14 @@
 //!
 //!   where `k = ⌊log2(mean gap · ln 2)⌋` is chosen per column, a kind
 //!   code is the event's tag's rank among the row's `m` tags (no codes
-//!   at all when `m = 1`), and an edge kind has two dictionary indexes.
+//!   at all when `m = 1`), an edge kind has two dictionary indexes, and
+//!   the node dictionary and times are rising columns
+//!   (`bits.rs`) from `first + 1` and `first`.
 //!   The attribute dictionary holds the keys and values the context
 //!   table `T` lacks, and is empty when there are none; its keys are
 //!   sorted and its values in order of first use. A non-empty one has
 //!   a key of its own, or an entry beside the table's keys. Times and
-//!   ids accumulate with checked adds: an overflowing gap is an error,
+//!   node ids are summed with a check: an overflowing gap is an error,
 //!   never an out-of-order answer. The weights column has one
 //!   `(f32 weight, u8 directed)` entry per `AddEdge` / `SetEdgeWeight`
 //!   — unless every one of them is the default `AddEdge { weight: 1.0,
@@ -96,7 +98,8 @@
 //!   from the first is split into its low `l` bits, fixed-width and all
 //!   together (zero-padded to a byte), and its high part, spelled as a
 //!   unary code of its rise over the previous id's high part
-//!   (zero-padded too), with `l = ⌊log2(last offset / (n − 1))⌋`. That
+//!   (zero-padded too), with `l = ⌊log2(last offset / (n − 1))⌋`
+//!   (`bits.rs`'s Elias–Fano column). That
 //!   costs about what Rice-coded gaps would, and a point read can step
 //!   over every id whose high part lies below the probed id's by
 //!   counting bits a word at a time, without reading them. An id that
@@ -128,7 +131,8 @@
 //!   keys are the keys of those pairs the table lacks, sorted, a pair's
 //!   `key_id` names a table key or, past the table's keys, one of them,
 //!   and its pairs are in order of first use. The full read (`sum_into`)
-//!   streams ids, heads and records in lockstep and holds every restart
+//!   decodes the ids, streams heads and records in lockstep beside them
+//!   and holds every restart
 //!   to the bytes and code bits its window actually took. A point read
 //!   (`node_record`, `sum_node_into`, `contains`) seeks the node's
 //!   index `i` in the id column — a miss decodes nothing else — sums
@@ -196,7 +200,9 @@ use std::sync::{Arc, OnceLock};
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::attr::{AttrValue, Attrs};
-use crate::bits::{check_rice_k, rice_k, width_for, BitReader, BitWriter};
+use crate::bits::{
+    check_rice_k, put_elias_fano, rice_k, rising_k, width_for, BitReader, BitWriter, EliasFano,
+};
 use crate::codec::{
     get_attr_value, get_f32, get_len, get_record, get_str, get_u8, get_varint, note_decoded,
     put_attr_value, put_f32, put_record, put_str, put_varint, skip_record, skip_varints,
@@ -351,11 +357,10 @@ fn attr_key_of(k: &EventKind) -> Option<&str> {
     }
 }
 
+/// The index of `v` in the sorted `dict` it was interned into.
 #[inline]
 fn dict_idx<T: Ord>(dict: &[T], v: &T) -> u64 {
-    dict.binary_search(v)
-        // hgs-lint: allow(no-panic-in-try, "every looked-up value was interned into this dict during the same encode")
-        .expect("value interned at encode time") as u64
+    dict.partition_point(|d| d < v) as u64
 }
 
 fn dict_node(dict: &[NodeId], idx: u32) -> Result<NodeId, CodecError> {
@@ -607,110 +612,49 @@ fn get_indexes(
 // ----------------------------------------------------------------------
 
 /// Append an ascending integer column: `varint first`, then — when
-/// there is more than one value — `u8 k` and `Rice(gap − bias)` for
-/// each further value (`bias` 1 for a strictly ascending column, 0 for
-/// a non-decreasing one). Nothing at all for an empty column.
-fn put_ascending(
-    out: &mut BytesMut,
-    values: impl ExactSizeIterator<Item = u64> + Clone,
-    bias: u64,
-) {
-    let n = values.len();
-    let mut gaps = values
-        .clone()
-        .zip(values.clone().skip(1))
-        .map(|(a, b)| b - a - bias);
-    let Some(first) = values.clone().next() else {
+/// there is more than one value — `u8 k` and the further values as a
+/// rising column from `first + bias` (`bias` 1 for a strictly
+/// ascending column, 0 for a non-decreasing one). Nothing at all for an
+/// empty column.
+fn put_ascending(out: &mut BytesMut, values: &[u64], bias: u64) {
+    let Some((&first, rest)) = values.split_first() else {
         return;
     };
     put_varint(out, first);
-    if n < 2 {
+    let Some(&last) = rest.last() else {
         return;
-    }
-    let k = rice_k(gaps.clone().map(u128::from).sum(), n - 1);
+    };
+    let k = rising_k(first + bias, last, rest.len(), bias);
     out.put_u8(k);
     let mut bits = BitWriter::new(out);
-    for gap in &mut gaps {
-        bits.put_rice(gap, k);
-    }
+    bits.put_rising(first + bias, rest.iter().copied(), bias, k);
     bits.finish();
 }
 
-/// The values [`put_ascending`] wrote, read one at a time: what an
-/// eventlist's node dictionary and times are decoded with. Values
-/// accumulate with a checked add: a gap that overflows is an error,
-/// never a value out of order.
-struct Ascending<'a> {
-    bits: BitReader<'a>,
-    k: u8,
-    bias: u64,
-    /// The first value, until it is read.
-    first: Option<u64>,
-    prev: u64,
-}
-
-impl<'a> Ascending<'a> {
-    /// Open a column of `n` values. `n` is held to the bits the column
-    /// has before anything is read (every further value takes at least
-    /// one), so a caller may size by it.
-    fn new(mut b: &'a [u8], n: usize, bias: u64) -> Result<Ascending<'a>, CodecError> {
-        let first = if n > 0 {
-            Some(get_varint(&mut b)?)
-        } else {
-            None
-        };
-        let k = if n > 1 {
-            check_rice_k(get_u8(&mut b)?)?
-        } else {
-            0
-        };
-        let bits = BitReader::new(b);
-        let further = n.saturating_sub(1);
-        if further > bits.bits_left() {
-            return Err(CodecError::UnexpectedEof {
-                needed: further.div_ceil(8),
-                remaining: b.len(),
-            });
-        }
-        Ok(Ascending {
-            bits,
-            k,
-            bias,
-            first,
-            prev: 0,
-        })
-    }
-
-    /// The next value; the caller reads at most the `n` it opened the
-    /// column with.
-    #[inline]
-    fn next(&mut self) -> Result<u64, CodecError> {
-        let v = match self.first.take() {
-            Some(first) => first,
-            None => self
-                .prev
-                .checked_add(self.bits.get_rice(self.k)?)
-                .and_then(|v| v.checked_add(self.bias))
-                .ok_or(CodecError::VarintOverflow)?,
-        };
-        self.prev = v;
-        Ok(v)
-    }
-
-    /// End of the column, after its last value: only padding remains.
-    fn finish(self) -> Result<(), CodecError> {
-        self.bits.finish()
-    }
-}
-
-/// Read all `n` values [`put_ascending`] wrote.
-fn get_ascending(b: &[u8], n: usize, bias: u64) -> Result<Vec<u64>, CodecError> {
-    let mut col = Ascending::new(b, n, bias)?;
+/// Read all `n` values [`put_ascending`] wrote: what an eventlist's
+/// node dictionary and times are decoded with. `n` is held to the bits
+/// the column has (every further value takes at least one) before the
+/// column is allocated; a value past `u64::MAX` is an error, never a
+/// value out of order.
+fn get_ascending(mut b: &[u8], n: usize, bias: u64) -> Result<Vec<u64>, CodecError> {
+    let first = if n > 0 { get_varint(&mut b)? } else { 0 };
+    let further = n.saturating_sub(1);
+    let k = if further > 0 {
+        check_rice_k(get_u8(&mut b)?)?
+    } else {
+        0
+    };
+    let mut bits = BitReader::new(b);
+    bits.check_left(further)?;
     let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(col.next()?);
+    if n > 0 {
+        out.push(first);
     }
-    col.finish()?;
+    if further > 0 {
+        let from = first.checked_add(bias).ok_or(CodecError::VarintOverflow)?;
+        bits.get_rising(further, from, bias, k, |v| out.push(v))?;
+    }
+    bits.finish()?;
     Ok(out)
 }
 
@@ -746,10 +690,11 @@ pub fn encode_columnar_eventlist_in(el: &Eventlist, table: &PairTable) -> Bytes 
 
     let mut node_dict = BytesMut::new();
     put_varint(&mut node_dict, nids.len() as u64);
-    put_ascending(&mut node_dict, nids.iter().copied(), 1);
+    put_ascending(&mut node_dict, &nids, 1);
 
     let mut times = BytesMut::new();
-    put_ascending(&mut times, events.iter().map(|e| e.time), 0);
+    let event_times: Vec<Time> = events.iter().map(|e| e.time).collect();
+    put_ascending(&mut times, &event_times, 0);
 
     // The row's kinds, ascending, then one code per event: a kind's
     // rank among them.
@@ -1509,13 +1454,6 @@ fn count(v: u64, what: &'static str) -> Result<usize, CodecError> {
 /// A delta row's counts column, read one record head at a time.
 struct Counts<'a> {
     bits: BitReader<'a>,
-    /// When every code of the column is unary — both Rice parameters
-    /// 0, no shapes, no first neighbours — its one bits, and the
-    /// position the next code starts at: the common column, read a
-    /// word at a time.
-    unary: Option<(Ones<'a>, u64)>,
-    /// Bits of the column past its parameters.
-    len_bits: usize,
     params: u8,
     k_attrs: u8,
     /// The width of every first neighbour, when the codes hold them.
@@ -1550,20 +1488,9 @@ impl<'a> Counts<'a> {
                 w_first = Some(u32::from(w));
             }
         }
-        let short = CodecError::UnexpectedEof {
-            needed: n.max(skip).div_ceil(8),
-            remaining: b.len(),
-        };
-        if n > b.len() * 8 {
-            return Err(short);
-        }
-        let mut bits = BitReader::new(b.get(skip / 8..).ok_or(short)?);
-        bits.get((skip % 8) as u32)?;
-        let unary = params & (COUNTS_K_EDGES | COUNTS_FIRSTS | COUNTS_SHAPES) == 0 && k_attrs == 0;
+        BitReader::new(b).check_left(n)?;
         Ok(Counts {
-            bits,
-            unary: unary.then(|| (Ones::new(b, skip), skip as u64)),
-            len_bits: b.len() * 8,
+            bits: BitReader::from_bit(b, skip)?,
             params,
             k_attrs,
             w_first,
@@ -1576,30 +1503,6 @@ impl<'a> Counts<'a> {
     /// record of no entries is refused: no writer spells one.
     #[inline]
     fn next(&mut self) -> Result<RecordHead, CodecError> {
-        if let Some((ones, at)) = &mut self.unary {
-            let mut code = |what| {
-                let one = ones.next_one().ok_or(CodecError::UnexpectedEof {
-                    needed: 1,
-                    remaining: 0,
-                })?;
-                let v = one - *at;
-                *at = one + 1;
-                count(v, what)
-            };
-            let n_edges = code("edges")?;
-            let n_attrs = if self.params & COUNTS_ATTRS != 0 {
-                code("attrs")?
-            } else {
-                0
-            };
-            self.needed |= COUNTS_ATTRS * u8::from(n_attrs > 0);
-            return Ok(RecordHead {
-                shape: SHAPE_DEFAULT,
-                n_edges,
-                n_attrs,
-                first: None,
-            });
-        }
         let k_edges = self.params & COUNTS_K_EDGES;
         let (n_edges, first) = match self.w_first {
             Some(w) => {
@@ -1647,10 +1550,7 @@ impl<'a> Counts<'a> {
 
     /// Bits not yet read (padding included).
     fn bits_left(&self) -> usize {
-        match &self.unary {
-            Some((_, at)) => self.len_bits.saturating_sub(*at as usize),
-            None => self.bits.bits_left(),
-        }
+        self.bits.bits_left()
     }
 
     /// End of the column, after its last head: every flag it sets was
@@ -1670,10 +1570,7 @@ impl<'a> Counts<'a> {
                 tag: w as u8,
             });
         }
-        match &self.unary {
-            Some((ones, at)) => ones.finish(at.checked_sub(1)),
-            None => self.bits.finish(),
-        }
+        self.bits.finish()
     }
 }
 
@@ -1735,277 +1632,6 @@ fn sum_record<'a>(
     }
 }
 
-/// Append a delta row's id column — its ascending node ids, Elias–Fano
-/// coded: `varint first`, then, when there are more, `u8 l` and each
-/// further id's offset from the first in two parts: its low `l` bits,
-/// fixed-width, for every id together (the last byte zero-padded),
-/// then its high part as a unary code of its rise over the previous
-/// id's. `l = ⌊log2(last offset / (n − 1))⌋`, so the unary codes take
-/// at most two bits an id. Nothing at all for an empty column.
-fn put_ids(out: &mut BytesMut, ids: &[NodeId]) {
-    let Some((&first, rest)) = ids.split_first() else {
-        return;
-    };
-    put_varint(out, first);
-    let Some(&last) = rest.last() else {
-        return;
-    };
-    let l = ((last - first) / rest.len() as u64)
-        .checked_ilog2()
-        .unwrap_or(0);
-    out.put_u8(l as u8);
-    let mut bits = BitWriter::new(out);
-    for &id in rest {
-        bits.put((id - first) & ((1u64 << l) - 1), l);
-    }
-    bits.finish();
-    let mut bits = BitWriter::new(out);
-    let mut high = 0;
-    for &id in rest {
-        let h = (id - first) >> l;
-        bits.put_rice(h - high, 0);
-        high = h;
-    }
-    bits.finish();
-}
-
-/// The little-endian word of `bytes` at byte `at`, zero past their
-/// end.
-#[inline]
-fn word_at(bytes: &[u8], at: usize) -> u64 {
-    let mut w = [0u8; 8];
-    match bytes.get(at..at + 8) {
-        Some(whole) => w.copy_from_slice(whole),
-        None => {
-            let tail = bytes.get(at..).unwrap_or_default();
-            w[..tail.len()].copy_from_slice(tail);
-        }
-    }
-    u64::from_le_bytes(w)
-}
-
-/// A run of unary codes — Rice codes of parameter 0, each as many zero
-/// bits as its value and a one — read by its one bits, a word at a
-/// time: an id column's high parts, and a counts column of nothing
-/// else.
-struct Ones<'a> {
-    bytes: &'a [u8],
-    /// Byte offset of the word being read.
-    at: usize,
-    /// That word, with the bits already read cleared.
-    word: u64,
-}
-
-impl<'a> Ones<'a> {
-    /// The bits of `bytes` from bit `bit` on.
-    fn new(bytes: &'a [u8], bit: usize) -> Ones<'a> {
-        let at = bit / 8;
-        Ones {
-            bytes,
-            at,
-            word: word_at(bytes, at) & u64::MAX << (bit % 8),
-        }
-    }
-
-    /// The position of the next one bit, read; `None` past the last.
-    #[inline]
-    fn next_one(&mut self) -> Option<u64> {
-        while self.word == 0 {
-            self.at += 8;
-            if self.at >= self.bytes.len() {
-                return None;
-            }
-            self.word = word_at(self.bytes, self.at);
-        }
-        let bit = self.word.trailing_zeros();
-        self.word &= self.word - 1;
-        Some(self.at as u64 * 8 + u64::from(bit))
-    }
-
-    /// From the start of the run, read on past the `zeros`-th zero
-    /// bit, and return how many one bits lay before it — how many ids
-    /// have a high part below `zeros`. Past the end it stops, having
-    /// counted every one.
-    fn skip_zeros(&mut self, mut zeros: u64) -> u64 {
-        let mut ones = 0u64;
-        while zeros > 0 {
-            let here = u64::from(self.word.count_zeros());
-            if here < zeros {
-                ones += u64::from(self.word.count_ones());
-                zeros -= here;
-                self.at += 8;
-                if self.at >= self.bytes.len() {
-                    self.word = 0;
-                    break;
-                }
-                self.word = word_at(self.bytes, self.at);
-                continue;
-            }
-            // The word holds the `zeros`-th zero: clear the zeros before
-            // it, and every bit up to it.
-            let mut unread = !self.word;
-            for _ in 1..zeros {
-                unread &= unread - 1;
-            }
-            let at = unread.trailing_zeros();
-            ones += u64::from((self.word & ((1u64 << at) - 1)).count_ones());
-            self.word &= u64::MAX.checked_shl(at + 1).unwrap_or(0);
-            break;
-        }
-        ones
-    }
-
-    /// End of the run, after its last one bit, read at `last`: only
-    /// the zero padding of that bit's byte remains.
-    fn finish(&self, last: Option<u64>) -> Result<(), CodecError> {
-        let used = last.map_or(0, |p| p as usize / 8 + 1);
-        if self.bytes.len() > used {
-            return Err(CodecError::TrailingBytes {
-                remaining: self.bytes.len() - used,
-            });
-        }
-        if self.word != 0 {
-            return Err(CodecError::BadTag {
-                what: "padding",
-                tag: (self.word >> (self.word.trailing_zeros() & !7)) as u8,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// A delta row's id column ([`put_ids`]), read one id at a time or
-/// sought. The high parts are read a word at a time, and each id's low
-/// part straight from its offset. Every id must rise over the one
-/// before it, and offsets are held to a `u64`: a step that does not
-/// rise, or one that overflows, is an error, never an id out of order.
-struct Ids<'a> {
-    low_bytes: &'a [u8],
-    highs: Ones<'a>,
-    l: u32,
-    first: NodeId,
-    /// Ids read so far.
-    read: usize,
-    /// The last id read, and its one bit's position in the high parts.
-    prev: NodeId,
-    last_one: Option<u64>,
-}
-
-impl<'a> Ids<'a> {
-    /// Open a column of `n` ids. `n` is held to the bits the column
-    /// has before anything is read (every id past the first takes at
-    /// least one in the high parts), so a caller may size by it.
-    fn new(mut b: &'a [u8], n: usize) -> Result<Ids<'a>, CodecError> {
-        let first = if n > 0 { get_varint(&mut b)? } else { 0 };
-        let further = n.saturating_sub(1);
-        let l = if further > 0 {
-            check_rice_k(get_u8(&mut b)?)?
-        } else {
-            0
-        };
-        let low_len = further.saturating_mul(usize::from(l)).div_ceil(8);
-        if low_len > b.len() || further > (b.len() - low_len) * 8 {
-            return Err(CodecError::UnexpectedEof {
-                needed: low_len.saturating_add(further.div_ceil(8)),
-                remaining: b.len(),
-            });
-        }
-        let (low_bytes, high_bytes) = b.split_at(low_len);
-        Ok(Ids {
-            low_bytes,
-            highs: Ones::new(high_bytes, 0),
-            l: u32::from(l),
-            first,
-            read: 0,
-            prev: 0,
-            last_one: None,
-        })
-    }
-
-    /// The low part of the `j`-th id past the first.
-    #[inline]
-    fn low(&self, j: usize) -> u64 {
-        let bit = j * self.l as usize;
-        let shift = (bit % 8) as u32;
-        let mut v = word_at(self.low_bytes, bit / 8) >> shift;
-        if self.l + shift > 64 {
-            v |= word_at(self.low_bytes, bit / 8 + 8) << (64 - shift);
-        }
-        v & ((1u64 << self.l) - 1)
-    }
-
-    /// The next id; the caller reads at most the `n` it opened the
-    /// column with.
-    #[inline]
-    fn next(&mut self) -> Result<NodeId, CodecError> {
-        self.read += 1;
-        if self.read == 1 {
-            self.prev = self.first;
-            return Ok(self.first);
-        }
-        let j = self.read - 2;
-        let one = self.highs.next_one().ok_or(CodecError::UnexpectedEof {
-            needed: 1,
-            remaining: 0,
-        })?;
-        self.last_one = Some(one);
-        // As many zeros before the one as the high part is large.
-        let high = one - j as u64;
-        if high > u64::MAX >> self.l {
-            return Err(CodecError::VarintOverflow);
-        }
-        let id = self
-            .first
-            .checked_add(high << self.l | self.low(j))
-            .ok_or(CodecError::VarintOverflow)?;
-        if id <= self.prev {
-            return Err(CodecError::BadRef {
-                what: "node-id gap",
-                id: 0,
-            });
-        }
-        self.prev = id;
-        Ok(id)
-    }
-
-    /// On a column nothing has been read from: read on to the first of
-    /// its `n` ids at or past `target`, and return its index if it is
-    /// `target`. The ids whose high part lies below `target`'s are
-    /// stepped over by counting bits a word at a time, not read.
-    fn seek(&mut self, n: usize, target: NodeId) -> Result<Option<usize>, CodecError> {
-        if n == 0 || target <= self.first {
-            return Ok((n > 0 && target == self.first).then_some(0));
-        }
-        let below = self.highs.skip_zeros((target - self.first) >> self.l);
-        let Some(from) = usize::try_from(below).ok().filter(|&b| b < n - 1) else {
-            return Ok(None);
-        };
-        // Ids `1 ..= from` are below `target`: read on from the next.
-        (self.read, self.prev) = (from + 1, self.first);
-        for i in from + 1..n {
-            let id = self.next()?;
-            if id >= target {
-                return Ok((id == target).then_some(i));
-            }
-        }
-        Ok(None)
-    }
-
-    /// End of the column, after its last id: only the padding of the
-    /// low parts' last byte and the high parts' remains, all zero.
-    fn finish(self) -> Result<(), CodecError> {
-        let used = self.read.saturating_sub(1) * self.l as usize;
-        let padding = word_at(self.low_bytes, used / 8) >> (used % 8);
-        if padding != 0 {
-            return Err(CodecError::BadTag {
-                what: "padding",
-                tag: padding as u8,
-            });
-        }
-        self.highs.finish(self.last_one)
-    }
-}
-
 /// Serialize a delta in the columnar layout, by itself: the
 /// empty-table case of [`encode_columnar_delta_in`].
 pub fn encode_columnar_delta(d: &Delta) -> Bytes {
@@ -2028,7 +1654,7 @@ pub fn encode_columnar_delta_in(d: &Delta, table: &PairTable) -> Bytes {
         .collect();
     let ids: Vec<NodeId> = nodes.iter().map(|n| n.id).collect();
     let mut id_col = BytesMut::new();
-    put_ids(&mut id_col, &ids);
+    put_elias_fano(&mut id_col, &ids);
     let (counts, count_windows) = put_counts(&heads);
     let mut records = BytesMut::with_capacity(d.size() * 2);
     let mut record_windows = Vec::with_capacity(count_windows.len());
@@ -2143,7 +1769,7 @@ impl ColumnarDelta {
     /// miss decodes nothing else.
     fn node_index(&self, nid: NodeId) -> Result<Option<usize>, CodecError> {
         let ids = self.memo_seg(&self.ids, SEG_NODE_IDS);
-        Ids::new(ids, self.n_nodes)?.seek(self.n_nodes, nid)
+        EliasFano::open(ids, self.n_nodes)?.seek(nid)
     }
 
     /// `nid`'s record head and the record segment from its record on,
@@ -2278,7 +1904,8 @@ impl ColumnarDelta {
     /// a cache keeps so that summing the row again is a node-level
     /// [`Delta::sum_assign`].
     ///
-    /// Streams the id, counts and record cursors in lockstep and holds
+    /// Decodes the id column, then streams the counts and record
+    /// cursors in lockstep beside it and holds
     /// the row to what the point read relies on: every restart equal
     /// to the bytes its window of 16 records took and the bits of their
     /// codes. On `Err` — including
@@ -2294,7 +1921,7 @@ impl ColumnarDelta {
         let sraw = self.seg(SEG_RESTARTS);
         let craw = self.seg(SEG_COUNTS);
         let rraw = self.seg(SEG_RECORDS);
-        let mut ids = Ids::new(&iraw, self.n_nodes)?;
+        let ids = EliasFano::open(&iraw, self.n_nodes)?;
         let mut counts = Counts::new(&craw, self.n_nodes, 0)?;
         let mut sb: &[u8] = &sraw;
         let mut rb: &[u8] = &rraw;
@@ -2307,8 +1934,7 @@ impl ColumnarDelta {
         // What was left of the record segment and of the counts column
         // where the window began.
         let (mut window, mut window_bits) = (rb.len(), counts.bits_left());
-        for i in 0..self.n_nodes {
-            let id = ids.next()?;
+        for (i, id) in ids.get_all()?.into_iter().enumerate() {
             let head = counts.next()?;
             let node = sum_record(state, id, &head, &mut rb, pairs)?;
             if let Some(completed) = completed.as_deref_mut() {
@@ -2328,7 +1954,6 @@ impl ColumnarDelta {
                 (window, window_bits) = (rb.len(), counts.bits_left());
             }
         }
-        ids.finish()?;
         counts.finish()?;
         no_trailing(sb.len() + rb.len())
     }

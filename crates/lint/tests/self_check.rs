@@ -12,7 +12,7 @@ use hgs_lint::{find_workspace_root, lint_workspace, render_text};
 /// The allows in effect, per rule. Adding (or retiring) one changes
 /// this table — and the tally in ROADMAP.md's aim 3 — in the same
 /// diff.
-const ALLOWS_IN_EFFECT: &[(&str, usize)] = &[("no-panic-in-try", 6)];
+const ALLOWS_IN_EFFECT: &[(&str, usize)] = &[("no-panic-in-try", 5)];
 
 #[test]
 fn workspace_lints_clean() {
