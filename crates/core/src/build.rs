@@ -94,12 +94,12 @@
 //! The writer's **encode width** is its own number, not the read-side
 //! client width: by default the items fan out over
 //! `min(available_parallelism, ns)` workers while reads stay at one
-//! client; an explicit width ([`TgiService::try_build_on_c`]) sets both,
+//! client; an explicit width ([`TgiService::try_build_on`]) sets both,
 //! and at width 1 the items run inline, one after the other. Every
 //! width is property-tested to produce byte-for-byte identical stores.
 //!
 //! [`TgiService::try_append_events`]: crate::service::TgiService::try_append_events
-//! [`TgiService::try_build_on_c`]: crate::service::TgiService::try_build_on_c
+//! [`TgiService::try_build_on`]: crate::service::TgiService::try_build_on
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -195,7 +195,7 @@ pub(crate) struct Writer {
     pub(crate) tail_state: Delta,
     /// Worker count of the write path's per-`sid` span encode. The
     /// host's parallelism unless an explicit width was given
-    /// (`TgiService::try_build_on_c`), in which case it equals the
+    /// (`TgiService::try_build_on`), in which case it equals the
     /// view's read-side `clients`.
     pub(crate) encode_width: usize,
     /// Set when an append failed partway (see
@@ -1410,7 +1410,7 @@ mod tests {
             .expect("build")
             .pin();
         let store = Arc::new(SimStore::new(StoreConfig::new(4, 1)));
-        let one = TgiService::try_build_on_c(cfg, store, &events, 1)
+        let one = TgiService::try_build_on(cfg, store, &events, 1)
             .expect("build")
             .pin();
         assert_eq!(default.clients(), 1);

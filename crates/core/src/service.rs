@@ -98,7 +98,8 @@ impl TgiService {
     }
 
     /// Build an index over `events` (chronologically sorted) on a
-    /// fresh simulated cluster and serve it. Errors with
+    /// fresh simulated cluster and serve it, reading at one client and
+    /// encoding at the host's parallelism. Errors with
     /// [`StoreError::Unavailable`](hgs_store::StoreError::Unavailable)
     /// (wrapped in [`BuildError::Store`]) if any write is accepted by
     /// zero replicas — a build against a degraded cluster must not
@@ -108,28 +109,21 @@ impl TgiService {
         store_cfg: StoreConfig,
         events: &[Event],
     ) -> Result<Arc<TgiService>, BuildError> {
-        TgiService::try_build_on(cfg, Arc::new(SimStore::new(store_cfg)), events)
-    }
-
-    /// [`TgiService::try_build`] on an existing store, e.g. one whose
-    /// machines, fault plan or counters the caller already holds. The
-    /// store keeps its own retry policy ([`SimStore::set_retry_policy`]).
-    pub fn try_build_on(
-        cfg: TgiConfig,
-        store: Arc<SimStore>,
-        events: &[Event],
-    ) -> Result<Arc<TgiService>, BuildError> {
+        let store = Arc::new(SimStore::new(store_cfg));
         Writer::try_build(cfg, store, events, 1, host_parallelism()).map(TgiService::serve)
     }
 
-    /// [`TgiService::try_build_on`] with an explicit build parallelism
-    /// `c`: span encoding fans out over `c` work-stealing clients (one
-    /// work item per horizontal partition). Like
-    /// [`TgiView::with_clients`], `c` is taken as-is, never below one.
-    /// The service keeps `c` as the client width of the views it
-    /// publishes and as the encode width of further appends — `c = 1`
-    /// is how a writer stays off the cores its readers use.
-    pub fn try_build_on_c(
+    /// [`TgiService::try_build`] on an existing store, e.g. one whose
+    /// machines, fault plan or counters the caller already holds (the
+    /// store keeps its own retry policy,
+    /// [`SimStore::set_retry_policy`]), at an explicit width `c`: span
+    /// encoding fans out over `c` work-stealing clients (one work item
+    /// per horizontal partition). Like [`TgiView::with_clients`], `c`
+    /// is taken as-is, never below one. The service keeps `c` as the
+    /// client width of the views it publishes and as the encode width
+    /// of further appends — `c = 1` is how a writer stays off the cores
+    /// its readers use. Every width writes the same rows.
+    pub fn try_build_on(
         cfg: TgiConfig,
         store: Arc<SimStore>,
         events: &[Event],
@@ -304,7 +298,7 @@ mod tests {
         let svc = TgiService::try_build(TgiConfig::default(), StoreConfig::new(1, 1), &[]).unwrap();
         assert_eq!(widths(&svc), (1, host_parallelism()));
         let store = Arc::new(SimStore::new(StoreConfig::new(1, 1)));
-        let svc = TgiService::try_build_on_c(TgiConfig::default(), store, &[], 5).unwrap();
+        let svc = TgiService::try_build_on(TgiConfig::default(), store, &[], 5).unwrap();
         assert_eq!(widths(&svc), (5, 5));
         assert_eq!(svc.pin().clients(), 5, "published views read at 5");
     }
@@ -321,7 +315,7 @@ mod tests {
         assert_ne!(policy, hgs_store::RetryPolicy::default());
         store.set_retry_policy(policy);
         let evs = chain_events(30);
-        TgiService::try_build_on_c(TgiConfig::default(), Arc::clone(&store), &evs, 2).unwrap();
+        TgiService::try_build_on(TgiConfig::default(), Arc::clone(&store), &evs, 2).unwrap();
         assert_eq!(store.retry_policy(), policy);
     }
 
@@ -381,7 +375,7 @@ mod tests {
     fn recover_unpoisons_the_writer_and_keeps_the_watermark_sequence() {
         let evs = chain_events(120);
         let store = Arc::new(SimStore::new(StoreConfig::new(4, 2)));
-        let svc = TgiService::try_build_on_c(
+        let svc = TgiService::try_build_on(
             TgiConfig::default()
                 .with_timespan(50)
                 .with_eventlist_size(20),

@@ -36,7 +36,7 @@ fn fresh_build_issues_zero_reads() {
     let events = WikiGrowth::sized(4_000).generate();
     let store = Arc::new(SimStore::new(StoreConfig::new(3, 2)));
     let before = store.stats_snapshot();
-    let tgi = TgiService::try_build_on(cfg(), store.clone(), &events)
+    let tgi = TgiService::try_build_on(cfg(), store.clone(), &events, 1)
         .expect("build")
         .pin();
     let after = store.stats_snapshot();
@@ -59,7 +59,7 @@ fn fresh_build_issues_zero_reads() {
 fn a_chain_row_is_its_chunk_gaps_and_nothing_else() {
     let events = WikiGrowth::sized(4_000).generate();
     let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
-    let tgi = TgiService::try_build_on(cfg(), store.clone(), &events)
+    let tgi = TgiService::try_build_on(cfg(), store.clone(), &events, 1)
         .expect("build")
         .pin();
     let metas = common::span_metas(&tgi);
@@ -99,7 +99,7 @@ fn append_extends_chains_without_reading_them() {
     let split = events.len() / 2;
     let (prefix, suffix) = events.split_at(split);
     let store = Arc::new(SimStore::new(StoreConfig::new(3, 2)));
-    let tgi = TgiService::try_build_on(cfg(), store.clone(), prefix).expect("build");
+    let tgi = TgiService::try_build_on(cfg(), store.clone(), prefix, 1).expect("build");
     let before = store.stats_snapshot();
     tgi.try_append_events(suffix).expect("append");
     let after = store.stats_snapshot();
@@ -119,7 +119,7 @@ fn dead_machine_mid_chain_write_never_half_extends() {
     let split = events.len() / 2;
     let (prefix, suffix) = events.split_at(split);
     let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
-    let tgi = TgiService::try_build_on(cfg(), store.clone(), prefix).expect("build prefix");
+    let tgi = TgiService::try_build_on(cfg(), store.clone(), prefix, 1).expect("build prefix");
 
     let probe_ids: Vec<u64> = (0..16).collect();
     let chains = |view: &TgiView| -> Vec<_> {
@@ -170,7 +170,7 @@ fn a_damaged_chain_row_of_a_later_span_does_not_reach_a_pinned_view() {
     }
     let (prefix, suffix) = events.split_at(cut);
     let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
-    let svc = TgiService::try_build_on(cfg(), store.clone(), prefix).expect("build");
+    let svc = TgiService::try_build_on(cfg(), store.clone(), prefix, 1).expect("build");
     let pinned = svc.pin();
     svc.try_append_events(suffix).expect("append");
 

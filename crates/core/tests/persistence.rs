@@ -34,7 +34,7 @@ fn reopened_index_answers_identically() {
     let end = events.last().unwrap().time;
 
     let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
-    let built = TgiService::try_build_on(cfg(), store.clone(), &events)
+    let built = TgiService::try_build_on(cfg(), store.clone(), &events, 1)
         .unwrap()
         .pin();
     let reopened = TgiService::open(store).expect("open persisted index").pin();
@@ -72,7 +72,7 @@ fn reopened_index_with_locality_maps() {
     let cfg = cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: true,
     });
-    let built = TgiService::try_build_on(cfg, store.clone(), &events)
+    let built = TgiService::try_build_on(cfg, store.clone(), &events, 1)
         .unwrap()
         .pin();
     let reopened = TgiService::open(store).expect("open persisted index").pin();
@@ -124,7 +124,7 @@ fn reopened_locality_maps_still_place_nodes_the_span_removed() {
     let cfg = cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: true,
     });
-    let built = TgiService::try_build_on(cfg, store.clone(), &events)
+    let built = TgiService::try_build_on(cfg, store.clone(), &events, 1)
         .unwrap()
         .pin();
     let reopened = TgiService::open(store).expect("open persisted index").pin();
@@ -170,7 +170,7 @@ fn reopened_index_accepts_appends() {
     }
 
     let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-    TgiService::try_build_on(cfg(), store.clone(), &events[..cut_at]).unwrap();
+    TgiService::try_build_on(cfg(), store.clone(), &events[..cut_at], 1).unwrap();
     let reopened = TgiService::open(store).expect("open persisted index");
     reopened.try_append_events(&events[cut_at..]).unwrap();
     let reopened = reopened.pin();
@@ -219,7 +219,7 @@ fn an_append_rewrites_no_row_but_graph_meta() {
     .generate();
     let [built, batches @ ..] = build_and_two_appends(&events);
     let store = Arc::new(SimStore::new(StoreConfig::new(1, 1)));
-    let svc = TgiService::try_build_on(cfg(), store.clone(), built).unwrap();
+    let svc = TgiService::try_build_on(cfg(), store.clone(), built, 1).unwrap();
     let meta_key = [&[Table::Graph.tag()][..], b"meta"].concat();
     let puts = || store.stats_snapshot().iter().map(|m| m.puts).sum::<u64>();
     for batch in batches {
@@ -266,7 +266,7 @@ fn reopened_spans_end_where_the_next_begins() {
     .generate();
     let [built, batches @ ..] = build_and_two_appends(&events);
     let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-    let svc = TgiService::try_build_on(cfg(), store.clone(), built).unwrap();
+    let svc = TgiService::try_build_on(cfg(), store.clone(), built, 1).unwrap();
     for batch in batches {
         svc.try_append_events(batch).unwrap();
     }

@@ -95,12 +95,12 @@ proptest! {
             ..TgiConfig::default()
         };
         let one_store = fresh_store(3, 2);
-        let one = TgiService::try_build_on_c(cfg, one_store.clone(), &trace, 1).expect("width-1 build").pin();
+        let one = TgiService::try_build_on(cfg, one_store.clone(), &trace, 1).expect("width-1 build").pin();
         assert_answers_equal_replay(&one, &trace);
         let reference = one_store.content_rows();
         for c in [2usize, 4] {
             let store = fresh_store(3, 2);
-            TgiService::try_build_on_c(cfg, store.clone(), &trace, c).expect("build").pin();
+            TgiService::try_build_on(cfg, store.clone(), &trace, c).expect("build").pin();
             prop_assert_eq!(
                 &store.content_rows(),
                 &reference,
@@ -142,12 +142,12 @@ proptest! {
 
         let one_store = fresh_store(2, 1);
         let one =
-            TgiService::try_build_on_c(cfg, one_store.clone(), prefix, 1).expect("width-1 build");
+            TgiService::try_build_on(cfg, one_store.clone(), prefix, 1).expect("width-1 build");
         one.try_append_events(suffix).expect("width-1 append");
 
         let store = fresh_store(2, 1);
         let tgi =
-            TgiService::try_build_on_c(cfg, store.clone(), prefix, clients).expect("wide build");
+            TgiService::try_build_on(cfg, store.clone(), prefix, clients).expect("wide build");
         tgi.try_append_events(suffix).expect("wide append");
         prop_assert_eq!(
             &store.content_rows(),
@@ -205,10 +205,10 @@ fn default_width_service_matches_explicit_width_one() {
             ..TgiConfig::default()
         };
         let one_store = fresh_store(3, 1);
-        let one = TgiService::try_build_on_c(cfg, one_store.clone(), &history[..cuts[0]], 1)
+        let one = TgiService::try_build_on(cfg, one_store.clone(), &history[..cuts[0]], 1)
             .expect("width-1 build");
         let store = fresh_store(3, 1);
-        let svc = TgiService::try_build_on(cfg, store.clone(), &history[..cuts[0]])
+        let svc = TgiService::try_build_on(cfg, store.clone(), &history[..cuts[0]], 1)
             .expect("default-width build");
         for w in cuts.windows(2) {
             one.try_append_events(&history[w[0]..w[1]])
@@ -242,11 +242,11 @@ fn wide_aux_build_matches_width_one_and_stays_batched() {
         ..TgiConfig::default()
     };
     let one_store = fresh_store(4, 1);
-    TgiService::try_build_on_c(cfg, one_store.clone(), &trace, 1)
+    TgiService::try_build_on(cfg, one_store.clone(), &trace, 1)
         .expect("width-1 build")
         .pin();
     let store = fresh_store(4, 1);
-    let tgi = TgiService::try_build_on_c(cfg, store.clone(), &trace, 4)
+    let tgi = TgiService::try_build_on(cfg, store.clone(), &trace, 4)
         .expect("wide build")
         .pin();
     assert_eq!(store.content_rows(), one_store.content_rows());

@@ -52,7 +52,7 @@ fn fixture() -> &'static Fixture {
             ..TgiConfig::default()
         };
         let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-        let tgi = TgiService::try_build_on(cfg, store.clone(), &events)
+        let tgi = TgiService::try_build_on(cfg, store.clone(), &events, 1)
             .expect("build")
             .pin();
         let mut rows: Vec<(u64, u32, Bytes)> = store

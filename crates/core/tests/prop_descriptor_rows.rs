@@ -49,7 +49,7 @@ fn fixture() -> &'static Fixture {
             replicate_boundary: false,
         });
         let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-        let tgi = TgiService::try_build_on(cfg, store.clone(), &events)
+        let tgi = TgiService::try_build_on(cfg, store.clone(), &events, 1)
             .expect("build")
             .pin();
         assert_eq!(tgi.span_count(), 2, "a two-span build");

@@ -67,7 +67,7 @@ fn small_cfg(on: bool) -> TgiConfig {
 }
 
 fn build_c(cfg: TgiConfig, events: &[Event], c: usize) -> Arc<TgiService> {
-    TgiService::try_build_on_c(
+    TgiService::try_build_on(
         cfg,
         Arc::new(SimStore::new(StoreConfig::new(2, 1))),
         events,

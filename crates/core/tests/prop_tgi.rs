@@ -129,7 +129,7 @@ proptest! {
             ..shape
         };
         let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-        let tgi = TgiService::try_build_on_c(cfg, store, &trace, 4).unwrap().pin();
+        let tgi = TgiService::try_build_on(cfg, store, &trace, 4).unwrap().pin();
         assert_answers_equal_replay(&tgi, &trace);
     }
 }

@@ -560,7 +560,7 @@ impl Sim {
         }
         let (cfg, width, store) = (self.setup.cfg.config(), self.setup.width, &self.store);
         let prefix = &self.events[..self.cuts[0]];
-        match TgiService::try_build_on_c(cfg, Arc::clone(store), prefix, width) {
+        match TgiService::try_build_on(cfg, Arc::clone(store), prefix, width) {
             Ok(svc) => {
                 self.watermark = svc.watermark();
                 self.svc = Some(svc);
@@ -599,7 +599,7 @@ impl Sim {
         self.expected.entry((at, q)).or_insert_with(|| {
             let oracle = oracles.entry(at).or_insert_with(|| {
                 let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-                let svc = TgiService::try_build_on_c(cfg, store, prefix, 1).expect("healthy");
+                let svc = TgiService::try_build_on(cfg, store, prefix, 1).expect("healthy");
                 svc.pin()
             });
             q.ask(oracle, self.end).expect("a healthy rebuild answers")
@@ -745,7 +745,7 @@ impl Sim {
         let (s, events) = (self.setup, &self.events);
         let store = Arc::new(SimStore::new(StoreConfig::new(s.machines, s.replication)));
         let build = &events[..self.cuts[0]];
-        let svc = TgiService::try_build_on_c(s.cfg.config(), Arc::clone(&store), build, 1);
+        let svc = TgiService::try_build_on(s.cfg.config(), Arc::clone(&store), build, 1);
         let svc = svc.expect("healthy");
         for w in self.cuts[..=self.landed].windows(2) {
             svc.try_append_events(&events[w[0]..w[1]]).expect("healthy");
@@ -1162,7 +1162,7 @@ fn pinned_reads_complete_while_an_append_is_in_flight() {
     // Five spans per append, so the store takes writes from early in
     // each window; writer at width 1, so the reader has its own core.
     let cfg = TgiConfig::default().with_timespan(1_000);
-    let svc = TgiService::try_build_on_c(cfg, Arc::clone(&store), &events[..cuts[0]], 1).unwrap();
+    let svc = TgiService::try_build_on(cfg, Arc::clone(&store), &events[..cuts[0]], 1).unwrap();
     let written = || -> u64 { store.stats_snapshot().iter().map(|m| m.put_batches).sum() };
     let finished = AtomicBool::new(false);
     let done = || finished.load(Ordering::Acquire);

@@ -443,7 +443,7 @@ fn every_chain_entry_names_an_eventlist_row_holding_the_node() {
         let cfg = small_cfg().with_strategy(strategy);
         let ns = cfg.horizontal_partitions;
         let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-        let built = TgiService::try_build_on(cfg, store.clone(), &events)
+        let built = TgiService::try_build_on(cfg, store.clone(), &events, 1)
             .unwrap()
             .pin();
         assert!(built.span_count() > 1, "several spans, several maps");
