@@ -8,8 +8,6 @@
 
 mod common;
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 use hgs_core::{TgiConfig, TgiService, TgiView};
 use hgs_datagen::{SkewedLabels, WikiGrowth};
@@ -34,15 +32,13 @@ fn cfg() -> TgiConfig {
 #[test]
 fn fresh_build_issues_zero_reads() {
     let events = WikiGrowth::sized(4_000).generate();
-    let store = Arc::new(SimStore::new(StoreConfig::new(3, 2)));
-    let before = store.stats_snapshot();
-    let tgi = TgiService::try_build_on(cfg(), store.clone(), &events, 1)
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 2), &events)
         .expect("build")
         .pin();
-    let after = store.stats_snapshot();
-    let delta = SimStore::stats_since(&after, &before);
-    let gets: u64 = delta.iter().map(|m| m.gets).sum();
-    let scans: u64 = delta.iter().map(|m| m.scans).sum();
+    // The store is fresh: everything it counted, the build did.
+    let stats = tgi.store().stats_snapshot();
+    let gets: u64 = stats.iter().map(|m| m.gets).sum();
+    let scans: u64 = stats.iter().map(|m| m.scans).sum();
     assert_eq!(gets, 0, "fresh build must not issue point reads");
     assert_eq!(scans, 0, "fresh build must not issue scans");
     // Sanity: chains were actually written and are readable.
@@ -58,10 +54,10 @@ fn fresh_build_issues_zero_reads() {
 #[test]
 fn a_chain_row_is_its_chunk_gaps_and_nothing_else() {
     let events = WikiGrowth::sized(4_000).generate();
-    let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
-    let tgi = TgiService::try_build_on(cfg(), store.clone(), &events, 1)
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
         .expect("build")
         .pin();
+    let store = tgi.store();
     let metas = common::span_metas(&tgi);
     let mut rows = 0;
     for (key, row) in store.content_rows().into_iter().flatten() {
@@ -98,8 +94,8 @@ fn append_extends_chains_without_reading_them() {
     let events = WikiGrowth::sized(4_000).generate();
     let split = events.len() / 2;
     let (prefix, suffix) = events.split_at(split);
-    let store = Arc::new(SimStore::new(StoreConfig::new(3, 2)));
-    let tgi = TgiService::try_build_on(cfg(), store.clone(), prefix, 1).expect("build");
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 2), prefix).expect("build");
+    let store = tgi.store();
     let before = store.stats_snapshot();
     tgi.try_append_events(suffix).expect("append");
     let after = store.stats_snapshot();
@@ -118,8 +114,8 @@ fn dead_machine_mid_chain_write_never_half_extends() {
     let events = WikiGrowth::sized(4_000).generate();
     let split = events.len() / 2;
     let (prefix, suffix) = events.split_at(split);
-    let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
-    let tgi = TgiService::try_build_on(cfg(), store.clone(), prefix, 1).expect("build prefix");
+    let tgi = TgiService::try_build(cfg(), StoreConfig::new(3, 1), prefix).expect("build prefix");
+    let store = tgi.store();
 
     let probe_ids: Vec<u64> = (0..16).collect();
     let chains = |view: &TgiView| -> Vec<_> {
@@ -169,8 +165,8 @@ fn a_damaged_chain_row_of_a_later_span_does_not_reach_a_pinned_view() {
         cut += 1;
     }
     let (prefix, suffix) = events.split_at(cut);
-    let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
-    let svc = TgiService::try_build_on(cfg(), store.clone(), prefix, 1).expect("build");
+    let svc = TgiService::try_build(cfg(), StoreConfig::new(3, 1), prefix).expect("build");
+    let store = svc.store();
     let pinned = svc.pin();
     svc.try_append_events(suffix).expect("append");
 

@@ -4,7 +4,6 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use hgs_core::{PartitionStrategy, TgiConfig, TgiService, TgiView};
@@ -33,11 +32,12 @@ fn reopened_index_answers_identically() {
     let events = augment_with_churn(&base, 1_000, 0.4, 5);
     let end = events.last().unwrap().time;
 
-    let store = Arc::new(SimStore::new(StoreConfig::new(3, 1)));
-    let built = TgiService::try_build_on(cfg(), store.clone(), &events, 1)
+    let built = TgiService::try_build(cfg(), StoreConfig::new(3, 1), &events)
         .unwrap()
         .pin();
-    let reopened = TgiService::open(store).expect("open persisted index").pin();
+    let reopened = TgiService::open(built.store().clone())
+        .expect("open persisted index")
+        .pin();
 
     assert_eq!(reopened.span_count(), built.span_count());
     assert_eq!(reopened.end_time(), built.end_time());
@@ -68,14 +68,15 @@ fn reopened_index_with_locality_maps() {
     }
     .generate();
     let end = events.last().unwrap().time;
-    let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
     let cfg = cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: true,
     });
-    let built = TgiService::try_build_on(cfg, store.clone(), &events, 1)
+    let built = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events)
         .unwrap()
         .pin();
-    let reopened = TgiService::open(store).expect("open persisted index").pin();
+    let reopened = TgiService::open(built.store().clone())
+        .expect("open persisted index")
+        .pin();
     for t in [end / 2, end] {
         assert_eq!(
             reopened.try_snapshot(t).unwrap(),
@@ -120,14 +121,15 @@ fn reopened_locality_maps_still_place_nodes_the_span_removed() {
         events.push(e);
         events.extend(removal);
     }
-    let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
     let cfg = cfg().with_strategy(PartitionStrategy::Locality {
         replicate_boundary: true,
     });
-    let built = TgiService::try_build_on(cfg, store.clone(), &events, 1)
+    let built = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events)
         .unwrap()
         .pin();
-    let reopened = TgiService::open(store).expect("open persisted index").pin();
+    let reopened = TgiService::open(built.store().clone())
+        .expect("open persisted index")
+        .pin();
     let mut alive = 0;
     for (id, t_removed) in removed {
         let alive_at = t_removed - 1;
@@ -169,9 +171,8 @@ fn reopened_index_accepts_appends() {
         cut_at += 1;
     }
 
-    let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-    TgiService::try_build_on(cfg(), store.clone(), &events[..cut_at], 1).unwrap();
-    let reopened = TgiService::open(store).expect("open persisted index");
+    let built = TgiService::try_build(cfg(), StoreConfig::new(2, 1), &events[..cut_at]).unwrap();
+    let reopened = TgiService::open(built.store()).expect("open persisted index");
     reopened.try_append_events(&events[cut_at..]).unwrap();
     let reopened = reopened.pin();
 
@@ -218,8 +219,8 @@ fn an_append_rewrites_no_row_but_graph_meta() {
     }
     .generate();
     let [built, batches @ ..] = build_and_two_appends(&events);
-    let store = Arc::new(SimStore::new(StoreConfig::new(1, 1)));
-    let svc = TgiService::try_build_on(cfg(), store.clone(), built, 1).unwrap();
+    let svc = TgiService::try_build(cfg(), StoreConfig::new(1, 1), built).unwrap();
+    let store = svc.store();
     let meta_key = [&[Table::Graph.tag()][..], b"meta"].concat();
     let puts = || store.stats_snapshot().iter().map(|m| m.puts).sum::<u64>();
     for batch in batches {
@@ -265,8 +266,8 @@ fn reopened_spans_end_where_the_next_begins() {
     }
     .generate();
     let [built, batches @ ..] = build_and_two_appends(&events);
-    let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-    let svc = TgiService::try_build_on(cfg(), store.clone(), built, 1).unwrap();
+    let svc = TgiService::try_build(cfg(), StoreConfig::new(2, 1), built).unwrap();
+    let store = svc.store();
     for batch in batches {
         svc.try_append_events(batch).unwrap();
     }

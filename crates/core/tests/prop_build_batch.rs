@@ -207,8 +207,7 @@ fn default_width_service_matches_explicit_width_one() {
         let one_store = fresh_store(3, 1);
         let one = TgiService::try_build_on(cfg, one_store.clone(), &history[..cuts[0]], 1)
             .expect("width-1 build");
-        let store = fresh_store(3, 1);
-        let svc = TgiService::try_build_on(cfg, store.clone(), &history[..cuts[0]], 1)
+        let svc = TgiService::try_build(cfg, StoreConfig::new(3, 1), &history[..cuts[0]])
             .expect("default-width build");
         for w in cuts.windows(2) {
             one.try_append_events(&history[w[0]..w[1]])
@@ -217,7 +216,7 @@ fn default_width_service_matches_explicit_width_one() {
                 .expect("default-width append");
         }
         assert_eq!(
-            store.content_rows(),
+            svc.store().content_rows(),
             one_store.content_rows(),
             "default-width rows diverged for {strategy:?}"
         );

@@ -22,7 +22,7 @@ use common::{attr_history_by_replay, chunk_of, put_everywhere, touches};
 use hgs_core::{encode_chain, ChainEntry, TgiConfig, TgiService, TgiView, TimespanMeta, LABEL_KEY};
 use hgs_datagen::SkewedLabels;
 use hgs_delta::{normalize_events, Event, TimeRange};
-use hgs_store::{chain_key, chain_key_tsid, SimStore, StoreConfig, StoreError, Table};
+use hgs_store::{chain_key, chain_key_tsid, StoreConfig, StoreError, Table};
 use proptest::prelude::*;
 
 /// One index every case damages one row of, and puts back.
@@ -51,10 +51,10 @@ fn fixture() -> &'static Fixture {
             horizontal_partitions: 2,
             ..TgiConfig::default()
         };
-        let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-        let tgi = TgiService::try_build_on(cfg, store.clone(), &events, 1)
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events)
             .expect("build")
             .pin();
+        let store = tgi.store();
         let mut rows: Vec<(u64, u32, Bytes)> = store
             .content_rows()
             .into_iter()

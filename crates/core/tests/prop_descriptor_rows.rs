@@ -48,10 +48,10 @@ fn fixture() -> &'static Fixture {
         .with_strategy(PartitionStrategy::Locality {
             replicate_boundary: false,
         });
-        let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-        let tgi = TgiService::try_build_on(cfg, store.clone(), &events, 1)
+        let tgi = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events)
             .expect("build")
             .pin();
+        let store = tgi.store().clone();
         assert_eq!(tgi.span_count(), 2, "a two-span build");
         let end = tgi.end_time();
         let times = [end / 4, end / 2, end];

@@ -412,9 +412,8 @@ fn version_chains_are_complete_and_sorted() {
 fn every_chain_entry_names_an_eventlist_row_holding_the_node() {
     use hgs_core::{sid_of, ELIST_BASE};
     use hgs_delta::ColumnarEventlist;
-    use hgs_store::{DeltaKey, SimStore, Table};
+    use hgs_store::{DeltaKey, Table};
     use std::collections::BTreeMap;
-    use std::sync::Arc;
 
     // Every 300th event also removes the node it touched.
     let mut events = Vec::new();
@@ -442,10 +441,10 @@ fn every_chain_entry_names_an_eventlist_row_holding_the_node() {
     ] {
         let cfg = small_cfg().with_strategy(strategy);
         let ns = cfg.horizontal_partitions;
-        let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
-        let built = TgiService::try_build_on(cfg, store.clone(), &events, 1)
+        let built = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events)
             .unwrap()
             .pin();
+        let store = built.store();
         assert!(built.span_count() > 1, "several spans, several maps");
         let elists: BTreeMap<Vec<u8>, ColumnarEventlist> = store
             .content_rows()
