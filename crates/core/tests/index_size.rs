@@ -129,7 +129,7 @@
 
 mod common;
 
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 use hgs_core::{TgiConfig, TgiService, AUX_BASE, ELIST_BASE};
 use hgs_datagen::{SkewedLabels, WikiGrowth};
@@ -508,9 +508,14 @@ fn row_digest(events: &[Event], batch: Option<usize>) -> Digest {
     let (mut rows, mut bytes, mut h) = (0, 0, FxHasher::default());
     for (machine, content) in svc.store().content_rows().into_iter().enumerate() {
         for (key, value) in content {
-            (machine, &key[..], &value[..]).hash(&mut h);
+            // Fed word by word, so the digest is of the bytes alone.
+            h.write_u64(machine as u64);
+            for part in [&key[..], &value[..]] {
+                h.write_u64(part.len() as u64);
+                h.write(part);
+                bytes += part.len();
+            }
             rows += 1;
-            bytes += key.len() + value.len();
         }
     }
     (rows, bytes, h.finish())
