@@ -41,7 +41,7 @@
 use bytes::{Bytes, BytesMut};
 
 use crate::attr::AttrValue;
-use crate::bits::{rising_k, BitReader, BitWriter};
+use crate::bits::{bit_len, rising_k, BitReader, BitWriter};
 use crate::codec::{get_len, get_varint, note_decoded, put_attr_value, put_str, put_varint};
 use crate::error::CodecError;
 use crate::hash::FxHashSet;
@@ -117,8 +117,7 @@ const W_BITS: u32 = 7;
 
 /// The bit length of the largest node id of `changes`.
 fn nid_width(changes: &[TermPoint]) -> u32 {
-    let max = changes.iter().map(|p| p.nid).max().unwrap_or(0);
-    u64::BITS - max.leading_zeros()
+    bit_len(changes.iter().map(|p| p.nid).max().unwrap_or(0))
 }
 
 /// Decode a value-term change-point row.
@@ -409,13 +408,8 @@ mod tests {
     fn term_rows_round_trip_and_refuse_every_cut() {
         // Rows of carry and change points from a small generator: each
         // decodes to what was encoded, and every prefix is refused.
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = |m: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % m
-        };
+        let mut x = crate::tests::xorshift(0x9e37_79b9_7f4a_7c15);
+        let mut next = |m: u64| x() % m;
         for case in 0..300u64 {
             let start = next(1 << (case % 40));
             let mut points = Vec::new();

@@ -43,6 +43,11 @@ pub(crate) fn width_for(n: usize) -> u32 {
     usize::BITS - n.saturating_sub(1).leading_zeros()
 }
 
+/// The bit length of `v`: what a fixed-width code of it needs.
+pub(crate) fn bit_len(v: u64) -> u32 {
+    u64::BITS - v.leading_zeros()
+}
+
 /// Largest Rice parameter: a `u64` gap's low bits.
 pub(crate) const MAX_RICE_K: u8 = 63;
 
@@ -80,6 +85,12 @@ pub(crate) struct BitWriter<'a> {
 impl<'a> BitWriter<'a> {
     pub(crate) fn new(out: &'a mut BytesMut) -> BitWriter<'a> {
         BitWriter { out, acc: 0, n: 0 }
+    }
+
+    /// Bits written so far, the buffer's own before this writer's
+    /// included.
+    pub(crate) fn written(&self) -> u64 {
+        self.out.len() as u64 * 8 + u64::from(self.n)
     }
 
     /// Write the low `width` bits of `v` (`width <= 64`).
@@ -463,6 +474,15 @@ pub(crate) fn check_rice_k(k: u8) -> Result<u8, CodecError> {
     Ok(k)
 }
 
+/// Read the head of a column of `n` values that spells its first as a
+/// varint and, when more follow, a parameter byte: an eventlist
+/// column's Rice parameter or an Elias–Fano column's low-part width.
+pub(crate) fn get_head(b: &mut &[u8], n: usize) -> Result<(u64, u8), CodecError> {
+    let first = if n > 0 { get_varint(b)? } else { 0 };
+    let param = if n > 1 { check_rice_k(get_u8(b)?)? } else { 0 };
+    Ok((first, param))
+}
+
 /// Append an Elias–Fano column of rising `values`: `varint first`,
 /// then, when there are more, `u8 l` and each further value's offset
 /// from the first in two parts: its low `l` bits, fixed-width, for
@@ -509,13 +529,8 @@ impl<'a> EliasFano<'a> {
     /// has before anything is read (every value past the first takes
     /// at least one in the high parts), so a caller may size by it.
     pub(crate) fn open(mut b: &'a [u8], n: usize) -> Result<EliasFano<'a>, CodecError> {
-        let first = if n > 0 { get_varint(&mut b)? } else { 0 };
+        let (first, l) = get_head(&mut b, n)?;
         let further = n.saturating_sub(1);
-        let l = if further > 0 {
-            check_rice_k(get_u8(&mut b)?)?
-        } else {
-            0
-        };
         let low_len = further.saturating_mul(usize::from(l)).div_ceil(8);
         BitReader::new(b).check_left(low_len.saturating_mul(8).saturating_add(further))?;
         let (lows, highs) = b.split_at(low_len);
@@ -596,6 +611,7 @@ impl<'a> EliasFano<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::xorshift;
 
     fn written(f: impl FnOnce(&mut BitWriter<'_>)) -> BytesMut {
         let mut out = BytesMut::new();
@@ -648,16 +664,6 @@ mod tests {
         assert_eq!(rice_k(u128::from(u64::MAX) * 4, 2), MAX_RICE_K);
     }
 
-    /// A xorshift generator of values below `m`.
-    fn xorshift(mut x: u64) -> impl FnMut(u64) -> u64 {
-        move |m| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % m
-        }
-    }
-
     #[test]
     fn rising_columns_round_trip_at_every_parameter() {
         // Bias 0 and 1, parameters 0 to 20, columns of up to 200 values
@@ -673,7 +679,7 @@ mod tests {
             } else {
                 top
             };
-            let gaps: Vec<u64> = (0..n).map(|_| next(2 * top)).collect();
+            let gaps: Vec<u64> = (0..n).map(|_| next() % (2 * top)).collect();
             let values: Vec<u64> = (0..n)
                 .scan(from, |v, i| {
                     *v += gaps[i] + if i > 0 { bias } else { 0 };
@@ -702,7 +708,7 @@ mod tests {
             .flat_map(|l| [1, 4, 7].map(|d| (l, d)))
         {
             let buf: Vec<u8> = (0..len)
-                .map(|_| (0..8).fold(0, |b, i| b | u8::from(next(8) < density) << i))
+                .map(|_| (0..8).fold(0, |b, i| b | u8::from(next() % 8 < density) << i))
                 .collect();
             let bit = |i: usize| buf[i / 8] >> (i % 8) & 1 == 1;
             for start in 0..=len * 8 {

@@ -103,11 +103,9 @@ mod tests {
                 sets.push((q, (0..q as u32).filter(|c| mask >> c & 1 == 1).collect()));
             }
         }
-        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = crate::tests::xorshift(0x2545_f491_4f6c_dd1d);
         for _ in 0..2000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
+            let x = next();
             let set: Vec<u32> = (0..40).filter(|c| x >> c & 1 == 1).collect();
             if !set.is_empty() {
                 sets.push((40, set));
@@ -175,13 +173,7 @@ mod tests {
         // Byte strings with no relation to a row, read for spans of 1 to
         // 64 chunks: every `Ok` names chunks that rise and lie in the
         // span — so at most `q` of them — and nothing panics.
-        let mut x = 0x853c_49e6_748f_ea9bu64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut next = crate::tests::xorshift(0x853c_49e6_748f_ea9b);
         for _ in 0..20_000 {
             let len = (next() % 12) as usize;
             let row: Vec<u8> = (0..len).map(|_| next() as u8).collect();

@@ -940,13 +940,7 @@ mod tests {
         // Byte strings of varints of any length, cut anywhere: skipping
         // `n` varints ends where `n` reads end, and a cut-off one is
         // refused alike.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut next = crate::tests::xorshift(0x9E37_79B9_7F4A_7C15);
         for _ in 0..20_000 {
             let len = (next() % 40) as usize;
             let cont = next() % 4;

@@ -105,7 +105,7 @@ use super::{
     DELTA_MAGIC, DELTA_SEGS,
 };
 use crate::attr::{AttrValue, Attrs};
-use crate::bits::{check_rice_k, put_elias_fano, rice_k, BitReader, BitWriter, EliasFano};
+use crate::bits::{bit_len, check_rice_k, put_elias_fano, rice_k, BitReader, BitWriter, EliasFano};
 use crate::codec::{
     get_attr_value, get_len, get_record, get_u8, get_varint, put_attr_value, put_record,
     put_varint, skip_record, skip_varints, RecordHead, MAX_LEN, SHAPE_BITS, SHAPE_DEFAULT,
@@ -245,16 +245,6 @@ const COUNTS_ATTRS: u8 = 1 << 6;
 /// Counts-column flag: every code holds a shape.
 const COUNTS_SHAPES: u8 = 1 << 7;
 
-/// Bits a Rice code of `v` with parameter `k` takes.
-fn rice_len(v: u64, k: u8) -> u64 {
-    (v >> k) + 1 + u64::from(k)
-}
-
-/// The bit length of `v`: what a fixed-width code of it needs.
-fn bit_len(v: u64) -> u32 {
-    u64::BITS - v.leading_zeros()
-}
-
 /// Whether the records of `nodes` are smaller with each first neighbour
 /// in its head's code, as wide as the largest, than as a varint in front
 /// of its record — by more than it can cost elsewhere: the width byte,
@@ -316,25 +306,21 @@ fn put_counts(heads: &[RecordHead]) -> (BytesMut, Vec<u64>) {
         out.put_u8(w_first as u8);
     }
     let mut bits = BitWriter::new(&mut out);
-    let mut window = 0u64;
+    let mut window = bits.written();
     for (i, h) in heads.iter().enumerate() {
         bits.put_rice(h.n_edges as u64, k_edges);
-        window += rice_len(h.n_edges as u64, k_edges);
         if let Some(first) = h.first {
             bits.put(first, w_first);
-            window += u64::from(w_first);
         }
         if attrs {
             bits.put_rice(h.n_attrs as u64, k_attrs);
-            window += rice_len(h.n_attrs as u64, k_attrs);
         }
         if shapes {
             bits.put(u64::from(h.shape), SHAPE_BITS);
-            window += u64::from(SHAPE_BITS);
         }
         if (i + 1) % RESTART_INTERVAL == 0 {
-            windows.push(window);
-            window = 0;
+            windows.push(bits.written() - window);
+            window = bits.written();
         }
     }
     bits.finish();
@@ -445,11 +431,6 @@ impl<'a> Counts<'a> {
             }
         }
         Ok(())
-    }
-
-    /// Bits not yet read (padding included).
-    fn bits_left(&self) -> usize {
-        self.bits.bits_left()
     }
 
     /// End of the column, after its last head: every flag it sets was
@@ -832,7 +813,7 @@ impl ColumnarDelta {
         }
         // What was left of the record segment and of the counts column
         // where the window began.
-        let (mut window, mut window_bits) = (rb.len(), counts.bits_left());
+        let (mut window, mut window_bits) = (rb.len(), counts.bits.bits_left());
         for (i, id) in ids.get_all()?.into_iter().enumerate() {
             let head = counts.next()?;
             let node = sum_record(state, id, &head, &mut rb, pairs)?;
@@ -840,7 +821,7 @@ impl ColumnarDelta {
                 completed.insert_shared(Arc::clone(node));
             }
             if (i + 1) % RESTART_INTERVAL == 0 {
-                let took = [window - rb.len(), window_bits - counts.bits_left()];
+                let took = [window - rb.len(), window_bits - counts.bits.bits_left()];
                 for took in took {
                     let restart = get_varint(&mut sb)?;
                     if restart != took as u64 {
@@ -850,7 +831,7 @@ impl ColumnarDelta {
                         });
                     }
                 }
-                (window, window_bits) = (rb.len(), counts.bits_left());
+                (window, window_bits) = (rb.len(), counts.bits.bits_left());
             }
         }
         counts.finish()?;
@@ -1441,11 +1422,11 @@ mod tests {
         let craw = col.seg(SEG_COUNTS);
         let mut counts = Counts::new(&craw, 40, 0).unwrap();
         for want in bits {
-            let before = counts.bits_left();
+            let before = counts.bits.bits_left();
             for _ in 0..RESTART_INTERVAL {
                 counts.next().unwrap();
             }
-            assert_eq!((before - counts.bits_left()) as u64, want);
+            assert_eq!((before - counts.bits.bits_left()) as u64, want);
         }
         // The two windows are the records of the first 32 nodes: a row
         // of those alone spells them alike (pairs are numbered in order

@@ -48,10 +48,8 @@ use super::{
     ELIST_MAGIC, ELIST_SEGS,
 };
 use crate::attr::AttrValue;
-use crate::bits::{check_rice_k, rising_k, width_for, BitReader, BitWriter};
-use crate::codec::{
-    get_attr_value, get_f32, get_len, get_u8, get_varint, put_attr_value, put_f32, put_varint,
-};
+use crate::bits::{get_head, rising_k, width_for, BitReader, BitWriter};
+use crate::codec::{get_attr_value, get_f32, get_len, get_u8, put_attr_value, put_f32, put_varint};
 use crate::error::CodecError;
 use crate::event::{Event, EventKind, Eventlist};
 use crate::pair_table::{PairTable, ValueKey, EMPTY};
@@ -191,18 +189,21 @@ fn get_indexes(
 /// rising column from `first + bias` (`bias` 1 for a strictly
 /// ascending column, 0 for a non-decreasing one). Nothing at all for an
 /// empty column.
-fn put_ascending(out: &mut BytesMut, values: &[u64], bias: u64) {
-    let Some((&first, rest)) = values.split_first() else {
+fn put_ascending<I>(out: &mut BytesMut, mut values: I, bias: u64)
+where
+    I: ExactSizeIterator<Item = u64> + DoubleEndedIterator + Clone,
+{
+    let Some(first) = values.next() else {
         return;
     };
     put_varint(out, first);
-    let Some(&last) = rest.last() else {
+    let Some(last) = values.clone().next_back() else {
         return;
     };
-    let k = rising_k(first + bias, last, rest.len(), bias);
+    let k = rising_k(first + bias, last, values.len(), bias);
     out.put_u8(k);
     let mut bits = BitWriter::new(out);
-    bits.put_rising(first + bias, rest.iter().copied(), bias, k);
+    bits.put_rising(first + bias, values, bias, k);
     bits.finish();
 }
 
@@ -212,13 +213,8 @@ fn put_ascending(out: &mut BytesMut, values: &[u64], bias: u64) {
 /// column is allocated; a value past `u64::MAX` is an error, never a
 /// value out of order.
 fn get_ascending(mut b: &[u8], n: usize, bias: u64) -> Result<Vec<u64>, CodecError> {
-    let first = if n > 0 { get_varint(&mut b)? } else { 0 };
+    let (first, k) = get_head(&mut b, n)?;
     let further = n.saturating_sub(1);
-    let k = if further > 0 {
-        check_rice_k(get_u8(&mut b)?)?
-    } else {
-        0
-    };
     let mut bits = BitReader::new(b);
     bits.check_left(further)?;
     let mut out = Vec::with_capacity(n);
@@ -265,11 +261,10 @@ pub fn encode_columnar_eventlist_in(el: &Eventlist, table: &PairTable) -> Bytes 
 
     let mut node_dict = BytesMut::new();
     put_varint(&mut node_dict, nids.len() as u64);
-    put_ascending(&mut node_dict, &nids, 1);
+    put_ascending(&mut node_dict, nids.iter().copied(), 1);
 
     let mut times = BytesMut::new();
-    let event_times: Vec<Time> = events.iter().map(|e| e.time).collect();
-    put_ascending(&mut times, &event_times, 0);
+    put_ascending(&mut times, events.iter().map(|e| e.time), 0);
 
     // The row's kinds, ascending, then one code per event: a kind's
     // rank among them.

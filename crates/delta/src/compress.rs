@@ -469,15 +469,8 @@ mod tests {
     }
 
     fn xorshift_bytes(seed: u64, n: usize) -> Vec<u8> {
-        let mut x = seed | 1;
-        (0..n)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x & 0xff) as u8
-            })
-            .collect()
+        let mut next = crate::tests::xorshift(seed | 1);
+        (0..n).map(|_| next() as u8).collect()
     }
 
     /// Inputs of the size classes the match finder distinguishes:
@@ -664,15 +657,8 @@ mod tests {
     #[test]
     fn pseudo_random_survives() {
         // xorshift noise: barely compressible; must still roundtrip.
-        let mut x: u64 = 0x2545F4914F6CDD1D;
-        let data: Vec<u8> = (0..50_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x & 0xff) as u8
-            })
-            .collect();
+        let mut next = crate::tests::xorshift(0x2545F4914F6CDD1D);
+        let data: Vec<u8> = (0..50_000).map(|_| next() as u8).collect();
         roundtrip(&data);
     }
 

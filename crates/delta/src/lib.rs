@@ -55,3 +55,16 @@ pub use hash::{hash_u64, FxHashMap, FxHashSet, FxHasher};
 pub use node::{Neighbor, StaticNode};
 pub use normalize::normalize_events;
 pub use types::{EdgeDir, NodeId, Time, TimeRange};
+
+#[cfg(test)]
+mod tests {
+    /// A xorshift generator seeded with `x`: the crate's tests' noise.
+    pub(crate) fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+}
