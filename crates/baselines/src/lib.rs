@@ -41,7 +41,7 @@ pub use nodecentric::NodeCentricIndex;
 pub use traits::HistoricalIndex;
 
 use bytes::Bytes;
-use hgs_delta::{ColumnarDelta, ColumnarEventlist, Delta, EventKind, Eventlist, NodeId};
+use hgs_delta::{ColumnarDelta, ColumnarEventlist, Delta, Eventlist};
 use hgs_store::{PutRow, SimStore, StoreError, Table, WriteBuffer};
 
 /// The write side of a baseline's `build`: a [`WriteBuffer`] over the
@@ -90,10 +90,4 @@ pub(crate) fn eventlist_row(row: Bytes) -> Result<Eventlist, StoreError> {
     ColumnarEventlist::parse(row)
         .and_then(|el| el.to_eventlist())
         .map_err(StoreError::Corrupt)
-}
-
-/// Apply an event restricted to a single node's description (used by
-/// the per-node replay paths of the baselines).
-pub(crate) fn scoped_apply(state: &mut Delta, kind: &EventKind, nid: NodeId) {
-    hgs_core::apply_event_scoped(state, kind, |id| id == nid);
 }

@@ -100,7 +100,7 @@ impl HistoricalIndex for NodeCentricIndex {
         };
         let mut scratch = Delta::new();
         for e in el.events().iter().take_while(|e| e.time <= t) {
-            crate::scoped_apply(&mut scratch, &e.kind, nid);
+            scratch.apply_event_in(&e.kind, |id| id == nid);
         }
         Ok(scratch.remove(nid))
     }
@@ -119,7 +119,7 @@ impl HistoricalIndex for NodeCentricIndex {
         let mut events = Vec::new();
         for e in el.events() {
             if e.time <= range.start {
-                crate::scoped_apply(&mut scratch, &e.kind, nid);
+                scratch.apply_event_in(&e.kind, |id| id == nid);
             } else if e.time < range.end {
                 events.push(e.clone());
             }

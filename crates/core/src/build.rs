@@ -108,7 +108,7 @@ use hgs_delta::columnar::{encode_columnar_delta_in, encode_columnar_eventlist_in
 use hgs_delta::{
     Delta, Event, EventKind, Eventlist, FxHashMap, NodeId, PairTable, Time, TimeRange,
 };
-use hgs_partition::{locality_partition, CollapsedGraph, PartitionMap};
+use hgs_partition::{cut_events, locality_partition, CollapsedGraph, PartitionMap};
 use hgs_store::{
     chain_key, node_placement_token, parallel_steal, term_key, term_token, DeltaKey, PlacementKey,
     PutRow, SimStore, StoreError, Table, WriteBuffer,
@@ -349,14 +349,8 @@ impl Writer {
             });
         }
 
-        let spans = hgs_partition::plan_timespans(events, self.view.cfg.events_per_timespan);
-        let n = spans.len();
-        for (i, sp) in spans.into_iter().enumerate() {
-            let range_end = if i + 1 == n { Time::MAX } else { sp.range.end };
-            let range = TimeRange::new(start, range_end);
-            // hgs-lint: allow(no-panic-in-try, "span event ranges are produced by split_spans from this same events slice")
-            self.build_span(&events[sp.ev_start..sp.ev_end], range)?;
-            start = range_end;
+        for (span, range) in cut_events(events, self.view.cfg.events_per_timespan, start) {
+            self.build_span(span, range)?;
         }
         self.view.end_time = events
             .last()
@@ -441,13 +435,14 @@ impl Writer {
 
         // 1. Chunk the span's events every `l`, snapping timestamp
         // groups; checkpoint c_j = state before chunk j.
-        let chunk_bounds = chunk_events(events, cfg.eventlist_size);
-        let q = chunk_bounds.len().max(1);
-        let mut checkpoints: Vec<Time> = Vec::with_capacity(q);
-        checkpoints.push(range.start);
-        for &(s, _) in chunk_bounds.iter().skip(1) {
-            checkpoints.push(events[s].time);
+        let (mut checkpoints, chunks): (Vec<Time>, Vec<&[Event]>) =
+            cut_events(events, cfg.eventlist_size, range.start)
+                .map(|(chunk, r)| (r.start, chunk))
+                .unzip();
+        if checkpoints.is_empty() {
+            checkpoints.push(range.start);
         }
+        let q = checkpoints.len();
         let shape = TreeShape::new(q, cfg.arity);
 
         // 2. Partition maps per sid.
@@ -466,17 +461,7 @@ impl Writer {
         });
         // 3-5. Replay the span, emitting leaves / eventlists / aux /
         // chain entries.
-        let chains = self.encode_span(
-            events,
-            &chunk_bounds,
-            q,
-            &shape,
-            &maps,
-            &pairs,
-            tsid,
-            replicate,
-            buf,
-        )?;
+        let chains = self.encode_span(&chunks, q, &shape, &maps, &pairs, tsid, replicate, buf)?;
 
         // Version chains: one append-only chain-delta row per touched
         // node, keyed `(nid, tsid)`. No read-modify-write: the row is
@@ -562,8 +547,7 @@ impl Writer {
     #[allow(clippy::too_many_arguments)]
     fn encode_span(
         &mut self,
-        events: &[Event],
-        chunk_bounds: &[(usize, usize)],
+        chunks: &[&[Event]],
         q: usize,
         shape: &TreeShape,
         maps: &[PartitionMap],
@@ -594,8 +578,7 @@ impl Writer {
                 encode_sid_span(SidSpanJob {
                     sid,
                     state,
-                    events,
-                    chunk_bounds,
+                    chunks,
                     q,
                     shape,
                     maps,
@@ -772,8 +755,7 @@ pub(crate) fn host_parallelism() -> usize {
 struct SidSpanJob<'a> {
     sid: u32,
     state: Delta,
-    events: &'a [Event],
-    chunk_bounds: &'a [(usize, usize)],
+    chunks: &'a [&'a [Event]],
     q: usize,
     shape: &'a TreeShape,
     maps: &'a [PartitionMap],
@@ -805,8 +787,7 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
     let SidSpanJob {
         sid,
         mut state,
-        events,
-        chunk_bounds,
+        chunks,
         q,
         shape,
         maps,
@@ -833,8 +814,7 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
             let did = shape.did(level, idx);
             emit_micro(tsid, sid, did, delta, map, pairs, &mut rows);
         });
-        if let Some(&(s, e)) = chunk_bounds.get(j) {
-            let chunk = &events[s..e];
+        if let Some(&chunk) = chunks.get(j) {
             let buckets = bucket_chunk(
                 chunk,
                 maps,
@@ -846,16 +826,8 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
                 &mut chains,
             );
             emit_eventlist_rows(tsid, j as u32, buckets, pairs, &mut rows);
-            if replicate {
-                for ev in chunk {
-                    state.apply_event(&ev.kind);
-                }
-            } else {
-                for ev in chunk {
-                    crate::scope::apply_event_scoped(&mut state, &ev.kind, |id| {
-                        sid_of(id, ns) == sid
-                    });
-                }
+            for ev in chunk {
+                state.apply_event_in(&ev.kind, |id| replicate || sid_of(id, ns) == sid);
             }
         }
     }
@@ -992,31 +964,6 @@ fn emit_aux(
             encode_columnar_delta_in(&delta, pairs),
         ));
     }
-}
-
-/// Chunk `events` into runs of ~`l`, never splitting a timestamp
-/// group. Returns `(start, end)` index pairs.
-fn chunk_events(events: &[Event], l: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    while start < events.len() {
-        let want = (start + l).min(events.len());
-        let end = if want >= events.len() {
-            events.len()
-        } else {
-            let t = events[want].time;
-            let mut e = want;
-            if events[want - 1].time == t {
-                while e < events.len() && events[e].time == t {
-                    e += 1;
-                }
-            }
-            e
-        };
-        out.push((start, end));
-        start = end;
-    }
-    out
 }
 
 /// Split a state into per-`sid` partitioned snapshots in one pass.
@@ -1166,21 +1113,6 @@ mod tests {
     fn writer(cfg: TgiConfig, store_cfg: StoreConfig, events: &[Event]) -> Writer {
         let store = Arc::new(SimStore::new(store_cfg));
         Writer::try_build(cfg, store, events, 1, host_parallelism()).expect("healthy build")
-    }
-
-    #[test]
-    fn chunking_respects_l_and_timestamps() {
-        let events: Vec<Event> = (0..10)
-            .map(|i| Event::new(i / 2, hgs_delta::EventKind::AddNode { id: i }))
-            .collect();
-        // l=3 but timestamps come in pairs: chunk ends snap to even idx.
-        let chunks = chunk_events(&events, 3);
-        for &(s, e) in &chunks {
-            assert!(e == events.len() || events[e - 1].time != events[e].time);
-            assert!(e > s);
-        }
-        let covered: usize = chunks.iter().map(|(s, e)| e - s).sum();
-        assert_eq!(covered, events.len());
     }
 
     /// Push `leaves` through a [`TreeAccumulator`]; the emitted

@@ -72,7 +72,6 @@ mod persist;
 mod query;
 mod query_plan;
 mod read_cache;
-mod scope;
 mod service;
 mod stats;
 
@@ -84,6 +83,5 @@ pub use persist::OpenError;
 pub use query::{KhopStrategy, NeighborhoodHistory, NodeHistory};
 pub use query_plan::PlanSummary;
 pub use read_cache::{CacheStats, DEFAULT_READ_CACHE_SHARDS};
-pub use scope::apply_event_scoped;
 pub use service::TgiService;
 pub use stats::{measure, FetchReport};

@@ -34,7 +34,6 @@ use crate::build::{SpanRuntime, TgiView};
 use crate::costs::{access_cost, CostProfile, IndexKind, QueryKind};
 use crate::meta::{decode_chain, sid_of, ChainEntry, AUX_BASE, ELIST_BASE};
 use crate::read_cache::{CacheKey, Cached};
-use crate::scope::apply_event_scoped;
 
 /// How to fetch a k-hop neighborhood (§4.6, Algorithms 3 & 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +82,7 @@ impl NodeHistory {
         while i < self.events.len() {
             let t = self.events[i].time;
             while i < self.events.len() && self.events[i].time == t {
-                apply_event_scoped(&mut scratch, &self.events[i].kind, |id| id == self.id);
+                scratch.apply_event_in(&self.events[i].kind, |id| id == self.id);
                 i += 1;
             }
             out.push((t, scratch.node(self.id).cloned()));
@@ -99,7 +98,7 @@ impl NodeHistory {
             scratch.insert(n.clone());
         }
         for e in self.events.iter().take_while(|e| e.time <= t) {
-            apply_event_scoped(&mut scratch, &e.kind, |id| id == self.id);
+            scratch.apply_event_in(&e.kind, |id| id == self.id);
         }
         scratch.node(self.id).cloned()
     }
@@ -268,7 +267,7 @@ impl ElistHandle {
     fn replay_node(&self, state: &mut Delta, nid: NodeId, t: Time) -> Result<(), StoreError> {
         let events = self.events_touching(nid)?;
         for e in events.iter().take_while(|e| e.time <= t) {
-            apply_event_scoped(state, &e.kind, |id| id == nid);
+            state.apply_event_in(&e.kind, |id| id == nid);
         }
         Ok(())
     }
@@ -501,9 +500,7 @@ impl TgiView {
         }
         if let (Some(el), Some(map)) = (elist, span.map(sid)) {
             for e in el.events().iter().take_while(|e| e.time <= t) {
-                apply_event_scoped(&mut state, &e.kind, |id| {
-                    sid_of(id, ns) == sid && map.assign(id) == pid
-                });
+                state.apply_event_in(&e.kind, |id| sid_of(id, ns) == sid && map.assign(id) == pid);
             }
         }
         Ok(state)

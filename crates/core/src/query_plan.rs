@@ -63,7 +63,6 @@ use crate::build::{SpanRuntime, TgiView};
 use crate::meta::{sid_of, ELIST_BASE};
 use crate::query::DeltaHandle;
 use crate::read_cache::{CacheKey, Cached};
-use crate::scope::apply_event_scoped;
 
 /// How much fetch work a multipoint plan shares, before running it.
 ///
@@ -494,7 +493,7 @@ impl TgiView {
             let map = &span.maps[*sid as usize];
             let evs = el.events();
             while *cursor < evs.len() && evs[*cursor].time <= t {
-                apply_event_scoped(cur, &evs[*cursor].kind, |id| {
+                cur.apply_event_in(&evs[*cursor].kind, |id| {
                     sid_of(id, ns) == *sid && map.assign(id) == *pid
                 });
                 *cursor += 1;

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use common::{khop_by_replay, node_events_by_replay};
 use hgs_core::{
@@ -769,9 +769,15 @@ impl Sim {
 /// A named schedule: its name, what it runs on, its steps.
 type Named<'a> = (&'a str, Setup, &'a [Step]);
 
+/// Held shared by every schedule ([`run`]) and alone by the one
+/// real-thread test, whose reader needs a core of its own: on a
+/// two-core host the binary's other tests would otherwise take it.
+static CORES: RwLock<()> = RwLock::new(());
+
 /// Run a schedule and log each step. A failing step panics with
 /// `(name, step)` and the schedule as a named schedule.
 fn run((name, setup, steps): Named) -> Sim {
+    let _shared = CORES.read().unwrap_or_else(PoisonError::into_inner);
     let mut sim = Sim::new(setup);
     for (i, step) in steps.iter().enumerate() {
         let before = sim.store.stats_snapshot();
@@ -1153,6 +1159,7 @@ fn the_canonical_schedule_is_masked_and_a_zero_rate_plan_is_free() {
 /// several times its own build.
 #[test]
 fn pinned_reads_complete_while_an_append_is_in_flight() {
+    let _alone = CORES.write().unwrap_or_else(PoisonError::into_inner);
     let events = WikiGrowth::sized(30_000).generate();
     // A build of 5 000 events, then five batches of 5 000.
     let n = events.len();

@@ -24,7 +24,7 @@ use std::cell::RefCell;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::codec::MAX_LEN;
+use crate::codec::{get_varint, put_varint, MAX_LEN};
 use crate::error::CodecError;
 
 const WINDOW: usize = 32 * 1024;
@@ -37,50 +37,6 @@ const HASH_BITS: u32 = 15;
 fn hash4(data: &[u8]) -> usize {
     let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
-}
-
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-#[inline]
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-    // One-byte fast path: lengths and distances in LZ ops are almost
-    // always < 128, and the decompress loop decodes two per op.
-    if let Some(&b) = buf.get(*pos) {
-        if b & 0x80 == 0 {
-            *pos += 1;
-            return Ok(b as u64);
-        }
-    }
-    get_varint_slow(buf, pos)
-}
-
-#[cold]
-fn get_varint_slow(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-    let mut out: u64 = 0;
-    for shift in (0..64).step_by(7) {
-        let Some(&b) = buf.get(*pos) else {
-            return Err(CodecError::UnexpectedEof {
-                needed: 1,
-                remaining: 0,
-            });
-        };
-        *pos += 1;
-        out |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(out);
-        }
-    }
-    Err(CodecError::VarintOverflow)
 }
 
 /// Hash-chain match-finder state, kept per thread and **never
@@ -271,9 +227,9 @@ pub fn compress(data: &[u8]) -> Bytes {
 /// each word's source is fully written), and over-written tails are
 /// re-written by the next op, so the result is exact.
 pub fn decompress(data: &[u8]) -> Result<Bytes, CodecError> {
-    let mut pos = 0usize;
-    let raw = get_varint(data, &mut pos)?;
-    let most = ((data.len() - pos) as u64).saturating_mul(MAX_MATCH as u64);
+    let mut rest = data;
+    let raw = get_varint(&mut rest)?;
+    let most = (rest.len() as u64).saturating_mul(MAX_MATCH as u64);
     let raw_len = usize::try_from(raw)
         .ok()
         .filter(|_| raw <= MAX_LEN.min(most))
@@ -283,16 +239,15 @@ pub fn decompress(data: &[u8]) -> Result<Bytes, CodecError> {
         })?;
     let mut out = vec![0u8; raw_len];
     let mut w = 0usize;
-    while pos < data.len() {
-        let tag = data[pos];
-        pos += 1;
+    while let Some((&tag, tail)) = rest.split_first() {
+        rest = tail;
         match tag {
             0 => {
-                let n = get_varint(data, &mut pos)?;
-                if n > (data.len() - pos) as u64 {
+                let n = get_varint(&mut rest)?;
+                if n > rest.len() as u64 {
                     return Err(CodecError::UnexpectedEof {
                         needed: n as usize,
-                        remaining: data.len() - pos,
+                        remaining: rest.len(),
                     });
                 }
                 let n = n as usize;
@@ -302,13 +257,14 @@ pub fn decompress(data: &[u8]) -> Result<Bytes, CodecError> {
                         len: (w + n) as u64,
                     });
                 }
-                out[w..w + n].copy_from_slice(&data[pos..pos + n]);
-                pos += n;
+                let (literal, tail) = rest.split_at(n);
+                out[w..w + n].copy_from_slice(literal);
+                rest = tail;
                 w += n;
             }
             1 => {
-                let dist = get_varint(data, &mut pos)?;
-                let len = get_varint(data, &mut pos)?;
+                let dist = get_varint(&mut rest)?;
+                let len = get_varint(&mut rest)?;
                 if dist == 0 || dist > w as u64 {
                     return Err(CodecError::BadTag {
                         what: "lz-distance",

@@ -254,4 +254,31 @@ proptest! {
             }
         }
     }
+
+    /// Scoped replay keeps partitioned snapshots (Example 5): for the
+    /// scopes `id % k`, k = 1–4, each scoped replay holds only its own
+    /// ids and the union of the k of them equals the global replay after
+    /// every event, of every kind. The extra `RemoveNode`s name ids the
+    /// history never adds, so removals of present, absent and
+    /// out-of-scope nodes all occur.
+    #[test]
+    fn scoped_replays_union_to_the_global_replay(events in prop::collection::vec(
+        prop_oneof![4 => arb_event_kind(), 1 => (24u64..32).prop_map(|id| EventKind::RemoveNode { id })],
+        0..80,
+    )) {
+        for k in 1..=4u64 {
+            let mut global = Delta::new();
+            let mut scoped = vec![Delta::new(); k as usize];
+            for kind in &events {
+                global.apply_event(kind);
+                let mut union = Delta::new();
+                for (p, state) in (0..k).zip(&mut scoped) {
+                    state.apply_event_in(kind, |id| id % k == p);
+                    prop_assert!(state.ids().all(|id| id % k == p), "scope {} of {}", p, k);
+                    union.sum_assign(state);
+                }
+                prop_assert_eq!(&union, &global, "{:?}, k = {}", kind, k);
+            }
+        }
+    }
 }

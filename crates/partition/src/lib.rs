@@ -15,7 +15,8 @@
 //!   quality metrics.
 //! * [`plan_timespans`] — splitting the history into timespans with roughly
 //!   equal numbers of events (Fig. 4), within which the partitioning
-//!   stays fixed.
+//!   stays fixed, by [`cut_events`], which also cuts a span into its
+//!   eventlist chunks.
 //!
 //! The 1-hop edge-cut replicas of auxiliary micro-deltas (Fig. 5d) are
 //! planned by the build in `hgs-core`, which knows the span's state.
@@ -26,4 +27,4 @@ mod timespan;
 
 pub use collapse::CollapsedGraph;
 pub use partitioner::{balance, edge_cut_fraction, locality_partition, PartitionMap};
-pub use timespan::{plan_timespans, Timespan};
+pub use timespan::{cut_events, plan_timespans, Timespan};

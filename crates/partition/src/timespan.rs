@@ -34,53 +34,63 @@ impl Timespan {
     }
 }
 
+/// Cut `events` (chronologically sorted) into consecutive slices of
+/// `n` events, the last one shorter, each with the half-open time
+/// range it covers: from `start` (the previous range's end after the
+/// first) to the next slice's first timestamp, the last one to
+/// `Time::MAX`. A cut that would split a group of events sharing one
+/// timestamp snaps forward past the group. The one cut rule of
+/// timespans and of a span's eventlist chunks; no event, no slice.
+pub fn cut_events(
+    events: &[Event],
+    n: usize,
+    mut start: Time,
+) -> impl Iterator<Item = (&[Event], TimeRange)> {
+    assert!(n > 0);
+    debug_assert!(events.windows(2).all(|w| w[0].time <= w[1].time));
+    let mut rest = events;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let cut = match rest.get(n - 1) {
+            Some(last) => n + rest[n..].iter().take_while(|e| e.time == last.time).count(),
+            None => rest.len(),
+        };
+        let (slice, tail) = rest.split_at(cut);
+        rest = tail;
+        let end = rest.first().map_or(Time::MAX, |e| e.time);
+        let range = TimeRange::new(start, end);
+        start = end;
+        Some((slice, range))
+    })
+}
+
 /// Split `events` (chronologically sorted) into spans of roughly
-/// `events_per_span` events. The final span's range extends to
-/// `Time::MAX` so that queries beyond the last event resolve.
+/// `events_per_span` events by [`cut_events`]. The final span's range
+/// extends to `Time::MAX` so that queries beyond the last event
+/// resolve; an empty history is one empty span over all of time.
 pub fn plan_timespans(events: &[Event], events_per_span: usize) -> Vec<Timespan> {
-    assert!(events_per_span > 0);
-    if events.is_empty() {
-        return vec![Timespan {
+    let mut ev_start = 0;
+    let mut spans: Vec<Timespan> = cut_events(events, events_per_span, 0)
+        .zip(0..)
+        .map(|((slice, range), tsid)| {
+            ev_start += slice.len();
+            Timespan {
+                tsid,
+                range,
+                ev_start: ev_start - slice.len(),
+                ev_end: ev_start,
+            }
+        })
+        .collect();
+    if spans.is_empty() {
+        spans.push(Timespan {
             tsid: 0,
-            range: TimeRange::new(0, Time::MAX),
+            range: TimeRange::all(),
             ev_start: 0,
             ev_end: 0,
-        }];
-    }
-    debug_assert!(events.windows(2).all(|w| w[0].time <= w[1].time));
-
-    let mut spans = Vec::new();
-    let mut start_idx = 0usize;
-    let mut range_start: Time = 0;
-    while start_idx < events.len() {
-        let want_end = (start_idx + events_per_span).min(events.len());
-        let end_idx = if want_end >= events.len() {
-            events.len()
-        } else {
-            // Snap forward only when the cut would split a group of
-            // events sharing one timestamp.
-            let boundary_t = events[want_end].time;
-            let mut e = want_end;
-            if events[want_end - 1].time == boundary_t {
-                while e < events.len() && events[e].time == boundary_t {
-                    e += 1;
-                }
-            }
-            e
-        };
-        let range_end = if end_idx >= events.len() {
-            Time::MAX
-        } else {
-            events[end_idx].time
-        };
-        spans.push(Timespan {
-            tsid: spans.len() as u32,
-            range: TimeRange::new(range_start, range_end),
-            ev_start: start_idx,
-            ev_end: end_idx,
         });
-        range_start = range_end;
-        start_idx = end_idx;
     }
     spans
 }
@@ -132,6 +142,26 @@ mod tests {
                 assert_ne!(times.last(), Some(&events[s.ev_end].time));
             }
         }
+    }
+
+    #[test]
+    fn chunking_respects_l_and_timestamps() {
+        let events: Vec<Event> = (0..10)
+            .map(|i| Event::new(i / 2, EventKind::AddNode { id: i }))
+            .collect();
+        // n = 3 but timestamps come in pairs: cuts snap to even indices.
+        let cuts: Vec<(&[Event], TimeRange)> = cut_events(&events, 3, 0).collect();
+        let lens: Vec<usize> = cuts.iter().map(|(s, _)| s.len()).collect();
+        assert_eq!(lens, [4, 4, 2]);
+        let ranges: Vec<TimeRange> = cuts.iter().map(|&(_, r)| r).collect();
+        assert_eq!(
+            ranges,
+            [
+                TimeRange::new(0, 2),
+                TimeRange::new(2, 4),
+                TimeRange::new(4, Time::MAX)
+            ]
+        );
     }
 
     #[test]

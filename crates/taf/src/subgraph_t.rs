@@ -122,7 +122,7 @@ impl SubgraphT {
     pub fn version_at(&self, t: Time) -> Delta {
         let mut state = self.initial.clone();
         for e in self.events.iter().take_while(|e| e.time <= t) {
-            hgs_core::apply_event_scoped(&mut state, &e.kind, |id| self.members.contains(&id));
+            state.apply_event_in(&e.kind, |id| self.members.contains(&id));
         }
         state
     }
@@ -137,9 +137,7 @@ impl SubgraphT {
         while i < self.events.len() {
             let t = self.events[i].time;
             while i < self.events.len() && self.events[i].time == t {
-                hgs_core::apply_event_scoped(&mut state, &self.events[i].kind, |id| {
-                    self.members.contains(&id)
-                });
+                state.apply_event_in(&self.events[i].kind, |id| self.members.contains(&id));
                 i += 1;
             }
             out.push((t, state.clone()));
@@ -164,9 +162,7 @@ impl SubgraphT {
             let t = self.events[i].time;
             while i < self.events.len() && self.events[i].time == t {
                 on_event(&state, &self.events[i]);
-                hgs_core::apply_event_scoped(&mut state, &self.events[i].kind, |id| {
-                    self.members.contains(&id)
-                });
+                state.apply_event_in(&self.events[i].kind, |id| self.members.contains(&id));
                 i += 1;
             }
             visit(t, &state);

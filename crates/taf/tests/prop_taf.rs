@@ -132,9 +132,7 @@ proptest! {
             let temporal = single.node_compute_temporal(count_edges);
             let incremental = single.node_compute_delta(count_edges, |before, prev, e| {
                 let mut after = before.clone();
-                hgs_core::apply_event_scoped(&mut after, &e.kind, |id| {
-                    members.contains(&id)
-                });
+                after.apply_event_in(&e.kind, |id| members.contains(&id));
                 prev + (after.size() as i64 - before.size() as i64)
             });
             prop_assert_eq!(&temporal, &incremental, "root {}", sub.root);
