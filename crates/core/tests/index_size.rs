@@ -131,7 +131,7 @@ mod common;
 
 use std::hash::Hasher;
 
-use hgs_core::{TgiConfig, TgiService, AUX_BASE, ELIST_BASE};
+use hgs_core::{PartitionStrategy, TgiConfig, TgiService, AUX_BASE, ELIST_BASE};
 use hgs_datagen::{SkewedLabels, WikiGrowth};
 use hgs_delta::{decode_term_points, encode_term_points, Event, FxHasher, TERM_KIND_VALUE};
 use hgs_store::{DeltaKey, StoreConfig, Table};
@@ -486,19 +486,14 @@ fn align(events: &[Event], mut at: usize) -> usize {
 /// Rows, key-plus-value bytes, and a digest of every row.
 type Digest = (usize, usize, u64);
 
-/// Build `events` at the default config — in one go when `batch` is
-/// `None`, else 40 % of them and then appends of `batch` events, every
-/// cut moved forward to a time boundary — and return the row count,
-/// the key-plus-value bytes and a digest of every `(machine, key,
-/// value)` the store holds.
-fn row_digest(events: &[Event], batch: Option<usize>) -> Digest {
+/// Build `events` under `cfg` — in one go when `batch` is `None`, else
+/// 40 % of them and then appends of `batch` events, every cut moved
+/// forward to a time boundary — and return the row count, the
+/// key-plus-value bytes and a digest of every `(machine, key, value)`
+/// the store holds.
+fn row_digest(events: &[Event], cfg: TgiConfig, batch: Option<usize>) -> Digest {
     let built = batch.map_or(events.len(), |_| align(events, events.len() * 2 / 5));
-    let svc = TgiService::try_build(
-        TgiConfig::default(),
-        StoreConfig::new(4, 1),
-        &events[..built],
-    )
-    .unwrap();
+    let svc = TgiService::try_build(cfg, StoreConfig::new(4, 1), &events[..built]).unwrap();
     let mut at = built;
     while let Some(batch) = batch.filter(|_| at < events.len()) {
         let next = align(events, (at + batch).min(events.len()));
@@ -523,29 +518,45 @@ fn row_digest(events: &[Event], batch: Option<usize>) -> Digest {
 
 /// Every stored row, pinned: a change that claims to leave the row
 /// grammar alone must leave this table alone, byte for byte. It moves
-/// only with `LAYOUT_TAG`; a mismatch prints the new table.
+/// only with `LAYOUT_TAG`; a mismatch prints the new table. The
+/// replicated builds are the ones whose span encoders each replay the
+/// whole graph, other partitions' nodes included.
 #[test]
 fn every_stored_row_is_pinned() {
+    use PartitionStrategy::{Locality, Random};
+    const REPL: PartitionStrategy = Locality {
+        replicate_boundary: true,
+    };
     #[rustfmt::skip]
-    let pinned: [(&str, Option<usize>, Digest); 6] = [
-        ("wiki20k", None, (3499, 304764, 0x0d8a9117b4dffaed)),
-        ("wiki20k", Some(2000), (8491, 457236, 0x1b3d72810ef3fb4f)),
-        ("wiki20k", Some(100), (16617, 3679749, 0xd7ad66a450ea6089)),
-        ("skew21k", None, (3213, 363817, 0x420e4ae701ec81c2)),
-        ("skew21k", Some(2000), (11399, 566489, 0xdc688c38a0cd9483)),
-        ("skew21k", Some(100), (26691, 4107433, 0x65944c9943d30f6d)),
+    let pinned: [(&str, PartitionStrategy, Option<usize>, Digest); 8] = [
+        ("wiki20k", Random, None, (3499, 304764, 0x0d8a9117b4dffaed)),
+        ("wiki20k", Random, Some(2000), (8491, 457236, 0x1b3d72810ef3fb4f)),
+        ("wiki20k", Random, Some(100), (16617, 3679749, 0xd7ad66a450ea6089)),
+        ("skew21k", Random, None, (3213, 363817, 0x420e4ae701ec81c2)),
+        ("skew21k", Random, Some(2000), (11399, 566489, 0xdc688c38a0cd9483)),
+        ("skew21k", Random, Some(100), (26691, 4107433, 0x65944c9943d30f6d)),
+        ("skew21k", REPL, None, (3365, 2319409, 0xce6f464ed9cd5489)),
+        ("skew21k", REPL, Some(2000), (11575, 2519120, 0xc51d7901e3c2c8b3)),
     ];
     let (wiki, skew) = (wiki20k(), skew21k());
     let got: Vec<_> = pinned
         .iter()
-        .map(|&(name, batch, _)| {
+        .map(|&(name, strategy, batch, _)| {
             let events = if name == "wiki20k" { &wiki } else { &skew };
-            (name, batch, row_digest(events, batch))
+            let cfg = TgiConfig::default().with_strategy(strategy);
+            (name, strategy, batch, row_digest(events, cfg, batch))
         })
         .collect();
     if got != pinned {
-        for (name, batch, (rows, bytes, digest)) in &got {
-            println!("        ({name:?}, {batch:?}, ({rows}, {bytes}, {digest:#018x})),");
+        for (name, strategy, batch, (rows, bytes, digest)) in &got {
+            let strategy = if *strategy == Random {
+                "Random"
+            } else {
+                "REPL"
+            };
+            println!(
+                "        ({name:?}, {strategy}, {batch:?}, ({rows}, {bytes}, {digest:#018x})),"
+            );
         }
         panic!("the stored rows changed: the new table is above");
     }
