@@ -15,6 +15,15 @@
 //! `(term, tsid)` row — `O(log changes + answer)` instead of the
 //! `O(snapshot)` decode of materialize-then-filter.
 //!
+//! The points are read off the build's one replay of the span, not
+//! worked out from its events a second time: each per-`sid` span
+//! encoder item records a carry point per attribute pair its own nodes
+//! hold going in (`SpanTermPoints::carry`) and, around every event
+//! that can change an own node's attributes, the pairs the event drops
+//! or takes on (`SpanTermPoints::change`); `span_term_rows` merges the
+//! items' points into one row per term. What an event does is
+//! [`Delta::apply_event_in`](hgs_delta::Delta::apply_event_in)'s alone.
+//!
 //! There is no second row kind. The value history of one key on one
 //! node is a node-centric history question, and like every such
 //! question (§4.3, Algorithm 2) it is answered from the node's version
@@ -48,8 +57,8 @@
 use std::sync::Arc;
 
 use hgs_delta::{
-    decode_term_points, encode_term_points, matching_at, value_term, AttrValue, Attrs, Delta,
-    Event, EventKind, FxHashMap, NodeId, TermPoint, Time, TERM_KIND_VALUE,
+    decode_term_points, encode_term_points, matching_at, value_term, AttrValue, Attrs, EventKind,
+    NodeId, StaticNode, TermPoint, Time, TERM_KIND_VALUE,
 };
 use hgs_store::{term_key, term_token, StoreError, Table};
 
@@ -60,34 +69,17 @@ use crate::read_cache::{CacheKey, Cached};
 /// `hgs-datagen` writes and the label sugar below reads).
 pub const LABEL_KEY: &str = "EntityType";
 
-/// Collect one span's secondary-index rows — `(term bytes, encoded
-/// change-point row)` per `(key, value)` term, sorted by term bytes:
-/// carry-in points for the attribute state at span start (`state` must
-/// be the tail state *before* the span's events are applied) followed
-/// by the span's transitions, replayed with the same forgiving
-/// semantics as [`Delta::apply_event`] (a `SetNodeAttr` on an unseen
-/// node implies the node; removals of absent attributes are no-ops).
-/// Only the attributes of nodes the span's events touch are copied
-/// out of `state`.
-pub(crate) fn collect_span_index_rows(
-    state: &Delta,
-    events: &[Event],
-    span_start: Time,
-) -> Vec<(Vec<u8>, bytes::Bytes)> {
-    let mut value_map: FxHashMap<Vec<u8>, Vec<TermPoint>> = FxHashMap::default();
-    fn push(
-        value_map: &mut FxHashMap<Vec<u8>, Vec<TermPoint>>,
-        key: &str,
-        value: &AttrValue,
-        point: TermPoint,
-    ) {
-        value_map
-            .entry(value_term(key, value))
-            .or_default()
-            .push(point);
-    }
+/// The term points one span encoder item reads off its own nodes'
+/// attributes, each beside its term and its place in the term's row:
+/// carry points by node, then changes by the position in the span of
+/// the event that made them.
+#[derive(Default)]
+pub(crate) struct SpanTermPoints(Vec<(Vec<u8>, (bool, u64), TermPoint)>);
 
-    for node in state.iter() {
+impl SpanTermPoints {
+    /// One carry point, stamped `span_start`, per attribute pair `node`
+    /// holds going into the span.
+    pub(crate) fn carry(&mut self, node: &StaticNode, span_start: Time) {
         for (k, v) in node.attrs.iter() {
             let point = TermPoint {
                 time: span_start,
@@ -95,62 +87,52 @@ pub(crate) fn collect_span_index_rows(
                 carry: true,
                 became: true,
             };
-            push(&mut value_map, k, v, point);
-        }
-    }
-    // Carry points all share the span start time; order them by node so
-    // the emitted rows do not depend on `state`'s map iteration order.
-    for pts in value_map.values_mut() {
-        pts.sort_unstable_by_key(|p| p.nid);
-    }
-
-    // The attributes of each node an event touches, as of that event.
-    let mut cur: FxHashMap<NodeId, Attrs> = FxHashMap::default();
-    fn attrs_of<'c>(
-        cur: &'c mut FxHashMap<NodeId, Attrs>,
-        state: &Delta,
-        id: NodeId,
-    ) -> &'c mut Attrs {
-        cur.entry(id)
-            .or_insert_with(|| state.node(id).map(|n| n.attrs.clone()).unwrap_or_default())
-    }
-    for ev in events {
-        let change = |nid: NodeId, became: bool| TermPoint {
-            time: ev.time,
-            nid,
-            carry: false,
-            became,
-        };
-        match &ev.kind {
-            EventKind::SetNodeAttr { id, key, value } => {
-                let old = attrs_of(&mut cur, state, *id).set(key.clone(), value.clone());
-                if old.as_ref() != Some(value) {
-                    if let Some(old) = &old {
-                        push(&mut value_map, key, old, change(*id, false));
-                    }
-                    push(&mut value_map, key, value, change(*id, true));
-                }
-            }
-            EventKind::RemoveNodeAttr { id, key } => {
-                if let Some(old) = attrs_of(&mut cur, state, *id).remove(key) {
-                    push(&mut value_map, key, &old, change(*id, false));
-                }
-            }
-            EventKind::RemoveNode { id } => {
-                for (k, v) in std::mem::take(attrs_of(&mut cur, state, *id)).iter() {
-                    push(&mut value_map, k, v, change(*id, false));
-                }
-            }
-            _ => {}
+            self.0.push((value_term(k, v), (false, node.id), point));
         }
     }
 
-    let mut value_rows: Vec<(Vec<u8>, bytes::Bytes)> = value_map
-        .into_iter()
-        .map(|(term, pts)| (term, encode_term_points(&pts)))
-        .collect();
-    value_rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    value_rows
+    /// The change points of the event at position `pos` of the span,
+    /// at `time`, read off node `nid`'s attributes `before` and `after`
+    /// it: a lost point for every pair it dropped, a gained one for
+    /// every pair it took on.
+    pub(crate) fn change(
+        &mut self,
+        pos: u64,
+        time: Time,
+        nid: NodeId,
+        before: &Attrs,
+        after: &Attrs,
+    ) {
+        let sides = [(before, after, false), (after, before, true)];
+        for (from, to, became) in sides {
+            for (k, v) in from.iter().filter(|(k, v)| to.get(k) != Some(v)) {
+                let point = TermPoint {
+                    time,
+                    nid,
+                    carry: false,
+                    became,
+                };
+                self.0.push((value_term(k, v), (true, pos), point));
+            }
+        }
+    }
+}
+
+/// A span's secondary-index rows from every encoder item's points:
+/// `(term bytes, encoded change-point row)` per term, in term-byte
+/// order. Each node's points come from the one item that owns it, and
+/// one event changes a term at most once, so no two points tie.
+pub(crate) fn span_term_rows(
+    items: impl IntoIterator<Item = SpanTermPoints>,
+) -> Vec<(Vec<u8>, bytes::Bytes)> {
+    let mut all: Vec<_> = items.into_iter().flat_map(|p| p.0).collect();
+    all.sort_unstable_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+    all.chunk_by(|a, b| a.0 == b.0)
+        .map(|run| {
+            let points: Vec<TermPoint> = run.iter().map(|p| p.2).collect();
+            (run[0].0.clone(), encode_term_points(&points))
+        })
+        .collect()
 }
 
 impl TgiView {
@@ -253,7 +235,9 @@ impl TgiView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hgs_delta::StaticNode;
+    use crate::meta::sid_of;
+    use crate::TgiService;
+    use hgs_delta::Event;
 
     fn ev(time: Time, kind: EventKind) -> Event {
         Event { time, kind }
@@ -270,40 +254,96 @@ mod tests {
         )
     }
 
+    /// `first` built as span 0 and `second` appended as span 1, on the
+    /// default horizontal partitions, in chunks of two events.
+    fn two_spans(first: &[Event], second: &[Event]) -> Arc<TgiService> {
+        let cfg = crate::TgiConfig {
+            events_per_timespan: 16,
+            eventlist_size: 2,
+            ..crate::TgiConfig::default()
+        };
+        let svc = TgiService::try_build(cfg, hgs_store::StoreConfig::new(2, 1), first).unwrap();
+        svc.try_append_events(second).unwrap();
+        assert_eq!(svc.pin().span_count(), 2);
+        svc
+    }
+
+    /// The stored points of term `key == value` in span `tsid`.
+    fn points(svc: &TgiService, tsid: u32, key: &str, value: &str) -> Option<Vec<TermPoint>> {
+        let term = value_term(key, &AttrValue::Text(value.into()));
+        let pts = svc.pin().try_fetch_term_points(tsid, &term).unwrap();
+        pts.map(|p| p.to_vec())
+    }
+
     #[test]
     fn carry_in_and_transitions_are_self_contained() {
-        let mut state = Delta::new();
-        let mut n = StaticNode::new(7);
-        n.attrs.set("EntityType", AttrValue::Text("Author".into()));
-        state.insert(n);
-
-        let events = vec![
-            set(10, 7, "EntityType", "Paper"),
-            set(12, 3, "EntityType", "Author"),
-            ev(15, EventKind::RemoveNode { id: 7 }),
-        ];
-        let rows = collect_span_index_rows(&state, &events, 10);
-        let author = value_term("EntityType", &AttrValue::Text("Author".into()));
-        let (_, blob) = rows
-            .iter()
-            .find(|(t, _)| t == &author)
-            .expect("author term row");
-        let pts = decode_term_points(blob).unwrap();
+        let svc = two_spans(
+            &[
+                set(1, 7, "EntityType", "Author"),
+                ev(2, EventKind::AddNode { id: 3 }),
+            ],
+            &[
+                set(10, 7, "EntityType", "Paper"),
+                set(12, 3, "EntityType", "Author"),
+                ev(15, EventKind::RemoveNode { id: 7 }),
+            ],
+        );
+        let pts = points(&svc, 1, "EntityType", "Author").expect("author term row");
         // Carry-in for node 7 at span start, lost at t=10 (re-label),
         // gained by node 3 at t=12.
         assert_eq!(matching_at(&pts, 10), vec![] as Vec<NodeId>);
         assert_eq!(matching_at(&pts, 12), vec![3]);
         assert!(pts[0].carry && pts[0].time == 10);
 
-        let paper = value_term("EntityType", &AttrValue::Text("Paper".into()));
-        let (_, blob) = rows
-            .iter()
-            .find(|(t, _)| t == &paper)
-            .expect("paper term row");
-        let pts = decode_term_points(blob).unwrap();
+        let pts = points(&svc, 1, "EntityType", "Paper").expect("paper term row");
         assert_eq!(matching_at(&pts, 14), vec![7]);
         // RemoveNode clears the term.
         assert_eq!(matching_at(&pts, 15), vec![] as Vec<NodeId>);
+    }
+
+    /// The points are what the replay did to each node: re-setting the
+    /// held value and removing an absent key write none, a node
+    /// re-created after `RemoveNode` gets its points again, and two
+    /// partitions' changes to one term at one time keep trace order —
+    /// not node order, not partition order.
+    #[test]
+    fn change_points_follow_the_replay() {
+        let ns = crate::TgiConfig::default().horizontal_partitions;
+        let low = (100..).find(|&id| sid_of(id, ns) == 0).unwrap();
+        let high = (low..).find(|&id| sid_of(id, ns) == ns - 1).unwrap();
+        let remove_attr = |time, id, key: &str| {
+            let key = key.to_string();
+            ev(time, EventKind::RemoveNodeAttr { id, key })
+        };
+        let svc = two_spans(
+            &[set(1, 5, "Grade", "A"), set(2, 6, "Grade", "A")],
+            &[
+                set(10, 5, "Grade", "A"),
+                remove_attr(11, 6, "Color"),
+                remove_attr(11, 8, "Grade"),
+                ev(12, EventKind::RemoveNode { id: 5 }),
+                set(13, 5, "Grade", "A"),
+                set(14, high, "Grade", "A"),
+                set(14, low, "Grade", "A"),
+            ],
+        );
+        let point = |time, nid, carry, became| TermPoint {
+            time,
+            nid,
+            carry,
+            became,
+        };
+        assert_eq!(
+            points(&svc, 1, "Grade", "A").unwrap(),
+            vec![
+                point(10, 5, true, true),
+                point(10, 6, true, true),
+                point(12, 5, false, false),
+                point(13, 5, false, true),
+                point(14, high, false, true),
+                point(14, low, false, true),
+            ]
+        );
     }
 
     /// What the bare-key rows once recorded, answered from the events
@@ -364,7 +404,12 @@ mod tests {
 
     #[test]
     fn empty_span_emits_no_rows() {
-        let rows = collect_span_index_rows(&Delta::new(), &[], 0);
-        assert!(rows.is_empty());
+        let svc = two_spans(
+            &[ev(1, EventKind::AddNode { id: 1 })],
+            &[ev(5, EventKind::RemoveNode { id: 1 })],
+        );
+        let rows = svc.store().content_rows().into_iter().flatten();
+        let index_rows = rows.filter(|(key, _)| key[0] == hgs_store::Table::AttrIndex.tag());
+        assert_eq!(index_rows.count(), 0);
     }
 }

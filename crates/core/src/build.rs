@@ -13,14 +13,19 @@
 //!    every row below is encoded against it
 //!    ([`hgs_delta::columnar`]), and the span's `Timespans` row
 //!    stores it;
-//! 3. the span is replayed: at each checkpoint the per-`sid`
-//!    partitioned snapshot (leaf) is pushed into a progressive
-//!    intersection-tree builder which stores the root and every
-//!    `child − parent` derived delta, micro-partitioned by `pid`
-//!    (§ *Intersection tree* below);
+//! 3. the span is replayed once per horizontal partition: at each
+//!    checkpoint the per-`sid` partitioned snapshot (leaf) is pushed
+//!    into a progressive intersection-tree builder which stores the
+//!    root and every `child − parent` derived delta, micro-partitioned
+//!    by `pid` (§ *Intersection tree* below);
 //! 4. each chunk's events are scoped per `sid`, sub-partitioned per
-//!    `pid`, and stored as partitioned eventlists; version-chain
-//!    entries are accumulated per touched node;
+//!    `pid`, and stored as partitioned eventlists; the same replay
+//!    yields the version-chain row of every node of the `sid` it
+//!    touches, and the secondary-index term points of those nodes —
+//!    a carry point per attribute pair held going in, and the pairs an
+//!    event drops or takes on, read off the node's attributes before
+//!    and after it applies — which the driver merges into one row per
+//!    term;
 //! 5. under locality+replication, auxiliary 1-hop boundary deltas are
 //!    stored per (leaf, `sid`, `pid`).
 //!
@@ -81,10 +86,12 @@
 //! store through [`SimStore::try_put_batch`]. Each item replays the
 //! span scoped to its `sid` (full-state replay when aux boundary
 //! replication needs other partitions' node records), builds its own
-//! intersection tree, buckets its eventlists and collects its
-//! (disjoint) version-chain entries; outputs merge in deterministic
-//! `sid` order into a [`WriteBuffer`] that flushes **one round trip
-//! per machine** every `WRITE_BATCH_ROWS` rows and at the span's end.
+//! intersection tree, buckets its eventlists, and encodes the chain
+//! rows and reads the term points of its own nodes; outputs merge in
+//! deterministic order — rows by `sid`, then chain rows by `sid`, then
+//! term rows by term — into a [`WriteBuffer`] that flushes **one round
+//! trip per machine** every `WRITE_BATCH_ROWS` rows and at the span's
+//! end.
 //! The descriptor rows that make a span reachable follow as batches of
 //! their own — each span's `Timespans` row, then one `Graph/meta` row
 //! per append (with `Graph/config` beside it in the index's first) —
@@ -106,7 +113,7 @@ use std::sync::Arc;
 
 use hgs_delta::columnar::{encode_columnar_delta_in, encode_columnar_eventlist_in};
 use hgs_delta::{
-    Delta, Event, EventKind, Eventlist, FxHashMap, NodeId, PairTable, Time, TimeRange,
+    Attrs, Delta, Event, EventKind, Eventlist, FxHashMap, NodeId, PairTable, Time, TimeRange,
 };
 use hgs_partition::{cut_events, locality_partition, CollapsedGraph, PartitionMap};
 use hgs_store::{
@@ -114,6 +121,7 @@ use hgs_store::{
     PutRow, SimStore, StoreError, Table, WriteBuffer,
 };
 
+use crate::attr_index::{span_term_rows, SpanTermPoints};
 use crate::config::{PartitionStrategy, TgiConfig};
 use crate::meta::{
     encode_chain, sid_of, ChainEntry, TimespanMeta, TreeShape, AUX_BASE, ELIST_BASE,
@@ -448,53 +456,21 @@ impl Writer {
         // 2. Partition maps per sid.
         let maps = self.compute_maps(events, range, ns);
         let pid_counts: Vec<u32> = maps.iter().map(|m| m.parts()).collect();
-        let replicate = cfg.replicates_boundary();
         // The span's pair table, before any row is encoded against it.
         let pairs = Arc::new(span_pair_table(&self.tail_state, events));
 
-        // Secondary-index rows are collected from the pre-span tail
-        // state plus the span's events — one in-memory pass before the
-        // encode advances the tail state — and pushed into the same
-        // buffered flush.
-        let index_rows = cfg.secondary_indexes.then(|| {
-            crate::attr_index::collect_span_index_rows(&self.tail_state, events, range.start)
-        });
         // 3-5. Replay the span, emitting leaves / eventlists / aux /
-        // chain entries.
-        let chains = self.encode_span(&chunks, q, &shape, &maps, &pairs, tsid, replicate, buf)?;
-
-        // Version chains: one append-only chain-delta row per touched
-        // node, keyed `(nid, tsid)`. No read-modify-write: the row is
-        // fresh by construction (each span has a distinct `tsid`), so
-        // extending a chain never rereads or rewrites earlier rows —
-        // a mid-write failure leaves old chains fully intact and at
-        // worst omits whole per-span segments, never half of one.
-        // Query-side, a prefix scan by `nid` concatenates the segments
-        // in `tsid` (chronological) order. A node's entries come out of
-        // `encode_sid_span`'s chunk loop in increasing chunk order, one
-        // per chunk whose bucket holds the node.
-        if cfg.version_chains {
-            for (nid, entries) in chains {
-                buf.push(
-                    Table::Versions,
-                    chain_key(nid, tsid).to_vec(),
-                    node_placement_token(nid),
-                    encode_chain(&entries, q),
-                )?;
-            }
-        }
-
-        // Secondary temporal indexes: one self-contained change-point
-        // row per (term, span), batched with everything else — zero
-        // extra round trips per span.
-        for (term, blob) in index_rows.into_iter().flatten() {
-            buf.push(
-                Table::AttrIndex,
-                term_key(hgs_delta::TERM_KIND_VALUE, &term, tsid),
-                term_token(hgs_delta::TERM_KIND_VALUE, &term),
-                blob,
-            )?;
-        }
+        // version chains / term rows.
+        let span = SpanInput {
+            chunks: &chunks,
+            start: range.start,
+            shape: &shape,
+            maps: &maps,
+            pairs: &pairs,
+            tsid,
+            cfg,
+        };
+        self.encode_span(&span, buf)?;
 
         // Persist locality partition maps for reconstructability.
         if matches!(cfg.strategy, PartitionStrategy::Locality { .. }) {
@@ -540,24 +516,17 @@ impl Writer {
     /// `min(encode_width, ns)`, inline at width 1). Each item replays
     /// the span restricted to its own `sid` (or over the full state
     /// when aux boundary replication needs other partitions' node
-    /// records), building its intersection tree, eventlist buckets and
-    /// chain entries independently; encoded rows are staged in memory
-    /// per item and merged into the write buffer in deterministic
-    /// `sid` order. Returns the span's version-chain entries.
-    #[allow(clippy::too_many_arguments)]
+    /// records) and encodes its own rows; the driver only merges them
+    /// in deterministic order: every item's tree, aux and eventlist
+    /// rows in `sid` order, then every item's version-chain rows, then
+    /// one secondary-index row per term, in term-byte order.
     fn encode_span(
         &mut self,
-        chunks: &[&[Event]],
-        q: usize,
-        shape: &TreeShape,
-        maps: &[PartitionMap],
-        pairs: &PairTable,
-        tsid: u32,
-        replicate: bool,
+        span: &SpanInput<'_>,
         buf: &mut WriteBuffer<'_>,
-    ) -> Result<FxHashMap<NodeId, Vec<ChainEntry>>, StoreError> {
-        let cfg = self.view.cfg;
-        let ns = cfg.horizontal_partitions;
+    ) -> Result<(), StoreError> {
+        let ns = span.cfg.horizontal_partitions;
+        let replicate = span.cfg.replicates_boundary();
         // Per-item starting state: the sid's own partition for scoped
         // replay, or a full-state clone when aux rows must look up
         // out-of-partition neighbor records. The tail state is moved
@@ -575,19 +544,7 @@ impl Writer {
         drop(tail);
         let mut outputs: Vec<SidSpanOutput> =
             parallel_steal(items, self.encode_width, |(sid, state)| {
-                encode_sid_span(SidSpanJob {
-                    sid,
-                    state,
-                    chunks,
-                    q,
-                    shape,
-                    maps,
-                    pairs,
-                    tsid,
-                    ns,
-                    replicate,
-                    version_chains: cfg.version_chains,
-                })
+                encode_sid_span(sid, state, span)
             });
         // Each item has already replayed the span: the next tail state
         // is their end states — any one of them when every item
@@ -607,17 +564,30 @@ impl Writer {
             }
             tail
         };
-        let mut chains: FxHashMap<NodeId, Vec<ChainEntry>> = FxHashMap::default();
+        let mut chain_rows = Vec::with_capacity(outputs.len());
+        let mut terms = Vec::with_capacity(outputs.len());
         for out in outputs {
             for row in out.rows {
                 buf.push_row(row)?;
             }
-            for (nid, entries) in out.chains {
-                let prev = chains.insert(nid, entries);
-                debug_assert!(prev.is_none(), "chain entries are disjoint across sids");
-            }
+            chain_rows.push(out.chain_rows);
+            terms.extend(out.terms);
         }
-        Ok(chains)
+        for row in chain_rows.into_iter().flatten() {
+            buf.push_row(row)?;
+        }
+        // Secondary temporal indexes: one self-contained change-point
+        // row per (term, span), batched with everything else — zero
+        // extra round trips per span.
+        for (term, blob) in span_term_rows(terms) {
+            buf.push(
+                Table::AttrIndex,
+                term_key(hgs_delta::TERM_KIND_VALUE, &term, span.tsid),
+                term_token(hgs_delta::TERM_KIND_VALUE, &term),
+                blob,
+            )?;
+        }
+        Ok(())
     }
 
     fn compute_maps(&self, events: &[Event], range: TimeRange, ns: u32) -> Vec<PartitionMap> {
@@ -750,29 +720,28 @@ pub(crate) fn host_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Everything one per-`sid` span-encoding work item needs, borrowed
-/// from the driver (the per-sid starting `state` is owned).
-struct SidSpanJob<'a> {
-    sid: u32,
-    state: Delta,
+/// What every per-`sid` work item of one span shares, borrowed from
+/// the driver.
+struct SpanInput<'a> {
     chunks: &'a [&'a [Event]],
-    q: usize,
+    start: Time,
     shape: &'a TreeShape,
     maps: &'a [PartitionMap],
     pairs: &'a PairTable,
     tsid: u32,
-    ns: u32,
-    replicate: bool,
-    version_chains: bool,
+    cfg: TgiConfig,
 }
 
-/// One work item's encoded output: rows in deterministic emit order,
-/// this sid's (globally disjoint) version-chain entries, and the state
-/// its replay ended in — the sid's share of the next tail state, or
-/// the whole of it when the item replayed the full graph.
+/// One work item's encoded output: its tree, aux and eventlist rows in
+/// deterministic emit order, the version-chain rows of its own nodes,
+/// the term points of its own nodes (`None` without secondary
+/// indexes), and the state its replay ended in — the sid's share of
+/// the next tail state, or the whole of it when the item replayed the
+/// full graph.
 struct SidSpanOutput {
     rows: Vec<PutRow>,
-    chains: FxHashMap<NodeId, Vec<ChainEntry>>,
+    chain_rows: Vec<PutRow>,
+    terms: Option<SpanTermPoints>,
     state: Delta,
 }
 
@@ -780,33 +749,35 @@ struct SidSpanOutput {
 /// span's events — scoped to the sid's node set, or over the full
 /// state when aux replication needs out-of-partition neighbor records
 /// — pushing each checkpoint's partitioned snapshot into this sid's
-/// intersection tree and bucketing each chunk's eventlists. Purely
-/// in-memory: emitted rows are collected, never written, so work items
-/// cannot observe store failures (the driver's buffered flush does).
-fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
-    let SidSpanJob {
-        sid,
-        mut state,
-        chunks,
-        q,
-        shape,
-        maps,
-        pairs,
-        tsid,
-        ns,
-        replicate,
-        version_chains,
-    } = job;
+/// intersection tree and bucketing each chunk's eventlists. A node is
+/// this item's own when `sid_of` puts it here; the item alone writes
+/// its version chain and reads its term points: a carry point per
+/// attribute pair it holds going in, and the pairs each event that can
+/// change its attributes drops or takes on, read before and after
+/// [`Delta::apply_event_in`] applies it. Purely in-memory: emitted rows
+/// are collected, never written, so work items cannot observe store
+/// failures (the driver's buffered flush does).
+fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanOutput {
+    let (cfg, tsid, shape, maps, pairs) = (span.cfg, span.tsid, span.shape, span.maps, span.pairs);
+    let (ns, replicate) = (cfg.horizontal_partitions, cfg.replicates_boundary());
+    let own = |id: NodeId| sid_of(id, ns) == sid;
     let map = &maps[sid as usize];
     let mut rows: Vec<PutRow> = Vec::new();
     let mut chains: FxHashMap<NodeId, Vec<ChainEntry>> = FxHashMap::default();
+    let mut terms = cfg.secondary_indexes.then(SpanTermPoints::default);
+    if let Some(terms) = &mut terms {
+        for node in state.iter().filter(|n| own(n.id)) {
+            terms.carry(node, span.start);
+        }
+    }
+    let mut pos = 0u64;
     let mut acc = TreeAccumulator::new(shape.clone());
-    for j in 0..q {
+    for j in 0..shape.leaves {
         let leaf = if replicate {
             // Full-state replay: extract this sid's partition for the
             // leaf and emit its aux boundary rows from the full state.
             emit_aux(tsid, sid, j as u64, &state, maps, ns, pairs, &mut rows);
-            state.restrict(|id| sid_of(id, ns) == sid)
+            state.restrict(own)
         } else {
             state.clone()
         };
@@ -814,28 +785,63 @@ fn encode_sid_span(job: SidSpanJob<'_>) -> SidSpanOutput {
             let did = shape.did(level, idx);
             emit_micro(tsid, sid, did, delta, map, pairs, &mut rows);
         });
-        if let Some(&chunk) = chunks.get(j) {
-            let buckets = bucket_chunk(
-                chunk,
-                maps,
-                ns,
-                sid,
-                tsid,
-                j as u32,
-                version_chains,
-                &mut chains,
+        let Some(&chunk) = span.chunks.get(j) else {
+            continue;
+        };
+        let chunk_idx = j as u32;
+        let buckets = bucket_chunk(
+            chunk,
+            maps,
+            ns,
+            sid,
+            tsid,
+            chunk_idx,
+            cfg.version_chains,
+            &mut chains,
+        );
+        emit_eventlist_rows(tsid, chunk_idx, buckets, pairs, &mut rows);
+        for ev in chunk {
+            let (id, _) = ev.kind.touched();
+            let changes_attrs = matches!(
+                ev.kind,
+                EventKind::SetNodeAttr { .. }
+                    | EventKind::RemoveNodeAttr { .. }
+                    | EventKind::RemoveNode { .. }
             );
-            emit_eventlist_rows(tsid, j as u32, buckets, pairs, &mut rows);
-            for ev in chunk {
-                state.apply_event_in(&ev.kind, |id| replicate || sid_of(id, ns) == sid);
+            let before =
+                (terms.is_some() && changes_attrs && own(id)).then(|| attrs_of(&state, id));
+            state.apply_event_in(&ev.kind, |id| replicate || own(id));
+            if let (Some(terms), Some(before)) = (&mut terms, before) {
+                terms.change(pos, ev.time, id, &before, &attrs_of(&state, id));
             }
+            pos += 1;
         }
     }
+    // One append-only chain row per own node the span touches, keyed
+    // `(nid, tsid)`: fresh by construction (each span has a distinct
+    // `tsid`), so extending a chain never rereads or rewrites earlier
+    // rows, and a failed write omits whole per-span segments, never half
+    // of one. A node's entries come out of the chunk loop in increasing
+    // chunk order, one per chunk whose bucket holds the node.
+    let chain_rows = chains
+        .into_iter()
+        .map(|(nid, entries)| {
+            let value = encode_chain(&entries, shape.leaves);
+            let key = chain_key(nid, tsid).to_vec();
+            PutRow::new(Table::Versions, key, node_placement_token(nid), value)
+        })
+        .collect();
     SidSpanOutput {
         rows,
-        chains,
+        chain_rows,
+        terms,
         state,
     }
+}
+
+/// Node `id`'s attributes in `state`, none when it is absent.
+fn attrs_of(state: &Delta, id: NodeId) -> Attrs {
+    state.node(id).map(|n| n.attrs.clone()).unwrap_or_default()
 }
 
 /// Bucket one chunk's events into horizontal partition `only_sid`'s

@@ -2,15 +2,15 @@
 //! from the change-point rows, or by the index-off fallback — must
 //! equal a filter of the replayed state, and every attribute history —
 //! answered from the node's version chain — the plain event-replay
-//! oracle, across index on/off, chains on/off, build parallelism, and
-//! build-vs-append construction.
+//! oracle, across index on/off, chains on/off, build parallelism,
+//! boundary replication, and build-vs-append construction.
 
 mod common;
 
 use std::sync::Arc;
 
 use common::{attr_history_by_replay, node_events_by_replay, nodes_matching_by_replay};
-use hgs_core::{TgiConfig, TgiService, TgiView, LABEL_KEY};
+use hgs_core::{PartitionStrategy, TgiConfig, TgiService, TgiView, LABEL_KEY};
 use hgs_datagen::{SkewedLabels, CHURN_KEY, DEAD_LABEL};
 use hgs_delta::{normalize_events, AttrValue, Event, EventKind, Time, TimeRange};
 use hgs_store::machine::MachineStatsSnapshot;
@@ -55,6 +55,16 @@ fn arb_history() -> impl Strategy<Value = Vec<Event>> {
     })
 }
 
+/// Hash partitioning, and locality with boundary replication — where
+/// every span encoder item replays the whole graph, other partitions'
+/// nodes included.
+const STRATEGIES: [PartitionStrategy; 2] = [
+    PartitionStrategy::Random,
+    PartitionStrategy::Locality {
+        replicate_boundary: true,
+    },
+];
+
 fn small_cfg(on: bool) -> TgiConfig {
     TgiConfig {
         events_per_timespan: 60,
@@ -87,23 +97,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Indexed point-in-time predicate answers equal a filter of the
-    /// replayed state at every probe time, under every build width;
-    /// with the index off, the same calls answer identically through
-    /// the documented fallback.
+    /// replayed state at every probe time, under every build width and
+    /// partition strategy; with the index off, the same calls answer
+    /// identically through the documented fallback.
     #[test]
     fn indexed_matching_equals_replay_oracle(
         events in arb_history(),
         c in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        let on = build_c(small_cfg(true), &events, c).pin();
+        let on = STRATEGIES.map(|s| build_c(small_cfg(true).with_strategy(s), &events, c).pin());
         let off = build_c(small_cfg(false), &events, c).pin();
         for t in probe_times(&events) {
             for key in KEYS {
                 for label in LABELS {
                     let value = AttrValue::Text(label.into());
                     let want = nodes_matching_by_replay(&events, key, &value, t);
-                    let got = on.try_nodes_matching_at(key, &value, t).expect("indexed");
-                    prop_assert_eq!(&got, &want, "indexed ({}, {}) at {}", key, label, t);
+                    for (on, s) in on.iter().zip(STRATEGIES) {
+                        let got = on.try_nodes_matching_at(key, &value, t).expect("indexed");
+                        let why = format!("indexed ({key}, {label}) at {t}, {s:?}");
+                        prop_assert_eq!(&got, &want, "{}", why);
+                    }
                     let fallback = off.try_nodes_matching_at(key, &value, t).expect("fallback");
                     prop_assert_eq!(&fallback, &want, "fallback ({}, {}) at {}", key, label, t);
                 }
@@ -172,18 +185,23 @@ proptest! {
     }
 
     /// Build-then-append produces the same indexed answers as one
-    /// from-scratch build over the whole history: appended spans carry
-    /// the attribute state across the cut correctly.
+    /// from-scratch build over the whole history, under either
+    /// partition strategy: appended spans carry the attribute state
+    /// across the cut correctly.
     #[test]
-    fn append_maintains_index_rows(events in arb_history()) {
-        let full = build_c(small_cfg(true), &events, 1).pin();
+    fn append_maintains_index_rows(
+        events in arb_history(),
+        strategy in prop_oneof![Just(STRATEGIES[0]), Just(STRATEGIES[1])],
+    ) {
+        let cfg = small_cfg(true).with_strategy(strategy);
+        let full = build_c(cfg, &events, 1).pin();
         // Append batches must start strictly after the indexed end:
         // advance the cut to the next time boundary.
         let mut cut = (events.len() / 2).max(1);
         while cut < events.len() && events[cut].time <= events[cut - 1].time {
             cut += 1;
         }
-        let svc = build_c(small_cfg(true), &events[..cut], 1);
+        let svc = build_c(cfg, &events[..cut], 1);
         if cut < events.len() {
             svc.try_append_events(&events[cut..]).expect("append");
         }
