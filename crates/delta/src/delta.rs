@@ -11,8 +11,7 @@
 //! * **Node-level** — **sum** (`+`, [`Delta::sum_assign`]): id-wise,
 //!   right-biased overwrite, `∆1 + ∆2` keeps `∆2`'s *whole description*
 //!   for every id in both. Non-commutative, associative, `∆ + ∅ = ∆`.
-//!   **union** ([`Delta::union`]) is its left-biased twin. These
-//!   combine deltas whose node sets are disjoint (the per-`sid` /
+//!   It combines deltas whose node sets are disjoint (the per-`sid` /
 //!   per-`pid` partitions of one snapshot) or whose right side is known
 //!   to be path-complete (a cached checkpoint state), where replacing a
 //!   description wholesale is both correct and a pointer copy.
@@ -314,17 +313,6 @@ impl Delta {
                 acc
             }
         }
-    }
-
-    /// All components from both; on id conflicts with differing values,
-    /// `self`'s description is kept (Definition 5 leaves the bias
-    /// unspecified; TGI only unions disjoint partitions).
-    pub fn union(&self, other: &Delta) -> Delta {
-        let mut out = other.clone();
-        for (id, n) in &self.nodes {
-            out.nodes.insert(*id, Arc::clone(n));
-        }
-        out
     }
 
     /// Restrict to node ids selected by the predicate — the paper's
@@ -698,15 +686,6 @@ mod tests {
             }
             assert_eq!(&rebuilt, child);
         }
-    }
-
-    #[test]
-    fn union_keeps_both() {
-        let a: Delta = vec![StaticNode::new(1)].into_iter().collect();
-        let b: Delta = vec![StaticNode::new(2)].into_iter().collect();
-        let u = a.union(&b);
-        assert!(u.contains(1) && u.contains(2));
-        assert_eq!(a.union(&Delta::new()), a, "∆ ∪ ∅ = ∆");
     }
 
     #[test]

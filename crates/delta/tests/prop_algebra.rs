@@ -1,7 +1,7 @@
 //! Property-based tests for the Δ algebra.
 //!
 //! These check the algebraic identities of Definitions 2–5 of the paper
-//! on arbitrary generated histories — the node-level sum and union,
+//! on arbitrary generated histories — the node-level sum,
 //! the component-level intersection and difference — plus the
 //! reconstruction identity `child = path-sum(parent, child − parent)`
 //! that TGI's derived-snapshot storage depends on.
@@ -193,12 +193,6 @@ proptest! {
         // ∆ ∩ ∆ = ∆, ∆ ∩ ∅ = ∅
         prop_assert_eq!(a.intersection(&a), a.clone());
         prop_assert!(a.intersection(&Delta::new()).is_empty());
-    }
-
-    #[test]
-    fn union_identity(a in arb_delta()) {
-        prop_assert_eq!(a.union(&Delta::new()), a.clone());
-        prop_assert_eq!(Delta::new().union(&a), a);
     }
 
     /// The reconstruction identity TGI storage relies on: for any
