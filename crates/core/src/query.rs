@@ -297,9 +297,10 @@ impl TgiView {
     /// the checkpoint-state clone and the eventlist replay, never the
     /// tree-path fetch + decode.
     pub fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
-        let mut out = self.try_snapshots(std::slice::from_ref(&t))?;
-        // hgs-lint: allow(no-panic-in-try, "try_snapshots returns exactly one state per requested time")
-        Ok(out.pop().expect("one snapshot per requested time"))
+        let mut out = [Delta::new()];
+        self.fill_snapshots(&[t], &mut out)?;
+        let [state] = out;
+        Ok(state)
     }
 
     // ------------------------------------------------------------------

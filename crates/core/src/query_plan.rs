@@ -189,12 +189,24 @@ impl TgiView {
     /// ([`TgiView::with_clients`]); the degenerate `times.len() == 1`
     /// form of this is what [`TgiView::try_snapshot`] runs.
     pub fn try_snapshots(&self, times: &[Time]) -> Result<Vec<Delta>, StoreError> {
-        let plan = MultipointPlan::new(self, times);
         let mut out: Vec<Delta> = (0..times.len()).map(|_| Delta::new()).collect();
-        for group in &plan.groups {
-            self.fill_group(&group.span, &group.leaves, &mut out)?;
-        }
+        self.fill_snapshots(times, &mut out)?;
         Ok(out)
+    }
+
+    /// Fill `out[i]`, one empty state per time, with the graph state at
+    /// `times[i]`: the multipoint plan's span groups, one after the
+    /// other.
+    pub(crate) fn fill_snapshots(
+        &self,
+        times: &[Time],
+        out: &mut [Delta],
+    ) -> Result<(), StoreError> {
+        let plan = MultipointPlan::new(self, times);
+        for group in &plan.groups {
+            self.fill_group(&group.span, &group.leaves, out)?;
+        }
+        Ok(())
     }
 
     /// One horizontal partition's slice of the snapshot at `t`: the
