@@ -58,7 +58,7 @@ use std::sync::Arc;
 
 use hgs_delta::{
     decode_term_points, encode_term_points, matching_at, value_term, AttrValue, Attrs, EventKind,
-    NodeId, StaticNode, TermPoint, Time, TERM_KIND_VALUE,
+    FxHashMap, NodeId, StaticNode, TermPoint, Time, TERM_KIND_VALUE,
 };
 use hgs_store::{term_key, term_token, StoreError, Table};
 
@@ -70,13 +70,20 @@ use crate::read_cache::{CacheKey, Cached};
 pub const LABEL_KEY: &str = "EntityType";
 
 /// The term points one span encoder item reads off its own nodes'
-/// attributes, each beside its term and its place in the term's row:
+/// attributes, by term, each beside its place in the term's row:
 /// carry points by node, then changes by the position in the span of
 /// the event that made them.
 #[derive(Default)]
-pub(crate) struct SpanTermPoints(Vec<(Vec<u8>, (bool, u64), TermPoint)>);
+pub(crate) struct SpanTermPoints(PointsByTerm);
+
+type PointsByTerm = FxHashMap<Vec<u8>, Vec<((bool, u64), TermPoint)>>;
 
 impl SpanTermPoints {
+    fn push(&mut self, key: &str, value: &AttrValue, order: (bool, u64), point: TermPoint) {
+        let points = self.0.entry(value_term(key, value)).or_default();
+        points.push((order, point));
+    }
+
     /// One carry point, stamped `span_start`, per attribute pair `node`
     /// holds going into the span.
     pub(crate) fn carry(&mut self, node: &StaticNode, span_start: Time) {
@@ -87,22 +94,24 @@ impl SpanTermPoints {
                 carry: true,
                 became: true,
             };
-            self.0.push((value_term(k, v), (false, node.id), point));
+            self.push(k, v, (false, node.id), point);
         }
     }
 
     /// The change points of the event at position `pos` of the span,
     /// at `time`, read off node `nid`'s attributes `before` and `after`
-    /// it: a lost point for every pair it dropped, a gained one for
-    /// every pair it took on.
+    /// it (`None`: the node is absent): a lost point for every pair it
+    /// dropped, a gained one for every pair it took on.
     pub(crate) fn change(
         &mut self,
         pos: u64,
         time: Time,
         nid: NodeId,
-        before: &Attrs,
-        after: &Attrs,
+        before: Option<&Attrs>,
+        after: Option<&Attrs>,
     ) {
+        let none = Attrs::new();
+        let (before, after) = (before.unwrap_or(&none), after.unwrap_or(&none));
         let sides = [(before, after, false), (after, before, true)];
         for (from, to, became) in sides {
             for (k, v) in from.iter().filter(|(k, v)| to.get(k) != Some(v)) {
@@ -112,7 +121,7 @@ impl SpanTermPoints {
                     carry: false,
                     became,
                 };
-                self.0.push((value_term(k, v), (true, pos), point));
+                self.push(k, v, (true, pos), point);
             }
         }
     }
@@ -121,18 +130,25 @@ impl SpanTermPoints {
 /// A span's secondary-index rows from every encoder item's points:
 /// `(term bytes, encoded change-point row)` per term, in term-byte
 /// order. Each node's points come from the one item that owns it, and
-/// one event changes a term at most once, so no two points tie.
+/// one event changes a term at most once, so no two points of a term
+/// tie.
 pub(crate) fn span_term_rows(
     items: impl IntoIterator<Item = SpanTermPoints>,
 ) -> Vec<(Vec<u8>, bytes::Bytes)> {
-    let mut all: Vec<_> = items.into_iter().flat_map(|p| p.0).collect();
-    all.sort_unstable_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-    all.chunk_by(|a, b| a.0 == b.0)
-        .map(|run| {
-            let points: Vec<TermPoint> = run.iter().map(|p| p.2).collect();
-            (run[0].0.clone(), encode_term_points(&points))
+    let mut terms = PointsByTerm::default();
+    for (term, points) in items.into_iter().flat_map(|item| item.0) {
+        terms.entry(term).or_default().extend(points);
+    }
+    let mut rows: Vec<_> = terms
+        .into_iter()
+        .map(|(term, mut points)| {
+            points.sort_unstable_by_key(|p| p.0);
+            let points: Vec<TermPoint> = points.into_iter().map(|p| p.1).collect();
+            (term, encode_term_points(&points))
         })
-        .collect()
+        .collect();
+    rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    rows
 }
 
 impl TgiView {

@@ -113,7 +113,7 @@ use std::sync::Arc;
 
 use hgs_delta::columnar::{encode_columnar_delta_in, encode_columnar_eventlist_in};
 use hgs_delta::{
-    Attrs, Delta, Event, EventKind, Eventlist, FxHashMap, NodeId, PairTable, Time, TimeRange,
+    Delta, Event, EventKind, Eventlist, FxHashMap, NodeId, PairTable, Time, TimeRange,
 };
 use hgs_partition::{cut_events, locality_partition, CollapsedGraph, PartitionMap};
 use hgs_store::{
@@ -571,7 +571,7 @@ impl Writer {
                 buf.push_row(row)?;
             }
             chain_rows.push(out.chain_rows);
-            terms.extend(out.terms);
+            terms.push(out.terms);
         }
         for row in chain_rows.into_iter().flatten() {
             buf.push_row(row)?;
@@ -734,14 +734,14 @@ struct SpanInput<'a> {
 
 /// One work item's encoded output: its tree, aux and eventlist rows in
 /// deterministic emit order, the version-chain rows of its own nodes,
-/// the term points of its own nodes (`None` without secondary
-/// indexes), and the state its replay ended in — the sid's share of
+/// the term points of its own nodes (none without secondary indexes),
+/// and the state its replay ended in — the sid's share of
 /// the next tail state, or the whole of it when the item replayed the
 /// full graph.
 struct SidSpanOutput {
     rows: Vec<PutRow>,
     chain_rows: Vec<PutRow>,
-    terms: Option<SpanTermPoints>,
+    terms: SpanTermPoints,
     state: Delta,
 }
 
@@ -764,8 +764,8 @@ fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanO
     let map = &maps[sid as usize];
     let mut rows: Vec<PutRow> = Vec::new();
     let mut chains: FxHashMap<NodeId, Vec<ChainEntry>> = FxHashMap::default();
-    let mut terms = cfg.secondary_indexes.then(SpanTermPoints::default);
-    if let Some(terms) = &mut terms {
+    let mut terms = SpanTermPoints::default();
+    if cfg.secondary_indexes {
         for node in state.iter().filter(|n| own(n.id)) {
             terms.carry(node, span.start);
         }
@@ -808,11 +808,12 @@ fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanO
                     | EventKind::RemoveNodeAttr { .. }
                     | EventKind::RemoveNode { .. }
             );
-            let before =
-                (terms.is_some() && changes_attrs && own(id)).then(|| attrs_of(&state, id));
+            let watched = cfg.secondary_indexes && changes_attrs && own(id);
+            let before = watched.then(|| state.node(id).map(|n| n.attrs.clone()));
             state.apply_event_in(&ev.kind, |id| replicate || own(id));
-            if let (Some(terms), Some(before)) = (&mut terms, before) {
-                terms.change(pos, ev.time, id, &before, &attrs_of(&state, id));
+            if let Some(before) = before {
+                let after = state.node(id).map(|n| &n.attrs);
+                terms.change(pos, ev.time, id, before.as_ref(), after);
             }
             pos += 1;
         }
@@ -837,11 +838,6 @@ fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanO
         terms,
         state,
     }
-}
-
-/// Node `id`'s attributes in `state`, none when it is absent.
-fn attrs_of(state: &Delta, id: NodeId) -> Attrs {
-    state.node(id).map(|n| n.attrs.clone()).unwrap_or_default()
 }
 
 /// Bucket one chunk's events into horizontal partition `only_sid`'s
