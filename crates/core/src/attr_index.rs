@@ -15,14 +15,12 @@
 //! `(term, tsid)` row — `O(log changes + answer)` instead of the
 //! `O(snapshot)` decode of materialize-then-filter.
 //!
-//! The points are read off the build's one replay of the span, not
-//! worked out from its events a second time: each per-`sid` span
-//! encoder item records a carry point per attribute pair its own nodes
-//! hold going in (`SpanTermPoints::carry`) and, around every event
-//! that can change an own node's attributes, the pairs the event drops
-//! or takes on (`SpanTermPoints::change`); `span_term_rows` merges the
-//! items' points into one row per term. What an event does is
-//! [`Delta::apply_event_in`](hgs_delta::Delta::apply_event_in)'s alone.
+//! The points are read off the build's one replay of the span: each
+//! per-`sid` encoder item records its own nodes' pairs going in, and
+//! the pairs every event that can change their attributes drops or
+//! takes on, read before and after
+//! [`Delta::apply_event_in`](hgs_delta::Delta::apply_event_in) applies
+//! it; `span_term_rows` merges the items' points into one row per term.
 //!
 //! There is no second row kind. The value history of one key on one
 //! node is a node-centric history question, and like every such

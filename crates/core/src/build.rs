@@ -20,12 +20,8 @@
 //!    by `pid` (§ *Intersection tree* below);
 //! 4. each chunk's events are scoped per `sid`, sub-partitioned per
 //!    `pid`, and stored as partitioned eventlists; the same replay
-//!    yields the version-chain row of every node of the `sid` it
-//!    touches, and the secondary-index term points of those nodes —
-//!    a carry point per attribute pair held going in, and the pairs an
-//!    event drops or takes on, read off the node's attributes before
-//!    and after it applies — which the driver merges into one row per
-//!    term;
+//!    yields the version-chain rows and the secondary-index term
+//!    points (`attr_index.rs`) of the nodes the `sid` owns;
 //! 5. under locality+replication, auxiliary 1-hop boundary deltas are
 //!    stored per (leaf, `sid`, `pid`).
 //!
@@ -749,14 +745,11 @@ struct SidSpanOutput {
 /// span's events — scoped to the sid's node set, or over the full
 /// state when aux replication needs out-of-partition neighbor records
 /// — pushing each checkpoint's partitioned snapshot into this sid's
-/// intersection tree and bucketing each chunk's eventlists. A node is
-/// this item's own when `sid_of` puts it here; the item alone writes
-/// its version chain and reads its term points: a carry point per
-/// attribute pair it holds going in, and the pairs each event that can
-/// change its attributes drops or takes on, read before and after
-/// [`Delta::apply_event_in`] applies it. Purely in-memory: emitted rows
-/// are collected, never written, so work items cannot observe store
-/// failures (the driver's buffered flush does).
+/// intersection tree and bucketing each chunk's eventlists. The item
+/// alone writes the version chains and reads the term points of its
+/// own nodes, those `sid_of` puts in its `sid`. Purely in-memory:
+/// emitted rows are collected, never written, so work items cannot
+/// observe store failures (the driver's buffered flush does).
 fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanOutput {
     let (cfg, tsid, shape, maps, pairs) = (span.cfg, span.tsid, span.shape, span.maps, span.pairs);
     let (ns, replicate) = (cfg.horizontal_partitions, cfg.replicates_boundary());

@@ -195,15 +195,13 @@ impl TgiView {
     }
 
     /// Fill `out[i]`, one empty state per time, with the graph state at
-    /// `times[i]`: the multipoint plan's span groups, one after the
-    /// other.
+    /// `times[i]`, one span group of the multipoint plan at a time.
     pub(crate) fn fill_snapshots(
         &self,
         times: &[Time],
         out: &mut [Delta],
     ) -> Result<(), StoreError> {
-        let plan = MultipointPlan::new(self, times);
-        for group in &plan.groups {
+        for group in &MultipointPlan::new(self, times).groups {
             self.fill_group(&group.span, &group.leaves, out)?;
         }
         Ok(())
