@@ -132,8 +132,10 @@ mod common;
 use std::hash::Hasher;
 
 use hgs_core::{PartitionStrategy, TgiConfig, TgiService, AUX_BASE, ELIST_BASE};
-use hgs_datagen::{SkewedLabels, WikiGrowth};
-use hgs_delta::{decode_term_points, encode_term_points, Event, FxHasher, TERM_KIND_VALUE};
+use hgs_datagen::{augment_with_churn, SkewedLabels, WikiGrowth};
+use hgs_delta::{
+    decode_term_points, encode_term_points, Event, EventKind, FxHasher, TERM_KIND_VALUE,
+};
 use hgs_store::{DeltaKey, StoreConfig, Table};
 
 /// Stored value bytes per event, by table; `Deltas` rows split by what
@@ -362,6 +364,18 @@ fn skew21k() -> Vec<Event> {
     .generate()
 }
 
+/// `wiki20k` and 4 000 churn events, every 40th of which removes the
+/// node it touched: the trace whose builds normalize `RemoveNode`s.
+fn churn24k() -> Vec<Event> {
+    let base = wiki20k();
+    let mut trace = augment_with_churn(&base, 4_000, 0.4, 11);
+    for e in trace[base.len()..].iter_mut().step_by(40) {
+        let (id, _) = e.kind.touched();
+        e.kind = EventKind::RemoveNode { id };
+    }
+    trace
+}
+
 #[test]
 fn wiki_tree_delta_rows_stay_factored() {
     let events = wiki20k();
@@ -520,7 +534,8 @@ fn row_digest(events: &[Event], cfg: TgiConfig, batch: Option<usize>) -> Digest 
 /// grammar alone must leave this table alone, byte for byte. It moves
 /// only with `LAYOUT_TAG`; a mismatch prints the new table. The
 /// replicated builds are the ones whose span encoders each replay the
-/// whole graph, other partitions' nodes included.
+/// whole graph, other partitions' nodes included; the `churn24k`
+/// builds are the ones that store normalized `RemoveNode`s.
 #[test]
 fn every_stored_row_is_pinned() {
     use PartitionStrategy::{Locality, Random};
@@ -528,7 +543,7 @@ fn every_stored_row_is_pinned() {
         replicate_boundary: true,
     };
     #[rustfmt::skip]
-    let pinned: [(&str, PartitionStrategy, Option<usize>, Digest); 8] = [
+    let pinned: [(&str, PartitionStrategy, Option<usize>, Digest); 11] = [
         ("wiki20k", Random, None, (3499, 304764, 0x0d8a9117b4dffaed)),
         ("wiki20k", Random, Some(2000), (8491, 457236, 0x1b3d72810ef3fb4f)),
         ("wiki20k", Random, Some(100), (16617, 3679749, 0xd7ad66a450ea6089)),
@@ -537,12 +552,19 @@ fn every_stored_row_is_pinned() {
         ("skew21k", Random, Some(100), (26691, 4107433, 0x65944c9943d30f6d)),
         ("skew21k", REPL, None, (3365, 2319409, 0xce6f464ed9cd5489)),
         ("skew21k", REPL, Some(2000), (11575, 2519120, 0xc51d7901e3c2c8b3)),
+        ("churn24k", Random, None, (6644, 509945, 0x39f9efe431523c0f)),
+        ("churn24k", Random, Some(2000), (13590, 733856, 0x8f77905583e3661b)),
+        ("churn24k", REPL, Some(2000), (13977, 6206240, 0xfd7c82d8985d0d7d)),
     ];
-    let (wiki, skew) = (wiki20k(), skew21k());
+    let (wiki, skew, churn) = (wiki20k(), skew21k(), churn24k());
     let got: Vec<_> = pinned
         .iter()
         .map(|&(name, strategy, batch, _)| {
-            let events = if name == "wiki20k" { &wiki } else { &skew };
+            let events = match name {
+                "wiki20k" => &wiki,
+                "skew21k" => &skew,
+                _ => &churn,
+            };
             let cfg = TgiConfig::default().with_strategy(strategy);
             (name, strategy, batch, row_digest(events, cfg, batch))
         })
