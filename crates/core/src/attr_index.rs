@@ -54,9 +54,10 @@
 
 use std::sync::Arc;
 
+use bytes::BytesMut;
 use hgs_delta::{
-    decode_term_points, encode_term_points, matching_at, value_term, AttrValue, Attrs, EventKind,
-    FxHashMap, NodeId, StaticNode, TermPoint, Time, TERM_KIND_VALUE,
+    decode_term_points, encode_term_points, matching_at, value_term, AttrValue, Attrs, Delta,
+    EventKind, FxHashMap, NodeId, StaticNode, TermPoint, Time, TERM_KIND_VALUE,
 };
 use hgs_store::{term_key, term_token, StoreError, Table};
 
@@ -70,16 +71,51 @@ pub const LABEL_KEY: &str = "EntityType";
 /// The term points one span encoder item reads off its own nodes'
 /// attributes, by term, each beside its place in the term's row:
 /// carry points by node, then changes by the position in the span of
-/// the event that made them.
+/// the event that made them. Each term is built into one buffer the
+/// item reuses and copied out only when the item first meets it.
 #[derive(Default)]
-pub(crate) struct SpanTermPoints(PointsByTerm);
+pub(crate) struct SpanTermPoints {
+    points: PointsByTerm,
+    term: BytesMut,
+}
 
 type PointsByTerm = FxHashMap<Vec<u8>, Vec<((bool, u64), TermPoint)>>;
 
+/// The attribute pairs an event can change on the node it names, as
+/// that node held them before the replay applied the event.
+pub(crate) enum Held<'e> {
+    /// The value of the one key a `SetNodeAttr` / `RemoveNodeAttr`
+    /// names (`None`: the key or the node is absent).
+    Key(&'e str, Option<AttrValue>),
+    /// Every pair of the node a `RemoveNode` removes.
+    All(Attrs),
+}
+
+impl<'e> Held<'e> {
+    /// What `kind`'s node holds in `state` of the pairs `kind` can
+    /// change; `None` for an event that changes no node attribute.
+    pub(crate) fn before(kind: &'e EventKind, state: &Delta) -> Option<Held<'e>> {
+        let attrs = |id: &NodeId| state.node(*id).map(|n| &n.attrs);
+        match kind {
+            EventKind::SetNodeAttr { id, key, .. } | EventKind::RemoveNodeAttr { id, key } => {
+                let value = attrs(id).and_then(|a| a.get(key)).cloned();
+                Some(Held::Key(key, value))
+            }
+            EventKind::RemoveNode { id } => Some(Held::All(attrs(id).cloned().unwrap_or_default())),
+            _ => None,
+        }
+    }
+}
+
 impl SpanTermPoints {
     fn push(&mut self, key: &str, value: &AttrValue, order: (bool, u64), point: TermPoint) {
-        let points = self.0.entry(value_term(key, value)).or_default();
-        points.push((order, point));
+        value_term(key, value, &mut self.term);
+        match self.points.get_mut(&self.term[..]) {
+            Some(points) => points.push((order, point)),
+            None => {
+                self.points.insert(self.term.to_vec(), vec![(order, point)]);
+            }
+        }
     }
 
     /// One carry point, stamped `span_start`, per attribute pair `node`
@@ -97,29 +133,43 @@ impl SpanTermPoints {
     }
 
     /// The change points of the event at position `pos` of the span,
-    /// at `time`, read off node `nid`'s attributes `before` and `after`
-    /// it (`None`: the node is absent): a lost point for every pair it
-    /// dropped, a gained one for every pair it took on.
+    /// at `time`, read off what node `nid` `held` before it and the
+    /// node `after` it (`None`: the node is absent): a lost point for
+    /// every pair it dropped, a gained one for every pair it took on.
     pub(crate) fn change(
         &mut self,
         pos: u64,
         time: Time,
         nid: NodeId,
-        before: Option<&Attrs>,
-        after: Option<&Attrs>,
+        held: Held<'_>,
+        after: Option<&StaticNode>,
     ) {
         let none = Attrs::new();
-        let (before, after) = (before.unwrap_or(&none), after.unwrap_or(&none));
-        let sides = [(before, after, false), (after, before, true)];
-        for (from, to, became) in sides {
-            for (k, v) in from.iter().filter(|(k, v)| to.get(k) != Some(v)) {
-                let point = TermPoint {
-                    time,
-                    nid,
-                    carry: false,
-                    became,
-                };
-                self.push(k, v, (true, pos), point);
+        let after = after.map_or(&none, |n| &n.attrs);
+        let point = |became| TermPoint {
+            time,
+            nid,
+            carry: false,
+            became,
+        };
+        match held {
+            Held::Key(key, before) => {
+                let now = after.get(key);
+                if before.as_ref() != now {
+                    let sides = [(before.as_ref(), false), (now, true)];
+                    for (value, became) in sides {
+                        if let Some(v) = value {
+                            self.push(key, v, (true, pos), point(became));
+                        }
+                    }
+                }
+            }
+            Held::All(before) => {
+                for (from, to, became) in [(&before, after, false), (after, &before, true)] {
+                    for (k, v) in from.iter().filter(|(k, v)| to.get(k) != Some(v)) {
+                        self.push(k, v, (true, pos), point(became));
+                    }
+                }
             }
         }
     }
@@ -134,7 +184,7 @@ pub(crate) fn span_term_rows(
     items: impl IntoIterator<Item = SpanTermPoints>,
 ) -> Vec<(Vec<u8>, bytes::Bytes)> {
     let mut terms = PointsByTerm::default();
-    for (term, points) in items.into_iter().flat_map(|item| item.0) {
+    for (term, points) in items.into_iter().flat_map(|item| item.points) {
         terms.entry(term).or_default().extend(points);
     }
     let mut rows: Vec<_> = terms
@@ -201,7 +251,8 @@ impl TgiView {
             return Ok(out);
         }
         let tsid = self.span_for(t).meta.tsid;
-        let term = value_term(key, value);
+        let mut term = BytesMut::new();
+        value_term(key, value, &mut term);
         match self.try_fetch_term_points(tsid, &term)? {
             Some(points) => Ok(matching_at(&points, t)),
             None => Ok(Vec::new()),
@@ -284,7 +335,8 @@ mod tests {
 
     /// The stored points of term `key == value` in span `tsid`.
     fn points(svc: &TgiService, tsid: u32, key: &str, value: &str) -> Option<Vec<TermPoint>> {
-        let term = value_term(key, &AttrValue::Text(value.into()));
+        let mut term = BytesMut::new();
+        value_term(key, &AttrValue::Text(value.into()), &mut term);
         let pts = svc.pin().try_fetch_term_points(tsid, &term).unwrap();
         pts.map(|p| p.to_vec())
     }

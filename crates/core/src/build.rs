@@ -19,9 +19,10 @@
 //!    root and every `child − parent` derived delta, micro-partitioned
 //!    by `pid` (§ *Intersection tree* below);
 //! 4. each chunk's events are scoped per `sid`, sub-partitioned per
-//!    `pid`, and stored as partitioned eventlists; the same replay
-//!    yields the version-chain rows and the secondary-index term
-//!    points (`attr_index.rs`) of the nodes the `sid` owns;
+//!    `pid`, and stored as partitioned eventlists; the same walk of the
+//!    chunk replays it and yields the version-chain rows and the
+//!    secondary-index term points (`attr_index.rs`) of the nodes the
+//!    `sid` owns;
 //! 5. under locality+replication, auxiliary 1-hop boundary deltas are
 //!    stored per (leaf, `sid`, `pid`).
 //!
@@ -82,8 +83,13 @@
 //! store through [`SimStore::try_put_batch`]. Each item replays the
 //! span scoped to its `sid` (full-state replay when aux boundary
 //! replication needs other partitions' node records), builds its own
-//! intersection tree, buckets its eventlists, and encodes the chain
-//! rows and reads the term points of its own nodes; outputs merge in
+//! intersection tree, and walks each chunk once — bucketing its
+//! eventlists, extending the chains of its own nodes and applying the
+//! events that name one (every event, under replication) — then
+//! encodes the chain rows and the term points of its own nodes. A
+//! batch reaches the encoder normalized (`RemoveNode`s expanded by one
+//! replay of the batch on the tail state), which is what lets a scoped
+//! item skip the events that name none of its nodes; outputs merge in
 //! deterministic order — rows by `sid`, then chain rows by `sid`, then
 //! term rows by term — into a [`WriteBuffer`] that flushes **one round
 //! trip per machine** every `WRITE_BATCH_ROWS` rows and at the span's
@@ -117,7 +123,7 @@ use hgs_store::{
     PutRow, SimStore, StoreError, Table, WriteBuffer,
 };
 
-use crate::attr_index::{span_term_rows, SpanTermPoints};
+use crate::attr_index::{span_term_rows, Held, SpanTermPoints};
 use crate::config::{PartitionStrategy, TgiConfig};
 use crate::meta::{
     encode_chain, sid_of, ChainEntry, TimespanMeta, TreeShape, AUX_BASE, ELIST_BASE,
@@ -368,47 +374,17 @@ impl Writer {
         Ok(())
     }
 
-    /// Normalize a batch against the current tail state.
-    /// Normalization only rewrites `RemoveNode`, so a batch without
-    /// one is returned as it came — no seeding pass over the whole
-    /// live graph, no copy.
+    /// Normalize a batch against the current tail state
+    /// ([`hgs_delta::normalize_events_from`]). Normalization only
+    /// rewrites `RemoveNode`, so a batch without one is returned as it
+    /// came — no replay, no copy.
     fn normalize_batch<'a>(&self, events: &'a [Event]) -> Cow<'a, [Event]> {
-        let removes_a_node = |e: &Event| matches!(e.kind, hgs_delta::EventKind::RemoveNode { .. });
+        let removes_a_node = |e: &Event| matches!(e.kind, EventKind::RemoveNode { .. });
         if events.iter().any(removes_a_node) {
-            Cow::Owned(self.normalize_seeded(events))
+            Cow::Owned(hgs_delta::normalize_events_from(&self.tail_state, events))
         } else {
             Cow::Borrowed(events)
         }
-    }
-
-    /// Seed the expansion with synthetic edge state from `tail_state`,
-    /// then normalize the batch alone.
-    fn normalize_seeded(&self, events: &[Event]) -> Vec<Event> {
-        // Prefix the batch with the live adjacency as AddEdge events at
-        // an irrelevant time, normalize, then drop the prefix.
-        let state = &self.tail_state;
-        let mut seeded: Vec<Event> = Vec::with_capacity(state.cardinality() + events.len());
-        let mut prefix = 0usize;
-        for n in state.iter() {
-            for e in &n.edges {
-                if n.id <= e.nbr {
-                    seeded.push(Event::new(
-                        0,
-                        hgs_delta::EventKind::AddEdge {
-                            src: n.id,
-                            dst: e.nbr,
-                            weight: e.weight,
-                            directed: false,
-                        },
-                    ));
-                    prefix += 1;
-                }
-            }
-        }
-        seeded.extend(events.iter().cloned());
-        let mut out = hgs_delta::normalize_events(&seeded);
-        out.drain(..prefix);
-        out
     }
 
     // ------------------------------------------------------------------
@@ -745,11 +721,22 @@ struct SidSpanOutput {
 /// span's events — scoped to the sid's node set, or over the full
 /// state when aux replication needs out-of-partition neighbor records
 /// — pushing each checkpoint's partitioned snapshot into this sid's
-/// intersection tree and bucketing each chunk's eventlists. The item
-/// alone writes the version chains and reads the term points of its
-/// own nodes, those `sid_of` puts in its `sid`. Purely in-memory:
-/// emitted rows are collected, never written, so work items cannot
-/// observe store failures (the driver's buffered flush does).
+/// intersection tree, and walk each chunk once, bucketing its
+/// eventlists as it replays it. The item alone writes the version
+/// chains and reads the term points of its own nodes, those `sid_of`
+/// puts in its `sid`. Purely in-memory: emitted rows are collected,
+/// never written, so work items cannot observe store failures (the
+/// driver's buffered flush does).
+///
+/// A scoped item applies only the events that name one of its own
+/// nodes, and skipping the rest is exact: a scoped replay neither
+/// creates nor modifies an out-of-scope endpoint, so such an event
+/// changes nothing here but for a foreign `RemoveNode`, which scrubs
+/// own holders' edges to the removed node. Every batch reaches the
+/// encoder normalized ([`hgs_delta::normalize_events_from`]), so those
+/// holders have already lost their edges through the explicit
+/// `RemoveEdge`s before it, which name them and are applied. A
+/// replicating item holds the whole graph and applies every event.
 fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanOutput {
     let (cfg, tsid, shape, maps, pairs) = (span.cfg, span.tsid, span.shape, span.maps, span.pairs);
     let (ns, replicate) = (cfg.horizontal_partitions, cfg.replicates_boundary());
@@ -781,35 +768,49 @@ fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanO
         let Some(&chunk) = span.chunks.get(j) else {
             continue;
         };
+        // One walk of the chunk: place each own endpoint once, give
+        // its `pid`'s bucket one copy of the event *instance* (raw
+        // traces do repeat events; comparing placements, not event
+        // values, keeps them) and its chain an entry for the chunk,
+        // then replay the event — unless it names no own node.
         let chunk_idx = j as u32;
-        let buckets = bucket_chunk(
-            chunk,
-            maps,
-            ns,
-            sid,
-            tsid,
-            chunk_idx,
-            cfg.version_chains,
-            &mut chains,
-        );
-        emit_eventlist_rows(tsid, chunk_idx, buckets, pairs, &mut rows);
+        let mut buckets: FxHashMap<(u32, u32), Vec<Event>> = FxHashMap::default();
         for ev in chunk {
-            let (id, _) = ev.kind.touched();
-            let changes_attrs = matches!(
-                ev.kind,
-                EventKind::SetNodeAttr { .. }
-                    | EventKind::RemoveNodeAttr { .. }
-                    | EventKind::RemoveNode { .. }
-            );
-            let watched = cfg.secondary_indexes && changes_attrs && own(id);
-            let before = watched.then(|| state.node(id).map(|n| n.attrs.clone()));
-            state.apply_event_in(&ev.kind, |id| replicate || own(id));
-            if let Some(before) = before {
-                let after = state.node(id).map(|n| &n.attrs);
-                terms.change(pos, ev.time, id, before.as_ref(), after);
+            let (a, b) = ev.kind.touched();
+            let mut placed = None;
+            for nid in std::iter::once(a).chain(b.filter(|&b| b != a)) {
+                if !own(nid) {
+                    continue;
+                }
+                let pid = map.assign(nid);
+                if placed != Some(pid) {
+                    buckets.entry((sid, pid)).or_default().push(ev.clone());
+                    placed = Some(pid);
+                }
+                if cfg.version_chains {
+                    let chain = chains.entry(nid).or_default();
+                    let entry = ChainEntry {
+                        tsid,
+                        chunk: chunk_idx,
+                        pid,
+                    };
+                    if chain.last() != Some(&entry) {
+                        chain.push(entry);
+                    }
+                }
+            }
+            if replicate || placed.is_some() {
+                let held = (cfg.secondary_indexes && own(a))
+                    .then(|| Held::before(&ev.kind, &state))
+                    .flatten();
+                state.apply_event_in(&ev.kind, |id| replicate || own(id));
+                if let Some(held) = held {
+                    terms.change(pos, ev.time, a, held, state.node(a));
+                }
             }
             pos += 1;
         }
+        emit_eventlist_rows(tsid, chunk_idx, buckets, pairs, &mut rows);
     }
     // One append-only chain row per own node the span touches, keyed
     // `(nid, tsid)`: fresh by construction (each span has a distinct
@@ -831,72 +832,6 @@ fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanO
         terms,
         state,
     }
-}
-
-/// Bucket one chunk's events into horizontal partition `only_sid`'s
-/// per-`pid` eventlists and collect its version-chain entries (the
-/// buckets and chain maps of all sids partition the chunk: an event
-/// lands at each endpoint's own sid, and a node's chain entries are
-/// generated only under its own sid). Each distinct `(sid, pid)` gets
-/// exactly one copy of each event *instance* — comparing bucket keys,
-/// not event values, keeps genuinely duplicated events (which raw
-/// traces do contain) intact.
-#[allow(clippy::too_many_arguments)]
-fn bucket_chunk(
-    chunk: &[Event],
-    maps: &[PartitionMap],
-    ns: u32,
-    only_sid: u32,
-    tsid: u32,
-    chunk_idx: u32,
-    version_chains: bool,
-    chains: &mut FxHashMap<NodeId, Vec<ChainEntry>>,
-) -> FxHashMap<(u32, u32), Vec<Event>> {
-    let want = |sid: u32| sid == only_sid;
-    let mut buckets: FxHashMap<(u32, u32), Vec<Event>> = FxHashMap::default();
-    for ev in chunk {
-        let (a, b) = ev.kind.touched();
-        let ta = {
-            let sid = sid_of(a, ns);
-            (sid, maps[sid as usize].assign(a))
-        };
-        let tb = b.filter(|&b| b != a).map(|b| {
-            let sid = sid_of(b, ns);
-            (sid, maps[sid as usize].assign(b))
-        });
-        if want(ta.0) {
-            buckets.entry(ta).or_default().push(ev.clone());
-        }
-        if let Some(tb) = tb {
-            if tb != ta && want(tb.0) {
-                buckets.entry(tb).or_default().push(ev.clone());
-            }
-        }
-        if version_chains {
-            let mut chain_push = |nid: NodeId, pid: u32| {
-                let chain = chains.entry(nid).or_default();
-                if chain.last().map(|e| (e.tsid, e.chunk, e.pid)) != Some((tsid, chunk_idx, pid)) {
-                    chain.push(ChainEntry {
-                        tsid,
-                        chunk: chunk_idx,
-                        pid,
-                    });
-                }
-            };
-            if want(ta.0) {
-                chain_push(a, ta.1);
-            }
-            if let Some(b) = b {
-                if b != a {
-                    let sid = sid_of(b, ns);
-                    if want(sid) {
-                        chain_push(b, maps[sid as usize].assign(b));
-                    }
-                }
-            }
-        }
-    }
-    buckets
 }
 
 /// Encode bucketed eventlists as store rows, against the span's
@@ -1346,20 +1281,24 @@ mod tests {
         assert_eq!(batches, cold_snapshot_batches(&one));
     }
 
-    /// The early-out and the seeded expansion agree: a batch without
-    /// `RemoveNode` comes back borrowed and equal to what seeding the
-    /// whole live graph would have produced; one with removals takes
-    /// the seeded path and gains the neighbors' `RemoveEdge` events.
+    /// The early-out and the expansion agree: a batch without
+    /// `RemoveNode` comes back borrowed and equal to its part of the
+    /// whole history's normalization; one with removals comes back
+    /// expanded against the live graph, equal to that part too.
     #[test]
-    fn normalize_batch_early_out_equals_seeded_expansion() {
+    fn normalize_batch_early_out_equals_the_history_expansion() {
         let base = hgs_datagen::WikiGrowth::sized(800).generate();
         let trace = hgs_datagen::augment_with_churn(&base, 500, 0.5, 7);
         let (built, churn) = trace.split_at(base.len());
         let tgi = writer(TgiConfig::default(), StoreConfig::new(2, 1), built);
+        let as_suffix = |batch: &[Event]| {
+            let whole = hgs_delta::normalize_events(&[built, batch].concat());
+            whole[hgs_delta::normalize_events(built).len()..].to_vec()
+        };
 
         let plain = tgi.normalize_batch(churn);
         assert!(matches!(plain, Cow::Borrowed(_)));
-        assert_eq!(&plain[..], &tgi.normalize_seeded(churn)[..]);
+        assert_eq!(&plain[..], &as_suffix(churn)[..]);
 
         // Remove the three best-connected live nodes after the churn.
         let mut by_degree: Vec<&hgs_delta::StaticNode> = tgi.tail_state.iter().collect();
@@ -1368,11 +1307,11 @@ mod tests {
         let mut t = churn.last().expect("churn events").time;
         for n in &by_degree[..3] {
             t += 1;
-            with_removals.push(Event::new(t, hgs_delta::EventKind::RemoveNode { id: n.id }));
+            with_removals.push(Event::new(t, EventKind::RemoveNode { id: n.id }));
         }
         let expanded = tgi.normalize_batch(&with_removals);
         assert!(matches!(expanded, Cow::Owned(_)));
-        assert_eq!(&expanded[..], &tgi.normalize_seeded(&with_removals)[..]);
+        assert_eq!(&expanded[..], &as_suffix(&with_removals)[..]);
         assert!(
             expanded.len() > with_removals.len(),
             "incident edges were made explicit"
@@ -1382,8 +1321,10 @@ mod tests {
     /// The next tail state is taken from the span encoders' own
     /// replays, not from a second one: after a build and appends whose
     /// churn removes nodes, it equals an in-order replay of the trace —
-    /// scoped per `sid`, and with every item replaying the whole graph
-    /// for aux replication.
+    /// scoped per `sid`, where each item skips the events that name
+    /// none of its nodes (all of them at one partition, none skipped),
+    /// and with every item replaying the whole graph for aux
+    /// replication.
     #[test]
     fn tail_state_equals_an_in_order_replay() {
         let base = hgs_datagen::WikiGrowth::sized(1_200).generate();
@@ -1398,7 +1339,7 @@ mod tests {
             replay.apply_event(&e.kind);
         }
         let (built, churn) = trace.split_at(base.len());
-        for strategy in [
+        let strategies = [
             PartitionStrategy::Random,
             PartitionStrategy::Locality {
                 replicate_boundary: false,
@@ -1406,11 +1347,16 @@ mod tests {
             PartitionStrategy::Locality {
                 replicate_boundary: true,
             },
-        ] {
+        ];
+        for (ns, strategy) in [1, 3, 4]
+            .into_iter()
+            .flat_map(|ns| strategies.map(|s| (ns, s)))
+        {
             let cfg = TgiConfig {
                 events_per_timespan: 400,
                 eventlist_size: 50,
                 partition_size: 40,
+                horizontal_partitions: ns,
                 strategy,
                 ..TgiConfig::default()
             };
@@ -1418,8 +1364,8 @@ mod tests {
             for batch in churn.chunks(300) {
                 tgi.try_append_events(batch).unwrap();
             }
-            assert!(tgi.view.span_count() > 4, "{strategy:?}");
-            assert_eq!(tgi.tail_state, replay, "{strategy:?}");
+            assert!(tgi.view.span_count() > 4, "{ns} {strategy:?}");
+            assert_eq!(tgi.tail_state, replay, "{ns} {strategy:?}");
         }
     }
 

@@ -170,10 +170,12 @@ impl TgiService {
     /// writer. Returns the new watermark epoch on success.
     ///
     /// The batch must be chronologically sorted and must not start
-    /// before the current end of history. It is normalized first
-    /// ([`hgs_delta::normalize_events`]) against the writer's live
-    /// state: `RemoveNode` events gain explicit `RemoveEdge` events for
-    /// their incident edges, so partitioned eventlists and version
+    /// before the current end of history. A batch that holds a
+    /// `RemoveNode` is normalized first
+    /// ([`hgs_delta::normalize_events_from`]), by one replay of the
+    /// batch on a copy-on-write clone of the writer's live state: each
+    /// `RemoveNode` gains an explicit `RemoveEdge` per neighbor the node
+    /// holds when it is removed, so partitioned eventlists and version
     /// chains reach every affected node. Closing the previous open
     /// span's time range is per-view metadata, never a rewrite of a
     /// sealed row: the append writes its new spans' rows and

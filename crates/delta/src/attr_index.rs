@@ -64,13 +64,14 @@ pub struct TermPoint {
     pub became: bool,
 }
 
-/// Serialized bytes identifying a `(key, value)` term. Length-prefixed
-/// so distinct `(key, value)` pairs never collide byte-wise.
-pub fn value_term(key: &str, value: &AttrValue) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    put_str(&mut buf, key);
-    put_attr_value(&mut buf, value);
-    buf.to_vec()
+/// Write the serialized bytes identifying a `(key, value)` term into
+/// `term`, replacing what it held, so one buffer serves a run of
+/// lookups. Length-prefixed so distinct `(key, value)` pairs never
+/// collide byte-wise.
+pub fn value_term(key: &str, value: &AttrValue, term: &mut BytesMut) {
+    term.clear();
+    put_str(term, key);
+    put_attr_value(term, value);
 }
 
 /// Encode a value-term change-point row: the span's carry points — at
@@ -447,9 +448,12 @@ mod tests {
     #[test]
     fn value_terms_never_collide() {
         // Length prefixes keep (key, value) splits unambiguous.
-        let a = value_term("ab", &AttrValue::Text("c".into()));
-        let b = value_term("a", &AttrValue::Text("bc".into()));
+        let (mut a, mut b) = (BytesMut::new(), BytesMut::new());
+        value_term("ab", &AttrValue::Text("c".into()), &mut a);
+        value_term("a", &AttrValue::Text("bc".into()), &mut b);
         assert_ne!(a, b);
+        value_term("a", &AttrValue::Text("bc".into()), &mut a);
+        assert_eq!(a, b, "the buffer's old bytes are replaced");
     }
 
     #[test]

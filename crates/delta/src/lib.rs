@@ -53,7 +53,7 @@ pub use error::CodecError;
 pub use event::{Event, EventKind, Eventlist};
 pub use hash::{hash_u64, FxHashMap, FxHashSet, FxHasher};
 pub use node::{Neighbor, StaticNode};
-pub use normalize::normalize_events;
+pub use normalize::{normalize_events, normalize_events_from};
 pub use types::{EdgeDir, NodeId, Time, TimeRange};
 
 #[cfg(test)]

@@ -8,54 +8,43 @@
 //! to the removed node's partition only, leaving stale edges
 //! elsewhere.
 //!
-//! [`normalize_events`] makes the implicit explicit: each
-//! `RemoveNode { id }` is prefixed with `RemoveEdge { id, nbr }` for
-//! every edge incident to `id` at that instant. The normalized stream
-//! replays to exactly the same states (removing edges before a node is
-//! what [`crate::Delta::apply_event`] does internally), every event
-//! names all nodes it affects, and neighbors gain the version-chain
-//! entries their state changes deserve.
+//! [`normalize_events_from`] makes the implicit explicit. It replays
+//! the stream once with [`Delta::apply_event`], the one event replay,
+//! on a copy-on-write clone of the state the stream starts from, and
+//! prefixes each `RemoveNode { id }` with one `RemoveEdge { id, nbr }`
+//! per neighbor `id` holds in that state at that instant, in id order.
+//! The normalized stream replays to exactly the same states at every
+//! time (removing edges before a node is what the replay does
+//! itself), every event names all nodes it affects, and neighbors gain
+//! the version-chain entries their state changes deserve.
+//! [`normalize_events`] is the case of a stream that starts from the
+//! empty graph.
 
+use crate::delta::Delta;
 use crate::event::{Event, EventKind};
-use crate::hash::{FxHashMap, FxHashSet};
-use crate::types::NodeId;
 
-/// Expand implicit neighbor effects of `RemoveNode` events. The
-/// output replays to the same states as the input at every timepoint.
+/// Expand implicit neighbor effects of `RemoveNode` events in a history
+/// that starts from the empty graph. The output replays to the same
+/// states as the input at every timepoint.
 pub fn normalize_events(events: &[Event]) -> Vec<Event> {
-    let mut adj: FxHashMap<NodeId, FxHashSet<NodeId>> = FxHashMap::default();
+    normalize_events_from(&Delta::new(), events)
+}
+
+/// Expand implicit neighbor effects of `RemoveNode` events in `events`,
+/// a batch that continues a history whose state is `live`: each removal
+/// is prefixed with a `RemoveEdge` to every neighbor the node holds
+/// when it is removed, read off one replay of the batch on a clone of
+/// `live` (which is left as it is). The output replays from `live` to
+/// the same states as the input at every timepoint.
+pub fn normalize_events_from(live: &Delta, events: &[Event]) -> Vec<Event> {
+    let mut state = live.clone();
     let mut out: Vec<Event> = Vec::with_capacity(events.len());
     for e in events {
-        match &e.kind {
-            EventKind::AddEdge { src, dst, .. } => {
-                adj.entry(*src).or_default().insert(*dst);
-                adj.entry(*dst).or_default().insert(*src);
-            }
-            EventKind::RemoveEdge { src, dst } => {
-                if let Some(s) = adj.get_mut(src) {
-                    s.remove(dst);
-                }
-                if let Some(s) = adj.get_mut(dst) {
-                    s.remove(src);
-                }
-            }
-            EventKind::RemoveNode { id } => {
-                if let Some(nbrs) = adj.remove(id) {
-                    let mut sorted: Vec<NodeId> = nbrs.into_iter().collect();
-                    sorted.sort_unstable();
-                    for nbr in sorted {
-                        out.push(Event::new(
-                            e.time,
-                            EventKind::RemoveEdge { src: *id, dst: nbr },
-                        ));
-                        if let Some(s) = adj.get_mut(&nbr) {
-                            s.remove(id);
-                        }
-                    }
-                }
-            }
-            _ => {}
+        if let EventKind::RemoveNode { id } = e.kind {
+            let nbrs = state.node(id).into_iter().flat_map(|n| n.all_neighbors());
+            out.extend(nbrs.map(|dst| Event::new(e.time, EventKind::RemoveEdge { src: id, dst })));
         }
+        state.apply_event(&e.kind);
         out.push(e.clone());
     }
     out
@@ -64,7 +53,7 @@ pub fn normalize_events(events: &[Event]) -> Vec<Event> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::Delta;
+    use crate::types::NodeId;
 
     fn ev(t: u64, kind: EventKind) -> Event {
         Event::new(t, kind)
@@ -102,6 +91,76 @@ mod tests {
         assert!(matches!(norm[4].kind, EventKind::RemoveNode { id: 1 }));
         assert_eq!(norm[2].time, 5, "expansion keeps the removal's timestamp");
         assert_eq!(normalize_events(&norm), norm, "normalizing is idempotent");
+    }
+
+    #[test]
+    fn each_neighbor_loses_its_edges_once_in_id_order() {
+        // Node 5 holds a self-loop and a directed edge each way to 3,
+        // and an undirected one to 1.
+        let directed = |t, src, dst| {
+            let kind = EventKind::AddEdge {
+                src,
+                dst,
+                weight: 1.0,
+                directed: true,
+            };
+            ev(t, kind)
+        };
+        let events = vec![
+            add(1, 5, 5),
+            directed(2, 5, 3),
+            directed(3, 3, 5),
+            add(4, 1, 5),
+            ev(5, EventKind::RemoveNode { id: 5 }),
+        ];
+        let norm = normalize_events(&events);
+        let removed: Vec<(NodeId, NodeId)> = norm[4..]
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::RemoveEdge { src, dst } => Some((src, dst)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(removed, vec![(5, 1), (5, 3), (5, 5)]);
+        assert_eq!(norm.len(), events.len() + 3);
+        for t in 0..=6u64 {
+            assert_eq!(
+                Delta::snapshot_by_replay(&events, t),
+                Delta::snapshot_by_replay(&norm, t),
+                "divergence at t={t}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_batch_normalizes_as_the_suffix_of_its_history() {
+        let mut next = crate::tests::xorshift(0x5eed);
+        let history: Vec<Event> = (0..600u64)
+            .map(|t| {
+                let (a, b) = (next() % 40, next() % 40);
+                let kind = match next() % 8 {
+                    0 => EventKind::RemoveNode { id: a },
+                    1 | 2 => EventKind::RemoveEdge { src: a, dst: b },
+                    3 => EventKind::AddNode { id: a },
+                    _ => EventKind::AddEdge {
+                        src: a,
+                        dst: b,
+                        weight: 1.0,
+                        directed: next() & 1 == 0,
+                    },
+                };
+                ev(t / 3, kind)
+            })
+            .collect();
+        let whole = normalize_events(&history);
+        for cut in [0, 1, 150, 299, 450, 600] {
+            let (prefix, batch) = history.split_at(cut);
+            let live = Delta::snapshot_by_replay(prefix, u64::MAX);
+            let kept = live.clone();
+            let suffix = &whole[normalize_events(prefix).len()..];
+            assert_eq!(normalize_events_from(&live, batch), suffix, "cut {cut}");
+            assert_eq!(live, kept, "the live state is left as it was");
+        }
     }
 
     #[test]
