@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use hgs_delta::columnar::{encode_columnar_delta, encode_columnar_eventlist};
 use hgs_delta::{Delta, Event, Eventlist, NodeId, StaticNode, Time, TimeRange};
+use hgs_partition::cut_events;
 use hgs_store::{PutRow, SimStore, StoreConfig, StoreError, Table};
 
 use crate::traits::{node_events_in, HistoricalIndex};
@@ -34,50 +35,30 @@ impl CopyLogIndex {
         hgs_delta::hash_u64(i as u64)
     }
 
-    /// Build with a snapshot every `k` events (timestamp groups are
-    /// never split).
+    /// Build with a snapshot every `k` events, cut by
+    /// [`hgs_partition::cut_events`] (timestamp groups are never
+    /// split); each snapshot is the state at its range's start.
     pub fn build(store_cfg: StoreConfig, events: &[Event], k: usize) -> CopyLogIndex {
-        assert!(k > 0);
         let store = Arc::new(SimStore::new(store_cfg));
         let mut rows = crate::BuildRows::new(&store);
         let mut state = Delta::new();
         let mut checkpoints = Vec::new();
-        let mut start = 0usize;
-        let mut i = 0usize;
-        while start < events.len() {
-            // Chunk [start, end) snapped to timestamp boundaries.
-            let want = (start + k).min(events.len());
-            let end = if want >= events.len() {
-                events.len()
-            } else {
-                let t = events[want].time;
-                let mut e = want;
-                if events[want - 1].time == t {
-                    while e < events.len() && events[e].time == t {
-                        e += 1;
-                    }
-                }
-                e
-            };
-            checkpoints.push(if start == 0 { 0 } else { events[start].time });
+        for (i, (chunk, range)) in cut_events(events, k, 0).enumerate() {
+            checkpoints.push(range.start);
             rows.put(PutRow::new(
                 Table::Deltas,
                 Self::key(SNAP_TAG, i).to_vec(),
                 Self::token(i),
                 encode_columnar_delta(&state),
             ));
-            let el = Eventlist::from_sorted(events[start..end].to_vec());
+            let el = Eventlist::from_sorted(chunk.to_vec());
             rows.put(PutRow::new(
                 Table::Deltas,
                 Self::key(ELIST_TAG, i).to_vec(),
                 Self::token(i),
                 encode_columnar_eventlist(&el),
             ));
-            for e in &events[start..end] {
-                state.apply_event(&e.kind);
-            }
-            start = end;
-            i += 1;
+            state.apply_events(chunk);
         }
         if checkpoints.is_empty() {
             checkpoints.push(0);
