@@ -81,29 +81,30 @@ pub(crate) struct SpanTermPoints {
 
 type PointsByTerm = FxHashMap<Vec<u8>, Vec<((bool, u64), TermPoint)>>;
 
-/// The attribute pairs an event can change on the node it names, as
-/// that node held them before the replay applied the event.
-pub(crate) enum Held<'e> {
-    /// The value of the one key a `SetNodeAttr` / `RemoveNodeAttr`
-    /// names (`None`: the key or the node is absent).
-    Key(&'e str, Option<AttrValue>),
-    /// Every pair of the node a `RemoveNode` removes.
-    All(Attrs),
-}
+/// The attribute pairs an event can change on the node it names, each
+/// with the value that node held before the replay applied the event
+/// (`None`: the key or the node is absent): the one key a
+/// `SetNodeAttr` / `RemoveNodeAttr` names, every pair of the node a
+/// `RemoveNode` removes.
+pub(crate) struct Held(Vec<(String, Option<AttrValue>)>);
 
-impl<'e> Held<'e> {
+impl Held {
     /// What `kind`'s node holds in `state` of the pairs `kind` can
     /// change; `None` for an event that changes no node attribute.
-    pub(crate) fn before(kind: &'e EventKind, state: &Delta) -> Option<Held<'e>> {
+    pub(crate) fn before(kind: &EventKind, state: &Delta) -> Option<Held> {
         let attrs = |id: &NodeId| state.node(*id).map(|n| &n.attrs);
-        match kind {
+        let pairs = match kind {
             EventKind::SetNodeAttr { id, key, .. } | EventKind::RemoveNodeAttr { id, key } => {
-                let value = attrs(id).and_then(|a| a.get(key)).cloned();
-                Some(Held::Key(key, value))
+                vec![(key.clone(), attrs(id).and_then(|a| a.get(key)).cloned())]
             }
-            EventKind::RemoveNode { id } => Some(Held::All(attrs(id).cloned().unwrap_or_default())),
-            _ => None,
-        }
+            EventKind::RemoveNode { id } => attrs(id)
+                .into_iter()
+                .flat_map(Attrs::iter)
+                .map(|(k, v)| (k.to_owned(), Some(v.clone())))
+                .collect(),
+            _ => return None,
+        };
+        Some(Held(pairs))
     }
 }
 
@@ -134,40 +135,29 @@ impl SpanTermPoints {
 
     /// The change points of the event at position `pos` of the span,
     /// at `time`, read off what node `nid` `held` before it and the
-    /// node `after` it (`None`: the node is absent): a lost point for
-    /// every pair it dropped, a gained one for every pair it took on.
+    /// node `after` it (`None`: the node is absent): for each held key
+    /// whose value the event changed, a lost point for the value before
+    /// and a gained one for the value after.
     pub(crate) fn change(
         &mut self,
         pos: u64,
         time: Time,
         nid: NodeId,
-        held: Held<'_>,
+        held: Held,
         after: Option<&StaticNode>,
     ) {
-        let none = Attrs::new();
-        let after = after.map_or(&none, |n| &n.attrs);
         let point = |became| TermPoint {
             time,
             nid,
             carry: false,
             became,
         };
-        match held {
-            Held::Key(key, before) => {
-                let now = after.get(key);
-                if before.as_ref() != now {
-                    let sides = [(before.as_ref(), false), (now, true)];
-                    for (value, became) in sides {
-                        if let Some(v) = value {
-                            self.push(key, v, (true, pos), point(became));
-                        }
-                    }
-                }
-            }
-            Held::All(before) => {
-                for (from, to, became) in [(&before, after, false), (after, &before, true)] {
-                    for (k, v) in from.iter().filter(|(k, v)| to.get(k) != Some(v)) {
-                        self.push(k, v, (true, pos), point(became));
+        for (key, before) in &held.0 {
+            let now = after.and_then(|n| n.attrs.get(key));
+            if before.as_ref() != now {
+                for (value, became) in [(before.as_ref(), false), (now, true)] {
+                    if let Some(v) = value {
+                        self.push(key, v, (true, pos), point(became));
                     }
                 }
             }
