@@ -31,11 +31,12 @@ impl NodeCentricIndex {
         let store = Arc::new(SimStore::new(store_cfg));
         let mut rows = crate::BuildRows::new(&store);
         // Normalize so neighbor state changes implied by RemoveNode
-        // reach the neighbors' per-node logs (see hgs_delta::normalize).
-        let events = hgs_delta::normalize_events(events);
+        // reach the neighbors' per-node logs (see hgs_delta::normalize);
+        // a history without one comes back as it is.
+        let events = hgs_delta::normalize_events_from(&hgs_delta::Delta::new(), events);
         let mut per_node: hgs_delta::FxHashMap<NodeId, Vec<Event>> =
             hgs_delta::FxHashMap::default();
-        for e in &events {
+        for e in events.iter() {
             let (a, b) = e.kind.touched();
             per_node.entry(a).or_default().push(e.clone());
             if let Some(b) = b {

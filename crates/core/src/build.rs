@@ -110,7 +110,6 @@
 //! [`TgiService::try_append_events`]: crate::service::TgiService::try_append_events
 //! [`TgiService::try_build_on`]: crate::service::TgiService::try_build_on
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use hgs_delta::columnar::{encode_columnar_delta_in, encode_columnar_eventlist_in};
@@ -313,7 +312,7 @@ impl Writer {
         if self.poisoned {
             return Err(BuildError::Poisoned);
         }
-        let events = &self.normalize_batch(events)[..];
+        let events = &hgs_delta::normalize_events_from(&self.tail_state, events)[..];
         if events.is_empty() {
             if self.view.spans.is_empty() {
                 // An index over an empty history still answers queries
@@ -372,19 +371,6 @@ impl Writer {
         self.view.edge_count = self.tail_state.edge_count();
         self.poisoned = false;
         Ok(())
-    }
-
-    /// Normalize a batch against the current tail state
-    /// ([`hgs_delta::normalize_events_from`]). Normalization only
-    /// rewrites `RemoveNode`, so a batch without one is returned as it
-    /// came — no replay, no copy.
-    fn normalize_batch<'a>(&self, events: &'a [Event]) -> Cow<'a, [Event]> {
-        let removes_a_node = |e: &Event| matches!(e.kind, EventKind::RemoveNode { .. });
-        if events.iter().any(removes_a_node) {
-            Cow::Owned(hgs_delta::normalize_events_from(&self.tail_state, events))
-        } else {
-            Cow::Borrowed(events)
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1038,6 +1024,7 @@ mod tests {
     use hgs_delta::columnar::encode_columnar_delta;
     use hgs_delta::StaticNode;
     use hgs_store::StoreConfig;
+    use std::borrow::Cow;
 
     /// A writer over `events` on a fresh cluster, at the default widths.
     fn writer(cfg: TgiConfig, store_cfg: StoreConfig, events: &[Event]) -> Writer {
@@ -1281,12 +1268,13 @@ mod tests {
         assert_eq!(batches, cold_snapshot_batches(&one));
     }
 
-    /// The early-out and the expansion agree: a batch without
-    /// `RemoveNode` comes back borrowed and equal to its part of the
-    /// whole history's normalization; one with removals comes back
-    /// expanded against the live graph, equal to that part too.
+    /// The append path normalizes a batch on the writer's tail state,
+    /// and that agrees with the whole history's normalization: a batch
+    /// without `RemoveNode` comes back borrowed and equal to its part
+    /// of it; one with removals comes back expanded against the live
+    /// graph, equal to that part too.
     #[test]
-    fn normalize_batch_early_out_equals_the_history_expansion() {
+    fn a_batch_normalizes_on_the_tail_state_as_the_history_does() {
         let base = hgs_datagen::WikiGrowth::sized(800).generate();
         let trace = hgs_datagen::augment_with_churn(&base, 500, 0.5, 7);
         let (built, churn) = trace.split_at(base.len());
@@ -1296,7 +1284,7 @@ mod tests {
             whole[hgs_delta::normalize_events(built).len()..].to_vec()
         };
 
-        let plain = tgi.normalize_batch(churn);
+        let plain = hgs_delta::normalize_events_from(&tgi.tail_state, churn);
         assert!(matches!(plain, Cow::Borrowed(_)));
         assert_eq!(&plain[..], &as_suffix(churn)[..]);
 
@@ -1309,7 +1297,7 @@ mod tests {
             t += 1;
             with_removals.push(Event::new(t, EventKind::RemoveNode { id: n.id }));
         }
-        let expanded = tgi.normalize_batch(&with_removals);
+        let expanded = hgs_delta::normalize_events_from(&tgi.tail_state, &with_removals);
         assert!(matches!(expanded, Cow::Owned(_)));
         assert_eq!(&expanded[..], &as_suffix(&with_removals)[..]);
         assert!(

@@ -16,9 +16,12 @@
 //! The normalized stream replays to exactly the same states at every
 //! time (removing edges before a node is what the replay does
 //! itself), every event names all nodes it affects, and neighbors gain
-//! the version-chain entries their state changes deserve.
-//! [`normalize_events`] is the case of a stream that starts from the
-//! empty graph.
+//! the version-chain entries their state changes deserve. A stream
+//! without a `RemoveNode` is already normalized and comes back
+//! borrowed, with no replay. [`normalize_events`] is the case of a
+//! stream that starts from the empty graph.
+
+use std::borrow::Cow;
 
 use crate::delta::Delta;
 use crate::event::{Event, EventKind};
@@ -27,7 +30,7 @@ use crate::event::{Event, EventKind};
 /// that starts from the empty graph. The output replays to the same
 /// states as the input at every timepoint.
 pub fn normalize_events(events: &[Event]) -> Vec<Event> {
-    normalize_events_from(&Delta::new(), events)
+    normalize_events_from(&Delta::new(), events).into_owned()
 }
 
 /// Expand implicit neighbor effects of `RemoveNode` events in `events`,
@@ -35,8 +38,13 @@ pub fn normalize_events(events: &[Event]) -> Vec<Event> {
 /// is prefixed with a `RemoveEdge` to every neighbor the node holds
 /// when it is removed, read off one replay of the batch on a clone of
 /// `live` (which is left as it is). The output replays from `live` to
-/// the same states as the input at every timepoint.
-pub fn normalize_events_from(live: &Delta, events: &[Event]) -> Vec<Event> {
+/// the same states as the input at every timepoint; a batch without a
+/// `RemoveNode` is returned borrowed, unreplayed.
+pub fn normalize_events_from<'a>(live: &Delta, events: &'a [Event]) -> Cow<'a, [Event]> {
+    let removes_a_node = |e: &Event| matches!(e.kind, EventKind::RemoveNode { .. });
+    if !events.iter().any(removes_a_node) {
+        return Cow::Borrowed(events);
+    }
     let mut state = live.clone();
     let mut out: Vec<Event> = Vec::with_capacity(events.len());
     for e in events {
@@ -47,7 +55,7 @@ pub fn normalize_events_from(live: &Delta, events: &[Event]) -> Vec<Event> {
         state.apply_event(&e.kind);
         out.push(e.clone());
     }
-    out
+    Cow::Owned(out)
 }
 
 #[cfg(test)]
@@ -196,6 +204,13 @@ mod tests {
     fn growth_only_stream_is_identity() {
         let events = vec![add(1, 1, 2), add(2, 2, 3), add(3, 3, 4)];
         assert_eq!(normalize_events(&events), events);
+        let live = Delta::snapshot_by_replay(&events, u64::MAX);
+        let batch = [
+            add(4, 4, 1),
+            ev(5, EventKind::RemoveEdge { src: 1, dst: 2 }),
+        ];
+        let same = normalize_events_from(&live, &batch);
+        assert!(matches!(same, Cow::Borrowed(_)), "no removal, no replay");
     }
 
     #[test]
