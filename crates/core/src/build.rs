@@ -16,8 +16,10 @@
 //! 3. the span is replayed once per horizontal partition: at each
 //!    checkpoint the per-`sid` partitioned snapshot (leaf) is pushed
 //!    into a progressive intersection-tree builder which stores the
-//!    root and every `child − parent` derived delta, micro-partitioned
-//!    by `pid` (§ *Intersection tree* below);
+//!    root — in full at a block head, else as a signed residual against
+//!    its base's root (§ *Residual roots* below) — and every `child −
+//!    parent` derived delta, micro-partitioned by `pid` (§
+//!    *Intersection tree* below);
 //! 4. each chunk's events are scoped per `sid`, sub-partitioned per
 //!    `pid`, and stored as partitioned eventlists; the same walk of the
 //!    chunk replays it and yields the version-chain rows and the
@@ -44,18 +46,39 @@
 //! with exactly the entries and pairs identical in every child; a
 //! child's stored delta holds the full record of a node its parent
 //! lacks, else only the entries and pairs the parent's record lacks,
-//! and no record at all when that is nothing. So along any
-//! root-to-leaf path **a component is stored on exactly one row** —
-//! the highest tree node all of whose leaves agree on it — and a hub
-//! that gains one edge per checkpoint pays a few entries per new edge
-//! (below), not its whole edge-list per leaf. The record grammar is
-//! unchanged (a stored piece is an ordinary record with a shorter
-//! edge-list), and readers rebuild a leaf with the component-wise path
-//! sum
-//! ([`hgs_delta::ColumnarDelta::sum_into`]), which treats a repeated
-//! component as corruption. An index whose tree kept whole nodes
-//! (every node on exactly one row of a path) satisfies the same
-//! invariant and reads unchanged.
+//! and no record at all when that is nothing. So a leaf is the **net
+//! presence** of its components along its tree path — its base roots
+//! (below) first, then its own span's root-to-leaf rows: below the
+//! root, a component is stored on exactly one row of the path, the
+//! highest tree node all of whose leaves agree on it, and a residual
+//! root adds what its base's root lacks and removes what the base
+//! holds and it does not. A hub that gains one edge per checkpoint
+//! pays a few entries per new edge (below), not its whole edge-list
+//! per leaf. The record grammar is unchanged (a stored piece is an
+//! ordinary record with a shorter edge-list), and readers rebuild a
+//! leaf with the component-wise path sum
+//! ([`hgs_delta::ColumnarDelta::sum_into`]) over the one tree path
+//! ([`TimespanMeta`]'s `tree_path`), which treats a repeated component,
+//! or the removal of one the sum lacks, as corruption.
+//!
+//! ## Residual roots
+//!
+//! Every span's tree stores a root, and the root re-states the part of
+//! the graph common to the whole span — which, at small appends, is
+//! nearly all of it, span after span. So the spans of a horizontal
+//! partition are grouped in **blocks** of [`hgs_store::SPAN_BLOCK`]
+//! (32): a block head stores its root in full, and every other span's
+//! root is a signed residual ([`hgs_delta::Residual`]) against the root
+//! of its Fenwick base, the span less the lowest set bit of its index
+//! in the block — which is itself stored against its own base, so a
+//! root sums at most five base roots, all of its block
+//! (`meta.rs::root_bases`). A block's spans share one placement
+//! ([`hgs_store::PlacementKey::of_span`]), so the base roots travel in
+//! the round trip that already carries a span's path. The encoder
+//! items get each `sid`'s base root in full and hand back their own;
+//! the writer keeps only the roots a later span of the block still
+//! names (at most five per `sid`), and a re-opened writer sums them
+//! back from the store.
 //!
 //! Each tree is laid out **from the right** ([`TreeShape`]): its leaves
 //! are the last `q` positions of a complete `arity`-ary tree, so the
@@ -112,9 +135,12 @@
 
 use std::sync::Arc;
 
-use hgs_delta::columnar::{encode_columnar_delta_in, encode_columnar_eventlist_in};
+use hgs_delta::columnar::{
+    encode_columnar_delta_in, encode_columnar_eventlist_in, encode_columnar_residual_in,
+};
 use hgs_delta::{
-    Delta, Event, EventKind, Eventlist, FxHashMap, NodeId, PairTable, Time, TimeRange,
+    CodecError, Delta, Event, EventKind, Eventlist, FxHashMap, NodeId, PairTable, Residual, Time,
+    TimeRange,
 };
 use hgs_partition::{cut_events, locality_partition, CollapsedGraph, PartitionMap};
 use hgs_store::{
@@ -125,7 +151,8 @@ use hgs_store::{
 use crate::attr_index::{span_term_rows, Held, SpanTermPoints};
 use crate::config::{PartitionStrategy, TgiConfig};
 use crate::meta::{
-    encode_chain, sid_of, ChainEntry, TimespanMeta, TreeShape, AUX_BASE, ELIST_BASE,
+    encode_chain, root_bases, roots_named_after, sid_of, ChainEntry, TimespanMeta, TreeShape,
+    AUX_BASE, ELIST_BASE,
 };
 use crate::persist::{encode_config, encode_graph_meta, encode_partition_map};
 
@@ -202,6 +229,10 @@ pub struct TgiView {
 pub(crate) struct Writer {
     pub(crate) view: TgiView,
     pub(crate) tail_state: Delta,
+    /// The roots, in full and per `sid`, that a later span of the
+    /// current block still stores its root against
+    /// ([`roots_named_after`] the last span), ascending by `tsid`.
+    pub(crate) roots: Vec<(u32, Vec<Delta>)>,
     /// Worker count of the write path's per-`sid` span encode. The
     /// host's parallelism unless an explicit width was given
     /// (`TgiService::try_build_on`), in which case it equals the
@@ -294,6 +325,7 @@ impl Writer {
                 epoch: 0,
             },
             tail_state: Delta::new(),
+            roots: Vec::new(),
             encode_width,
             poisoned: false,
         };
@@ -417,6 +449,22 @@ impl Writer {
         // The span's pair table, before any row is encoded against it.
         let pairs = Arc::new(span_pair_table(&self.tail_state, events));
 
+        // The roots this span's root is stored against: those of its
+        // root bases, the last of which it names directly.
+        let bases = root_bases(tsid);
+        let mut roots = std::mem::take(&mut self.roots);
+        roots.retain(|(t, _)| bases.contains(t));
+        let base_roots = match (bases.last(), roots.last()) {
+            (None, _) => None,
+            (Some(base), Some((t, kept))) if t == base => Some(&kept[..]),
+            (Some(&base), _) => {
+                return Err(StoreError::Corrupt(CodecError::BadRef {
+                    what: "base root",
+                    id: u64::from(base),
+                }))
+            }
+        };
+
         // 3-5. Replay the span, emitting leaves / eventlists / aux /
         // version chains / term rows.
         let span = SpanInput {
@@ -425,10 +473,15 @@ impl Writer {
             shape: &shape,
             maps: &maps,
             pairs: &pairs,
+            base_roots,
             tsid,
             cfg,
         };
-        self.encode_span(&span, buf)?;
+        let own_roots = self.encode_span(&span, buf)?;
+        roots.push((tsid, own_roots));
+        let named = roots_named_after(tsid);
+        roots.retain(|(t, _)| named.contains(t));
+        self.roots = roots;
 
         // Persist locality partition maps for reconstructability.
         if matches!(cfg.strategy, PartitionStrategy::Locality { .. }) {
@@ -438,7 +491,7 @@ impl Writer {
                 buf.push(
                     Table::Micropartitions,
                     key.to_vec(),
-                    PlacementKey::new(tsid, sid as u32).token(),
+                    PlacementKey::of_span(tsid, sid as u32).token(),
                     blob,
                 )?;
             }
@@ -477,12 +530,13 @@ impl Writer {
     /// records) and encodes its own rows; the driver only merges them
     /// in deterministic order: every item's tree, aux and eventlist
     /// rows in `sid` order, then every item's version-chain rows, then
-    /// one secondary-index row per term, in term-byte order.
+    /// one secondary-index row per term, in term-byte order. Returns
+    /// the span's root of each `sid`, in full.
     fn encode_span(
         &mut self,
         span: &SpanInput<'_>,
         buf: &mut WriteBuffer<'_>,
-    ) -> Result<(), StoreError> {
+    ) -> Result<Vec<Delta>, StoreError> {
         let ns = span.cfg.horizontal_partitions;
         let replicate = span.cfg.replicates_boundary();
         // Per-item starting state: the sid's own partition for scoped
@@ -524,12 +578,14 @@ impl Writer {
         };
         let mut chain_rows = Vec::with_capacity(outputs.len());
         let mut terms = Vec::with_capacity(outputs.len());
+        let mut roots = Vec::with_capacity(outputs.len());
         for out in outputs {
             for row in out.rows {
                 buf.push_row(row)?;
             }
             chain_rows.push(out.chain_rows);
             terms.push(out.terms);
+            roots.push(out.root);
         }
         for row in chain_rows.into_iter().flatten() {
             buf.push_row(row)?;
@@ -545,7 +601,7 @@ impl Writer {
                 blob,
             )?;
         }
-        Ok(())
+        Ok(roots)
     }
 
     fn compute_maps(&self, events: &[Event], range: TimeRange, ns: u32) -> Vec<PartitionMap> {
@@ -662,6 +718,19 @@ impl TgiView {
     pub(crate) fn span_for(&self, t: Time) -> &SpanRuntime {
         &self.spans[self.span_index_for(t)]
     }
+
+    /// Span `tsid` of this view — a tree path's base roots name
+    /// earlier spans of the one read; one the view lacks names nothing
+    /// stored.
+    pub(crate) fn span_of(&self, tsid: u32) -> Result<&SpanRuntime, StoreError> {
+        self.spans
+            .get(tsid as usize)
+            .map(|span| &**span)
+            .ok_or(StoreError::Corrupt(CodecError::BadRef {
+                what: "timespan",
+                id: u64::from(tsid),
+            }))
+    }
 }
 
 /// Rows the span write buffer accumulates before it flushes one
@@ -686,6 +755,9 @@ struct SpanInput<'a> {
     shape: &'a TreeShape,
     maps: &'a [PartitionMap],
     pairs: &'a PairTable,
+    /// The root of the span's base, in full, per `sid`; `None` for a
+    /// block head, which stores its root in full.
+    base_roots: Option<&'a [Delta]>,
     tsid: u32,
     cfg: TgiConfig,
 }
@@ -693,22 +765,25 @@ struct SpanInput<'a> {
 /// One work item's encoded output: its tree, aux and eventlist rows in
 /// deterministic emit order, the version-chain rows of its own nodes,
 /// the term points of its own nodes (none without secondary indexes),
-/// and the state its replay ended in — the sid's share of
+/// the state its replay ended in — the sid's share of
 /// the next tail state, or the whole of it when the item replayed the
-/// full graph.
+/// full graph — and its tree's root in full.
 struct SidSpanOutput {
     rows: Vec<PutRow>,
     chain_rows: Vec<PutRow>,
     terms: SpanTermPoints,
     state: Delta,
+    root: Delta,
 }
 
 /// Encode one horizontal partition's share of a span: replay the
 /// span's events — scoped to the sid's node set, or over the full
 /// state when aux replication needs out-of-partition neighbor records
 /// — pushing each checkpoint's partitioned snapshot into this sid's
-/// intersection tree, and walk each chunk once, bucketing its
-/// eventlists as it replays it. The item alone writes the version
+/// intersection tree — its root stored as a residual against the
+/// base's root of the `sid`, when the span has a base — and walk each
+/// chunk once, bucketing its eventlists as it replays it. The item
+/// alone writes the version
 /// chains and reads the term points of its own nodes, those `sid_of`
 /// puts in its `sid`. Purely in-memory: emitted rows are collected,
 /// never written, so work items cannot observe store failures (the
@@ -736,6 +811,7 @@ fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanO
             terms.carry(node, span.start);
         }
     }
+    let base = span.base_roots.and_then(|roots| roots.get(sid as usize));
     let mut pos = 0u64;
     let mut acc = TreeAccumulator::new(shape.clone());
     for j in 0..shape.leaves {
@@ -749,7 +825,17 @@ fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanO
         };
         acc.push_leaf(leaf, &mut |level, idx, delta| {
             let did = shape.did(level, idx);
-            emit_micro(tsid, sid, did, delta, map, pairs, &mut rows);
+            match base.filter(|_| level == shape.height()) {
+                Some(base) => emit_residual(
+                    tsid,
+                    sid,
+                    delta.residual_against(base),
+                    map,
+                    pairs,
+                    &mut rows,
+                ),
+                None => emit_micro(tsid, sid, did, delta, map, pairs, &mut rows),
+            }
         });
         let Some(&chunk) = span.chunks.get(j) else {
             continue;
@@ -817,6 +903,7 @@ fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanO
         chain_rows,
         terms,
         state,
+        root: acc.into_root(),
     }
 }
 
@@ -912,6 +999,38 @@ fn emit_micro(
     }
 }
 
+/// Emit a root stored as a signed residual against its base's root,
+/// micro-partitioned by `map` — a node's removals beside its additions,
+/// under the pid this span's map assigns it — and encoded against the
+/// span's `pairs`: a micro-partition that removes nothing is a plain
+/// delta row.
+fn emit_residual(
+    tsid: u32,
+    sid: u32,
+    res: Residual,
+    map: &PartitionMap,
+    pairs: &PairTable,
+    rows: &mut Vec<PutRow>,
+) {
+    let mut by_pid: FxHashMap<u32, Residual> = FxHashMap::default();
+    for (pid, added) in res.added.group_by(|id| map.assign(id)) {
+        by_pid.entry(pid).or_default().added = added;
+    }
+    for (id, removal) in res.removed {
+        let part = by_pid.entry(map.assign(id)).or_default();
+        part.removed.push((id, removal));
+    }
+    for (pid, part) in by_pid {
+        let key = DeltaKey::new(tsid, sid, 0, pid);
+        rows.push(PutRow::new(
+            Table::Deltas,
+            key.encode().to_vec(),
+            key.placement().token(),
+            encode_columnar_residual_in(&part, pairs),
+        ));
+    }
+}
+
 /// The pair table of a span, in one pass over what its rows can name:
 /// every attribute pair the pre-span `state`'s nodes and edges hold,
 /// every pair the span's `events` set, and every key they remove. Each
@@ -957,13 +1076,15 @@ pub(crate) fn mp_key(tsid: u32, sid: u32) -> [u8; 8] {
 /// computed, each child's derived delta (`child − parent`, the
 /// components the parent lacks) is emitted, the children are dropped,
 /// and the parent is pushed one level up. The last leaf closes a group
-/// on every level, so it emits the root, in full. Memory never exceeds
+/// on every level, so it emits the root, in full, and keeps it
+/// ([`TreeAccumulator::into_root`]). Memory never exceeds
 /// `arity × height` retained deltas.
 struct TreeAccumulator {
     shape: TreeShape,
     /// Pending `(idx, delta)` children per level.
     pending: Vec<Vec<(usize, Delta)>>,
     next_leaf: usize,
+    root: Delta,
 }
 
 impl TreeAccumulator {
@@ -973,7 +1094,13 @@ impl TreeAccumulator {
             shape,
             pending: vec![Vec::new(); levels],
             next_leaf: 0,
+            root: Delta::new(),
         }
+    }
+
+    /// The root, once the last leaf is pushed.
+    fn into_root(self) -> Delta {
+        self.root
     }
 
     /// Push the next leaf; `emit(level, idx, delta)` is called for
@@ -993,8 +1120,9 @@ impl TreeAccumulator {
         emit: &mut impl FnMut(usize, usize, &Delta),
     ) {
         if level == self.shape.height() {
-            // This is the root: store it in full.
+            // This is the root: hand it on in full.
             emit(level, idx, &delta);
+            self.root = delta;
             return;
         }
         self.pending[level].push((idx, delta));

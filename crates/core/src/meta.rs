@@ -18,6 +18,7 @@ use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::{
     decode_chunk_set, encode_chunk_set, CodecError, NodeId, PairTable, Time, TimeRange,
 };
+use hgs_store::SPAN_BLOCK;
 
 /// Delta-id base for eventlist chunks: `did = ELIST_BASE + chunk`.
 pub const ELIST_BASE: u64 = 1 << 40;
@@ -182,6 +183,20 @@ pub struct TimespanMeta {
 }
 
 impl TimespanMeta {
+    /// The rows whose sum is leaf `leaf`'s checkpoint state, in summing
+    /// order, as `(tsid, did)`: the roots of the span's
+    /// [`root_bases`], block head first, then its own root-to-leaf
+    /// path ([`TreeShape::path_to_leaf`]). The one tree path: every
+    /// reader of a checkpoint walks it, so none can skip a base root.
+    pub(crate) fn tree_path(&self, leaf: usize) -> Vec<(u32, u64)> {
+        let own = self.shape.path_to_leaf(leaf).into_iter();
+        root_bases(self.tsid)
+            .into_iter()
+            .map(|base| (base, 0))
+            .chain(own.map(|did| (self.tsid, did)))
+            .collect()
+    }
+
     /// Leaf index whose checkpoint covers time `t` (the last `j` with
     /// `c_j <= t`).
     pub fn leaf_for_time(&self, t: Time) -> usize {
@@ -415,6 +430,43 @@ pub(crate) fn decode_chain(
         .into_iter()
         .map(|chunk| ChainEntry { tsid, chunk, pid })
         .collect())
+}
+
+/// The spans whose roots span `tsid`'s root is stored against, block
+/// head first: its **Fenwick bases** in its block of [`SPAN_BLOCK`]
+/// spans. With `i` the span's index in its block, a block head (`i =
+/// 0`) stores its root in full, and any other span's root is a signed
+/// residual ([`hgs_delta::Residual`]) against the root of span `tsid −
+/// lowbit(i)`, which is itself one against its own base: a root sums
+/// the roots of the `popcount(i) ≤ 5` spans got by clearing `i`'s set
+/// bits from the lowest, and never reads past its block, whose spans
+/// share a placement ([`hgs_store::PlacementKey::of_span`]).
+pub(crate) fn root_bases(tsid: u32) -> Vec<u32> {
+    let head = tsid - tsid % SPAN_BLOCK;
+    let mut i = tsid % SPAN_BLOCK;
+    let mut bases = Vec::new();
+    while i != 0 {
+        i &= i - 1;
+        bases.push(head + i);
+    }
+    bases.reverse();
+    bases
+}
+
+/// The spans up to `tsid` whose roots a later span of `tsid`'s block
+/// sums, ascending: what the writer keeps once `tsid` is built — some
+/// of `tsid`'s own root bases, and `tsid` when its index in the block
+/// is even (it is the next span's base); none after the block's last
+/// span. Never more than five.
+pub(crate) fn roots_named_after(tsid: u32) -> Vec<u32> {
+    let block_end = tsid - tsid % SPAN_BLOCK + SPAN_BLOCK;
+    let mut named: Vec<u32> = (tsid + 1..block_end)
+        .flat_map(root_bases)
+        .filter(|&base| base <= tsid)
+        .collect();
+    named.sort_unstable();
+    named.dedup();
+    named
 }
 
 /// Salt decorrelating `sid` hashing from micro-partition hashing.
@@ -799,6 +851,71 @@ mod tests {
         assert_eq!(decode_chain(&row(&[3, 10]), 7, 3, 10), bad(10));
         assert_eq!(decode_chain(&row(&[10]), 7, 3, 10), bad(10));
         assert_eq!(decode_chain(&row(&[15]), 7, 3, 10), bad(15));
+    }
+
+    /// Each span's root bases are its Fenwick prefixes inside its block:
+    /// every one an earlier span of the block, the last the span less
+    /// the lowest bit of its index, at most five; a block head has
+    /// none. What the writer keeps after a span holds every root a later
+    /// span of the block sums, and never more than five.
+    #[test]
+    fn root_bases_are_fenwick_prefixes_inside_the_block() {
+        assert_eq!(root_bases(0), Vec::<u32>::new());
+        assert_eq!(root_bases(5), [0, 4]);
+        assert_eq!(root_bases(3), [0, 2]);
+        assert_eq!(root_bases(23), [0, 16, 20, 22]);
+        assert_eq!(root_bases(32 + 31), [32, 48, 56, 60, 62]);
+        assert_eq!(roots_named_after(30), [0, 16, 24, 28, 30]);
+        assert_eq!(roots_named_after(3), [0]);
+        assert_eq!(roots_named_after(31), Vec::<u32>::new());
+        assert_eq!(root_bases(64), Vec::<u32>::new());
+        for tsid in 0..200u32 {
+            let bases = root_bases(tsid);
+            let i = tsid % SPAN_BLOCK;
+            assert_eq!(bases.len(), i.count_ones() as usize, "{tsid}");
+            assert!(bases
+                .iter()
+                .all(|&b| b < tsid && b / SPAN_BLOCK == tsid / SPAN_BLOCK));
+            assert!(bases.windows(2).all(|w| w[0] < w[1]));
+            if i != 0 {
+                assert_eq!(bases.last(), Some(&(tsid - (1 << i.trailing_zeros()))));
+                assert_eq!(bases.first(), Some(&(tsid - i)));
+                // A base's bases are the span's, minus itself.
+                let base = bases[bases.len() - 1];
+                assert_eq!(root_bases(base), bases[..bases.len() - 1]);
+            }
+            let kept = roots_named_after(tsid);
+            assert!(kept.len() <= 5, "{tsid}: {kept:?}");
+            let block_end = (tsid / SPAN_BLOCK + 1) * SPAN_BLOCK;
+            for later in tsid + 1..block_end {
+                let mut need = root_bases(later);
+                need.retain(|&b| b <= tsid);
+                assert!(need.iter().all(|b| kept.contains(b)), "{tsid} → {later}");
+            }
+            for &k in &kept {
+                let named = (tsid + 1..block_end).any(|later| root_bases(later).contains(&k));
+                assert!(
+                    named && k <= tsid,
+                    "{tsid} keeps {k}, which no later span names"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_tree_path_sums_the_base_roots_first() {
+        let meta = TimespanMeta {
+            tsid: 38,
+            range: TimeRange::new(100, Time::MAX),
+            checkpoints: vec![100, 250, 430],
+            shape: TreeShape::new(3, 2),
+            pid_counts: vec![1],
+            pairs: Arc::default(),
+        };
+        let own = meta.shape.path_to_leaf(2);
+        let mut want = vec![(32, 0), (36, 0)];
+        want.extend(own.iter().map(|&did| (38, did)));
+        assert_eq!(meta.tree_path(2), want);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use hgs_store::{SimStore, StoreError, Table};
 
 use crate::build::{mp_key, SpanRuntime, TgiView, Writer};
 use crate::config::{PartitionStrategy, TgiConfig};
-use crate::meta::TimespanMeta;
+use crate::meta::{roots_named_after, TimespanMeta};
 
 /// Errors from [`TgiService::open`](crate::TgiService::open).
 #[derive(Debug)]
@@ -81,9 +81,13 @@ impl std::error::Error for OpenError {}
 /// chain and term rows spelling their integers in whole bytes; the
 /// delta and eventlist rows carry retired magics too) and `12`
 /// (`Graph/meta` rows of three varints, with no epoch: an index
-/// re-opened from one published its watermarks from 1 again).
+/// re-opened from one published its watermarks from 1 again) and `13`
+/// (every span's root stored in full, and `Deltas` rows placed by
+/// `(tsid, sid)`: the roots of its spans past a block head would read
+/// as residuals against roots they were not taken from, and its rows
+/// of spans past the first block are not where this layout looks).
 /// A store tagged otherwise is refused, not answered from.
-const LAYOUT_TAG: u64 = 13;
+const LAYOUT_TAG: u64 = 14;
 
 /// Serialize the construction configuration: the layout tag, then
 /// every other field of [`TgiConfig`] in declaration order.
@@ -339,7 +343,7 @@ impl Writer {
                     let mut maps = Vec::with_capacity(meta.pid_counts.len());
                     for (sid, &parts) in (0u32..).zip(&meta.pid_counts) {
                         let key = mp_key(tsid, sid);
-                        let token = hgs_store::PlacementKey::new(tsid, sid).token();
+                        let token = hgs_store::PlacementKey::of_span(tsid, sid).token();
                         let blob = store
                             .multi_get(Table::Micropartitions, &[&key], token)
                             .map_err(OpenError::Store)?
@@ -374,20 +378,29 @@ impl Writer {
                 epoch,
             },
             tail_state: hgs_delta::Delta::new(),
+            roots: Vec::new(),
             encode_width: crate::build::host_parallelism(),
             poisoned: false,
+        };
+        // Rows that do not sum to a state are damage the descriptor did
+        // not show, not an unreachable store.
+        let read = |e| match e {
+            StoreError::Corrupt(e) => OpenError::Corrupt(e),
+            e => OpenError::Store(e),
         };
         // The tail state (needed for appends) is the latest snapshot;
         // the view's shape summary follows it.
         if end_time > 0 {
-            writer.tail_state = writer.view.try_snapshot(end_time).map_err(|e| match e {
-                // Rows that do not sum to a state are damage the
-                // descriptor did not show, not an unreachable store.
-                StoreError::Corrupt(e) => OpenError::Corrupt(e),
-                e => OpenError::Store(e),
-            })?;
+            writer.tail_state = writer.view.try_snapshot(end_time).map_err(read)?;
             writer.view.node_count = writer.tail_state.cardinality();
             writer.view.edge_count = writer.tail_state.edge_count();
+        }
+        // The roots the next spans of the block are stored against, each
+        // summed from its chain: those of a writer that was never
+        // re-opened.
+        for tsid in roots_named_after(span_count - 1) {
+            let roots = writer.view.try_root_states(tsid).map_err(read)?;
+            writer.roots.push((tsid, roots));
         }
         Ok(writer)
     }

@@ -230,6 +230,9 @@ impl DeltaHandle {
                 c.sum_node_into(nid, state).map_err(StoreError::Corrupt)?
             }
             (DeltaHandle::Col(c), None) => {
+                // A row that removes a whole node has no path-complete
+                // form: that holds only the nodes a sum leaves.
+                let collect = collect && !c.removes_a_node().map_err(StoreError::Corrupt)?;
                 let mut completed = collect.then(|| Delta::with_capacity(c.n_nodes()));
                 c.sum_into(state, completed.as_mut())
                     .map_err(StoreError::Corrupt)?;
@@ -311,12 +314,14 @@ impl TgiView {
     /// 1's terms): touches only the node's micro-partition along the
     /// tree path, and decodes only the columns that hold the node.
     ///
-    /// The node's checkpoint record is the union of its pieces along
-    /// the path — a component sits on exactly one row of it, but the
-    /// node's components are spread over every row where one first
-    /// became common — so every path row is consulted, root first.
-    /// Whatever the cache does not hold, path rows and the eventlist
-    /// row alike, travels in **one** batched multi-get (they share a
+    /// The node's checkpoint record is its net presence along the
+    /// span's tree path: its base roots' records, each at the node's
+    /// micro-partition of its own span, then the span's root-to-leaf
+    /// pieces — the node's components are spread over every row where
+    /// one first became common, and a residual root may take some away
+    /// — so every path row is consulted, base roots first. Whatever the
+    /// cache does not hold, path rows and the eventlist row alike,
+    /// travels in **one** batched multi-get (a block's spans share a
     /// placement chunk). Each row answers "do you hold this node?"
     /// from its node-index columns alone; only the node's own record
     /// slices are ever parsed. The eventlist
@@ -341,16 +346,18 @@ impl TgiView {
                 }
                 Vec::new()
             }
-            _ => meta
-                .shape
-                .path_to_leaf(j)
-                .into_iter()
-                .map(|did| (did, pid))
-                .collect(),
+            _ => {
+                let mut keys = Vec::new();
+                for (tsid, did) in meta.tree_path(j) {
+                    let of = self.span_of(tsid)?;
+                    keys.push((of, did, of.placement(nid).1));
+                }
+                keys
+            }
         };
-        keys.push((ELIST_BASE + j as u64, pid));
-        // Path rows root first, then the eventlist.
-        for row in self.try_fetch_rows(span, sid, &keys)?.into_iter().flatten() {
+        keys.push((span, ELIST_BASE + j as u64, pid));
+        // Path rows base roots first, then the eventlist.
+        for row in self.try_fetch_rows(sid, &keys)?.into_iter().flatten() {
             match row {
                 Row::Tree(d) => {
                     d.sum_into(&mut scratch, Some(nid), false)?;
@@ -361,12 +368,13 @@ impl TgiView {
         Ok(scratch.node(nid).cloned())
     }
 
-    /// Rows `keys` — `(did, pid)` pairs — of one `(tsid, sid)`
-    /// placement of `span`, in `keys` order (`None`: no such row),
-    /// their pairs resolved through the span's table: the one point
-    /// read of `Deltas` rows, behind the static-vertex fetch, the
-    /// micro-partition fetch, the eventlist chunks of node histories and
-    /// the aux replicas of a k-hop.
+    /// Rows `keys` — `(span, did, pid)` of horizontal partition `sid`,
+    /// every span of one block, which share a placement
+    /// ([`PlacementKey::of_span`]) — in `keys` order (`None`: no such
+    /// row), each row's pairs resolved through its own span's table:
+    /// the one point read of `Deltas` rows, behind the static-vertex
+    /// fetch, the micro-partition fetch, the eventlist chunks of node
+    /// histories and the aux replicas of a k-hop.
     ///
     /// Rows the read cache holds, in either state or as known-absent,
     /// are served from it. The rest travel in **one** batched multi-get
@@ -377,12 +385,12 @@ impl TgiView {
     /// appear later in a sealed span.
     fn try_fetch_rows(
         &self,
-        span: &SpanRuntime,
         sid: u32,
-        keys: &[(u64, u32)],
+        keys: &[(&SpanRuntime, u64, u32)],
     ) -> Result<Vec<Option<Row>>, StoreError> {
-        let (tsid, pairs) = (span.meta.tsid, &span.meta.pairs);
-        let cache_key = |&(did, pid): &(u64, u32)| CacheKey::Row(tsid, sid, did, pid);
+        let cache_key = |&(span, did, pid): &(&SpanRuntime, u64, u32)| {
+            CacheKey::Row(span.meta.tsid, sid, did, pid)
+        };
         // Per key what the cache knows; `None` is a miss, to be fetched.
         let probed: Vec<Option<Option<Row>>> = keys
             .iter()
@@ -395,18 +403,21 @@ impl TgiView {
                 Cached::TermPoints(_) => None,
             })
             .collect();
-        let missing: Vec<[u8; 20]> = keys
+        let missing: Vec<DeltaKey> = keys
             .iter()
             .zip(&probed)
             .filter(|(_, hit)| hit.is_none())
-            .map(|(&(did, pid), _)| DeltaKey::new(tsid, sid, did, pid).encode())
+            .map(|(&(span, did, pid), _)| DeltaKey::new(span.meta.tsid, sid, did, pid))
             .collect();
-        let mut fetched = if missing.is_empty() {
-            Vec::new()
-        } else {
-            let refs: Vec<&[u8]> = missing.iter().map(|k| &k[..]).collect();
-            let token = PlacementKey::new(tsid, sid).token();
-            self.store.multi_get(Table::Deltas, &refs, token)?
+        let mut fetched = match missing.first() {
+            None => Vec::new(),
+            Some(first) => {
+                debug_assert!(missing.iter().all(|k| k.placement() == first.placement()));
+                let encoded: Vec<[u8; 20]> = missing.iter().map(DeltaKey::encode).collect();
+                let refs: Vec<&[u8]> = encoded.iter().map(|k| &k[..]).collect();
+                let token = first.placement().token();
+                self.store.multi_get(Table::Deltas, &refs, token)?
+            }
         }
         .into_iter();
         keys.iter()
@@ -419,7 +430,8 @@ impl TgiView {
                     self.read_cache.put(cache_key(k), Cached::Absent);
                     return Ok(None);
                 };
-                let (row, cached) = if (ELIST_BASE..AUX_BASE).contains(&k.0) {
+                let pairs = &k.0.meta.pairs;
+                let (row, cached) = if (ELIST_BASE..AUX_BASE).contains(&k.1) {
                     let c =
                         ColumnarEventlist::parse_in(bytes, pairs).map_err(StoreError::Corrupt)?;
                     let c = Arc::new(c);
@@ -440,7 +452,10 @@ impl TgiView {
 
     /// Reconstruct the state of micro-partition `(sid, pid)` as of
     /// `t`: tree-path micro-deltas + the eventlist chunk, a degenerate
-    /// single-partition chunk plan over the shared read cache.
+    /// single-partition chunk plan over the shared read cache. A base
+    /// root is micro-partitioned by its own span's map, so each is read
+    /// whole for the `sid` and what the sum of them holds is cut to the
+    /// micro-partition before the span's own rows are applied.
     ///
     /// The checkpoint state (path rows summed, before replay) caches
     /// under [`CacheKey::Part`]; a cached one leaves only the eventlist
@@ -466,24 +481,33 @@ impl TgiView {
             Some(Cached::Delta(d)) => Some(d),
             _ => None,
         };
-        let mut keys: Vec<(u64, u32)> = match base {
-            Some(_) => Vec::new(),
-            None => meta
-                .shape
-                .path_to_leaf(j)
-                .into_iter()
-                .map(|did| (did, pid))
-                .collect(),
-        };
-        keys.push((ELIST_BASE + j as u64, pid));
-        let rows = self.try_fetch_rows(span, sid, &keys)?;
+        let mut keys: Vec<(&SpanRuntime, u64, u32)> = Vec::new();
+        if base.is_none() {
+            for (of, did) in meta.tree_path(j) {
+                let of = self.span_of(of)?;
+                if of.meta.tsid == tsid {
+                    keys.push((of, did, pid));
+                } else {
+                    let parts = of.meta.pid_counts.get(sid as usize).copied().unwrap_or(0);
+                    keys.extend((0..parts).map(|p| (of, did, p)));
+                }
+            }
+        }
+        let bases = keys.iter().filter(|k| k.0.meta.tsid != tsid).count();
+        keys.push((span, ELIST_BASE + j as u64, pid));
+        let rows = self.try_fetch_rows(sid, &keys)?;
 
-        // Checkpoint state, root first, then the per-time eventlist
-        // replay.
+        // Checkpoint state, base roots first, then the per-time
+        // eventlist replay.
         let mut state = base.as_deref().cloned().unwrap_or_default();
         let mut elist = None;
-        for (&(did, _), row) in keys.iter().zip(rows) {
-            let key = CacheKey::Row(tsid, sid, did, pid);
+        for (i, (&(of, did, p), row)) in keys.iter().zip(rows).enumerate() {
+            if i == bases && bases > 0 {
+                if let Some(map) = span.map(sid) {
+                    state = state.restrict(|id| map.assign(id) == pid);
+                }
+            }
+            let key = CacheKey::Row(of.meta.tsid, sid, did, p);
             match row {
                 Some(Row::Tree(d)) => self.sum_tree_row(&mut state, key, &d)?,
                 Some(Row::Events(ElistHandle::Full(e))) => elist = Some(e),
@@ -597,21 +621,27 @@ impl TgiView {
             }
             refs
         };
-        // One fetch per span: (span, its (did, pid) keys).
-        let mut spans: Vec<(&SpanRuntime, Vec<(u64, u32)>)> = Vec::new();
+        // One fetch per span: its `(span, did, pid)` keys.
+        let mut spans: Vec<Vec<(&SpanRuntime, u64, u32)>> = Vec::new();
         for (span, chunk, pid) in refs {
-            let key = (ELIST_BASE + chunk as u64, pid);
+            let key = (span, ELIST_BASE + chunk as u64, pid);
             match spans.last_mut() {
-                Some((s, keys)) if s.meta.tsid == span.meta.tsid => keys.push(key),
-                _ => spans.push((span, vec![key])),
+                Some(keys)
+                    if keys
+                        .first()
+                        .is_some_and(|k| k.0.meta.tsid == span.meta.tsid) =>
+                {
+                    keys.push(key)
+                }
+                _ => spans.push(vec![key]),
             }
         }
         let in_range = |e: &Event| after.is_none_or(|a| e.time > a) && e.time < before;
         let lists: Vec<Result<Vec<Event>, StoreError>> =
-            parallel_steal(spans, self.clients, |(span, keys)| {
+            parallel_steal(spans, self.clients, |keys| {
                 let mut events = Vec::new();
-                let rows = self.try_fetch_rows(span, sid, &keys)?;
-                for (row, &(did, _pid)) in rows.iter().zip(&keys) {
+                let rows = self.try_fetch_rows(sid, &keys)?;
+                for (row, &(_, did, _pid)) in rows.iter().zip(&keys) {
                     match row {
                         Some(Row::Events(el)) => {
                             events.extend(el.events_touching(nid)?.into_iter().filter(in_range))
@@ -740,10 +770,8 @@ impl TgiView {
         // ride the same read cache — held by `Arc`, never deep-copied
         // (the resolve closure only ever reads one record of it).
         let aux = if self.cfg.replicates_boundary() {
-            let key = (AUX_BASE + j as u64, center_pid);
-            self.try_fetch_rows(span, center_sid, &[key])?
-                .pop()
-                .flatten()
+            let key = (span, AUX_BASE + j as u64, center_pid);
+            self.try_fetch_rows(center_sid, &[key])?.pop().flatten()
         } else {
             None
         };
@@ -770,8 +798,8 @@ impl TgiView {
                 let el = match elist_cache.entry((sid, pid)) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(slot) => {
-                        let key = (ELIST_BASE + j as u64, pid);
-                        slot.insert(self.try_fetch_rows(span, sid, &[key])?.pop().flatten())
+                        let key = (span, ELIST_BASE + j as u64, pid);
+                        slot.insert(self.try_fetch_rows(sid, &[key])?.pop().flatten())
                     }
                 };
                 let mut scratch = Delta::new();
@@ -906,7 +934,7 @@ impl TgiView {
                 continue;
             }
             let refs: Vec<&[u8]> = prefixes.iter().map(|p| &p[..]).collect();
-            let token = PlacementKey::new(meta.tsid, sid).token();
+            let token = PlacementKey::of_span(meta.tsid, sid).token();
             let groups = self.store.scan_prefix_batch(Table::Deltas, &refs, token)?;
             for rows in groups {
                 for (k, v) in rows {

@@ -9,8 +9,9 @@
 //!
 //! 1. **Group** the times by timespan and by tree leaf (eventlist
 //!    chunk);
-//! 2. **Union** the root-to-leaf delta ids of all requested leaves per
-//!    `(tsid, sid)` chunk and **fetch** each `(sid, did, pid)` row
+//! 2. **Union** the tree paths of all requested leaves — the span's
+//!    base roots, then its root-to-leaf delta ids — per `(tsid, sid)`
+//!    chunk and **fetch** each `(sid, did, pid)` row
 //!    exactly once through the store's grouped-scan API
 //!    ([`hgs_store::SimStore::scan_prefix_batch`] — one round-trip per
 //!    chunk instead of one per delta);
@@ -60,7 +61,7 @@ use hgs_delta::{ColumnarEventlist, Delta, Eventlist, FxHashMap, FxHashSet, Time}
 use hgs_store::{parallel_steal, DeltaKey, PlacementKey, StoreError, Table};
 
 use crate::build::{SpanRuntime, TgiView};
-use crate::meta::{sid_of, ELIST_BASE};
+use crate::meta::{root_bases, sid_of, TimespanMeta, ELIST_BASE};
 use crate::query::DeltaHandle;
 use crate::read_cache::{CacheKey, Cached};
 
@@ -149,14 +150,14 @@ impl MultipointPlan {
         };
         for g in &self.groups {
             let meta = &g.span.meta;
-            let mut union: FxHashSet<u64> = FxHashSet::default();
+            let mut union: FxHashSet<(u32, u64)> = FxHashSet::default();
             for lg in &g.leaves {
                 s.leaf_groups += 1;
-                let path = meta.shape.path_to_leaf(lg.leaf);
+                let path = meta.tree_path(lg.leaf);
                 // Naive: every time refetches its whole path + elist.
                 s.naive_fetch_units += lg.times.len() * ns * (path.len() + 1);
                 union.extend(path);
-                union.insert(ELIST_BASE + lg.leaf as u64);
+                union.insert((meta.tsid, ELIST_BASE + lg.leaf as u64));
             }
             s.shared_fetch_units += ns * union.len();
             s.round_trips += ns;
@@ -165,8 +166,8 @@ impl MultipointPlan {
     }
 }
 
-/// Rows of one `(tsid, sid)` batch, grouped by did.
-type RowsByDid = FxHashMap<u64, Vec<(Vec<u8>, bytes::Bytes)>>;
+/// Rows of one `sid`'s grouped scan, by `(tsid, did)`.
+type RowsByDid = FxHashMap<(u32, u64), Vec<(Vec<u8>, bytes::Bytes)>>;
 
 impl TgiView {
     /// Inspect how a multipoint retrieval over `times` would share
@@ -216,8 +217,8 @@ impl TgiView {
     pub(crate) fn try_sid_state_at(&self, sid: u32, t: Time) -> Result<Delta, StoreError> {
         let span = self.span_for(t);
         let leaf = span.meta.leaf_for_time(t);
-        let rows = self.span_rows(span, sid, &[(leaf, true)])?;
-        let mut state = self.sum_sid_path(span, leaf, sid, &rows)?;
+        let rows = self.span_rows(sid, &fill_rows(&span.meta, &[(leaf, true)]))?;
+        let mut state = self.sum_sid_path(sid, &span.meta.tree_path(leaf), &rows)?;
         let mut pieces = Vec::new();
         self.leaf_pieces(span, leaf, sid, &rows, &mut pieces)?;
         self.replay_until(span, &mut state, &pieces, &mut vec![0; pieces.len()], t);
@@ -254,10 +255,10 @@ impl TgiView {
             .map(|(lg, base)| (lg.leaf, base.is_none()))
             .collect();
         let sids: Vec<u32> = (0..self.cfg.horizontal_partitions).collect();
-        let per_sid: Vec<RowsByDid> =
-            parallel_steal(sids, c, |sid| self.span_rows(span, sid, &wanted))
-                .into_iter()
-                .collect::<Result<_, _>>()?;
+        let scanned = fill_rows(&span.meta, &wanted);
+        let per_sid: Vec<RowsByDid> = parallel_steal(sids, c, |sid| self.span_rows(sid, &scanned))
+            .into_iter()
+            .collect::<Result<_, _>>()?;
 
         // Leaf-major, so at width 1 a leaf's sid states are summed and
         // merged back to back, and at any width the workers' first
@@ -274,7 +275,7 @@ impl TgiView {
             })
             .collect();
         parallel_steal(sums, c, |(leaf, state, sid, rows)| {
-            let sid_state = self.sum_sid_path(span, leaf, sid, rows)?;
+            let sid_state = self.sum_sid_path(sid, &span.meta.tree_path(leaf), rows)?;
             state.lock().sum_assign_owned(sid_state);
             Ok(())
         })
@@ -310,40 +311,48 @@ impl TgiView {
         Ok(())
     }
 
-    /// Fetch one `(tsid, sid)` chunk's rows for a span group in a
-    /// single grouped scan: per `(leaf, build)` of `leaves`, the
-    /// leaf's eventlist chunk and — when its checkpoint state is still
-    /// to build — its tree path (paths unioned across leaves). A leaf
-    /// whose state is cached still has its eventlist prefix scanned on
-    /// the same `(tsid, sid)` placement, so a down chunk surfaces
-    /// either way.
-    fn span_rows(
-        &self,
-        span: &SpanRuntime,
-        sid: u32,
-        leaves: &[(usize, bool)],
-    ) -> Result<RowsByDid, StoreError> {
-        let meta = &span.meta;
-        let mut dids: Vec<u64> = Vec::new();
-        let mut seen: FxHashSet<u64> = FxHashSet::default();
-        for &(leaf, build) in leaves {
-            if build {
-                for did in meta.shape.path_to_leaf(leaf) {
-                    if seen.insert(did) {
-                        dids.push(did);
-                    }
-                }
-            }
-            dids.push(ELIST_BASE + leaf as u64);
+    /// Fetch every micro-partition of the rows `scanned` — `(tsid,
+    /// did)` of spans of this view, all of one block, which share a
+    /// placement ([`PlacementKey::of_span`]) — of horizontal partition
+    /// `sid` in a single grouped scan: the one prefix read of the
+    /// fill's rows ([`fill_rows`]) and of a span's root.
+    fn span_rows(&self, sid: u32, scanned: &[(u32, u64)]) -> Result<RowsByDid, StoreError> {
+        let Some(&(first, _)) = scanned.first() else {
+            return Ok(RowsByDid::default());
+        };
+        if let Some(&(tsid, _)) = scanned.iter().find(|r| r.0 as usize >= self.spans.len()) {
+            return Err(StoreError::Corrupt(hgs_delta::CodecError::BadRef {
+                what: "timespan",
+                id: u64::from(tsid),
+            }));
         }
-        let prefixes: Vec<[u8; 16]> = dids
+        let token = PlacementKey::of_span(first, sid);
+        debug_assert!(scanned
             .iter()
-            .map(|&did| DeltaKey::delta_prefix(meta.tsid, sid, did))
+            .all(|&(tsid, _)| PlacementKey::of_span(tsid, sid) == token));
+        let prefixes: Vec<[u8; 16]> = scanned
+            .iter()
+            .map(|&(tsid, did)| DeltaKey::delta_prefix(tsid, sid, did))
             .collect();
         let refs: Vec<&[u8]> = prefixes.iter().map(|p| &p[..]).collect();
-        let token = PlacementKey::new(meta.tsid, sid).token();
-        let groups = self.store.scan_prefix_batch(Table::Deltas, &refs, token)?;
-        Ok(dids.into_iter().zip(groups).collect())
+        let groups = self
+            .store
+            .scan_prefix_batch(Table::Deltas, &refs, token.token())?;
+        Ok(scanned.iter().copied().zip(groups).collect())
+    }
+
+    /// Span `tsid`'s root of every horizontal partition, in full: its
+    /// root bases' roots and its own, summed — what the writer stores a
+    /// later span's root against, read back by a re-opened one.
+    pub(crate) fn try_root_states(&self, tsid: u32) -> Result<Vec<Delta>, StoreError> {
+        let chain: Vec<(u32, u64)> = root_bases(tsid)
+            .into_iter()
+            .chain([tsid])
+            .map(|t| (t, 0))
+            .collect();
+        (0..self.cfg.horizontal_partitions)
+            .map(|sid| self.sum_sid_path(sid, &chain, &self.span_rows(sid, &chain)?))
+            .collect()
     }
 
     /// Sum a tree row into `state` — the sum of the rows above it on
@@ -362,27 +371,29 @@ impl TgiView {
         Ok(())
     }
 
-    /// Sum one horizontal partition's scanned root-to-leaf path into
-    /// `state`: `rows` are its tree rows as `(did, pid, bytes)` in path
-    /// order (root first). Micro-partitions hold disjoint node sets,
-    /// so they are summed one after the other — each one's rows root
-    /// first — which keeps the few hundred nodes a piece can land on
-    /// hot while its path is applied.
+    /// Sum one horizontal partition's scanned tree path into `state`:
+    /// `rows` are its tree rows as `(span, did, pid, bytes)` in path
+    /// order (base roots first). Each span's rows are summed after every
+    /// earlier span's — a base root applies to all of the sum below it
+    /// — and a span's micro-partitions, which hold disjoint node sets,
+    /// one after the other, each one's rows root first, which keeps the
+    /// few hundred nodes a piece can land on hot while its path is
+    /// applied.
     ///
     /// Each row probes the read cache and leaves its path-complete
     /// form there. Full-replay callers need every record, so a
     /// lazily-decoded columnar entry left by a node-scoped path does
     /// not satisfy the probe: the row is applied from its bytes and the
     /// entry refreshed (write-once rows make this safe).
-    pub(crate) fn sum_scanned_path(
+    fn sum_scanned_path(
         &self,
         state: &mut Delta,
-        span: &SpanRuntime,
         sid: u32,
-        mut rows: Vec<(u64, u32, bytes::Bytes)>,
+        mut rows: Vec<(&SpanRuntime, u64, u32, bytes::Bytes)>,
     ) -> Result<(), StoreError> {
-        rows.sort_by_key(|&(_, pid, _)| pid); // stable: path order within a pid
-        for (did, pid, bytes) in rows {
+        // Stable: path order within a span's micro-partition.
+        rows.sort_by_key(|&(span, _, pid, _)| (span.meta.tsid, pid));
+        for (span, did, pid, bytes) in rows {
             let key = CacheKey::Row(span.meta.tsid, sid, did, pid);
             let row = match self.read_cache.get(key.clone()) {
                 Some(Cached::Delta(d)) => DeltaHandle::Full(d),
@@ -418,25 +429,26 @@ impl TgiView {
         Ok(e)
     }
 
-    /// One sid's checkpoint state at `leaf`: its tree-path rows out of
-    /// `rows`, summed root first through the row tier of the cache.
+    /// One sid's sum of the tree rows `path` — a leaf's tree path, or a
+    /// root's chain of base roots — out of `rows`, base roots first,
+    /// through the row tier of the cache.
     fn sum_sid_path(
         &self,
-        span: &SpanRuntime,
-        leaf: usize,
         sid: u32,
+        path: &[(u32, u64)],
         rows: &RowsByDid,
     ) -> Result<Delta, StoreError> {
         let mut path_rows = Vec::new();
-        for did in span.meta.shape.path_to_leaf(leaf) {
-            for (k, bytes) in rows.get(&did).into_iter().flatten() {
+        for &(tsid, did) in path {
+            let span = self.span_of(tsid)?;
+            for (k, bytes) in rows.get(&(tsid, did)).into_iter().flatten() {
                 if let Some(dk) = DeltaKey::decode(k) {
-                    path_rows.push((did, dk.pid, bytes.clone()));
+                    path_rows.push((span, did, dk.pid, bytes.clone()));
                 }
             }
         }
         let mut state = Delta::new();
-        self.sum_scanned_path(&mut state, span, sid, path_rows)?;
+        self.sum_scanned_path(&mut state, sid, path_rows)?;
         Ok(state)
     }
 
@@ -452,7 +464,7 @@ impl TgiView {
         pieces: &mut Vec<(u32, u32, Arc<Eventlist>)>,
     ) -> Result<(), StoreError> {
         let elist_did = ELIST_BASE + leaf as u64;
-        for (k, bytes) in rows.get(&elist_did).into_iter().flatten() {
+        for (k, bytes) in rows.get(&(span.meta.tsid, elist_did)).into_iter().flatten() {
             if let Some(dk) = DeltaKey::decode(k) {
                 let el = self.decoded_elist(span, sid, elist_did, dk.pid, bytes)?;
                 pieces.push((sid, dk.pid, el));
@@ -510,6 +522,28 @@ impl TgiView {
             }
         }
     }
+}
+
+/// The rows a span group's fill scans, per `(leaf, build)` of
+/// `leaves`: the leaf's eventlist chunk and — when its checkpoint state
+/// is still to build — its tree path, base roots included (paths
+/// unioned across leaves). A leaf whose state is cached still has its
+/// eventlist prefix scanned on the same placement, so a down chunk
+/// surfaces either way.
+fn fill_rows(meta: &TimespanMeta, leaves: &[(usize, bool)]) -> Vec<(u32, u64)> {
+    let mut rows: Vec<(u32, u64)> = Vec::new();
+    let mut seen: FxHashSet<(u32, u64)> = FxHashSet::default();
+    for &(leaf, build) in leaves {
+        if build {
+            for row in meta.tree_path(leaf) {
+                if seen.insert(row) {
+                    rows.push(row);
+                }
+            }
+        }
+        rows.push((meta.tsid, ELIST_BASE + leaf as u64));
+    }
+    rows
 }
 
 #[cfg(test)]

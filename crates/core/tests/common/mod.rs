@@ -271,6 +271,11 @@ pub(crate) const DELTA_SEG_COUNTS: usize = 3;
 /// Index of the record segment among a delta row's five segments.
 pub(crate) const DELTA_SEG_RECORDS: usize = 4;
 
+/// Index of the removal segment, the sixth of a residual row (magic
+/// `0xCD`): a root stored against its base's root that takes something
+/// out of it.
+pub(crate) const DELTA_SEG_REMOVALS: usize = 5;
+
 /// A stored columnar row taken apart as its header lays it out (see
 /// `hgs_delta::columnar`), what a test needs to look inside a row or to
 /// put one back together with a segment swapped: magic, record count,
@@ -283,12 +288,13 @@ pub(crate) struct RowSegments {
     pub segs: Vec<Vec<u8>>,
 }
 
-/// Segments of a delta row (magic `0xCB`) and of an eventlist row
-/// (magic `0xCC`).
+/// Segments of a delta row (magic `0xCB`), of an eventlist row (magic
+/// `0xCC`) and of a residual row (magic `0xCD`).
 fn segment_count(magic: u8) -> usize {
     match magic {
         0xCB => 5,
         0xCC => 8,
+        0xCD => 6,
         _ => panic!("no row has magic {magic:#x}"),
     }
 }

@@ -19,8 +19,9 @@ use hgs_core::{
 use hgs_datagen::WikiGrowth;
 use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::{
-    columnar::encode_columnar_delta, normalize_events, CodecError, ColumnarDelta, Delta,
-    StaticNode, TimeRange,
+    columnar::{encode_columnar_delta, encode_columnar_residual_in},
+    normalize_events, CodecError, ColumnarDelta, Delta, PairTable, Removal, Residual, StaticNode,
+    TimeRange,
 };
 use hgs_store::{
     chain_key, chain_key_tsid, node_key, DeltaKey, PutRow, SimStore, StoreConfig, StoreError, Table,
@@ -1141,4 +1142,162 @@ fn a_pair_table_off_its_grammar_or_an_id_past_it_is_corrupt() {
     // The built view has read nothing yet: both reads reach the row.
     assert_eq!(tgi.try_node_at(nid, end), Err(past_the_table.clone()));
     assert_eq!(tgi.try_snapshot(end).map(drop), Err(past_the_table));
+}
+
+/// A residual root — a span's root stored against its base's root,
+/// removals first — that removes a position past the base's record,
+/// adds a component the base still holds, or has its removal segment
+/// cut short is `Corrupt` on every read that sums it, cold and through
+/// a cache already holding the base's rows; arbitrary bytes in its
+/// removal segment are read or refused, never a panic.
+#[test]
+fn a_residual_root_off_its_base_is_corrupt_on_every_read() {
+    let events = hgs_datagen::augment_with_churn(&trace(), 1_500, 0.5, 9);
+    let build = || {
+        TgiService::try_build(cfg(), StoreConfig::new(4, 1), &events)
+            .unwrap()
+            .pin()
+    };
+    let rows: Vec<(DeltaKey, Bytes)> = build()
+        .store()
+        .content_rows()
+        .into_iter()
+        .flatten()
+        .filter(|(k, _)| k[0] == Table::Deltas.tag())
+        .filter_map(|(k, v)| Some((DeltaKey::decode(&k[1..])?, v)))
+        .collect();
+    // A root that removes something — the churn deletes edges — of a
+    // span of the first four, whose root bases are the block head's
+    // (and, for span 3, span 2's).
+    let (key, row) = rows
+        .iter()
+        .find(|(k, v)| k.did == 0 && (1..=3).contains(&k.tsid) && v[0] == 0xCD)
+        .cloned()
+        .expect("a residual root with removals");
+    let chain: &[u32] = if key.tsid == 3 { &[0, 2] } else { &[0] };
+    // The base: its bases' roots of the same `sid`, every
+    // micro-partition of each (the wiki trace has no pairs to resolve).
+    let mut base = Delta::new();
+    for &tsid in chain {
+        for (_, v) in rows
+            .iter()
+            .filter(|(k, _)| (k.tsid, k.sid, k.did) == (tsid, key.sid, 0))
+        {
+            let col = ColumnarDelta::parse(v.clone()).unwrap();
+            col.sum_into(&mut base, None).unwrap();
+        }
+    }
+    // A node of the row that the base holds: its first removal's.
+    let segs = common::RowSegments::parse(&row);
+    let removals = &segs.segs[common::DELTA_SEG_REMOVALS];
+    let mut b: &[u8] = removals;
+    let (_count, hub) = (get_varint(&mut b).unwrap(), get_varint(&mut b).unwrap());
+    let held = base
+        .node(hub)
+        .expect("a removal names a node of the base")
+        .clone();
+    let kept = {
+        let mut state = base.clone();
+        ColumnarDelta::parse(row.clone())
+            .unwrap()
+            .sum_node_into(hub, &mut state)
+            .unwrap();
+        state.node(hub).cloned()
+    };
+
+    let meta = &common::span_metas(&build())[key.tsid as usize];
+    let t = meta.checkpoints[0];
+    let later = meta.range.end;
+    let reads = |tgi: &TgiView| -> Vec<(&str, Result<(), StoreError>)> {
+        let range = TimeRange::new(t, later);
+        vec![
+            ("snapshot", tgi.try_snapshot(t).map(drop)),
+            ("node_at", tgi.try_node_at(hub, t).map(drop)),
+            (
+                "khop recursive",
+                tgi.try_khop_with(hub, t, 1, KhopStrategy::Recursive)
+                    .map(drop),
+            ),
+            (
+                "khop via snapshot",
+                tgi.try_khop_with(hub, t, 1, KhopStrategy::ViaSnapshot)
+                    .map(drop),
+            ),
+            (
+                "histories of the sid",
+                tgi.try_node_histories_for_sid(key.sid, range).map(drop),
+            ),
+            ("history", tgi.try_node_history(hub, range).map(drop)),
+        ]
+    };
+    // Rewrite the row, warm the cache with the base's rows (the block
+    // head's snapshot), then hold every read, twice, to `ok`.
+    let corrupted = |value: Bytes, ok: &dyn Fn(&Result<(), StoreError>) -> bool, what: &str| {
+        let tgi = build();
+        tgi.try_snapshot(common::span_metas(&tgi)[0].checkpoints[1])
+            .unwrap();
+        put_everywhere(tgi.store(), Table::Deltas, &key.encode(), value);
+        for pass in ["cold", "warm"] {
+            for (read, got) in reads(&tgi) {
+                assert!(ok(&got), "{what}, {pass}: {read}: {got:?}");
+            }
+        }
+    };
+    let refused = |want: CodecError| {
+        move |got: &Result<(), StoreError>| *got == Err(StoreError::Corrupt(want.clone()))
+    };
+
+    // A position past the base's record of the node.
+    let past = Residual {
+        added: Delta::new(),
+        removed: vec![(
+            hub,
+            Removal::Parts {
+                edges: vec![held.degree() as u32 + 5],
+                pairs: vec![],
+            },
+        )],
+    };
+    corrupted(
+        encode_columnar_residual_in(&past, &PairTable::default()),
+        &refused(CodecError::BadRef {
+            what: "removed component",
+            id: hub,
+        }),
+        "a position past the record",
+    );
+    // An addition of an entry the base holds and the root keeps.
+    let entry = held
+        .edges
+        .iter()
+        .find(|e| {
+            kept.as_ref()
+                .is_some_and(|k| k.edge(e.nbr, e.dir) == Some(*e))
+        })
+        .expect("the root keeps an entry of the node")
+        .clone();
+    let mut piece = StaticNode::new(hub);
+    piece.insert_edge(entry);
+    let repeat = Residual {
+        added: [piece].into_iter().collect(),
+        removed: Vec::new(),
+    };
+    corrupted(
+        encode_columnar_residual_in(&repeat, &PairTable::default()),
+        &refused(CodecError::RepeatedComponent { node: hub }),
+        "a held addition",
+    );
+    // The removal segment, the row's last, cut short by a byte.
+    let any_corrupt = |got: &Result<(), StoreError>| matches!(got, Err(StoreError::Corrupt(_)));
+    corrupted(row.slice(..row.len() - 1), &any_corrupt, "a cut segment");
+    // Arbitrary bytes in the removal segment.
+    for seed in 0..4u64 {
+        let mut parts = common::RowSegments::parse(&row);
+        parts.segs[common::DELTA_SEG_REMOVALS] = (0..12 + seed * 5)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> (seed + 3)) as u8)
+            .collect();
+        let read_or_refused =
+            |got: &Result<(), StoreError>| matches!(got, Ok(()) | Err(StoreError::Corrupt(_)));
+        corrupted(parts.assemble(), &read_or_refused, "arbitrary removals");
+    }
 }

@@ -861,7 +861,7 @@ fn a_seed_replays_exactly_at_width_one() {
 /// last span but none of the descriptor rows a re-open reads first.
 const FIRST_CHUNK_OF_4: usize = 3;
 const NEXT_CHUNK_OF_4: usize = 2;
-const TAIL_CHUNK_OF_8: usize = 2;
+const TAIL_CHUNK_OF_8: usize = 0;
 
 /// `Wiki(3000)` / `Mid` on four machines, half built and half
 /// appended, or built whole.

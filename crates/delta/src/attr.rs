@@ -154,6 +154,11 @@ impl Attrs {
         &self.pairs
     }
 
+    /// The pairs, for removing some: what is left stays sorted.
+    pub(crate) fn pairs_mut(&mut self) -> &mut Vec<(String, AttrValue)> {
+        &mut self.pairs
+    }
+
     /// Wrap pairs already sorted by distinct keys.
     pub(crate) fn from_sorted(pairs: Vec<(String, AttrValue)>) -> Attrs {
         debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));

@@ -93,6 +93,32 @@
 //! for one node), which parses each piece straight onto the node it
 //! completes and fails with [`CodecError::RepeatedComponent`] if a
 //! piece repeats a key the node already has.
+//!
+//! A **residual row** — magic `0xCD`, the root of a span stored as a
+//! signed residual against an earlier span's root
+//! ([`encode_columnar_residual_in`]) — is a delta row whose additions
+//! are the five segments above, followed by a sixth, its removals:
+//!
+//! ```text
+//! removals := varint n, (varint id_gap, varint n_edges, varint n_pairs,
+//!              varint edge_gap{n_edges}, varint pair_gap{n_pairs}){n}
+//! ```
+//!
+//! one entry per node its base loses something of, `n ≥ 1` of them
+//! filling the segment exactly, in rising id order:
+//! the first id itself and then each id less the one before, less one;
+//! then the positions, in the node's summed base record, of the
+//! edge-list entries and the attribute pairs it loses — the first
+//! position itself, then each less the one before, less one — or, with
+//! both counts zero, the whole node. A position needs nothing but the
+//! base record: not the pair the base held, which this span's pair
+//! table may no longer have. The sum applies the removals, then the
+//! additions; a removal of a node or a position the state lacks is
+//! [`CodecError::BadRef`], an addition of a key it still holds
+//! [`CodecError::RepeatedComponent`]. A residual that removes nothing
+//! is spelled as a delta row, byte for byte, so only a row whose
+//! removal segment is not empty carries the residual magic, and one
+//! whose removal segment is empty is refused.
 
 use std::collections::hash_map::Entry;
 use std::ops::Range;
@@ -102,7 +128,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use super::{
     assemble, dict_idx, extended, get_dict, no_trailing, parse_header, put_dict, read_seg, Header,
-    DELTA_MAGIC, DELTA_SEGS,
+    DELTA_MAGIC, DELTA_SEGS, RESIDUAL_MAGIC, RESIDUAL_SEGS,
 };
 use crate::attr::{AttrValue, Attrs};
 use crate::bits::{bit_len, check_rice_k, put_elias_fano, rice_k, BitReader, BitWriter, EliasFano};
@@ -110,7 +136,7 @@ use crate::codec::{
     get_attr_value, get_len, get_record, get_u8, get_varint, put_attr_value, put_record,
     put_varint, skip_record, skip_varints, RecordHead, MAX_LEN, SHAPE_BITS, SHAPE_DEFAULT,
 };
-use crate::delta::Delta;
+use crate::delta::{Delta, Removal, Residual};
 use crate::error::CodecError;
 use crate::hash::FxHashMap;
 use crate::node::StaticNode;
@@ -523,6 +549,142 @@ pub fn encode_columnar_delta(d: &Delta) -> Bytes {
 /// dictionary (the pairs `table` lacks), counts column, concatenated
 /// per-node records.
 pub fn encode_columnar_delta_in(d: &Delta, table: &PairTable) -> Bytes {
+    let segs = delta_segments(d, table);
+    assemble(
+        DELTA_MAGIC,
+        d.cardinality(),
+        &segs.each_ref().map(|s| &s[..]),
+    )
+}
+
+/// Serialize a signed residual ([`Delta::residual_against`]) in the
+/// context of `table`: its additions as [`encode_columnar_delta_in`]
+/// spells a delta — which is the whole row when it removes nothing —
+/// then, under the residual magic, its removal segment.
+pub fn encode_columnar_residual_in(res: &Residual, table: &PairTable) -> Bytes {
+    if res.removed.is_empty() {
+        return encode_columnar_delta_in(&res.added, table);
+    }
+    let [ids, restarts, dict, counts, records] = delta_segments(&res.added, table);
+    let removals = put_removals(&res.removed);
+    assemble(
+        RESIDUAL_MAGIC,
+        res.added.cardinality(),
+        &[&ids, &restarts, &dict, &counts, &records, &removals],
+    )
+}
+
+/// Spell a removal segment: per node, its id gap less one (the first
+/// id in full), its two counts — both zero for the whole node — and the
+/// positions it loses, each list as gaps less one.
+fn put_removals(removed: &[(NodeId, Removal)]) -> BytesMut {
+    let mut out = BytesMut::new();
+    put_varint(&mut out, removed.len() as u64);
+    let mut prev: Option<NodeId> = None;
+    for (id, removal) in removed {
+        put_varint(&mut out, prev.map_or(*id, |p| id - p - 1));
+        prev = Some(*id);
+        let (edges, pairs): (&[u32], &[u32]) = match removal {
+            Removal::Node => (&[], &[]),
+            Removal::Parts { edges, pairs } => (edges, pairs),
+        };
+        put_varint(&mut out, edges.len() as u64);
+        put_varint(&mut out, pairs.len() as u64);
+        for list in [edges, pairs] {
+            let mut prev: Option<u32> = None;
+            for &at in list {
+                put_varint(&mut out, u64::from(prev.map_or(at, |p| at - p - 1)));
+                prev = Some(at);
+            }
+        }
+    }
+    out
+}
+
+/// Read `n` strictly rising positions spelled as gaps less one.
+fn get_positions(b: &mut &[u8], n: usize) -> Result<Vec<u32>, CodecError> {
+    // Every position is a byte at least.
+    if n > b.len() {
+        return Err(CodecError::UnexpectedEof {
+            needed: n,
+            remaining: b.len(),
+        });
+    }
+    let mut out: Vec<u32> = Vec::with_capacity(n.min(b.len()));
+    for _ in 0..n {
+        let gap = get_varint(b)?;
+        let at = match out.last() {
+            None => Some(gap),
+            Some(&p) => u64::from(p).checked_add(gap).and_then(|v| v.checked_add(1)),
+        };
+        match at.and_then(|v| u32::try_from(v).ok()) {
+            Some(at) => out.push(at),
+            None => {
+                return Err(CodecError::LengthOverflow {
+                    what: "removed position",
+                    len: gap,
+                })
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Read a removal segment, every byte of it: its count of entries of
+/// rising node ids, each losing its whole node or the positions it
+/// spells. A count the segment has no bytes for, or bytes past the
+/// last entry, are refused — so is a segment cut short at an entry's
+/// end.
+fn get_removals(mut b: &[u8]) -> Result<Vec<(NodeId, Removal)>, CodecError> {
+    if b.is_empty() {
+        return Ok(Vec::new());
+    }
+    let n = get_len(&mut b, "removals")?;
+    if n == 0 {
+        // A residual that removes nothing is a delta row.
+        return Err(CodecError::LengthOverflow {
+            what: "removals",
+            len: 0,
+        });
+    }
+    // Every entry is three bytes at least.
+    if n.saturating_mul(3) > b.len() {
+        return Err(CodecError::UnexpectedEof {
+            needed: n.saturating_mul(3),
+            remaining: b.len(),
+        });
+    }
+    let mut out: Vec<(NodeId, Removal)> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let gap = get_varint(&mut b)?;
+        let id = match out.last() {
+            None => Some(gap),
+            Some(&(p, _)) => p.checked_add(gap).and_then(|v| v.checked_add(1)),
+        }
+        .ok_or(CodecError::BadRef {
+            what: "removed node gap",
+            id: gap,
+        })?;
+        let n_edges = get_len(&mut b, "removed edges")?;
+        let n_pairs = get_len(&mut b, "removed pairs")?;
+        let removal = if n_edges == 0 && n_pairs == 0 {
+            Removal::Node
+        } else {
+            Removal::Parts {
+                edges: get_positions(&mut b, n_edges)?,
+                pairs: get_positions(&mut b, n_pairs)?,
+            }
+        };
+        out.push((id, removal));
+    }
+    no_trailing(b.len())?;
+    Ok(out)
+}
+
+/// A delta row's five segments: sorted node-id column, restart
+/// column, the row's own pair dictionary (the pairs `table` lacks),
+/// counts column, concatenated per-node records.
+fn delta_segments(d: &Delta, table: &PairTable) -> [BytesMut; DELTA_SEGS] {
     let nodes = d.sorted_nodes();
     let firsts = firsts_in_heads(&nodes);
     let heads: Vec<RecordHead> = nodes
@@ -553,11 +715,8 @@ pub fn encode_columnar_delta_in(d: &Delta, table: &PairTable) -> Bytes {
         put_varint(&mut restarts, bits);
     }
 
-    assemble(
-        DELTA_MAGIC,
-        nodes.len(),
-        &[&id_col, &restarts, &own.put_dict(table), &counts, &records],
-    )
+    let dict = own.put_dict(table);
+    [id_col, restarts, dict, counts, records]
 }
 
 /// A parsed columnar delta row: node-id, restart and counts columns,
@@ -580,6 +739,10 @@ pub struct ColumnarDelta {
     counts: OnceLock<Bytes>,
     pair_dict: OnceLock<Result<Vec<(String, AttrValue)>, CodecError>>,
     records: OnceLock<Bytes>,
+    /// A residual row's removal segment; empty in a delta row.
+    removals: Range<usize>,
+    /// The removal segment, decoded once.
+    removed: OnceLock<Result<Vec<(NodeId, Removal)>, CodecError>>,
 }
 
 impl ColumnarDelta {
@@ -600,10 +763,22 @@ impl ColumnarDelta {
         backing: Bytes,
         table: Option<Arc<PairTable>>,
     ) -> Result<ColumnarDelta, CodecError> {
-        let Header {
-            count: n_nodes,
-            segs,
-        } = parse_header(&backing, DELTA_MAGIC, "columnar-delta")?;
+        let (n_nodes, segs, removals) = if backing.first() == Some(&RESIDUAL_MAGIC) {
+            let Header { count, segs } =
+                parse_header::<RESIDUAL_SEGS>(&backing, RESIDUAL_MAGIC, "columnar-residual")?;
+            let [ids, restarts, dict, counts, records, removals] = segs;
+            if removals.is_empty() {
+                // A residual that removes nothing is a delta row.
+                return Err(CodecError::LengthOverflow {
+                    what: "removals",
+                    len: 0,
+                });
+            }
+            (count, [ids, restarts, dict, counts, records], removals)
+        } else {
+            let Header { count, segs } = parse_header(&backing, DELTA_MAGIC, "columnar-delta")?;
+            (count, segs, 0..0)
+        };
         Ok(ColumnarDelta {
             backing,
             n_nodes,
@@ -614,6 +789,8 @@ impl ColumnarDelta {
             counts: OnceLock::new(),
             pair_dict: OnceLock::new(),
             records: OnceLock::new(),
+            removals,
+            removed: OnceLock::new(),
         })
     }
 
@@ -630,7 +807,27 @@ impl ColumnarDelta {
     /// Sum of all segments' lengths (see
     /// [`super::ColumnarEventlist::raw_len_total`]).
     pub fn raw_len_total(&self) -> usize {
-        self.segs.iter().map(Range::len).sum()
+        self.segs.iter().map(Range::len).sum::<usize>() + self.removals.len()
+    }
+
+    /// A residual row's removals, decoded once: empty in a delta row.
+    fn removed(&self) -> Result<&[(NodeId, Removal)], CodecError> {
+        self.removed
+            .get_or_init(|| get_removals(&read_seg(&self.backing, &self.removals)))
+            .as_ref()
+            .map(|v| v.as_slice())
+            .map_err(|e| e.clone())
+    }
+
+    /// Whether this row removes a whole node from the state it is
+    /// summed onto — what the `completed` form of
+    /// [`ColumnarDelta::sum_into`] cannot say, as it only ever holds
+    /// the nodes a sum leaves.
+    pub fn removes_a_node(&self) -> Result<bool, CodecError> {
+        Ok(self
+            .removed()?
+            .iter()
+            .any(|(_, r)| matches!(r, Removal::Node)))
     }
 
     fn seg(&self, i: usize) -> Bytes {
@@ -784,6 +981,10 @@ impl ColumnarDelta {
     /// a cache keeps so that summing the row again is a node-level
     /// [`Delta::sum_assign`].
     ///
+    /// A residual row first takes its removals out of `state`; the
+    /// description each leaves is collected too, and a node it removes
+    /// whole is not ([`ColumnarDelta::removes_a_node`]).
+    ///
     /// Decodes the id column, then streams the counts and record
     /// cursors in lockstep beside it and holds
     /// the row to what the point read relies on: every restart equal
@@ -796,6 +997,12 @@ impl ColumnarDelta {
         state: &mut Delta,
         mut completed: Option<&mut Delta>,
     ) -> Result<(), CodecError> {
+        for (id, removal) in self.removed()? {
+            let left = state.remove_part(*id, removal)?;
+            if let (Some(node), Some(completed)) = (left, completed.as_deref_mut()) {
+                completed.insert_shared(Arc::clone(node));
+            }
+        }
         let pairs = self.pairs()?;
         let iraw = self.seg(SEG_NODE_IDS);
         let sraw = self.seg(SEG_RESTARTS);
@@ -839,9 +1046,16 @@ impl ColumnarDelta {
     }
 
     /// [`ColumnarDelta::sum_into`] restricted to one node: apply
-    /// `nid`'s record, if this row has one, to `state`. Decodes what
-    /// [`ColumnarDelta::node_record`] decodes.
+    /// `nid`'s removal and then its record, if this row has them, to
+    /// `state`. Decodes what [`ColumnarDelta::node_record`] decodes,
+    /// and a residual row's removal segment.
     pub fn sum_node_into(&self, nid: NodeId, state: &mut Delta) -> Result<(), CodecError> {
+        let removed = self.removed()?;
+        if let Ok(at) = removed.binary_search_by_key(&nid, |&(id, _)| id) {
+            if let Some((id, removal)) = removed.get(at) {
+                state.remove_part(*id, removal)?;
+            }
+        }
         let Some((head, mut record)) = self.record_at(nid)? else {
             return Ok(());
         };

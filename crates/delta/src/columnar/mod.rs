@@ -12,7 +12,8 @@
 //! ```
 //!
 //! The magic says how many segments the row has (eight in an eventlist
-//! row, five in a delta row); `present` has bit `i` set when segment
+//! row, five in a delta row, six in a residual row — a delta row that
+//! also removes); `present` has bit `i` set when segment
 //! `i` is not empty, and only the non-empty segments are spelled, each
 //! but the last with its length — the row's length gives the last one.
 //! A presence bit past the magic's segments, a spelled length of zero
@@ -69,7 +70,9 @@ use crate::codec::{get_len, get_str, get_u8, note_decoded, put_str, put_varint};
 use crate::error::CodecError;
 use crate::hash::FxHashMap;
 pub use crate::pair_table::PairTable;
-pub use delta::{encode_columnar_delta, encode_columnar_delta_in, ColumnarDelta};
+pub use delta::{
+    encode_columnar_delta, encode_columnar_delta_in, encode_columnar_residual_in, ColumnarDelta,
+};
 pub use eventlist::{encode_columnar_eventlist, encode_columnar_eventlist_in, ColumnarEventlist};
 
 /// On-disk format tag of index eventlist/delta rows, persisted with
@@ -105,10 +108,17 @@ pub enum StorageLayout {
 /// as a varint.
 const DELTA_MAGIC: u8 = 0xCB;
 const ELIST_MAGIC: u8 = 0xCC;
+/// A delta row that also removes: a signed residual whose removal
+/// segment is not empty ([`encode_columnar_residual_in`]). A residual
+/// that removes nothing is spelled as a plain delta row.
+const RESIDUAL_MAGIC: u8 = 0xCD;
 
 const ELIST_SEGS: usize = 8;
 
 const DELTA_SEGS: usize = 5;
+
+/// A residual row's segments: a delta row's five, then its removals.
+const RESIDUAL_SEGS: usize = DELTA_SEGS + 1;
 
 /// The index of `v` in the sorted `dict` it was interned into.
 #[inline]

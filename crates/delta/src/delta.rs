@@ -29,6 +29,13 @@
 //!   implemented straight on the stored bytes by
 //!   [`ColumnarDelta::sum_into`](crate::columnar::ColumnarDelta::sum_into).
 //!
+//! * **Signed residual** ([`Delta::residual_against`]): `r ⊖ b` for
+//!   any `b`, contained in `r` or not — what `r` holds that `b` does
+//!   not hold identically, and what `b` holds that `r` does not, named
+//!   by position in `b`'s records. An intersection-tree root is stored
+//!   this way against an earlier span's root, and summed back removals
+//!   first: `b ⊕ (r ⊖ b) = r`, `r ⊖ r = ∅`.
+//!
 //! The key reconstruction identity used throughout TGI, which follows
 //! from these definitions and is property-tested in this crate:
 //!
@@ -44,6 +51,7 @@
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
+use crate::error::CodecError;
 use crate::event::{Event, EventKind};
 use crate::hash::FxHashMap;
 use crate::node::{Neighbor, StaticNode};
@@ -315,6 +323,76 @@ impl Delta {
         }
     }
 
+    /// The **signed residual** `self ⊖ base` for any `base`, contained
+    /// in `self` or not — what an intersection-tree root is stored as
+    /// against an earlier span's root: the components `self` holds
+    /// that `base` does not hold identically ([`Residual::added`], in
+    /// [`Delta::difference`]'s form), and what `base` holds that `self`
+    /// does not ([`Residual::removed`]), named by position in `base`'s
+    /// records. A component whose value changed is on both sides (an
+    /// override is a removal plus an addition). `r ⊖ r = ∅` and
+    /// `r ⊖ ∅` is `r` with nothing removed. Its inverse is the sum of
+    /// the stored row ([`encode_columnar_residual_in`], then
+    /// [`ColumnarDelta::sum_into`]), removals first: `b ⊕ (r ⊖ b) = r`.
+    ///
+    /// [`encode_columnar_residual_in`]: crate::columnar::encode_columnar_residual_in
+    /// [`ColumnarDelta::sum_into`]: crate::columnar::ColumnarDelta::sum_into
+    pub fn residual_against(&self, base: &Delta) -> Residual {
+        let mut added = Delta::new();
+        let mut removed = Vec::new();
+        for (id, n) in &self.nodes {
+            match base.nodes.get(id) {
+                None => {
+                    added.nodes.insert(*id, Arc::clone(n));
+                }
+                Some(b) if Arc::ptr_eq(n, b) => {}
+                Some(b) => {
+                    let (piece, edges, pairs) = n.signed_residual(b);
+                    if let Some(piece) = piece {
+                        added.nodes.insert(*id, Arc::new(piece));
+                    }
+                    if !edges.is_empty() || !pairs.is_empty() {
+                        removed.push((*id, Removal::Parts { edges, pairs }));
+                    }
+                }
+            }
+        }
+        removed.extend(
+            base.ids()
+                .filter(|id| !self.nodes.contains_key(id))
+                .map(|id| (id, Removal::Node)),
+        );
+        removed.sort_unstable_by_key(|&(id, _)| id);
+        Residual { added, removed }
+    }
+
+    /// Take what `removal` names out of node `id`'s description — the
+    /// removal step of a residual row's sum
+    /// ([`ColumnarDelta::sum_into`](crate::columnar::ColumnarDelta::sum_into)).
+    /// Returns the description left, if any; a removal of a node or a
+    /// position the delta lacks is [`CodecError::BadRef`].
+    pub(crate) fn remove_part(
+        &mut self,
+        id: NodeId,
+        removal: &Removal,
+    ) -> Result<Option<&Arc<StaticNode>>, CodecError> {
+        let absent = CodecError::BadRef {
+            what: "removed component",
+            id,
+        };
+        match removal {
+            Removal::Node => self.nodes.remove(&id).map(|_| None).ok_or(absent),
+            Removal::Parts { edges, pairs } => {
+                let node = self.nodes.get_mut(&id).ok_or(absent.clone())?;
+                if Arc::make_mut(node).remove_positions(edges, pairs) {
+                    Ok(Some(node))
+                } else {
+                    Err(absent)
+                }
+            }
+        }
+    }
+
     /// Restrict to node ids selected by the predicate — the paper's
     /// *partitioned snapshot* (Example 5).
     pub fn restrict<F: Fn(NodeId) -> bool>(&self, keep: F) -> Delta {
@@ -540,6 +618,38 @@ impl Delta {
             })
             .sum();
         twice / 2
+    }
+}
+
+/// What a signed residual takes out of one node of its base.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Removal {
+    /// The whole node: the base holds it, the residual's delta does
+    /// not.
+    Node,
+    /// The edge-list entries and the attribute pairs at these
+    /// positions of the node's base record — both lists strictly
+    /// rising, not both empty. Positions, not keys: a removal needs
+    /// nothing but the base record, not the pairs it held.
+    Parts { edges: Vec<u32>, pairs: Vec<u32> },
+}
+
+/// A signed residual `r ⊖ b` ([`Delta::residual_against`]): what its
+/// sum adds to and removes from `b` to give `r`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Residual {
+    /// The components `r` holds that `b` does not hold identically: a
+    /// node `b` lacks in full, else only the entries and pairs `b`'s
+    /// record lacks.
+    pub added: Delta,
+    /// What `b` holds that `r` does not, by node id, ascending.
+    pub removed: Vec<(NodeId, Removal)>,
+}
+
+impl Residual {
+    /// Whether applying the residual changes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.added.is_empty() && self.removed.is_empty()
     }
 }
 

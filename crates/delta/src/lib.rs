@@ -48,7 +48,7 @@ pub use attr_index::{
 };
 pub use chain::{decode_chunk_set, encode_chunk_set};
 pub use columnar::{ColumnarDelta, ColumnarEventlist, PairTable, StorageLayout};
-pub use delta::Delta;
+pub use delta::{Delta, Removal, Residual};
 pub use error::CodecError;
 pub use event::{Event, EventKind, Eventlist};
 pub use hash::{hash_u64, FxHashMap, FxHashSet, FxHasher};

@@ -237,6 +237,39 @@ impl StaticNode {
         })
     }
 
+    /// This description against `base`, a description of the same node
+    /// that need not be contained in it — the signed residual of one
+    /// node: the entries and pairs this one holds that `base` does not
+    /// hold identically (`None` when that is nothing), and the
+    /// positions, in `base`'s edge-list and in its pairs, of those
+    /// `base` holds that this one does not. An entry or pair whose
+    /// value changed is on both sides.
+    pub(crate) fn signed_residual(
+        &self,
+        base: &StaticNode,
+    ) -> (Option<StaticNode>, Vec<u32>, Vec<u32>) {
+        let edges = select(&self.edges, &base.edges, edge_key_cmp, false);
+        let pairs = select(self.attrs.pairs(), base.attrs.pairs(), pair_key_cmp, false);
+        let added = (!edges.is_empty() || !pairs.is_empty()).then(|| StaticNode {
+            id: self.id,
+            edges,
+            attrs: Attrs::from_sorted(pairs),
+        });
+        (
+            added,
+            lacking_positions(&base.edges, &self.edges, edge_key_cmp),
+            lacking_positions(base.attrs.pairs(), self.attrs.pairs(), pair_key_cmp),
+        )
+    }
+
+    /// Take out the edge-list entries and the attribute pairs at these
+    /// positions, each list strictly rising. Returns `false`, leaving
+    /// the description unusable, when a list does not rise or names a
+    /// position past the end: a removal of a component the node lacks.
+    pub(crate) fn remove_positions(&mut self, edges: &[u32], pairs: &[u32]) -> bool {
+        remove_positions(&mut self.edges, edges) && remove_positions(self.attrs.pairs_mut(), pairs)
+    }
+
     /// Merge the entries appended past `sorted_len` — one stored piece
     /// of this node, parsed onto the end of its edge-list — into their
     /// sorted places. Everything that sorts before the whole piece
@@ -305,6 +338,41 @@ fn walk<T: PartialEq>(
         }
         on(x, b.first().is_some_and(|y| y == x));
     }
+}
+
+/// The positions in `a` of the entries `b` does not hold identically.
+fn lacking_positions<T: PartialEq>(
+    a: &[T],
+    b: &[T],
+    key_cmp: impl Fn(&T, &T) -> Ordering,
+) -> Vec<u32> {
+    let mut out = Vec::new();
+    let mut at = 0u32;
+    walk(a, b, key_cmp, |_, held| {
+        if !held {
+            out.push(at);
+        }
+        at += 1;
+    });
+    out
+}
+
+/// Remove the items of `v` at `at`, a strictly rising list of
+/// positions in it; `false` when `at` does not rise or runs past `v`.
+fn remove_positions<T>(v: &mut Vec<T>, at: &[u32]) -> bool {
+    let rises = at.windows(2).all(|w| matches!(w, [a, b] if a < b));
+    let in_range = at.last().is_none_or(|&last| (last as usize) < v.len());
+    if !(rises && in_range) {
+        return false;
+    }
+    let mut next = at.iter().peekable();
+    let mut pos = 0u32;
+    v.retain(|_| {
+        let removed = next.next_if_eq(&&pos).is_some();
+        pos += 1;
+        !removed
+    });
+    true
 }
 
 /// The entries of `a` that `b` holds identically (`want_held`) or does

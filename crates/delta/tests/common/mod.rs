@@ -133,12 +133,13 @@ pub(crate) struct RowSegments {
     pub segs: Vec<Vec<u8>>,
 }
 
-/// Segments of a delta row (magic `0xCB`) and of an eventlist row
-/// (magic `0xCC`).
+/// Segments of a delta row (magic `0xCB`), of an eventlist row (magic
+/// `0xCC`) and of a residual row (magic `0xCD`).
 fn segment_count(magic: u8) -> usize {
     match magic {
         0xCB => 5,
         0xCC => 8,
+        0xCD => 6,
         _ => panic!("no row has magic {magic:#x}"),
     }
 }

@@ -6,8 +6,10 @@
 //! reconstruction identity `child = path-sum(parent, child − parent)`
 //! that TGI's derived-snapshot storage depends on.
 
-use hgs_delta::columnar::encode_columnar_delta;
-use hgs_delta::{AttrValue, ColumnarDelta, Delta, Event, EventKind, StaticNode};
+use hgs_delta::columnar::{encode_columnar_delta, encode_columnar_residual_in};
+use hgs_delta::{
+    AttrValue, ColumnarDelta, Delta, Event, EventKind, PairTable, Removal, StaticNode,
+};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary event over a small id universe so that
@@ -147,8 +149,96 @@ fn assert_family_reconstructs(children: &[&Delta]) -> Result<(), TestCaseError> 
     Ok(())
 }
 
+/// Strategy: a base state and a later one — a family's two children,
+/// which share most of what they hold and differ by removals,
+/// overrides of a weight or a pair, whole-node removals and self-loops
+/// (the event strategy makes them all), or two unrelated states.
+fn arb_state_pair() -> impl Strategy<Value = (Delta, Delta)> {
+    prop_oneof![
+        arb_family().prop_map(|[b, r, _]| (b, r)),
+        (arb_delta(), arb_delta()),
+    ]
+}
+
+/// The signed-delta laws of a residual `r ⊖ b`, stored as the row a
+/// residual root is: `b ⊕ (r ⊖ b) = r` by the full sum and node by
+/// node, a removal names a position of `b`'s record whose component
+/// `r` does not hold, the row takes the residual magic only when it
+/// removes something, and its path-complete form holds every node it
+/// leaves changed.
+fn assert_residual_laws(b: &Delta, r: &Delta) -> Result<(), TestCaseError> {
+    let res = r.residual_against(b);
+    for (id, removal) in &res.removed {
+        let held = b.node(*id).expect("a removal names a node of the base");
+        match removal {
+            Removal::Node => prop_assert!(!r.contains(*id)),
+            Removal::Parts { edges, pairs } => {
+                let kept = r.node(*id).expect("a part removal keeps its node");
+                prop_assert!(!edges.is_empty() || !pairs.is_empty());
+                for &at in edges {
+                    let e = &held.edges[at as usize];
+                    prop_assert_ne!(kept.edge(e.nbr, e.dir), Some(e));
+                }
+                let held_pairs: Vec<_> = held.attrs.iter().collect();
+                for &at in pairs {
+                    let (k, v) = held_pairs[at as usize];
+                    prop_assert_ne!(kept.attrs.get(k), Some(v));
+                }
+            }
+        }
+    }
+
+    let row = encode_columnar_residual_in(&res, &PairTable::default());
+    prop_assert_eq!(row[0], if res.removed.is_empty() { 0xCB } else { 0xCD });
+    let col = ColumnarDelta::parse(row).expect("just encoded");
+    let mut summed = b.clone();
+    let mut completed = Delta::new();
+    col.sum_into(&mut summed, Some(&mut completed))
+        .expect("the row applies to its base");
+    prop_assert_eq!(&summed, r);
+    let mut replayed = b.clone();
+    replayed.sum_assign(&completed);
+    for (id, _) in res
+        .removed
+        .iter()
+        .filter(|(_, rm)| matches!(rm, Removal::Node))
+    {
+        replayed.remove(*id);
+    }
+    prop_assert_eq!(&replayed, r, "the path-complete form replays the row");
+    for id in b.ids().chain(r.ids()) {
+        let mut one = b.restrict(|other| other == id);
+        col.sum_node_into(id, &mut one)
+            .expect("the row applies node by node");
+        prop_assert_eq!(one.node(id), r.node(id), "node {}", id);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `b ⊕ (r ⊖ b) = r`, through the stored row's full and
+    /// node-scoped sums alike.
+    #[test]
+    fn a_residual_sums_back_to_its_state((b, r) in arb_state_pair()) {
+        assert_residual_laws(&b, &r)?;
+        assert_residual_laws(&r, &b)?;
+    }
+
+    /// `r ⊖ r = ∅`, and `r ⊖ ∅` is `r` with no removal segment: a block
+    /// head's root, stored against nothing, is the row it always was.
+    #[test]
+    fn a_residual_against_itself_or_nothing(r in arb_delta()) {
+        prop_assert!(r.residual_against(&r).is_empty());
+        let res = r.residual_against(&Delta::new());
+        prop_assert!(res.removed.is_empty());
+        prop_assert_eq!(&res.added, &r);
+        prop_assert_eq!(
+            encode_columnar_residual_in(&res, &PairTable::default()),
+            encode_columnar_delta(&r)
+        );
+    }
 
     #[test]
     fn sum_identity(d in arb_delta()) {

@@ -45,6 +45,16 @@
 //! byte are each refused by every read. Rows of the retired magics are
 //! refused by name.
 //!
+//! A **residual** row — a root stored as a signed residual against
+//! its base's root, whose sixth segment names what the base loses —
+//! gets the five mutations too, on its removal segment and on the whole
+//! row, summed onto its base: it is read or refused, never panics, and
+//! both reads agree on what it accepts. A removal of a position past
+//! the base record, an addition the base still holds, a removal
+//! segment cut short anywhere (its count says how many entries it
+//! has), a removal count of zero, and bytes after the last entry are
+//! each refused by every read.
+//!
 //! That the record skipper the point read steps with ends where the
 //! record decoder ends is fuzzed beside both, in `codec.rs`.
 //!
@@ -60,9 +70,12 @@ use common::{
 use hgs_delta::codec::{encode_delta, get_varint, put_varint};
 use std::sync::Arc;
 
-use hgs_delta::columnar::{encode_columnar_delta, encode_columnar_delta_in};
+use hgs_delta::columnar::{
+    encode_columnar_delta, encode_columnar_delta_in, encode_columnar_residual_in,
+};
 use hgs_delta::{
-    AttrValue, CodecError, ColumnarDelta, Delta, EdgeDir, Neighbor, NodeId, PairTable, StaticNode,
+    AttrValue, CodecError, ColumnarDelta, Delta, EdgeDir, Neighbor, NodeId, PairTable, Removal,
+    Residual, StaticNode,
 };
 use proptest::prelude::*;
 
@@ -669,6 +682,233 @@ fn counts_columns_off_the_grammar_are_refused_at_every_row_size() {
             }
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// residual rows
+// ----------------------------------------------------------------------
+
+/// Index of a residual row's removal segment.
+const REMOVALS: usize = 5;
+
+/// A later root over `base`: every third node gone, every node of the
+/// next third without its first entry and with its first pair
+/// overridden, the rest kept, and `extra`'s nodes where that leaves
+/// none.
+fn later_root(base: &Delta, extra: &Delta) -> Delta {
+    let mut r = Delta::new();
+    for n in base.iter() {
+        match n.id % 3 {
+            0 => {}
+            1 => {
+                let mut m = n.clone();
+                if !m.edges.is_empty() {
+                    m.edges.remove(0);
+                }
+                let first = m.attrs.iter().next().map(|(k, _)| k.to_string());
+                if let Some(k) = first {
+                    m.attrs.set(k, AttrValue::Int(-7));
+                }
+                r.insert(m);
+            }
+            _ => {
+                r.insert(n.clone());
+            }
+        }
+    }
+    let added: Vec<StaticNode> = extra
+        .iter()
+        .filter(|n| !r.contains(n.id))
+        .cloned()
+        .collect();
+    for n in added {
+        r.insert(n);
+    }
+    r
+}
+
+#[test]
+fn residual_rows_decode_or_refuse_and_both_reads_agree() {
+    let mut tally = Split::default();
+    for_cases(
+        "prop_delta_rows::residual",
+        (
+            arb_graph(),
+            arb_graph(),
+            arb_mutation(),
+            0.0f64..1.0,
+            any::<bool>(),
+        ),
+        |(base, extra, m, where_, shared), rng| {
+            let root = later_root(&base, &extra);
+            let table = context(&base, shared);
+            let res = root.residual_against(&base);
+            let row = encode_columnar_residual_in(&res, &table);
+            let mutated = if m == Mutation::Unchanged {
+                row.clone()
+            } else if where_ < 0.25 || res.removed.is_empty() {
+                Bytes::from(mutate(m, &row, rng))
+            } else {
+                let mut parts = RowSegments::parse(&row);
+                parts.segs[REMOVALS] = mutate(m, &parts.segs[REMOVALS], rng);
+                parts.assemble()
+            };
+            let ok = check_delta_row(mutated, &table, &base, &root)
+                .unwrap_or_else(|e| panic!("residual {m:?}: {e}"));
+            if m == Mutation::Unchanged {
+                let col = ColumnarDelta::parse_in(row, &table).unwrap();
+                let mut state = base;
+                col.sum_into(&mut state, None).unwrap();
+                assert_eq!(state, root, "a residual onto its base");
+            }
+            tally.record(m, ok);
+        },
+    );
+    tally.print("residual rows");
+}
+
+/// Every read of `row` onto `base` refuses it with `want`: the path
+/// sum, and the node-scoped sum of each of `ids`.
+fn every_sum_refuses(row: &Bytes, base: &Delta, ids: &[NodeId], want: &CodecError, what: &str) {
+    let col = || ColumnarDelta::parse(row.clone()).expect("a well-formed header");
+    assert_eq!(
+        col().sum_into(&mut base.clone(), None).as_ref(),
+        Err(want),
+        "{what}"
+    );
+    for &id in ids {
+        let mut one = base.restrict(|x| x == id);
+        assert_eq!(
+            col().sum_node_into(id, &mut one).as_ref(),
+            Err(want),
+            "{what}: node {id}"
+        );
+    }
+}
+
+#[test]
+fn residual_rows_off_the_grammar_are_refused() {
+    let node = |id: NodeId, nbrs: &[NodeId], a: i64| {
+        let mut n = StaticNode::new(id);
+        for &nbr in nbrs {
+            n.insert_edge(Neighbor::new(nbr, EdgeDir::Both));
+        }
+        n.attrs.set("a", AttrValue::Int(a));
+        n
+    };
+    // Node 1 loses its edge to 2 and overrides its pair; node 5 goes.
+    let base: Delta = [node(1, &[2, 3], 1), node(5, &[], 0)].into_iter().collect();
+    let root: Delta = [node(1, &[3], 2)].into_iter().collect();
+    let res = root.residual_against(&base);
+    assert_eq!(
+        res.removed,
+        [
+            (
+                1,
+                Removal::Parts {
+                    edges: vec![0],
+                    pairs: vec![0]
+                }
+            ),
+            (5, Removal::Node)
+        ]
+    );
+    let row = encode_columnar_residual_in(&res, &PairTable::default());
+    let mut state = base.clone();
+    ColumnarDelta::parse(row.clone())
+        .unwrap()
+        .sum_into(&mut state, None)
+        .unwrap();
+    assert_eq!(state, root);
+    let segs = RowSegments::parse(&row);
+    let with_removals = |removals: Vec<u8>| {
+        let mut parts = RowSegments::parse(&row);
+        parts.segs[REMOVALS] = removals;
+        parts.assemble()
+    };
+    let varints = |values: &[u64]| {
+        let mut b = BytesMut::new();
+        for &v in values {
+            put_varint(&mut b, v);
+        }
+        b.to_vec()
+    };
+    assert_eq!(segs.segs[REMOVALS], varints(&[2, 1, 1, 1, 0, 0, 3, 0, 0]));
+
+    // A position past the base record: node 1 has two entries and one
+    // pair.
+    for (removals, what) in [
+        (varints(&[2, 1, 1, 1, 2, 0, 3, 0, 0]), "entry 2 of 2"),
+        (varints(&[2, 1, 1, 1, 0, 1, 3, 0, 0]), "pair 1 of 1"),
+        (
+            varints(&[2, 1, 2, 1, 1, 1, 0, 3, 0, 0]),
+            "entries 1 and 3 of 2",
+        ),
+    ] {
+        let bad = CodecError::BadRef {
+            what: "removed component",
+            id: 1,
+        };
+        every_sum_refuses(&with_removals(removals), &base, &[1], &bad, what);
+    }
+    // A node the base lacks, whole or in part.
+    for removals in [
+        varints(&[2, 1, 1, 1, 0, 0, 4, 0, 0]),
+        varints(&[1, 7, 1, 0, 0]),
+    ] {
+        let id = if removals[0] == 2 { 6 } else { 7 };
+        let bad = CodecError::BadRef {
+            what: "removed component",
+            id,
+        };
+        every_sum_refuses(
+            &with_removals(removals),
+            &base,
+            &[id],
+            &bad,
+            "an absent node",
+        );
+    }
+    // An addition the base still holds: the edge to 3.
+    let held = Residual {
+        added: [node(1, &[3], 2)].into_iter().collect(),
+        removed: res.removed.clone(),
+    };
+    let row_held = encode_columnar_residual_in(&held, &PairTable::default());
+    let repeated = CodecError::RepeatedComponent { node: 1 };
+    every_sum_refuses(&row_held, &base, &[1], &repeated, "a held addition");
+    // Cut anywhere, the segment is refused: its count says how many
+    // entries follow, so a cut at an entry's end is one entry short.
+    let full = &segs.segs[REMOVALS];
+    for cut in 1..full.len() {
+        let col = ColumnarDelta::parse(with_removals(full[..cut].to_vec())).unwrap();
+        assert!(
+            col.sum_into(&mut base.clone(), None).is_err(),
+            "cut at {cut}"
+        );
+        assert!(
+            col.sum_node_into(5, &mut base.clone()).is_err(),
+            "cut at {cut}"
+        );
+    }
+    // A count of zero, bytes past the last entry, and the residual
+    // magic on a row whose removal segment is empty.
+    let zero = ColumnarDelta::parse(with_removals(varints(&[0]))).unwrap();
+    let none = CodecError::LengthOverflow {
+        what: "removals",
+        len: 0,
+    };
+    assert_eq!(zero.sum_into(&mut base.clone(), None), Err(none.clone()));
+    let trailing = [full.clone(), vec![0]].concat();
+    let col = ColumnarDelta::parse(with_removals(trailing)).unwrap();
+    assert_eq!(
+        col.sum_into(&mut base.clone(), None),
+        Err(CodecError::TrailingBytes { remaining: 1 })
+    );
+    assert_eq!(
+        ColumnarDelta::parse(with_removals(Vec::new())).err(),
+        Some(none)
+    );
 }
 
 #[test]

@@ -32,6 +32,10 @@
 //!   decompress}` named in non-test code anywhere but
 //!   `crates/store/src/store.rs`: the store's optional value
 //!   compression is the one LZSS layer; index rows carry none.
+//! * **one-tree-path** — `.path_to_leaf(` in `hgs-core`'s sources
+//!   outside `TimespanMeta::tree_path`: a span's root is stored against
+//!   earlier spans' roots, so a reader walking the shape's own path
+//!   skips them.
 //! * **unused-allow** — an allow annotation whose rule no longer
 //!   fires is itself an error, so annotations cannot rot.
 //!

@@ -24,6 +24,7 @@ pub const RULES: &[&str] = &[
     "bounded-decode-alloc",
     "one-row-fetch",
     "one-compression-layer",
+    "one-tree-path",
     "unused-allow",
     "malformed-allow",
 ];
@@ -51,6 +52,11 @@ const ROW_FETCH_FN: &str = "try_fetch_rows";
 /// `Deltas` rows (`one-row-fetch`): the snapshot fill's grouped scan
 /// and the TAF partition fetch.
 const PREFIX_READER_FNS: &[&str] = &["span_rows", "try_node_histories_for_sid"];
+
+/// The one fn of [`TREE_ROW_READER_CRATE`] that may walk a span's own
+/// root-to-leaf path (`one-tree-path`), and the file it lives in: the
+/// tree path every reader sums, base roots first.
+const TREE_PATH_FN: (&str, &str) = ("crates/core/src/meta.rs", "tree_path");
 
 /// The one file that may call the LZSS codec
 /// (`one-compression-layer`): the store's optional value compression.
@@ -651,6 +657,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
     bounded_decode_alloc(toks, &cx, ctx, &mut findings);
     one_row_fetch(toks, &cx, ctx, &mut findings);
     one_compression_layer(toks, &cx, ctx, &mut findings);
+    one_tree_path(toks, &cx, ctx, &mut findings);
 
     // Suppress findings that carry a matching allow on their line.
     findings.retain(|f| {
@@ -1004,6 +1011,39 @@ fn one_row_fetch(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Ve
             line: toks[i].line,
             message,
         });
+    }
+}
+
+/// The `one-tree-path` pass: in `hgs-core`'s non-test library code, a
+/// `.path_to_leaf(` call anywhere but in [`TREE_PATH_FN`]. A span's
+/// root is stored against the roots of earlier spans of its block, so
+/// its own root-to-leaf path sums to a leaf only after those: a reader
+/// that walks the shape's path itself skips the base roots and answers
+/// a graph without what they hold.
+fn one_tree_path(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    if ctx.kind != FileKind::Lib || ctx.crate_dir.as_deref() != Some(TREE_ROW_READER_CRATE) {
+        return;
+    }
+    let (file, helper) = TREE_PATH_FN;
+    for i in 1..toks.len() {
+        let is_call = toks[i].ident() == Some("path_to_leaf")
+            && toks[i - 1].is_punct('.')
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
+        let tcx = cx.per_token[i];
+        let in_helper = ctx.rel_path == file && tcx.fn_id.is_some_and(|f| cx.fns[f].name == helper);
+        if is_call && !tcx.in_test && !in_helper {
+            findings.push(Finding {
+                rule: "one-tree-path",
+                file: ctx.rel_path.clone(),
+                line: toks[i].line,
+                message: format!(
+                    "`.path_to_leaf(...)` outside `{helper}` in `{file}`: a span's \
+                     own path skips the base roots its root is stored against; walk \
+                     `TimespanMeta::{helper}`, or annotate why this path needs no \
+                     base root"
+                ),
+            });
+        }
     }
 }
 

@@ -266,6 +266,36 @@ fn one_row_fetch_binds_only_hgs_core_sources() {
 }
 
 #[test]
+fn one_tree_path_fixture() {
+    check("one_tree_path.rs", "crates/core/src/fixture.rs", true);
+}
+
+#[test]
+fn one_tree_path_spares_the_helper_other_crates_and_tests() {
+    // Other crates read no tree rows, and tests rebuild trees on
+    // purpose: there the fixture's own allow, suppressing nothing, is
+    // what surfaces. In the helper's file, its `tree_path` walks the
+    // shape's path cleanly and the two readers still fire.
+    let src = fixture("one_tree_path.rs");
+    for rel in [
+        "crates/baselines/src/fixture.rs",
+        "crates/core/tests/fixture.rs",
+    ] {
+        let report = lint_source(&src, &ctx(rel));
+        let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, vec!["unused-allow"], "{rel}: {:#?}", report.findings);
+    }
+    let report = lint_source(&src, &ctx("crates/core/src/meta.rs"));
+    let lines: Vec<u32> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "one-tree-path")
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(lines.len(), 2, "{:#?}", report.findings);
+}
+
+#[test]
 fn one_compression_layer_fixture() {
     check(
         "one_compression_layer.rs",

@@ -2,7 +2,8 @@
 //!
 //! Mirrors the paper's Cassandra schema (§4.4 *Implementation*): five
 //! tables, with the `Deltas` table keyed by the composite
-//! `{tsid, sid, did, pid}` and placed by `{tsid, sid}`.
+//! `{tsid, sid, did, pid}` — and placed by `{block, sid}`, where the
+//! paper places by `{tsid, sid}` (see [`PlacementKey`]).
 
 use std::fmt;
 
@@ -55,26 +56,46 @@ impl fmt::Display for Table {
     }
 }
 
-/// The placement key `{tsid, sid}`: the unit of chunk placement across
-/// machines (§4.4 point 4). Combining the timespan id and the
-/// horizontal-partition id ensures both snapshot fetches (all `sid`s of
-/// one `tsid`) and version fetches (one `sid` across many `tsid`s) are
-/// spread over the cluster.
+/// Timespans per placement block: the spans `32b .. 32b + 32` of a
+/// horizontal partition share one placement ([`PlacementKey::of_span`]).
+/// A constant of the index's layout, not a knob: a span's root is
+/// stored against roots of earlier spans of its block, which a read of
+/// the span fetches beside its own rows.
+pub const SPAN_BLOCK: u32 = 32;
+
+/// The placement key `{block, sid}`: the unit of chunk placement across
+/// machines. The paper (§4.4 point 4) places by `{tsid, sid}`; here the
+/// rows of a horizontal partition's spans are placed together by
+/// blocks of [`SPAN_BLOCK`] consecutive spans. A span's root is stored
+/// as a residual against the roots of earlier spans of its block, so a
+/// read of one span needs rows of several, and co-placing them keeps
+/// that read one round trip, the same as the paper's. Combining the
+/// block and the horizontal-partition id still spreads both snapshot
+/// fetches (all `sid`s of one span) and version fetches (one `sid`
+/// across many blocks) over the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlacementKey {
-    pub tsid: u32,
+    pub block: u32,
     pub sid: u32,
 }
 
 impl PlacementKey {
-    pub fn new(tsid: u32, sid: u32) -> PlacementKey {
-        PlacementKey { tsid, sid }
+    pub fn new(block: u32, sid: u32) -> PlacementKey {
+        PlacementKey { block, sid }
+    }
+
+    /// The placement of span `tsid`'s rows of horizontal partition
+    /// `sid`: its block's. The one rule every placed row of a span —
+    /// `Deltas`, `Micropartitions` — and every read of one follow.
+    #[inline]
+    pub fn of_span(tsid: u32, sid: u32) -> PlacementKey {
+        PlacementKey::new(tsid / SPAN_BLOCK, sid)
     }
 
     /// Stable 64-bit token for ring placement.
     #[inline]
     pub fn token(&self) -> u64 {
-        hgs_delta::hash_u64(((self.tsid as u64) << 32) | self.sid as u64)
+        hgs_delta::hash_u64(((self.block as u64) << 32) | self.sid as u64)
     }
 }
 
@@ -106,13 +127,11 @@ impl DeltaKey {
         }
     }
 
-    /// Placement key of this delta key.
+    /// Placement key of this delta key: its span's
+    /// ([`PlacementKey::of_span`]).
     #[inline]
     pub fn placement(&self) -> PlacementKey {
-        PlacementKey {
-            tsid: self.tsid,
-            sid: self.sid,
-        }
+        PlacementKey::of_span(self.tsid, self.sid)
     }
 
     /// Order-preserving byte encoding.
@@ -260,6 +279,21 @@ mod tests {
         }
         let other = DeltaKey::new(1, 2, 4, 0).encode();
         assert!(!other.starts_with(&prefix));
+    }
+
+    #[test]
+    fn a_blocks_spans_share_a_placement() {
+        for sid in [0u32, 3] {
+            let head = DeltaKey::new(64, sid, 0, 0).placement();
+            assert_eq!(head, PlacementKey::new(2, sid));
+            for tsid in 64..96 {
+                assert_eq!(DeltaKey::new(tsid, sid, 7, 1).placement(), head);
+            }
+            assert_ne!(DeltaKey::new(96, sid, 0, 0).placement(), head);
+            assert_ne!(DeltaKey::new(63, sid, 0, 0).placement(), head);
+        }
+        // The first block's tokens are the paper's first span's.
+        assert_eq!(PlacementKey::of_span(31, 5), PlacementKey::new(0, 5));
     }
 
     #[test]

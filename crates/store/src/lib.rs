@@ -8,9 +8,10 @@
 //! * **m machines** holding ordered key spaces (Cassandra's clustering:
 //!   rows sharing a *placement key* live contiguously on one machine
 //!   and can be range-scanned cheaply);
-//! * **placement keys** `{tsid, sid}` mapping chunks of the index onto
-//!   machines, with **replication factor r** (a chunk lives on `r`
-//!   consecutive machines of the ring);
+//! * **placement keys** `{block, sid}` mapping chunks of the index onto
+//!   machines — a block of [`SPAN_BLOCK`] consecutive spans, where the
+//!   paper places each `{tsid, sid}` apart — with **replication factor
+//!   r** (a chunk lives on `r` consecutive machines of the ring);
 //! * **composite delta keys** `{tsid, sid, did, pid}` whose byte
 //!   encoding preserves tuple order, so all micro-partitions of one
 //!   delta are stored contiguously (§4.4 point 5 of the paper);
@@ -46,7 +47,7 @@ pub use cost::CostModel;
 pub use faults::{FaultPlan, Outage};
 pub use key::{
     chain_key, chain_key_tsid, chain_prefix, node_key, node_placement_token, term_key, term_token,
-    DeltaKey, PlacementKey, Table,
+    DeltaKey, PlacementKey, Table, SPAN_BLOCK,
 };
 pub use parallel::parallel_steal;
 pub use retry::RetryPolicy;
