@@ -107,11 +107,16 @@ fn more_than_two_blocks_answer_as_replay_at_every_span() {
     }
 }
 
-/// Build the first 37 spans; then append the rest in batches of
-/// `batch` events — straight on, after a re-open, or after a recovery
-/// — and return every stored row, machine by machine.
-fn rows_after(events: &[Event], how: &str, batch: usize) -> Vec<Vec<(Vec<u8>, bytes::Bytes)>> {
-    let cfg = cfg(PartitionStrategy::Random);
+/// Build the first 37 spans under `strategy`; then append the rest in
+/// batches of `batch` events — straight on, after a re-open, or after
+/// a recovery — and return every stored row, machine by machine.
+fn rows_after(
+    events: &[Event],
+    strategy: PartitionStrategy,
+    how: &str,
+    batch: usize,
+) -> Vec<Vec<(Vec<u8>, bytes::Bytes)>> {
+    let cfg = cfg(strategy);
     let built = 37 * SPAN;
     let mut svc = TgiService::try_build(cfg, StoreConfig::new(4, 1), &events[..built]).unwrap();
     assert_eq!(svc.pin().span_count(), 37);
@@ -142,13 +147,20 @@ fn rows_after(events: &[Event], how: &str, batch: usize) -> Vec<Vec<(Vec<u8>, by
 #[test]
 fn a_writer_reopened_or_recovered_inside_a_block_writes_the_same_rows() {
     let events = trace();
-    for batch in [SPAN, 130] {
-        let straight = rows_after(&events, "straight", batch);
+    let replicated = PartitionStrategy::Locality {
+        replicate_boundary: true,
+    };
+    for (strategy, batch) in [
+        (PartitionStrategy::Random, SPAN),
+        (PartitionStrategy::Random, 130),
+        (replicated, 130),
+    ] {
+        let straight = rows_after(&events, strategy, "straight", batch);
         for how in ["re-opened", "recovered"] {
-            let got = rows_after(&events, how, batch);
+            let got = rows_after(&events, strategy, how, batch);
             assert!(
                 got == straight,
-                "{how}, batches of {batch}: the stored rows differ"
+                "{strategy:?}, {how}, batches of {batch}: the stored rows differ"
             );
         }
     }
