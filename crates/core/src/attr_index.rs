@@ -28,18 +28,15 @@
 //! chain: [`TgiView::try_attr_history`] folds the events touching the
 //! node and reads no `AttrIndex` row.
 //!
-//! # Fallback contract
+//! # Failure contract
 //!
-//! The contract covers the point predicates only. When
-//! [`TgiConfig::secondary_indexes`](crate::TgiConfig) is **off** the
-//! rows do not exist and `try_nodes_matching_at` explicitly falls back
-//! to materializing the snapshot at `t` and filtering it. This module
-//! is the one reader that asks whether the index exists: callers such
-//! as TAF's attribute Selection always go through
-//! `try_nodes_matching_at`.
-//! When the index is **on**, a dead machine surfaces
-//! [`StoreError::Unavailable`] and a damaged row surfaces
-//! [`StoreError::Corrupt`] — never a silent fallback, never a panic.
+//! Every index stores these rows, so a point predicate has one path:
+//! `try_nodes_matching_at` reads one `(term, tsid)` row, and callers
+//! such as TAF's attribute Selection always go through it. A dead
+//! machine surfaces [`StoreError::Unavailable`] and a damaged row
+//! surfaces [`StoreError::Corrupt`] — never a materialized snapshot in
+//! its place, never a panic. Materialize-then-filter survives only as
+//! the tests' oracle.
 //!
 //! # Semantics
 //!
@@ -221,25 +218,13 @@ impl TgiView {
     }
 
     /// Node-ids whose attribute `key` equals `value` at time `t`,
-    /// sorted. Answered from one secondary-index row when the index is
-    /// on; with it off, the snapshot at `t` is materialized and
-    /// filtered.
+    /// sorted, answered from one secondary-index row.
     pub fn try_nodes_matching_at(
         &self,
         key: &str,
         value: &AttrValue,
         t: Time,
     ) -> Result<Vec<NodeId>, StoreError> {
-        if !self.cfg.secondary_indexes {
-            let mut out: Vec<NodeId> = self
-                .try_snapshot(t)?
-                .iter()
-                .filter(|n| n.attrs.get(key) == Some(value))
-                .map(|n| n.id)
-                .collect();
-            out.sort_unstable();
-            return Ok(out);
-        }
         let tsid = self.span_for(t).meta.tsid;
         let mut term = BytesMut::new();
         value_term(key, value, &mut term);

@@ -139,8 +139,8 @@ use hgs_delta::columnar::{
     encode_columnar_delta_in, encode_columnar_eventlist_in, encode_columnar_residual_in,
 };
 use hgs_delta::{
-    CodecError, Delta, Event, EventKind, Eventlist, FxHashMap, NodeId, PairTable, Residual, Time,
-    TimeRange,
+    CodecError, Delta, Event, EventKind, Eventlist, FxHashMap, NodeId, PairTable, Removal,
+    Residual, Time, TimeRange,
 };
 use hgs_partition::{cut_events, locality_partition, CollapsedGraph, PartitionMap};
 use hgs_store::{
@@ -763,9 +763,8 @@ struct SpanInput<'a> {
 }
 
 /// One work item's encoded output: its tree, aux and eventlist rows in
-/// deterministic emit order, the version-chain rows of its own nodes,
-/// the term points of its own nodes (none without secondary indexes),
-/// the state its replay ended in — the sid's share of
+/// deterministic emit order, the version-chain rows and the term points
+/// of its own nodes, the state its replay ended in — the sid's share of
 /// the next tail state, or the whole of it when the item replayed the
 /// full graph — and its tree's root in full.
 struct SidSpanOutput {
@@ -806,10 +805,8 @@ fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanO
     let mut rows: Vec<PutRow> = Vec::new();
     let mut chains: FxHashMap<NodeId, Vec<ChainEntry>> = FxHashMap::default();
     let mut terms = SpanTermPoints::default();
-    if cfg.secondary_indexes {
-        for node in state.iter().filter(|n| own(n.id)) {
-            terms.carry(node, span.start);
-        }
+    for node in state.iter().filter(|n| own(n.id)) {
+        terms.carry(node, span.start);
     }
     let base = span.base_roots.and_then(|roots| roots.get(sid as usize));
     let mut pos = 0u64;
@@ -818,7 +815,7 @@ fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanO
         let leaf = if replicate {
             // Full-state replay: extract this sid's partition for the
             // leaf and emit its aux boundary rows from the full state.
-            emit_aux(tsid, sid, j as u64, &state, maps, ns, pairs, &mut rows);
+            emit_aux(sid, j as u64, &state, span, &mut rows);
             state.restrict(own)
         } else {
             state.clone()
@@ -826,15 +823,11 @@ fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanO
         acc.push_leaf(leaf, &mut |level, idx, delta| {
             let did = shape.did(level, idx);
             match base.filter(|_| level == shape.height()) {
-                Some(base) => emit_residual(
-                    tsid,
-                    sid,
-                    delta.residual_against(base),
-                    map,
-                    pairs,
-                    &mut rows,
-                ),
-                None => emit_micro(tsid, sid, did, delta, map, pairs, &mut rows),
+                Some(base) => {
+                    let res = delta.residual_against(base);
+                    emit_tree_row(sid, did, &res.added, res.removed, span, &mut rows);
+                }
+                None => emit_tree_row(sid, did, delta, Vec::new(), span, &mut rows),
             }
         });
         let Some(&chunk) = span.chunks.get(j) else {
@@ -872,9 +865,7 @@ fn encode_sid_span(sid: u32, mut state: Delta, span: &SpanInput<'_>) -> SidSpanO
                 }
             }
             if replicate || placed.is_some() {
-                let held = (cfg.secondary_indexes && own(a))
-                    .then(|| Held::before(&ev.kind, &state))
-                    .flatten();
+                let held = own(a).then(|| Held::before(&ev.kind, &state)).flatten();
                 state.apply_event_in(&ev.kind, |id| replicate || own(id));
                 if let Some(held) = held {
                     terms.change(pos, ev.time, a, held, state.node(a));
@@ -931,18 +922,9 @@ fn emit_eventlist_rows(
 /// Emit one sid's aux boundary rows for leaf `leaf`: for each `pid` of
 /// this sid, the replicated states of out-of-partition 1-hop neighbors
 /// (Fig. 5d). Needs the *full* graph state for neighbor lookups.
-#[allow(clippy::too_many_arguments)]
-fn emit_aux(
-    tsid: u32,
-    sid: u32,
-    leaf: u64,
-    state: &Delta,
-    maps: &[PartitionMap],
-    ns: u32,
-    pairs: &PairTable,
-    rows: &mut Vec<PutRow>,
-) {
-    let map = &maps[sid as usize];
+fn emit_aux(sid: u32, leaf: u64, state: &Delta, span: &SpanInput<'_>, rows: &mut Vec<PutRow>) {
+    let ns = span.cfg.horizontal_partitions;
+    let map = &span.maps[sid as usize];
     let mut aux: FxHashMap<u32, Delta> = FxHashMap::default();
     for n in state.iter() {
         if sid_of(n.id, ns) != sid {
@@ -959,12 +941,12 @@ fn emit_aux(
         }
     }
     for (pid, delta) in aux {
-        let key = DeltaKey::new(tsid, sid, AUX_BASE + leaf, pid);
+        let key = DeltaKey::new(span.tsid, sid, AUX_BASE + leaf, pid);
         rows.push(PutRow::new(
             Table::Deltas,
             key.encode().to_vec(),
             key.placement().token(),
-            encode_columnar_delta_in(&delta, pairs),
+            encode_columnar_delta_in(&delta, span.pairs),
         ));
     }
 }
@@ -977,56 +959,36 @@ fn partition_state(state: &Delta, ns: u32) -> Vec<Delta> {
         .collect()
 }
 
-/// Emit a delta micro-partitioned by `map`, encoded against the
-/// span's `pairs`.
-fn emit_micro(
-    tsid: u32,
+/// Emit tree row `did` of `sid` — what it `added`, and what it
+/// `removed` from its base's root (nothing but for a residual root) —
+/// micro-partitioned by the span's map, a node's removals beside its
+/// additions under the pid the map assigns it, and encoded against the
+/// span's pairs: a micro-partition that removes nothing is a plain
+/// delta row.
+fn emit_tree_row(
     sid: u32,
     did: u64,
-    delta: &Delta,
-    map: &PartitionMap,
-    pairs: &PairTable,
+    added: &Delta,
+    removed: Vec<(NodeId, Removal)>,
+    span: &SpanInput<'_>,
     rows: &mut Vec<PutRow>,
 ) {
-    for (pid, d) in delta.group_by(|id| map.assign(id)) {
-        let key = DeltaKey::new(tsid, sid, did, pid);
-        rows.push(PutRow::new(
-            Table::Deltas,
-            key.encode().to_vec(),
-            key.placement().token(),
-            encode_columnar_delta_in(&d, pairs),
-        ));
-    }
-}
-
-/// Emit a root stored as a signed residual against its base's root,
-/// micro-partitioned by `map` — a node's removals beside its additions,
-/// under the pid this span's map assigns it — and encoded against the
-/// span's `pairs`: a micro-partition that removes nothing is a plain
-/// delta row.
-fn emit_residual(
-    tsid: u32,
-    sid: u32,
-    res: Residual,
-    map: &PartitionMap,
-    pairs: &PairTable,
-    rows: &mut Vec<PutRow>,
-) {
+    let map = &span.maps[sid as usize];
     let mut by_pid: FxHashMap<u32, Residual> = FxHashMap::default();
-    for (pid, added) in res.added.group_by(|id| map.assign(id)) {
+    for (pid, added) in added.group_by(|id| map.assign(id)) {
         by_pid.entry(pid).or_default().added = added;
     }
-    for (id, removal) in res.removed {
+    for (id, removal) in removed {
         let part = by_pid.entry(map.assign(id)).or_default();
         part.removed.push((id, removal));
     }
     for (pid, part) in by_pid {
-        let key = DeltaKey::new(tsid, sid, 0, pid);
+        let key = DeltaKey::new(span.tsid, sid, did, pid);
         rows.push(PutRow::new(
             Table::Deltas,
             key.encode().to_vec(),
             key.placement().token(),
-            encode_columnar_residual_in(&part, pairs),
+            encode_columnar_residual_in(&part, span.pairs),
         ));
     }
 }

@@ -47,12 +47,13 @@ pub struct TgiConfig {
     /// tag is persisted with the index (rows are not self-describing)
     /// and stamped into benchmark results.
     pub layout: StorageLayout,
-    /// Maintain the secondary temporal indexes: per-term change-point
-    /// rows in the `AttrIndex` table that answer label/attribute
-    /// predicate queries without materializing a snapshot
-    /// (`TgiView::try_nodes_with_label_at` and friends). Persisted with the
-    /// index — the query path must know whether the rows exist.
-    /// Disabling falls back to explicit snapshot materialization.
+    /// The secondary temporal indexes: per-term change-point rows in
+    /// the `AttrIndex` table that answer label/attribute predicate
+    /// queries without materializing a snapshot
+    /// (`TgiView::try_nodes_with_label_at` and friends). Not a knob —
+    /// every index stores them, and [`TgiConfig::validate`] refuses
+    /// `false`; the flag is persisted with the index and stamped into
+    /// benchmark results.
     pub secondary_indexes: bool,
 }
 
@@ -122,6 +123,7 @@ impl TgiConfig {
     pub fn validate(&self) {
         let bad = self.out_of_bounds();
         assert!(bad.is_none(), "TgiConfig parameter out of bounds: {bad:?}");
+        assert!(self.secondary_indexes, "secondary indexes are always on");
     }
 
     /// A configuration that makes TGI equivalent to the DeltaGraph
@@ -181,12 +183,6 @@ impl TgiConfig {
         self.events_per_timespan = ts;
         self
     }
-
-    /// Enable or disable the secondary temporal indexes.
-    pub fn with_secondary_indexes(mut self, on: bool) -> TgiConfig {
-        self.secondary_indexes = on;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -222,6 +218,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "secondary indexes")]
+    fn rejects_an_index_without_secondary_indexes() {
+        TgiConfig {
+            secondary_indexes: false,
+            ..TgiConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
     fn builder_setters() {
         let c = TgiConfig::default()
             .with_eventlist_size(100)
@@ -242,6 +248,5 @@ mod tests {
             }
         ));
         assert!(c.secondary_indexes, "secondary indexes default on");
-        assert!(!c.with_secondary_indexes(false).secondary_indexes);
     }
 }

@@ -12,7 +12,7 @@
 //! plans' estimates on the index's current shape. Nothing checks an
 //! estimate against what a read measures: the unit tests below compare
 //! formulas with formulas. Holding the TGI column to measured fetch
-//! counts is ROADMAP direction 8.
+//! counts is ROADMAP direction 3.
 
 /// Workload profile in the paper's notation.
 #[derive(Debug, Clone, Copy)]

@@ -158,7 +158,15 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
         }
     };
     let version_chains = get_varint(b)? != 0;
-    let secondary_indexes = get_varint(b)? != 0;
+    // Every index stores its secondary indexes: a descriptor spelling
+    // 0 here names an index without its `AttrIndex` rows, which no
+    // query path reads around.
+    if get_varint(b)? == 0 {
+        return Err(CodecError::BadTag {
+            what: "secondary_indexes",
+            tag: 0,
+        });
+    }
     no_trailing_bytes(b)?;
     let cfg = TgiConfig {
         events_per_timespan,
@@ -169,7 +177,7 @@ pub(crate) fn decode_config(mut buf: &[u8]) -> Result<TgiConfig, CodecError> {
         strategy,
         version_chains,
         layout,
-        secondary_indexes,
+        secondary_indexes: true,
     };
     // The query paths divide by these numbers: hold a stored
     // descriptor to the bounds the build path asserts.
@@ -420,7 +428,7 @@ mod tests {
             }),
             TgiConfig {
                 arity: 3,
-                ..TgiConfig::default().with_secondary_indexes(false)
+                ..TgiConfig::default()
             },
         ] {
             // The pattern names every field, with no `..`: a field added
@@ -471,8 +479,17 @@ mod tests {
             ));
         }
         // Every descriptor of this layout ends with the secondary-index
-        // flag: one cut right before it is refused too, not opened with
-        // the index off. So is one a byte too long.
+        // flag, and every index stores those rows: a descriptor that
+        // spells 0 there is refused, not opened with the index off. So
+        // is one cut right before the flag, and one a byte too long.
+        let unindexed = [&blob[..blob.len() - 1], &[0]].concat();
+        assert_eq!(
+            decode_config(&unindexed).map(drop),
+            Err(CodecError::BadTag {
+                what: "secondary_indexes",
+                tag: 0
+            })
+        );
         assert!(matches!(
             decode_config(&blob[..blob.len() - 1]),
             Err(CodecError::UnexpectedEof { .. })

@@ -895,10 +895,11 @@ impl TgiView {
     /// This is the bulk equivalent of Algorithm 2 and the fetch unit
     /// of the TAF protocol (Fig. 10: each analytics worker pulls whole
     /// horizontal partitions); one call per `sid` reconstructs the
-    /// whole `SoN`. All eventlist chunks a timespan contributes are
-    /// pulled in one grouped scan (one round-trip per span), and store
-    /// failures are propagated instead of silently dropping a span's
-    /// worth of events.
+    /// whole `SoN`. The eventlist chunks of every span of one placement
+    /// block are pulled in one grouped scan (one round-trip per block,
+    /// through the fill's prefix reader), and store failures are
+    /// propagated instead of silently dropping a block's worth of
+    /// events.
     pub fn try_node_histories_for_sid(
         &self,
         sid: u32,
@@ -919,29 +920,32 @@ impl TgiView {
                 },
             );
         }
-        // Walk every eventlist chunk overlapping (range.start,
-        // range.end), one grouped scan per overlapping span.
-        for span in &self.spans {
-            let meta = &span.meta;
-            let Some(map) = span.map(sid) else {
-                continue;
-            };
-            let prefixes: Vec<[u8; 16]> = meta
-                .chunks_overlapping(Some(range.start), range.end)
-                .map(|chunk| DeltaKey::delta_prefix(meta.tsid, sid, ELIST_BASE + chunk as u64))
-                .collect();
-            if prefixes.is_empty() {
-                continue;
-            }
-            let refs: Vec<&[u8]> = prefixes.iter().map(|p| &p[..]).collect();
-            let token = PlacementKey::of_span(meta.tsid, sid).token();
-            let groups = self.store.scan_prefix_batch(Table::Deltas, &refs, token)?;
-            for rows in groups {
-                for (k, v) in rows {
-                    let Some(dk) = DeltaKey::decode(&k) else {
+        // Every eventlist chunk overlapping (range.start, range.end), in
+        // `(tsid, chunk)` order — which keeps events of one time in
+        // trace order — read one grouped scan per placement block.
+        let chunks: Vec<(u32, u64)> = self
+            .spans
+            .iter()
+            .filter(|span| span.map(sid).is_some())
+            .flat_map(|span| {
+                let meta = &span.meta;
+                let overlapping = meta.chunks_overlapping(Some(range.start), range.end);
+                overlapping.map(|chunk| (meta.tsid, ELIST_BASE + u64::from(chunk)))
+            })
+            .collect();
+        let block = |&(tsid, _): &(u32, u64)| PlacementKey::of_span(tsid, sid);
+        for scanned in chunks.chunk_by(|a, b| block(a) == block(b)) {
+            let rows = self.span_rows(sid, scanned)?;
+            for &(tsid, did) in scanned {
+                let span = self.span_of(tsid)?;
+                let Some(map) = span.map(sid) else {
+                    continue;
+                };
+                for (k, v) in rows.get(&(tsid, did)).into_iter().flatten() {
+                    let Some(dk) = DeltaKey::decode(k) else {
                         continue;
                     };
-                    let el = self.decoded_elist(span, sid, dk.did, dk.pid, &v)?;
+                    let el = self.decoded_elist(span, sid, dk.did, dk.pid, v)?;
                     for e in el.events() {
                         if e.time <= range.start || e.time >= range.end {
                             continue;

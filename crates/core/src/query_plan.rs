@@ -315,8 +315,13 @@ impl TgiView {
     /// did)` of spans of this view, all of one block, which share a
     /// placement ([`PlacementKey::of_span`]) — of horizontal partition
     /// `sid` in a single grouped scan: the one prefix read of the
-    /// fill's rows ([`fill_rows`]) and of a span's root.
-    fn span_rows(&self, sid: u32, scanned: &[(u32, u64)]) -> Result<RowsByDid, StoreError> {
+    /// fill's rows ([`fill_rows`]), of a span's root and of the
+    /// eventlist chunks of a partition's node histories.
+    pub(crate) fn span_rows(
+        &self,
+        sid: u32,
+        scanned: &[(u32, u64)],
+    ) -> Result<RowsByDid, StoreError> {
         let Some(&(first, _)) = scanned.first() else {
             return Ok(RowsByDid::default());
         };

@@ -22,9 +22,9 @@
 //! [`DEFAULT_READ_CACHE_BYTES`](crate::DEFAULT_READ_CACHE_BYTES);
 //! [`TgiView::set_read_cache_budget`] changes it). Eviction is true
 //! least-recently-used — an intrusive doubly-linked list threaded
-//! through a slab, `O(1)` per touch — **never** a wholesale clear, so
-//! a working set one entry over budget degrades by exactly one entry,
-//! not to a zero hit rate.
+//! through a dense vector of the live entries, `O(1)` per touch —
+//! **never** a wholesale clear, so a working set one entry over budget
+//! degrades by exactly one entry, not to a zero hit rate.
 //!
 //! # Concurrency
 //!
@@ -178,7 +178,7 @@ pub struct CacheStats {
     pub budget: usize,
 }
 
-/// Sentinel slab index for "no neighbor".
+/// Sentinel entry index for "no neighbor".
 const NIL: usize = usize::MAX;
 
 struct Entry {
@@ -191,15 +191,16 @@ struct Entry {
     next: usize,
 }
 
-/// Slab-backed intrusive LRU list + index. All links are slab indices,
-/// so a touch is pointer surgery, never a re-hash or reallocation.
+/// Intrusive LRU list + index over a dense vector of the live entries.
+/// All links are indices into it, so a touch is pointer surgery, never
+/// a re-hash or reallocation; a removal moves the last entry into the
+/// freed index and relinks it, so the vector has no holes.
 struct Inner {
     map: FxHashMap<CacheKey, usize>,
-    slots: Vec<Option<Entry>>,
-    free: Vec<usize>,
-    /// Most-recently-used slot (`NIL` when empty).
+    entries: Vec<Entry>,
+    /// Most-recently-used entry (`NIL` when empty).
     head: usize,
-    /// Least-recently-used slot (`NIL` when empty).
+    /// Least-recently-used entry (`NIL` when empty).
     tail: usize,
     bytes: usize,
     budget: usize,
@@ -208,77 +209,60 @@ struct Inner {
 }
 
 impl Inner {
-    /// The entry in `slot`. Every slot index flowing in here came from
-    /// `map` or a list link, both of which only ever hold occupied
-    /// slots — an empty `Option` is a corrupted slab, not a recoverable
-    /// condition.
-    fn entry(&self, slot: usize) -> &Entry {
-        // hgs-lint: allow(no-panic-in-try, "slab invariant: map/list indices always point at occupied slots")
-        self.slots[slot].as_ref().expect("linked slot occupied")
-    }
-
-    /// Mutable twin of [`Inner::entry`], same slab invariant.
-    fn entry_mut(&mut self, slot: usize) -> &mut Entry {
-        // hgs-lint: allow(no-panic-in-try, "slab invariant: map/list indices always point at occupied slots")
-        self.slots[slot].as_mut().expect("linked slot occupied")
-    }
-
-    /// Take the entry out of `slot`, freeing it. Same slab invariant
-    /// as [`Inner::entry`].
-    fn take_entry(&mut self, slot: usize) -> Entry {
-        // hgs-lint: allow(no-panic-in-try, "slab invariant: map/list indices always point at occupied slots")
-        self.slots[slot].take().expect("linked slot occupied")
-    }
-
-    fn unlink(&mut self, slot: usize) {
-        let (prev, next) = {
-            let e = self.entry(slot);
-            (e.prev, e.next)
-        };
+    fn unlink(&mut self, at: usize) {
+        let Entry { prev, next, .. } = self.entries[at];
         match prev {
             NIL => self.head = next,
-            p => self.entry_mut(p).next = next,
+            p => self.entries[p].next = next,
         }
         match next {
             NIL => self.tail = prev,
-            n => self.entry_mut(n).prev = prev,
+            n => self.entries[n].prev = prev,
         }
     }
 
-    fn push_front(&mut self, slot: usize) {
+    fn push_front(&mut self, at: usize) {
         let old_head = self.head;
-        {
-            let e = self.entry_mut(slot);
-            e.prev = NIL;
-            e.next = old_head;
-        }
+        let e = &mut self.entries[at];
+        e.prev = NIL;
+        e.next = old_head;
         if old_head != NIL {
-            self.entry_mut(old_head).prev = slot;
+            self.entries[old_head].prev = at;
         }
-        self.head = slot;
+        self.head = at;
         if self.tail == NIL {
-            self.tail = slot;
+            self.tail = at;
         }
     }
 
-    /// Drop the least-recently-used entry. No-op on an empty cache.
-    fn evict_tail(&mut self) {
-        let slot = self.tail;
-        if slot == NIL {
-            return;
-        }
-        self.unlink(slot);
-        let e = self.take_entry(slot);
+    /// Evict the entry at `at`: the last entry moves into its index,
+    /// and its neighbours and map slot follow it.
+    fn evict(&mut self, at: usize) {
+        self.unlink(at);
+        let e = self.entries.swap_remove(at);
         self.map.remove(&e.key);
         self.bytes -= e.weight;
-        self.free.push(slot);
         self.evictions += 1;
+        if let Some(moved) = self.entries.get(at) {
+            let (prev, next) = (moved.prev, moved.next);
+            if let Some(slot) = self.map.get_mut(&moved.key) {
+                *slot = at;
+            }
+            match prev {
+                NIL => self.head = at,
+                p => self.entries[p].next = at,
+            }
+            match next {
+                NIL => self.tail = at,
+                n => self.entries[n].prev = at,
+            }
+        }
     }
 
     /// Evict least-recently-used entries until the budget holds.
     fn enforce_budget(&mut self) {
         while self.bytes > self.budget && self.tail != NIL {
-            self.evict_tail();
+            self.evict(self.tail);
         }
     }
 }
@@ -338,8 +322,7 @@ impl ReadCache {
                 .map(|b| {
                     Mutex::new(Inner {
                         map: FxHashMap::default(),
-                        slots: Vec::new(),
-                        free: Vec::new(),
+                        entries: Vec::new(),
                         head: NIL,
                         tail: NIL,
                         bytes: 0,
@@ -377,7 +360,7 @@ impl ReadCache {
                 inner.unlink(slot);
                 inner.push_front(slot);
                 hits.fetch_add(1, Ordering::Relaxed);
-                Some(inner.entry(slot).value.shallow())
+                Some(inner.entries[slot].value.shallow())
             }
             None => {
                 misses.fetch_add(1, Ordering::Relaxed);
@@ -402,12 +385,7 @@ impl ReadCache {
             // Drop any smaller stale version of the key; leave the
             // rest of the working set untouched.
             if let Some(slot) = inner.map.get(&key).copied() {
-                inner.unlink(slot);
-                let e = inner.take_entry(slot);
-                inner.map.remove(&e.key);
-                inner.bytes -= e.weight;
-                inner.free.push(slot);
-                inner.evictions += 1;
+                inner.evict(slot);
             }
             return;
         }
@@ -416,20 +394,14 @@ impl ReadCache {
             // value; just refresh recency (and weight, defensively).
             inner.unlink(slot);
             inner.push_front(slot);
-            let e = inner.entry_mut(slot);
+            let e = &mut inner.entries[slot];
             let old = e.weight;
             e.value = value;
             e.weight = weight;
             inner.bytes = inner.bytes - old + weight;
         } else {
-            let slot = match inner.free.pop() {
-                Some(s) => s,
-                None => {
-                    inner.slots.push(None);
-                    inner.slots.len() - 1
-                }
-            };
-            inner.slots[slot] = Some(Entry {
+            let slot = inner.entries.len();
+            inner.entries.push(Entry {
                 key: key.clone(),
                 value,
                 weight,
@@ -515,7 +487,7 @@ impl ReadCache {
             let inner = shard.lock();
             let mut cur = inner.head;
             while cur != NIL {
-                let e = inner.entry(cur);
+                let e = &inner.entries[cur];
                 out.push(e.key.clone());
                 cur = e.next;
             }

@@ -1,20 +1,23 @@
 //! Label/attribute query equality: every point predicate — answered
-//! from the change-point rows, or by the index-off fallback — must
-//! equal a filter of the replayed state, and every attribute history —
-//! answered from the node's version chain — the plain event-replay
-//! oracle, across index on/off, chains on/off, build parallelism,
-//! boundary replication, and build-vs-append construction.
+//! from the change-point rows — must equal a filter of the replayed
+//! state, and every attribute history — answered from the node's
+//! version chain — the plain event-replay oracle, across chains on/off,
+//! build parallelism, boundary replication, and build-vs-append
+//! construction.
 
 mod common;
 
 use std::sync::Arc;
 
+use bytes::BytesMut;
 use common::{attr_history_by_replay, node_events_by_replay, nodes_matching_by_replay};
 use hgs_core::{PartitionStrategy, TgiConfig, TgiService, TgiView, LABEL_KEY};
 use hgs_datagen::{SkewedLabels, CHURN_KEY, DEAD_LABEL};
-use hgs_delta::{normalize_events, AttrValue, Event, EventKind, Time, TimeRange};
+use hgs_delta::{
+    normalize_events, value_term, AttrValue, Event, EventKind, Time, TimeRange, TERM_KIND_VALUE,
+};
 use hgs_store::machine::MachineStatsSnapshot;
-use hgs_store::{SimStore, StoreConfig};
+use hgs_store::{term_key, SimStore, StoreConfig, Table};
 use proptest::prelude::*;
 
 const LABELS: [&str; 3] = ["Author", "Paper", "Venue"];
@@ -65,7 +68,7 @@ const STRATEGIES: [PartitionStrategy; 2] = [
     },
 ];
 
-fn small_cfg(on: bool) -> TgiConfig {
+fn small_cfg() -> TgiConfig {
     TgiConfig {
         events_per_timespan: 60,
         eventlist_size: 16,
@@ -73,7 +76,6 @@ fn small_cfg(on: bool) -> TgiConfig {
         horizontal_partitions: 2,
         ..TgiConfig::default()
     }
-    .with_secondary_indexes(on)
 }
 
 fn build_c(cfg: TgiConfig, events: &[Event], c: usize) -> Arc<TgiService> {
@@ -98,15 +100,13 @@ proptest! {
 
     /// Indexed point-in-time predicate answers equal a filter of the
     /// replayed state at every probe time, under every build width and
-    /// partition strategy; with the index off, the same calls answer
-    /// identically through the documented fallback.
+    /// partition strategy.
     #[test]
     fn indexed_matching_equals_replay_oracle(
         events in arb_history(),
         c in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        let on = STRATEGIES.map(|s| build_c(small_cfg(true).with_strategy(s), &events, c).pin());
-        let off = build_c(small_cfg(false), &events, c).pin();
+        let on = STRATEGIES.map(|s| build_c(small_cfg().with_strategy(s), &events, c).pin());
         for t in probe_times(&events) {
             for key in KEYS {
                 for label in LABELS {
@@ -117,30 +117,24 @@ proptest! {
                         let why = format!("indexed ({key}, {label}) at {t}, {s:?}");
                         prop_assert_eq!(&got, &want, "{}", why);
                     }
-                    let fallback = off.try_nodes_matching_at(key, &value, t).expect("fallback");
-                    prop_assert_eq!(&fallback, &want, "fallback ({}, {}) at {}", key, label, t);
                 }
             }
         }
     }
 
     /// Per-node attribute histories equal the plain event-replay
-    /// oracle — time 0 included — whether or not the secondary index
-    /// exists, under every build width.
+    /// oracle — time 0 included — under every build width.
     #[test]
     fn attr_history_matches_replay_oracle(
         events in arb_history(),
         c in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        let on = build_c(small_cfg(true), &events, c).pin();
-        let off = build_c(small_cfg(false), &events, c).pin();
+        let tgi = build_c(small_cfg(), &events, c).pin();
         for nid in 0u64..24 {
             for key in KEYS {
                 let want = attr_history_by_replay(&events, nid, key);
-                let got = on.try_attr_history(nid, key).expect("index on");
+                let got = tgi.try_attr_history(nid, key).expect("healthy");
                 prop_assert_eq!(&got, &want, "history of ({}, {})", nid, key);
-                let got = off.try_attr_history(nid, key).expect("index off");
-                prop_assert_eq!(&got, &want, "index-off history of ({}, {})", nid, key);
             }
         }
     }
@@ -158,9 +152,8 @@ proptest! {
             ..preset
         };
         let configs = [
-            small_cfg(true),
-            TgiConfig { version_chains: false, ..small_cfg(true) },
-            TgiConfig { version_chains: false, ..small_cfg(false) },
+            small_cfg(),
+            TgiConfig { version_chains: false, ..small_cfg() },
             small(TgiConfig::deltagraph()),
             small(TgiConfig::copy_log(16)),
         ];
@@ -193,7 +186,7 @@ proptest! {
         events in arb_history(),
         strategy in prop_oneof![Just(STRATEGIES[0]), Just(STRATEGIES[1])],
     ) {
-        let cfg = small_cfg(true).with_strategy(strategy);
+        let cfg = small_cfg().with_strategy(strategy);
         let full = build_c(cfg, &events, 1).pin();
         // Append batches must start strictly after the indexed end:
         // advance the cut to the next time boundary.
@@ -225,55 +218,87 @@ proptest! {
 }
 
 /// What the secondary index buys: on a Zipf-skewed labelled trace,
-/// cache off, label point queries (hot, mid-rank, tail and dead labels)
-/// read strictly fewer store rows and bytes, in fewer requests, than
-/// the materialize-then-filter fallback of the same index built with
-/// the secondary index off — both answering what replay answers.
+/// cache off, each label point query (hot, mid-rank, tail and dead
+/// labels) reads at most one row in one request, and that row is one
+/// of the label's `AttrIndex` term rows, never a `Deltas` row. Over the
+/// whole pass it reads strictly fewer store rows and bytes, in fewer
+/// requests, than materializing the snapshot at the same times from
+/// the same index and filtering it — both answering what replay
+/// answers.
 #[test]
 fn indexed_label_query_reads_less_than_materialization() {
     let events = SkewedLabels::default().generate();
     let end = events.last().unwrap().time;
-    let build = |cfg: TgiConfig| {
-        let tgi = TgiService::try_build(cfg, StoreConfig::new(4, 1), &events)
-            .unwrap()
-            .pin();
-        tgi.set_read_cache_budget(0);
-        tgi
+    let tgi = TgiService::try_build(TgiConfig::default(), StoreConfig::new(4, 1), &events)
+        .unwrap()
+        .pin();
+    tgi.set_read_cache_budget(0);
+    let label = |l: &str| AttrValue::Text(l.into());
+    // The stored sizes of one label's term rows, every span's.
+    let term_row_sizes = |l: &str| -> Vec<u64> {
+        let mut term = BytesMut::new();
+        value_term(LABEL_KEY, &label(l), &mut term);
+        let key = term_key(TERM_KIND_VALUE, &term, 0);
+        let prefix = [&[Table::AttrIndex.tag()], &key[..key.len() - 4]].concat();
+        let rows = tgi.store().content_rows().into_iter().flatten();
+        rows.filter(|(k, _)| k.len() == prefix.len() + 4 && k.starts_with(&prefix))
+            .map(|(_, v)| v.len() as u64)
+            .collect()
     };
-    let (on, off) = (
-        build(TgiConfig::default()),
-        build(TgiConfig::default().with_secondary_indexes(false)),
-    );
-    let labels = ["Label00", "Label03", "Label10", DEAD_LABEL];
-    // Answers and [rows, bytes, requests] of one pass over every
-    // (label, quarter-of-the-trace time).
-    let pass = |tgi: &TgiView, query: &dyn Fn(&str, Time) -> Vec<u64>| {
-        let before = tgi.store().stats_snapshot();
-        let answers: Vec<Vec<u64>> = labels
+    let queries: Vec<(&str, Time)> = ["Label00", "Label03", "Label10", DEAD_LABEL]
+        .into_iter()
+        .flat_map(|l| (1..=4).map(move |i| (l, end * i / 4)))
+        .collect();
+    // Answers and [rows, bytes, requests] of each query of one pass.
+    let pass = |query: &dyn Fn(&str, Time) -> Vec<u64>| -> (Vec<Vec<u64>>, Vec<[u64; 3]>) {
+        queries
             .iter()
-            .flat_map(|&l| (1..=4).map(move |i| (l, end * i / 4)))
-            .map(|(l, t)| query(l, t))
-            .collect();
-        let diff = SimStore::stats_since(&tgi.store().stats_snapshot(), &before);
-        let cost = diff.iter().fold([0u64; 3], |[rows, bytes, reqs], m| {
-            [
-                rows + m.rows_read,
-                bytes + m.bytes_read,
-                reqs + m.gets + m.scans,
-            ]
-        });
-        (answers, cost)
+            .map(|&(l, t)| {
+                let mut answer = Vec::new();
+                let cost = store_cost(&tgi, || answer = query(l, t));
+                let cost = cost.iter().fold([0u64; 3], |[rows, bytes, reqs], m| {
+                    [
+                        rows + m.rows_read,
+                        bytes + m.bytes_read,
+                        reqs + m.gets + m.scans,
+                    ]
+                });
+                (answer, cost)
+            })
+            .unzip()
     };
-    let (indexed, i_cost) = pass(&on, &|l, t| on.try_nodes_with_label_at(l, t).unwrap());
-    let (materialized, m_cost) = pass(&off, &|l, t| off.try_nodes_with_label_at(l, t).unwrap());
-    let (replayed, _) = pass(&on, &|l, t| {
-        nodes_matching_by_replay(&events, LABEL_KEY, &AttrValue::Text(l.into()), t)
+    let (indexed, i_cost) = pass(&|l, t| tgi.try_nodes_with_label_at(l, t).unwrap());
+    let (materialized, m_cost) = pass(&|l, t| {
+        let snapshot = tgi.try_snapshot(t).unwrap();
+        let mut ids: Vec<u64> = snapshot
+            .iter()
+            .filter(|n| n.attrs.get(LABEL_KEY) == Some(&label(l)))
+            .map(|n| n.id)
+            .collect();
+        ids.sort_unstable();
+        ids
     });
+    let (replayed, _) = pass(&|l, t| nodes_matching_by_replay(&events, LABEL_KEY, &label(l), t));
     assert_eq!(indexed, replayed);
     assert_eq!(materialized, replayed);
     assert!(indexed.iter().any(|a| !a.is_empty()), "degenerate workload");
     let dead_at_end = indexed.last().unwrap();
     assert!(dead_at_end.is_empty(), "the dead label is gone by the end");
+    for (&(l, t), &[rows, bytes, reqs]) in queries.iter().zip(&i_cost) {
+        let why = format!("({l}, {t}) read {rows} rows, {bytes} B in {reqs} requests");
+        assert!(rows <= 1 && reqs == 1, "{why}");
+        assert!(
+            rows == 0 || term_row_sizes(l).contains(&bytes),
+            "{why}: not one of the label's term rows"
+        );
+    }
+    let total = |costs: &[[u64; 3]]| {
+        costs.iter().fold([0u64; 3], |acc, c| {
+            [acc[0] + c[0], acc[1] + c[1], acc[2] + c[2]]
+        })
+    };
+    let (i_cost, m_cost) = (total(&i_cost), total(&m_cost));
+    println!("indexed {i_cost:?} vs materialized {m_cost:?} [rows, bytes, requests]");
     for (i, m) in i_cost.iter().zip(m_cost) {
         assert!(*i < m, "indexed {i_cost:?} vs materialized {m_cost:?}");
     }

@@ -223,8 +223,6 @@ enum Cfg {
     /// Spans of 1 200 events, chunks of 150, four horizontal
     /// partitions.
     Mid,
-    /// `Mid` without the secondary index.
-    NoIndex,
     /// `TgiConfig::default()`.
     Stock,
 }
@@ -233,12 +231,14 @@ impl Cfg {
     fn config(self) -> TgiConfig {
         let (span, chunk, part, ns) = match self {
             Small => (60, 16, 8, 2),
-            Mid | NoIndex => (1_200, 150, 60, 4),
+            Mid => (1_200, 150, 60, 4),
             Stock => return TgiConfig::default(),
         };
-        let (cfg, indexed) = (TgiConfig::default().with_timespan(span), self != NoIndex);
-        let cfg = cfg.with_eventlist_size(chunk).with_partition_size(part);
-        cfg.with_horizontal(ns).with_secondary_indexes(indexed)
+        TgiConfig::default()
+            .with_timespan(span)
+            .with_eventlist_size(chunk)
+            .with_partition_size(part)
+            .with_horizontal(ns)
     }
 }
 
@@ -961,9 +961,8 @@ const APPEND_BESIDE_A_DEAD_MACHINE: Named<'static> = ("APPEND_BESIDE_A_DEAD_MACH
 ]);
 
 /// Label, term and attribute-history reads with every machine dead fail
-/// `Unavailable` — with the secondary index and without it, where the
-/// term read materializes a snapshot — and answer exactly once healed;
-/// the hot label (step 11) matches someone.
+/// `Unavailable` — a term read never falls back to anything — and
+/// answer exactly once healed; the hot label (step 11) matches someone.
 #[rustfmt::skip]
 const LABEL_READS: &[Step] = &[
     Build, Fail(ALL), Ask(0, Matching(2, 500)), Expect("Unavailable"),
@@ -1018,13 +1017,10 @@ fn an_append_beside_a_dead_machine_repairs_to_byte_identity() {
 }
 
 #[test]
-fn label_reads_fail_under_total_failure_with_or_without_the_index() {
-    for cfg in [Mid, NoIndex] {
-        let labels = setup(Labels, cfg, 3, 1);
-        let sim = run(("LABEL_READS", labels, LABEL_READS));
-        let hot = sim.log[11].answer.as_ref();
-        assert!(matches!(hot, Some(Answer::Ids(ids)) if !ids.is_empty()));
-    }
+fn label_reads_fail_under_total_failure() {
+    let sim = run(("LABEL_READS", setup(Labels, Mid, 3, 1), LABEL_READS));
+    let hot = sim.log[11].answer.as_ref();
+    assert!(matches!(hot, Some(Answer::Ids(ids)) if !ids.is_empty()));
 }
 
 /// A view pinned before an append of label churn keeps the attribute

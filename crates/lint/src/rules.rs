@@ -49,9 +49,10 @@ const TREE_ROW_READER_CRATE: &str = "core";
 const ROW_FETCH_FN: &str = "try_fetch_rows";
 
 /// The fns of [`TREE_ROW_READER_CRATE`] that may `scan_prefix_batch`
-/// `Deltas` rows (`one-row-fetch`): the snapshot fill's grouped scan
-/// and the TAF partition fetch.
-const PREFIX_READER_FNS: &[&str] = &["span_rows", "try_node_histories_for_sid"];
+/// `Deltas` rows (`one-row-fetch`): the grouped scan of one placement
+/// block's rows, which the snapshot fill, the root chains and the TAF
+/// partition fetch all read through.
+const PREFIX_READER_FNS: &[&str] = &["span_rows"];
 
 /// The one fn of [`TREE_ROW_READER_CRATE`] that may walk a span's own
 /// root-to-leaf path (`one-tree-path`), and the file it lives in: the
@@ -997,11 +998,11 @@ fn one_row_fetch(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Ve
             )
         } else {
             format!(
-                "a prefix scan of `Deltas` rows outside `{}`: those are the index \
-                 body's prefix readers (the snapshot fill's grouped scan and the \
-                 TAF partition fetch); read through one of them or through \
-                 `{ROW_FETCH_FN}`, or annotate why this scan is not a second \
-                 reader of the same rows",
+                "a prefix scan of `Deltas` rows outside `{}`: that is the index \
+                 body's prefix reader (the grouped scan of one placement block, \
+                 which the snapshot fill and the TAF partition fetch read \
+                 through); read through it or through `{ROW_FETCH_FN}`, or \
+                 annotate why this scan is not a second reader of the same rows",
                 PREFIX_READER_FNS.join("` / `")
             )
         };

@@ -2,7 +2,7 @@
 // `crates/core/src/...`: every keyed read of a `Deltas` row goes
 // through `try_fetch_rows`, which probes the read cache per key, sends
 // the misses in one batch and caches what comes back, and every prefix
-// scan of them through `span_rows` or `try_node_histories_for_sid`.
+// scan of them through `span_rows`.
 
 impl TgiView {
     // The shape the eventlist fetch of node histories had before it was
@@ -47,18 +47,19 @@ impl TgiView {
         self.store.scan_prefix_batch(Table::Deltas, &[&prefix], token) // FIRES:one-row-fetch
     }
 
-    // The snapshot fill's grouped scan and the TAF partition fetch are
-    // the prefix readers.
+    // The grouped scan of one placement block is the prefix reader.
     fn span_rows(&self, span: &SpanRuntime, sid: u32, refs: &[&[u8]]) -> Result<Vec<ScanRows>, StoreError> {
         let token = PlacementKey::new(span.meta.tsid, sid).token();
         self.store.scan_prefix_batch(Table::Deltas, refs, token) // clean
     }
 
+    // The shape the TAF partition fetch had before it read through
+    // `span_rows`: its own prefixes, token and scan, once per span.
     pub fn try_node_histories_for_sid(&self, sid: u32, refs: &[&[u8]]) -> Result<Vec<ScanRows>, StoreError> {
         let mut out = Vec::new();
         for span in &self.spans {
             let token = PlacementKey::new(span.meta.tsid, sid).token();
-            out.extend(self.store.scan_prefix_batch(Table::Deltas, refs, token)?); // clean
+            out.extend(self.store.scan_prefix_batch(Table::Deltas, refs, token)?); // FIRES:one-row-fetch
         }
         Ok(out)
     }

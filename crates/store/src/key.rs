@@ -22,8 +22,7 @@ pub enum Table {
     /// (only populated for locality partitioning).
     Micropartitions,
     /// `AttrIndex(kind, term, tsid)` — secondary temporal index rows:
-    /// per-term change-point lists (only populated when
-    /// `TgiConfig::secondary_indexes` is on).
+    /// per-term change-point lists, which every index stores.
     AttrIndex,
 }
 

@@ -141,9 +141,8 @@ impl SonQuery {
             // An explicit id set stays authoritative for the fetch; the
             // predicate still applies, as a post-filter.
             (Some(ids), pred) => (Some(ids), pred),
-            // Pushdown: the core names the matching nodes (one
-            // secondary-index row, or its own fallback with the index
-            // off), so only their rows are fetched.
+            // Pushdown: the core names the matching nodes from one
+            // secondary-index row, so only their rows are fetched.
             (None, Some((key, value))) => {
                 let t = range.end.saturating_sub(1);
                 let ids = tgi.try_nodes_matching_at(&key, &AttrValue::Text(value), t)?;
@@ -207,11 +206,10 @@ impl SotsQuery {
     }
 
     /// Root the subgraphs at the nodes whose attribute `key` equals
-    /// `value` at the range start. With secondary indexes on the roots
-    /// come from one index row instead of a materialized snapshot
-    /// ([`TgiView::try_nodes_matching_at`](hgs_core::TgiView::try_nodes_matching_at), which itself falls back to
-    /// materialization when the index is off). An explicit
-    /// [`SotsQuery::roots`] set takes precedence.
+    /// `value` at the range start. The roots come from one index row
+    /// instead of a materialized snapshot
+    /// ([`TgiView::try_nodes_matching_at`](hgs_core::TgiView::try_nodes_matching_at)).
+    /// An explicit [`SotsQuery::roots`] set takes precedence.
     pub fn roots_matching(mut self, key: &str, value: &str) -> SotsQuery {
         self.roots_attr_eq = Some((key.to_string(), value.to_string()));
         self
@@ -398,40 +396,6 @@ mod tests {
             let got: Vec<NodeId> = pushed.nodes().iter().map(|n| n.id()).collect();
             assert_eq!(got, want, "pushdown answer for {label}");
             assert!(!got.is_empty(), "degenerate: no {label} nodes at all");
-        }
-    }
-
-    /// The attribute Selection asks the core the same question with
-    /// the secondary index on or off; only how the core answers it
-    /// differs. Both builds fetch the same SoN, over the whole history
-    /// and over its second half.
-    #[test]
-    fn attr_pushdown_answers_alike_with_the_index_on_and_off() {
-        let (events, on) = setup();
-        let off = TgiHandler::serving(
-            TgiService::try_build(
-                on.pin().config().with_secondary_indexes(false),
-                StoreConfig::new(2, 1),
-                &events,
-            )
-            .unwrap(),
-            2,
-        );
-        let end = events.last().unwrap().time;
-        for range in [TimeRange::new(0, end + 1), TimeRange::new(end / 2, end + 1)] {
-            for label in ["Author", "Paper", "Venue"] {
-                let fetch = |h: &TgiHandler| {
-                    h.son()
-                        .select_attr_eq("EntityType", label)
-                        .timeslice(range)
-                        .try_fetch()
-                        .unwrap()
-                };
-                let (want, got) = (fetch(&on), fetch(&off));
-                assert!(!want.is_empty(), "no {label} nodes in {range:?}");
-                assert_eq!(got.range(), want.range());
-                assert_eq!(got.nodes(), want.nodes(), "{label} in {range:?}");
-            }
         }
     }
 
