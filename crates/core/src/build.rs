@@ -16,10 +16,10 @@
 //! 3. the span is replayed once per horizontal partition: at each
 //!    checkpoint the per-`sid` partitioned snapshot (leaf) is pushed
 //!    into a progressive intersection-tree builder which stores the
-//!    root — in full at a block head, else as a signed residual against
-//!    its base's root (§ *Residual roots* below) — and every `child −
-//!    parent` derived delta, micro-partitioned by `pid` (§
-//!    *Intersection tree* below);
+//!    root — in full at a block head and at span 1, else as a signed
+//!    residual against its base's root (§ *Residual roots* below) — and
+//!    every `child − parent` derived delta, micro-partitioned by `pid`
+//!    (§ *Intersection tree* below);
 //! 4. each chunk's events are scoped per `sid`, sub-partitioned per
 //!    `pid`, and stored as partitioned eventlists; the same walk of the
 //!    chunk replays it and yields the version-chain rows and the
@@ -72,7 +72,11 @@
 //! of its Fenwick base, the span less the lowest set bit of its index
 //! in the block — which is itself stored against its own base, so a
 //! root sums at most five base roots, all of its block
-//! (`meta.rs::root_bases`). A block's spans share one placement
+//! (`meta.rs::root_bases`). No base is span 0, whose root is the empty
+//! graph's (its first checkpoint is the state before any event): span
+//! 1 stores its root in full, and block 0's later spans name span 1
+//! wherever their Fenwick chains name span 0, so spans 2, 4, 8 and 16
+//! store residuals too. A block's spans share one placement
 //! ([`hgs_store::PlacementKey::of_span`]), so the base roots travel in
 //! the round trip that already carries a span's path. The encoder
 //! items get each `sid`'s base root in full and hand back their own;
@@ -261,6 +265,11 @@ pub enum BuildError {
     /// advanced, so the writer is **not** poisoned: fix the batch and
     /// append again.
     OutOfOrder { time: Time, floor: Time },
+    /// The configuration breaks the caller contract: construction
+    /// parameter `field` holds `value`, outside its bounds (the query
+    /// paths divide by these numbers; `secondary_indexes` is never
+    /// `false`). Detected before anything is written.
+    BadConfig { field: &'static str, value: u64 },
 }
 
 impl std::fmt::Display for BuildError {
@@ -276,6 +285,10 @@ impl std::fmt::Display for BuildError {
                 "batch rejected, nothing written: event at time {time} precedes {floor} \
                  (batches must be chronologically sorted and start at or after the index end)"
             ),
+            BuildError::BadConfig { field, value } => write!(
+                f,
+                "configuration rejected, nothing written: {field} = {value} is out of bounds"
+            ),
         }
     }
 }
@@ -284,7 +297,9 @@ impl std::error::Error for BuildError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BuildError::Store(e) => Some(e),
-            BuildError::Poisoned | BuildError::OutOfOrder { .. } => None,
+            BuildError::Poisoned | BuildError::OutOfOrder { .. } | BuildError::BadConfig { .. } => {
+                None
+            }
         }
     }
 }
@@ -299,7 +314,9 @@ impl Writer {
     /// Build an index over `events` (chronologically sorted) on
     /// `store`, encoding spans on `encode_width` workers and reading at
     /// `clients`. Every built index starts at the default read-cache
-    /// budget; the store keeps whatever retry policy it has.
+    /// budget; the store keeps whatever retry policy it has. A
+    /// configuration out of its bounds is refused with
+    /// [`BuildError::BadConfig`] before any row is written.
     pub(crate) fn try_build(
         cfg: TgiConfig,
         store: Arc<SimStore>,
@@ -307,7 +324,9 @@ impl Writer {
         clients: usize,
         encode_width: usize,
     ) -> Result<Writer, BuildError> {
-        cfg.validate();
+        if let Some((field, value)) = cfg.out_of_bounds() {
+            return Err(BuildError::BadConfig { field, value });
+        }
         let mut writer = Writer {
             view: TgiView {
                 cfg,

@@ -51,9 +51,10 @@ pub struct TgiConfig {
     /// the `AttrIndex` table that answer label/attribute predicate
     /// queries without materializing a snapshot
     /// (`TgiView::try_nodes_with_label_at` and friends). Not a knob —
-    /// every index stores them, and [`TgiConfig::validate`] refuses
-    /// `false`; the flag is persisted with the index and stamped into
-    /// benchmark results.
+    /// every index stores them, and a build refuses `false`
+    /// ([`BuildError::BadConfig`](crate::BuildError::BadConfig)); the
+    /// flag is persisted with the index and stamped into benchmark
+    /// results.
     pub secondary_indexes: bool,
 }
 
@@ -83,10 +84,11 @@ pub const DEFAULT_READ_CACHE_BYTES: usize = 64 << 20;
 
 impl TgiConfig {
     /// The first construction parameter outside its bounds, as
-    /// `(field, value)`: the one list both the build path
-    /// ([`TgiConfig::validate`]) and the open path (the descriptor
-    /// decoder) hold a configuration to — the query paths divide by
-    /// these numbers.
+    /// `(field, value)`: the one list both the build path (which
+    /// returns it as [`BuildError::BadConfig`](crate::BuildError::BadConfig))
+    /// and the open path (the descriptor decoder) hold a configuration
+    /// to — the query paths divide by these numbers, and every index
+    /// stores its secondary indexes.
     pub(crate) fn out_of_bounds(&self) -> Option<(&'static str, u64)> {
         let (ts, l) = (self.events_per_timespan, self.eventlist_size);
         [
@@ -104,6 +106,11 @@ impl TgiConfig {
                 self.horizontal_partitions as usize,
                 self.horizontal_partitions >= 1,
             ),
+            (
+                "secondary_indexes",
+                self.secondary_indexes as usize,
+                self.secondary_indexes,
+            ),
         ]
         .into_iter()
         .find(|&(_, _, ok)| !ok)
@@ -117,13 +124,6 @@ impl TgiConfig {
             == PartitionStrategy::Locality {
                 replicate_boundary: true,
             }
-    }
-
-    /// Validate parameter sanity; called by the builder.
-    pub fn validate(&self) {
-        let bad = self.out_of_bounds();
-        assert!(bad.is_none(), "TgiConfig parameter out of bounds: {bad:?}");
-        assert!(self.secondary_indexes, "secondary indexes are always on");
     }
 
     /// A configuration that makes TGI equivalent to the DeltaGraph
@@ -187,44 +187,76 @@ impl TgiConfig {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use hgs_store::{SimStore, StoreConfig};
+
     use super::*;
+    use crate::{BuildError, TgiService};
 
     #[test]
     fn default_is_valid() {
-        TgiConfig::default().validate();
-        TgiConfig::deltagraph().validate();
-        TgiConfig::copy_log(500).validate();
+        for cfg in [
+            TgiConfig::default(),
+            TgiConfig::deltagraph(),
+            TgiConfig::copy_log(500),
+        ] {
+            assert_eq!(cfg.out_of_bounds(), None, "{cfg:?}");
+        }
+    }
+
+    /// A configuration out of its bounds is an error naming the field
+    /// and its value, returned before any row is written — never a
+    /// panic.
+    fn refused(cfg: TgiConfig, field: &'static str, value: u64) {
+        let want = BuildError::BadConfig { field, value };
+        let events = hgs_datagen::WikiGrowth::sized(200).generate();
+        let built = TgiService::try_build(cfg, StoreConfig::new(2, 1), &events);
+        assert_eq!(built.err(), Some(want.clone()));
+        let store = Arc::new(SimStore::new(StoreConfig::new(2, 1)));
+        let built = TgiService::try_build_on(cfg, Arc::clone(&store), &events, 1);
+        assert_eq!(built.err(), Some(want));
+        assert!(
+            store.content_rows().iter().all(Vec::is_empty),
+            "a row was written"
+        );
     }
 
     #[test]
-    #[should_panic]
     fn rejects_zero_eventlist() {
-        TgiConfig {
+        let cfg = TgiConfig {
             eventlist_size: 0,
             ..TgiConfig::default()
-        }
-        .validate();
+        };
+        refused(cfg, "eventlist_size", 0);
     }
 
     #[test]
-    #[should_panic]
     fn rejects_eventlist_larger_than_span() {
-        TgiConfig {
+        let cfg = TgiConfig {
             eventlist_size: 100,
             events_per_timespan: 50,
             ..TgiConfig::default()
-        }
-        .validate();
+        };
+        refused(cfg, "eventlist_size", 100);
     }
 
     #[test]
-    #[should_panic(expected = "secondary indexes")]
+    fn rejects_arity_one() {
+        let cfg = TgiConfig {
+            arity: 1,
+            ..TgiConfig::default()
+        };
+        refused(cfg, "arity", 1);
+    }
+
+    #[test]
     fn rejects_an_index_without_secondary_indexes() {
-        TgiConfig {
+        let cfg = TgiConfig {
             secondary_indexes: false,
             ..TgiConfig::default()
-        }
-        .validate();
+        };
+        refused(cfg, "secondary_indexes", 0);
     }
 
     #[test]

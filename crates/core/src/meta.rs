@@ -185,7 +185,7 @@ pub struct TimespanMeta {
 impl TimespanMeta {
     /// The rows whose sum is leaf `leaf`'s checkpoint state, in summing
     /// order, as `(tsid, did)`: the roots of the span's
-    /// [`root_bases`], block head first, then its own root-to-leaf
+    /// [`root_bases`], ascending, then its own root-to-leaf
     /// path ([`TreeShape::path_to_leaf`]). The one tree path: every
     /// reader of a checkpoint walks it, so none can skip a base root.
     pub(crate) fn tree_path(&self, leaf: usize) -> Vec<(u32, u64)> {
@@ -432,8 +432,8 @@ pub(crate) fn decode_chain(
         .collect())
 }
 
-/// The spans whose roots span `tsid`'s root is stored against, block
-/// head first: its **Fenwick bases** in its block of [`SPAN_BLOCK`]
+/// The spans whose roots span `tsid`'s root is stored against,
+/// ascending: its **Fenwick bases** in its block of [`SPAN_BLOCK`]
 /// spans. With `i` the span's index in its block, a block head (`i =
 /// 0`) stores its root in full, and any other span's root is a signed
 /// residual ([`hgs_delta::Residual`]) against the root of span `tsid −
@@ -441,6 +441,14 @@ pub(crate) fn decode_chain(
 /// the roots of the `popcount(i) ≤ 5` spans got by clearing `i`'s set
 /// bits from the lowest, and never reads past its block, whose spans
 /// share a placement ([`hgs_store::PlacementKey::of_span`]).
+///
+/// Block 0 is the exception. Span 0's root is the empty graph's (every
+/// build starts from it, and its first checkpoint is that state), so a
+/// base never names it: span 1 stores its root in full, as a block head
+/// does, and every later span of the block names span 1 where its
+/// Fenwick chain names span 0 (`[1, 2]` for span 3, `[1, 4]` for span
+/// 5). No chain names span 1 otherwise, so the bases stay ascending,
+/// and a base's bases are still the span's bases minus itself.
 pub(crate) fn root_bases(tsid: u32) -> Vec<u32> {
     let head = tsid - tsid % SPAN_BLOCK;
     let mut i = tsid % SPAN_BLOCK;
@@ -450,14 +458,21 @@ pub(crate) fn root_bases(tsid: u32) -> Vec<u32> {
         bases.push(head + i);
     }
     bases.reverse();
+    if bases.first() == Some(&0) {
+        if tsid == 1 {
+            bases.clear();
+        } else {
+            bases[0] = 1;
+        }
+    }
     bases
 }
 
 /// The spans up to `tsid` whose roots a later span of `tsid`'s block
 /// sums, ascending: what the writer keeps once `tsid` is built — some
 /// of `tsid`'s own root bases, and `tsid` when its index in the block
-/// is even (it is the next span's base); none after the block's last
-/// span. Never more than five.
+/// is even (it is the next span's base) or it is block 0's span 1;
+/// none after the block's last span. Never more than five.
 pub(crate) fn roots_named_after(tsid: u32) -> Vec<u32> {
     let block_end = tsid - tsid % SPAN_BLOCK + SPAN_BLOCK;
     let mut named: Vec<u32> = (tsid + 1..block_end)
@@ -853,39 +868,46 @@ mod tests {
         assert_eq!(decode_chain(&row(&[15]), 7, 3, 10), bad(15));
     }
 
-    /// Each span's root bases are its Fenwick prefixes inside its block:
-    /// every one an earlier span of the block, the last the span less
-    /// the lowest bit of its index, at most five; a block head has
-    /// none. What the writer keeps after a span holds every root a later
-    /// span of the block sums, and never more than five.
+    /// Each span's root bases are its Fenwick prefixes inside its block,
+    /// with span 1 named for block 0's empty span 0: at most five, every
+    /// one an earlier span of the block, ascending, the last the span
+    /// less the lowest bit of its index (but for span 1, which has
+    /// none); a block head has none, and no span names span 0. A base's
+    /// bases are the span's minus itself. What the writer keeps after a
+    /// span is exactly what a later span of the block sums.
     #[test]
     fn root_bases_are_fenwick_prefixes_inside_the_block() {
         assert_eq!(root_bases(0), Vec::<u32>::new());
-        assert_eq!(root_bases(5), [0, 4]);
-        assert_eq!(root_bases(3), [0, 2]);
-        assert_eq!(root_bases(23), [0, 16, 20, 22]);
-        assert_eq!(root_bases(32 + 31), [32, 48, 56, 60, 62]);
-        assert_eq!(roots_named_after(30), [0, 16, 24, 28, 30]);
-        assert_eq!(roots_named_after(3), [0]);
-        assert_eq!(roots_named_after(31), Vec::<u32>::new());
+        assert_eq!(root_bases(1), Vec::<u32>::new());
+        assert_eq!(root_bases(2), [1]);
+        assert_eq!(root_bases(3), [1, 2]);
+        assert_eq!(root_bases(5), [1, 4]);
+        assert_eq!(root_bases(63), [32, 48, 56, 60, 62]);
         assert_eq!(root_bases(64), Vec::<u32>::new());
+        assert_eq!(roots_named_after(0), Vec::<u32>::new());
+        assert_eq!(roots_named_after(31), Vec::<u32>::new());
         for tsid in 0..200u32 {
             let bases = root_bases(tsid);
             let i = tsid % SPAN_BLOCK;
-            assert_eq!(bases.len(), i.count_ones() as usize, "{tsid}");
+            assert!(bases.len() <= 5, "{tsid}: {bases:?}");
+            assert!(!bases.contains(&0), "{tsid} names the empty span 0");
             assert!(bases
                 .iter()
                 .all(|&b| b < tsid && b / SPAN_BLOCK == tsid / SPAN_BLOCK));
-            assert!(bases.windows(2).all(|w| w[0] < w[1]));
-            if i != 0 {
-                assert_eq!(bases.last(), Some(&(tsid - (1 << i.trailing_zeros()))));
-                assert_eq!(bases.first(), Some(&(tsid - i)));
+            assert!(bases.windows(2).all(|w| w[0] < w[1]), "{tsid}: {bases:?}");
+            if i == 0 || tsid == 1 {
+                assert!(bases.is_empty(), "{tsid}: {bases:?}");
+            } else {
+                // The Fenwick gap, but for span 1 standing in for span 0.
+                let fenwick = tsid - (1 << i.trailing_zeros());
+                assert_eq!(bases.last(), Some(&fenwick.max(1)), "{tsid}");
                 // A base's bases are the span's, minus itself.
                 let base = bases[bases.len() - 1];
                 assert_eq!(root_bases(base), bases[..bases.len() - 1]);
             }
             let kept = roots_named_after(tsid);
             assert!(kept.len() <= 5, "{tsid}: {kept:?}");
+            assert!(kept.windows(2).all(|w| w[0] < w[1]), "{tsid}: {kept:?}");
             let block_end = (tsid / SPAN_BLOCK + 1) * SPAN_BLOCK;
             for later in tsid + 1..block_end {
                 let mut need = root_bases(later);

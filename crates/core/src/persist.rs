@@ -85,9 +85,12 @@ impl std::error::Error for OpenError {}
 /// (every span's root stored in full, and `Deltas` rows placed by
 /// `(tsid, sid)`: the roots of its spans past a block head would read
 /// as residuals against roots they were not taken from, and its rows
-/// of spans past the first block are not where this layout looks).
+/// of spans past the first block are not where this layout looks) and
+/// `14` (block 0's spans stored against the empty root of span 0 where
+/// this layout names span 1: its spans 2, 4, 8 and 16 store whole roots
+/// that would read as residuals against span 1's).
 /// A store tagged otherwise is refused, not answered from.
-const LAYOUT_TAG: u64 = 14;
+const LAYOUT_TAG: u64 = 15;
 
 /// Serialize the construction configuration: the layout tag, then
 /// every other field of [`TgiConfig`] in declaration order.
@@ -464,7 +467,7 @@ mod tests {
             );
         }
         // The layout tag is the first varint (one byte): a descriptor
-        // tagged 0 to 12 (the retired formats), or empty, is refused
+        // tagged 0 to 14 (the retired formats), or empty, is refused
         // rather than opened as something else.
         let blob = encode_config(&TgiConfig::default());
         assert_eq!(blob[0] as u64, LAYOUT_TAG);
@@ -503,11 +506,12 @@ mod tests {
     /// A tag-8 descriptor opened with `events_per_timespan`, where this
     /// layout's tag stands, and spelled the time-collapse (1) and
     /// node-weighting (0) tags before its own. Whatever its span size,
-    /// it is refused: read as a tag, only a span size of 10 names this
-    /// layout, and then the row is two varints too long.
+    /// it is refused: read as a tag, only a span size equal to this
+    /// layout's tag names it, and then its node-weighting tag is read
+    /// as `secondary_indexes` and refused.
     #[test]
     fn a_tag_8_descriptor_is_refused_whatever_its_span_size() {
-        for events_per_timespan in [1, 8, 9, 10, 127, 128, 20_000, 1 << 40] {
+        for events_per_timespan in [1, 8, 9, 10, 15, 127, 128, 20_000, 1 << 40] {
             let cfg = TgiConfig {
                 events_per_timespan,
                 eventlist_size: 1,
@@ -523,7 +527,13 @@ mod tests {
             old.extend_from_slice(secondary);
             let got = decode_config(&old).map(drop);
             if events_per_timespan == LAYOUT_TAG as usize {
-                assert_eq!(got, Err(CodecError::TrailingBytes { remaining: 2 }));
+                // Each field is read one place early, and the
+                // node-weighting tag (0) lands on `secondary_indexes`.
+                let tag = CodecError::BadTag {
+                    what: "secondary_indexes",
+                    tag: 0,
+                };
+                assert_eq!(got, Err(tag));
             } else {
                 assert!(
                     matches!(

@@ -31,6 +31,7 @@ use hgs_store::{
 };
 
 use crate::build::{SpanRuntime, TgiView};
+use crate::config::PartitionStrategy;
 use crate::costs::{access_cost, CostProfile, IndexKind, QueryKind};
 use crate::meta::{decode_chain, sid_of, ChainEntry, AUX_BASE, ELIST_BASE};
 use crate::read_cache::{CacheKey, Cached};
@@ -454,7 +455,10 @@ impl TgiView {
     /// `t`: tree-path micro-deltas + the eventlist chunk, a degenerate
     /// single-partition chunk plan over the shared read cache. A base
     /// root is micro-partitioned by its own span's map, so each is read
-    /// whole for the `sid` and what the sum of them holds is cut to the
+    /// in the parts that can hold a node of `pid` — under
+    /// [`PartitionStrategy::Random`], when the base's part count is a
+    /// multiple of this span's `k`, its parts `pid, pid + k, …`; else
+    /// all of them — and what the sum of them holds is cut to the
     /// micro-partition before the span's own rows are applied.
     ///
     /// The checkpoint state (path rows summed, before replay) caches
@@ -483,14 +487,23 @@ impl TgiView {
         };
         let mut keys: Vec<(&SpanRuntime, u64, u32)> = Vec::new();
         if base.is_none() {
+            let hashed = self.cfg.strategy == PartitionStrategy::Random;
+            let own_parts = meta.pid_counts.get(sid as usize).copied().unwrap_or(0);
             for (of, did) in meta.tree_path(j) {
                 let of = self.span_of(of)?;
                 if of.meta.tsid == tsid {
                     keys.push((of, did, pid));
-                } else {
-                    let parts = of.meta.pid_counts.get(sid as usize).copied().unwrap_or(0);
-                    keys.extend((0..parts).map(|p| (of, did, p)));
+                    continue;
                 }
+                // A hashed map is `hash % k`: when the base's part count
+                // is a multiple of this span's, the nodes of `pid` are in
+                // the base's parts `pid, pid + k, …` alone.
+                let parts = of.meta.pid_counts.get(sid as usize).copied().unwrap_or(0);
+                let (first, step) = match own_parts {
+                    k if hashed && k > 0 && parts % k == 0 => (pid, k as usize),
+                    _ => (0, 1),
+                };
+                keys.extend((first..parts).step_by(step).map(|p| (of, did, p)));
             }
         }
         let bases = keys.iter().filter(|k| k.0.meta.tsid != tsid).count();

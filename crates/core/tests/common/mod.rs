@@ -7,12 +7,14 @@
 #![allow(dead_code)]
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use hgs_core::{KhopStrategy, TgiView, TimespanMeta, ELIST_BASE};
+use hgs_core::{KhopStrategy, TgiConfig, TgiService, TgiView, TimespanMeta, ELIST_BASE};
+use hgs_datagen::{SkewedLabels, WikiGrowth};
 use hgs_delta::codec::{get_varint, put_varint};
 use hgs_delta::{normalize_events, AttrValue, Delta, Event, EventKind, NodeId, Time, TimeRange};
-use hgs_store::{DeltaKey, PutRow, SimStore, Table};
+use hgs_store::{DeltaKey, PutRow, SimStore, StoreConfig, Table};
 
 /// A generator case of the prop suites: `events` with a busy hub.
 /// After every event node 0 gains an edge (its weight cycling, so an
@@ -164,6 +166,51 @@ pub(crate) fn attr_history_by_replay(
         }
     }
     out
+}
+
+/// `WikiGrowth`'s 20 000-event trace: the benchmark's `wiki100k`
+/// shape, scaled down.
+pub(crate) fn wiki20k() -> Vec<Event> {
+    WikiGrowth::sized(20_000).generate()
+}
+
+/// The benchmark's labelled `skew106k` shape, scaled down.
+pub(crate) fn skew21k() -> Vec<Event> {
+    SkewedLabels {
+        nodes: 1_600,
+        edge_events: 12_000,
+        attr_churn: 6_000,
+        ..SkewedLabels::default()
+    }
+    .generate()
+}
+
+/// The first cut at or past `at` where the time rises: an append from
+/// there starts past the end of what was built before it.
+pub(crate) fn align(events: &[Event], mut at: usize) -> usize {
+    while at > 0 && at < events.len() && events[at].time <= events[at - 1].time {
+        at += 1;
+    }
+    at
+}
+
+/// Build `events` under `cfg` on four machines — in one go when
+/// `batch` is `None`, else 40 % of them and then appends of `batch`
+/// events, every cut moved forward to a time boundary.
+pub(crate) fn build_in_batches(
+    events: &[Event],
+    cfg: TgiConfig,
+    batch: Option<usize>,
+) -> Arc<TgiService> {
+    let built = batch.map_or(events.len(), |_| align(events, events.len() * 2 / 5));
+    let svc = TgiService::try_build(cfg, StoreConfig::new(4, 1), &events[..built]).unwrap();
+    let mut at = built;
+    while let Some(batch) = batch.filter(|_| at < events.len()) {
+        let next = align(events, (at + batch).min(events.len()));
+        svc.try_append_events(&events[at..next]).unwrap();
+        at = next;
+    }
+    svc
 }
 
 /// Reference k-hop: breadth-first over the replayed state.

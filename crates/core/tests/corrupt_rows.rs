@@ -1167,14 +1167,16 @@ fn a_residual_root_off_its_base_is_corrupt_on_every_read() {
         .filter_map(|(k, v)| Some((DeltaKey::decode(&k[1..])?, v)))
         .collect();
     // A root that removes something — the churn deletes edges — of a
-    // span of the first four, whose root bases are the block head's
-    // (and, for span 3, span 2's).
+    // span of the first four. Span 0's root is the empty graph's, so no
+    // base names it: span 1 stores its root in full, and spans 2 and 3
+    // name span 1 where their Fenwick chains name span 0 (span 3 names
+    // span 2 as well).
     let (key, row) = rows
         .iter()
         .find(|(k, v)| k.did == 0 && (1..=3).contains(&k.tsid) && v[0] == 0xCD)
         .cloned()
         .expect("a residual root with removals");
-    let chain: &[u32] = if key.tsid == 3 { &[0, 2] } else { &[0] };
+    let chain: &[u32] = if key.tsid == 3 { &[1, 2] } else { &[1] };
     // The base: its bases' roots of the same `sid`, every
     // micro-partition of each (the wiki trace has no pairs to resolve).
     let mut base = Delta::new();

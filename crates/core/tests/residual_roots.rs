@@ -5,14 +5,21 @@
 //! partitioning and under replicated locality partitioning; and a
 //! writer re-opened or recovered inside a block keeps the roots a
 //! later span of the block is stored against, so it writes the rows a
-//! writer that never stopped writes.
+//! writer that never stopped writes. No base is a root that holds
+//! nothing — block 0 names span 1 where its chains would name the empty
+//! span 0 — and a recursive k-hop reads a hashed base root only in the
+//! micro-partitions that can hold its nodes.
 
 mod common;
 
-use hgs_core::{KhopStrategy, PartitionStrategy, TgiConfig, TgiService};
+use std::collections::BTreeMap;
+
+use bytes::Bytes;
+use hgs_core::{sid_of, KhopStrategy, PartitionStrategy, TgiConfig, TgiService};
 use hgs_datagen::LabeledChurn;
+use hgs_delta::columnar::ColumnarDelta;
 use hgs_delta::{normalize_events, Delta, Event, EventKind};
-use hgs_store::StoreConfig;
+use hgs_store::{DeltaKey, StoreConfig, Table, SPAN_BLOCK};
 
 /// Spans of 40 events: the traces below make 75 of them.
 const SPAN: usize = 40;
@@ -162,6 +169,185 @@ fn a_writer_reopened_or_recovered_inside_a_block_writes_the_same_rows() {
                 got == straight,
                 "{strategy:?}, {how}, batches of {batch}: the stored rows differ"
             );
+        }
+    }
+}
+
+/// The spans whose roots span `tsid`'s root is stored against, by the
+/// writer's rule: the span's Fenwick prefixes in its block — the block
+/// head, then the span less each of the low set bits of its index —
+/// with span 1 wherever block 0's chain names span 0, and none for span
+/// 1 itself.
+fn root_bases(tsid: u32) -> Vec<u32> {
+    let head = tsid - tsid % SPAN_BLOCK;
+    let mut i = tsid % SPAN_BLOCK;
+    let mut bases = Vec::new();
+    while i != 0 {
+        i &= i - 1;
+        bases.push((head + i).max(1));
+    }
+    bases.retain(|&b| b != tsid);
+    bases.reverse();
+    bases
+}
+
+/// Every base a span's root names holds a stored root row, and the
+/// span's root rows summed after its bases' are the intersection of
+/// its checkpoint states, `sid` by `sid`: the rule above is the one
+/// the writer stored the residuals against. Span 0's root is the empty
+/// graph's, so a chain that still named it would find no row.
+#[test]
+fn a_base_never_names_an_empty_root() {
+    let (wiki, skew) = (common::wiki20k(), common::skew21k());
+    for (name, events, batch) in [
+        ("wiki20k", &wiki, None),
+        ("wiki20k", &wiki, Some(2_000)),
+        ("wiki20k", &wiki, Some(500)),
+        ("skew21k", &skew, None),
+    ] {
+        let svc = common::build_in_batches(events, TgiConfig::default(), batch);
+        let tgi = svc.pin();
+        let ns = tgi.config().horizontal_partitions;
+        let metas = common::span_metas(&tgi);
+        let mut roots: BTreeMap<(u32, u32), Vec<Bytes>> = BTreeMap::new();
+        for (k, v) in tgi.store().content_rows().into_iter().flatten() {
+            let key = (k[0] == Table::Deltas.tag())
+                .then(|| DeltaKey::decode(&k[1..]))
+                .flatten();
+            if let Some(key) = key.filter(|key| key.did == 0) {
+                roots.entry((key.tsid, key.sid)).or_default().push(v);
+            }
+        }
+        let mut state = Delta::new();
+        let mut replay = events.iter().peekable();
+        for meta in &metas {
+            let what = format!("{name}, appends of {batch:?}, span {}", meta.tsid);
+            let bases = root_bases(meta.tsid);
+            for &base in &bases {
+                assert!(
+                    (0..ns).any(|sid| roots.contains_key(&(base, sid))),
+                    "{what}: base {base} holds no root row"
+                );
+            }
+            let mut leaves = Vec::new();
+            for &c in &meta.checkpoints {
+                while let Some(e) = replay.next_if(|e| e.time < c) {
+                    state.apply_event(&e.kind);
+                }
+                leaves.push(state.clone());
+            }
+            for sid in 0..ns {
+                let own: Vec<Delta> = leaves
+                    .iter()
+                    .map(|leaf| leaf.restrict(|id| sid_of(id, ns) == sid))
+                    .collect();
+                let want = Delta::intersection_many(&own.iter().collect::<Vec<_>>());
+                let mut got = Delta::new();
+                for tsid in bases.iter().copied().chain([meta.tsid]) {
+                    for row in roots.get(&(tsid, sid)).into_iter().flatten() {
+                        ColumnarDelta::parse_in(row.clone(), &metas[tsid as usize].pairs)
+                            .and_then(|col| col.sum_into(&mut got, None))
+                            .unwrap_or_else(|e| panic!("{what}, sid {sid}: root of {tsid}: {e}"));
+                    }
+                }
+                assert!(
+                    got == want,
+                    "{what}, sid {sid}: the summed root is not the span's"
+                );
+            }
+        }
+    }
+}
+
+/// Three spans of one horizontal partition, hashed at 10 nodes a
+/// micro-partition: span 0 adds 40 nodes and a ring over them; span 1
+/// adds a chord at each, then removes the last `removed` nodes in its
+/// last chunk, where no checkpoint sees it go; span 2 adds chords among
+/// the rest. So span 1's root — span 2's one base — holds all 40 nodes
+/// in 4 parts, and span 2 has `⌈(40 − removed) / 10⌉`.
+fn three_spans(removed: u64) -> [Vec<Event>; 3] {
+    let edge = |time, src, dst| {
+        Event::new(
+            time,
+            EventKind::AddEdge {
+                src,
+                dst,
+                weight: 1.0,
+                directed: false,
+            },
+        )
+    };
+    let alive = 40 - removed;
+    let mut first: Vec<Event> = (0..40)
+        .map(|id| Event::new(id, EventKind::AddNode { id }))
+        .collect();
+    first.extend((0..40).map(|i| edge(40 + i, i, (i + 1) % 40)));
+    let mut second: Vec<Event> = (0..40).map(|i| edge(100 + i, i, (i + 7) % 40)).collect();
+    second.extend((alive..40).map(|id| Event::new(150, EventKind::RemoveNode { id })));
+    let third = (0..alive)
+        .map(|i| edge(200 + i, i, (i + 3) % alive))
+        .collect();
+    [first, second, third]
+}
+
+/// A recursive k-hop reads each base root of its span in the parts that
+/// can hold a node of the micro-partition it fetches. Under hashing,
+/// when the base's part count `k_b` is a multiple of the span's `k_t`,
+/// that is `k_b / k_t` of them — counted as the keys one cold 0-hop
+/// asks the store for beyond its own tree path and eventlist chunk —
+/// and every one of the base's otherwise. Equal, dividing and
+/// non-dividing counts all answer as replay.
+#[test]
+fn a_recursive_hop_reads_the_base_parts_its_partition_needs() {
+    let cfg = TgiConfig {
+        events_per_timespan: 1_000,
+        eventlist_size: 10,
+        partition_size: 10,
+        horizontal_partitions: 1,
+        ..TgiConfig::default()
+    };
+    for (removed, k_t, base_keys) in [(0, 4, 1), (20, 2, 2), (32, 1, 4), (12, 3, 4)] {
+        let [first, second, third] = three_spans(removed);
+        let svc = TgiService::try_build(cfg, StoreConfig::new(2, 1), &first).unwrap();
+        svc.try_append_events(&second).unwrap();
+        svc.try_append_events(&third).unwrap();
+        svc.set_read_cache_budget(0);
+        let tgi = svc.pin();
+        let metas = common::span_metas(&tgi);
+        let counts: Vec<_> = metas.iter().map(|m| m.pid_counts.clone()).collect();
+        assert_eq!(counts, [vec![4], vec![4], vec![k_t]], "{removed} removed");
+        let events: Vec<Event> = [first, second, third].concat();
+        let span = &metas[2];
+        let end = events.last().unwrap().time;
+        for t in span.checkpoints.iter().copied().chain([end]) {
+            let want = Delta::snapshot_by_replay(&events, t);
+            let path = span.shape.path_to_leaf(span.leaf_for_time(t)).len() as u64;
+            for center in 0..40 {
+                let what = format!("{removed} removed, t = {t}, center {center}");
+                let before = tgi.store().stats_snapshot();
+                let got = tgi.try_khop_with(center, t, 0, KhopStrategy::Recursive);
+                let asked: u64 = tgi
+                    .store()
+                    .stats_snapshot()
+                    .iter()
+                    .zip(&before)
+                    .map(|(now, then)| now.since(then).gets)
+                    .sum();
+                assert_eq!(
+                    got.unwrap(),
+                    common::khop_by_replay(&want, center, 0),
+                    "{what}"
+                );
+                assert_eq!(asked, base_keys + path + 1, "{what}: keys asked");
+                for k in [1, 2] {
+                    assert_eq!(
+                        tgi.try_khop_with(center, t, k, KhopStrategy::Recursive)
+                            .unwrap(),
+                        common::khop_by_replay(&want, center, k),
+                        "{what}: {k}-hop"
+                    );
+                }
+            }
         }
     }
 }
