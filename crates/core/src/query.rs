@@ -456,9 +456,11 @@ impl TgiView {
     /// single-partition chunk plan over the shared read cache. A base
     /// root is micro-partitioned by its own span's map, so each is read
     /// in the parts that can hold a node of `pid` — under
-    /// [`PartitionStrategy::Random`], when the base's part count is a
-    /// multiple of this span's `k`, its parts `pid, pid + k, …`; else
-    /// all of them — and what the sum of them holds is cut to the
+    /// [`PartitionStrategy::Random`], when its part count and those of
+    /// all the bases after it are multiples of this span's `k`, its
+    /// parts `pid, pid + k, …`; else all of them, since a later base's
+    /// residual removes what the bases before it hold — and what the
+    /// sum of them holds is cut to the
     /// micro-partition before the span's own rows are applied.
     ///
     /// The checkpoint state (path rows summed, before replay) caches
@@ -487,23 +489,31 @@ impl TgiView {
         };
         let mut keys: Vec<(&SpanRuntime, u64, u32)> = Vec::new();
         if base.is_none() {
-            let hashed = self.cfg.strategy == PartitionStrategy::Random;
-            let own_parts = meta.pid_counts.get(sid as usize).copied().unwrap_or(0);
-            for (of, did) in meta.tree_path(j) {
-                let of = self.span_of(of)?;
+            let path = meta
+                .tree_path(j)
+                .into_iter()
+                .map(|(of, did)| Ok((self.span_of(of)?, did)))
+                .collect::<Result<Vec<_>, StoreError>>()?;
+            let parts =
+                |of: &SpanRuntime| of.meta.pid_counts.get(sid as usize).copied().unwrap_or(0);
+            let k = parts(span);
+            let hashed = self.cfg.strategy == PartitionStrategy::Random && k > 0;
+            // A hashed map is `hash % k`: a base whose part count is a
+            // multiple of this span's `k` holds the nodes of `pid` in its
+            // parts `pid, pid + k, …` alone. But a base's residual removes
+            // what the bases before it hold, so the bases up to the last
+            // one `k` does not divide are read whole.
+            let whole = path
+                .iter()
+                .rposition(|&(of, _)| of.meta.tsid != tsid && !(hashed && parts(of) % k == 0))
+                .map_or(0, |last| last + 1);
+            for (i, (of, did)) in path.into_iter().enumerate() {
                 if of.meta.tsid == tsid {
                     keys.push((of, did, pid));
                     continue;
                 }
-                // A hashed map is `hash % k`: when the base's part count
-                // is a multiple of this span's, the nodes of `pid` are in
-                // the base's parts `pid, pid + k, …` alone.
-                let parts = of.meta.pid_counts.get(sid as usize).copied().unwrap_or(0);
-                let (first, step) = match own_parts {
-                    k if hashed && k > 0 && parts % k == 0 => (pid, k as usize),
-                    _ => (0, 1),
-                };
-                keys.extend((first..parts).step_by(step).map(|p| (of, did, p)));
+                let (first, step) = if i < whole { (0, 1) } else { (pid, k as usize) };
+                keys.extend((first..parts(of)).step_by(step).map(|p| (of, did, p)));
             }
         }
         let bases = keys.iter().filter(|k| k.0.meta.tsid != tsid).count();

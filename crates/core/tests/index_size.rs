@@ -559,8 +559,8 @@ fn recursive_hop_rows(events: &[Event], batch: usize) -> u64 {
 /// 0's spans sum span 1's root where they summed the empty span 0's,
 /// which no row held, and a micro-partition fetch reads a base root
 /// only in the parts that can hold its nodes — under hashing, when the
-/// base's part count is a multiple of the span's, only the parts its
-/// nodes hash to. Rows per op at 2 000-, 500- and 100-event appends,
+/// base's part count and those of the bases after it are multiples of
+/// the span's, only the parts its nodes hash to. Rows per op at 2 000-, 500- and 100-event appends,
 /// layout tag 14 → 15: `wiki20k` 17.85 / 17.02 / 23.93 → 20.30 / 17.55
 /// / 18.15 (22.12 / 21.02 / 24.27 without the part rule), `skew21k`
 /// 17.65 / 13.43 / 16.25 → 21.48 / 17.25 / 16.55 (one part per `sid`,

@@ -259,13 +259,16 @@ fn a_base_never_names_an_empty_root() {
     }
 }
 
-/// Three spans of one horizontal partition, hashed at 10 nodes a
+/// Four spans of one horizontal partition, hashed at 10 nodes a
 /// micro-partition: span 0 adds 40 nodes and a ring over them; span 1
-/// adds a chord at each, then removes the last `removed` nodes in its
-/// last chunk, where no checkpoint sees it go; span 2 adds chords among
-/// the rest. So span 1's root — span 2's one base — holds all 40 nodes
-/// in 4 parts, and span 2 has `⌈(40 − removed) / 10⌉`.
-fn three_spans(removed: u64) -> [Vec<Event>; 3] {
+/// adds a chord at each, then removes the last `r1` nodes in its last
+/// chunk, where no checkpoint sees them go; span 2 adds chords among
+/// the rest and removes `r2` more the same way; span 3 adds `added`
+/// nodes, each tied to a survivor, and chords among the survivors. So
+/// span 1's root holds all 40 nodes in 4 parts, span 2's residual
+/// against it removes the `r1` nodes, and spans 2 and 3 have `⌈(40 −
+/// r1) / 10⌉` and `⌈(40 − r1 − r2 + added) / 10⌉` parts.
+fn four_spans(r1: u64, r2: u64, added: u64) -> [Vec<Event>; 4] {
     let edge = |time, src, dst| {
         Event::new(
             time,
@@ -277,26 +280,39 @@ fn three_spans(removed: u64) -> [Vec<Event>; 3] {
             },
         )
     };
-    let alive = 40 - removed;
+    let remove = |time, ids: std::ops::Range<u64>| {
+        ids.map(move |id| Event::new(time, EventKind::RemoveNode { id }))
+    };
+    let (alive1, alive2) = (40 - r1, 40 - r1 - r2);
     let mut first: Vec<Event> = (0..40)
         .map(|id| Event::new(id, EventKind::AddNode { id }))
         .collect();
     first.extend((0..40).map(|i| edge(40 + i, i, (i + 1) % 40)));
     let mut second: Vec<Event> = (0..40).map(|i| edge(100 + i, i, (i + 7) % 40)).collect();
-    second.extend((alive..40).map(|id| Event::new(150, EventKind::RemoveNode { id })));
-    let third = (0..alive)
-        .map(|i| edge(200 + i, i, (i + 3) % alive))
+    second.extend(remove(150, alive1..40));
+    let mut third: Vec<Event> = (0..alive1)
+        .map(|i| edge(200 + i, i, (i + 3) % alive1))
         .collect();
-    [first, second, third]
+    third.extend(remove(250, alive2..alive1));
+    let mut fourth: Vec<Event> = (40..40 + added)
+        .map(|id| Event::new(260 + id, EventKind::AddNode { id }))
+        .collect();
+    fourth.extend((40..40 + added).map(|id| edge(320 + id, id, id % alive2)));
+    fourth.extend((0..alive2).map(|i| edge(400 + i, i, (i + 5) % alive2)));
+    [first, second, third, fourth]
 }
 
 /// A recursive k-hop reads each base root of its span in the parts that
 /// can hold a node of the micro-partition it fetches. Under hashing,
-/// when the base's part count `k_b` is a multiple of the span's `k_t`,
-/// that is `k_b / k_t` of them — counted as the keys one cold 0-hop
-/// asks the store for beyond its own tree path and eventlist chunk —
-/// and every one of the base's otherwise. Equal, dividing and
-/// non-dividing counts all answer as replay.
+/// when a base's part count `k_b` and those of the bases after it are
+/// multiples of the span's `k_t`, that is `k_b / k_t` of its parts —
+/// counted as the keys one cold 0-hop asks the store for beyond its own
+/// tree path and eventlist chunk — and every part otherwise. Span 3
+/// sums bases 1 and 2: when only span 1's count divides, span 2's
+/// residual removes nodes that a subset of span 1 would not hold, so
+/// both are read whole; when only span 2's divides, span 1 is read
+/// whole and span 2 by part. Equal, dividing and non-dividing counts
+/// all answer as replay.
 #[test]
 fn a_recursive_hop_reads_the_base_parts_its_partition_needs() {
     let cfg = TgiConfig {
@@ -306,46 +322,62 @@ fn a_recursive_hop_reads_the_base_parts_its_partition_needs() {
         horizontal_partitions: 1,
         ..TgiConfig::default()
     };
-    for (removed, k_t, base_keys) in [(0, 4, 1), (20, 2, 2), (32, 1, 4), (12, 3, 4)] {
-        let [first, second, third] = three_spans(removed);
-        let svc = TgiService::try_build(cfg, StoreConfig::new(2, 1), &first).unwrap();
-        svc.try_append_events(&second).unwrap();
-        svc.try_append_events(&third).unwrap();
+    // (r1, r2, added), the parts of spans 2 and 3, and the base keys a
+    // 0-hop at span 2 and at span 3 asks for.
+    for ((r1, r2, added), [k2, k3], keys) in [
+        ((0, 0, 0), [4, 4], [1, 2]),
+        ((20, 0, 0), [2, 2], [2, 3]),
+        ((32, 0, 0), [1, 1], [4, 5]),
+        ((12, 0, 0), [3, 3], [4, 5]),
+        ((12, 0, 12), [3, 4], [4, 7]),
+        ((12, 10, 0), [3, 2], [4, 7]),
+    ] {
+        let case = format!("r1 {r1}, r2 {r2}, {added} added");
+        let spans = four_spans(r1, r2, added);
+        let svc = TgiService::try_build(cfg, StoreConfig::new(2, 1), &spans[0]).unwrap();
+        for later in &spans[1..] {
+            svc.try_append_events(later).unwrap();
+        }
         svc.set_read_cache_budget(0);
         let tgi = svc.pin();
         let metas = common::span_metas(&tgi);
         let counts: Vec<_> = metas.iter().map(|m| m.pid_counts.clone()).collect();
-        assert_eq!(counts, [vec![4], vec![4], vec![k_t]], "{removed} removed");
-        let events: Vec<Event> = [first, second, third].concat();
-        let span = &metas[2];
+        assert_eq!(counts, [vec![4], vec![4], vec![k2], vec![k3]], "{case}");
+        let events: Vec<Event> = spans.concat();
         let end = events.last().unwrap().time;
-        for t in span.checkpoints.iter().copied().chain([end]) {
-            let want = Delta::snapshot_by_replay(&events, t);
-            let path = span.shape.path_to_leaf(span.leaf_for_time(t)).len() as u64;
-            for center in 0..40 {
-                let what = format!("{removed} removed, t = {t}, center {center}");
-                let before = tgi.store().stats_snapshot();
-                let got = tgi.try_khop_with(center, t, 0, KhopStrategy::Recursive);
-                let asked: u64 = tgi
-                    .store()
-                    .stats_snapshot()
-                    .iter()
-                    .zip(&before)
-                    .map(|(now, then)| now.since(then).gets)
-                    .sum();
-                assert_eq!(
-                    got.unwrap(),
-                    common::khop_by_replay(&want, center, 0),
-                    "{what}"
-                );
-                assert_eq!(asked, base_keys + path + 1, "{what}: keys asked");
-                for k in [1, 2] {
+        for (span, base_keys) in metas[2..].iter().zip(keys) {
+            let mut times = span.checkpoints.clone();
+            if span.tsid == 3 {
+                times.push(end);
+            }
+            for t in times {
+                let want = Delta::snapshot_by_replay(&events, t);
+                let path = span.shape.path_to_leaf(span.leaf_for_time(t)).len() as u64;
+                for center in 0..40 + added {
+                    let what = format!("{case}, span {}, t = {t}, center {center}", span.tsid);
+                    let before = tgi.store().stats_snapshot();
+                    let got = tgi.try_khop_with(center, t, 0, KhopStrategy::Recursive);
+                    let asked: u64 = tgi
+                        .store()
+                        .stats_snapshot()
+                        .iter()
+                        .zip(&before)
+                        .map(|(now, then)| now.since(then).gets)
+                        .sum();
                     assert_eq!(
-                        tgi.try_khop_with(center, t, k, KhopStrategy::Recursive)
-                            .unwrap(),
-                        common::khop_by_replay(&want, center, k),
-                        "{what}: {k}-hop"
+                        got.unwrap(),
+                        common::khop_by_replay(&want, center, 0),
+                        "{what}"
                     );
+                    assert_eq!(asked, base_keys + path + 1, "{what}: keys asked");
+                    for k in [1, 2] {
+                        assert_eq!(
+                            tgi.try_khop_with(center, t, k, KhopStrategy::Recursive)
+                                .unwrap(),
+                            common::khop_by_replay(&want, center, k),
+                            "{what}: {k}-hop"
+                        );
+                    }
                 }
             }
         }
