@@ -42,28 +42,58 @@ pub use traits::HistoricalIndex;
 
 use bytes::Bytes;
 use hgs_delta::{ColumnarDelta, ColumnarEventlist, Delta, Eventlist};
-use hgs_store::{PutRow, SimStore, StoreError, Table, WriteBuffer};
+use hgs_store::{PutRow, SimStore, StoreError, Table};
 
-/// The write side of a baseline's `build`: a [`WriteBuffer`] over the
-/// store the index just created. Nothing else has touched that store —
-/// no machine is dead, no fault plan attached — so every write is
-/// `expect`ed to land.
-pub(crate) struct BuildRows<'a>(WriteBuffer<'a>);
+/// The write side of a baseline's `build`: rows queue up and ship
+/// through [`SimStore::try_put_batch`] every [`BuildRows::BATCH_ROWS`]
+/// rows and at [`BuildRows::finish`]. Nothing else has touched the
+/// store the index just created — no machine is dead, no fault plan
+/// attached — so every write is `expect`ed to land.
+pub(crate) struct BuildRows<'a> {
+    store: &'a SimStore,
+    rows: Vec<PutRow>,
+}
 
 impl<'a> BuildRows<'a> {
     const FRESH_STORE: &'static str = "a fresh store accepts every write";
+    /// A small cap: most baseline rows are whole snapshots.
+    const BATCH_ROWS: usize = 16;
 
     pub(crate) fn new(store: &'a SimStore) -> BuildRows<'a> {
-        // A small cap: most baseline rows are whole snapshots.
-        BuildRows(WriteBuffer::new(store, 16))
+        BuildRows {
+            store,
+            rows: Vec::with_capacity(Self::BATCH_ROWS),
+        }
     }
 
     pub(crate) fn put(&mut self, row: PutRow) {
-        self.0.push_row(row).expect(Self::FRESH_STORE);
+        self.rows.push(row);
+        if self.rows.len() >= Self::BATCH_ROWS {
+            self.flush();
+        }
     }
 
     pub(crate) fn finish(mut self) {
-        self.0.flush().expect(Self::FRESH_STORE);
+        self.flush();
+    }
+
+    fn flush(&mut self) {
+        if !self.rows.is_empty() {
+            let rows = std::mem::take(&mut self.rows);
+            self.store.try_put_batch(rows).expect(Self::FRESH_STORE);
+        }
+    }
+}
+
+impl Drop for BuildRows<'_> {
+    fn drop(&mut self) {
+        // Skipped during unwind: a double panic would abort the
+        // process and mask the original failure.
+        debug_assert!(
+            std::thread::panicking() || self.rows.is_empty(),
+            "BuildRows dropped with {} unwritten rows — call finish()",
+            self.rows.len()
+        );
     }
 }
 

@@ -4,8 +4,9 @@
 //! For every timespan the build emits one `AttrIndex` row per *term* —
 //! an attribute `(key, value)` pair — holding the sorted change points
 //! of that term within the span (see [`hgs_delta::attr_index`] for the
-//! row format). Rows ride the same [`hgs_store::WriteBuffer`] batches
-//! as every other span row, so maintenance adds zero extra round trips;
+//! row format). Rows ride the span's one
+//! [`SimStore::try_put_batch`](hgs_store::SimStore::try_put_batch) with
+//! every other span row, so maintenance adds zero extra round trips;
 //! they are fetched through the session read cache with exact byte
 //! accounting.
 //!

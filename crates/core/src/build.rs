@@ -118,9 +118,9 @@
 //! replay of the batch on the tail state), which is what lets a scoped
 //! item skip the events that name none of its nodes; outputs merge in
 //! deterministic order — rows by `sid`, then chain rows by `sid`, then
-//! term rows by term — into a [`WriteBuffer`] that flushes **one round
-//! trip per machine** every `WRITE_BATCH_ROWS` rows and at the span's
-//! end.
+//! term rows by term, then the locality partition maps — into **one**
+//! [`SimStore::try_put_batch`] per span: one round trip per machine the
+//! rows reach.
 //! The descriptor rows that make a span reachable follow as batches of
 //! their own — each span's `Timespans` row, then one `Graph/meta` row
 //! per append (with `Graph/config` beside it in the index's first) —
@@ -149,7 +149,7 @@ use hgs_delta::{
 use hgs_partition::{cut_events, locality_partition, CollapsedGraph, PartitionMap};
 use hgs_store::{
     chain_key, node_placement_token, parallel_steal, term_key, term_token, DeltaKey, PlacementKey,
-    PutRow, SimStore, StoreError, Table, WriteBuffer,
+    PutRow, SimStore, StoreError, Table,
 };
 
 use crate::attr_index::{span_term_rows, Held, SpanTermPoints};
@@ -429,23 +429,6 @@ impl Writer {
     // ------------------------------------------------------------------
 
     fn build_span(&mut self, events: &[Event], range: TimeRange) -> Result<(), StoreError> {
-        let store = Arc::clone(&self.view.store);
-        let mut buf = WriteBuffer::new(&store, WRITE_BATCH_ROWS);
-        let result = self.build_span_buffered(events, range, &mut buf);
-        if result.is_err() {
-            // The build already failed; pending rows would only trip
-            // the buffer's lost-write drop guard.
-            buf.abandon();
-        }
-        result
-    }
-
-    fn build_span_buffered(
-        &mut self,
-        events: &[Event],
-        range: TimeRange,
-        buf: &mut WriteBuffer<'_>,
-    ) -> Result<(), StoreError> {
         let cfg = self.view.cfg;
         let tsid = self.view.spans.len() as u32;
         let ns = cfg.horizontal_partitions;
@@ -496,7 +479,7 @@ impl Writer {
             tsid,
             cfg,
         };
-        let own_roots = self.encode_span(&span, buf)?;
+        let (mut rows, own_roots) = self.encode_span(&span);
         roots.push((tsid, own_roots));
         let named = roots_named_after(tsid);
         roots.retain(|(t, _)| named.contains(t));
@@ -507,18 +490,18 @@ impl Writer {
             for (sid, map) in maps.iter().enumerate() {
                 let blob = encode_partition_map(map);
                 let key = mp_key(tsid, sid as u32);
-                buf.push(
+                rows.push(PutRow::new(
                     Table::Micropartitions,
                     key.to_vec(),
                     PlacementKey::of_span(tsid, sid as u32).token(),
                     blob,
-                )?;
+                ));
             }
         }
 
-        // Ship the span's remaining rows before the metadata row that
-        // makes them reachable.
-        buf.flush()?;
+        // Ship the span's rows, one round trip per machine, before the
+        // metadata row that makes them reachable.
+        self.view.store.try_put_batch(rows)?;
 
         // Then that row, as a batch of one: retried, backed off and
         // classified like every other write.
@@ -550,12 +533,8 @@ impl Writer {
     /// in deterministic order: every item's tree, aux and eventlist
     /// rows in `sid` order, then every item's version-chain rows, then
     /// one secondary-index row per term, in term-byte order. Returns
-    /// the span's root of each `sid`, in full.
-    fn encode_span(
-        &mut self,
-        span: &SpanInput<'_>,
-        buf: &mut WriteBuffer<'_>,
-    ) -> Result<Vec<Delta>, StoreError> {
+    /// those rows and the span's root of each `sid`, in full.
+    fn encode_span(&mut self, span: &SpanInput<'_>) -> (Vec<PutRow>, Vec<Delta>) {
         let ns = span.cfg.horizontal_partitions;
         let replicate = span.cfg.replicates_boundary();
         // Per-item starting state: the sid's own partition for scoped
@@ -595,32 +574,29 @@ impl Writer {
             }
             tail
         };
+        let mut rows = Vec::new();
         let mut chain_rows = Vec::with_capacity(outputs.len());
         let mut terms = Vec::with_capacity(outputs.len());
         let mut roots = Vec::with_capacity(outputs.len());
         for out in outputs {
-            for row in out.rows {
-                buf.push_row(row)?;
-            }
+            rows.extend(out.rows);
             chain_rows.push(out.chain_rows);
             terms.push(out.terms);
             roots.push(out.root);
         }
-        for row in chain_rows.into_iter().flatten() {
-            buf.push_row(row)?;
-        }
+        rows.extend(chain_rows.into_iter().flatten());
         // Secondary temporal indexes: one self-contained change-point
-        // row per (term, span), batched with everything else — zero
+        // row per (term, span), written with everything else — zero
         // extra round trips per span.
-        for (term, blob) in span_term_rows(terms) {
-            buf.push(
+        rows.extend(span_term_rows(terms).into_iter().map(|(term, blob)| {
+            PutRow::new(
                 Table::AttrIndex,
                 term_key(hgs_delta::TERM_KIND_VALUE, &term, span.tsid),
                 term_token(hgs_delta::TERM_KIND_VALUE, &term),
                 blob,
-            )?;
-        }
-        Ok(roots)
+            )
+        }));
+        (rows, roots)
     }
 
     fn compute_maps(&self, events: &[Event], range: TimeRange, ns: u32) -> Vec<PartitionMap> {
@@ -751,13 +727,6 @@ impl TgiView {
             }))
     }
 }
-
-/// Rows the span write buffer accumulates before it flushes one
-/// batched round trip per machine (a span flushes once more at its end
-/// regardless). This bounds the buffer's flush cadence, not build
-/// memory: the per-`sid` encode stages a whole span's rows before they
-/// reach the buffer.
-const WRITE_BATCH_ROWS: usize = 8192;
 
 /// The host's available parallelism — the default encode width.
 pub(crate) fn host_parallelism() -> usize {

@@ -607,11 +607,11 @@ impl TgiView {
     /// chain names. The build names a chunk only beside the node's
     /// non-empty bucket, so a named chunk whose row is absent is
     /// [`StoreError::Corrupt`], never a shorter history; without chains
-    /// an absent row is an empty bucket. A span's chunks share a
-    /// placement, so whatever the read cache does not hold travels in
-    /// one multi-get per span. Chunks are concatenated in `(tsid,
-    /// chunk)` order and never re-sorted: events sharing a timestamp
-    /// keep the order they were ingested in.
+    /// an absent row is an empty bucket. The spans of one block share
+    /// a placement ([`PlacementKey::of_span`]), so whatever the read
+    /// cache does not hold travels in one multi-get per block. Chunks
+    /// are concatenated in `(tsid, chunk)` order and never re-sorted:
+    /// events sharing a timestamp keep the order they were ingested in.
     ///
     /// [`TimespanMeta::chunk_overlaps`]: crate::TimespanMeta::chunk_overlaps
     pub(crate) fn node_events(
@@ -644,27 +644,20 @@ impl TgiView {
             }
             refs
         };
-        // One fetch per span: its `(span, did, pid)` keys.
-        let mut spans: Vec<Vec<(&SpanRuntime, u64, u32)>> = Vec::new();
-        for (span, chunk, pid) in refs {
-            let key = (span, ELIST_BASE + chunk as u64, pid);
-            match spans.last_mut() {
-                Some(keys)
-                    if keys
-                        .first()
-                        .is_some_and(|k| k.0.meta.tsid == span.meta.tsid) =>
-                {
-                    keys.push(key)
-                }
-                _ => spans.push(vec![key]),
-            }
-        }
+        // One fetch per placement block: its `(span, did, pid)` keys.
+        let keys: Vec<(&SpanRuntime, u64, u32)> = refs
+            .into_iter()
+            .map(|(span, chunk, pid)| (span, ELIST_BASE + u64::from(chunk), pid))
+            .collect();
+        let block = |k: &(&SpanRuntime, u64, u32)| PlacementKey::of_span(k.0.meta.tsid, sid);
+        let blocks: Vec<&[(&SpanRuntime, u64, u32)]> =
+            keys.chunk_by(|a, b| block(a) == block(b)).collect();
         let in_range = |e: &Event| after.is_none_or(|a| e.time > a) && e.time < before;
         let lists: Vec<Result<Vec<Event>, StoreError>> =
-            parallel_steal(spans, self.clients, |keys| {
+            parallel_steal(blocks, self.clients, |keys| {
                 let mut events = Vec::new();
-                let rows = self.try_fetch_rows(sid, &keys)?;
-                for (row, &(_, did, _pid)) in rows.iter().zip(&keys) {
+                let rows = self.try_fetch_rows(sid, keys)?;
+                for (row, &(_, did, _pid)) in rows.iter().zip(keys) {
                     match row {
                         Some(Row::Events(el)) => {
                             events.extend(el.events_touching(nid)?.into_iter().filter(in_range))

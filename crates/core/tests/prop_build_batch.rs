@@ -8,17 +8,58 @@
 
 mod common;
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use common::assert_answers_equal_replay;
 use hgs_core::{PartitionStrategy, TgiConfig, TgiService};
 use hgs_datagen::WikiGrowth;
 use hgs_delta::{AttrValue, Event, EventKind};
-use hgs_store::{SimStore, StoreConfig};
+use hgs_store::{SimStore, StoreConfig, Table};
 use proptest::prelude::*;
 
 fn fresh_store(m: usize, r: usize) -> Arc<SimStore> {
     Arc::new(SimStore::new(StoreConfig::new(m, r)))
+}
+
+/// The span a stored data row belongs to, from its table-tagged key;
+/// `None` for the descriptor rows (`Timespans`, `Graph`).
+fn span_of(key: &[u8]) -> Option<u32> {
+    let tsid = |b: &[u8]| u32::from_be_bytes(b.try_into().expect("a tsid is 4 bytes"));
+    let (tag, key) = (key[0], &key[1..]);
+    if tag == Table::Timespans.tag() || tag == Table::Graph.tag() {
+        None
+    } else if tag == Table::Deltas.tag() || tag == Table::Micropartitions.tag() {
+        Some(tsid(&key[..4]))
+    } else {
+        // `Versions` and `AttrIndex` keys end in the tsid.
+        Some(tsid(&key[key.len() - 4..]))
+    }
+}
+
+/// Write round trips the build and appends that filled `store` cost,
+/// read off where their rows landed: each span one per machine its
+/// rows reach and one per machine its `Timespans` row reaches, and
+/// each of `commits` (the build and every append) one per machine its
+/// `Graph` batch reaches.
+fn put_batches_of_shape(store: &SimStore, commits: u64) -> u64 {
+    let mut span_machines: BTreeMap<u32, BTreeSet<usize>> = BTreeMap::new();
+    let (mut timespans, mut graph) = (0, 0);
+    for (m, rows) in store.content_rows().iter().enumerate() {
+        for (key, _) in rows {
+            match span_of(key) {
+                Some(tsid) => drop(span_machines.entry(tsid).or_default().insert(m)),
+                None if key[0] == Table::Timespans.tag() => timespans += 1,
+                None => graph += u64::from(&key[1..] == b"meta"),
+            }
+        }
+    }
+    let data: usize = span_machines.values().map(BTreeSet::len).sum();
+    data as u64 + timespans + commits * graph
+}
+
+fn put_batches(store: &SimStore) -> u64 {
+    store.stats_snapshot().iter().map(|m| m.put_batches).sum()
 }
 
 fn arb_event_kind() -> impl Strategy<Value = EventKind> {
@@ -253,12 +294,51 @@ fn wide_aux_build_matches_width_one_and_stays_batched() {
     // Writes stay batched: round trips at most 10 % of the rows
     // written. This assertion is the sole owner of that gate — the CI
     // step that read it off `bench_build`'s JSON went with the bin.
-    let stats = store.stats_snapshot();
-    let puts: u64 = stats.iter().map(|m| m.puts).sum();
-    let batches: u64 = stats.iter().map(|m| m.put_batches).sum();
+    let puts: u64 = store.stats_snapshot().iter().map(|m| m.puts).sum();
+    let batches = put_batches(&store);
     assert!(batches > 0, "the build must issue write batches");
     assert!(
         batches * 10 <= puts,
         "write round trips ({batches}) must stay well under row count ({puts})"
     );
+    // Exactly: a span's rows are one store write.
+    assert_eq!(batches, put_batches_of_shape(&store, 1));
+}
+
+/// A span is one store write however many rows it holds: a build whose
+/// span writes more than 8 192 rows, plus two appends, on a replicated
+/// store, costs exactly one round trip per machine each
+/// span's rows reach, one per replica of each `Timespans` row and one
+/// per replica of each commit's `Graph` batch.
+#[test]
+fn a_span_of_many_rows_is_one_store_write() {
+    let trace = WikiGrowth::sized(9_000).generate();
+    let cfg = TgiConfig {
+        events_per_timespan: 3_000,
+        eventlist_size: 5,
+        partition_size: 2,
+        horizontal_partitions: 2,
+        ..TgiConfig::default()
+    };
+    let cut = |i: usize| (i..trace.len()).find(|&i| trace[i].time > trace[i - 1].time);
+    let cuts = [
+        cut(3_000).expect("cut"),
+        cut(6_000).expect("cut"),
+        trace.len(),
+    ];
+    let store = fresh_store(4, 2);
+    let svc = TgiService::try_build_on(cfg, store.clone(), &trace[..cuts[0]], 2).expect("build");
+    let rows = store.content_rows();
+    let replicas = rows
+        .iter()
+        .flatten()
+        .filter(|(key, _)| span_of(key) == Some(0));
+    let written = replicas.count() / 2;
+    assert!(written > 8_192, "span 0 writes {written} rows");
+    assert_eq!(put_batches(&store), put_batches_of_shape(&store, 1));
+    for w in cuts.windows(2) {
+        svc.try_append_events(&trace[w[0]..w[1]]).expect("append");
+    }
+    assert_eq!(put_batches(&store), put_batches_of_shape(&store, 3));
+    assert_answers_equal_replay(&svc.pin(), &trace);
 }

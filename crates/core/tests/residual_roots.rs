@@ -5,21 +5,22 @@
 //! partitioning and under replicated locality partitioning; and a
 //! writer re-opened or recovered inside a block keeps the roots a
 //! later span of the block is stored against, so it writes the rows a
-//! writer that never stopped writes. No base is a root that holds
-//! nothing — block 0 names span 1 where its chains would name the empty
-//! span 0 — and a recursive k-hop reads a hashed base root only in the
-//! micro-partitions that can hold its nodes.
+//! writer that never stopped writes. A cold history fetches its
+//! eventlists once per block, not once per span. No base is a root
+//! that holds nothing — block 0 names span 1 where its chains would
+//! name the empty span 0 — and a recursive k-hop reads a hashed base
+//! root only in the micro-partitions that can hold its nodes.
 
 mod common;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use hgs_core::{sid_of, KhopStrategy, PartitionStrategy, TgiConfig, TgiService};
 use hgs_datagen::LabeledChurn;
 use hgs_delta::columnar::ColumnarDelta;
-use hgs_delta::{normalize_events, Delta, Event, EventKind};
-use hgs_store::{DeltaKey, StoreConfig, Table, SPAN_BLOCK};
+use hgs_delta::{normalize_events, Delta, Event, EventKind, TimeRange};
+use hgs_store::{DeltaKey, SimStore, StoreConfig, Table, SPAN_BLOCK};
 
 /// Spans of 40 events: the traces below make 75 of them.
 const SPAN: usize = 40;
@@ -112,6 +113,71 @@ fn more_than_two_blocks_answer_as_replay_at_every_span() {
             }
         }
     }
+}
+
+/// Client round trips `read` costs on `store`, counted as the
+/// benchmark counts them.
+fn round_trips(store: &SimStore, read: impl FnOnce()) -> u64 {
+    let before = store.stats_snapshot();
+    read();
+    let after = store.stats_snapshot();
+    let trips = after.iter().zip(&before).map(|(now, then)| {
+        let d = now.since(then);
+        d.batches + d.gets + d.scans - d.batched_subrequests
+    });
+    trips.sum()
+}
+
+/// A cold history asks once per placement block, not once per span: a
+/// node history over spans 20 to 49 (blocks 0 and 1) is the chain
+/// scan, the cold `try_node_at` of its initial state and one eventlist
+/// multi-get per block; an attribute history is the chain scan and one
+/// multi-get per block its node has events in. Every trace event is a
+/// span's own (span `time / SPAN`), so the blocks are known from the
+/// trace alone.
+#[test]
+fn a_cold_history_fetches_once_per_block() {
+    let events = trace();
+    let cfg = cfg(PartitionStrategy::Random);
+    let svc = TgiService::try_build(cfg, StoreConfig::new(4, 1), &events).unwrap();
+    svc.set_read_cache_budget(0);
+    let tgi = svc.pin();
+    let store = tgi.store();
+    let range = TimeRange::new(20 * SPAN as u64, 50 * SPAN as u64);
+    let span_of = |e: &Event| e.time as usize / SPAN;
+    let (mut two_block_nodes, mut spans_beyond_blocks) = (0, false);
+    for nid in 0..160u64 {
+        let touching = events.iter().filter(|e| {
+            let (a, b) = e.kind.touched();
+            a == nid || b == Some(nid)
+        });
+        let spans: BTreeSet<usize> = touching.clone().map(span_of).collect();
+        let blocks: BTreeSet<usize> = spans.iter().map(|s| s / SPAN_BLOCK as usize).collect();
+        spans_beyond_blocks |= spans.len() > blocks.len();
+        let attr = round_trips(store, || drop(tgi.try_attr_history(nid, "label").unwrap()));
+        assert_eq!(attr, 1 + blocks.len() as u64, "attr history of {nid}");
+
+        let inside = touching.filter(|e| e.time > range.start && e.time < range.end);
+        let spans: BTreeSet<usize> = inside.map(span_of).collect();
+        let blocks: BTreeSet<usize> = spans.iter().map(|s| s / SPAN_BLOCK as usize).collect();
+        // A node with in-range events in one block only may still have
+        // an edge chunk in the other fetched; both blocks pin it.
+        if blocks.len() < 2 {
+            continue;
+        }
+        two_block_nodes += 1;
+        let initial = round_trips(store, || drop(tgi.try_node_at(nid, range.start).unwrap()));
+        let history = round_trips(store, || drop(tgi.try_node_history(nid, range).unwrap()));
+        assert_eq!(history, 1 + initial + 2, "node history of {nid}");
+    }
+    assert!(
+        two_block_nodes > 20,
+        "{two_block_nodes} nodes span both blocks"
+    );
+    assert!(
+        spans_beyond_blocks,
+        "no history reads more spans than blocks"
+    );
 }
 
 /// Build the first 37 spans under `strategy`; then append the rest in

@@ -41,7 +41,6 @@ pub mod machine;
 mod parallel;
 mod retry;
 mod store;
-mod write;
 
 pub use cost::CostModel;
 pub use faults::{FaultPlan, Outage};
@@ -54,4 +53,3 @@ pub use retry::RetryPolicy;
 pub use store::{
     BatchPutOutcome, PutRow, RepairReport, SimStore, StoreConfig, StoreError, StoreStatsSnapshot,
 };
-pub use write::WriteBuffer;

@@ -127,11 +127,10 @@ pub struct BatchPutOutcome {
     /// durability; counted in [`SimStore::partial_put_count`]).
     pub partial: usize,
     /// Rows accepted by no replica even after the per-machine retry
-    /// budget (counted in [`SimStore::failed_put_count`]). The rows
-    /// did not land anywhere: [`SimStore::try_put_batch`] surfaces
-    /// them as an error so the caller can re-issue the batch — the
-    /// write buffer does exactly that before giving up (see
-    /// [`WriteBuffer`](crate::WriteBuffer)).
+    /// budget of the store's [`RetryPolicy`](crate::RetryPolicy)
+    /// (counted in [`SimStore::failed_put_count`]). The rows did not
+    /// land anywhere: [`SimStore::try_put_batch`] surfaces them as an
+    /// error.
     pub failed: usize,
     /// Table of the first fully-failed row, used by
     /// [`SimStore::try_put_batch`] to surface the error.
