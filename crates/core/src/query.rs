@@ -34,6 +34,7 @@ use crate::build::{SpanRuntime, TgiView};
 use crate::config::PartitionStrategy;
 use crate::costs::{access_cost, CostProfile, IndexKind, QueryKind};
 use crate::meta::{decode_chain, sid_of, ChainEntry, AUX_BASE, ELIST_BASE};
+use crate::query_plan::fill_rows;
 use crate::read_cache::{CacheKey, Cached};
 
 /// How to fetch a k-hop neighborhood (§4.6, Algorithms 3 & 4).
@@ -302,7 +303,7 @@ impl TgiView {
     /// tree-path fetch + decode.
     pub fn try_snapshot(&self, t: Time) -> Result<Delta, StoreError> {
         let mut out = [Delta::new()];
-        self.fill_snapshots(&[t], &mut out)?;
+        self.fill_group(&[t], &mut out)?;
         let [state] = out;
         Ok(state)
     }
@@ -370,16 +371,17 @@ impl TgiView {
     }
 
     /// Rows `keys` — `(span, did, pid)` of horizontal partition `sid`,
-    /// every span of one block, which share a placement
-    /// ([`PlacementKey::of_span`]) — in `keys` order (`None`: no such
-    /// row), each row's pairs resolved through its own span's table:
-    /// the one point read of `Deltas` rows, behind the static-vertex
-    /// fetch, the micro-partition fetch, the eventlist chunks of node
-    /// histories and the aux replicas of a k-hop.
+    /// of any spans — in `keys` order (`None`: no such row), each row's
+    /// pairs resolved through its own span's table: the one point read
+    /// of `Deltas` rows, behind the static-vertex fetch, the
+    /// micro-partition fetch, the eventlist chunks of node histories
+    /// and the aux replicas of a k-hop.
     ///
     /// Rows the read cache holds, in either state or as known-absent,
     /// are served from it. The rest travel in **one** batched multi-get
-    /// — re-run on every miss, so a down chunk surfaces
+    /// per placement block ([`PlacementKey::of_span`]: a block's spans
+    /// share one), the blocks fanned out at the view's client width —
+    /// re-run on every miss, so a down chunk surfaces
     /// [`StoreError::Unavailable`] — and are cached header-parsed, so
     /// a caller decodes just the columns its probes touch. A
     /// confirmed-absent row is cached as such: write-once rows cannot
@@ -404,30 +406,34 @@ impl TgiView {
                 Cached::TermPoints(_) => None,
             })
             .collect();
-        let missing: Vec<DeltaKey> = keys
+        // The misses by placement block, `(index, key)`: a multi-get a
+        // block, the blocks fanned out.
+        let misses = keys
             .iter()
             .zip(&probed)
-            .filter(|(_, hit)| hit.is_none())
-            .map(|(&(span, did, pid), _)| DeltaKey::new(span.meta.tsid, sid, did, pid))
-            .collect();
-        let mut fetched = match missing.first() {
-            None => Vec::new(),
-            Some(first) => {
-                debug_assert!(missing.iter().all(|k| k.placement() == first.placement()));
-                let encoded: Vec<[u8; 20]> = missing.iter().map(DeltaKey::encode).collect();
-                let refs: Vec<&[u8]> = encoded.iter().map(|k| &k[..]).collect();
-                let token = first.placement().token();
-                self.store.multi_get(Table::Deltas, &refs, token)?
-            }
+            .enumerate()
+            .filter(|(_, (_, hit))| hit.is_none());
+        let misses = misses.map(|(i, (&(span, did, pid), _))| {
+            let key = DeltaKey::new(span.meta.tsid, sid, did, pid);
+            (key.placement(), (i, key.encode()))
+        });
+        let blocks = parallel_steal(by_block(misses), self.clients, |(block, misses)| {
+            let refs: Vec<&[u8]> = misses.iter().map(|(_, k)| &k[..]).collect();
+            let rows = self.store.multi_get(Table::Deltas, &refs, block.token());
+            rows.map(|rows| misses.into_iter().map(|(i, _)| i).zip(rows))
+        });
+        let mut fetched = FxHashMap::default();
+        for block in blocks {
+            fetched.extend(block?);
         }
-        .into_iter();
         keys.iter()
             .zip(probed)
-            .map(|(k, hit)| {
+            .enumerate()
+            .map(|(i, (k, hit))| {
                 if let Some(hit) = hit {
                     return Ok(hit);
                 }
-                let Some(bytes) = fetched.next().flatten() else {
+                let Some(bytes) = fetched.remove(&i).flatten() else {
                     self.read_cache.put(cache_key(k), Cached::Absent);
                     return Ok(None);
                 };
@@ -607,9 +613,9 @@ impl TgiView {
     /// chain names. The build names a chunk only beside the node's
     /// non-empty bucket, so a named chunk whose row is absent is
     /// [`StoreError::Corrupt`], never a shorter history; without chains
-    /// an absent row is an empty bucket. The spans of one block share
-    /// a placement ([`PlacementKey::of_span`]), so whatever the read
-    /// cache does not hold travels in one multi-get per block. Chunks
+    /// an absent row is an empty bucket. Whatever the read cache does
+    /// not hold travels in one multi-get per placement block
+    /// ([`TgiView::try_fetch_rows`]). Chunks
     /// are concatenated in `(tsid, chunk)` order and never re-sorted:
     /// events sharing a timestamp keep the order they were ingested in.
     ///
@@ -622,60 +628,45 @@ impl TgiView {
     ) -> Result<Vec<Event>, StoreError> {
         let sid = sid_of(nid, self.cfg.horizontal_partitions);
         let chains = self.cfg.version_chains;
-        // `(span, chunk, pid)` in `(tsid, chunk)` order. A chain is in
-        // that order already, and filtering its entries costs the
-        // node's chunks where filtering every chunk costs the spans'.
-        let refs: Vec<(&SpanRuntime, u32, u32)> = if chains {
+        // `(span, did, pid)` of each chunk in `(tsid, chunk)` order. A
+        // chain is in that order already, and filtering its entries
+        // costs the node's chunks where filtering every chunk costs the
+        // spans'.
+        let key = |span, chunk: u32, pid| (span, ELIST_BASE + u64::from(chunk), pid);
+        let keys: Vec<(&SpanRuntime, u64, u32)> = if chains {
             let chain = self.try_version_chain(nid)?;
             chain
                 .into_iter()
                 .filter_map(|e| {
                     let span = self.spans.get(e.tsid as usize)?;
                     let overlaps = span.meta.chunk_overlaps(e.chunk, after, before);
-                    overlaps.then_some((&**span, e.chunk, e.pid))
+                    overlaps.then(|| key(&**span, e.chunk, e.pid))
                 })
                 .collect()
         } else {
-            let mut refs = Vec::new();
+            let mut keys = Vec::new();
             for span in &self.spans {
                 let (meta, (_sid, pid)) = (&span.meta, span.placement(nid));
                 let chunks = meta.chunks_overlapping(after, before);
-                refs.extend(chunks.map(|chunk| (&**span, chunk, pid)));
+                keys.extend(chunks.map(|chunk| key(&**span, chunk, pid)));
             }
-            refs
+            keys
         };
-        // One fetch per placement block: its `(span, did, pid)` keys.
-        let keys: Vec<(&SpanRuntime, u64, u32)> = refs
-            .into_iter()
-            .map(|(span, chunk, pid)| (span, ELIST_BASE + u64::from(chunk), pid))
-            .collect();
-        let block = |k: &(&SpanRuntime, u64, u32)| PlacementKey::of_span(k.0.meta.tsid, sid);
-        let blocks: Vec<&[(&SpanRuntime, u64, u32)]> =
-            keys.chunk_by(|a, b| block(a) == block(b)).collect();
         let in_range = |e: &Event| after.is_none_or(|a| e.time > a) && e.time < before;
-        let lists: Vec<Result<Vec<Event>, StoreError>> =
-            parallel_steal(blocks, self.clients, |keys| {
-                let mut events = Vec::new();
-                let rows = self.try_fetch_rows(sid, keys)?;
-                for (row, &(_, did, _pid)) in rows.iter().zip(keys) {
-                    match row {
-                        Some(Row::Events(el)) => {
-                            events.extend(el.events_touching(nid)?.into_iter().filter(in_range))
-                        }
-                        _ if chains => {
-                            return Err(StoreError::Corrupt(CodecError::BadRef {
-                                what: "chain chunk without an eventlist row",
-                                id: did - ELIST_BASE,
-                            }))
-                        }
-                        _ => {}
-                    }
+        let mut events = Vec::new();
+        for (row, &(_, did, _pid)) in self.try_fetch_rows(sid, &keys)?.iter().zip(&keys) {
+            match row {
+                Some(Row::Events(el)) => {
+                    events.extend(el.events_touching(nid)?.into_iter().filter(in_range))
                 }
-                Ok(events)
-            });
-        let mut events: Vec<Event> = Vec::new();
-        for list in lists {
-            events.extend(list?);
+                _ if chains => {
+                    return Err(StoreError::Corrupt(CodecError::BadRef {
+                        what: "chain chunk without an eventlist row",
+                        id: did - ELIST_BASE,
+                    }))
+                }
+                _ => {}
+            }
         }
         Ok(events)
     }
@@ -911,9 +902,10 @@ impl TgiView {
     /// This is the bulk equivalent of Algorithm 2 and the fetch unit
     /// of the TAF protocol (Fig. 10: each analytics worker pulls whole
     /// horizontal partitions); one call per `sid` reconstructs the
-    /// whole `SoN`. The eventlist chunks of every span of one placement
-    /// block are pulled in one grouped scan (one round-trip per block,
-    /// through the fill's prefix reader), and store failures are
+    /// whole `SoN`. It asks once per `(block, sid)`: the initial leaf's
+    /// tree path and eventlist and the eventlist chunks of every span
+    /// in the range travel through the fill's prefix reader, one
+    /// grouped scan per placement block, and store failures are
     /// propagated instead of silently dropping a block's worth of
     /// events.
     pub fn try_node_histories_for_sid(
@@ -922,8 +914,32 @@ impl TgiView {
         range: TimeRange,
     ) -> Result<Vec<NodeHistory>, StoreError> {
         let ns = self.cfg.horizontal_partitions;
-        // Initial states: the sid's slice of the snapshot at range.start.
-        let initial = self.try_sid_state_at(sid, range.start)?;
+        // Every eventlist chunk overlapping (range.start, range.end), in
+        // `(tsid, chunk)` order — which keeps events of one time in
+        // trace order — scanned beside the initial leaf's rows.
+        let chunks: Vec<(u32, u64)> = self
+            .spans
+            .iter()
+            .filter(|span| span.map(sid).is_some())
+            .flat_map(|span| {
+                let meta = &span.meta;
+                let overlapping = meta.chunks_overlapping(Some(range.start), range.end);
+                overlapping.map(|chunk| (meta.tsid, ELIST_BASE + u64::from(chunk)))
+            })
+            .collect();
+        let start = self.span_for(range.start);
+        let leaf = start.meta.leaf_for_time(range.start);
+        let mut scanned = fill_rows(&[(&start.meta, leaf, true)]);
+        scanned.extend(&chunks);
+        let rows = self.span_rows(sid, &scanned)?;
+        // Initial states: the sid's slice of the snapshot at range.start,
+        // its leaf's path sum replayed to it. Nothing but rows is cached
+        // — a cached checkpoint is a whole leaf.
+        let mut initial = self.sum_sid_path(sid, &start.meta.tree_path(leaf), &rows)?;
+        let mut pieces = Vec::new();
+        self.leaf_pieces(start, leaf, sid, &rows, &mut pieces)?;
+        let mut cursors = vec![0; pieces.len()];
+        self.replay_until(start, &mut initial, &pieces, &mut cursors, range.start);
         let mut histories: FxHashMap<NodeId, NodeHistory> = FxHashMap::default();
         for n in initial.iter() {
             histories.insert(
@@ -936,56 +952,39 @@ impl TgiView {
                 },
             );
         }
-        // Every eventlist chunk overlapping (range.start, range.end), in
-        // `(tsid, chunk)` order — which keeps events of one time in
-        // trace order — read one grouped scan per placement block.
-        let chunks: Vec<(u32, u64)> = self
-            .spans
-            .iter()
-            .filter(|span| span.map(sid).is_some())
-            .flat_map(|span| {
-                let meta = &span.meta;
-                let overlapping = meta.chunks_overlapping(Some(range.start), range.end);
-                overlapping.map(|chunk| (meta.tsid, ELIST_BASE + u64::from(chunk)))
-            })
-            .collect();
-        let block = |&(tsid, _): &(u32, u64)| PlacementKey::of_span(tsid, sid);
-        for scanned in chunks.chunk_by(|a, b| block(a) == block(b)) {
-            let rows = self.span_rows(sid, scanned)?;
-            for &(tsid, did) in scanned {
-                let span = self.span_of(tsid)?;
-                let Some(map) = span.map(sid) else {
+        for &(tsid, did) in &chunks {
+            let span = self.span_of(tsid)?;
+            let Some(map) = span.map(sid) else {
+                continue;
+            };
+            for (k, v) in rows.get(&(tsid, did)).into_iter().flatten() {
+                let Some(dk) = DeltaKey::decode(k) else {
                     continue;
                 };
-                for (k, v) in rows.get(&(tsid, did)).into_iter().flatten() {
-                    let Some(dk) = DeltaKey::decode(k) else {
+                let el = self.decoded_elist(span, sid, dk.did, dk.pid, v)?;
+                for e in el.events() {
+                    if e.time <= range.start || e.time >= range.end {
                         continue;
-                    };
-                    let el = self.decoded_elist(span, sid, dk.did, dk.pid, v)?;
-                    for e in el.events() {
-                        if e.time <= range.start || e.time >= range.end {
+                    }
+                    let (a, b) = e.kind.touched();
+                    // A node's events live exactly in its own pid's
+                    // list, which also dedups the cross-pid copies.
+                    for nid in [Some(a), b].into_iter().flatten() {
+                        if sid_of(nid, ns) != sid || map.assign(nid) != dk.pid {
                             continue;
                         }
-                        let (a, b) = e.kind.touched();
-                        // A node's events live exactly in its own pid's
-                        // list, which also dedups the cross-pid copies.
-                        for nid in [Some(a), b].into_iter().flatten() {
-                            if sid_of(nid, ns) != sid || map.assign(nid) != dk.pid {
-                                continue;
-                            }
-                            histories
-                                .entry(nid)
-                                .or_insert_with(|| NodeHistory {
-                                    id: nid,
-                                    range,
-                                    initial: None,
-                                    events: Vec::new(),
-                                })
-                                .events
-                                .push(e.clone());
-                            if b == Some(a) {
-                                break;
-                            }
+                        histories
+                            .entry(nid)
+                            .or_insert_with(|| NodeHistory {
+                                id: nid,
+                                range,
+                                initial: None,
+                                events: Vec::new(),
+                            })
+                            .events
+                            .push(e.clone());
+                        if b == Some(a) {
+                            break;
                         }
                     }
                 }
@@ -998,6 +997,21 @@ impl TgiView {
         out.sort_by_key(|h| h.id);
         Ok(out)
     }
+}
+
+/// `items` grouped by placement block, each block's in input order:
+/// the two `Deltas` readers' one request per `(block, sid)`.
+pub(crate) fn by_block<T>(
+    items: impl IntoIterator<Item = (PlacementKey, T)>,
+) -> Vec<(PlacementKey, Vec<T>)> {
+    let mut blocks: Vec<(PlacementKey, Vec<T>)> = Vec::new();
+    for (block, item) in items {
+        match blocks.iter_mut().find(|(b, _)| *b == block) {
+            Some((_, items)) => items.push(item),
+            None => blocks.push((block, vec![item])),
+        }
+    }
+    blocks
 }
 
 /// BFS over a materialized snapshot (used by Algorithm 3).

@@ -9,19 +9,22 @@
 //!
 //! 1. **Group** the times by timespan and by tree leaf (eventlist
 //!    chunk);
-//! 2. **Union** the tree paths of all requested leaves — the span's
-//!    base roots, then its root-to-leaf delta ids — per `(tsid, sid)`
-//!    chunk and **fetch** each `(sid, did, pid)` row
-//!    exactly once through the store's grouped-scan API
-//!    ([`hgs_store::SimStore::scan_prefix_batch`] — one round-trip per
-//!    chunk instead of one per delta);
+//! 2. **Union** the tree paths of all requested leaves — each span's
+//!    base roots, then its root-to-leaf delta ids — across the plan, so
+//!    a base root two spans of a block share is read once, and
+//!    **fetch** each `(tsid, sid, did, pid)` row exactly once through
+//!    the store's grouped-scan API
+//!    ([`hgs_store::SimStore::scan_prefix_batch`]): one request per
+//!    `(block, sid)`, since the spans of a placement block
+//!    ([`hgs_store::PlacementKey::of_span`]) share a placement, instead
+//!    of one per delta;
 //! 3. **Decode** each row at most once, ever: decoded rows and the
 //!    materialized per-leaf checkpoint states land in the session-wide
 //!    byte-budgeted LRU [`ReadCache`](crate::read_cache::ReadCache)
 //!    ([`TgiView::set_read_cache_budget`]), shared with every single-point
 //!    query path. Index rows are write-once (spans are append-only),
-//!    so cached entries can never go stale. Each chunk's eventlist
-//!    scan is *never* skipped — a fully-down chunk still surfaces
+//!    so cached entries can never go stale. Each `(block, sid)`'s
+//!    eventlist scan is *never* skipped — a fully-down chunk still surfaces
 //!    [`StoreError::Unavailable`](hgs_store::StoreError) rather than
 //!    being papered over by the cache;
 //! 4. **Materialize** each requested snapshot by cloning the shared
@@ -37,12 +40,14 @@
 //!
 //! # One fill, at every width
 //!
-//! A span group is materialized by one routine, `fill_group`, whatever
-//! the view's client width ([`TgiView::with_clients`]). It probes the
+//! A plan's leaf groups, of any spans, are materialized by one routine,
+//! `fill_group`, whatever the view's client width
+//! ([`TgiView::with_clients`]). It probes the
 //! whole-graph checkpoint state of each requested leaf
 //! ([`CacheKey::Leaf`](crate::read_cache) — *the unit of a cached
 //! whole-graph checkpoint is the leaf*), then runs three kinds of work
-//! item: one grouped scan per sid; one tree-path sum per `(sid, leaf)`
+//! item: one sid's grouped scans, one per placement block the plan
+//! touches; one tree-path sum per `(sid, leaf)`
 //! still to build, merged into its leaf's state as it is produced
 //! (sids hold disjoint nodes); and, per leaf, the tail — cache the
 //! state, decode the eventlists, replay to each requested time. The
@@ -62,7 +67,7 @@ use hgs_store::{parallel_steal, DeltaKey, PlacementKey, StoreError, Table};
 
 use crate::build::{SpanRuntime, TgiView};
 use crate::meta::{root_bases, sid_of, TimespanMeta, ELIST_BASE};
-use crate::query::DeltaHandle;
+use crate::query::{by_block, DeltaHandle};
 use crate::read_cache::{CacheKey, Cached};
 
 /// How much fetch work a multipoint plan shares, before running it.
@@ -83,85 +88,82 @@ pub struct PlanSummary {
     pub shared_fetch_units: usize,
     /// Fetch units a naive per-time loop would retrieve.
     pub naive_fetch_units: usize,
-    /// Store round-trips the plan issues (one grouped scan per
-    /// (timespan, sid) chunk).
+    /// Store round-trips the plan issues: one grouped scan per
+    /// `(block, sid)` — the spans of a placement block share one — so
+    /// `horizontal_partitions` × the blocks its times touch.
     pub round_trips: usize,
 }
 
-/// Times of one leaf group: `(output slot, time)`, ascending by time.
+/// Times of one leaf group: its span and leaf, and `(output slot,
+/// time)`, ascending by time.
 struct LeafGroup {
+    span: Arc<SpanRuntime>,
     leaf: usize,
     times: Vec<(usize, Time)>,
 }
 
-/// All leaf groups of one timespan, ascending by leaf index.
-struct SpanGroup {
-    span: Arc<SpanRuntime>,
-    leaves: Vec<LeafGroup>,
-}
-
-/// A planned multipoint retrieval (internal representation).
+/// A planned multipoint retrieval (internal representation): its leaf
+/// groups, ascending by span, then by leaf.
 pub(crate) struct MultipointPlan {
-    groups: Vec<SpanGroup>,
+    leaves: Vec<LeafGroup>,
     n_times: usize,
 }
 
 impl MultipointPlan {
     pub(crate) fn new(tgi: &TgiView, times: &[Time]) -> MultipointPlan {
-        // span_idx -> leaf -> [(slot, t)], walked in key order so
+        // (span_idx, leaf) -> [(slot, t)], walked in key order so
         // materialized states distribute deterministically.
-        let mut by_span: BTreeMap<usize, BTreeMap<usize, Vec<(usize, Time)>>> = BTreeMap::new();
+        let mut by_leaf: BTreeMap<(usize, usize), Vec<(usize, Time)>> = BTreeMap::new();
         for (slot, &t) in times.iter().enumerate() {
             let span_idx = tgi.span_index_for(t);
             let leaf = tgi.spans[span_idx].meta.leaf_for_time(t);
-            by_span
-                .entry(span_idx)
-                .or_default()
-                .entry(leaf)
-                .or_default()
-                .push((slot, t));
+            by_leaf.entry((span_idx, leaf)).or_default().push((slot, t));
         }
-        let groups = by_span
+        let leaves = by_leaf
             .into_iter()
-            .map(|(span_idx, leaves)| SpanGroup {
-                span: Arc::clone(&tgi.spans[span_idx]),
-                leaves: leaves
-                    .into_iter()
-                    .map(|(leaf, mut times)| {
-                        times.sort_by_key(|&(_, t)| t);
-                        LeafGroup { leaf, times }
-                    })
-                    .collect(),
+            .map(|((span_idx, leaf), mut times)| {
+                times.sort_by_key(|&(_, t)| t);
+                LeafGroup {
+                    span: Arc::clone(&tgi.spans[span_idx]),
+                    leaf,
+                    times,
+                }
             })
             .collect();
         MultipointPlan {
-            groups,
+            leaves,
             n_times: times.len(),
         }
     }
 
     /// Summarize the plan's sharing against the per-time naive loop.
     fn summary(&self, tgi: &TgiView) -> PlanSummary {
-        let ns = tgi.cfg.horizontal_partitions as usize;
+        let ns = tgi.cfg.horizontal_partitions;
         let mut s = PlanSummary {
             times: self.n_times,
-            span_groups: self.groups.len(),
+            leaf_groups: self.leaves.len(),
             ..PlanSummary::default()
         };
-        for g in &self.groups {
-            let meta = &g.span.meta;
-            let mut union: FxHashSet<(u32, u64)> = FxHashSet::default();
-            for lg in &g.leaves {
-                s.leaf_groups += 1;
-                let path = meta.tree_path(lg.leaf);
-                // Naive: every time refetches its whole path + elist.
-                s.naive_fetch_units += lg.times.len() * ns * (path.len() + 1);
-                union.extend(path);
-                union.insert((meta.tsid, ELIST_BASE + lg.leaf as u64));
-            }
-            s.shared_fetch_units += ns * union.len();
-            s.round_trips += ns;
+        let mut union: FxHashSet<(u32, u64)> = FxHashSet::default();
+        let mut spans: FxHashSet<u32> = FxHashSet::default();
+        for lg in &self.leaves {
+            let meta = &lg.span.meta;
+            let path = meta.tree_path(lg.leaf);
+            // Naive: every time refetches its whole path + elist.
+            s.naive_fetch_units += lg.times.len() * ns as usize * (path.len() + 1);
+            union.extend(path);
+            union.insert((meta.tsid, ELIST_BASE + lg.leaf as u64));
+            spans.insert(meta.tsid);
         }
+        // One grouped scan per (block, sid): a span's base roots are
+        // of its own block.
+        let blocks: FxHashSet<PlacementKey> = spans
+            .iter()
+            .flat_map(|&tsid| (0..ns).map(move |sid| PlacementKey::of_span(tsid, sid)))
+            .collect();
+        s.span_groups = spans.len();
+        s.shared_fetch_units = ns as usize * union.len();
+        s.round_trips = blocks.len();
         s
     }
 }
@@ -181,81 +183,48 @@ impl TgiView {
     ///
     /// Equivalent to (and tested against) `times.len()` independent
     /// [`TgiView::try_snapshot`] calls, but each tree-path delta row is
-    /// fetched once per `(tsid, sid)` chunk and decoded at most once,
-    /// ever; each snapshot is materialized by cloning the shared leaf
-    /// state and replaying only its per-time eventlist suffix. Each
-    /// chunk's eventlist scan is never skipped, so failures still
+    /// fetched once, in one grouped scan per `(block, sid)`; each
+    /// snapshot is materialized by cloning the shared leaf state and
+    /// replaying only its per-time eventlist suffix. Each
+    /// `(block, sid)`'s eventlist scan is never skipped, so failures still
     /// surface as [`StoreError::Unavailable`](hgs_store::StoreError).
     /// The fill runs at the view's client width
     /// ([`TgiView::with_clients`]); the degenerate `times.len() == 1`
     /// form of this is what [`TgiView::try_snapshot`] runs.
     pub fn try_snapshots(&self, times: &[Time]) -> Result<Vec<Delta>, StoreError> {
         let mut out: Vec<Delta> = (0..times.len()).map(|_| Delta::new()).collect();
-        self.fill_snapshots(times, &mut out)?;
+        self.fill_group(times, &mut out)?;
         Ok(out)
     }
 
     /// Fill `out[i]`, one empty state per time, with the graph state at
-    /// `times[i]`, one span group of the multipoint plan at a time.
-    pub(crate) fn fill_snapshots(
-        &self,
-        times: &[Time],
-        out: &mut [Delta],
-    ) -> Result<(), StoreError> {
-        for group in &MultipointPlan::new(self, times).groups {
-            self.fill_group(&group.span, &group.leaves, out)?;
-        }
-        Ok(())
-    }
-
-    /// One horizontal partition's slice of the snapshot at `t`: the
-    /// fill's grouped scan and path sum for the one `(sid, leaf)`,
-    /// replayed to `t`. It is the initial state of
-    /// [`TgiView::try_node_histories_for_sid`], TAF's per-partition
-    /// fetch. Nothing but rows is cached — a cached checkpoint is a
-    /// whole leaf.
-    pub(crate) fn try_sid_state_at(&self, sid: u32, t: Time) -> Result<Delta, StoreError> {
-        let span = self.span_for(t);
-        let leaf = span.meta.leaf_for_time(t);
-        let rows = self.span_rows(sid, &fill_rows(&span.meta, &[(leaf, true)]))?;
-        let mut state = self.sum_sid_path(sid, &span.meta.tree_path(leaf), &rows)?;
-        let mut pieces = Vec::new();
-        self.leaf_pieces(span, leaf, sid, &rows, &mut pieces)?;
-        self.replay_until(span, &mut state, &pieces, &mut vec![0; pieces.len()], t);
-        Ok(state)
-    }
-
-    /// Materialize one span group into its output slots — the one fill
-    /// every width runs (see the module docs). Checkpoint states the
-    /// cache holds drop their tree paths from the scans; the scans
-    /// themselves never disappear (every `(tsid, sid)` chunk is still
-    /// read for its eventlists), so a down chunk surfaces
-    /// [`StoreError::Unavailable`] even on a fully warm state. Any
-    /// failed item fails the whole batch.
-    fn fill_group(
-        &self,
-        span: &SpanRuntime,
-        leaves: &[LeafGroup],
-        out: &mut [Delta],
-    ) -> Result<(), StoreError> {
-        let tsid = span.meta.tsid;
+    /// `times[i]`: every leaf group of the multipoint plan, of any
+    /// spans, in one fill — the one fill every width runs (see the
+    /// module docs). Checkpoint states the cache holds drop their tree
+    /// paths from the scans; the scans themselves never disappear
+    /// (every `(block, sid)` is still read for its eventlists), so a
+    /// down chunk surfaces [`StoreError::Unavailable`] even on a fully
+    /// warm state. Any failed item fails the whole batch.
+    pub(crate) fn fill_group(&self, times: &[Time], out: &mut [Delta]) -> Result<(), StoreError> {
+        let leaves = &MultipointPlan::new(self, times).leaves;
         let c = self.clients;
         let bases: Vec<Option<Arc<Delta>>> = leaves
             .iter()
-            .map(
-                |lg| match self.read_cache.get(CacheKey::Leaf(tsid, lg.leaf as u32)) {
+            .map(|lg| {
+                let key = CacheKey::Leaf(lg.span.meta.tsid, lg.leaf as u32);
+                match self.read_cache.get(key) {
                     Some(Cached::Delta(d)) => Some(d),
                     _ => None,
-                },
-            )
+                }
+            })
             .collect();
-        let wanted: Vec<(usize, bool)> = leaves
+        let wanted: Vec<(&TimespanMeta, usize, bool)> = leaves
             .iter()
             .zip(&bases)
-            .map(|(lg, base)| (lg.leaf, base.is_none()))
+            .map(|(lg, base)| (&lg.span.meta, lg.leaf, base.is_none()))
             .collect();
         let sids: Vec<u32> = (0..self.cfg.horizontal_partitions).collect();
-        let scanned = fill_rows(&span.meta, &wanted);
+        let scanned = fill_rows(&wanted);
         let per_sid: Vec<RowsByDid> = parallel_steal(sids, c, |sid| self.span_rows(sid, &scanned))
             .into_iter()
             .collect::<Result<_, _>>()?;
@@ -264,18 +233,20 @@ impl TgiView {
         // merged back to back, and at any width the workers' first
         // claims spread over the sids.
         let built: Vec<Mutex<Delta>> = leaves.iter().map(|_| Mutex::default()).collect();
-        let sums: Vec<(usize, &Mutex<Delta>, u32, &RowsByDid)> = wanted
+        let sums: Vec<(&LeafGroup, &Mutex<Delta>, u32, &RowsByDid)> = leaves
             .iter()
+            .zip(&bases)
             .zip(&built)
-            .filter(|((_, build), _)| *build)
-            .flat_map(|(&(leaf, _), state)| {
+            .filter(|((_, base), _)| base.is_none())
+            .flat_map(|((lg, _), state)| {
                 (0u32..)
                     .zip(&per_sid)
-                    .map(move |(sid, rows)| (leaf, state, sid, rows))
+                    .map(move |(sid, rows)| (lg, state, sid, rows))
             })
             .collect();
-        parallel_steal(sums, c, |(leaf, state, sid, rows)| {
-            let sid_state = self.sum_sid_path(sid, &span.meta.tree_path(leaf), rows)?;
+        parallel_steal(sums, c, |(lg, state, sid, rows)| {
+            let path = lg.span.meta.tree_path(lg.leaf);
+            let sid_state = self.sum_sid_path(sid, &path, rows)?;
             state.lock().sum_assign_owned(sid_state);
             Ok(())
         })
@@ -289,10 +260,11 @@ impl TgiView {
             .map(|((lg, base), built)| (lg, base, built.into_inner()))
             .collect();
         let filled = parallel_steal(tails, c, |(lg, base, built)| {
+            let span = &lg.span;
             let base = base.unwrap_or_else(|| {
                 let state = Arc::new(built);
                 self.read_cache.put(
-                    CacheKey::Leaf(tsid, lg.leaf as u32),
+                    CacheKey::Leaf(span.meta.tsid, lg.leaf as u32),
                     Cached::Delta(state.clone()),
                 );
                 state
@@ -312,38 +284,38 @@ impl TgiView {
     }
 
     /// Fetch every micro-partition of the rows `scanned` — `(tsid,
-    /// did)` of spans of this view, all of one block, which share a
-    /// placement ([`PlacementKey::of_span`]) — of horizontal partition
-    /// `sid` in a single grouped scan: the one prefix read of the
-    /// fill's rows ([`fill_rows`]), of a span's root and of the
-    /// eventlist chunks of a partition's node histories.
+    /// did)` of any spans of this view, a row named twice scanned once
+    /// — of horizontal partition `sid`, in one grouped scan per
+    /// placement block ([`PlacementKey::of_span`]: a block's spans
+    /// share one): the one prefix read of the fill's rows
+    /// ([`fill_rows`]), of a span's root and of a partition's node
+    /// histories.
     pub(crate) fn span_rows(
         &self,
         sid: u32,
         scanned: &[(u32, u64)],
     ) -> Result<RowsByDid, StoreError> {
-        let Some(&(first, _)) = scanned.first() else {
-            return Ok(RowsByDid::default());
-        };
         if let Some(&(tsid, _)) = scanned.iter().find(|r| r.0 as usize >= self.spans.len()) {
             return Err(StoreError::Corrupt(hgs_delta::CodecError::BadRef {
                 what: "timespan",
                 id: u64::from(tsid),
             }));
         }
-        let token = PlacementKey::of_span(first, sid);
-        debug_assert!(scanned
-            .iter()
-            .all(|&(tsid, _)| PlacementKey::of_span(tsid, sid) == token));
-        let prefixes: Vec<[u8; 16]> = scanned
-            .iter()
-            .map(|&(tsid, did)| DeltaKey::delta_prefix(tsid, sid, did))
-            .collect();
-        let refs: Vec<&[u8]> = prefixes.iter().map(|p| &p[..]).collect();
-        let groups = self
-            .store
-            .scan_prefix_batch(Table::Deltas, &refs, token.token())?;
-        Ok(scanned.iter().copied().zip(groups).collect())
+        let mut seen: FxHashSet<(u32, u64)> = FxHashSet::default();
+        let rows = scanned.iter().filter(|&&row| seen.insert(row));
+        let mut out = RowsByDid::default();
+        for (block, rows) in by_block(rows.map(|&row| (PlacementKey::of_span(row.0, sid), row))) {
+            let prefixes: Vec<[u8; 16]> = rows
+                .iter()
+                .map(|&(tsid, did)| DeltaKey::delta_prefix(tsid, sid, did))
+                .collect();
+            let refs: Vec<&[u8]> = prefixes.iter().map(|p| &p[..]).collect();
+            let groups = self
+                .store
+                .scan_prefix_batch(Table::Deltas, &refs, block.token())?;
+            out.extend(rows.into_iter().zip(groups));
+        }
+        Ok(out)
     }
 
     /// Span `tsid`'s root of every horizontal partition, in full: its
@@ -437,7 +409,7 @@ impl TgiView {
     /// One sid's sum of the tree rows `path` — a leaf's tree path, or a
     /// root's chain of base roots — out of `rows`, base roots first,
     /// through the row tier of the cache.
-    fn sum_sid_path(
+    pub(crate) fn sum_sid_path(
         &self,
         sid: u32,
         path: &[(u32, u64)],
@@ -460,7 +432,7 @@ impl TgiView {
     /// Decode one sid's eventlist pieces of `leaf` out of `rows`
     /// (through the cache), appending `(sid, pid, eventlist)` to
     /// `pieces`.
-    fn leaf_pieces(
+    pub(crate) fn leaf_pieces(
         &self,
         span: &SpanRuntime,
         leaf: usize,
@@ -507,7 +479,7 @@ impl TgiView {
     /// Apply to `cur` the events at or before `t` that each piece's
     /// cursor has not passed yet, scoped to the piece's
     /// micro-partition.
-    fn replay_until(
+    pub(crate) fn replay_until(
         &self,
         span: &SpanRuntime,
         cur: &mut Delta,
@@ -529,22 +501,18 @@ impl TgiView {
     }
 }
 
-/// The rows a span group's fill scans, per `(leaf, build)` of
-/// `leaves`: the leaf's eventlist chunk and — when its checkpoint state
-/// is still to build — its tree path, base roots included (paths
-/// unioned across leaves). A leaf whose state is cached still has its
-/// eventlist prefix scanned on the same placement, so a down chunk
+/// The rows a fill scans, per `(span, leaf, build)` of `leaves`: the
+/// leaf's eventlist chunk and — when its checkpoint state is still to
+/// build — its tree path, base roots included. Paths shared across
+/// leaves, of one span or of a block's, are scanned once
+/// ([`TgiView::span_rows`]). A leaf whose state is cached still has
+/// its eventlist prefix scanned on the same placement, so a down chunk
 /// surfaces either way.
-fn fill_rows(meta: &TimespanMeta, leaves: &[(usize, bool)]) -> Vec<(u32, u64)> {
+pub(crate) fn fill_rows(leaves: &[(&TimespanMeta, usize, bool)]) -> Vec<(u32, u64)> {
     let mut rows: Vec<(u32, u64)> = Vec::new();
-    let mut seen: FxHashSet<(u32, u64)> = FxHashSet::default();
-    for &(leaf, build) in leaves {
+    for &(meta, leaf, build) in leaves {
         if build {
-            for row in meta.tree_path(leaf) {
-                if seen.insert(row) {
-                    rows.push(row);
-                }
-            }
+            rows.extend(meta.tree_path(leaf));
         }
         rows.push((meta.tsid, ELIST_BASE + leaf as u64));
     }
@@ -581,9 +549,8 @@ mod tests {
         let times = [150u64, 10, 150, 60];
         let plan = MultipointPlan::new(&tgi, &times);
         let slots: Vec<usize> = plan
-            .groups
+            .leaves
             .iter()
-            .flat_map(|g| g.leaves.iter())
             .flat_map(|lg| lg.times.iter().map(|&(slot, _)| slot))
             .collect();
         let mut sorted = slots.clone();

@@ -272,7 +272,7 @@ fn plan_shares_fetches_and_batches_round_trips() {
         "4 spread times must share path rows: {plan:?}"
     );
     // The executed plan issues exactly one grouped-scan round-trip per
-    // (timespan, sid) chunk.
+    // (block, sid): both spans here are of placement block 0.
     let before = tgi.store().stats_snapshot();
     let snaps = tgi.try_snapshots(&times).unwrap();
     let diff = SimStore::stats_since(&tgi.store().stats_snapshot(), &before);

@@ -5,11 +5,12 @@
 //! partitioning and under replicated locality partitioning; and a
 //! writer re-opened or recovered inside a block keeps the roots a
 //! later span of the block is stored against, so it writes the rows a
-//! writer that never stopped writes. A cold history fetches its
-//! eventlists once per block, not once per span. No base is a root
-//! that holds nothing — block 0 names span 1 where its chains would
-//! name the empty span 0 — and a recursive k-hop reads a hashed base
-//! root only in the micro-partitions that can hold its nodes.
+//! writer that never stopped writes. A cold history, multipoint or
+//! partition history fetches once per `(block, sid)`, not once per
+//! span. No base is a root that holds nothing — block 0 names span 1
+//! where its chains would name the empty span 0 — and a recursive
+//! k-hop reads a hashed base root only in the micro-partitions that
+//! can hold its nodes.
 
 mod common;
 
@@ -178,6 +179,105 @@ fn a_cold_history_fetches_once_per_block() {
         spans_beyond_blocks,
         "no history reads more spans than blocks"
     );
+}
+
+/// Rows the store returns for `read` on `store`.
+fn rows_read(store: &SimStore, read: impl FnOnce()) -> u64 {
+    let before = store.stats_snapshot();
+    read();
+    let after = store.stats_snapshot();
+    let rows = after
+        .iter()
+        .zip(&before)
+        .map(|(now, then)| now.since(then).rows_read);
+    rows.sum()
+}
+
+/// A cold multipoint asks once per `(block, sid)`: `ns` round trips for
+/// each placement block its times touch, however many spans of the
+/// block they fall in, as the plan predicts — and its answers are event
+/// replay's. Spans 2 and 3 both sum span 1's root and span 3 sums span
+/// 2's, so a multipoint over both reads those rows once, fewer than
+/// the two single snapshots do.
+#[test]
+fn a_cold_multipoint_fetches_once_per_block_and_sid() {
+    let events = trace();
+    let svc = TgiService::try_build(
+        cfg(PartitionStrategy::Random),
+        StoreConfig::new(4, 1),
+        &events,
+    )
+    .unwrap();
+    svc.set_read_cache_budget(0);
+    let tgi = svc.pin();
+    let store = tgi.store();
+    let ns = u64::from(tgi.config().horizontal_partitions);
+    let at = |span: u64, offset: u64| span * SPAN as u64 + offset;
+    for (spans, blocks) in [
+        (vec![2, 3], 1),
+        (vec![5, 6, 7], 1),
+        (vec![2, 3, 34, 35], 2),
+        (vec![9, 40, 70], 3),
+    ] {
+        let times: Vec<u64> = spans
+            .iter()
+            .flat_map(|&s| [at(s, 5), at(s, 25), at(s, 39)])
+            .collect();
+        let mut got = Vec::new();
+        let trips = round_trips(store, || got = tgi.try_snapshots(&times).unwrap());
+        assert_eq!(trips, ns * blocks, "spans {spans:?}");
+        assert_eq!(
+            tgi.plan_multipoint(&times).round_trips as u64,
+            trips,
+            "spans {spans:?}"
+        );
+        for (&t, state) in times.iter().zip(&got) {
+            assert_eq!(state, &Delta::snapshot_by_replay(&events, t), "t = {t}");
+        }
+    }
+    let (t2, t3) = (at(2, 25), at(3, 25));
+    let shared = rows_read(store, || drop(tgi.try_snapshots(&[t2, t3]).unwrap()));
+    let single = |t| rows_read(store, || drop(tgi.try_snapshot(t).unwrap()));
+    let apart = single(t2) + single(t3);
+    assert!(shared < apart, "{shared} rows shared, {apart} apart");
+}
+
+/// A whole-partition history fetch asks once per `(block, sid)`: its
+/// initial leaf's path rides the first block's scan beside the
+/// eventlist chunks, so a range inside one block costs one round trip
+/// per `sid` and a range over spans 20 to 45 two. Each history is the
+/// node's own.
+#[test]
+fn a_cold_partition_history_fetches_once_per_block() {
+    let events = trace();
+    let svc = TgiService::try_build(
+        cfg(PartitionStrategy::Random),
+        StoreConfig::new(4, 1),
+        &events,
+    )
+    .unwrap();
+    svc.set_read_cache_budget(0);
+    let tgi = svc.pin();
+    let store = tgi.store();
+    let span = |s: u64| s * SPAN as u64;
+    for (range, blocks) in [
+        (TimeRange::new(span(5) + 7, span(9) + 3), 1),
+        (TimeRange::new(span(20) + 7, span(45) + 3), 2),
+    ] {
+        let mut nodes = 0;
+        for sid in 0..tgi.config().horizontal_partitions {
+            let mut histories = Vec::new();
+            let trips = round_trips(store, || {
+                histories = tgi.try_node_histories_for_sid(sid, range).unwrap()
+            });
+            assert_eq!(trips, blocks, "sid {sid}, {range:?}");
+            for h in &histories {
+                assert_eq!(h, &tgi.try_node_history(h.id, range).unwrap(), "{range:?}");
+            }
+            nodes += histories.len();
+        }
+        assert!(nodes > 100, "{nodes} histories over {range:?}");
+    }
 }
 
 /// Build the first 37 spans under `strategy`; then append the rest in

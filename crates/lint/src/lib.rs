@@ -36,6 +36,10 @@
 //!   outside `TimespanMeta::tree_path`: a span's root is stored against
 //!   earlier spans' roots, so a reader walking the shape's own path
 //!   skips them.
+//! * **one-fetch-unit** — `PlacementKey::of_span(` or `.placement()`
+//!   in `hgs-core`'s sources outside the writer, the re-open path, the
+//!   two `Deltas` readers and the plan's round-trip prediction: the
+//!   readers group any spans' rows by placement block themselves.
 //! * **unused-allow** — an allow annotation whose rule no longer
 //!   fires is itself an error, so annotations cannot rot.
 //!

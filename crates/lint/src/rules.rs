@@ -25,6 +25,7 @@ pub const RULES: &[&str] = &[
     "one-row-fetch",
     "one-compression-layer",
     "one-tree-path",
+    "one-fetch-unit",
     "unused-allow",
     "malformed-allow",
 ];
@@ -58,6 +59,20 @@ const PREFIX_READER_FNS: &[&str] = &["span_rows"];
 /// root-to-leaf path (`one-tree-path`), and the file it lives in: the
 /// tree path every reader sums, base roots first.
 const TREE_PATH_FN: (&str, &str) = ("crates/core/src/meta.rs", "tree_path");
+
+/// Where [`TREE_ROW_READER_CRATE`] may name a row's placement block
+/// (`one-fetch-unit`), as `(file, fn)` (`None`: any fn of the file):
+/// the writer and the re-open path, which place the rows they write;
+/// the two `Deltas` readers, which group what they read by block, one
+/// request per `(block, sid)`; and the plan's round-trip prediction,
+/// which counts those requests.
+const PLACEMENT_SITES: &[(&str, Option<&str>)] = &[
+    ("crates/core/src/build.rs", None),
+    ("crates/core/src/persist.rs", None),
+    ("crates/core/src/query.rs", Some(ROW_FETCH_FN)),
+    ("crates/core/src/query_plan.rs", Some("span_rows")),
+    ("crates/core/src/query_plan.rs", Some("summary")),
+];
 
 /// The one file that may call the LZSS codec
 /// (`one-compression-layer`): the store's optional value compression.
@@ -659,6 +674,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> FileReport {
     one_row_fetch(toks, &cx, ctx, &mut findings);
     one_compression_layer(toks, &cx, ctx, &mut findings);
     one_tree_path(toks, &cx, ctx, &mut findings);
+    one_fetch_unit(toks, &cx, ctx, &mut findings);
 
     // Suppress findings that carry a matching allow on their line.
     findings.retain(|f| {
@@ -1045,6 +1061,57 @@ fn one_tree_path(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Ve
                 ),
             });
         }
+    }
+}
+
+/// The `one-fetch-unit` pass: in `hgs-core`'s non-test library code, a
+/// `::of_span(` call (`PlacementKey::of_span`) or an argument-free
+/// `.placement()` call (`DeltaKey::placement`) anywhere but the
+/// [`PLACEMENT_SITES`]. The spans of a placement block share one
+/// placement per `sid`, and the two readers group the keys or
+/// prefixes they are handed by it, so a caller hands them rows of any
+/// spans in one call. A caller that chunks its own keys by block, or a
+/// reader that trusts its keys to share one, is a second copy of that
+/// rule — and a list that mixes blocks goes to the first key's machine.
+fn one_fetch_unit(toks: &[Token], cx: &Contexts, ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    if ctx.kind != FileKind::Lib || ctx.crate_dir.as_deref() != Some(TREE_ROW_READER_CRATE) {
+        return;
+    }
+    for i in 1..toks.len() {
+        let call = toks.get(i + 1).is_some_and(|n| n.is_punct('('));
+        let names = match toks[i].ident() {
+            Some("of_span") => {
+                call && i >= 2 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':')
+            }
+            Some("placement") => {
+                call && toks[i - 1].is_punct('.')
+                    && toks.get(i + 2).is_some_and(|n| n.is_punct(')'))
+            }
+            _ => false,
+        };
+        let tcx = cx.per_token[i];
+        if !names || tcx.in_test {
+            continue;
+        }
+        let fn_name = tcx.fn_id.map(|f| cx.fns[f].name.as_str());
+        let sanctioned = PLACEMENT_SITES
+            .iter()
+            .any(|&(file, f)| ctx.rel_path == file && (f.is_none() || f == fn_name));
+        if sanctioned {
+            continue;
+        }
+        findings.push(Finding {
+            rule: "one-fetch-unit",
+            file: ctx.rel_path.clone(),
+            line: toks[i].line,
+            message: "a row's placement block named outside the writer, the re-open \
+                      path, the two `Deltas` readers and the plan's round-trip \
+                      prediction: `try_fetch_rows` and `span_rows` group any spans' \
+                      rows by block themselves, one request per `(block, sid)`; hand \
+                      them every key in one call, or annotate why this site must \
+                      know the block"
+                .to_string(),
+        });
     }
 }
 

@@ -296,6 +296,38 @@ fn one_tree_path_spares_the_helper_other_crates_and_tests() {
 }
 
 #[test]
+fn one_fetch_unit_fixture() {
+    check("one_fetch_unit.rs", "crates/core/src/fixture.rs", true);
+}
+
+#[test]
+fn one_fetch_unit_spares_its_sites_other_crates_and_tests() {
+    // Other crates place no rows of the index body, and tests name
+    // blocks on purpose: there the fixture's own allow, suppressing
+    // nothing, is what surfaces. The writer's files may name a block
+    // anywhere; in the readers' file, only the reader is spared.
+    let src = fixture("one_fetch_unit.rs");
+    for rel in [
+        "crates/store/src/fixture.rs",
+        "crates/core/tests/fixture.rs",
+        "crates/core/src/build.rs",
+        "crates/core/src/persist.rs",
+    ] {
+        let report = lint_source(&src, &ctx(rel));
+        let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, vec!["unused-allow"], "{rel}: {:#?}", report.findings);
+    }
+    let report = lint_source(&src, &ctx("crates/core/src/query.rs"));
+    let lines: Vec<u32> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "one-fetch-unit")
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(lines, vec![10], "{:#?}", report.findings);
+}
+
+#[test]
 fn one_compression_layer_fixture() {
     check(
         "one_compression_layer.rs",

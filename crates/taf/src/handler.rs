@@ -103,7 +103,8 @@ impl SonQuery {
     }
 
     /// Restrict to an explicit node set (Select pushdown: only those
-    /// nodes' micro-partitions are fetched).
+    /// nodes' micro-partitions are fetched). The set names each node
+    /// once: a repeated id is fetched, and held, once.
     pub fn select_ids(mut self, ids: Vec<NodeId>) -> SonQuery {
         self.ids = Some(ids);
         self
@@ -151,9 +152,11 @@ impl SonQuery {
             (None, None) => (None, None),
         };
         let nodes: Vec<NodeT> = match ids {
-            Some(ids) => {
+            Some(mut ids) => {
                 // Select pushdown: per-node history fetches, spread
-                // over the workers.
+                // over the workers, one per distinct node.
+                ids.sort_unstable();
+                ids.dedup();
                 let fetched: Vec<Result<NodeT, StoreError>> = parallel_steal(ids, workers, |id| {
                     tgi.try_node_history(id, range).map(NodeT::new)
                 });
@@ -199,7 +202,8 @@ impl SotsQuery {
     }
 
     /// Choose the subgraph roots (default: every node alive at the
-    /// range start).
+    /// range start). The fetch builds one subgraph per distinct root,
+    /// ascending by root.
     pub fn roots(mut self, roots: Vec<NodeId>) -> SotsQuery {
         self.roots = Some(roots);
         self
@@ -226,7 +230,7 @@ impl SotsQuery {
         let workers = self.handler.workers;
         let range = self.range;
         let k = self.k;
-        let roots: Vec<NodeId> = match (self.roots, self.roots_attr_eq) {
+        let mut roots: Vec<NodeId> = match (self.roots, self.roots_attr_eq) {
             (Some(r), _) => r,
             (None, Some((key, value))) => {
                 tgi.try_nodes_matching_at(&key, &AttrValue::Text(value.clone()), range.start)?
@@ -235,6 +239,8 @@ impl SotsQuery {
             // the pinned view's own width.
             (None, None) => pinned.try_snapshot(range.start)?.sorted_ids(),
         };
+        roots.sort_unstable();
+        roots.dedup();
         let subs: Vec<Result<SubgraphT, StoreError>> = parallel_steal(roots, workers, |root| {
             // Strategy picked per root from the Table-1 cost
             // estimators (recursive for small k, via-snapshot
@@ -334,6 +340,30 @@ mod tests {
             rows < 200,
             "pushdown must avoid a full-graph read, rows={rows}"
         );
+    }
+
+    /// A selection or a root list names each node once: repeats fetch
+    /// what the same list with each id once fetches.
+    #[test]
+    fn repeated_ids_select_and_root_each_node_once() {
+        let (events, h) = setup();
+        let end = events.last().unwrap().time;
+        let range = TimeRange::new(end / 2, end);
+        let son = |ids: Vec<NodeId>| h.son().timeslice(range).select_ids(ids).try_fetch();
+        let once = son(vec![3, 5, 9]).unwrap();
+        assert_eq!(once.len(), 3);
+        let repeated = son(vec![9, 3, 3, 5, 9, 3]).unwrap();
+        assert_eq!(repeated.nodes(), once.nodes());
+
+        let sots = |roots: Vec<NodeId>| h.sots(1).timeslice(range).roots(roots).try_fetch();
+        let once = sots(vec![3, 5, 9]).unwrap();
+        let repeated = sots(vec![9, 3, 3, 5, 9, 3]).unwrap();
+        assert_eq!(repeated.len(), 3);
+        for (a, b) in repeated.subgraphs().iter().zip(once.subgraphs()) {
+            assert_eq!(a.root, b.root);
+            assert_eq!(a.initial(), b.initial(), "root {}", a.root);
+            assert_eq!(a.events(), b.events(), "root {}", a.root);
+        }
     }
 
     #[test]
